@@ -38,6 +38,13 @@ const tinySrc = `
 
 func runTiny(t *testing.T, tool nvbit.Tool, launches int) []uint32 {
 	t.Helper()
+	return runKernel(t, tool, tinySrc, "tiny", launches)
+}
+
+// runKernel launches one 32-thread block of a kernel taking a single output
+// pointer, launches times, and returns the 32 output words.
+func runKernel(t *testing.T, tool nvbit.Tool, src, kernel string, launches int) []uint32 {
+	t.Helper()
 	dev, err := gpu.NewDevice(sass.FamilyVolta, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -53,11 +60,11 @@ func runTiny(t *testing.T, tool nvbit.Tool, launches int) []uint32 {
 		}
 		defer att.Detach()
 	}
-	mod, err := ctx.LoadModule("m", tinySrc)
+	mod, err := ctx.LoadModule("m", src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fn, err := mod.Function("tiny")
+	fn, err := mod.Function(kernel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -699,5 +706,45 @@ func TestProfilerSiteCounts(t *testing.T) {
 	}
 	if !got.Records[1].HasSites() || got.Records[1].SiteCounts[0] != 32 {
 		t.Fatalf("site data lost in round trip: %+v", got.Records[1])
+	}
+}
+
+// guardedSrc has one site that issues with no lane active (the @P0 FADD: P0
+// is false on all 32 threads) and one that never issues (the FMUL after
+// EXIT).
+const guardedSrc = `
+.kernel guarded
+.param outptr
+    S2R R0, SR_TID.X
+    ISETP.GE.AND P0, R0, 0x40, PT
+@P0 FADD R5, R0, R0
+    SHL R3, R0, 0x2
+    IADD R4, R3, c0[outptr]
+    STG.32 [R4], R0
+    EXIT
+    FMUL R6, R0, R0
+`
+
+// TestProfilerWriteToByteIdentity pins the serialized profile. The profiler
+// counts per site during the launch and folds into the per-opcode map at
+// launch end; the file it writes must not show that: an opcode whose only
+// executions had zero active lanes keeps its "=0" entry, an opcode that never
+// issued has none.
+func TestProfilerWriteToByteIdentity(t *testing.T) {
+	// Recorded from the per-callback map implementation this one replaced.
+	const golden = `# program: guarded
+# mode: exact
+guarded; 0; FADD=0 IADD=32 ISETP=32 SHL=32 STG=32 EXIT=32 S2R=32
+# sites: 0:S2R=32 1:ISETP=32 2:FADD=0 3:SHL=32 4:IADD=32 5:STG=32 6:EXIT=32 7:FMUL=0
+guarded; 1; FADD=0 IADD=32 ISETP=32 SHL=32 STG=32 EXIT=32 S2R=32
+# sites: 0:S2R=32 1:ISETP=32 2:FADD=0 3:SHL=32 4:IADD=32 5:STG=32 6:EXIT=32 7:FMUL=0
+`
+	prof, err := core.NewProfiler("guarded", core.Exact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runKernel(t, prof, guardedSrc, "guarded", 2)
+	if got := prof.Finish().String(); got != golden {
+		t.Fatalf("profile file changed:\n--- got\n%s--- want\n%s", got, golden)
 	}
 }

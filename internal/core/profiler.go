@@ -19,6 +19,7 @@ type Profiler struct {
 	program      string
 	instrumented map[string]bool // static kernels already profiled (approx mode)
 	current      *KernelRecord   // record under accumulation (launches are serial)
+	visited      []bool          // sites of current that executed at least once
 	records      []KernelRecord
 }
 
@@ -61,30 +62,39 @@ func (p *Profiler) OnLaunch(info *nvbit.LaunchInfo) nvbit.Decision {
 	p.instrumented[info.Kernel.Name] = true
 	p.records = append(p.records, rec)
 	p.current = &p.records[len(p.records)-1]
+	p.visited = make([]bool, len(info.Kernel.Instrs))
 	return nvbit.Decision{Instrument: true, Key: "profile"}
 }
 
 // Instrument implements nvbit.Tool: count every instruction's active lanes.
 // The callback closure is built once and shared by all launches through the
-// JIT cache; it accumulates into whichever record is current.
+// JIT cache; it accumulates into whichever record is current. It runs once
+// per dynamic warp instruction, so it touches only the per-site slices;
+// OnLaunchDone folds them into the per-opcode map.
 func (p *Profiler) Instrument(k *sass.Kernel, _ string, ins *nvbit.Inserter) {
 	for i := range k.Instrs {
-		op := k.Instrs[i].Op
 		idx := i
 		ins.InsertAfter(i, func(c *gpu.InstrCtx) {
-			if p.current != nil {
-				n := uint64(c.LaneCount())
-				p.current.OpCounts[op] += n
-				if idx < len(p.current.SiteCounts) {
-					p.current.SiteCounts[idx] += n
-				}
+			if p.current != nil && idx < len(p.current.SiteCounts) {
+				p.current.SiteCounts[idx] += uint64(c.LaneCount())
+				p.visited[idx] = true
 			}
 		})
 	}
 }
 
-// OnLaunchDone implements nvbit.Tool.
+// OnLaunchDone implements nvbit.Tool: fold the launch's per-site counts into
+// its per-opcode counts. An opcode gets an entry once any of its sites
+// executed, even with no lane active — a guard-suppressed issue counts zero
+// threads but still shows the opcode ran.
 func (p *Profiler) OnLaunchDone(*nvbit.LaunchInfo, gpu.LaunchStats, *gpu.Trap, bool) {
+	if r := p.current; r != nil {
+		for idx, seen := range p.visited {
+			if seen {
+				r.OpCounts[r.SiteOps[idx]] += r.SiteCounts[idx]
+			}
+		}
+	}
 	p.current = nil
 }
 

@@ -8,17 +8,17 @@ import (
 
 // Per-experiment state recycling. A fault-injection campaign creates a fresh
 // context per experiment for isolation, but the expensive allocations under
-// that context — warp register files (32 KiB each), shared-memory windows,
-// and global-memory pages — have no experiment-specific identity once
-// zeroed. Pooling them converts the campaign's dominant allocation cost into
-// a memclr.
+// that context — block contexts with their shared-memory windows, warp
+// register files (32 KiB each), and global-memory pages — have no
+// experiment-specific identity once zeroed. Pooling them converts the
+// campaign's dominant allocation cost into a memclr.
 //
 // Recycled state is architecturally indistinguishable from fresh state: the
 // digest treats a zeroed local window or an empty call stack exactly like a
 // nil one (see digestWith), and every reset field matches the zero value a
-// fresh allocation would carry. Pool discipline: a blockCtx releases its
-// warps and shared window only on clean completion (never on trap or pause,
-// where snapshots or error paths may still observe the block).
+// fresh allocation would carry. Pool discipline: a blockCtx returns itself
+// and its warps only on clean completion (never on trap or pause, where
+// snapshots or error paths may still observe the block).
 
 var warpPool = sync.Pool{New: func() any { return new(warp) }}
 
@@ -38,16 +38,12 @@ func getWarp(id int) *warp {
 func (w *warp) reset() {
 	w.id = 0
 	w.pc = [WarpSize]int32{}
-	// Registers at or above dirtyRegs are zero by invariant (see the field
-	// doc), so clearing the dirty prefix of each lane restores the fully
-	// zeroed state without touching the rest of the 32 KiB file.
-	if n := w.dirtyRegs; n > 0 {
-		for lane := range w.regs {
-			clear(w.regs[lane][:n])
-		}
-		w.dirtyRegs = 0
-	}
-	w.preds = [WarpSize][sass.NumPreds]bool{}
+	// Rows at or above dirtyRegs are zero by invariant (see the field doc),
+	// so clearing the dirty prefix — one contiguous run of rows — restores
+	// the fully zeroed state without touching the rest of the 32 KiB file.
+	clear(w.regs[:w.dirtyRegs])
+	w.dirtyRegs = 0
+	w.preds = [sass.NumPreds]uint32{}
 	// tid is not cleared: newBlockCtx assigns it for every live lane, and no
 	// observable path (execution, digest, snapshot identity) reads the tid
 	// of a lane outside liveMask.
@@ -72,33 +68,37 @@ func (w *warp) reset() {
 	w.done = false
 }
 
-// sharedPool recycles block shared-memory windows across blocks and
-// experiments.
-var sharedPool sync.Pool
+// blockPool recycles block contexts. A pooled context keeps its warps
+// slice's backing array (every entry nil) and its shared-memory buffer, so a
+// steady-state block allocates nothing.
+var blockPool = sync.Pool{New: func() any { return new(blockCtx) }}
 
-func getShared(n int) []byte {
-	if v := sharedPool.Get(); v != nil {
-		b := *(v.(*[]byte))
-		if cap(b) >= n {
-			b = b[:n]
-			clear(b)
-			return b
-		}
+// getBlockCtx returns a pooled block context reset to the fresh-allocation
+// state, with room for numWarps warps and a zeroed shared window of
+// sharedBytes.
+func getBlockCtx(numWarps, sharedBytes int) *blockCtx {
+	blk := blockPool.Get().(*blockCtx)
+	warps, shared := blk.warps[:0], blk.shared[:0]
+	if cap(warps) < numWarps {
+		warps = make([]*warp, 0, numWarps)
 	}
-	return make([]byte, n)
+	if cap(shared) < sharedBytes {
+		shared = make([]byte, sharedBytes)
+	} else {
+		shared = shared[:sharedBytes]
+		clear(shared)
+	}
+	*blk = blockCtx{warps: warps, shared: shared}
+	return blk
 }
 
-// release returns the block's warps and shared window to their pools. Only
-// call on clean block completion: trapped or paused blocks may still be
-// observed through errors or snapshots.
+// release returns the block's warps, and the context with its shared window,
+// to their pools. Only call on clean block completion: trapped or paused
+// blocks may still be observed through errors or snapshots.
 func (blk *blockCtx) release() {
-	for _, w := range blk.warps {
+	for i, w := range blk.warps {
 		warpPool.Put(w)
+		blk.warps[i] = nil
 	}
-	blk.warps = nil
-	if blk.shared != nil {
-		b := blk.shared
-		blk.shared = nil
-		sharedPool.Put(&b)
-	}
+	blockPool.Put(blk)
 }

@@ -183,7 +183,7 @@ func (ek *ExecKernel) Instrumented() bool {
 // writtenRegHi returns an exclusive upper bound on the register indices this
 // kernel's instructions can write, from a static scan of destination
 // operands. It seeds warp.dirtyRegs so reset clears only the written prefix
-// of each lane's register file. The scan over-approximates by 3 registers to
+// of the register file. The scan over-approximates by 3 registers to
 // cover pair and 128-bit destinations; a 128-bit destination near the top of
 // the file wraps base+i through the uint8 register id and can touch low
 // registers, so those force the full file.
@@ -284,7 +284,7 @@ func (c *InstrCtx) ReadReg(lane int, r sass.RegID) uint32 {
 	if r == sass.RZ {
 		return 0
 	}
-	return c.w.regs[lane][r]
+	return c.w.regs[r][lane]
 }
 
 // WriteReg sets lane's general-purpose register r. Writes to RZ are
@@ -299,7 +299,7 @@ func (c *InstrCtx) WriteReg(lane int, r sass.RegID, v uint32) {
 	if int32(r) >= c.w.dirtyRegs {
 		c.w.dirtyRegs = int32(r) + 1
 	}
-	c.w.regs[lane][r] = v
+	c.w.regs[r][lane] = v
 }
 
 // ReadPred returns lane's predicate register p.
@@ -307,7 +307,7 @@ func (c *InstrCtx) ReadPred(lane int, p sass.PredID) bool {
 	if p == sass.PT {
 		return true
 	}
-	return c.w.preds[lane][p]
+	return c.w.pred(p, lane)
 }
 
 // WritePred sets lane's predicate register p. Writes to PT are discarded.
@@ -315,11 +315,11 @@ func (c *InstrCtx) WritePred(lane int, p sass.PredID, v bool) {
 	if p == sass.PT {
 		return
 	}
-	c.w.preds[lane][p] = v
+	c.w.setPred(p, lane, v)
 }
 
 // ThreadIdx returns lane's thread index within the block.
-func (c *InstrCtx) ThreadIdx(lane int) Dim3 { return c.w.tid[lane] }
+func (c *InstrCtx) ThreadIdx(lane int) Dim3 { return c.w.threadIdx(lane) }
 
 // GlobalThreadLinear returns lane's linear thread id across the whole grid.
 func (c *InstrCtx) GlobalThreadLinear(lane int) int64 {

@@ -31,12 +31,18 @@ import (
 // pc[]) and never digested — and the legacy scan remains both the cold
 // fallback (after indirect control flow) and the oracle
 // (Device.LegacySched / NVBITFI_LEGACY_SCHED).
+//
+// The SIMT state is register-major so that a warp instruction is a vector
+// operation: regs[r] is one contiguous 128-byte row holding architectural
+// register r of all 32 lanes, preds[p] is predicate p of all 32 lanes as a
+// lane bitmask, and tid holds the thread-index components as three rows
+// (DESIGN.md section 3.11).
 type warp struct {
 	id         int
 	pc         [WarpSize]int32
-	regs       [WarpSize][sass.NumRegs]uint32
-	preds      [WarpSize][sass.NumPreds]bool
-	tid        [WarpSize]Dim3
+	regs       [sass.NumRegs]regRow
+	preds      [sass.NumPreds]uint32
+	tid        [3]regRow // thread index within the block: X, Y, Z rows
 	local      [WarpSize][]byte
 	stack      [WarpSize][]int32
 	liveMask   uint32 // lanes that exist in this warp (partial last warp)
@@ -55,18 +61,42 @@ type warp struct {
 	barWait bool
 	done    bool
 
-	// dirtyRegs is an exclusive upper bound on the per-lane register indices
-	// that may hold nonzero values: every register at or above it is zero.
-	// It lets reset clear only the written prefix of the 32 KiB register
-	// file instead of all of it — the campaign's dominant memclr. Seeded
+	// dirtyRegs is an exclusive upper bound on the register indices that may
+	// hold nonzero values: every row at or above it is zero. It lets reset
+	// clear only the written prefix of the 32 KiB register file — one
+	// contiguous memclr — instead of all of it. Seeded
 	// from the kernel's static destination scan (ExecKernel.writtenRegHi)
 	// when a block claims the warp, and bumped by InstrCtx.WriteReg, the one
 	// writer that is not bounded by the static scan.
 	dirtyRegs int32
 }
 
+// regRow is one architectural register across the warp: lane l's value sits
+// at index l.
+type regRow [WarpSize]uint32
+
+// fullMask is the exec mask with every lane set.
+const fullMask = ^uint32(0)
+
 // activeMask returns the lanes that exist and have not exited.
 func (w *warp) activeMask() uint32 { return w.liveMask &^ w.exitedMask }
+
+// pred reads lane's predicate register p.
+func (w *warp) pred(p sass.PredID, lane int) bool { return w.preds[p]>>uint(lane)&1 != 0 }
+
+// setPred writes lane's predicate register p.
+func (w *warp) setPred(p sass.PredID, lane int, v bool) {
+	if bit := uint32(1) << uint(lane); v {
+		w.preds[p] |= bit
+	} else {
+		w.preds[p] &^= bit
+	}
+}
+
+// threadIdx returns lane's thread index within the block.
+func (w *warp) threadIdx(lane int) Dim3 {
+	return Dim3{X: int(w.tid[0][lane]), Y: int(w.tid[1][lane]), Z: int(w.tid[2][lane])}
+}
 
 // warpSplit is one bucket of the warp-split list: the lanes in mask all sit
 // at pc.
@@ -231,16 +261,13 @@ func flowOf(in *sass.Instr) (flow uint8, target int32) {
 
 // predMask returns the lanes in m whose predicate p — negated when neg —
 // evaluates true. Shared by the interpreter's guardMask and the translated
-// guard closures. The scan is sequential by lane (no find-first-set
-// dependency chain) so iterations overlap on the CPU.
+// guard closures.
 func predMask(w *warp, m uint32, p sass.PredID, neg bool) uint32 {
-	var execMask uint32
-	for lane, rem := 0, m; rem != 0; lane, rem = lane+1, rem>>1 {
-		if rem&1 != 0 && w.preds[lane&31][p] != neg {
-			execMask |= 1 << uint(lane)
-		}
+	v := w.preds[p]
+	if neg {
+		v = ^v
 	}
-	return execMask
+	return v & m
 }
 
 // guardMask evaluates the instruction guard for the lanes in atPC.
@@ -396,7 +423,9 @@ func (b *budgetCounter) poll() bool {
 	return true
 }
 
-// blockCtx is the per-block execution state.
+// blockCtx is the per-block execution state. Contexts are pooled (arena.go):
+// a reused context is reset to the zero value, keeping only the warps
+// slice's backing array and the shared-memory buffer.
 type blockCtx struct {
 	dev       *Device
 	ek        *ExecKernel
@@ -424,6 +453,18 @@ type blockCtx struct {
 	pause      *pauseCtl
 	counts     []uint64
 	resumeWarp int
+
+	// rows is the row tier's scratch: broadcast and negated source operands
+	// and partial-mask results land here, never in a per-call allocation.
+	// It is private to the block, so parallel workers never share it, and
+	// holds no state between steps.
+	rows [numScratchRows]regRow
+
+	// maskRow caches the exec mask maskFor expanded to per-lane select
+	// words (blockCtx.laneMasks). The zero value is consistent: the empty
+	// mask expands to the zero row.
+	maskRow regRow
+	maskFor uint32
 }
 
 // TrampolineLen is the length of the instrumentation trampoline: the
@@ -598,17 +639,15 @@ func buildConstBank(l *Launch) []byte {
 func newBlockCtx(d *Device, l *Launch, constBank []byte, plan *xplan, blockIdx Dim3, blockLin int) *blockCtx {
 	blockSize := l.Block.Count()
 	numWarps := (blockSize + WarpSize - 1) / WarpSize
-	blk := &blockCtx{
-		dev:       d,
-		ek:        l.Kernel,
-		launch:    l,
-		constBank: constBank,
-		shared:    getShared(l.Kernel.K.SharedBytes + l.SharedBytes),
-		smID:      blockLin % d.NumSMs,
-		blockIdx:  blockIdx,
-		blockLin:  blockLin,
-		plan:      plan,
-	}
+	blk := getBlockCtx(numWarps, l.Kernel.K.SharedBytes+l.SharedBytes)
+	blk.dev = d
+	blk.ek = l.Kernel
+	blk.launch = l
+	blk.constBank = constBank
+	blk.smID = blockLin % d.NumSMs
+	blk.blockIdx = blockIdx
+	blk.blockLin = blockLin
+	blk.plan = plan
 	regHi := l.Kernel.writtenRegHi()
 	legacy := d.legacySched()
 	oneDim := l.Block.Y == 1 && l.Block.Z == 1
@@ -616,25 +655,27 @@ func newBlockCtx(d *Device, l *Launch, constBank []byte, plan *xplan, blockIdx D
 		wp := getWarp(w)
 		wp.dirtyRegs = regHi
 		wp.scanSched = legacy
-		for lane := 0; lane < WarpSize; lane++ {
-			t := w*WarpSize + lane
-			if t >= blockSize {
-				continue
+		base := w * WarpSize
+		live := min(blockSize-base, WarpSize)
+		wp.liveMask = fullMask >> uint(WarpSize-live)
+		wp.exitedMask = ^wp.liveMask
+		if oneDim {
+			// 1-D blocks (the overwhelmingly common shape): the linear
+			// thread id is the X coordinate, no div/mod chain. Lanes past
+			// the block's end get ids too; nothing reads the tid of a lane
+			// outside liveMask.
+			for lane := range wp.tid[0] {
+				wp.tid[0][lane] = uint32(base + lane)
 			}
-			wp.liveMask |= 1 << uint(lane)
-			if oneDim {
-				// 1-D blocks (the overwhelmingly common shape): the linear
-				// thread id is the X coordinate, no div/mod chain.
-				wp.tid[lane] = Dim3{X: t}
-				continue
-			}
-			wp.tid[lane] = Dim3{
-				X: t % l.Block.X,
-				Y: (t / l.Block.X) % l.Block.Y,
-				Z: t / (l.Block.X * l.Block.Y),
+			wp.tid[1], wp.tid[2] = regRow{}, regRow{}
+		} else {
+			for lane := 0; lane < live; lane++ {
+				t := base + lane
+				wp.tid[0][lane] = uint32(t % l.Block.X)
+				wp.tid[1][lane] = uint32((t / l.Block.X) % l.Block.Y)
+				wp.tid[2][lane] = uint32(t / (l.Block.X * l.Block.Y))
 			}
 		}
-		wp.exitedMask = ^wp.liveMask
 		blk.warps = append(blk.warps, wp)
 	}
 	return blk

@@ -38,6 +38,10 @@ func (d *Device) runParallel(l *Launch, constBank []byte, plan *xplan, budgetN u
 	blockErrs := make([]error, numBlocks)
 	budget := &budgetCounter{remaining: int64(budgetN), shared: true, ctx: d.cancelCtx, checkIn: cancelPollStride}
 
+	// Workers store to global memory concurrently; take every page fault
+	// now, while one goroutine owns the page tables.
+	d.Mem.privatize()
+
 	// trapLin is the lowest block linear index that has trapped so far;
 	// numBlocks is the no-trap sentinel. It only ever decreases, so a block
 	// is skipped only when some lower block trapped — blocks below the

@@ -308,9 +308,7 @@ func (blk *blockCtx) exec(w *warp, in *sass.Instr, pc int, execMask uint32) (bar
 		return e.perLaneU(execMask, func(l int) uint32 {
 			var v uint32
 			for p := 0; p < int(sass.NumPreds)-1; p++ {
-				if e.w.preds[l][p] {
-					v |= 1 << uint(p)
-				}
+				v |= (e.w.preds[p] >> uint(l) & 1) << uint(p)
 			}
 			if len(in.Src) > 0 {
 				v &= e.usrc(l, 0)
@@ -475,7 +473,7 @@ func (e *evalCtx) raw(lane, idx int) uint32 {
 		if o.Reg == sass.RZ {
 			return 0
 		}
-		return e.w.regs[lane][o.Reg]
+		return e.w.regs[o.Reg][lane]
 	case sass.OpdImm:
 		return o.Imm
 	case sass.OpdConst:
@@ -546,7 +544,7 @@ func (e *evalCtx) psrc(lane, idx int) bool {
 	if o.Kind != sass.OpdPred {
 		return true
 	}
-	v := e.w.preds[lane][o.Pred.Pred]
+	v := e.w.pred(o.Pred.Pred, lane)
 	if o.Pred.Pred == sass.PT {
 		v = true
 	}
@@ -562,10 +560,10 @@ func readPairReg(w *warp, lane int, r sass.RegID) uint64 {
 	lo := uint64(0)
 	hi := uint64(0)
 	if r != sass.RZ {
-		lo = uint64(w.regs[lane][r])
+		lo = uint64(w.regs[r][lane])
 	}
 	if r+1 != sass.RZ && r != sass.RZ {
-		hi = uint64(w.regs[lane][r+1])
+		hi = uint64(w.regs[r+1][lane])
 	}
 	return hi<<32 | lo
 }
@@ -576,11 +574,11 @@ func (e *evalCtx) wr(lane int, v uint32) {
 	switch d.Kind {
 	case sass.OpdReg:
 		if d.Reg != sass.RZ {
-			e.w.regs[lane][d.Reg] = v
+			e.w.regs[d.Reg][lane] = v
 		}
 	case sass.OpdPred:
 		if d.Pred.Pred != sass.PT {
-			e.w.preds[lane][d.Pred.Pred] = v != 0
+			e.w.setPred(d.Pred.Pred, lane, v != 0)
 		}
 	}
 }
@@ -589,7 +587,7 @@ func (e *evalCtx) wr(lane int, v uint32) {
 func (e *evalCtx) wrP(lane int, v bool) {
 	d := &e.in.Dst[0]
 	if d.Kind == sass.OpdPred && d.Pred.Pred != sass.PT {
-		e.w.preds[lane][d.Pred.Pred] = v
+		e.w.setPred(d.Pred.Pred, lane, v)
 	}
 }
 
@@ -599,9 +597,9 @@ func (e *evalCtx) wrPair(lane int, v uint64) {
 	if d.Kind != sass.OpdReg || d.Reg == sass.RZ {
 		return
 	}
-	e.w.regs[lane][d.Reg] = uint32(v)
+	e.w.regs[d.Reg][lane] = uint32(v)
 	if d.Reg+1 != sass.RZ {
-		e.w.regs[lane][d.Reg+1] = uint32(v >> 32)
+		e.w.regs[d.Reg+1][lane] = uint32(v >> 32)
 	}
 }
 
@@ -654,11 +652,11 @@ func (e *evalCtx) special(lane int, sr sass.SpecialReg) uint32 {
 func specialVal(blk *blockCtx, w *warp, lane int, sr sass.SpecialReg) uint32 {
 	switch sr {
 	case sass.SRTidX:
-		return uint32(w.tid[lane].X)
+		return w.tid[0][lane]
 	case sass.SRTidY:
-		return uint32(w.tid[lane].Y)
+		return w.tid[1][lane]
 	case sass.SRTidZ:
-		return uint32(w.tid[lane].Z)
+		return w.tid[2][lane]
 	case sass.SRCtaidX:
 		return uint32(blk.blockIdx.X)
 	case sass.SRCtaidY:

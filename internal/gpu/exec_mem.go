@@ -16,7 +16,7 @@ func (e *evalCtx) memAddr(lane int) (uint32, bool) {
 		if o.Kind == sass.OpdMem {
 			base := uint32(0)
 			if o.Reg != sass.RZ {
-				base = e.w.regs[lane][o.Reg]
+				base = e.w.regs[o.Reg][lane]
 			}
 			return base + uint32(o.Off), true
 		}
@@ -70,7 +70,7 @@ func (e *evalCtx) load(execMask uint32, space sass.MemSpace) (bool, TrapKind, ui
 				}
 				r := d.Reg + sass.RegID(i)
 				if r != sass.RZ {
-					e.w.regs[lane][r] = uint32(v)
+					e.w.regs[r][lane] = uint32(v)
 				}
 			}
 		default:
@@ -136,7 +136,7 @@ func (e *evalCtx) store(execMask uint32, space sass.MemSpace) (bool, TrapKind, u
 				r := o.Reg + sass.RegID(i)
 				var v uint32
 				if r != sass.RZ {
-					v = e.w.regs[lane][r]
+					v = e.w.regs[r][lane]
 				}
 				if kind := e.spaceStore(lane, space, addr+4*i, 4, uint64(v)); kind != 0 {
 					return false, kind, addr + 4*i

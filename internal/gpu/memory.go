@@ -86,19 +86,40 @@ func (a *alloc) readPage(pg uint32) []byte {
 // writePage returns the bytes backing page pg for writing, materializing
 // never-written pages and copying snapshot-shared ones (the copy-on-write
 // fault path).
+//
+// A page that is already private is returned without touching the page
+// table: parallel blocks rely on that after privatize (a nil page is never
+// marked shared, so the two faulting cases are the only writers).
 func (a *alloc) writePage(pg uint32) []byte {
 	p := a.pages[pg]
-	if p == nil {
+	switch {
+	case p == nil:
 		p = getPage()
 		a.pages[pg] = p
-	} else if a.shared[pg] {
+	case a.shared[pg]:
 		c := getPage()
 		copy(c, p)
 		a.pages[pg] = c
+		a.shared[pg] = false
 		p = c
 	}
-	a.shared[pg] = false
 	return p
+}
+
+// privatize takes every copy-on-write fault up front: each page of each live
+// allocation is materialized and un-shared. The parallel block scheduler
+// calls it before fanning out, because the fault path installs pages without
+// synchronization — two blocks first-touching one page would each install
+// their own copy and lose the other's stores. Afterwards writePage is
+// read-only on the page table for the rest of the launch. Materialized zero
+// pages read, digest, and snapshot exactly like never-written ones.
+func (m *Memory) privatize() {
+	for i := range m.allocs {
+		a := &m.allocs[i]
+		for pg := range a.pages {
+			a.writePage(uint32(pg))
+		}
+	}
 }
 
 // allocBase leaves the low addresses unmapped so that computed-to-zero

@@ -393,6 +393,19 @@ func (d *digester) u32(v uint32) {
 	d.byte(byte(v >> 24))
 }
 
+// zeros hashes n zero bytes. Each one is h = (h^0)*prime, so the run is a
+// single multiply by prime^n — bit-identical to n byte steps.
+func (d *digester) zeros(n int) {
+	f, p := uint64(1), fnvPrime
+	for ; n > 0; n >>= 1 {
+		if n&1 != 0 {
+			f *= p
+		}
+		p *= p
+	}
+	d.h *= f
+}
+
 func (d *digester) u64(v uint64) {
 	d.u32(uint32(v))
 	d.u32(uint32(v >> 32))
@@ -484,11 +497,18 @@ func (d *Device) digestWith(run *LaunchRun) uint64 {
 			}
 			// Registers and predicates of every existing lane: exited
 			// lanes' values are still observable through cross-lane ops.
-			for reg := 0; reg < sass.NumRegs; reg++ {
-				dg.u32(w.regs[lane][reg])
+			// The visiting order (lane outer, register inner) is the
+			// digest's canonical form, deliberately not the storage
+			// order: digests are comparable across engine versions.
+			// Rows at or above dirtyRegs are zero by invariant: hash them
+			// as one run instead of walking them.
+			dirty := int(w.dirtyRegs)
+			for reg := 0; reg < dirty; reg++ {
+				dg.u32(w.regs[reg][lane])
 			}
+			dg.zeros(4 * (sass.NumRegs - dirty))
 			for p := 0; p < sass.NumPreds; p++ {
-				dg.bool(w.preds[lane][p])
+				dg.bool(w.preds[p]&bit != 0)
 			}
 			if active&bit == 0 {
 				continue

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"sync"
 	"testing"
+
+	"repro/internal/sass"
 )
 
 // reduceLaunch builds a gridreduce launch (divergent control flow, shared
@@ -421,5 +423,57 @@ func TestRestoreRejectsMismatchedDevice(t *testing.T) {
 	}
 	if _, err := other.Restore(snap); err == nil {
 		t.Fatal("restore onto a mismatched device succeeded")
+	}
+}
+
+// TestDigesterZeros: hashing a run of zero bytes as one multiply is
+// bit-identical to hashing them one at a time.
+func TestDigesterZeros(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 3, 4, 7, 255, 256, 4 * 233, 1 << 15} {
+		a, b := newDigester(), newDigester()
+		a.u32(0xfeedface)
+		b.u32(0xfeedface)
+		for i := 0; i < n; i++ {
+			a.byte(0)
+		}
+		b.zeros(n)
+		if a.h != b.h {
+			t.Fatalf("zeros(%d) = %#x, byte-by-byte %#x", n, b.h, a.h)
+		}
+	}
+}
+
+// TestDigestDirtyBound: the digest skips the register rows above dirtyRegs
+// on the invariant that they are zero. Widening every warp's bound to the
+// whole file (a full walk) must not change the digest of a paused run — with
+// an instrumentation write above the kernel's static bound in play.
+func TestDigestDirtyBound(t *testing.T) {
+	d := newTestDevice(t)
+	k := mustKernel(t, clockMixSrc, "clockmix")
+	const n = 2 * 64
+	outp := mustAllocWrite(t, d, 4*n, nil)
+	ek := &ExecKernel{K: k, After: make([][]Callback, len(k.Instrs))}
+	ek.After[0] = []Callback{func(c *InstrCtx) { c.WriteReg(3, 200, 0xabcdef) }}
+	r, err := d.BeginRun(&Launch{
+		Kernel: ek,
+		Grid:   Dim3{X: 2, Y: 1, Z: 1},
+		Block:  Dim3{X: 64, Y: 1, Z: 1},
+		Params: []uint32{outp},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if paused, err := r.Resume(40); err != nil || !paused {
+		t.Fatalf("Resume: paused=%v err=%v", paused, err)
+	}
+	bounded := r.Digest()
+	for _, w := range r.blk.warps {
+		if w.dirtyRegs <= 200 && w.regs[200][3] != 0 {
+			t.Fatalf("warp %d holds a write to R200 above its dirty bound %d", w.id, w.dirtyRegs)
+		}
+		w.dirtyRegs = sass.NumRegs
+	}
+	if full := r.Digest(); full != bounded {
+		t.Fatalf("digest with the dirty bound %#x, full walk %#x", bounded, full)
 	}
 }

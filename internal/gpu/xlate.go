@@ -191,6 +191,7 @@ func hashKernel(k *sass.Kernel) [sha256.Size]byte {
 // schemes that may want to reject kernels.
 func translate(k *sass.Kernel) (*xplan, error) {
 	steps := make([]xinstr, len(k.Instrs))
+	imms := make(immRows)
 	for i := range k.Instrs {
 		in := &k.Instrs[i]
 		xi := &steps[i]
@@ -213,7 +214,7 @@ func translate(k *sass.Kernel) (*xplan, error) {
 			xi.isBra = true
 		}
 		xi.flow, xi.braTarget = flowOf(in)
-		xi.step = compileStep(in, i)
+		xi.step = compileStep(in, i, imms)
 	}
 	// Straight-line run lengths, computed backwards within each CFG basic
 	// block so a run can never span a branch target. A step is batchable

@@ -7,27 +7,122 @@ import (
 	"repro/internal/sass"
 )
 
-// This file is the second tier of the instruction specializer. The accessor
-// tier in xlate_ops.go is fully general but pays several indirect calls per
-// lane (source reader, destination writer, op body); profiles of the warp
-// hot loop show those calls dominating translated execution. For the operand
-// shapes that account for nearly all dynamic instructions — a destination
-// register plus register / immediate / constant-bank sources — fastStep
-// emits one fused closure whose lane loop resolves every operand inline:
-// immediates fold at translation time, constant-bank words hoist out of the
-// lane loop (they are launch-uniform), and register reads index the lane's
-// register file directly. The op itself is selected by a captured tag,
-// switched inside the loop — a perfectly predicted jump, not a call.
+// This file is the row tier of the instruction specializer (DESIGN.md
+// section 3.11). The accessor tier in xlate_ops.go is fully general but pays
+// several indirect calls per lane. For the operand shapes that account for
+// nearly all dynamic instructions — a destination register plus register /
+// immediate / constant-bank / special-register sources — fastStep emits one
+// closure that executes the warp instruction as a vector operation over
+// register rows: every source resolves to a *regRow once per execution, and
+// the op is a single branch-free loop over all 32 lanes with no per-lane
+// mask, shape, or bounds test.
 //
-// Any shape the fast tier does not cover falls back to the accessor tier,
-// and from there to the interpreter thunk, so every tier preserves exact
+// Compute-and-merge rule: under a partial exec mask the loop still computes
+// all 32 lanes, into a scratch row, and mergeRow folds the active lanes into
+// the destination. That is sound only because every op in this file is pure:
+// no side effect, and no host panic whatever an inactive lane's (possibly
+// fault-corrupted) operands hold. Memory, atomics, and anything that can
+// divide or index by a lane value never take this path.
+//
+// Any shape the row tier does not cover falls back to the accessor tier, and
+// from there to the interpreter thunk, so every tier preserves exact
 // interpreted behavior.
+
+// Scratch-row assignment within blockCtx.rows. 32-bit ops use one row per
+// source; FP64 ops use a lo/hi pair per source.
+const (
+	rowA   = 0
+	rowB   = 2
+	rowC   = 4
+	rowOut = 6
+
+	numScratchRows = 8
+)
+
+// Read-only rows shared by every plan and warp.
+var (
+	zeroRow   regRow
+	laneIDRow = laneRow(func(l uint) uint32 { return uint32(l) })
+	eqMaskRow = laneRow(func(l uint) uint32 { return 1 << l })
+	ltMaskRow = laneRow(func(l uint) uint32 { return 1<<l - 1 })
+)
+
+func laneRow(f func(lane uint) uint32) (r regRow) {
+	for l := range r {
+		r[l] = f(uint(l))
+	}
+	return r
+}
+
+func broadcast(r *regRow, v uint32) *regRow {
+	_ = r[0]
+	for l := range r {
+		r[l] = v
+	}
+	return r
+}
+
+// laneMasks expands an exec mask into a row of per-lane select words: all
+// ones on the lanes in m, zero elsewhere. Consecutive warp instructions
+// nearly always run under the same mask, so the row is cached per block.
+func (blk *blockCtx) laneMasks(m uint32) *regRow {
+	if blk.maskFor != m {
+		blk.maskFor = m
+		for l := range blk.maskRow {
+			blk.maskRow[l] = -(m >> uint(l) & 1)
+		}
+	}
+	return &blk.maskRow
+}
+
+// mergeRow copies src's lanes in m into dst, leaving the rest untouched.
+func (blk *blockCtx) mergeRow(dst, src *regRow, m uint32) {
+	k := blk.laneMasks(m)
+	_, _ = dst[0], src[0]
+	for l := range dst {
+		dst[l] ^= (dst[l] ^ src[l]) & k[l]
+	}
+}
+
+// storeRow commits a source row to a destination under the exec mask.
+func (blk *blockCtx) storeRow(dst, src *regRow, m uint32) {
+	if m == fullMask {
+		*dst = *src
+	} else {
+		blk.mergeRow(dst, src, m)
+	}
+}
+
+func b2u(b bool) uint32 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// immRows interns the broadcast rows of one plan's folded immediates, so the
+// row for a repeated constant exists once. The rows are immutable after
+// translation and shared by every execution of the plan.
+type immRows map[uint32]*regRow
+
+func (ir immRows) row(v uint32) *regRow {
+	if v == 0 {
+		return &zeroRow
+	}
+	r := ir[v]
+	if r == nil {
+		r = broadcast(new(regRow), v)
+		ir[v] = r
+	}
+	return r
+}
 
 // Source kinds after fast classification.
 const (
-	fsImm   uint8 = iota // folded constant (immediates, labels, RZ)
-	fsReg                // per-lane register read
-	fsConst              // launch constant bank, hoisted out of the lane loop
+	fsFixed   uint8 = iota // translation-time broadcast row (immediates, labels, RZ)
+	fsReg                  // the register's own row, read in place
+	fsConst                // launch constant-bank word, broadcast per execution
+	fsSpecial              // special register: a thread-index or lane row, or a broadcast
 )
 
 // Negation modes, mirroring the accessor compilers: fnInt is srcI's two's
@@ -39,111 +134,111 @@ const (
 	fnFloat
 )
 
-// fastSrc is one pre-resolved source operand.
-type fastSrc struct {
-	kind uint8
-	neg  uint8
-	reg  sass.RegID
-	imm  uint32 // folded value for fsImm
-	off  int32  // constant-bank offset for fsConst
-}
-
-// hoist resolves the lane-invariant value of a non-register source: the
-// folded immediate or this launch's constant-bank word, negation applied.
-// Called once per step invocation, before the lane loop.
-func (s *fastSrc) hoist(blk *blockCtx) uint32 {
-	if s.kind != fsConst {
-		return s.imm
-	}
-	v := blk.constRead(s.off)
-	switch s.neg {
+func negate(v uint32, mode uint8) uint32 {
+	switch mode {
 	case fnInt:
-		v = -v
+		return -v
 	case fnFloat:
-		v ^= 0x80000000
+		return v ^ 0x80000000
 	}
 	return v
 }
 
-// unpack flattens the source into scalar loop state: whether to read the
-// register file, which register, and a xor/add pair that applies the
-// negation mode without branching (two's complement is ^x+1; float negation
-// flips the sign bit). The callers keep these in plain locals so the lane
-// loop runs entirely out of machine registers — a struct would be kept on
-// the stack once the inlined accessor takes its address, and the compiler
-// reloads stack slots on every iteration.
-func (s *fastSrc) unpack() (isReg bool, reg sass.RegID, xor, add uint32) {
-	if s.kind != fsReg {
-		return false, 0, 0, 0
+// fastSrc is one pre-resolved 32-bit source operand.
+type fastSrc struct {
+	kind uint8
+	neg  uint8
+	reg  sass.RegID
+	sreg sass.SpecialReg
+	off  int32   // constant-bank offset for fsConst
+	row  *regRow // fsFixed
+}
+
+// resolve returns the operand as a row for this execution. Registers and
+// per-lane specials are read in place; launch- and warp-uniform values are
+// broadcast into scratch, and a negated row is rewritten into scratch. The
+// caller must treat the result as read-only.
+func (s *fastSrc) resolve(blk *blockCtx, w *warp, scratch *regRow) *regRow {
+	var r *regRow
+	switch s.kind {
+	case fsReg:
+		r = &w.regs[s.reg]
+	case fsConst:
+		return broadcast(scratch, negate(blk.constRead(s.off), s.neg))
+	case fsSpecial:
+		switch s.sreg {
+		case sass.SRTidX:
+			r = &w.tid[0]
+		case sass.SRTidY:
+			r = &w.tid[1]
+		case sass.SRTidZ:
+			r = &w.tid[2]
+		case sass.SRLaneID:
+			r = &laneIDRow
+		case sass.SREqMask:
+			r = &eqMaskRow
+		case sass.SRLtMask:
+			r = &ltMaskRow
+		default:
+			// CTAID, warp id, SM id, the clock, and unknown registers (which
+			// read zero) are warp-invariant within one step.
+			return broadcast(scratch, negate(specialVal(blk, w, 0, s.sreg), s.neg))
+		}
+	default:
+		return s.row
 	}
+	_, _ = r[0], scratch[0]
 	switch s.neg {
 	case fnInt:
-		return true, s.reg, 0xffffffff, 1
+		for l := range scratch {
+			scratch[l] = -r[l]
+		}
+		return scratch
 	case fnFloat:
-		return true, s.reg, 0x80000000, 0
+		for l := range scratch {
+			scratch[l] = r[l] ^ 0x80000000
+		}
+		return scratch
 	}
-	return true, s.reg, 0, 0
+	return r
 }
 
 // fastSrcFor classifies one source under the given negation mode. The bool
-// result is false when the operand needs the accessor tier: special
-// registers, missing operands, or shapes the interpreter would reject.
-func fastSrcFor(in *sass.Instr, idx int, neg uint8) (fastSrc, bool) {
+// result is false when the operand needs the accessor tier: missing
+// operands, or shapes the interpreter would reject.
+func fastSrcFor(in *sass.Instr, idx int, neg uint8, imms immRows) (fastSrc, bool) {
 	if idx >= len(in.Src) {
 		return fastSrc{}, false
 	}
 	o := &in.Src[idx]
+	m := fnNone
+	if o.Neg {
+		m = neg
+	}
 	switch o.Kind {
 	case sass.OpdReg:
 		if o.Reg == sass.RZ {
-			// RZ reads zero; a negated zero is still zero in both modes'
-			// integer bits except the float sign flip.
-			v := uint32(0)
-			if o.Neg && neg == fnFloat {
-				v = 0x80000000
-			}
-			return fastSrc{kind: fsImm, imm: v}, true
-		}
-		m := fnNone
-		if o.Neg {
-			m = neg
+			return fastSrc{row: imms.row(negate(0, m))}, true
 		}
 		return fastSrc{kind: fsReg, neg: m, reg: o.Reg}, true
 	case sass.OpdImm:
-		v := o.Imm
-		if o.Neg {
-			switch neg {
-			case fnInt:
-				v = -v
-			case fnFloat:
-				v ^= 0x80000000
-			}
-		}
-		return fastSrc{kind: fsImm, imm: v}, true
+		return fastSrc{row: imms.row(negate(o.Imm, m))}, true
 	case sass.OpdLabel:
-		v := uint32(o.Target)
-		if o.Neg && neg == fnInt {
-			v = -v
-		} else if o.Neg && neg == fnFloat {
-			v ^= 0x80000000
-		}
-		return fastSrc{kind: fsImm, imm: v}, true
+		return fastSrc{row: imms.row(negate(uint32(o.Target), m))}, true
 	case sass.OpdConst:
-		m := fnNone
-		if o.Neg {
-			m = neg
-		}
 		return fastSrc{kind: fsConst, neg: m, off: o.Off}, true
+	case sass.OpdSpecial:
+		return fastSrc{kind: fsSpecial, neg: m, sreg: o.SReg}, true
 	}
 	return fastSrc{}, false
 }
 
 // fastPred is a pre-resolved predicate source: a constant (PT, missing, or
-// non-predicate operands) or a per-lane predicate-file read.
+// non-predicate operands) or a predicate register's lane mask.
 type fastPred struct {
 	p     sass.PredID
 	neg   bool
-	fixed int8 // 0 or 1: constant; -1: read p per lane
+	fixed int8 // 0 or 1: constant; -1: read p
 }
 
 func fastPredFor(in *sass.Instr, idx int) fastPred {
@@ -160,12 +255,19 @@ func fastPredFor(in *sass.Instr, idx int) fastPred {
 	return fastPred{p: pr.Pred, neg: pr.Neg, fixed: -1}
 }
 
-// read resolves the predicate for one lane; inlines into the fused loops.
-func (p *fastPred) read(pf *[sass.NumPreds]bool) bool {
-	if p.fixed >= 0 {
-		return p.fixed != 0
+// mask returns the lanes on which the predicate source reads true.
+func (p *fastPred) mask(w *warp) uint32 {
+	switch p.fixed {
+	case 0:
+		return 0
+	case 1:
+		return fullMask
 	}
-	return pf[p.p&7] != p.neg
+	v := w.preds[p.p&7]
+	if p.neg {
+		v = ^v
+	}
+	return v
 }
 
 // fastDst accepts only a plain non-RZ destination register; RZ and predicate
@@ -186,8 +288,7 @@ func fastDstP(in *sass.Instr) (sass.PredID, bool) {
 }
 
 // fastOp tags the operation a fused closure performs. The tag is switched
-// per lane inside the loop body: the target never changes within one step,
-// so the jump predicts perfectly and costs no indirect call.
+// once per execution, outside the lane loop.
 type fastOp uint8
 
 const (
@@ -232,245 +333,113 @@ const (
 	fopDMnMx
 )
 
-// fastBinStep fuses a one- or two-source ALU op: the whole warp executes in
-// one closure call with zero per-lane calls. Every captured value is copied
-// into a local before the lane loop — the loop stores into the register
-// file, and the compiler cannot hoist loads from the closure environment
-// across those stores, so reading the environment per lane would reload
-// every field on every iteration.
-//
-// The hottest ops additionally unswitch the op tag out of the lane loop: a
-// dedicated loop per op keeps the body to a handful of instructions with no
-// jump table and low enough register pressure that nothing spills, which the
-// single switched loop cannot achieve.
+// outRow picks where a step computes: the destination row itself under a
+// full mask, the scratch result row otherwise (merged by commit).
+func (blk *blockCtx) outRow(dst *regRow, m uint32) *regRow {
+	if m == fullMask {
+		return dst
+	}
+	return &blk.rows[rowOut]
+}
+
+// commit folds a scratch result into the destination; a result computed in
+// place needs nothing.
+func (blk *blockCtx) commit(dst, out *regRow, m uint32) {
+	if out != dst {
+		blk.mergeRow(dst, out, m)
+	}
+}
+
+// fastBinStep fuses a one- or two-source ALU op. Destination/source aliasing
+// needs no care: lane l's result depends only on lane l's operands, each
+// iteration reads before it writes, and negated or broadcast operands were
+// copied to scratch before the loop.
 //
 //go:noinline
 func fastBinStep(op fastOp, d sass.RegID, a, b fastSrc) planStep {
 	return func(blk *blockCtx, w *warp, m uint32) (bool, TrapKind, uint32) {
-		op, d := op, d
-		av, bv := a.hoist(blk), b.hoist(blk)
-		aIsReg, aReg, aXor, aAdd := a.unpack()
-		bIsReg, bReg, bXor, bAdd := b.unpack()
-		// Sequential lane scan instead of a find-first-set loop: the lane
-		// index carries no dependency on the previous iteration, so the CPU
-		// overlaps lane bodies. Ascending order matches the accessor tier.
+		if m == 0 {
+			return false, 0, 0
+		}
+		dst := &w.regs[d]
+		x := a.resolve(blk, w, &blk.rows[rowA])
 		switch op {
-		case fopAdd:
-			for lane, rem := 0, m; rem != 0; lane, rem = lane+1, rem>>1 {
-				if rem&1 == 0 {
-					continue
-				}
-				rf := &w.regs[lane&31]
-				x, y := av, bv
-				if aIsReg {
-					x = (rf[aReg] ^ aXor) + aAdd
-				}
-				if bIsReg {
-					y = (rf[bReg] ^ bXor) + bAdd
-				}
-				rf[d] = x + y
-			}
-			return false, 0, 0
-		case fopMul:
-			for lane, rem := 0, m; rem != 0; lane, rem = lane+1, rem>>1 {
-				if rem&1 == 0 {
-					continue
-				}
-				rf := &w.regs[lane&31]
-				x, y := av, bv
-				if aIsReg {
-					x = (rf[aReg] ^ aXor) + aAdd
-				}
-				if bIsReg {
-					y = (rf[bReg] ^ bXor) + bAdd
-				}
-				rf[d] = x * y
-			}
-			return false, 0, 0
-		case fopAnd:
-			for lane, rem := 0, m; rem != 0; lane, rem = lane+1, rem>>1 {
-				if rem&1 == 0 {
-					continue
-				}
-				rf := &w.regs[lane&31]
-				x, y := av, bv
-				if aIsReg {
-					x = (rf[aReg] ^ aXor) + aAdd
-				}
-				if bIsReg {
-					y = (rf[bReg] ^ bXor) + bAdd
-				}
-				rf[d] = x & y
-			}
-			return false, 0, 0
-		case fopOr:
-			for lane, rem := 0, m; rem != 0; lane, rem = lane+1, rem>>1 {
-				if rem&1 == 0 {
-					continue
-				}
-				rf := &w.regs[lane&31]
-				x, y := av, bv
-				if aIsReg {
-					x = (rf[aReg] ^ aXor) + aAdd
-				}
-				if bIsReg {
-					y = (rf[bReg] ^ bXor) + bAdd
-				}
-				rf[d] = x | y
-			}
-			return false, 0, 0
-		case fopXor:
-			for lane, rem := 0, m; rem != 0; lane, rem = lane+1, rem>>1 {
-				if rem&1 == 0 {
-					continue
-				}
-				rf := &w.regs[lane&31]
-				x, y := av, bv
-				if aIsReg {
-					x = (rf[aReg] ^ aXor) + aAdd
-				}
-				if bIsReg {
-					y = (rf[bReg] ^ bXor) + bAdd
-				}
-				rf[d] = x ^ y
-			}
+		case fopPassA:
+			blk.storeRow(dst, x, m)
 			return false, 0, 0
 		case fopPassB:
-			for lane, rem := 0, m; rem != 0; lane, rem = lane+1, rem>>1 {
-				if rem&1 == 0 {
-					continue
-				}
-				rf := &w.regs[lane&31]
-				v := bv
-				if bIsReg {
-					v = (rf[bReg] ^ bXor) + bAdd
-				}
-				rf[d] = v
-			}
+			blk.storeRow(dst, b.resolve(blk, w, &blk.rows[rowB]), m)
 			return false, 0, 0
-		case fopPassA:
-			for lane, rem := 0, m; rem != 0; lane, rem = lane+1, rem>>1 {
-				if rem&1 == 0 {
-					continue
-				}
-				rf := &w.regs[lane&31]
-				v := av
-				if aIsReg {
-					v = (rf[aReg] ^ aXor) + aAdd
-				}
-				rf[d] = v
+		}
+		y := b.resolve(blk, w, &blk.rows[rowB])
+		out := blk.outRow(dst, m)
+		_, _, _ = x[0], y[0], out[0] // one nil check here, none in the lane loops
+		switch op {
+		case fopAdd:
+			for l := range out {
+				out[l] = x[l] + y[l]
 			}
-			return false, 0, 0
+		case fopMul:
+			for l := range out {
+				out[l] = x[l] * y[l]
+			}
+		case fopMulHiS:
+			for l := range out {
+				out[l] = mulHigh(x[l], y[l], true)
+			}
+		case fopMulHiU:
+			for l := range out {
+				out[l] = mulHigh(x[l], y[l], false)
+			}
+		case fopAnd:
+			for l := range out {
+				out[l] = x[l] & y[l]
+			}
+		case fopOr:
+			for l := range out {
+				out[l] = x[l] | y[l]
+			}
+		case fopXor:
+			for l := range out {
+				out[l] = x[l] ^ y[l]
+			}
+		// Go's shifts already have SASS's out-of-range behavior: counts of
+		// 32 or more shift everything out (sign-filling for arithmetic).
 		case fopShl:
-			for lane, rem := 0, m; rem != 0; lane, rem = lane+1, rem>>1 {
-				if rem&1 == 0 {
-					continue
-				}
-				rf := &w.regs[lane&31]
-				x, y := av, bv
-				if aIsReg {
-					x = (rf[aReg] ^ aXor) + aAdd
-				}
-				if bIsReg {
-					y = (rf[bReg] ^ bXor) + bAdd
-				}
-				v := uint32(0)
-				if y < 32 {
-					v = x << y
-				}
-				rf[d] = v
+			for l := range out {
+				out[l] = x[l] << y[l]
 			}
-			return false, 0, 0
 		case fopShrU:
-			for lane, rem := 0, m; rem != 0; lane, rem = lane+1, rem>>1 {
-				if rem&1 == 0 {
-					continue
-				}
-				rf := &w.regs[lane&31]
-				x, y := av, bv
-				if aIsReg {
-					x = (rf[aReg] ^ aXor) + aAdd
-				}
-				if bIsReg {
-					y = (rf[bReg] ^ bXor) + bAdd
-				}
-				v := uint32(0)
-				if y < 32 {
-					v = x >> y
-				}
-				rf[d] = v
+			for l := range out {
+				out[l] = x[l] >> y[l]
 			}
-			return false, 0, 0
+		case fopShrS:
+			for l := range out {
+				out[l] = uint32(int32(x[l]) >> y[l])
+			}
 		case fopFAdd:
-			for lane, rem := 0, m; rem != 0; lane, rem = lane+1, rem>>1 {
-				if rem&1 == 0 {
-					continue
-				}
-				rf := &w.regs[lane&31]
-				x, y := av, bv
-				if aIsReg {
-					x = (rf[aReg] ^ aXor) + aAdd
-				}
-				if bIsReg {
-					y = (rf[bReg] ^ bXor) + bAdd
-				}
-				rf[d] = math.Float32bits(math.Float32frombits(x) + math.Float32frombits(y))
+			for l := range out {
+				out[l] = math.Float32bits(math.Float32frombits(x[l]) + math.Float32frombits(y[l]))
 			}
-			return false, 0, 0
 		case fopFMul:
-			for lane, rem := 0, m; rem != 0; lane, rem = lane+1, rem>>1 {
-				if rem&1 == 0 {
-					continue
-				}
-				rf := &w.regs[lane&31]
-				x, y := av, bv
-				if aIsReg {
-					x = (rf[aReg] ^ aXor) + aAdd
-				}
-				if bIsReg {
-					y = (rf[bReg] ^ bXor) + bAdd
-				}
-				rf[d] = math.Float32bits(math.Float32frombits(x) * math.Float32frombits(y))
+			for l := range out {
+				out[l] = math.Float32bits(math.Float32frombits(x[l]) * math.Float32frombits(y[l]))
 			}
-			return false, 0, 0
+		case fopPopc:
+			for l := range out {
+				out[l] = uint32(bits.OnesCount32(x[l]))
+			}
+		case fopBrev:
+			for l := range out {
+				out[l] = bits.Reverse32(x[l])
+			}
+		case fopFlo:
+			// LeadingZeros32(0) is 32, so zero reads 0xffffffff as SASS wants.
+			for l := range out {
+				out[l] = uint32(31 - bits.LeadingZeros32(x[l]))
+			}
 		}
-		for lane, rem := 0, m; rem != 0; lane, rem = lane+1, rem>>1 {
-			if rem&1 == 0 {
-				continue
-			}
-			rf := &w.regs[lane&31]
-			x, y := av, bv
-			if aIsReg {
-				x = (rf[aReg] ^ aXor) + aAdd
-			}
-			if bIsReg {
-				y = (rf[bReg] ^ bXor) + bAdd
-			}
-			var v uint32
-			switch op {
-			case fopMulHiS:
-				v = mulHigh(x, y, true)
-			case fopMulHiU:
-				v = mulHigh(x, y, false)
-			case fopShrS:
-				s := y
-				if s >= 32 {
-					s = 31
-				}
-				v = uint32(int32(x) >> s)
-			case fopPopc:
-				v = uint32(bits.OnesCount32(x))
-			case fopBrev:
-				v = bits.Reverse32(x)
-			case fopFlo:
-				if x == 0 {
-					v = 0xffffffff
-				} else {
-					v = uint32(31 - bits.LeadingZeros32(x))
-				}
-			}
-			rf[d] = v
-		}
+		blk.commit(dst, out, m)
 		return false, 0, 0
 	}
 }
@@ -481,102 +450,48 @@ func fastBinStep(op fastOp, d sass.RegID, a, b fastSrc) planStep {
 //go:noinline
 func fastTernStep(op fastOp, d sass.RegID, a, b, c fastSrc, lut uint8) planStep {
 	return func(blk *blockCtx, w *warp, m uint32) (bool, TrapKind, uint32) {
-		op, d, lut := op, d, lut
-		av, bv, cv := a.hoist(blk), b.hoist(blk), c.hoist(blk)
-		aIsReg, aReg, aXor, aAdd := a.unpack()
-		bIsReg, bReg, bXor, bAdd := b.unpack()
-		cIsReg, cReg, cXor, cAdd := c.unpack()
-		// The dominant terns (IMAD, FFMA, IADD3) get op-unswitched loops like
-		// fastBinStep's; the rest share the switched loop below.
+		if m == 0 {
+			return false, 0, 0
+		}
+		dst := &w.regs[d]
+		x := a.resolve(blk, w, &blk.rows[rowA])
+		y := b.resolve(blk, w, &blk.rows[rowB])
+		z := c.resolve(blk, w, &blk.rows[rowC])
+		out := blk.outRow(dst, m)
+		_, _, _, _ = x[0], y[0], z[0], out[0]
 		switch op {
 		case fopImadLo:
-			for lane, rem := 0, m; rem != 0; lane, rem = lane+1, rem>>1 {
-				if rem&1 == 0 {
-					continue
-				}
-				rf := &w.regs[lane&31]
-				x, y, z := av, bv, cv
-				if aIsReg {
-					x = (rf[aReg] ^ aXor) + aAdd
-				}
-				if bIsReg {
-					y = (rf[bReg] ^ bXor) + bAdd
-				}
-				if cIsReg {
-					z = (rf[cReg] ^ cXor) + cAdd
-				}
-				rf[d] = x*y + z
+			for l := range out {
+				out[l] = x[l]*y[l] + z[l]
 			}
-			return false, 0, 0
-		case fopFFma:
-			for lane, rem := 0, m; rem != 0; lane, rem = lane+1, rem>>1 {
-				if rem&1 == 0 {
-					continue
-				}
-				rf := &w.regs[lane&31]
-				x, y, z := av, bv, cv
-				if aIsReg {
-					x = (rf[aReg] ^ aXor) + aAdd
-				}
-				if bIsReg {
-					y = (rf[bReg] ^ bXor) + bAdd
-				}
-				if cIsReg {
-					z = (rf[cReg] ^ cXor) + cAdd
-				}
-				rf[d] = math.Float32bits(float32(
-					float64(math.Float32frombits(x))*float64(math.Float32frombits(y)) +
-						float64(math.Float32frombits(z))))
+		case fopImadHiS:
+			for l := range out {
+				out[l] = mulHigh(x[l], y[l], true) + z[l]
 			}
-			return false, 0, 0
+		case fopImadHiU:
+			for l := range out {
+				out[l] = mulHigh(x[l], y[l], false) + z[l]
+			}
 		case fopIAdd3:
-			for lane, rem := 0, m; rem != 0; lane, rem = lane+1, rem>>1 {
-				if rem&1 == 0 {
-					continue
-				}
-				rf := &w.regs[lane&31]
-				x, y, z := av, bv, cv
-				if aIsReg {
-					x = (rf[aReg] ^ aXor) + aAdd
-				}
-				if bIsReg {
-					y = (rf[bReg] ^ bXor) + bAdd
-				}
-				if cIsReg {
-					z = (rf[cReg] ^ cXor) + cAdd
-				}
-				rf[d] = x + y + z
+			for l := range out {
+				out[l] = x[l] + y[l] + z[l]
 			}
-			return false, 0, 0
+		case fopLea:
+			for l := range out {
+				out[l] = x[l]<<(z[l]&31) + y[l]
+			}
+		case fopFFma:
+			for l := range out {
+				out[l] = math.Float32bits(float32(
+					float64(math.Float32frombits(x[l]))*float64(math.Float32frombits(y[l])) +
+						float64(math.Float32frombits(z[l]))))
+			}
+		case fopLop3:
+			for l := range out {
+				out[l] = lop3(x[l], y[l], z[l], lut)
+			}
 		}
-		for lane, rem := 0, m; rem != 0; lane, rem = lane+1, rem>>1 {
-			if rem&1 == 0 {
-				continue
-			}
-			rf := &w.regs[lane&31]
-			x, y, z := av, bv, cv
-			if aIsReg {
-				x = (rf[aReg] ^ aXor) + aAdd
-			}
-			if bIsReg {
-				y = (rf[bReg] ^ bXor) + bAdd
-			}
-			if cIsReg {
-				z = (rf[cReg] ^ cXor) + cAdd
-			}
-			var v uint32
-			switch op {
-			case fopImadHiS:
-				v = mulHigh(x, y, true) + z
-			case fopImadHiU:
-				v = mulHigh(x, y, false) + z
-			case fopLea:
-				v = x<<(z&31) + y
-			case fopLop3:
-				v = lop3(x, y, z, lut)
-			}
-			rf[d] = v
-		}
+		blk.commit(dst, out, m)
 		return false, 0, 0
 	}
 }
@@ -586,234 +501,180 @@ func fastTernStep(op fastOp, d sass.RegID, a, b, c fastSrc, lut uint8) planStep 
 //go:noinline
 func fastSelStep(op fastOp, d sass.RegID, a, b fastSrc, p fastPred) planStep {
 	return func(blk *blockCtx, w *warp, m uint32) (bool, TrapKind, uint32) {
-		op, d, p := op, d, p
-		av, bv := a.hoist(blk), b.hoist(blk)
-		aIsReg, aReg, aXor, aAdd := a.unpack()
-		bIsReg, bReg, bXor, bAdd := b.unpack()
-		for lane, rem := 0, m; rem != 0; lane, rem = lane+1, rem>>1 {
-			if rem&1 == 0 {
-				continue
-			}
-			lane := lane & 31
-			rf := &w.regs[lane]
-			x, y := av, bv
-			if aIsReg {
-				x = (rf[aReg] ^ aXor) + aAdd
-			}
-			if bIsReg {
-				y = (rf[bReg] ^ bXor) + bAdd
-			}
-			pv := p.read(&w.preds[lane])
-			var v uint32
-			switch op {
-			case fopSel:
-				v = y
-				if pv {
-					v = x
-				}
-			case fopIMnMxU:
-				v = y
-				if (x < y) == pv {
-					v = x
-				}
-			case fopIMnMxS:
-				v = y
-				if (int32(x) < int32(y)) == pv {
-					v = x
-				}
-			case fopFMnMx:
-				fx, fy := math.Float32frombits(x), math.Float32frombits(y)
-				if pv {
-					v = math.Float32bits(fmin(fx, fy))
-				} else {
-					v = math.Float32bits(fmax(fx, fy))
-				}
-			}
-			rf[d] = v
+		if m == 0 {
+			return false, 0, 0
 		}
+		dst := &w.regs[d]
+		x := a.resolve(blk, w, &blk.rows[rowA])
+		y := b.resolve(blk, w, &blk.rows[rowB])
+		pm := p.mask(w)
+		out := blk.outRow(dst, m)
+		_, _, _ = x[0], y[0], out[0]
+		switch op {
+		case fopSel:
+			for l := range out {
+				k := -(pm >> uint(l) & 1)
+				out[l] = y[l] ^ (x[l]^y[l])&k
+			}
+		case fopIMnMxU:
+			for l := range out {
+				v := y[l]
+				if (x[l] < y[l]) == (pm>>uint(l)&1 != 0) {
+					v = x[l]
+				}
+				out[l] = v
+			}
+		case fopIMnMxS:
+			for l := range out {
+				v := y[l]
+				if (int32(x[l]) < int32(y[l])) == (pm>>uint(l)&1 != 0) {
+					v = x[l]
+				}
+				out[l] = v
+			}
+		case fopFMnMx:
+			for l := range out {
+				fx, fy := math.Float32frombits(x[l]), math.Float32frombits(y[l])
+				if pm>>uint(l)&1 != 0 {
+					out[l] = math.Float32bits(fmin(fx, fy))
+				} else {
+					out[l] = math.Float32bits(fmax(fx, fy))
+				}
+			}
+		}
+		blk.commit(dst, out, m)
 		return false, 0, 0
 	}
 }
 
 // fastDSrc is one pre-resolved FP64 source, mirroring srcD's quirks exactly:
-// register pairs apply negation as a sign-bit xor on the raw bits, constant-
-// bank doubles hoist out of the lane loop, float immediates widen with
-// negation ignored, and any other shape reads ±0.0 as the accessor tier does.
+// register pairs negate by flipping the high word's sign bit, constant-bank
+// doubles broadcast per execution, float immediates widen with negation
+// ignored, and any other shape reads ±0.0 as the accessor tier does.
 type fastDSrc struct {
-	kind uint8 // fsImm, fsReg, fsConst
-	neg  bool  // constant-bank sign flip
-	reg  sass.RegID
-	xor  uint64  // sign flip applied to register reads
-	imm  float64 // folded value for fsImm
-	off  int32   // constant-bank offset for fsConst
+	kind   uint8 // fsFixed, fsReg, fsConst
+	neg    bool
+	reg    sass.RegID
+	off    int32   // constant-bank offset for fsConst
+	lo, hi *regRow // fsFixed
 }
 
-// hoist resolves the lane-invariant value: the folded immediate or this
-// launch's constant-bank double, negation applied.
-func (s *fastDSrc) hoist(blk *blockCtx) float64 {
-	if s.kind != fsConst {
-		return s.imm
+// resolve returns the operand's low and high word rows. Register pairs go
+// through the same RZ rules as readPairReg: RZ and the register adjacent to
+// RZ contribute zero halves.
+func (s *fastDSrc) resolve(blk *blockCtx, w *warp, scratch *[2]regRow) (lo, hi *regRow) {
+	switch s.kind {
+	case fsReg:
+		lo, hi = &zeroRow, &zeroRow
+		if s.reg != sass.RZ {
+			lo = &w.regs[s.reg]
+			if s.reg+1 != sass.RZ {
+				hi = &w.regs[s.reg+1]
+			}
+		}
+		if s.neg {
+			for l := range hi {
+				scratch[1][l] = hi[l] ^ 0x80000000
+			}
+			hi = &scratch[1]
+		}
+		return lo, hi
+	case fsConst:
+		h := blk.constRead(s.off + 4)
+		if s.neg {
+			h ^= 0x80000000
+		}
+		return broadcast(&scratch[0], blk.constRead(s.off)), broadcast(&scratch[1], h)
 	}
-	b := uint64(blk.constRead(s.off+4))<<32 | uint64(blk.constRead(s.off))
-	if s.neg {
-		b ^= 1 << 63
-	}
-	return math.Float64frombits(b)
-}
-
-func (s *fastDSrc) unpack() (isReg bool, reg sass.RegID, xor uint64) {
-	if s.kind != fsReg {
-		return false, 0, 0
-	}
-	return true, s.reg, s.xor
+	return s.lo, s.hi
 }
 
 // fastDSrcFor classifies one FP64 source. srcD accepts every operand kind
 // (unknown shapes read ±0.0), so the only rejection is a missing operand.
-func fastDSrcFor(in *sass.Instr, idx int) (fastDSrc, bool) {
+func fastDSrcFor(in *sass.Instr, idx int, imms immRows) (fastDSrc, bool) {
 	if idx >= len(in.Src) {
 		return fastDSrc{}, false
+	}
+	fixed := func(v float64) (fastDSrc, bool) {
+		b := math.Float64bits(v)
+		return fastDSrc{lo: imms.row(uint32(b)), hi: imms.row(uint32(b >> 32))}, true
 	}
 	o := &in.Src[idx]
 	switch o.Kind {
 	case sass.OpdReg:
-		var x uint64
-		if o.Neg {
-			x = 1 << 63
-		}
-		return fastDSrc{kind: fsReg, reg: o.Reg, xor: x}, true
+		return fastDSrc{kind: fsReg, reg: o.Reg, neg: o.Neg}, true
 	case sass.OpdConst:
 		return fastDSrc{kind: fsConst, off: o.Off, neg: o.Neg}, true
 	case sass.OpdImm:
 		// srcD's quirk: a float immediate in a double context widens with
 		// negation ignored.
-		return fastDSrc{kind: fsImm, imm: float64(math.Float32frombits(o.Imm))}, true
+		return fixed(float64(math.Float32frombits(o.Imm)))
 	default:
-		v := 0.0
 		if o.Neg {
-			v = math.Float64frombits(1 << 63)
+			return fixed(math.Copysign(0, -1))
 		}
-		return fastDSrc{kind: fsImm, imm: v}, true
+		return fixed(0)
 	}
 }
 
-// fastDStep fuses the FP64 pair ops (DADD, DMUL, DFMA, DMNMX): one closure
-// call per warp instead of three indirect calls per lane through the
-// accessor tier. Register pairs go through readPairReg so RZ-adjacent reads
-// keep their exact interpreted semantics; the destination write mirrors
-// dstWrPair (writeHi false when the high half lands on RZ).
+func pairF64(lo, hi *regRow, l int) float64 {
+	return math.Float64frombits(uint64(hi[l])<<32 | uint64(lo[l]))
+}
+
+// fastDStep fuses the FP64 pair ops (DADD, DMUL, DFMA, DMNMX). The
+// destination write mirrors dstWrPair: writeHi is false when the high half
+// lands on RZ, and the high words are then computed into scratch and dropped.
 //
 //go:noinline
 func fastDStep(op fastOp, d sass.RegID, writeHi bool, a, b, c fastDSrc, p fastPred) planStep {
 	return func(blk *blockCtx, w *warp, m uint32) (bool, TrapKind, uint32) {
-		op, d, writeHi, p := op, d, writeHi, p
-		av, bv, cv := a.hoist(blk), b.hoist(blk), c.hoist(blk)
-		aIsReg, aReg, aXor := a.unpack()
-		bIsReg, bReg, bXor := b.unpack()
-		cIsReg, cReg, cXor := c.unpack()
-		for lane, rem := 0, m; rem != 0; lane, rem = lane+1, rem>>1 {
-			if rem&1 == 0 {
-				continue
-			}
-			lane := lane & 31
-			x, y, z := av, bv, cv
-			if aIsReg {
-				x = math.Float64frombits(readPairReg(w, lane, aReg) ^ aXor)
-			}
-			if bIsReg {
-				y = math.Float64frombits(readPairReg(w, lane, bReg) ^ bXor)
-			}
-			if cIsReg {
-				z = math.Float64frombits(readPairReg(w, lane, cReg) ^ cXor)
-			}
-			var v float64
-			switch op {
-			case fopDAdd:
-				v = x + y
-			case fopDMul:
-				v = x * y
-			case fopDFma:
-				v = math.FMA(x, y, z)
-			case fopDMnMx:
-				if p.read(&w.preds[lane]) {
-					v = math.Min(x, y)
-				} else {
-					v = math.Max(x, y)
-				}
-			}
+		if m == 0 {
+			return false, 0, 0
+		}
+		rows := &blk.rows
+		alo, ahi := a.resolve(blk, w, (*[2]regRow)(rows[rowA:]))
+		blo, bhi := b.resolve(blk, w, (*[2]regRow)(rows[rowB:]))
+		dlo, dhi := &w.regs[d], &rows[rowOut+1]
+		if writeHi {
+			dhi = &w.regs[d+1]
+		}
+		olo, ohi := dlo, dhi
+		if m != fullMask {
+			olo, ohi = &rows[rowOut], &rows[rowOut+1]
+		}
+		put := func(l int, v float64) {
 			b := math.Float64bits(v)
-			rf := &w.regs[lane]
-			rf[d] = uint32(b)
-			if writeHi {
-				rf[d+1] = uint32(b >> 32)
+			olo[l], ohi[l] = uint32(b), uint32(b>>32)
+		}
+		switch op {
+		case fopDAdd:
+			for l := range olo {
+				put(l, pairF64(alo, ahi, l)+pairF64(blo, bhi, l))
+			}
+		case fopDMul:
+			for l := range olo {
+				put(l, pairF64(alo, ahi, l)*pairF64(blo, bhi, l))
+			}
+		case fopDFma:
+			clo, chi := c.resolve(blk, w, (*[2]regRow)(rows[rowC:]))
+			for l := range olo {
+				put(l, math.FMA(pairF64(alo, ahi, l), pairF64(blo, bhi, l), pairF64(clo, chi, l)))
+			}
+		case fopDMnMx:
+			pm := p.mask(w)
+			for l := range olo {
+				x, y := pairF64(alo, ahi, l), pairF64(blo, bhi, l)
+				if pm>>uint(l)&1 != 0 {
+					put(l, math.Min(x, y))
+				} else {
+					put(l, math.Max(x, y))
+				}
 			}
 		}
-		return false, 0, 0
-	}
-}
-
-// fastS2RStep fuses S2R. The lane-dependent special registers (TID, lane id,
-// lane masks) get dedicated loops; everything else — CTAID, warp id, SM id,
-// the clock, and unknown registers (which read zero, as in specialVal) — is
-// warp-invariant within one step and broadcasts a single resolved value.
-//
-//go:noinline
-func fastS2RStep(d sass.RegID, sr sass.SpecialReg) planStep {
-	return func(blk *blockCtx, w *warp, m uint32) (bool, TrapKind, uint32) {
-		d, sr := d, sr
-		switch sr {
-		case sass.SRTidX:
-			for lane, rem := 0, m; rem != 0; lane, rem = lane+1, rem>>1 {
-				if rem&1 == 0 {
-					continue
-				}
-				lane := lane & 31
-				w.regs[lane][d] = uint32(w.tid[lane].X)
-			}
-		case sass.SRTidY:
-			for lane, rem := 0, m; rem != 0; lane, rem = lane+1, rem>>1 {
-				if rem&1 == 0 {
-					continue
-				}
-				lane := lane & 31
-				w.regs[lane][d] = uint32(w.tid[lane].Y)
-			}
-		case sass.SRTidZ:
-			for lane, rem := 0, m; rem != 0; lane, rem = lane+1, rem>>1 {
-				if rem&1 == 0 {
-					continue
-				}
-				lane := lane & 31
-				w.regs[lane][d] = uint32(w.tid[lane].Z)
-			}
-		case sass.SRLaneID:
-			for lane, rem := 0, m; rem != 0; lane, rem = lane+1, rem>>1 {
-				if rem&1 == 0 {
-					continue
-				}
-				w.regs[lane&31][d] = uint32(lane)
-			}
-		case sass.SREqMask:
-			for lane, rem := 0, m; rem != 0; lane, rem = lane+1, rem>>1 {
-				if rem&1 == 0 {
-					continue
-				}
-				w.regs[lane&31][d] = 1 << uint(lane)
-			}
-		case sass.SRLtMask:
-			for lane, rem := 0, m; rem != 0; lane, rem = lane+1, rem>>1 {
-				if rem&1 == 0 {
-					continue
-				}
-				w.regs[lane&31][d] = 1<<uint(lane) - 1
-			}
-		default:
-			v := specialVal(blk, w, 0, sr)
-			for lane, rem := 0, m; rem != 0; lane, rem = lane+1, rem>>1 {
-				if rem&1 == 0 {
-					continue
-				}
-				w.regs[lane&31][d] = v
+		if m != fullMask {
+			blk.mergeRow(dlo, olo, m)
+			if writeHi {
+				blk.mergeRow(dhi, ohi, m)
 			}
 		}
 		return false, 0, 0
@@ -821,9 +682,8 @@ func fastS2RStep(d sass.RegID, sr sass.SpecialReg) planStep {
 }
 
 // fastCmp is the comparison pre-resolved from (float, unsigned, CmpOp) at
-// translation time, so the setp lane loop branches on a dense enum instead of
-// calling icompare/fcompare, whose full switches are past the inlining budget
-// and would spill the loop's registers around the call.
+// translation time, so each setp loop is one compare per lane instead of a
+// call into icompare/fcompare's full switches.
 type fastCmp uint8
 
 const (
@@ -907,92 +767,126 @@ func fastCmpFor(float, unsigned bool, c sass.CmpOp) fastCmp {
 	return fcF
 }
 
-// fastSetPStep fuses ISETP/FSETP with the optional .AND/.OR/.XOR combine
-// against a predicate source. When the instruction has no combine source,
-// boolOp is BoolNone and q is constant-true, which passes the comparison
-// through exactly like boolQualify.
+// cmpMask compares two rows lane by lane and returns the lanes that compare
+// true.
+func cmpMask(cmp fastCmp, x, y *regRow) (r uint32) {
+	// Each loop shifts lane l's result in at the top, so after 32 lanes lane
+	// 0 sits at bit 0: constant shift counts, no variable-shift register
+	// shuffle per lane.
+	_, _ = x[0], y[0]
+	switch cmp {
+	case fcT:
+		return fullMask
+	case fcEQ:
+		for l := range x {
+			r = r>>1 | b2u(x[l] == y[l])<<31
+		}
+	case fcNE:
+		for l := range x {
+			r = r>>1 | b2u(x[l] != y[l])<<31
+		}
+	case fcLTS:
+		for l := range x {
+			r = r>>1 | b2u(int32(x[l]) < int32(y[l]))<<31
+		}
+	case fcLES:
+		for l := range x {
+			r = r>>1 | b2u(int32(x[l]) <= int32(y[l]))<<31
+		}
+	case fcGTS:
+		for l := range x {
+			r = r>>1 | b2u(int32(x[l]) > int32(y[l]))<<31
+		}
+	case fcGES:
+		for l := range x {
+			r = r>>1 | b2u(int32(x[l]) >= int32(y[l]))<<31
+		}
+	case fcLTU:
+		for l := range x {
+			r = r>>1 | b2u(x[l] < y[l])<<31
+		}
+	case fcLEU:
+		for l := range x {
+			r = r>>1 | b2u(x[l] <= y[l])<<31
+		}
+	case fcGTU:
+		for l := range x {
+			r = r>>1 | b2u(x[l] > y[l])<<31
+		}
+	case fcGEU:
+		for l := range x {
+			r = r>>1 | b2u(x[l] >= y[l])<<31
+		}
+	case fcFEQ:
+		for l := range x {
+			r = r>>1 | b2u(f32Of(x[l]) == f32Of(y[l]))<<31
+		}
+	case fcFNE:
+		for l := range x {
+			r = r>>1 | b2u(f32Of(x[l]) != f32Of(y[l]))<<31
+		}
+	case fcFLT:
+		for l := range x {
+			r = r>>1 | b2u(f32Of(x[l]) < f32Of(y[l]))<<31
+		}
+	case fcFLE:
+		for l := range x {
+			r = r>>1 | b2u(f32Of(x[l]) <= f32Of(y[l]))<<31
+		}
+	case fcFGT:
+		for l := range x {
+			r = r>>1 | b2u(f32Of(x[l]) > f32Of(y[l]))<<31
+		}
+	case fcFGE:
+		for l := range x {
+			r = r>>1 | b2u(f32Of(x[l]) >= f32Of(y[l]))<<31
+		}
+	case fcFNum:
+		for l := range x {
+			r = r>>1 | b2u(!isNaN32(f32Of(x[l])) && !isNaN32(f32Of(y[l])))<<31
+		}
+	case fcFNan:
+		for l := range x {
+			r = r>>1 | b2u(isNaN32(f32Of(x[l])) || isNaN32(f32Of(y[l])))<<31
+		}
+	}
+	return r
+}
+
+// fastSetPStep fuses ISETP/FSETP: the comparison builds a result mask, the
+// optional .AND/.OR/.XOR combine against a predicate source is one word op,
+// and the destination predicate takes the result on the executing lanes.
+// When the instruction has no combine source, boolOp is BoolNone, which
+// passes the comparison through exactly like boolQualify.
 //
 //go:noinline
 func fastSetPStep(cmp fastCmp, boolOp sass.BoolOp,
 	d sass.PredID, a, b fastSrc, q fastPred) planStep {
 	return func(blk *blockCtx, w *warp, m uint32) (bool, TrapKind, uint32) {
-		cmp, boolOp, d, q := cmp, boolOp, d, q
-		av, bv := a.hoist(blk), b.hoist(blk)
-		aIsReg, aReg, aXor, aAdd := a.unpack()
-		bIsReg, bReg, bXor, bAdd := b.unpack()
-		for lane, rem := 0, m; rem != 0; lane, rem = lane+1, rem>>1 {
-			if rem&1 == 0 {
-				continue
-			}
-			lane := lane & 31
-			rf := &w.regs[lane]
-			x, y := av, bv
-			if aIsReg {
-				x = (rf[aReg] ^ aXor) + aAdd
-			}
-			if bIsReg {
-				y = (rf[bReg] ^ bXor) + bAdd
-			}
-			var r bool
-			switch cmp {
-			case fcT:
-				r = true
-			case fcEQ:
-				r = x == y
-			case fcNE:
-				r = x != y
-			case fcLTS:
-				r = int32(x) < int32(y)
-			case fcLES:
-				r = int32(x) <= int32(y)
-			case fcGTS:
-				r = int32(x) > int32(y)
-			case fcGES:
-				r = int32(x) >= int32(y)
-			case fcLTU:
-				r = x < y
-			case fcLEU:
-				r = x <= y
-			case fcGTU:
-				r = x > y
-			case fcGEU:
-				r = x >= y
-			case fcFEQ:
-				r = math.Float32frombits(x) == math.Float32frombits(y)
-			case fcFNE:
-				r = math.Float32frombits(x) != math.Float32frombits(y)
-			case fcFLT:
-				r = math.Float32frombits(x) < math.Float32frombits(y)
-			case fcFLE:
-				r = math.Float32frombits(x) <= math.Float32frombits(y)
-			case fcFGT:
-				r = math.Float32frombits(x) > math.Float32frombits(y)
-			case fcFGE:
-				r = math.Float32frombits(x) >= math.Float32frombits(y)
-			case fcFNum:
-				r = !isNaN32(math.Float32frombits(x)) && !isNaN32(math.Float32frombits(y))
-			case fcFNan:
-				r = isNaN32(math.Float32frombits(x)) || isNaN32(math.Float32frombits(y))
-			}
-			pf := &w.preds[lane]
-			qv := q.read(pf)
-			switch boolOp {
-			case sass.BoolAnd:
-				r = r && qv
-			case sass.BoolOr:
-				r = r || qv
-			case sass.BoolXor:
-				r = r != qv
-			}
-			pf[d&7] = r
+		if m == 0 {
+			return false, 0, 0
 		}
+		var r uint32
+		if cmp != fcF {
+			r = cmpMask(cmp, a.resolve(blk, w, &blk.rows[rowA]), b.resolve(blk, w, &blk.rows[rowB]))
+		}
+		switch boolOp {
+		case sass.BoolAnd:
+			r &= q.mask(w)
+		case sass.BoolOr:
+			r |= q.mask(w)
+		case sass.BoolXor:
+			r ^= q.mask(w)
+		}
+		pd := &w.preds[d&7]
+		*pd ^= (*pd ^ r) & m
 		return false, 0, 0
 	}
 }
 
-// fastStep tries the fused tier for one instruction; nil means the shape
-// needs the accessor tier.
-func fastStep(in *sass.Instr) planStep {
+// fastStep tries the row tier for one instruction; nil means the shape needs
+// the accessor tier.
+func fastStep(in *sass.Instr, imms immRows) planStep {
 	mods := &in.Mods
 	sem := in.Op.Info().Sem
 	switch sem {
@@ -1047,15 +941,15 @@ func fastStep(in *sass.Instr) planStep {
 		case sass.SemFMul:
 			op, neg = fopFMul, fnFloat
 		}
-		a, ok := fastSrcFor(in, 0, neg)
+		a, ok := fastSrcFor(in, 0, neg, imms)
 		if !ok {
 			return nil
 		}
-		b := fastSrc{} // unary ops ignore the second source
+		b := fastSrc{row: &zeroRow} // unary ops ignore the second source
 		switch op {
 		case fopPassA, fopPopc, fopBrev, fopFlo:
 		default:
-			if b, ok = fastSrcFor(in, 1, neg); !ok {
+			if b, ok = fastSrcFor(in, 1, neg, imms); !ok {
 				return nil
 			}
 		}
@@ -1093,15 +987,15 @@ func fastStep(in *sass.Instr) planStep {
 			}
 			lut = uint8(in.Src[3].Imm)
 		}
-		a, ok := fastSrcFor(in, 0, neg)
+		a, ok := fastSrcFor(in, 0, neg, imms)
 		if !ok {
 			return nil
 		}
-		b, ok := fastSrcFor(in, 1, neg)
+		b, ok := fastSrcFor(in, 1, neg, imms)
 		if !ok {
 			return nil
 		}
-		c, ok := fastSrcFor(in, 2, neg)
+		c, ok := fastSrcFor(in, 2, neg, imms)
 		if !ok {
 			return nil
 		}
@@ -1127,11 +1021,11 @@ func fastStep(in *sass.Instr) planStep {
 		case sass.SemFMnMx:
 			op, neg = fopFMnMx, fnFloat
 		}
-		a, ok := fastSrcFor(in, 0, neg)
+		a, ok := fastSrcFor(in, 0, neg, imms)
 		if !ok {
 			return nil
 		}
-		b, ok := fastSrcFor(in, 1, neg)
+		b, ok := fastSrcFor(in, 1, neg, imms)
 		if !ok {
 			return nil
 		}
@@ -1147,11 +1041,11 @@ func fastStep(in *sass.Instr) planStep {
 		if float {
 			neg = fnFloat
 		}
-		a, ok := fastSrcFor(in, 0, neg)
+		a, ok := fastSrcFor(in, 0, neg, imms)
 		if !ok {
 			return nil
 		}
-		b, ok := fastSrcFor(in, 1, neg)
+		b, ok := fastSrcFor(in, 1, neg, imms)
 		if !ok {
 			return nil
 		}
@@ -1162,11 +1056,13 @@ func fastStep(in *sass.Instr) planStep {
 		return fastSetPStep(fastCmpFor(float, mods.Unsigned, mods.Cmp), boolOp, d, a, b, q)
 
 	case sass.SemS2R:
+		// S2R reads Src[0].SReg whatever the operand's kind, with no
+		// negation: a pass-through of the special register's row.
 		d, ok := fastDst(in)
 		if !ok || len(in.Src) == 0 {
 			return nil
 		}
-		return fastS2RStep(d, in.Src[0].SReg)
+		return fastBinStep(fopPassA, d, fastSrc{kind: fsSpecial, sreg: in.Src[0].SReg}, fastSrc{row: &zeroRow})
 
 	case sass.SemDAdd, sass.SemDMul, sass.SemDFma, sass.SemDMnMx:
 		d, ok := fastDst(in)
@@ -1184,17 +1080,17 @@ func fastStep(in *sass.Instr) planStep {
 		case sass.SemDMnMx:
 			op = fopDMnMx
 		}
-		a, ok := fastDSrcFor(in, 0)
+		a, ok := fastDSrcFor(in, 0, imms)
 		if !ok {
 			return nil
 		}
-		b, ok := fastDSrcFor(in, 1)
+		b, ok := fastDSrcFor(in, 1, imms)
 		if !ok {
 			return nil
 		}
 		c := fastDSrc{}
 		if sem == sass.SemDFma {
-			if c, ok = fastDSrcFor(in, 2); !ok {
+			if c, ok = fastDSrcFor(in, 2, imms); !ok {
 				return nil
 			}
 		}

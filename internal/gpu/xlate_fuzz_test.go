@@ -12,8 +12,9 @@ import (
 
 // fuzzProgram turns fuzzer bytes into a small kernel over a curated
 // instruction mix: plain ALU, guarded execution, predicate sets, forward
-// branches, global loads and stores confined to a 256-byte buffer, and
-// thunk-dispatched warp intrinsics (SHFL, VOTE). Every byte maps to one
+// branches, global loads and stores (scattered within a 256-byte buffer,
+// coalesced by thread id, or through an unconfined "fault-corrupted"
+// address), and thunk-dispatched warp intrinsics (SHFL, VOTE). Every byte maps to one
 // generation step, so the fuzzer can explore instruction interleavings.
 func fuzzProgram(data []byte) string {
 	var sb strings.Builder
@@ -54,18 +55,31 @@ func fuzzProgram(data []byte) string {
 			// label is emitted by a later step (or the tail fixup).
 			fmt.Fprintf(&sb, "@P1 BRA skip%d\n", skip)
 			skip++
-		case 12:
-			// Confine addresses to the 64-word buffer so the access always
-			// lands in bounds and 4-byte aligned.
-			fmt.Fprintf(&sb, "    LOP.AND R8, R%d, 0x3f\n", ra)
-			sb.WriteString("    SHL R8, R8, 0x2\n")
-			sb.WriteString("    IADD R8, R8, c0[buf]\n")
-			fmt.Fprintf(&sb, "    STG.32 [R8], R%d\n", rb)
-		case 13:
-			fmt.Fprintf(&sb, "    LOP.AND R8, R%d, 0x3f\n", ra)
-			sb.WriteString("    SHL R8, R8, 0x2\n")
-			sb.WriteString("    IADD R8, R8, c0[buf]\n")
-			fmt.Fprintf(&sb, "    LDG.32 R%d, [R8]\n", d)
+		case 12, 13:
+			switch {
+			case b >= 0xe0:
+				// A fault-corrupted address: the raw register offsets the
+				// buffer base, so lanes land misaligned or out of bounds and
+				// the first faulting lane, trap kind, and address must agree.
+				fmt.Fprintf(&sb, "    IADD R8, R%d, c0[buf]\n", ra)
+			case b >= 0xc0:
+				// The coalesced shape: consecutive words by thread id.
+				sb.WriteString("    S2R R8, SR_TID.X\n")
+				sb.WriteString("    LOP.AND R8, R8, 0x3f\n")
+				sb.WriteString("    SHL R8, R8, 0x2\n")
+				sb.WriteString("    IADD R8, R8, c0[buf]\n")
+			default:
+				// Confine addresses to the 64-word buffer so the access
+				// always lands in bounds and 4-byte aligned.
+				fmt.Fprintf(&sb, "    LOP.AND R8, R%d, 0x3f\n", ra)
+				sb.WriteString("    SHL R8, R8, 0x2\n")
+				sb.WriteString("    IADD R8, R8, c0[buf]\n")
+			}
+			if op%16 == 12 {
+				fmt.Fprintf(&sb, "    STG.32 [R8], R%d\n", rb)
+			} else {
+				fmt.Fprintf(&sb, "    LDG.32 R%d, [R8]\n", d)
+			}
 		case 14:
 			// Thunk-dispatched intrinsics: translated execution falls back to
 			// the interpreter closure for these, so the fuzz mix proves the
@@ -138,6 +152,15 @@ func FuzzXlateDifferential(f *testing.F) {
 	f.Add([]byte{7, 0, 0, 11, 5, 5, 14, 1, 2, 15, 0, 0, 12, 9, 9, 13, 3, 3})
 	f.Add(bytes.Repeat([]byte{7, 11, 15}, 12))
 	f.Add([]byte{14, 14, 14, 7, 8, 9, 10, 4, 4, 4})
+	// Guarded and divergent execution around coalesced accesses: partial
+	// exec masks through the row tier's compute-and-merge and the whole-warp
+	// memory path.
+	f.Add([]byte{7, 1, 5, 8, 2, 3, 9, 4, 1, 13, 2, 0xc5, 11, 0, 0, 5, 1, 2, 12, 3, 0xc1, 6, 2, 4, 15, 0, 0, 12, 1, 0xc9, 10, 3, 3})
+	f.Add([]byte{4, 1, 1, 7, 3, 2, 11, 0, 0, 13, 1, 0xd0, 2, 1, 4, 11, 0, 0, 12, 2, 0xc2, 15, 0, 0, 8, 5, 5, 15, 0, 0, 13, 6, 0xc4})
+	// Fault-corrupted addresses, unguarded and under divergence.
+	f.Add([]byte{13, 1, 0xe0, 1, 2, 3})
+	f.Add([]byte{0, 0xff, 0, 12, 0, 0xe3, 1, 1, 1})
+	f.Add([]byte{7, 1, 2, 11, 0, 0, 12, 2, 0xf1, 15, 0, 0, 13, 3, 0xe7, 3, 1, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 || len(data) > 256 {
 			t.Skip()

@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"encoding/binary"
 	"math/bits"
 
 	"repro/internal/sass"
@@ -25,7 +26,7 @@ func memAddrLane(in *sass.Instr) func(w *warp, lane int) uint32 {
 			return func(*warp, int) uint32 { return off }
 		}
 		r := o.Reg
-		return func(w *warp, lane int) uint32 { return w.regs[lane][r] + off }
+		return func(w *warp, lane int) uint32 { return w.regs[r][lane] + off }
 	}
 	return nil
 }
@@ -53,102 +54,165 @@ func fastMemOperand(in *sass.Instr) (r sass.RegID, off uint32, useReg, ok bool) 
 	return 0, 0, false, false
 }
 
-// fastLoadG32 is the fused step for the dominant load shape: LDG/LD.32 from
-// global memory into a plain register. Instead of a bounds-check plus page
-// lookup per lane, it keeps a window over the last page touched: coalesced
-// warps (the common case by construction — kernels index by tid) resolve 31
-// of 32 lanes with one compare and a direct read. Misses fall back to the
-// same Memory.check the interpreter's Load uses, so trap kinds, fault
-// addresses, and ascending-lane fault ordering are identical.
-func fastLoadG32(r sass.RegID, off uint32, useReg bool, d sass.RegID) planStep {
-	return func(blk *blockCtx, w *warp, m uint32) (bool, TrapKind, uint32) {
-		r, off, useReg, d := r, off, useReg, d
-		mem := blk.dev.Mem
-		var winBase uint32 // device address of winBuf[0]
-		var winBuf []byte  // valid bytes of the cached page, clamped to the allocation
-		for lane, rem := 0, m; rem != 0; lane, rem = lane+1, rem>>1 {
-			if rem&1 == 0 {
-				continue
-			}
-			lane := lane & 31
-			rf := &w.regs[lane]
-			a := off
-			if useReg {
-				a += rf[r]
-			}
-			if i := a - winBase; a&3 == 0 && uint64(i)+4 <= uint64(len(winBuf)) {
-				rf[d] = uint32(winBuf[i]) | uint32(winBuf[i+1])<<8 |
-					uint32(winBuf[i+2])<<16 | uint32(winBuf[i+3])<<24
-				continue
-			}
-			al, o, kind := mem.check(a, 4)
-			if kind != 0 {
-				return false, kind, a
-			}
-			po := o % memPageSize
-			winLen := uint32(memPageSize)
-			if left := al.size - (o - po); left < winLen {
-				winLen = left
-			}
-			winBase = a - po
-			winBuf = al.readPage(o / memPageSize)[:winLen]
-			i := po
-			rf[d] = uint32(winBuf[i]) | uint32(winBuf[i+1])<<8 |
-				uint32(winBuf[i+2])<<16 | uint32(winBuf[i+3])<<24
+// unitStride reports whether the active lanes' addresses addr[l]+off form
+// the run base + l*stride — the coalesced pattern kernels indexing by thread
+// id produce by construction. It returns the first active lane's address and
+// the byte length of the span through the last active lane.
+func (blk *blockCtx) unitStride(addr *regRow, off, m, stride uint32) (lo, n uint32, ok bool) {
+	first := bits.TrailingZeros32(m)
+	want := addr[first] - uint32(first)*stride // what lane 0's register would hold
+	var bad uint32
+	_ = addr[0]
+	if m == fullMask {
+		for l := range addr {
+			bad |= addr[l] ^ want
+			want += stride
 		}
-		return false, 0, 0
+	} else {
+		k := blk.laneMasks(m)
+		for l := range addr {
+			bad |= (addr[l] ^ want) & k[l]
+			want += stride
+		}
+	}
+	if bad != 0 {
+		return 0, 0, false
+	}
+	last := 31 - bits.LeadingZeros32(m)
+	return addr[first] + off, uint32(last-first+1) * stride, true
+}
+
+// spanWindow returns the bytes backing [lo, lo+n) when lo is width-aligned
+// and the whole span lies inside one allocation and one page, nil otherwise.
+// That is the no-fault precondition of the whole-warp path: every lane of a
+// unit-stride access inside the span is then aligned and in bounds, so no
+// lane can trap and the visiting order cannot matter. On nil the caller
+// takes the ascending-lane loop, which reports the exact trap kind, address,
+// and first faulting lane.
+func (m *Memory) spanWindow(lo, n, width uint32, write bool) []byte {
+	al, o, kind := m.check(lo, width)
+	if kind != 0 {
+		return nil
+	}
+	po := o % memPageSize
+	if po+n > memPageSize || uint64(o)+uint64(n) > uint64(al.size) {
+		return nil
+	}
+	if write {
+		return al.writePage(o / memPageSize)[po : po+n]
+	}
+	return al.readPage(o / memPageSize)[po : po+n]
+}
+
+// pageWindow validates one access like Memory.check and returns the page
+// window around it: the device address of win[0] and the page's valid bytes,
+// clamped to the allocation.
+func (m *Memory) pageWindow(a, width uint32, write bool) (base uint32, win []byte, kind TrapKind) {
+	al, o, kind := m.check(a, width)
+	if kind != 0 {
+		return 0, nil, kind
+	}
+	po := o % memPageSize
+	n := min(al.size-(o-po), memPageSize)
+	if write {
+		return a - po, al.writePage(o / memPageSize)[:n], 0
+	}
+	return a - po, al.readPage(o / memPageSize)[:n], 0
+}
+
+// moveLane moves one lane's word (or double word) between memory bytes and
+// the lane's slot in the low/high rows: into the rows for a load, out of
+// them for a store.
+func moveLane(p []byte, lo, hi *regRow, l int, wide, store bool) {
+	switch {
+	case !store && !wide:
+		lo[l&31] = binary.LittleEndian.Uint32(p)
+	case !store:
+		v := binary.LittleEndian.Uint64(p)
+		lo[l&31], hi[l&31] = uint32(v), uint32(v>>32)
+	case !wide:
+		binary.LittleEndian.PutUint32(p, lo[l&31])
+	default:
+		binary.LittleEndian.PutUint64(p, uint64(hi[l&31])<<32|uint64(lo[l&31]))
 	}
 }
 
-// fastStoreG32 is fastLoadG32's store counterpart. The cached window comes
-// from writePage, so the first touch of each page pays the copy-on-write
-// fault exactly like Memory.Store and later lanes write the private page
-// directly.
-func fastStoreG32(r sass.RegID, off uint32, useReg bool, v fastSrc) planStep {
+// fastGlobal is the fused step for the dominant global-memory shapes: LDG/LD
+// and STG/ST, .32 and .64, between global memory and a plain register or
+// register pair (a store may also take any fastSrc value). A unit-stride
+// warp resolves with one Memory.check and one page-window copy. Everything
+// else walks the active lanes in ascending order over a window on the last
+// page touched; a miss goes through the same Memory.check the interpreter's
+// Load and Store use, so trap kinds, fault addresses, and ascending-lane
+// fault ordering are identical. Store windows come from writePage, so the
+// first touch of each page pays the copy-on-write fault exactly like
+// Memory.Store; unit-stride lanes hit distinct addresses, so the whole-warp
+// path cannot reorder an intra-warp write conflict.
+type fastGlobal struct {
+	r           sass.RegID // address register, when useReg
+	off         uint32
+	useReg      bool
+	wide, store bool
+	d           sass.RegID // load destination
+	v           fastSrc    // store value, unless pair is a register pair
+	pair        fastDSrc
+}
+
+//go:noinline
+func (g fastGlobal) step() planStep {
+	width := uint32(4)
+	if g.wide {
+		width = 8
+	}
 	return func(blk *blockCtx, w *warp, m uint32) (bool, TrapKind, uint32) {
-		r, off, useReg := r, off, useReg
-		vv := v.hoist(blk)
-		vIsReg, vReg, vXor, vAdd := v.unpack()
-		mem := blk.dev.Mem
-		var winBase uint32
-		var winBuf []byte
-		for lane, rem := 0, m; rem != 0; lane, rem = lane+1, rem>>1 {
-			if rem&1 == 0 {
+		if m == 0 {
+			return false, 0, 0
+		}
+		g, mem := g, blk.dev.Mem
+		addr := &zeroRow
+		if g.useReg {
+			addr = &w.regs[g.r]
+		}
+		var lo, hi *regRow
+		switch {
+		case !g.store:
+			// A pair whose high half lands on RZ drops it, like dstWrPair.
+			lo, hi = &w.regs[g.d], &blk.rows[rowOut]
+			if g.wide && g.d+1 != sass.RZ {
+				hi = &w.regs[g.d+1]
+			}
+		case g.pair.kind == fsReg:
+			lo, hi = g.pair.resolve(blk, w, (*[2]regRow)(blk.rows[rowA:]))
+		default:
+			lo, hi = g.v.resolve(blk, w, &blk.rows[rowA]), &zeroRow
+		}
+		first, last := bits.TrailingZeros32(m), 31-bits.LeadingZeros32(m)
+		if a0, n, ok := blk.unitStride(addr, g.off, m, width); ok {
+			if win := mem.spanWindow(a0, n, width, g.store); win != nil {
+				for l := first; l <= last; l++ {
+					if m>>uint(l)&1 != 0 {
+						moveLane(win[uint32(l-first)*width:], lo, hi, l, g.wide, g.store)
+					}
+				}
+				return false, 0, 0
+			}
+		}
+		var winBase uint32 // device address of win[0]
+		var win []byte     // valid bytes of the cached page
+		for l := first; l <= last; l++ {
+			if m>>uint(l)&1 == 0 {
 				continue
 			}
-			lane := lane & 31
-			rf := &w.regs[lane]
-			a := off
-			if useReg {
-				a += rf[r]
+			a := addr[l&31] + g.off
+			i := a - winBase
+			if a&(width-1) != 0 || uint64(i)+uint64(width) > uint64(len(win)) {
+				var kind TrapKind
+				if winBase, win, kind = mem.pageWindow(a, width, g.store); kind != 0 {
+					return false, kind, a
+				}
+				i = a - winBase
 			}
-			val := vv
-			if vIsReg {
-				val = (rf[vReg] ^ vXor) + vAdd
-			}
-			if i := a - winBase; a&3 == 0 && uint64(i)+4 <= uint64(len(winBuf)) {
-				winBuf[i] = byte(val)
-				winBuf[i+1] = byte(val >> 8)
-				winBuf[i+2] = byte(val >> 16)
-				winBuf[i+3] = byte(val >> 24)
-				continue
-			}
-			al, o, kind := mem.check(a, 4)
-			if kind != 0 {
-				return false, kind, a
-			}
-			po := o % memPageSize
-			winLen := uint32(memPageSize)
-			if left := al.size - (o - po); left < winLen {
-				winLen = left
-			}
-			winBase = a - po
-			winBuf = al.writePage(o / memPageSize)[:winLen]
-			i := po
-			winBuf[i] = byte(val)
-			winBuf[i+1] = byte(val >> 8)
-			winBuf[i+2] = byte(val >> 16)
-			winBuf[i+3] = byte(val >> 24)
+			moveLane(win[i:], lo, hi, l, g.wide, g.store)
 		}
 		return false, 0, 0
 	}
@@ -160,18 +224,19 @@ func compileLoad(in *sass.Instr, space sass.MemSpace) planStep {
 	if addr == nil {
 		return trapActive
 	}
+	global := space == sass.SpaceGlobal || space == sass.SpaceGeneric
 	switch width := in.Mods.MemWidth(); width {
 	case 1, 2, 4:
 		wr := dstWr(in)
 		if wr == nil {
 			return nil
 		}
-		if width == 4 && (space == sass.SpaceGlobal || space == sass.SpaceGeneric) {
+		if width == 4 && global {
 			// Sign extension is a no-op at full width, so .32 loads take the
 			// fused global tier whenever the destination is a plain register.
 			if d, ok := fastDst(in); ok {
 				if r, off, useReg, ok := fastMemOperand(in); ok {
-					return fastLoadG32(r, off, useReg, d)
+					return fastGlobal{r: r, off: off, useReg: useReg, d: d}.step()
 				}
 			}
 		}
@@ -201,6 +266,13 @@ func compileLoad(in *sass.Instr, space sass.MemSpace) planStep {
 		wr := dstWrPair(in)
 		if wr == nil {
 			return nil
+		}
+		if global {
+			if d, ok := fastDst(in); ok {
+				if r, off, useReg, ok := fastMemOperand(in); ok {
+					return fastGlobal{r: r, off: off, useReg: useReg, d: d, wide: true}.step()
+				}
+			}
 		}
 		return func(blk *blockCtx, w *warp, m uint32) (bool, TrapKind, uint32) {
 			for ; m != 0; m &= m - 1 {
@@ -233,7 +305,7 @@ func compileLoad(in *sass.Instr, space sass.MemSpace) planStep {
 						return false, kind, a + 4*i
 					}
 					if r := base + sass.RegID(i); r != sass.RZ {
-						w.regs[lane][r] = uint32(v)
+						w.regs[r][lane] = uint32(v)
 					}
 				}
 			}
@@ -274,7 +346,7 @@ func compileLoadConst(in *sass.Instr) planStep {
 }
 
 // compileStore specializes ST/STG/STL/STS.
-func compileStore(in *sass.Instr, space sass.MemSpace) planStep {
+func compileStore(in *sass.Instr, space sass.MemSpace, imms immRows) planStep {
 	vi := -1
 	for i := range in.Src {
 		if in.Src[i].Kind != sass.OpdMem {
@@ -293,12 +365,13 @@ func compileStore(in *sass.Instr, space sass.MemSpace) planStep {
 	if addr == nil {
 		return trapActive
 	}
+	global := space == sass.SpaceGlobal || space == sass.SpaceGeneric
 	switch width := in.Mods.MemWidth(); width {
 	case 1, 2, 4:
-		if width == 4 && (space == sass.SpaceGlobal || space == sass.SpaceGeneric) {
-			if v, ok := fastSrcFor(in, vi, fnNone); ok {
+		if width == 4 && global {
+			if v, ok := fastSrcFor(in, vi, fnNone, imms); ok {
 				if r, off, useReg, ok := fastMemOperand(in); ok {
-					return fastStoreG32(r, off, useReg, v)
+					return fastGlobal{r: r, off: off, useReg: useReg, store: true, v: v}.step()
 				}
 			}
 		}
@@ -314,6 +387,18 @@ func compileStore(in *sass.Instr, space sass.MemSpace) planStep {
 			return false, 0, 0
 		}
 	case 8:
+		if global {
+			// A register value stores its pair (readPairReg's RZ rules); any
+			// other shape stores its 32-bit value zero-extended.
+			v, ok := fastSrcFor(in, vi, fnNone, imms)
+			pair := fastDSrc{}
+			if in.Src[vi].Kind == sass.OpdReg {
+				pair, ok = fastDSrc{kind: fsReg, reg: in.Src[vi].Reg}, true
+			}
+			if r, off, useReg, okm := fastMemOperand(in); ok && okm {
+				return fastGlobal{r: r, off: off, useReg: useReg, store: true, wide: true, v: v, pair: pair}.step()
+			}
+		}
 		var val func(blk *blockCtx, w *warp, lane int) uint64
 		if o := &in.Src[vi]; o.Kind == sass.OpdReg {
 			r := o.Reg
@@ -345,7 +430,7 @@ func compileStore(in *sass.Instr, space sass.MemSpace) planStep {
 				for i := uint32(0); i < 4; i++ {
 					var v uint32
 					if r := base + sass.RegID(i); r != sass.RZ {
-						v = w.regs[lane][r]
+						v = w.regs[r][lane]
 					}
 					if kind := spaceStoreAt(blk, w, lane, space, a+4*i, 4, uint64(v)); kind != 0 {
 						return false, kind, a + 4*i

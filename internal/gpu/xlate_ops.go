@@ -51,7 +51,7 @@ func srcRaw(in *sass.Instr, idx int) laneU {
 			return zeroLane
 		}
 		r := o.Reg
-		return func(_ *blockCtx, w *warp, lane int) uint32 { return w.regs[lane][r] }
+		return func(_ *blockCtx, w *warp, lane int) uint32 { return w.regs[r][lane] }
 	case sass.OpdImm:
 		v := o.Imm
 		return func(*blockCtx, *warp, int) uint32 { return v }
@@ -165,9 +165,9 @@ func srcP(in *sass.Instr, idx int) laneP {
 		return trueLane
 	}
 	if neg {
-		return func(_ *blockCtx, w *warp, lane int) bool { return !w.preds[lane][p] }
+		return func(_ *blockCtx, w *warp, lane int) bool { return !w.pred(p, lane) }
 	}
-	return func(_ *blockCtx, w *warp, lane int) bool { return w.preds[lane][p] }
+	return func(_ *blockCtx, w *warp, lane int) bool { return w.pred(p, lane) }
 }
 
 // dstWr compiles evalCtx.wr; nil when Dst[0] is missing.
@@ -182,13 +182,13 @@ func dstWr(in *sass.Instr) laneWrU {
 			return dropU
 		}
 		r := d.Reg
-		return func(w *warp, lane int, v uint32) { w.regs[lane][r] = v }
+		return func(w *warp, lane int, v uint32) { w.regs[r][lane] = v }
 	case sass.OpdPred:
 		if d.Pred.Pred == sass.PT {
 			return dropU
 		}
 		p := d.Pred.Pred
-		return func(w *warp, lane int, v uint32) { w.preds[lane][p] = v != 0 }
+		return func(w *warp, lane int, v uint32) { w.setPred(p, lane, v != 0) }
 	default:
 		return dropU
 	}
@@ -202,7 +202,7 @@ func dstWrP(in *sass.Instr) laneWrP {
 	d := &in.Dst[0]
 	if d.Kind == sass.OpdPred && d.Pred.Pred != sass.PT {
 		p := d.Pred.Pred
-		return func(w *warp, lane int, v bool) { w.preds[lane][p] = v }
+		return func(w *warp, lane int, v bool) { w.setPred(p, lane, v) }
 	}
 	return dropP
 }
@@ -219,11 +219,11 @@ func dstWrPair(in *sass.Instr) laneWr2 {
 	r := d.Reg
 	if r+1 != sass.RZ {
 		return func(w *warp, lane int, v uint64) {
-			w.regs[lane][r] = uint32(v)
-			w.regs[lane][r+1] = uint32(v >> 32)
+			w.regs[r][lane] = uint32(v)
+			w.regs[r+1][lane] = uint32(v >> 32)
 		}
 	}
-	return func(w *warp, lane int, v uint64) { w.regs[lane][r] = uint32(v) }
+	return func(w *warp, lane int, v uint64) { w.regs[r][lane] = uint32(v) }
 }
 
 // Per-lane step drivers, iterating set bits in ascending lane order exactly
@@ -286,18 +286,18 @@ func boolQualify(in *sass.Instr, base laneP) laneP {
 // (xlate_fast.go) for the dominant ALU shapes, the accessor tier for
 // everything else it understands, and the interpreter thunk whenever any
 // operand compiler reports a shape the specializer does not cover.
-func compileStep(in *sass.Instr, pc int) planStep {
-	if step := fastStep(in); step != nil {
+func compileStep(in *sass.Instr, pc int, imms immRows) planStep {
+	if step := fastStep(in, imms); step != nil {
 		return step
 	}
-	step := specializeStep(in)
+	step := specializeStep(in, imms)
 	if step == nil {
 		return thunkStep(in, pc)
 	}
 	return step
 }
 
-func specializeStep(in *sass.Instr) planStep {
+func specializeStep(in *sass.Instr, imms immRows) planStep {
 	mods := &in.Mods
 	switch in.Op.Info().Sem {
 	// --- FP32 arithmetic ---
@@ -735,18 +735,12 @@ func specializeStep(in *sass.Instr) planStep {
 			return false, 0, 0
 		}
 	case sass.SemVote:
-		wr, p := dstWr(in), srcP(in, 0)
+		wr, p := dstWr(in), fastPredFor(in, 0)
 		if wr == nil {
 			return nil
 		}
 		return func(blk *blockCtx, w *warp, execMask uint32) (bool, TrapKind, uint32) {
-			var ballot uint32
-			for m := execMask; m != 0; m &= m - 1 {
-				lane := bits.TrailingZeros32(m)
-				if p(blk, w, lane) {
-					ballot |= 1 << uint(lane)
-				}
-			}
+			ballot := p.mask(w) & execMask
 			for m := execMask; m != 0; m &= m - 1 {
 				wr(w, bits.TrailingZeros32(m), ballot)
 			}
@@ -763,9 +757,7 @@ func specializeStep(in *sass.Instr) planStep {
 				lane := bits.TrailingZeros32(m)
 				var v uint32
 				for p := 0; p < int(sass.NumPreds)-1; p++ {
-					if w.preds[lane][p] {
-						v |= 1 << uint(p)
-					}
+					v |= (w.preds[p] >> uint(lane) & 1) << uint(p)
 				}
 				if mask != nil {
 					v &= mask(blk, w, lane)
@@ -877,7 +869,7 @@ func specializeStep(in *sass.Instr) planStep {
 	case sass.SemLdc:
 		return compileLoadConst(in)
 	case sass.SemSt:
-		return compileStore(in, in.Op.Info().Space)
+		return compileStore(in, in.Op.Info().Space, imms)
 	case sass.SemAtom:
 		return compileAtomic(in, in.Op.Info().Space, true)
 	case sass.SemRed:

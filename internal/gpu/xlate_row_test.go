@@ -1,0 +1,533 @@
+package gpu
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"repro/internal/sass"
+)
+
+// The row tier's differential tests: one instruction at a time through the
+// fused step and through the interpreter, on identical randomized warp
+// state, comparing the whole register file and every predicate mask. The
+// campaign-level differentials prove the tiers agree on the workloads; these
+// prove it on every op × operand shape × exec mask × aliasing the tier
+// accepts, including the ones no shipped kernel happens to use.
+
+// rowMasks are the exec masks every case runs under: full, one lane, the
+// interior-of-a-row pattern a boundary exit leaves, a partial last warp, and
+// empty.
+var rowMasks = []uint32{fullMask, 1 << 13, 0x7ffe7ffe, 0x000fffff, 0}
+
+// rowHarness holds two block contexts over one device and constant bank, and
+// the randomized warp state each case starts from.
+type rowHarness struct {
+	t          *testing.T
+	blkX, blkI *blockCtx
+	base       warp
+	imms       immRows
+}
+
+func newRowHarness(t *testing.T, seed int64) *rowHarness {
+	d := newTestDevice(t)
+	d.smClocks[1] = 0x1234
+	l := &Launch{
+		Grid:   Dim3{X: 4, Y: 3, Z: 2},
+		Block:  Dim3{X: 8, Y: 4, Z: 2},
+		Params: []uint32{0x3fc00000, 0xdeadbeef, 0x40490fdb, 0xbff00000},
+	}
+	bank := buildConstBank(l)
+	mk := func() *blockCtx {
+		return &blockCtx{dev: d, launch: l, constBank: bank, smID: 1, blockIdx: Dim3{X: 3, Y: 2, Z: 1}, blockLin: 7}
+	}
+	h := &rowHarness{t: t, blkX: mk(), blkI: mk(), imms: make(immRows)}
+	rng := rand.New(rand.NewSource(seed))
+	w := &h.base
+	w.id = 2
+	w.liveMask, w.converged = fullMask, true
+	specials := []uint32{
+		0, 0x80000000, 1, 0xffffffff, 0x7f800000, 0xff800000, 0x7fc00001, 0xffc00000,
+		0x00000001, 0x807fffff, 0x3f800000, 0xbf800000, 31, 32, 33, 0x7fffffff,
+	}
+	for r := range w.regs {
+		for l := range w.regs[r] {
+			if v := rng.Uint32(); v%4 == 0 {
+				w.regs[r][l] = specials[v>>2%uint32(len(specials))]
+			} else {
+				w.regs[r][l] = v
+			}
+		}
+	}
+	for p := 0; p < sass.NumPreds-1; p++ {
+		w.preds[p] = rng.Uint32()
+	}
+	for l := 0; l < WarpSize; l++ {
+		t := 2*WarpSize + l
+		w.tid[0][l], w.tid[1][l], w.tid[2][l] = uint32(t%8), uint32(t/8%4), uint32(t/32)
+	}
+	return h
+}
+
+// check runs one instruction through the row tier and the interpreter under
+// every mask and requires identical architectural state.
+func (h *rowHarness) check(in *sass.Instr) {
+	h.t.Helper()
+	step := fastStep(in, h.imms)
+	if step == nil {
+		h.t.Fatalf("%v: the row tier refused a shape it is documented to cover", in)
+	}
+	for _, m := range rowMasks {
+		wx, wi := h.base, h.base
+		_, kx, ax := step(h.blkX, &wx, m)
+		_, ki, ai := h.blkI.exec(&wi, in, 0, m)
+		if kx != ki || ax != ai {
+			h.t.Fatalf("%v mask %#x: row tier (%v, %#x), interpreter (%v, %#x)", in, m, kx, ax, ki, ai)
+		}
+		canonNaN(in, &wx)
+		canonNaN(in, &wi)
+		if wx.regs != wi.regs {
+			for r := range wx.regs {
+				for l := range wx.regs[r] {
+					if wx.regs[r][l] != wi.regs[r][l] {
+						h.t.Fatalf("%v mask %#x: R%d lane %d = %#x, interpreter %#x (was %#x)",
+							in, m, r, l, wx.regs[r][l], wi.regs[r][l], h.base.regs[r][l])
+					}
+				}
+			}
+		}
+		if wx.preds != wi.preds {
+			h.t.Fatalf("%v mask %#x: predicate masks %#x, interpreter %#x (were %#x)",
+				in, m, wx.preds, wi.preds, h.base.preds)
+		}
+	}
+}
+
+// canonNaN rewrites NaN results of the commutative float arithmetic ops to
+// one canonical NaN. When two operands of an x86 ADDSS/MULSS/FMA are both
+// NaN the result carries the payload of whichever the compiler made the
+// instruction's destination, so the same Go expression compiled at two sites
+// (the interpreter and any translated tier, in this engine and its
+// predecessor alike) may differ in the NaN's sign and payload — never in
+// whether the result is NaN. Golden runs never hold two distinct NaNs in one
+// lane's operands; randomized state does.
+func canonNaN(in *sass.Instr, w *warp) {
+	d := in.Dst[0].Reg
+	switch in.Op.Info().Sem {
+	case sass.SemFAdd, sass.SemFMul, sass.SemFFma:
+		for l, v := range w.regs[d] {
+			if isNaN32(math.Float32frombits(v)) {
+				w.regs[d][l] = 0x7fc00000
+			}
+		}
+	case sass.SemDAdd, sass.SemDMul, sass.SemDFma:
+		for l := range w.regs[d] {
+			if math.IsNaN(math.Float64frombits(readPairReg(w, l, d))) {
+				w.regs[d][l] = 0
+				if d+1 != sass.RZ {
+					w.regs[d+1][l] = 0x7ff80000
+				}
+			}
+		}
+	}
+}
+
+// srcShapes returns the operand shapes of one 32-bit source read from
+// register r: the register and its negation, immediates, a launch parameter,
+// RZ, and a per-lane and a warp-uniform special register.
+func srcShapes(r sass.RegID) []sass.Operand {
+	neg := func(o sass.Operand) sass.Operand { o.Neg = true; return o }
+	return []sass.Operand{
+		sass.R(r), sass.NegReg(r),
+		sass.Imm(0x80000003), neg(sass.Imm(5)),
+		sass.C0(sass.ParamBase + 4), neg(sass.C0(sass.ParamBase)),
+		sass.R(sass.RZ), sass.NegReg(sass.RZ),
+		sass.SR(sass.SRLaneID), neg(sass.SR(sass.SRCtaidY)),
+	}
+}
+
+// rowOp is one fused register-result op: the opcode, its modifiers, how many
+// 32-bit sources it reads, and any fixed trailing operands.
+type rowOp struct {
+	op   string
+	mods sass.Mods
+	nsrc int
+	tail []sass.Operand
+}
+
+func (o rowOp) String() string {
+	in := sass.NewInstr(sass.MustOp(o.op))
+	in.Mods = o.mods
+	return in.String()
+}
+
+func rowALUOps() []rowOp {
+	var ops []rowOp
+	add := func(op string, nsrc int, mods sass.Mods, tail ...sass.Operand) {
+		ops = append(ops, rowOp{op: op, mods: mods, nsrc: nsrc, tail: tail})
+	}
+	add("IADD", 2, sass.Mods{})
+	add("IMUL", 2, sass.Mods{})
+	add("IMUL", 2, sass.Mods{High: true})
+	add("IMUL", 2, sass.Mods{High: true, Unsigned: true})
+	for _, lg := range []sass.LogicOp{sass.LogicAnd, sass.LogicOr, sass.LogicXor, sass.LogicPassB} {
+		add("LOP", 2, sass.Mods{Logic: lg})
+	}
+	add("SHL", 2, sass.Mods{})
+	add("SHR", 2, sass.Mods{})
+	add("SHR", 2, sass.Mods{Unsigned: true})
+	add("FADD", 2, sass.Mods{})
+	add("FMUL", 2, sass.Mods{})
+	add("MOV", 1, sass.Mods{})
+	add("POPC", 1, sass.Mods{})
+	add("BREV", 1, sass.Mods{})
+	add("FLO", 1, sass.Mods{})
+	add("IMAD", 3, sass.Mods{})
+	add("IMAD", 3, sass.Mods{High: true})
+	add("IMAD", 3, sass.Mods{High: true, Unsigned: true})
+	add("IADD3", 3, sass.Mods{})
+	add("ISCADD", 3, sass.Mods{})
+	add("LEA", 3, sass.Mods{})
+	add("FFMA", 3, sass.Mods{})
+	add("LOP3", 3, sass.Mods{}, sass.Imm(0x96))
+	add("LOP3", 3, sass.Mods{}, sass.Imm(0xe8))
+	for _, p := range []sass.Operand{sass.P(sass.PT), sass.NotP(sass.PT), sass.P(2), sass.NotP(2)} {
+		add("SEL", 2, sass.Mods{}, p)
+		add("FSEL", 2, sass.Mods{}, p)
+		add("IMNMX", 2, sass.Mods{}, p)
+		add("IMNMX", 2, sass.Mods{Unsigned: true}, p)
+		add("FMNMX", 2, sass.Mods{}, p)
+	}
+	add("SEL", 2, sass.Mods{}) // missing predicate reads true
+	return ops
+}
+
+// TestRowTierALU covers every fused register-result op across operand shape
+// (full cross product for one- and two-source ops, each position against
+// every shape for three-source ops), exec mask, and destination aliasing.
+func TestRowTierALU(t *testing.T) {
+	h := newRowHarness(t, 1)
+	const ra, rb, rc, rd = 4, 6, 8, 10
+	for _, op := range rowALUOps() {
+		t.Run(op.String(), func(t *testing.T) {
+			h.t = t
+			// Destinations: distinct, aliasing each source, and (with every
+			// source the same register) aliasing all of them at once.
+			dsts := []sass.RegID{rd, ra, rb, rc}[:op.nsrc+1]
+			emit := func(d sass.RegID, srcs ...sass.Operand) {
+				operands := append([]sass.Operand{sass.R(d)}, srcs...)
+				in := sass.NewInstr(sass.MustOp(op.op), append(operands, op.tail...)...)
+				in.Mods = op.mods
+				h.check(&in)
+			}
+			as, bs, cs := srcShapes(ra), srcShapes(rb), srcShapes(rc)
+			for _, d := range dsts {
+				switch op.nsrc {
+				case 1:
+					for _, a := range as {
+						emit(d, a)
+					}
+				case 2:
+					for i, a := range as {
+						for j, b := range bs {
+							// Full cross on the distinct destination; the
+							// aliased ones take two diagonals of it.
+							if d == rd || j == i || j == (i+3)%len(bs) {
+								emit(d, a, b)
+							}
+						}
+					}
+					emit(d, sass.R(d), sass.NegReg(d))
+				case 3:
+					for i := range as {
+						emit(d, as[i], bs[0], cs[0])
+						emit(d, as[0], bs[i], cs[1])
+						emit(d, as[1], bs[(i+3)%len(bs)], cs[i])
+					}
+					emit(d, sass.R(d), sass.NegReg(d), sass.R(d))
+				}
+			}
+		})
+	}
+}
+
+// TestRowTierS2R covers S2R for every special register, the unknown ones
+// (which read zero) included.
+func TestRowTierS2R(t *testing.T) {
+	h := newRowHarness(t, 2)
+	for sr := sass.SRInvalid; sr <= sass.SRClock+1; sr++ {
+		in := sass.NewInstr(sass.MustOp("S2R"), sass.R(10), sass.SR(sr))
+		h.check(&in)
+	}
+}
+
+// TestRowTierSetP covers ISETP/FSETP: every compare × signedness × combine ×
+// combine-source shape (PT, !PT, a register, its negation, and the
+// destination itself) × source shape.
+func TestRowTierSetP(t *testing.T) {
+	h := newRowHarness(t, 3)
+	const ra, rb = 4, 6
+	// Make a few lanes compare equal so EQ/LE/GE see both outcomes.
+	for l := 0; l < WarpSize; l += 5 {
+		h.base.regs[rb][l] = h.base.regs[ra][l]
+	}
+	qs := []sass.Operand{sass.P(sass.PT), sass.NotP(sass.PT), sass.P(2), sass.NotP(2), sass.P(1), sass.NotP(1)}
+	as, bs := srcShapes(ra), srcShapes(rb)
+	for _, opName := range []string{"ISETP", "FSETP"} {
+		for cmp := sass.CmpF; cmp <= sass.CmpT; cmp++ {
+			for _, unsigned := range []bool{false, true} {
+				if unsigned && opName == "FSETP" {
+					continue
+				}
+				mods := sass.Mods{Cmp: cmp, Unsigned: unsigned}
+				t.Run(fmt.Sprintf("%s.%v.u=%v", opName, cmp, unsigned), func(t *testing.T) {
+					h.t = t
+					emit := func(bo sass.BoolOp, srcs ...sass.Operand) {
+						in := sass.NewInstr(sass.MustOp(opName), append([]sass.Operand{sass.P(1)}, srcs...)...)
+						in.Mods = mods
+						in.Mods.Bool = bo
+						h.check(&in)
+					}
+					// Every combine and combine source on three source shapes...
+					for i := 0; i < 3; i++ {
+						a, b := as[i], bs[(2*i)%len(bs)]
+						emit(sass.BoolNone, a, b) // no combine source
+						for _, bo := range []sass.BoolOp{sass.BoolAnd, sass.BoolOr, sass.BoolXor, sass.BoolNone} {
+							for _, q := range qs {
+								emit(bo, a, b, q)
+							}
+						}
+					}
+					// ...and every source shape pair on one combine.
+					for _, a := range as {
+						for _, b := range bs {
+							emit(sass.BoolAnd, a, b, sass.NotP(2))
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestRowTierFP64 covers the pair ops: register pairs and their negation,
+// constant-bank doubles, widened float immediates, RZ and the pair adjacent
+// to RZ as sources; a destination pair that overlaps a source pair in every
+// way, and one whose high half lands on RZ.
+func TestRowTierFP64(t *testing.T) {
+	h := newRowHarness(t, 4)
+	const ra, rb, rc, rd = 4, 8, 12, 16
+	// Give the operand pairs a spread of real doubles as well as random bits.
+	vals := []float64{0, math.Copysign(0, -1), 1.5, -2.25, math.Inf(1), math.Inf(-1), math.NaN(), 1e-310, 3e300, -3e300}
+	for l := 0; l < WarpSize; l += 2 {
+		for i, r := range []sass.RegID{ra, rb, rc} {
+			b := math.Float64bits(vals[(l/2+i)%len(vals)])
+			h.base.regs[r][l], h.base.regs[r+1][l] = uint32(b), uint32(b>>32)
+		}
+	}
+	neg := func(o sass.Operand) sass.Operand { o.Neg = true; return o }
+	shapes := func(r sass.RegID) []sass.Operand {
+		return []sass.Operand{
+			sass.R(r), sass.NegReg(r),
+			sass.C0(sass.ParamBase + 8), neg(sass.C0(sass.ParamBase + 8)),
+			sass.ImmF(2.5), neg(sass.ImmF(2.5)),
+			sass.R(sass.RZ), sass.NegReg(sass.RZ), sass.R(sass.RZ - 1),
+			sass.P(3), neg(sass.P(3)), // any other kind reads ±0.0
+		}
+	}
+	type dop struct {
+		op   string
+		nsrc int
+		tail []sass.Operand
+	}
+	ops := []dop{{"DADD", 2, nil}, {"DMUL", 2, nil}, {"DFMA", 3, nil}}
+	for _, p := range []sass.Operand{sass.P(sass.PT), sass.NotP(sass.PT), sass.P(2), sass.NotP(2)} {
+		ops = append(ops, dop{"DMNMX", 2, []sass.Operand{p}})
+	}
+	for _, op := range ops {
+		t.Run(op.op, func(t *testing.T) {
+			h.t = t
+			emit := func(d sass.RegID, srcs ...sass.Operand) {
+				operands := append([]sass.Operand{sass.R(d)}, srcs...)
+				in := sass.NewInstr(sass.MustOp(op.op), append(operands, op.tail...)...)
+				h.check(&in)
+			}
+			as, bs, cs := shapes(ra), shapes(rb), shapes(rc)
+			// d == a, d == a+1 (low half on a's high half), d+1 == a, d == b,
+			// and d+1 == RZ.
+			for _, d := range []sass.RegID{rd, ra, ra + 1, ra - 1, rb, sass.RZ - 1} {
+				for i, a := range as {
+					for _, b := range bs {
+						if op.nsrc == 3 {
+							emit(d, a, b, cs[i])
+						} else {
+							emit(d, a, b)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// gmemPattern is one address row of the global-access test: the address
+// each lane presents, given the buffer's base.
+type gmemPattern struct {
+	name string
+	addr func(base uint32, lane int) uint32
+}
+
+// TestRowTierGlobalAccess holds the fused LDG/STG .32/.64 step to the
+// interpreter on coalesced, misaligned, page-straddling, scattered,
+// conflicting, and out-of-bounds address rows: trap kind, fault address (so
+// first faulting lane), destination registers, and memory contents.
+func TestRowTierGlobalAccess(t *testing.T) {
+	const bufBytes = 2*memPageSize + 256 // a partial third page: the window clamps to the allocation
+	const ra, rv, rd = 4, 6, 10
+	patterns := func(stride uint32) []gmemPattern {
+		return []gmemPattern{
+			{"coalesced", func(b uint32, l int) uint32 { return b + 64 + stride*uint32(l) }},
+			{"coalesced-misaligned", func(b uint32, l int) uint32 { return b + 66 + stride*uint32(l) }},
+			{"page-straddle", func(b uint32, l int) uint32 { return b + memPageSize - 5*stride + stride*uint32(l) }},
+			{"alloc-tail", func(b uint32, l int) uint32 { return b + bufBytes - 32*stride + stride*uint32(l) }},
+			{"oob-tail", func(b uint32, l int) uint32 { return b + bufBytes - 20*stride + stride*uint32(l) }},
+			{"oob-head", func(b uint32, l int) uint32 { return b - 3*stride + stride*uint32(l) }},
+			{"unmapped", func(b uint32, l int) uint32 { return 0x40 + stride*uint32(l) }},
+			{"wraparound", func(b uint32, l int) uint32 { return stride*uint32(l) - 16*stride }},
+			{"reversed", func(b uint32, l int) uint32 { return b + 1024 - stride*uint32(l) }},
+			{"strided", func(b uint32, l int) uint32 { return b + 3*stride*uint32(l) }},
+			{"scattered", func(b uint32, l int) uint32 { return b + stride*uint32(l*2654435761>>20%1000) }},
+			{"conflict", func(b uint32, l int) uint32 { return b + 512 + stride*uint32(l%3) }},
+			{"one-misaligned-lane", func(b uint32, l int) uint32 {
+				if l == 17 {
+					return b + 64 + stride*17 + 1
+				}
+				return b + 64 + stride*uint32(l)
+			}},
+			{"one-oob-lane", func(b uint32, l int) uint32 {
+				if l == 9 {
+					return b + bufBytes
+				}
+				return b + 64 + stride*uint32(l)
+			}},
+		}
+	}
+	newSide := func() (*blockCtx, uint32) {
+		d := newTestDevice(t)
+		fill := make([]byte, bufBytes)
+		rng := rand.New(rand.NewSource(5))
+		rng.Read(fill[:memPageSize+128]) // the rest stays never-written
+		mustAllocWrite(t, d, 64, nil)    // neighbours on both sides of the buffer
+		buf := mustAllocWrite(t, d, bufBytes, nil)
+		if err := d.Mem.WriteBytes(buf, fill[:memPageSize+128]); err != nil {
+			t.Fatal(err)
+		}
+		mustAllocWrite(t, d, 64, nil)
+		return &blockCtx{dev: d, constBank: buildConstBank(&Launch{Grid: Dim3{1, 1, 1}, Block: Dim3{32, 1, 1}})}, buf
+	}
+	h := newRowHarness(t, 6)
+	type access struct {
+		name string
+		in   func(off int32) sass.Instr
+	}
+	ld := func(width uint8, d sass.RegID, base sass.RegID) func(int32) sass.Instr {
+		return func(off int32) sass.Instr {
+			in := sass.NewInstr(sass.MustOp("LDG"), sass.R(d), sass.Mem(base, off))
+			in.Mods.Width = width
+			return in
+		}
+	}
+	st := func(width uint8, v sass.Operand) func(int32) sass.Instr {
+		return func(off int32) sass.Instr {
+			in := sass.NewInstr(sass.MustOp("STG"), sass.Mem(ra, off), v)
+			in.Mods.Width = width
+			return in
+		}
+	}
+	for _, width := range []uint8{4, 8} {
+		accesses := []access{
+			{"LDG", ld(width, rd, ra)},
+			{"LDG-dst-is-addr", ld(width, ra, ra)},
+			{"LDG-dst-hi-is-addr", ld(width, ra-1, ra)},
+			{"LDG-hi-on-RZ", ld(width, sass.RZ-1, ra)},
+			{"LDG-absolute", ld(width, rd, sass.RZ)},
+			{"STG-reg", st(width, sass.R(rv))},
+			{"STG-addr-reg", st(width, sass.R(ra))},
+			{"STG-imm", st(width, sass.Imm(0xcafef00d))},
+			{"STG-const", st(width, sass.C0(sass.ConstNtidX))},
+			{"STG-RZ", st(width, sass.R(sass.RZ))},
+			{"STG-pair-on-RZ", st(width, sass.R(sass.RZ-1))},
+		}
+		for _, ac := range accesses {
+			for _, pat := range patterns(uint32(width)) {
+				for _, off := range []int32{0, -8} {
+					for _, m := range rowMasks {
+						blkX, bufX := newSide()
+						blkI, bufI := newSide()
+						if bufX != bufI {
+							t.Fatal("the two sides allocated differently")
+						}
+						wx := h.base
+						for l := 0; l < WarpSize; l++ {
+							wx.regs[ra][l] = pat.addr(bufX, l) - uint32(off)
+						}
+						wi := wx
+						in := ac.in(off)
+						if in.Src[0].Reg == sass.RZ && in.Op == sass.MustOp("LDG") {
+							// The absolute form: aim the fixed offset at the buffer.
+							in.Src[0].Off = int32(pat.addr(bufX, 0))
+						}
+						step := compileStep(&in, 0, h.imms)
+						_, kx, ax := step(blkX, &wx, m)
+						_, ki, ai := blkI.exec(&wi, &in, 0, m)
+						id := fmt.Sprintf("%s.%d %s off %d mask %#x", ac.name, 8*width, pat.name, off, m)
+						if kx != ki || ax != ai {
+							t.Fatalf("%s: row tier (%v, %#x), interpreter (%v, %#x)", id, kx, ax, ki, ai)
+						}
+						if wx.regs != wi.regs {
+							t.Fatalf("%s: register files differ", id)
+						}
+						bx, err := blkX.dev.Mem.ReadBytes(bufX, bufBytes)
+						if err != nil {
+							t.Fatal(err)
+						}
+						bi, err := blkI.dev.Mem.ReadBytes(bufI, bufBytes)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if string(bx) != string(bi) {
+							t.Fatalf("%s: memory differs", id)
+						}
+						if dx, di := blkX.dev.Digest(), blkI.dev.Digest(); dx != di {
+							t.Fatalf("%s: device digests %#x vs %#x", id, dx, di)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRowTierFusedShapes pins which tier the dominant shapes land on, so a
+// refactor cannot silently drop them to the accessor tier while every
+// differential stays green.
+func TestRowTierFusedShapes(t *testing.T) {
+	k := mustKernel(t, `
+.kernel shapes
+.param p
+    S2R R0, SR_TID.X
+    IADD R1, R0, SR_LANEID
+    IMAD R2, R0, c0[p], -R1
+    ISETP.GE.AND P0, R2, 0x4, !P1
+    FSEL R3, R1, -R2, P0
+    DFMA R4, R6, c0[p], -R8
+    EXIT
+`, "shapes")
+	imms := make(immRows)
+	for i := range k.Instrs[:6] {
+		if fastStep(&k.Instrs[i], imms) == nil {
+			t.Errorf("%v: not on the row tier", &k.Instrs[i])
+		}
+	}
+}

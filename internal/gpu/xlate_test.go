@@ -420,6 +420,9 @@ func TestXlateConcurrentSharedPlans(t *testing.T) {
 // cached and warp/shared/page state pooled, repeat launches on one device
 // must not scale allocations with register-file or buffer sizes.
 func TestXlateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under the race detector sync.Pool drops a quarter of its Puts at random")
+	}
 	d := newTestDevice(t)
 	k := mustKernel(t, clockMixSrc, "clockmix")
 	const n = 8 * 64
@@ -438,9 +441,11 @@ func TestXlateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// A warp register file alone is 32 KiB; 16 blocks once allocated ~70
-	// objects per launch. The pooled engine needs only per-launch bookkeeping.
-	if avg > 60 {
-		t.Errorf("steady-state launch allocated %.1f objects, want <= 60", avg)
+	// The launch has 8 blocks and allocates per-launch bookkeeping only (the
+	// constant bank, the budget counter: 4 objects), so anything allocated
+	// once per block — a context, a warp list, a shared-window box — pushes
+	// the count to 8 or more.
+	if avg >= 8 {
+		t.Errorf("steady-state launch allocated %.1f objects, want < 8 (one per block)", avg)
 	}
 }
