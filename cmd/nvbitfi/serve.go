@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"sync"
 	"syscall"
 	"time"
 
@@ -55,38 +56,29 @@ func cmdServe(args []string) error {
 	log.Printf("nvbitfi serve: listening on http://%s (journal %s, %d local workers)",
 		ln.Addr(), *journal, *workers)
 
-	// Sweep expired leases even while no worker is polling, so status
-	// requests see reclaims promptly.
-	go func() {
-		t := time.NewTicker(*leaseTTL / 2)
-		defer t.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-t.C:
-				coord.ReclaimTick()
-			}
-		}
-	}()
-
-	var pool interface{ Wait() }
+	var pool *sync.WaitGroup
 	if *workers > 0 {
 		pool = serve.Pool(ctx, coord, campaign.Runner{}, *workers, log.Printf)
 	}
-	go func() {
-		<-ctx.Done()
-		sctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-		defer cancel()
-		srv.Shutdown(sctx)
-	}()
-	err = srv.Serve(ln)
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- srv.Serve(ln) }()
+	select {
+	case err = <-serveErr:
+		stop()
+	case <-ctx.Done():
+	}
+	// The local workers hand their shards back first; closing the
+	// coordinator then sends the remote workers' parked lease requests home,
+	// so Shutdown is not left waiting out their long-poll.
 	if pool != nil {
 		pool.Wait()
 	}
-	if err == http.ErrServerClosed {
-		return nil
+	if cerr := coord.Close(); err == nil {
+		err = cerr
 	}
+	sctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+	defer cancel()
+	srv.Shutdown(sctx)
 	return err
 }
 

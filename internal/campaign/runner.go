@@ -175,14 +175,34 @@ type GoldenResult struct {
 // Golden runs the workload with no tool attached and records the reference
 // output.
 func (r Runner) Golden(w Workload) (*GoldenResult, error) {
+	return r.GoldenContext(context.Background(), w)
+}
+
+// armCancel arms prompt launch cancellation on a set-up run's context. A
+// context that can never be cancelled leaves the device unarmed, so Golden
+// and Profile run exactly the engine path they always have.
+func armCancel(cctx *cuda.Context, hostCtx context.Context) {
+	if hostCtx.Done() != nil {
+		cctx.SetCancel(hostCtx)
+	}
+}
+
+// GoldenContext is Golden for a caller that may give up: once hostCtx is
+// done the run's launches trap within the cancellation poll stride and
+// hostCtx's error is returned in place of a result.
+func (r Runner) GoldenContext(hostCtx context.Context, w Workload) (*GoldenResult, error) {
 	r = r.applyDefaults()
 	ctx, err := r.newContext()
 	if err != nil {
 		return nil, err
 	}
+	armCancel(ctx, hostCtx)
 	ctx.SetDefaultBudget(r.GoldenBudget)
 	start := time.Now()
 	out, err := w.Run(ctx)
+	if cerr := hostCtx.Err(); cerr != nil {
+		return nil, cerr
+	}
 	if err != nil {
 		return nil, fmt.Errorf("campaign: golden run of %s failed: %w", w.Name(), err)
 	}
@@ -218,11 +238,18 @@ func (r Runner) Golden(w Workload) (*GoldenResult, error) {
 // instruction profile together with the profiling run's duration (the
 // profiling-overhead axis of Figure 4).
 func (r Runner) Profile(w Workload, mode core.ProfileMode) (*core.Profile, time.Duration, error) {
+	return r.ProfileContext(context.Background(), w, mode)
+}
+
+// ProfileContext is Profile for a caller that may give up; cancellation
+// behaves as in GoldenContext.
+func (r Runner) ProfileContext(hostCtx context.Context, w Workload, mode core.ProfileMode) (*core.Profile, time.Duration, error) {
 	r = r.applyDefaults()
 	ctx, err := r.newContext()
 	if err != nil {
 		return nil, 0, err
 	}
+	armCancel(ctx, hostCtx)
 	ctx.SetDefaultBudget(r.GoldenBudget)
 	prof, err := core.NewProfiler(w.Name(), mode)
 	if err != nil {
@@ -236,6 +263,9 @@ func (r Runner) Profile(w Workload, mode core.ProfileMode) (*core.Profile, time.
 	start := time.Now()
 	out, err := w.Run(ctx)
 	d := time.Since(start)
+	if cerr := hostCtx.Err(); cerr != nil {
+		return nil, d, cerr
+	}
 	if err != nil {
 		return nil, d, fmt.Errorf("campaign: profiling run of %s failed: %w", w.Name(), err)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 
@@ -181,6 +182,28 @@ func TestCampaignCancellation(t *testing.T) {
 	}
 	if res == nil || res.Tally.N != 0 {
 		t.Fatalf("cancelled campaign still classified %d runs", res.Tally.N)
+	}
+}
+
+// TestSetupRunCancellation: the set-up runs give up with the caller. A done
+// context ends GoldenContext and ProfileContext with its error, while a live
+// one yields exactly the reference Golden does.
+func TestSetupRunCancellation(t *testing.T) {
+	r, w, golden, _ := campaignFixture(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	got, err := r.GoldenContext(ctx, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Output.Digest() != golden.Output.Digest() || got.Stats != golden.Stats {
+		t.Fatalf("GoldenContext on a live context diverges from Golden:\n got %+v\nwant %+v", got.Stats, golden.Stats)
+	}
+	cancel()
+	if _, err := r.GoldenContext(ctx, w); !errors.Is(err, context.Canceled) {
+		t.Fatalf("GoldenContext on a cancelled context returned %v, want context.Canceled", err)
+	}
+	if _, _, err := r.ProfileContext(ctx, w, core.Exact); !errors.Is(err, context.Canceled) {
+		t.Fatalf("ProfileContext on a cancelled context returned %v, want context.Canceled", err)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/campaign"
 	"repro/internal/core"
@@ -82,8 +81,7 @@ func TestAdaptiveServiceIdentity(t *testing.T) {
 	defer cancel()
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
-		w := &serve.Worker{Backend: serve.NewClient(srv.URL), Runner: campaign.Runner{},
-			PollInterval: 20 * time.Millisecond, Logf: t.Logf}
+		w := &serve.Worker{Backend: serve.NewClient(srv.URL), Runner: campaign.Runner{}, Logf: t.Logf}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -268,14 +266,17 @@ func TestAdaptiveRestartResumesMidConvergence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Lease parks when nothing is runnable, so it is driven only while the
+	// job is unsettled; completed == stop+1 below still proves no shard past
+	// the stopping point was leased.
 	completed := 2
 	for {
-		g, err := coord2.Lease(wid2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if g == nil {
+		if js, _ := coord2.Job(st.ID); serve.Settled(js.State) {
 			break
+		}
+		g, err := coord2.Lease(wid2)
+		if err != nil || g == nil {
+			t.Fatalf("phase2 lease: %v %v", g, err)
 		}
 		if tallies[g.Shard] == nil {
 			t.Fatalf("coordinator leased shard %d past the stopping point %d", g.Shard, stop)

@@ -20,7 +20,13 @@ import (
 //	     them; with Accept: text/event-stream, streams events as SSE
 //	     instead, each `data:` line one Event, until the client leaves.
 //	POST /api/v1/workers                  register → {worker_id}
+//	DELETE /api/v1/workers/{id}           deregister: ends the worker's
+//	     parked lease request and returns its held shards to pending
+//	     without costing an attempt
 //	POST /api/v1/lease                    {worker_id} → LeaseGrant, or 204
+//	     long-poll: blocks until a shard is runnable; 204 when the worker
+//	     deregistered, the coordinator closed or longPollTimeout passed.
+//	     A request whose client has left is never granted a shard.
 //	POST /api/v1/leases/{lease}/heartbeat {worker_id}
 //	POST /api/v1/leases/{lease}/complete  {worker_id, result}
 //	POST /api/v1/leases/{lease}/fail      {worker_id, reason}
@@ -28,8 +34,8 @@ import (
 // A lost lease answers 409 Conflict; Client turns that back into
 // ErrLeaseLost so remote workers behave exactly like in-process ones.
 
-// longPollTimeout bounds how long an events request may block before
-// returning an empty batch (clients just re-poll with the same cursor).
+// longPollTimeout bounds how long an events request or a Lease call may
+// block before returning empty-handed (the caller just asks again).
 const longPollTimeout = 25 * time.Second
 
 // NewServer wraps a coordinator in its HTTP API.
@@ -80,16 +86,24 @@ func NewServer(c *Coordinator) http.Handler {
 		if !readJSON(rw, req, &body) {
 			return
 		}
-		grant, err := c.Lease(body.WorkerID)
-		if err != nil {
+		grant, err := c.lease(req.Context(), body.WorkerID)
+		switch {
+		case req.Context().Err() != nil:
+			// The client left while parked; nobody reads a reply.
+		case err != nil:
 			httpError(rw, http.StatusBadRequest, err)
-			return
-		}
-		if grant == nil {
+		case grant == nil:
 			rw.WriteHeader(http.StatusNoContent)
-			return
+		default:
+			// A grant the worker never receives would otherwise sit out its
+			// TTL and cost the shard an attempt.
+			if writeJSON(rw, http.StatusOK, grant) != nil || req.Context().Err() != nil {
+				c.release(body.WorkerID, grant.LeaseID)
+			}
 		}
-		writeJSON(rw, http.StatusOK, grant)
+	})
+	mux.HandleFunc("DELETE /api/v1/workers/{id}", func(rw http.ResponseWriter, req *http.Request) {
+		leaseReply(rw, c.Deregister(req.PathValue("id")))
 	})
 	mux.HandleFunc("POST /api/v1/leases/{lease}/heartbeat", func(rw http.ResponseWriter, req *http.Request) {
 		var body struct {
@@ -223,12 +237,14 @@ func readJSON(rw http.ResponseWriter, req *http.Request, v any) bool {
 	return true
 }
 
-func writeJSON(rw http.ResponseWriter, code int, v any) {
+// writeJSON's error is a reply that could not be written: the client is
+// gone, and only a handler with something to undo cares.
+func writeJSON(rw http.ResponseWriter, code int, v any) error {
 	rw.Header().Set("Content-Type", "application/json")
 	rw.WriteHeader(code)
-	_ = json.NewEncoder(rw).Encode(v)
+	return json.NewEncoder(rw).Encode(v)
 }
 
 func httpError(rw http.ResponseWriter, code int, err error) {
-	writeJSON(rw, code, map[string]string{"error": err.Error()})
+	_ = writeJSON(rw, code, map[string]string{"error": err.Error()})
 }

@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"time"
 )
 
 // Client speaks the coordinator's HTTP API. It implements Backend, so a
@@ -30,8 +29,20 @@ type apiError struct {
 	Error string `json:"error"`
 }
 
-// do posts (or gets, when in is nil and method says so) JSON and decodes
-// the JSON response into out when non-nil.
+// statusError turns a ≥400 reply into an error naming op, reading the body
+// to its end so the keep-alive connection goes back to the pool.
+func statusError(op string, resp *http.Response) error {
+	var ae apiError
+	decodeErr := json.NewDecoder(resp.Body).Decode(&ae)
+	io.Copy(io.Discard, resp.Body)
+	if decodeErr == nil && ae.Error != "" {
+		return fmt.Errorf("serve: %s: %s", op, ae.Error)
+	}
+	return fmt.Errorf("serve: %s: HTTP %d", op, resp.StatusCode)
+}
+
+// do sends in as JSON (no body when in is nil) and decodes the JSON
+// response into out when non-nil. A 204 leaves out untouched.
 func (c *Client) do(method, path string, in, out any) error {
 	var body io.Reader
 	if in != nil {
@@ -55,15 +66,12 @@ func (c *Client) do(method, path string, in, out any) error {
 	defer resp.Body.Close()
 	switch {
 	case resp.StatusCode == http.StatusConflict:
+		io.Copy(io.Discard, resp.Body)
 		return ErrLeaseLost
 	case resp.StatusCode == http.StatusNoContent:
 		return nil
 	case resp.StatusCode >= 400:
-		var ae apiError
-		if json.NewDecoder(resp.Body).Decode(&ae) == nil && ae.Error != "" {
-			return fmt.Errorf("serve: %s %s: %s", method, path, ae.Error)
-		}
-		return fmt.Errorf("serve: %s %s: HTTP %d", method, path, resp.StatusCode)
+		return statusError(method+" "+path, resp)
 	}
 	if out == nil {
 		io.Copy(io.Discard, resp.Body)
@@ -113,11 +121,7 @@ func (c *Client) Events(ctx context.Context, id string, cursor int) ([]Event, er
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode >= 400 {
-		var ae apiError
-		if json.NewDecoder(resp.Body).Decode(&ae) == nil && ae.Error != "" {
-			return nil, fmt.Errorf("serve: events: %s", ae.Error)
-		}
-		return nil, fmt.Errorf("serve: events: HTTP %d", resp.StatusCode)
+		return nil, statusError("events", resp)
 	}
 	var evs []Event
 	if err := json.NewDecoder(resp.Body).Decode(&evs); err != nil {
@@ -154,28 +158,6 @@ func (c *Client) Watch(ctx context.Context, id string, cursor int, fn func(Event
 	}
 }
 
-// WaitJob blocks until the job settles, polling its status — the
-// event-free variant Watch callers don't need.
-func (c *Client) WaitJob(ctx context.Context, id string, poll time.Duration) (*JobStatus, error) {
-	if poll <= 0 {
-		poll = 200 * time.Millisecond
-	}
-	for {
-		st, err := c.Job(id)
-		if err != nil {
-			return nil, err
-		}
-		if Settled(st.State) {
-			return st, nil
-		}
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-time.After(poll):
-		}
-	}
-}
-
 // Backend implementation for remote workers.
 
 // Register implements Backend.
@@ -189,34 +171,23 @@ func (c *Client) Register(info WorkerInfo) (string, error) {
 	return out.WorkerID, nil
 }
 
-// Lease implements Backend; a 204 becomes (nil, nil) — nothing runnable.
+// Lease implements Backend. The request parks on the coordinator; a 204
+// (nothing to run, or this worker deregistered) leaves the grant empty and
+// becomes (nil, nil).
 func (c *Client) Lease(workerID string) (*LeaseGrant, error) {
-	body := map[string]string{"worker_id": workerID}
-	req, err := http.NewRequest("POST", c.base+"/api/v1/lease", jsonBody(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	switch {
-	case resp.StatusCode == http.StatusNoContent:
-		return nil, nil
-	case resp.StatusCode >= 400:
-		var ae apiError
-		if json.NewDecoder(resp.Body).Decode(&ae) == nil && ae.Error != "" {
-			return nil, fmt.Errorf("serve: lease: %s", ae.Error)
-		}
-		return nil, fmt.Errorf("serve: lease: HTTP %d", resp.StatusCode)
-	}
 	var grant LeaseGrant
-	if err := json.NewDecoder(resp.Body).Decode(&grant); err != nil {
+	if err := c.do("POST", "/api/v1/lease", map[string]string{"worker_id": workerID}, &grant); err != nil {
 		return nil, err
+	}
+	if grant.LeaseID == "" {
+		return nil, nil
 	}
 	return &grant, nil
+}
+
+// Deregister implements Backend.
+func (c *Client) Deregister(workerID string) error {
+	return c.do("DELETE", "/api/v1/workers/"+workerID, nil, nil)
 }
 
 // Heartbeat implements Backend.
@@ -239,9 +210,4 @@ func (c *Client) Fail(workerID, leaseID, reason string) error {
 		WorkerID string `json:"worker_id"`
 		Reason   string `json:"reason"`
 	}{workerID, reason}, nil)
-}
-
-func jsonBody(v any) io.Reader {
-	b, _ := json.Marshal(v)
-	return bytes.NewReader(b)
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"errors"
@@ -8,6 +9,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/campaign"
@@ -37,7 +39,13 @@ type Options struct {
 	// journal; NewCoordinator replays an existing journal so a restarted
 	// coordinator resumes unfinished jobs without re-running done shards.
 	JournalPath string
-	// Clock overrides time.Now for tests.
+	// Clock overrides time.Now for tests that step time by hand. The
+	// coordinator cannot schedule a wake-up in a caller's clock, so with
+	// Clock set it arms no deadline timer and Lease never parks: it answers
+	// at once, as it did when workers polled, expiry is swept on every entry
+	// point (and by ReclaimTick), and the test drives every transition
+	// itself. Do not run a Worker against such a coordinator; its Run loop
+	// relies on Lease parking.
 	Clock func() time.Time
 }
 
@@ -98,16 +106,38 @@ type job struct {
 // Coordinator owns the job registry and the shard scheduler. It implements
 // Backend directly, so in-process workers drive it with plain method calls;
 // NewServer wraps the same coordinator for remote workers.
+//
+// Dispatch is event-driven. A Lease call that finds nothing runnable parks
+// on the wake channel; whatever makes a shard runnable — a submission, a
+// release, the deadline timer finding a backoff over or a lease expired —
+// closes and replaces that channel, and every parked call rescans under the
+// lock, so one runnable shard yields exactly one grant however many calls
+// were parked.
 type Coordinator struct {
-	opts Options
+	opts      Options
+	wallClock bool // Options.Clock unset: deadlines are real, the timer runs
 
 	mu      sync.Mutex
 	jobs    map[string]*job
 	order   []string // submission order, for listing
+	running []*job   // unsettled jobs in submission order: all Lease scans
 	leases  map[string]leaseRef
-	workers map[string]bool
+	workers map[string]chan struct{} // closed by Deregister to un-park the worker's Lease
 	journal *journal
+	closed  bool
+	wake    chan struct{} // closed and replaced when a shard may have become runnable
+
+	// timer is the one deadline timer: it fires ReclaimTick at timerAt, the
+	// earliest retry-backoff end or lease expiry armLocked has been told of.
+	timer   *time.Timer
+	timerAt time.Time
+
+	parked atomic.Int32 // Lease calls waiting on wake right now
 }
+
+// errClosed answers a Lease on a closed coordinator, so a worker that
+// outlives its coordinator exits instead of spinning.
+var errClosed = errors.New("serve: coordinator closed")
 
 type leaseRef struct {
 	job   string
@@ -118,10 +148,12 @@ type leaseRef struct {
 // already holds state.
 func NewCoordinator(opts Options) (*Coordinator, error) {
 	c := &Coordinator{
-		opts:    opts.withDefaults(),
-		jobs:    make(map[string]*job),
-		leases:  make(map[string]leaseRef),
-		workers: make(map[string]bool),
+		opts:      opts.withDefaults(),
+		wallClock: opts.Clock == nil,
+		jobs:      make(map[string]*job),
+		leases:    make(map[string]leaseRef),
+		workers:   make(map[string]chan struct{}),
+		wake:      make(chan struct{}),
 	}
 	if opts.JournalPath != "" {
 		jn, entries, err := openJournal(opts.JournalPath)
@@ -133,7 +165,8 @@ func NewCoordinator(opts Options) (*Coordinator, error) {
 			c.replay(e)
 		}
 		// Journal replay restores done/quarantined shards; everything that
-		// was pending or leased at shutdown starts pending again.
+		// was pending or leased at shutdown starts pending again, with no
+		// backoff: runnable by the first Lease, so there is no call to wake.
 		for _, id := range c.order {
 			c.publishJobEvent(c.jobs[id], "resumed")
 		}
@@ -141,10 +174,18 @@ func NewCoordinator(opts Options) (*Coordinator, error) {
 	return c, nil
 }
 
-// Close releases the journal.
+// Close stops the deadline timer, sends every parked Lease home with no
+// grant, and releases the journal. Closing twice is harmless.
 func (c *Coordinator) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if !c.closed {
+		c.closed = true
+		if c.timer != nil {
+			c.timer.Stop()
+		}
+		c.wakeLocked()
+	}
 	if c.journal == nil {
 		return nil
 	}
@@ -230,7 +271,9 @@ func (c *Coordinator) Submit(spec CampaignSpec) (*JobStatus, error) {
 	}
 	c.jobs[j.id] = j
 	c.order = append(c.order, j.id)
+	c.running = append(c.running, j)
 	c.publishJobEvent(j, "submitted")
+	c.wakeLocked()
 	return c.statusLocked(j, false), nil
 }
 
@@ -268,6 +311,7 @@ func (c *Coordinator) replay(e journalEntry) {
 		}
 		c.jobs[j.id] = j
 		c.order = append(c.order, j.id)
+		c.running = append(c.running, j)
 	case entryShardDone:
 		j := c.jobs[e.Job]
 		if j == nil || e.Shard < 0 || e.Shard >= len(j.shards) || j.shards[e.Shard].state == ShardDone {
@@ -327,6 +371,60 @@ func (c *Coordinator) append(e journalEntry) error {
 // now returns the coordinator clock's current time.
 func (c *Coordinator) now() time.Time { return c.opts.Clock() }
 
+// wakeLocked sends every parked Lease back to rescan.
+func (c *Coordinator) wakeLocked() {
+	close(c.wake)
+	c.wake = make(chan struct{})
+}
+
+// armLocked makes sure the deadline timer fires no later than t.
+func (c *Coordinator) armLocked(t time.Time) {
+	if !c.wallClock || c.closed || (!c.timerAt.IsZero() && !t.Before(c.timerAt)) {
+		return
+	}
+	c.timerAt = t
+	d := t.Sub(c.now())
+	if c.timer == nil {
+		c.timer = time.AfterFunc(d, c.ReclaimTick)
+	} else {
+		c.timer.Reset(d)
+	}
+}
+
+// ReclaimTick is the deadline sweep: it expires overdue leases, wakes the
+// parked calls if a shard is runnable, and re-arms the timer for the
+// earliest deadline still ahead. The timer calls it; a test on a fake
+// Clock calls it after stepping the clock.
+func (c *Coordinator) ReclaimTick() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		return
+	}
+	now := c.now()
+	c.timerAt = time.Time{}
+	c.reclaimLocked(now)
+	for _, ref := range c.leases {
+		c.armLocked(c.jobs[ref.job].shards[ref.shard].expires)
+	}
+	runnable := false
+	for _, j := range c.running {
+		for i := range j.shards {
+			s := &j.shards[i]
+			switch {
+			case s.state != ShardPending:
+			case now.Before(s.nextAt):
+				c.armLocked(s.nextAt)
+			default:
+				runnable = true
+			}
+		}
+	}
+	if runnable {
+		c.wakeLocked()
+	}
+}
+
 // Register admits a worker. Worker IDs only namespace leases and events; a
 // re-registering worker simply gets a fresh identity.
 func (c *Coordinator) Register(info WorkerInfo) (string, error) {
@@ -337,26 +435,125 @@ func (c *Coordinator) Register(info WorkerInfo) (string, error) {
 	id = newID(id)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.workers[id] = true
+	c.workers[id] = make(chan struct{})
 	return id, nil
 }
 
-// Lease hands the caller the next runnable shard: pending, past its retry
-// backoff, in submission order. Expired leases are reclaimed first, so a
-// crashed worker's shard becomes leasable as soon as its TTL lapses.
-func (c *Coordinator) Lease(workerID string) (*LeaseGrant, error) {
+// Deregister is a worker's clean exit: its parked Lease returns with no
+// grant, and every shard it holds goes back to pending as if never leased
+// — no attempt consumed, no backoff, no journal record (the journal never
+// saw the lease either). A crashed worker cannot call this; its shards come
+// back through lease expiry, which does cost an attempt. Deregistering an
+// unknown worker is a no-op, so leaving twice is harmless.
+func (c *Coordinator) Deregister(workerID string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.workers[workerID] {
-		return nil, fmt.Errorf("serve: unregistered worker %q", workerID)
+	gone, ok := c.workers[workerID]
+	if !ok {
+		return nil
 	}
-	now := c.now()
-	c.reclaimLocked(now)
-	for _, id := range c.order {
-		j := c.jobs[id]
-		if j.state != JobRunning {
-			continue
+	delete(c.workers, workerID)
+	close(gone)
+	released := false
+	for _, ref := range c.leases {
+		if j := c.jobs[ref.job]; j.shards[ref.shard].worker == workerID {
+			c.releaseLocked(j, ref.shard)
+			released = true
 		}
+	}
+	if released {
+		c.wakeLocked()
+	}
+	return nil
+}
+
+// releaseLocked returns a leased shard to pending without counting the
+// lease as an attempt. The caller wakes the parked calls.
+func (c *Coordinator) releaseLocked(j *job, i int) {
+	s := &j.shards[i]
+	delete(c.leases, s.leaseID)
+	s.state = ShardPending
+	s.leaseID = ""
+	s.worker = ""
+	s.attempts--
+	c.publishShardEvent(j, i, nil)
+}
+
+// release gives back a grant that never reached its worker.
+func (c *Coordinator) release(workerID, leaseID string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if j, i, err := c.lookupLease(workerID, leaseID); err == nil {
+		c.releaseLocked(j, i)
+		c.wakeLocked()
+	}
+}
+
+// Lease hands the caller the next runnable shard: pending, past its retry
+// backoff, in submission order. With nothing runnable the call parks until
+// something is, or until the worker deregisters, the coordinator closes or
+// longPollTimeout passes — those three return (nil, nil). Expired leases
+// are reclaimed first, so a crashed worker's shard becomes leasable as soon
+// as its TTL lapses.
+func (c *Coordinator) Lease(workerID string) (*LeaseGrant, error) {
+	return c.lease(context.Background(), workerID)
+}
+
+// lease is Lease for a caller that may give up: a done ctx ends the wait
+// with ctx's error, and no grant is committed to a ctx already done.
+func (c *Coordinator) lease(ctx context.Context, workerID string) (*LeaseGrant, error) {
+	var timeout <-chan time.Time // set on first park
+	for {
+		c.mu.Lock()
+		gone, registered := c.workers[workerID]
+		if c.closed || !registered {
+			c.mu.Unlock()
+			// A parked call goes home empty-handed; one that arrives
+			// afterwards is told why it may not lease.
+			if timeout != nil {
+				return nil, nil
+			}
+			if !registered {
+				return nil, fmt.Errorf("serve: unregistered worker %q", workerID)
+			}
+			return nil, errClosed
+		}
+		if err := ctx.Err(); err != nil {
+			c.mu.Unlock()
+			return nil, err
+		}
+		now := c.now()
+		c.reclaimLocked(now)
+		grant := c.grantLocked(workerID, now)
+		if grant != nil || !c.wallClock {
+			c.mu.Unlock()
+			return grant, nil
+		}
+		wake := c.wake
+		c.parked.Add(1)
+		c.mu.Unlock()
+		if timeout == nil {
+			t := time.NewTimer(longPollTimeout)
+			defer t.Stop()
+			timeout = t.C
+		}
+		select {
+		case <-wake:
+		case <-gone:
+		case <-timeout:
+			c.parked.Add(-1)
+			return nil, nil
+		case <-ctx.Done():
+			c.parked.Add(-1)
+			return nil, ctx.Err()
+		}
+		c.parked.Add(-1)
+	}
+}
+
+// grantLocked leases the first runnable shard to workerID, or returns nil.
+func (c *Coordinator) grantLocked(workerID string, now time.Time) *LeaseGrant {
+	for _, j := range c.running {
 		for i := range j.shards {
 			s := &j.shards[i]
 			if s.state != ShardPending || now.Before(s.nextAt) {
@@ -368,6 +565,7 @@ func (c *Coordinator) Lease(workerID string) (*LeaseGrant, error) {
 			s.expires = now.Add(c.opts.LeaseTTL)
 			s.attempts++
 			c.leases[s.leaseID] = leaseRef{job: j.id, shard: i}
+			c.armLocked(s.expires)
 			c.publishShardEvent(j, i, nil)
 			return &LeaseGrant{
 				LeaseID:      s.leaseID,
@@ -376,10 +574,10 @@ func (c *Coordinator) Lease(workerID string) (*LeaseGrant, error) {
 				Spec:         j.spec,
 				GoldenDigest: j.goldenDigest,
 				TTLSeconds:   c.opts.LeaseTTL.Seconds(),
-			}, nil
+			}
 		}
 	}
-	return nil, nil
+	return nil
 }
 
 // reclaimLocked expires overdue leases: the shard goes back to pending (or
@@ -410,6 +608,7 @@ func (c *Coordinator) failShardLocked(j *job, i int, reason string) {
 	} else {
 		s.state = ShardPending
 		s.nextAt = c.now().Add(c.opts.RetryBackoff << (s.attempts - 1))
+		c.armLocked(s.nextAt)
 	}
 	// Journal failures so attempts and quarantines survive a restart.
 	_ = c.append(journalEntry{
@@ -577,7 +776,8 @@ func (c *Coordinator) Fail(workerID, leaseID, reason string) error {
 }
 
 // settleLocked recomputes a job's terminal state without publishing.
-// Skipped shards (past an adaptive stopping point) count as settled.
+// Skipped shards (past an adaptive stopping point) count as settled. A
+// settled job leaves the running list, so Lease never looks at it again.
 func (c *Coordinator) settleLocked(j *job) {
 	if j.state != JobRunning || j.done+j.quarantined+j.skipped < len(j.shards) {
 		return
@@ -586,6 +786,12 @@ func (c *Coordinator) settleLocked(j *job) {
 		j.state = JobFailed
 	} else {
 		j.state = JobDone
+	}
+	for i, r := range c.running {
+		if r == j {
+			c.running = append(c.running[:i], c.running[i+1:]...)
+			break
+		}
 	}
 }
 
@@ -725,14 +931,6 @@ func (c *Coordinator) EventsAfter(id string, cursor int) ([]Event, <-chan struct
 
 // Settled reports whether a job reached a terminal state.
 func Settled(state string) bool { return state == JobDone || state == JobFailed }
-
-// ReclaimTick forces an expiry sweep; tests drive it with a fake clock, and
-// the server's ticker calls it so leases expire even while no worker polls.
-func (c *Coordinator) ReclaimTick() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.reclaimLocked(c.now())
-}
 
 // SortedJobIDs returns all job IDs sorted, for deterministic CLI output.
 func (c *Coordinator) SortedJobIDs() []string {

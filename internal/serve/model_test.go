@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/campaign"
 	"repro/internal/serve"
@@ -136,8 +135,7 @@ func TestModelServiceTallyIdentity(t *testing.T) {
 			defer cancel()
 			var wg sync.WaitGroup
 			for i := 0; i < 2; i++ {
-				w := &serve.Worker{Backend: serve.NewClient(srv.URL), Runner: campaign.Runner{},
-					PollInterval: 20 * time.Millisecond, Logf: t.Logf}
+				w := &serve.Worker{Backend: serve.NewClient(srv.URL), Runner: campaign.Runner{}, Logf: t.Logf}
 				wg.Add(1)
 				go func() {
 					defer wg.Done()

@@ -8,9 +8,10 @@
 //
 // Jobs persist to an append-only JSONL journal: a restarted coordinator
 // replays it and resumes every unfinished job without re-running finished
-// shards. Clients follow live progress through long-poll or SSE event
-// streams. DESIGN.md section 3.5 gives the architecture and the lease/retry
-// state machine.
+// shards. Dispatch is event-driven: an idle worker's Lease call parks on the
+// coordinator and is woken when a shard becomes runnable. Clients follow
+// live progress through long-poll or SSE event streams. DESIGN.md section
+// 3.5 gives the architecture and the lease/retry state machine.
 package serve
 
 import (
@@ -147,12 +148,17 @@ type ShardResult struct {
 // the two transports are interchangeable.
 type Backend interface {
 	Register(info WorkerInfo) (workerID string, err error)
-	// Lease returns the next runnable shard, or nil when nothing is ready
-	// (all leased, backing off, or no jobs).
+	// Lease blocks until a shard is runnable and returns it. It returns nil
+	// when the worker was deregistered, the coordinator closed, or the wait
+	// reached its bound with nothing to run; a worker that is not leaving
+	// just calls again.
 	Lease(workerID string) (*LeaseGrant, error)
 	Heartbeat(workerID, leaseID string) error
 	Complete(workerID, leaseID string, res ShardResult) error
 	Fail(workerID, leaseID, reason string) error
+	// Deregister is a worker's clean exit: it ends the worker's blocked
+	// Lease and hands its held shards back without costing them an attempt.
+	Deregister(workerID string) error
 }
 
 // Event is one entry in a job's progress stream. Seq increases by one per

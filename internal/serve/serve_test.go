@@ -99,8 +99,7 @@ func TestServiceTallyIdentity(t *testing.T) {
 			defer cancel()
 			var wg sync.WaitGroup
 			for i := 0; i < 2; i++ {
-				w := &serve.Worker{Backend: serve.NewClient(srv.URL), Runner: campaign.Runner{},
-					PollInterval: 20 * time.Millisecond, Logf: t.Logf}
+				w := &serve.Worker{Backend: serve.NewClient(srv.URL), Runner: campaign.Runner{}, Logf: t.Logf}
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
@@ -145,9 +144,11 @@ func TestServiceTallyIdentity(t *testing.T) {
 }
 
 // crashBackend simulates a worker crash: after the first granted lease,
-// every later call is swallowed — no Fail, no Complete, no Heartbeat ever
-// reaches the coordinator, exactly as if the process died. The coordinator
-// must recover the shard through lease expiry alone.
+// every later call is swallowed — no Fail, no Complete, no Heartbeat and no
+// Deregister ever reaches the coordinator, exactly as if the process died.
+// (Cancelling a worker's context alone is a clean exit now: it deregisters
+// and hands the shard back.) The coordinator must recover the shard through
+// lease expiry alone.
 type crashBackend struct {
 	serve.Backend
 	mu      sync.Mutex
@@ -205,6 +206,13 @@ func (b *crashBackend) Fail(workerID, leaseID, reason string) error {
 	return b.Backend.Fail(workerID, leaseID, reason)
 }
 
+func (b *crashBackend) Deregister(workerID string) error {
+	if b.dead() {
+		return nil
+	}
+	return b.Backend.Deregister(workerID)
+}
+
 // TestWorkerCrashLeaseReclaim: kill a worker mid-shard. Its lease must
 // expire, the shard must be retried on the surviving worker, and the final
 // tally must still be byte-identical to the in-process campaign — a crashed
@@ -226,8 +234,7 @@ func TestWorkerCrashLeaseReclaim(t *testing.T) {
 
 	victimCtx, killVictim := context.WithCancel(ctx)
 	crash := &crashBackend{Backend: coord, leased: make(chan struct{}), kill: killVictim}
-	victim := &serve.Worker{Backend: crash, Runner: campaign.Runner{}, Name: "victim",
-		PollInterval: 10 * time.Millisecond, Logf: t.Logf}
+	victim := &serve.Worker{Backend: crash, Runner: campaign.Runner{}, Name: "victim", Logf: t.Logf}
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -243,8 +250,7 @@ func TestWorkerCrashLeaseReclaim(t *testing.T) {
 	// The healthy worker only starts once the victim holds its lease, so
 	// the retried shard is guaranteed to have been the victim's.
 	<-crash.leased
-	healthy := &serve.Worker{Backend: coord, Runner: campaign.Runner{}, Name: "healthy",
-		PollInterval: 10 * time.Millisecond, Logf: t.Logf}
+	healthy := &serve.Worker{Backend: coord, Runner: campaign.Runner{}, Name: "healthy", Logf: t.Logf}
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -324,8 +330,7 @@ func TestCoordinatorRestartResumes(t *testing.T) {
 	}
 	count1 := &countingBackend{Backend: coord1}
 	ctx1, cancel1 := context.WithCancel(context.Background())
-	w1 := &serve.Worker{Backend: count1, Runner: campaign.Runner{}, Name: "phase1",
-		PollInterval: 10 * time.Millisecond, Logf: t.Logf}
+	w1 := &serve.Worker{Backend: count1, Runner: campaign.Runner{}, Name: "phase1", Logf: t.Logf}
 	var wg1 sync.WaitGroup
 	wg1.Add(1)
 	go func() {
@@ -369,8 +374,7 @@ func TestCoordinatorRestartResumes(t *testing.T) {
 	count2 := &countingBackend{Backend: coord2}
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	defer cancel2()
-	w2 := &serve.Worker{Backend: count2, Runner: campaign.Runner{}, Name: "phase2",
-		PollInterval: 10 * time.Millisecond, Logf: t.Logf}
+	w2 := &serve.Worker{Backend: count2, Runner: campaign.Runner{}, Name: "phase2", Logf: t.Logf}
 	var wg2 sync.WaitGroup
 	wg2.Add(1)
 	go func() {
@@ -582,8 +586,7 @@ func TestSSEStream(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	w := &serve.Worker{Backend: serve.NewClient(srv.URL), Runner: campaign.Runner{},
-		PollInterval: 10 * time.Millisecond}
+	w := &serve.Worker{Backend: serve.NewClient(srv.URL), Runner: campaign.Runner{}}
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
