@@ -27,6 +27,10 @@ type DebuggerFI struct {
 	ctx    *cuda.Context
 	unsub  func()
 	counts map[string]int
+	// stepped holds each function's single-stepped kernel, built at its first
+	// launch: the hook is the same for every launch, so repeat launches reuse
+	// it (and the engine facts derived per ExecKernel).
+	stepped map[*cuda.Function]*gpu.ExecKernel
 
 	active  bool
 	counter uint64
@@ -43,10 +47,11 @@ func AttachDebuggerFI(ctx *cuda.Context, p core.TransientParams) (*DebuggerFI, e
 		return nil, err
 	}
 	d := &DebuggerFI{
-		P:      p,
-		ctx:    ctx,
-		counts: make(map[string]int),
-		state:  make([]uint32, debuggerStateWords),
+		P:       p,
+		ctx:     ctx,
+		counts:  make(map[string]int),
+		stepped: make(map[*cuda.Function]*gpu.ExecKernel),
+		state:   make([]uint32, debuggerStateWords),
 	}
 	d.unsub = ctx.Subscribe(d)
 	return d, nil
@@ -80,7 +85,12 @@ func (d *DebuggerFI) OnLaunchBegin(ev *cuda.LaunchEvent) {
 		d.active = true
 		d.counter = 0
 	}
-	ev.Exec = &gpu.ExecKernel{K: ev.Exec.K, Step: d.step}
+	ek, ok := d.stepped[ev.Function]
+	if !ok {
+		ek = &gpu.ExecKernel{K: ev.Exec.K, Step: d.step}
+		d.stepped[ev.Function] = ek
+	}
+	ev.Exec = ek
 }
 
 // OnLaunchEnd implements cuda.Subscriber.

@@ -81,9 +81,11 @@ func TestCampaignParallelEquivalence(t *testing.T) {
 // TestDeviceWorkersEquivalence: running each experiment's thread blocks
 // across parallel device workers must not change the golden output, the
 // launch statistics, or any injection outcome relative to the sequential
-// per-device schedule. Injection runs themselves are instrumented (and thus
-// forced sequential), so this primarily exercises golden and profiling
-// launches plus the campaign plumbing of Runner.Workers.
+// per-device schedule. In an injection run only the target launch is
+// instrumented; the device runs it, and every launch after it, sequentially
+// (gpu.TestPostFaultLaunchesRunSequential), so what runs block-parallel here
+// is the golden run, the profile's untargeted launches and each experiment's
+// fault-free prefix.
 func TestDeviceWorkersEquivalence(t *testing.T) {
 	w, err := specaccel.ByName("314.omriq")
 	if err != nil {

@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cuda"
 	"repro/internal/faultmodel"
+	"repro/internal/sass"
 )
 
 // Sharded fault selection. A campaign's experiments are split into fixed-
@@ -65,28 +66,24 @@ func SelectShard(profile *core.Profile, cfg TransientCampaignConfig, shard int) 
 	if shard < 0 || shard >= cfg.NumShards() {
 		return nil, fmt.Errorf("campaign: shard %d out of range (campaign has %d shards)", shard, cfg.NumShards())
 	}
-	var model faultmodel.Model
+	var eligible func(sass.Op) bool
 	if cfg.Model != "" {
 		m, err := faultmodel.Lookup(cfg.Model)
 		if err != nil {
 			return nil, err
 		}
-		model = m
+		eligible = m.EligibleOp
+	}
+	resolve := cfg.ResolveSites || cfg.Prune || cfg.Checkpoint || cfg.Classes || cfg.TargetCI > 0
+	population, err := profile.Population(cfg.Group, resolve, eligible)
+	if err != nil {
+		return nil, err
 	}
 	lo, hi := cfg.ShardRange(shard)
 	rng := rand.New(rand.NewSource(ShardSeed(modelSeed(cfg.Seed, cfg.Model), shard)))
-	resolve := cfg.ResolveSites || cfg.Prune || cfg.Checkpoint || cfg.Classes || cfg.TargetCI > 0
 	params := make([]core.TransientParams, 0, hi-lo)
 	for i := lo; i < hi; i++ {
-		var p *core.TransientParams
-		var err error
-		if model != nil {
-			p, err = core.SelectTransientFaultSiteFiltered(profile, cfg.Group, cfg.BitFlip, model.EligibleOp, rng)
-		} else if resolve {
-			p, err = core.SelectTransientFaultSite(profile, cfg.Group, cfg.BitFlip, rng)
-		} else {
-			p, err = core.SelectTransientFault(profile, cfg.Group, cfg.BitFlip, rng)
-		}
+		p, err := population.Select(cfg.BitFlip, rng)
 		if err != nil {
 			return nil, err
 		}

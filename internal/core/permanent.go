@@ -160,7 +160,8 @@ func (pi *PermanentInjector) step(c *gpu.InstrCtx) {
 	if pi.gate != nil && !pi.gate.Active(act) {
 		return
 	}
-	targets := destTargets(c.Instr)
+	var buf destTargetBuf
+	targets := destTargets(buf[:0], c.Instr)
 	if len(targets) == 0 {
 		return
 	}

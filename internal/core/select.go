@@ -3,44 +3,127 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 
 	"repro/internal/sass"
 )
 
-// SelectTransientFault samples one injection site uniformly from the
-// profile's dynamic instructions of the requested group, exactly as the
-// paper describes: choose a random n from 1..N over the profiled
+// FaultPopulation is the set of profiled dynamic instructions a campaign
+// draws transient faults from: one group, optionally narrowed to the opcodes
+// a fault model can target. It holds the cumulative per-record totals, so a
+// campaign that selects many faults from one profile scans the profile once
+// (Profile.Population) and binary-searches it per fault, instead of summing
+// every record's opcode counts again for each one.
+type FaultPopulation struct {
+	p        *Profile
+	g        sass.Group
+	sites    bool
+	eligible func(sass.Op) bool // nil: the whole group
+	cum      []uint64           // cum[i]: population executions in records 0..i
+}
+
+// Population builds the fault population of group g. With sites set, Select
+// resolves every fault down to a static instruction through the profile's
+// per-site breakdown (a current profiler run, or a profile file with
+// "# sites:" lines). A non-nil eligible narrows the population to the group's
+// opcodes it accepts — for fault models that cannot target arbitrary
+// instructions — and implies sites.
+func (p *Profile) Population(g sass.Group, sites bool, eligible func(sass.Op) bool) (*FaultPopulation, error) {
+	fp := &FaultPopulation{p: p, g: g, sites: sites || eligible != nil, eligible: eligible,
+		cum: make([]uint64, len(p.Records))}
+	var total uint64
+	for i := range p.Records {
+		r := &p.Records[i]
+		if eligible == nil {
+			total += r.Total(g)
+		} else {
+			if !r.HasSites() {
+				return nil, fmt.Errorf("core: profile record %s;%d has no site data; filtered selection needs a site-resolved profile",
+					r.Kernel, r.LaunchIndex)
+			}
+			for idx, c := range r.SiteCounts {
+				if fp.includes(r.SiteOps[idx]) {
+					total += c
+				}
+			}
+		}
+		fp.cum[i] = total
+	}
+	if total == 0 {
+		if eligible != nil {
+			return nil, fmt.Errorf("core: profile of %q has no eligible %v instructions for this fault model", p.Program, g)
+		}
+		return nil, fmt.Errorf("core: profile of %q has no %v instructions to inject", p.Program, g)
+	}
+	return fp, nil
+}
+
+func (fp *FaultPopulation) includes(op sass.Op) bool {
+	return sass.GroupContains(fp.g, op) && (fp.eligible == nil || fp.eligible(op))
+}
+
+// Select samples one injection site uniformly from the population, exactly
+// as the paper describes: choose a random n from 1..N over the profiled
 // thread-level executions, then translate n into the
 // <kernel name, kernel count, instruction count> tuple. The destination
 // register selector and bit-pattern value are drawn from the same stream.
-func SelectTransientFault(p *Profile, g sass.Group, bf BitFlipModel, rng *rand.Rand) (*TransientParams, error) {
-	total := p.TotalInstrs(g)
-	if total == 0 {
-		return nil, fmt.Errorf("core: profile of %q has no %v instructions to inject", p.Program, g)
+// Every call consumes one Int63n and then two Float64 from rng, whatever the
+// population, which keeps per-experiment streams aligned across fault models.
+//
+// In site mode the dynamic index is interpreted in static-instruction order
+// within the record, and the injector counts executions of that one
+// instruction, so a fixed seed maps to a fixed site either way.
+func (fp *FaultPopulation) Select(bf BitFlipModel, rng *rand.Rand) (*TransientParams, error) {
+	total := fp.cum[len(fp.cum)-1]
+	n := uint64(rng.Int63n(int64(total))) // 0-based index into the population's executions
+	i := sort.Search(len(fp.cum), func(i int) bool { return fp.cum[i] > n })
+	r := &fp.p.Records[i]
+	rem := n
+	if i > 0 {
+		rem -= fp.cum[i-1]
 	}
-	n := uint64(rng.Int63n(int64(total))) // 0-based index into the group's executions
-	var cum uint64
-	for i := range p.Records {
-		r := &p.Records[i]
-		t := r.Total(g)
-		if n < cum+t {
-			params := &TransientParams{
-				Group:           g,
-				BitFlip:         bf,
-				KernelName:      r.Kernel,
-				KernelCount:     r.LaunchIndex,
-				InstrCount:      n - cum,
-				DestRegSelect:   rng.Float64(),
-				BitPatternValue: rng.Float64(),
-			}
-			if err := params.Validate(); err != nil {
-				return nil, err
-			}
-			return params, nil
+	params := &TransientParams{
+		Group:       fp.g,
+		BitFlip:     bf,
+		KernelName:  r.Kernel,
+		KernelCount: r.LaunchIndex,
+	}
+	if fp.sites {
+		if !r.HasSites() {
+			return nil, fmt.Errorf("core: profile record %s;%d has no site data; re-profile or use SelectTransientFault",
+				r.Kernel, r.LaunchIndex)
 		}
-		cum += t
+		idx := 0
+		for ; idx < len(r.SiteCounts); idx++ {
+			if !fp.includes(r.SiteOps[idx]) {
+				continue
+			}
+			if rem < r.SiteCounts[idx] {
+				break
+			}
+			rem -= r.SiteCounts[idx]
+		}
+		if idx == len(r.SiteCounts) {
+			return nil, fmt.Errorf("core: profile record %s;%d: site counts sum below the record total for %v",
+				r.Kernel, r.LaunchIndex, fp.g)
+		}
+		params.SiteResolved = true
+		params.StaticInstrIdx = idx
 	}
-	return nil, fmt.Errorf("core: internal error: fault index %d beyond profile total %d", n, total)
+	params.InstrCount = rem
+	params.DestRegSelect = rng.Float64()
+	params.BitPatternValue = rng.Float64()
+	if err := params.Validate(); err != nil {
+		return nil, err
+	}
+	return params, nil
+}
+
+// SelectTransientFault samples one injection site from the profile's dynamic
+// instructions of the requested group (FaultPopulation.Select over the whole
+// group, unresolved).
+func SelectTransientFault(p *Profile, g sass.Group, bf BitFlipModel, rng *rand.Rand) (*TransientParams, error) {
+	return selectOne(p, g, bf, false, nil, rng)
 }
 
 // SelectTransientFaultSite is SelectTransientFault with the selection
@@ -48,133 +131,27 @@ func SelectTransientFault(p *Profile, g sass.Group, bf BitFlipModel, rng *rand.R
 // (one Int63n, then the two Float64s) but uses the profile's per-site
 // breakdown to name the static instruction the dynamic index lands on, so
 // consumers — the campaign pruner above all — can reason statically about
-// the target without replaying the program. The dynamic index is
-// interpreted in static-instruction order within the record, and the
-// injector in site mode counts executions of that one instruction, so a
-// fixed seed maps to a fixed site either way. Requires a profile with site
-// data (a current profiler run, or a profile file with "# sites:" lines).
+// the target without replaying the program. Requires a profile with site
+// data.
 func SelectTransientFaultSite(p *Profile, g sass.Group, bf BitFlipModel, rng *rand.Rand) (*TransientParams, error) {
-	total := p.TotalInstrs(g)
-	if total == 0 {
-		return nil, fmt.Errorf("core: profile of %q has no %v instructions to inject", p.Program, g)
-	}
-	n := uint64(rng.Int63n(int64(total))) // 0-based index into the group's executions
-	var cum uint64
-	for i := range p.Records {
-		r := &p.Records[i]
-		t := r.Total(g)
-		if n >= cum+t {
-			cum += t
-			continue
-		}
-		if !r.HasSites() {
-			return nil, fmt.Errorf("core: profile record %s;%d has no site data; re-profile or use SelectTransientFault",
-				r.Kernel, r.LaunchIndex)
-		}
-		rem := n - cum
-		for idx, c := range r.SiteCounts {
-			if !sass.GroupContains(g, r.SiteOps[idx]) {
-				continue
-			}
-			if rem >= c {
-				rem -= c
-				continue
-			}
-			params := &TransientParams{
-				Group:           g,
-				BitFlip:         bf,
-				KernelName:      r.Kernel,
-				KernelCount:     r.LaunchIndex,
-				InstrCount:      rem,
-				SiteResolved:    true,
-				StaticInstrIdx:  idx,
-				DestRegSelect:   rng.Float64(),
-				BitPatternValue: rng.Float64(),
-			}
-			if err := params.Validate(); err != nil {
-				return nil, err
-			}
-			return params, nil
-		}
-		return nil, fmt.Errorf("core: profile record %s;%d: site counts sum below the record total for %v",
-			r.Kernel, r.LaunchIndex, g)
-	}
-	return nil, fmt.Errorf("core: internal error: fault index %d beyond profile total %d", n, total)
+	return selectOne(p, g, bf, true, nil, rng)
 }
 
 // SelectTransientFaultSiteFiltered is SelectTransientFaultSite restricted to
 // opcodes accepted by eligible: the dynamic index is drawn over (and walked
 // through) only the executions of eligible opcodes within the group, so every
 // selection is valid for fault models that cannot target arbitrary
-// instructions. It consumes exactly the same RNG shape as the unfiltered
-// selectors — one Int63n and two Float64 — keeping per-experiment stream
-// alignment across models.
+// instructions.
 func SelectTransientFaultSiteFiltered(p *Profile, g sass.Group, bf BitFlipModel, eligible func(sass.Op) bool, rng *rand.Rand) (*TransientParams, error) {
-	include := func(op sass.Op) bool {
-		return sass.GroupContains(g, op) && eligible(op)
+	return selectOne(p, g, bf, true, eligible, rng)
+}
+
+func selectOne(p *Profile, g sass.Group, bf BitFlipModel, sites bool, eligible func(sass.Op) bool, rng *rand.Rand) (*TransientParams, error) {
+	fp, err := p.Population(g, sites, eligible)
+	if err != nil {
+		return nil, err
 	}
-	recTotal := func(r *KernelRecord) (uint64, error) {
-		if !r.HasSites() {
-			return 0, fmt.Errorf("core: profile record %s;%d has no site data; filtered selection needs a site-resolved profile",
-				r.Kernel, r.LaunchIndex)
-		}
-		var t uint64
-		for idx, c := range r.SiteCounts {
-			if include(r.SiteOps[idx]) {
-				t += c
-			}
-		}
-		return t, nil
-	}
-	var total uint64
-	for i := range p.Records {
-		t, err := recTotal(&p.Records[i])
-		if err != nil {
-			return nil, err
-		}
-		total += t
-	}
-	if total == 0 {
-		return nil, fmt.Errorf("core: profile of %q has no eligible %v instructions for this fault model", p.Program, g)
-	}
-	n := uint64(rng.Int63n(int64(total))) // 0-based index into the eligible executions
-	var cum uint64
-	for i := range p.Records {
-		r := &p.Records[i]
-		t, _ := recTotal(r)
-		if n >= cum+t {
-			cum += t
-			continue
-		}
-		rem := n - cum
-		for idx, c := range r.SiteCounts {
-			if !include(r.SiteOps[idx]) {
-				continue
-			}
-			if rem >= c {
-				rem -= c
-				continue
-			}
-			params := &TransientParams{
-				Group:           g,
-				BitFlip:         bf,
-				KernelName:      r.Kernel,
-				KernelCount:     r.LaunchIndex,
-				InstrCount:      rem,
-				SiteResolved:    true,
-				StaticInstrIdx:  idx,
-				DestRegSelect:   rng.Float64(),
-				BitPatternValue: rng.Float64(),
-			}
-			if err := params.Validate(); err != nil {
-				return nil, err
-			}
-			return params, nil
-		}
-		return nil, fmt.Errorf("core: profile record %s;%d: site counts sum below the eligible total for %v",
-			r.Kernel, r.LaunchIndex, g)
-	}
-	return nil, fmt.Errorf("core: internal error: fault index %d beyond eligible total %d", n, total)
+	return fp.Select(bf, rng)
 }
 
 // SelectPermanentFaults enumerates one permanent-fault experiment per

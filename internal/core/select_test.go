@@ -221,3 +221,92 @@ func TestSelectSiteRequiresSiteData(t *testing.T) {
 		t.Fatal("site selection succeeded on a profile without site data")
 	}
 }
+
+// selectByWalk is the selection the cumulative table replaced: draw n, then
+// walk every record's totals (and, in site mode, its sites) until n is used
+// up. include decides which site opcodes count; plain mode sums OpCounts.
+func selectByWalk(p *Profile, g sass.Group, sites bool, eligible func(sass.Op) bool, rng *rand.Rand) TransientParams {
+	include := func(op sass.Op) bool { return sass.GroupContains(g, op) && (eligible == nil || eligible(op)) }
+	recTotal := func(r *KernelRecord) uint64 {
+		if eligible == nil {
+			return r.Total(g)
+		}
+		var t uint64
+		for idx, c := range r.SiteCounts {
+			if include(r.SiteOps[idx]) {
+				t += c
+			}
+		}
+		return t
+	}
+	var total uint64
+	for i := range p.Records {
+		total += recTotal(&p.Records[i])
+	}
+	n := uint64(rng.Int63n(int64(total)))
+	var cum uint64
+	for i := range p.Records {
+		r := &p.Records[i]
+		t := recTotal(r)
+		if n >= cum+t {
+			cum += t
+			continue
+		}
+		out := TransientParams{Group: g, BitFlip: FlipSingleBit, KernelName: r.Kernel, KernelCount: r.LaunchIndex, InstrCount: n - cum}
+		if sites {
+			for idx, c := range r.SiteCounts {
+				if !include(r.SiteOps[idx]) {
+					continue
+				}
+				if out.InstrCount >= c {
+					out.InstrCount -= c
+					continue
+				}
+				out.SiteResolved, out.StaticInstrIdx = true, idx
+				break
+			}
+		}
+		out.DestRegSelect, out.BitPatternValue = rng.Float64(), rng.Float64()
+		return out
+	}
+	panic("index beyond total")
+}
+
+// TestPopulationMatchesWalk: selecting through one FaultPopulation — built
+// once, binary-searched per fault — must return, fault for fault from one
+// stream, exactly the tuples the per-fault linear walk returned, in all three
+// modes, across records that contribute nothing to the population.
+func TestPopulationMatchesWalk(t *testing.T) {
+	p := siteProfile()
+	exit := sass.MustOp("EXIT")
+	fadd := sass.MustOp("FADD")
+	// Records with an empty population before, between and after the others.
+	empty := KernelRecord{Kernel: "idle", OpCounts: map[sass.Op]uint64{exit: 5}, SiteOps: []sass.Op{exit}, SiteCounts: []uint64{5}}
+	p.Records = []KernelRecord{empty, p.Records[0], empty, empty, p.Records[1], empty}
+	onlyFadd := func(op sass.Op) bool { return op == fadd }
+	for _, mode := range []struct {
+		name     string
+		g        sass.Group
+		sites    bool
+		eligible func(sass.Op) bool
+	}{
+		{"plain", sass.GroupGP, false, nil},
+		{"site", sass.GroupGPPR, true, nil},
+		{"filtered", sass.GroupGPPR, true, onlyFadd},
+	} {
+		pop, err := p.Population(mode.g, mode.sites, mode.eligible)
+		if err != nil {
+			t.Fatalf("%s: %v", mode.name, err)
+		}
+		got, want := rand.New(rand.NewSource(41)), rand.New(rand.NewSource(41))
+		for i := 0; i < 2000; i++ {
+			sel, err := pop.Select(FlipSingleBit, got)
+			if err != nil {
+				t.Fatalf("%s fault %d: %v", mode.name, i, err)
+			}
+			if ref := selectByWalk(p, mode.g, mode.sites, mode.eligible, want); *sel != ref {
+				t.Fatalf("%s fault %d:\n table %+v\n  walk %+v", mode.name, i, *sel, ref)
+			}
+		}
+	}
+}

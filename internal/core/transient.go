@@ -25,9 +25,10 @@ func (t destTarget) String() string {
 
 // destTargets expands an instruction's destination operands into individual
 // corruptible registers: FP64 results occupy an even/odd pair, and 64/128-
-// bit loads occupy two or four consecutive registers.
-func destTargets(in *sass.Instr) []destTarget {
-	var out []destTarget
+// bit loads occupy two or four consecutive registers. The targets are
+// appended to out, which injector callbacks — they run per dynamic
+// instruction — back with a stack array (destTargetBuf).
+func destTargets(out []destTarget, in *sass.Instr) []destTarget {
 	info := in.Op.Info()
 	for i := range in.Dst {
 		d := &in.Dst[i]
@@ -62,6 +63,11 @@ func destTargets(in *sass.Instr) []destTarget {
 	}
 	return out
 }
+
+// destTargetBuf holds the targets of any instruction the ISA has today (one
+// register destination of up to four registers plus a predicate); a longer
+// list spills to the heap through append.
+type destTargetBuf [8]destTarget
 
 // InjectionRecord reports what a transient injection actually did — the
 // per-run log NVBitFI writes for later analysis.
@@ -247,7 +253,8 @@ func CorruptDestN(rec *InjectionRecord, c *gpu.InstrCtx, instrIdx, lane int,
 		WarpID:    c.WarpID,
 		Lane:      lane,
 	}
-	targets := destTargets(c.Instr)
+	var buf destTargetBuf
+	targets := destTargets(buf[:0], c.Instr)
 	if len(targets) == 0 {
 		// A G_NODEST selection: the register fault model has no
 		// architectural state to corrupt (stores, branches, barriers).

@@ -87,7 +87,8 @@ func trapToError(t *gpu.Trap) Error {
 type DevPtr = uint32
 
 // Context is the analog of a CUDA context: one device, its modules, and the
-// sticky error state. A Context is not safe for concurrent use; fault
+// sticky error state. A Context is not safe for concurrent use, and Launch is
+// not reentrant (a subscriber must not launch from inside a callback); fault
 // injection campaigns use one context per experiment.
 type Context struct {
 	dev     *gpu.Device
@@ -106,6 +107,13 @@ type Context struct {
 	verifyDiags []sassan.Diagnostic
 
 	total gpu.LaunchStats // cumulative execution counts across launches
+
+	// Launch's per-call scratch. Launches are synchronous, so one event, one
+	// device launch descriptor and one parameter buffer serve them all: each
+	// is rewritten whole at the start of a launch and dead once it returns.
+	ev     LaunchEvent
+	launch gpu.Launch
+	params []uint32
 
 	// rec/rep select the checkpoint engine's recording or replaying mode
 	// (see trace.go); both nil on an ordinary context.
@@ -265,7 +273,39 @@ type Module struct {
 	source    string
 	prog      *sass.Program
 	hasSource bool
-	funcs     map[string]*Function
+	table     *funcTable
+	funcs     []Function // indexed like prog.Kernels
+}
+
+// funcTable is the part of a module's function handles that depends on the
+// program alone, built once per shared program (modcache.Derive) instead of
+// once per context: the name index, and every kernel's uninstrumented
+// executable form — shared read-only, so the engine's per-ExecKernel facts
+// (the written-register scan) are derived once per kernel, not per launch.
+type funcTable struct {
+	index map[string]int
+	execs []gpu.ExecKernel
+}
+
+type funcTableSlot struct{}
+
+func buildFuncTable(prog *sass.Program) *funcTable {
+	t := &funcTable{
+		index: make(map[string]int, len(prog.Kernels)),
+		execs: make([]gpu.ExecKernel, len(prog.Kernels)),
+	}
+	for i, k := range prog.Kernels {
+		t.index[k.Name] = i
+		t.execs[i].K = k
+	}
+	return t
+}
+
+// funcTableFor returns prog's function table: the shared one when prog is a
+// module-cache program, a private one otherwise.
+func funcTableFor(prog *sass.Program) *funcTable {
+	v, _ := modcache.Shared.Derive(prog, funcTableSlot{}, func() any { return buildFuncTable(prog) })
+	return v.(*funcTable)
 }
 
 // Source returns the assembly source the module was compiled from, or ""
@@ -342,10 +382,11 @@ func (c *Context) registerModule(name, source string, bin []byte, prog *sass.Pro
 		source:    source,
 		prog:      prog,
 		hasSource: hasSource,
-		funcs:     make(map[string]*Function, len(prog.Kernels)),
+		table:     funcTableFor(prog),
+		funcs:     make([]Function, len(prog.Kernels)),
 	}
-	for _, k := range prog.Kernels {
-		m.funcs[k.Name] = &Function{mod: m, k: k}
+	for i, k := range prog.Kernels {
+		m.funcs[i] = Function{mod: m, k: k, exec: &m.table.execs[i]}
 	}
 	c.modules = append(c.modules, m)
 	for _, s := range c.subscribers {
@@ -367,17 +408,20 @@ func (m *Module) Kernels() []*sass.Kernel {
 
 // Function looks up a kernel in the module (cuModuleGetFunction).
 func (m *Module) Function(name string) (*Function, error) {
-	f, ok := m.funcs[name]
+	i, ok := m.table.index[name]
 	if !ok {
 		return nil, fmt.Errorf("cuModuleGetFunction %q in %q: %w", name, m.name, ErrNotFound)
 	}
-	return f, nil
+	return &m.funcs[i], nil
 }
 
 // Function is a launchable kernel handle.
 type Function struct {
 	mod *Module
 	k   *sass.Kernel
+	// exec is the kernel as launched when no subscriber instruments it. It
+	// may be shared with every context that loaded the same program.
+	exec *gpu.ExecKernel
 }
 
 // Name returns the kernel name.
@@ -402,6 +446,11 @@ type LaunchConfig struct {
 // run; a subscriber may replace it with an instrumented version (the NVBit
 // mechanism). During OnLaunchEnd, Stats and Trap describe the completed
 // execution.
+//
+// The event, and the Params slice it carries, are the context's scratch,
+// rewritten by the next launch: a subscriber may use them only until the
+// callback they were passed to returns, and copies out what it keeps
+// (Function, Exec and Trap point at longer-lived objects and may be kept).
 type LaunchEvent struct {
 	Ctx      *Context
 	Function *Function
@@ -409,7 +458,8 @@ type LaunchEvent struct {
 	Params   []uint32
 
 	// Exec is the kernel that will run; subscribers may replace it during
-	// OnLaunchBegin.
+	// OnLaunchBegin. They must not modify the kernel it points at: the
+	// uninstrumented one is shared across contexts.
 	Exec *gpu.ExecKernel
 
 	// Stats and Trap are set for OnLaunchEnd.
@@ -422,7 +472,8 @@ type LaunchEvent struct {
 }
 
 // Subscriber is the driver callback interface (cuptiSubscribe analog) that
-// instrumentation tools implement.
+// instrumentation tools implement. Every *LaunchEvent it receives is valid
+// only for the duration of that callback (see LaunchEvent).
 type Subscriber interface {
 	// OnModuleLoad fires when a module is loaded.
 	OnModuleLoad(m *Module)
@@ -462,12 +513,16 @@ func (c *Context) Launch(f *Function, cfg LaunchConfig, params ...uint32) error 
 	if f == nil {
 		return fmt.Errorf("cuLaunchKernel: %w: nil function", ErrInvalidValue)
 	}
-	ev := &LaunchEvent{
+	// The caller's params are copied, not kept, so a variadic call site's
+	// argument slice can live on its stack.
+	c.params = append(c.params[:0], params...)
+	ev := &c.ev
+	*ev = LaunchEvent{
 		Ctx:      c,
 		Function: f,
 		Config:   cfg,
-		Params:   params,
-		Exec:     &gpu.ExecKernel{K: f.k},
+		Params:   c.params,
+		Exec:     f.exec,
 	}
 	if c.rec != nil || c.rep != nil {
 		if len(params) != len(f.k.Params) {
@@ -475,7 +530,7 @@ func (c *Context) Launch(f *Function, cfg LaunchConfig, params ...uint32) error 
 				f.k.Name, ErrInvalidValue, len(f.k.Params), len(params))
 		}
 		if c.rep != nil {
-			return c.launchReplayed(ev, f, cfg, params)
+			return c.launchReplayed(ev, f, cfg)
 		}
 		if c.sticky != Success {
 			c.rec.fail("cuLaunchKernel on a poisoned context")
@@ -488,7 +543,7 @@ func (c *Context) Launch(f *Function, cfg LaunchConfig, params ...uint32) error 
 		for _, s := range c.subscribers {
 			s.OnLaunchBegin(ev)
 		}
-		return c.launchRecorded(ev, f, cfg, params)
+		return c.launchRecorded(ev, f, cfg)
 	}
 	if c.sticky != Success {
 		ev.Skipped = true
@@ -510,33 +565,21 @@ func (c *Context) Launch(f *Function, cfg LaunchConfig, params ...uint32) error 
 	if budget == 0 {
 		budget = c.defaultBudget
 	}
-	stats, err := c.dev.Run(&gpu.Launch{
-		Kernel:      ev.Exec,
+	stats, err := c.dev.Run(c.deviceLaunch(ev.Exec, cfg, budget))
+	return c.finishLaunch(ev, f, stats, err)
+}
+
+// deviceLaunch fills the context's launch descriptor for the launch in
+// flight: the kernel the subscribers settled on, the caller's shape, the
+// context's copy of the parameters.
+func (c *Context) deviceLaunch(exec *gpu.ExecKernel, cfg LaunchConfig, budget uint64) *gpu.Launch {
+	c.launch = gpu.Launch{
+		Kernel:      exec,
 		Grid:        cfg.Grid,
 		Block:       cfg.Block,
 		SharedBytes: cfg.SharedBytes,
-		Params:      params,
+		Params:      c.params,
 		Budget:      budget,
-	})
-	ev.Stats = stats
-	c.total.WarpInstrs += stats.WarpInstrs
-	c.total.ThreadInstrs += stats.ThreadInstrs
-	c.total.TrampolineInstrs += stats.TrampolineInstrs
-	c.total.Blocks += stats.Blocks
-	if err != nil {
-		if t, ok := gpu.AsTrap(err); ok {
-			ev.Trap = t
-			c.poison(t)
-		} else {
-			// Launch-shape errors are synchronous API errors.
-			for _, s := range c.subscribers {
-				s.OnLaunchEnd(ev)
-			}
-			return fmt.Errorf("cuLaunchKernel %q: %w", f.k.Name, err)
-		}
 	}
-	for _, s := range c.subscribers {
-		s.OnLaunchEnd(ev)
-	}
-	return nil
+	return &c.launch
 }

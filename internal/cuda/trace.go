@@ -483,8 +483,8 @@ func (c *Context) resolveBudget(cfg LaunchConfig) uint64 {
 	return b
 }
 
-// finishLaunch is the common post-execution tail shared with Context.Launch:
-// stats accumulation, trap poisoning, subscriber completion.
+// finishLaunch is the post-execution tail of every launch path: stats
+// accumulation, trap poisoning, subscriber completion.
 func (c *Context) finishLaunch(ev *LaunchEvent, f *Function, stats gpu.LaunchStats, err error) error {
 	ev.Stats = stats
 	c.total.WarpInstrs += stats.WarpInstrs
@@ -510,17 +510,10 @@ func (c *Context) finishLaunch(ev *LaunchEvent, f *Function, stats gpu.LaunchSta
 
 // launchRecorded runs a launch for real on a recording context, pausing at
 // every global stride boundary to snapshot.
-func (c *Context) launchRecorded(ev *LaunchEvent, f *Function, cfg LaunchConfig, params []uint32) error {
+func (c *Context) launchRecorded(ev *LaunchEvent, f *Function, cfg LaunchConfig) error {
 	rec := c.rec
 	callIdx := len(rec.trace.calls)
-	r, err := c.dev.BeginRun(&gpu.Launch{
-		Kernel:      ev.Exec,
-		Grid:        cfg.Grid,
-		Block:       cfg.Block,
-		SharedBytes: cfg.SharedBytes,
-		Params:      params,
-		Budget:      c.resolveBudget(cfg),
-	})
+	r, err := c.dev.BeginRun(c.deviceLaunch(ev.Exec, cfg, c.resolveBudget(cfg)))
 	if err != nil {
 		rec.fail("cuLaunchKernel %q: %v", f.k.Name, err)
 		for _, s := range c.subscribers {
@@ -570,7 +563,7 @@ func (c *Context) launchRecorded(ev *LaunchEvent, f *Function, cfg LaunchConfig,
 
 // launchReplayed handles a launch on a replaying context: short-circuit,
 // restore-and-resume, or live with early-exit probing.
-func (c *Context) launchReplayed(ev *LaunchEvent, f *Function, cfg LaunchConfig, params []uint32) error {
+func (c *Context) launchReplayed(ev *LaunchEvent, f *Function, cfg LaunchConfig) error {
 	rep := c.rep
 	if rep.err != nil {
 		return rep.err
@@ -640,14 +633,7 @@ func (c *Context) launchReplayed(ev *LaunchEvent, f *Function, cfg LaunchConfig,
 		r.SetBudgetRemaining(int64(budget - ck.LaunchLocal))
 		rep.restored = true
 	} else {
-		r, err = c.dev.BeginRun(&gpu.Launch{
-			Kernel:      ev.Exec,
-			Grid:        cfg.Grid,
-			Block:       cfg.Block,
-			SharedBytes: cfg.SharedBytes,
-			Params:      params,
-			Budget:      budget,
-		})
+		r, err = c.dev.BeginRun(c.deviceLaunch(ev.Exec, cfg, budget))
 		if err != nil {
 			rep.mismatch = true
 			for _, s := range c.subscribers {

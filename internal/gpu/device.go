@@ -42,9 +42,12 @@ type Device struct {
 	// runs blocks across SMs. 0 or 1 selects the sequential reference
 	// schedule. Instrumented launches always run sequentially regardless:
 	// injection and profiling tools count dynamic instructions globally, so
-	// callback order is part of the injection semantics. The effective
-	// worker count is capped at NumSMs so every SM's clock has exactly one
-	// owner (see runParallel).
+	// callback order is part of the injection semantics. So does every
+	// launch after the first instrumented one: a tool may have corrupted
+	// state, and the parallel schedule is bit-identical to the sequential
+	// one only for race-free kernels — which a faulted kernel need not be.
+	// The effective worker count is capped at NumSMs so every SM's clock has
+	// exactly one owner (see runParallel).
 	Workers int
 
 	// InterpretTrampolines selects the legacy trampoline path that
@@ -93,10 +96,27 @@ type Device struct {
 	atomMu   sync.Mutex // serializes global-memory atomics across parallel blocks
 
 	// planMemo caches planFor results by kernel identity, so repeated
-	// launches of the same decoded kernel skip the content hash that keys
-	// the process-wide plan cache. Like the rest of the device state it is
-	// touched only from the goroutine driving Run/Restore.
+	// launches of the same decoded kernel skip the process-wide plan cache.
+	// Like the rest of the device state it is touched only from the
+	// goroutine driving Run/Restore.
 	planMemo map[*sass.Kernel]*xplan
+
+	// instrumentedRan is set by the first instrumented launch and pins every
+	// later launch to the sequential schedule (see Workers).
+	instrumentedRan bool
+
+	// Run's per-launch scratch: the constant bank, and the sequential
+	// schedule's budget counter and running stats. A device runs one launch
+	// at a time and all three are dead when Run returns, so launches reuse
+	// them instead of allocating. runParallel and LaunchRun own theirs: one
+	// is shared across goroutines, the other outlives the call.
+	bank   []byte
+	budget budgetCounter
+	stats  LaunchStats
+
+	// hashBuf is kernelHash's serialisation buffer, reused across the kernels
+	// a device hashes (none, once the module cache has memoized their hashes).
+	hashBuf []byte
 }
 
 // SetCancel arms launch cancellation: once ctx is done, any running or
@@ -152,7 +172,9 @@ func (d *Device) logf(kind, format string, args ...any) {
 // Callback is an instrumentation function inserted before or after an
 // instruction — the analog of an NVBit injected device function. It runs on
 // every dynamic execution of that instruction, once per warp, with the
-// per-lane state accessible through the context.
+// per-lane state accessible through the context. The InstrCtx belongs to the
+// executing block and is rewritten for the next instruction: it is valid
+// only until the callback returns, so a callback copies out what it keeps.
 type Callback func(*InstrCtx)
 
 // ExecKernel is an executable kernel: the instruction list plus any

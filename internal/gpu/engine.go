@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/sass"
@@ -310,6 +311,16 @@ type budgetCounter struct {
 	cancelled atomic.Bool
 }
 
+// reset arms an unshared counter for a new launch: n instructions, polling
+// ctx (nil: never) for cancellation.
+func (b *budgetCounter) reset(n int64, ctx context.Context) {
+	b.remaining = n
+	b.shared = false
+	b.ctx = ctx
+	b.checkIn = cancelPollStride
+	b.cancelled.Store(false)
+}
+
 // cancelPollStride is how many warp instructions may issue between
 // cancellation polls: small enough that cancellation lands in microseconds,
 // large enough that the poll is invisible in the interpreter hot loop.
@@ -465,6 +476,10 @@ type blockCtx struct {
 	// mask expands to the zero row.
 	maskRow regRow
 	maskFor uint32
+
+	// ictx is the InstrCtx handed to instrumentation callbacks, rewritten
+	// per warp and per instruction by runWarpInstrumented.
+	ictx InstrCtx
 }
 
 // TrampolineLen is the length of the instrumentation trampoline: the
@@ -537,11 +552,12 @@ func (blk *blockCtx) runTrampoline() {
 }
 
 // Run executes a kernel launch to completion, a trap, or budget exhaustion.
-// With Workers <= 1, or when the kernel carries instrumentation, blocks are
-// scheduled round-robin across SMs on one goroutine in a fixed,
-// deterministic order. Otherwise independent blocks are dispatched across a
-// worker pool (see runParallel); results are bit-identical to the
-// sequential schedule for race-free workloads.
+// With Workers <= 1, when the kernel carries instrumentation, or once any
+// instrumented launch has run on this device, blocks are scheduled
+// round-robin across SMs on one goroutine in a fixed, deterministic order.
+// Otherwise independent blocks are dispatched across a worker pool (see
+// runParallel); results are bit-identical to the sequential schedule for
+// race-free workloads. Run does not retain l.
 func (d *Device) Run(l *Launch) (LaunchStats, error) {
 	var stats LaunchStats
 	if l.Kernel == nil || l.Kernel.K == nil {
@@ -572,7 +588,7 @@ func (d *Device) Run(l *Launch) (LaunchStats, error) {
 		return stats, t
 	}
 
-	constBank := buildConstBank(l)
+	d.bank = fillConstBank(d.bank, l)
 	plan := d.planFor(k)
 	workers := d.Workers
 	if workers > d.NumSMs {
@@ -583,13 +599,20 @@ func (d *Device) Run(l *Launch) (LaunchStats, error) {
 	}
 
 	var err error
-	if workers <= 1 || l.Kernel.Instrumented() {
+	if l.Kernel.Instrumented() {
+		d.instrumentedRan = true
+	}
+	if workers <= 1 || d.instrumentedRan {
 		// Instrumented launches always take the sequential path: injection
 		// and profiling tools count dynamic instructions globally across
-		// blocks, so callback order is part of the injection semantics.
-		stats, err = d.runSequential(l, constBank, plan, budget)
+		// blocks, so callback order is part of the injection semantics. The
+		// launches after one stay on it because the state they run on may
+		// carry a fault: stores that never collided in the golden run can
+		// collide across blocks now, and only the sequential order makes the
+		// outcome a function of the seed.
+		stats, err = d.runSequential(l, d.bank, plan, budget)
 	} else {
-		stats, err = d.runParallel(l, constBank, plan, budget, workers)
+		stats, err = d.runParallel(l, d.bank, plan, budget, workers)
 	}
 	if t, ok := AsTrap(err); ok {
 		// The device log is the dmesg analog; log the (deterministically
@@ -602,15 +625,17 @@ func (d *Device) Run(l *Launch) (LaunchStats, error) {
 // runSequential is the Workers=1 reference schedule: blocks execute one at
 // a time in linear block order.
 func (d *Device) runSequential(l *Launch, constBank []byte, plan *xplan, budgetN uint64) (LaunchStats, error) {
-	var stats LaunchStats
-	budget := &budgetCounter{remaining: int64(budgetN), ctx: d.cancelCtx, checkIn: cancelPollStride}
+	budget := &d.budget
+	budget.reset(int64(budgetN), d.cancelCtx)
+	d.stats = LaunchStats{}
+	stats := &d.stats
 	blockLin := 0
 	for bz := 0; bz < l.Grid.Z; bz++ {
 		for by := 0; by < l.Grid.Y; by++ {
 			for bx := 0; bx < l.Grid.X; bx++ {
 				blk := newBlockCtx(d, l, constBank, plan, Dim3{bx, by, bz}, blockLin)
-				if err := blk.run(budget, &stats); err != nil {
-					return stats, err
+				if err := blk.run(budget, stats); err != nil {
+					return *stats, err
 				}
 				blk.release()
 				stats.Blocks++
@@ -618,11 +643,16 @@ func (d *Device) runSequential(l *Launch, constBank []byte, plan *xplan, budgetN
 			}
 		}
 	}
-	return stats, nil
+	return *stats, nil
 }
 
-func buildConstBank(l *Launch) []byte {
-	bank := make([]byte, sass.ParamBase+4*len(l.Params))
+// fillConstBank lays the launch's constant bank (block and grid shape, then
+// the parameter words) out in bank's storage, growing it only when the
+// launch needs more than it holds.
+func fillConstBank(bank []byte, l *Launch) []byte {
+	n := sass.ParamBase + 4*len(l.Params)
+	bank = slices.Grow(bank[:0], n)[:n]
+	clear(bank[:sass.ParamBase])
 	put := func(off int, v uint32) { binary.LittleEndian.PutUint32(bank[off:], v) }
 	put(sass.ConstNtidX, uint32(l.Block.X))
 	put(sass.ConstNtidY, uint32(l.Block.Y))
@@ -1050,7 +1080,8 @@ func (blk *blockCtx) runWarpCkpt(w *warp, budget *budgetCounter, stats *LaunchSt
 // callback dispatch around every instruction.
 func (blk *blockCtx) runWarpInstrumented(w *warp, budget *budgetCounter, stats *LaunchStats) error {
 	instrs := blk.ek.K.Instrs
-	ctx := InstrCtx{
+	ctx := &blk.ictx
+	*ctx = InstrCtx{
 		Dev:      blk.dev,
 		Kernel:   blk.ek.K,
 		SMID:     blk.smID,
@@ -1094,7 +1125,7 @@ func (blk *blockCtx) runWarpInstrumented(w *warp, budget *budgetCounter, stats *
 		if blk.ek.Before != nil && len(blk.ek.Before[minPC]) > 0 {
 			blk.chargeTrampoline(stats)
 			for _, cb := range blk.ek.Before[minPC] {
-				cb(&ctx)
+				cb(ctx)
 			}
 		}
 
@@ -1106,12 +1137,12 @@ func (blk *blockCtx) runWarpInstrumented(w *warp, budget *budgetCounter, stats *
 		if blk.ek.After != nil && len(blk.ek.After[minPC]) > 0 {
 			blk.chargeTrampoline(stats)
 			for _, cb := range blk.ek.After[minPC] {
-				cb(&ctx)
+				cb(ctx)
 			}
 		}
 		if blk.ek.Step != nil {
 			blk.chargeTrampoline(stats)
-			blk.ek.Step(&ctx)
+			blk.ek.Step(ctx)
 		}
 
 		if barrier {

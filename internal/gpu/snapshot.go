@@ -86,7 +86,7 @@ func (d *Device) BeginRun(l *Launch) (*LaunchRun, error) {
 		budget = math.MaxInt64
 	}
 	r := &LaunchRun{dev: d, launch: *l}
-	r.constBank = buildConstBank(&r.launch)
+	r.constBank = fillConstBank(nil, &r.launch)
 	r.plan = d.planFor(k)
 	r.budget.remaining = int64(budget)
 	r.budget.ctx = d.cancelCtx
@@ -333,7 +333,7 @@ func (d *Device) Restore(s *Snapshot) (*LaunchRun, error) {
 		stats:    ls.stats,
 		blockLin: ls.blockLin,
 	}
-	r.constBank = buildConstBank(&r.launch)
+	r.constBank = fillConstBank(nil, &r.launch)
 	r.plan = d.planFor(ls.kernel)
 	r.budget.remaining = ls.budget
 	r.budget.ctx = d.cancelCtx

@@ -80,8 +80,16 @@ func (t *Trap) Error() string {
 // IsHang reports whether the trap indicates a non-terminating kernel.
 func (t *Trap) IsHang() bool { return t.Kind == TrapInstrLimit }
 
-// AsTrap extracts a *Trap from an error chain.
+// AsTrap extracts a *Trap from an error chain. The engine returns its traps
+// unwrapped and most launches return no error at all, so both are answered
+// before errors.As (whose target must live on the heap) is involved.
 func AsTrap(err error) (*Trap, bool) {
+	if err == nil {
+		return nil, false
+	}
+	if t, ok := err.(*Trap); ok {
+		return t, true
+	}
 	var t *Trap
 	if errors.As(err, &t) {
 		return t, true

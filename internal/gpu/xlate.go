@@ -109,7 +109,7 @@ func (d *Device) planFor(k *sass.Kernel) *xplan {
 	if p, ok := d.planMemo[k]; ok {
 		return p
 	}
-	key := modcache.PlanKey{Engine: xlateEngine, Hash: hashKernel(k)}
+	key := modcache.PlanKey{Engine: xlateEngine, Hash: d.kernelHash(k)}
 	v, _, err := modcache.Shared.Plan(key, func() (any, error) { return translate(k) })
 	if err != nil {
 		return nil
@@ -122,23 +122,36 @@ func (d *Device) planFor(k *sass.Kernel) *xplan {
 	return p
 }
 
-// hashKernel computes the content hash that keys the plan cache. It covers
-// exactly the state translation reads: opcode, guard, modifiers, and every
-// operand field with architectural meaning. Symbol names and the kernel name
-// are deliberately excluded — two decodes that differ only cosmetically
-// execute identically and may share a plan.
-func hashKernel(k *sass.Kernel) [sha256.Size]byte {
-	h := sha256.New()
-	var buf [8]byte
-	u32 := func(v uint32) {
-		binary.LittleEndian.PutUint32(buf[:4], v)
-		h.Write(buf[:4])
-	}
+// kernelHashSlot names the memoized content hash in modcache.Derive.
+type kernelHashSlot struct{}
+
+// kernelHash is the content hash that keys the plan cache, computed once per
+// kernel for the kernels the module cache shares: they are immutable and
+// every experiment's fresh device meets the same pointers, so their hash is
+// looked up by identity. Any other kernel (a private decode, one built by
+// hand) is hashed on the spot, as its content is all that identifies it.
+func (d *Device) kernelHash(k *sass.Kernel) [sha256.Size]byte {
+	v, _ := modcache.Shared.Derive(k, kernelHashSlot{}, func() any {
+		d.hashBuf = appendKernelFields(d.hashBuf[:0], k)
+		return sha256.Sum256(d.hashBuf)
+	})
+	return v.([sha256.Size]byte)
+}
+
+// appendKernelFields serialises what the content hash covers — exactly the
+// state translation reads: opcode, guard, modifiers, and every operand field
+// with architectural meaning. Symbol names and the kernel name are
+// deliberately excluded: two decodes that differ only cosmetically execute
+// identically and may share a plan. The hash is taken over the whole buffer
+// in one write; the byte sequence is part of the PlanKey contract and must
+// not change without bumping xlateEngine.
+func appendKernelFields(buf []byte, k *sass.Kernel) []byte {
+	u32 := func(v uint32) { buf = binary.LittleEndian.AppendUint32(buf, v) }
 	b := func(v bool) {
 		if v {
-			h.Write([]byte{1})
+			buf = append(buf, 1)
 		} else {
-			h.Write([]byte{0})
+			buf = append(buf, 0)
 		}
 	}
 	u32(uint32(len(k.Instrs)))
@@ -180,9 +193,7 @@ func hashKernel(k *sass.Kernel) [sha256.Size]byte {
 			}
 		}
 	}
-	var out [sha256.Size]byte
-	h.Sum(out[:0])
-	return out
+	return buf
 }
 
 // translate compiles a kernel into its execution plan. It cannot fail: any

@@ -38,7 +38,7 @@ func newRowHarness(t *testing.T, seed int64) *rowHarness {
 		Block:  Dim3{X: 8, Y: 4, Z: 2},
 		Params: []uint32{0x3fc00000, 0xdeadbeef, 0x40490fdb, 0xbff00000},
 	}
-	bank := buildConstBank(l)
+	bank := fillConstBank(nil, l)
 	mk := func() *blockCtx {
 		return &blockCtx{dev: d, launch: l, constBank: bank, smID: 1, blockIdx: Dim3{X: 3, Y: 2, Z: 1}, blockLin: 7}
 	}
@@ -424,7 +424,7 @@ func TestRowTierGlobalAccess(t *testing.T) {
 			t.Fatal(err)
 		}
 		mustAllocWrite(t, d, 64, nil)
-		return &blockCtx{dev: d, constBank: buildConstBank(&Launch{Grid: Dim3{1, 1, 1}, Block: Dim3{32, 1, 1}})}, buf
+		return &blockCtx{dev: d, constBank: fillConstBank(nil, &Launch{Grid: Dim3{1, 1, 1}, Block: Dim3{32, 1, 1}})}, buf
 	}
 	h := newRowHarness(t, 6)
 	type access struct {

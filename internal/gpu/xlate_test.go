@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/modcache"
+	"repro/internal/race"
 	"repro/internal/sass"
 )
 
@@ -416,13 +417,12 @@ func TestXlateConcurrentSharedPlans(t *testing.T) {
 	}
 }
 
-// TestXlateAllocs bounds steady-state per-launch allocations: with the plan
-// cached and warp/shared/page state pooled, repeat launches on one device
-// must not scale allocations with register-file or buffer sizes.
+// TestXlateAllocs pins steady-state per-launch allocations at zero: with the
+// plan cached, warp/block/page state pooled and the per-launch bookkeeping
+// (constant bank, budget counter, stats) held by the device, a repeat launch
+// allocates nothing. Under -race the body runs but the count is only logged
+// (see internal/race).
 func TestXlateAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("under the race detector sync.Pool drops a quarter of its Puts at random")
-	}
 	d := newTestDevice(t)
 	k := mustKernel(t, clockMixSrc, "clockmix")
 	const n = 8 * 64
@@ -441,11 +441,9 @@ func TestXlateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// The launch has 8 blocks and allocates per-launch bookkeeping only (the
-	// constant bank, the budget counter: 4 objects), so anything allocated
-	// once per block — a context, a warp list, a shared-window box — pushes
-	// the count to 8 or more.
-	if avg >= 8 {
-		t.Errorf("steady-state launch allocated %.1f objects, want < 8 (one per block)", avg)
+	if race.Enabled {
+		t.Logf("steady-state launch allocated %.1f objects under -race", avg)
+	} else if avg != 0 {
+		t.Errorf("steady-state launch allocated %.1f objects, want 0", avg)
 	}
 }

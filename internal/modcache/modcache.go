@@ -23,6 +23,12 @@
 // never the decoded originals — and is guarded by race-mode differential
 // tests in internal/campaign.
 //
+// Facts derived from those shared programs and kernels — a kernel's content
+// hash, a program's function table — are memoized here too, by the identity
+// of the shared object (Derive), and live exactly as long as the object
+// stays cached: Reset drops them with it, so the cache is the only
+// process-lifetime owner of decoded code.
+//
 // Concurrent callers of the same key block on a per-entry sync.Once, so a
 // parallel campaign's first wave builds each module exactly once.
 package modcache
@@ -54,7 +60,11 @@ type Cache struct {
 	asm    map[asmKey]*asmEntry
 	dec    map[decKey]*decEntry
 	plans  map[PlanKey]*planEntry
-	stats  Stats
+	// owned holds the *sass.Program and *sass.Kernel pointers the asm and dec
+	// entries handed out; derived holds the facts memoized on them.
+	owned   map[any]struct{}
+	derived map[derivedKey]*derivedEntry
+	stats   Stats
 }
 
 // Shared is the process-wide cache used by the cuda and nvbit layers.
@@ -67,6 +77,9 @@ func New() *Cache {
 		asm:    make(map[asmKey]*asmEntry),
 		dec:    make(map[decKey]*decEntry),
 		plans:  make(map[PlanKey]*planEntry),
+
+		owned:   make(map[any]struct{}),
+		derived: make(map[derivedKey]*derivedEntry),
 	}
 }
 
@@ -151,6 +164,7 @@ func (c *Cache) Assemble(f sass.Family, name, src string) (prog *sass.Program, b
 			return
 		}
 		e.prog, e.bin = p, b
+		c.own(p, func() bool { return c.asm[key] == e })
 	})
 	return e.prog, e.bin, ok, e.err
 }
@@ -177,8 +191,63 @@ func (c *Cache) Decode(f sass.Family, bin []byte) (prog *sass.Program, hit bool,
 			return
 		}
 		e.prog, e.err = codec.DecodeProgram(bin)
+		if e.err == nil {
+			c.own(e.prog, func() bool { return c.dec[key] == e })
+		}
 	})
 	return e.prog, ok, e.err
+}
+
+// own records a freshly built program and its kernels as shared objects that
+// Derive may memoize on. current is evaluated under the lock: an entry that a
+// concurrent Reset already dropped is not recorded, so a reset cache never
+// comes to reference code it no longer hands out.
+func (c *Cache) own(p *sass.Program, current func() bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !current() {
+		return
+	}
+	c.owned[p] = struct{}{}
+	for _, k := range p.Kernels {
+		c.owned[k] = struct{}{}
+	}
+}
+
+// derivedKey addresses one fact about one shared object: obj is the
+// *sass.Program or *sass.Kernel, slot the deriving package's private name
+// for the fact (a value of an unexported type, so packages cannot collide).
+type derivedKey struct{ obj, slot any }
+
+type derivedEntry struct {
+	once sync.Once
+	v    any
+}
+
+// Derive memoizes a pure function of a shared program or kernel by the
+// object's identity: the first call for (obj, slot) runs build, every later
+// one returns that value, until Reset forgets the object. The value is
+// shared read-only state, like the object it was derived from.
+//
+// shared is false when obj is not a program or kernel this cache handed out —
+// a private decode, a kernel built by hand, or one outliving a Reset. Such
+// objects carry no immutability promise and nothing bounds their number, so
+// nothing is memoized for them: every call runs build.
+func (c *Cache) Derive(obj, slot any, build func() any) (v any, shared bool) {
+	key := derivedKey{obj, slot}
+	c.mu.Lock()
+	if _, ok := c.owned[obj]; !ok {
+		c.mu.Unlock()
+		return build(), false
+	}
+	e := c.derived[key]
+	if e == nil {
+		e = &derivedEntry{}
+		c.derived[key] = e
+	}
+	c.mu.Unlock()
+	e.once.Do(func() { e.v = build() })
+	return e.v, true
 }
 
 // PlanKey addresses one derived execution artifact: Engine names and
@@ -224,9 +293,11 @@ func (c *Cache) Stats() Stats {
 	return c.stats
 }
 
-// Reset drops every entry and zeroes the counters. Outstanding programs
-// remain valid (they are never mutated); Reset only forgets them, so
-// subsequent loads rebuild. Tests use this to measure cold paths.
+// Reset drops every entry, every derived fact, and zeroes the counters.
+// Outstanding programs remain valid (they are never mutated); Reset only
+// forgets them, so subsequent loads rebuild and the old programs, kernels and
+// plans become collectable once their last user lets go. Tests and the
+// benchmark's cold samples use this to measure cold paths.
 func (c *Cache) Reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -234,5 +305,7 @@ func (c *Cache) Reset() {
 	c.asm = make(map[asmKey]*asmEntry)
 	c.dec = make(map[decKey]*decEntry)
 	c.plans = make(map[PlanKey]*planEntry)
+	c.owned = make(map[any]struct{})
+	c.derived = make(map[derivedKey]*derivedEntry)
 	c.stats = Stats{}
 }

@@ -3,8 +3,11 @@ package modcache
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/sass"
 	"repro/internal/sass/encoding"
@@ -205,5 +208,124 @@ func TestReset(t *testing.T) {
 	}
 	if fmt.Sprint(p1.Kernels[0].Instrs[0]) == "" {
 		t.Error("pre-Reset program no longer readable")
+	}
+}
+
+type testSlot struct{}
+type otherSlot struct{}
+
+// TestDerive: a fact derived from a shared program or kernel is built once
+// per (object, slot) — also under concurrency — and on every call, memoized
+// nowhere, for an object the cache did not hand out.
+func TestDerive(t *testing.T) {
+	c := New()
+	prog, bin, _, err := c.Assemble(sass.FamilyVolta, "probe", testSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, _, err := c.Decode(sass.FamilyVolta, bin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var builds atomic.Int32
+	build := func() any { return builds.Add(1) }
+
+	var wg sync.WaitGroup
+	for i := 0; i < 16; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if v, shared := c.Derive(prog.Kernels[0], testSlot{}, build); !shared || v.(int32) != 1 {
+				t.Errorf("Derive on a shared kernel = %v, %v; want 1, true", v, shared)
+			}
+		}()
+	}
+	wg.Wait()
+	if builds.Load() != 1 {
+		t.Fatalf("%d builds for one (kernel, slot), want 1", builds.Load())
+	}
+	for _, obj := range []any{prog, dec, dec.Kernels[0]} {
+		if _, shared := c.Derive(obj, testSlot{}, build); !shared {
+			t.Errorf("%T handed out by the cache is not shared", obj)
+		}
+	}
+	if v, _ := c.Derive(prog.Kernels[0], otherSlot{}, build); v.(int32) == 1 {
+		t.Error("two slots of one kernel share a value")
+	}
+
+	before := builds.Load()
+	private := prog.Kernels[0].Clone()
+	for i := int32(1); i <= 2; i++ {
+		if v, shared := c.Derive(private, testSlot{}, build); shared || v.(int32) != before+i {
+			t.Errorf("Derive on a private kernel = %v, %v; want a fresh build (%d), false", v, shared, before+i)
+		}
+	}
+	if len(c.derived) != 5 {
+		t.Errorf("%d derived facts, want the 5 shared ones: a private kernel's must not be kept", len(c.derived))
+	}
+}
+
+// TestResetDropsDerived: Reset must leave the cache referencing no program,
+// kernel, plan or derived fact — the benchmark's cold samples reset it every
+// repetition, and a memo that outlived Reset kept every generation of decoded
+// code alive. Both the table sizes and the collector are asked.
+func TestResetDropsDerived(t *testing.T) {
+	c := New()
+	collected := make(chan struct{})
+	func() {
+		prog, bin, _, err := c.Assemble(sass.FamilyVolta, "probe", testSrc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := c.Decode(sass.FamilyVolta, bin); err != nil {
+			t.Fatal(err)
+		}
+		k := prog.Kernels[0]
+		c.Derive(k, testSlot{}, func() any { return k })
+		c.Derive(prog, testSlot{}, func() any { return prog })
+		if _, _, err := c.Plan(PlanKey{Engine: "test"}, func() (any, error) { return k, nil }); err != nil {
+			t.Fatal(err)
+		}
+		runtime.SetFinalizer(k, func(*sass.Kernel) { close(collected) })
+	}()
+	if len(c.owned) == 0 || len(c.derived) != 2 {
+		t.Fatalf("before Reset: %d owned objects, %d derived facts", len(c.owned), len(c.derived))
+	}
+	c.Reset()
+	if n := len(c.owned) + len(c.derived) + len(c.plans) + len(c.asm) + len(c.dec); n != 0 {
+		t.Errorf("after Reset the cache still holds %d entries", n)
+	}
+	for i := 0; i < 10; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Error("a kernel the reset cache handed out was never collected: something still references it")
+}
+
+// TestDeriveAfterReset: an object that outlives a Reset is no longer shared,
+// and a fresh load's objects are.
+func TestDeriveAfterReset(t *testing.T) {
+	c := New()
+	old, _, _, err := c.Assemble(sass.FamilyVolta, "probe", testSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Reset()
+	if _, shared := c.Derive(old.Kernels[0], testSlot{}, func() any { return 0 }); shared {
+		t.Error("a kernel from before Reset is still memoized on")
+	}
+	fresh, _, _, err := c.Assemble(sass.FamilyVolta, "probe", testSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh == old {
+		t.Fatal("Reset did not drop the program")
+	}
+	if _, shared := c.Derive(fresh.Kernels[0], testSlot{}, func() any { return 0 }); !shared {
+		t.Error("a freshly loaded kernel is not shared")
 	}
 }

@@ -25,7 +25,11 @@ import (
 	"repro/internal/sassan"
 )
 
-// LaunchInfo describes one dynamic kernel launch to the tool.
+// LaunchInfo describes one dynamic kernel launch to the tool. The attachment
+// owns the one LaunchInfo of the launch in flight and rewrites it for the
+// next launch: a tool may use the pointer until the callback it was passed
+// to returns (OnLaunch and the matching OnLaunchDone see the same values),
+// and copies out whatever it keeps longer.
 type LaunchInfo struct {
 	// Kernel is the decoded kernel (from machine code, not source).
 	Kernel *sass.Kernel
@@ -52,7 +56,9 @@ type Decision struct {
 // RunOriginal is the decision to run the unmodified kernel.
 var RunOriginal = Decision{}
 
-// Tool is an NVBit tool: a profiler or injector.
+// Tool is an NVBit tool: a profiler or injector. The *LaunchInfo passed to
+// OnLaunch and OnLaunchDone is valid only for the duration of that call (see
+// LaunchInfo), as is the *gpu.InstrCtx passed to inserted callbacks.
 type Tool interface {
 	// Name identifies the tool in diagnostics.
 	Name() string
@@ -109,11 +115,16 @@ type Attachment struct {
 	tool   Tool
 	unsub  func()
 	codec  *encoding.Codec
-	funcs  map[*cuda.Function]*sass.Kernel // decoded view per function
-	counts map[string]int                  // dynamic launch count per kernel name
+	views  []moduleView   // decoded view per module, in decode order
+	counts map[string]int // dynamic launch count per kernel name
 	global int
 	cache  map[cacheKey]*gpu.ExecKernel
-	live   map[*cuda.Function]*LaunchInfo // in-flight launches
+
+	// info describes the launch in flight and inFlight names its function
+	// (nil between launches). Launches are synchronous, so there is at most
+	// one.
+	info     LaunchInfo
+	inFlight *cuda.Function
 
 	// Stats for overhead accounting.
 	totalLaunches        int
@@ -145,6 +156,39 @@ type cacheKey struct {
 	key string
 }
 
+// moduleView pairs a loaded module with its decoded kernels by name. The
+// name table is a pure function of the decoded program, so attachments across
+// a campaign's contexts share one per distinct binary (modcache.Derive).
+type moduleView struct {
+	mod     *cuda.Module
+	kernels map[string]*sass.Kernel
+}
+
+type kernelsByNameSlot struct{}
+
+func kernelsByName(prog *sass.Program) map[string]*sass.Kernel {
+	v, _ := modcache.Shared.Derive(prog, kernelsByNameSlot{}, func() any {
+		m := make(map[string]*sass.Kernel, len(prog.Kernels))
+		for _, k := range prog.Kernels {
+			m[k.Name] = k
+		}
+		return m
+	})
+	return v.(map[string]*sass.Kernel)
+}
+
+// decoded returns the decoded kernel behind a function, if its module was
+// decoded by this attachment.
+func (a *Attachment) decoded(f *cuda.Function) (*sass.Kernel, bool) {
+	for i := range a.views {
+		if a.views[i].mod == f.Module() {
+			k, ok := a.views[i].kernels[f.Name()]
+			return k, ok
+		}
+	}
+	return nil, false
+}
+
 // Attach connects a tool to the context — the analog of starting the
 // target program with LD_PRELOAD=<tool>.so. Modules already loaded are
 // decoded immediately; future module loads are decoded as they arrive.
@@ -157,10 +201,8 @@ func Attach(ctx *cuda.Context, tool Tool, opts ...Option) (*Attachment, error) {
 		ctx:    ctx,
 		tool:   tool,
 		codec:  codec,
-		funcs:  make(map[*cuda.Function]*sass.Kernel),
 		counts: make(map[string]int),
 		cache:  make(map[cacheKey]*gpu.ExecKernel),
-		live:   make(map[*cuda.Function]*LaunchInfo),
 	}
 	for _, o := range opts {
 		o(a)
@@ -226,12 +268,11 @@ func (a *Attachment) decodeModule(m *cuda.Module) error {
 		}
 	}
 	for _, k := range prog.Kernels {
-		f, err := m.Function(k.Name)
-		if err != nil {
+		if _, err := m.Function(k.Name); err != nil {
 			return fmt.Errorf("nvbit: module %q: %w", m.Name(), err)
 		}
-		a.funcs[f] = k
 	}
+	a.views = append(a.views, moduleView{mod: m, kernels: kernelsByName(prog)})
 	return nil
 }
 
@@ -256,12 +297,12 @@ func (a *Attachment) OnModuleLoad(m *cuda.Module) {
 
 // OnLaunchBegin implements cuda.Subscriber: the interception point.
 func (a *Attachment) OnLaunchBegin(ev *cuda.LaunchEvent) {
-	decoded, ok := a.funcs[ev.Function]
+	decoded, ok := a.decoded(ev.Function)
 	if !ok {
 		return
 	}
 	name := ev.Function.Name()
-	info := &LaunchInfo{
+	a.info = LaunchInfo{
 		Kernel:       decoded,
 		Module:       ev.Function.Module().Name(),
 		LaunchIndex:  a.counts[name],
@@ -271,9 +312,9 @@ func (a *Attachment) OnLaunchBegin(ev *cuda.LaunchEvent) {
 	a.counts[name]++
 	a.global++
 	a.totalLaunches++
-	a.live[ev.Function] = info
+	a.inFlight = ev.Function
 
-	dec := a.tool.OnLaunch(info)
+	dec := a.tool.OnLaunch(&a.info)
 	if !dec.Instrument {
 		return
 	}
@@ -297,16 +338,18 @@ func (a *Attachment) OnLaunchBegin(ev *cuda.LaunchEvent) {
 
 // OnLaunchEnd implements cuda.Subscriber.
 func (a *Attachment) OnLaunchEnd(ev *cuda.LaunchEvent) {
-	info := a.live[ev.Function]
-	if info == nil {
+	if a.inFlight != ev.Function {
 		if ev.Skipped {
-			a.tool.OnLaunchDone(&LaunchInfo{
+			// A launch skipped on a poisoned context never began: describe
+			// it with what the event still knows.
+			a.info = LaunchInfo{
 				Kernel: ev.Function.Kernel(),
 				Module: ev.Function.Module().Name(),
-			}, ev.Stats, ev.Trap, true)
+			}
+			a.tool.OnLaunchDone(&a.info, ev.Stats, ev.Trap, true)
 		}
 		return
 	}
-	delete(a.live, ev.Function)
-	a.tool.OnLaunchDone(info, ev.Stats, ev.Trap, ev.Skipped)
+	a.inFlight = nil
+	a.tool.OnLaunchDone(&a.info, ev.Stats, ev.Trap, ev.Skipped)
 }

@@ -175,6 +175,7 @@ func familyRunSized(modName, asm, famPrefix string, famCount, famRepeat int,
 	if fp64 {
 		elem = 8
 	}
+	famNames := familyNames(famPrefix, famCount)
 	return func(h *host) error {
 		mod, err := h.module(modName, asm)
 		if err != nil {
@@ -192,7 +193,7 @@ func familyRunSized(modName, asm, famPrefix string, famCount, famRepeat int,
 		}
 		fam := make([]*cuda.Function, famCount)
 		for i := range fam {
-			if fam[i], err = mod.Function(fmt.Sprintf("%s_%03d", famPrefix, i)); err != nil {
+			if fam[i], err = mod.Function(famNames[i]); err != nil {
 				return err
 			}
 		}

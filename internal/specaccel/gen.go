@@ -142,9 +142,22 @@ func genFamily(gen func(string, int, float32, float32) string, prefix string, n 
 		// numerically stable across the run.
 		ca := 1.0 - 0.01*float32(i%7) - 0.001*float32(i%13)
 		cb := 0.01 + 0.002*float32(i%5)
-		sb.WriteString(gen(fmt.Sprintf("%s_%03d", prefix, i), i, ca, cb))
+		sb.WriteString(gen(familyName(prefix, i), i, ca, cb))
 	}
 	return sb.String()
+}
+
+// familyName is the name of the i-th kernel genFamily stamps out.
+func familyName(prefix string, i int) string { return fmt.Sprintf("%s_%03d", prefix, i) }
+
+// familyNames lists a generated family's kernel names. Programs call it when
+// they are built, so a run looks its functions up without formatting.
+func familyNames(prefix string, n int) []string {
+	names := make([]string, n)
+	for i := range names {
+		names[i] = familyName(prefix, i)
+	}
+	return names
 }
 
 // initHashKernel emits a deterministic device-side initializer writing

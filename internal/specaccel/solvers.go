@@ -291,6 +291,7 @@ func CG() *Program {
 		fam   = 12
 	)
 	asm := cgASM + genFamily(fieldKernelF64, "precond", fam)
+	famNames := familyNames("precond", fam)
 	return &Program{
 		info: Info{
 			Name:                 "354.cg",
@@ -320,7 +321,7 @@ func CG() *Program {
 			}
 			famFns := make([]*cuda.Function, fam)
 			for i := range famFns {
-				if famFns[i], err = fn(fmt.Sprintf("precond_%03d", i)); err != nil {
+				if famFns[i], err = fn(famNames[i]); err != nil {
 					return err
 				}
 			}
