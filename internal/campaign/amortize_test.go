@@ -60,9 +60,9 @@ func expectSameCampaign(t *testing.T, label string, ref, got *campaign.CampaignR
 }
 
 // TestLegacyPathCampaignEquivalence: campaigns on the optimized engine
-// (arithmetic trampoline accounting, post-activation disarm) must produce
-// classifications, injection records, stats, and tallies identical to the
-// legacy slow paths, experiment by experiment.
+// (post-activation disarm) must produce classifications, injection records,
+// stats, and tallies identical to the legacy slow path, experiment by
+// experiment.
 func TestLegacyPathCampaignEquivalence(t *testing.T) {
 	cfg := campaign.TransientCampaignConfig{Injections: 20, Seed: 11}
 	base := campaign.Runner{}
@@ -86,8 +86,6 @@ func TestLegacyPathCampaignEquivalence(t *testing.T) {
 		r    campaign.Runner
 	}{
 		{"armed (DisableDisarm)", campaign.Runner{DisableDisarm: true}},
-		{"interpreted trampolines", campaign.Runner{InterpretTrampolines: true}},
-		{"both legacy paths", campaign.Runner{DisableDisarm: true, InterpretTrampolines: true}},
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {

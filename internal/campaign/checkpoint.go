@@ -123,12 +123,16 @@ func (r Runner) runTransientCheckpointed(hostCtx context.Context, w Workload, go
 	if out == nil {
 		out = NewOutput()
 	}
-	return &RunResult{
+	res := &RunResult{
 		Class:     Classify(w, golden.Output, out, runErr, ctx),
 		Injection: inj.Record(),
 		Duration:  d,
 		Stats:     ctx.AccumulatedStats(),
 		Restored:  ctx.ReplayRestored(),
 		EarlyExit: ctx.ReplayEarlyExited(),
-	}, nil
+	}
+	// A fork gives back the pages it dirtied (the snapshot's stay shared) and
+	// the block an early exit left paused.
+	ctx.Device().Recycle()
+	return res, nil
 }

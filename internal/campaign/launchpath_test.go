@@ -168,13 +168,17 @@ func summarizeLaunchPath(t *testing.T, res *campaign.CampaignResult) launchPathG
 // warm, plus 10%. 353.clvrleaf (249 launches of 116 kernels) allocated 2 650
 // per experiment when every launch built its own event, launch descriptor,
 // constant bank, budget counter and LaunchInfo; 314.omriq is the short
-// experiment whose fixed cost dominates.
+// experiment whose fixed cost dominates; 356.sp runs checkpointed (restore,
+// replayed launches, early exit), where a block abandoned without release or
+// a per-launch LaunchRun shows as allocations in the next experiment.
 var experimentAllocCeilings = []struct {
-	program string
-	ceiling float64
+	program    string
+	checkpoint bool
+	ceiling    float64
 }{
-	{"353.clvrleaf", 125},
-	{"314.omriq", 163},
+	{"353.clvrleaf", false, 103},
+	{"314.omriq", false, 131},
+	{"356.sp", true, 75},
 }
 
 // TestExperimentAllocCeiling is the campaign half of the allocation gate. It
@@ -197,9 +201,21 @@ func TestExperimentAllocCeiling(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			params, err := campaign.SelectShard(profile, campaign.TransientCampaignConfig{Injections: 8, Seed: 11}, 0)
+			params, err := campaign.SelectShard(profile,
+				campaign.TransientCampaignConfig{Injections: 8, Seed: 11, Checkpoint: tc.checkpoint}, 0)
 			if err != nil {
 				t.Fatal(err)
+			}
+			run := r.RunTransient
+			if tc.checkpoint {
+				stride := max(golden.Stats.WarpInstrs/campaign.DefaultCheckpointCount, campaign.MinCheckpointStride)
+				trace, err := r.RecordTrace(w, golden, stride)
+				if err != nil {
+					t.Fatal(err)
+				}
+				run = func(ctx context.Context, w campaign.Workload, golden *campaign.GoldenResult, p core.TransientParams) (*campaign.RunResult, error) {
+					return campaign.RunTransientCheckpointed(r, ctx, w, golden, trace, p, false)
+				}
 			}
 			runs := 3
 			if race.Enabled {
@@ -208,7 +224,7 @@ func TestExperimentAllocCeiling(t *testing.T) {
 			var worst float64
 			for _, p := range params {
 				avg := testing.AllocsPerRun(runs, func() {
-					if _, err := r.RunTransient(context.Background(), w, golden, p); err != nil {
+					if _, err := run(context.Background(), w, golden, p); err != nil {
 						t.Fatal(err)
 					}
 				})

@@ -47,12 +47,11 @@ type Runner struct {
 	// non-terminating workload then traps with TrapInstrLimit instead of
 	// hanging the campaign.
 	GoldenBudget uint64
-	// InterpretTrampolines and DisableDisarm are plumbed to the matching
-	// gpu.Device knobs on every device this runner builds. Both select
-	// legacy slow paths that are observably identical to the defaults;
-	// they exist for the differential tests that prove it.
-	InterpretTrampolines bool
-	DisableDisarm        bool
+	// DisableDisarm is plumbed to gpu.Device.DisableDisarm on every device
+	// this runner builds: full callback dispatch to the end of every launch,
+	// observably identical to the default. It exists for the differential
+	// test that proves it.
+	DisableDisarm bool
 	// VerifyModules makes every context this runner builds verify modules
 	// at load time (cuda.VerifyEnforce): a module whose static verification
 	// produces errors fails to load, so a broken workload is rejected
@@ -118,7 +117,6 @@ func (r Runner) newContext() (*cuda.Context, error) {
 		return nil, err
 	}
 	dev.Workers = r.Workers
-	dev.InterpretTrampolines = r.InterpretTrampolines
 	dev.DisableDisarm = r.DisableDisarm
 	dev.NoXlate = r.NoXlate
 	dev.LegacySched = r.LegacySched

@@ -72,6 +72,7 @@ type FaultDictionary map[sass.Op]CorruptionFunc
 type PermanentInjector struct {
 	P    PermanentParams
 	ops  map[sass.Op]bool
+	key  string // the JIT cache key of every launch this fault instruments
 	gate ActivationGate
 	dict FaultDictionary
 
@@ -92,7 +93,7 @@ func NewPermanentInjector(p PermanentParams, family sass.Family, numSMs int) (*P
 	for _, id := range p.ExtraOpcodeIDs {
 		ops[set[id]] = true
 	}
-	return &PermanentInjector{P: p, ops: ops}, nil
+	return &PermanentInjector{P: p, ops: ops, key: fmt.Sprintf("pf:%d", p.OpcodeID)}, nil
 }
 
 // SetGate makes the fault intermittent (extension). Must be set before the
@@ -130,7 +131,7 @@ func (pi *PermanentInjector) categories() map[sass.Category]bool {
 func (pi *PermanentInjector) OnLaunch(info *nvbit.LaunchInfo) nvbit.Decision {
 	for i := range info.Kernel.Instrs {
 		if pi.ops[info.Kernel.Instrs[i].Op] {
-			return nvbit.Decision{Instrument: true, Key: fmt.Sprintf("pf:%d", pi.P.OpcodeID)}
+			return nvbit.Decision{Instrument: true, Key: pi.key}
 		}
 	}
 	return nvbit.RunOriginal
@@ -140,12 +141,11 @@ func (pi *PermanentInjector) OnLaunch(info *nvbit.LaunchInfo) nvbit.Decision {
 // categories carries the check; the exact-opcode match happens at runtime
 // in the callback.
 func (pi *PermanentInjector) Instrument(k *sass.Kernel, _ string, ins *nvbit.Inserter) {
-	cats := pi.categories()
+	cats, step := pi.categories(), pi.step // one method value for every site
 	for i := range k.Instrs {
-		if !cats[k.Instrs[i].Op.Info().Cat] {
-			continue
+		if cats[k.Instrs[i].Op.Info().Cat] {
+			ins.InsertAfter(i, step)
 		}
-		ins.InsertAfter(i, pi.step)
 	}
 }
 

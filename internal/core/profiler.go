@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/gpu"
 	"repro/internal/nvbit"
@@ -19,8 +20,31 @@ type Profiler struct {
 	program      string
 	instrumented map[string]bool // static kernels already profiled (approx mode)
 	current      *KernelRecord   // record under accumulation (launches are serial)
-	visited      []bool          // sites of current that executed at least once
 	records      []KernelRecord
+
+	// sites is the per-site tally of the launch in flight (empty when its
+	// record is not being measured): what the callback writes, one entry and
+	// one bounds check per dynamic instruction. static holds what a kernel's
+	// records share, and folded is OnLaunchDone's per-opcode scratch (indexed
+	// by opcode, all zero between launches).
+	sites  []tally
+	static map[*sass.Kernel]kernelSites
+	folded []tally
+}
+
+// tally is a thread-level execution count plus whether anything executed at
+// all: a guard-suppressed issue counts zero threads but still ran.
+type tally struct {
+	count uint64
+	ran   bool
+}
+
+// kernelSites is the per-static-kernel part of a record: the opcode of every
+// instruction — one read-only slice shared by all the kernel's records — and
+// how many distinct opcodes there are, the size of a record's OpCounts.
+type kernelSites struct {
+	ops      []sass.Op
+	distinct int
 }
 
 var _ nvbit.Tool = (*Profiler)(nil)
@@ -34,6 +58,7 @@ func NewProfiler(program string, mode ProfileMode) (*Profiler, error) {
 		mode:         mode,
 		program:      program,
 		instrumented: make(map[string]bool),
+		static:       make(map[*sass.Kernel]kernelSites),
 	}, nil
 }
 
@@ -43,15 +68,13 @@ func (p *Profiler) Name() string { return "profiler" }
 // OnLaunch implements nvbit.Tool: decide whether this dynamic kernel is
 // counted directly or extrapolated.
 func (p *Profiler) OnLaunch(info *nvbit.LaunchInfo) nvbit.Decision {
+	ks := p.sitesOf(info.Kernel)
 	rec := KernelRecord{
 		Kernel:      info.Kernel.Name,
 		LaunchIndex: info.LaunchIndex,
-		OpCounts:    make(map[sass.Op]uint64),
-		SiteOps:     make([]sass.Op, len(info.Kernel.Instrs)),
-		SiteCounts:  make([]uint64, len(info.Kernel.Instrs)),
-	}
-	for i := range info.Kernel.Instrs {
-		rec.SiteOps[i] = info.Kernel.Instrs[i].Op
+		OpCounts:    make(map[sass.Op]uint64, ks.distinct),
+		SiteOps:     ks.ops,
+		SiteCounts:  make([]uint64, len(ks.ops)),
 	}
 	if p.mode == Approximate && p.instrumented[info.Kernel.Name] {
 		rec.Extrapolated = true
@@ -59,43 +82,88 @@ func (p *Profiler) OnLaunch(info *nvbit.LaunchInfo) nvbit.Decision {
 		p.current = nil
 		return nvbit.RunOriginal
 	}
-	p.instrumented[info.Kernel.Name] = true
+	if p.mode == Approximate {
+		p.instrumented[info.Kernel.Name] = true
+	}
 	p.records = append(p.records, rec)
 	p.current = &p.records[len(p.records)-1]
-	p.visited = make([]bool, len(info.Kernel.Instrs))
+	p.sites = slices.Grow(p.sites[:0], len(ks.ops))[:len(ks.ops)]
+	clear(p.sites)
 	return nvbit.Decision{Instrument: true, Key: "profile"}
 }
 
-// Instrument implements nvbit.Tool: count every instruction's active lanes.
-// The callback closure is built once and shared by all launches through the
-// JIT cache; it accumulates into whichever record is current. It runs once
-// per dynamic warp instruction, so it touches only the per-site slices;
-// OnLaunchDone folds them into the per-opcode map.
-func (p *Profiler) Instrument(k *sass.Kernel, _ string, ins *nvbit.Inserter) {
-	for i := range k.Instrs {
-		idx := i
-		ins.InsertAfter(i, func(c *gpu.InstrCtx) {
-			if p.current != nil && idx < len(p.current.SiteCounts) {
-				p.current.SiteCounts[idx] += uint64(c.LaneCount())
-				p.visited[idx] = true
+func (p *Profiler) sitesOf(k *sass.Kernel) kernelSites {
+	ks, ok := p.static[k]
+	if !ok {
+		ks.ops = make([]sass.Op, len(k.Instrs))
+		for i := range k.Instrs {
+			ks.ops[i] = k.Instrs[i].Op
+			if f := p.fold(ks.ops[i]); !f.ran {
+				f.ran = true
+				ks.distinct++
 			}
-		})
+		}
+		for _, op := range ks.ops {
+			*p.fold(op) = tally{}
+		}
+		p.static[k] = ks
+	}
+	return ks
+}
+
+// fold returns op's entry in the per-opcode scratch, growing it to reach.
+func (p *Profiler) fold(op sass.Op) *tally {
+	if int(op) >= len(p.folded) {
+		p.folded = append(p.folded, make([]tally, int(op)+1-len(p.folded))...)
+	}
+	return &p.folded[op]
+}
+
+// Instrument implements nvbit.Tool: count every instruction's active lanes.
+// One callback serves every site and, through the JIT cache, every launch; it
+// accumulates into the tally of the launch in flight. It runs once per dynamic
+// warp instruction, so it touches one tally entry; OnLaunchDone copies the
+// tallies into the record and folds them into its per-opcode map.
+func (p *Profiler) Instrument(k *sass.Kernel, _ string, ins *nvbit.Inserter) {
+	count := func(c *gpu.InstrCtx) {
+		if c.InstrIdx < len(p.sites) {
+			t := &p.sites[c.InstrIdx]
+			t.count += uint64(c.LaneCount())
+			t.ran = true
+		}
+	}
+	for i := range k.Instrs {
+		ins.InsertAfter(i, count)
 	}
 }
 
 // OnLaunchDone implements nvbit.Tool: fold the launch's per-site counts into
-// its per-opcode counts. An opcode gets an entry once any of its sites
-// executed, even with no lane active — a guard-suppressed issue counts zero
-// threads but still shows the opcode ran.
+// its per-opcode counts — through the dense scratch, so the map is stored to
+// once per opcode rather than once per site. An opcode gets an entry once any
+// of its sites executed, even with no lane active — a guard-suppressed issue
+// counts zero threads but still shows the opcode ran.
 func (p *Profiler) OnLaunchDone(*nvbit.LaunchInfo, gpu.LaunchStats, *gpu.Trap, bool) {
 	if r := p.current; r != nil {
-		for idx, seen := range p.visited {
-			if seen {
-				r.OpCounts[r.SiteOps[idx]] += r.SiteCounts[idx]
+		for idx, t := range p.sites {
+			if !t.ran {
+				continue
+			}
+			r.SiteCounts[idx] = t.count
+			f := p.fold(r.SiteOps[idx])
+			f.count += t.count
+			f.ran = true
+		}
+		for idx, t := range p.sites {
+			if !t.ran {
+				continue
+			}
+			if f := &p.folded[r.SiteOps[idx]]; f.ran {
+				r.OpCounts[r.SiteOps[idx]] = f.count
+				*f = tally{}
 			}
 		}
 	}
-	p.current = nil
+	p.current, p.sites = nil, p.sites[:0]
 }
 
 // Finish resolves the profile. In Approximate mode, extrapolated records

@@ -1,0 +1,158 @@
+package cuda_test
+
+import (
+	"runtime"
+	"testing"
+
+	"repro/internal/cuda"
+	"repro/internal/race"
+)
+
+// replaySrc is a one-warp kernel long enough (about 130 warp instructions)
+// that a 48-instruction stride drops checkpoints inside every launch.
+const replaySrc = `
+.kernel iter
+.param outptr
+    S2R R0, SR_TID.X
+    MOV R1, 0x1
+    MOV R2, 0x14
+loop:
+    IMAD R1, R1, R0, 0x7
+    LOP.XOR R1, R1, R2
+    SHL R3, R1, 0x1
+    IADD R1, R1, R3
+    IADD R2, R2, -0x1
+    ISETP.NE.AND P0, R2, 0x0, PT
+@P0 BRA loop
+    SHL R4, R0, 0x2
+    IADD R4, R4, c0[outptr]
+    STG.32 [R4], R1
+    EXIT
+`
+
+const replayLaunches = 8
+
+// replayHost is the host side of the recorded workload, split so a test can
+// time individual launches: setup issues the calls before the first launch,
+// launch issues one.
+type replayHost struct {
+	ctx *cuda.Context
+	fn  *cuda.Function
+	out cuda.DevPtr
+}
+
+func newReplayHost(t *testing.T, ctx *cuda.Context) *replayHost {
+	t.Helper()
+	mod, err := ctx.LoadModule("replay", replaySrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fn, err := mod.Function("iter")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := ctx.Malloc(4 * 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &replayHost{ctx: ctx, fn: fn, out: out}
+}
+
+func (h *replayHost) launch(t *testing.T) {
+	t.Helper()
+	if err := h.ctx.Launch(h.fn, cfg1(), h.out); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// mallocsOf reports the heap objects and bytes f allocates, measured the way
+// testing.AllocsPerRun measures: one P, MemStats before and after.
+func mallocsOf(f func()) (objects, bytes uint64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+}
+
+// TestReplayLaunchAllocs is the replay path's allocation gate. Launches on a
+// replaying context go through the device's pausable run, which the device
+// holds and rewrites: a warm live launch allocates nothing; a launch that
+// restores a checkpoint allocates what any first launch on a fresh device does
+// (constant bank, plan memo, the page it first writes) plus the fork's private
+// page tables (two slices per device allocation, the Memory and its
+// allocation list) and the run's parameter buffer; a launch that exits early
+// on a digest match allocates nothing, gives its paused block back, and the
+// launches short-circuited after it allocate nothing. The byte bounds
+// are the pool-balance check: a block abandoned without release costs the
+// next launch a fresh 33 KiB warp. Under -race the counts are only logged.
+func TestReplayLaunchAllocs(t *testing.T) {
+	rec := newCtx(t)
+	if err := rec.StartRecording(48); err != nil {
+		t.Fatal(err)
+	}
+	host := newReplayHost(t, rec)
+	for i := 0; i < replayLaunches; i++ {
+		host.launch(t)
+	}
+	trace, err := rec.FinishRecording()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if trace.Checkpoints() < replayLaunches {
+		t.Fatalf("trace holds %d checkpoints, want one or more per launch", trace.Checkpoints())
+	}
+	check := func(label string, objects, bytes, maxObjects uint64) {
+		t.Helper()
+		if race.Enabled {
+			t.Logf("%s allocated %d objects, %d bytes under -race", label, objects, bytes)
+		} else if objects > maxObjects || bytes > 16<<10 {
+			t.Errorf("%s allocated %d objects, %d bytes; want at most %d objects and no fresh warp", label, objects, bytes, maxObjects)
+		}
+	}
+
+	// Live: nothing restored, every launch executes through BeginRun/Resume.
+	live := newCtx(t)
+	if err := live.BeginReplay(trace, cuda.ReplayPlan{RestoreCall: -1, FaultCall: -1}); err != nil {
+		t.Fatal(err)
+	}
+	host = newReplayHost(t, live)
+	first, _ := mallocsOf(func() { host.launch(t) }) // also warms the pools
+	avg := testing.AllocsPerRun(replayLaunches-2, func() { host.launch(t) })
+	check("live replay launch", uint64(avg), 0, 0)
+
+	// Restored and early-exited, over and over on fresh contexts: the fault
+	// "targets" launch 3, the latest checkpoint before it lies inside launch 2,
+	// and the probe claims the fault fired, so launch 3 compares digests at its
+	// first recorded boundary, finds the golden state and exits early.
+	for rep := 0; rep < 60; rep++ {
+		ctx := newCtx(t)
+		plan := trace.PlanRestore("iter", 3, -1, 0, false)
+		if plan.Ckpt == nil {
+			t.Fatal("no checkpoint before launch 3")
+		}
+		plan.Probe = func() bool { return true }
+		if err := ctx.BeginReplay(trace, plan); err != nil {
+			t.Fatal(err)
+		}
+		host := newReplayHost(t, ctx)
+		host.launch(t) // 0 and 1 are served from the journal
+		host.launch(t)
+		objects, bytes := mallocsOf(func() { host.launch(t) })
+		if !ctx.ReplayRestored() {
+			t.Fatal("launch 2 did not restore")
+		}
+		check("restored launch", objects, bytes, first+2+2*1+1)
+		objects, bytes = mallocsOf(func() { host.launch(t) })
+		if !ctx.ReplayEarlyExited() {
+			t.Fatal("launch 3 did not exit early")
+		}
+		check("early-exited launch", objects, bytes, 0)
+		objects, bytes = mallocsOf(func() { host.launch(t) })
+		check("launch after the early exit", objects, bytes, 0)
+		if err := ctx.ReplayErr(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

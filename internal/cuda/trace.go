@@ -674,6 +674,7 @@ func (c *Context) launchReplayed(ev *LaunchEvent, f *Function, cfg LaunchConfig)
 		if r.Digest() == boundary.digest {
 			// Re-converged with the golden trajectory at an identical
 			// boundary: the rest of this execution is the recording.
+			r.Close()
 			rep.earlyExited = true
 			c.dev.SetLog(rep.trace.finalLog)
 			var stats gpu.LaunchStats

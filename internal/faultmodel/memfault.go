@@ -113,6 +113,10 @@ func (f *memfaultInjector) Record() core.InjectionRecord { return f.rec }
 // re-assertion that had to undo a store.
 func (f *memfaultInjector) Activations() uint64 { return f.asserts }
 
+// memfaultLiveKey names the instrumentation of launches after the arming one:
+// store re-assertion only.
+const memfaultLiveKey = "memfault:live"
+
 func (f *memfaultInjector) OnLaunch(info *nvbit.LaunchInfo) nvbit.Decision {
 	if info.Kernel.Name == f.p.KernelName && info.LaunchIndex == f.p.KernelCount {
 		f.active = true
@@ -121,21 +125,22 @@ func (f *memfaultInjector) OnLaunch(info *nvbit.LaunchInfo) nvbit.Decision {
 	}
 	// Once armed, every later launch re-asserts after its stores.
 	if f.armed {
-		return nvbit.Decision{Instrument: true, Key: "memfault:live"}
+		return nvbit.Decision{Instrument: true, Key: memfaultLiveKey}
 	}
 	return nvbit.RunOriginal
 }
 
 func (f *memfaultInjector) Instrument(k *sass.Kernel, key string, ins *nvbit.Inserter) {
-	if key == fmt.Sprintf("memfault:arm@%d", f.p.StaticInstrIdx) {
+	if key != memfaultLiveKey { // the arming launch
 		if i := f.p.StaticInstrIdx; i < len(k.Instrs) {
 			ins.InsertAfter(i, f.step)
 		}
 	}
 	// Re-assertion hooks on every store site; inert until armed.
+	reassert := f.reassert // one method value for every site
 	for i := range k.Instrs {
 		if k.Instrs[i].Op.Info().Flags&sass.FlagStore != 0 {
-			ins.InsertAfter(i, f.reassert)
+			ins.InsertAfter(i, reassert)
 		}
 	}
 }

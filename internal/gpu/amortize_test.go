@@ -22,10 +22,10 @@ type instrRun struct {
 // dynamic executions, corrupts one register at execution fireAt, then goes
 // inert — and, when disarm is true, calls Disarm after corrupting. A
 // non-positive fireAt never corrupts.
-func runSaxpyInstrumented(t *testing.T, fireAt int, disarm, interpret bool, budget uint64) instrRun {
+func runSaxpyInstrumented(t *testing.T, fireAt int, disarm, noXlate bool, budget uint64) instrRun {
 	t.Helper()
 	d := newTestDevice(t)
-	d.InterpretTrampolines = interpret
+	d.NoXlate = noXlate
 	d.DisableDisarm = !disarm
 	k := mustKernel(t, saxpySrc, "saxpy")
 	const n = 512
@@ -88,11 +88,12 @@ func expectSameInstr(t *testing.T, label string, ref, got instrRun) {
 	}
 }
 
-// TestTrampolineAccountingDifferential: arithmetic trampoline accounting
-// must be observably identical to interpreting the 28 canned instructions
-// — stats (including the trampoline counter), per-SM clocks, outputs,
-// traps, and device log — with and without a mid-launch fault, and when
-// the budget trips.
+// TestTrampolineAccountingDifferential: the batched loop's per-batch
+// trampoline charge (from the kernel's site prefix count) must be observably
+// identical to the reference loop charging every site as it reaches it —
+// stats (including the trampoline counter), per-SM clocks, outputs, traps,
+// and device log — with and without a mid-launch fault, and when the budget
+// trips mid-batch.
 func TestTrampolineAccountingDifferential(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -107,7 +108,7 @@ func TestTrampolineAccountingDifferential(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			interp := runSaxpyInstrumented(t, tc.fireAt, false, true, tc.budget)
 			acct := runSaxpyInstrumented(t, tc.fireAt, false, false, tc.budget)
-			expectSameInstr(t, "accounted vs interpreted", interp, acct)
+			expectSameInstr(t, "per batch vs per site", interp, acct)
 			if acct.stats.TrampolineInstrs == 0 {
 				t.Error("instrumented launch charged no trampoline instructions")
 			}

@@ -16,9 +16,10 @@ import (
 // Recycled state is architecturally indistinguishable from fresh state: the
 // digest treats a zeroed local window or an empty call stack exactly like a
 // nil one (see digestWith), and every reset field matches the zero value a
-// fresh allocation would carry. Pool discipline: a blockCtx returns itself
-// and its warps only on clean completion (never on trap or pause, where
-// snapshots or error paths may still observe the block).
+// fresh allocation would carry. Pool discipline: whoever claimed a blockCtx
+// releases it once, when the block completes, traps, or its paused run is
+// closed — traps carry no reference to the block and snapshots deep-copy it,
+// so nothing observes a block after its launch has let go of it.
 
 var warpPool = sync.Pool{New: func() any { return new(warp) }}
 
@@ -93,8 +94,7 @@ func getBlockCtx(numWarps, sharedBytes int) *blockCtx {
 }
 
 // release returns the block's warps, and the context with its shared window,
-// to their pools. Only call on clean block completion: trapped or paused
-// blocks may still be observed through errors or snapshots.
+// to their pools.
 func (blk *blockCtx) release() {
 	for i, w := range blk.warps {
 		warpPool.Put(w)

@@ -50,18 +50,10 @@ type Device struct {
 	// exactly one owner (see runParallel).
 	Workers int
 
-	// InterpretTrampolines selects the legacy trampoline path that
-	// interprets the 28 canned ALU instructions on the scratch warp instead
-	// of charging them arithmetically. The two paths are observably
-	// identical — the trampoline's architectural effects never leave the
-	// scratch warp — so this exists only for the differential tests that
-	// prove it.
-	InterpretTrampolines bool
-
 	// DisableDisarm makes InstrCtx.Disarm a no-op, keeping full callback
-	// dispatch for the remainder of every launch. Like
-	// InterpretTrampolines, this exists for the differential tests that
-	// prove disarmed execution is observably identical to armed execution.
+	// dispatch for the remainder of every launch. It exists for the
+	// differential tests that prove disarmed execution is observably
+	// identical to armed execution.
 	DisableDisarm bool
 
 	// NoXlate disables the block-level translation engine, forcing every
@@ -105,14 +97,15 @@ type Device struct {
 	// later launch to the sequential schedule (see Workers).
 	instrumentedRan bool
 
-	// Run's per-launch scratch: the constant bank, and the sequential
-	// schedule's budget counter and running stats. A device runs one launch
-	// at a time and all three are dead when Run returns, so launches reuse
-	// them instead of allocating. runParallel and LaunchRun own theirs: one
-	// is shared across goroutines, the other outlives the call.
+	// Per-launch scratch. A device runs one launch at a time, so the constant
+	// bank serves Run and the pausable run alike, the sequential schedule's
+	// budget counter and running stats are dead when Run returns, and run is
+	// the one LaunchRun BeginRun and Restore hand out (see LaunchRun).
+	// runParallel owns its counter: it is shared across goroutines.
 	bank   []byte
 	budget budgetCounter
 	stats  LaunchStats
+	run    LaunchRun
 
 	// hashBuf is kernelHash's serialisation buffer, reused across the kernels
 	// a device hashes (none, once the module cache has memoized their hashes).
@@ -195,11 +188,48 @@ type ExecKernel struct {
 
 	regHiOnce sync.Once
 	regHi     int32
+
+	sitesOnce sync.Once
+	sites     []uint32
 }
 
 // Instrumented reports whether any instrumentation is attached.
 func (ek *ExecKernel) Instrumented() bool {
 	return ek.Before != nil || ek.After != nil || ek.Step != nil
+}
+
+// hasBefore reports whether instruction pc carries a Before callback site.
+func (ek *ExecKernel) hasBefore(pc int32) bool {
+	return ek.Before != nil && len(ek.Before[pc]) > 0
+}
+
+// trampSites returns the trampoline-site prefix count: sites[pc] is the
+// number of callback sites (a non-empty Before or After list, the step hook)
+// on instructions [0, pc), so a batch that completed [a, b) executed
+// sites[b]-sites[a] trampolines. It is built on the first instrumented
+// launch and lives on the ExecKernel, not in the translated plan: a plan is
+// shared by every instrumentation of the same kernel content. Before, After
+// and Step must not change once the kernel has launched — the NVBit layer
+// builds them whole in its Inserter and caches the result per (kernel, key).
+func (ek *ExecKernel) trampSites() []uint32 {
+	ek.sitesOnce.Do(func() {
+		sites := make([]uint32, len(ek.K.Instrs)+1)
+		for pc := range ek.K.Instrs {
+			n := sites[pc]
+			if ek.hasBefore(int32(pc)) {
+				n++
+			}
+			if ek.After != nil && len(ek.After[pc]) > 0 {
+				n++
+			}
+			if ek.Step != nil {
+				n++
+			}
+			sites[pc+1] = n
+		}
+		ek.sites = sites
+	})
+	return ek.sites
 }
 
 // writtenRegHi returns an exclusive upper bound on the register indices this
@@ -287,7 +317,7 @@ type InstrCtx struct {
 func (c *InstrCtx) LaneActive(lane int) bool { return c.ActiveMask&(1<<uint(lane)) != 0 }
 
 // Disarm tells the engine this tool is done with the current launch: the
-// remaining instructions run through a callback-free loop that keeps
+// remaining instructions issue through the plain batch loop, which keeps
 // trampoline *accounting* — modeled time, budgets, and LaunchStats are
 // unchanged — but skips closure dispatch. A transient injector calls this
 // right after corrupting its one dynamic instruction, when a G_GPPR

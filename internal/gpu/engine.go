@@ -327,7 +327,7 @@ func (b *budgetCounter) reset(n int64, ctx context.Context) {
 const cancelPollStride = 1024
 
 func (b *budgetCounter) take() bool {
-	if b.ctx != nil && !b.poll() {
+	if b.ctx != nil && !b.pollN(1) {
 		return false
 	}
 	if b.shared {
@@ -410,30 +410,6 @@ func (b *budgetCounter) pollN(n int64) bool {
 	return true
 }
 
-// poll decrements the cancellation-check countdown and consults the context
-// when it hits zero. It reports false once the context is cancelled.
-func (b *budgetCounter) poll() bool {
-	if b.cancelled.Load() {
-		return false
-	}
-	if b.shared {
-		if atomic.AddInt64(&b.checkIn, -1) > 0 {
-			return true
-		}
-		atomic.StoreInt64(&b.checkIn, cancelPollStride)
-	} else {
-		if b.checkIn--; b.checkIn > 0 {
-			return true
-		}
-		b.checkIn = cancelPollStride
-	}
-	if b.ctx.Err() != nil {
-		b.cancelled.Store(true)
-		return false
-	}
-	return true
-}
-
 // blockCtx is the per-block execution state. Contexts are pooled (arena.go):
 // a reused context is reset to the zero value, keeping only the warps
 // slice's backing array and the shared-memory buffer.
@@ -447,15 +423,20 @@ type blockCtx struct {
 	smID      int
 	blockIdx  Dim3
 	blockLin  int
-	parallel  bool  // block runs concurrently with others (gates atomics locking)
-	scratch   *warp // trampoline execution state
+	parallel  bool // block runs concurrently with others (gates atomics locking)
 
 	// plan is the translated execution plan for the kernel, nil when
-	// translation is disabled. When set, blockCtx.step dispatches through the
-	// plan's pre-resolved closures instead of the interpreter switch, so
-	// every warp loop twin (fast, ckpt, instrumented, disarmed) executes
-	// translated steps with unchanged scheduling and accounting.
+	// translation is disabled: run then drives the per-step reference loop
+	// (runWarpRef) instead of the batched one (runWarp).
 	plan *xplan
+
+	// sites is the kernel's trampoline-site prefix count (ExecKernel.sites),
+	// nil on an uninstrumented launch, and hooked says whether the launch has
+	// any of sites, pause or counts — the one flag the plain path tests. run
+	// refreshes both on every call, because LaunchRun.SetExecKernel may swap
+	// the kernel while the block is paused.
+	sites  []uint32
+	hooked bool
 
 	// Checkpoint-engine state, all zero on ordinary runs. pause makes the
 	// block interruptible at warp-instruction boundaries (LaunchRun);
@@ -477,78 +458,44 @@ type blockCtx struct {
 	maskRow regRow
 	maskFor uint32
 
-	// ictx is the InstrCtx handed to instrumentation callbacks, rewritten
-	// per warp and per instruction by runWarpInstrumented.
+	// ictx is the InstrCtx handed to instrumentation callbacks: filled in per
+	// block by run, bound to a warp by bindCtx, rewritten per instruction by
+	// the warp loops.
 	ictx InstrCtx
 }
 
 // TrampolineLen is the length of the instrumentation trampoline: the
 // register-save / argument-setup / call / restore sequence the JIT inserts
 // around every instrumentation callback, as NVBit does on real hardware.
-// The trampoline executes through the same interpreter as target code, so
-// instrumented instructions cost ~TrampolineLen+1 instruction times — this
-// is what produces the paper's profiling-versus-injection overhead shape
-// (Figure 4).
+// Trampoline instructions are tool code: they model the save/call/restore
+// cost around a callback but touch no architectural state and are charged
+// to neither the launch budget nor the profile counts, so executing one is
+// LaunchStats.TrampolineInstrs += TrampolineLen — per site in the reference
+// loop, per batch from ExecKernel.sites in the batched one.
 const TrampolineLen = 28
 
-// trampolineInstrs is the canned trampoline body: plain ALU traffic on
-// scratch registers (no memory, no control flow), executed once per
-// instrumentation call site per dynamic execution.
-var trampolineInstrs = buildTrampoline()
-
-func buildTrampoline() []sass.Instr {
-	instrs := make([]sass.Instr, 0, TrampolineLen)
-	ops := []sass.Op{
-		sass.MustOp("IADD"), sass.MustOp("SHL"), sass.MustOp("LOP"),
-		sass.MustOp("MOV"), sass.MustOp("IMAD"), sass.MustOp("SHR"),
+// validate checks the launch's shape against its kernel, as Run and BeginRun
+// both must, and resolves the warp-instruction budget.
+func (l *Launch) validate() (budget uint64, err error) {
+	if l.Kernel == nil || l.Kernel.K == nil {
+		return 0, fmt.Errorf("gpu: launch with no kernel")
 	}
-	for i := 0; i < TrampolineLen; i++ {
-		op := ops[i%len(ops)]
-		var in sass.Instr
-		dst := sass.RegID(i % 8)
-		switch op.Info().Sem {
-		case sass.SemMov:
-			in = sass.NewInstr(op, sass.R(dst), sass.R(sass.RegID((i+1)%8)))
-		case sass.SemIMad:
-			in = sass.NewInstr(op, sass.R(dst), sass.R(sass.RegID((i+1)%8)),
-				sass.R(sass.RegID((i+2)%8)), sass.R(sass.RegID((i+3)%8)))
-		case sass.SemLop:
-			in = sass.NewInstr(op, sass.R(dst), sass.R(sass.RegID((i+1)%8)), sass.Imm(0x5a5a5a5a))
-			in.Mods.Logic = sass.LogicXor
-		default:
-			in = sass.NewInstr(op, sass.R(dst), sass.R(sass.RegID((i+1)%8)), sass.Imm(uint32(i&7)))
-		}
-		instrs = append(instrs, in)
+	k := l.Kernel.K
+	if l.Grid.Count() <= 0 || l.Block.Count() <= 0 {
+		return 0, fmt.Errorf("gpu: launch of %q with empty grid or block", k.Name)
 	}
-	return instrs
-}
-
-// chargeTrampoline accounts for one trampoline execution. Trampoline
-// instructions are tool code: they model the register-save/call/restore
-// cost around a callback but are charged to neither the launch budget nor
-// the profile counts, and their architectural effects are confined to the
-// block's scratch warp — state nothing else ever reads. Interpreting them
-// is therefore pure arithmetic in disguise, so the default path just bumps
-// the TrampolineInstrs counter by what interpretation would have executed.
-// Device.InterpretTrampolines keeps the legacy interpreted path for the
-// differential test proving the two are observably identical.
-func (blk *blockCtx) chargeTrampoline(stats *LaunchStats) {
-	stats.TrampolineInstrs += TrampolineLen
-	if blk.dev.InterpretTrampolines {
-		blk.runTrampoline()
+	if l.Block.Count() > 1024 {
+		return 0, fmt.Errorf("gpu: block of %d threads exceeds the 1024-thread limit", l.Block.Count())
 	}
-}
-
-// runTrampoline interprets the trampoline body on the block's scratch warp
-// — the legacy path kept behind Device.InterpretTrampolines.
-func (blk *blockCtx) runTrampoline() {
-	if blk.scratch == nil {
-		blk.scratch = &warp{liveMask: ^uint32(0)}
+	if len(l.Params) != len(k.Params) {
+		return 0, fmt.Errorf("gpu: kernel %q expects %d parameter words, got %d",
+			k.Name, len(k.Params), len(l.Params))
 	}
-	w := blk.scratch
-	for i := range trampolineInstrs {
-		blk.exec(w, &trampolineInstrs[i], 0, ^uint32(0))
+	budget = l.Budget
+	if budget == 0 {
+		budget = DefaultBudget
 	}
+	return min(budget, math.MaxInt64), nil
 }
 
 // Run executes a kernel launch to completion, a trap, or budget exhaustion.
@@ -560,27 +507,11 @@ func (blk *blockCtx) runTrampoline() {
 // race-free workloads. Run does not retain l.
 func (d *Device) Run(l *Launch) (LaunchStats, error) {
 	var stats LaunchStats
-	if l.Kernel == nil || l.Kernel.K == nil {
-		return stats, fmt.Errorf("gpu: launch with no kernel")
+	budget, err := l.validate()
+	if err != nil {
+		return stats, err
 	}
 	k := l.Kernel.K
-	if l.Grid.Count() <= 0 || l.Block.Count() <= 0 {
-		return stats, fmt.Errorf("gpu: launch of %q with empty grid or block", k.Name)
-	}
-	if l.Block.Count() > 1024 {
-		return stats, fmt.Errorf("gpu: block of %d threads exceeds the 1024-thread limit", l.Block.Count())
-	}
-	if len(l.Params) != len(k.Params) {
-		return stats, fmt.Errorf("gpu: kernel %q expects %d parameter words, got %d",
-			k.Name, len(k.Params), len(l.Params))
-	}
-	budget := l.Budget
-	if budget == 0 {
-		budget = DefaultBudget
-	}
-	if budget > math.MaxInt64 {
-		budget = math.MaxInt64
-	}
 
 	if d.cancelCtx != nil && d.cancelCtx.Err() != nil {
 		t := &Trap{Kind: TrapCancelled, Kernel: k.Name, Detail: "host context cancelled before launch"}
@@ -590,15 +521,8 @@ func (d *Device) Run(l *Launch) (LaunchStats, error) {
 
 	d.bank = fillConstBank(d.bank, l)
 	plan := d.planFor(k)
-	workers := d.Workers
-	if workers > d.NumSMs {
-		workers = d.NumSMs
-	}
-	if workers > l.Grid.Count() {
-		workers = l.Grid.Count()
-	}
+	workers := min(d.Workers, d.NumSMs, l.Grid.Count())
 
-	var err error
 	if l.Kernel.Instrumented() {
 		d.instrumentedRan = true
 	}
@@ -629,19 +553,14 @@ func (d *Device) runSequential(l *Launch, constBank []byte, plan *xplan, budgetN
 	budget.reset(int64(budgetN), d.cancelCtx)
 	d.stats = LaunchStats{}
 	stats := &d.stats
-	blockLin := 0
-	for bz := 0; bz < l.Grid.Z; bz++ {
-		for by := 0; by < l.Grid.Y; by++ {
-			for bx := 0; bx < l.Grid.X; bx++ {
-				blk := newBlockCtx(d, l, constBank, plan, Dim3{bx, by, bz}, blockLin)
-				if err := blk.run(budget, stats); err != nil {
-					return *stats, err
-				}
-				blk.release()
-				stats.Blocks++
-				blockLin++
-			}
+	for lin := 0; lin < l.Grid.Count(); lin++ {
+		blk := newBlockCtx(d, l, constBank, plan, blockIdxOf(lin, l.Grid), lin)
+		err := blk.run(budget, stats)
+		blk.release()
+		if err != nil {
+			return *stats, err
 		}
+		stats.Blocks++
 	}
 	return *stats, nil
 }
@@ -720,15 +639,23 @@ func newBlockCtx(d *Device, l *Launch, constBank []byte, plan *xplan, blockIdx D
 // from the exact same warp, making pause/resume invisible to the executed
 // instruction sequence.
 func (blk *blockCtx) run(budget *budgetCounter, stats *LaunchStats) error {
-	runWarp := blk.runWarpFast
-	switch {
-	case blk.ek.Instrumented():
-		runWarp = blk.runWarpInstrumented
-	case blk.pause != nil || blk.counts != nil:
-		runWarp = blk.runWarpCkpt
-	case blk.plan != nil:
-		runWarp = blk.runWarpXlate
+	runWarp := blk.runWarp
+	if blk.plan == nil {
+		runWarp = blk.runWarpRef
 	}
+	blk.sites = nil
+	if blk.ek.Instrumented() {
+		blk.sites = blk.ek.trampSites()
+		blk.ictx = InstrCtx{
+			Dev:      blk.dev,
+			Kernel:   blk.ek.K,
+			SMID:     blk.smID,
+			BlockIdx: blk.blockIdx,
+			BlockLin: blk.blockLin,
+			blk:      blk,
+		}
+	}
+	blk.hooked = blk.sites != nil || blk.pause != nil || blk.counts != nil
 	start := blk.resumeWarp
 	blk.resumeWarp = 0
 	// A resumed sweep covers only the tail of the warp list, so its
@@ -804,9 +731,6 @@ func (blk *blockCtx) releaseBarrier() bool {
 // PCs (guard-suppressed lanes fall through to next) and lets the branch
 // semantics override the taken lanes.
 func (blk *blockCtx) step(w *warp, in *sass.Instr, pc int32, atPC, execMask uint32) (barrier bool, kind TrapKind, faultAddr uint32) {
-	if blk.plan != nil {
-		return blk.stepX(w, &blk.plan.steps[pc], pc, atPC, execMask)
-	}
 	if w.converged && !semAltersFlow(in.Op.Info().Sem) {
 		w.convPC = pc + 1
 		return blk.exec(w, in, int(pc), execMask)
@@ -845,22 +769,46 @@ func (blk *blockCtx) stepX(w *warp, xi *xinstr, pc int32, atPC, execMask uint32)
 	return barrier, kind, faultAddr
 }
 
-// runWarpXlate is the translated twin of runWarpFast. Its edge over the
-// interpreter loop: within a straight-line run (precomputed per CFG basic
-// block at translation time) it skips the scheduler entirely — no
-// schedule() call, no convergence re-check, no per-instruction semantic
-// classification — and executes the pre-resolved steps back to back. A
-// diverged warp batches too: the head split issues consecutively until the
-// run ends or the head reaches the next split's PC, exactly the sequence
-// of min-PC issues the interpreter would make. Budget, cancellation
-// polling, stats, and SM-clock accounting are charged once per batch
-// (budgetCounter.takeN) with exact per-instruction attribution on budget
-// exhaustion and mid-batch faults, so LaunchStats, trap sites, and modeled
-// time are bit-identical to the interpreter's per-step loop.
-func (blk *blockCtx) runWarpXlate(w *warp, budget *budgetCounter, stats *LaunchStats) error {
+// bindCtx points the block's InstrCtx (whose block-wide fields run filled in)
+// at warp w; the warp loops set the per-instruction fields before each
+// dispatch.
+func (blk *blockCtx) bindCtx(w *warp) {
+	blk.ictx.WarpID, blk.ictx.w = w.id, w
+}
+
+// runWarp is the product warp loop: it runs one warp through the translated
+// plan until it exits, reaches a barrier, pauses, or traps — for every kind
+// of launch (plain, instrumented, disarmed, paused, tallying).
+//
+// Within a straight-line run (precomputed per CFG basic block at translation
+// time) it skips the scheduler entirely — no schedule() call, no convergence
+// re-check, no per-instruction semantic classification — and executes the
+// pre-resolved steps back to back. A diverged warp batches too: the head
+// split issues consecutively until the run ends or the head reaches the next
+// split's PC, exactly the sequence of min-PC issues the reference loop would
+// make. A batch is clipped three ways: by the next split, by the pause
+// controller's remaining distance (so a pause lands on the exact
+// instruction and finishRun leaves pc[] authoritative for the snapshot), and
+// by the budget (takeN). Budget, cancellation polling, stats, SM clock and
+// trampolines are charged once per batch with exact per-instruction
+// attribution on budget exhaustion and mid-batch faults, so LaunchStats,
+// trap sites and modeled time are bit-identical to the per-step loop.
+//
+// Everything a plain launch does not need hangs off one flag, blk.hooked,
+// fixed per blockCtx.run: the pause clip and tick, the trampoline charge, and
+// the choice of issue loop inside a batch — the plain one below, or
+// issueHooked when callbacks dispatch or executions are tallied. The choice
+// is made per batch, never per instruction; a batch without callback sites,
+// and every batch of a disarmed launch, takes the plain loop and keeps only
+// the per-batch trampoline charge.
+func (blk *blockCtx) runWarp(w *warp, budget *budgetCounter, stats *LaunchStats) error {
 	steps := blk.plan.steps
 	n := int32(len(steps))
 	clock := &blk.dev.smClocks[blk.smID]
+	hooked := blk.hooked
+	if blk.sites != nil {
+		blk.bindCtx(w)
+	}
 	for {
 		minPC, atPC, done := w.schedule()
 		if done {
@@ -873,10 +821,9 @@ func (blk *blockCtx) runWarpXlate(w *warp, budget *budgetCounter, stats *LaunchS
 		xi := &steps[minPC]
 		if xi.runLen > 0 && (w.converged || w.splitsOK) {
 			// Straight-line batch: batchable steps never branch, exit lanes,
-			// barrier, or read the SM clock, so atPC and the active mask are
-			// invariant across the batch and per-lane PCs need not
-			// materialize until it ends (runWarpXlate never runs under
-			// pause, so no one can observe them mid-batch).
+			// barrier, or read the SM clock, and callbacks cannot move PCs or
+			// liveness, so atPC and the active mask are invariant across the
+			// batch and per-lane PCs need not materialize until it ends.
 			end := minPC + xi.runLen
 			if !w.converged {
 				// Diverged: the head split stays the min PC only until it
@@ -885,40 +832,61 @@ func (blk *blockCtx) runWarpXlate(w *warp, budget *budgetCounter, stats *LaunchS
 					end = next
 				}
 			}
+			if hooked {
+				end = blk.pause.clip(minPC, end)
+			}
 			want := int64(end - minPC)
 			granted := budget.takeN(want)
 			stats.WarpInstrs += uint64(granted)
 			*clock += uint64(granted)
-			var ti uint64
-			pc := minPC
-			for ; pc < minPC+int32(granted); pc++ {
-				xi := &steps[pc]
-				execMask := atPC
-				if xi.guardKind != guardOn {
-					execMask = xi.guard(w, atPC)
+			stop := minPC + int32(granted)
+			var pc int32
+			var kind TrapKind
+			var faultAddr uint32
+			if hooked && blk.dispatches(minPC, stop) {
+				pc, kind, faultAddr = blk.issueHooked(w, minPC, stop, atPC, stats)
+			} else {
+				var ti uint64
+				for pc = minPC; pc < stop; pc++ {
+					xi := &steps[pc]
+					execMask := atPC
+					if xi.guardKind != guardOn {
+						execMask = xi.guard(w, atPC)
+					}
+					ti += uint64(popcount(execMask))
+					if _, kind, faultAddr = xi.step(blk, w, execMask); kind != 0 {
+						break
+					}
 				}
-				ti += uint64(popcount(execMask))
-				if _, kind, faultAddr := xi.step(blk, w, execMask); kind != 0 {
-					// Mid-batch fault: keep the faulting instruction charged
-					// (the interpreter charges before executing) and hand
-					// back the never-issued tail.
-					unrun := int64(minPC) + granted - int64(pc) - 1
-					budget.refund(unrun)
-					stats.WarpInstrs -= uint64(unrun)
-					*clock -= uint64(unrun)
-					stats.ThreadInstrs += ti
-					return blk.trapErr(kind, int(pc), faultAddr, "")
-				}
+				stats.ThreadInstrs += ti
 			}
-			stats.ThreadInstrs += ti
+			if hooked {
+				blk.chargeSites(stats, minPC, pc, kind != 0)
+			}
+			if kind != 0 {
+				// Mid-batch fault: keep the faulting instruction charged (the
+				// per-step loop charges before executing) and hand back the
+				// never-issued tail.
+				unrun := int64(stop - pc - 1)
+				budget.refund(unrun)
+				stats.WarpInstrs -= uint64(unrun)
+				*clock -= uint64(unrun)
+				return blk.trapErr(kind, int(pc), faultAddr, "")
+			}
 			if granted < want {
 				// Budget ran dry mid-batch: the trap lands on the first
 				// instruction the per-step loop would have failed to issue.
 				return blk.budgetTrap(budget, int(pc))
 			}
 			w.finishRun(end, atPC)
+			if hooked && blk.pause.tick(want) {
+				return errLaunchPaused
+			}
 			continue
 		}
+
+		// One instruction that may branch, exit lanes, reach a barrier or read
+		// the clock: issued alone, hooks in the same order as issueHooked.
 		execMask := atPC
 		if xi.guardKind != guardOn {
 			execMask = xi.guard(w, atPC)
@@ -929,31 +897,163 @@ func (blk *blockCtx) runWarpXlate(w *warp, budget *budgetCounter, stats *LaunchS
 		stats.WarpInstrs++
 		stats.ThreadInstrs += uint64(popcount(execMask))
 		*clock++
-		if xi.isBra && w.converged {
-			// Uniform direct branch: every lane takes it (or none does), so
-			// the warp stays converged and no per-lane PC materializes —
-			// exactly the state the interpreter's next schedule() would
-			// recompute from the scattered PCs, minus the scan.
-			if execMask == atPC {
-				w.convPC = xi.braTarget
-				continue
+		armed := false
+		if hooked {
+			if blk.counts != nil {
+				blk.counts[minPC] += uint64(popcount(execMask))
 			}
-			if execMask == 0 {
-				w.convPC = minPC + 1
-				continue
+			if armed = blk.sites != nil && !blk.launch.disarmed; armed {
+				blk.callBefore(minPC, execMask)
 			}
 		}
-		barrier, kind, faultAddr := blk.stepX(w, xi, minPC, atPC, execMask)
-		if kind != 0 {
-			return blk.trapErr(kind, int(minPC), faultAddr, "")
+		var barrier bool
+		if xi.isBra && w.converged && (execMask == atPC || execMask == 0) {
+			// Uniform direct branch: every lane takes it (or none does), so
+			// the warp stays converged and no per-lane PC materializes —
+			// exactly the state the reference loop's next schedule() would
+			// recompute from the scattered PCs, minus the scan.
+			w.convPC = minPC + 1
+			if execMask != 0 {
+				w.convPC = xi.braTarget
+			}
+		} else {
+			var kind TrapKind
+			var faultAddr uint32
+			barrier, kind, faultAddr = blk.stepX(w, xi, minPC, atPC, execMask)
+			if kind != 0 {
+				if hooked {
+					blk.chargeSites(stats, minPC, minPC, true)
+				}
+				return blk.trapErr(kind, int(minPC), faultAddr, "")
+			}
+		}
+		if hooked {
+			blk.chargeSites(stats, minPC, minPC+1, false)
+			if armed {
+				blk.callAfter(minPC)
+			}
 		}
 		if barrier {
 			if execMask != w.activeMask() {
 				return blk.trapErr(TrapInstrLimit, int(minPC), 0, "divergent BAR.SYNC never satisfied")
 			}
 			w.barWait = true
+		}
+		if hooked && blk.pause.tick(1) {
+			return errLaunchPaused
+		}
+		if barrier {
 			return nil
 		}
+	}
+}
+
+// dispatches reports whether the batch [from, to) must issue through
+// issueHooked: the launch tallies executions, or the batch holds a callback
+// site of a launch no tool has disarmed. Sparse instrumentation — one armed
+// site, the stores of a kernel — leaves most batches to the plain loop.
+func (blk *blockCtx) dispatches(from, to int32) bool {
+	return blk.counts != nil ||
+		(blk.sites != nil && blk.sites[to] != blk.sites[from] && !blk.launch.disarmed)
+}
+
+// chargeSites charges the trampolines of the instructions [from, pc) that
+// completed, plus the Before site of pc when it faulted: a faulting
+// instruction got as far as its Before callbacks.
+func (blk *blockCtx) chargeSites(stats *LaunchStats, from, pc int32, faulted bool) {
+	sites := blk.sites
+	if sites == nil {
+		return
+	}
+	ns := sites[pc] - sites[from]
+	if faulted && blk.ek.hasBefore(pc) {
+		ns++
+	}
+	stats.TrampolineInstrs += uint64(ns) * TrampolineLen
+}
+
+// issueHooked is the batch issue loop of a launch that dispatches callbacks
+// or tallies executions: per instruction guard, tally, Before callbacks, step,
+// After callbacks and the step hook, in the reference loop's order. A
+// callback may rewrite registers and predicates, so every guard is evaluated
+// when its instruction issues, never ahead. InstrCtx.Disarm takes effect at
+// the next instruction (callbacks already due for the current one still run)
+// and only suppresses calls; the caller accounts for the batch as a whole.
+// It returns where the batch stopped: to, or the faulting pc with its trap.
+// The dispatch is written out rather than calling callBefore / callAfter: two
+// more calls per instruction cost a profiled hot loop 6%.
+func (blk *blockCtx) issueHooked(w *warp, from, to int32, atPC uint32, stats *LaunchStats) (pc int32, kind TrapKind, faultAddr uint32) {
+	steps := blk.plan.steps
+	counts := blk.counts
+	ek, ctx := blk.ek, &blk.ictx
+	instrs, before, after, stepHook := ek.K.Instrs, ek.Before, ek.After, ek.Step
+	armed := blk.sites != nil && !blk.launch.disarmed
+	var ti uint64
+	for pc = from; pc < to; pc++ {
+		xi := &steps[pc]
+		execMask := atPC
+		if xi.guardKind != guardOn {
+			execMask = xi.guard(w, atPC)
+		}
+		lanes := uint64(popcount(execMask))
+		ti += lanes
+		if counts != nil {
+			counts[pc] += lanes
+		}
+		if armed {
+			ctx.Instr = &instrs[pc]
+			ctx.InstrIdx = int(pc)
+			ctx.ActiveMask = execMask
+			if before != nil {
+				for _, cb := range before[pc] {
+					cb(ctx)
+				}
+			}
+		}
+		if _, kind, faultAddr = xi.step(blk, w, execMask); kind != 0 {
+			break
+		}
+		if armed {
+			if after != nil {
+				for _, cb := range after[pc] {
+					cb(ctx)
+				}
+			}
+			if stepHook != nil {
+				stepHook(ctx)
+			}
+			armed = !blk.launch.disarmed
+		}
+	}
+	stats.ThreadInstrs += ti
+	return pc, kind, faultAddr
+}
+
+// callBefore describes the instruction about to issue in the block's
+// InstrCtx and runs its Before callbacks.
+func (blk *blockCtx) callBefore(pc int32, execMask uint32) {
+	ek, ctx := blk.ek, &blk.ictx
+	ctx.Instr = &ek.K.Instrs[pc]
+	ctx.InstrIdx = int(pc)
+	ctx.ActiveMask = execMask
+	if ek.Before != nil {
+		for _, cb := range ek.Before[pc] {
+			cb(ctx)
+		}
+	}
+}
+
+// callAfter runs the After callbacks of the instruction callBefore described,
+// then the single-step hook.
+func (blk *blockCtx) callAfter(pc int32) {
+	ek, ctx := blk.ek, &blk.ictx
+	if ek.After != nil {
+		for _, cb := range ek.After[pc] {
+			cb(ctx)
+		}
+	}
+	if ek.Step != nil {
+		ek.Step(ctx)
 	}
 }
 
@@ -983,54 +1083,18 @@ func (w *warp) finishRun(endPC int32, atPC uint32) {
 	}
 }
 
-// runWarpFast steps an uninstrumented warp until it exits, reaches a
-// barrier, or traps. This is the interpreter's hot loop: scheduling is two
-// loads while converged, and there is no instrumentation dispatch at all.
-func (blk *blockCtx) runWarpFast(w *warp, budget *budgetCounter, stats *LaunchStats) error {
-	instrs := blk.ek.K.Instrs
-	for {
-		minPC, atPC, done := w.schedule()
-		if done {
-			w.done = true
-			return nil
-		}
-		if minPC < 0 || int(minPC) >= len(instrs) {
-			return blk.trapErr(TrapBadPC, int(minPC), 0, "control transfer outside the kernel")
-		}
-		in := &instrs[minPC]
-		execMask := atPC
-		if !in.Guard.True() {
-			execMask = guardMask(w, in, atPC)
-		}
-
-		if !budget.take() {
-			return blk.budgetTrap(budget, int(minPC))
-		}
-		stats.WarpInstrs++
-		stats.ThreadInstrs += uint64(popcount(execMask))
-		blk.dev.smClocks[blk.smID]++
-
-		barrier, kind, faultAddr := blk.step(w, in, minPC, atPC, execMask)
-		if kind != 0 {
-			return blk.trapErr(kind, int(minPC), faultAddr, "")
-		}
-		if barrier {
-			if execMask != w.activeMask() {
-				return blk.trapErr(TrapInstrLimit, int(minPC), 0, "divergent BAR.SYNC never satisfied")
-			}
-			w.barWait = true
-			return nil
-		}
+// runWarpRef is the per-step reference loop, used only when translation is
+// off (Device.NoXlate): one schedule() and one interpreted step per
+// instruction, every hook checked in place, every trampoline charged at its
+// site. It is the differential oracle for runWarp — same issue order, same
+// accounting, same pause positions, by the most direct route.
+func (blk *blockCtx) runWarpRef(w *warp, budget *budgetCounter, stats *LaunchStats) error {
+	ek := blk.ek
+	instrs := ek.K.Instrs
+	instrumented := blk.sites != nil
+	if instrumented {
+		blk.bindCtx(w)
 	}
-}
-
-// runWarpCkpt is runWarpFast plus the checkpoint-engine hooks: an optional
-// per-static-instruction execution tally (recording runs) and the pause
-// tick that lets LaunchRun.Resume stop the launch at an exact dynamic
-// warp-instruction boundary. It is a separate twin so the ordinary hot
-// loop pays nothing for the feature.
-func (blk *blockCtx) runWarpCkpt(w *warp, budget *budgetCounter, stats *LaunchStats) error {
-	instrs := blk.ek.K.Instrs
 	for {
 		minPC, atPC, done := w.schedule()
 		if done {
@@ -1049,84 +1113,20 @@ func (blk *blockCtx) runWarpCkpt(w *warp, budget *budgetCounter, stats *LaunchSt
 		if !budget.take() {
 			return blk.budgetTrap(budget, int(minPC))
 		}
+		lanes := uint64(popcount(execMask))
 		stats.WarpInstrs++
-		stats.ThreadInstrs += uint64(popcount(execMask))
+		stats.ThreadInstrs += lanes
 		blk.dev.smClocks[blk.smID]++
 		if blk.counts != nil {
-			blk.counts[minPC] += uint64(popcount(execMask))
+			blk.counts[minPC] += lanes
 		}
 
-		barrier, kind, faultAddr := blk.step(w, in, minPC, atPC, execMask)
-		if kind != 0 {
-			return blk.trapErr(kind, int(minPC), faultAddr, "")
+		armed := instrumented && !blk.launch.disarmed
+		if ek.hasBefore(minPC) {
+			stats.TrampolineInstrs += TrampolineLen
 		}
-		if barrier {
-			if execMask != w.activeMask() {
-				return blk.trapErr(TrapInstrLimit, int(minPC), 0, "divergent BAR.SYNC never satisfied")
-			}
-			w.barWait = true
-		}
-		if blk.pause != nil && blk.pause.tick() {
-			return errLaunchPaused
-		}
-		if barrier {
-			return nil
-		}
-	}
-}
-
-// runWarpInstrumented is the instrumented twin of runWarpFast: identical
-// scheduling and accounting, plus the trampoline and Before/After/Step
-// callback dispatch around every instruction.
-func (blk *blockCtx) runWarpInstrumented(w *warp, budget *budgetCounter, stats *LaunchStats) error {
-	instrs := blk.ek.K.Instrs
-	ctx := &blk.ictx
-	*ctx = InstrCtx{
-		Dev:      blk.dev,
-		Kernel:   blk.ek.K,
-		SMID:     blk.smID,
-		BlockIdx: blk.blockIdx,
-		BlockLin: blk.blockLin,
-		WarpID:   w.id,
-		w:        w,
-		blk:      blk,
-	}
-
-	for {
-		if blk.launch.disarmed {
-			// A tool signalled it is done with this launch: fall through to
-			// the callback-free twin, which keeps identical accounting.
-			return blk.runWarpDisarmed(w, budget, stats)
-		}
-		minPC, atPC, done := w.schedule()
-		if done {
-			w.done = true
-			return nil
-		}
-		if minPC < 0 || int(minPC) >= len(instrs) {
-			return blk.trapErr(TrapBadPC, int(minPC), 0, "control transfer outside the kernel")
-		}
-		in := &instrs[minPC]
-		execMask := atPC
-		if !in.Guard.True() {
-			execMask = guardMask(w, in, atPC)
-		}
-
-		if !budget.take() {
-			return blk.budgetTrap(budget, int(minPC))
-		}
-		stats.WarpInstrs++
-		stats.ThreadInstrs += uint64(popcount(execMask))
-		blk.dev.smClocks[blk.smID]++
-
-		ctx.Instr = in
-		ctx.InstrIdx = int(minPC)
-		ctx.ActiveMask = execMask
-		if blk.ek.Before != nil && len(blk.ek.Before[minPC]) > 0 {
-			blk.chargeTrampoline(stats)
-			for _, cb := range blk.ek.Before[minPC] {
-				cb(ctx)
-			}
+		if armed {
+			blk.callBefore(minPC, execMask)
 		}
 
 		barrier, kind, faultAddr := blk.step(w, in, minPC, atPC, execMask)
@@ -1134,15 +1134,14 @@ func (blk *blockCtx) runWarpInstrumented(w *warp, budget *budgetCounter, stats *
 			return blk.trapErr(kind, int(minPC), faultAddr, "")
 		}
 
-		if blk.ek.After != nil && len(blk.ek.After[minPC]) > 0 {
-			blk.chargeTrampoline(stats)
-			for _, cb := range blk.ek.After[minPC] {
-				cb(ctx)
-			}
+		if ek.After != nil && len(ek.After[minPC]) > 0 {
+			stats.TrampolineInstrs += TrampolineLen
 		}
-		if blk.ek.Step != nil {
-			blk.chargeTrampoline(stats)
-			blk.ek.Step(ctx)
+		if ek.Step != nil {
+			stats.TrampolineInstrs += TrampolineLen
+		}
+		if armed {
+			blk.callAfter(minPC)
 		}
 
 		if barrier {
@@ -1151,67 +1150,7 @@ func (blk *blockCtx) runWarpInstrumented(w *warp, budget *budgetCounter, stats *
 			}
 			w.barWait = true
 		}
-		if blk.pause != nil && blk.pause.tick() {
-			return errLaunchPaused
-		}
-		if barrier {
-			return nil
-		}
-	}
-}
-
-// runWarpDisarmed executes the remainder of an instrumented launch after a
-// tool called InstrCtx.Disarm: identical scheduling, budget, stats, clock,
-// and trampoline accounting to runWarpInstrumented — so modeled time and
-// every LaunchStats field match the armed path bit for bit — but with no
-// closure dispatch at all.
-func (blk *blockCtx) runWarpDisarmed(w *warp, budget *budgetCounter, stats *LaunchStats) error {
-	instrs := blk.ek.K.Instrs
-	for {
-		minPC, atPC, done := w.schedule()
-		if done {
-			w.done = true
-			return nil
-		}
-		if minPC < 0 || int(minPC) >= len(instrs) {
-			return blk.trapErr(TrapBadPC, int(minPC), 0, "control transfer outside the kernel")
-		}
-		in := &instrs[minPC]
-		execMask := atPC
-		if !in.Guard.True() {
-			execMask = guardMask(w, in, atPC)
-		}
-
-		if !budget.take() {
-			return blk.budgetTrap(budget, int(minPC))
-		}
-		stats.WarpInstrs++
-		stats.ThreadInstrs += uint64(popcount(execMask))
-		blk.dev.smClocks[blk.smID]++
-
-		if blk.ek.Before != nil && len(blk.ek.Before[minPC]) > 0 {
-			blk.chargeTrampoline(stats)
-		}
-
-		barrier, kind, faultAddr := blk.step(w, in, minPC, atPC, execMask)
-		if kind != 0 {
-			return blk.trapErr(kind, int(minPC), faultAddr, "")
-		}
-
-		if blk.ek.After != nil && len(blk.ek.After[minPC]) > 0 {
-			blk.chargeTrampoline(stats)
-		}
-		if blk.ek.Step != nil {
-			blk.chargeTrampoline(stats)
-		}
-
-		if barrier {
-			if execMask != w.activeMask() {
-				return blk.trapErr(TrapInstrLimit, int(minPC), 0, "divergent BAR.SYNC never satisfied")
-			}
-			w.barWait = true
-		}
-		if blk.pause != nil && blk.pause.tick() {
+		if blk.pause.tick(1) {
 			return errLaunchPaused
 		}
 		if barrier {

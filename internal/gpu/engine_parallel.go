@@ -63,14 +63,11 @@ func (d *Device) runParallel(l *Launch, constBank []byte, plan *xplan, budgetN u
 					// schedule would never have started this one.
 					continue
 				}
-				idx := Dim3{
-					X: lin % l.Grid.X,
-					Y: (lin / l.Grid.X) % l.Grid.Y,
-					Z: lin / (l.Grid.X * l.Grid.Y),
-				}
-				blk := newBlockCtx(d, l, constBank, plan, idx, lin)
+				blk := newBlockCtx(d, l, constBank, plan, blockIdxOf(lin, l.Grid), lin)
 				blk.parallel = true
-				if err := blk.run(budget, &blockStats[lin]); err != nil {
+				err := blk.run(budget, &blockStats[lin])
+				blk.release()
+				if err != nil {
 					blockErrs[lin] = err
 					for {
 						cur := trapLin.Load()
@@ -78,8 +75,6 @@ func (d *Device) runParallel(l *Launch, constBank []byte, plan *xplan, budgetN u
 							break
 						}
 					}
-				} else {
-					blk.release()
 				}
 			}
 		}(wkr)

@@ -32,11 +32,6 @@ type Memory struct {
 	// find concurrently; the value is advisory — every read is re-validated
 	// against the current alloc table before use.
 	lastHit atomic.Uint32
-
-	// aliased marks a memory whose pages may be shared with a snapshot (it
-	// was snapshotted, or restored from one). Aliased pages must never return
-	// to the page pool: another fork may still be reading them.
-	aliased bool
 }
 
 // memPageSize is the copy-on-write page granularity. It is a multiple of
@@ -321,15 +316,13 @@ func (m *Memory) Spans() []MemSpan {
 	return spans
 }
 
-// Recycle returns every materialized page to the process-wide page pool and
+// Recycle returns every private page to the process-wide page pool and
 // empties the memory. Call only when the memory is being discarded — a
-// campaign retiring an experiment's context. A memory that was ever
-// snapshotted or restored from a snapshot is left untouched: its pages may
-// alias other forks' views, and aliasing is tracked per memory, not per page.
+// campaign retiring an experiment's context. Pages a snapshot may alias stay
+// out of the pool: the per-page shared bit is exact (snapshot and restore set
+// it on every materialized page, only the copying write path clears it), so a
+// fork gives back precisely the pages it dirtied.
 func (m *Memory) Recycle() {
-	if m.aliased {
-		return
-	}
 	for i := range m.allocs {
 		a := &m.allocs[i]
 		for pg, p := range a.pages {
@@ -346,8 +339,13 @@ func (m *Memory) Recycle() {
 
 // Recycle retires the device, returning its global-memory pages to the
 // process-wide page pool. Call only when the device will never be used
-// again — the campaign layer calls it after classifying each experiment.
-func (d *Device) Recycle() { d.Mem.Recycle() }
+// again — the campaign layer calls it after classifying each experiment. A
+// launch run left paused (a replay that exited early) gives its block back
+// too.
+func (d *Device) Recycle() {
+	d.run.Close()
+	d.Mem.Recycle()
+}
 
 // memSnap is an immutable copy-on-write view of a Memory, shared between
 // the snapshotted memory and every fork restored from it.
@@ -366,7 +364,6 @@ type memSnapAlloc struct {
 // data: every materialized page is marked shared on the live memory, so
 // the next write to it copies first and the snapshot's view never changes.
 func (m *Memory) snapshot() *memSnap {
-	m.aliased = true
 	s := &memSnap{next: m.next, allocs: make([]memSnapAlloc, len(m.allocs))}
 	for i := range m.allocs {
 		a := &m.allocs[i]
@@ -387,7 +384,7 @@ func (m *Memory) snapshot() *memSnap {
 // from one memSnap concurrently and then diverge via copy-on-write without
 // ever observing each other.
 func (s *memSnap) restore() *Memory {
-	m := &Memory{next: s.next, allocs: make([]alloc, len(s.allocs)), aliased: true}
+	m := &Memory{next: s.next, allocs: make([]alloc, len(s.allocs))}
 	for i := range s.allocs {
 		sa := &s.allocs[i]
 		pages := make([][]byte, len(sa.pages))

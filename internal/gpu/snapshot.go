@@ -3,7 +3,6 @@ package gpu
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"repro/internal/sass"
 )
@@ -26,14 +25,23 @@ type pauseCtl struct {
 	remaining int64
 }
 
-// tick consumes one issued warp instruction and reports whether the run
-// must pause before issuing the next. Firing disarms the controller until
-// the next Resume re-arms it.
-func (p *pauseCtl) tick() bool {
-	if p.remaining < 0 {
+// clip shortens the batch [pc, end) so that it ends where the pause is due.
+func (p *pauseCtl) clip(pc, end int32) int32 {
+	if p != nil && p.remaining > 0 && p.remaining < int64(end-pc) {
+		return pc + int32(p.remaining)
+	}
+	return end
+}
+
+// tick consumes n issued warp instructions — never more than remaining: the
+// batched loop clips its batches to it — and reports whether the run must
+// pause before issuing the next. Firing disarms the controller until the
+// next Resume re-arms it. A nil controller never fires.
+func (p *pauseCtl) tick(n int64) bool {
+	if p == nil || p.remaining < 0 {
 		return false
 	}
-	p.remaining--
+	p.remaining -= n
 	if p.remaining == 0 {
 		p.remaining = -1
 		return true
@@ -46,6 +54,12 @@ func (p *pauseCtl) tick() bool {
 // sequential block schedule: pause positions are defined in terms of the
 // deterministic global instruction order, which the parallel scheduler does
 // not preserve instruction for instruction.
+//
+// A device runs one launch at a time, so it holds the one LaunchRun
+// (Device.run) and BeginRun / Restore hand out that object rewritten: a run
+// is valid until the next BeginRun, Restore or Recycle on its device. The
+// in-flight block goes back to the pools when the run finishes or traps, and
+// Close returns it for a run abandoned while paused.
 type LaunchRun struct {
 	dev       *Device
 	launch    Launch // private copy: the disarmed flag is per-run state
@@ -59,45 +73,66 @@ type LaunchRun struct {
 	blockLin  int
 	finished  bool
 	err       error
+
+	// Restore's storage for what a snapshot carries by value.
+	params []uint32
+	ek     ExecKernel
+}
+
+// errRunClosed is the final error of a run closed before it finished.
+var errRunClosed = errors.New("gpu: launch run closed")
+
+// resetRun closes the device's previous run and hands its object back
+// zeroed, keeping only the parameter buffer.
+func (d *Device) resetRun() *LaunchRun {
+	r := &d.run
+	r.Close()
+	*r = LaunchRun{dev: d, params: r.params[:0]}
+	return r
+}
+
+// arm readies a run whose launch is set: constant bank (the device's — one
+// launch at a time), plan, budget, and a disarmed pause controller.
+func (r *LaunchRun) arm(budget int64) {
+	d := r.dev
+	d.bank = fillConstBank(d.bank, &r.launch)
+	r.constBank = d.bank
+	r.plan = d.planFor(r.launch.Kernel.K)
+	r.budget.reset(budget, d.cancelCtx)
+	r.pause.remaining = -1
 }
 
 // BeginRun validates a launch exactly like Run and returns it paused before
 // the first instruction. Call Resume to execute.
 func (d *Device) BeginRun(l *Launch) (*LaunchRun, error) {
-	if l.Kernel == nil || l.Kernel.K == nil {
-		return nil, fmt.Errorf("gpu: launch with no kernel")
+	budget, err := l.validate()
+	if err != nil {
+		return nil, err
 	}
-	k := l.Kernel.K
-	if l.Grid.Count() <= 0 || l.Block.Count() <= 0 {
-		return nil, fmt.Errorf("gpu: launch of %q with empty grid or block", k.Name)
-	}
-	if l.Block.Count() > 1024 {
-		return nil, fmt.Errorf("gpu: block of %d threads exceeds the 1024-thread limit", l.Block.Count())
-	}
-	if len(l.Params) != len(k.Params) {
-		return nil, fmt.Errorf("gpu: kernel %q expects %d parameter words, got %d",
-			k.Name, len(k.Params), len(l.Params))
-	}
-	budget := l.Budget
-	if budget == 0 {
-		budget = DefaultBudget
-	}
-	if budget > math.MaxInt64 {
-		budget = math.MaxInt64
-	}
-	r := &LaunchRun{dev: d, launch: *l}
-	r.constBank = fillConstBank(nil, &r.launch)
-	r.plan = d.planFor(k)
-	r.budget.remaining = int64(budget)
-	r.budget.ctx = d.cancelCtx
-	r.budget.checkIn = cancelPollStride
-	r.pause.remaining = -1
+	r := d.resetRun()
+	r.launch = *l
+	r.arm(int64(budget))
 	return r, nil
+}
+
+// Close abandons the run: the in-flight block's warps and context return to
+// their pools, and a run that had not finished reports errRunClosed from then
+// on. Closing a finished or closed run does nothing.
+func (r *LaunchRun) Close() {
+	if r.blk != nil {
+		r.blk.release()
+		r.blk = nil
+	}
+	if !r.finished {
+		r.finished, r.err = true, errRunClosed
+	}
 }
 
 // EnableInstrExecCounts makes the run tally thread-level executions per
 // static instruction (the same quantity the transient injector counts when
-// walking to its target). Must be called before the first Resume.
+// walking to its target). Must be called before the first Resume. The tally
+// belongs to the run, not the architecture: a snapshot does not carry it and
+// a restored run does not tally.
 func (r *LaunchRun) EnableInstrExecCounts() {
 	r.counts = make([]uint64, len(r.launch.Kernel.K.Instrs))
 }
@@ -125,9 +160,7 @@ func (r *LaunchRun) Resume(pauseIn int64) (paused bool, err error) {
 				r.finish(nil)
 				return false, nil
 			}
-			r.blk = newBlockCtx(r.dev, &r.launch, r.constBank, r.plan, blockIdxOf(r.blockLin, r.launch.Grid), r.blockLin)
-			r.blk.pause = &r.pause
-			r.blk.counts = r.counts
+			r.blk = r.newBlock(blockIdxOf(r.blockLin, r.launch.Grid))
 		}
 		err := r.blk.run(&r.budget, &r.stats)
 		if err == errLaunchPaused {
@@ -144,10 +177,19 @@ func (r *LaunchRun) Resume(pauseIn int64) (paused bool, err error) {
 	}
 }
 
+// newBlock claims the context of the run's current block.
+func (r *LaunchRun) newBlock(idx Dim3) *blockCtx {
+	blk := newBlockCtx(r.dev, &r.launch, r.constBank, r.plan, idx, r.blockLin)
+	blk.pause = &r.pause
+	blk.counts = r.counts
+	return blk
+}
+
 func (r *LaunchRun) finish(err error) {
 	r.finished = true
 	r.err = err
 	r.pause.remaining = -1
+	r.Close()
 	if t, ok := AsTrap(err); ok {
 		r.dev.logf("Xid", "%s", t.Error())
 	}
@@ -219,7 +261,6 @@ type launchSnap struct {
 	params      []uint32
 	budget      int64
 	stats       LaunchStats
-	counts      []uint64
 	blockLin    int
 	disarmed    bool
 	blk         *blockSnap
@@ -232,19 +273,21 @@ type blockSnap struct {
 	warps      []warp
 }
 
-// snapWarp deep-copies a warp's state (the struct copy aliases the local
-// and stack slices, which keep mutating on the live warp).
-func snapWarp(w *warp) warp {
-	c := *w
+// copyWarp deep-copies src's state into dst (a plain struct copy would alias
+// the local and stack slices, which keep mutating on the live warp), reusing
+// the lane buffers dst already owns.
+func copyWarp(dst, src *warp) {
+	local, stack := dst.local, dst.stack
+	*dst = *src
 	for lane := 0; lane < WarpSize; lane++ {
-		if w.local[lane] != nil {
-			c.local[lane] = append([]byte(nil), w.local[lane]...)
+		if src.local[lane] != nil {
+			local[lane] = append(local[lane][:0], src.local[lane]...)
 		}
-		if w.stack[lane] != nil {
-			c.stack[lane] = append([]int32(nil), w.stack[lane]...)
+		if src.stack[lane] != nil {
+			stack[lane] = append(stack[lane][:0], src.stack[lane]...)
 		}
 	}
-	return c
+	dst.local, dst.stack = local, stack
 }
 
 // Snapshot captures the device's architectural state between launches.
@@ -282,9 +325,6 @@ func (d *Device) snapshotWith(run *LaunchRun) *Snapshot {
 		blockLin:    run.blockLin,
 		disarmed:    run.launch.disarmed,
 	}
-	if run.counts != nil {
-		ls.counts = append([]uint64(nil), run.counts...)
-	}
 	if blk := run.blk; blk != nil {
 		bs := &blockSnap{
 			blockIdx:   blk.blockIdx,
@@ -293,7 +333,7 @@ func (d *Device) snapshotWith(run *LaunchRun) *Snapshot {
 			warps:      make([]warp, len(blk.warps)),
 		}
 		for i, w := range blk.warps {
-			bs.warps[i] = snapWarp(w)
+			copyWarp(&bs.warps[i], w)
 		}
 		ls.blk = bs
 	}
@@ -320,36 +360,30 @@ func (d *Device) Restore(s *Snapshot) (*LaunchRun, error) {
 		return nil, nil
 	}
 	ls := s.launch
-	r := &LaunchRun{
-		dev: d,
-		launch: Launch{
-			Kernel:      &ExecKernel{K: ls.kernel},
-			Grid:        ls.grid,
-			Block:       ls.block,
-			SharedBytes: ls.sharedBytes,
-			Params:      append([]uint32(nil), ls.params...),
-			disarmed:    ls.disarmed,
-		},
-		stats:    ls.stats,
-		blockLin: ls.blockLin,
+	r := d.resetRun()
+	r.params = append(r.params, ls.params...)
+	r.ek.K = ls.kernel
+	r.launch = Launch{
+		Kernel:      &r.ek,
+		Grid:        ls.grid,
+		Block:       ls.block,
+		SharedBytes: ls.sharedBytes,
+		Params:      r.params,
+		disarmed:    ls.disarmed,
 	}
-	r.constBank = fillConstBank(nil, &r.launch)
-	r.plan = d.planFor(ls.kernel)
-	r.budget.remaining = ls.budget
-	r.budget.ctx = d.cancelCtx
-	r.budget.checkIn = cancelPollStride
-	r.pause.remaining = -1
-	if ls.counts != nil {
-		r.counts = append([]uint64(nil), ls.counts...)
-	}
+	r.stats = ls.stats
+	r.blockLin = ls.blockLin
+	r.arm(ls.budget)
 	if bs := ls.blk; bs != nil {
-		blk := newBlockCtx(d, &r.launch, r.constBank, r.plan, bs.blockIdx, r.blockLin)
+		blk := r.newBlock(bs.blockIdx)
+		r.blk = blk
 		if len(blk.warps) != len(bs.warps) {
+			r.Close()
 			return nil, fmt.Errorf("gpu: restore rebuilt %d warps, snapshot has %d", len(blk.warps), len(bs.warps))
 		}
 		copy(blk.shared, bs.shared)
 		for i := range bs.warps {
-			*blk.warps[i] = snapWarp(&bs.warps[i])
+			copyWarp(blk.warps[i], &bs.warps[i])
 			// The snapshot's split list and scheduler mode belong to the
 			// device that took it. The per-lane PCs are authoritative at
 			// every snapshot boundary, so drop the cache and let this
@@ -359,9 +393,6 @@ func (d *Device) Restore(s *Snapshot) (*LaunchRun, error) {
 			blk.warps[i].splitsOK = false
 		}
 		blk.resumeWarp = bs.resumeWarp
-		blk.pause = &r.pause
-		blk.counts = r.counts
-		r.blk = blk
 	}
 	return r, nil
 }

@@ -34,8 +34,22 @@ loop:
     EXIT
 `
 
-func benchWarpLoop(b *testing.B, noXlate bool) {
-	p, err := sass.Assemble("bench", hotLoopSrc)
+// Launch shapes for benchLaunch: run to completion, run with a profiler-style
+// After callback on every instruction, or run through BeginRun pausing every
+// pauseStride warp instructions — the latter two drive the batched loop's
+// hooked issue form and its pause clip.
+const (
+	benchPlain = iota
+	benchProfiled
+	benchPaused
+)
+
+const pauseStride = 1000
+
+// benchLaunch times repeated launches of src's kernel (8 blocks of 128
+// threads writing one word each) on the translated or interpreted engine.
+func benchLaunch(b *testing.B, src string, noXlate bool, shape int) {
+	p, err := sass.Assemble("bench", src)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -49,32 +63,71 @@ func benchWarpLoop(b *testing.B, noXlate bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	k := p.Kernels[0]
+	ek := &ExecKernel{K: k}
+	var lanes uint64
+	if shape == benchProfiled {
+		ek.After = make([][]Callback, len(k.Instrs))
+		for i := range ek.After {
+			ek.After[i] = []Callback{func(c *InstrCtx) { lanes += uint64(c.LaneCount()) }}
+		}
+	}
 	l := &Launch{
-		Kernel: &ExecKernel{K: p.Kernels[0]},
+		Kernel: ek,
 		Grid:   Dim3{X: blocks, Y: 1, Z: 1},
 		Block:  Dim3{X: threads, Y: 1, Z: 1},
 		Params: []uint32{outp},
 	}
-	stats, err := d.Run(l) // warm the plan cache and pools
-	if err != nil {
-		b.Fatal(err)
+	launch := func() LaunchStats {
+		if shape != benchPaused {
+			stats, err := d.Run(l)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return stats
+		}
+		r, err := d.BeginRun(l)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for paused := true; paused; {
+			if paused, err = r.Resume(pauseStride); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return r.Stats()
 	}
+	stats := launch() // warm the plan cache and pools
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := d.Run(l); err != nil {
-			b.Fatal(err)
-		}
+		launch()
 	}
 	b.StopTimer()
+	if shape == benchProfiled && lanes != uint64(b.N+1)*stats.ThreadInstrs {
+		b.Fatalf("callbacks counted %d lanes, want %d", lanes, uint64(b.N+1)*stats.ThreadInstrs)
+	}
 	perLaunch := float64(stats.WarpInstrs)
 	b.ReportMetric(perLaunch*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mwarpinstr/s")
 }
 
 // BenchmarkWarpTranslated measures the block-level translation engine on the
 // warp hot loop; BenchmarkWarpInterpreted is the legacy dispatch baseline.
-func BenchmarkWarpTranslated(b *testing.B)  { benchWarpLoop(b, false) }
-func BenchmarkWarpInterpreted(b *testing.B) { benchWarpLoop(b, true) }
+func BenchmarkWarpTranslated(b *testing.B)  { benchLaunch(b, hotLoopSrc, false, benchPlain) }
+func BenchmarkWarpInterpreted(b *testing.B) { benchLaunch(b, hotLoopSrc, true, benchPlain) }
+
+// BenchmarkProfiledLaunch and BenchmarkPausedLaunch run the hot loop and the
+// divergent kernel with a callback on every instruction, and through a
+// pausable run stopping every pauseStride instructions, on both engines.
+func BenchmarkProfiledLaunch(b *testing.B) { benchShapes(b, benchProfiled) }
+func BenchmarkPausedLaunch(b *testing.B)   { benchShapes(b, benchPaused) }
+
+func benchShapes(b *testing.B, shape int) {
+	for _, k := range []struct{ name, src string }{{"hot", hotLoopSrc}, {"divergent", divergentSrc}} {
+		b.Run(k.name+"/translated", func(b *testing.B) { benchLaunch(b, k.src, false, shape) })
+		b.Run(k.name+"/interpreted", func(b *testing.B) { benchLaunch(b, k.src, true, shape) })
+	}
+}
 
 // divergentSrc is the divergence benchmark kernel: ostencil-shaped boundary
 // branching inside a 256-iteration loop. Every warp splits at the boundary
@@ -115,48 +168,11 @@ join:
     EXIT
 `
 
-func benchDivergentWarp(b *testing.B, noXlate bool) {
-	p, err := sass.Assemble("bench", divergentSrc)
-	if err != nil {
-		b.Fatal(err)
-	}
-	d, err := NewDevice(sass.FamilyVolta, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	d.NoXlate = noXlate
-	const blocks, threads = 8, 128
-	outp, err := d.Mem.Alloc(4 * blocks * threads)
-	if err != nil {
-		b.Fatal(err)
-	}
-	l := &Launch{
-		Kernel: &ExecKernel{K: p.Kernels[0]},
-		Grid:   Dim3{X: blocks, Y: 1, Z: 1},
-		Block:  Dim3{X: threads, Y: 1, Z: 1},
-		Params: []uint32{outp},
-	}
-	stats, err := d.Run(l) // warm the plan cache and pools
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := d.Run(l); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	perLaunch := float64(stats.WarpInstrs)
-	b.ReportMetric(perLaunch*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mwarpinstr/s")
-}
-
 // BenchmarkDivergentWarp tracks the divergence floor alongside the hot-loop
 // benchmark: the same engine comparison, but on a kernel whose warps spend
 // the whole launch diverged.
-func BenchmarkDivergentWarp(b *testing.B)            { benchDivergentWarp(b, false) }
-func BenchmarkDivergentWarpInterpreted(b *testing.B) { benchDivergentWarp(b, true) }
+func BenchmarkDivergentWarp(b *testing.B)            { benchLaunch(b, divergentSrc, false, benchPlain) }
+func BenchmarkDivergentWarpInterpreted(b *testing.B) { benchLaunch(b, divergentSrc, true, benchPlain) }
 
 // BenchmarkMemoryFind measures Memory.find: the repeated-hit path (one hot
 // allocation, the shape every page-window miss inside a kernel takes), the

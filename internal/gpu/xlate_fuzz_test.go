@@ -106,47 +106,130 @@ func fuzzProgram(data []byte) string {
 	return sb.String()
 }
 
-// runFuzzKernel assembles and runs one generated kernel on a fresh device
-// with the chosen engine and returns everything observable: final buffer
-// bytes, stats, error text, and the device digest (which covers the register
-// files of any still-live warps plus all memory).
-func runFuzzKernel(tb testing.TB, src string, noXlate bool) (out []byte, stats LaunchStats, errText string, digest uint64) {
+// Fuzz arms: the launch run whole, run armed (a callback on every instruction,
+// one of which corrupts a register and another of which rewrites a guard
+// predicate), and run through a pausable launch that stops every few
+// instructions and hops onto a restored fork at every fourth pause.
+const (
+	fuzzPlain = iota
+	fuzzArmed
+	fuzzPaused
+	fuzzArms
+)
+
+// fuzzObs is everything observable about one fuzz run: final buffer bytes,
+// stats, error text, the device digest (which covers all memory and the SM
+// clocks), the callback dispatch count (armed) and the folded digest of every
+// pause position (paused).
+type fuzzObs struct {
+	out     []byte
+	stats   LaunchStats
+	errText string
+	digest  uint64
+	calls   int
+	trail   uint64
+}
+
+// fuzzArm instruments k for the armed arm: every instruction counts its
+// dispatch; dispatch number fire corrupts R3 of the first active lane and,
+// when knob is odd, disarms; every fifth instruction's Before callback flips
+// P1 on one lane, so guards inside a batch depend on callbacks before them.
+func fuzzArm(k *sass.Kernel, knob int, calls *int) *ExecKernel {
+	ek := &ExecKernel{K: k, Before: make([][]Callback, len(k.Instrs)), After: make([][]Callback, len(k.Instrs))}
+	fire := 1 + knob%61
+	after := func(c *InstrCtx) {
+		if *calls++; *calls != fire {
+			return
+		}
+		for lane := 0; lane < WarpSize; lane++ {
+			if c.LaneActive(lane) {
+				c.WriteReg(lane, 3, c.ReadReg(lane, 3)^(1<<uint(knob%32)))
+				break
+			}
+		}
+		if knob%2 == 1 {
+			c.Disarm()
+		}
+	}
+	flip := func(c *InstrCtx) {
+		lane := knob % WarpSize
+		c.WritePred(lane, 1, !c.ReadPred(lane, 1))
+	}
+	for i := range k.Instrs {
+		ek.After[i] = []Callback{after}
+		if i%5 == 4 {
+			ek.Before[i] = []Callback{flip}
+		}
+	}
+	return ek
+}
+
+// runFuzzKernel assembles and runs one generated kernel on a fresh device of
+// the given engine, under one fuzz arm.
+func runFuzzKernel(tb testing.TB, src string, e loopEngine, arm, knob int) fuzzObs {
 	tb.Helper()
 	p, err := sass.Assemble("fuzz", src)
 	if err != nil {
 		tb.Skipf("assemble: %v", err)
 	}
-	d, err := NewDevice(sass.FamilyVolta, 2)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	d.NoXlate = noXlate
+	d := e.device(tb)
 	buf, err := d.Mem.Alloc(256)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	stats, runErr := d.Run(&Launch{
+	var obs fuzzObs
+	l := &Launch{
 		Kernel: &ExecKernel{K: p.Kernels[0]},
 		Grid:   Dim3{X: 2, Y: 1, Z: 1},
 		Block:  Dim3{X: 64, Y: 1, Z: 1},
 		Params: []uint32{buf},
 		Budget: 1 << 16,
-	})
-	if runErr != nil {
-		errText = runErr.Error()
-	} else {
-		b, err := d.Mem.ReadBytes(buf, 256)
+	}
+	var runErr error
+	switch arm {
+	case fuzzArmed:
+		l.Kernel = fuzzArm(p.Kernels[0], knob, &obs.calls)
+		fallthrough
+	case fuzzPlain:
+		obs.stats, runErr = d.Run(l)
+	case fuzzPaused:
+		r, err := d.BeginRun(l)
 		if err != nil {
 			tb.Fatal(err)
 		}
-		out = b
+		trail := newDigester()
+		for pauses := 1; ; pauses++ {
+			paused, err := r.Resume(int64(1 + knob%13))
+			if !paused {
+				obs.stats, runErr = r.Stats(), err
+				break
+			}
+			trail.u64(r.Digest())
+			if pauses%4 == 0 {
+				snap, err := r.Snapshot()
+				if err != nil {
+					tb.Fatal(err)
+				}
+				d = e.device(tb)
+				if r, err = d.Restore(snap); err != nil {
+					tb.Fatal(err)
+				}
+			}
+		}
+		obs.trail = trail.h
 	}
-	return out, stats, errText, d.Digest()
+	if runErr != nil {
+		obs.errText = runErr.Error()
+	} else if obs.out, err = d.Mem.ReadBytes(buf, 256); err != nil {
+		tb.Fatal(err)
+	}
+	obs.digest = d.Digest()
+	return obs
 }
 
-// FuzzXlateDifferential generates random small kernels and requires
-// translated and interpreted execution to agree on every observable:
-// output memory, LaunchStats, trap text, and the full device digest.
+// FuzzXlateDifferential generates random small kernels and requires the
+// batched loop, the reference loop and the legacy scheduler to agree on every
+// observable of every arm.
 func FuzzXlateDifferential(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 7, 8, 11, 3, 15, 9, 12, 0, 1, 13, 2, 3})
 	f.Add([]byte{7, 0, 0, 11, 5, 5, 14, 1, 2, 15, 0, 0, 12, 9, 9, 13, 3, 3})
@@ -161,24 +244,29 @@ func FuzzXlateDifferential(f *testing.F) {
 	f.Add([]byte{13, 1, 0xe0, 1, 2, 3})
 	f.Add([]byte{0, 0xff, 0, 12, 0, 0xe3, 1, 1, 1})
 	f.Add([]byte{7, 1, 2, 11, 0, 0, 12, 2, 0xf1, 15, 0, 0, 13, 3, 0xe7, 3, 1, 2})
+	// Armed and paused arms: long guarded batches (a callback flips the guard
+	// predicate mid-batch), divergence with the corruption landing inside a
+	// clipped batch, and a faulting access reached with callbacks attached.
+	f.Add([]byte{7, 1, 2, 8, 3, 3, 9, 4, 4, 8, 5, 5, 10, 6, 6, 9, 1, 1, 8, 2, 2, 1, 3, 3, 12, 4, 0x10})
+	f.Add([]byte{7, 2, 1, 11, 0, 0, 8, 1, 1, 11, 0, 0, 9, 2, 2, 2, 3, 3, 15, 0, 0, 3, 4, 4, 8, 5, 5, 15, 0, 0, 13, 6, 0xc8})
+	f.Add([]byte{1, 2, 3, 13, 3, 0xe1, 8, 4, 4, 12, 5, 0xf0, 5, 6, 7})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 || len(data) > 256 {
 			t.Skip()
 		}
 		src := fuzzProgram(data)
-		refOut, refStats, refErr, refDig := runFuzzKernel(t, src, true)
-		gotOut, gotStats, gotErr, gotDig := runFuzzKernel(t, src, false)
-		if refErr != gotErr {
-			t.Fatalf("error mismatch:\ninterpreted %q\ntranslated  %q\nprogram:\n%s", refErr, gotErr, src)
+		knob := 0
+		for _, b := range data {
+			knob += int(b)
 		}
-		if !reflect.DeepEqual(refStats, gotStats) {
-			t.Fatalf("stats mismatch:\ninterpreted %+v\ntranslated  %+v\nprogram:\n%s", refStats, gotStats, src)
-		}
-		if !bytes.Equal(refOut, gotOut) {
-			t.Fatalf("output mismatch\nprogram:\n%s", src)
-		}
-		if refDig != gotDig {
-			t.Fatalf("digest mismatch: interpreted %#x translated %#x\nprogram:\n%s", refDig, gotDig, src)
+		for arm := 0; arm < fuzzArms; arm++ {
+			ref := runFuzzKernel(t, src, loopEngines[0], arm, knob)
+			for _, e := range loopEngines[1:] {
+				if got := runFuzzKernel(t, src, e, arm, knob); !reflect.DeepEqual(ref, got) {
+					t.Fatalf("arm %d knob %d: %s disagrees with the reference loop:\n got %+v\nwant %+v\nprogram:\n%s",
+						arm, knob, e.name, got, ref, src)
+				}
+			}
 		}
 	})
 }

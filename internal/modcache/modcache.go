@@ -7,8 +7,8 @@
 // without a cache each run repeats sass.Assemble + Codec.EncodeProgram,
 // re-decodes every module binary in the NVBit attach path, and builds two
 // fresh per-family Codecs. All of those are pure functions of their inputs,
-// so their results are memoized here, content-addressed by
-// (family, SHA-256 of the input):
+// so their results are memoized here, content-addressed by family and
+// input (the source text or the binary's bytes themselves):
 //
 //   - Codec(family) pools the per-family encoding.Codec, which is immutable
 //     after construction.
@@ -58,7 +58,7 @@ type Cache struct {
 	mu     sync.Mutex
 	codecs map[sass.Family]*codecEntry
 	asm    map[asmKey]*asmEntry
-	dec    map[decKey]*decEntry
+	dec    map[sass.Family]map[string]*decEntry // by family, then by the binary's bytes
 	plans  map[PlanKey]*planEntry
 	// owned holds the *sass.Program and *sass.Kernel pointers the asm and dec
 	// entries handed out; derived holds the facts memoized on them.
@@ -75,7 +75,7 @@ func New() *Cache {
 	return &Cache{
 		codecs: make(map[sass.Family]*codecEntry),
 		asm:    make(map[asmKey]*asmEntry),
-		dec:    make(map[decKey]*decEntry),
+		dec:    make(map[sass.Family]map[string]*decEntry),
 		plans:  make(map[PlanKey]*planEntry),
 
 		owned:   make(map[any]struct{}),
@@ -89,10 +89,13 @@ type codecEntry struct {
 	err   error
 }
 
+// asmKey holds the source text itself, not a digest of it: the map hashes the
+// string in place (no byte-slice copy per LoadModule), a hit against the same
+// string compares pointers, and the key keeps the text alive.
 type asmKey struct {
 	family sass.Family
 	name   string
-	src    [sha256.Size]byte
+	src    string
 }
 
 type asmEntry struct {
@@ -100,11 +103,6 @@ type asmEntry struct {
 	prog *sass.Program
 	bin  []byte
 	err  error
-}
-
-type decKey struct {
-	family sass.Family
-	bin    [sha256.Size]byte
 }
 
 type decEntry struct {
@@ -136,7 +134,7 @@ func (c *Cache) Codec(f sass.Family) (*encoding.Codec, error) {
 // too: assembly is deterministic, so a failing source fails identically on
 // every retry.
 func (c *Cache) Assemble(f sass.Family, name, src string) (prog *sass.Program, bin []byte, hit bool, err error) {
-	key := asmKey{family: f, name: name, src: sha256.Sum256([]byte(src))}
+	key := asmKey{family: f, name: name, src: src}
 	c.mu.Lock()
 	e, ok := c.asm[key]
 	if !ok {
@@ -173,12 +171,16 @@ func (c *Cache) Assemble(f sass.Family, name, src string) (prog *sass.Program, b
 // code. The returned program is shared read-only state; hit reports whether
 // the entry already existed.
 func (c *Cache) Decode(f sass.Family, bin []byte) (prog *sass.Program, hit bool, err error) {
-	key := decKey{family: f, bin: sha256.Sum256(bin)}
 	c.mu.Lock()
-	e, ok := c.dec[key]
+	// Like asmKey, the key is the content itself: string(bin) in a map index
+	// does not copy, where a digest hashed the binary on every module load.
+	e, ok := c.dec[f][string(bin)]
 	if !ok {
 		e = &decEntry{}
-		c.dec[key] = e
+		if c.dec[f] == nil {
+			c.dec[f] = make(map[string]*decEntry)
+		}
+		c.dec[f][string(bin)] = e
 		c.stats.DecodeBuilds++
 	} else {
 		c.stats.DecodeHits++
@@ -192,7 +194,7 @@ func (c *Cache) Decode(f sass.Family, bin []byte) (prog *sass.Program, hit bool,
 		}
 		e.prog, e.err = codec.DecodeProgram(bin)
 		if e.err == nil {
-			c.own(e.prog, func() bool { return c.dec[key] == e })
+			c.own(e.prog, func() bool { return c.dec[f][string(bin)] == e })
 		}
 	})
 	return e.prog, ok, e.err
@@ -303,7 +305,7 @@ func (c *Cache) Reset() {
 	defer c.mu.Unlock()
 	c.codecs = make(map[sass.Family]*codecEntry)
 	c.asm = make(map[asmKey]*asmEntry)
-	c.dec = make(map[decKey]*decEntry)
+	c.dec = make(map[sass.Family]map[string]*decEntry)
 	c.plans = make(map[PlanKey]*planEntry)
 	c.owned = make(map[any]struct{})
 	c.derived = make(map[derivedKey]*derivedEntry)

@@ -75,7 +75,8 @@ type Tool interface {
 	OnLaunchDone(info *LaunchInfo, stats gpu.LaunchStats, trap *gpu.Trap, skipped bool)
 }
 
-// Inserter collects instrumentation insertions for one kernel build.
+// Inserter collects instrumentation insertions for one kernel build. It is the
+// attachment's scratch, valid only during the Instrument call it is passed to.
 type Inserter struct {
 	k      *sass.Kernel
 	before [][]gpu.Callback
@@ -87,7 +88,7 @@ type Inserter struct {
 // every dynamic execution.
 func (ins *Inserter) InsertBefore(idx int, cb gpu.Callback) {
 	if ins.before == nil {
-		ins.before = make([][]gpu.Callback, len(ins.k.Instrs))
+		ins.before = ins.siteTable()
 	}
 	ins.before[idx] = append(ins.before[idx], cb)
 }
@@ -97,9 +98,22 @@ func (ins *Inserter) InsertBefore(idx int, cb gpu.Callback) {
 // destination-register fault models.
 func (ins *Inserter) InsertAfter(idx int, cb gpu.Callback) {
 	if ins.after == nil {
-		ins.after = make([][]gpu.Callback, len(ins.k.Instrs))
+		ins.after = ins.siteTable()
 	}
 	ins.after[idx] = append(ins.after[idx], cb)
+}
+
+// siteTable returns an empty per-instruction callback table whose entries
+// each have room for one callback in a shared backing array: tools insert one
+// callback at most sites, so a build allocates twice per table instead of
+// once per site.
+func (ins *Inserter) siteTable() [][]gpu.Callback {
+	n := len(ins.k.Instrs)
+	table, slab := make([][]gpu.Callback, n), make([]gpu.Callback, n)
+	for i := range table {
+		table[i] = slab[i : i : i+1]
+	}
+	return table
 }
 
 // SetStep installs a single-step hook that runs after every instruction,
@@ -122,9 +136,10 @@ type Attachment struct {
 
 	// info describes the launch in flight and inFlight names its function
 	// (nil between launches). Launches are synchronous, so there is at most
-	// one.
+	// one — and at most one JIT build, which ins collects.
 	info     LaunchInfo
 	inFlight *cuda.Function
+	ins      Inserter
 
 	// Stats for overhead accounting.
 	totalLaunches        int
@@ -322,7 +337,8 @@ func (a *Attachment) OnLaunchBegin(ev *cuda.LaunchEvent) {
 	ck := cacheKey{k: decoded, key: dec.Key}
 	ek, ok := a.cache[ck]
 	if !ok {
-		ins := &Inserter{k: decoded}
+		ins := &a.ins
+		*ins = Inserter{k: decoded}
 		a.tool.Instrument(decoded, dec.Key, ins)
 		ek = &gpu.ExecKernel{
 			K:      decoded,
