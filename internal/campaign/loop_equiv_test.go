@@ -18,8 +18,10 @@ import (
 // loopObservation is what the engine's three schedules must agree on for one
 // run of a shipped program under a tool: the program's output, the context's
 // accumulated LaunchStats (warp, thread and trampoline instructions), the
-// trap that poisoned it, the injection record, and the device digest — all of
-// global memory, every SM clock, the device-log length.
+// trap that poisoned it, the injection record, the profile file when the tool
+// is the profiler (per-site and per-opcode counts of every launch, from the
+// engine's in-line tally), and the device digest — all of global memory, every
+// SM clock, the device-log length.
 type loopObservation struct {
 	out         *campaign.Output
 	runErr      string
@@ -27,6 +29,7 @@ type loopObservation struct {
 	trap        string
 	record      core.InjectionRecord
 	activations uint64
+	profile     string
 	digest      uint64
 }
 
@@ -68,6 +71,8 @@ func runUnderEngine(t *testing.T, w campaign.Workload, budget uint64, engine fun
 		obs.record, obs.activations = inj.Record(), inj.Activations()
 	} else if inj, ok := tool.(*core.TransientInjector); ok {
 		obs.record = inj.Record()
+	} else if prof, ok := tool.(*core.Profiler); ok {
+		obs.profile = prof.Finish().String()
 	}
 	return obs
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 
 	"repro/internal/core"
@@ -296,6 +297,12 @@ func (pl *ShardPlan) runIndexes(ctx context.Context, params []core.TransientPara
 			continue
 		}
 		sem <- struct{}{}
+		// An experiment's exit wakes this loop and the loop starts the next
+		// experiment, each handed the processor directly, so the chain
+		// holds it for a whole scheduler time slice and whatever else is
+		// queued there — under the campaign service the submitter's reply,
+		// event streams, heartbeats — waits 10-20 ms. Let it run first.
+		runtime.Gosched()
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()

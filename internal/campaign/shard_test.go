@@ -5,11 +5,14 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/campaign"
 	"repro/internal/core"
+	"repro/internal/cuda"
 	"repro/internal/specaccel"
 )
 
@@ -62,6 +65,53 @@ func TestShardRange(t *testing.T) {
 	}
 	if next != 53 {
 		t.Fatalf("shards cover [0,%d), want [0,53)", next)
+	}
+}
+
+// bystanderSpy counts the experiments that began while a goroutine that was
+// already runnable had not yet run.
+type bystanderSpy struct {
+	campaign.Workload
+	armed, bystanderRan atomic.Bool
+	beganFirst          atomic.Int32
+}
+
+func (w *bystanderSpy) Run(ctx *cuda.Context) (*campaign.Output, error) {
+	if w.armed.Load() && !w.bystanderRan.Load() {
+		w.beganFirst.Add(1)
+	}
+	return w.Workload.Run(ctx)
+}
+
+// TestShardYieldsToQueuedWork: on one processor, a goroutine made runnable
+// before a shard starts runs before the shard's first experiment, not after
+// the scheduler has preempted the chain of experiments (each exit wakes the
+// loop, the loop starts the next; both are handed the processor directly).
+// Under the campaign service that goroutine is the submitter's reply.
+func TestShardYieldsToQueuedWork(t *testing.T) {
+	r, w, golden, profile := campaignFixture(t)
+	spy := &bystanderSpy{Workload: w}
+	plan, err := campaign.NewShardPlan(r, spy, golden, profile,
+		campaign.TransientCampaignConfig{Injections: 8, Seed: 7, ShardSize: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	release := make(chan struct{})
+	go func() {
+		<-release
+		spy.bystanderRan.Store(true)
+	}()
+	runtime.Gosched() // the bystander is parked on release
+	spy.armed.Store(true)
+	close(release) // and now runnable, queued behind this goroutine
+	if _, err := plan.RunShard(context.Background(), 0); err != nil {
+		t.Fatal(err)
+	}
+	// One is allowed: every 61st scheduling decision takes the yielding loop
+	// straight back off the global queue, and the next yield makes up for it.
+	if n := spy.beganFirst.Load(); n > 1 {
+		t.Errorf("%d of 8 experiments began before a goroutine that was runnable when the shard started", n)
 	}
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/gpu"
 	"repro/internal/nvbit"
@@ -22,29 +21,35 @@ type Profiler struct {
 	current      *KernelRecord   // record under accumulation (launches are serial)
 	records      []KernelRecord
 
-	// sites is the per-site tally of the launch in flight (empty when its
-	// record is not being measured): what the callback writes, one entry and
-	// one bounds check per dynamic instruction. static holds what a kernel's
-	// records share, and folded is OnLaunchDone's per-opcode scratch (indexed
-	// by opcode, all zero between launches).
-	sites  []tally
-	static map[*sass.Kernel]kernelSites
-	folded []tally
+	// sites is the per-site tally of the launch in flight (nil when its record
+	// is not being measured): the kernel's tally, which the engine counts into
+	// in line. Launches are serial and a tally is cleared before its launch and
+	// read right after, so the kernels' tallies are prefixes of one buffer,
+	// tallies, replaced by a longer one when a longer kernel shows up (kernels
+	// built before keep the old one). static holds what a kernel's records
+	// share, and folded is OnLaunchDone's per-opcode scratch (indexed by
+	// opcode, all zero between launches).
+	sites   []gpu.SiteTally
+	tallies []gpu.SiteTally
+	static  map[*sass.Kernel]kernelSites
+	folded  []opTally
 }
 
-// tally is a thread-level execution count plus whether anything executed at
+// opTally is a thread-level execution count plus whether anything executed at
 // all: a guard-suppressed issue counts zero threads but still ran.
-type tally struct {
+type opTally struct {
 	count uint64
 	ran   bool
 }
 
 // kernelSites is the per-static-kernel part of a record: the opcode of every
-// instruction — one read-only slice shared by all the kernel's records — and
-// how many distinct opcodes there are, the size of a record's OpCounts.
+// instruction — one read-only slice shared by all the kernel's records — how
+// many distinct opcodes there are (the size of a record's OpCounts), and the
+// per-site tally every instrumented launch of the kernel counts into.
 type kernelSites struct {
 	ops      []sass.Op
 	distinct int
+	tally    []gpu.SiteTally
 }
 
 var _ nvbit.Tool = (*Profiler)(nil)
@@ -87,7 +92,7 @@ func (p *Profiler) OnLaunch(info *nvbit.LaunchInfo) nvbit.Decision {
 	}
 	p.records = append(p.records, rec)
 	p.current = &p.records[len(p.records)-1]
-	p.sites = slices.Grow(p.sites[:0], len(ks.ops))[:len(ks.ops)]
+	p.sites = ks.tally
 	clear(p.sites)
 	return nvbit.Decision{Instrument: true, Key: "profile"}
 }
@@ -104,37 +109,33 @@ func (p *Profiler) sitesOf(k *sass.Kernel) kernelSites {
 			}
 		}
 		for _, op := range ks.ops {
-			*p.fold(op) = tally{}
+			*p.fold(op) = opTally{}
 		}
+		n := len(k.Instrs)
+		if len(p.tallies) < n {
+			p.tallies = make([]gpu.SiteTally, n)
+		}
+		ks.tally = p.tallies[:n:n]
 		p.static[k] = ks
 	}
 	return ks
 }
 
 // fold returns op's entry in the per-opcode scratch, growing it to reach.
-func (p *Profiler) fold(op sass.Op) *tally {
+func (p *Profiler) fold(op sass.Op) *opTally {
 	if int(op) >= len(p.folded) {
-		p.folded = append(p.folded, make([]tally, int(op)+1-len(p.folded))...)
+		p.folded = append(p.folded, make([]opTally, int(op)+1-len(p.folded))...)
 	}
 	return &p.folded[op]
 }
 
-// Instrument implements nvbit.Tool: count every instruction's active lanes.
-// One callback serves every site and, through the JIT cache, every launch; it
-// accumulates into the tally of the launch in flight. It runs once per dynamic
-// warp instruction, so it touches one tally entry; OnLaunchDone copies the
-// tallies into the record and folds them into its per-opcode map.
+// Instrument implements nvbit.Tool: count every instruction's active lanes,
+// after it completes, into the kernel's tally. No callback is inserted: the
+// engine counts in line (nvbit.Inserter.TallyLanes), and one tally serves,
+// through the JIT cache, every launch of the kernel — OnLaunch clears it,
+// OnLaunchDone copies it into the record and folds it into the per-opcode map.
 func (p *Profiler) Instrument(k *sass.Kernel, _ string, ins *nvbit.Inserter) {
-	count := func(c *gpu.InstrCtx) {
-		if c.InstrIdx < len(p.sites) {
-			t := &p.sites[c.InstrIdx]
-			t.count += uint64(c.LaneCount())
-			t.ran = true
-		}
-	}
-	for i := range k.Instrs {
-		ins.InsertAfter(i, count)
-	}
+	ins.TallyLanes(p.sitesOf(k).tally)
 }
 
 // OnLaunchDone implements nvbit.Tool: fold the launch's per-site counts into
@@ -145,25 +146,25 @@ func (p *Profiler) Instrument(k *sass.Kernel, _ string, ins *nvbit.Inserter) {
 func (p *Profiler) OnLaunchDone(*nvbit.LaunchInfo, gpu.LaunchStats, *gpu.Trap, bool) {
 	if r := p.current; r != nil {
 		for idx, t := range p.sites {
-			if !t.ran {
+			if t.Issues == 0 {
 				continue
 			}
-			r.SiteCounts[idx] = t.count
+			r.SiteCounts[idx] = t.Threads
 			f := p.fold(r.SiteOps[idx])
-			f.count += t.count
+			f.count += t.Threads
 			f.ran = true
 		}
 		for idx, t := range p.sites {
-			if !t.ran {
+			if t.Issues == 0 {
 				continue
 			}
 			if f := &p.folded[r.SiteOps[idx]]; f.ran {
 				r.OpCounts[r.SiteOps[idx]] = f.count
-				*f = tally{}
+				*f = opTally{}
 			}
 		}
 	}
-	p.current, p.sites = nil, p.sites[:0]
+	p.current, p.sites = nil, nil
 }
 
 // Finish resolves the profile. In Approximate mode, extrapolated records

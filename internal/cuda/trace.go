@@ -548,7 +548,7 @@ func (c *Context) launchRecorded(ev *LaunchEvent, f *Function, cfg LaunchConfig)
 			Kernel:      f.k.Name,
 			digest:      r.Digest(),
 			snap:        snap,
-			instrExec:   append([]uint64(nil), r.InstrExecCounts()...),
+			instrExec:   threadCounts(r.InstrExecCounts()),
 		})
 	}
 	stats := r.Stats()
@@ -559,6 +559,15 @@ func (c *Context) launchRecorded(ev *LaunchEvent, f *Function, cfg LaunchConfig)
 	rec.trace.calls = append(rec.trace.calls,
 		traceCall{kind: callLaunch, fn: f.k.Name, stats: stats})
 	return c.finishLaunch(ev, f, stats, runErr)
+}
+
+// threadCounts copies the thread-level counts out of a run's tally.
+func threadCounts(tally []gpu.SiteTally) []uint64 {
+	out := make([]uint64, len(tally))
+	for i := range tally {
+		out[i] = tally[i].Threads
+	}
+	return out
 }
 
 // launchReplayed handles a launch on a replaying context: short-circuit,

@@ -170,6 +170,20 @@ func (d *Device) logf(kind, format string, args ...any) {
 // only until the callback returns, so a callback copies out what it keeps.
 type Callback func(*InstrCtx)
 
+// SiteTally is one static instruction's execution tally: what the engine
+// counts in line, without a callback, for an ExecKernel that carries a Tally
+// and for a LaunchRun that enabled its own.
+type SiteTally struct {
+	Threads uint64 // thread-level executions: active, guard-passing lanes
+	Issues  uint64 // warp-level issues, counting those with no lane active
+}
+
+// add counts one completed issue that had lanes active lanes.
+func (t *SiteTally) add(lanes uint64) {
+	t.Threads += lanes
+	t.Issues++
+}
+
 // ExecKernel is an executable kernel: the instruction list plus any
 // instrumentation attached by the NVBit layer. A nil Before/After means the
 // kernel runs unmodified, with no per-instruction dispatch overhead.
@@ -186,6 +200,18 @@ type ExecKernel struct {
 	// baseline injector.
 	Step Callback
 
+	// Tally, when non-nil, has one entry per instruction, and the warp loops
+	// add each instruction's active lanes to its entry after the instruction
+	// completes — the declarative form of an After callback that counts
+	// c.LaneCount(), executed in line. It is an After site on every
+	// instruction (one trampoline, shared with the instruction's After
+	// callbacks if it has any), a faulting instruction is not tallied, and
+	// InstrCtx.Disarm does not stop it. The slice belongs to the tool that
+	// inserted it: the engine only adds, on the goroutine running the launch
+	// (instrumented launches are sequential); the tool clears it before a
+	// launch and reads it after.
+	Tally []SiteTally
+
 	regHiOnce sync.Once
 	regHi     int32
 
@@ -195,6 +221,11 @@ type ExecKernel struct {
 
 // Instrumented reports whether any instrumentation is attached.
 func (ek *ExecKernel) Instrumented() bool {
+	return ek.hasCallbacks() || ek.Tally != nil
+}
+
+// hasCallbacks reports whether any instruction may dispatch a callback.
+func (ek *ExecKernel) hasCallbacks() bool {
 	return ek.Before != nil || ek.After != nil || ek.Step != nil
 }
 
@@ -203,13 +234,19 @@ func (ek *ExecKernel) hasBefore(pc int32) bool {
 	return ek.Before != nil && len(ek.Before[pc]) > 0
 }
 
+// hasAfter reports whether instruction pc carries an After site: callbacks, or
+// the in-line tally.
+func (ek *ExecKernel) hasAfter(pc int32) bool {
+	return ek.Tally != nil || (ek.After != nil && len(ek.After[pc]) > 0)
+}
+
 // trampSites returns the trampoline-site prefix count: sites[pc] is the
-// number of callback sites (a non-empty Before or After list, the step hook)
+// number of callback sites (a Before list, an After list or tally, the step hook)
 // on instructions [0, pc), so a batch that completed [a, b) executed
 // sites[b]-sites[a] trampolines. It is built on the first instrumented
 // launch and lives on the ExecKernel, not in the translated plan: a plan is
-// shared by every instrumentation of the same kernel content. Before, After
-// and Step must not change once the kernel has launched — the NVBit layer
+// shared by every instrumentation of the same kernel content. Before, After,
+// Step and Tally must not change once the kernel has launched — the NVBit layer
 // builds them whole in its Inserter and caches the result per (kernel, key).
 func (ek *ExecKernel) trampSites() []uint32 {
 	ek.sitesOnce.Do(func() {
@@ -219,7 +256,7 @@ func (ek *ExecKernel) trampSites() []uint32 {
 			if ek.hasBefore(int32(pc)) {
 				n++
 			}
-			if ek.After != nil && len(ek.After[pc]) > 0 {
+			if ek.hasAfter(int32(pc)) {
 				n++
 			}
 			if ek.Step != nil {

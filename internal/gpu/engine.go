@@ -431,19 +431,24 @@ type blockCtx struct {
 	plan *xplan
 
 	// sites is the kernel's trampoline-site prefix count (ExecKernel.sites),
-	// nil on an uninstrumented launch, and hooked says whether the launch has
-	// any of sites, pause or counts — the one flag the plain path tests. run
-	// refreshes both on every call, because LaunchRun.SetExecKernel may swap
-	// the kernel while the block is paused.
+	// nil on an uninstrumented launch; calls says whether the kernel has any
+	// callback to dispatch; tally is where completed instructions are counted
+	// in line — the kernel's own (ExecKernel.Tally), else the recording run's
+	// (runTally), else nil; and hooked says whether the launch has any of
+	// sites, pause or tally — the one flag the plain path tests. run refreshes
+	// all four on every call, because LaunchRun.SetExecKernel may swap the
+	// kernel while the block is paused.
 	sites  []uint32
+	calls  bool
+	tally  []SiteTally
 	hooked bool
 
 	// Checkpoint-engine state, all zero on ordinary runs. pause makes the
 	// block interruptible at warp-instruction boundaries (LaunchRun);
-	// counts accumulates per-static-instruction thread executions for
-	// recording runs; resumeWarp is where a paused sweep picks back up.
+	// runTally is the recording run's per-static-instruction tally;
+	// resumeWarp is where a paused sweep picks back up.
 	pause      *pauseCtl
-	counts     []uint64
+	runTally   []SiteTally
 	resumeWarp int
 
 	// rows is the row tier's scratch: broadcast and negated source operands
@@ -643,7 +648,10 @@ func (blk *blockCtx) run(budget *budgetCounter, stats *LaunchStats) error {
 	if blk.plan == nil {
 		runWarp = blk.runWarpRef
 	}
-	blk.sites = nil
+	blk.sites, blk.calls, blk.tally = nil, blk.ek.hasCallbacks(), blk.runTally
+	if blk.ek.Tally != nil {
+		blk.tally = blk.ek.Tally
+	}
 	if blk.ek.Instrumented() {
 		blk.sites = blk.ek.trampSites()
 		blk.ictx = InstrCtx{
@@ -655,7 +663,7 @@ func (blk *blockCtx) run(budget *budgetCounter, stats *LaunchStats) error {
 			blk:      blk,
 		}
 	}
-	blk.hooked = blk.sites != nil || blk.pause != nil || blk.counts != nil
+	blk.hooked = blk.sites != nil || blk.pause != nil || blk.tally != nil
 	start := blk.resumeWarp
 	blk.resumeWarp = 0
 	// A resumed sweep covers only the tail of the warp list, so its
@@ -894,15 +902,13 @@ func (blk *blockCtx) runWarp(w *warp, budget *budgetCounter, stats *LaunchStats)
 		if !budget.take() {
 			return blk.budgetTrap(budget, int(minPC))
 		}
+		lanes := uint64(popcount(execMask))
 		stats.WarpInstrs++
-		stats.ThreadInstrs += uint64(popcount(execMask))
+		stats.ThreadInstrs += lanes
 		*clock++
 		armed := false
 		if hooked {
-			if blk.counts != nil {
-				blk.counts[minPC] += uint64(popcount(execMask))
-			}
-			if armed = blk.sites != nil && !blk.launch.disarmed; armed {
+			if armed = blk.calls && !blk.launch.disarmed; armed {
 				blk.callBefore(minPC, execMask)
 			}
 		}
@@ -929,6 +935,9 @@ func (blk *blockCtx) runWarp(w *warp, budget *budgetCounter, stats *LaunchStats)
 		}
 		if hooked {
 			blk.chargeSites(stats, minPC, minPC+1, false)
+			if blk.tally != nil {
+				blk.tally[minPC].add(lanes)
+			}
 			if armed {
 				blk.callAfter(minPC)
 			}
@@ -953,8 +962,8 @@ func (blk *blockCtx) runWarp(w *warp, budget *budgetCounter, stats *LaunchStats)
 // site of a launch no tool has disarmed. Sparse instrumentation — one armed
 // site, the stores of a kernel — leaves most batches to the plain loop.
 func (blk *blockCtx) dispatches(from, to int32) bool {
-	return blk.counts != nil ||
-		(blk.sites != nil && blk.sites[to] != blk.sites[from] && !blk.launch.disarmed)
+	return blk.tally != nil ||
+		(blk.calls && blk.sites[to] != blk.sites[from] && !blk.launch.disarmed)
 }
 
 // chargeSites charges the trampolines of the instructions [from, pc) that
@@ -973,7 +982,7 @@ func (blk *blockCtx) chargeSites(stats *LaunchStats, from, pc int32, faulted boo
 }
 
 // issueHooked is the batch issue loop of a launch that dispatches callbacks
-// or tallies executions: per instruction guard, tally, Before callbacks, step,
+// or tallies executions: per instruction guard, Before callbacks, step, tally,
 // After callbacks and the step hook, in the reference loop's order. A
 // callback may rewrite registers and predicates, so every guard is evaluated
 // when its instruction issues, never ahead. InstrCtx.Disarm takes effect at
@@ -984,11 +993,32 @@ func (blk *blockCtx) chargeSites(stats *LaunchStats, from, pc int32, faulted boo
 // more calls per instruction cost a profiled hot loop 6%.
 func (blk *blockCtx) issueHooked(w *warp, from, to int32, atPC uint32, stats *LaunchStats) (pc int32, kind TrapKind, faultAddr uint32) {
 	steps := blk.plan.steps
-	counts := blk.counts
+	tally := blk.tally
 	ek, ctx := blk.ek, &blk.ictx
 	instrs, before, after, stepHook := ek.K.Instrs, ek.Before, ek.After, ek.Step
-	armed := blk.sites != nil && !blk.launch.disarmed
+	armed := blk.calls && !blk.launch.disarmed
 	var ti uint64
+	if !armed {
+		// Nothing to call, so the launch is here to be tallied (dispatches): the
+		// profiler's and the recording run's whole execution. The loop below
+		// would do, but carrying the callback tables through it costs a tallied
+		// hot loop 6% — half of everything the tally adds to a plain launch.
+		for pc = from; pc < to; pc++ {
+			xi := &steps[pc]
+			execMask := atPC
+			if xi.guardKind != guardOn {
+				execMask = xi.guard(w, atPC)
+			}
+			lanes := uint64(popcount(execMask))
+			ti += lanes
+			if _, kind, faultAddr = xi.step(blk, w, execMask); kind != 0 {
+				break
+			}
+			tally[pc].add(lanes)
+		}
+		stats.ThreadInstrs += ti
+		return pc, kind, faultAddr
+	}
 	for pc = from; pc < to; pc++ {
 		xi := &steps[pc]
 		execMask := atPC
@@ -997,9 +1027,6 @@ func (blk *blockCtx) issueHooked(w *warp, from, to int32, atPC uint32, stats *La
 		}
 		lanes := uint64(popcount(execMask))
 		ti += lanes
-		if counts != nil {
-			counts[pc] += lanes
-		}
 		if armed {
 			ctx.Instr = &instrs[pc]
 			ctx.InstrIdx = int(pc)
@@ -1012,6 +1039,9 @@ func (blk *blockCtx) issueHooked(w *warp, from, to int32, atPC uint32, stats *La
 		}
 		if _, kind, faultAddr = xi.step(blk, w, execMask); kind != 0 {
 			break
+		}
+		if tally != nil {
+			tally[pc].add(lanes)
 		}
 		if armed {
 			if after != nil {
@@ -1091,8 +1121,7 @@ func (w *warp) finishRun(endPC int32, atPC uint32) {
 func (blk *blockCtx) runWarpRef(w *warp, budget *budgetCounter, stats *LaunchStats) error {
 	ek := blk.ek
 	instrs := ek.K.Instrs
-	instrumented := blk.sites != nil
-	if instrumented {
+	if blk.sites != nil {
 		blk.bindCtx(w)
 	}
 	for {
@@ -1117,11 +1146,8 @@ func (blk *blockCtx) runWarpRef(w *warp, budget *budgetCounter, stats *LaunchSta
 		stats.WarpInstrs++
 		stats.ThreadInstrs += lanes
 		blk.dev.smClocks[blk.smID]++
-		if blk.counts != nil {
-			blk.counts[minPC] += lanes
-		}
 
-		armed := instrumented && !blk.launch.disarmed
+		armed := blk.calls && !blk.launch.disarmed
 		if ek.hasBefore(minPC) {
 			stats.TrampolineInstrs += TrampolineLen
 		}
@@ -1134,11 +1160,14 @@ func (blk *blockCtx) runWarpRef(w *warp, budget *budgetCounter, stats *LaunchSta
 			return blk.trapErr(kind, int(minPC), faultAddr, "")
 		}
 
-		if ek.After != nil && len(ek.After[minPC]) > 0 {
+		if ek.hasAfter(minPC) {
 			stats.TrampolineInstrs += TrampolineLen
 		}
 		if ek.Step != nil {
 			stats.TrampolineInstrs += TrampolineLen
+		}
+		if blk.tally != nil {
+			blk.tally[minPC].add(lanes)
 		}
 		if armed {
 			blk.callAfter(minPC)

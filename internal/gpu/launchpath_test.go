@@ -185,13 +185,15 @@ func TestHashKernelBytes(t *testing.T) {
 }
 
 // TestInstrumentedLaunchAllocs: an instrumented launch allocates nothing in
-// the engine — the InstrCtx handed to callbacks is the block's own — so
-// whatever an armed run allocates is the tool's.
+// the engine — the InstrCtx handed to callbacks is the block's own, the
+// in-line tally is the tool's slice — so whatever an armed run allocates is
+// the tool's.
 func TestInstrumentedLaunchAllocs(t *testing.T) {
 	d := newTestDevice(t)
 	k := mustKernel(t, clockMixSrc, "clockmix")
 	outp := mustAllocWrite(t, d, 4*64, nil)
-	ek := &ExecKernel{K: k, Before: make([][]Callback, len(k.Instrs)), After: make([][]Callback, len(k.Instrs))}
+	ek := &ExecKernel{K: k, Before: make([][]Callback, len(k.Instrs)), After: make([][]Callback, len(k.Instrs)),
+		Tally: make([]SiteTally, len(k.Instrs))}
 	var lanes int
 	for i := range k.Instrs {
 		ek.Before[i] = []Callback{func(c *InstrCtx) { lanes += c.LaneCount() }}
@@ -211,8 +213,12 @@ func TestInstrumentedLaunchAllocs(t *testing.T) {
 	} else if avg != 0 {
 		t.Errorf("instrumented launch allocated %.1f objects, want 0", avg)
 	}
-	if lanes == 0 {
-		t.Error("callbacks never ran")
+	var tallied int
+	for _, c := range ek.Tally {
+		tallied += int(c.Threads)
+	}
+	if lanes == 0 || lanes != 2*tallied {
+		t.Errorf("Before and After callbacks counted %d lanes, the tally %d", lanes, tallied)
 	}
 }
 

@@ -388,3 +388,174 @@ func TestLaunchRunClose(t *testing.T) {
 		t.Fatalf("launch after a closed run: stats %+v, want %+v", stats, whole.stats)
 	}
 }
+
+// tallyShortDiv instruments shortdiv to count every instruction's active
+// lanes after it completes — in line through ExecKernel.Tally, or, as the
+// oracle, through an After callback on every instruction that does the same
+// into counts — next to armShortDiv's guard-rewriting Before callback and,
+// when faultStore, the Before callback that makes the store fault.
+func tallyShortDiv(k *sass.Kernel, counts []SiteTally, inline, faultStore bool) *ExecKernel {
+	calls := 0
+	armed := armShortDiv(k, &calls, 0, faultStore)
+	ek := &ExecKernel{K: k, Before: armed.Before}
+	if inline {
+		ek.Tally = counts
+		return ek
+	}
+	count := func(c *InstrCtx) { counts[c.InstrIdx].add(uint64(c.LaneCount())) }
+	ek.After = make([][]Callback, len(k.Instrs))
+	for i := range ek.After {
+		ek.After[i] = []Callback{count}
+	}
+	return ek
+}
+
+// TestInlineTally: the in-line tally is the After callback it replaces. On
+// all three engines a launch that tallies in line reports the counts, stats
+// (trampolines included), clocks, output and digest of the launch that counts
+// through a callback on every instruction — run whole, and with the store
+// made to fault, where the faulting issue has its Before trampoline charged
+// but is not tallied.
+func TestInlineTally(t *testing.T) {
+	p, err := sass.Assemble("test", shortDivSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := p.Kernels[0]
+	store := -1
+	for i := range k.Instrs {
+		if k.Instrs[i].Op.String() == "STG" {
+			store = i
+		}
+	}
+	for _, faultStore := range []bool{false, true} {
+		var ref loopRun
+		var refCounts []SiteTally
+		for _, e := range loopEngines {
+			for _, inline := range []bool{false, true} {
+				label := fmt.Sprintf("%s inline=%v fault=%v", e.name, inline, faultStore)
+				d := e.device(t)
+				l, outp := shortDivLaunch(t, d, false, nil, 0, 0)
+				counts := make([]SiteTally, len(k.Instrs))
+				l.Kernel = tallyShortDiv(k, counts, inline, faultStore)
+				stats, err := d.Run(l)
+				got := finishLoopRun(t, d, outp, stats, err, 0)
+				if refCounts == nil {
+					ref, refCounts = got, counts
+					if _, trapped := AsTrap(err); trapped != faultStore {
+						t.Fatalf("%s: err = %v", label, err)
+					}
+					if stats.TrampolineInstrs == 0 {
+						t.Fatalf("%s: no trampolines charged", label)
+					}
+					continue
+				}
+				expectSameLoop(t, label, ref, got)
+				if !reflect.DeepEqual(counts, refCounts) {
+					t.Errorf("%s: tally %v, want %v", label, counts, refCounts)
+				}
+			}
+		}
+		var threads uint64
+		for _, c := range refCounts {
+			threads += c.Threads
+		}
+		wantThreads := ref.stats.ThreadInstrs
+		if faultStore {
+			// The faulting store issued (its lanes are in ThreadInstrs) but did
+			// not complete: After semantics leave it out of the tally.
+			wantThreads -= WarpSize
+			if refCounts[store].Issues != 0 {
+				t.Errorf("faulting store tallied %+v", refCounts[store])
+			}
+		}
+		if threads != wantThreads {
+			t.Errorf("fault=%v: tally sums to %d thread executions, launch ran %d", faultStore, threads, wantThreads)
+		}
+	}
+}
+
+// TestInlineTallyZeroLaneIssue: an instruction that issues with no lane
+// active counts an issue and no threads, on every engine; one that never
+// issues counts neither.
+func TestInlineTallyZeroLaneIssue(t *testing.T) {
+	const src = `
+.kernel zl
+    S2R R0, SR_TID.X
+    ISETP.LT.AND P0, R0, 0x0, PT
+@P0 IADD R1, R0, 0x1
+    EXIT
+    IADD R2, R0, 0x2
+`
+	p, err := sass.Assemble("test", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := p.Kernels[0]
+	for _, e := range loopEngines {
+		d := e.device(t)
+		counts := make([]SiteTally, len(k.Instrs))
+		l := &Launch{Kernel: &ExecKernel{K: k, Tally: counts}, Grid: Dim3{X: 1, Y: 1, Z: 1}, Block: Dim3{X: WarpSize, Y: 1, Z: 1}}
+		stats, err := d.Run(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := []SiteTally{{32, 1}, {32, 1}, {0, 1}, {32, 1}, {0, 0}}
+		if !reflect.DeepEqual(counts, want) {
+			t.Errorf("%s: tally %v, want %v", e.name, counts, want)
+		}
+		if want := uint64(4 * TrampolineLen); stats.TrampolineInstrs != want {
+			t.Errorf("%s: %d trampoline instructions, want %d (one After site per issue)", e.name, stats.TrampolineInstrs, want)
+		}
+	}
+}
+
+// TestRunTally: a pausable run's per-instruction counts are the same in-line
+// tally. Stopping every 37 warp instructions changes nothing; a run over a
+// kernel that carries its own tally reads that one instead of keeping a
+// second; and the counts equal the whole launch's on every engine.
+func TestRunTally(t *testing.T) {
+	p, err := sass.Assemble("test", shortDivSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := p.Kernels[0]
+	var ref []SiteTally
+	for _, e := range loopEngines {
+		for _, own := range []bool{false, true} {
+			d := e.device(t)
+			l, _ := shortDivLaunch(t, d, false, nil, 0, 0)
+			var kernelTally []SiteTally
+			if own {
+				kernelTally = make([]SiteTally, len(k.Instrs))
+				l.Kernel = &ExecKernel{K: k, Tally: kernelTally}
+			}
+			r, err := d.BeginRun(l)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.EnableInstrExecCounts()
+			for paused := true; paused; {
+				if paused, err = r.Resume(37); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got := r.InstrExecCounts()
+			if own && &got[0] != &kernelTally[0] {
+				t.Errorf("%s: the run keeps a second tally beside the kernel's", e.name)
+			}
+			if ref == nil {
+				ref = append(ref, got...)
+				var threads uint64
+				for _, c := range ref {
+					threads += c.Threads
+				}
+				if threads != r.Stats().ThreadInstrs || threads == 0 {
+					t.Fatalf("tally sums to %d thread executions, the run to %d", threads, r.Stats().ThreadInstrs)
+				}
+			} else if !reflect.DeepEqual(got, ref) {
+				t.Errorf("%s own=%v: counts %v, want %v", e.name, own, got, ref)
+			}
+		}
+	}
+}

@@ -1,0 +1,338 @@
+package gpu
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"math/bits"
+	"math/rand"
+	"testing"
+)
+
+// The row kernels' differential tests: every primitive through the platform's
+// implementation (AVX2 assembly on amd64) and through the portable loops of
+// rowops_generic.go, lane for lane and bit for bit — NaN payloads included:
+// there is no canonicalisation here, unlike the row tier's tests against the
+// interpreter. Where the platform has no vector kernels (other GOARCH, no
+// AVX2, -tags purego) both sides are the same code and the tests hold
+// trivially.
+
+// rowEdges are the operand values that separate a vector instruction from
+// the Go expression it replaces: NaNs with distinct payloads and signs
+// (quiet and signalling), infinities, signed zeros, denormals, shift counts
+// at and past the word size, and the integer extremes.
+var rowEdges = []uint32{
+	0x7fc00001, 0xffc00002, 0x7f800003, 0xff80f004, 0x7fffffff, // NaNs
+	0x7f800000, 0xff800000, // ±Inf
+	0, 0x80000000, // ±0, INT_MIN
+	0x00000001, 0x807fffff, 0x00400000, // denormals
+	31, 32, 33, 0xffffffff, // shift counts
+	0x3f800000, 0xbf800000, 0x7f7fffff, 0x00800000, 0x33800000, // 1, -1, max, min normal, 2^-24
+}
+
+// rowMaskSet is the 33 contiguous prefix masks plus 64 random ones.
+func rowMaskSet(rng *rand.Rand) []uint32 {
+	var ms []uint32
+	for n := 0; n <= WarpSize; n++ {
+		ms = append(ms, uint32(uint64(1)<<uint(n)-1))
+	}
+	for i := 0; i < 64; i++ {
+		ms = append(ms, rng.Uint32())
+	}
+	return ms
+}
+
+// rowOperandSets returns operand triples: every ordered pair of edge values
+// in x and y (z cycling through the edges at a different stride), then
+// random rows salted with edges.
+func rowOperandSets(rng *rand.Rand, random int) [][3]regRow {
+	var sets [][3]regRow
+	var cur [3]regRow
+	n := 0
+	for i, a := range rowEdges {
+		for j, b := range rowEdges {
+			cur[0][n], cur[1][n], cur[2][n] = a, b, rowEdges[(3*i+5*j+n)%len(rowEdges)]
+			if n++; n == WarpSize {
+				sets = append(sets, cur)
+				n = 0
+			}
+		}
+	}
+	if n > 0 {
+		sets = append(sets, cur)
+	}
+	for i := 0; i < random; i++ {
+		var s [3]regRow
+		for r := range s {
+			for l := range s[r] {
+				if v := rng.Uint32(); v%4 == 0 {
+					s[r][l] = rowEdges[v>>2%uint32(len(rowEdges))]
+				} else {
+					s[r][l] = v
+				}
+			}
+		}
+		sets = append(sets, s)
+	}
+	return sets
+}
+
+var (
+	rowBinOps = []fastOp{fopAdd, fopMul, fopMulHiS, fopMulHiU, fopAnd, fopOr, fopXor,
+		fopShl, fopShrU, fopShrS, fopFAdd, fopFMul, fopPopc, fopBrev, fopFlo}
+	rowTernOps = []fastOp{fopImadLo, fopImadHiS, fopImadHiU, fopIAdd3, fopLea, fopFFma, fopLop3}
+	rowSelOps  = []fastOp{fopSel, fopIMnMxS, fopIMnMxU, fopFMnMx}
+	rowCmps    = []fastCmp{fcF, fcT, fcEQ, fcNE, fcLTS, fcLES, fcGTS, fcGES, fcLTU, fcLEU, fcGTU, fcGEU,
+		fcFEQ, fcFNE, fcFLT, fcFLE, fcFGT, fcFGE, fcFNum, fcFNan}
+)
+
+// rowPoison is what every output row holds before a kernel writes it.
+var rowPoison = laneRow(func(l uint) uint32 { return 0xdead0000 | uint32(l) })
+
+// checkRow runs one row-producing primitive both ways, with out distinct from
+// every source and then aliasing each of the srcs in turn.
+func checkRow(t testing.TB, name string, srcs []*regRow, kernel, generic func(out *regRow, srcs []*regRow)) {
+	t.Helper()
+	want := rowPoison
+	generic(&want, srcs)
+	got := rowPoison
+	kernel(&got, srcs)
+	if got != want {
+		t.Errorf("%s: kernel and portable loop differ\n srcs %#x\n got  %#x\n want %#x", name, derefRows(srcs), got, want)
+		return
+	}
+	for i := range srcs {
+		for _, f := range []func(*regRow, []*regRow){kernel, generic} {
+			copies := make([]regRow, len(srcs))
+			aliased := make([]*regRow, len(srcs))
+			for j := range srcs {
+				copies[j] = *srcs[j]
+				aliased[j] = &copies[j]
+				if srcs[j] == srcs[i] {
+					aliased[j] = &copies[i] // sources that were one row stay one row
+				}
+			}
+			f(aliased[i], aliased)
+			if copies[i] != want {
+				t.Errorf("%s: out aliasing source %d: got %#x, want %#x", name, i, copies[i], want)
+				return
+			}
+		}
+	}
+}
+
+func derefRows(rs []*regRow) []regRow {
+	out := make([]regRow, len(rs))
+	for i, r := range rs {
+		out[i] = *r
+	}
+	return out
+}
+
+// checkRowKernels runs every primitive on one operand triple under one mask
+// and one truth table.
+func checkRowKernels(t testing.TB, s *[3]regRow, m uint32, lut uint8) {
+	t.Helper()
+	x, y, z := &s[0], &s[1], &s[2]
+	xy, xyz := []*regRow{x, y}, []*regRow{x, y, z}
+
+	for _, op := range rowBinOps {
+		checkRow(t, fmt.Sprintf("rowBin op %d", op), xy,
+			func(out *regRow, s []*regRow) { rowBin(op, out, s[0], s[1]) },
+			func(out *regRow, s []*regRow) { rowBinGeneric(op, out, s[0], s[1]) })
+		checkRow(t, fmt.Sprintf("rowBin op %d, x twice", op), []*regRow{x, x},
+			func(out *regRow, s []*regRow) { rowBin(op, out, s[0], s[1]) },
+			func(out *regRow, s []*regRow) { rowBinGeneric(op, out, s[0], s[1]) })
+	}
+	for _, op := range rowTernOps {
+		checkRow(t, fmt.Sprintf("rowTern op %d lut %#x", op, lut), xyz,
+			func(out *regRow, s []*regRow) { rowTern(op, out, s[0], s[1], s[2], lut) },
+			func(out *regRow, s []*regRow) { rowTernGeneric(op, out, s[0], s[1], s[2], lut) })
+	}
+	for _, op := range rowSelOps {
+		checkRow(t, fmt.Sprintf("rowSel op %d pm %#x", op, m), xy,
+			func(out *regRow, s []*regRow) { rowSel(op, out, s[0], s[1], m) },
+			func(out *regRow, s []*regRow) { rowSelGeneric(op, out, s[0], s[1], m) })
+	}
+	for _, mode := range []uint8{fnInt, fnFloat} {
+		checkRow(t, fmt.Sprintf("rowNeg mode %d", mode), []*regRow{x},
+			func(out *regRow, s []*regRow) { rowNeg(mode, out, s[0]) },
+			func(out *regRow, s []*regRow) { rowNegGeneric(mode, out, s[0]) })
+	}
+	for _, cmp := range rowCmps {
+		if got, want := cmpMask(cmp, x, y), cmpMaskGeneric(cmp, x, y); got != want {
+			t.Errorf("cmpMask %d: %#x, portable %#x\n x %#x\n y %#x", cmp, got, want, *x, *y)
+		}
+		if got, want := cmpMask(cmp, x, x), cmpMaskGeneric(cmp, x, x); got != want {
+			t.Errorf("cmpMask %d, x twice: %#x, portable %#x\n x %#x", cmp, got, want, *x)
+		}
+	}
+
+	var got, want regRow
+	rowBroadcast(&got, x[0])
+	rowBroadcastGeneric(&want, x[0])
+	if got != want {
+		t.Errorf("rowBroadcast(%#x): %#x", x[0], got)
+	}
+	var k regRow
+	rowExpandMask(&k, m)
+	rowExpandMaskGeneric(&want, m)
+	if k != want {
+		t.Errorf("rowExpandMask(%#x): %#x, portable %#x", m, k, want)
+	}
+	k = want
+	got, want = *x, *x
+	rowMerge(&got, y, &k)
+	rowMergeGeneric(&want, y, &k)
+	if got != want {
+		t.Errorf("rowMerge mask %#x: %#x, portable %#x", m, got, want)
+	}
+	if rowMerge(&got, &got, &k); got != want {
+		t.Errorf("rowMerge mask %#x onto itself changed the row", m)
+	}
+
+	if m == 0 {
+		return // the memory tier never runs an empty mask
+	}
+	// The unit-stride test, on a row that is unit-stride under m (other lanes
+	// arbitrary), then with one active lane knocked off the run.
+	first := bits.TrailingZeros32(m)
+	for _, stride := range []uint32{4, 8, z[1]} {
+		addr := *x
+		base := y[0]
+		for l := range addr {
+			if m>>uint(l)&1 != 0 {
+				addr[l] = base + uint32(l)*stride
+			}
+		}
+		for _, a := range []*regRow{&addr, x} {
+			w := a[first] - uint32(first)*stride
+			if got, want := rowStrideDiff(a, &k, w, stride) != 0, rowStrideDiffGeneric(a, &k, w, stride) != 0; got != want {
+				t.Errorf("rowStrideDiff mask %#x stride %d: off-run %v, portable %v\n addr %#x", m, stride, got, want, *a)
+			}
+		}
+		if rowStrideDiff(&addr, &k, base, stride) != 0 {
+			t.Errorf("rowStrideDiff mask %#x stride %d: a unit-stride row reads off-run", m, stride)
+		}
+		last := 31 - bits.LeadingZeros32(m)
+		addr[last] ^= 1 << (z[2] % 32)
+		if rowStrideDiff(&addr, &k, base, stride) == 0 {
+			t.Errorf("rowStrideDiff mask %#x stride %d: lane %d off the run went unseen", m, stride, last)
+		}
+	}
+	checkRowMoves(t, x, y, m, &k)
+}
+
+// checkRowMoves runs the masked .32 load and store over a window that starts
+// exactly at the first active lane's word and ends exactly at the last one's,
+// inside a buffer poisoned on both sides: the guard bytes, and the window
+// bytes of inactive lanes, must come through untouched, as must the inactive
+// lanes of a loaded row.
+func checkRowMoves(t testing.TB, data, prior *regRow, m uint32, k *regRow) {
+	t.Helper()
+	first, last := bits.TrailingZeros32(m), 31-bits.LeadingZeros32(m)
+	const guard = 160 // more than a whole row either side
+	n := 4 * (last - first + 1)
+	fresh := func() []byte {
+		buf := make([]byte, guard+n+guard)
+		for i := range buf {
+			buf[i] = byte(0xa0 + i%23)
+		}
+		return buf
+	}
+
+	bufK, bufG := fresh(), fresh()
+	rowStore32(bufK[guard:guard+n], data, m, k)
+	rowStore32Generic(bufG[guard:guard+n], data, m)
+	if !bytes.Equal(bufK, bufG) {
+		t.Errorf("rowStore32 mask %#x: buffer differs from the portable loop's\n got  %x\n want %x", m, bufK, bufG)
+	}
+	poison := fresh()
+	for l := 0; l < WarpSize; l++ {
+		if i := guard + 4*(l-first); m>>uint(l)&1 != 0 {
+			binary.LittleEndian.PutUint32(poison[i:], data[l])
+		}
+	}
+	if !bytes.Equal(bufG, poison) {
+		t.Errorf("rowStore32Generic mask %#x wrote outside its active lanes", m)
+	}
+
+	before := append([]byte(nil), bufG...)
+	gotRow, wantRow := *prior, *prior
+	rowLoad32(&gotRow, bufG[guard:guard+n], m, k)
+	rowLoad32Generic(&wantRow, bufG[guard:guard+n], m)
+	if gotRow != wantRow {
+		t.Errorf("rowLoad32 mask %#x: %#x, portable %#x", m, gotRow, wantRow)
+	}
+	for l := range wantRow {
+		want := prior[l]
+		if m>>uint(l)&1 != 0 {
+			want = data[l]
+		}
+		if wantRow[l] != want {
+			t.Errorf("rowLoad32Generic mask %#x: lane %d = %#x, want %#x", m, l, wantRow[l], want)
+		}
+	}
+	if !bytes.Equal(bufG, before) {
+		t.Errorf("rowLoad32 mask %#x wrote to its window", m)
+	}
+}
+
+// TestRowKernelsMatchGeneric: every primitive, platform kernel against
+// portable loop, on the edge-value cross product and random rows, under the
+// 33 contiguous and 64 random masks, every LOP3 truth table, out aliasing each
+// source.
+func TestRowKernelsMatchGeneric(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	masks := rowMaskSet(rng)
+	sets := rowOperandSets(rng, 48)
+	for i := range sets {
+		m := masks[i%len(masks)]
+		checkRowKernels(t, &sets[i], m, uint8(37*i+0x96))
+		if t.Failed() {
+			t.Fatalf("operand set %d, mask %#x", i, m)
+		}
+	}
+	// Every mask and every truth table at least once, on random operands.
+	for i := 0; i < 256; i++ {
+		s := &sets[len(sets)-1-i%48]
+		checkRowKernels(t, s, masks[i%len(masks)], uint8(i))
+		if t.Failed() {
+			t.Fatalf("mask %#x, lut %#x", masks[i%len(masks)], i)
+		}
+	}
+}
+
+// FuzzRowKernels feeds the same comparison arbitrary rows: 384 bytes of
+// operands, then the mask and the truth table.
+func FuzzRowKernels(f *testing.F) {
+	seed := func(s *[3]regRow, m uint32, lut uint8) {
+		var b []byte
+		for r := range s {
+			for _, v := range s[r] {
+				b = binary.LittleEndian.AppendUint32(b, v)
+			}
+		}
+		f.Add(append(binary.LittleEndian.AppendUint32(b, m), lut))
+	}
+	rng := rand.New(rand.NewSource(7))
+	sets := rowOperandSets(rng, 2)
+	for i := range sets {
+		seed(&sets[i], rng.Uint32()|1<<uint(i%32), uint8(rng.Uint32()))
+	}
+	seed(&sets[0], fullMask, 0xe8)
+	seed(&sets[1], 1<<31, 0x96)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const need = 3*4*WarpSize + 5
+		if len(data) < need {
+			t.Skip()
+		}
+		var s [3]regRow
+		for r := range s {
+			for l := range s[r] {
+				s[r][l] = binary.LittleEndian.Uint32(data[4*(r*WarpSize+l):])
+			}
+		}
+		checkRowKernels(t, &s, binary.LittleEndian.Uint32(data[need-5:]), data[need-1])
+	})
+}

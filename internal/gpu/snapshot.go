@@ -68,7 +68,7 @@ type LaunchRun struct {
 	budget    budgetCounter
 	stats     LaunchStats
 	pause     pauseCtl
-	counts    []uint64
+	counts    []SiteTally
 	blk       *blockCtx
 	blockLin  int
 	finished  bool
@@ -130,16 +130,21 @@ func (r *LaunchRun) Close() {
 
 // EnableInstrExecCounts makes the run tally thread-level executions per
 // static instruction (the same quantity the transient injector counts when
-// walking to its target). Must be called before the first Resume. The tally
-// belongs to the run, not the architecture: a snapshot does not carry it and
-// a restored run does not tally.
+// walking to its target) — through the engine's one in-line tally, so for a
+// kernel that carries its own (ExecKernel.Tally, cleared by its tool before
+// the launch) the run reads that one instead of keeping a second. Must be
+// called before the first Resume. The tally belongs to the run, not the
+// architecture: a snapshot does not carry it and a restored run does not
+// tally.
 func (r *LaunchRun) EnableInstrExecCounts() {
-	r.counts = make([]uint64, len(r.launch.Kernel.K.Instrs))
+	if r.counts = r.launch.Kernel.Tally; r.counts == nil {
+		r.counts = make([]SiteTally, len(r.launch.Kernel.K.Instrs))
+	}
 }
 
 // InstrExecCounts returns the live per-static-instruction tallies (nil
 // unless EnableInstrExecCounts was called).
-func (r *LaunchRun) InstrExecCounts() []uint64 { return r.counts }
+func (r *LaunchRun) InstrExecCounts() []SiteTally { return r.counts }
 
 // Resume executes up to pauseIn warp instructions (all remaining when
 // pauseIn < 0) and reports whether the run paused (true) or finished
@@ -181,7 +186,7 @@ func (r *LaunchRun) Resume(pauseIn int64) (paused bool, err error) {
 func (r *LaunchRun) newBlock(idx Dim3) *blockCtx {
 	blk := newBlockCtx(r.dev, &r.launch, r.constBank, r.plan, idx, r.blockLin)
 	blk.pause = &r.pause
-	blk.counts = r.counts
+	blk.runTally = r.counts
 	return blk
 }
 

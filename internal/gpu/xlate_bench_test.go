@@ -34,10 +34,10 @@ loop:
     EXIT
 `
 
-// Launch shapes for benchLaunch: run to completion, run with a profiler-style
-// After callback on every instruction, or run through BeginRun pausing every
-// pauseStride warp instructions — the latter two drive the batched loop's
-// hooked issue form and its pause clip.
+// Launch shapes for benchLaunch: run to completion, run the way the profiler
+// does — every instruction's active lanes counted by the in-line tally — or
+// run through BeginRun pausing every pauseStride warp instructions — the
+// latter two drive the batched loop's hooked issue form and its pause clip.
 const (
 	benchPlain = iota
 	benchProfiled
@@ -65,12 +65,8 @@ func benchLaunch(b *testing.B, src string, noXlate bool, shape int) {
 	}
 	k := p.Kernels[0]
 	ek := &ExecKernel{K: k}
-	var lanes uint64
 	if shape == benchProfiled {
-		ek.After = make([][]Callback, len(k.Instrs))
-		for i := range ek.After {
-			ek.After[i] = []Callback{func(c *InstrCtx) { lanes += uint64(c.LaneCount()) }}
-		}
+		ek.Tally = make([]SiteTally, len(k.Instrs))
 	}
 	l := &Launch{
 		Kernel: ek,
@@ -104,8 +100,12 @@ func benchLaunch(b *testing.B, src string, noXlate bool, shape int) {
 		launch()
 	}
 	b.StopTimer()
+	var lanes uint64
+	for _, c := range ek.Tally {
+		lanes += c.Threads
+	}
 	if shape == benchProfiled && lanes != uint64(b.N+1)*stats.ThreadInstrs {
-		b.Fatalf("callbacks counted %d lanes, want %d", lanes, uint64(b.N+1)*stats.ThreadInstrs)
+		b.Fatalf("the tally counted %d lanes, want %d", lanes, uint64(b.N+1)*stats.ThreadInstrs)
 	}
 	perLaunch := float64(stats.WarpInstrs)
 	b.ReportMetric(perLaunch*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mwarpinstr/s")
@@ -117,8 +117,9 @@ func BenchmarkWarpTranslated(b *testing.B)  { benchLaunch(b, hotLoopSrc, false, 
 func BenchmarkWarpInterpreted(b *testing.B) { benchLaunch(b, hotLoopSrc, true, benchPlain) }
 
 // BenchmarkProfiledLaunch and BenchmarkPausedLaunch run the hot loop and the
-// divergent kernel with a callback on every instruction, and through a
-// pausable run stopping every pauseStride instructions, on both engines.
+// divergent kernel with the in-line tally counting every instruction, and
+// through a pausable run stopping every pauseStride instructions, on both
+// engines.
 func BenchmarkProfiledLaunch(b *testing.B) { benchShapes(b, benchProfiled) }
 func BenchmarkPausedLaunch(b *testing.B)   { benchShapes(b, benchPaused) }
 
@@ -128,6 +129,98 @@ func benchShapes(b *testing.B, shape int) {
 		b.Run(k.name+"/interpreted", func(b *testing.B) { benchLaunch(b, k.src, true, shape) })
 	}
 }
+
+// BenchmarkRowKernels times every row primitive alone, ns per 32-lane row:
+// the platform's kernel (AVX2 assembly on amd64; the same loop as "generic"
+// elsewhere and under -tags purego) beside the portable loop, under the full
+// mask and under a partial one. For the row-producing primitives a partial
+// mask means what it means to a fused step — compute into scratch, then merge
+// under the mask; the others take the mask itself.
+func BenchmarkRowKernels(b *testing.B) {
+	var x, y, z, out, scratch, k regRow
+	for l := range x {
+		// Normal floats in x and y (a denormal product costs a microcode assist),
+		// y doubling as a unit-stride address row.
+		x[l], y[l], z[l] = 0x3f800000+uint32(l)<<12, 0x3f000000+uint32(l)*4, uint32(l)%7
+	}
+	buf := make([]byte, 4*WarpSize)
+	type rowFn func(dst *regRow, m uint32)
+	type prim struct {
+		name            string
+		produces        bool // writes dst: a partial mask adds the merge
+		kernel, generic rowFn
+	}
+	prims := []prim{
+		{"broadcast", true, func(d *regRow, _ uint32) { rowBroadcast(d, 7) }, func(d *regRow, _ uint32) { rowBroadcastGeneric(d, 7) }},
+		{"expandmask", false, func(_ *regRow, m uint32) { rowExpandMask(&scratch, m) }, func(_ *regRow, m uint32) { rowExpandMaskGeneric(&scratch, m) }},
+		{"merge", false, func(*regRow, uint32) { rowMerge(&out, &x, &k) }, func(*regRow, uint32) { rowMergeGeneric(&out, &x, &k) }},
+		{"neg.int", true, func(d *regRow, _ uint32) { rowNeg(fnInt, d, &x) }, func(d *regRow, _ uint32) { rowNegGeneric(fnInt, d, &x) }},
+		{"neg.float", true, func(d *regRow, _ uint32) { rowNeg(fnFloat, d, &x) }, func(d *regRow, _ uint32) { rowNegGeneric(fnFloat, d, &x) }},
+		{"stride", false, func(*regRow, uint32) { benchSink += rowStrideDiff(&y, &k, 0x3f000000, 4) }, func(*regRow, uint32) { benchSink += rowStrideDiffGeneric(&y, &k, 0x3f000000, 4) }},
+		{"load32", false, func(_ *regRow, m uint32) { rowLoad32(&out, buf, m, &k) }, func(_ *regRow, m uint32) { rowLoad32Generic(&out, buf, m) }},
+		{"store32", false, func(_ *regRow, m uint32) { rowStore32(buf, &x, m, &k) }, func(_ *regRow, m uint32) { rowStore32Generic(buf, &x, m) }},
+	}
+	for _, o := range []struct {
+		name string
+		op   fastOp
+	}{{"add", fopAdd}, {"mul", fopMul}, {"and", fopAnd}, {"or", fopOr}, {"xor", fopXor}, {"shl", fopShl}, {"shr", fopShrU},
+		{"sar", fopShrS}, {"fadd", fopFAdd}, {"fmul", fopFMul}, {"mulhi.scalar", fopMulHiU}, {"popc.scalar", fopPopc}} {
+		prims = append(prims, prim{o.name, true,
+			func(d *regRow, _ uint32) { rowBin(o.op, d, &x, &y) }, func(d *regRow, _ uint32) { rowBinGeneric(o.op, d, &x, &y) }})
+	}
+	for _, o := range []struct {
+		name string
+		op   fastOp
+	}{{"imad", fopImadLo}, {"iadd3", fopIAdd3}, {"lea", fopLea}, {"ffma", fopFFma}, {"lop3", fopLop3}} {
+		prims = append(prims, prim{o.name, true,
+			func(d *regRow, _ uint32) { rowTern(o.op, d, &x, &y, &z, 0xe8) }, func(d *regRow, _ uint32) { rowTernGeneric(o.op, d, &x, &y, &z, 0xe8) }})
+	}
+	for _, o := range []struct {
+		name string
+		op   fastOp
+	}{{"sel", fopSel}, {"imnmx.s", fopIMnMxS}, {"imnmx.u", fopIMnMxU}, {"fmnmx", fopFMnMx}} {
+		prims = append(prims, prim{o.name, true,
+			func(d *regRow, m uint32) { rowSel(o.op, d, &x, &y, m) }, func(d *regRow, m uint32) { rowSelGeneric(o.op, d, &x, &y, m) }})
+	}
+	for _, o := range []struct {
+		name string
+		cmp  fastCmp
+	}{{"cmp.eq", fcEQ}, {"cmp.lt.s", fcLTS}, {"cmp.ge.u", fcGEU}, {"cmp.f.lt", fcFLT}, {"cmp.f.ne", fcFNE}, {"cmp.f.nan", fcFNan}} {
+		prims = append(prims, prim{o.name, false,
+			func(*regRow, uint32) { benchSink += cmpMask(o.cmp, &x, &y) }, func(*regRow, uint32) { benchSink += cmpMaskGeneric(o.cmp, &x, &y) }})
+	}
+
+	for _, p := range prims {
+		for _, side := range []struct {
+			name     string
+			f        rowFn
+			mergeRow func(dst, src, k *regRow)
+		}{{"kernel", p.kernel, rowMerge}, {"generic", p.generic, rowMergeGeneric}} {
+			for _, mask := range []struct {
+				name string
+				m    uint32
+			}{{"full", fullMask}, {"partial", 0x7ffe7ffe}} {
+				b.Run(p.name+"/"+side.name+"/"+mask.name, func(b *testing.B) {
+					rowExpandMaskGeneric(&k, mask.m)
+					f, m := side.f, mask.m
+					if !p.produces || m == fullMask {
+						for i := 0; i < b.N; i++ {
+							f(&out, m)
+						}
+						return
+					}
+					for i := 0; i < b.N; i++ {
+						f(&scratch, m)
+						side.mergeRow(&out, &scratch, &k)
+					}
+				})
+			}
+		}
+	}
+}
+
+// benchSink keeps results the compiler could otherwise drop.
+var benchSink uint32
 
 // divergentSrc is the divergence benchmark kernel: ostencil-shaped boundary
 // branching inside a 256-iteration loop. Every warp splits at the boundary

@@ -2,7 +2,6 @@ package gpu
 
 import (
 	"math"
-	"math/bits"
 
 	"repro/internal/sass"
 )
@@ -14,10 +13,11 @@ import (
 // immediate / constant-bank / special-register sources — fastStep emits one
 // closure that executes the warp instruction as a vector operation over
 // register rows: every source resolves to a *regRow once per execution, and
-// the op is a single branch-free loop over all 32 lanes with no per-lane
+// the op is one row kernel (rowops_*.go: AVX2 assembly where the platform has
+// it, a branch-free Go loop elsewhere) over all 32 lanes with no per-lane
 // mask, shape, or bounds test.
 //
-// Compute-and-merge rule: under a partial exec mask the loop still computes
+// Compute-and-merge rule: under a partial exec mask the kernel still computes
 // all 32 lanes, into a scratch row, and mergeRow folds the active lanes into
 // the destination. That is sound only because every op in this file is pure:
 // no side effect, and no host panic whatever an inactive lane's (possibly
@@ -42,6 +42,7 @@ const (
 // Read-only rows shared by every plan and warp.
 var (
 	zeroRow   regRow
+	onesRow   = laneRow(func(uint) uint32 { return fullMask }) // fullMask's select words
 	laneIDRow = laneRow(func(l uint) uint32 { return uint32(l) })
 	eqMaskRow = laneRow(func(l uint) uint32 { return 1 << l })
 	ltMaskRow = laneRow(func(l uint) uint32 { return 1<<l - 1 })
@@ -55,10 +56,7 @@ func laneRow(f func(lane uint) uint32) (r regRow) {
 }
 
 func broadcast(r *regRow, v uint32) *regRow {
-	_ = r[0]
-	for l := range r {
-		r[l] = v
-	}
+	rowBroadcast(r, v)
 	return r
 }
 
@@ -68,20 +66,14 @@ func broadcast(r *regRow, v uint32) *regRow {
 func (blk *blockCtx) laneMasks(m uint32) *regRow {
 	if blk.maskFor != m {
 		blk.maskFor = m
-		for l := range blk.maskRow {
-			blk.maskRow[l] = -(m >> uint(l) & 1)
-		}
+		rowExpandMask(&blk.maskRow, m)
 	}
 	return &blk.maskRow
 }
 
 // mergeRow copies src's lanes in m into dst, leaving the rest untouched.
 func (blk *blockCtx) mergeRow(dst, src *regRow, m uint32) {
-	k := blk.laneMasks(m)
-	_, _ = dst[0], src[0]
-	for l := range dst {
-		dst[l] ^= (dst[l] ^ src[l]) & k[l]
-	}
+	rowMerge(dst, src, blk.laneMasks(m))
 }
 
 // storeRow commits a source row to a destination under the exec mask.
@@ -91,13 +83,6 @@ func (blk *blockCtx) storeRow(dst, src *regRow, m uint32) {
 	} else {
 		blk.mergeRow(dst, src, m)
 	}
-}
-
-func b2u(b bool) uint32 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // immRows interns the broadcast rows of one plan's folded immediates, so the
@@ -187,17 +172,8 @@ func (s *fastSrc) resolve(blk *blockCtx, w *warp, scratch *regRow) *regRow {
 	default:
 		return s.row
 	}
-	_, _ = r[0], scratch[0]
-	switch s.neg {
-	case fnInt:
-		for l := range scratch {
-			scratch[l] = -r[l]
-		}
-		return scratch
-	case fnFloat:
-		for l := range scratch {
-			scratch[l] = r[l] ^ 0x80000000
-		}
+	if s.neg != fnNone {
+		rowNeg(s.neg, scratch, r)
 		return scratch
 	}
 	return r
@@ -351,9 +327,9 @@ func (blk *blockCtx) commit(dst, out *regRow, m uint32) {
 }
 
 // fastBinStep fuses a one- or two-source ALU op. Destination/source aliasing
-// needs no care: lane l's result depends only on lane l's operands, each
-// iteration reads before it writes, and negated or broadcast operands were
-// copied to scratch before the loop.
+// needs no care: lane l's result depends only on lane l's operands, every row
+// kernel reads a lane before it writes it, and negated or broadcast operands
+// were copied to scratch before the kernel runs.
 //
 //go:noinline
 func fastBinStep(op fastOp, d sass.RegID, a, b fastSrc) planStep {
@@ -373,72 +349,7 @@ func fastBinStep(op fastOp, d sass.RegID, a, b fastSrc) planStep {
 		}
 		y := b.resolve(blk, w, &blk.rows[rowB])
 		out := blk.outRow(dst, m)
-		_, _, _ = x[0], y[0], out[0] // one nil check here, none in the lane loops
-		switch op {
-		case fopAdd:
-			for l := range out {
-				out[l] = x[l] + y[l]
-			}
-		case fopMul:
-			for l := range out {
-				out[l] = x[l] * y[l]
-			}
-		case fopMulHiS:
-			for l := range out {
-				out[l] = mulHigh(x[l], y[l], true)
-			}
-		case fopMulHiU:
-			for l := range out {
-				out[l] = mulHigh(x[l], y[l], false)
-			}
-		case fopAnd:
-			for l := range out {
-				out[l] = x[l] & y[l]
-			}
-		case fopOr:
-			for l := range out {
-				out[l] = x[l] | y[l]
-			}
-		case fopXor:
-			for l := range out {
-				out[l] = x[l] ^ y[l]
-			}
-		// Go's shifts already have SASS's out-of-range behavior: counts of
-		// 32 or more shift everything out (sign-filling for arithmetic).
-		case fopShl:
-			for l := range out {
-				out[l] = x[l] << y[l]
-			}
-		case fopShrU:
-			for l := range out {
-				out[l] = x[l] >> y[l]
-			}
-		case fopShrS:
-			for l := range out {
-				out[l] = uint32(int32(x[l]) >> y[l])
-			}
-		case fopFAdd:
-			for l := range out {
-				out[l] = math.Float32bits(math.Float32frombits(x[l]) + math.Float32frombits(y[l]))
-			}
-		case fopFMul:
-			for l := range out {
-				out[l] = math.Float32bits(math.Float32frombits(x[l]) * math.Float32frombits(y[l]))
-			}
-		case fopPopc:
-			for l := range out {
-				out[l] = uint32(bits.OnesCount32(x[l]))
-			}
-		case fopBrev:
-			for l := range out {
-				out[l] = bits.Reverse32(x[l])
-			}
-		case fopFlo:
-			// LeadingZeros32(0) is 32, so zero reads 0xffffffff as SASS wants.
-			for l := range out {
-				out[l] = uint32(31 - bits.LeadingZeros32(x[l]))
-			}
-		}
+		rowBin(op, out, x, y)
 		blk.commit(dst, out, m)
 		return false, 0, 0
 	}
@@ -458,39 +369,7 @@ func fastTernStep(op fastOp, d sass.RegID, a, b, c fastSrc, lut uint8) planStep 
 		y := b.resolve(blk, w, &blk.rows[rowB])
 		z := c.resolve(blk, w, &blk.rows[rowC])
 		out := blk.outRow(dst, m)
-		_, _, _, _ = x[0], y[0], z[0], out[0]
-		switch op {
-		case fopImadLo:
-			for l := range out {
-				out[l] = x[l]*y[l] + z[l]
-			}
-		case fopImadHiS:
-			for l := range out {
-				out[l] = mulHigh(x[l], y[l], true) + z[l]
-			}
-		case fopImadHiU:
-			for l := range out {
-				out[l] = mulHigh(x[l], y[l], false) + z[l]
-			}
-		case fopIAdd3:
-			for l := range out {
-				out[l] = x[l] + y[l] + z[l]
-			}
-		case fopLea:
-			for l := range out {
-				out[l] = x[l]<<(z[l]&31) + y[l]
-			}
-		case fopFFma:
-			for l := range out {
-				out[l] = math.Float32bits(float32(
-					float64(math.Float32frombits(x[l]))*float64(math.Float32frombits(y[l])) +
-						float64(math.Float32frombits(z[l]))))
-			}
-		case fopLop3:
-			for l := range out {
-				out[l] = lop3(x[l], y[l], z[l], lut)
-			}
-		}
+		rowTern(op, out, x, y, z, lut)
 		blk.commit(dst, out, m)
 		return false, 0, 0
 	}
@@ -507,41 +386,8 @@ func fastSelStep(op fastOp, d sass.RegID, a, b fastSrc, p fastPred) planStep {
 		dst := &w.regs[d]
 		x := a.resolve(blk, w, &blk.rows[rowA])
 		y := b.resolve(blk, w, &blk.rows[rowB])
-		pm := p.mask(w)
 		out := blk.outRow(dst, m)
-		_, _, _ = x[0], y[0], out[0]
-		switch op {
-		case fopSel:
-			for l := range out {
-				k := -(pm >> uint(l) & 1)
-				out[l] = y[l] ^ (x[l]^y[l])&k
-			}
-		case fopIMnMxU:
-			for l := range out {
-				v := y[l]
-				if (x[l] < y[l]) == (pm>>uint(l)&1 != 0) {
-					v = x[l]
-				}
-				out[l] = v
-			}
-		case fopIMnMxS:
-			for l := range out {
-				v := y[l]
-				if (int32(x[l]) < int32(y[l])) == (pm>>uint(l)&1 != 0) {
-					v = x[l]
-				}
-				out[l] = v
-			}
-		case fopFMnMx:
-			for l := range out {
-				fx, fy := math.Float32frombits(x[l]), math.Float32frombits(y[l])
-				if pm>>uint(l)&1 != 0 {
-					out[l] = math.Float32bits(fmin(fx, fy))
-				} else {
-					out[l] = math.Float32bits(fmax(fx, fy))
-				}
-			}
-		}
+		rowSel(op, out, x, y, p.mask(w))
 		blk.commit(dst, out, m)
 		return false, 0, 0
 	}
@@ -573,9 +419,7 @@ func (s *fastDSrc) resolve(blk *blockCtx, w *warp, scratch *[2]regRow) (lo, hi *
 			}
 		}
 		if s.neg {
-			for l := range hi {
-				scratch[1][l] = hi[l] ^ 0x80000000
-			}
+			rowNeg(fnFloat, &scratch[1], hi)
 			hi = &scratch[1]
 		}
 		return lo, hi
@@ -765,92 +609,6 @@ func fastCmpFor(float, unsigned bool, c sass.CmpOp) fastCmp {
 		return fcGES
 	}
 	return fcF
-}
-
-// cmpMask compares two rows lane by lane and returns the lanes that compare
-// true.
-func cmpMask(cmp fastCmp, x, y *regRow) (r uint32) {
-	// Each loop shifts lane l's result in at the top, so after 32 lanes lane
-	// 0 sits at bit 0: constant shift counts, no variable-shift register
-	// shuffle per lane.
-	_, _ = x[0], y[0]
-	switch cmp {
-	case fcT:
-		return fullMask
-	case fcEQ:
-		for l := range x {
-			r = r>>1 | b2u(x[l] == y[l])<<31
-		}
-	case fcNE:
-		for l := range x {
-			r = r>>1 | b2u(x[l] != y[l])<<31
-		}
-	case fcLTS:
-		for l := range x {
-			r = r>>1 | b2u(int32(x[l]) < int32(y[l]))<<31
-		}
-	case fcLES:
-		for l := range x {
-			r = r>>1 | b2u(int32(x[l]) <= int32(y[l]))<<31
-		}
-	case fcGTS:
-		for l := range x {
-			r = r>>1 | b2u(int32(x[l]) > int32(y[l]))<<31
-		}
-	case fcGES:
-		for l := range x {
-			r = r>>1 | b2u(int32(x[l]) >= int32(y[l]))<<31
-		}
-	case fcLTU:
-		for l := range x {
-			r = r>>1 | b2u(x[l] < y[l])<<31
-		}
-	case fcLEU:
-		for l := range x {
-			r = r>>1 | b2u(x[l] <= y[l])<<31
-		}
-	case fcGTU:
-		for l := range x {
-			r = r>>1 | b2u(x[l] > y[l])<<31
-		}
-	case fcGEU:
-		for l := range x {
-			r = r>>1 | b2u(x[l] >= y[l])<<31
-		}
-	case fcFEQ:
-		for l := range x {
-			r = r>>1 | b2u(f32Of(x[l]) == f32Of(y[l]))<<31
-		}
-	case fcFNE:
-		for l := range x {
-			r = r>>1 | b2u(f32Of(x[l]) != f32Of(y[l]))<<31
-		}
-	case fcFLT:
-		for l := range x {
-			r = r>>1 | b2u(f32Of(x[l]) < f32Of(y[l]))<<31
-		}
-	case fcFLE:
-		for l := range x {
-			r = r>>1 | b2u(f32Of(x[l]) <= f32Of(y[l]))<<31
-		}
-	case fcFGT:
-		for l := range x {
-			r = r>>1 | b2u(f32Of(x[l]) > f32Of(y[l]))<<31
-		}
-	case fcFGE:
-		for l := range x {
-			r = r>>1 | b2u(f32Of(x[l]) >= f32Of(y[l]))<<31
-		}
-	case fcFNum:
-		for l := range x {
-			r = r>>1 | b2u(!isNaN32(f32Of(x[l])) && !isNaN32(f32Of(y[l])))<<31
-		}
-	case fcFNan:
-		for l := range x {
-			r = r>>1 | b2u(isNaN32(f32Of(x[l])) || isNaN32(f32Of(y[l])))<<31
-		}
-	}
-	return r
 }
 
 // fastSetPStep fuses ISETP/FSETP: the comparison builds a result mask, the

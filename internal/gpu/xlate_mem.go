@@ -56,30 +56,20 @@ func fastMemOperand(in *sass.Instr) (r sass.RegID, off uint32, useReg, ok bool) 
 
 // unitStride reports whether the active lanes' addresses addr[l]+off form
 // the run base + l*stride — the coalesced pattern kernels indexing by thread
-// id produce by construction. It returns the first active lane's address and
-// the byte length of the span through the last active lane.
-func (blk *blockCtx) unitStride(addr *regRow, off, m, stride uint32) (lo, n uint32, ok bool) {
+// id produce by construction. It returns the first active lane's address, the
+// byte length of the span through the last active lane, and m's select words.
+func (blk *blockCtx) unitStride(addr *regRow, off, m, stride uint32) (lo, n uint32, k *regRow) {
+	k = &onesRow
+	if m != fullMask {
+		k = blk.laneMasks(m)
+	}
 	first := bits.TrailingZeros32(m)
 	want := addr[first] - uint32(first)*stride // what lane 0's register would hold
-	var bad uint32
-	_ = addr[0]
-	if m == fullMask {
-		for l := range addr {
-			bad |= addr[l] ^ want
-			want += stride
-		}
-	} else {
-		k := blk.laneMasks(m)
-		for l := range addr {
-			bad |= (addr[l] ^ want) & k[l]
-			want += stride
-		}
-	}
-	if bad != 0 {
-		return 0, 0, false
+	if rowStrideDiff(addr, k, want, stride) != 0 {
+		return 0, 0, nil
 	}
 	last := 31 - bits.LeadingZeros32(m)
-	return addr[first] + off, uint32(last-first+1) * stride, true
+	return addr[first] + off, uint32(last-first+1) * stride, k
 }
 
 // spanWindow returns the bytes backing [lo, lo+n) when lo is width-aligned
@@ -187,12 +177,19 @@ func (g fastGlobal) step() planStep {
 			lo, hi = g.v.resolve(blk, w, &blk.rows[rowA]), &zeroRow
 		}
 		first, last := bits.TrailingZeros32(m), 31-bits.LeadingZeros32(m)
-		if a0, n, ok := blk.unitStride(addr, g.off, m, width); ok {
+		if a0, n, k := blk.unitStride(addr, g.off, m, width); k != nil {
 			if win := mem.spanWindow(a0, n, width, g.store); win != nil {
-				for l := first; l <= last; l++ {
-					if m>>uint(l)&1 != 0 {
-						moveLane(win[uint32(l-first)*width:], lo, hi, l, g.wide, g.store)
+				switch {
+				case g.wide:
+					for l := first; l <= last; l++ {
+						if m>>uint(l)&1 != 0 {
+							moveLane(win[uint32(l-first)*width:], lo, hi, l, true, g.store)
+						}
 					}
+				case g.store:
+					rowStore32(win, lo, m, k)
+				default:
+					rowLoad32(lo, win, m, k)
 				}
 				return false, 0, 0
 			}

@@ -12,11 +12,12 @@ import (
 
 // infoTool copies, per callback, the LaunchInfo it is shown (the pointer is
 // the attachment's scratch and must not be kept) and instruments "beta" with
-// a callback that allocates nothing.
+// a callback that allocates nothing and, beside it, the in-line lane tally.
 type infoTool struct {
 	begins, dones []nvbit.LaunchInfo
 	skipped       []bool
 	execs         int
+	tally         []gpu.SiteTally
 }
 
 func (*infoTool) Name() string { return "info" }
@@ -35,6 +36,8 @@ func (it *infoTool) Instrument(_ *sass.Kernel, _ string, ins *nvbit.Inserter) {
 	for i := range ins.Instrs() {
 		ins.InsertAfter(i, func(c *gpu.InstrCtx) { it.execs += c.LaneCount() })
 	}
+	it.tally = make([]gpu.SiteTally, len(ins.Instrs()))
+	ins.TallyLanes(it.tally)
 }
 
 func (it *infoTool) OnLaunchDone(info *nvbit.LaunchInfo, _ gpu.LaunchStats, _ *gpu.Trap, skipped bool) {
@@ -170,6 +173,13 @@ func TestAttachedLaunchAllocs(t *testing.T) {
 	}
 	if att.JITBuilds() != 1 || att.InstrumentedLaunches() != 22 {
 		t.Errorf("JIT builds %d, instrumented launches %d; want 1 and 22", att.JITBuilds(), att.InstrumentedLaunches())
+	}
+	var tallied uint64
+	for _, c := range tool.tally {
+		tallied += c.Threads
+	}
+	if tallied != uint64(tool.execs) {
+		t.Errorf("in-line tally counted %d thread executions, the callbacks %d", tallied, tool.execs)
 	}
 	if tool.execs == 0 {
 		t.Error("instrumentation callbacks never ran")

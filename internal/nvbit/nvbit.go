@@ -82,6 +82,7 @@ type Inserter struct {
 	before [][]gpu.Callback
 	after  [][]gpu.Callback
 	step   gpu.Callback
+	tally  []gpu.SiteTally
 }
 
 // InsertBefore attaches a callback that runs before instruction idx on
@@ -114,6 +115,22 @@ func (ins *Inserter) siteTable() [][]gpu.Callback {
 		table[i] = slab[i : i : i+1]
 	}
 	return table
+}
+
+// TallyLanes makes the engine count, after every instruction of the kernel
+// that completes, the instruction's active lanes (and the issue itself) into
+// tally[idx] — what an InsertAfter callback adding c.LaneCount() on every
+// instruction would do, with the same trampoline charge, but executed in line
+// by the warp loop instead of through a call per dynamic instruction. tally
+// must have one entry per instruction and stays the tool's: the engine only
+// adds to it while a launch of this build runs, so the tool clears it in
+// OnLaunch and reads it in OnLaunchDone.
+func (ins *Inserter) TallyLanes(tally []gpu.SiteTally) {
+	if len(tally) != len(ins.k.Instrs) {
+		panic(fmt.Sprintf("nvbit: TallyLanes: %d entries for the %d instructions of %q",
+			len(tally), len(ins.k.Instrs), ins.k.Name))
+	}
+	ins.tally = tally
 }
 
 // SetStep installs a single-step hook that runs after every instruction,
@@ -345,6 +362,7 @@ func (a *Attachment) OnLaunchBegin(ev *cuda.LaunchEvent) {
 			Before: ins.before,
 			After:  ins.after,
 			Step:   ins.step,
+			Tally:  ins.tally,
 		}
 		a.cache[ck] = ek
 		a.jitBuilds++

@@ -336,3 +336,73 @@ func (k *keyedTool) Instrument(kernel *sass.Kernel, _ string, ins *nvbit.Inserte
 }
 
 func (k *keyedTool) OnLaunchDone(*nvbit.LaunchInfo, gpu.LaunchStats, *gpu.Trap, bool) {}
+
+// tallyTool instruments every launch with the in-line lane tally alone, over
+// a slice short by short entries.
+type tallyTool struct {
+	short int
+	tally []gpu.SiteTally
+	stats gpu.LaunchStats
+}
+
+func (*tallyTool) Name() string { return "tally" }
+
+func (*tallyTool) OnLaunch(*nvbit.LaunchInfo) nvbit.Decision {
+	return nvbit.Decision{Instrument: true, Key: "tally"}
+}
+
+func (tt *tallyTool) Instrument(k *sass.Kernel, _ string, ins *nvbit.Inserter) {
+	tt.tally = make([]gpu.SiteTally, len(k.Instrs)-tt.short)
+	ins.TallyLanes(tt.tally)
+}
+
+func (tt *tallyTool) OnLaunchDone(_ *nvbit.LaunchInfo, stats gpu.LaunchStats, _ *gpu.Trap, _ bool) {
+	tt.stats = stats
+}
+
+// TestTallyLanes: a build that only tallies is an instrumented launch — one
+// After trampoline per dynamic instruction, every site's lanes counted, no
+// callback anywhere — and a tally that does not match the kernel is refused
+// when the build is made.
+func TestTallyLanes(t *testing.T) {
+	launchAlpha := func(tool nvbit.Tool) {
+		ctx := newCtx(t, sass.FamilyVolta)
+		att, err := nvbit.Attach(ctx, tool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer att.Detach()
+		mod, err := ctx.LoadModule("m", twoKernelSrc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := ctx.Malloc(4 * 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := mod.Function("alpha")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ctx.Launch(f, cfg1(), out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tool := &tallyTool{}
+	launchAlpha(tool)
+	for i, c := range tool.tally {
+		if c != (gpu.SiteTally{Threads: 32, Issues: 1}) {
+			t.Errorf("site %d tallied %+v, want 32 threads in 1 issue", i, c)
+		}
+	}
+	if want := uint64(len(tool.tally)) * gpu.TrampolineLen; tool.stats.TrampolineInstrs != want {
+		t.Errorf("%d trampoline instructions, want %d", tool.stats.TrampolineInstrs, want)
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Error("a tally one entry short of the kernel was accepted")
+		}
+	}()
+	launchAlpha(&tallyTool{short: 1})
+}

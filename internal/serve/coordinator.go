@@ -205,6 +205,24 @@ func newID(prefix string) string {
 // Submit validates a spec, computes the job's golden digest (the reference
 // every worker must reproduce), journals the job, and schedules its shards.
 func (c *Coordinator) Submit(spec CampaignSpec) (*JobStatus, error) {
+	st, err := c.accept(spec)
+	if err == nil {
+		c.dispatch()
+	}
+	return st, err
+}
+
+// dispatch sends every parked Lease back to rescan.
+func (c *Coordinator) dispatch() {
+	c.mu.Lock()
+	c.wakeLocked()
+	c.mu.Unlock()
+}
+
+// accept is Submit up to the journalled, listed job; no parked worker hears
+// of it until dispatch. The HTTP handler acknowledges the submitter in
+// between.
+func (c *Coordinator) accept(spec CampaignSpec) (*JobStatus, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -273,7 +291,6 @@ func (c *Coordinator) Submit(spec CampaignSpec) (*JobStatus, error) {
 	c.order = append(c.order, j.id)
 	c.running = append(c.running, j)
 	c.publishJobEvent(j, "submitted")
-	c.wakeLocked()
 	return c.statusLocked(j, false), nil
 }
 

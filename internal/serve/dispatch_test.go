@@ -3,11 +3,13 @@ package serve_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -430,6 +432,59 @@ func TestDispatchUndeliveredGrantReleased(t *testing.T) {
 	serve.NewServer(coord).ServeHTTP(&brokenWriter{header: http.Header{}}, req)
 	if sh := shardStatus(t, coord, st.ID, 0); sh.State != serve.ShardPending || sh.Attempts != 0 {
 		t.Fatalf("shard after an undeliverable grant: %+v, want pending with no attempts", sh)
+	}
+}
+
+// flushProbe is a connection that looks at the coordinator at the moment
+// the reply is flushed to it.
+type flushProbe struct {
+	*httptest.ResponseRecorder
+	atFlush func(sent *httptest.ResponseRecorder)
+}
+
+func (p *flushProbe) Flush() {
+	p.atFlush(p.ResponseRecorder)
+	p.ResponseRecorder.Flush()
+}
+
+// TestDispatchAcknowledgesBeforeWaking: over HTTP the submitter's reply is
+// complete and flushed before any parked worker hears of the job, so a
+// client that times a job from the acknowledgement sees all of it.
+func TestDispatchAcknowledgesBeforeWaking(t *testing.T) {
+	coord, err := serve.NewCoordinator(serve.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	answer := parkLease(coord, register(t, coord, "w"))
+	waitParked(t, coord, 1)
+
+	body, err := json.Marshal(oneShardSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	flushed := false
+	rw := &flushProbe{ResponseRecorder: httptest.NewRecorder(), atFlush: func(sent *httptest.ResponseRecorder) {
+		flushed = true
+		var st serve.JobStatus
+		if err := json.Unmarshal(sent.Body.Bytes(), &st); err != nil || st.ID == "" {
+			t.Errorf("reply at flush is not a whole job status: %q, %v", sent.Body.Bytes(), err)
+		}
+		if got, want := sent.Header().Get("Content-Length"), strconv.Itoa(sent.Body.Len()); got != want {
+			t.Errorf("Content-Length %q at flush, body is %s bytes: the flush does not complete the reply", got, want)
+		}
+		select {
+		case r := <-answer:
+			t.Errorf("parked Lease answered %+v, %v before the submitter's reply was flushed", r.grant, r.err)
+		case <-time.After(50 * time.Millisecond):
+		}
+	}}
+	serve.NewServer(coord).ServeHTTP(rw, httptest.NewRequest("POST", "/api/v1/jobs", bytes.NewReader(body)))
+	if rw.Code != http.StatusCreated || !flushed {
+		t.Fatalf("submit answered %d, flushed=%v", rw.Code, flushed)
+	}
+	if r := await(t, answer, "submit"); r.err != nil || r.grant == nil {
+		t.Fatalf("parked Lease after the acknowledgement: %+v, %v", r.grant, r.err)
 	}
 }
 

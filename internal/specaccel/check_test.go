@@ -1,8 +1,10 @@
 package specaccel
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -169,4 +171,61 @@ func TestStdoutClose(t *testing.T) {
 	if stdoutClose("1", "1 2", 1e-4) {
 		t.Error("different token counts accepted")
 	}
+}
+
+// TestInputImagesMemoized: a generated input vector is encoded once per
+// (seed, n, lo, hi), holds the bytes a fresh generator produces, and comes
+// through runs of the programs that upload it unmodified: MemcpyHtoD copies
+// out of the image.
+func TestInputImagesMemoized(t *testing.T) {
+	fresh32 := func(seed int64, n int, lo, hi float32) []byte {
+		rng := rand.New(rand.NewSource(seed))
+		vals := make([]float32, n)
+		for i := range vals {
+			vals[i] = lo + (hi-lo)*rng.Float32()
+		}
+		return f32buf(vals...)
+	}
+	fresh64 := func(seed int64, n int, lo, hi float64) []byte {
+		rng := rand.New(rand.NewSource(seed))
+		vals := make([]float64, n)
+		for i := range vals {
+			vals[i] = lo + (hi-lo)*rng.Float64()
+		}
+		return f64buf(vals...)
+	}
+	a, b := randFloats(3141, 64, -1, 1), randFloats(3141, 64, -1, 1)
+	if &a[0] != &b[0] {
+		t.Error("the same vector was generated twice")
+	}
+	if !bytes.Equal(a, fresh32(3141, 64, -1, 1)) {
+		t.Error("memoized float32 image differs from a fresh generation")
+	}
+	if c := randFloats(3141, 64, 0, 1); &c[0] == &a[0] || !bytes.Equal(c, fresh32(3141, 64, 0, 1)) {
+		t.Error("a different range shares the image")
+	}
+	if d := randFloats64(3141, 64, -1, 1); &d[0] == &a[0] || !bytes.Equal(d, fresh64(3141, 64, -1, 1)) {
+		t.Error("the float64 vector of the same key shares the float32 image")
+	}
+
+	for _, name := range []string{"314.omriq", "304.olbm", "350.md"} {
+		w, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := (campaign.Runner{}).Golden(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	inputImages.Range(func(k, v any) bool {
+		key := k.(inputKey)
+		want := fresh32(key.seed, key.n, float32(key.lo), float32(key.hi))
+		if key.wide {
+			want = fresh64(key.seed, key.n, key.lo, key.hi)
+		}
+		if !bytes.Equal(v.([]byte), want) {
+			t.Errorf("input image %+v changed after the programs ran", key)
+		}
+		return true
+	})
 }

@@ -264,7 +264,7 @@ func Ilbdc() *Program {
 			if err != nil {
 				return err
 			}
-			h.upload(a, f64bytes(randFloats64(360, n, 0.5, 1.5)))
+			h.upload(a, randFloats64(360, n, 0.5, 1.5))
 			cfg := cuda.LaunchConfig{
 				Grid:  gpu.Dim3{X: n / block, Y: 1, Z: 1},
 				Block: gpu.Dim3{X: block, Y: 1, Z: 1},

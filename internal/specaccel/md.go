@@ -199,7 +199,7 @@ func MD() *Program {
 				if err != nil {
 					return 0, err
 				}
-				h.upload(p, f64bytes(randFloats64(seed, natoms, lo, hi)))
+				h.upload(p, randFloats64(seed, natoms, lo, hi))
 				return p, nil
 			}
 			px, err := buf(3501, 0, 4)

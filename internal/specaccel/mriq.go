@@ -135,10 +135,10 @@ func Omriq() *Program {
 			if err != nil {
 				return err
 			}
-			h.upload(phiR, f32bytes(randFloats(3141, numK, -1, 1)))
-			h.upload(phiI, f32bytes(randFloats(3142, numK, -1, 1)))
-			h.upload(kVals, f32bytes(randFloats(3143, numK, 0, 1)))
-			h.upload(xCoords, f32bytes(randFloats(3144, numX, 0, 1)))
+			h.upload(phiR, randFloats(3141, numK, -1, 1))
+			h.upload(phiI, randFloats(3142, numK, -1, 1))
+			h.upload(kVals, randFloats(3143, numK, 0, 1))
+			h.upload(xCoords, randFloats(3144, numX, 0, 1))
 
 			h.launch(phiMagFn, cuda.LaunchConfig{
 				Grid:  gpu.Dim3{X: numK / block, Y: 1, Z: 1},

@@ -16,6 +16,7 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/campaign"
 	"repro/internal/core"
@@ -236,24 +237,53 @@ func checksum64(vals []float64) float64 {
 	return s
 }
 
-// randFloats generates a deterministic input vector in [lo, hi).
-func randFloats(seed int64, n int, lo, hi float32) []float32 {
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]float32, n)
-	for i := range out {
-		out[i] = lo + (hi-lo)*rng.Float32()
-	}
-	return out
+// inputKey names one generated input vector: element width, generator seed,
+// length and range.
+type inputKey struct {
+	wide   bool
+	seed   int64
+	n      int
+	lo, hi float64
 }
 
-// randFloats64 generates a deterministic float64 input vector.
-func randFloats64(seed int64, n int, lo, hi float64) []float64 {
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = lo + (hi-lo)*rng.Float64()
+// inputImages memoizes the device byte image of every generated input vector.
+// A program's inputs are a pure function of the key, and every experiment of a
+// campaign uploads the same ones, so they are generated — a 607-word generator
+// state seeded, n draws, n encodes — once per process. The images are
+// immutable: MemcpyHtoD copies out of them.
+var inputImages sync.Map // inputKey -> []byte
+
+func inputImage(k inputKey, gen func() []byte) []byte {
+	if b, ok := inputImages.Load(k); ok {
+		return b.([]byte)
 	}
-	return out
+	b, _ := inputImages.LoadOrStore(k, gen())
+	return b.([]byte)
+}
+
+// randFloats returns the device bytes of a deterministic float32 input vector
+// in [lo, hi). Callers must not modify them.
+func randFloats(seed int64, n int, lo, hi float32) []byte {
+	return inputImage(inputKey{false, seed, n, float64(lo), float64(hi)}, func() []byte {
+		rng := rand.New(rand.NewSource(seed))
+		out := make([]float32, n)
+		for i := range out {
+			out[i] = lo + (hi-lo)*rng.Float32()
+		}
+		return f32bytes(out)
+	})
+}
+
+// randFloats64 is randFloats for a float64 vector (register-pair layout).
+func randFloats64(seed int64, n int, lo, hi float64) []byte {
+	return inputImage(inputKey{true, seed, n, lo, hi}, func() []byte {
+		rng := rand.New(rand.NewSource(seed))
+		out := make([]float64, n)
+		for i := range out {
+			out[i] = lo + (hi-lo)*rng.Float64()
+		}
+		return f64bytes(out)
+	})
 }
 
 // fmtF prints a float the way the programs' reference outputs do.
