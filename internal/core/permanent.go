@@ -71,7 +71,8 @@ type FaultDictionary map[sass.Op]CorruptionFunc
 // the corruption per opcode.
 type PermanentInjector struct {
 	P    PermanentParams
-	ops  map[sass.Op]bool
+	ops  []bool // the target opcodes as a set indexed by sass.Op: step asks it per dynamic instruction
+	cats uint32 // the functional categories of the target opcodes, one bit per sass.Category
 	key  string // the JIT cache key of every launch this fault instruments
 	gate ActivationGate
 	dict FaultDictionary
@@ -89,11 +90,21 @@ func NewPermanentInjector(p PermanentParams, family sass.Family, numSMs int) (*P
 		return nil, err
 	}
 	set := sass.OpcodeSet(family)
-	ops := map[sass.Op]bool{set[p.OpcodeID]: true}
-	for _, id := range p.ExtraOpcodeIDs {
-		ops[set[id]] = true
+	pi := &PermanentInjector{P: p, ops: make([]bool, sass.NumOpcodes()+1), key: fmt.Sprintf("pf:%d", p.OpcodeID)}
+	target := func(id int) {
+		pi.ops[set[id]] = true
+		pi.cats |= 1 << set[id].Info().Cat
 	}
-	return &PermanentInjector{P: p, ops: ops, key: fmt.Sprintf("pf:%d", p.OpcodeID)}, nil
+	target(p.OpcodeID)
+	for _, id := range p.ExtraOpcodeIDs {
+		target(id)
+	}
+	return pi, nil
+}
+
+// targets reports whether op is one of the fault's opcodes.
+func (pi *PermanentInjector) targets(op sass.Op) bool {
+	return int(op) < len(pi.ops) && pi.ops[op]
 }
 
 // SetGate makes the fault intermittent (extension). Must be set before the
@@ -112,38 +123,28 @@ func (pi *PermanentInjector) Corruptions() uint64 { return pi.corruptions }
 // Name implements nvbit.Tool.
 func (pi *PermanentInjector) Name() string { return "pf_injector" }
 
-// categories returns the functional categories the fault's opcodes belong
-// to. A hardware-mapped fault cannot be statically narrowed to one opcode:
-// the check runs at runtime on every instruction routed to the faulty
-// unit, so the injector instruments the whole category and filters in the
-// callback — as NVBitFI's pf_injector instruments broadly and filters in
-// its injected device function.
-func (pi *PermanentInjector) categories() map[sass.Category]bool {
-	cats := make(map[sass.Category]bool, 2)
-	for op := range pi.ops {
-		cats[op.Info().Cat] = true
-	}
-	return cats
-}
-
 // OnLaunch implements nvbit.Tool: a permanent fault is present in every
 // kernel, so every launch whose kernel executes the opcode is instrumented.
 func (pi *PermanentInjector) OnLaunch(info *nvbit.LaunchInfo) nvbit.Decision {
 	for i := range info.Kernel.Instrs {
-		if pi.ops[info.Kernel.Instrs[i].Op] {
+		if pi.targets(info.Kernel.Instrs[i].Op) {
 			return nvbit.Decision{Instrument: true, Key: pi.key}
 		}
 	}
 	return nvbit.RunOriginal
 }
 
-// Instrument implements nvbit.Tool: every instruction in the faulty unit's
-// categories carries the check; the exact-opcode match happens at runtime
-// in the callback.
+// Instrument implements nvbit.Tool: every instruction in the functional
+// categories of the fault's opcodes carries the check; the exact-opcode match
+// happens at runtime in the callback. A hardware-mapped fault cannot be
+// statically narrowed to one opcode: the check runs at runtime on every
+// instruction routed to the faulty unit, so the injector instruments the
+// whole category and filters in the callback — as NVBitFI's pf_injector
+// instruments broadly and filters in its injected device function.
 func (pi *PermanentInjector) Instrument(k *sass.Kernel, _ string, ins *nvbit.Inserter) {
-	cats, step := pi.categories(), pi.step // one method value for every site
+	step := pi.step // one method value for every site
 	for i := range k.Instrs {
-		if cats[k.Instrs[i].Op.Info().Cat] {
+		if pi.cats>>k.Instrs[i].Op.Info().Cat&1 != 0 {
 			ins.InsertAfter(i, step)
 		}
 	}
@@ -152,7 +153,7 @@ func (pi *PermanentInjector) Instrument(k *sass.Kernel, _ string, ins *nvbit.Ins
 // step corrupts the destination of the target lane when a target-opcode
 // instruction executes on the target SM.
 func (pi *PermanentInjector) step(c *gpu.InstrCtx) {
-	if !pi.ops[c.Instr.Op] || c.SMID != pi.P.SMID || !c.LaneActive(pi.P.Lane) {
+	if !pi.targets(c.Instr.Op) || c.SMID != pi.P.SMID || !c.LaneActive(pi.P.Lane) {
 		return
 	}
 	act := pi.activations

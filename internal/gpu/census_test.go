@@ -1,0 +1,56 @@
+package gpu_test
+
+import (
+	"testing"
+
+	"repro/internal/cuda"
+	"repro/internal/gpu"
+	"repro/internal/sass"
+	"repro/internal/specaccel"
+)
+
+// TestShippedKernelsNeverThunk pins the tier census of the shipped programs:
+// every instruction of every kernel the 15 SpecACCEL analogs load translates
+// to the row tier or the accessor tier, none to the interpreter thunk (which
+// is left with SHFL, MATCH, BRX, CALL, RET and malformed shapes). It is the
+// gate for retiring blockCtx.exec's dispatch to a test-only oracle: a shipped
+// kernel that starts to thunk fails here, not as a silent slowdown.
+func TestShippedKernelsNeverThunk(t *testing.T) {
+	workloads := specaccel.All()
+	if len(workloads) != 15 {
+		t.Fatalf("%d shipped programs, want 15", len(workloads))
+	}
+	for _, w := range workloads {
+		dev, err := gpu.NewDevice(sass.FamilyVolta, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, err := cuda.NewContext(dev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Run(ctx); err != nil {
+			t.Fatalf("%s: %v", w.Name(), err)
+		}
+		kernels, instrs, fastTotal := 0, 0, 0
+		for _, m := range ctx.Modules() {
+			for _, k := range m.Kernels() {
+				fast, accessor, thunk, err := gpu.TierCensus(k)
+				if err != nil {
+					t.Fatalf("%s/%s: %v", w.Name(), k.Name, err)
+				}
+				if thunk != 0 {
+					t.Errorf("%s/%s: %d of %d instructions run through the interpreter thunk",
+						w.Name(), k.Name, thunk, len(k.Instrs))
+				}
+				kernels++
+				instrs += fast + accessor + thunk
+				fastTotal += fast
+			}
+		}
+		if kernels == 0 {
+			t.Errorf("%s loaded no kernel", w.Name())
+		}
+		t.Logf("%-14s %2d kernels, %4d instructions, %.2f on the row tier", w.Name(), kernels, instrs, float64(fastTotal)/float64(instrs))
+	}
+}

@@ -70,6 +70,16 @@ type warp struct {
 	// when a block claims the warp, and bumped by InstrCtx.WriteReg, the one
 	// writer that is not bounded by the static scan.
 	dirtyRegs int32
+
+	// laneMem says a lane-local window or call stack may hold something:
+	// set by whatever touches one (laneLocal, CALL; copyWarp carries it over
+	// with the buffers), cleared by the reset that sweeps them. Kernels that
+	// use neither never pay the sweep.
+	laneMem bool
+
+	// tidBlock is the block shape the tid rows were computed for, as warp id
+	// of it (warp.shape); the zero shape matches no launch.
+	tidBlock Dim3
 }
 
 // regRow is one architectural register across the warp: lane l's value sits
@@ -410,9 +420,9 @@ func (b *budgetCounter) pollN(n int64) bool {
 	return true
 }
 
-// blockCtx is the per-block execution state. Contexts are pooled (arena.go):
-// a reused context is reset to the zero value, keeping only the warps
-// slice's backing array and the shared-memory buffer.
+// blockCtx is a block slot: the execution state of one block at a time. A
+// schedule claims one per launch (claimBlock), binds it to each block it runs
+// (bind) and releases it when the launch ends (arena.go).
 type blockCtx struct {
 	dev       *Device
 	ek        *ExecKernel
@@ -456,6 +466,12 @@ type blockCtx struct {
 	// It is private to the block, so parallel workers never share it, and
 	// holds no state between steps.
 	rows [numScratchRows]regRow
+
+	// urows holds the plan's uniform operands (xplan.uniforms) as broadcast
+	// rows, one per slot: constant-bank words filled once per launch by
+	// setPlan, block-uniform special registers once per block by bind. Steps
+	// only read them.
+	urows []regRow
 
 	// maskRow caches the exec mask maskFor expanded to per-lane select
 	// words (blockCtx.laneMasks). The zero value is consistent: the empty
@@ -539,9 +555,9 @@ func (d *Device) Run(l *Launch) (LaunchStats, error) {
 		// carry a fault: stores that never collided in the golden run can
 		// collide across blocks now, and only the sequential order makes the
 		// outcome a function of the seed.
-		stats, err = d.runSequential(l, d.bank, plan, budget)
+		stats, err = d.runSequential(l, plan, budget)
 	} else {
-		stats, err = d.runParallel(l, d.bank, plan, budget, workers)
+		stats, err = d.runParallel(l, plan, budget, workers)
 	}
 	if t, ok := AsTrap(err); ok {
 		// The device log is the dmesg analog; log the (deterministically
@@ -552,17 +568,17 @@ func (d *Device) Run(l *Launch) (LaunchStats, error) {
 }
 
 // runSequential is the Workers=1 reference schedule: blocks execute one at
-// a time in linear block order.
-func (d *Device) runSequential(l *Launch, constBank []byte, plan *xplan, budgetN uint64) (LaunchStats, error) {
+// a time in linear block order, all through one slot.
+func (d *Device) runSequential(l *Launch, plan *xplan, budgetN uint64) (LaunchStats, error) {
 	budget := &d.budget
 	budget.reset(int64(budgetN), d.cancelCtx)
 	d.stats = LaunchStats{}
 	stats := &d.stats
+	blk := claimBlock(d, l, d.bank, plan)
+	defer blk.release()
 	for lin := 0; lin < l.Grid.Count(); lin++ {
-		blk := newBlockCtx(d, l, constBank, plan, blockIdxOf(lin, l.Grid), lin)
-		err := blk.run(budget, stats)
-		blk.release()
-		if err != nil {
+		blk.bind(lin)
+		if err := blk.run(budget, stats); err != nil {
 			return *stats, err
 		}
 		stats.Blocks++
@@ -590,49 +606,30 @@ func fillConstBank(bank []byte, l *Launch) []byte {
 	return bank
 }
 
-func newBlockCtx(d *Device, l *Launch, constBank []byte, plan *xplan, blockIdx Dim3, blockLin int) *blockCtx {
-	blockSize := l.Block.Count()
-	numWarps := (blockSize + WarpSize - 1) / WarpSize
-	blk := getBlockCtx(numWarps, l.Kernel.K.SharedBytes+l.SharedBytes)
-	blk.dev = d
-	blk.ek = l.Kernel
-	blk.launch = l
-	blk.constBank = constBank
-	blk.smID = blockLin % d.NumSMs
-	blk.blockIdx = blockIdx
-	blk.blockLin = blockLin
+// setPlan installs the translated plan the slot's blocks run through (nil:
+// the reference loop) and broadcasts its launch-invariant operand rows from
+// the constant bank.
+func (blk *blockCtx) setPlan(plan *xplan) {
 	blk.plan = plan
-	regHi := l.Kernel.writtenRegHi()
-	legacy := d.legacySched()
-	oneDim := l.Block.Y == 1 && l.Block.Z == 1
-	for w := 0; w < numWarps; w++ {
-		wp := getWarp(w)
-		wp.dirtyRegs = regHi
-		wp.scanSched = legacy
-		base := w * WarpSize
-		live := min(blockSize-base, WarpSize)
-		wp.liveMask = fullMask >> uint(WarpSize-live)
-		wp.exitedMask = ^wp.liveMask
-		if oneDim {
-			// 1-D blocks (the overwhelmingly common shape): the linear
-			// thread id is the X coordinate, no div/mod chain. Lanes past
-			// the block's end get ids too; nothing reads the tid of a lane
-			// outside liveMask.
-			for lane := range wp.tid[0] {
-				wp.tid[0][lane] = uint32(base + lane)
-			}
-			wp.tid[1], wp.tid[2] = regRow{}, regRow{}
-		} else {
-			for lane := 0; lane < live; lane++ {
-				t := base + lane
-				wp.tid[0][lane] = uint32(t % l.Block.X)
-				wp.tid[1][lane] = uint32((t / l.Block.X) % l.Block.Y)
-				wp.tid[2][lane] = uint32(t / (l.Block.X * l.Block.Y))
-			}
-		}
-		blk.warps = append(blk.warps, wp)
+	n := 0
+	if plan != nil {
+		n = len(plan.uniforms)
 	}
-	return blk
+	blk.urows = slices.Grow(blk.urows[:0], n)[:n]
+	blk.fillUniforms(false)
+}
+
+// fillUniforms broadcasts the plan's uniform operands that change per block
+// (perBlock) or only per launch into their rows.
+func (blk *blockCtx) fillUniforms(perBlock bool) {
+	if blk.plan == nil {
+		return
+	}
+	for i := range blk.plan.uniforms {
+		if u := &blk.plan.uniforms[i]; u.perBlock() == perBlock {
+			rowBroadcast(&blk.urows[i], u.value(blk))
+		}
+	}
 }
 
 // run executes all warps of the block. Warps run round-robin; a warp yields

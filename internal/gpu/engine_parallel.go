@@ -32,7 +32,7 @@ import (
 // trapped launch — matching hardware, where a trap does not undo work other
 // SMs already did. Fresh-context-per-experiment campaigns never observe the
 // difference: a trapped launch poisons the context.
-func (d *Device) runParallel(l *Launch, constBank []byte, plan *xplan, budgetN uint64, workers int) (LaunchStats, error) {
+func (d *Device) runParallel(l *Launch, plan *xplan, budgetN uint64, workers int) (LaunchStats, error) {
 	numBlocks := l.Grid.Count()
 	blockStats := make([]LaunchStats, numBlocks)
 	blockErrs := make([]error, numBlocks)
@@ -54,6 +54,11 @@ func (d *Device) runParallel(l *Launch, constBank []byte, plan *xplan, budgetN u
 		wg.Add(1)
 		go func(wkr int) {
 			defer wg.Done()
+			// One slot per worker (each owns at least block wkr); the workers
+			// only read the constant bank and the plan they share.
+			blk := claimBlock(d, l, d.bank, plan)
+			blk.parallel = true
+			defer blk.release()
 			for lin := 0; lin < numBlocks; lin++ {
 				if (lin%d.NumSMs)%workers != wkr {
 					continue
@@ -63,11 +68,8 @@ func (d *Device) runParallel(l *Launch, constBank []byte, plan *xplan, budgetN u
 					// schedule would never have started this one.
 					continue
 				}
-				blk := newBlockCtx(d, l, constBank, plan, blockIdxOf(lin, l.Grid), lin)
-				blk.parallel = true
-				err := blk.run(budget, &blockStats[lin])
-				blk.release()
-				if err != nil {
+				blk.bind(lin)
+				if err := blk.run(budget, &blockStats[lin]); err != nil {
 					blockErrs[lin] = err
 					for {
 						cur := trapLin.Load()

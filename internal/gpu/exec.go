@@ -421,6 +421,7 @@ func (blk *blockCtx) exec(w *warp, in *sass.Instr, pc int, execMask uint32) (bar
 		return false, 0, 0
 	case sass.SemCall:
 		t := in.Src[0].Target
+		w.laneMem = true
 		for m := execMask; m != 0; m &= m - 1 {
 			lane := bits.TrailingZeros32(m)
 			if len(w.stack[lane]) >= maxCallDepth {

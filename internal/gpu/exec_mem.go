@@ -300,7 +300,9 @@ func spaceStoreAt(blk *blockCtx, w *warp, lane int, space sass.MemSpace, addr ui
 }
 
 // laneLocal returns a lane's local-memory window, materializing it lazily.
+// Loads come through here too, so the flag over-approximates "written".
 func laneLocal(w *warp, lane int) []byte {
+	w.laneMem = true
 	if w.local[lane] == nil {
 		w.local[lane] = make([]byte, localMemBytes)
 	}

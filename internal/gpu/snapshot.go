@@ -115,9 +115,9 @@ func (d *Device) BeginRun(l *Launch) (*LaunchRun, error) {
 	return r, nil
 }
 
-// Close abandons the run: the in-flight block's warps and context return to
-// their pools, and a run that had not finished reports errRunClosed from then
-// on. Closing a finished or closed run does nothing.
+// Close abandons the run: the block slot returns to its pool, and a run that
+// had not finished reports errRunClosed from then on. Closing a finished or
+// closed run does nothing.
 func (r *LaunchRun) Close() {
 	if r.blk != nil {
 		r.blk.release()
@@ -161,11 +161,8 @@ func (r *LaunchRun) Resume(pauseIn int64) (paused bool, err error) {
 	r.pause.remaining = pauseIn
 	for {
 		if r.blk == nil {
-			if r.blockLin >= r.launch.Grid.Count() {
-				r.finish(nil)
-				return false, nil
-			}
-			r.blk = r.newBlock(blockIdxOf(r.blockLin, r.launch.Grid))
+			r.blk = r.claim()
+			r.blk.bind(r.blockLin)
 		}
 		err := r.blk.run(&r.budget, &r.stats)
 		if err == errLaunchPaused {
@@ -177,14 +174,19 @@ func (r *LaunchRun) Resume(pauseIn int64) (paused bool, err error) {
 		}
 		r.stats.Blocks++
 		r.blockLin++
-		r.blk.release()
-		r.blk = nil
+		if r.blockLin >= r.launch.Grid.Count() {
+			r.finish(nil)
+			return false, nil
+		}
+		r.blk.bind(r.blockLin)
 	}
 }
 
-// newBlock claims the context of the run's current block.
-func (r *LaunchRun) newBlock(idx Dim3) *blockCtx {
-	blk := newBlockCtx(r.dev, &r.launch, r.constBank, r.plan, idx, r.blockLin)
+// claim takes the run's block slot: r.blk is non-nil exactly while a block is
+// in flight, from the first Resume (or a mid-launch Restore) until the run
+// finishes or is closed.
+func (r *LaunchRun) claim() *blockCtx {
+	blk := claimBlock(r.dev, &r.launch, r.constBank, r.plan)
 	blk.pause = &r.pause
 	blk.runTally = r.counts
 	return blk
@@ -234,8 +236,10 @@ func (r *LaunchRun) SetExecKernel(ek *ExecKernel) error {
 	// content is unchanged).
 	r.plan = r.dev.planFor(ek.K)
 	if r.blk != nil {
+		// The in-flight block's operand rows are numbered by the plan.
 		r.blk.ek = ek
-		r.blk.plan = r.plan
+		r.blk.setPlan(r.plan)
+		r.blk.fillUniforms(true)
 	}
 	return nil
 }
@@ -272,7 +276,6 @@ type launchSnap struct {
 }
 
 type blockSnap struct {
-	blockIdx   Dim3
 	resumeWarp int
 	shared     []byte
 	warps      []warp
@@ -280,7 +283,9 @@ type blockSnap struct {
 
 // copyWarp deep-copies src's state into dst (a plain struct copy would alias
 // the local and stack slices, which keep mutating on the live warp), reusing
-// the lane buffers dst already owns.
+// the lane buffers dst already owns. dst must be clean where src holds no
+// buffer (a new warp, or one just reset); src's laneMem flag comes along with
+// the struct, so whatever is copied in is swept when dst is next reset.
 func copyWarp(dst, src *warp) {
 	local, stack := dst.local, dst.stack
 	*dst = *src
@@ -332,7 +337,6 @@ func (d *Device) snapshotWith(run *LaunchRun) *Snapshot {
 	}
 	if blk := run.blk; blk != nil {
 		bs := &blockSnap{
-			blockIdx:   blk.blockIdx,
 			resumeWarp: blk.resumeWarp,
 			shared:     append([]byte(nil), blk.shared...),
 			warps:      make([]warp, len(blk.warps)),
@@ -380,7 +384,8 @@ func (d *Device) Restore(s *Snapshot) (*LaunchRun, error) {
 	r.blockLin = ls.blockLin
 	r.arm(ls.budget)
 	if bs := ls.blk; bs != nil {
-		blk := r.newBlock(bs.blockIdx)
+		blk := r.claim()
+		blk.bind(r.blockLin)
 		r.blk = blk
 		if len(blk.warps) != len(bs.warps) {
 			r.Close()

@@ -28,14 +28,59 @@ import (
 //     ids, immediates, const-bank offsets and guard predicates, but never a
 //     Device, Launch, warp, or constant bank. One plan is therefore shared
 //     read-only across blocks, workers, devices, and experiments, cached
-//     process-wide in modcache keyed by the kernel content hash.
+//     process-wide in modcache keyed by the kernel content hash. What a row
+//     step reads of the launch — a constant-bank word, the block index — it
+//     reads through a slot number (uniforms); the block slot holds the rows.
 //   - Straight-line runs never cross basic-block boundaries: runLen is
 //     computed within the CFG blocks internal/sassan builds, so the
 //     translated fast path's batching provably cannot run past a branch
 //     target entering mid-run.
 type xplan struct {
 	steps []xinstr
+
+	// uniforms are the distinct launch- and block-uniform operands the row
+	// steps read, numbered by slot: blockCtx.urows[i] holds uniforms[i]
+	// broadcast for the block that is running.
+	uniforms []uniformSrc
 }
+
+// uniformSrc is one operand whose 32 lanes read the same value for a whole
+// launch (a constant-bank word) or a whole block (CTAID, SMID), with its
+// negation folded in: broadcast once per launch or block, not per execution.
+type uniformSrc struct {
+	sreg sass.SpecialReg // SRInvalid: the constant-bank word at off
+	off  int32
+	neg  uint8
+}
+
+// perBlock reports whether the value changes from block to block.
+func (u *uniformSrc) perBlock() bool { return u.sreg != sass.SRInvalid }
+
+// value reads the operand for blk's launch and block. Block-uniform special
+// registers depend on no warp.
+func (u *uniformSrc) value(blk *blockCtx) uint32 {
+	if u.sreg == sass.SRInvalid {
+		return negate(blk.constRead(u.off), u.neg)
+	}
+	return negate(specialVal(blk, nil, 0, u.sreg), u.neg)
+}
+
+// blockUniform reports whether a special register reads one value in every
+// lane of every warp of a block.
+func blockUniform(sr sass.SpecialReg) bool {
+	switch sr {
+	case sass.SRCtaidX, sass.SRCtaidY, sass.SRCtaidZ, sass.SRSMID:
+		return true
+	}
+	return false
+}
+
+// Translation tiers, fastest first: what compileStep made of an instruction.
+const (
+	tierFast     uint8 = iota // fastStep's fused row steps
+	tierAccessor              // specializeStep: memory, control, per-lane accessor closures
+	tierThunk                 // the interpreter, through thunkStep
+)
 
 // planStep executes one translated instruction for the lanes in execMask,
 // with the same contract as blockCtx.exec.
@@ -62,6 +107,7 @@ type xinstr struct {
 	simple     bool  // cannot branch, exit lanes, or reach a barrier
 	isBra      bool  // direct BRA/JMP: target known at translation time
 	flow       uint8 // pre-computed flowOf class for split maintenance
+	tier       uint8 // tierFast, tierAccessor or tierThunk
 	runLen     int32 // consecutive batchable steps from here, within one CFG block
 	braTarget  int32 // branch target when flow == flowBranch (BRA/JMP/CALL)
 }
@@ -95,7 +141,7 @@ func semSimple(sem sass.SemKind) bool {
 // xlateEngine names and versions the translation scheme in the plan cache
 // key: bumping it invalidates every cached plan without touching the module
 // entries.
-const xlateEngine = "gpu.xplan/v2"
+const xlateEngine = "gpu.xplan/v3"
 
 // planFor returns the translated execution plan for a kernel, building and
 // caching it process-wide on first use. Content-identical kernels — e.g.
@@ -202,7 +248,7 @@ func appendKernelFields(buf []byte, k *sass.Kernel) []byte {
 // schemes that may want to reject kernels.
 func translate(k *sass.Kernel) (*xplan, error) {
 	steps := make([]xinstr, len(k.Instrs))
-	imms := make(immRows)
+	rt := newRowTable()
 	for i := range k.Instrs {
 		in := &k.Instrs[i]
 		xi := &steps[i]
@@ -225,7 +271,7 @@ func translate(k *sass.Kernel) (*xplan, error) {
 			xi.isBra = true
 		}
 		xi.flow, xi.braTarget = flowOf(in)
-		xi.step = compileStep(in, i, imms)
+		xi.step, xi.tier = compileStep(in, i, rt)
 	}
 	// Straight-line run lengths, computed backwards within each CFG basic
 	// block so a run can never span a branch target. A step is batchable
@@ -244,7 +290,7 @@ func translate(k *sass.Kernel) (*xplan, error) {
 			steps[i].runLen = run
 		}
 	}
-	return &xplan{steps: steps}, nil
+	return &xplan{steps: steps, uniforms: rt.uniforms}, nil
 }
 
 // readsClock reports whether executing the instruction can observe the SM

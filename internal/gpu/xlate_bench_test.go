@@ -34,6 +34,37 @@ loop:
     EXIT
 `
 
+// shortWarpSrc is the short-launch benchmark kernel, the shape of a
+// 353.clvrleaf launch: 19 instructions per warp — index arithmetic on two
+// constant-bank operands, a guarded early EXIT for the grid's tail, one load,
+// a few ALU ops, one store — so that building the block's warps and
+// broadcasting its constants weigh as much as they do in the campaigns
+// (249 launches of 32 warps a run), where hotLoopSrc's 2 000 instructions per
+// warp hide them.
+const shortWarpSrc = `
+.kernel short
+.param buf
+    S2R R0, SR_TID.X
+    S2R R1, SR_CTAID.X
+    IMAD R2, R1, c0[NTID_X], R0
+    ISETP.GE.AND P0, R2, 0x3fc, PT
+@P0 EXIT
+    SHL R3, R2, 0x2
+    IADD R3, R3, c0[buf]
+    LDG.32 R4, [R3]
+    IADD R5, R4, 0x1
+    SHL R6, R5, 0x3
+    LOP.XOR R6, R6, R2
+    IMAD R7, R6, 0x5, R4
+    LOP.AND R7, R7, 0xffff
+    IADD R8, R7, R4
+    SHL R9, R8, 0x1
+    IADD R9, R9, R0
+    LOP.OR R9, R9, 0x1
+    STG.32 [R3], R9
+    EXIT
+`
+
 // Launch shapes for benchLaunch: run to completion, run the way the profiler
 // does — every instruction's active lanes counted by the in-line tally — or
 // run through BeginRun pausing every pauseStride warp instructions — the
@@ -109,12 +140,17 @@ func benchLaunch(b *testing.B, src string, noXlate bool, shape int) {
 	}
 	perLaunch := float64(stats.WarpInstrs)
 	b.ReportMetric(perLaunch*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mwarpinstr/s")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(blocks*threads/WarpSize), "ns/warp")
 }
 
 // BenchmarkWarpTranslated measures the block-level translation engine on the
 // warp hot loop; BenchmarkWarpInterpreted is the legacy dispatch baseline.
 func BenchmarkWarpTranslated(b *testing.B)  { benchLaunch(b, hotLoopSrc, false, benchPlain) }
 func BenchmarkWarpInterpreted(b *testing.B) { benchLaunch(b, hotLoopSrc, true, benchPlain) }
+
+// BenchmarkShortWarpLaunch is the per-warp fixed cost: 8 blocks of 4 short
+// warps a launch (shortWarpSrc), read as ns/warp.
+func BenchmarkShortWarpLaunch(b *testing.B) { benchLaunch(b, shortWarpSrc, false, benchPlain) }
 
 // BenchmarkProfiledLaunch and BenchmarkPausedLaunch run the hot loop and the
 // divergent kernel with the in-line tally counting every instruction, and

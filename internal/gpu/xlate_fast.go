@@ -85,29 +85,48 @@ func (blk *blockCtx) storeRow(dst, src *regRow, m uint32) {
 	}
 }
 
-// immRows interns the broadcast rows of one plan's folded immediates, so the
-// row for a repeated constant exists once. The rows are immutable after
-// translation and shared by every execution of the plan.
-type immRows map[uint32]*regRow
+// rowTable collects, while one plan is translated, the read-only rows its
+// steps will resolve to: the interned broadcast rows of folded immediates,
+// which exist once per repeated constant, are immutable after translation and
+// shared by every execution of the plan; and the plan's uniform operands
+// (xplan.uniforms), numbered here and broadcast by whichever block slot runs
+// the plan.
+type rowTable struct {
+	imms     map[uint32]*regRow
+	uniforms []uniformSrc
+}
 
-func (ir immRows) row(v uint32) *regRow {
+func newRowTable() *rowTable { return &rowTable{imms: make(map[uint32]*regRow)} }
+
+func (rt *rowTable) row(v uint32) *regRow {
 	if v == 0 {
 		return &zeroRow
 	}
-	r := ir[v]
+	r := rt.imms[v]
 	if r == nil {
 		r = broadcast(new(regRow), v)
-		ir[v] = r
+		rt.imms[v] = r
 	}
 	return r
+}
+
+// uniform returns the slot of a uniform operand, numbering it on first use.
+func (rt *rowTable) uniform(u uniformSrc) int32 {
+	for i := range rt.uniforms {
+		if rt.uniforms[i] == u {
+			return int32(i)
+		}
+	}
+	rt.uniforms = append(rt.uniforms, u)
+	return int32(len(rt.uniforms) - 1)
 }
 
 // Source kinds after fast classification.
 const (
 	fsFixed   uint8 = iota // translation-time broadcast row (immediates, labels, RZ)
 	fsReg                  // the register's own row, read in place
-	fsConst                // launch constant-bank word, broadcast per execution
-	fsSpecial              // special register: a thread-index or lane row, or a broadcast
+	fsUniform              // constant-bank word or block-uniform special: the slot's row
+	fsSpecial              // other special register: a thread-index or lane row, or a broadcast
 )
 
 // Negation modes, mirroring the accessor compilers: fnInt is srcI's two's
@@ -135,21 +154,21 @@ type fastSrc struct {
 	neg  uint8
 	reg  sass.RegID
 	sreg sass.SpecialReg
-	off  int32   // constant-bank offset for fsConst
+	slot int32   // fsUniform: index into blockCtx.urows, negation folded in
 	row  *regRow // fsFixed
 }
 
-// resolve returns the operand as a row for this execution. Registers and
-// per-lane specials are read in place; launch- and warp-uniform values are
-// broadcast into scratch, and a negated row is rewritten into scratch. The
-// caller must treat the result as read-only.
+// resolve returns the operand as a row for this execution. Registers,
+// per-lane specials and uniform operands are read in place; warp-uniform
+// values are broadcast into scratch, and a negated row is rewritten into
+// scratch. The caller must treat the result as read-only.
 func (s *fastSrc) resolve(blk *blockCtx, w *warp, scratch *regRow) *regRow {
 	var r *regRow
 	switch s.kind {
 	case fsReg:
 		r = &w.regs[s.reg]
-	case fsConst:
-		return broadcast(scratch, negate(blk.constRead(s.off), s.neg))
+	case fsUniform:
+		return &blk.urows[s.slot]
 	case fsSpecial:
 		switch s.sreg {
 		case sass.SRTidX:
@@ -165,8 +184,8 @@ func (s *fastSrc) resolve(blk *blockCtx, w *warp, scratch *regRow) *regRow {
 		case sass.SRLtMask:
 			r = &ltMaskRow
 		default:
-			// CTAID, warp id, SM id, the clock, and unknown registers (which
-			// read zero) are warp-invariant within one step.
+			// The warp id, the clock, and unknown registers (which read zero)
+			// are warp-invariant within one step.
 			return broadcast(scratch, negate(specialVal(blk, w, 0, s.sreg), s.neg))
 		}
 	default:
@@ -182,7 +201,7 @@ func (s *fastSrc) resolve(blk *blockCtx, w *warp, scratch *regRow) *regRow {
 // fastSrcFor classifies one source under the given negation mode. The bool
 // result is false when the operand needs the accessor tier: missing
 // operands, or shapes the interpreter would reject.
-func fastSrcFor(in *sass.Instr, idx int, neg uint8, imms immRows) (fastSrc, bool) {
+func fastSrcFor(in *sass.Instr, idx int, neg uint8, rt *rowTable) (fastSrc, bool) {
 	if idx >= len(in.Src) {
 		return fastSrc{}, false
 	}
@@ -194,19 +213,28 @@ func fastSrcFor(in *sass.Instr, idx int, neg uint8, imms immRows) (fastSrc, bool
 	switch o.Kind {
 	case sass.OpdReg:
 		if o.Reg == sass.RZ {
-			return fastSrc{row: imms.row(negate(0, m))}, true
+			return fastSrc{row: rt.row(negate(0, m))}, true
 		}
 		return fastSrc{kind: fsReg, neg: m, reg: o.Reg}, true
 	case sass.OpdImm:
-		return fastSrc{row: imms.row(negate(o.Imm, m))}, true
+		return fastSrc{row: rt.row(negate(o.Imm, m))}, true
 	case sass.OpdLabel:
-		return fastSrc{row: imms.row(negate(uint32(o.Target), m))}, true
+		return fastSrc{row: rt.row(negate(uint32(o.Target), m))}, true
 	case sass.OpdConst:
-		return fastSrc{kind: fsConst, neg: m, off: o.Off}, true
+		return fastSrc{kind: fsUniform, slot: rt.uniform(uniformSrc{off: o.Off, neg: m})}, true
 	case sass.OpdSpecial:
-		return fastSrc{kind: fsSpecial, neg: m, sreg: o.SReg}, true
+		return specialSrc(o.SReg, m, rt), true
 	}
 	return fastSrc{}, false
+}
+
+// specialSrc classifies a special-register source: block-uniform ones read
+// their slot's row, the rest resolve per execution.
+func specialSrc(sr sass.SpecialReg, neg uint8, rt *rowTable) fastSrc {
+	if blockUniform(sr) {
+		return fastSrc{kind: fsUniform, slot: rt.uniform(uniformSrc{sreg: sr, neg: neg})}
+	}
+	return fastSrc{kind: fsSpecial, neg: neg, sreg: sr}
 }
 
 // fastPred is a pre-resolved predicate source: a constant (PT, missing, or
@@ -395,14 +423,15 @@ func fastSelStep(op fastOp, d sass.RegID, a, b fastSrc, p fastPred) planStep {
 
 // fastDSrc is one pre-resolved FP64 source, mirroring srcD's quirks exactly:
 // register pairs negate by flipping the high word's sign bit, constant-bank
-// doubles broadcast per execution, float immediates widen with negation
-// ignored, and any other shape reads ±0.0 as the accessor tier does.
+// doubles are a pair of uniform slots (the high word's carries the sign
+// flip), float immediates widen with negation ignored, and any other shape
+// reads ±0.0 as the accessor tier does.
 type fastDSrc struct {
-	kind   uint8 // fsFixed, fsReg, fsConst
-	neg    bool
-	reg    sass.RegID
-	off    int32   // constant-bank offset for fsConst
-	lo, hi *regRow // fsFixed
+	kind           uint8 // fsFixed, fsReg, fsUniform
+	neg            bool  // fsReg
+	reg            sass.RegID
+	loSlot, hiSlot int32   // fsUniform
+	lo, hi         *regRow // fsFixed
 }
 
 // resolve returns the operand's low and high word rows. Register pairs go
@@ -423,32 +452,32 @@ func (s *fastDSrc) resolve(blk *blockCtx, w *warp, scratch *[2]regRow) (lo, hi *
 			hi = &scratch[1]
 		}
 		return lo, hi
-	case fsConst:
-		h := blk.constRead(s.off + 4)
-		if s.neg {
-			h ^= 0x80000000
-		}
-		return broadcast(&scratch[0], blk.constRead(s.off)), broadcast(&scratch[1], h)
+	case fsUniform:
+		return &blk.urows[s.loSlot], &blk.urows[s.hiSlot]
 	}
 	return s.lo, s.hi
 }
 
 // fastDSrcFor classifies one FP64 source. srcD accepts every operand kind
 // (unknown shapes read ±0.0), so the only rejection is a missing operand.
-func fastDSrcFor(in *sass.Instr, idx int, imms immRows) (fastDSrc, bool) {
+func fastDSrcFor(in *sass.Instr, idx int, rt *rowTable) (fastDSrc, bool) {
 	if idx >= len(in.Src) {
 		return fastDSrc{}, false
 	}
 	fixed := func(v float64) (fastDSrc, bool) {
 		b := math.Float64bits(v)
-		return fastDSrc{lo: imms.row(uint32(b)), hi: imms.row(uint32(b >> 32))}, true
+		return fastDSrc{lo: rt.row(uint32(b)), hi: rt.row(uint32(b >> 32))}, true
 	}
 	o := &in.Src[idx]
 	switch o.Kind {
 	case sass.OpdReg:
 		return fastDSrc{kind: fsReg, reg: o.Reg, neg: o.Neg}, true
 	case sass.OpdConst:
-		return fastDSrc{kind: fsConst, off: o.Off, neg: o.Neg}, true
+		hi := uniformSrc{off: o.Off + 4}
+		if o.Neg {
+			hi.neg = fnFloat
+		}
+		return fastDSrc{kind: fsUniform, loSlot: rt.uniform(uniformSrc{off: o.Off}), hiSlot: rt.uniform(hi)}, true
 	case sass.OpdImm:
 		// srcD's quirk: a float immediate in a double context widens with
 		// negation ignored.
@@ -644,7 +673,7 @@ func fastSetPStep(cmp fastCmp, boolOp sass.BoolOp,
 
 // fastStep tries the row tier for one instruction; nil means the shape needs
 // the accessor tier.
-func fastStep(in *sass.Instr, imms immRows) planStep {
+func fastStep(in *sass.Instr, rt *rowTable) planStep {
 	mods := &in.Mods
 	sem := in.Op.Info().Sem
 	switch sem {
@@ -699,7 +728,7 @@ func fastStep(in *sass.Instr, imms immRows) planStep {
 		case sass.SemFMul:
 			op, neg = fopFMul, fnFloat
 		}
-		a, ok := fastSrcFor(in, 0, neg, imms)
+		a, ok := fastSrcFor(in, 0, neg, rt)
 		if !ok {
 			return nil
 		}
@@ -707,7 +736,7 @@ func fastStep(in *sass.Instr, imms immRows) planStep {
 		switch op {
 		case fopPassA, fopPopc, fopBrev, fopFlo:
 		default:
-			if b, ok = fastSrcFor(in, 1, neg, imms); !ok {
+			if b, ok = fastSrcFor(in, 1, neg, rt); !ok {
 				return nil
 			}
 		}
@@ -745,15 +774,15 @@ func fastStep(in *sass.Instr, imms immRows) planStep {
 			}
 			lut = uint8(in.Src[3].Imm)
 		}
-		a, ok := fastSrcFor(in, 0, neg, imms)
+		a, ok := fastSrcFor(in, 0, neg, rt)
 		if !ok {
 			return nil
 		}
-		b, ok := fastSrcFor(in, 1, neg, imms)
+		b, ok := fastSrcFor(in, 1, neg, rt)
 		if !ok {
 			return nil
 		}
-		c, ok := fastSrcFor(in, 2, neg, imms)
+		c, ok := fastSrcFor(in, 2, neg, rt)
 		if !ok {
 			return nil
 		}
@@ -779,11 +808,11 @@ func fastStep(in *sass.Instr, imms immRows) planStep {
 		case sass.SemFMnMx:
 			op, neg = fopFMnMx, fnFloat
 		}
-		a, ok := fastSrcFor(in, 0, neg, imms)
+		a, ok := fastSrcFor(in, 0, neg, rt)
 		if !ok {
 			return nil
 		}
-		b, ok := fastSrcFor(in, 1, neg, imms)
+		b, ok := fastSrcFor(in, 1, neg, rt)
 		if !ok {
 			return nil
 		}
@@ -799,11 +828,11 @@ func fastStep(in *sass.Instr, imms immRows) planStep {
 		if float {
 			neg = fnFloat
 		}
-		a, ok := fastSrcFor(in, 0, neg, imms)
+		a, ok := fastSrcFor(in, 0, neg, rt)
 		if !ok {
 			return nil
 		}
-		b, ok := fastSrcFor(in, 1, neg, imms)
+		b, ok := fastSrcFor(in, 1, neg, rt)
 		if !ok {
 			return nil
 		}
@@ -820,7 +849,7 @@ func fastStep(in *sass.Instr, imms immRows) planStep {
 		if !ok || len(in.Src) == 0 {
 			return nil
 		}
-		return fastBinStep(fopPassA, d, fastSrc{kind: fsSpecial, sreg: in.Src[0].SReg}, fastSrc{row: &zeroRow})
+		return fastBinStep(fopPassA, d, specialSrc(in.Src[0].SReg, fnNone, rt), fastSrc{row: &zeroRow})
 
 	case sass.SemDAdd, sass.SemDMul, sass.SemDFma, sass.SemDMnMx:
 		d, ok := fastDst(in)
@@ -838,17 +867,17 @@ func fastStep(in *sass.Instr, imms immRows) planStep {
 		case sass.SemDMnMx:
 			op = fopDMnMx
 		}
-		a, ok := fastDSrcFor(in, 0, imms)
+		a, ok := fastDSrcFor(in, 0, rt)
 		if !ok {
 			return nil
 		}
-		b, ok := fastDSrcFor(in, 1, imms)
+		b, ok := fastDSrcFor(in, 1, rt)
 		if !ok {
 			return nil
 		}
 		c := fastDSrc{}
 		if sem == sass.SemDFma {
-			if c, ok = fastDSrcFor(in, 2, imms); !ok {
+			if c, ok = fastDSrcFor(in, 2, rt); !ok {
 				return nil
 			}
 		}

@@ -343,7 +343,7 @@ func compileLoadConst(in *sass.Instr) planStep {
 }
 
 // compileStore specializes ST/STG/STL/STS.
-func compileStore(in *sass.Instr, space sass.MemSpace, imms immRows) planStep {
+func compileStore(in *sass.Instr, space sass.MemSpace, rt *rowTable) planStep {
 	vi := -1
 	for i := range in.Src {
 		if in.Src[i].Kind != sass.OpdMem {
@@ -366,8 +366,8 @@ func compileStore(in *sass.Instr, space sass.MemSpace, imms immRows) planStep {
 	switch width := in.Mods.MemWidth(); width {
 	case 1, 2, 4:
 		if width == 4 && global {
-			if v, ok := fastSrcFor(in, vi, fnNone, imms); ok {
-				if r, off, useReg, ok := fastMemOperand(in); ok {
+			if r, off, useReg, ok := fastMemOperand(in); ok {
+				if v, ok := fastSrcFor(in, vi, fnNone, rt); ok {
 					return fastGlobal{r: r, off: off, useReg: useReg, store: true, v: v}.step()
 				}
 			}
@@ -384,15 +384,15 @@ func compileStore(in *sass.Instr, space sass.MemSpace, imms immRows) planStep {
 			return false, 0, 0
 		}
 	case 8:
-		if global {
+		if r, off, useReg, okm := fastMemOperand(in); global && okm {
 			// A register value stores its pair (readPairReg's RZ rules); any
 			// other shape stores its 32-bit value zero-extended.
-			v, ok := fastSrcFor(in, vi, fnNone, imms)
+			v, ok := fastSrcFor(in, vi, fnNone, rt)
 			pair := fastDSrc{}
 			if in.Src[vi].Kind == sass.OpdReg {
 				pair, ok = fastDSrc{kind: fsReg, reg: in.Src[vi].Reg}, true
 			}
-			if r, off, useReg, okm := fastMemOperand(in); ok && okm {
+			if ok {
 				return fastGlobal{r: r, off: off, useReg: useReg, store: true, wide: true, v: v, pair: pair}.step()
 			}
 		}

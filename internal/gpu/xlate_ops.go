@@ -286,18 +286,17 @@ func boolQualify(in *sass.Instr, base laneP) laneP {
 // (xlate_fast.go) for the dominant ALU shapes, the accessor tier for
 // everything else it understands, and the interpreter thunk whenever any
 // operand compiler reports a shape the specializer does not cover.
-func compileStep(in *sass.Instr, pc int, imms immRows) planStep {
-	if step := fastStep(in, imms); step != nil {
-		return step
+func compileStep(in *sass.Instr, pc int, rt *rowTable) (planStep, uint8) {
+	if step := fastStep(in, rt); step != nil {
+		return step, tierFast
 	}
-	step := specializeStep(in, imms)
-	if step == nil {
-		return thunkStep(in, pc)
+	if step := specializeStep(in, rt); step != nil {
+		return step, tierAccessor
 	}
-	return step
+	return thunkStep(in, pc), tierThunk
 }
 
-func specializeStep(in *sass.Instr, imms immRows) planStep {
+func specializeStep(in *sass.Instr, rt *rowTable) planStep {
 	mods := &in.Mods
 	switch in.Op.Info().Sem {
 	// --- FP32 arithmetic ---
@@ -869,7 +868,7 @@ func specializeStep(in *sass.Instr, imms immRows) planStep {
 	case sass.SemLdc:
 		return compileLoadConst(in)
 	case sass.SemSt:
-		return compileStore(in, in.Op.Info().Space, imms)
+		return compileStore(in, in.Op.Info().Space, rt)
 	case sass.SemAtom:
 		return compileAtomic(in, in.Op.Info().Space, true)
 	case sass.SemRed:

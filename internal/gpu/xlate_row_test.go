@@ -27,7 +27,7 @@ type rowHarness struct {
 	t          *testing.T
 	blkX, blkI *blockCtx
 	base       warp
-	imms       immRows
+	rt         *rowTable
 }
 
 func newRowHarness(t *testing.T, seed int64) *rowHarness {
@@ -42,7 +42,7 @@ func newRowHarness(t *testing.T, seed int64) *rowHarness {
 	mk := func() *blockCtx {
 		return &blockCtx{dev: d, launch: l, constBank: bank, smID: 1, blockIdx: Dim3{X: 3, Y: 2, Z: 1}, blockLin: 7}
 	}
-	h := &rowHarness{t: t, blkX: mk(), blkI: mk(), imms: make(immRows)}
+	h := &rowHarness{t: t, blkX: mk(), blkI: mk(), rt: newRowTable()}
 	rng := rand.New(rand.NewSource(seed))
 	w := &h.base
 	w.id = 2
@@ -70,14 +70,22 @@ func newRowHarness(t *testing.T, seed int64) *rowHarness {
 	return h
 }
 
+// bindRows fills blk's uniform operand rows for every slot the harness's
+// translations have numbered so far, as claimBlock and bind do for a plan.
+func (h *rowHarness) bindRows(blk *blockCtx) {
+	blk.setPlan(&xplan{uniforms: h.rt.uniforms})
+	blk.fillUniforms(true)
+}
+
 // check runs one instruction through the row tier and the interpreter under
 // every mask and requires identical architectural state.
 func (h *rowHarness) check(in *sass.Instr) {
 	h.t.Helper()
-	step := fastStep(in, h.imms)
+	step := fastStep(in, h.rt)
 	if step == nil {
 		h.t.Fatalf("%v: the row tier refused a shape it is documented to cover", in)
 	}
+	h.bindRows(h.blkX)
 	for _, m := range rowMasks {
 		wx, wi := h.base, h.base
 		_, kx, ax := step(h.blkX, &wx, m)
@@ -478,7 +486,8 @@ func TestRowTierGlobalAccess(t *testing.T) {
 							// The absolute form: aim the fixed offset at the buffer.
 							in.Src[0].Off = int32(pat.addr(bufX, 0))
 						}
-						step := compileStep(&in, 0, h.imms)
+						step, _ := compileStep(&in, 0, h.rt)
+						h.bindRows(blkX)
 						_, kx, ax := step(blkX, &wx, m)
 						_, ki, ai := blkI.exec(&wi, &in, 0, m)
 						id := fmt.Sprintf("%s.%d %s off %d mask %#x", ac.name, 8*width, pat.name, off, m)
@@ -524,9 +533,9 @@ func TestRowTierFusedShapes(t *testing.T) {
     DFMA R4, R6, c0[p], -R8
     EXIT
 `, "shapes")
-	imms := make(immRows)
+	rt := newRowTable()
 	for i := range k.Instrs[:6] {
-		if fastStep(&k.Instrs[i], imms) == nil {
+		if fastStep(&k.Instrs[i], rt) == nil {
 			t.Errorf("%v: not on the row tier", &k.Instrs[i])
 		}
 	}
