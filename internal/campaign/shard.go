@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/cuda"
@@ -280,41 +281,54 @@ func (pl *ShardPlan) assignStrata(params []core.TransientParams, results []RunRe
 
 // runIndexes executes the experiments at the given param indexes with the
 // plan's Parallel bound, writing into the index-aligned results and errs.
+// Parallel long-lived workers claim the indexes in order from one cursor: an
+// experiment lasts a fraction of a millisecond, and a goroutine spawned and
+// handed back per experiment cost two futex round trips each.
 func (pl *ShardPlan) runIndexes(ctx context.Context, params []core.TransientParams, idxs []int, results []RunResult, errs []error) {
-	var wg sync.WaitGroup
-	// Acquire the semaphore before spawning so a 1000-injection campaign
-	// keeps at most Parallel goroutines alive instead of parking them all.
-	sem := make(chan struct{}, pl.cfg.Parallel)
+	// Pruning comes before anything runs, checkpoint planning included: a
+	// statically-dead site must not touch the trace at all.
+	todo := make([]int, 0, len(idxs))
 	for _, i := range idxs {
-		if err := ctx.Err(); err != nil {
-			errs[i] = err
-			continue
-		}
-		// Pruning comes before checkpoint planning: a statically-dead site
-		// never runs, so it must not touch the trace at all.
 		if pl.pr != nil && pl.pr.prunable(params[i]) {
 			results[i] = prunedResult(pl.golden, params[i])
 			continue
 		}
-		sem <- struct{}{}
-		// An experiment's exit wakes this loop and the loop starts the next
-		// experiment, each handed the processor directly, so the chain
-		// holds it for a whole scheduler time slice and whatever else is
-		// queued there — under the campaign service the submitter's reply,
-		// event streams, heartbeats — waits 10-20 ms. Let it run first.
-		runtime.Gosched()
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
+		todo = append(todo, i)
+	}
+	var cursor atomic.Int64
+	work := func() {
+		for {
+			k := int(cursor.Add(1)) - 1
+			if k >= len(todo) {
+				return
+			}
+			i := todo[k]
+			if err := ctx.Err(); err != nil {
+				errs[i] = err
+				continue
+			}
+			// Back-to-back experiments would hold the processor for a whole
+			// scheduler time slice, and whatever else is queued there — under
+			// the campaign service the submitter's reply, event streams,
+			// heartbeats — would wait 10-20 ms. Let it run first.
+			runtime.Gosched()
 			res, err := pl.runOne(ctx, params[i])
 			if err != nil {
 				errs[i] = err
-				return
+				continue
 			}
 			results[i] = *res
-		}(i)
+		}
 	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(pl.cfg.Parallel, len(todo)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work() // the caller is the first worker
 	wg.Wait()
 }
 

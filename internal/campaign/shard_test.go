@@ -115,6 +115,40 @@ func TestShardYieldsToQueuedWork(t *testing.T) {
 	}
 }
 
+// runCounter counts the experiments that began.
+type runCounter struct {
+	campaign.Workload
+	runs atomic.Int32
+}
+
+func (w *runCounter) Run(ctx *cuda.Context) (*campaign.Output, error) {
+	w.runs.Add(1)
+	return w.Workload.Run(ctx)
+}
+
+// TestShardCancelledStartsNothing: a shard run under a cancelled context
+// starts no experiment — every index is answered with the context's error by
+// the worker that claims it — with one worker and with several.
+func TestShardCancelledStartsNothing(t *testing.T) {
+	r, w, golden, profile := campaignFixture(t)
+	for _, parallel := range []int{1, 3} {
+		counter := &runCounter{Workload: w}
+		plan, err := campaign.NewShardPlan(r, counter, golden, profile,
+			campaign.TransientCampaignConfig{Injections: 8, Seed: 7, ShardSize: 8, Parallel: parallel})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if _, err := plan.RunShard(ctx, 0); !errors.Is(err, context.Canceled) {
+			t.Errorf("Parallel %d: RunShard on a cancelled context returned %v, want context.Canceled", parallel, err)
+		}
+		if n := counter.runs.Load(); n != 0 {
+			t.Errorf("Parallel %d: %d experiments began under a cancelled context", parallel, n)
+		}
+	}
+}
+
 // TestShardSelectionIsPartition: selecting every shard separately — in any
 // order — must reproduce exactly the runs of the single-process campaign,
 // and the merged per-shard tallies must marshal byte-identically to the

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/gpu"
 	"repro/internal/nvbit"
@@ -33,7 +34,19 @@ type Profiler struct {
 	tallies []gpu.SiteTally
 	static  map[*sass.Kernel]kernelSites
 	folded  []opTally
+
+	// slab is the unused tail of the chunk the records' SiteCounts are carved
+	// from: a program launches hundreds of short kernels, and a slice made
+	// per launch was most of what a profiling run allocated.
+	slab []uint64
 }
+
+// Allocation granules: a slab of site counts (8 KiB) holds some fifty launches
+// of a typical (~20-instruction) kernel, and records grows by at least a chunk.
+const (
+	siteSlabLen = 1024
+	recordChunk = 256
+)
 
 // opTally is a thread-level execution count plus whether anything executed at
 // all: a guard-suppressed issue counts zero threads but still ran.
@@ -79,7 +92,10 @@ func (p *Profiler) OnLaunch(info *nvbit.LaunchInfo) nvbit.Decision {
 		LaunchIndex: info.LaunchIndex,
 		OpCounts:    make(map[sass.Op]uint64, ks.distinct),
 		SiteOps:     ks.ops,
-		SiteCounts:  make([]uint64, len(ks.ops)),
+		SiteCounts:  p.siteCounts(len(ks.ops)),
+	}
+	if len(p.records) == cap(p.records) {
+		p.records = slices.Grow(p.records, max(recordChunk, len(p.records)))
 	}
 	if p.mode == Approximate && p.instrumented[info.Kernel.Name] {
 		rec.Extrapolated = true
@@ -95,6 +111,18 @@ func (p *Profiler) OnLaunch(info *nvbit.LaunchInfo) nvbit.Decision {
 	p.sites = ks.tally
 	clear(p.sites)
 	return nvbit.Decision{Instrument: true, Key: "profile"}
+}
+
+// siteCounts carves a zeroed n-entry slice off the slab, starting a new slab
+// when the current one runs out. Slabs are never reused, so a carved slice is
+// the record's alone.
+func (p *Profiler) siteCounts(n int) []uint64 {
+	if n > len(p.slab) {
+		p.slab = make([]uint64, max(siteSlabLen, n))
+	}
+	c := p.slab[:n:n]
+	p.slab = p.slab[n:]
+	return c
 }
 
 func (p *Profiler) sitesOf(k *sass.Kernel) kernelSites {

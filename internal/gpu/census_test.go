@@ -14,7 +14,10 @@ import (
 // to the row tier or the accessor tier, none to the interpreter thunk (which
 // is left with SHFL, MATCH, BRX, CALL, RET and malformed shapes). It is the
 // gate for retiring blockCtx.exec's dispatch to a test-only oracle: a shipped
-// kernel that starts to thunk fails here, not as a silent slowdown.
+// kernel that starts to thunk fails here, not as a silent slowdown. Likewise
+// for the row programs: every row-tier instruction of a shipped kernel but
+// the FP64 pair ops is a row op the dispatcher executes, none is left to its
+// one-op step.
 func TestShippedKernelsNeverThunk(t *testing.T) {
 	workloads := specaccel.All()
 	if len(workloads) != 15 {
@@ -32,25 +35,33 @@ func TestShippedKernelsNeverThunk(t *testing.T) {
 		if _, err := w.Run(ctx); err != nil {
 			t.Fatalf("%s: %v", w.Name(), err)
 		}
-		kernels, instrs, fastTotal := 0, 0, 0
+		kernels, instrs := 0, 0
+		var total gpu.TierCounts
 		for _, m := range ctx.Modules() {
 			for _, k := range m.Kernels() {
-				fast, accessor, thunk, err := gpu.TierCensus(k)
+				c, err := gpu.TierCensus(k)
 				if err != nil {
 					t.Fatalf("%s/%s: %v", w.Name(), k.Name, err)
 				}
-				if thunk != 0 {
+				if c.Thunk != 0 {
 					t.Errorf("%s/%s: %d of %d instructions run through the interpreter thunk",
-						w.Name(), k.Name, thunk, len(k.Instrs))
+						w.Name(), k.Name, c.Thunk, len(k.Instrs))
+				}
+				if c.Dispatchable != c.RowOps {
+					t.Errorf("%s/%s: %d of %d row ops are not dispatcher-eligible",
+						w.Name(), k.Name, c.RowOps-c.Dispatchable, c.RowOps)
 				}
 				kernels++
-				instrs += fast + accessor + thunk
-				fastTotal += fast
+				instrs += len(k.Instrs)
+				total.Fast += c.Fast
+				total.RowOps += c.RowOps
+				total.Dispatchable += c.Dispatchable
 			}
 		}
 		if kernels == 0 {
 			t.Errorf("%s loaded no kernel", w.Name())
 		}
-		t.Logf("%-14s %2d kernels, %4d instructions, %.2f on the row tier", w.Name(), kernels, instrs, float64(fastTotal)/float64(instrs))
+		t.Logf("%-14s %3d kernels, %4d instructions, %.2f on the row tier: %4d row ops (%d dispatcher-eligible), %3d FP64 closures",
+			w.Name(), kernels, instrs, float64(total.Fast)/float64(instrs), total.RowOps, total.Dispatchable, total.Fast-total.RowOps)
 	}
 }

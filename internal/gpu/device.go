@@ -240,6 +240,24 @@ func (ek *ExecKernel) hasAfter(pc int32) bool {
 	return ek.Tally != nil || (ek.After != nil && len(ek.After[pc]) > 0)
 }
 
+// callFree returns how many of the instructions [pc, pc+n) run before the
+// first one that dispatches a callback — a Before or After list, or anything
+// at all under the step hook; the tally is counted in line and is none: how
+// far an armed batch may run without leaving the engine. It scans: a table
+// per instrumented kernel would cost every experiment's JIT builds more than
+// the scan costs the armed loop.
+func (ek *ExecKernel) callFree(pc, n int32) int32 {
+	if ek.Step != nil {
+		return 0
+	}
+	for k := int32(0); k < n; k++ {
+		if ek.hasBefore(pc+k) || (ek.After != nil && len(ek.After[pc+k]) > 0) {
+			return k
+		}
+	}
+	return n
+}
+
 // trampSites returns the trampoline-site prefix count: sites[pc] is the
 // number of callback sites (a Before list, an After list or tally, the step hook)
 // on instructions [0, pc), so a batch that completed [a, b) executed

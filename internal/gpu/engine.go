@@ -854,6 +854,11 @@ func (blk *blockCtx) runWarp(w *warp, budget *budgetCounter, stats *LaunchStats)
 				var ti uint64
 				for pc = minPC; pc < stop; pc++ {
 					xi := &steps[pc]
+					if n := min(xi.rowLen, stop-pc); n > 0 {
+						ti += blk.runRows(w, pc, n, atPC, nil)
+						pc += n - 1
+						continue
+					}
 					execMask := atPC
 					if xi.guardKind != guardOn {
 						execMask = xi.guard(w, atPC)
@@ -1002,6 +1007,11 @@ func (blk *blockCtx) issueHooked(w *warp, from, to int32, atPC uint32, stats *La
 		// hot loop 6% — half of everything the tally adds to a plain launch.
 		for pc = from; pc < to; pc++ {
 			xi := &steps[pc]
+			if n := min(xi.rowLen, to-pc); n > 0 {
+				ti += blk.runRows(w, pc, n, atPC, tally)
+				pc += n - 1
+				continue
+			}
 			execMask := atPC
 			if xi.guardKind != guardOn {
 				execMask = xi.guard(w, atPC)
@@ -1018,6 +1028,18 @@ func (blk *blockCtx) issueHooked(w *warp, from, to int32, atPC uint32, stats *La
 	}
 	for pc = from; pc < to; pc++ {
 		xi := &steps[pc]
+		if n := min(xi.rowLen, to-pc); n > 0 {
+			// Row ops up to the next callback site run as one stretch: an
+			// armed launch pays per-instruction dispatch only at its sites.
+			if armed {
+				n = ek.callFree(pc, n)
+			}
+			if n > 0 {
+				ti += blk.runRows(w, pc, n, atPC, tally)
+				pc += n - 1
+				continue
+			}
+		}
 		execMask := atPC
 		if xi.guardKind != guardOn {
 			execMask = xi.guard(w, atPC)

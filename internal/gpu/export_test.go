@@ -2,23 +2,37 @@ package gpu
 
 import "repro/internal/sass"
 
-// TierCensus translates k and counts its instructions by the tier compileStep
-// gave them — for the external tests, which can reach the shipped programs
-// (internal/specaccel imports this package).
-func TierCensus(k *sass.Kernel) (fast, accessor, thunk int, err error) {
+// TierCounts is a kernel's instructions by the tier compileStep gave them.
+// RowOps are the fast-tier instructions encoded as row ops (the rest of Fast
+// are the FP64 pair closures), Dispatchable those of them runRows executes.
+type TierCounts struct {
+	Fast, Accessor, Thunk int
+	RowOps, Dispatchable  int
+}
+
+// TierCensus translates k and counts its instructions by tier — for the
+// external tests, which can reach the shipped programs (internal/specaccel
+// imports this package).
+func TierCensus(k *sass.Kernel) (c TierCounts, err error) {
 	plan, err := translate(k)
 	if err != nil {
-		return 0, 0, 0, err
+		return c, err
 	}
 	for i := range plan.steps {
 		switch plan.steps[i].tier {
 		case tierFast:
-			fast++
+			c.Fast++
 		case tierAccessor:
-			accessor++
+			c.Accessor++
 		default:
-			thunk++
+			c.Thunk++
+		}
+		if op := &plan.ops[i]; op.shape != rsNone {
+			c.RowOps++
+			if op.dispatchable() {
+				c.Dispatchable++
+			}
 		}
 	}
-	return fast, accessor, thunk, nil
+	return c, nil
 }

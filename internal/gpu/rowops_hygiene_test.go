@@ -8,8 +8,9 @@ import (
 	"testing"
 )
 
-// TestRowAsmHygiene reads rowops_amd64.s as text — on every platform, the
-// file need not be built — and enforces the rules its header states:
+// TestRowAsmHygiene reads rowops_amd64.s and rowprog_amd64.s as text — on
+// every platform, the files need not be built — and enforces the rules their
+// headers state. For the kernels:
 //
 //   - no legacy-SSE (non-VEX) instruction names an X or Y register — with
 //     dirty upper halves one such instruction costs a state transition on
@@ -21,6 +22,8 @@ import (
 //     argument access;
 //   - every TEXT symbol has a body-less Go declaration in rowops_amd64.go
 //     carrying //go:noescape, and the other way round.
+//
+// For the dispatcher, see checkDispatcherAsm.
 func TestRowAsmHygiene(t *testing.T) {
 	src, err := os.ReadFile("rowops_amd64.s")
 	if err != nil {
@@ -188,6 +191,108 @@ func TestRowAsmHygiene(t *testing.T) {
 	for name := range texts {
 		if !declared[name] {
 			t.Errorf("TEXT ·%s has no body-less declaration in rowops_amd64.go", name)
+		}
+	}
+	checkDispatcherAsm(t, string(src), declared)
+}
+
+// kernelRegs is the clobber set of the row kernels: the only general
+// registers rowops_amd64.s may name (beside the X/Y vectors and the SP / FP /
+// SB pseudo-registers). The row-program dispatcher keeps its state across a
+// kernel CALL in dispatcherRegs, so the two sets must stay disjoint.
+var (
+	kernelRegs     = []string{"AX", "BX", "CX", "DX", "SI", "DI", "R8"}
+	dispatcherRegs = []string{"R9", "R10", "R11", "R12", "R13"}
+)
+
+// checkDispatcherAsm reads rowprog_amd64.s as text and enforces the rules its
+// header states, against the kernels' source and their Go declarations:
+//
+//   - a kernel names no general register outside kernelRegs; the dispatcher
+//     none outside kernelRegs and dispatcherRegs (so never BP, R14 or R15) and
+//     no X or Y register at all — it owes no VZEROUPPER;
+//   - the dispatcher takes struct layout from go_asm.h: no displacement off a
+//     general register is a bare number;
+//   - every symbol it CALLs or lists in a DATA table is declared in
+//     rowops_amd64.go, its own TEXT symbol in rowprog_amd64.go, and the
+//     rowKernels table covers exactly the ops of rowVectorOps.
+func checkDispatcherAsm(t *testing.T, kernels string, declared map[string]bool) {
+	t.Helper()
+	raw, err := os.ReadFile("rowprog_amd64.s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		commentRE = regexp.MustCompile(`//.*`)
+		regRE     = regexp.MustCompile(`\b(AX|BX|CX|DX|SI|DI|BP|R8|R9|R1[0-5])\b`)
+		vecRE     = regexp.MustCompile(`\b[XY]([0-9]|1[0-5])\b`)
+		dispRE    = regexp.MustCompile(`([^\s,;(]*)\((AX|BX|CX|DX|SI|DI|BP|R8|R9|R1[0-5])\)`)
+		numRE     = regexp.MustCompile(`^-?[0-9]+$`)
+		symRE     = regexp.MustCompile(`(?:CALL\s+|\$)·(\w+)\(SB\)`)
+		textRE    = regexp.MustCompile(`(?m)^TEXT\s+·(\w+)\(SB\)`)
+		kernRE    = regexp.MustCompile(`(?m)^DATA rowKernels<>\+\(const_(fop\w+)\*8\)\(SB\)/8, \$·(\w+)\(SB\)`)
+	)
+	dispatcher := commentRE.ReplaceAllString(string(raw), "")
+	kernels = commentRE.ReplaceAllString(kernels, "")
+
+	for _, r := range regRE.FindAllString(kernels, -1) {
+		if !slices.Contains(kernelRegs, r) {
+			t.Errorf("rowops_amd64.s names %s: the dispatcher may hold state there across a CALL (kernels may name only %v)", r, kernelRegs)
+		}
+	}
+	for _, r := range regRE.FindAllString(dispatcher, -1) {
+		if !slices.Contains(kernelRegs, r) && !slices.Contains(dispatcherRegs, r) {
+			t.Errorf("rowprog_amd64.s names %s: outside the kernels' clobber set %v and its own registers %v", r, kernelRegs, dispatcherRegs)
+		}
+	}
+	if v := vecRE.FindString(dispatcher); v != "" {
+		t.Errorf("rowprog_amd64.s names the vector register %s: the dispatcher has no VZEROUPPER", v)
+	}
+	for _, m := range dispRE.FindAllStringSubmatch(dispatcher, -1) {
+		if numRE.MatchString(m[1]) {
+			t.Errorf("rowprog_amd64.s: %s is a numeric displacement off %s; struct layout comes from go_asm.h names", m[0], m[2])
+		}
+	}
+
+	for _, m := range symRE.FindAllStringSubmatch(dispatcher, -1) {
+		if !declared[m[1]] {
+			t.Errorf("rowprog_amd64.s refers to ·%s, which rowops_amd64.go does not declare", m[1])
+		}
+	}
+	stubs, err := os.ReadFile("rowprog_amd64.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	texts := textRE.FindAllStringSubmatch(dispatcher, -1)
+	if len(texts) != 1 {
+		t.Fatalf("rowprog_amd64.s defines %d TEXT symbols, want the dispatcher alone", len(texts))
+	}
+	if !regexp.MustCompile(`(?m)^//go:noescape\nfunc ` + texts[0][1] + `\(`).Match(stubs) {
+		t.Errorf("TEXT ·%s has no //go:noescape declaration in rowprog_amd64.go", texts[0][1])
+	}
+
+	// fastOp values by name, read off the const block: the table is indexed by
+	// go_asm.h's const_fop* names.
+	fast, err := os.ReadFile("xlate_fast.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	block := regexp.MustCompile(`(?s)fopAdd fastOp = iota.*?numFastOps`).FindString(commentRE.ReplaceAllString(string(fast), ""))
+	names := regexp.MustCompile(`\bfop\w+`).FindAllString(block, -1)
+	if len(names) != int(numFastOps) {
+		t.Fatalf("read %d fastOp names off xlate_fast.go, want %d", len(names), numFastOps)
+	}
+	inTable := make([]bool, numFastOps)
+	for _, m := range kernRE.FindAllStringSubmatch(string(raw), -1) {
+		i := slices.Index(names, m[1])
+		if i < 0 {
+			t.Fatalf("rowKernels entry for unknown op %s", m[1])
+		}
+		inTable[i] = true
+	}
+	for i, name := range names {
+		if inTable[i] != rowVectorOps[i] {
+			t.Errorf("%s: in the dispatcher's kernel table: %v, in rowVectorOps: %v", name, inTable[i], rowVectorOps[i])
 		}
 	}
 }

@@ -1,0 +1,10 @@
+//go:build !amd64 || purego
+
+package gpu
+
+// runRows executes the row ops of instructions [pc, pc+n) for the lanes in
+// atPC through the portable executor, counting each issue into tally[pc:]
+// when tally is not nil, and returns the thread-level executions.
+func (blk *blockCtx) runRows(w *warp, pc, n int32, atPC uint32, tally []SiteTally) uint64 {
+	return blk.runRowsPortable(w, pc, n, atPC, tally)
+}

@@ -38,6 +38,13 @@ import (
 type xplan struct {
 	steps []xinstr
 
+	// ops holds the row tier's instructions as data, indexed by pc like steps
+	// (rowprog.go); every other instruction's entry is the zero op. arena is
+	// the read-only rows their immediate and lane-pattern operands resolve
+	// to.
+	ops   []rowOp
+	arena []regRow
+
 	// uniforms are the distinct launch- and block-uniform operands the row
 	// steps read, numbered by slot: blockCtx.urows[i] holds uniforms[i]
 	// broadcast for the block that is running.
@@ -77,7 +84,7 @@ func blockUniform(sr sass.SpecialReg) bool {
 
 // Translation tiers, fastest first: what compileStep made of an instruction.
 const (
-	tierFast     uint8 = iota // fastStep's fused row steps
+	tierFast     uint8 = iota // fastStep's row ops and FP64 closures
 	tierAccessor              // specializeStep: memory, control, per-lane accessor closures
 	tierThunk                 // the interpreter, through thunkStep
 )
@@ -96,8 +103,8 @@ const (
 	guardCond                  // real predicate, evaluated per lane
 )
 
-// xinstr is one translated instruction: the fused step closure plus the
-// pre-resolved guard and scheduling classification.
+// xinstr is one translated instruction: its step plus the pre-resolved guard
+// and scheduling classification.
 type xinstr struct {
 	step       planStep
 	guardKind  guardKind
@@ -109,6 +116,7 @@ type xinstr struct {
 	flow       uint8 // pre-computed flowOf class for split maintenance
 	tier       uint8 // tierFast, tierAccessor or tierThunk
 	runLen     int32 // consecutive batchable steps from here, within one CFG block
+	rowLen     int32 // consecutive dispatchable row ops from here, within runLen: one runRows call
 	braTarget  int32 // branch target when flow == flowBranch (BRA/JMP/CALL)
 }
 
@@ -141,7 +149,7 @@ func semSimple(sem sass.SemKind) bool {
 // xlateEngine names and versions the translation scheme in the plan cache
 // key: bumping it invalidates every cached plan without touching the module
 // entries.
-const xlateEngine = "gpu.xplan/v3"
+const xlateEngine = "gpu.xplan/v4"
 
 // planFor returns the translated execution plan for a kernel, building and
 // caching it process-wide on first use. Content-identical kernels — e.g.
@@ -248,6 +256,7 @@ func appendKernelFields(buf []byte, k *sass.Kernel) []byte {
 // schemes that may want to reject kernels.
 func translate(k *sass.Kernel) (*xplan, error) {
 	steps := make([]xinstr, len(k.Instrs))
+	ops := make([]rowOp, len(k.Instrs))
 	rt := newRowTable()
 	for i := range k.Instrs {
 		in := &k.Instrs[i]
@@ -271,26 +280,34 @@ func translate(k *sass.Kernel) (*xplan, error) {
 			xi.isBra = true
 		}
 		xi.flow, xi.braTarget = flowOf(in)
-		xi.step, xi.tier = compileStep(in, i, rt)
+		xi.step, xi.tier = compileStep(in, i, rt, &ops[i])
 	}
 	// Straight-line run lengths, computed backwards within each CFG basic
 	// block so a run can never span a branch target. A step is batchable
 	// when it is simple and does not read the SM clock: the batched loop
 	// charges the whole run's clock advance up front, which only a
-	// CS2R/SR_CLOCK read could observe — those issue one at a time.
+	// CS2R/SR_CLOCK read could observe — those issue one at a time. Within a
+	// run, rowLen counts the row ops one runRows call may execute; it cannot
+	// leave the run, because a dispatchable op is batchable: row ops are
+	// simple, and dispatchable excludes the clock read.
 	cfg := sassan.BuildCFG(k)
 	for _, blk := range cfg.Blocks {
-		run := int32(0)
+		run, rows := int32(0), int32(0)
 		for i := blk.End - 1; i >= blk.Start; i-- {
 			if steps[i].simple && !readsClock(&k.Instrs[i]) {
 				run++
 			} else {
 				run = 0
 			}
-			steps[i].runLen = run
+			if ops[i].dispatchable() {
+				rows++
+			} else {
+				rows = 0
+			}
+			steps[i].runLen, steps[i].rowLen = run, rows
 		}
 	}
-	return &xplan{steps: steps, uniforms: rt.uniforms}, nil
+	return &xplan{steps: steps, ops: ops, arena: rt.arena, uniforms: rt.uniforms}, nil
 }
 
 // readsClock reports whether executing the instruction can observe the SM

@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/sass"
@@ -249,6 +250,72 @@ func BenchmarkRowKernels(b *testing.B) {
 						f(&scratch, m)
 						side.mergeRow(&out, &scratch, &k)
 					}
+				})
+			}
+		}
+	}
+}
+
+// BenchmarkRowProgram times one runRows stretch of eight row ops — the mix of
+// a stencil body: address arithmetic, a guard-setting compare, a guarded op,
+// float arithmetic and a select, over normal floats — through the dispatcher
+// (on amd64 with AVX2; elsewhere both sides are the portable executor) and
+// through the portable executor, tallied and not, under a full and a partial
+// mask. ns/rowop is the time per op.
+func BenchmarkRowProgram(b *testing.B) {
+	p, err := sass.Assemble("bench", `
+.kernel rows
+.param p
+    IMAD R10, R4, c0[p], R5
+    IADD R11, R10, -R4
+    SHL R12, R11, 0x2
+    ISETP.LT.AND P1, R11, R5, PT
+@P1 IADD R12, R12, 0x4
+    FFMA R13, R6, R7, R8
+    FADD R14, R13, -R6
+    SEL R15, R13, R14, P1
+    EXIT
+`)
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan, err := translate(p.Kernels[0])
+	if err != nil {
+		b.Fatal(err)
+	}
+	const n = 8
+	if plan.steps[0].rowLen != n {
+		b.Fatalf("rowLen %d, want one stretch of %d", plan.steps[0].rowLen, n)
+	}
+	h := newProgHarness(b, 1)
+	for r := 4; r <= 8; r++ {
+		for l := range h.base.regs[r] {
+			h.base.regs[r][l] = math.Float32bits(1 + float32(r*l)/64)
+		}
+	}
+	blk, w := h.block(plan), h.base
+	for _, side := range []struct {
+		name string
+		rows rowRunner
+	}{{"dispatcher", dispatchRows}, {"portable", portableRows}} {
+		for _, tallied := range []bool{false, true} {
+			for _, mask := range []struct {
+				name string
+				m    uint32
+			}{{"full", fullMask}, {"partial", 0x7ffe7ffe}} {
+				name := side.name + "/plain/" + mask.name
+				var tally []SiteTally
+				if tallied {
+					name = side.name + "/tally/" + mask.name
+					tally = make([]SiteTally, len(plan.steps))
+				}
+				b.Run(name, func(b *testing.B) {
+					var threads uint64
+					for i := 0; i < b.N; i++ {
+						threads += side.rows(blk, &w, 0, n, mask.m, tally)
+					}
+					benchSink += uint32(threads)
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/rowop")
 				})
 			}
 		}

@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/sass"
 )
@@ -10,12 +11,17 @@ import (
 // section 3.11). The accessor tier in xlate_ops.go is fully general but pays
 // several indirect calls per lane. For the operand shapes that account for
 // nearly all dynamic instructions — a destination register plus register /
-// immediate / constant-bank / special-register sources — fastStep emits one
-// closure that executes the warp instruction as a vector operation over
-// register rows: every source resolves to a *regRow once per execution, and
-// the op is one row kernel (rowops_*.go: AVX2 assembly where the platform has
-// it, a branch-free Go loop elsewhere) over all 32 lanes with no per-lane
-// mask, shape, or bounds test.
+// immediate / constant-bank / special-register sources — fastStep encodes the
+// instruction as a row op (rowprog.go): a kernel index, a guard, a
+// destination and up to three operands, each a base selector and a byte
+// offset. A warp instruction is then a vector operation over register rows:
+// every source resolves to a *regRow once per execution, and the op is one
+// row kernel (rowops_*.go: AVX2 assembly where the platform has it, a
+// branch-free Go loop elsewhere) over all 32 lanes with no per-lane mask,
+// shape, or bounds test. A straight-line stretch of row ops executes inside
+// one routine (blockCtx.runRows), not through one closure per instruction;
+// only the FP64 pair ops (fastDStep) are still closures, their lane loops
+// being scalar Go either way.
 //
 // Compute-and-merge rule: under a partial exec mask the kernel still computes
 // all 32 lanes, into a scratch row, and mergeRow folds the active lanes into
@@ -86,48 +92,51 @@ func (blk *blockCtx) storeRow(dst, src *regRow, m uint32) {
 }
 
 // rowTable collects, while one plan is translated, the read-only rows its
-// steps will resolve to: the interned broadcast rows of folded immediates,
-// which exist once per repeated constant, are immutable after translation and
+// ops will resolve to: the arena of folded immediates and lane patterns
+// (xplan.arena), one row per distinct value, immutable after translation and
 // shared by every execution of the plan; and the plan's uniform operands
 // (xplan.uniforms), numbered here and broadcast by whichever block slot runs
-// the plan.
+// the plan. Operands hold byte offsets into either, never a pointer: the arena
+// grows while the plan is translated.
 type rowTable struct {
-	imms     map[uint32]*regRow
+	arena    []regRow
 	uniforms []uniformSrc
 }
 
-func newRowTable() *rowTable { return &rowTable{imms: make(map[uint32]*regRow)} }
-
-func (rt *rowTable) row(v uint32) *regRow {
-	if v == 0 {
-		return &zeroRow
-	}
-	r := rt.imms[v]
-	if r == nil {
-		r = broadcast(new(regRow), v)
-		rt.imms[v] = r
-	}
-	return r
+// newRowTable starts the arena with the zero row, at offset 0: what an unused
+// operand of an op reads.
+func newRowTable() *rowTable {
+	return &rowTable{arena: make([]regRow, 1, 4)}
 }
 
-// uniform returns the slot of a uniform operand, numbering it on first use.
-func (rt *rowTable) uniform(u uniformSrc) int32 {
+// row returns the arena offset of a row with r's contents, adding it on first
+// use. A kernel has a handful of distinct rows: a scan finds one.
+func (rt *rowTable) row(r *regRow) uint32 {
+	i := slices.Index(rt.arena, *r)
+	if i < 0 {
+		i = len(rt.arena)
+		rt.arena = append(rt.arena, *r)
+	}
+	return uint32(i) * rowBytes
+}
+
+// imm returns the operand reading v in every lane.
+func (rt *rowTable) imm(v uint32) rowOperand {
+	var r regRow
+	return rowOperand{base: rbArena, off: rt.row(broadcast(&r, v))}
+}
+
+// uniform returns the operand of a uniform source, numbering its slot on
+// first use.
+func (rt *rowTable) uniform(u uniformSrc) rowOperand {
 	for i := range rt.uniforms {
 		if rt.uniforms[i] == u {
-			return int32(i)
+			return rowOperand{base: rbUniform, off: uint32(i) * rowBytes}
 		}
 	}
 	rt.uniforms = append(rt.uniforms, u)
-	return int32(len(rt.uniforms) - 1)
+	return rowOperand{base: rbUniform, off: uint32(len(rt.uniforms)-1) * rowBytes}
 }
-
-// Source kinds after fast classification.
-const (
-	fsFixed   uint8 = iota // translation-time broadcast row (immediates, labels, RZ)
-	fsReg                  // the register's own row, read in place
-	fsUniform              // constant-bank word or block-uniform special: the slot's row
-	fsSpecial              // other special register: a thread-index or lane row, or a broadcast
-)
 
 // Negation modes, mirroring the accessor compilers: fnInt is srcI's two's
 // complement, fnFloat is srcFBits' sign-bit flip. Immediates fold their
@@ -148,62 +157,12 @@ func negate(v uint32, mode uint8) uint32 {
 	return v
 }
 
-// fastSrc is one pre-resolved 32-bit source operand.
-type fastSrc struct {
-	kind uint8
-	neg  uint8
-	reg  sass.RegID
-	sreg sass.SpecialReg
-	slot int32   // fsUniform: index into blockCtx.urows, negation folded in
-	row  *regRow // fsFixed
-}
-
-// resolve returns the operand as a row for this execution. Registers,
-// per-lane specials and uniform operands are read in place; warp-uniform
-// values are broadcast into scratch, and a negated row is rewritten into
-// scratch. The caller must treat the result as read-only.
-func (s *fastSrc) resolve(blk *blockCtx, w *warp, scratch *regRow) *regRow {
-	var r *regRow
-	switch s.kind {
-	case fsReg:
-		r = &w.regs[s.reg]
-	case fsUniform:
-		return &blk.urows[s.slot]
-	case fsSpecial:
-		switch s.sreg {
-		case sass.SRTidX:
-			r = &w.tid[0]
-		case sass.SRTidY:
-			r = &w.tid[1]
-		case sass.SRTidZ:
-			r = &w.tid[2]
-		case sass.SRLaneID:
-			r = &laneIDRow
-		case sass.SREqMask:
-			r = &eqMaskRow
-		case sass.SRLtMask:
-			r = &ltMaskRow
-		default:
-			// The warp id, the clock, and unknown registers (which read zero)
-			// are warp-invariant within one step.
-			return broadcast(scratch, negate(specialVal(blk, w, 0, s.sreg), s.neg))
-		}
-	default:
-		return s.row
-	}
-	if s.neg != fnNone {
-		rowNeg(s.neg, scratch, r)
-		return scratch
-	}
-	return r
-}
-
-// fastSrcFor classifies one source under the given negation mode. The bool
+// rowOperandFor classifies one source under the given negation mode. The bool
 // result is false when the operand needs the accessor tier: missing
 // operands, or shapes the interpreter would reject.
-func fastSrcFor(in *sass.Instr, idx int, neg uint8, rt *rowTable) (fastSrc, bool) {
+func rowOperandFor(in *sass.Instr, idx int, neg uint8, rt *rowTable) (rowOperand, bool) {
 	if idx >= len(in.Src) {
-		return fastSrc{}, false
+		return rowOperand{}, false
 	}
 	o := &in.Src[idx]
 	m := fnNone
@@ -213,65 +172,65 @@ func fastSrcFor(in *sass.Instr, idx int, neg uint8, rt *rowTable) (fastSrc, bool
 	switch o.Kind {
 	case sass.OpdReg:
 		if o.Reg == sass.RZ {
-			return fastSrc{row: rt.row(negate(0, m))}, true
+			return rt.imm(negate(0, m)), true
 		}
-		return fastSrc{kind: fsReg, neg: m, reg: o.Reg}, true
+		return rowOperand{base: rbRegs, off: uint32(o.Reg) * rowBytes, neg: m}, true
 	case sass.OpdImm:
-		return fastSrc{row: rt.row(negate(o.Imm, m))}, true
+		return rt.imm(negate(o.Imm, m)), true
 	case sass.OpdLabel:
-		return fastSrc{row: rt.row(negate(uint32(o.Target), m))}, true
+		return rt.imm(negate(uint32(o.Target), m)), true
 	case sass.OpdConst:
-		return fastSrc{kind: fsUniform, slot: rt.uniform(uniformSrc{off: o.Off, neg: m})}, true
+		return rt.uniform(uniformSrc{off: o.Off, neg: m}), true
 	case sass.OpdSpecial:
-		return specialSrc(o.SReg, m, rt), true
+		return specialOperand(o.SReg, m, rt), true
 	}
-	return fastSrc{}, false
+	return rowOperand{}, false
 }
 
-// specialSrc classifies a special-register source: block-uniform ones read
-// their slot's row, the rest resolve per execution.
-func specialSrc(sr sass.SpecialReg, neg uint8, rt *rowTable) fastSrc {
+// specialOperand classifies a special-register source: thread indices are
+// rows of the warp, block-uniform ones rows of the slot, lane patterns (and
+// the unknown registers, which read zero) rows of the arena with the negation
+// folded in; the warp id and the clock are warp-invariant within one step and
+// broadcast per execution.
+func specialOperand(sr sass.SpecialReg, neg uint8, rt *rowTable) rowOperand {
+	lanes := func(r *regRow) rowOperand {
+		n := *r
+		rowNegGeneric(neg, &n, r)
+		return rowOperand{base: rbArena, off: rt.row(&n)}
+	}
 	if blockUniform(sr) {
-		return fastSrc{kind: fsUniform, slot: rt.uniform(uniformSrc{sreg: sr, neg: neg})}
+		return rt.uniform(uniformSrc{sreg: sr, neg: neg})
 	}
-	return fastSrc{kind: fsSpecial, neg: neg, sreg: sr}
+	switch sr {
+	case sass.SRTidX, sass.SRTidY, sass.SRTidZ:
+		return rowOperand{base: rbTid, off: uint32(sr-sass.SRTidX) * rowBytes, neg: neg}
+	case sass.SRLaneID:
+		return lanes(&laneIDRow)
+	case sass.SREqMask:
+		return lanes(&eqMaskRow)
+	case sass.SRLtMask:
+		return lanes(&ltMaskRow)
+	case sass.SRWarpID, sass.SRClock:
+		return rowOperand{base: rbSpecial, off: uint32(sr), neg: neg}
+	}
+	return rt.imm(negate(0, neg))
 }
 
-// fastPred is a pre-resolved predicate source: a constant (PT, missing, or
-// non-predicate operands) or a predicate register's lane mask.
-type fastPred struct {
-	p     sass.PredID
-	neg   bool
-	fixed int8 // 0 or 1: constant; -1: read p
-}
-
-func fastPredFor(in *sass.Instr, idx int) fastPred {
+// rowPredFor classifies a predicate source: PT, a missing operand and a
+// non-predicate operand read true.
+func rowPredFor(in *sass.Instr, idx int) rowPred {
 	if idx >= len(in.Src) || in.Src[idx].Kind != sass.OpdPred {
-		return fastPred{fixed: 1}
+		return rowPred{sel: rpTrue}
 	}
-	pr := in.Src[idx].Pred
-	if pr.Pred == sass.PT {
-		if pr.Neg {
-			return fastPred{fixed: 0}
-		}
-		return fastPred{fixed: 1}
+	switch pr := in.Src[idx].Pred; {
+	case pr.Pred != sass.PT && pr.Neg:
+		return rowPred{sel: rpNotPred, reg: uint8(pr.Pred & 7)}
+	case pr.Pred != sass.PT:
+		return rowPred{sel: rpPred, reg: uint8(pr.Pred & 7)}
+	case pr.Neg:
+		return rowPred{sel: rpFalse}
 	}
-	return fastPred{p: pr.Pred, neg: pr.Neg, fixed: -1}
-}
-
-// mask returns the lanes on which the predicate source reads true.
-func (p *fastPred) mask(w *warp) uint32 {
-	switch p.fixed {
-	case 0:
-		return 0
-	case 1:
-		return fullMask
-	}
-	v := w.preds[p.p&7]
-	if p.neg {
-		v = ^v
-	}
-	return v
+	return rowPred{sel: rpTrue}
 }
 
 // fastDst accepts only a plain non-RZ destination register; RZ and predicate
@@ -291,8 +250,8 @@ func fastDstP(in *sass.Instr) (sass.PredID, bool) {
 	return in.Dst[0].Pred.Pred, true
 }
 
-// fastOp tags the operation a fused closure performs. The tag is switched
-// once per execution, outside the lane loop.
+// fastOp tags the operation of a row op (rowOp.kern) or an FP64 closure. It
+// selects the row kernel once per execution, outside the lane loop.
 type fastOp uint8
 
 const (
@@ -304,13 +263,11 @@ const (
 	fopAnd
 	fopOr
 	fopXor
-	fopPassB
 	fopShl
 	fopShrU
 	fopShrS
 	fopFAdd
 	fopFMul
-	fopPassA
 	fopPopc
 	fopBrev
 	fopFlo
@@ -335,6 +292,8 @@ const (
 	fopDMul
 	fopDFma
 	fopDMnMx
+
+	numFastOps
 )
 
 // outRow picks where a step computes: the destination row itself under a
@@ -354,92 +313,23 @@ func (blk *blockCtx) commit(dst, out *regRow, m uint32) {
 	}
 }
 
-// fastBinStep fuses a one- or two-source ALU op. Destination/source aliasing
-// needs no care: lane l's result depends only on lane l's operands, every row
-// kernel reads a lane before it writes it, and negated or broadcast operands
-// were copied to scratch before the kernel runs.
-//
-//go:noinline
-func fastBinStep(op fastOp, d sass.RegID, a, b fastSrc) planStep {
-	return func(blk *blockCtx, w *warp, m uint32) (bool, TrapKind, uint32) {
-		if m == 0 {
-			return false, 0, 0
-		}
-		dst := &w.regs[d]
-		x := a.resolve(blk, w, &blk.rows[rowA])
-		switch op {
-		case fopPassA:
-			blk.storeRow(dst, x, m)
-			return false, 0, 0
-		case fopPassB:
-			blk.storeRow(dst, b.resolve(blk, w, &blk.rows[rowB]), m)
-			return false, 0, 0
-		}
-		y := b.resolve(blk, w, &blk.rows[rowB])
-		out := blk.outRow(dst, m)
-		rowBin(op, out, x, y)
-		blk.commit(dst, out, m)
-		return false, 0, 0
-	}
-}
-
-// fastTernStep fuses a three-source ALU op; lut carries LOP3's immediate
-// truth table.
-//
-//go:noinline
-func fastTernStep(op fastOp, d sass.RegID, a, b, c fastSrc, lut uint8) planStep {
-	return func(blk *blockCtx, w *warp, m uint32) (bool, TrapKind, uint32) {
-		if m == 0 {
-			return false, 0, 0
-		}
-		dst := &w.regs[d]
-		x := a.resolve(blk, w, &blk.rows[rowA])
-		y := b.resolve(blk, w, &blk.rows[rowB])
-		z := c.resolve(blk, w, &blk.rows[rowC])
-		out := blk.outRow(dst, m)
-		rowTern(op, out, x, y, z, lut)
-		blk.commit(dst, out, m)
-		return false, 0, 0
-	}
-}
-
-// fastSelStep fuses the predicate-selected ops (SEL, FSEL, IMNMX, FMNMX).
-//
-//go:noinline
-func fastSelStep(op fastOp, d sass.RegID, a, b fastSrc, p fastPred) planStep {
-	return func(blk *blockCtx, w *warp, m uint32) (bool, TrapKind, uint32) {
-		if m == 0 {
-			return false, 0, 0
-		}
-		dst := &w.regs[d]
-		x := a.resolve(blk, w, &blk.rows[rowA])
-		y := b.resolve(blk, w, &blk.rows[rowB])
-		out := blk.outRow(dst, m)
-		rowSel(op, out, x, y, p.mask(w))
-		blk.commit(dst, out, m)
-		return false, 0, 0
-	}
-}
-
 // fastDSrc is one pre-resolved FP64 source, mirroring srcD's quirks exactly:
 // register pairs negate by flipping the high word's sign bit, constant-bank
 // doubles are a pair of uniform slots (the high word's carries the sign
 // flip), float immediates widen with negation ignored, and any other shape
 // reads ±0.0 as the accessor tier does.
 type fastDSrc struct {
-	kind           uint8 // fsFixed, fsReg, fsUniform
-	neg            bool  // fsReg
-	reg            sass.RegID
-	loSlot, hiSlot int32   // fsUniform
-	lo, hi         *regRow // fsFixed
+	isReg  bool       // a register pair, read in place; else the rows lo, hi
+	neg    bool       // isReg
+	reg    sass.RegID // isReg
+	lo, hi rowOperand // arena rows (widened immediates, ±0.0) or a constant-bank double's two uniform slots
 }
 
 // resolve returns the operand's low and high word rows. Register pairs go
 // through the same RZ rules as readPairReg: RZ and the register adjacent to
 // RZ contribute zero halves.
 func (s *fastDSrc) resolve(blk *blockCtx, w *warp, scratch *[2]regRow) (lo, hi *regRow) {
-	switch s.kind {
-	case fsReg:
+	if s.isReg {
 		lo, hi = &zeroRow, &zeroRow
 		if s.reg != sass.RZ {
 			lo = &w.regs[s.reg]
@@ -452,10 +342,9 @@ func (s *fastDSrc) resolve(blk *blockCtx, w *warp, scratch *[2]regRow) (lo, hi *
 			hi = &scratch[1]
 		}
 		return lo, hi
-	case fsUniform:
-		return &blk.urows[s.loSlot], &blk.urows[s.hiSlot]
 	}
-	return s.lo, s.hi
+	// Arena and uniform rows are read in place: no scratch.
+	return s.lo.row(blk, w, nil), s.hi.row(blk, w, nil)
 }
 
 // fastDSrcFor classifies one FP64 source. srcD accepts every operand kind
@@ -466,18 +355,18 @@ func fastDSrcFor(in *sass.Instr, idx int, rt *rowTable) (fastDSrc, bool) {
 	}
 	fixed := func(v float64) (fastDSrc, bool) {
 		b := math.Float64bits(v)
-		return fastDSrc{lo: rt.row(uint32(b)), hi: rt.row(uint32(b >> 32))}, true
+		return fastDSrc{lo: rt.imm(uint32(b)), hi: rt.imm(uint32(b >> 32))}, true
 	}
 	o := &in.Src[idx]
 	switch o.Kind {
 	case sass.OpdReg:
-		return fastDSrc{kind: fsReg, reg: o.Reg, neg: o.Neg}, true
+		return fastDSrc{isReg: true, reg: o.Reg, neg: o.Neg}, true
 	case sass.OpdConst:
 		hi := uniformSrc{off: o.Off + 4}
 		if o.Neg {
 			hi.neg = fnFloat
 		}
-		return fastDSrc{kind: fsUniform, loSlot: rt.uniform(uniformSrc{off: o.Off}), hiSlot: rt.uniform(hi)}, true
+		return fastDSrc{lo: rt.uniform(uniformSrc{off: o.Off}), hi: rt.uniform(hi)}, true
 	case sass.OpdImm:
 		// srcD's quirk: a float immediate in a double context widens with
 		// negation ignored.
@@ -499,7 +388,7 @@ func pairF64(lo, hi *regRow, l int) float64 {
 // lands on RZ, and the high words are then computed into scratch and dropped.
 //
 //go:noinline
-func fastDStep(op fastOp, d sass.RegID, writeHi bool, a, b, c fastDSrc, p fastPred) planStep {
+func fastDStep(op fastOp, d sass.RegID, writeHi bool, a, b, c fastDSrc, p rowPred) planStep {
 	return func(blk *blockCtx, w *warp, m uint32) (bool, TrapKind, uint32) {
 		if m == 0 {
 			return false, 0, 0
@@ -580,6 +469,8 @@ const (
 	fcFGE
 	fcFNum
 	fcFNan
+
+	numFastCmps
 )
 
 // fastCmpFor mirrors the interpreter's icompare/fcompare dispatch exactly:
@@ -640,252 +531,213 @@ func fastCmpFor(float, unsigned bool, c sass.CmpOp) fastCmp {
 	return fcF
 }
 
-// fastSetPStep fuses ISETP/FSETP: the comparison builds a result mask, the
-// optional .AND/.OR/.XOR combine against a predicate source is one word op,
-// and the destination predicate takes the result on the executing lanes.
-// When the instruction has no combine source, boolOp is BoolNone, which
-// passes the comparison through exactly like boolQualify.
-//
-//go:noinline
-func fastSetPStep(cmp fastCmp, boolOp sass.BoolOp,
-	d sass.PredID, a, b fastSrc, q fastPred) planStep {
-	return func(blk *blockCtx, w *warp, m uint32) (bool, TrapKind, uint32) {
-		if m == 0 {
-			return false, 0, 0
-		}
-		var r uint32
-		if cmp != fcF {
-			r = cmpMask(cmp, a.resolve(blk, w, &blk.rows[rowA]), b.resolve(blk, w, &blk.rows[rowB]))
-		}
-		switch boolOp {
-		case sass.BoolAnd:
-			r &= q.mask(w)
-		case sass.BoolOr:
-			r |= q.mask(w)
-		case sass.BoolXor:
-			r ^= q.mask(w)
-		}
-		pd := &w.preds[d&7]
-		*pd ^= (*pd ^ r) & m
-		return false, 0, 0
+// fastStep tries the row tier for one instruction: it encodes the row op in
+// *op and returns the op's one-op step, or returns an FP64 closure (leaving
+// *op zero), or nil when the shape needs the accessor tier.
+func fastStep(in *sass.Instr, rt *rowTable, op *rowOp) planStep {
+	if enc, ok := rowOpFor(in, rt); ok {
+		enc.setGuard(in.Guard)
+		*op = enc
+		return rowStep(op)
 	}
+	return fastDFor(in, rt)
 }
 
-// fastStep tries the row tier for one instruction; nil means the shape needs
-// the accessor tier.
-func fastStep(in *sass.Instr, rt *rowTable) planStep {
+// rowOpFor encodes one instruction as a row op, guard aside.
+func rowOpFor(in *sass.Instr, rt *rowTable) (op rowOp, _ bool) {
 	mods := &in.Mods
 	sem := in.Op.Info().Sem
-	switch sem {
-	case sass.SemIAdd, sass.SemIMul, sass.SemLop, sass.SemShl, sass.SemShr,
-		sass.SemMov, sass.SemPopc, sass.SemBrev, sass.SemFlo,
-		sass.SemFAdd, sass.SemFMul:
-		d, ok := fastDst(in)
-		if !ok {
-			return nil
-		}
-		neg := fnNone
-		var op fastOp
-		switch sem {
-		case sass.SemIAdd:
-			op, neg = fopAdd, fnInt
-		case sass.SemIMul:
-			op, neg = fopMul, fnInt
-			if mods.High {
-				op = fopMulHiS
-				if mods.Unsigned {
-					op = fopMulHiU
+	// srcs classifies the first n sources under one negation mode; the op's
+	// unused operands read the arena's zero row.
+	srcs := func(n int, neg uint8) bool {
+		for i := range op.src {
+			op.src[i] = rowOperand{base: rbArena}
+			if i < n {
+				o, ok := rowOperandFor(in, i, neg, rt)
+				if !ok {
+					return false
 				}
-			}
-		case sass.SemLop:
-			switch mods.Logic {
-			case sass.LogicOr:
-				op = fopOr
-			case sass.LogicXor:
-				op = fopXor
-			case sass.LogicPassB:
-				op = fopPassB
-			default:
-				op = fopAnd
-			}
-		case sass.SemShl:
-			op = fopShl
-		case sass.SemShr:
-			op = fopShrS
-			if mods.Unsigned {
-				op = fopShrU
-			}
-		case sass.SemMov:
-			op, neg = fopPassA, fnInt
-		case sass.SemPopc:
-			op = fopPopc
-		case sass.SemBrev:
-			op = fopBrev
-		case sass.SemFlo:
-			op = fopFlo
-		case sass.SemFAdd:
-			op, neg = fopFAdd, fnFloat
-		case sass.SemFMul:
-			op, neg = fopFMul, fnFloat
-		}
-		a, ok := fastSrcFor(in, 0, neg, rt)
-		if !ok {
-			return nil
-		}
-		b := fastSrc{row: &zeroRow} // unary ops ignore the second source
-		switch op {
-		case fopPassA, fopPopc, fopBrev, fopFlo:
-		default:
-			if b, ok = fastSrcFor(in, 1, neg, rt); !ok {
-				return nil
+				op.src[i] = o
 			}
 		}
-		return fastBinStep(op, d, a, b)
-
-	case sass.SemIMad, sass.SemIAdd3, sass.SemISCAdd, sass.SemLea, sass.SemFFma, sass.SemLop3:
-		d, ok := fastDst(in)
-		if !ok {
-			return nil
-		}
-		var op fastOp
-		neg := fnNone
-		lut := uint8(0)
-		switch sem {
-		case sass.SemIMad:
-			op, neg = fopImadLo, fnInt
-			if mods.High {
-				op = fopImadHiS
-				if mods.Unsigned {
-					op = fopImadHiU
-				}
-			}
-		case sass.SemIAdd3:
-			op, neg = fopIAdd3, fnInt
-		case sass.SemISCAdd, sass.SemLea:
-			op = fopLea
-		case sass.SemFFma:
-			op, neg = fopFFma, fnFloat
-		case sass.SemLop3:
-			op = fopLop3
-			// The truth table must be a plain immediate; anything else (the
-			// interpreter reads it per lane) keeps the accessor tier.
-			if len(in.Src) < 4 || in.Src[3].Kind != sass.OpdImm || in.Src[3].Neg {
-				return nil
-			}
-			lut = uint8(in.Src[3].Imm)
-		}
-		a, ok := fastSrcFor(in, 0, neg, rt)
-		if !ok {
-			return nil
-		}
-		b, ok := fastSrcFor(in, 1, neg, rt)
-		if !ok {
-			return nil
-		}
-		c, ok := fastSrcFor(in, 2, neg, rt)
-		if !ok {
-			return nil
-		}
-		return fastTernStep(op, d, a, b, c, lut)
-
-	case sass.SemSel, sass.SemFSel, sass.SemIMnMx, sass.SemFMnMx:
-		d, ok := fastDst(in)
-		if !ok {
-			return nil
-		}
-		var op fastOp
-		neg := fnNone
-		switch sem {
-		case sass.SemSel:
-			op = fopSel
-		case sass.SemFSel:
-			op, neg = fopSel, fnFloat
-		case sass.SemIMnMx:
-			op = fopIMnMxS
-			if mods.Unsigned {
-				op = fopIMnMxU
-			}
-		case sass.SemFMnMx:
-			op, neg = fopFMnMx, fnFloat
-		}
-		a, ok := fastSrcFor(in, 0, neg, rt)
-		if !ok {
-			return nil
-		}
-		b, ok := fastSrcFor(in, 1, neg, rt)
-		if !ok {
-			return nil
-		}
-		return fastSelStep(op, d, a, b, fastPredFor(in, 2))
-
-	case sass.SemISetP, sass.SemFSetP:
+		return true
+	}
+	if sem == sass.SemISetP || sem == sass.SemFSetP {
 		d, ok := fastDstP(in)
 		if !ok {
-			return nil
+			return op, false
 		}
 		float := sem == sass.SemFSetP
 		neg := fnNone
 		if float {
 			neg = fnFloat
 		}
-		a, ok := fastSrcFor(in, 0, neg, rt)
-		if !ok {
-			return nil
+		if !srcs(2, neg) {
+			return op, false
 		}
-		b, ok := fastSrcFor(in, 1, neg, rt)
-		if !ok {
-			return nil
-		}
-		boolOp, q := sass.BoolNone, fastPred{fixed: 1}
+		op.shape, op.dst = rsSetP, uint32(d&7)*4
+		op.kern = uint8(fastCmpFor(float, mods.Unsigned, mods.Cmp))
 		if len(in.Src) > 2 {
-			boolOp, q = mods.Bool, fastPredFor(in, 2)
+			switch mods.Bool {
+			case sass.BoolAnd:
+				op.comb = rcAnd
+			case sass.BoolOr:
+				op.comb = rcOr
+			case sass.BoolXor:
+				op.comb = rcXor
+			}
+			op.pred = rowPredFor(in, 2)
 		}
-		return fastSetPStep(fastCmpFor(float, mods.Unsigned, mods.Cmp), boolOp, d, a, b, q)
+		return op, true
+	}
 
+	d, ok := fastDst(in)
+	if !ok {
+		return op, false
+	}
+	op.dst = uint32(d) * rowBytes
+	var kern fastOp
+	neg, nsrc := fnNone, 2
+	switch sem {
+	case sass.SemMov:
+		op.shape = rsMov
+		return op, srcs(1, fnInt)
 	case sass.SemS2R:
 		// S2R reads Src[0].SReg whatever the operand's kind, with no
 		// negation: a pass-through of the special register's row.
-		d, ok := fastDst(in)
-		if !ok || len(in.Src) == 0 {
-			return nil
+		if len(in.Src) == 0 {
+			return op, false
 		}
-		return fastBinStep(fopPassA, d, specialSrc(in.Src[0].SReg, fnNone, rt), fastSrc{row: &zeroRow})
+		srcs(0, fnNone)
+		op.shape, op.src[0] = rsMov, specialOperand(in.Src[0].SReg, fnNone, rt)
+		return op, true
 
-	case sass.SemDAdd, sass.SemDMul, sass.SemDFma, sass.SemDMnMx:
-		d, ok := fastDst(in)
-		if !ok {
-			return nil
-		}
-		var op fastOp
-		switch sem {
-		case sass.SemDAdd:
-			op = fopDAdd
-		case sass.SemDMul:
-			op = fopDMul
-		case sass.SemDFma:
-			op = fopDFma
-		case sass.SemDMnMx:
-			op = fopDMnMx
-		}
-		a, ok := fastDSrcFor(in, 0, rt)
-		if !ok {
-			return nil
-		}
-		b, ok := fastDSrcFor(in, 1, rt)
-		if !ok {
-			return nil
-		}
-		c := fastDSrc{}
-		if sem == sass.SemDFma {
-			if c, ok = fastDSrcFor(in, 2, rt); !ok {
-				return nil
+	case sass.SemIAdd:
+		op.shape, kern, neg = rsBin, fopAdd, fnInt
+	case sass.SemIMul:
+		op.shape, kern, neg = rsBin, fopMul, fnInt
+		if mods.High {
+			kern = fopMulHiS
+			if mods.Unsigned {
+				kern = fopMulHiU
 			}
 		}
-		p := fastPred{fixed: 1}
-		if sem == sass.SemDMnMx {
-			p = fastPredFor(in, 2)
+	case sass.SemLop:
+		op.shape = rsBin
+		switch mods.Logic {
+		case sass.LogicOr:
+			kern = fopOr
+		case sass.LogicXor:
+			kern = fopXor
+		case sass.LogicPassB:
+			// The second source passes through; the first is classified (a
+			// shape the interpreter rejects still falls back) and dropped.
+			if !srcs(2, fnNone) {
+				return op, false
+			}
+			op.shape, op.src[0], op.src[1] = rsMov, op.src[1], rowOperand{base: rbArena}
+			return op, true
+		default:
+			kern = fopAnd
 		}
-		return fastDStep(op, d, d+1 != sass.RZ, a, b, c, p)
+	case sass.SemShl:
+		op.shape, kern = rsBin, fopShl
+	case sass.SemShr:
+		op.shape, kern = rsBin, fopShrS
+		if mods.Unsigned {
+			kern = fopShrU
+		}
+	case sass.SemFAdd:
+		op.shape, kern, neg = rsBin, fopFAdd, fnFloat
+	case sass.SemFMul:
+		op.shape, kern, neg = rsBin, fopFMul, fnFloat
+	// Unary: the second source stays the zero row.
+	case sass.SemPopc:
+		op.shape, kern, nsrc = rsBin, fopPopc, 1
+	case sass.SemBrev:
+		op.shape, kern, nsrc = rsBin, fopBrev, 1
+	case sass.SemFlo:
+		op.shape, kern, nsrc = rsBin, fopFlo, 1
+
+	case sass.SemIMad:
+		op.shape, kern, neg = rsTern, fopImadLo, fnInt
+		if mods.High {
+			kern = fopImadHiS
+			if mods.Unsigned {
+				kern = fopImadHiU
+			}
+		}
+	case sass.SemIAdd3:
+		op.shape, kern, neg = rsTern, fopIAdd3, fnInt
+	case sass.SemISCAdd, sass.SemLea:
+		op.shape, kern = rsTern, fopLea
+	case sass.SemFFma:
+		op.shape, kern, neg = rsTern, fopFFma, fnFloat
+	case sass.SemLop3:
+		// The truth table must be a plain immediate; anything else (the
+		// interpreter reads it per lane) keeps the accessor tier.
+		if len(in.Src) < 4 || in.Src[3].Kind != sass.OpdImm || in.Src[3].Neg {
+			return op, false
+		}
+		op.shape, kern, op.lut = rsLop3, fopLop3, uint8(in.Src[3].Imm)
+
+	case sass.SemSel:
+		op.shape, kern = rsSel, fopSel
+	case sass.SemFSel:
+		op.shape, kern, neg = rsSel, fopSel, fnFloat
+	case sass.SemIMnMx:
+		op.shape, kern = rsSel, fopIMnMxS
+		if mods.Unsigned {
+			kern = fopIMnMxU
+		}
+	case sass.SemFMnMx:
+		op.shape, kern, neg = rsSel, fopFMnMx, fnFloat
+	default:
+		return op, false
 	}
-	return nil
+	op.kern = uint8(kern)
+	switch op.shape {
+	case rsTern, rsLop3:
+		nsrc = 3
+	case rsSel:
+		op.pred = rowPredFor(in, 2)
+	}
+	return op, srcs(nsrc, neg)
+}
+
+// fastDFor builds the closure of an FP64 pair op.
+func fastDFor(in *sass.Instr, rt *rowTable) planStep {
+	var op fastOp
+	sem := in.Op.Info().Sem
+	switch sem {
+	case sass.SemDAdd:
+		op = fopDAdd
+	case sass.SemDMul:
+		op = fopDMul
+	case sass.SemDFma:
+		op = fopDFma
+	case sass.SemDMnMx:
+		op = fopDMnMx
+	default:
+		return nil
+	}
+	d, ok := fastDst(in)
+	if !ok {
+		return nil
+	}
+	a, ok := fastDSrcFor(in, 0, rt)
+	if !ok {
+		return nil
+	}
+	b, ok := fastDSrcFor(in, 1, rt)
+	if !ok {
+		return nil
+	}
+	c := fastDSrc{}
+	if sem == sass.SemDFma {
+		if c, ok = fastDSrcFor(in, 2, rt); !ok {
+			return nil
+		}
+	}
+	return fastDStep(op, d, d+1 != sass.RZ, a, b, c, rowPredFor(in, 2))
 }

@@ -129,7 +129,7 @@ func moveLane(p []byte, lo, hi *regRow, l int, wide, store bool) {
 
 // fastGlobal is the fused step for the dominant global-memory shapes: LDG/LD
 // and STG/ST, .32 and .64, between global memory and a plain register or
-// register pair (a store may also take any fastSrc value). A unit-stride
+// register pair (a store may also take any row operand). A unit-stride
 // warp resolves with one Memory.check and one page-window copy. Everything
 // else walks the active lanes in ascending order over a window on the last
 // page touched; a miss goes through the same Memory.check the interpreter's
@@ -144,7 +144,7 @@ type fastGlobal struct {
 	useReg      bool
 	wide, store bool
 	d           sass.RegID // load destination
-	v           fastSrc    // store value, unless pair is a register pair
+	v           rowOperand // store value, unless pair is a register pair
 	pair        fastDSrc
 }
 
@@ -171,10 +171,10 @@ func (g fastGlobal) step() planStep {
 			if g.wide && g.d+1 != sass.RZ {
 				hi = &w.regs[g.d+1]
 			}
-		case g.pair.kind == fsReg:
+		case g.pair.isReg:
 			lo, hi = g.pair.resolve(blk, w, (*[2]regRow)(blk.rows[rowA:]))
 		default:
-			lo, hi = g.v.resolve(blk, w, &blk.rows[rowA]), &zeroRow
+			lo, hi = g.v.row(blk, w, &blk.rows[rowA]), &zeroRow
 		}
 		first, last := bits.TrailingZeros32(m), 31-bits.LeadingZeros32(m)
 		if a0, n, k := blk.unitStride(addr, g.off, m, width); k != nil {
@@ -367,7 +367,7 @@ func compileStore(in *sass.Instr, space sass.MemSpace, rt *rowTable) planStep {
 	case 1, 2, 4:
 		if width == 4 && global {
 			if r, off, useReg, ok := fastMemOperand(in); ok {
-				if v, ok := fastSrcFor(in, vi, fnNone, rt); ok {
+				if v, ok := rowOperandFor(in, vi, fnNone, rt); ok {
 					return fastGlobal{r: r, off: off, useReg: useReg, store: true, v: v}.step()
 				}
 			}
@@ -387,10 +387,10 @@ func compileStore(in *sass.Instr, space sass.MemSpace, rt *rowTable) planStep {
 		if r, off, useReg, okm := fastMemOperand(in); global && okm {
 			// A register value stores its pair (readPairReg's RZ rules); any
 			// other shape stores its 32-bit value zero-extended.
-			v, ok := fastSrcFor(in, vi, fnNone, rt)
+			v, ok := rowOperandFor(in, vi, fnNone, rt)
 			pair := fastDSrc{}
 			if in.Src[vi].Kind == sass.OpdReg {
-				pair, ok = fastDSrc{kind: fsReg, reg: in.Src[vi].Reg}, true
+				pair, ok = fastDSrc{isReg: true, reg: in.Src[vi].Reg}, true
 			}
 			if ok {
 				return fastGlobal{r: r, off: off, useReg: useReg, store: true, wide: true, v: v, pair: pair}.step()

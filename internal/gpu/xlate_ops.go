@@ -283,11 +283,12 @@ func boolQualify(in *sass.Instr, base laneP) laneP {
 }
 
 // compileStep builds the fused step for one instruction: the fast tier
-// (xlate_fast.go) for the dominant ALU shapes, the accessor tier for
-// everything else it understands, and the interpreter thunk whenever any
-// operand compiler reports a shape the specializer does not cover.
-func compileStep(in *sass.Instr, pc int, rt *rowTable) (planStep, uint8) {
-	if step := fastStep(in, rt); step != nil {
+// (xlate_fast.go, which also leaves the instruction's row op in *op) for the
+// dominant ALU shapes, the accessor tier for everything else it understands,
+// and the interpreter thunk whenever any operand compiler reports a shape the
+// specializer does not cover.
+func compileStep(in *sass.Instr, pc int, rt *rowTable, op *rowOp) (planStep, uint8) {
+	if step := fastStep(in, rt, op); step != nil {
 		return step, tierFast
 	}
 	if step := specializeStep(in, rt); step != nil {
@@ -734,7 +735,7 @@ func specializeStep(in *sass.Instr, rt *rowTable) planStep {
 			return false, 0, 0
 		}
 	case sass.SemVote:
-		wr, p := dstWr(in), fastPredFor(in, 0)
+		wr, p := dstWr(in), rowPredFor(in, 0)
 		if wr == nil {
 			return nil
 		}

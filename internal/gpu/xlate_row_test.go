@@ -31,49 +31,14 @@ type rowHarness struct {
 }
 
 func newRowHarness(t *testing.T, seed int64) *rowHarness {
-	d := newTestDevice(t)
-	d.smClocks[1] = 0x1234
-	l := &Launch{
-		Grid:   Dim3{X: 4, Y: 3, Z: 2},
-		Block:  Dim3{X: 8, Y: 4, Z: 2},
-		Params: []uint32{0x3fc00000, 0xdeadbeef, 0x40490fdb, 0xbff00000},
-	}
-	bank := fillConstBank(nil, l)
-	mk := func() *blockCtx {
-		return &blockCtx{dev: d, launch: l, constBank: bank, smID: 1, blockIdx: Dim3{X: 3, Y: 2, Z: 1}, blockLin: 7}
-	}
-	h := &rowHarness{t: t, blkX: mk(), blkI: mk(), rt: newRowTable()}
-	rng := rand.New(rand.NewSource(seed))
-	w := &h.base
-	w.id = 2
-	w.liveMask, w.converged = fullMask, true
-	specials := []uint32{
-		0, 0x80000000, 1, 0xffffffff, 0x7f800000, 0xff800000, 0x7fc00001, 0xffc00000,
-		0x00000001, 0x807fffff, 0x3f800000, 0xbf800000, 31, 32, 33, 0x7fffffff,
-	}
-	for r := range w.regs {
-		for l := range w.regs[r] {
-			if v := rng.Uint32(); v%4 == 0 {
-				w.regs[r][l] = specials[v>>2%uint32(len(specials))]
-			} else {
-				w.regs[r][l] = v
-			}
-		}
-	}
-	for p := 0; p < sass.NumPreds-1; p++ {
-		w.preds[p] = rng.Uint32()
-	}
-	for l := 0; l < WarpSize; l++ {
-		t := 2*WarpSize + l
-		w.tid[0][l], w.tid[1][l], w.tid[2][l] = uint32(t%8), uint32(t/8%4), uint32(t/32)
-	}
-	return h
+	p := newProgHarness(t, seed)
+	return &rowHarness{t: t, blkX: p.block(nil), blkI: p.block(nil), base: p.base, rt: newRowTable()}
 }
 
 // bindRows fills blk's uniform operand rows for every slot the harness's
 // translations have numbered so far, as claimBlock and bind do for a plan.
 func (h *rowHarness) bindRows(blk *blockCtx) {
-	blk.setPlan(&xplan{uniforms: h.rt.uniforms})
+	blk.setPlan(&xplan{uniforms: h.rt.uniforms, arena: h.rt.arena})
 	blk.fillUniforms(true)
 }
 
@@ -81,7 +46,7 @@ func (h *rowHarness) bindRows(blk *blockCtx) {
 // every mask and requires identical architectural state.
 func (h *rowHarness) check(in *sass.Instr) {
 	h.t.Helper()
-	step := fastStep(in, h.rt)
+	step := fastStep(in, h.rt, new(rowOp))
 	if step == nil {
 		h.t.Fatalf("%v: the row tier refused a shape it is documented to cover", in)
 	}
@@ -155,25 +120,25 @@ func srcShapes(r sass.RegID) []sass.Operand {
 	}
 }
 
-// rowOp is one fused register-result op: the opcode, its modifiers, how many
+// rowALUOp is one fused register-result op: the opcode, its modifiers, how many
 // 32-bit sources it reads, and any fixed trailing operands.
-type rowOp struct {
+type rowALUOp struct {
 	op   string
 	mods sass.Mods
 	nsrc int
 	tail []sass.Operand
 }
 
-func (o rowOp) String() string {
+func (o rowALUOp) String() string {
 	in := sass.NewInstr(sass.MustOp(o.op))
 	in.Mods = o.mods
 	return in.String()
 }
 
-func rowALUOps() []rowOp {
-	var ops []rowOp
+func rowALUOps() []rowALUOp {
+	var ops []rowALUOp
 	add := func(op string, nsrc int, mods sass.Mods, tail ...sass.Operand) {
-		ops = append(ops, rowOp{op: op, mods: mods, nsrc: nsrc, tail: tail})
+		ops = append(ops, rowALUOp{op: op, mods: mods, nsrc: nsrc, tail: tail})
 	}
 	add("IADD", 2, sass.Mods{})
 	add("IMUL", 2, sass.Mods{})
@@ -486,7 +451,7 @@ func TestRowTierGlobalAccess(t *testing.T) {
 							// The absolute form: aim the fixed offset at the buffer.
 							in.Src[0].Off = int32(pat.addr(bufX, 0))
 						}
-						step, _ := compileStep(&in, 0, h.rt)
+						step, _ := compileStep(&in, 0, h.rt, new(rowOp))
 						h.bindRows(blkX)
 						_, kx, ax := step(blkX, &wx, m)
 						_, ki, ai := blkI.exec(&wi, &in, 0, m)
@@ -535,7 +500,7 @@ func TestRowTierFusedShapes(t *testing.T) {
 `, "shapes")
 	rt := newRowTable()
 	for i := range k.Instrs[:6] {
-		if fastStep(&k.Instrs[i], rt) == nil {
+		if fastStep(&k.Instrs[i], rt, new(rowOp)) == nil {
 			t.Errorf("%v: not on the row tier", &k.Instrs[i])
 		}
 	}
