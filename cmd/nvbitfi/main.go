@@ -249,37 +249,29 @@ func cmdInject(args []string) error {
 	if err != nil {
 		return err
 	}
+	m, err := nvbitfi.LookupFaultModel(*model)
+	if err != nil {
+		return err
+	}
+	if err := m.ValidateParam(*modelParam); err != nil {
+		return err
+	}
 	r := nvbitfi.Runner{NoXlate: *noXlate || !*xlate}
 	golden, err := r.Golden(w)
 	if err != nil {
 		return err
 	}
-	var res *nvbitfi.RunResult
-	if *model != "" && *model != "transient" {
-		m, err := nvbitfi.LookupFaultModel(*model)
-		if err != nil {
-			return err
-		}
-		// Model injectors resolve their site against the static kernel view
-		// and (opsub) weight substitutes by opcode activity, so a one-off
-		// inject profiles the workload the way a campaign would.
-		profile, _, err := r.Profile(w, core.Exact)
-		if err != nil {
-			return err
-		}
-		res, err = r.RunModel(context.Background(), w, golden, m, *params, *modelParam,
-			nvbitfi.NewModelEnv(r, golden, profile))
-		if err != nil {
-			return err
-		}
-	} else {
-		if *modelParam != "" {
-			return fmt.Errorf("inject: -model-param requires a non-default -model")
-		}
-		res, err = r.RunTransient(context.Background(), w, golden, *params)
-		if err != nil {
-			return err
-		}
+	// Model injectors resolve their site against the static kernel view and
+	// (opsub) weight substitutes by opcode activity, so a one-off inject
+	// profiles the workload the way a campaign would.
+	profile, _, err := r.Profile(w, core.Exact)
+	if err != nil {
+		return err
+	}
+	res, err := r.RunModel(context.Background(), w, golden, m, *params, *modelParam,
+		nvbitfi.NewModelEnv(r, golden, profile))
+	if err != nil {
+		return err
 	}
 	rec := res.Injection
 	fmt.Printf("injection: activated=%v kernel=%s instr=%d opcode=%v lane=%d target=%s 0x%08x->0x%08x\n",
@@ -409,9 +401,6 @@ func cmdCampaign(args []string) error {
 	if *model != "" && *permanent {
 		return fmt.Errorf("campaign: -model selects a fault model for transient-style campaigns; use the 'stuck' model instead of -permanent, or drop -model")
 	}
-	if *modelParam != "" && (*model == "" || *model == "transient") {
-		return fmt.Errorf("campaign: -model-param requires a non-default -model")
-	}
 	if (*ckptStride != 0 || *noEarlyExit) && !*ckpt {
 		return fmt.Errorf("campaign: -ckpt-stride and -no-early-exit require -ckpt")
 	}
@@ -441,7 +430,7 @@ func cmdCampaign(args []string) error {
 				ShardSize: *shardSize,
 				Parallel:  *parallel, TimingFidelity: *timing, Prune: *prune, Classes: *classes,
 				Checkpoint: *ckpt, CkptStride: *ckptStride, NoEarlyExit: *noEarlyExit,
-				NoXlate: interp,
+				NoXlate: interp, Model: *model, ModelParam: *modelParam,
 			}
 			// Set the adaptive knobs only when requested so a fixed-count
 			// config encodes byte-identically to prior releases.
@@ -449,12 +438,6 @@ func cmdCampaign(args []string) error {
 				cfg.TargetCI = *targetCI
 				cfg.Confidence = *confidence
 				cfg.MaxInjections = *maxN
-			}
-			// Likewise the model fields: -model=transient means the default
-			// and encodes to the prior bytes.
-			if *model != "" && *model != "transient" {
-				cfg.Model = *model
-				cfg.ModelParam = *modelParam
 			}
 			res, err = nvbitfi.RunTransientCampaign(context.Background(), r, w, golden, profile, cfg)
 		}

@@ -1,0 +1,195 @@
+package main
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"io"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	nvbitfi "repro"
+	"repro/internal/core"
+	"repro/internal/report"
+	"repro/internal/sass"
+)
+
+const cliProgram = "314.omriq"
+
+// stdout runs cmd with os.Stdout captured and returns what it printed.
+func stdout(t *testing.T, cmd func([]string) error, args ...string) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stdout
+	os.Stdout = w
+	printed := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		printed <- string(b)
+	}()
+	cmdErr := cmd(args)
+	w.Close()
+	os.Stdout = saved
+	out := <-printed
+	if cmdErr != nil {
+		t.Fatalf("%v: %v", args, cmdErr)
+	}
+	return out
+}
+
+// cliFixture is what the equivalent library calls start from.
+func cliFixture(t *testing.T) (nvbitfi.Runner, nvbitfi.Workload, *nvbitfi.GoldenResult, *nvbitfi.Profile) {
+	t.Helper()
+	w, err := lookupProgram(cliProgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := nvbitfi.Runner{}
+	golden, err := r.Golden(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	profile, _, err := r.Profile(w, nvbitfi.Exact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r, w, golden, profile
+}
+
+// writeParams writes a parameter file as 'nvbitfi select' does.
+func writeParams(t *testing.T, p *nvbitfi.TransientParams) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "params.txt")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := p.WriteTo(f); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestInjectMatchesRunner: `inject` takes one path for every -model, and
+// prints the injection and outcome the equivalent Runner call returns.
+func TestInjectMatchesRunner(t *testing.T) {
+	r, w, golden, profile := cliFixture(t)
+	transient, err := nvbitfi.SelectTransientFault(profile, nvbitfi.GroupGPPR, nvbitfi.FlipSingleBit, rand.New(rand.NewSource(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stuck, err := nvbitfi.LookupFaultModel("stuck")
+	if err != nil {
+		t.Fatal(err)
+	}
+	site, err := core.SelectTransientFaultSiteFiltered(profile, stuck.DefaultGroup(), nvbitfi.FlipSingleBit,
+		stuck.EligibleOp, rand.New(rand.NewSource(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		model  string
+		params *nvbitfi.TransientParams
+	}{{"", transient}, {"stuck", site}} {
+		t.Run("model="+tc.model, func(t *testing.T) {
+			printed := stdout(t, cmdInject, "-program", cliProgram, "-params", writeParams(t, tc.params), "-model", tc.model)
+			var want *nvbitfi.RunResult
+			if tc.model == "" {
+				want, err = r.RunTransient(context.Background(), w, golden, *tc.params)
+			} else {
+				want, err = r.RunModel(context.Background(), w, golden, stuck, *tc.params, "",
+					nvbitfi.NewModelEnv(r, golden, profile))
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := want.Injection
+			for _, line := range []string{
+				fmt.Sprintf("injection: activated=%v kernel=%s instr=%d opcode=%v lane=%d target=%s 0x%08x->0x%08x\n",
+					rec.Activated, rec.Kernel, rec.InstrIdx, rec.Opcode, rec.Lane, rec.Target, rec.Before, rec.After),
+				fmt.Sprintf("outcome: %v\n", want.Class),
+			} {
+				if !strings.Contains(printed, line) {
+					t.Errorf("inject printed\n%s\nwant a line %q", printed, line)
+				}
+			}
+		})
+	}
+	// The transient model takes no parameter and says so itself.
+	err = cmdInject([]string{"-program", cliProgram, "-params", writeParams(t, transient), "-model-param", "bit=3"})
+	if err == nil || !strings.Contains(err.Error(), "transient model takes no parameter") {
+		t.Fatalf("inject -model-param without a model: %v", err)
+	}
+}
+
+// TestPFInjectMatchesRunner: `pf-inject` prints the activations and outcome
+// of the equivalent RunPermanent call.
+func TestPFInjectMatchesRunner(t *testing.T) {
+	r, w, golden, profile := cliFixture(t)
+	// The fault sits on the program's most executed opcode, on lane 0 of SM 0.
+	opset := sass.OpcodeSet(nvbitfi.Volta)
+	var op, most = 0, uint64(0)
+	for id, o := range opset {
+		if n := profile.OpcodeTotals()[o]; n > most {
+			op, most = id, n
+		}
+	}
+	p := nvbitfi.PermanentParams{SMID: 0, Lane: 0, BitMask: 0x400, OpcodeID: op}
+	printed := stdout(t, cmdPFInject, "-program", cliProgram, "-sm", "0", "-lane", "0", "-mask", "0x400",
+		"-opcode", fmt.Sprint(op))
+	want, err := r.RunPermanent(context.Background(), w, golden, p, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Activations == 0 {
+		t.Fatalf("the fault on %v never activated; the comparison is vacuous", opset[op])
+	}
+	for _, line := range []string{
+		fmt.Sprintf("%d activations\n", want.Activations),
+		fmt.Sprintf("outcome: %v\n", want.Class),
+	} {
+		if !strings.Contains(printed, line) {
+			t.Errorf("pf-inject printed\n%s\nwant %q", printed, line)
+		}
+	}
+}
+
+// TestCampaignMatchesLibrary: `campaign -n 4` prints the summary tally of the
+// equivalent RunTransientCampaign call.
+func TestCampaignMatchesLibrary(t *testing.T) {
+	r, w, golden, profile := cliFixture(t)
+	printed := stdout(t, cmdCampaign, "-program", cliProgram, "-n", "4", "-json")
+	want, err := nvbitfi.RunTransientCampaign(context.Background(), r, w, golden, profile,
+		nvbitfi.TransientCampaignConfig{Injections: 4, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got report.SummaryJSON
+	for _, line := range strings.Split(printed, "\n") {
+		if strings.HasPrefix(line, `{"schema"`) {
+			if err := json.Unmarshal([]byte(line), &got); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if got.Tally == nil {
+		t.Fatalf("campaign -json printed no summary:\n%s", printed)
+	}
+	tg, _ := json.Marshal(got.Tally)
+	tw, _ := json.Marshal(want.Tally)
+	if !bytes.Equal(tg, tw) {
+		t.Fatalf("campaign tally %s, RunTransientCampaign %s", tg, tw)
+	}
+	if got.Program != want.Program || got.Translated != want.Translated {
+		t.Fatalf("campaign summary %+v, RunTransientCampaign program %s translated %v",
+			got, want.Program, want.Translated)
+	}
+}

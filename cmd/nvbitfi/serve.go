@@ -158,13 +158,15 @@ func cmdSubmit(args []string) error {
 	}
 	// Non-default fault models speak the v3 schema (which also carries the
 	// adaptive fields, so it wins over v2 when both apply). The default
-	// transient model keeps the spec on v1/v2 untouched.
+	// transient model keeps the spec on v1/v2 untouched, and refuses a
+	// parameter like any model that takes none.
 	if *model != "" && *model != "transient" {
 		spec.Schema = serve.JobSchemaV3
 		spec.Config.Model = *model
-		spec.Config.ModelParam = *modelParam
-	} else if *modelParam != "" {
-		return fmt.Errorf("submit: -model-param requires a non-default -model")
+	}
+	spec.Config.ModelParam = *modelParam
+	if err := spec.Validate(); err != nil {
+		return err
 	}
 	client := serve.NewClient(*coordinator)
 	st, err := client.Submit(spec)

@@ -198,10 +198,8 @@ func runAdaptiveCampaign(ctx context.Context, plan *ShardPlan) (*CampaignResult,
 		results, errs := plan.runRange(ctx, params)
 		all = append(all, results...)
 		allErrs = append(allErrs, errs...)
-		if err := errors.Join(errs...); err != nil {
-			res := summarize(plan.w.Name(), plan.golden, filterOK(all, allErrs), nil)
-			res.Translated = !cfg.NoXlate
-			return res, err
+		if errors.Join(errs...) != nil {
+			return plan.summarize(all, allErrs)
 		}
 		last = s
 		acc.Merge(TallyRuns(results))
@@ -210,8 +208,7 @@ func runAdaptiveCampaign(ctx context.Context, plan *ShardPlan) (*CampaignResult,
 			break
 		}
 	}
-	res := summarize(plan.w.Name(), plan.golden, all, nil)
-	res.Translated = !cfg.NoXlate
+	res, _ := plan.summarize(all, nil) // every shard above completed
 	res.Adaptive = &AdaptiveResult{
 		TargetCI:      cfg.TargetCI,
 		Confidence:    cfg.Confidence,

@@ -2,12 +2,12 @@ package campaign
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/cuda"
-	"repro/internal/nvbit"
+	"repro/internal/faultmodel"
 )
 
 // Checkpoint-and-fork campaign mode. A transient campaign spends most of its
@@ -42,97 +42,68 @@ func autoCheckpointStride(goldenWarpInstrs uint64) uint64 {
 // warp instructions. The recording must reproduce the golden output exactly
 // — a workload whose host code is nondeterministic cannot anchor replays.
 func (r Runner) RecordTrace(w Workload, golden *GoldenResult, stride uint64) (*cuda.Trace, error) {
-	r = r.applyDefaults()
-	ctx, err := r.newContext()
-	if err != nil {
-		return nil, err
+	ctx, out, _, runErr := r.setupRun(context.Background(), w, "recording", func(c *cuda.Context) error {
+		return c.StartRecording(stride)
+	})
+	if ctx == nil {
+		return nil, runErr
 	}
-	ctx.SetDefaultBudget(r.GoldenBudget)
-	if err := ctx.StartRecording(stride); err != nil {
-		return nil, err
-	}
-	out, runErr := w.Run(ctx)
 	trace, err := ctx.FinishRecording()
 	if err != nil {
 		return nil, fmt.Errorf("campaign: recording %s: %w", w.Name(), err)
 	}
 	if runErr != nil {
-		return nil, fmt.Errorf("campaign: recording run of %s failed: %w", w.Name(), runErr)
+		return nil, runErr
 	}
-	if out == nil || !out.Equal(golden.Output) || out.ExitCode != golden.Output.ExitCode {
+	if !out.Equal(golden.Output) || out.ExitCode != golden.Output.ExitCode {
 		return nil, fmt.Errorf("campaign: recording run of %s diverged from the golden output", w.Name())
 	}
 	return trace, nil
 }
 
-// runTransientCheckpointed performs one transient experiment against a
-// recorded trace: the workload's driver calls replay from the journal up to
-// the checkpoint nearest the injection point, the device restores there,
-// and execution is real from then on, with early-exit probing at recorded
-// boundaries. If the workload's calls diverge from the journal before the
-// restore point — a nondeterministic host — the experiment transparently
-// falls back to a from-scratch run. A cancelled hostCtx aborts the
-// experiment promptly, as in RunTransient.
-func (r Runner) runTransientCheckpointed(hostCtx context.Context, w Workload, golden *GoldenResult,
-	trace *cuda.Trace, p core.TransientParams, noEarlyExit bool) (*RunResult, error) {
-	if err := hostCtx.Err(); err != nil {
-		return nil, err
-	}
-	r = r.applyDefaults()
-	ctx, err := r.newContext()
-	if err != nil {
-		return nil, err
-	}
-	ctx.SetCancel(hostCtx)
-	ctx.SetDefaultBudget(r.experimentBudget(golden))
-	inj, err := core.NewTransientInjector(p)
-	if err != nil {
-		return nil, err
+// restorePoint is where a checkpointed experiment starts: the workload's
+// driver calls replay from the recorded journal up to plan's checkpoint,
+// the device restores there, and execution is real from then on, with
+// early-exit probing at later recorded boundaries. The zero restorePoint
+// (no trace) starts from scratch.
+type restorePoint struct {
+	trace *cuda.Trace
+	plan  cuda.ReplayPlan
+}
+
+// errReplayDiverged reports a host that did not repeat the recorded driver
+// calls before the restore point: the snapshot does not describe the
+// execution, so the experiment classified nothing and must be rerun from
+// scratch.
+var errReplayDiverged = errors.New("campaign: replay diverged from the recording before the restore point")
+
+// restoreAt plans where p's experiment starts: from the latest checkpoint
+// before its injection point when the plan recorded a trace, from scratch
+// otherwise.
+func (pl *ShardPlan) restoreAt(p core.TransientParams) restorePoint {
+	if pl.trace == nil {
+		return restorePoint{}
 	}
 	staticIdx := -1
 	if p.SiteResolved {
 		staticIdx = p.StaticInstrIdx
 	}
-	plan := trace.PlanRestore(p.KernelName, p.KernelCount, staticIdx, p.InstrCount, p.Thread != nil)
-	plan.NoEarlyExit = noEarlyExit
-	plan.Probe = func() bool { return inj.Record().Activated }
-	inj.SetCounterBase(plan.CounterBase)
-	if err := ctx.BeginReplay(trace, plan); err != nil {
-		return nil, err
-	}
-	att, err := nvbit.Attach(ctx, inj)
-	if err != nil {
-		return nil, err
-	}
+	plan := pl.trace.PlanRestore(p.KernelName, p.KernelCount, staticIdx, p.InstrCount, p.Thread != nil)
+	plan.NoEarlyExit = pl.cfg.NoEarlyExit
+	return restorePoint{trace: pl.trace, plan: plan}
+}
 
-	start := time.Now()
-	out, runErr := w.Run(ctx)
-	d := time.Since(start)
-	att.Detach()
-	if err := hostCtx.Err(); err != nil {
-		// The run was cut short by cancellation; whatever output it produced
-		// does not describe the fault's behaviour, so classify nothing.
-		return nil, err
+// begin puts a fresh experiment context in replay mode for inj: the
+// injector's countdown resumes where the snapshot left it, and early exit
+// probes whether the fault has fired. Only a model with CapCheckpoint gets
+// here, and its injector counts like the transient flip's.
+func (rp restorePoint) begin(cctx *cuda.Context, inj faultmodel.Injector) error {
+	counter, ok := inj.(interface{ SetCounterBase(uint64) })
+	if !ok {
+		return fmt.Errorf("campaign: injector %s cannot start from a checkpoint", inj.Name())
 	}
-	if repErr := ctx.ReplayErr(); repErr != nil {
-		// The host did not repeat the recorded call sequence, so the
-		// snapshot does not describe this execution. Classify nothing;
-		// rerun the experiment from scratch.
-		return r.RunTransient(hostCtx, w, golden, p)
-	}
-	if out == nil {
-		out = NewOutput()
-	}
-	res := &RunResult{
-		Class:     Classify(w, golden.Output, out, runErr, ctx),
-		Injection: inj.Record(),
-		Duration:  d,
-		Stats:     ctx.AccumulatedStats(),
-		Restored:  ctx.ReplayRestored(),
-		EarlyExit: ctx.ReplayEarlyExited(),
-	}
-	// A fork gives back the pages it dirtied (the snapshot's stay shared) and
-	// the block an early exit left paused.
-	ctx.Device().Recycle()
-	return res, nil
+	plan := rp.plan
+	plan.Probe = func() bool { return inj.Record().Activated }
+	counter.SetCounterBase(plan.CounterBase)
+	return cctx.BeginReplay(rp.trace, plan)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/campaign"
@@ -255,6 +256,71 @@ func TestCheckpointPruneInteraction(t *testing.T) {
 		if combined.Runs[i].Pruned && (combined.Runs[i].Restored || combined.Runs[i].EarlyExit) {
 			t.Fatalf("run %d is pruned but consumed checkpoint work: %+v", i, combined.Runs[i])
 		}
+	}
+}
+
+// divergingWorkload is iterWorkload with a nondeterministic host: its k-th
+// run first allocates a buffer the recording never saw, so a replay of that
+// run diverges from the journal before any restore point. That run also
+// claims device memory behind the driver's back, so the device it leaves
+// behind has pages to give back.
+type divergingWorkload struct {
+	iterWorkload
+	k        int32
+	runs     atomic.Int32
+	dev      *gpu.Device // the k-th run's device
+	extraErr error       // what the k-th run's extra allocation returned
+}
+
+func (w *divergingWorkload) Run(ctx *cuda.Context) (*campaign.Output, error) {
+	if w.runs.Add(1) == w.k {
+		w.dev = ctx.Device()
+		if _, err := w.dev.Mem.Alloc(4096); err != nil {
+			return nil, err
+		}
+		_, w.extraErr = ctx.Malloc(8)
+	}
+	return w.iterWorkload.Run(ctx)
+}
+
+// TestCheckpointDivergenceFallback: an experiment whose host does not repeat
+// the recorded driver calls before its restore point reruns from scratch
+// with a fresh injector, classifies exactly as the from-scratch experiment,
+// and the device of the abandoned replay is recycled.
+func TestCheckpointDivergenceFallback(t *testing.T) {
+	r, golden, profile := iterCampaignInputs(t)
+	cfg := campaign.TransientCampaignConfig{Injections: 1, Seed: 31, Checkpoint: true, Parallel: 1}
+	// Run 1 records the trace, run 2 is the experiment's replay, run 3 its
+	// from-scratch rerun.
+	w := &divergingWorkload{k: 2}
+	res, err := campaign.RunTransientCampaign(context.Background(), r, w, golden, profile, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.extraErr == nil {
+		t.Fatal("the second run's extra allocation did not diverge from the recording; the fallback is untested")
+	}
+	if n := w.runs.Load(); n != 3 {
+		t.Fatalf("workload ran %d times, want 3 (record, diverged replay, rerun)", n)
+	}
+	if n := w.dev.Mem.AllocCount(); n != 0 {
+		t.Fatalf("the diverged replay's device still holds %d allocations: it was not recycled", n)
+	}
+	params, err := campaign.SelectShard(profile, cfg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := r.RunTransient(context.Background(), iterWorkload{}, golden, params[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := res.Runs[0]
+	if got.Restored || got.EarlyExit {
+		t.Fatalf("fallback run reports restored=%v early-exit=%v", got.Restored, got.EarlyExit)
+	}
+	if got.Class != want.Class || got.Injection != want.Injection || got.Stats != want.Stats ||
+		got.Activations != want.Activations {
+		t.Fatalf("fallback run %+v differs from the from-scratch run %+v", got, *want)
 	}
 }
 

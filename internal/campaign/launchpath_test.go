@@ -52,9 +52,11 @@ var launchPathCampaigns = []struct {
 // (scratch LaunchEvent / Launch / LaunchInfo / InstrCtx, shared function
 // tables, identity-keyed plan lookup, table-driven selection): a test cannot
 // run the parent commit, so its results are committed as a golden file. Each
-// campaign is held at 200 injections and at 25, its first selection shard. A
-// -race or -short run executes only the first shard of the transient and the
-// checkpointed campaign: the detector slows the 32-lane loops ~70x (200
+// campaign is held at 200 injections and at 25, its first selection shard, and
+// Fig. 3's permanent campaign (one fault per executed opcode, with its weighted
+// shares in the run digest) once. A -race or -short run executes only the
+// first shard of the transient and the checkpointed campaign: the detector
+// slows the 32-lane loops ~70x (200
 // clvrleaf injections take two minutes under it), the campaign package's race
 // run is already minutes long, and the armed models' launch path under the
 // detector is TestModelCampaignDeterminism's.
@@ -77,6 +79,31 @@ func TestLaunchPathDifferential(t *testing.T) {
 		sizes = sizes[:1]
 	}
 	got := map[string]launchPathGolden{}
+	check := func(t *testing.T, key string, res *campaign.CampaignResult) {
+		t.Helper()
+		g := summarizeLaunchPath(t, res)
+		got[key] = g
+		if *updateGolden {
+			return
+		}
+		ref, ok := want[key]
+		if !ok {
+			t.Fatalf("no golden entry for %s", key)
+		}
+		var refTally bytes.Buffer // the file is indented; the wire form is not
+		if err := json.Compact(&refTally, ref.Tally); err != nil {
+			t.Fatal(err)
+		}
+		if string(g.Tally) != refTally.String() {
+			t.Errorf("%s: tally moved:\n got %s\nwant %s", key, g.Tally, refTally.String())
+		}
+		if g.Stats != ref.Stats {
+			t.Errorf("%s: summed stats moved:\n got %+v\nwant %+v", key, g.Stats, ref.Stats)
+		}
+		if g.Runs != ref.Runs {
+			t.Errorf("%s: per-run sequence digest moved: got %s, want %s", key, g.Runs, ref.Runs)
+		}
+	}
 	for _, c := range launchPathCampaigns {
 		if quick && c.cfg.Model != "" {
 			continue
@@ -102,30 +129,33 @@ func TestLaunchPathDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				key := fmt.Sprintf("%s/n%d", c.name, n)
-				g := summarizeLaunchPath(t, res)
-				got[key] = g
-				if *updateGolden {
-					continue
-				}
-				ref, ok := want[key]
-				if !ok {
-					t.Fatalf("no golden entry for %s", key)
-				}
-				var refTally bytes.Buffer // the file is indented; the wire form is not
-				if err := json.Compact(&refTally, ref.Tally); err != nil {
-					t.Fatal(err)
-				}
-				if string(g.Tally) != refTally.String() {
-					t.Errorf("%s: tally moved:\n got %s\nwant %s", key, g.Tally, refTally.String())
-				}
-				if g.Stats != ref.Stats {
-					t.Errorf("%s: summed stats moved:\n got %+v\nwant %+v", key, g.Stats, ref.Stats)
-				}
-				if g.Runs != ref.Runs {
-					t.Errorf("%s: per-run sequence digest moved: got %s, want %s", key, g.Runs, ref.Runs)
-				}
+				check(t, fmt.Sprintf("%s/n%d", c.name, n), res)
 			}
+		})
+	}
+	// Fig. 3's campaign — one permanent fault per executed opcode, weighted by
+	// the opcode's dynamic share — on the same workload, recorded before its
+	// experiments ran through the shared experiment path and worker loop.
+	if !quick {
+		t.Run("clvrleaf_permanent", func(t *testing.T) {
+			w, err := specaccel.ByName("353.clvrleaf")
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := campaign.Runner{}
+			golden, err := r.Golden(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			profile, _, err := r.Profile(w, core.Exact)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := campaign.RunPermanentCampaign(context.Background(), r, w, golden, profile, 0, 19, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(t, "clvrleaf_permanent", res)
 		})
 	}
 	if *updateGolden && !t.Failed() {
@@ -159,12 +189,17 @@ func summarizeLaunchPath(t *testing.T, res *campaign.CampaignResult) launchPathG
 		fmt.Fprintf(h, "%d %+v %+v %d %+v %v %v\n", i, run.Class, run.Injection, run.Activations,
 			run.Stats, run.Restored, run.EarlyExit)
 	}
+	if res.Weighted != nil {
+		for _, cat := range res.Weighted.Categories() {
+			fmt.Fprintf(h, "weight %s %v\n", cat, res.Weighted.Weight(cat))
+		}
+	}
 	g.Runs = hex.EncodeToString(h.Sum(nil))
 	return g
 }
 
 // experimentAllocCeilings are the committed per-experiment allocation
-// ceilings: what one Runner.RunTransient allocates once caches and pools are
+// ceilings: what one campaign experiment allocates once caches and pools are
 // warm, plus 10%. 353.clvrleaf (249 launches of 116 kernels) allocated 2 650
 // per experiment when every launch built its own event, launch descriptor,
 // constant bank, budget counter and LaunchInfo; 314.omriq is the short
@@ -201,21 +236,14 @@ func TestExperimentAllocCeiling(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			params, err := campaign.SelectShard(profile,
-				campaign.TransientCampaignConfig{Injections: 8, Seed: 11, Checkpoint: tc.checkpoint}, 0)
+			cfg := campaign.TransientCampaignConfig{Injections: 8, Seed: 11, Checkpoint: tc.checkpoint}
+			params, err := campaign.SelectShard(profile, cfg, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			run := r.RunTransient
-			if tc.checkpoint {
-				stride := max(golden.Stats.WarpInstrs/campaign.DefaultCheckpointCount, campaign.MinCheckpointStride)
-				trace, err := r.RecordTrace(w, golden, stride)
-				if err != nil {
-					t.Fatal(err)
-				}
-				run = func(ctx context.Context, w campaign.Workload, golden *campaign.GoldenResult, p core.TransientParams) (*campaign.RunResult, error) {
-					return campaign.RunTransientCheckpointed(r, ctx, w, golden, trace, p, false)
-				}
+			plan, err := campaign.NewShardPlan(r, w, golden, profile, cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
 			runs := 3
 			if race.Enabled {
@@ -224,7 +252,7 @@ func TestExperimentAllocCeiling(t *testing.T) {
 			var worst float64
 			for _, p := range params {
 				avg := testing.AllocsPerRun(runs, func() {
-					if _, err := run(context.Background(), w, golden, p); err != nil {
+					if _, err := campaign.RunOne(plan, context.Background(), p); err != nil {
 						t.Fatal(err)
 					}
 				})

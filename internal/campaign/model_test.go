@@ -244,6 +244,33 @@ func TestDefaultModelByteIdentity(t *testing.T) {
 	}
 }
 
+// TestTransientCampaignWithoutKernelView: the transient flip builds its
+// injector from the parameter tuple alone, so a transient campaign against a
+// hand-built golden result (no kernel view) runs, and runs exactly as one
+// against Runner.Golden's — while a model that needs the view refuses it.
+func TestTransientCampaignWithoutKernelView(t *testing.T) {
+	r, w, golden, profile := campaignFixture(t)
+	bare := &campaign.GoldenResult{Output: golden.Output, Stats: golden.Stats}
+	cfg := campaign.TransientCampaignConfig{Injections: 10, Seed: 3}
+	got, err := campaign.RunTransientCampaign(context.Background(), r, w, bare, profile, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := campaign.RunTransientCampaign(context.Background(), r, w, golden, profile, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tg, _ := json.Marshal(got.Tally)
+	tw, _ := json.Marshal(want.Tally)
+	if !bytes.Equal(tg, tw) {
+		t.Fatalf("tally without the kernel view %s, with it %s", tg, tw)
+	}
+	cfg.Model = "stuck"
+	if _, err := campaign.NewShardPlan(r, w, bare, profile, cfg); err == nil {
+		t.Fatal("the stuck model accepted a golden result without the kernel view")
+	}
+}
+
 // TestAdaptiveModelCampaign: an adaptive campaign under a non-default model
 // runs to a stopping decision with no certain (zero-variance) strata — the
 // provably-masked shortcut is only sound for destination flips.

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -130,26 +129,58 @@ func (r Runner) newContext() (*cuda.Context, error) {
 	return ctx, nil
 }
 
+// setupRun runs the workload once, fault-free, on a fresh context under the
+// golden budget — the shape of every run a campaign makes before its
+// experiments (golden, profiling, recording, lint). prep readies the context
+// first; what names the run in errors. A crashed run, a sticky CUDA error or
+// a nonzero exit code is an error — a set-up run describes the fault-free
+// program — and once hostCtx is done its error replaces any result. The
+// context comes back unless it could not be built and readied.
+func (r Runner) setupRun(hostCtx context.Context, w Workload, what string,
+	prep func(*cuda.Context) error) (*cuda.Context, *Output, time.Duration, error) {
+	r = r.applyDefaults()
+	ctx, err := r.newContext()
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	armCancel(ctx, hostCtx)
+	ctx.SetDefaultBudget(r.GoldenBudget)
+	if prep != nil {
+		if err := prep(ctx); err != nil {
+			return nil, nil, 0, err
+		}
+	}
+	start := time.Now()
+	out, err := w.Run(ctx)
+	d := time.Since(start)
+	if cerr := hostCtx.Err(); cerr != nil {
+		return ctx, nil, d, cerr
+	}
+	if err != nil {
+		return ctx, nil, d, fmt.Errorf("campaign: %s run of %s failed: %w", what, w.Name(), err)
+	}
+	if ctx.LastError() != cuda.Success {
+		return ctx, out, d, fmt.Errorf("campaign: %s run of %s hit %v", what, w.Name(), ctx.LastError())
+	}
+	if out.ExitCode != 0 {
+		return ctx, out, d, fmt.Errorf("campaign: %s run of %s exited with %d", what, w.Name(), out.ExitCode)
+	}
+	return ctx, out, d, nil
+}
+
 // LintWorkload runs the workload once on a context in VerifyWarn mode and
 // returns every static-verification diagnostic its modules produced — the
 // campaign-level entry point behind `sasslint -workloads`. The run itself
 // must succeed; lint findings are returned, not treated as failures.
 func (r Runner) LintWorkload(w Workload) ([]sassan.Diagnostic, error) {
-	r = r.applyDefaults()
-	ctx, err := r.newContext()
-	if err != nil {
+	ctx, _, _, err := r.setupRun(context.Background(), w, "lint", func(c *cuda.Context) error {
+		c.SetVerifyMode(cuda.VerifyWarn)
+		return nil
+	})
+	if ctx == nil {
 		return nil, err
 	}
-	ctx.SetVerifyMode(cuda.VerifyWarn)
-	ctx.SetDefaultBudget(r.GoldenBudget)
-	out, err := w.Run(ctx)
-	if err != nil {
-		return ctx.VerifyDiagnostics(), fmt.Errorf("campaign: lint run of %s failed: %w", w.Name(), err)
-	}
-	if out.ExitCode != 0 {
-		return ctx.VerifyDiagnostics(), fmt.Errorf("campaign: lint run of %s exited with %d", w.Name(), out.ExitCode)
-	}
-	return ctx.VerifyDiagnostics(), nil
+	return ctx.VerifyDiagnostics(), err
 }
 
 // GoldenResult is a reference run: the fault-free output plus the execution
@@ -191,26 +222,9 @@ func armCancel(cctx *cuda.Context, hostCtx context.Context) {
 // done the run's launches trap within the cancellation poll stride and
 // hostCtx's error is returned in place of a result.
 func (r Runner) GoldenContext(hostCtx context.Context, w Workload) (*GoldenResult, error) {
-	r = r.applyDefaults()
-	ctx, err := r.newContext()
+	ctx, out, d, err := r.setupRun(hostCtx, w, "golden", nil)
 	if err != nil {
 		return nil, err
-	}
-	armCancel(ctx, hostCtx)
-	ctx.SetDefaultBudget(r.GoldenBudget)
-	start := time.Now()
-	out, err := w.Run(ctx)
-	if cerr := hostCtx.Err(); cerr != nil {
-		return nil, cerr
-	}
-	if err != nil {
-		return nil, fmt.Errorf("campaign: golden run of %s failed: %w", w.Name(), err)
-	}
-	if ctx.LastError() != cuda.Success {
-		return nil, fmt.Errorf("campaign: golden run of %s hit %v", w.Name(), ctx.LastError())
-	}
-	if out.ExitCode != 0 {
-		return nil, fmt.Errorf("campaign: golden run of %s exited with %d", w.Name(), out.ExitCode)
 	}
 	kernels := make(map[string]*sass.Kernel)
 	dup := make(map[string]bool)
@@ -228,7 +242,7 @@ func (r Runner) GoldenContext(hostCtx context.Context, w Workload) (*GoldenResul
 	return &GoldenResult{
 		Output:        out,
 		Stats:         ctx.AccumulatedStats(),
-		Duration:      time.Since(start),
+		Duration:      d,
 		Kernels:       kernels,
 		BaselineClass: Classify(w, out, out, nil, ctx),
 	}, nil
@@ -244,42 +258,33 @@ func (r Runner) Profile(w Workload, mode core.ProfileMode) (*core.Profile, time.
 // ProfileContext is Profile for a caller that may give up; cancellation
 // behaves as in GoldenContext.
 func (r Runner) ProfileContext(hostCtx context.Context, w Workload, mode core.ProfileMode) (*core.Profile, time.Duration, error) {
-	r = r.applyDefaults()
-	ctx, err := r.newContext()
-	if err != nil {
-		return nil, 0, err
-	}
-	armCancel(ctx, hostCtx)
-	ctx.SetDefaultBudget(r.GoldenBudget)
 	prof, err := core.NewProfiler(w.Name(), mode)
 	if err != nil {
 		return nil, 0, err
 	}
-	att, err := nvbit.Attach(ctx, prof)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer att.Detach()
-	start := time.Now()
-	out, err := w.Run(ctx)
-	d := time.Since(start)
-	if cerr := hostCtx.Err(); cerr != nil {
-		return nil, d, cerr
+	var att *nvbit.Attachment
+	_, _, d, err := r.setupRun(hostCtx, w, "profiling", func(c *cuda.Context) (err error) {
+		att, err = nvbit.Attach(c, prof)
+		return err
+	})
+	if att != nil {
+		att.Detach()
 	}
 	if err != nil {
-		return nil, d, fmt.Errorf("campaign: profiling run of %s failed: %w", w.Name(), err)
-	}
-	if out.ExitCode != 0 {
-		return nil, d, fmt.Errorf("campaign: profiling run of %s exited with %d", w.Name(), out.ExitCode)
+		return nil, d, err
 	}
 	return prof.Finish(), d, nil
 }
 
 // RunResult is one injection experiment's result.
 type RunResult struct {
-	Class     Classification
-	Injection core.InjectionRecord // transient runs only
-	// Activations counts permanent-fault site exercises (permanent runs).
+	Class Classification
+	// Injection is what the injector reports it did: every fault model maps
+	// its outcome onto the transient record's shape; the permanent fault of
+	// RunPermanent reports the zero record.
+	Injection core.InjectionRecord
+	// Activations counts fault-site exercises for models with repeated
+	// activation (permanent, stuck, memory); zero for single-shot models.
 	Activations uint64
 	Duration    time.Duration
 	Stats       gpu.LaunchStats
@@ -309,53 +314,76 @@ type RunResult struct {
 	Stratum string
 }
 
-// RunTransient performs one transient-fault experiment: fresh context,
-// injector attached, workload run, outcome classified against golden. A
+// run performs one experiment — Figure 1's loop body, the one every entry
+// point shares: a fresh context with cancellation and the hang budget
+// armed, inj attached, the workload run, the outcome classified against
+// golden, and the device's pages handed back for the next experiment.
+// A non-zero restore starts the run from a recorded checkpoint instead of
+// from scratch (see restorePoint); a workload whose driver calls diverge
+// from the recording before the restore point yields errReplayDiverged,
+// and since injectors are single-use the caller reruns with a fresh one. A
 // cancelled ctx aborts the experiment promptly — in-flight launches trap
 // with gpu.TrapCancelled instead of draining the hang budget — and the
 // context's error is returned in place of a classification.
-func (r Runner) RunTransient(ctx context.Context, w Workload, golden *GoldenResult, p core.TransientParams) (*RunResult, error) {
+func (r Runner) run(ctx context.Context, w Workload, golden *GoldenResult, inj faultmodel.Injector,
+	restore restorePoint) (*RunResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	r = r.applyDefaults()
 	cctx, err := r.newContext()
 	if err != nil {
 		return nil, err
 	}
 	cctx.SetCancel(ctx)
-	r = r.applyDefaults()
 	cctx.SetDefaultBudget(r.experimentBudget(golden))
-	inj, err := core.NewTransientInjector(p)
-	if err != nil {
-		return nil, err
+	if restore.trace != nil {
+		if err := restore.begin(cctx, inj); err != nil {
+			return nil, err
+		}
 	}
 	att, err := nvbit.Attach(cctx, inj)
 	if err != nil {
 		return nil, err
 	}
-	defer att.Detach()
 
 	start := time.Now()
 	out, runErr := w.Run(cctx)
 	d := time.Since(start)
+	att.Detach()
 	if err := ctx.Err(); err != nil {
 		// The run was cut short by cancellation; whatever output it produced
 		// does not describe the fault's behaviour, so classify nothing.
 		return nil, err
 	}
+	// The context is dead once classified (or abandoned): a fresh device
+	// gives back its pages, a fork the pages it dirtied (the snapshot's stay
+	// shared) and the block an early exit left paused.
+	defer cctx.Device().Recycle()
+	if cctx.ReplayErr() != nil {
+		return nil, errReplayDiverged
+	}
 	if out == nil {
 		out = NewOutput()
 	}
-	res := &RunResult{
-		Class:     Classify(w, golden.Output, out, runErr, cctx),
-		Injection: inj.Record(),
-		Duration:  d,
-		Stats:     cctx.AccumulatedStats(),
+	return &RunResult{
+		Class:       Classify(w, golden.Output, out, runErr, cctx),
+		Injection:   inj.Record(),
+		Activations: inj.Activations(),
+		Duration:    d,
+		Stats:       cctx.AccumulatedStats(),
+		Restored:    cctx.ReplayRestored(),
+		EarlyExit:   cctx.ReplayEarlyExited(),
+	}, nil
+}
+
+// RunTransient performs one transient-fault experiment (see run).
+func (r Runner) RunTransient(ctx context.Context, w Workload, golden *GoldenResult, p core.TransientParams) (*RunResult, error) {
+	inj, err := core.NewTransientInjector(p)
+	if err != nil {
+		return nil, err
 	}
-	// The experiment's context is dead once classified; hand its memory
-	// pages back so the next experiment reuses them instead of allocating.
-	cctx.Device().Recycle()
-	return res, nil
+	return r.run(ctx, w, golden, inj, restorePoint{})
 }
 
 // ModelEnv derives the faultmodel.Env a campaign's experiments share: the
@@ -370,67 +398,23 @@ func ModelEnv(r Runner, golden *GoldenResult, profile *core.Profile) faultmodel.
 	return env
 }
 
-// RunModel performs one experiment under an arbitrary fault model: fresh
-// context, the model's injector attached, workload run, outcome classified
-// against golden — RunTransient generalized over the injector factory.
-// Cancellation behaves as in RunTransient.
+// RunModel performs one experiment under an arbitrary fault model: the
+// model's injector for p, built against env (see run).
 func (r Runner) RunModel(ctx context.Context, w Workload, golden *GoldenResult,
 	m faultmodel.Model, p core.TransientParams, param string, env faultmodel.Env) (*RunResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	cctx, err := r.newContext()
-	if err != nil {
-		return nil, err
-	}
-	cctx.SetCancel(ctx)
-	r = r.applyDefaults()
-	cctx.SetDefaultBudget(r.experimentBudget(golden))
 	inj, err := m.NewInjector(p, param, env)
 	if err != nil {
 		return nil, err
 	}
-	att, err := nvbit.Attach(cctx, inj)
-	if err != nil {
-		return nil, err
-	}
-	defer att.Detach()
-
-	start := time.Now()
-	out, runErr := w.Run(cctx)
-	d := time.Since(start)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if out == nil {
-		out = NewOutput()
-	}
-	res := &RunResult{
-		Class:       Classify(w, golden.Output, out, runErr, cctx),
-		Injection:   inj.Record(),
-		Activations: inj.Activations(),
-		Duration:    d,
-		Stats:       cctx.AccumulatedStats(),
-	}
-	cctx.Device().Recycle()
-	return res, nil
+	return r.run(ctx, w, golden, inj, restorePoint{})
 }
 
-// RunPermanent performs one permanent-fault experiment. gate, when non-nil,
-// makes the fault intermittent; dict, when non-nil, overrides corruption
-// per opcode. Cancellation behaves as in RunTransient.
+// RunPermanent performs one permanent-fault experiment (see run). gate, when
+// non-nil, makes the fault intermittent; dict, when non-nil, overrides
+// corruption per opcode.
 func (r Runner) RunPermanent(ctx context.Context, w Workload, golden *GoldenResult, p core.PermanentParams,
 	gate core.ActivationGate, dict core.FaultDictionary) (*RunResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	r = r.applyDefaults()
-	cctx, err := r.newContext()
-	if err != nil {
-		return nil, err
-	}
-	cctx.SetCancel(ctx)
-	cctx.SetDefaultBudget(r.experimentBudget(golden))
 	inj, err := core.NewPermanentInjector(p, r.Family, r.NumSMs)
 	if err != nil {
 		return nil, err
@@ -441,29 +425,7 @@ func (r Runner) RunPermanent(ctx context.Context, w Workload, golden *GoldenResu
 	if dict != nil {
 		inj.SetDictionary(dict)
 	}
-	att, err := nvbit.Attach(cctx, inj)
-	if err != nil {
-		return nil, err
-	}
-	defer att.Detach()
-
-	start := time.Now()
-	out, runErr := w.Run(cctx)
-	d := time.Since(start)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if out == nil {
-		out = NewOutput()
-	}
-	res := &RunResult{
-		Class:       Classify(w, golden.Output, out, runErr, cctx),
-		Activations: inj.Activations(),
-		Duration:    d,
-		Stats:       cctx.AccumulatedStats(),
-	}
-	cctx.Device().Recycle()
-	return res, nil
+	return r.run(ctx, w, golden, inj, restorePoint{})
 }
 
 // TransientCampaignConfig parameterizes RunTransientCampaign.
@@ -619,6 +581,44 @@ func (c TransientCampaignConfig) withDefaults() TransientCampaignConfig {
 	return c
 }
 
+// model resolves the config's fault model — the transient flip for the
+// default — and holds the config to it. These are the guard rails
+// NewShardPlan and the service's spec validation share: the model must
+// exist and accept ModelParam, every acceleration the config turns on must
+// be one the model declares sound (they reason statically about transient
+// destination-flip semantics, so an unsound combination is refused rather
+// than silently miscounted), and a target CI must lie in (0,1).
+func (c TransientCampaignConfig) model() (faultmodel.Model, error) {
+	m, err := faultmodel.Lookup(c.Model)
+	if err != nil {
+		return nil, err
+	}
+	if err := m.ValidateParam(c.ModelParam); err != nil {
+		return nil, err
+	}
+	caps := m.Caps()
+	if c.Prune && !caps.Has(faultmodel.CapPrune) {
+		return nil, fmt.Errorf("campaign: fault model %q does not support pruning (-prune: dead-destination pruning is only sound for the transient destination-flip model)", m.Name())
+	}
+	if c.Classes && !caps.Has(faultmodel.CapClasses) {
+		return nil, fmt.Errorf("campaign: fault model %q does not support class sampling (-classes: fault-equivalence classes answer members only under destination-flip semantics)", m.Name())
+	}
+	if c.Checkpoint && !caps.Has(faultmodel.CapCheckpoint) {
+		return nil, fmt.Errorf("campaign: fault model %q does not support checkpointing (-checkpoint: snapshot restore assumes a single-shot fault after a fault-free prefix)", m.Name())
+	}
+	if c.TargetCI < 0 || c.TargetCI >= 1 {
+		return nil, fmt.Errorf("campaign: target CI %v outside (0,1)", c.TargetCI)
+	}
+	return m, nil
+}
+
+// Validate applies NewShardPlan's guard rails to the config alone, before
+// any workload runs — what a campaign service checks at submission.
+func (c TransientCampaignConfig) Validate() error {
+	_, err := c.model()
+	return err
+}
+
 // DefaultConfidence is the adaptive stopping rule's default confidence
 // level.
 const DefaultConfidence = 0.95
@@ -666,37 +666,18 @@ type CampaignResult struct {
 // the partial result alongside the context error.
 func RunTransientCampaign(ctx context.Context, r Runner, w Workload, golden *GoldenResult,
 	profile *core.Profile, cfg TransientCampaignConfig) (*CampaignResult, error) {
-	cfg = cfg.withDefaults()
 	plan, err := NewShardPlan(r, w, golden, profile, cfg)
 	if err != nil {
 		return nil, err
 	}
-	annotate := func(res *CampaignResult) *CampaignResult {
-		if res != nil {
-			res.Model = cfg.Model
-			res.ModelParam = cfg.ModelParam
-		}
-		return res
-	}
-	if cfg.TargetCI > 0 {
-		res, err := runAdaptiveCampaign(ctx, plan)
-		return annotate(res), err
+	if plan.cfg.TargetCI > 0 {
+		return runAdaptiveCampaign(ctx, plan)
 	}
 	params, err := plan.selectAll()
 	if err != nil {
 		return nil, err
 	}
-	results, errs := plan.runRange(ctx, params)
-	if err := errors.Join(errs...); err != nil {
-		// Degrade gracefully: summarize the runs that completed and return
-		// the aggregated per-run errors alongside the partial result.
-		res := summarize(w.Name(), golden, filterOK(results, errs), nil)
-		res.Translated = !cfg.NoXlate
-		return annotate(res), err
-	}
-	res := summarize(w.Name(), golden, results, nil)
-	res.Translated = !cfg.NoXlate
-	return annotate(res), nil
+	return plan.summarize(plan.runRange(ctx, params))
 }
 
 // filterOK returns the results whose runs completed without error.
@@ -722,91 +703,56 @@ func RunPermanentCampaign(ctx context.Context, r Runner, w Workload, golden *Gol
 	if parallel <= 0 {
 		parallel = runtime.NumCPU()
 	}
-	rr := r.applyDefaults()
-	rng := rand.New(rand.NewSource(seed))
-	faults, err := core.SelectPermanentFaults(profile, rr.Family, rr.NumSMs, bf, rng)
+	r = r.applyDefaults()
+	faults, err := core.SelectPermanentFaults(profile, r.Family, r.NumSMs, bf, rand.New(rand.NewSource(seed)))
 	if err != nil {
 		return nil, err
 	}
-	totals := profile.OpcodeTotals()
-	opset := sass.OpcodeSet(rr.Family)
-
 	results := make([]RunResult, len(faults))
-	weights := make([]float64, len(faults))
 	errs := make([]error, len(faults))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, parallel)
-	for i := range faults {
-		if err := ctx.Err(); err != nil {
-			errs[i] = err
-			continue
-		}
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			res, err := rr.RunPermanent(ctx, w, golden, *faults[i], nil, nil)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			results[i] = *res
-			weights[i] = float64(totals[opset[faults[i].OpcodeID]])
-		}(i)
+	idxs := make([]int, len(faults))
+	for i := range idxs {
+		idxs[i] = i
 	}
-	wg.Wait()
-
+	runClaimed(ctx, parallel, idxs, errs, func(i int) error {
+		res, err := r.RunPermanent(ctx, w, golden, *faults[i], nil, nil)
+		if err == nil {
+			results[i] = *res
+		}
+		return err
+	})
+	totals := profile.OpcodeTotals()
+	opset := sass.OpcodeSet(r.Family)
 	weighted := &stats.WeightedTally{}
 	for i := range results {
 		if errs[i] == nil {
-			weighted.Add(results[i].Class.Outcome.String(), weights[i])
+			weighted.Add(results[i].Class.Outcome.String(), float64(totals[opset[faults[i].OpcodeID]]))
 		}
 	}
-	if err := errors.Join(errs...); err != nil {
-		res := summarize(w.Name(), golden, filterOK(results, errs), weighted)
-		res.Translated = !rr.NoXlate
-		return res, err
-	}
-	res := summarize(w.Name(), golden, results, weighted)
-	res.Translated = !rr.NoXlate
-	return res, nil
+	return summarize(r, w.Name(), golden, results, errs, weighted)
 }
 
-func summarize(name string, golden *GoldenResult, results []RunResult, weighted *stats.WeightedTally) *CampaignResult {
-	tally := NewTally()
+// summarize folds the runs that completed (errs[i] == nil) into a campaign
+// result and returns it with the other runs' errors joined: a campaign with
+// failed or cancelled experiments degrades to its partial result.
+func summarize(r Runner, name string, golden *GoldenResult, results []RunResult, errs []error,
+	weighted *stats.WeightedTally) (*CampaignResult, error) {
+	err := errors.Join(errs...)
+	if err != nil {
+		results = filterOK(results, errs)
+	}
+	tally := TallyRuns(results)
+	if weighted != nil {
+		// Fig. 3 weighs every opcode's outcome, fired on the target lane or
+		// not; a permanent campaign has never counted NotActivated.
+		tally.NotActivated = 0
+	}
 	var total time.Duration
 	durs := make([]time.Duration, 0, len(results))
 	for i := range results {
-		tally.Add(results[i].Class)
-		if results[i].Stratum != "" {
-			tally.addStratum(results[i].Stratum, results[i].Class.Outcome)
-		}
-		if results[i].Pruned {
-			// A pruned experiment never ran: its outcome is static, the
-			// fault provably activates-and-masks, and it has no measured
-			// duration to fold into the timing figures.
-			tally.Pruned++
+		if results[i].Pruned || results[i].ClassAnswered {
+			// The experiment never ran: it has no duration of its own.
 			continue
-		}
-		if results[i].ClassAnswered {
-			// An answered class member never ran either: its classification
-			// is its representative's, so it contributes no duration or
-			// activation data of its own.
-			tally.ClassAnswered++
-			continue
-		}
-		if results[i].ClassID != "" {
-			tally.ClassReps++
-		}
-		if !results[i].Injection.Activated && results[i].Activations == 0 && weighted == nil {
-			tally.NotActivated++
-		}
-		if results[i].Restored {
-			tally.Restored++
-		}
-		if results[i].EarlyExit {
-			tally.EarlyExits++
 		}
 		total += results[i].Duration
 		durs = append(durs, results[i].Duration)
@@ -819,7 +765,8 @@ func summarize(name string, golden *GoldenResult, results []RunResult, weighted 
 		GoldenTime:    golden.Duration,
 		TotalRunTime:  total,
 		MedianRunTime: median(durs),
-	}
+		Translated:    !r.NoXlate,
+	}, err
 }
 
 func median(d []time.Duration) time.Duration {

@@ -116,8 +116,10 @@ type ShardPlan struct {
 	// stopping rule pools against.
 	strat   *stratifier
 	weights []StratumWeight
-	// model and env are set for non-default fault models (cfg.Model != "");
-	// runOne then dispatches through Runner.RunModel instead of RunTransient.
+	// model builds every experiment's injector: the config's fault model, the
+	// transient flip for the default. env is what a non-default model builds
+	// against; the transient flip ignores it, so a transient plan leaves it
+	// zero.
 	model faultmodel.Model
 	env   faultmodel.Env
 }
@@ -128,38 +130,21 @@ type ShardPlan struct {
 func NewShardPlan(r Runner, w Workload, golden *GoldenResult, profile *core.Profile,
 	cfg TransientCampaignConfig) (*ShardPlan, error) {
 	cfg = cfg.withDefaults()
+	m, err := cfg.model()
+	if err != nil {
+		return nil, err
+	}
 	if cfg.NoXlate {
 		// The config travels with the job (a service worker reconstructs its
 		// runner from it), so the engine choice must ride here, not only on
 		// the runner the submitting process happened to build.
 		r.NoXlate = true
 	}
-	plan := &ShardPlan{runner: r, w: w, golden: golden, profile: profile, cfg: cfg}
+	plan := &ShardPlan{runner: r, w: w, golden: golden, profile: profile, cfg: cfg, model: m}
 	if cfg.Model != "" {
-		m, err := faultmodel.Lookup(cfg.Model)
-		if err != nil {
-			return nil, err
-		}
-		if err := m.ValidateParam(cfg.ModelParam); err != nil {
-			return nil, err
-		}
-		// The destination-flip accelerations reason statically about transient
-		// flip semantics; a model must declare each one sound or the campaign
-		// refuses the combination rather than silently miscounting.
-		caps := m.Caps()
-		if cfg.Prune && !caps.Has(faultmodel.CapPrune) {
-			return nil, fmt.Errorf("campaign: fault model %q does not support -prune (dead-destination pruning is only sound for the transient destination-flip model)", m.Name())
-		}
-		if cfg.Classes && !caps.Has(faultmodel.CapClasses) {
-			return nil, fmt.Errorf("campaign: fault model %q does not support -classes (fault-equivalence classes answer members only under destination-flip semantics)", m.Name())
-		}
-		if cfg.Checkpoint && !caps.Has(faultmodel.CapCheckpoint) {
-			return nil, fmt.Errorf("campaign: fault model %q does not support -checkpoint (snapshot restore assumes a single-shot fault after a fault-free prefix)", m.Name())
-		}
 		if golden.Kernels == nil {
 			return nil, fmt.Errorf("campaign: fault model %q requires the golden kernel view; rebuild the golden result with Runner.Golden", m.Name())
 		}
-		plan.model = m
 		plan.env = ModelEnv(r, golden, profile)
 	}
 	if cfg.Prune {
@@ -175,9 +160,6 @@ func NewShardPlan(r Runner, w Workload, golden *GoldenResult, profile *core.Prof
 		plan.cl = newClasser(golden.Kernels)
 	}
 	if cfg.TargetCI > 0 {
-		if cfg.TargetCI >= 1 {
-			return nil, fmt.Errorf("campaign: target CI %v outside (0,1)", cfg.TargetCI)
-		}
 		if golden.Kernels == nil {
 			return nil, fmt.Errorf("campaign: adaptive sampling requested but the golden result carries no kernels; rebuild it with Runner.Golden")
 		}
@@ -226,15 +208,30 @@ func (pl *ShardPlan) selectAll() ([]core.TransientParams, error) {
 	return params, nil
 }
 
-// runOne executes (or statically classifies) a single experiment.
+// runOne executes a single experiment: the model's injector for p, started
+// from the latest checkpoint before p's fault when the plan recorded a
+// trace. A host that diverges from the recording before that checkpoint
+// gets the experiment again from scratch, with a fresh injector.
 func (pl *ShardPlan) runOne(ctx context.Context, p core.TransientParams) (*RunResult, error) {
-	if pl.model != nil {
-		return pl.runner.RunModel(ctx, pl.w, pl.golden, pl.model, p, pl.cfg.ModelParam, pl.env)
+	inj, err := pl.model.NewInjector(p, pl.cfg.ModelParam, pl.env)
+	if err != nil {
+		return nil, err
 	}
-	if pl.trace != nil {
-		return pl.runner.runTransientCheckpointed(ctx, pl.w, pl.golden, pl.trace, p, pl.cfg.NoEarlyExit)
+	res, err := pl.runner.run(ctx, pl.w, pl.golden, inj, pl.restoreAt(p))
+	if !errors.Is(err, errReplayDiverged) {
+		return res, err
 	}
-	return pl.runner.RunTransient(ctx, pl.w, pl.golden, p)
+	if inj, err = pl.model.NewInjector(p, pl.cfg.ModelParam, pl.env); err != nil {
+		return nil, err
+	}
+	return pl.runner.run(ctx, pl.w, pl.golden, inj, restorePoint{})
+}
+
+// summarize is summarize over the plan's campaign, echoing its fault model.
+func (pl *ShardPlan) summarize(results []RunResult, errs []error) (*CampaignResult, error) {
+	res, err := summarize(pl.runner, pl.w.Name(), pl.golden, results, errs, nil)
+	res.Model, res.ModelParam = pl.cfg.Model, pl.cfg.ModelParam
+	return res, err
 }
 
 // runRange executes one experiment per parameter tuple with the plan's
@@ -281,9 +278,6 @@ func (pl *ShardPlan) assignStrata(params []core.TransientParams, results []RunRe
 
 // runIndexes executes the experiments at the given param indexes with the
 // plan's Parallel bound, writing into the index-aligned results and errs.
-// Parallel long-lived workers claim the indexes in order from one cursor: an
-// experiment lasts a fraction of a millisecond, and a goroutine spawned and
-// handed back per experiment cost two futex round trips each.
 func (pl *ShardPlan) runIndexes(ctx context.Context, params []core.TransientParams, idxs []int, results []RunResult, errs []error) {
 	// Pruning comes before anything runs, checkpoint planning included: a
 	// statically-dead site must not touch the trace at all.
@@ -295,14 +289,30 @@ func (pl *ShardPlan) runIndexes(ctx context.Context, params []core.TransientPara
 		}
 		todo = append(todo, i)
 	}
+	runClaimed(ctx, pl.cfg.Parallel, todo, errs, func(i int) error {
+		res, err := pl.runOne(ctx, params[i])
+		if err == nil {
+			results[i] = *res
+		}
+		return err
+	})
+}
+
+// runClaimed is every campaign's worker loop: min(parallel, len(idxs))
+// long-lived workers (the caller is the first) claim the indexes in order
+// from one cursor and store exp(i)'s error in errs[i]; an index claimed
+// after ctx is done gets ctx's error without running. An experiment lasts a
+// fraction of a millisecond, and a goroutine spawned and handed back per
+// experiment cost two futex round trips each.
+func runClaimed(ctx context.Context, parallel int, idxs []int, errs []error, exp func(i int) error) {
 	var cursor atomic.Int64
 	work := func() {
 		for {
 			k := int(cursor.Add(1)) - 1
-			if k >= len(todo) {
+			if k >= len(idxs) {
 				return
 			}
-			i := todo[k]
+			i := idxs[k]
 			if err := ctx.Err(); err != nil {
 				errs[i] = err
 				continue
@@ -312,23 +322,18 @@ func (pl *ShardPlan) runIndexes(ctx context.Context, params []core.TransientPara
 			// the campaign service the submitter's reply, event streams,
 			// heartbeats — would wait 10-20 ms. Let it run first.
 			runtime.Gosched()
-			res, err := pl.runOne(ctx, params[i])
-			if err != nil {
-				errs[i] = err
-				continue
-			}
-			results[i] = *res
+			errs[i] = exp(i)
 		}
 	}
 	var wg sync.WaitGroup
-	for w := 1; w < min(pl.cfg.Parallel, len(todo)); w++ {
+	for w := 1; w < min(parallel, len(idxs)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			work()
 		}()
 	}
-	work() // the caller is the first worker
+	work()
 	wg.Wait()
 }
 

@@ -117,6 +117,11 @@ func (pi *PermanentInjector) SetDictionary(d FaultDictionary) { pi.dict = d }
 // Activations returns how many times the fault site was exercised.
 func (pi *PermanentInjector) Activations() uint64 { return pi.activations }
 
+// Record is the zero record: a permanent fault has no single injection to
+// report, only its Activations. With Activations it makes the injector a
+// faultmodel.Injector as it is.
+func (pi *PermanentInjector) Record() InjectionRecord { return InjectionRecord{} }
+
 // Corruptions returns how many activations actually corrupted state.
 func (pi *PermanentInjector) Corruptions() uint64 { return pi.corruptions }
 

@@ -129,6 +129,10 @@ func (t *TransientInjector) Name() string { return "injector" }
 // Record returns the injection outcome after the run.
 func (t *TransientInjector) Record() InjectionRecord { return t.rec }
 
+// Activations is zero: the flip is single-shot, and Record says whether it
+// fired. With Record it makes the injector a faultmodel.Injector as it is.
+func (t *TransientInjector) Activations() uint64 { return 0 }
+
 // SetCounterBase primes the eligible-execution counter for a run restored
 // from a mid-launch checkpoint: n is the number of eligible executions the
 // golden prefix already performed, so the countdown to InstrCount continues

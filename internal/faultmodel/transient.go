@@ -47,13 +47,12 @@ func (transientModel) NewInjector(p core.TransientParams, param string, _ Env) (
 	if err != nil {
 		return nil, err
 	}
-	return transientInjector{inj}, nil
+	return inj, nil
 }
 
-// transientInjector adapts core.TransientInjector to the Injector surface.
-type transientInjector struct {
-	*core.TransientInjector
-}
-
-// Activations implements Injector: the transient flip is single-shot.
-func (transientInjector) Activations() uint64 { return 0 }
+// The paper's two injectors are Injectors as they are: the transient flip
+// reports zero Activations, the permanent fault a zero Record.
+var (
+	_ Injector = (*core.TransientInjector)(nil)
+	_ Injector = (*core.PermanentInjector)(nil)
+)

@@ -62,38 +62,20 @@ func (s CampaignSpec) Validate() error {
 			return fmt.Errorf("serve: fault-model campaigns require schema %q", JobSchemaV3)
 		}
 	case JobSchemaV2:
-		if s.Config.TargetCI <= 0 || s.Config.TargetCI >= 1 {
+		if s.Config.TargetCI <= 0 {
 			return fmt.Errorf("serve: %q spec needs a target CI in (0,1), got %v", JobSchemaV2, s.Config.TargetCI)
 		}
 		if !faultmodel.IsDefault(s.Config.Model) {
 			return fmt.Errorf("serve: fault-model campaigns require schema %q", JobSchemaV3)
 		}
 	case JobSchemaV3:
-		m, err := faultmodel.Lookup(s.Config.Model)
-		if err != nil {
-			return err
-		}
-		if err := m.ValidateParam(s.Config.ModelParam); err != nil {
-			return err
-		}
-		// The same soundness guard rails the in-process planner enforces,
-		// applied server-side so an unsound job is rejected at submission
-		// instead of failing on every worker.
-		caps := m.Caps()
-		if s.Config.Prune && !caps.Has(faultmodel.CapPrune) {
-			return fmt.Errorf("serve: fault model %q does not support pruning", m.Name())
-		}
-		if s.Config.Classes && !caps.Has(faultmodel.CapClasses) {
-			return fmt.Errorf("serve: fault model %q does not support class sampling", m.Name())
-		}
-		if s.Config.Checkpoint && !caps.Has(faultmodel.CapCheckpoint) {
-			return fmt.Errorf("serve: fault model %q does not support checkpointing", m.Name())
-		}
-		if s.Config.TargetCI != 0 && (s.Config.TargetCI <= 0 || s.Config.TargetCI >= 1) {
-			return fmt.Errorf("serve: %q spec needs a target CI in (0,1), got %v", JobSchemaV3, s.Config.TargetCI)
-		}
 	default:
 		return fmt.Errorf("serve: unsupported job schema %q (want %q, %q or %q)", s.Schema, JobSchema, JobSchemaV2, JobSchemaV3)
+	}
+	// The in-process planner's guard rails, applied at submission so an
+	// unsound job is rejected before any worker fails on it.
+	if err := s.Config.Validate(); err != nil {
+		return err
 	}
 	if s.Workload == "" {
 		return fmt.Errorf("serve: spec names no workload")
