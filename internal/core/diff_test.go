@@ -26,11 +26,11 @@ func TestDiffProfilesDeviation(t *testing.T) {
 	b := sampleProfile()
 	// Halve the second k1 instance's FADD count in b and drop k2,
 	// adding an extra kernel only b saw.
-	b.Records[2].OpCounts[sass.MustOp("FADD")] = 50
+	b.Records[2].OpCounts = []OpCount{{Op: sass.MustOp("FADD"), Count: 50}}
 	b.Records = append(b.Records[:1], b.Records[2])
 	b.Records = append(b.Records, KernelRecord{
 		Kernel: "k3", LaunchIndex: 0,
-		OpCounts: map[sass.Op]uint64{sass.MustOp("MOV"): 5},
+		OpCounts: []OpCount{{Op: sass.MustOp("MOV"), Count: 5}},
 	})
 
 	d := DiffProfiles(a, b, sass.GroupFP32)

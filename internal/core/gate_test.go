@@ -1,9 +1,16 @@
 package core_test
 
 import (
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/cuda"
+	"repro/internal/gpu"
+	"repro/internal/nvbit"
+	"repro/internal/race"
+	"repro/internal/sass"
 )
 
 // TestRandomGateAllocationFree: the gate decides once per dynamic instance of
@@ -79,5 +86,70 @@ func TestBurstGatePattern(t *testing.T) {
 		if !always.Active(i) {
 			t.Fatal("zero-period burst gate went inactive")
 		}
+	}
+}
+
+// TestProfilerLaunchAllocs is the profiler's allocation gate: once a kernel
+// has launched under an attached Profiler, its launches allocate nothing but
+// the refills of the slabs its records' counts are carved from — at most
+// three for 100 launches of the 7-instruction tiny kernel (a site slab holds
+// 146 of its records, an opcode slab 102). No map is made per launch.
+func TestProfilerLaunchAllocs(t *testing.T) {
+	prof, err := core.NewProfiler("tiny", core.Exact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev, err := gpu.NewDevice(sass.FamilyVolta, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, err := cuda.NewContext(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	att, err := nvbit.Attach(ctx, prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer att.Detach()
+	mod, err := ctx.LoadModule("m", tinySrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fn, err := mod.Function("tiny")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := ctx.Malloc(4 * 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := cuda.LaunchConfig{Grid: gpu.Dim3{X: 1, Y: 1, Z: 1}, Block: gpu.Dim3{X: 32, Y: 1, Z: 1}}
+	launch := func() {
+		if err := ctx.Launch(fn, cfg, out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// As testing.AllocsPerRun does: on one P the engine's sync.Pools hand
+	// back what the last launch put, instead of missing on another P's slot.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	launch() // warm: plan, pools, JIT build, the kernel's static record part
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 100; i++ {
+		launch()
+	}
+	runtime.ReadMemStats(&after)
+	allocs := after.Mallocs - before.Mallocs
+	if race.Enabled {
+		t.Logf("100 profiled launches allocated %d objects under -race", allocs)
+	} else if allocs > 3 {
+		t.Errorf("100 profiled launches allocated %d objects, want at most 3 slab refills", allocs)
+	}
+	p := prof.Finish()
+	if len(p.Records) != 101 || len(p.Records[100].OpCounts) != 5 ||
+		!slices.Equal(p.Records[100].OpCounts, p.Records[0].OpCounts) {
+		t.Errorf("%d records; first %v, last %v; want 101 alike over 5 opcodes",
+			len(p.Records), p.Records[0].OpCounts, p.Records[len(p.Records)-1].OpCounts)
 	}
 }

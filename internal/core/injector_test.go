@@ -693,9 +693,9 @@ func TestProfilerSiteCounts(t *testing.T) {
 		for i, op := range rec.SiteOps {
 			perOp[op] += rec.SiteCounts[i]
 		}
-		for op, c := range rec.OpCounts {
-			if perOp[op] != c {
-				t.Fatalf("record %d: site sum for %v = %d, opcode count %d", ri, op, perOp[op], c)
+		for _, c := range rec.OpCounts {
+			if perOp[c.Op] != c.Count {
+				t.Fatalf("record %d: site sum for %v = %d, opcode count %d", ri, c.Op, perOp[c.Op], c.Count)
 			}
 		}
 	}
@@ -746,5 +746,76 @@ guarded; 1; FADD=0 IADD=32 ISETP=32 SHL=32 STG=32 EXIT=32 S2R=32
 	runKernel(t, prof, guardedSrc, "guarded", 2)
 	if got := prof.Finish().String(); got != golden {
 		t.Fatalf("profile file changed:\n--- got\n%s--- want\n%s", got, golden)
+	}
+}
+
+// TestProfilerAcrossAttachments: one Profiler attached to two contexts sees
+// two kernels under the same KernelID. Interleaved launches must record what
+// each kernel records when profiled alone.
+func TestProfilerAcrossAttachments(t *testing.T) {
+	solo := map[string][]core.KernelRecord{}
+	for _, src := range []struct{ text, kernel string }{{tinySrc, "tiny"}, {guardedSrc, "guarded"}} {
+		prof, err := core.NewProfiler(src.kernel, core.Exact)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runKernel(t, prof, src.text, src.kernel, 2)
+		solo[src.kernel] = prof.Finish().Records
+	}
+
+	prof, err := core.NewProfiler("both", core.Exact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := cuda.LaunchConfig{Grid: gpu.Dim3{X: 1, Y: 1, Z: 1}, Block: gpu.Dim3{X: 32, Y: 1, Z: 1}}
+	var launches []func()
+	for _, src := range []struct{ text, kernel string }{{tinySrc, "tiny"}, {guardedSrc, "guarded"}} {
+		dev, err := gpu.NewDevice(sass.FamilyVolta, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, err := cuda.NewContext(dev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		att, err := nvbit.Attach(ctx, prof)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer att.Detach()
+		mod, err := ctx.LoadModule("m", src.text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fn, err := mod.Function(src.kernel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := ctx.Malloc(4 * 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		launches = append(launches, func() {
+			if err := ctx.Launch(fn, cfg, out); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	for range 2 {
+		for _, launch := range launches {
+			launch()
+		}
+	}
+	text := func(r core.KernelRecord) string {
+		return (&core.Profile{Records: []core.KernelRecord{r}}).String()
+	}
+	got := prof.Finish().Records
+	for i, r := range got {
+		if want := solo[r.Kernel][r.LaunchIndex]; text(r) != text(want) {
+			t.Errorf("record %d:\n%s\nwant\n%s", i, text(r), text(want))
+		}
+	}
+	if len(got) != 4 {
+		t.Errorf("%d records, want 4", len(got))
 	}
 }

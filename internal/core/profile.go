@@ -8,9 +8,10 @@ package core
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -46,7 +47,12 @@ func (m ProfileMode) String() string {
 type KernelRecord struct {
 	Kernel      string
 	LaunchIndex int
-	OpCounts    map[sass.Op]uint64
+
+	// OpCounts holds one entry per opcode that issued in the launch, in
+	// ascending Op order with no opcode twice — the order WriteTo prints and
+	// ParseProfile restores. An opcode whose issues all had no lane active
+	// has an entry counting zero; one that never issued has none.
+	OpCounts []OpCount
 
 	// SiteOps and SiteCounts, when present, break the record down per
 	// static instruction: SiteOps[i] is the opcode of instruction i of the
@@ -62,6 +68,12 @@ type KernelRecord struct {
 	Extrapolated bool
 }
 
+// OpCount is one opcode's thread-level executed instruction count.
+type OpCount struct {
+	Op    sass.Op
+	Count uint64
+}
+
 // HasSites reports whether the record carries the per-static-instruction
 // breakdown.
 func (r *KernelRecord) HasSites() bool { return len(r.SiteCounts) > 0 }
@@ -69,9 +81,9 @@ func (r *KernelRecord) HasSites() bool { return len(r.SiteCounts) > 0 }
 // Total returns the record's thread-level instruction count over a group.
 func (r *KernelRecord) Total(g sass.Group) uint64 {
 	var n uint64
-	for op, c := range r.OpCounts {
-		if sass.GroupContains(g, op) {
-			n += c
+	for _, c := range r.OpCounts {
+		if sass.GroupContains(g, c.Op) {
+			n += c.Count
 		}
 	}
 	return n
@@ -100,19 +112,13 @@ func (p *Profile) TotalInstrs(g sass.Group) uint64 {
 // ordered by Op value. A permanent-fault campaign iterates exactly this
 // set, skipping the family's unused opcodes (Section IV-C).
 func (p *Profile) ExecutedOpcodes() []sass.Op {
-	seen := make(map[sass.Op]uint64)
-	for i := range p.Records {
-		for op, c := range p.Records[i].OpCounts {
-			seen[op] += c
-		}
-	}
-	ops := make([]sass.Op, 0, len(seen))
-	for op, c := range seen {
+	var ops []sass.Op
+	for op, c := range p.OpcodeTotals() {
 		if c > 0 {
 			ops = append(ops, op)
 		}
 	}
-	sort.Slice(ops, func(i, j int) bool { return ops[i] < ops[j] })
+	slices.Sort(ops)
 	return ops
 }
 
@@ -121,8 +127,8 @@ func (p *Profile) ExecutedOpcodes() []sass.Op {
 func (p *Profile) OpcodeTotals() map[sass.Op]uint64 {
 	totals := make(map[sass.Op]uint64)
 	for i := range p.Records {
-		for op, c := range p.Records[i].OpCounts {
-			totals[op] += c
+		for _, c := range p.Records[i].OpCounts {
+			totals[c.Op] += c.Count
 		}
 	}
 	return totals
@@ -158,16 +164,11 @@ func (p *Profile) WriteTo(w io.Writer) (int64, error) {
 	}
 	for i := range p.Records {
 		r := &p.Records[i]
-		ops := make([]sass.Op, 0, len(r.OpCounts))
-		for op := range r.OpCounts {
-			ops = append(ops, op)
-		}
-		sort.Slice(ops, func(a, b int) bool { return ops[a] < ops[b] })
 		if err := count(fmt.Fprintf(bw, "%s; %d;", r.Kernel, r.LaunchIndex)); err != nil {
 			return n, err
 		}
-		for _, op := range ops {
-			if err := count(fmt.Fprintf(bw, " %s=%d", op, r.OpCounts[op])); err != nil {
+		for _, c := range r.OpCounts {
+			if err := count(fmt.Fprintf(bw, " %s=%d", c.Op, c.Count)); err != nil {
 				return n, err
 			}
 		}
@@ -202,7 +203,9 @@ func (p *Profile) String() string {
 	return sb.String()
 }
 
-// ParseProfile reads the text format produced by WriteTo.
+// ParseProfile reads the text format produced by WriteTo. A record line may
+// list its opcodes in any order — they are stored ascending, so writing a
+// parsed profile back out is canonical — but each at most once.
 func ParseProfile(r io.Reader) (*Profile, error) {
 	p := &Profile{}
 	sc := bufio.NewScanner(r)
@@ -268,7 +271,6 @@ func ParseProfile(r io.Reader) (*Profile, error) {
 		rec := KernelRecord{
 			Kernel:      strings.TrimSpace(parts[0]),
 			LaunchIndex: launch,
-			OpCounts:    make(map[sass.Op]uint64),
 		}
 		for _, tok := range strings.Fields(parts[2]) {
 			eq := strings.IndexByte(tok, '=')
@@ -283,8 +285,12 @@ func ParseProfile(r io.Reader) (*Profile, error) {
 			if err != nil {
 				return nil, fmt.Errorf("core: profile line %d: bad count %q: %v", lineNo, tok, err)
 			}
-			rec.OpCounts[op] = c
+			if slices.ContainsFunc(rec.OpCounts, func(c OpCount) bool { return c.Op == op }) {
+				return nil, fmt.Errorf("core: profile line %d: opcode %s counted twice", lineNo, op)
+			}
+			rec.OpCounts = append(rec.OpCounts, OpCount{Op: op, Count: c})
 		}
+		slices.SortFunc(rec.OpCounts, func(a, b OpCount) int { return cmp.Compare(a.Op, b.Op) })
 		p.Records = append(p.Records, rec)
 	}
 	if err := sc.Err(); err != nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/sass"
@@ -47,8 +48,8 @@ func TestSelectUniformity(t *testing.T) {
 		Program: "u",
 		Mode:    Exact,
 		Records: []KernelRecord{
-			{Kernel: "small", LaunchIndex: 0, OpCounts: map[sass.Op]uint64{fadd: 100}},
-			{Kernel: "big", LaunchIndex: 0, OpCounts: map[sass.Op]uint64{fadd: 300}},
+			{Kernel: "small", LaunchIndex: 0, OpCounts: opCounts(map[sass.Op]uint64{fadd: 100})},
+			{Kernel: "big", LaunchIndex: 0, OpCounts: opCounts(map[sass.Op]uint64{fadd: 300})},
 		},
 	}
 	rng := rand.New(rand.NewSource(9))
@@ -74,7 +75,7 @@ func TestSelectEmptyGroup(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	// Remove loads to make G_LD empty.
 	for i := range p.Records {
-		delete(p.Records[i].OpCounts, sass.MustOp("LDG"))
+		p.Records[i].OpCounts = slices.DeleteFunc(p.Records[i].OpCounts, func(c OpCount) bool { return c.Op == sass.MustOp("LDG") })
 	}
 	if _, err := SelectTransientFault(p, sass.GroupLD, FlipSingleBit, rng); err == nil {
 		t.Fatal("selection from an empty group succeeded")
@@ -141,13 +142,13 @@ func siteProfile() *Profile {
 		Records: []KernelRecord{
 			{
 				Kernel: "k1", LaunchIndex: 0,
-				OpCounts:   map[sass.Op]uint64{fadd: 130, iadd: 50, stg: 30, exit: 10},
+				OpCounts:   opCounts(map[sass.Op]uint64{fadd: 130, iadd: 50, stg: 30, exit: 10}),
 				SiteOps:    []sass.Op{fadd, iadd, fadd, stg, exit},
 				SiteCounts: []uint64{100, 50, 30, 30, 10},
 			},
 			{
 				Kernel: "k2", LaunchIndex: 0,
-				OpCounts:   map[sass.Op]uint64{fadd: 40, exit: 8},
+				OpCounts:   opCounts(map[sass.Op]uint64{fadd: 40, exit: 8}),
 				SiteOps:    []sass.Op{fadd, exit},
 				SiteCounts: []uint64{40, 8},
 			},
@@ -281,7 +282,7 @@ func TestPopulationMatchesWalk(t *testing.T) {
 	exit := sass.MustOp("EXIT")
 	fadd := sass.MustOp("FADD")
 	// Records with an empty population before, between and after the others.
-	empty := KernelRecord{Kernel: "idle", OpCounts: map[sass.Op]uint64{exit: 5}, SiteOps: []sass.Op{exit}, SiteCounts: []uint64{5}}
+	empty := KernelRecord{Kernel: "idle", OpCounts: opCounts(map[sass.Op]uint64{exit: 5}), SiteOps: []sass.Op{exit}, SiteCounts: []uint64{5}}
 	p.Records = []KernelRecord{empty, p.Records[0], empty, empty, p.Records[1], empty}
 	onlyFadd := func(op sass.Op) bool { return op == fadd }
 	for _, mode := range []struct {

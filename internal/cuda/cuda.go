@@ -280,8 +280,7 @@ type Module struct {
 // funcTable is the part of a module's function handles that depends on the
 // program alone, built once per shared program (modcache.Derive) instead of
 // once per context: the name index, and every kernel's uninstrumented
-// executable form — shared read-only, so the engine's per-ExecKernel facts
-// (the written-register scan) are derived once per kernel, not per launch.
+// executable form, shared read-only.
 type funcTable struct {
 	index map[string]int
 	execs []gpu.ExecKernel
@@ -386,7 +385,7 @@ func (c *Context) registerModule(name, source string, bin []byte, prog *sass.Pro
 		funcs:     make([]Function, len(prog.Kernels)),
 	}
 	for i, k := range prog.Kernels {
-		m.funcs[i] = Function{mod: m, k: k, exec: &m.table.execs[i]}
+		m.funcs[i] = Function{mod: m, k: k, index: i, exec: &m.table.execs[i]}
 	}
 	c.modules = append(c.modules, m)
 	for _, s := range c.subscribers {
@@ -406,6 +405,10 @@ func (m *Module) Kernels() []*sass.Kernel {
 	return append([]*sass.Kernel(nil), m.prog.Kernels...)
 }
 
+// NumFunctions returns how many kernels the module holds: Function.Index
+// runs from 0 to NumFunctions()-1.
+func (m *Module) NumFunctions() int { return len(m.funcs) }
+
 // Function looks up a kernel in the module (cuModuleGetFunction).
 func (m *Module) Function(name string) (*Function, error) {
 	i, ok := m.table.index[name]
@@ -417,8 +420,9 @@ func (m *Module) Function(name string) (*Function, error) {
 
 // Function is a launchable kernel handle.
 type Function struct {
-	mod *Module
-	k   *sass.Kernel
+	mod   *Module
+	k     *sass.Kernel
+	index int
 	// exec is the kernel as launched when no subscriber instruments it. It
 	// may be shared with every context that loaded the same program.
 	exec *gpu.ExecKernel
@@ -426,6 +430,10 @@ type Function struct {
 
 // Name returns the kernel name.
 func (f *Function) Name() string { return f.k.Name }
+
+// Index returns the function's position in its module, so that a subscriber
+// can keep per-kernel state in a slice instead of looking kernels up by name.
+func (f *Function) Index() int { return f.index }
 
 // Module returns the function's module.
 func (f *Function) Module() *Module { return f.mod }

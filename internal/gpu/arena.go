@@ -45,7 +45,7 @@ var (
 // reset returns the warp to the state a block starts in — every lane of
 // liveMask at PC 0 with zero registers and predicates, empty call stacks and
 // zero local memory — paying only for what its last use dirtied. regHi seeds
-// dirtyRegs for the block about to run (ExecKernel.writtenRegHi). The
+// dirtyRegs for the block about to run (writtenRegHi). The
 // per-lane PCs are left alone: they are dead while the warp is converged, and
 // diverging writes every active lane's before anything reads one. So are the
 // thread-index rows, the live mask, the id and the scheduler mode, which
@@ -149,7 +149,12 @@ func (blk *blockCtx) bind(lin int) {
 	blk.smID = lin % blk.dev.NumSMs
 	blk.resumeWarp = 0
 	clear(blk.shared)
-	regHi := blk.ek.writtenRegHi()
+	var regHi int32
+	if blk.plan != nil {
+		regHi = blk.plan.regHi
+	} else {
+		regHi = writtenRegHi(blk.ek.K)
+	}
 	for _, w := range blk.warps {
 		w.reset(regHi)
 	}

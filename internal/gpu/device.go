@@ -212,9 +212,6 @@ type ExecKernel struct {
 	// launch and reads it after.
 	Tally []SiteTally
 
-	regHiOnce sync.Once
-	regHi     int32
-
 	sitesOnce sync.Once
 	sites     []uint32
 }
@@ -259,14 +256,19 @@ func (ek *ExecKernel) callFree(pc, n int32) int32 {
 }
 
 // trampSites returns the trampoline-site prefix count: sites[pc] is the
-// number of callback sites (a Before list, an After list or tally, the step hook)
-// on instructions [0, pc), so a batch that completed [a, b) executed
-// sites[b]-sites[a] trampolines. It is built on the first instrumented
-// launch and lives on the ExecKernel, not in the translated plan: a plan is
-// shared by every instrumentation of the same kernel content. Before, After,
-// Step and Tally must not change once the kernel has launched — the NVBit layer
-// builds them whole in its Inserter and caches the result per (kernel, key).
-func (ek *ExecKernel) trampSites() []uint32 {
+// number of callback sites (a Before list, an After list or tally, the step
+// hook) on instructions [0, pc), so a batch that completed [a, b) executed
+// sites[b]-sites[a] trampolines. An instrumentation that only tallies has one
+// site per instruction, a prefix its translated plan derives once per kernel
+// content (xplan.tallySites), so the profiler's per-attach builds share it.
+// Any other is built on the ExecKernel's first instrumented launch, not in the
+// plan: a plan is shared by every instrumentation of the same kernel content.
+// Before, After, Step and Tally must not change once the kernel has launched —
+// the NVBit layer builds them whole in its Inserter and caches the result.
+func (ek *ExecKernel) trampSites(plan *xplan) []uint32 {
+	if plan != nil && ek.Tally != nil && !ek.hasCallbacks() {
+		return plan.tallySites
+	}
 	ek.sitesOnce.Do(func() {
 		sites := make([]uint32, len(ek.K.Instrs)+1)
 		for pc := range ek.K.Instrs {
@@ -287,33 +289,31 @@ func (ek *ExecKernel) trampSites() []uint32 {
 	return ek.sites
 }
 
-// writtenRegHi returns an exclusive upper bound on the register indices this
-// kernel's instructions can write, from a static scan of destination
-// operands. It seeds warp.dirtyRegs so reset clears only the written prefix
-// of the register file. The scan over-approximates by 3 registers to
-// cover pair and 128-bit destinations; a 128-bit destination near the top of
-// the file wraps base+i through the uint8 register id and can touch low
-// registers, so those force the full file.
-func (ek *ExecKernel) writtenRegHi() int32 {
-	ek.regHiOnce.Do(func() {
-		hi := int32(0)
-		for i := range ek.K.Instrs {
-			for _, o := range ek.K.Instrs[i].Dst {
-				if o.Kind != sass.OpdReg || o.Reg == sass.RZ {
-					continue
-				}
-				if o.Reg >= sass.RZ-3 {
-					hi = sass.NumRegs
-					continue
-				}
-				if n := int32(o.Reg) + 4; n > hi {
-					hi = n
-				}
+// writtenRegHi returns an exclusive upper bound on the register indices k's
+// instructions can write, from a static scan of destination operands. It
+// seeds warp.dirtyRegs so reset clears only the written prefix of the
+// register file. The scan over-approximates by 3 registers to cover pair and
+// 128-bit destinations; a 128-bit destination near the top of the file wraps
+// base+i through the uint8 register id and can touch low registers, so those
+// force the full file. Translation derives it once per kernel content
+// (xplan.regHi); only the reference loop scans per block.
+func writtenRegHi(k *sass.Kernel) int32 {
+	hi := int32(0)
+	for i := range k.Instrs {
+		for _, o := range k.Instrs[i].Dst {
+			if o.Kind != sass.OpdReg || o.Reg == sass.RZ {
+				continue
+			}
+			if o.Reg >= sass.RZ-3 {
+				hi = sass.NumRegs
+				continue
+			}
+			if n := int32(o.Reg) + 4; n > hi {
+				hi = n
 			}
 		}
-		ek.regHi = hi
-	})
-	return ek.regHi
+	}
+	return hi
 }
 
 // Dim3 is a grid or block shape.

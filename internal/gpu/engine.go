@@ -66,7 +66,7 @@ type warp struct {
 	// hold nonzero values: every row at or above it is zero. It lets reset
 	// clear only the written prefix of the 32 KiB register file — one
 	// contiguous memclr — instead of all of it. Seeded
-	// from the kernel's static destination scan (ExecKernel.writtenRegHi)
+	// from the kernel's static destination scan (writtenRegHi)
 	// when a block claims the warp, and bumped by InstrCtx.WriteReg, the one
 	// writer that is not bounded by the static scan.
 	dirtyRegs int32
@@ -650,7 +650,7 @@ func (blk *blockCtx) run(budget *budgetCounter, stats *LaunchStats) error {
 		blk.tally = blk.ek.Tally
 	}
 	if blk.ek.Instrumented() {
-		blk.sites = blk.ek.trampSites()
+		blk.sites = blk.ek.trampSites(blk.plan)
 		blk.ictx = InstrCtx{
 			Dev:      blk.dev,
 			Kernel:   blk.ek.K,
@@ -802,10 +802,12 @@ func (blk *blockCtx) bindCtx(w *warp) {
 // Everything a plain launch does not need hangs off one flag, blk.hooked,
 // fixed per blockCtx.run: the pause clip and tick, the trampoline charge, and
 // the choice of issue loop inside a batch — the plain one below, or
-// issueHooked when callbacks dispatch or executions are tallied. The choice
-// is made per batch, never per instruction; a batch without callback sites,
-// and every batch of a disarmed launch, takes the plain loop and keeps only
-// the per-batch trampoline charge.
+// issueHooked when callbacks dispatch. The choice is made per batch, never per
+// instruction; a batch without callback sites, and every batch of a disarmed
+// launch, takes the plain loop and keeps only the per-batch trampoline charge.
+// The plain loop also tallies: it hands blk.tally to the row dispatcher and
+// counts each other step after it completes, so a profiled or recording
+// launch runs at the plain launch's speed plus the counting.
 func (blk *blockCtx) runWarp(w *warp, budget *budgetCounter, stats *LaunchStats) error {
 	steps := blk.plan.steps
 	n := int32(len(steps))
@@ -851,11 +853,12 @@ func (blk *blockCtx) runWarp(w *warp, budget *budgetCounter, stats *LaunchStats)
 			if hooked && blk.dispatches(minPC, stop) {
 				pc, kind, faultAddr = blk.issueHooked(w, minPC, stop, atPC, stats)
 			} else {
+				tally := blk.tally
 				var ti uint64
 				for pc = minPC; pc < stop; pc++ {
 					xi := &steps[pc]
 					if n := min(xi.rowLen, stop-pc); n > 0 {
-						ti += blk.runRows(w, pc, n, atPC, nil)
+						ti += blk.runRows(w, pc, n, atPC, tally)
 						pc += n - 1
 						continue
 					}
@@ -863,9 +866,13 @@ func (blk *blockCtx) runWarp(w *warp, budget *budgetCounter, stats *LaunchStats)
 					if xi.guardKind != guardOn {
 						execMask = xi.guard(w, atPC)
 					}
-					ti += uint64(popcount(execMask))
+					lanes := uint64(popcount(execMask))
+					ti += lanes
 					if _, kind, faultAddr = xi.step(blk, w, execMask); kind != 0 {
 						break
+					}
+					if tally != nil {
+						tally[pc].add(lanes)
 					}
 				}
 				stats.ThreadInstrs += ti
@@ -960,12 +967,12 @@ func (blk *blockCtx) runWarp(w *warp, budget *budgetCounter, stats *LaunchStats)
 }
 
 // dispatches reports whether the batch [from, to) must issue through
-// issueHooked: the launch tallies executions, or the batch holds a callback
-// site of a launch no tool has disarmed. Sparse instrumentation — one armed
-// site, the stores of a kernel — leaves most batches to the plain loop.
+// issueHooked: it holds a callback site of a launch no tool has disarmed.
+// Sparse instrumentation — one armed site, the stores of a kernel — leaves
+// most batches to the plain loop, and so does a tally, which the plain loop
+// counts itself.
 func (blk *blockCtx) dispatches(from, to int32) bool {
-	return blk.tally != nil ||
-		(blk.calls && blk.sites[to] != blk.sites[from] && !blk.launch.disarmed)
+	return blk.calls && blk.sites[to] != blk.sites[from] && !blk.launch.disarmed
 }
 
 // chargeSites charges the trampolines of the instructions [from, pc) that
@@ -983,49 +990,24 @@ func (blk *blockCtx) chargeSites(stats *LaunchStats, from, pc int32, faulted boo
 	stats.TrampolineInstrs += uint64(ns) * TrampolineLen
 }
 
-// issueHooked is the batch issue loop of a launch that dispatches callbacks
-// or tallies executions: per instruction guard, Before callbacks, step, tally,
-// After callbacks and the step hook, in the reference loop's order. A
-// callback may rewrite registers and predicates, so every guard is evaluated
-// when its instruction issues, never ahead. InstrCtx.Disarm takes effect at
-// the next instruction (callbacks already due for the current one still run)
-// and only suppresses calls; the caller accounts for the batch as a whole.
-// It returns where the batch stopped: to, or the faulting pc with its trap.
-// The dispatch is written out rather than calling callBefore / callAfter: two
-// more calls per instruction cost a profiled hot loop 6%.
+// issueHooked is the batch issue loop of a launch that dispatches callbacks,
+// armed when the batch starts (dispatches): per instruction guard, Before
+// callbacks, step, tally, After callbacks and the step hook, in the reference
+// loop's order. A callback may rewrite registers and predicates, so every
+// guard is evaluated when its instruction issues, never ahead.
+// InstrCtx.Disarm takes effect at the next instruction (callbacks already due
+// for the current one still run) and only suppresses calls; the caller
+// accounts for the batch as a whole. It returns where the batch stopped: to,
+// or the faulting pc with its trap. The dispatch is written out rather than
+// calling callBefore / callAfter: two more calls per instruction cost a
+// profiled hot loop 6%.
 func (blk *blockCtx) issueHooked(w *warp, from, to int32, atPC uint32, stats *LaunchStats) (pc int32, kind TrapKind, faultAddr uint32) {
 	steps := blk.plan.steps
 	tally := blk.tally
 	ek, ctx := blk.ek, &blk.ictx
 	instrs, before, after, stepHook := ek.K.Instrs, ek.Before, ek.After, ek.Step
-	armed := blk.calls && !blk.launch.disarmed
+	armed := true // until a callback disarms the launch
 	var ti uint64
-	if !armed {
-		// Nothing to call, so the launch is here to be tallied (dispatches): the
-		// profiler's and the recording run's whole execution. The loop below
-		// would do, but carrying the callback tables through it costs a tallied
-		// hot loop 6% — half of everything the tally adds to a plain launch.
-		for pc = from; pc < to; pc++ {
-			xi := &steps[pc]
-			if n := min(xi.rowLen, to-pc); n > 0 {
-				ti += blk.runRows(w, pc, n, atPC, tally)
-				pc += n - 1
-				continue
-			}
-			execMask := atPC
-			if xi.guardKind != guardOn {
-				execMask = xi.guard(w, atPC)
-			}
-			lanes := uint64(popcount(execMask))
-			ti += lanes
-			if _, kind, faultAddr = xi.step(blk, w, execMask); kind != 0 {
-				break
-			}
-			tally[pc].add(lanes)
-		}
-		stats.ThreadInstrs += ti
-		return pc, kind, faultAddr
-	}
 	for pc = from; pc < to; pc++ {
 		xi := &steps[pc]
 		if n := min(xi.rowLen, to-pc); n > 0 {

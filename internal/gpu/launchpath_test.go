@@ -222,6 +222,50 @@ func TestInstrumentedLaunchAllocs(t *testing.T) {
 	}
 }
 
+// TestTallyFactsPerKernel: every attachment of a profiler builds its own
+// tally-only ExecKernel of the same kernel, and none of them derives the
+// kernel's static facts again — the register bound reset clears to and the
+// trampoline-site prefix come from the translated plan, shared by content.
+// A fresh build's first launch allocates nothing, and all builds hand the
+// warp loop the same prefix.
+func TestTallyFactsPerKernel(t *testing.T) {
+	d := newTestDevice(t)
+	k := mustKernel(t, clockMixSrc, "clockmix")
+	outp := mustAllocWrite(t, d, 4*64, nil)
+	builds := make([]*ExecKernel, 12)
+	launches := make([]*Launch, len(builds))
+	for i := range builds {
+		builds[i] = &ExecKernel{K: k, Tally: make([]SiteTally, len(k.Instrs))}
+		launches[i] = &Launch{Kernel: builds[i], Grid: Dim3{X: 1, Y: 1, Z: 1}, Block: Dim3{X: 64, Y: 1, Z: 1}, Params: []uint32{outp}}
+	}
+	next := 0
+	launch := func() {
+		next++
+		if _, err := d.Run(launches[next-1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	launch()
+	avg := testing.AllocsPerRun(10, launch)
+	if race.Enabled {
+		t.Logf("a fresh tally-only build's launch allocated %.1f objects under -race", avg)
+	} else if avg != 0 {
+		t.Errorf("a fresh tally-only build's launch allocated %.1f objects, want 0", avg)
+	}
+	plan := d.planFor(k)
+	if plan.regHi != writtenRegHi(k) {
+		t.Errorf("plan register bound %d, static scan %d", plan.regHi, writtenRegHi(k))
+	}
+	for i, ek := range builds[:next] {
+		if ek.sites != nil || &ek.trampSites(plan)[0] != &plan.tallySites[0] {
+			t.Fatalf("build %d derived its own trampoline sites", i)
+		}
+		if ek.Tally[0].Issues == 0 {
+			t.Fatalf("build %d was not tallied", i)
+		}
+	}
+}
+
 // TestPlanLookupByIdentity: for a kernel the module cache shares, every fresh
 // device's first launch is still one PlanHit (modcache.plan_hit_rate keeps
 // its meaning) but hashes nothing — the content hash is memoized on the

@@ -49,6 +49,15 @@ type xplan struct {
 	// steps read, numbered by slot: blockCtx.urows[i] holds uniforms[i]
 	// broadcast for the block that is running.
 	uniforms []uniformSrc
+
+	// The engine's static facts about the kernel, derived here so that every
+	// ExecKernel over the same content — each attachment's instrumented build
+	// of it — shares them: regHi is writtenRegHi's register bound, and
+	// tallySites is the trampoline-site prefix of an instrumentation that only
+	// tallies (ExecKernel.trampSites), which is the identity: one After site
+	// per instruction.
+	regHi      int32
+	tallySites []uint32
 }
 
 // uniformSrc is one operand whose 32 lanes read the same value for a whole
@@ -307,7 +316,12 @@ func translate(k *sass.Kernel) (*xplan, error) {
 			steps[i].runLen, steps[i].rowLen = run, rows
 		}
 	}
-	return &xplan{steps: steps, ops: ops, arena: rt.arena, uniforms: rt.uniforms}, nil
+	tallySites := make([]uint32, len(k.Instrs)+1)
+	for pc := range tallySites {
+		tallySites[pc] = uint32(pc)
+	}
+	return &xplan{steps: steps, ops: ops, arena: rt.arena, uniforms: rt.uniforms,
+		regHi: writtenRegHi(k), tallySites: tallySites}, nil
 }
 
 // readsClock reports whether executing the instruction can observe the SM

@@ -131,6 +131,48 @@ func TestLaunchInfoPerLaunch(t *testing.T) {
 	}
 }
 
+// TestKernelIDsAcrossModules: KernelID numbers the kernels of the decoded
+// modules densely in load order, while LaunchIndex counts launches per kernel
+// name — two modules holding a kernel of the same name share one count.
+func TestKernelIDsAcrossModules(t *testing.T) {
+	ctx := newCtx(t, sass.FamilyVolta)
+	tool := &infoTool{begins: []nvbit.LaunchInfo{}}
+	att, err := nvbit.Attach(ctx, tool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer att.Detach()
+	out, err := ctx.Malloc(4 * 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mods := map[string]*cuda.Module{}
+	for _, name := range []string{"m", "m2"} {
+		if mods[name], err = ctx.LoadModule(name, twoKernelSrc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := []struct {
+		module, kernel string
+		id, index      int
+	}{{"m", "beta", 1, 0}, {"m2", "beta", 3, 1}, {"m2", "alpha", 2, 0}, {"m", "alpha", 0, 1}, {"m2", "beta", 3, 2}}
+	for _, w := range want {
+		f, err := mods[w.module].Function(w.kernel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ctx.Launch(f, cfg1(), out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, w := range want {
+		b := tool.begins[i]
+		if b.Module != w.module || b.Kernel.Name != w.kernel || b.KernelID != w.id || b.LaunchIndex != w.index {
+			t.Errorf("launch %d: %s/%s id %d #%d, want %+v", i, b.Module, b.Kernel.Name, b.KernelID, b.LaunchIndex, w)
+		}
+	}
+}
+
 // TestAttachedLaunchAllocs is the NVBit half of the allocation gate: with a
 // tool attached, a launch it declines and a launch it instruments from a
 // cached JIT build both allocate nothing outside the tool's own callbacks
@@ -163,7 +205,7 @@ func TestAttachedLaunchAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		launch() // warm: plan, pools, JIT build, the launch-count map entry
+		launch() // warm: plan, pools, JIT build
 		avg := testing.AllocsPerRun(20, launch)
 		if race.Enabled {
 			t.Logf("%s launch allocated %.1f objects under -race", name, avg)

@@ -38,6 +38,11 @@ type LaunchInfo struct {
 	// LaunchIndex is the 0-based dynamic instance count of this kernel
 	// name — the paper's "kernel count".
 	LaunchIndex int
+	// KernelID numbers the kernel among those of the modules the attachment
+	// decoded, densely from 0 in decode order and fixed for the attachment's
+	// lifetime, so that a tool can keep per-kernel state in a slice indexed
+	// by it. A skipped launch's description carries -1.
+	KernelID int
 	// GlobalLaunch is the 0-based index across all kernels.
 	GlobalLaunch int
 	// Config is the launch shape.
@@ -146,10 +151,9 @@ type Attachment struct {
 	tool   Tool
 	unsub  func()
 	codec  *encoding.Codec
-	views  []moduleView   // decoded view per module, in decode order
-	counts map[string]int // dynamic launch count per kernel name
+	views  []moduleView // decoded view per module, in decode order
+	builds []jitBuild   // every kernel's instrumented builds, chained per kernel
 	global int
-	cache  map[cacheKey]*gpu.ExecKernel
 
 	// info describes the launch in flight and inFlight names its function
 	// (nil between launches). Launches are synchronous, so there is at most
@@ -183,42 +187,65 @@ func WithVerify() Option {
 	return func(a *Attachment) { a.verify = true }
 }
 
-type cacheKey struct {
-	k   *sass.Kernel
-	key string
-}
-
-// moduleView pairs a loaded module with its decoded kernels by name. The
-// name table is a pure function of the decoded program, so attachments across
-// a campaign's contexts share one per distinct binary (modcache.Derive).
+// moduleView is a decoded module: one slot per function of the module,
+// indexed like them (cuda.Function.Index), numbered in LaunchInfo.KernelID
+// from base.
 type moduleView struct {
-	mod     *cuda.Module
-	kernels map[string]*sass.Kernel
+	mod   *cuda.Module
+	base  int
+	slots []kernelSlot
 }
 
-type kernelsByNameSlot struct{}
+// kernelSlot is the attachment's state for one kernel, made when its module
+// is decoded so that a launch reaches it by index rather than by name: the
+// decoded kernel, the launch count of its name, and its instrumented builds.
+type kernelSlot struct {
+	k *sass.Kernel // nil when the decode has no kernel of the function's name
 
-func kernelsByName(prog *sass.Program) map[string]*sass.Kernel {
-	v, _ := modcache.Shared.Derive(prog, kernelsByNameSlot{}, func() any {
-		m := make(map[string]*sass.Kernel, len(prog.Kernels))
-		for _, k := range prog.Kernels {
-			m[k.Name] = k
-		}
-		return m
-	})
-	return v.(map[string]*sass.Kernel)
+	// launches counts the dynamic launches of the kernel's name
+	// (LaunchInfo.LaunchIndex): &count, or the count of the kernel of the
+	// same name in an earlier module.
+	launches *int
+	count    int
+
+	// builds is 1 + the index in Attachment.builds of the kernel's latest
+	// build, 0 before the first.
+	builds int
 }
 
-// decoded returns the decoded kernel behind a function, if its module was
-// decoded by this attachment.
-func (a *Attachment) decoded(f *cuda.Function) (*sass.Kernel, bool) {
+// jitBuild is the instrumented kernel the tool built for one decision key,
+// and 1 + the index of the same kernel's previous build (0: none). The
+// builds of all kernels share one slice, so a build costs no allocation of
+// its own beyond the ExecKernel.
+type jitBuild struct {
+	key  string
+	ek   *gpu.ExecKernel
+	prev int
+}
+
+// slot returns the slot of a function and its KernelID, if its module was
+// decoded by this attachment and holds the kernel.
+func (a *Attachment) slot(f *cuda.Function) (*kernelSlot, int) {
 	for i := range a.views {
-		if a.views[i].mod == f.Module() {
-			k, ok := a.views[i].kernels[f.Name()]
-			return k, ok
+		if v := &a.views[i]; v.mod == f.Module() {
+			if s := &v.slots[f.Index()]; s.k != nil {
+				return s, v.base + f.Index()
+			}
+			return nil, 0
 		}
 	}
-	return nil, false
+	return nil, 0
+}
+
+// build returns the slot's instrumented kernel for key, nil before the tool
+// has built one.
+func (a *Attachment) build(s *kernelSlot, key string) *gpu.ExecKernel {
+	for i := s.builds; i != 0; i = a.builds[i-1].prev {
+		if b := &a.builds[i-1]; b.key == key {
+			return b.ek
+		}
+	}
+	return nil
 }
 
 // Attach connects a tool to the context — the analog of starting the
@@ -230,11 +257,9 @@ func Attach(ctx *cuda.Context, tool Tool, opts ...Option) (*Attachment, error) {
 		return nil, fmt.Errorf("nvbit: %w", err)
 	}
 	a := &Attachment{
-		ctx:    ctx,
-		tool:   tool,
-		codec:  codec,
-		counts: make(map[string]int),
-		cache:  make(map[cacheKey]*gpu.ExecKernel),
+		ctx:   ctx,
+		tool:  tool,
+		codec: codec,
 	}
 	for _, o := range opts {
 		o(a)
@@ -299,12 +324,35 @@ func (a *Attachment) decodeModule(m *cuda.Module) error {
 			}
 		}
 	}
+	v := moduleView{mod: m, slots: make([]kernelSlot, m.NumFunctions())}
+	if n := len(a.views); n > 0 {
+		v.base = a.views[n-1].base + len(a.views[n-1].slots)
+	}
 	for _, k := range prog.Kernels {
-		if _, err := m.Function(k.Name); err != nil {
+		f, err := m.Function(k.Name)
+		if err != nil {
 			return fmt.Errorf("nvbit: module %q: %w", m.Name(), err)
 		}
+		s := &v.slots[f.Index()]
+		s.k, s.launches = k, a.launchCount(k.Name)
+		if s.launches == nil {
+			s.launches = &s.count
+		}
 	}
-	a.views = append(a.views, moduleView{mod: m, kernels: kernelsByName(prog)})
+	a.views = append(a.views, v)
+	return nil
+}
+
+// launchCount returns the launch count of the kernel name in the modules
+// decoded so far, nil when none of them has a kernel of that name.
+func (a *Attachment) launchCount(name string) *int {
+	for i := range a.views {
+		if f, err := a.views[i].mod.Function(name); err == nil {
+			if s := &a.views[i].slots[f.Index()]; s.k != nil {
+				return s.launches
+			}
+		}
+	}
 	return nil
 }
 
@@ -329,19 +377,20 @@ func (a *Attachment) OnModuleLoad(m *cuda.Module) {
 
 // OnLaunchBegin implements cuda.Subscriber: the interception point.
 func (a *Attachment) OnLaunchBegin(ev *cuda.LaunchEvent) {
-	decoded, ok := a.decoded(ev.Function)
-	if !ok {
+	s, id := a.slot(ev.Function)
+	if s == nil {
 		return
 	}
-	name := ev.Function.Name()
+	decoded := s.k
 	a.info = LaunchInfo{
 		Kernel:       decoded,
 		Module:       ev.Function.Module().Name(),
-		LaunchIndex:  a.counts[name],
+		LaunchIndex:  *s.launches,
+		KernelID:     id,
 		GlobalLaunch: a.global,
 		Config:       ev.Config,
 	}
-	a.counts[name]++
+	*s.launches++
 	a.global++
 	a.totalLaunches++
 	a.inFlight = ev.Function
@@ -351,9 +400,8 @@ func (a *Attachment) OnLaunchBegin(ev *cuda.LaunchEvent) {
 		return
 	}
 	a.instrumentedLaunches++
-	ck := cacheKey{k: decoded, key: dec.Key}
-	ek, ok := a.cache[ck]
-	if !ok {
+	ek := a.build(s, dec.Key)
+	if ek == nil {
 		ins := &a.ins
 		*ins = Inserter{k: decoded}
 		a.tool.Instrument(decoded, dec.Key, ins)
@@ -364,7 +412,8 @@ func (a *Attachment) OnLaunchBegin(ev *cuda.LaunchEvent) {
 			Step:   ins.step,
 			Tally:  ins.tally,
 		}
-		a.cache[ck] = ek
+		a.builds = append(a.builds, jitBuild{key: dec.Key, ek: ek, prev: s.builds})
+		s.builds = len(a.builds)
 		a.jitBuilds++
 	}
 	ev.Exec = ek
@@ -377,8 +426,9 @@ func (a *Attachment) OnLaunchEnd(ev *cuda.LaunchEvent) {
 			// A launch skipped on a poisoned context never began: describe
 			// it with what the event still knows.
 			a.info = LaunchInfo{
-				Kernel: ev.Function.Kernel(),
-				Module: ev.Function.Module().Name(),
+				Kernel:   ev.Function.Kernel(),
+				Module:   ev.Function.Module().Name(),
+				KernelID: -1,
 			}
 			a.tool.OnLaunchDone(&a.info, ev.Stats, ev.Trap, true)
 		}

@@ -44,8 +44,11 @@ type (
 	// Profile is a program's dynamic instruction profile (one record per
 	// dynamic kernel).
 	Profile = core.Profile
-	// KernelRecord is one dynamic kernel's per-opcode execution counts.
+	// KernelRecord is one dynamic kernel's per-opcode execution counts:
+	// OpCounts is an ascending []OpCount, one entry per opcode that issued.
 	KernelRecord = core.KernelRecord
+	// OpCount is one opcode's entry in a KernelRecord.
+	OpCount = core.OpCount
 	// ProfileMode selects exact or approximate profiling.
 	ProfileMode = core.ProfileMode
 	// Profiler is the profiler.so analog (an NVBit tool).
