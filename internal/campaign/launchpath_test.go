@@ -205,15 +205,20 @@ func summarizeLaunchPath(t *testing.T, res *campaign.CampaignResult) launchPathG
 // constant bank, budget counter and LaunchInfo; 314.omriq is the short
 // experiment whose fixed cost dominates; 356.sp runs checkpointed (restore,
 // replayed launches, early exit), where a block abandoned without release or
-// a per-launch LaunchRun shows as allocations in the next experiment.
+// a per-launch LaunchRun shows as allocations in the next experiment. The
+// stuck row is a permanent fault armed in every launch of 353.clvrleaf: its
+// JIT builds are one ExecKernel each over shared site facts (674 objects per
+// experiment when every build made its own callback tables and site prefix).
 var experimentAllocCeilings = []struct {
 	program    string
+	model      string
 	checkpoint bool
 	ceiling    float64
 }{
-	{"353.clvrleaf", false, 103},
-	{"314.omriq", false, 131},
-	{"356.sp", true, 75},
+	{"353.clvrleaf", "", false, 103},
+	{"353.clvrleaf", "stuck", false, 233},
+	{"314.omriq", "", false, 131},
+	{"356.sp", "", true, 75},
 }
 
 // TestExperimentAllocCeiling is the campaign half of the allocation gate. It
@@ -222,7 +227,11 @@ var experimentAllocCeilings = []struct {
 // logged (see internal/race).
 func TestExperimentAllocCeiling(t *testing.T) {
 	for _, tc := range experimentAllocCeilings {
-		t.Run(tc.program, func(t *testing.T) {
+		name := tc.program
+		if tc.model != "" {
+			name += "_" + tc.model
+		}
+		t.Run(name, func(t *testing.T) {
 			w, err := specaccel.ByName(tc.program)
 			if err != nil {
 				t.Fatal(err)
@@ -236,7 +245,7 @@ func TestExperimentAllocCeiling(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg := campaign.TransientCampaignConfig{Injections: 8, Seed: 11, Checkpoint: tc.checkpoint}
+			cfg := campaign.TransientCampaignConfig{Injections: 8, Seed: 11, Model: tc.model, Checkpoint: tc.checkpoint}
 			params, err := campaign.SelectShard(profile, cfg, 0)
 			if err != nil {
 				t.Fatal(err)

@@ -68,17 +68,15 @@ type FaultDictionary map[sass.Op]CorruptionFunc
 // destination register of every dynamic instance of the target opcode(s)
 // that executes on the target SM and lane, with one XOR mask (Table III).
 // Optional gates make it intermittent; an optional dictionary specializes
-// the corruption per opcode.
+// the corruption per opcode. The fault is engine data, not a callback: the
+// injector describes it as a gpu.Corruption, which the warp loop applies in
+// line after each instance completes and whose counters are the injector's
+// Activations and Corruptions.
 type PermanentInjector struct {
 	P    PermanentParams
-	ops  []bool // the target opcodes as a set indexed by sass.Op: step asks it per dynamic instruction
 	cats uint32 // the functional categories of the target opcodes, one bit per sass.Category
 	key  string // the JIT cache key of every launch this fault instruments
-	gate ActivationGate
-	dict FaultDictionary
-
-	activations uint64 // times the fault site was exercised
-	corruptions uint64 // times state was actually corrupted
+	spec gpu.Corruption
 }
 
 var _ nvbit.Tool = (*PermanentInjector)(nil)
@@ -90,9 +88,21 @@ func NewPermanentInjector(p PermanentParams, family sass.Family, numSMs int) (*P
 		return nil, err
 	}
 	set := sass.OpcodeSet(family)
-	pi := &PermanentInjector{P: p, ops: make([]bool, sass.NumOpcodes()+1), key: fmt.Sprintf("pf:%d", p.OpcodeID)}
+	pi := &PermanentInjector{P: p, key: fmt.Sprintf("pf:%d", p.OpcodeID)}
+	pi.spec = gpu.Corruption{
+		SM:   p.SMID,
+		Lane: p.Lane,
+		// Per Table III, "the destination registers of all dynamic instances
+		// of a particular opcode [are] corrupted with the same bit-flip XOR
+		// mask" — registers plural: a pair-valued FP64 result or a wide load
+		// has every destination register corrupted. A predicate destination
+		// is complemented when the mask has bit 0, whatever the value
+		// function computes.
+		Value:    xorWith(p.BitMask),
+		PredFlip: p.BitMask&1 != 0,
+	}
 	target := func(id int) {
-		pi.ops[set[id]] = true
+		pi.spec.Ops.Add(set[id])
 		pi.cats |= 1 << set[id].Info().Cat
 	}
 	target(p.OpcodeID)
@@ -102,20 +112,52 @@ func NewPermanentInjector(p PermanentParams, family sass.Family, numSMs int) (*P
 	return pi, nil
 }
 
-// targets reports whether op is one of the fault's opcodes.
-func (pi *PermanentInjector) targets(op sass.Op) bool {
-	return int(op) < len(pi.ops) && pi.ops[op]
+// xorWith is the default corruption: XOR by the fault's mask.
+func xorWith(mask uint32) func(sass.Op, uint32) uint32 {
+	return func(_ sass.Op, old uint32) uint32 { return old ^ mask }
 }
 
 // SetGate makes the fault intermittent (extension). Must be set before the
 // first launch.
-func (pi *PermanentInjector) SetGate(g ActivationGate) { pi.gate = g }
+func (pi *PermanentInjector) SetGate(g ActivationGate) {
+	pi.spec.Gate = nil
+	if g != nil {
+		pi.spec.Gate = g.Active
+	}
+}
 
-// SetDictionary installs per-opcode corruption functions (extension).
-func (pi *PermanentInjector) SetDictionary(d FaultDictionary) { pi.dict = d }
+// SetDictionary installs per-opcode corruption functions (extension): an
+// opcode the dictionary has is corrupted by its function, any other by the
+// XOR mask. Must be set before the first launch.
+func (pi *PermanentInjector) SetDictionary(d FaultDictionary) {
+	// Only the fault's own opcodes are ever corrupted: their entries, found
+	// here once, spare every corruption a map lookup.
+	type entry struct {
+		op sass.Op
+		fn CorruptionFunc
+	}
+	var table []entry
+	for op, fn := range d {
+		if pi.spec.Ops.Has(op) {
+			table = append(table, entry{op, fn})
+		}
+	}
+	xor := xorWith(pi.P.BitMask)
+	pi.spec.Value = xor
+	if len(table) > 0 {
+		pi.spec.Value = func(op sass.Op, old uint32) uint32 {
+			for _, e := range table {
+				if e.op == op {
+					return e.fn(op, old)
+				}
+			}
+			return xor(op, old)
+		}
+	}
+}
 
 // Activations returns how many times the fault site was exercised.
-func (pi *PermanentInjector) Activations() uint64 { return pi.activations }
+func (pi *PermanentInjector) Activations() uint64 { return pi.spec.Activations }
 
 // Record is the zero record: a permanent fault has no single injection to
 // report, only its Activations. With Activations it makes the injector a
@@ -123,7 +165,7 @@ func (pi *PermanentInjector) Activations() uint64 { return pi.activations }
 func (pi *PermanentInjector) Record() InjectionRecord { return InjectionRecord{} }
 
 // Corruptions returns how many activations actually corrupted state.
-func (pi *PermanentInjector) Corruptions() uint64 { return pi.corruptions }
+func (pi *PermanentInjector) Corruptions() uint64 { return pi.spec.Corruptions }
 
 // Name implements nvbit.Tool.
 func (pi *PermanentInjector) Name() string { return "pf_injector" }
@@ -132,7 +174,7 @@ func (pi *PermanentInjector) Name() string { return "pf_injector" }
 // kernel, so every launch whose kernel executes the opcode is instrumented.
 func (pi *PermanentInjector) OnLaunch(info *nvbit.LaunchInfo) nvbit.Decision {
 	for i := range info.Kernel.Instrs {
-		if pi.targets(info.Kernel.Instrs[i].Op) {
+		if pi.spec.Ops.Has(info.Kernel.Instrs[i].Op) {
 			return nvbit.Decision{Instrument: true, Key: pi.key}
 		}
 	}
@@ -140,62 +182,15 @@ func (pi *PermanentInjector) OnLaunch(info *nvbit.LaunchInfo) nvbit.Decision {
 }
 
 // Instrument implements nvbit.Tool: every instruction in the functional
-// categories of the fault's opcodes carries the check; the exact-opcode match
-// happens at runtime in the callback. A hardware-mapped fault cannot be
-// statically narrowed to one opcode: the check runs at runtime on every
-// instruction routed to the faulty unit, so the injector instruments the
-// whole category and filters in the callback — as NVBitFI's pf_injector
-// instruments broadly and filters in its injected device function.
-func (pi *PermanentInjector) Instrument(k *sass.Kernel, _ string, ins *nvbit.Inserter) {
-	step := pi.step // one method value for every site
-	for i := range k.Instrs {
-		if pi.cats>>k.Instrs[i].Op.Info().Cat&1 != 0 {
-			ins.InsertAfter(i, step)
-		}
-	}
-}
-
-// step corrupts the destination of the target lane when a target-opcode
-// instruction executes on the target SM.
-func (pi *PermanentInjector) step(c *gpu.InstrCtx) {
-	if !pi.targets(c.Instr.Op) || c.SMID != pi.P.SMID || !c.LaneActive(pi.P.Lane) {
-		return
-	}
-	act := pi.activations
-	pi.activations++
-	if pi.gate != nil && !pi.gate.Active(act) {
-		return
-	}
-	var buf destTargetBuf
-	targets := destTargets(buf[:0], c.Instr)
-	if len(targets) == 0 {
-		return
-	}
-	lane := pi.P.Lane
-	// Per Table III, "the destination registers of all dynamic instances of
-	// a particular opcode [are] corrupted with the same bit-flip XOR mask" —
-	// registers plural: a pair-valued FP64 result or a wide load has every
-	// destination register corrupted.
-	for _, tg := range targets {
-		if tg.isPred {
-			if pi.P.BitMask&1 != 0 {
-				c.WritePred(lane, tg.pred, !c.ReadPred(lane, tg.pred))
-				pi.corruptions++
-			}
-			continue
-		}
-		old := c.ReadReg(lane, tg.reg)
-		var corrupted uint32
-		if fn, ok := pi.dict[c.Instr.Op]; ok {
-			corrupted = fn(c.Instr.Op, old)
-		} else {
-			corrupted = old ^ pi.P.BitMask
-		}
-		if corrupted != old {
-			c.WriteReg(lane, tg.reg, corrupted)
-			pi.corruptions++
-		}
-	}
+// categories of the fault's opcodes carries the check, and the fault lands on
+// the exact opcodes. A hardware-mapped fault cannot be statically narrowed to
+// one opcode: the check runs at runtime on every instruction routed to the
+// faulty unit, so the injector charges the whole category — as NVBitFI's
+// pf_injector instruments broadly and filters in its injected device
+// function. The filtering is the engine's: blocks off the faulty SM pay the
+// trampoline charge and nothing else.
+func (pi *PermanentInjector) Instrument(_ *sass.Kernel, _ string, ins *nvbit.Inserter) {
+	ins.Corrupt(&pi.spec, pi.cats)
 }
 
 // OnLaunchDone implements nvbit.Tool.

@@ -8,67 +8,6 @@ import (
 	"repro/internal/sass"
 )
 
-// destTarget names one corruptible destination: a GP register or a
-// predicate.
-type destTarget struct {
-	isPred bool
-	reg    sass.RegID
-	pred   sass.PredID
-}
-
-func (t destTarget) String() string {
-	if t.isPred {
-		return t.pred.String()
-	}
-	return t.reg.String()
-}
-
-// destTargets expands an instruction's destination operands into individual
-// corruptible registers: FP64 results occupy an even/odd pair, and 64/128-
-// bit loads occupy two or four consecutive registers. The targets are
-// appended to out, which injector callbacks — they run per dynamic
-// instruction — back with a stack array (destTargetBuf).
-func destTargets(out []destTarget, in *sass.Instr) []destTarget {
-	info := in.Op.Info()
-	for i := range in.Dst {
-		d := &in.Dst[i]
-		switch d.Kind {
-		case sass.OpdPred:
-			if d.Pred.Pred != sass.PT {
-				out = append(out, destTarget{isPred: true, pred: d.Pred.Pred})
-			}
-		case sass.OpdReg:
-			if d.Reg == sass.RZ {
-				continue
-			}
-			n := 1
-			if info.Flags&sass.FlagPair != 0 {
-				n = 2
-			}
-			if info.Sem == sass.SemLd || info.Sem == sass.SemLdc {
-				switch in.Mods.MemWidth() {
-				case 8:
-					n = 2
-				case 16:
-					n = 4
-				}
-			}
-			for k := 0; k < n; k++ {
-				r := d.Reg + sass.RegID(k)
-				if r != sass.RZ {
-					out = append(out, destTarget{reg: r})
-				}
-			}
-		}
-	}
-	return out
-}
-
-// destTargetBuf holds the targets of any instruction the ISA has today (one
-// register destination of up to four registers plus a predicate); a longer
-// list spills to the heap through append.
-type destTargetBuf [8]destTarget
-
 // InjectionRecord reports what a transient injection actually did — the
 // per-run log NVBitFI writes for later analysis.
 type InjectionRecord struct {
@@ -257,8 +196,8 @@ func CorruptDestN(rec *InjectionRecord, c *gpu.InstrCtx, instrIdx, lane int,
 		WarpID:    c.WarpID,
 		Lane:      lane,
 	}
-	var buf destTargetBuf
-	targets := destTargets(buf[:0], c.Instr)
+	var buf sass.FaultTargetBuf
+	targets := c.Instr.FaultTargets(buf[:0])
 	if len(targets) == 0 {
 		// A G_NODEST selection: the register fault model has no
 		// architectural state to corrupt (stores, branches, barriers).
@@ -276,10 +215,10 @@ func CorruptDestN(rec *InjectionRecord, c *gpu.InstrCtx, instrIdx, lane int,
 		} else {
 			rec.Target += "," + tg.String()
 		}
-		if tg.isPred {
-			before := c.ReadPred(lane, tg.pred)
+		if tg.IsPred {
+			before := c.ReadPred(lane, tg.Pred)
 			after := bf.FlipPred(patVal, before)
-			c.WritePred(lane, tg.pred, after)
+			c.WritePred(lane, tg.Pred, after)
 			if k == 0 {
 				rec.PredValue = after
 				if before {
@@ -291,10 +230,10 @@ func CorruptDestN(rec *InjectionRecord, c *gpu.InstrCtx, instrIdx, lane int,
 			}
 			continue
 		}
-		before := c.ReadReg(lane, tg.reg)
+		before := c.ReadReg(lane, tg.Reg)
 		mask := bf.Mask(patVal, before)
 		after := before ^ mask
-		c.WriteReg(lane, tg.reg, after)
+		c.WriteReg(lane, tg.Reg, after)
 		if k == 0 {
 			rec.Before = before
 			rec.After = after

@@ -212,13 +212,23 @@ type ExecKernel struct {
 	// launch and reads it after.
 	Tally []SiteTally
 
+	// Corrupt, when non-nil, is a permanent fault the warp loops apply in
+	// line after each live site completes on the spec's SM (Corruption), with
+	// CorruptSites its facts on K: an After site on every charged instruction,
+	// like an After callback there, but dispatched by no closure, and — like
+	// the tally — not stopped by InstrCtx.Disarm. Blocks on any other SM only
+	// pay the trampoline charge.
+	Corrupt      *Corruption
+	CorruptSites *CorruptionSites
+
 	sitesOnce sync.Once
-	sites     []uint32
+	sites     []uint32 // trampSites' prefix, when built here
+	calls     []uint32 // the callback-site prefix, when it is not sites
 }
 
 // Instrumented reports whether any instrumentation is attached.
 func (ek *ExecKernel) Instrumented() bool {
-	return ek.hasCallbacks() || ek.Tally != nil
+	return ek.hasCallbacks() || ek.Tally != nil || ek.Corrupt != nil
 }
 
 // hasCallbacks reports whether any instruction may dispatch a callback.
@@ -231,18 +241,19 @@ func (ek *ExecKernel) hasBefore(pc int32) bool {
 	return ek.Before != nil && len(ek.Before[pc]) > 0
 }
 
-// hasAfter reports whether instruction pc carries an After site: callbacks, or
-// the in-line tally.
+// hasAfter reports whether instruction pc carries an After site: callbacks,
+// the in-line tally, or a charged site of the in-line corruption.
 func (ek *ExecKernel) hasAfter(pc int32) bool {
-	return ek.Tally != nil || (ek.After != nil && len(ek.After[pc]) > 0)
+	return ek.Tally != nil || (ek.After != nil && len(ek.After[pc]) > 0) ||
+		(ek.Corrupt != nil && ek.CorruptSites.site(pc))
 }
 
 // callFree returns how many of the instructions [pc, pc+n) run before the
 // first one that dispatches a callback — a Before or After list, or anything
-// at all under the step hook; the tally is counted in line and is none: how
-// far an armed batch may run without leaving the engine. It scans: a table
-// per instrumented kernel would cost every experiment's JIT builds more than
-// the scan costs the armed loop.
+// at all under the step hook; the tally and the corruption run in line and
+// are none: how far an armed batch may run without leaving the engine. It
+// scans: a table per instrumented kernel would cost every experiment's JIT
+// builds more than the scan costs the armed loop.
 func (ek *ExecKernel) callFree(pc, n int32) int32 {
 	if ek.Step != nil {
 		return 0
@@ -255,38 +266,61 @@ func (ek *ExecKernel) callFree(pc, n int32) int32 {
 	return n
 }
 
-// trampSites returns the trampoline-site prefix count: sites[pc] is the
-// number of callback sites (a Before list, an After list or tally, the step
-// hook) on instructions [0, pc), so a batch that completed [a, b) executed
-// sites[b]-sites[a] trampolines. An instrumentation that only tallies has one
-// site per instruction, a prefix its translated plan derives once per kernel
-// content (xplan.tallySites), so the profiler's per-attach builds share it.
-// Any other is built on the ExecKernel's first instrumented launch, not in the
-// plan: a plan is shared by every instrumentation of the same kernel content.
-// Before, After, Step and Tally must not change once the kernel has launched —
-// the NVBit layer builds them whole in its Inserter and caches the result.
-func (ek *ExecKernel) trampSites(plan *xplan) []uint32 {
-	if plan != nil && ek.Tally != nil && !ek.hasCallbacks() {
-		return plan.tallySites
+// trampSites returns the trampoline-site prefix count and the callback-site
+// prefix count. sites[pc] is the number of sites (a Before list, an After
+// list, tally or charged corruption site, the step hook) on instructions
+// [0, pc), so a batch that completed [a, b) executed sites[b]-sites[a]
+// trampolines; calls counts only the sites that dispatch a callback, so a
+// batch holding none of them never leaves the plain loop, and is nil when the
+// kernel has no callback. An instrumentation without callbacks shares a
+// prefix derived once per kernel content: one After site per instruction
+// when it tallies (xplan.tallySites, whatever it corrupts: the sites
+// coincide), else its corruption's sites (CorruptionSites). Any other is
+// built on the ExecKernel's first instrumented launch, not in the plan: a
+// plan is shared by every instrumentation of the same kernel content. Before,
+// After, Step, Tally and Corrupt must not change once the kernel has
+// launched — the NVBit layer builds them whole in its Inserter and caches the
+// result.
+func (ek *ExecKernel) trampSites(plan *xplan) (sites, calls []uint32) {
+	if !ek.hasCallbacks() {
+		switch {
+		case ek.Tally != nil && plan != nil:
+			return plan.tallySites, nil
+		case ek.Tally == nil && ek.Corrupt != nil:
+			return ek.CorruptSites.sites, nil
+		}
 	}
 	ek.sitesOnce.Do(func() {
-		sites := make([]uint32, len(ek.K.Instrs)+1)
-		for pc := range ek.K.Instrs {
-			n := sites[pc]
-			if ek.hasBefore(int32(pc)) {
-				n++
-			}
-			if ek.hasAfter(int32(pc)) {
-				n++
-			}
-			if ek.Step != nil {
-				n++
-			}
-			sites[pc+1] = n
+		ek.sites = ek.sitePrefix(true)
+		switch {
+		case !ek.hasCallbacks():
+		case ek.Tally == nil && ek.Corrupt == nil:
+			ek.calls = ek.sites // every site dispatches a callback
+		default:
+			ek.calls = ek.sitePrefix(false)
 		}
-		ek.sites = sites
 	})
-	return ek.sites
+	return ek.sites, ek.calls
+}
+
+// sitePrefix counts the sites of the instructions before each pc: every
+// trampoline site when all, else only those that dispatch a callback.
+func (ek *ExecKernel) sitePrefix(all bool) []uint32 {
+	p := make([]uint32, len(ek.K.Instrs)+1)
+	for pc := range ek.K.Instrs {
+		n := p[pc]
+		if ek.hasBefore(int32(pc)) {
+			n++
+		}
+		if all && ek.hasAfter(int32(pc)) || !all && ek.After != nil && len(ek.After[pc]) > 0 {
+			n++
+		}
+		if ek.Step != nil {
+			n++
+		}
+		p[pc+1] = n
+	}
+	return p
 }
 
 // writtenRegHi returns an exclusive upper bound on the register indices k's

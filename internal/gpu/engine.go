@@ -441,15 +441,16 @@ type blockCtx struct {
 	plan *xplan
 
 	// sites is the kernel's trampoline-site prefix count (ExecKernel.sites),
-	// nil on an uninstrumented launch; calls says whether the kernel has any
-	// callback to dispatch; tally is where completed instructions are counted
-	// in line — the kernel's own (ExecKernel.Tally), else the recording run's
-	// (runTally), else nil; and hooked says whether the launch has any of
-	// sites, pause or tally — the one flag the plain path tests. run refreshes
-	// all four on every call, because LaunchRun.SetExecKernel may swap the
-	// kernel while the block is paused.
+	// nil on an uninstrumented launch; spec is the kernel's Corruption when
+	// this block runs on its SM, else nil; tally is where completed
+	// instructions are counted in line — the kernel's own (ExecKernel.Tally),
+	// else the recording run's (runTally), else nil; and hooked says whether
+	// the launch has any of sites, pause or tally — the one flag the plain
+	// path tests. run refreshes them, and calls and live below, on every call,
+	// because LaunchRun.SetExecKernel may swap the kernel while the block is
+	// paused.
 	sites  []uint32
-	calls  bool
+	spec   *Corruption
 	tally  []SiteTally
 	hooked bool
 
@@ -478,6 +479,13 @@ type blockCtx struct {
 	// mask expands to the zero row.
 	maskRow regRow
 	maskFor uint32
+
+	// calls is the kernel's callback-site prefix count (ExecKernel.trampSites),
+	// nil when it has no callback; live is spec's next-live-site index
+	// (CorruptionSites.next). They sit below the scratch rows, which stay at
+	// a 64-byte offset (TestBlockScratchAligned).
+	calls []uint32
+	live  []uint32
 
 	// ictx is the InstrCtx handed to instrumentation callbacks: filled in per
 	// block by run, bound to a warp by bindCtx, rewritten per instruction by
@@ -511,6 +519,11 @@ func (l *Launch) validate() (budget uint64, err error) {
 	if len(l.Params) != len(k.Params) {
 		return 0, fmt.Errorf("gpu: kernel %q expects %d parameter words, got %d",
 			k.Name, len(k.Params), len(l.Params))
+	}
+	if l.Kernel.Corrupt != nil {
+		if err := l.Kernel.CorruptSites.check(k); err != nil {
+			return 0, err
+		}
 	}
 	budget = l.Budget
 	if budget == 0 {
@@ -645,12 +658,19 @@ func (blk *blockCtx) run(budget *budgetCounter, stats *LaunchStats) error {
 	if blk.plan == nil {
 		runWarp = blk.runWarpRef
 	}
-	blk.sites, blk.calls, blk.tally = nil, blk.ek.hasCallbacks(), blk.runTally
+	blk.sites, blk.calls, blk.tally, blk.spec = nil, nil, blk.runTally, nil
 	if blk.ek.Tally != nil {
 		blk.tally = blk.ek.Tally
 	}
+	if c := blk.ek.Corrupt; c != nil && c.SM == blk.smID {
+		blk.spec, blk.live = c, blk.ek.CorruptSites.next
+	}
 	if blk.ek.Instrumented() {
-		blk.sites = blk.ek.trampSites(blk.plan)
+		blk.sites, blk.calls = blk.ek.trampSites(blk.plan)
+	}
+	if blk.calls != nil {
+		// Only callbacks read the InstrCtx: a tally or a corruption never
+		// pays for filling it.
 		blk.ictx = InstrCtx{
 			Dev:      blk.dev,
 			Kernel:   blk.ek.K,
@@ -813,7 +833,7 @@ func (blk *blockCtx) runWarp(w *warp, budget *budgetCounter, stats *LaunchStats)
 	n := int32(len(steps))
 	clock := &blk.dev.smClocks[blk.smID]
 	hooked := blk.hooked
-	if blk.sites != nil {
+	if blk.calls != nil {
 		blk.bindCtx(w)
 	}
 	for {
@@ -855,25 +875,60 @@ func (blk *blockCtx) runWarp(w *warp, budget *budgetCounter, stats *LaunchStats)
 			} else {
 				tally := blk.tally
 				var ti uint64
-				for pc = minPC; pc < stop; pc++ {
-					xi := &steps[pc]
-					if n := min(xi.rowLen, stop-pc); n > 0 {
-						ti += blk.runRows(w, pc, n, atPC, tally)
-						pc += n - 1
-						continue
+				for pc = minPC; ; {
+					// On the corruption's SM the loop stops at the batch's next
+					// live site: past it when its op is a row op without a guard
+					// (its lanes are then the batch's), which the stretch runs,
+					// else before it, to issue it alone; the corruption follows
+					// the op either way.
+					end, live := stop, stop
+					if blk.spec != nil {
+						live = min(stop, int32(blk.live[pc]))
+						end = live
+						if live < stop && steps[live].rowLen > 0 && steps[live].guardKind == guardOn {
+							end++
+						}
 					}
-					execMask := atPC
-					if xi.guardKind != guardOn {
-						execMask = xi.guard(w, atPC)
+					for ; pc < end; pc++ {
+						xi := &steps[pc]
+						if n := min(xi.rowLen, end-pc); n > 0 {
+							ti += blk.runRows(w, pc, n, atPC, tally)
+							pc += n - 1
+							continue
+						}
+						execMask := atPC
+						if xi.guardKind != guardOn {
+							execMask = xi.guard(w, atPC)
+						}
+						lanes := uint64(popcount(execMask))
+						ti += lanes
+						if _, kind, faultAddr = xi.step(blk, w, execMask); kind != 0 {
+							break
+						}
+						if tally != nil {
+							tally[pc].add(lanes)
+						}
 					}
-					lanes := uint64(popcount(execMask))
-					ti += lanes
-					if _, kind, faultAddr = xi.step(blk, w, execMask); kind != 0 {
+					if kind != 0 || live == stop {
 						break
 					}
-					if tally != nil {
-						tally[pc].add(lanes)
+					execMask := atPC
+					if pc == live {
+						xi := &steps[pc]
+						if xi.guardKind != guardOn {
+							execMask = xi.guard(w, atPC)
+						}
+						lanes := uint64(popcount(execMask))
+						ti += lanes
+						if _, kind, faultAddr = xi.step(blk, w, execMask); kind != 0 {
+							break
+						}
+						if tally != nil {
+							tally[pc].add(lanes)
+						}
+						pc++
 					}
+					blk.corrupt(w, live, execMask)
 				}
 				stats.ThreadInstrs += ti
 			}
@@ -917,7 +972,7 @@ func (blk *blockCtx) runWarp(w *warp, budget *budgetCounter, stats *LaunchStats)
 		*clock++
 		armed := false
 		if hooked {
-			if armed = blk.calls && !blk.launch.disarmed; armed {
+			if armed = blk.calls != nil && !blk.launch.disarmed; armed {
 				blk.callBefore(minPC, execMask)
 			}
 		}
@@ -947,6 +1002,9 @@ func (blk *blockCtx) runWarp(w *warp, budget *budgetCounter, stats *LaunchStats)
 			if blk.tally != nil {
 				blk.tally[minPC].add(lanes)
 			}
+			if blk.spec != nil && int32(blk.live[minPC]) == minPC {
+				blk.corrupt(w, minPC, execMask)
+			}
 			if armed {
 				blk.callAfter(minPC)
 			}
@@ -969,10 +1027,10 @@ func (blk *blockCtx) runWarp(w *warp, budget *budgetCounter, stats *LaunchStats)
 // dispatches reports whether the batch [from, to) must issue through
 // issueHooked: it holds a callback site of a launch no tool has disarmed.
 // Sparse instrumentation — one armed site, the stores of a kernel — leaves
-// most batches to the plain loop, and so does a tally, which the plain loop
-// counts itself.
+// most batches to the plain loop, and so do a tally and a corruption, which
+// the plain loop applies itself: their sites are charged, never dispatched.
 func (blk *blockCtx) dispatches(from, to int32) bool {
-	return blk.calls && blk.sites[to] != blk.sites[from] && !blk.launch.disarmed
+	return blk.calls != nil && blk.calls[to] != blk.calls[from] && !blk.launch.disarmed
 }
 
 // chargeSites charges the trampolines of the instructions [from, pc) that
@@ -992,9 +1050,10 @@ func (blk *blockCtx) chargeSites(stats *LaunchStats, from, pc int32, faulted boo
 
 // issueHooked is the batch issue loop of a launch that dispatches callbacks,
 // armed when the batch starts (dispatches): per instruction guard, Before
-// callbacks, step, tally, After callbacks and the step hook, in the reference
-// loop's order. A callback may rewrite registers and predicates, so every
-// guard is evaluated when its instruction issues, never ahead.
+// callbacks, step, tally, corruption, After callbacks and the step hook, in
+// the reference loop's order. A callback may rewrite registers and
+// predicates, so every guard is evaluated when its instruction issues, never
+// ahead.
 // InstrCtx.Disarm takes effect at the next instruction (callbacks already due
 // for the current one still run) and only suppresses calls; the caller
 // accounts for the batch as a whole. It returns where the batch stopped: to,
@@ -1003,14 +1062,17 @@ func (blk *blockCtx) chargeSites(stats *LaunchStats, from, pc int32, faulted boo
 // profiled hot loop 6%.
 func (blk *blockCtx) issueHooked(w *warp, from, to int32, atPC uint32, stats *LaunchStats) (pc int32, kind TrapKind, faultAddr uint32) {
 	steps := blk.plan.steps
-	tally := blk.tally
+	tally, lim := blk.tally, to // lim: the next live site, which ends a stretch and issues alone
+	if blk.spec != nil {
+		lim = min(to, int32(blk.live[from]))
+	}
 	ek, ctx := blk.ek, &blk.ictx
 	instrs, before, after, stepHook := ek.K.Instrs, ek.Before, ek.After, ek.Step
 	armed := true // until a callback disarms the launch
 	var ti uint64
 	for pc = from; pc < to; pc++ {
 		xi := &steps[pc]
-		if n := min(xi.rowLen, to-pc); n > 0 {
+		if n := min(xi.rowLen, lim-pc); n > 0 {
 			// Row ops up to the next callback site run as one stretch: an
 			// armed launch pays per-instruction dispatch only at its sites.
 			if armed {
@@ -1043,6 +1105,10 @@ func (blk *blockCtx) issueHooked(w *warp, from, to int32, atPC uint32, stats *La
 		}
 		if tally != nil {
 			tally[pc].add(lanes)
+		}
+		if pc == lim {
+			blk.corrupt(w, pc, execMask)
+			lim = min(to, int32(blk.live[pc+1]))
 		}
 		if armed {
 			if after != nil {
@@ -1122,7 +1188,7 @@ func (w *warp) finishRun(endPC int32, atPC uint32) {
 func (blk *blockCtx) runWarpRef(w *warp, budget *budgetCounter, stats *LaunchStats) error {
 	ek := blk.ek
 	instrs := ek.K.Instrs
-	if blk.sites != nil {
+	if blk.calls != nil {
 		blk.bindCtx(w)
 	}
 	for {
@@ -1148,7 +1214,7 @@ func (blk *blockCtx) runWarpRef(w *warp, budget *budgetCounter, stats *LaunchSta
 		stats.ThreadInstrs += lanes
 		blk.dev.smClocks[blk.smID]++
 
-		armed := blk.calls && !blk.launch.disarmed
+		armed := blk.calls != nil && !blk.launch.disarmed
 		if ek.hasBefore(minPC) {
 			stats.TrampolineInstrs += TrampolineLen
 		}
@@ -1169,6 +1235,9 @@ func (blk *blockCtx) runWarpRef(w *warp, budget *budgetCounter, stats *LaunchSta
 		}
 		if blk.tally != nil {
 			blk.tally[minPC].add(lanes)
+		}
+		if blk.spec != nil && int32(blk.live[minPC]) == minPC {
+			blk.corrupt(w, minPC, execMask)
 		}
 		if armed {
 			blk.callAfter(minPC)

@@ -36,3 +36,28 @@ func TierCensus(k *sass.Kernel) (c TierCounts, err error) {
 	}
 	return c, nil
 }
+
+// SpecTargets applies a Corruption that complements every bit it may touch
+// to in, for lane 0 of a zeroed warp, and reports the registers and
+// predicates that changed — the destinations the engine's in-line fault
+// corrupts, observed rather than asked for.
+func SpecTargets(in *sass.Instr) (regs []sass.RegID, preds []sass.PredID) {
+	c := &Corruption{Value: func(_ sass.Op, old uint32) uint32 { return ^old }, PredFlip: true}
+	c.Ops.Add(in.Op)
+	k := &sass.Kernel{Instrs: []sass.Instr{*in}}
+	ek := &ExecKernel{K: k, Corrupt: c, CorruptSites: NewCorruptionSites(k, 1<<in.Op.Info().Cat, &c.Ops)}
+	blk := &blockCtx{ek: ek, spec: c}
+	w := new(warp)
+	blk.corrupt(w, 0, 1)
+	for r := range w.regs {
+		if w.regs[r][0] != 0 {
+			regs = append(regs, sass.RegID(r))
+		}
+	}
+	for p := range w.preds {
+		if w.preds[p] != 0 {
+			preds = append(preds, sass.PredID(p))
+		}
+	}
+	return regs, preds
+}

@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"unsafe"
 
+	"repro/internal/race"
 	"repro/internal/sass"
 )
 
@@ -557,5 +559,332 @@ func TestRunTally(t *testing.T) {
 				t.Errorf("%s own=%v: counts %v, want %v", e.name, own, got, ref)
 			}
 		}
+	}
+}
+
+// The permanent fault as engine data (Corruption) on the same three
+// schedules, held to the callbacks it replaces.
+
+// specOracle instruments k with what a Corruption stands for: an After
+// callback on every instruction of the charged categories that corrupts
+// exactly as the spec says, through the InstrCtx — the callback path
+// permanent faults took before they became engine data. It counts into c.
+func specOracle(k *sass.Kernel, c *Corruption, cats uint32) *ExecKernel {
+	ek := &ExecKernel{K: k, After: make([][]Callback, len(k.Instrs))}
+	step := func(x *InstrCtx) {
+		if !c.Ops.Has(x.Instr.Op) || x.SMID != c.SM || !x.LaneActive(c.Lane) {
+			return
+		}
+		act := c.Activations
+		c.Activations++
+		if c.Gate != nil && !c.Gate(act) {
+			return
+		}
+		var buf sass.FaultTargetBuf
+		for _, t := range x.Instr.FaultTargets(buf[:0]) {
+			if t.IsPred {
+				if c.PredFlip {
+					x.WritePred(c.Lane, t.Pred, !x.ReadPred(c.Lane, t.Pred))
+					c.Corruptions++
+				}
+				continue
+			}
+			old := x.ReadReg(c.Lane, t.Reg)
+			if v := c.Value(x.Instr.Op, old); v != old {
+				x.WriteReg(c.Lane, t.Reg, v)
+				c.Corruptions++
+			}
+		}
+	}
+	for i := range k.Instrs {
+		if cats>>k.Instrs[i].Op.Info().Cat&1 != 0 {
+			ek.After[i] = []Callback{step}
+		}
+	}
+	return ek
+}
+
+// specBuild is the declarative build of the same fault.
+func specBuild(k *sass.Kernel, c *Corruption, cats uint32) *ExecKernel {
+	return &ExecKernel{K: k, Corrupt: c, CorruptSites: NewCorruptionSites(k, cats, &c.Ops)}
+}
+
+// testSpec describes one fault over named opcodes; cats are their categories.
+type testSpec struct {
+	name     string
+	ops      []string
+	sm, lane int
+	mask     uint32
+	clear    bool // stuck-at-0: the value clears the mask's bits instead of flipping them
+	predFlip bool
+	gated    bool // every third activation corrupts
+}
+
+func (s testSpec) build() (*Corruption, uint32) {
+	c := &Corruption{SM: s.sm, Lane: s.lane, PredFlip: s.predFlip}
+	var cats uint32
+	for _, name := range s.ops {
+		op := sass.MustOp(name)
+		c.Ops.Add(op)
+		cats |= 1 << op.Info().Cat
+	}
+	mask := s.mask
+	c.Value = func(_ sass.Op, old uint32) uint32 { return old ^ mask }
+	if s.clear {
+		c.Value = func(_ sass.Op, old uint32) uint32 { return old &^ mask }
+	}
+	if s.gated {
+		c.Gate = func(a uint64) bool { return a%3 == 0 }
+	}
+	return c, cats
+}
+
+// shortDivSpecs put live sites at the first (IMAD), middle (IADD) and last
+// (LOP) op of shortdiv's row stretch IMAD, IADD, LOP.XOR, on predicate
+// destinations (ISETP), on nothing at all (the fault's SM runs no block), and
+// on row ops with and without a guard (MOV, among them `@!P2 MOV R5`).
+var shortDivSpecs = []testSpec{
+	{name: "first", ops: []string{"IMAD"}, lane: 6, mask: 0x10},
+	{name: "middle", ops: []string{"IADD"}, lane: 1, mask: 0x3, clear: true, gated: true},
+	{name: "last", ops: []string{"LOP"}, lane: 33 % WarpSize, mask: 0x80000001},
+	{name: "stretch", ops: []string{"IMAD", "IADD", "LOP"}, lane: 2, mask: 0x4},
+	{name: "pred", ops: []string{"ISETP"}, lane: 3, mask: 1, predFlip: true, gated: true},
+	{name: "dormant", ops: []string{"IMAD", "IADD", "LOP"}, sm: 2, lane: 2, mask: 0x4},
+	{name: "guarded", ops: []string{"MOV"}, lane: 4, mask: 0x1},
+}
+
+// specRun is a loopRun plus the spec's counters.
+type specRun struct {
+	loopRun
+	activations, corruptions uint64
+}
+
+func runShortDivSpec(t *testing.T, e loopEngine, s testSpec, oracle bool, budget uint64) specRun {
+	t.Helper()
+	d := e.device(t)
+	l, outp := shortDivLaunch(t, d, false, nil, 0, budget)
+	c, cats := s.build()
+	if oracle {
+		l.Kernel = specOracle(l.Kernel.K, c, cats)
+	} else {
+		l.Kernel = specBuild(l.Kernel.K, c, cats)
+	}
+	stats, err := d.Run(l)
+	return specRun{finishLoopRun(t, d, outp, stats, err, 0), c.Activations, c.Corruptions}
+}
+
+func expectSameSpec(t *testing.T, label string, ref, got specRun) {
+	t.Helper()
+	expectSameLoop(t, label, ref.loopRun, got.loopRun)
+	if ref.activations != got.activations || ref.corruptions != got.corruptions {
+		t.Errorf("%s: %d activations, %d corruptions; want %d, %d",
+			label, got.activations, got.corruptions, ref.activations, ref.corruptions)
+	}
+}
+
+// TestSpecEquivalence: the in-line corruption is the callback it replaces.
+// On all three engines, a launch carrying a Corruption reports the output,
+// stats (trampolines included), clocks, digest and counters of the reference
+// loop running the oracle callbacks.
+func TestSpecEquivalence(t *testing.T) {
+	plain := runShortDiv(t, loopEngines[0], false, 0, 0)
+	for _, s := range shortDivSpecs {
+		ref := runShortDivSpec(t, loopEngines[0], s, true, 0)
+		if ref.err != nil {
+			t.Fatalf("%s: %v", s.name, ref.err)
+		}
+		if dormant := s.sm != 0; (ref.activations == 0) != dormant || (ref.corruptions == 0) != dormant {
+			t.Fatalf("%s: %d activations, %d corruptions", s.name, ref.activations, ref.corruptions)
+		}
+		if ref.stats.TrampolineInstrs == 0 {
+			t.Fatalf("%s: no trampolines charged", s.name)
+		}
+		if s.sm != 0 && (!reflect.DeepEqual(ref.out, plain.out) || ref.digest != plain.digest) {
+			t.Errorf("%s: a fault on an idle SM changed the launch", s.name)
+		}
+		for _, e := range loopEngines {
+			expectSameSpec(t, fmt.Sprintf("%s on %s", s.name, e.name), ref, runShortDivSpec(t, e, s, false, 0))
+		}
+	}
+}
+
+// TestSpecBudgetExhaustion: every budget from one instruction up to the whole
+// launch, with live sites at the first, middle and last op of a row stretch:
+// the budget runs dry before, on and after each of them, and every engine
+// traps where the oracle does with the same counters.
+func TestSpecBudgetExhaustion(t *testing.T) {
+	s := shortDivSpecs[3]
+	total := runShortDivSpec(t, loopEngines[0], s, true, 0).stats.WarpInstrs
+	for budget := uint64(1); budget <= total+1; budget++ {
+		ref := runShortDivSpec(t, loopEngines[0], s, true, budget)
+		if (ref.err != nil) != (budget < total) {
+			t.Fatalf("budget %d of %d: err = %v", budget, total, ref.err)
+		}
+		for _, e := range loopEngines {
+			expectSameSpec(t, fmt.Sprintf("%s budget=%d", e.name, budget), ref, runShortDivSpec(t, e, s, false, budget))
+		}
+	}
+}
+
+// TestSpecFaultAtLiveSite: the spec corrupts lane 3's store address (SHL R6)
+// and the store is itself a live site, mid-batch. The store faults: it is
+// charged its site up to the trap, not activated, and the tail of the batch is
+// refunded, as in the oracle.
+func TestSpecFaultAtLiveSite(t *testing.T) {
+	s := testSpec{name: "store", ops: []string{"SHL", "STG"}, lane: 3, mask: 0x40000000}
+	ref := runShortDivSpec(t, loopEngines[0], s, true, 0)
+	if trap, ok := AsTrap(ref.err); !ok || trap.Kind != TrapIllegalAddress {
+		t.Fatalf("err = %v, want an illegal-address trap", ref.err)
+	}
+	for _, e := range loopEngines {
+		expectSameSpec(t, e.name, ref, runShortDivSpec(t, e, s, false, 0))
+	}
+}
+
+// TestSpecPauseEverywhere: a spec launch paused after every warp-instruction
+// count and resumed runs to the uninterrupted launch's result and counters.
+func TestSpecPauseEverywhere(t *testing.T) {
+	s := shortDivSpecs[3]
+	for _, e := range loopEngines {
+		whole := runShortDivSpec(t, e, s, false, 0)
+		for pos := int64(1); pos < int64(whole.stats.WarpInstrs); pos++ {
+			d := e.device(t)
+			l, outp := shortDivLaunch(t, d, false, nil, 0, 0)
+			c, cats := s.build()
+			l.Kernel = specBuild(l.Kernel.K, c, cats)
+			r, err := d.BeginRun(l)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if paused, err := r.Resume(pos); !paused || err != nil {
+				t.Fatalf("%s pause@%d: Resume = (%v, %v)", e.name, pos, paused, err)
+			}
+			if paused, err := r.Resume(-1); paused || err != nil {
+				t.Fatalf("%s pause@%d: Resume(-1) = (%v, %v)", e.name, pos, paused, err)
+			}
+			got := specRun{finishLoopRun(t, d, outp, r.Stats(), nil, 0), c.Activations, c.Corruptions}
+			expectSameSpec(t, fmt.Sprintf("%s pause@%d", e.name, pos), whole, got)
+			if t.Failed() {
+				return
+			}
+		}
+	}
+}
+
+// TestSpecRowStretches: the spec costs a block off its SM no row stretch, and
+// the faulty SM only its guarded live sites. The test runs shortdiv through a
+// private copy of its plan whose row ops record being issued one at a time
+// (outside a runRows stretch): with the fault's SM idle none is; with the
+// block on it exactly the live row ops with a guard are — an unguarded one
+// ends its stretch and is corrupted after it — and an uninstrumented launch
+// issues none.
+func TestSpecRowStretches(t *testing.T) {
+	p, err := sass.Assemble("test", shortDivSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := p.Kernels[0]
+	for _, s := range []testSpec{shortDivSpecs[5], shortDivSpecs[3], shortDivSpecs[6]} {
+		d := loopEngines[1].device(t)
+		plan, err := translate(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		single := map[int32]int{}
+		rowOps := 0
+		for pc := range plan.steps {
+			if !plan.ops[pc].dispatchable() {
+				continue
+			}
+			rowOps++
+			step, pc := plan.steps[pc].step, int32(pc)
+			plan.steps[pc].step = func(blk *blockCtx, w *warp, m uint32) (bool, TrapKind, uint32) {
+				single[pc]++
+				return step(blk, w, m)
+			}
+		}
+		if rowOps == 0 {
+			t.Fatal("shortdiv has no row ops")
+		}
+		d.planMemo = map[*sass.Kernel]*xplan{k: plan}
+		l, _ := shortDivLaunch(t, d, false, nil, 0, 0)
+		l.Kernel = &ExecKernel{K: k}
+		if _, err := d.Run(l); err != nil || len(single) != 0 {
+			t.Fatalf("plain launch: err %v, row ops issued alone %v", err, single)
+		}
+		c, cats := s.build()
+		l.Kernel = specBuild(k, c, cats)
+		if _, err := d.Run(l); err != nil {
+			t.Fatal(err)
+		}
+		guarded := 0
+		for pc := range plan.steps {
+			live := l.Kernel.CorruptSites.next[pc] == uint32(pc) && plan.steps[pc].guardKind != guardOn
+			if alone := single[int32(pc)] > 0; plan.ops[pc].dispatchable() && alone != (live && s.sm == 0) {
+				t.Errorf("%s: row op %d (%v) issued alone %d times, guarded live site %v",
+					s.name, pc, &k.Instrs[pc], single[int32(pc)], live)
+			}
+			if live && plan.ops[pc].dispatchable() {
+				guarded++
+			}
+		}
+		if s.name == "guarded" && guarded == 0 {
+			t.Error("the guarded spec has no guarded live row op")
+		}
+		if s.sm == 0 && c.Corruptions == 0 {
+			t.Errorf("%s: nothing corrupted", s.name)
+		}
+	}
+}
+
+// TestSpecLaunchAllocs: a warm launch of a spec build allocates nothing, on
+// the faulty SM or off it.
+func TestSpecLaunchAllocs(t *testing.T) {
+	for _, s := range []testSpec{shortDivSpecs[3], shortDivSpecs[5]} {
+		d := loopEngines[1].device(t)
+		l, _ := shortDivLaunch(t, d, false, nil, 0, 0)
+		c, cats := s.build()
+		l.Kernel = specBuild(l.Kernel.K, c, cats)
+		if _, err := d.Run(l); err != nil {
+			t.Fatal(err)
+		}
+		avg := testing.AllocsPerRun(10, func() {
+			if _, err := d.Run(l); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if race.Enabled {
+			t.Logf("%s: a spec launch allocated %.1f objects under -race", s.name, avg)
+		} else if avg != 0 {
+			t.Errorf("%s: a spec launch allocated %.1f objects, want 0", s.name, avg)
+		}
+	}
+}
+
+// TestSpecSitesCheck: a launch whose Corruption comes without its site facts,
+// or with another kernel's, is refused.
+func TestSpecSitesCheck(t *testing.T) {
+	d := loopEngines[1].device(t)
+	l, _ := shortDivLaunch(t, d, false, nil, 0, 0)
+	c, _ := shortDivSpecs[0].build()
+	l.Kernel = &ExecKernel{K: l.Kernel.K, Corrupt: c}
+	if _, err := d.Run(l); err == nil {
+		t.Fatal("a Corruption without sites ran")
+	}
+	l.Kernel.CorruptSites = NewCorruptionSites(&sass.Kernel{Instrs: l.Kernel.K.Instrs[:3]}, 1<<sass.CatInteger, &c.Ops)
+	if _, err := d.Run(l); err == nil {
+		t.Fatal("a Corruption with another kernel's sites ran")
+	}
+}
+
+// TestBlockScratchAligned: the row scratch starts at a 64-byte offset in the
+// block slot, so with the slot on a 64-byte boundary (its size class puts it
+// there) no 32-byte vector access to a scratch row splits a cache line. A
+// field added above it moves it, and a golden run of 353.clvrleaf measured
+// about 1% slower with the rows 48 bytes off.
+func TestBlockScratchAligned(t *testing.T) {
+	var blk blockCtx
+	if off := unsafe.Offsetof(blk.rows); off%64 != 0 {
+		t.Errorf("blockCtx.rows at offset %d, not a multiple of 64", off)
 	}
 }

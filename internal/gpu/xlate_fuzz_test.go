@@ -108,12 +108,16 @@ func fuzzProgram(data []byte) string {
 
 // Fuzz arms: the launch run whole, run armed (a callback on every instruction,
 // one of which corrupts a register and another of which rewrites a guard
-// predicate), and run through a pausable launch that stops every few
-// instructions and hops onto a restored fork at every fourth pause.
+// predicate), run through a pausable launch that stops every few
+// instructions and hops onto a restored fork at every fourth pause, and run
+// under a permanent fault (fuzzSpecFault) — as an in-line Corruption and as
+// the oracle callbacks it replaces, which must agree with each other too.
 const (
 	fuzzPlain = iota
 	fuzzArmed
 	fuzzPaused
+	fuzzSpec
+	fuzzSpecCallback
 	fuzzArms
 )
 
@@ -128,6 +132,8 @@ type fuzzObs struct {
 	digest  uint64
 	calls   int
 	trail   uint64
+
+	activations, corruptions uint64 // the spec arms' counters
 }
 
 // fuzzArm instruments k for the armed arm: every instruction counts its
@@ -164,6 +170,29 @@ func fuzzArm(k *sass.Kernel, knob int, calls *int) *ExecKernel {
 	return ek
 }
 
+// fuzzSpecOps are the opcodes a fuzzed permanent fault may target: the fuzz
+// mix's row ops, accessor and thunk steps, and a store that may fault.
+var fuzzSpecOps = []string{"IADD", "IMAD", "LOP", "SHL", "FADD", "FMUL", "ISETP", "SEL", "MOV", "LDG", "STG", "SHFL", "POPC"}
+
+// fuzzSpecFault derives a permanent fault from the knob: one or two target
+// opcodes, the SM of either block, a lane, a flipped or cleared bit, predicate
+// complement on even knobs and a gate on every third.
+func fuzzSpecFault(knob int) (*Corruption, uint32) {
+	s := testSpec{
+		ops:      []string{fuzzSpecOps[knob%len(fuzzSpecOps)]},
+		sm:       knob / 7 % 2,
+		lane:     knob / 3 % WarpSize,
+		mask:     1 << uint(knob%32),
+		clear:    knob%5 == 0,
+		predFlip: knob%2 == 0,
+		gated:    knob%3 == 0,
+	}
+	if knob%4 == 1 {
+		s.ops = append(s.ops, fuzzSpecOps[knob/4%len(fuzzSpecOps)])
+	}
+	return s.build()
+}
+
 // runFuzzKernel assembles and runs one generated kernel on a fresh device of
 // the given engine, under one fuzz arm.
 func runFuzzKernel(tb testing.TB, src string, e loopEngine, arm, knob int) fuzzObs {
@@ -192,6 +221,15 @@ func runFuzzKernel(tb testing.TB, src string, e loopEngine, arm, knob int) fuzzO
 		fallthrough
 	case fuzzPlain:
 		obs.stats, runErr = d.Run(l)
+	case fuzzSpec, fuzzSpecCallback:
+		c, cats := fuzzSpecFault(knob)
+		if arm == fuzzSpec {
+			l.Kernel = specBuild(p.Kernels[0], c, cats)
+		} else {
+			l.Kernel = specOracle(p.Kernels[0], c, cats)
+		}
+		obs.stats, runErr = d.Run(l)
+		obs.activations, obs.corruptions = c.Activations, c.Corruptions
 	case fuzzPaused:
 		r, err := d.BeginRun(l)
 		if err != nil {
@@ -259,14 +297,19 @@ func FuzzXlateDifferential(f *testing.F) {
 		for _, b := range data {
 			knob += int(b)
 		}
+		var refs [fuzzArms]fuzzObs
 		for arm := 0; arm < fuzzArms; arm++ {
-			ref := runFuzzKernel(t, src, loopEngines[0], arm, knob)
+			refs[arm] = runFuzzKernel(t, src, loopEngines[0], arm, knob)
 			for _, e := range loopEngines[1:] {
-				if got := runFuzzKernel(t, src, e, arm, knob); !reflect.DeepEqual(ref, got) {
+				if got := runFuzzKernel(t, src, e, arm, knob); !reflect.DeepEqual(refs[arm], got) {
 					t.Fatalf("arm %d knob %d: %s disagrees with the reference loop:\n got %+v\nwant %+v\nprogram:\n%s",
-						arm, knob, e.name, got, ref, src)
+						arm, knob, e.name, got, refs[arm], src)
 				}
 			}
+		}
+		if spec, cb := refs[fuzzSpec], refs[fuzzSpecCallback]; !reflect.DeepEqual(spec, cb) {
+			t.Fatalf("knob %d: the in-line fault disagrees with its callbacks:\n got %+v\nwant %+v\nprogram:\n%s",
+				knob, spec, cb, src)
 		}
 	})
 }

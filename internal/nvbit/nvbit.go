@@ -16,6 +16,7 @@ package nvbit
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/cuda"
 	"repro/internal/gpu"
@@ -83,11 +84,13 @@ type Tool interface {
 // Inserter collects instrumentation insertions for one kernel build. It is the
 // attachment's scratch, valid only during the Instrument call it is passed to.
 type Inserter struct {
-	k      *sass.Kernel
-	before [][]gpu.Callback
-	after  [][]gpu.Callback
-	step   gpu.Callback
-	tally  []gpu.SiteTally
+	k       *sass.Kernel
+	before  [][]gpu.Callback
+	after   [][]gpu.Callback
+	step    gpu.Callback
+	tally   []gpu.SiteTally
+	corrupt *gpu.Corruption
+	csites  *gpu.CorruptionSites
 }
 
 // InsertBefore attaches a callback that runs before instruction idx on
@@ -136,6 +139,58 @@ func (ins *Inserter) TallyLanes(tally []gpu.SiteTally) {
 			len(tally), len(ins.k.Instrs), ins.k.Name))
 	}
 	ins.tally = tally
+}
+
+// Corrupt makes the engine apply spec in line (gpu.Corruption): every
+// instruction whose functional category has its bit (1 << sass.Category) set
+// in cats carries an After site — the trampoline charge an InsertAfter
+// callback on it would cost — and the instructions of spec.Ops among them are
+// where the fault lands, on blocks of spec.SM only, with no callback
+// dispatched anywhere. The spec stays the tool's: the engine updates its
+// counters. The site facts are derived once per kernel, category mask and
+// opcode set, and shared by every build, attachment and goroutine.
+func (ins *Inserter) Corrupt(spec *gpu.Corruption, cats uint32) {
+	ins.corrupt, ins.csites = spec, corruptionSites(ins.k, cats, &spec.Ops)
+}
+
+// corruptionSitesSlot names the per-kernel memo of Corruption site facts in
+// modcache.Derive.
+type corruptionSitesSlot struct{}
+
+// corruptionSitesKey is what a kernel's Corruption site facts depend on
+// besides the kernel: the charged categories and the whole opcode set.
+type corruptionSitesKey struct {
+	cats uint32
+	ops  sass.OpSet
+}
+
+// corruptionSitesMemo holds one kernel's Corruption site facts by key. The
+// concurrent experiments of a campaign share it.
+type corruptionSitesMemo struct {
+	mu sync.Mutex
+	m  map[corruptionSitesKey]*gpu.CorruptionSites
+}
+
+// corruptionSites returns the Corruption site facts of k for (cats, ops),
+// deriving them on first use. The memo hangs off a kernel the module cache
+// shares, so a campaign's experiments — each a fresh context decoding the
+// same binary — derive each fact once; a kernel the cache does not share gets
+// a fresh derivation per call.
+func corruptionSites(k *sass.Kernel, cats uint32, ops *sass.OpSet) *gpu.CorruptionSites {
+	v, _ := modcache.Shared.Derive(k, corruptionSitesSlot{}, func() any { return new(corruptionSitesMemo) })
+	memo := v.(*corruptionSitesMemo)
+	key := corruptionSitesKey{cats: cats, ops: *ops}
+	memo.mu.Lock()
+	defer memo.mu.Unlock()
+	s := memo.m[key]
+	if s == nil {
+		s = gpu.NewCorruptionSites(k, cats, ops)
+		if memo.m == nil {
+			memo.m = make(map[corruptionSitesKey]*gpu.CorruptionSites)
+		}
+		memo.m[key] = s
+	}
+	return s
 }
 
 // SetStep installs a single-step hook that runs after every instruction,
@@ -406,11 +461,13 @@ func (a *Attachment) OnLaunchBegin(ev *cuda.LaunchEvent) {
 		*ins = Inserter{k: decoded}
 		a.tool.Instrument(decoded, dec.Key, ins)
 		ek = &gpu.ExecKernel{
-			K:      decoded,
-			Before: ins.before,
-			After:  ins.after,
-			Step:   ins.step,
-			Tally:  ins.tally,
+			K:            decoded,
+			Before:       ins.before,
+			After:        ins.after,
+			Step:         ins.step,
+			Tally:        ins.tally,
+			Corrupt:      ins.corrupt,
+			CorruptSites: ins.csites,
 		}
 		a.builds = append(a.builds, jitBuild{key: dec.Key, ek: ek, prev: s.builds})
 		s.builds = len(a.builds)

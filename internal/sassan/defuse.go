@@ -176,39 +176,21 @@ func DefsUses(in *sass.Instr) DefUse {
 	return du
 }
 
-// CorruptTargets returns the registers the transient-fault injector would
-// consider corruptible destinations for this instruction. It mirrors the
-// injector's own expansion (internal/core destTargets), which differs from
-// the execution write set in one place: LDC's width modifier widens the
-// fault-target span even though the executor writes a single register.
-// Pruning must therefore prove this set dead, while liveness kills use the
-// execution-accurate write set from DefsUses.
+// CorruptTargets returns the registers the fault injectors consider
+// corruptible destinations for this instruction: sass.Instr.FaultTargets as
+// sets. That expansion differs from the execution write set in one place:
+// LDC's width modifier widens the fault-target span even though the executor
+// writes a single register. Pruning must therefore prove this set dead, while
+// liveness kills use the execution-accurate write set from DefsUses.
 func CorruptTargets(in *sass.Instr) (RegSet, PredSet) {
 	var gp RegSet
 	var pr PredSet
-	info := in.Op.Info()
-	for i := range in.Dst {
-		d := &in.Dst[i]
-		switch d.Kind {
-		case sass.OpdPred:
-			pr.addPred(d.Pred.Pred)
-		case sass.OpdReg:
-			if d.Reg == sass.RZ {
-				continue
-			}
-			n := 1
-			if info.Flags&sass.FlagPair != 0 {
-				n = 2
-			}
-			if info.Sem == sass.SemLd || info.Sem == sass.SemLdc {
-				switch in.Mods.MemWidth() {
-				case 8:
-					n = 2
-				case 16:
-					n = 4
-				}
-			}
-			gp.addSpan(d.Reg, n)
+	var buf sass.FaultTargetBuf
+	for _, t := range in.FaultTargets(buf[:0]) {
+		if t.IsPred {
+			pr.Add(t.Pred)
+		} else {
+			gp.Add(t.Reg)
 		}
 	}
 	return gp, pr
