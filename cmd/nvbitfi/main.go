@@ -127,8 +127,6 @@ func cmdProfile(args []string) error {
 	program := fs.String("program", "", "target program name")
 	mode := fs.String("mode", "exact", "profiling mode: exact or approx")
 	out := fs.String("o", "", "output file (default stdout)")
-	xlate := fs.Bool("xlate", true, "run launches on the block-level translation engine")
-	noXlate := fs.Bool("no-xlate", false, "force the legacy interpreter (same as -xlate=false)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -140,8 +138,7 @@ func cmdProfile(args []string) error {
 	if err != nil {
 		return err
 	}
-	r := nvbitfi.Runner{NoXlate: *noXlate || !*xlate}
-	profile, dur, err := r.Profile(w, m)
+	profile, dur, err := nvbitfi.Runner{}.Profile(w, m)
 	if err != nil {
 		return err
 	}
@@ -231,8 +228,6 @@ func cmdInject(args []string) error {
 	paramsPath := fs.String("params", "", "parameter file from 'nvbitfi select'")
 	model := fs.String("model", "", "fault model (default transient; see 'nvbitfi models')")
 	modelParam := fs.String("model-param", "", "fault-model parameter string, e.g. value=0,bit=17")
-	xlate := fs.Bool("xlate", true, "run launches on the block-level translation engine")
-	noXlate := fs.Bool("no-xlate", false, "force the legacy interpreter (same as -xlate=false)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -256,7 +251,7 @@ func cmdInject(args []string) error {
 	if err := m.ValidateParam(*modelParam); err != nil {
 		return err
 	}
-	r := nvbitfi.Runner{NoXlate: *noXlate || !*xlate}
+	r := nvbitfi.Runner{}
 	golden, err := r.Golden(w)
 	if err != nil {
 		return err
@@ -332,31 +327,76 @@ func cmdPFInject(args []string) error {
 	return nil
 }
 
+// campaignFlags are the campaign-config flags `campaign` and `submit` share.
+// Each is defined once, so the same flags describe the same campaign in
+// process and on a coordinator.
+type campaignFlags struct {
+	program, group, model, modelParam *string
+	n, bitflip, shardSize, maxN       *int
+	seed                              *int64
+	prune, classes, ckpt, noEarlyExit *bool
+	targetCI, confidence              *float64
+	ckptStride                        *uint64
+}
+
+func bindCampaignFlags(fs *flag.FlagSet) *campaignFlags {
+	return &campaignFlags{
+		program:     fs.String("program", "", "target program name ('all' runs every program; campaign only)"),
+		n:           fs.Int("n", 100, "number of transient injections"),
+		group:       fs.String("group", "", "instruction group (default: the fault model's group, G_GPPR for transient)"),
+		bitflip:     fs.Int("bitflip", 1, "bit-flip model 1..4"),
+		seed:        fs.Int64("seed", 1, "campaign seed"),
+		shardSize:   fs.Int("shard-size", 0, "experiments per selection shard (0 = default; part of the campaign's identity)"),
+		model:       fs.String("model", "", "fault model (default transient; see 'nvbitfi models')"),
+		modelParam:  fs.String("model-param", "", "fault-model parameter string, e.g. value=0,bit=17"),
+		prune:       fs.Bool("prune", false, "statically prune transient injections with provably dead destinations (tallied as Masked without running)"),
+		classes:     fs.Bool("classes", false, "class-representative sampling: run one experiment per fault-equivalence class per shard; members inherit the representative's classification"),
+		targetCI:    fs.Float64("target-ci", 0, "adaptive sampling: stop at the first shard boundary where the stratified SDC-share interval half-width is at most this (0 = fixed-count campaign)"),
+		confidence:  fs.Float64("confidence", 0.95, "confidence level for -target-ci"),
+		maxN:        fs.Int("max-n", 0, "with -target-ci, the selection budget cap (0 = -n)"),
+		ckpt:        fs.Bool("ckpt", false, "checkpoint-and-fork: record the golden trajectory once and start each experiment from the snapshot nearest its injection point"),
+		ckptStride:  fs.Uint64("ckpt-stride", 0, "checkpoint stride in warp instructions (0 = derive from the golden run length)"),
+		noEarlyExit: fs.Bool("no-early-exit", false, "with -ckpt, disable early-exit classification at checkpoint boundaries"),
+	}
+}
+
+// config builds the campaign config the flags describe. An unset group stays
+// zero, so the config defaults it to the fault model's own group; the
+// default model and the adaptive knobs are left out unless requested, so
+// such configs encode byte-identically to prior releases.
+func (f *campaignFlags) config() (nvbitfi.TransientCampaignConfig, error) {
+	cfg := nvbitfi.TransientCampaignConfig{
+		Injections: *f.n, BitFlip: nvbitfi.BitFlipModel(*f.bitflip), Seed: *f.seed,
+		ShardSize: *f.shardSize, Prune: *f.prune, Classes: *f.classes,
+		Checkpoint: *f.ckpt, CkptStride: *f.ckptStride, NoEarlyExit: *f.noEarlyExit,
+		ModelParam: *f.modelParam,
+	}
+	if *f.group != "" {
+		g, err := sass.ParseGroup(*f.group)
+		if err != nil {
+			return cfg, err
+		}
+		cfg.Group = g
+	}
+	if *f.model != "transient" {
+		cfg.Model = *f.model
+	}
+	if *f.targetCI > 0 {
+		cfg.TargetCI = *f.targetCI
+		cfg.Confidence = *f.confidence
+		cfg.MaxInjections = *f.maxN
+	}
+	return cfg, nil
+}
+
 func cmdCampaign(args []string) error {
 	fs := flag.NewFlagSet("campaign", flag.ExitOnError)
-	program := fs.String("program", "", "target program name (or 'all')")
-	n := fs.Int("n", 100, "number of transient injections")
+	cf := bindCampaignFlags(fs)
 	mode := fs.String("mode", "exact", "profiling mode: exact or approx")
-	group := fs.String("group", "", "instruction group (default: the fault model's group, G_GPPR for transient)")
-	bitflip := fs.Int("bitflip", 1, "bit-flip model 1..4")
-	seed := fs.Int64("seed", 1, "campaign seed")
-	shardSize := fs.Int("shard-size", 0, "experiments per selection shard (0 = default; part of the campaign's identity, matches 'submit -shard-size')")
-	model := fs.String("model", "", "fault model (default transient; see 'nvbitfi models')")
-	modelParam := fs.String("model-param", "", "fault-model parameter string, e.g. value=0,bit=17")
 	permanent := fs.Bool("permanent", false, "run a permanent campaign instead")
 	parallel := fs.Int("parallel", 0, "concurrent injection experiments (0 = one per CPU)")
 	workers := fs.Int("workers", 0, "per-device block-parallel workers for uninstrumented launches (0 or 1 = sequential)")
 	timing := fs.Bool("timing", false, "timing-fidelity mode: run experiments sequentially so durations are meaningful")
-	prune := fs.Bool("prune", false, "statically prune transient injections with provably dead destinations (tallied as Masked without running)")
-	classes := fs.Bool("classes", false, "class-representative sampling: run one experiment per fault-equivalence class per shard; members inherit the representative's classification")
-	targetCI := fs.Float64("target-ci", 0, "adaptive sampling: stop at the first shard boundary where the stratified SDC-share interval half-width is at most this (0 = fixed-count campaign)")
-	confidence := fs.Float64("confidence", 0.95, "confidence level for -target-ci")
-	maxN := fs.Int("max-n", 0, "with -target-ci, the selection budget cap (0 = -n)")
-	ckpt := fs.Bool("ckpt", false, "checkpoint-and-fork: record the golden trajectory once and start each experiment from the snapshot nearest its injection point")
-	ckptStride := fs.Uint64("ckpt-stride", 0, "checkpoint stride in warp instructions (0 = derive from the golden run length)")
-	noEarlyExit := fs.Bool("no-early-exit", false, "with -ckpt, disable early-exit classification at checkpoint boundaries")
-	xlate := fs.Bool("xlate", true, "run launches on the block-level translation engine")
-	noXlate := fs.Bool("no-xlate", false, "force the legacy interpreter (same as -xlate=false)")
 	verify := fs.Bool("verify", false, "verify modules at load and reject programs with static errors")
 	csvPath := fs.String("csv", "", "write the outcome distribution as CSV to this file")
 	runlogPath := fs.String("runlog", "", "write one line per injection run to this file")
@@ -368,44 +408,40 @@ func cmdCampaign(args []string) error {
 	if err != nil {
 		return err
 	}
-	// An unset group stays zero so the config layer can default it to the
-	// fault model's own group (G_GPPR for the transient default).
-	var g sass.Group
-	if *group != "" {
-		if g, err = sass.ParseGroup(*group); err != nil {
-			return err
-		}
+	cfg, err := cf.config()
+	if err != nil {
+		return err
 	}
+	cfg.Parallel, cfg.TimingFidelity = *parallel, *timing
 	var programs []nvbitfi.Workload
-	if *program == "all" {
+	if *cf.program == "all" {
 		programs = nvbitfi.SpecACCEL()
 	} else {
-		w, err := lookupProgram(*program)
+		w, err := lookupProgram(*cf.program)
 		if err != nil {
 			return err
 		}
 		programs = []nvbitfi.Workload{w}
 	}
-	if *prune && *permanent {
-		return fmt.Errorf("campaign: -prune applies to transient campaigns only")
+	if *permanent {
+		for _, f := range []struct {
+			set  bool
+			name string
+		}{
+			{cfg.Prune, "-prune"}, {cfg.Classes, "-classes"}, {cfg.Checkpoint, "-ckpt"},
+			{cfg.CkptStride != 0, "-ckpt-stride"}, {cfg.NoEarlyExit, "-no-early-exit"}, {cfg.TargetCI > 0, "-target-ci"},
+		} {
+			if f.set {
+				return fmt.Errorf("campaign: %s applies to transient campaigns only", f.name)
+			}
+		}
+		if *cf.model != "" {
+			return fmt.Errorf("campaign: -model selects a fault model for transient-style campaigns; use the 'stuck' model instead of -permanent, or drop -model")
+		}
+	} else if err := cfg.Validate(); err != nil {
+		return err
 	}
-	if *classes && *permanent {
-		return fmt.Errorf("campaign: -classes applies to transient campaigns only")
-	}
-	if *ckpt && *permanent {
-		return fmt.Errorf("campaign: -ckpt applies to transient campaigns only")
-	}
-	if *targetCI > 0 && *permanent {
-		return fmt.Errorf("campaign: -target-ci applies to transient campaigns only")
-	}
-	if *model != "" && *permanent {
-		return fmt.Errorf("campaign: -model selects a fault model for transient-style campaigns; use the 'stuck' model instead of -permanent, or drop -model")
-	}
-	if (*ckptStride != 0 || *noEarlyExit) && !*ckpt {
-		return fmt.Errorf("campaign: -ckpt-stride and -no-early-exit require -ckpt")
-	}
-	interp := *noXlate || !*xlate
-	r := nvbitfi.Runner{Workers: *workers, VerifyModules: *verify, NoXlate: interp}
+	r := nvbitfi.Runner{Workers: *workers, VerifyModules: *verify}
 	var results []*nvbitfi.CampaignResult
 	for _, w := range programs {
 		golden, err := r.Golden(w)
@@ -423,22 +459,8 @@ func cmdCampaign(args []string) error {
 				p = 1
 			}
 			res, err = nvbitfi.RunPermanentCampaign(context.Background(), r, w, golden, profile,
-				nvbitfi.BitFlipModel(*bitflip), *seed, p)
+				cfg.BitFlip, cfg.Seed, p)
 		} else {
-			cfg := nvbitfi.TransientCampaignConfig{
-				Injections: *n, Group: g, BitFlip: nvbitfi.BitFlipModel(*bitflip), Seed: *seed,
-				ShardSize: *shardSize,
-				Parallel:  *parallel, TimingFidelity: *timing, Prune: *prune, Classes: *classes,
-				Checkpoint: *ckpt, CkptStride: *ckptStride, NoEarlyExit: *noEarlyExit,
-				NoXlate: interp, Model: *model, ModelParam: *modelParam,
-			}
-			// Set the adaptive knobs only when requested so a fixed-count
-			// config encodes byte-identically to prior releases.
-			if *targetCI > 0 {
-				cfg.TargetCI = *targetCI
-				cfg.Confidence = *confidence
-				cfg.MaxInjections = *maxN
-			}
 			res, err = nvbitfi.RunTransientCampaign(context.Background(), r, w, golden, profile, cfg)
 		}
 		if err != nil {

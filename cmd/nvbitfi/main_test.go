@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"math/rand"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -16,6 +18,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/report"
 	"repro/internal/sass"
+	"repro/internal/serve"
 )
 
 const cliProgram = "314.omriq"
@@ -172,6 +175,20 @@ func TestCampaignMatchesLibrary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := summary(t, printed)
+	tg, _ := json.Marshal(got.Tally)
+	tw, _ := json.Marshal(want.Tally)
+	if !bytes.Equal(tg, tw) {
+		t.Fatalf("campaign tally %s, RunTransientCampaign %s", tg, tw)
+	}
+	if got.Program != want.Program {
+		t.Fatalf("campaign summary %+v, RunTransientCampaign program %s", got, want.Program)
+	}
+}
+
+// summary returns the JSON summary line a command printed.
+func summary(t *testing.T, printed string) report.SummaryJSON {
+	t.Helper()
 	var got report.SummaryJSON
 	for _, line := range strings.Split(printed, "\n") {
 		if strings.HasPrefix(line, `{"schema"`) {
@@ -181,15 +198,78 @@ func TestCampaignMatchesLibrary(t *testing.T) {
 		}
 	}
 	if got.Tally == nil {
-		t.Fatalf("campaign -json printed no summary:\n%s", printed)
+		t.Fatalf("printed no JSON summary:\n%s", printed)
 	}
-	tg, _ := json.Marshal(got.Tally)
-	tw, _ := json.Marshal(want.Tally)
-	if !bytes.Equal(tg, tw) {
-		t.Fatalf("campaign tally %s, RunTransientCampaign %s", tg, tw)
+	return got
+}
+
+// TestSubmitMatchesCampaign: `submit` and `campaign` bind their shared config
+// flags once, so the same flags build the same config — for -model predflip
+// that means its own group G_PR, not G_GPPR — and a coordinator's tally is the
+// in-process one.
+func TestSubmitMatchesCampaign(t *testing.T) {
+	args := []string{"-program", cliProgram, "-n", "12", "-seed", "5", "-shard-size", "4", "-model", "predflip"}
+	fs := flag.NewFlagSet("campaign", flag.ContinueOnError)
+	cf := bindCampaignFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
 	}
-	if got.Program != want.Program || got.Translated != want.Translated {
-		t.Fatalf("campaign summary %+v, RunTransientCampaign program %s translated %v",
-			got, want.Program, want.Translated)
+	want, err := cf.config()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	coord, err := serve.NewCoordinator(serve.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	srv := httptest.NewServer(serve.NewServer(coord))
+	defer srv.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	pool := serve.Pool(ctx, coord, nvbitfi.Runner{}, 2, t.Logf)
+	defer func() {
+		cancel()
+		pool.Wait()
+	}()
+
+	submitted, _ := json.Marshal(summary(t, stdout(t, cmdSubmit, append([]string{"-coordinator", srv.URL, "-json"}, args...)...)).Tally)
+	local, _ := json.Marshal(summary(t, stdout(t, cmdCampaign, append([]string{"-json"}, args...)...)).Tally)
+	if !bytes.Equal(submitted, local) {
+		t.Fatalf("submit tally %s, campaign tally %s", submitted, local)
+	}
+	jobs := coord.Jobs()
+	if len(jobs) != 1 {
+		t.Fatalf("coordinator holds %d jobs, want 1", len(jobs))
+	}
+	if jobs[0].Config != want {
+		t.Fatalf("submit built %+v, campaign builds %+v", jobs[0].Config, want)
+	}
+}
+
+// TestCampaignFlagGuardRails: the CLI refuses what the campaign config
+// refuses, through the config's own rules, before any run; -permanent refuses
+// every transient-only flag.
+func TestCampaignFlagGuardRails(t *testing.T) {
+	for _, tc := range []struct {
+		cmd  func([]string) error
+		args []string
+		want string
+	}{
+		{cmdCampaign, []string{"-ckpt-stride", "64"}, "require -ckpt"},
+		{cmdCampaign, []string{"-no-early-exit"}, "require -ckpt"},
+		{cmdCampaign, []string{"-n", "-3"}, "negative injection count"},
+		{cmdCampaign, []string{"-target-ci", "0.1", "-confidence", "2"}, "confidence"},
+		{cmdCampaign, []string{"-permanent", "-ckpt-stride", "64"}, "-ckpt-stride applies to transient campaigns only"},
+		{cmdCampaign, []string{"-permanent", "-no-early-exit"}, "-no-early-exit applies to transient campaigns only"},
+		{cmdCampaign, []string{"-permanent", "-ckpt"}, "-ckpt applies to transient campaigns only"},
+		// No coordinator listens on port 1: submit must refuse before dialing.
+		{cmdSubmit, []string{"-coordinator", "http://127.0.0.1:1", "-ckpt-stride", "64"}, "require -ckpt"},
+		{cmdSubmit, []string{"-coordinator", "http://127.0.0.1:1", "-target-ci", "0.1", "-confidence", "-1"}, "confidence"},
+	} {
+		err := tc.cmd(append([]string{"-program", cliProgram}, tc.args...))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: %v, want an error mentioning %q", tc.args, err, tc.want)
+		}
 	}
 }

@@ -13,10 +13,8 @@ import (
 	"syscall"
 	"time"
 
-	"repro"
 	"repro/internal/campaign"
 	"repro/internal/report"
-	"repro/internal/sass"
 	"repro/internal/serve"
 )
 
@@ -107,64 +105,36 @@ func cmdWorker(args []string) error {
 	return err
 }
 
+// spec builds the job spec the flags describe: the campaign config on the
+// lowest schema that carries it. Adaptive jobs speak v2 and non-default
+// fault models v3 (which also carries the adaptive fields); everything else
+// stays byte-for-byte on v1, so older coordinators keep accepting it.
+func (f *campaignFlags) spec() (serve.CampaignSpec, error) {
+	cfg, err := f.config()
+	spec := serve.CampaignSpec{Schema: serve.JobSchema, Workload: *f.program, Config: cfg}
+	switch {
+	case cfg.Model != "":
+		spec.Schema = serve.JobSchemaV3
+	case cfg.TargetCI > 0:
+		spec.Schema = serve.JobSchemaV2
+	}
+	return spec, err
+}
+
 // cmdSubmit submits a campaign to a coordinator and follows its progress.
 func cmdSubmit(args []string) error {
 	fs := flag.NewFlagSet("submit", flag.ExitOnError)
 	coordinator := fs.String("coordinator", "http://127.0.0.1:8077", "coordinator base URL")
-	program := fs.String("program", "", "target program name")
-	n := fs.Int("n", 100, "number of transient injections")
-	group := fs.String("group", "G_GPPR", "instruction group")
-	bitflip := fs.Int("bitflip", 1, "bit-flip model 1..4")
-	seed := fs.Int64("seed", 1, "campaign seed")
-	shardSize := fs.Int("shard-size", 0, "experiments per shard (0 = default; part of the campaign's identity)")
-	prune := fs.Bool("prune", false, "statically prune provably-dead injections")
-	classes := fs.Bool("classes", false, "class-representative sampling: one experiment per fault-equivalence class per shard")
-	targetCI := fs.Float64("target-ci", 0, "adaptive sampling: stop once the stratified SDC-share interval half-width is at most this (0 = fixed-count job)")
-	confidence := fs.Float64("confidence", 0.95, "confidence level for -target-ci")
-	maxN := fs.Int("max-n", 0, "with -target-ci, the selection budget cap (0 = -n)")
-	ckpt := fs.Bool("ckpt", false, "checkpoint-and-fork experiment engine")
-	ckptStride := fs.Uint64("ckpt-stride", 0, "checkpoint stride in warp instructions")
-	noEarlyExit := fs.Bool("no-early-exit", false, "with -ckpt, disable early-exit classification")
-	xlate := fs.Bool("xlate", true, "run experiments on the block-level translation engine")
-	noXlate := fs.Bool("no-xlate", false, "force the legacy interpreter (same as -xlate=false)")
-	model := fs.String("model", "", "fault model (see 'nvbitfi models'; default transient)")
-	modelParam := fs.String("model-param", "", "fault-model parameter string (key=value,...)")
+	cf := bindCampaignFlags(fs)
 	noWait := fs.Bool("no-wait", false, "submit and print the job id without following progress")
 	jsonOut := fs.Bool("json", false, "print the final tally as stable JSON")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	g, err := sass.ParseGroup(*group)
+	spec, err := cf.spec()
 	if err != nil {
 		return err
 	}
-	spec := serve.CampaignSpec{
-		Schema:   serve.JobSchema,
-		Workload: *program,
-		Config: nvbitfi.TransientCampaignConfig{
-			Injections: *n, Group: g, BitFlip: nvbitfi.BitFlipModel(*bitflip), Seed: *seed,
-			ShardSize: *shardSize, Prune: *prune, Classes: *classes,
-			Checkpoint: *ckpt, CkptStride: *ckptStride, NoEarlyExit: *noEarlyExit,
-			NoXlate: *noXlate || !*xlate,
-		},
-	}
-	// Adaptive jobs speak the v2 schema; fixed-count specs stay byte-for-byte
-	// on v1 so older coordinators keep accepting them.
-	if *targetCI > 0 {
-		spec.Schema = serve.JobSchemaV2
-		spec.Config.TargetCI = *targetCI
-		spec.Config.Confidence = *confidence
-		spec.Config.MaxInjections = *maxN
-	}
-	// Non-default fault models speak the v3 schema (which also carries the
-	// adaptive fields, so it wins over v2 when both apply). The default
-	// transient model keeps the spec on v1/v2 untouched, and refuses a
-	// parameter like any model that takes none.
-	if *model != "" && *model != "transient" {
-		spec.Schema = serve.JobSchemaV3
-		spec.Config.Model = *model
-	}
-	spec.Config.ModelParam = *modelParam
 	if err := spec.Validate(); err != nil {
 		return err
 	}
@@ -207,8 +177,7 @@ func cmdSubmit(args []string) error {
 	}
 	res := &campaign.CampaignResult{
 		Program: final.Workload, Tally: final.Tally,
-		Translated: !final.Config.NoXlate,
-		Model:      final.Config.Model, ModelParam: final.Config.ModelParam,
+		Model: final.Config.Model, ModelParam: final.Config.ModelParam,
 	}
 	// An adaptive job's status carries everything the statistical report
 	// block needs; reconstruct the result the in-process runner would

@@ -85,7 +85,7 @@ func TestLegacyPathCampaignEquivalence(t *testing.T) {
 		name string
 		r    campaign.Runner
 	}{
-		{"armed (DisableDisarm)", campaign.Runner{DisableDisarm: true}},
+		{"armed (DisableDisarm)", campaign.WithDevice(base, func(d *gpu.Device) { d.DisableDisarm = true })},
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {

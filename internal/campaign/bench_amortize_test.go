@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/core"
+	"repro/internal/gpu"
 	"repro/internal/sass"
 	"repro/internal/specaccel"
 )
@@ -40,7 +41,10 @@ func BenchmarkTransientExperimentInterpreted(b *testing.B) { benchTransientExper
 
 func benchTransientExperiment(b *testing.B, noXlate bool) {
 	w := benchWorkload(b)
-	r := campaign.Runner{NoXlate: noXlate}
+	r := campaign.Runner{}
+	if noXlate {
+		r = campaign.WithDevice(r, func(d *gpu.Device) { d.NoXlate = true })
+	}
 	golden, err := r.Golden(w)
 	if err != nil {
 		b.Fatal(err)

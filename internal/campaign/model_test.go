@@ -154,7 +154,10 @@ func TestModelSeedIsModelScoped(t *testing.T) {
 
 // TestModelGuardRails: campaign accelerations whose soundness argument rests
 // on destination-flip semantics must be refused — client-side, at plan
-// construction — for models that do not declare the capability.
+// construction — for models that do not declare the capability. So must
+// negative counts, a confidence the stopping rule cannot evaluate, and
+// checkpoint knobs without checkpointing; Validate, which a campaign service
+// applies at submission, refuses every one of them too.
 func TestModelGuardRails(t *testing.T) {
 	r, w, golden, profile := campaignFixture(t)
 	cases := []struct {
@@ -165,9 +168,18 @@ func TestModelGuardRails(t *testing.T) {
 		{"prune", campaign.TransientCampaignConfig{Injections: 10, Model: "stuck", Prune: true}, "-prune"},
 		{"classes", campaign.TransientCampaignConfig{Injections: 10, Model: "opsub", Classes: true}, "-classes"},
 		{"checkpoint", campaign.TransientCampaignConfig{Injections: 10, Model: "memfault", Checkpoint: true}, "-checkpoint"},
+		{"negative-n", campaign.TransientCampaignConfig{Injections: -5}, "negative injection count"},
+		{"negative-max-n", campaign.TransientCampaignConfig{Injections: 10, TargetCI: 0.1, MaxInjections: -1}, "negative injection count"},
+		{"confidence-high", campaign.TransientCampaignConfig{Injections: 10, TargetCI: 0.1, Confidence: 1.5}, "confidence"},
+		{"confidence-negative", campaign.TransientCampaignConfig{Injections: 10, TargetCI: 0.1, Confidence: -0.5}, "confidence"},
+		{"ckpt-stride-alone", campaign.TransientCampaignConfig{Injections: 10, CkptStride: 64}, "-ckpt"},
+		{"no-early-exit-alone", campaign.TransientCampaignConfig{Injections: 10, NoEarlyExit: true}, "-ckpt"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.cfg.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Validate = %v, want refusal mentioning %s", err, tc.want)
+			}
 			_, err := campaign.NewShardPlan(r, w, golden, profile, tc.cfg)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("NewShardPlan = %v, want refusal mentioning %s", err, tc.want)

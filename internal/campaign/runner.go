@@ -46,27 +46,15 @@ type Runner struct {
 	// non-terminating workload then traps with TrapInstrLimit instead of
 	// hanging the campaign.
 	GoldenBudget uint64
-	// DisableDisarm is plumbed to gpu.Device.DisableDisarm on every device
-	// this runner builds: full callback dispatch to the end of every launch,
-	// observably identical to the default. It exists for the differential
-	// test that proves it.
-	DisableDisarm bool
 	// VerifyModules makes every context this runner builds verify modules
 	// at load time (cuda.VerifyEnforce): a module whose static verification
 	// produces errors fails to load, so a broken workload is rejected
 	// before any experiment wastes a run on it.
 	VerifyModules bool
-	// NoXlate is plumbed to gpu.Device.NoXlate on every device this runner
-	// builds, forcing launches through the legacy interpreter instead of the
-	// block-level translation engine. The two paths are observably identical
-	// (the differential tests prove it); this is the escape hatch.
-	NoXlate bool
-	// LegacySched is plumbed to gpu.Device.LegacySched on every device this
-	// runner builds, pinning warps to the legacy per-issue min-PC scan
-	// instead of the warp-split scheduler. Like NoXlate it changes nothing
-	// observable — it exists as the oracle side of the scheduler
-	// differential tests.
-	LegacySched bool
+	// device, when set, adjusts every device this runner builds before its
+	// context exists. Only the differential suites set it (WithDevice in
+	// export_test.go), to run a campaign on one of gpu.Device's oracles.
+	device func(*gpu.Device)
 }
 
 // DefaultGoldenBudget is the Runner.GoldenBudget default: large enough
@@ -116,9 +104,9 @@ func (r Runner) newContext() (*cuda.Context, error) {
 		return nil, err
 	}
 	dev.Workers = r.Workers
-	dev.DisableDisarm = r.DisableDisarm
-	dev.NoXlate = r.NoXlate
-	dev.LegacySched = r.LegacySched
+	if r.device != nil {
+		r.device(dev)
+	}
 	ctx, err := cuda.NewContext(dev)
 	if err != nil {
 		return nil, err
@@ -489,12 +477,6 @@ type TransientCampaignConfig struct {
 	// NoEarlyExit keeps checkpointed restores but disables early-exit
 	// classification, forcing every experiment to run to completion.
 	NoEarlyExit bool
-	// NoXlate forces every experiment (and the recorded golden trajectory)
-	// through the legacy interpreter instead of the block-level translation
-	// engine. Outcomes are identical either way — the differential tests
-	// hold translated and interpreted campaigns byte-equal — so this is an
-	// escape hatch and a debugging aid, not a semantic knob.
-	NoXlate bool
 	// TargetCI enables adaptive statistical sampling: the campaign stops at
 	// the first shard boundary where the stratified Wilson interval on the
 	// SDC share has half-width at most TargetCI at the Confidence level,
@@ -587,7 +569,9 @@ func (c TransientCampaignConfig) withDefaults() TransientCampaignConfig {
 // exist and accept ModelParam, every acceleration the config turns on must
 // be one the model declares sound (they reason statically about transient
 // destination-flip semantics, so an unsound combination is refused rather
-// than silently miscounted), and a target CI must lie in (0,1).
+// than silently miscounted), the counts must not be negative, a target CI
+// and its confidence must lie in (0,1), and the checkpoint knobs need
+// Checkpoint. It holds before and after withDefaults alike.
 func (c TransientCampaignConfig) model() (faultmodel.Model, error) {
 	m, err := faultmodel.Lookup(c.Model)
 	if err != nil {
@@ -606,8 +590,19 @@ func (c TransientCampaignConfig) model() (faultmodel.Model, error) {
 	if c.Checkpoint && !caps.Has(faultmodel.CapCheckpoint) {
 		return nil, fmt.Errorf("campaign: fault model %q does not support checkpointing (-checkpoint: snapshot restore assumes a single-shot fault after a fault-free prefix)", m.Name())
 	}
+	if c.Injections < 0 || c.MaxInjections < 0 {
+		return nil, fmt.Errorf("campaign: negative injection count (%d, max %d)", c.Injections, c.MaxInjections)
+	}
 	if c.TargetCI < 0 || c.TargetCI >= 1 {
 		return nil, fmt.Errorf("campaign: target CI %v outside (0,1)", c.TargetCI)
+	}
+	// Zero is the default confidence; anything else the stopping rule cannot
+	// evaluate would never converge and silently run the whole budget.
+	if !(c.Confidence >= 0 && c.Confidence < 1) {
+		return nil, fmt.Errorf("campaign: confidence %v outside (0,1)", c.Confidence)
+	}
+	if (c.CkptStride != 0 || c.NoEarlyExit) && !c.Checkpoint {
+		return nil, fmt.Errorf("campaign: a checkpoint stride or no-early-exit needs checkpointing (-ckpt-stride and -no-early-exit require -ckpt)")
 	}
 	return m, nil
 }
@@ -646,9 +641,6 @@ type CampaignResult struct {
 	GoldenTime    time.Duration
 	TotalRunTime  time.Duration // sum of experiment durations
 	MedianRunTime time.Duration
-	// Translated reports whether experiments ran on the block-level
-	// translation engine (true) or the legacy interpreter (NoXlate).
-	Translated bool
 	// Adaptive describes the stopping decision of an adaptive campaign
 	// (TargetCI > 0); nil otherwise.
 	Adaptive *AdaptiveResult
@@ -729,13 +721,13 @@ func RunPermanentCampaign(ctx context.Context, r Runner, w Workload, golden *Gol
 			weighted.Add(results[i].Class.Outcome.String(), float64(totals[opset[faults[i].OpcodeID]]))
 		}
 	}
-	return summarize(r, w.Name(), golden, results, errs, weighted)
+	return summarize(w.Name(), golden, results, errs, weighted)
 }
 
 // summarize folds the runs that completed (errs[i] == nil) into a campaign
 // result and returns it with the other runs' errors joined: a campaign with
 // failed or cancelled experiments degrades to its partial result.
-func summarize(r Runner, name string, golden *GoldenResult, results []RunResult, errs []error,
+func summarize(name string, golden *GoldenResult, results []RunResult, errs []error,
 	weighted *stats.WeightedTally) (*CampaignResult, error) {
 	err := errors.Join(errs...)
 	if err != nil {
@@ -765,7 +757,6 @@ func summarize(r Runner, name string, golden *GoldenResult, results []RunResult,
 		GoldenTime:    golden.Duration,
 		TotalRunTime:  total,
 		MedianRunTime: median(durs),
-		Translated:    !r.NoXlate,
 	}, err
 }
 

@@ -134,12 +134,6 @@ func NewShardPlan(r Runner, w Workload, golden *GoldenResult, profile *core.Prof
 	if err != nil {
 		return nil, err
 	}
-	if cfg.NoXlate {
-		// The config travels with the job (a service worker reconstructs its
-		// runner from it), so the engine choice must ride here, not only on
-		// the runner the submitting process happened to build.
-		r.NoXlate = true
-	}
 	plan := &ShardPlan{runner: r, w: w, golden: golden, profile: profile, cfg: cfg, model: m}
 	if cfg.Model != "" {
 		if golden.Kernels == nil {
@@ -229,7 +223,7 @@ func (pl *ShardPlan) runOne(ctx context.Context, p core.TransientParams) (*RunRe
 
 // summarize is summarize over the plan's campaign, echoing its fault model.
 func (pl *ShardPlan) summarize(results []RunResult, errs []error) (*CampaignResult, error) {
-	res, err := summarize(pl.runner, pl.w.Name(), pl.golden, results, errs, nil)
+	res, err := summarize(pl.w.Name(), pl.golden, results, errs, nil)
 	res.Model, res.ModelParam = pl.cfg.Model, pl.cfg.ModelParam
 	return res, err
 }

@@ -3,21 +3,22 @@ package campaign_test
 import (
 	"context"
 	"reflect"
-	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/campaign"
 	"repro/internal/core"
-	"repro/internal/report"
+	"repro/internal/gpu"
 )
 
 // runEngines runs the same campaign config on the translation engine and on
-// the legacy interpreter (same seed, same golden, same profile) and returns
-// the two results for comparison.
-func runEngines(t *testing.T, cfg campaign.TransientCampaignConfig) (xlated, interp *campaign.CampaignResult) {
+// the legacy interpreter (same seed, same golden, same profile), holds the
+// two experiment for experiment identical and returns the translated one. r
+// picks the rest of the device; the interpreted side is r with the NoXlate
+// oracle on top.
+func runEngines(t *testing.T, r campaign.Runner, cfg campaign.TransientCampaignConfig) *campaign.CampaignResult {
 	t.Helper()
 	w := deadWorkload{}
-	r := campaign.Runner{}
 	golden, err := r.Golden(w)
 	if err != nil {
 		t.Fatal(err)
@@ -29,37 +30,29 @@ func runEngines(t *testing.T, cfg campaign.TransientCampaignConfig) (xlated, int
 	return runEnginesWith(t, r, w, golden, profile, cfg)
 }
 
-// runEnginesWith runs cfg twice — translated and interpreted — against the
-// same golden reference and profile.
+// runEnginesWith is runEngines against a given golden reference and profile.
 func runEnginesWith(t *testing.T, r campaign.Runner, w campaign.Workload, golden *campaign.GoldenResult,
-	profile *core.Profile, cfg campaign.TransientCampaignConfig) (xlated, interp *campaign.CampaignResult) {
+	profile *core.Profile, cfg campaign.TransientCampaignConfig) *campaign.CampaignResult {
 	t.Helper()
 	xlated, err := campaign.RunTransientCampaign(context.Background(), r, w, golden, profile, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	off := cfg
-	off.NoXlate = true
-	interp, err = campaign.RunTransientCampaign(context.Background(), r, w, golden, profile, off)
+	var built atomic.Int32
+	off := campaign.WithDevice(r, func(d *gpu.Device) { d.NoXlate = true; built.Add(1) })
+	interp, err := campaign.RunTransientCampaign(context.Background(), off, w, golden, profile, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return xlated, interp
+	if built.Load() == 0 {
+		t.Fatal("the interpreted campaign built no device through its hook")
+	}
+	expectIdenticalRuns(t, "engines", xlated, interp, "translated", "interpreted")
+	return xlated
 }
 
-// expectIdenticalCampaigns asserts two campaigns are experiment-for-
-// experiment identical: classification, injection record, and stats of every
-// run, plus the aggregate tally.
-func expectIdenticalCampaigns(t *testing.T, label string, xlated, interp *campaign.CampaignResult) {
-	t.Helper()
-	expectIdenticalRuns(t, label, xlated, interp, "translated", "interpreted")
-	if !xlated.Translated {
-		t.Errorf("%s: translated campaign not marked Translated", label)
-	}
-	if interp.Translated {
-		t.Errorf("%s: interpreted campaign marked Translated", label)
-	}
-}
+// legacyScan runs a runner's devices on the legacy min-PC scan scheduler.
+func legacyScan(d *gpu.Device) { d.LegacySched = true }
 
 // expectIdenticalRuns is the engine-agnostic core of the campaign
 // differential: every run and the aggregate tally must match between two
@@ -94,24 +87,18 @@ func expectIdenticalRuns(t *testing.T, label string, xlated, interp *campaign.Ca
 // TestXlateCampaignDifferential is the engine soundness proof the design
 // demands: a 200-injection campaign on the translation engine must be
 // experiment-for-experiment identical — classifications, injection records,
-// per-run LaunchStats, tallies — to the interpreter with the same seed.
+// per-run LaunchStats, tallies — to the interpreter with the same seed, on
+// the warp-split scheduler and on the legacy min-PC scan.
 func TestXlateCampaignDifferential(t *testing.T) {
-	xlated, interp := runEngines(t, campaign.TransientCampaignConfig{Injections: 200, Seed: 77})
-	expectIdenticalCampaigns(t, "plain", xlated, interp)
-	if s := report.Summary(xlated); !strings.Contains(s, "[translated]") {
-		t.Errorf("summary does not mark the engine: %q", s)
-	}
-	if s := report.Summary(interp); !strings.Contains(s, "[interpreted]") {
-		t.Errorf("summary does not mark the interpreter: %q", s)
-	}
+	cfg := campaign.TransientCampaignConfig{Injections: 200, Seed: 77}
+	t.Run("split", func(t *testing.T) { runEngines(t, campaign.Runner{}, cfg) })
+	t.Run("scan", func(t *testing.T) { runEngines(t, campaign.WithDevice(campaign.Runner{}, legacyScan), cfg) })
 }
 
 // TestSchedulerCampaignDifferential is the campaign-level scheduler gate:
 // the same 200-injection campaign run on the warp-split scheduler and on
 // the legacy min-PC scan (both translated) must be experiment-for-
-// experiment identical. With the NVBITFI_LEGACY_SCHED environment variable
-// set, CI additionally runs the engine differentials above with the scan
-// as the oracle side, covering the interpreted x scheduler matrix.
+// experiment identical.
 func TestSchedulerCampaignDifferential(t *testing.T) {
 	w := deadWorkload{}
 	r := campaign.Runner{}
@@ -128,24 +115,18 @@ func TestSchedulerCampaignDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy := r
-	legacy.LegacySched = true
-	scan, err := campaign.RunTransientCampaign(context.Background(), legacy, w, golden, profile, cfg)
+	scan, err := campaign.RunTransientCampaign(context.Background(), campaign.WithDevice(r, legacyScan), w, golden, profile, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	expectIdenticalRuns(t, "scheduler", split, scan, "warp-split", "legacy-scan")
-	if !split.Translated || !scan.Translated {
-		t.Error("scheduler differential must compare two translated campaigns")
-	}
 }
 
 // TestXlateCampaignDifferentialPruned composes translation with static
 // pruning: prune decisions and every executed experiment must match across
 // engines.
 func TestXlateCampaignDifferentialPruned(t *testing.T) {
-	xlated, interp := runEngines(t, campaign.TransientCampaignConfig{Injections: 100, Seed: 78, Prune: true})
-	expectIdenticalCampaigns(t, "pruned", xlated, interp)
+	xlated := runEngines(t, campaign.Runner{}, campaign.TransientCampaignConfig{Injections: 100, Seed: 78, Prune: true})
 	if xlated.Tally.Pruned == 0 {
 		t.Error("pruned campaign over the dead-write kernel pruned nothing")
 	}
@@ -156,9 +137,8 @@ func TestXlateCampaignDifferentialPruned(t *testing.T) {
 // classifications must match across engines.
 func TestXlateCampaignDifferentialCheckpointed(t *testing.T) {
 	r, golden, profile := iterCampaignInputs(t)
-	xlated, interp := runEnginesWith(t, r, iterWorkload{}, golden, profile,
+	xlated := runEnginesWith(t, r, iterWorkload{}, golden, profile,
 		campaign.TransientCampaignConfig{Injections: 60, Seed: 79, Checkpoint: true})
-	expectIdenticalCampaigns(t, "checkpointed", xlated, interp)
 	if xlated.Tally.Restored == 0 {
 		t.Error("checkpointed campaign restored nothing")
 	}

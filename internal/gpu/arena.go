@@ -130,7 +130,7 @@ func (blk *blockCtx) adopt(d *Device, l *Launch, constBank []byte, plan *xplan) 
 	for len(blk.warps) < numWarps {
 		blk.warps = append(blk.warps, warpPool.Get().(*warp))
 	}
-	legacy := d.legacySched()
+	legacy := d.LegacySched
 	for id, w := range blk.warps {
 		w.shape(id, l.Block, legacy)
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
-	"os"
 	"sync"
 
 	"repro/internal/sass"
@@ -50,26 +49,22 @@ type Device struct {
 	// exactly one owner (see runParallel).
 	Workers int
 
+	// The oracle switches. Each selects the slower reference for one part of
+	// the engine, observably identical to the default (the differential
+	// suites prove it). Only those suites set them: the product runs the
+	// zero values, and no non-test code outside this package names them
+	// (lint_test.go at the repository root holds that). They stay exported
+	// because the campaign-level differentials build devices in their own
+	// package.
+	//
 	// DisableDisarm makes InstrCtx.Disarm a no-op, keeping full callback
-	// dispatch for the remainder of every launch. It exists for the
-	// differential tests that prove disarmed execution is observably
-	// identical to armed execution.
+	// dispatch for the remainder of every launch.
 	DisableDisarm bool
-
-	// NoXlate disables the block-level translation engine, forcing every
-	// launch through the legacy interpreter dispatch. The zero value keeps
-	// translation on: translated execution is bit-identical to interpreted
-	// execution (the differential tests prove it), just faster. The flag
-	// exists as the escape hatch and as the oracle side of those tests.
+	// NoXlate disables the block-level translation engine: every launch
+	// runs the per-step reference loop over the interpreter (runWarpRef).
 	NoXlate bool
-
-	// LegacySched pins every warp to the legacy per-issue min-PC scan
-	// instead of the warp-split scheduler. The zero value keeps the split
-	// scheduler on: issue order, LaunchStats, trap sites, and modeled
-	// clocks are bit-identical either way (the differential tests prove
-	// it), the scan is just O(lanes) per diverged issue. The flag exists as
-	// the escape hatch and as the oracle side of those tests; the
-	// NVBITFI_LEGACY_SCHED environment variable forces it process-wide.
+	// LegacySched pins every warp to the per-issue min-PC scan instead of
+	// the warp-split scheduler.
 	LegacySched bool
 
 	// Mem is global device memory.
@@ -117,15 +112,6 @@ type Device struct {
 // before launching; the field must not be changed while a launch is
 // executing.
 func (d *Device) SetCancel(ctx context.Context) { d.cancelCtx = ctx }
-
-// envLegacySched forces the legacy min-PC scan scheduler process-wide; CI
-// uses it to run the differential gates against the oracle scheduler
-// without a code change.
-var envLegacySched = os.Getenv("NVBITFI_LEGACY_SCHED") != ""
-
-// legacySched reports whether warps on this device use the legacy min-PC
-// scan scheduler.
-func (d *Device) legacySched() bool { return d.LegacySched || envLegacySched }
 
 // NewDevice creates a device of the given family with numSMs streaming
 // multiprocessors.

@@ -31,7 +31,7 @@ import (
 // never snapshotted as authority (splitsOK=false forces a rebuild from
 // pc[]) and never digested — and the legacy scan remains both the cold
 // fallback (after indirect control flow) and the oracle
-// (Device.LegacySched / NVBITFI_LEGACY_SCHED).
+// (Device.LegacySched).
 //
 // The SIMT state is register-major so that a warp instruction is a vector
 // operation: regs[r] is one contiguous 128-byte row holding architectural

@@ -399,7 +399,7 @@ func (d *Device) Restore(s *Snapshot) (*LaunchRun, error) {
 			// every snapshot boundary, so drop the cache and let this
 			// device's scheduler rebuild from them — which also makes
 			// snapshots portable across scheduler modes.
-			blk.warps[i].scanSched = d.legacySched()
+			blk.warps[i].scanSched = d.LegacySched
 			blk.warps[i].splitsOK = false
 		}
 		blk.resumeWarp = bs.resumeWarp

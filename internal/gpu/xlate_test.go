@@ -13,13 +13,14 @@ import (
 )
 
 // runWithEngine runs a launch like runWithWorkers, selecting the translation
-// engine or the legacy interpreter, and snapshots the observable state plus
-// the device digest.
-func runWithEngine(t *testing.T, src, name string, noXlate bool,
+// engine or the legacy interpreter and the warp-split scheduler or the
+// legacy min-PC scan, and snapshots the observable state plus the device
+// digest.
+func runWithEngine(t *testing.T, src, name string, noXlate, legacy bool,
 	setup func(t *testing.T, d *Device) (Launch, uint32, int)) (parRun, uint64) {
 	t.Helper()
 	d := newTestDevice(t)
-	d.NoXlate = noXlate
+	d.NoXlate, d.LegacySched = noXlate, legacy
 	k := mustKernel(t, src, name)
 	l, outp, outLen := setup(t, d)
 	l.Kernel = &ExecKernel{K: k}
@@ -39,7 +40,8 @@ func runWithEngine(t *testing.T, src, name string, noXlate bool,
 // interpreter across the workload classes the engine optimizes: divergent
 // control flow with clock reads, barrier-synchronized shared-memory
 // reduction, and concurrently faulting blocks. Outputs, stats, traps, device
-// log, and the full device digest must match.
+// log, and the full device digest must match, on the warp-split scheduler
+// and on the legacy min-PC scan alike.
 func TestXlateDifferential(t *testing.T) {
 	cases := []struct {
 		name, src, kernel string
@@ -90,15 +92,26 @@ func TestXlateDifferential(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ref, refDig := runWithEngine(t, tc.src, tc.kernel, true, tc.setup)
-			got, gotDig := runWithEngine(t, tc.src, tc.kernel, false, tc.setup)
-			expectSame(t, "translated", ref, got)
-			if refDig != gotDig {
-				t.Errorf("device digest: translated %#x, interpreted %#x", gotDig, refDig)
+			for _, sched := range schedulers {
+				t.Run(sched.name, func(t *testing.T) {
+					ref, refDig := runWithEngine(t, tc.src, tc.kernel, true, sched.legacy, tc.setup)
+					got, gotDig := runWithEngine(t, tc.src, tc.kernel, false, sched.legacy, tc.setup)
+					expectSame(t, "translated", ref, got)
+					if refDig != gotDig {
+						t.Errorf("device digest: translated %#x, interpreted %#x", gotDig, refDig)
+					}
+				})
 			}
 		})
 	}
 }
+
+// schedulers are the two warp schedulers every engine differential runs on:
+// the warp-split product scheduler and the legacy min-PC scan oracle.
+var schedulers = []struct {
+	name   string
+	legacy bool
+}{{"split", false}, {"scan", true}}
 
 // TestXlateRandomALU reruns the random straight-line differential programs
 // with translation explicitly off and on; both must match the independent
@@ -146,11 +159,12 @@ func TestXlateRandomALU(t *testing.T) {
 
 // TestXlateSnapshotDifferential pauses a barrier-heavy launch every few
 // warp instructions under both engines and requires the digest trajectory —
-// every intermediate architectural state, not just the final one — to match.
+// every intermediate architectural state, not just the final one — to match,
+// on either scheduler.
 func TestXlateSnapshotDifferential(t *testing.T) {
-	digests := func(noXlate bool) []uint64 {
+	digests := func(noXlate, legacy bool) []uint64 {
 		d := newTestDevice(t)
-		d.NoXlate = noXlate
+		d.NoXlate, d.LegacySched = noXlate, legacy
 		k := mustKernel(t, gridReduceSrc, "gridreduce")
 		const blocks, threads = 2, 256
 		in := make([]byte, 4*blocks*threads)
@@ -180,10 +194,13 @@ func TestXlateSnapshotDifferential(t *testing.T) {
 			}
 		}
 	}
-	ref := digests(true)
-	got := digests(false)
-	if !reflect.DeepEqual(ref, got) {
-		t.Fatalf("digest trajectories differ:\ninterpreted %d pauses\ntranslated  %d pauses", len(ref), len(got))
+	for _, sched := range schedulers {
+		ref := digests(true, sched.legacy)
+		got := digests(false, sched.legacy)
+		if !reflect.DeepEqual(ref, got) {
+			t.Errorf("%s scheduler: digest trajectories differ:\ninterpreted %d pauses\ntranslated  %d pauses",
+				sched.name, len(ref), len(got))
+		}
 	}
 }
 
@@ -242,7 +259,7 @@ func TestXlateDivergentConcurrentSharedPlans(t *testing.T) {
 			Params: []uint32{outp},
 		}, outp, 4 * blocks * threads
 	}
-	ref, _ := runWithEngine(t, divergentSrc, "div", false, setup)
+	ref, _ := runWithEngine(t, divergentSrc, "div", false, false, setup)
 	if ref.err != nil {
 		t.Fatal(ref.err)
 	}
@@ -378,7 +395,7 @@ func TestXlateConcurrentSharedPlans(t *testing.T) {
 			Params: []uint32{outp},
 		}, outp, 4 * n
 	}
-	ref, _ := runWithEngine(t, clockMixSrc, "clockmix", true, setup)
+	ref, _ := runWithEngine(t, clockMixSrc, "clockmix", true, false, setup)
 	var wg sync.WaitGroup
 	errs := make([]error, 8)
 	for g := 0; g < len(errs); g++ {

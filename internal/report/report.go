@@ -30,7 +30,6 @@ type SummaryJSON struct {
 	GoldenMillis  int64           `json:"golden_ms"`
 	TotalRunTime  int64           `json:"total_run_ms"`
 	MedianRunTime int64           `json:"median_run_ms"`
-	Translated    bool            `json:"translated"`
 	// Classes summarizes class-representative sampling. Omitted entirely
 	// when the campaign did not use class sampling, keeping those summaries
 	// byte-identical to builds that predate the field.
@@ -120,7 +119,6 @@ func NewSummaryJSON(res *campaign.CampaignResult) SummaryJSON {
 		GoldenMillis:  res.GoldenTime.Milliseconds(),
 		TotalRunTime:  res.TotalRunTime.Milliseconds(),
 		MedianRunTime: res.MedianRunTime.Milliseconds(),
-		Translated:    res.Translated,
 		Classes:       classSummary(res),
 		Statistical:   statisticalSummary(res),
 		Model:         modelSummary(res),
@@ -357,11 +355,6 @@ func Summary(res *campaign.CampaignResult) string {
 			s += " " + res.ModelParam
 		}
 		s += "]"
-	}
-	if res.Translated {
-		s += " [translated]"
-	} else {
-		s += " [interpreted]"
 	}
 	return s
 }

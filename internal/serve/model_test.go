@@ -15,7 +15,8 @@ import (
 // TestModelSpecValidation: pre-v3 schemas must reject fault-model configs, and
 // v3 specs are vetted server-side — unknown models, malformed parameters, and
 // acceleration combinations the model's capabilities do not cover all fail at
-// submission, before any worker sees a lease.
+// submission, before any worker sees a lease. So do the configs the
+// in-process planner refuses for any model.
 func TestModelSpecValidation(t *testing.T) {
 	base := campaign.TransientCampaignConfig{Injections: 10, Seed: 1}
 	model := base
@@ -37,6 +38,15 @@ func TestModelSpecValidation(t *testing.T) {
 			Config: withPrune(withModel(base, "stuck", ""))}, "does not support pruning"},
 		{"unknown-schema", serve.CampaignSpec{Schema: "nvbitfi.job/v99", Workload: testWorkload, Config: base},
 			"unsupported job schema"},
+		// The campaign's own guard rails hold at submission too.
+		{"negative-n", serve.CampaignSpec{Workload: testWorkload,
+			Config: campaign.TransientCampaignConfig{Injections: -10, Seed: 1}}, "negative injection count"},
+		{"bad-confidence", serve.CampaignSpec{Schema: serve.JobSchemaV2, Workload: testWorkload,
+			Config: campaign.TransientCampaignConfig{Injections: 10, Seed: 1, TargetCI: 0.1, Confidence: 1.5}}, "confidence"},
+		{"ckpt-stride-alone", serve.CampaignSpec{Workload: testWorkload,
+			Config: campaign.TransientCampaignConfig{Injections: 10, Seed: 1, CkptStride: 64}}, "-ckpt"},
+		{"no-early-exit-alone", serve.CampaignSpec{Workload: testWorkload,
+			Config: campaign.TransientCampaignConfig{Injections: 10, Seed: 1, NoEarlyExit: true}}, "-ckpt"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

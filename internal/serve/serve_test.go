@@ -59,29 +59,59 @@ func mustJSON(t *testing.T, v any) []byte {
 	return b
 }
 
+// Job specs as a build wrote them while the campaign config still carried
+// the engine switch NoXlate. Decoding ignores the field, so they still
+// validate and run — on the one engine, to the tally of the same config
+// without it.
+const (
+	parentSpecXlate  = `{"schema":"nvbitfi.job/v1","workload":"314.omriq","config":{"Injections":60,"Group":0,"BitFlip":0,"Seed":42,"Parallel":0,"TimingFidelity":false,"ResolveSites":false,"Prune":false,"Checkpoint":false,"CkptStride":0,"NoEarlyExit":false,"NoXlate":false,"ShardSize":0}}`
+	parentSpecInterp = `{"schema":"nvbitfi.job/v1","workload":"314.omriq","config":{"Injections":60,"Group":0,"BitFlip":0,"Seed":42,"Parallel":0,"TimingFidelity":false,"ResolveSites":false,"Prune":false,"Checkpoint":false,"CkptStride":0,"NoEarlyExit":false,"NoXlate":true,"ShardSize":0}}`
+	// parentJournalJob is the journal's job line for a 3-shard NoXlate job.
+	parentJournalJob = `{"type":"job","job":"job-adbbf8786c1d","spec":{"schema":"nvbitfi.job/v1","workload":"314.omriq","config":{"Injections":60,"Group":0,"BitFlip":0,"Seed":42,"Parallel":0,"TimingFidelity":false,"ResolveSites":false,"Prune":false,"Checkpoint":false,"CkptStride":0,"NoEarlyExit":false,"NoXlate":true,"ShardSize":20}},"golden_digest":"177c0ddca0c846317ec1a89ef949d55745aadf57d667e271a9b3310d9efac8fd","num_shards":3}`
+)
+
+// postSpec submits a raw JSON spec to the HTTP API, as a client that
+// predates this build's CampaignSpec would.
+func postSpec(t *testing.T, url, raw string) *serve.JobStatus {
+	t.Helper()
+	resp, err := http.Post(url+"/api/v1/jobs", "application/json", strings.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("POST %s: %s", raw, resp.Status)
+	}
+	var st serve.JobStatus
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	return &st
+}
+
 // TestServiceTallyIdentity is the acceptance test for the tentpole: a
 // 200-injection campaign submitted over HTTP and executed by two remote
 // workers must produce a tally byte-identical to the in-process runner on
 // the same seed — and the same must hold with the pruning and checkpoint
-// engines enabled.
+// engines enabled, and for specs written before the config lost NoXlate.
 func TestServiceTallyIdentity(t *testing.T) {
 	cases := []struct {
 		name string
 		cfg  campaign.TransientCampaignConfig
+		// raw, when set, is submitted as-is; cfg is then the in-process
+		// campaign it must match.
+		raw string
 	}{
-		{"plain", campaign.TransientCampaignConfig{Injections: 200, Seed: 42}},
-		{"prune", campaign.TransientCampaignConfig{Injections: 60, Seed: 43, Prune: true}},
-		{"ckpt", campaign.TransientCampaignConfig{Injections: 60, Seed: 44, Checkpoint: true}},
+		{"plain", campaign.TransientCampaignConfig{Injections: 200, Seed: 42}, ""},
+		{"prune", campaign.TransientCampaignConfig{Injections: 60, Seed: 43, Prune: true}, ""},
+		{"ckpt", campaign.TransientCampaignConfig{Injections: 60, Seed: 44, Checkpoint: true}, ""},
 		// Class-representative sampling groups within shard-sized chunks, so
 		// two workers leasing shards independently must pick exactly the
 		// representatives the in-process runner picks — no double-counting of
 		// answered members across shard boundaries.
-		{"classes", campaign.TransientCampaignConfig{Injections: 60, Seed: 45, Classes: true}},
-		// NoXlate must ride the job spec to remote workers: an interpreted
-		// distributed campaign against an interpreted in-process one (and
-		// both match the translated tallies — the campaign differential
-		// tests prove that side).
-		{"interp", campaign.TransientCampaignConfig{Injections: 60, Seed: 42, NoXlate: true}},
+		{"classes", campaign.TransientCampaignConfig{Injections: 60, Seed: 45, Classes: true}, ""},
+		{"parent-spec", campaign.TransientCampaignConfig{Injections: 60, Seed: 42}, parentSpecXlate},
+		{"parent-spec-noxlate", campaign.TransientCampaignConfig{Injections: 60, Seed: 42}, parentSpecInterp},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -107,8 +137,10 @@ func TestServiceTallyIdentity(t *testing.T) {
 				}()
 			}
 
-			st, err := client.Submit(serve.CampaignSpec{Workload: testWorkload, Config: tc.cfg})
-			if err != nil {
+			var st *serve.JobStatus
+			if tc.raw != "" {
+				st = postSpec(t, srv.URL, tc.raw)
+			} else if st, err = client.Submit(serve.CampaignSpec{Workload: testWorkload, Config: tc.cfg}); err != nil {
 				t.Fatal(err)
 			}
 			if st.GoldenDigest == "" {
@@ -407,6 +439,50 @@ func TestCoordinatorRestartResumes(t *testing.T) {
 	got := mustJSON(t, js.Tally)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("post-restart tally differs:\nservice:    %s\nin-process: %s", got, want)
+	}
+}
+
+// TestParentJournalResumes: a coordinator restarted on a journal whose job
+// line carries the removed NoXlate field resumes the job, and it settles to
+// the tally of the in-process campaign without it.
+func TestParentJournalResumes(t *testing.T) {
+	want := inProcessTally(t, campaign.TransientCampaignConfig{Injections: 60, Seed: 42, ShardSize: 20})
+	journal := filepath.Join(t.TempDir(), "journal.jsonl")
+	if err := os.WriteFile(journal, []byte(parentJournalJob+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	coord, err := serve.NewCoordinator(serve.Options{JournalPath: journal})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	const id = "job-adbbf8786c1d"
+	if js, ok := coord.Job(id); !ok || js.State != serve.JobRunning {
+		t.Fatalf("replayed job: %+v, found %v", js, ok)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	pool := serve.Pool(ctx, coord, campaign.Runner{}, 2, t.Logf)
+	defer func() {
+		cancel()
+		pool.Wait()
+	}()
+	deadline := time.After(2 * time.Minute)
+	for {
+		js, _ := coord.Job(id)
+		if serve.Settled(js.State) {
+			if js.State != serve.JobDone {
+				t.Fatalf("replayed job settled as %q", js.State)
+			}
+			if got := mustJSON(t, js.Tally); !bytes.Equal(got, want) {
+				t.Fatalf("replayed job tally differs:\nservice:    %s\nin-process: %s", got, want)
+			}
+			return
+		}
+		select {
+		case <-deadline:
+			t.Fatalf("replayed job did not settle; status: %+v", js)
+		case <-time.After(20 * time.Millisecond):
+		}
 	}
 }
 

@@ -1,6 +1,13 @@
 package nvbitfi_test
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro"
@@ -25,5 +32,69 @@ func TestShippedWorkloadsLintClean(t *testing.T) {
 		for _, d := range diags {
 			t.Errorf("%s: %s", w.Name(), d)
 		}
+	}
+}
+
+// oracleSwitches are gpu.Device's reference-engine selectors. The product
+// runs one engine configuration; only the differential tests pick an oracle.
+var oracleSwitches = []string{"NoXlate", "LegacySched", "DisableDisarm"}
+
+// TestOraclesStayInTests keeps the engine's oracles out of product code:
+// outside internal/gpu, no non-test Go file in the repository mentions an
+// oracle switch, in code or in a comment, and no non-test Go file anywhere
+// holds an NVBITFI_ string literal — the name an environment read would need.
+func TestOraclesStayInTests(t *testing.T) {
+	fset := token.NewFileSet()
+	parsed := 0
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		parsed++
+		inGPU := filepath.Dir(path) == filepath.Join("internal", "gpu")
+		mentions := func(pos token.Pos, text string) {
+			for _, name := range oracleSwitches {
+				if !inGPU && strings.Contains(text, name) {
+					t.Errorf("%s: names the oracle switch %s outside internal/gpu", fset.Position(pos), name)
+				}
+			}
+		}
+		for _, cg := range f.Comments {
+			mentions(cg.Pos(), cg.Text())
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.Ident:
+				mentions(n.Pos(), n.Name)
+			case *ast.BasicLit:
+				if s, err := strconv.Unquote(n.Value); n.Kind == token.STRING && err == nil {
+					mentions(n.Pos(), s)
+					if strings.HasPrefix(s, "NVBITFI_") {
+						t.Errorf("%s: %q reads like an environment variable; product code takes no NVBITFI_ environment", fset.Position(n.Pos()), s)
+					}
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if parsed < 100 {
+		t.Fatalf("parsed %d non-test Go files; the walk missed the repository", parsed)
 	}
 }
