@@ -603,9 +603,9 @@ func BenchmarkFig5_CampaignTimes(b *testing.B) {
 	}
 }
 
-// --- Parallel block scheduler and warp hot loop ---------------------------
+// --- Warp hot loop -------------------------------------------------------
 
-// assembleBench builds a kernel for the scheduler microbenchmarks.
+// assembleBench builds a kernel for the warp-loop microbenchmarks.
 func assembleBench(b *testing.B, src, name string) *sass.Kernel {
 	b.Helper()
 	p, err := sass.Assemble("bench", src)
@@ -640,44 +640,6 @@ loop:
     STG.32 [R4], R6
     EXIT
 `
-
-// BenchmarkRunParallelBlocks measures a 64-block compute-bound launch under
-// increasing device worker counts. On a single-core host the parallel
-// schedule measures pure dispatch overhead; on a multi-core host it shows
-// block-level speedup (see EXPERIMENTS.md).
-func BenchmarkRunParallelBlocks(b *testing.B) {
-	k := assembleBench(b, benchBusySrc, "busy")
-	const blocks, threads = 64, 128
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			d, err := gpu.NewDevice(nvbitfi.Volta, 8)
-			if err != nil {
-				b.Fatal(err)
-			}
-			d.Workers = workers
-			outp, err := d.Mem.Alloc(4 * blocks * threads)
-			if err != nil {
-				b.Fatal(err)
-			}
-			l := &gpu.Launch{
-				Kernel: &gpu.ExecKernel{K: k},
-				Grid:   gpu.Dim3{X: blocks, Y: 1, Z: 1},
-				Block:  gpu.Dim3{X: threads, Y: 1, Z: 1},
-				Params: []uint32{outp},
-			}
-			var warpInstrs uint64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				stats, err := d.Run(l)
-				if err != nil {
-					b.Fatal(err)
-				}
-				warpInstrs = stats.WarpInstrs
-			}
-			b.ReportMetric(float64(warpInstrs)*float64(b.N)/b.Elapsed().Seconds(), "warp-instrs/s")
-		})
-	}
-}
 
 // benchDivergedSrc splits every warp into two PC clusters for the whole
 // run: even lanes spin in one loop, odd lanes in another, reconverging only

@@ -395,7 +395,6 @@ func cmdCampaign(args []string) error {
 	mode := fs.String("mode", "exact", "profiling mode: exact or approx")
 	permanent := fs.Bool("permanent", false, "run a permanent campaign instead")
 	parallel := fs.Int("parallel", 0, "concurrent injection experiments (0 = one per CPU)")
-	workers := fs.Int("workers", 0, "per-device block-parallel workers for uninstrumented launches (0 or 1 = sequential)")
 	timing := fs.Bool("timing", false, "timing-fidelity mode: run experiments sequentially so durations are meaningful")
 	verify := fs.Bool("verify", false, "verify modules at load and reject programs with static errors")
 	csvPath := fs.String("csv", "", "write the outcome distribution as CSV to this file")
@@ -441,7 +440,7 @@ func cmdCampaign(args []string) error {
 	} else if err := cfg.Validate(); err != nil {
 		return err
 	}
-	r := nvbitfi.Runner{Workers: *workers, VerifyModules: *verify}
+	r := nvbitfi.Runner{VerifyModules: *verify}
 	var results []*nvbitfi.CampaignResult
 	for _, w := range programs {
 		golden, err := r.Golden(w)

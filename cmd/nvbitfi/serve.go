@@ -85,7 +85,6 @@ func cmdWorker(args []string) error {
 	fs := flag.NewFlagSet("worker", flag.ExitOnError)
 	coordinator := fs.String("coordinator", "http://127.0.0.1:8077", "coordinator base URL")
 	name := fs.String("name", "", "worker name (for events and logs)")
-	deviceWorkers := fs.Int("device-workers", 0, "per-device block-parallel workers for uninstrumented launches")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -93,7 +92,6 @@ func cmdWorker(args []string) error {
 	defer stop()
 	w := &serve.Worker{
 		Backend: serve.NewClient(*coordinator),
-		Runner:  campaign.Runner{Workers: *deviceWorkers},
 		Name:    *name,
 		Logf:    log.Printf,
 	}

@@ -29,17 +29,6 @@ type Runner struct {
 	// BudgetFactor multiplies the golden run's warp-instruction count to
 	// form the hang-detection budget (default 10).
 	BudgetFactor uint64
-	// Workers is the per-device block-parallelism degree plumbed into
-	// gpu.Device.Workers: golden runs and each experiment's fault-free
-	// prefix dispatch independent thread blocks across this many goroutines.
-	// 0 or 1 keeps the sequential reference schedule. An experiment's one
-	// instrumented launch runs sequentially — callback order is injection
-	// semantics — and so does every launch after it, whose state a fault may
-	// have corrupted: the parallel schedule equals the sequential one only
-	// for race-free kernels, and seed ⇒ tally must hold for faulted ones
-	// too. Campaign throughput therefore usually comes from experiment-level
-	// parallelism (TransientCampaignConfig.Parallel) instead.
-	Workers int
 	// GoldenBudget is the per-launch warp-instruction cap for golden and
 	// profiling runs, which execute before any workload-derived budget can
 	// be calibrated. Default DefaultGoldenBudget: a buggy or
@@ -103,7 +92,6 @@ func (r Runner) newContext() (*cuda.Context, error) {
 	if err != nil {
 		return nil, err
 	}
-	dev.Workers = r.Workers
 	if r.device != nil {
 		r.device(dev)
 	}

@@ -2,7 +2,6 @@ package campaign_test
 
 import (
 	"context"
-	"reflect"
 	"testing"
 
 	"repro/internal/campaign"
@@ -75,55 +74,6 @@ func TestCampaignParallelEquivalence(t *testing.T) {
 			t.Fatalf("run %d: sequential %v vs parallel %v",
 				i, seq.Runs[i].Class, par.Runs[i].Class)
 		}
-	}
-}
-
-// TestDeviceWorkersEquivalence: running each experiment's thread blocks
-// across parallel device workers must not change the golden output, the
-// launch statistics, or any injection outcome relative to the sequential
-// per-device schedule. In an injection run only the target launch is
-// instrumented; the device runs it, and every launch after it, sequentially
-// (gpu.TestPostFaultLaunchesRunSequential), so what runs block-parallel here
-// is the golden run, the profile's untargeted launches and each experiment's
-// fault-free prefix.
-func TestDeviceWorkersEquivalence(t *testing.T) {
-	w, err := specaccel.ByName("314.omriq")
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(workers int) (*campaign.GoldenResult, *campaign.CampaignResult) {
-		t.Helper()
-		r := campaign.Runner{Workers: workers}
-		golden, err := r.Golden(w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		profile, _, err := r.Profile(w, core.Exact)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := campaign.RunTransientCampaign(context.Background(), r, w, golden, profile,
-			campaign.TransientCampaignConfig{Injections: 10, Seed: 5, Parallel: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return golden, res
-	}
-	seqGolden, seq := run(1)
-	parGolden, par := run(4)
-	if seqGolden.Output.Stdout != parGolden.Output.Stdout {
-		t.Fatalf("golden stdout differs between Workers=1 and Workers=4")
-	}
-	if seqGolden.Stats != parGolden.Stats {
-		t.Fatalf("golden stats: Workers=4 %+v, Workers=1 %+v", parGolden.Stats, seqGolden.Stats)
-	}
-	for i := range seq.Runs {
-		if seq.Runs[i].Class != par.Runs[i].Class || seq.Runs[i].Injection != par.Runs[i].Injection {
-			t.Fatalf("run %d: Workers=4 %+v vs Workers=1 %+v", i, par.Runs[i], seq.Runs[i])
-		}
-	}
-	if !reflect.DeepEqual(seq.Tally, par.Tally) {
-		t.Fatalf("tally: Workers=4 %+v, Workers=1 %+v", par.Tally, seq.Tally)
 	}
 }
 

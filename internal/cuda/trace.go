@@ -176,7 +176,7 @@ type recorder struct {
 // StartRecording puts the context in recording mode: every driver call is
 // journaled and executed for real, and launches drop checkpoints at global
 // warp-instruction multiples of stride (0 disables checkpointing but still
-// journals). Recording contexts run launches sequentially.
+// journals).
 func (c *Context) StartRecording(stride uint64) error {
 	if c.rec != nil || c.rep != nil {
 		return fmt.Errorf("cuda: context already recording or replaying")

@@ -10,14 +10,14 @@ import (
 // Execution-state recycling, at two ranges (DESIGN.md section 3.11, "What a
 // launch builds once").
 //
-// Within a launch: a schedule — runSequential, each runParallel worker, a
-// LaunchRun — claims one block slot (a blockCtx with its warps) and rebinds
-// it for every block it runs. All blocks of a launch have one shape, so what
-// depends only on the launch (warp count and live masks, thread-index rows,
-// the scheduler mode, the broadcast constant-bank operands) is built by
-// claimBlock once, and bind pays per block only for what the previous block
-// dirtied: the written register prefix, the predicates, the shared window,
-// and — behind warp.laneMem — the lane-local windows and call stacks.
+// Within a launch: a schedule — runSequential or a LaunchRun — claims one
+// block slot (a blockCtx with its warps) and rebinds it for every block it
+// runs. All blocks of a launch have one shape, so what depends only on the
+// launch (warp count and live masks, thread-index rows, the scheduler mode,
+// the broadcast constant-bank operands) is built by claimBlock once, and
+// bind pays per block only for what the previous block dirtied: the written
+// register prefix, the predicates, the shared window, and — behind
+// warp.laneMem — the lane-local windows and call stacks.
 //
 // Across launches and experiments: a fault-injection campaign creates a fresh
 // context per experiment for isolation, but the expensive allocations under
@@ -118,7 +118,7 @@ func claimBlock(d *Device, l *Launch, constBank []byte, plan *xplan) *blockCtx {
 // and the launch-invariant operand rows of plan.
 func (blk *blockCtx) adopt(d *Device, l *Launch, constBank []byte, plan *xplan) {
 	blk.dev, blk.ek, blk.launch, blk.constBank = d, l.Kernel, l, constBank
-	blk.parallel, blk.pause, blk.runTally = false, nil, nil
+	blk.pause, blk.runTally = nil, nil
 
 	numWarps := (l.Block.Count() + WarpSize - 1) / WarpSize
 	for len(blk.warps) > numWarps {

@@ -16,8 +16,7 @@ import (
 // change is one corruption. Activations and Corruptions are the counters the
 // engine keeps; the tool reads them. The spec belongs to the tool: the engine
 // only updates its counters and the faulty lane's state, on the goroutine
-// running the launch (an ExecKernel carrying a spec is instrumented, so its
-// launches and every later one run sequentially).
+// running the launch.
 type Corruption struct {
 	SM, Lane int
 	Ops      sass.OpSet

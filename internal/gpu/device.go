@@ -36,19 +36,6 @@ type Device struct {
 	Family sass.Family
 	NumSMs int
 
-	// Workers is the number of goroutines Run may use to execute
-	// independent thread blocks concurrently, mirroring how real hardware
-	// runs blocks across SMs. 0 or 1 selects the sequential reference
-	// schedule. Instrumented launches always run sequentially regardless:
-	// injection and profiling tools count dynamic instructions globally, so
-	// callback order is part of the injection semantics. So does every
-	// launch after the first instrumented one: a tool may have corrupted
-	// state, and the parallel schedule is bit-identical to the sequential
-	// one only for race-free kernels — which a faulted kernel need not be.
-	// The effective worker count is capped at NumSMs so every SM's clock has
-	// exactly one owner (see runParallel).
-	Workers int
-
 	// The oracle switches. Each selects the slower reference for one part of
 	// the engine, observably identical to the default (the differential
 	// suites prove it). Only those suites set them: the product runs the
@@ -79,8 +66,7 @@ type Device struct {
 	cancelCtx context.Context
 
 	log      []LogEvent
-	smClocks []uint64   // per-SM executed-instruction counters (CS2R/SR_CLOCK)
-	atomMu   sync.Mutex // serializes global-memory atomics across parallel blocks
+	smClocks []uint64 // per-SM executed-instruction counters (CS2R/SR_CLOCK)
 
 	// planMemo caches planFor results by kernel identity, so repeated
 	// launches of the same decoded kernel skip the process-wide plan cache.
@@ -88,15 +74,10 @@ type Device struct {
 	// goroutine driving Run/Restore.
 	planMemo map[*sass.Kernel]*xplan
 
-	// instrumentedRan is set by the first instrumented launch and pins every
-	// later launch to the sequential schedule (see Workers).
-	instrumentedRan bool
-
 	// Per-launch scratch. A device runs one launch at a time, so the constant
-	// bank serves Run and the pausable run alike, the sequential schedule's
-	// budget counter and running stats are dead when Run returns, and run is
-	// the one LaunchRun BeginRun and Restore hand out (see LaunchRun).
-	// runParallel owns its counter: it is shared across goroutines.
+	// bank serves Run and the pausable run alike, the budget counter and
+	// running stats are dead when Run returns, and run is the one LaunchRun
+	// BeginRun and Restore hand out (see LaunchRun).
 	bank   []byte
 	budget budgetCounter
 	stats  LaunchStats
@@ -193,9 +174,8 @@ type ExecKernel struct {
 	// instruction (one trampoline, shared with the instruction's After
 	// callbacks if it has any), a faulting instruction is not tallied, and
 	// InstrCtx.Disarm does not stop it. The slice belongs to the tool that
-	// inserted it: the engine only adds, on the goroutine running the launch
-	// (instrumented launches are sequential); the tool clears it before a
-	// launch and reads it after.
+	// inserted it: the engine only adds, on the goroutine running the
+	// launch; the tool clears it before a launch and reads it after.
 	Tally []SiteTally
 
 	// Corrupt, when non-nil, is a permanent fault the warp loops apply in
@@ -354,7 +334,6 @@ type Launch struct {
 
 	// disarmed is set by InstrCtx.Disarm: the remainder of this launch
 	// skips callback dispatch while keeping trampoline accounting.
-	// Instrumented launches always run sequentially, so no lock is needed.
 	disarmed bool
 }
 

@@ -128,16 +128,14 @@ func randomALUProgram(rng *rand.Rand) (string, [16]uint32) {
 func normalizeNaNs(r [16]uint32) [16]uint32 { return r }
 
 // ---------------------------------------------------------------------------
-// Parallel block scheduler determinism: Workers=N must be bit-identical to
-// the Workers=1 reference schedule — output memory, LaunchStats, traps, and
-// device log — for every workload class the simulator supports.
+// Multi-block kernels shared by the differential suites, and what a launch
+// can observably produce.
 // ---------------------------------------------------------------------------
 
 // clockMixSrc is a multi-block kernel mixing divergent control flow with
 // per-SM clock reads (S2R SR_CLOCK and CS2R). Clock values depend on the
 // exact per-SM instruction schedule, so storing them to global memory makes
-// any scheduling difference between sequential and parallel mode visible in
-// the output bytes.
+// any scheduling difference visible in the output bytes.
 const clockMixSrc = `
 .kernel clockmix
 .param outptr
@@ -163,7 +161,7 @@ store:
 
 // gridReduceSrc reduces a 256-element slice per block through shared memory
 // and barriers, writing one partial sum per block: barriers, shared memory,
-// and looping control flow under the parallel scheduler.
+// and looping control flow.
 const gridReduceSrc = `
 .kernel gridreduce
 .param inptr
@@ -213,14 +211,13 @@ type parRun struct {
 	log   []LogEvent
 }
 
-// runWithWorkers builds a fresh device (so allocations land at identical
-// addresses in every run), sets the worker count, runs the launch the setup
-// function describes, and snapshots the observable state.
-func runWithWorkers(t *testing.T, src, name string, workers int,
+// runLaunch builds a fresh device (so allocations land at identical
+// addresses in every run), runs the launch the setup function describes, and
+// snapshots the observable state.
+func runLaunch(t *testing.T, src, name string,
 	setup func(t *testing.T, d *Device) (Launch, uint32, int)) parRun {
 	t.Helper()
 	d := newTestDevice(t)
-	d.Workers = workers
 	k := mustKernel(t, src, name)
 	l, outp, outLen := setup(t, d)
 	l.Kernel = &ExecKernel{K: k}
@@ -274,74 +271,17 @@ func expectSame(t *testing.T, label string, ref, got parRun) {
 				break
 			}
 		}
-		t.Errorf("%s: output bytes differ from sequential reference", label)
+		t.Errorf("%s: output bytes differ from the reference", label)
 	}
 	if !reflect.DeepEqual(ref.log, got.log) {
 		t.Errorf("%s: device log %+v, want %+v", label, got.log, ref.log)
 	}
 }
 
-// TestParallelBlockDeterminism runs multi-block workloads — divergent
-// control flow with per-SM clock reads, and a barrier-synchronized shared
-// memory reduction grid — under every interesting worker count, including
-// one above the NumSMs cap, and requires bit-identical results against the
-// sequential reference schedule.
-func TestParallelBlockDeterminism(t *testing.T) {
-	cases := []struct {
-		name, src, kernel string
-		setup             func(t *testing.T, d *Device) (Launch, uint32, int)
-	}{
-		{
-			name: "clockmix", src: clockMixSrc, kernel: "clockmix",
-			setup: func(t *testing.T, d *Device) (Launch, uint32, int) {
-				const n = 8 * 64
-				outp := mustAllocWrite(t, d, 4*n, nil)
-				return Launch{
-					Grid:   Dim3{X: 8, Y: 1, Z: 1},
-					Block:  Dim3{X: 64, Y: 1, Z: 1},
-					Params: []uint32{outp},
-				}, outp, 4 * n
-			},
-		},
-		{
-			name: "gridreduce", src: gridReduceSrc, kernel: "gridreduce",
-			setup: func(t *testing.T, d *Device) (Launch, uint32, int) {
-				const blocks, threads = 6, 256
-				in := make([]byte, 4*blocks*threads)
-				for i := 0; i < blocks*threads; i++ {
-					in[4*i] = byte(i)
-					in[4*i+1] = byte(i >> 8)
-				}
-				inp := mustAllocWrite(t, d, len(in), in)
-				outp := mustAllocWrite(t, d, 4*blocks, nil)
-				return Launch{
-					Grid:   Dim3{X: blocks, Y: 1, Z: 1},
-					Block:  Dim3{X: threads, Y: 1, Z: 1},
-					Params: []uint32{inp, outp},
-				}, outp, 4 * blocks
-			},
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			ref := runWithWorkers(t, tc.src, tc.kernel, 1, tc.setup)
-			if ref.err != nil {
-				t.Fatalf("sequential reference: %v", ref.err)
-			}
-			// 16 exceeds the NumSMs=4 cap and must behave like 4.
-			for _, w := range []int{2, 4, 16} {
-				got := runWithWorkers(t, tc.src, tc.kernel, w, tc.setup)
-				expectSame(t, fmt.Sprintf("workers=%d", w), ref, got)
-			}
-		})
-	}
-}
-
-// concurrentFaultSrc faults in every block with ctaid >= 2, each at a
-// different address, while blocks 0 and 1 complete real work. Several
-// workers hit their traps concurrently; the reported trap must always be
-// the one sequential execution reports (lowest block linear index).
-const concurrentFaultSrc = `
+// multiFaultSrc faults in every block with ctaid >= 2, each at a
+// different address, while blocks 0 and 1 complete real work. The reported
+// trap must be the one at the lowest faulting block linear index.
+const multiFaultSrc = `
 .kernel faulty
 .param outptr
     S2R R0, SR_CTAID.X
@@ -362,9 +302,10 @@ bad:
     EXIT
 `
 
-// TestParallelTrapDeterminism: with six blocks faulting concurrently, the
-// parallel scheduler must report the exact trap (kind, PC, SM, address) and
-// LaunchStats the sequential schedule reports, on every run.
+// TestParallelTrapDeterminism: with six of eight blocks faulting, each at its
+// own address, the launch stops at the first faulting block in linear order
+// — block 2 — with the two blocks before it counted complete and exactly one
+// device-log event.
 func TestParallelTrapDeterminism(t *testing.T) {
 	setup := func(t *testing.T, d *Device) (Launch, uint32, int) {
 		const n = 2 * 32
@@ -375,66 +316,41 @@ func TestParallelTrapDeterminism(t *testing.T) {
 			Params: []uint32{outp},
 		}, outp, 4 * n
 	}
-	ref := runWithWorkers(t, concurrentFaultSrc, "faulty", 1, setup)
-	trap, ok := AsTrap(ref.err)
+	got := runLaunch(t, multiFaultSrc, "faulty", setup)
+	trap, ok := AsTrap(got.err)
 	if !ok {
-		t.Fatalf("sequential run did not trap: %v", ref.err)
+		t.Fatalf("run did not trap: %v", got.err)
 	}
-	// The winner must be block 2, the lowest faulting block.
 	if want := uint32(2<<4 + 3); trap.Addr != want {
-		t.Fatalf("sequential trap address = %#x, want %#x (block 2)", trap.Addr, want)
+		t.Fatalf("trap address = %#x, want %#x (block 2)", trap.Addr, want)
 	}
-	if ref.stats.Blocks != 2 {
-		t.Fatalf("sequential stats counted %d completed blocks, want 2", ref.stats.Blocks)
+	if got.stats.Blocks != 2 {
+		t.Fatalf("stats counted %d completed blocks, want 2", got.stats.Blocks)
 	}
-	if len(ref.log) != 1 {
-		t.Fatalf("sequential run logged %d events, want 1", len(ref.log))
-	}
-	// The race is re-rolled every run; repeat to shake out unlucky
-	// schedules (under -race this is also a data-race probe).
-	for i := 0; i < 10; i++ {
-		got := runWithWorkers(t, concurrentFaultSrc, "faulty", 4, setup)
-		expectSame(t, fmt.Sprintf("run %d", i), ref, got)
-		if t.Failed() {
-			break
-		}
+	if len(got.log) != 1 {
+		t.Fatalf("run logged %d events, want 1", len(got.log))
 	}
 }
 
-// TestParallelBudgetHang: the launch budget is one shared counter, so a
-// spinning grid must exhaust it and trap as a hang under both schedules.
-// With a single-instruction kernel the trap site is fully deterministic
-// even though which block drains the final token is schedule-dependent.
+// TestParallelBudgetHang: a spinning grid exhausts the launch budget and
+// traps as a hang after exactly the budgeted number of warp instructions.
 func TestParallelBudgetHang(t *testing.T) {
 	const src = `
 .kernel spin
 loop:
     BRA loop
 `
-	setup := func(t *testing.T, d *Device) (Launch, uint32, int) {
+	got := runLaunch(t, src, "spin", func(t *testing.T, d *Device) (Launch, uint32, int) {
 		return Launch{
 			Grid:   Dim3{X: 8, Y: 1, Z: 1},
 			Block:  Dim3{X: 32, Y: 1, Z: 1},
 			Budget: 10000,
 		}, 0, 0
+	})
+	if gt, ok := AsTrap(got.err); !ok || gt.Kind != TrapInstrLimit {
+		t.Fatalf("spin: %v, want instruction-limit trap", got.err)
 	}
-	ref := runWithWorkers(t, src, "spin", 1, setup)
-	rt, ok := AsTrap(ref.err)
-	if !ok || rt.Kind != TrapInstrLimit {
-		t.Fatalf("sequential spin: %v, want instruction-limit trap", ref.err)
-	}
-	if ref.stats.WarpInstrs != 10000 {
-		t.Fatalf("sequential spin issued %d warp instructions, want the full budget 10000", ref.stats.WarpInstrs)
-	}
-	got := runWithWorkers(t, src, "spin", 4, setup)
-	gt, ok := AsTrap(got.err)
-	if !ok || gt.Kind != TrapInstrLimit {
-		t.Fatalf("parallel spin: %v, want instruction-limit trap", got.err)
-	}
-	if !reflect.DeepEqual(rt, gt) {
-		t.Errorf("parallel trap %+v, want %+v", gt, rt)
-	}
-	if got.stats.WarpInstrs > 10000 {
-		t.Errorf("parallel spin counted %d warp instructions, exceeding the shared budget", got.stats.WarpInstrs)
+	if got.stats.WarpInstrs != 10000 {
+		t.Fatalf("spin issued %d warp instructions, want the full budget 10000", got.stats.WarpInstrs)
 	}
 }

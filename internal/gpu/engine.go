@@ -7,7 +7,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sync/atomic"
 
 	"repro/internal/sass"
 )
@@ -304,9 +303,7 @@ func semAltersFlow(sem sass.SemKind) bool {
 	return false
 }
 
-// budgetCounter is the launch instruction budget. The parallel scheduler
-// shares one counter across its workers and draws from it atomically, so
-// exactly the budgeted number of warp instructions issue in either mode.
+// budgetCounter is the launch instruction budget.
 //
 // When ctx is non-nil the counter doubles as the launch's cancellation
 // poll: every cancelPollStride takes it checks ctx.Err(), and a cancelled
@@ -315,20 +312,15 @@ func semAltersFlow(sem sass.SemKind) bool {
 // instead of draining the rest of its budget.
 type budgetCounter struct {
 	remaining int64
-	shared    bool
 	ctx       context.Context
 	checkIn   int64 // takes until the next cancellation poll
-	cancelled atomic.Bool
+	cancelled bool
 }
 
-// reset arms an unshared counter for a new launch: n instructions, polling
-// ctx (nil: never) for cancellation.
+// reset arms the counter for a new launch: n instructions, polling ctx
+// (nil: never) for cancellation.
 func (b *budgetCounter) reset(n int64, ctx context.Context) {
-	b.remaining = n
-	b.shared = false
-	b.ctx = ctx
-	b.checkIn = cancelPollStride
-	b.cancelled.Store(false)
+	*b = budgetCounter{remaining: n, ctx: ctx, checkIn: cancelPollStride}
 }
 
 // cancelPollStride is how many warp instructions may issue between
@@ -339,9 +331,6 @@ const cancelPollStride = 1024
 func (b *budgetCounter) take() bool {
 	if b.ctx != nil && !b.pollN(1) {
 		return false
-	}
-	if b.shared {
-		return atomic.AddInt64(&b.remaining, -1) >= 0
 	}
 	b.remaining--
 	return b.remaining >= 0
@@ -357,14 +346,8 @@ func (b *budgetCounter) takeN(n int64) (granted int64) {
 	if b.ctx != nil && !b.pollN(n) {
 		return 0
 	}
-	var rem int64
-	if b.shared {
-		rem = atomic.AddInt64(&b.remaining, -n)
-	} else {
-		b.remaining -= n
-		rem = b.remaining
-	}
-	switch {
+	b.remaining -= n
+	switch rem := b.remaining; {
 	case rem >= 0:
 		return n
 	case rem+n > 0:
@@ -376,17 +359,10 @@ func (b *budgetCounter) takeN(n int64) (granted int64) {
 
 // refund returns instructions reserved by takeN that never issued — a
 // translated run that faulted mid-batch keeps the faulting instruction
-// charged and hands back the tail. The launch is about to die on the trap,
-// but in parallel mode other workers still draw from the shared counter
-// until they observe it, and the global never-over-issue invariant must
-// hold for them.
+// charged and hands back the tail, so the budget a paused or snapshotted
+// run carries counts only what issued.
 func (b *budgetCounter) refund(n int64) {
-	if n <= 0 {
-		return
-	}
-	if b.shared {
-		atomic.AddInt64(&b.remaining, n)
-	} else {
+	if n > 0 {
 		b.remaining += n
 	}
 }
@@ -399,22 +375,15 @@ func (b *budgetCounter) refund(n int64) {
 // is not preserved (cancellation is host-race-timed and carries no
 // deterministic attribution; see DESIGN.md section 3.7).
 func (b *budgetCounter) pollN(n int64) bool {
-	if b.cancelled.Load() {
+	if b.cancelled {
 		return false
 	}
-	if b.shared {
-		if atomic.AddInt64(&b.checkIn, -n) > 0 {
-			return true
-		}
-		atomic.StoreInt64(&b.checkIn, cancelPollStride)
-	} else {
-		if b.checkIn -= n; b.checkIn > 0 {
-			return true
-		}
-		b.checkIn = cancelPollStride
+	if b.checkIn -= n; b.checkIn > 0 {
+		return true
 	}
+	b.checkIn = cancelPollStride
 	if b.ctx.Err() != nil {
-		b.cancelled.Store(true)
+		b.cancelled = true
 		return false
 	}
 	return true
@@ -433,7 +402,6 @@ type blockCtx struct {
 	smID      int
 	blockIdx  Dim3
 	blockLin  int
-	parallel  bool // block runs concurrently with others (gates atomics locking)
 
 	// plan is the translated execution plan for the kernel, nil when
 	// translation is disabled: run then drives the per-step reference loop
@@ -462,10 +430,11 @@ type blockCtx struct {
 	runTally   []SiteTally
 	resumeWarp int
 
+	_ [8]byte // puts rows on a 64-byte offset (TestBlockScratchAligned)
+
 	// rows is the row tier's scratch: broadcast and negated source operands
 	// and partial-mask results land here, never in a per-call allocation.
-	// It is private to the block, so parallel workers never share it, and
-	// holds no state between steps.
+	// It is private to the block and holds no state between steps.
 	rows [numScratchRows]regRow
 
 	// urows holds the plan's uniform operands (xplan.uniforms) as broadcast
@@ -533,12 +502,10 @@ func (l *Launch) validate() (budget uint64, err error) {
 }
 
 // Run executes a kernel launch to completion, a trap, or budget exhaustion.
-// With Workers <= 1, when the kernel carries instrumentation, or once any
-// instrumented launch has run on this device, blocks are scheduled
-// round-robin across SMs on one goroutine in a fixed, deterministic order.
-// Otherwise independent blocks are dispatched across a worker pool (see
-// runParallel); results are bit-identical to the sequential schedule for
-// race-free workloads. Run does not retain l.
+// Blocks run one at a time, in linear block order, on the calling
+// goroutine: a fault is named by its dynamic-instruction count across the
+// whole launch, so the block order is part of the injection semantics.
+// Run does not retain l.
 func (d *Device) Run(l *Launch) (LaunchStats, error) {
 	var stats LaunchStats
 	budget, err := l.validate()
@@ -554,34 +521,16 @@ func (d *Device) Run(l *Launch) (LaunchStats, error) {
 	}
 
 	d.bank = fillConstBank(d.bank, l)
-	plan := d.planFor(k)
-	workers := min(d.Workers, d.NumSMs, l.Grid.Count())
-
-	if l.Kernel.Instrumented() {
-		d.instrumentedRan = true
-	}
-	if workers <= 1 || d.instrumentedRan {
-		// Instrumented launches always take the sequential path: injection
-		// and profiling tools count dynamic instructions globally across
-		// blocks, so callback order is part of the injection semantics. The
-		// launches after one stay on it because the state they run on may
-		// carry a fault: stores that never collided in the golden run can
-		// collide across blocks now, and only the sequential order makes the
-		// outcome a function of the seed.
-		stats, err = d.runSequential(l, plan, budget)
-	} else {
-		stats, err = d.runParallel(l, plan, budget, workers)
-	}
+	stats, err = d.runSequential(l, d.planFor(k), budget)
 	if t, ok := AsTrap(err); ok {
-		// The device log is the dmesg analog; log the (deterministically
-		// selected) trap once, after all workers have quiesced.
+		// The device log is the dmesg analog.
 		d.logf("Xid", "%s", t.Error())
 	}
 	return stats, err
 }
 
-// runSequential is the Workers=1 reference schedule: blocks execute one at
-// a time in linear block order, all through one slot.
+// runSequential runs the launch's blocks in linear block order, all through
+// one slot.
 func (d *Device) runSequential(l *Launch, plan *xplan, budgetN uint64) (LaunchStats, error) {
 	budget := &d.budget
 	budget.reset(int64(budgetN), d.cancelCtx)
@@ -1262,15 +1211,14 @@ func (blk *blockCtx) runWarpRef(w *warp, budget *budgetCounter, stats *LaunchSta
 // the host context was cancelled, otherwise the ordinary instruction-limit
 // (hang detector) trap.
 func (blk *blockCtx) budgetTrap(b *budgetCounter, pc int) error {
-	if b.cancelled.Load() {
+	if b.cancelled {
 		return blk.trapErr(TrapCancelled, pc, 0, "host context cancelled the launch")
 	}
 	return blk.trapErr(TrapInstrLimit, pc, 0, "launch instruction budget exhausted")
 }
 
-// trapErr builds the trap error for this block. Logging happens once in
-// Device.Run after the winning trap is selected, so the parallel scheduler
-// produces the same device log as the sequential one.
+// trapErr builds the trap error for this block. Device.Run logs it once the
+// launch has stopped.
 func (blk *blockCtx) trapErr(kind TrapKind, pc int, addr uint32, detail string) error {
 	return &Trap{
 		Kind:   kind,

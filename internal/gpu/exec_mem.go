@@ -170,16 +170,9 @@ func (e *evalCtx) srcPair(lane, idx int) uint64 {
 
 // atomic implements ATOM/ATOMG/ATOMS (withResult) and RED (without).
 // Lanes execute in lane order, which defines a deterministic outcome for
-// intra-warp races. Under the parallel block scheduler, global-memory
-// atomics additionally take the device's atomics lock for the whole warp
-// instruction so the read-modify-write is atomic with respect to other
-// blocks — cross-block ordering is then scheduler-dependent, exactly as on
-// real hardware.
+// intra-warp races; blocks run one at a time, so no other block's atomic
+// interleaves with a warp's.
 func (e *evalCtx) atomic(execMask uint32, space sass.MemSpace, withResult bool) (bool, TrapKind, uint32) {
-	if e.blk.parallel && (space == sass.SpaceGlobal || space == sass.SpaceGeneric) {
-		e.blk.dev.atomMu.Lock()
-		defer e.blk.dev.atomMu.Unlock()
-	}
 	op := e.in.Mods.Atom
 	if op == sass.AtomNone {
 		op = sass.AtomAdd

@@ -10,93 +10,6 @@ import (
 	"repro/internal/sass"
 )
 
-// scatterSrc has every block store its block index through a slot table:
-// out[slot[ctaid]] = ctaid. With slot[b] = b the blocks never touch the same
-// word; with a corrupted table they collide and the last writer wins.
-const scatterSrc = `
-.kernel scatter
-.param slotptr
-.param outptr
-    S2R R0, SR_TID.X
-    ISETP.NE.AND P0, R0, 0x0, PT
-@P0 EXIT
-    S2R R1, SR_CTAID.X
-    SHL R2, R1, 0x2
-    IADD R3, R2, c0[slotptr]
-    LDG.32 R4, [R3]
-    SHL R4, R4, 0x2
-    IADD R5, R4, c0[outptr]
-    STG.32 [R5], R1
-    EXIT
-`
-
-// TestPostFaultLaunchesRunSequential: once an instrumented launch has run on
-// a device, later launches must take the sequential schedule even with
-// Workers > 1 — a fault may have made a race-free kernel racy, and only the
-// sequential block order makes the result a function of the seed. The
-// "fault" here zeroes the slot table from an instrumentation callback, so all
-// eight blocks of the next launch store to out[0]: sequentially the last
-// block (7) wins every time, while the block-parallel schedule lets any of
-// the four workers' last blocks win (and is a data race the detector
-// reports).
-func TestPostFaultLaunchesRunSequential(t *testing.T) {
-	const blocks = 8
-	k := mustKernel(t, scatterSrc, "scatter")
-	for rep := 0; rep < 20; rep++ {
-		d := newTestDevice(t)
-		d.Workers = 4
-		slots := make([]byte, 4*blocks)
-		for b := 0; b < blocks; b++ {
-			binary.LittleEndian.PutUint32(slots[4*b:], uint32(b))
-		}
-		slotp := mustAllocWrite(t, d, len(slots), slots)
-		outp := mustAllocWrite(t, d, 4*blocks, nil)
-		word := func(i int) uint32 {
-			t.Helper()
-			b, err := d.Mem.ReadBytes(outp+uint32(4*i), 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return binary.LittleEndian.Uint32(b)
-		}
-		launch := func(ek *ExecKernel) {
-			t.Helper()
-			if _, err := d.Run(&Launch{
-				Kernel: ek,
-				Grid:   Dim3{X: blocks, Y: 1, Z: 1},
-				Block:  Dim3{X: 32, Y: 1, Z: 1},
-				Params: []uint32{slotp, outp},
-			}); err != nil {
-				t.Fatal(err)
-			}
-		}
-
-		// Fault-free prefix: block-parallel, and every block hits its own word.
-		launch(&ExecKernel{K: k})
-		for b := 0; b < blocks; b++ {
-			if got := word(b); got != uint32(b) {
-				t.Fatalf("prefix launch: out[%d] = %d", b, got)
-			}
-		}
-
-		// The instrumented launch: its callback corrupts the slot table.
-		faulty := &ExecKernel{K: k, After: make([][]Callback, len(k.Instrs))}
-		faulty.After[len(k.Instrs)-1] = []Callback{func(c *InstrCtx) {
-			if err := c.Dev.Mem.WriteBytes(slotp, make([]byte, 4*blocks)); err != nil {
-				t.Error(err)
-			}
-		}}
-		launch(faulty)
-
-		// Post-fault launch, uninstrumented: all blocks collide on out[0].
-		launch(&ExecKernel{K: k})
-		if got := word(0); got != blocks-1 {
-			t.Fatalf("rep %d: post-fault colliding stores left out[0] = %d, want %d (the sequential schedule's last block)",
-				rep, got, blocks-1)
-		}
-	}
-}
-
 // hashKernel is the content hash of one kernel, taken the way
 // Device.kernelHash takes it: the fields serialised into one buffer, one
 // SHA-256 write.
@@ -171,8 +84,7 @@ func TestHashKernelBytes(t *testing.T) {
 		{saxpySrc, "saxpy"},
 		{clockMixSrc, "clockmix"},
 		{gridReduceSrc, "gridreduce"},
-		{concurrentFaultSrc, "faulty"},
-		{scatterSrc, "scatter"},
+		{multiFaultSrc, "faulty"},
 	} {
 		k := mustKernel(t, tc.src, tc.name)
 		if got, want := hashKernel(k), hashKernelStreamed(k); got != want {

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
-	"sync/atomic"
 )
 
 // Memory is the device global-memory model: a bump allocator over a 32-bit
@@ -27,11 +26,9 @@ type Memory struct {
 	// before). Kernels overwhelmingly ping between one or two buffers — an
 	// input and an output — so nearly every find resolves on one of the two
 	// validation compares without touching the search, and steady-state hits
-	// never store (an atomic store is a full barrier on x86, costlier than
-	// the search it saves). Accessed atomically because parallel blocks call
-	// find concurrently; the value is advisory — every read is re-validated
-	// against the current alloc table before use.
-	lastHit atomic.Uint32
+	// never store. The value is advisory: every read is re-validated against
+	// the current alloc table before use.
+	lastHit uint32
 }
 
 // memPageSize is the copy-on-write page granularity. It is a multiple of
@@ -81,10 +78,6 @@ func (a *alloc) readPage(pg uint32) []byte {
 // writePage returns the bytes backing page pg for writing, materializing
 // never-written pages and copying snapshot-shared ones (the copy-on-write
 // fault path).
-//
-// A page that is already private is returned without touching the page
-// table: parallel blocks rely on that after privatize (a nil page is never
-// marked shared, so the two faulting cases are the only writers).
 func (a *alloc) writePage(pg uint32) []byte {
 	p := a.pages[pg]
 	switch {
@@ -99,22 +92,6 @@ func (a *alloc) writePage(pg uint32) []byte {
 		p = c
 	}
 	return p
-}
-
-// privatize takes every copy-on-write fault up front: each page of each live
-// allocation is materialized and un-shared. The parallel block scheduler
-// calls it before fanning out, because the fault path installs pages without
-// synchronization — two blocks first-touching one page would each install
-// their own copy and lose the other's stores. Afterwards writePage is
-// read-only on the page table for the rest of the launch. Materialized zero
-// pages read, digest, and snapshot exactly like never-written ones.
-func (m *Memory) privatize() {
-	for i := range m.allocs {
-		a := &m.allocs[i]
-		for pg := range a.pages {
-			a.writePage(uint32(pg))
-		}
-	}
 }
 
 // allocBase leaves the low addresses unmapped so that computed-to-zero
@@ -155,7 +132,7 @@ func (m *Memory) Free(base uint32) error {
 	for i, a := range m.allocs {
 		if a.base == base {
 			m.allocs = append(m.allocs[:i], m.allocs[i+1:]...)
-			m.lastHit.Store(0) // indexes above i shifted down
+			m.lastHit = 0 // indexes above i shifted down
 			return nil
 		}
 	}
@@ -169,7 +146,7 @@ func (m *Memory) find(addr uint32) *alloc {
 	// addr below base, so one unsigned compare validates each. A hit on the
 	// older slot deliberately does not promote it — alternating between two
 	// buffers then stabilizes with both memoized and no stores at all.
-	memo := m.lastHit.Load()
+	memo := m.lastHit
 	if i := int(memo & 0xffff); i < len(allocs) {
 		if a := &allocs[i]; addr-a.base < a.size {
 			return a
@@ -199,7 +176,7 @@ func (m *Memory) find(addr uint32) *alloc {
 	a := &allocs[lo-1]
 	if addr-a.base < a.size {
 		if idx := uint32(lo - 1); idx < 0xffff {
-			m.lastHit.Store(idx | memo<<16)
+			m.lastHit = idx | memo<<16
 		}
 		return a
 	}
@@ -334,7 +311,7 @@ func (m *Memory) Recycle() {
 	}
 	m.allocs = nil
 	m.next = allocBase
-	m.lastHit.Store(0)
+	m.lastHit = 0
 }
 
 // Recycle retires the device, returning its global-memory pages to the

@@ -25,8 +25,8 @@ import (
 //     launch and rebound for every block — the most reuse the product can
 //     ever see, made deterministic (the pools may or may not return the slot
 //     the previous launch released).
-//   - the product: Device.Run with 1, 2 and 8 workers, BeginRun/Resume one
-//     instruction at a time, and snapshot/restore around every block boundary.
+//   - the product: Device.Run, BeginRun/Resume one instruction at a time,
+//     and snapshot/restore around every block boundary.
 //
 // The kernels are written so that a block reads everything a slot carries over
 // before writing it: an unwritten register, an unset predicate, shared and
@@ -267,13 +267,13 @@ func constArgs(a int32, b float32, d float64) []uint32 {
 
 // slotDevice builds a scenario device: its one buffer lands at the same
 // address on every fresh device.
-func slotDevice(t testing.TB, e loopEngine, workers int) (*Device, uint32) {
+func slotDevice(t testing.TB, e loopEngine) (*Device, uint32) {
 	t.Helper()
 	d, err := NewDevice(sass.FamilyVolta, slotSMs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.NoXlate, d.LegacySched, d.Workers = e.noXlate, e.legacy, workers
+	d.NoXlate, d.LegacySched = e.noXlate, e.legacy
 	buf, err := d.Mem.Alloc(slotBufBytes)
 	if err != nil {
 		t.Fatal(err)
@@ -283,7 +283,7 @@ func slotDevice(t testing.TB, e loopEngine, workers int) (*Device, uint32) {
 
 func slotProgram(t testing.TB) *sass.Program {
 	t.Helper()
-	_, buf := slotDevice(t, loopEngines[0], 0)
+	_, buf := slotDevice(t, loopEngines[0])
 	p, err := sass.Assemble("slots", fmt.Sprintf(slotSrc, buf))
 	if err != nil {
 		t.Fatal(err)
@@ -405,7 +405,7 @@ func stepThrough(t testing.TB, r *LaunchRun, resume func(*LaunchRun, int64) (boo
 // runHarness runs a scenario stepped through the harness's own slots.
 func runHarness(t testing.TB, p *sass.Program, steps []slotStep, e loopEngine, fresh bool) []slotObs {
 	t.Helper()
-	d, buf := slotDevice(t, e, 0)
+	d, buf := slotDevice(t, e)
 	h := &slotDriver{fresh: fresh}
 	var obs []slotObs
 	for i := range steps {
@@ -423,9 +423,9 @@ func runHarness(t testing.TB, p *sass.Program, steps []slotStep, e loopEngine, f
 
 // runProduct runs a scenario through Device.Run, or stepped through
 // BeginRun/Resume.
-func runProduct(t testing.TB, p *sass.Program, steps []slotStep, e loopEngine, workers int, stepped bool) []slotObs {
+func runProduct(t testing.TB, p *sass.Program, steps []slotStep, e loopEngine, stepped bool) []slotObs {
 	t.Helper()
-	d, buf := slotDevice(t, e, workers)
+	d, buf := slotDevice(t, e)
 	var obs []slotObs
 	for i := range steps {
 		l := steps[i].launch(t, p, buf)
@@ -446,27 +446,17 @@ func runProduct(t testing.TB, p *sass.Program, steps []slotStep, e loopEngine, w
 	return obs
 }
 
-// expectSameSlots compares two runs of a scenario launch by launch. A
-// parallel schedule may run blocks above a trapping one, which advances
-// their SM clocks, so clocks and digests are compared only up to the first
-// trap when parallel is set; trajectories only when both sides have one.
-func expectSameSlots(t *testing.T, label string, steps []slotStep, ref, got []slotObs, parallel bool) {
+// expectSameSlots compares two runs of a scenario launch by launch;
+// trajectories only when both sides have one.
+func expectSameSlots(t *testing.T, label string, steps []slotStep, ref, got []slotObs) {
 	t.Helper()
 	if len(ref) != len(got) {
 		t.Fatalf("%s: %d launches observed, want %d", label, len(got), len(ref))
 	}
-	clocks := true
 	for i := range ref {
 		at := fmt.Sprintf("%s launch %d (%s)", label, i, steps[i].kernel)
 		r, g := ref[i], got[i]
-		if parallel && r.err != nil {
-			clocks = false
-		}
-		if clocks {
-			expectSameLoop(t, at, r.loopRun, g.loopRun)
-		} else {
-			expectSame(t, at, r.parRun, g.parRun)
-		}
+		expectSameLoop(t, at, r.loopRun, g.loopRun)
 		if r.trajectory != nil && g.trajectory != nil {
 			if len(r.trajectory) != len(g.trajectory) {
 				t.Errorf("%s: %d pauses, want %d", at, len(g.trajectory), len(r.trajectory))
@@ -501,14 +491,11 @@ func TestSlotReuseMatchesFreshBlocks(t *testing.T) {
 					first = oracle
 					checkScenario(t, sc.name, sc.steps, oracle)
 				} else {
-					expectSameSlots(t, e.name+" oracle vs reference oracle", sc.steps, first, oracle, false)
+					expectSameSlots(t, e.name+" oracle vs reference oracle", sc.steps, first, oracle)
 				}
-				expectSameSlots(t, e.name+" pinned", sc.steps, oracle, runHarness(t, p, sc.steps, e, false), false)
-				expectSameSlots(t, e.name+" stepped", sc.steps, oracle, runProduct(t, p, sc.steps, e, 0, true), false)
-				for _, workers := range []int{1, 2, 8} {
-					label := fmt.Sprintf("%s workers=%d", e.name, workers)
-					expectSameSlots(t, label, sc.steps, oracle, runProduct(t, p, sc.steps, e, workers, false), workers > 1)
-				}
+				expectSameSlots(t, e.name+" pinned", sc.steps, oracle, runHarness(t, p, sc.steps, e, false))
+				expectSameSlots(t, e.name+" stepped", sc.steps, oracle, runProduct(t, p, sc.steps, e, true))
+				expectSameSlots(t, e.name+" run", sc.steps, oracle, runProduct(t, p, sc.steps, e, false))
 			}
 		})
 	}
@@ -595,7 +582,7 @@ func TestSlotRestoreAtBlockBoundaries(t *testing.T) {
 					continue // away from the boundaries a sample of positions does
 				}
 				label := fmt.Sprintf("%s launch %d (%s) pause@%d", e.name, i, sc.steps[i].kernel, pos)
-				d, buf := slotDevice(t, e, 0)
+				d, buf := slotDevice(t, e)
 				for j := 0; j < i; j++ {
 					d.Run(sc.steps[j].launch(t, p, buf)) // traps included: the oracle saw them too
 				}
@@ -614,7 +601,7 @@ func TestSlotRestoreAtBlockBoundaries(t *testing.T) {
 					t.Fatal(err)
 				}
 				r.Close()
-				fork, _ := slotDevice(t, e, 0)
+				fork, _ := slotDevice(t, e)
 				fr, err := fork.Restore(snap)
 				if err != nil {
 					t.Fatalf("%s: Restore: %v", label, err)
@@ -629,7 +616,7 @@ func TestSlotRestoreAtBlockBoundaries(t *testing.T) {
 					stats, err := fork.Run(sc.steps[j].launch(t, p, buf))
 					got = append(got, observe(t, fork, buf, stats, err))
 				}
-				expectSameSlots(t, label+" fork", sc.steps[i:], append([]slotObs{want}, oracle[i+1:]...), got, false)
+				expectSameSlots(t, label+" fork", sc.steps[i:], append([]slotObs{want}, oracle[i+1:]...), got)
 				if t.Failed() {
 					return
 				}

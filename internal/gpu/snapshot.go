@@ -50,10 +50,9 @@ func (p *pauseCtl) tick(n int64) bool {
 }
 
 // LaunchRun is a kernel launch that can be paused at exact dynamic
-// warp-instruction boundaries, snapshotted, and resumed. It always uses the
-// sequential block schedule: pause positions are defined in terms of the
-// deterministic global instruction order, which the parallel scheduler does
-// not preserve instruction for instruction.
+// warp-instruction boundaries, snapshotted, and resumed. Pause positions are
+// defined in terms of the launch's one global instruction order, the order
+// Run executes in.
 //
 // A device runs one launch at a time, so it holds the one LaunchRun
 // (Device.run) and BeginRun / Restore hand out that object rewritten: a run

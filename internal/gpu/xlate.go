@@ -27,7 +27,7 @@ import (
 //   - Plans are pure functions of kernel *content*: they capture register
 //     ids, immediates, const-bank offsets and guard predicates, but never a
 //     Device, Launch, warp, or constant bank. One plan is therefore shared
-//     read-only across blocks, workers, devices, and experiments, cached
+//     read-only across blocks, devices, and experiments, cached
 //     process-wide in modcache keyed by the kernel content hash. What a row
 //     step reads of the launch — a constant-bank word, the block index — it
 //     reads through a slot number (uniforms); the block slot holds the rows.

@@ -443,9 +443,7 @@ func compileStore(in *sass.Instr, space sass.MemSpace, rt *rowTable) planStep {
 
 // compileAtomic compiles evalCtx.atomic case for case: ATOM/ATOMG/ATOMS
 // (withResult) and RED (without). Lanes execute in ascending order so
-// intra-warp races keep their deterministic interpreted outcome; under the
-// parallel block scheduler, global-memory atomics take the device atomics
-// lock for the whole warp instruction, exactly like the interpreter. The
+// intra-warp races keep their deterministic interpreted outcome. The
 // CAS-missing-swap and unknown-op traps fire after the lane's load, so a
 // memory fault on that load still wins with the interpreter's trap kind.
 func compileAtomic(in *sass.Instr, space sass.MemSpace, withResult bool) planStep {
@@ -491,12 +489,7 @@ func compileAtomic(in *sass.Instr, space sass.MemSpace, withResult bool) planSte
 			swap = srcU(in, vi+1)
 		}
 	}
-	lockable := space == sass.SpaceGlobal || space == sass.SpaceGeneric
 	return func(blk *blockCtx, w *warp, m uint32) (bool, TrapKind, uint32) {
-		if blk.parallel && lockable {
-			blk.dev.atomMu.Lock()
-			defer blk.dev.atomMu.Unlock()
-		}
 		for ; m != 0; m &= m - 1 {
 			lane := bits.TrailingZeros32(m)
 			a := addr(w, lane)

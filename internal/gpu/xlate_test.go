@@ -12,7 +12,7 @@ import (
 	"repro/internal/sass"
 )
 
-// runWithEngine runs a launch like runWithWorkers, selecting the translation
+// runWithEngine runs a launch like runLaunch, selecting the translation
 // engine or the legacy interpreter and the warp-split scheduler or the
 // legacy min-PC scan, and snapshots the observable state plus the device
 // digest.
@@ -78,7 +78,7 @@ func TestXlateDifferential(t *testing.T) {
 			},
 		},
 		{
-			name: "faulty", src: concurrentFaultSrc, kernel: "faulty",
+			name: "faulty", src: multiFaultSrc, kernel: "faulty",
 			setup: func(t *testing.T, d *Device) (Launch, uint32, int) {
 				const n = 2 * 32
 				outp := mustAllocWrite(t, d, 4*n, nil)
@@ -246,8 +246,7 @@ func TestSchedulerDigestDifferential(t *testing.T) {
 
 // TestXlateDivergentConcurrentSharedPlans is the divergent-workload variant
 // of TestXlateConcurrentSharedPlans: many devices execute one shared plan
-// concurrently with block-parallel workers and a mix of scheduler modes,
-// under -race in CI. Per-warp split state must stay device-private and every
+// concurrently with a mix of scheduler modes, under -race in CI. Per-warp split state must stay device-private and every
 // combination must reproduce the sequential reference.
 func TestXlateDivergentConcurrentSharedPlans(t *testing.T) {
 	setup := func(t *testing.T, d *Device) (Launch, uint32, int) {
@@ -270,7 +269,6 @@ func TestXlateDivergentConcurrentSharedPlans(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			d := newTestDevice(t)
-			d.Workers = 1 + g%4
 			d.LegacySched = g%2 == 1
 			k := mustKernel(t, divergentSrc, "div")
 			l, outp, outLen := setup(t, d)
@@ -382,9 +380,8 @@ func TestXlateSharedKernelImmutability(t *testing.T) {
 }
 
 // TestXlateConcurrentSharedPlans runs many devices concurrently against one
-// kernel (one shared plan) with block-parallel workers, under -race in CI:
-// plan execution must be safe to share and every device must produce the
-// sequential reference output.
+// kernel (one shared plan), under -race in CI: plan execution must be safe
+// to share and every device must produce the reference output.
 func TestXlateConcurrentSharedPlans(t *testing.T) {
 	setup := func(t *testing.T, d *Device) (Launch, uint32, int) {
 		const n = 8 * 64
@@ -403,7 +400,6 @@ func TestXlateConcurrentSharedPlans(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			d := newTestDevice(t)
-			d.Workers = 1 + g%4
 			k := mustKernel(t, clockMixSrc, "clockmix")
 			l, outp, outLen := setup(t, d)
 			l.Kernel = &ExecKernel{K: k}

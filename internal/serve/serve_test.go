@@ -5,10 +5,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -647,6 +649,56 @@ func TestJournalTornTail(t *testing.T) {
 	}
 	if js.Done != 0 || js.State != serve.JobRunning {
 		t.Fatalf("torn record leaked state: %+v", js)
+	}
+}
+
+// TestJournalCorruptMidFile: a complete record that does not parse, followed
+// by good records, is not a torn tail. The coordinator must refuse to open
+// the journal, name the bad record's byte offset, and leave the file
+// byte-identical — truncating there would drop the good records after it.
+func TestJournalCorruptMidFile(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "journal.jsonl")
+	coord1, err := serve.NewCoordinator(serve.Options{JournalPath: journal})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := int64(1); seed <= 2; seed++ {
+		if _, err := coord1.Submit(serve.CampaignSpec{
+			Workload: testWorkload,
+			Config:   campaign.TransientCampaignConfig{Injections: 20, ShardSize: 10, Seed: seed},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := coord1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	good, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := bytes.IndexByte(good, '\n') + 1
+	if first == 0 || first == len(good) {
+		t.Fatalf("journal holds %q; want at least two records", good)
+	}
+	corrupt := slices.Concat(good[:first], []byte(`{"type":"shard_done","job":}`+"\n"), good[first:])
+	if err := os.WriteFile(journal, corrupt, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	_, err = serve.NewCoordinator(serve.Options{JournalPath: journal})
+	if err == nil {
+		t.Fatal("a journal with a corrupt record mid-file was opened")
+	}
+	if want := fmt.Sprintf("corrupt at offset %d", first); !strings.Contains(err.Error(), want) {
+		t.Errorf("error %q does not name the bad record (want %q)", err, want)
+	}
+	after, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, corrupt) {
+		t.Errorf("refusing the journal changed it: %d bytes, want the %d written", len(after), len(corrupt))
 	}
 }
 

@@ -98,3 +98,42 @@ func TestOraclesStayInTests(t *testing.T) {
 		t.Fatalf("parsed %d non-test Go files; the walk missed the repository", parsed)
 	}
 }
+
+// TestEngineIsSingleGoroutine keeps the engine on the goroutine that calls
+// it: no non-test file in internal/gpu starts a goroutine or imports
+// sync/atomic. A device runs one launch at a time, in one block order, and
+// that is what lets its budget counter and Memory's lookup memo be plain
+// fields. Concurrency lives above the engine, one device per experiment.
+func TestEngineIsSingleGoroutine(t *testing.T) {
+	dir := filepath.Join("internal", "gpu")
+	paths, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	parsed := 0
+	for _, path := range paths {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parsed++
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"sync/atomic"` {
+				t.Errorf("%s: imports sync/atomic", fset.Position(imp.Pos()))
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if g, ok := n.(*ast.GoStmt); ok {
+				t.Errorf("%s: starts a goroutine", fset.Position(g.Pos()))
+			}
+			return true
+		})
+	}
+	if parsed < 10 {
+		t.Fatalf("parsed %d non-test Go files in %s; the glob missed the package", parsed, dir)
+	}
+}
