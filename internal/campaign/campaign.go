@@ -377,6 +377,45 @@ func (t *Tally) Merge(o *Tally) {
 	}
 }
 
+// Check reports whether the tally's counters agree with one another the way
+// every tally built by Add and Merge does: no counter is negative, the outcome
+// counts sum to N, the strata (when present) sum to N, Pruned + ClassAnswered
+// ≤ N, and Restored and EarlyExits each count at most the N − Pruned −
+// ClassAnswered runs that executed. EarlyExits is not bounded by Restored: a
+// checkpointed run with no usable checkpoint before its fault starts from
+// scratch yet still probes for re-convergence, so it can exit early without
+// being restored. A tally that fails Check did not come from classifying runs
+// — the campaign service refuses such a shard result rather than merging it.
+func (t *Tally) Check() error {
+	counters := []int{t.N, t.PotentialDUEs, t.NotActivated, t.Pruned, t.Restored, t.EarlyExits, t.ClassReps, t.ClassAnswered}
+	outcomes := 0
+	for _, n := range t.Counts {
+		counters = append(counters, n)
+		outcomes += n
+	}
+	strata := 0
+	for _, s := range t.Strata {
+		counters = append(counters, s.N, s.SDC, s.DUE, s.Masked)
+		strata += s.N
+	}
+	for _, n := range counters {
+		if n < 0 {
+			return fmt.Errorf("campaign: tally holds a negative count (%d)", n)
+		}
+	}
+	switch {
+	case outcomes != t.N:
+		return fmt.Errorf("campaign: tally outcome counts sum to %d, N is %d", outcomes, t.N)
+	case len(t.Strata) > 0 && strata != t.N:
+		return fmt.Errorf("campaign: tally strata sum to %d, N is %d", strata, t.N)
+	case t.Pruned+t.ClassAnswered > t.N:
+		return fmt.Errorf("campaign: tally has %d pruned and %d class-answered runs of %d", t.Pruned, t.ClassAnswered, t.N)
+	case max(t.Restored, t.EarlyExits) > t.N-t.Pruned-t.ClassAnswered:
+		return fmt.Errorf("campaign: tally has %d restored runs and %d early exits of %d executed", t.Restored, t.EarlyExits, t.N-t.Pruned-t.ClassAnswered)
+	}
+	return nil
+}
+
 // TallySchema versions the stable JSON encoding of Tally. The same encoding
 // is used by the campaign service API, the JSON run summary, and the
 // benchmark tooling, so a consumer can check one field to know the shape.

@@ -182,6 +182,40 @@ func TestCheckpointDifferential(t *testing.T) {
 		ckpt.Tally.Restored, ckpt.Tally.N, ckpt.Tally.EarlyExits, ckpt.Tally)
 }
 
+// TestCheckpointTallyCheck: a checkpointed run whose fault precedes every
+// usable checkpoint starts from scratch but still probes for re-convergence,
+// so it can exit early without being restored. Tallies of such runs — alone,
+// per shard and for the whole campaign — must pass Tally.Check, or the
+// campaign service would refuse true shard results.
+func TestCheckpointTallyCheck(t *testing.T) {
+	w := iterWorkload{}
+	r, golden, profile := iterCampaignInputs(t)
+	cfg := campaign.TransientCampaignConfig{Injections: 200, Seed: 31, ResolveSites: true, Checkpoint: true, ShardSize: 20}
+	res, err := campaign.RunTransientCampaign(context.Background(), r, w, golden, profile, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var unrestored []campaign.RunResult
+	for _, run := range res.Runs {
+		if run.EarlyExit && !run.Restored {
+			unrestored = append(unrestored, run)
+		}
+	}
+	if len(unrestored) == 0 {
+		t.Fatal("no run exited early without a restore; the case is untested")
+	}
+	tallies := []*campaign.Tally{res.Tally, campaign.TallyRuns(unrestored)}
+	for i := 0; i < cfg.NumShards(); i++ {
+		lo, hi := cfg.ShardRange(i)
+		tallies = append(tallies, campaign.TallyRuns(res.Runs[lo:hi]))
+	}
+	for _, tl := range tallies {
+		if err := tl.Check(); err != nil {
+			t.Errorf("Check refuses a tally of real runs: %v (%v)", err, tl)
+		}
+	}
+}
+
 // TestCheckpointNoEarlyExit: disabling early exit must not change any
 // classification, only force every experiment to run to completion.
 func TestCheckpointNoEarlyExit(t *testing.T) {

@@ -210,6 +210,18 @@ func TestTally(t *testing.T) {
 	if empty.Fraction(SDC) != 0 {
 		t.Error("empty tally fraction should be 0")
 	}
+	// Two runs executed; one restored, and both exited early — a run with no
+	// checkpoint before its fault starts from scratch yet may still exit.
+	tally.Restored, tally.EarlyExits, tally.Pruned, tally.ClassAnswered = 1, 2, 1, 1
+	tally.addStratum("~", SDC)
+	tally.addStratum("k:1", SDC)
+	tally.addStratum("k:1", Masked)
+	tally.addStratum("k:2", DUE)
+	for _, tl := range []*Tally{tally, empty} {
+		if err := tl.Check(); err != nil {
+			t.Errorf("Check refuses a tally built by Add: %v (%+v)", err, tl)
+		}
+	}
 }
 
 func TestOutcomeStrings(t *testing.T) {

@@ -341,6 +341,9 @@ func TestTallyMergeCommutes(t *testing.T) {
 	ab.Merge(mk(1, 4))
 	ba := mk(1, 4)
 	ba.Merge(mk(2, 1))
+	if err := ab.Check(); err != nil {
+		t.Errorf("Check refuses a merged tally: %v", err)
+	}
 	a, _ := json.Marshal(ab)
 	b, _ := json.Marshal(ba)
 	if !bytes.Equal(a, b) {

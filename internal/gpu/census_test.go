@@ -17,7 +17,9 @@ import (
 // kernel that starts to thunk fails here, not as a silent slowdown. Likewise
 // for the row programs: every row-tier instruction of a shipped kernel but
 // the FP64 pair ops is a row op the dispatcher executes, none is left to its
-// one-op step.
+// one-op step — the global loads and stores among them: every LDG/STG .32 or
+// .64 with a `[Rx+off]` or `[off]` address is a dispatchable row op, so the
+// FP64 pair ops are the only one-op closures left on the row tier.
 func TestShippedKernelsNeverThunk(t *testing.T) {
 	workloads := specaccel.All()
 	if len(workloads) != 15 {
@@ -51,17 +53,22 @@ func TestShippedKernelsNeverThunk(t *testing.T) {
 					t.Errorf("%s/%s: %d of %d row ops are not dispatcher-eligible",
 						w.Name(), k.Name, c.RowOps-c.Dispatchable, c.RowOps)
 				}
+				if c.MemOps != c.GlobalAccesses {
+					t.Errorf("%s/%s: %d of %d global LDG/STG .32/.64 are not dispatchable row ops",
+						w.Name(), k.Name, c.GlobalAccesses-c.MemOps, c.GlobalAccesses)
+				}
 				kernels++
 				instrs += len(k.Instrs)
 				total.Fast += c.Fast
 				total.RowOps += c.RowOps
 				total.Dispatchable += c.Dispatchable
+				total.MemOps += c.MemOps
 			}
 		}
 		if kernels == 0 {
 			t.Errorf("%s loaded no kernel", w.Name())
 		}
-		t.Logf("%-14s %3d kernels, %4d instructions, %.2f on the row tier: %4d row ops (%d dispatcher-eligible), %3d FP64 closures",
-			w.Name(), kernels, instrs, float64(total.Fast)/float64(instrs), total.RowOps, total.Dispatchable, total.Fast-total.RowOps)
+		t.Logf("%-14s %3d kernels, %4d instructions, %.2f on the row tier: %4d row ops (%d dispatcher-eligible, %3d global accesses), %3d FP64 closures",
+			w.Name(), kernels, instrs, float64(total.Fast)/float64(instrs), total.RowOps, total.Dispatchable, total.MemOps, total.Fast-total.RowOps)
 	}
 }

@@ -234,7 +234,7 @@ func runLaunch(t *testing.T, src, name string,
 }
 
 // mustAllocWrite allocates n bytes and, if data is non-nil, writes it.
-func mustAllocWrite(t *testing.T, d *Device, n int, data []byte) uint32 {
+func mustAllocWrite(t testing.TB, d *Device, n int, data []byte) uint32 {
 	t.Helper()
 	p, err := d.Mem.Alloc(n)
 	if err != nil {

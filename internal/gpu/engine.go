@@ -841,8 +841,12 @@ func (blk *blockCtx) runWarp(w *warp, budget *budgetCounter, stats *LaunchStats)
 					for ; pc < end; pc++ {
 						xi := &steps[pc]
 						if n := min(xi.rowLen, end-pc); n > 0 {
-							ti += blk.runRows(w, pc, n, atPC, tally)
-							pc += n - 1
+							var th uint64
+							th, pc, kind, faultAddr = blk.runRows(w, pc, n, atPC, tally)
+							if ti += th; kind != 0 {
+								break
+							}
+							pc--
 							continue
 						}
 						execMask := atPC
@@ -1028,8 +1032,12 @@ func (blk *blockCtx) issueHooked(w *warp, from, to int32, atPC uint32, stats *La
 				n = ek.callFree(pc, n)
 			}
 			if n > 0 {
-				ti += blk.runRows(w, pc, n, atPC, tally)
-				pc += n - 1
+				var th uint64
+				th, pc, kind, faultAddr = blk.runRows(w, pc, n, atPC, tally)
+				if ti += th; kind != 0 {
+					break
+				}
+				pc--
 				continue
 			}
 		}

@@ -5,9 +5,12 @@ import "repro/internal/sass"
 // TierCounts is a kernel's instructions by the tier compileStep gave them.
 // RowOps are the fast-tier instructions encoded as row ops (the rest of Fast
 // are the FP64 pair closures), Dispatchable those of them runRows executes.
+// GlobalAccesses are the LDG/STG .32/.64 instructions with a `[Rx+off]` or
+// `[off]` address, MemOps those of them that are dispatchable row ops.
 type TierCounts struct {
-	Fast, Accessor, Thunk int
-	RowOps, Dispatchable  int
+	Fast, Accessor, Thunk  int
+	RowOps, Dispatchable   int
+	GlobalAccesses, MemOps int
 }
 
 // TierCensus translates k and counts its instructions by tier — for the
@@ -27,10 +30,20 @@ func TierCensus(k *sass.Kernel) (c TierCounts, err error) {
 		default:
 			c.Thunk++
 		}
-		if op := &plan.ops[i]; op.shape != rsNone {
+		op := &plan.ops[i]
+		if op.shape != rsNone {
 			c.RowOps++
 			if op.dispatchable() {
 				c.Dispatchable++
+			}
+		}
+		in := &k.Instrs[i]
+		info := in.Op.Info()
+		if _, _, _, mem := fastMemOperand(in); mem && info.Space == sass.SpaceGlobal &&
+			(info.Sem == sass.SemLd || info.Sem == sass.SemSt) && (in.Mods.MemWidth() == 4 || in.Mods.MemWidth() == 8) {
+			c.GlobalAccesses++
+			if op.shape >= rsLd32 && op.dispatchable() {
+				c.MemOps++
 			}
 		}
 	}

@@ -34,7 +34,10 @@ type Memory struct {
 // memPageSize is the copy-on-write page granularity. It is a multiple of
 // allocAlign and of the widest single access (8 bytes), so a width-aligned
 // access never straddles a page boundary.
-const memPageSize = 4096
+const (
+	memPageShift = 12
+	memPageSize  = 1 << memPageShift
+)
 
 // zeroPage backs reads of pages that were never written.
 var zeroPage [memPageSize]byte

@@ -209,6 +209,24 @@ func rowStore32(win []byte, src *regRow, m uint32, k *regRow) {
 	}
 }
 
+// rowLoad64 and rowStore64 are the .64 moves: a lane's double word is its
+// low word in lo and its high word in hi.
+func rowLoad64(lo, hi *regRow, win []byte, m uint32, k *regRow) {
+	if useAVX2 {
+		rowLoad64AVX2(lo, hi, &win[0], uintptr(bits.TrailingZeros32(m)), k)
+	} else {
+		rowLoad64Generic(lo, hi, win, m)
+	}
+}
+
+func rowStore64(win []byte, lo, hi *regRow, m uint32, k *regRow) {
+	if useAVX2 {
+		rowStore64AVX2(&win[0], uintptr(bits.TrailingZeros32(m)), lo, hi, k)
+	} else {
+		rowStore64Generic(win, lo, hi, m)
+	}
+}
+
 //go:noescape
 func rowBroadcastAVX2(r *regRow, v uint32)
 
@@ -310,3 +328,9 @@ func rowLoad32AVX2(dst *regRow, win *byte, first uintptr, k *regRow)
 
 //go:noescape
 func rowStore32AVX2(win *byte, first uintptr, src, k *regRow)
+
+//go:noescape
+func rowLoad64AVX2(lo, hi *regRow, win *byte, first uintptr, k *regRow)
+
+//go:noescape
+func rowStore64AVX2(win *byte, first uintptr, lo, hi, k *regRow)

@@ -738,3 +738,90 @@ s3:
 s4:
 	VZEROUPPER
 	RET
+
+// Masked .64 row moves: lane l's double word is at win + 8*(l-first), its low
+// word in lo and its high word in hi. Eight lanes span two vectors of memory;
+// a lane's select word, sign-extended to a quadword, selects both its words.
+// As for .32, a group of eight lanes with none selected is skipped.
+
+// LOAD64V loads the eight lanes at row offset off (memory offset 2*off),
+// splits the double words into their low and high words — VSHUFPS picks the
+// even or odd words of each 128-bit half, VPERMQ puts the halves in lane
+// order — and merges them into lo (DI) and hi (R8) under k (DX).
+#define LOAD64V(off, SKIP) \
+	VMOVDQU    off(DX), Y7; \
+	VPTEST     Y7, Y7; \
+	JZ         SKIP; \
+	VPMOVSXDQ  off(DX), Y1; \
+	VPMOVSXDQ  (off+16)(DX), Y2; \
+	VPMASKMOVD (2*off)(SI), Y1, Y3; \
+	VPMASKMOVD (2*off+32)(SI), Y2, Y4; \
+	VSHUFPS    $0x88, Y4, Y3, Y5; \
+	VSHUFPS    $0xdd, Y4, Y3, Y6; \
+	VPERMQ     $0xd8, Y5, Y5; \
+	VPERMQ     $0xd8, Y6, Y6; \
+	VMOVDQU    off(DI), Y0; \
+	VPBLENDVB  Y7, Y5, Y0, Y0; \
+	VMOVDQU    Y0, off(DI); \
+	VMOVDQU    off(R8), Y0; \
+	VPBLENDVB  Y7, Y6, Y0, Y0; \
+	VMOVDQU    Y0, off(R8)
+
+// func rowLoad64AVX2(lo, hi *regRow, win *byte, first uintptr, k *regRow)
+TEXT ·rowLoad64AVX2(SB), NOSPLIT, $0-40
+	MOVQ lo+0(FP), DI
+	MOVQ hi+8(FP), R8
+	MOVQ win+16(FP), SI
+	MOVQ first+24(FP), AX
+	MOVQ k+32(FP), DX
+	SHLQ $3, AX
+	SUBQ AX, SI // lane 0's address
+	LOAD64V(0, d1)
+d1:
+	LOAD64V(32, d2)
+d2:
+	LOAD64V(64, d3)
+d3:
+	LOAD64V(96, d4)
+d4:
+	VZEROUPPER
+	RET
+
+// STORE64V interleaves the eight lanes at row offset off of lo (DI) and hi
+// (R8) into double words — VPUNPCK pairs them within each 128-bit half,
+// VPERM2I128 puts the halves in lane order — and stores them under k (DX)
+// to memory offset 2*off.
+#define STORE64V(off, SKIP) \
+	VMOVDQU    off(DX), Y7; \
+	VPTEST     Y7, Y7; \
+	JZ         SKIP; \
+	VMOVDQU    off(DI), Y0; \
+	VMOVDQU    off(R8), Y1; \
+	VPUNPCKLDQ Y1, Y0, Y2; \
+	VPUNPCKHDQ Y1, Y0, Y3; \
+	VPERM2I128 $0x20, Y3, Y2, Y4; \
+	VPERM2I128 $0x31, Y3, Y2, Y5; \
+	VPMOVSXDQ  off(DX), Y1; \
+	VPMOVSXDQ  (off+16)(DX), Y6; \
+	VPMASKMOVD Y4, Y1, (2*off)(SI); \
+	VPMASKMOVD Y5, Y6, (2*off+32)(SI)
+
+// func rowStore64AVX2(win *byte, first uintptr, lo, hi, k *regRow)
+TEXT ·rowStore64AVX2(SB), NOSPLIT, $0-40
+	MOVQ win+0(FP), SI
+	MOVQ first+8(FP), AX
+	MOVQ lo+16(FP), DI
+	MOVQ hi+24(FP), R8
+	MOVQ k+32(FP), DX
+	SHLQ $3, AX
+	SUBQ AX, SI // lane 0's address
+	STORE64V(0, e1)
+e1:
+	STORE64V(32, e2)
+e2:
+	STORE64V(64, e3)
+e3:
+	STORE64V(96, e4)
+e4:
+	VZEROUPPER
+	RET

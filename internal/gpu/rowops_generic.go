@@ -329,3 +329,28 @@ func rowStore32Generic(win []byte, src *regRow, m uint32) {
 		}
 	}
 }
+
+// rowLoad64Generic loads the lanes in m from win, the bytes of a unit-stride
+// .64 access whose first active lane is at win[0]: a lane's low word into lo,
+// its high word into hi. Other lanes, and bytes of inactive lanes, are not
+// touched.
+func rowLoad64Generic(lo, hi *regRow, win []byte, m uint32) {
+	first, last := bits.TrailingZeros32(m), 31-bits.LeadingZeros32(m)
+	for l := first; l <= last; l++ {
+		if m>>uint(l)&1 != 0 {
+			v := binary.LittleEndian.Uint64(win[8*(l-first):])
+			lo[l&31], hi[l&31] = uint32(v), uint32(v>>32)
+		}
+	}
+}
+
+// rowStore64Generic is rowLoad64Generic's mirror: the lanes in m of lo and hi,
+// as double words, to win.
+func rowStore64Generic(win []byte, lo, hi *regRow, m uint32) {
+	first, last := bits.TrailingZeros32(m), 31-bits.LeadingZeros32(m)
+	for l := first; l <= last; l++ {
+		if m>>uint(l)&1 != 0 {
+			binary.LittleEndian.PutUint64(win[8*(l-first):], uint64(hi[l&31])<<32|uint64(lo[l&31]))
+		}
+	}
+}

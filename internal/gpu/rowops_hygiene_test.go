@@ -205,6 +205,11 @@ var (
 	dispatcherRegs = []string{"R9", "R10", "R11", "R12", "R13"}
 )
 
+// dispatcherTypes are the types whose go_asm.h field offsets the dispatcher
+// may read: its ops, the warp and block slot they execute on, the plan, the
+// tally, and the allocation table of a global access's fast path.
+var dispatcherTypes = []string{"rowOp", "rowOperand", "rowPred", "warp", "blockCtx", "xplan", "SiteTally", "alloc"}
+
 // checkDispatcherAsm reads rowprog_amd64.s as text and enforces the rules its
 // header states, against the kernels' source and their Go declarations:
 //
@@ -212,7 +217,9 @@ var (
 //     none outside kernelRegs and dispatcherRegs (so never BP, R14 or R15) and
 //     no X or Y register at all — it owes no VZEROUPPER;
 //   - the dispatcher takes struct layout from go_asm.h: no displacement off a
-//     general register is a bare number;
+//     general register is a bare number, and every name in one is a field of
+//     a type in dispatcherTypes, a const_ name, or one of the file's own
+//     #defines and macro parameters;
 //   - every symbol it CALLs or lists in a DATA table is declared in
 //     rowops_amd64.go, its own TEXT symbol in rowprog_amd64.go, and the
 //     rowKernels table covers exactly the ops of rowVectorOps.
@@ -228,6 +235,7 @@ func checkDispatcherAsm(t *testing.T, kernels string, declared map[string]bool) 
 		vecRE     = regexp.MustCompile(`\b[XY]([0-9]|1[0-5])\b`)
 		dispRE    = regexp.MustCompile(`([^\s,;(]*)\((AX|BX|CX|DX|SI|DI|BP|R8|R9|R1[0-5])\)`)
 		numRE     = regexp.MustCompile(`^-?[0-9]+$`)
+		identRE   = regexp.MustCompile(`[A-Za-z_]\w*`)
 		symRE     = regexp.MustCompile(`(?:CALL\s+|\$)·(\w+)\(SB\)`)
 		textRE    = regexp.MustCompile(`(?m)^TEXT\s+·(\w+)\(SB\)`)
 		kernRE    = regexp.MustCompile(`(?m)^DATA rowKernels<>\+\(const_(fop\w+)\*8\)\(SB\)/8, \$·(\w+)\(SB\)`)
@@ -248,9 +256,22 @@ func checkDispatcherAsm(t *testing.T, kernels string, declared map[string]bool) 
 	if v := vecRE.FindString(dispatcher); v != "" {
 		t.Errorf("rowprog_amd64.s names the vector register %s: the dispatcher has no VZEROUPPER", v)
 	}
+	local := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^#define\s+(\w+)(?:\(([^)]*)\))?`).FindAllStringSubmatch(dispatcher, -1) {
+		local[m[1]] = true
+		for _, p := range strings.Split(m[2], ",") {
+			local[strings.TrimSpace(p)] = true
+		}
+	}
 	for _, m := range dispRE.FindAllStringSubmatch(dispatcher, -1) {
 		if numRE.MatchString(m[1]) {
 			t.Errorf("rowprog_amd64.s: %s is a numeric displacement off %s; struct layout comes from go_asm.h names", m[0], m[2])
+		}
+		for _, name := range identRE.FindAllString(m[1], -1) {
+			typ, _, field := strings.Cut(name, "_")
+			if !local[name] && typ != "const" && !(field && slices.Contains(dispatcherTypes, typ)) {
+				t.Errorf("rowprog_amd64.s: %s reads %s, not a field of %v from go_asm.h", m[0], name, dispatcherTypes)
+			}
 		}
 	}
 

@@ -21,3 +21,6 @@ func rowStrideDiff(addr, k *regRow, want, stride uint32) uint32 {
 
 func rowLoad32(dst *regRow, win []byte, m uint32, _ *regRow)  { rowLoad32Generic(dst, win, m) }
 func rowStore32(win []byte, src *regRow, m uint32, _ *regRow) { rowStore32Generic(win, src, m) }
+
+func rowLoad64(lo, hi *regRow, win []byte, m uint32, _ *regRow)  { rowLoad64Generic(lo, hi, win, m) }
+func rowStore64(win []byte, lo, hi *regRow, m uint32, _ *regRow) { rowStore64Generic(win, lo, hi, m) }

@@ -223,7 +223,8 @@ func checkRowKernels(t testing.TB, s *[3]regRow, m uint32, lut uint8) {
 	checkRowMoves(t, x, y, m, &k)
 }
 
-// checkRowMoves runs the masked .32 load and store over a window that starts
+// checkRowMoves runs the masked .32 (and, through checkRowMoves64, .64) load
+// and store over a window that starts
 // exactly at the first active lane's word and ends exactly at the last one's,
 // inside a buffer poisoned on both sides: the guard bytes, and the window
 // bytes of inactive lanes, must come through untouched, as must the inactive
@@ -275,6 +276,63 @@ func checkRowMoves(t testing.TB, data, prior *regRow, m uint32, k *regRow) {
 	}
 	if !bytes.Equal(bufG, before) {
 		t.Errorf("rowLoad32 mask %#x wrote to its window", m)
+	}
+	checkRowMoves64(t, data, prior, m, k)
+}
+
+// checkRowMoves64 is checkRowMoves for the .64 moves: lane l's double word
+// is data[l] (low) and prior[l] (high), at 8*(l-first) in the window.
+func checkRowMoves64(t testing.TB, data, prior *regRow, m uint32, k *regRow) {
+	t.Helper()
+	first, last := bits.TrailingZeros32(m), 31-bits.LeadingZeros32(m)
+	const guard = 288 // more than a whole .64 row either side
+	n := 8 * (last - first + 1)
+	fresh := func() []byte {
+		buf := make([]byte, guard+n+guard)
+		for i := range buf {
+			buf[i] = byte(0x51 + i%29)
+		}
+		return buf
+	}
+
+	bufK, bufG := fresh(), fresh()
+	rowStore64(bufK[guard:guard+n], data, prior, m, k)
+	rowStore64Generic(bufG[guard:guard+n], data, prior, m)
+	if !bytes.Equal(bufK, bufG) {
+		t.Errorf("rowStore64 mask %#x: buffer differs from the portable loop's\n got  %x\n want %x", m, bufK, bufG)
+	}
+	poison := fresh()
+	for l := 0; l < WarpSize; l++ {
+		if i := guard + 8*(l-first); m>>uint(l)&1 != 0 {
+			binary.LittleEndian.PutUint64(poison[i:], uint64(prior[l])<<32|uint64(data[l]))
+		}
+	}
+	if !bytes.Equal(bufG, poison) {
+		t.Errorf("rowStore64Generic mask %#x wrote outside its active lanes", m)
+	}
+
+	before := append([]byte(nil), bufG...)
+	var gotLo, gotHi, wantLo, wantHi regRow
+	for l := range gotLo {
+		gotLo[l], gotHi[l] = ^prior[l], prior[l]^0x5a5a5a5a
+	}
+	wantLo, wantHi = gotLo, gotHi
+	rowLoad64(&gotLo, &gotHi, bufG[guard:guard+n], m, k)
+	rowLoad64Generic(&wantLo, &wantHi, bufG[guard:guard+n], m)
+	if gotLo != wantLo || gotHi != wantHi {
+		t.Errorf("rowLoad64 mask %#x: %#x / %#x, portable %#x / %#x", m, gotLo, gotHi, wantLo, wantHi)
+	}
+	for l := range wantLo {
+		lo, hi := ^prior[l], prior[l]^0x5a5a5a5a
+		if m>>uint(l)&1 != 0 {
+			lo, hi = data[l], prior[l]
+		}
+		if wantLo[l] != lo || wantHi[l] != hi {
+			t.Errorf("rowLoad64Generic mask %#x: lane %d = %#x / %#x, want %#x / %#x", m, l, wantLo[l], wantHi[l], lo, hi)
+		}
+	}
+	if !bytes.Equal(bufG, before) {
+		t.Errorf("rowLoad64 mask %#x wrote to its window", m)
 	}
 }
 

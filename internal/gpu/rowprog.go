@@ -1,6 +1,10 @@
 package gpu
 
-import "repro/internal/sass"
+import (
+	"math/bits"
+
+	"repro/internal/sass"
+)
 
 // Row programs (DESIGN.md section 3.11, "Row programs"). The row tier's
 // instructions are data: translation encodes each as one fixed-size rowOp in
@@ -15,8 +19,10 @@ import "repro/internal/sass"
 // (rowBin, rowTern, rowSel, cmpMask: the portable loops wherever there are no
 // vector kernels). The portable executor is the whole path there, the one-op
 // step behind xinstr.step everywhere (single issue, an instruction at a
-// callback site, a row op no vector kernel covers), and the oracle the
-// dispatcher is held to, bit for bit (rowprog_test.go).
+// callback site, a row op no vector kernel covers), the executor of a global
+// access the dispatcher leaves to Go (its fast path does not cover it, or it
+// may trap), and the oracle the dispatcher is held to, bit for bit
+// (rowprog_test.go, rowglobal_test.go).
 //
 // An op never holds a pointer: an operand is a base selector and a byte
 // offset, resolved against the warp, the block slot and the plan that are
@@ -47,7 +53,10 @@ type rowOperand struct {
 }
 
 // Op shapes: which kernel signature an op calls and what it writes. The order
-// matters to the dispatcher: shapes from rsTern on read a third source.
+// matters to the dispatcher: shapes from rsTern on read a third source, and
+// shapes from rsLd32 on are global accesses, whose address row is src[0] and
+// whose byte offset is off. A store's value is src[1], with src[2] the high
+// words of a .64 store; a load's unused sources read the zero row.
 const (
 	rsNone uint8 = iota // not a row op
 	rsMov               // dst = src[0] (MOV, S2R, LOP.PASS_B)
@@ -56,6 +65,10 @@ const (
 	rsSetP              // predicate dst = cmp(src[0], src[1]) combined with the pred source
 	rsTern              // dst = kern(src[0], src[1], src[2])
 	rsLop3              // rsTern with LOP3's truth table
+	rsLd32              // dst = the word at src[0]+off
+	rsSt32              // the word at src[0]+off = src[1]
+	rsLd64              // dst, dst+1 = the double word at src[0]+off (the high half dropped on RZ)
+	rsSt64              // the double word at src[0]+off = src[1], src[2]
 )
 
 // Guards, as the op's own copy of xinstr's classification.
@@ -91,8 +104,9 @@ type rowOp struct {
 	dst   uint32 // byte offset of the destination row in warp.regs; of the predicate word in warp.preds for rsSetP
 	src   [3]rowOperand
 	pred  rowPred
-	comb  uint8 // rsSetP
-	lut   uint8 // rsLop3
+	comb  uint8  // rsSetP
+	lut   uint8  // rsLop3
+	off   uint32 // global accesses: the memory operand's byte offset
 }
 
 // rowPred is a pre-resolved predicate source: a constant or a predicate
@@ -116,8 +130,9 @@ var rowVectorOps = [numFastOps]bool{
 // dispatchable reports whether the op may sit inside a stretch handed to
 // runRows. It is a property of the op alone, the same on every platform, so a
 // plan's rowLen does not depend on where it was built. What it excludes runs
-// through the op's step: ops without a vector kernel, and an SM clock read
-// (which issues alone anyway, see readsClock).
+// through the op's step: ops without a vector kernel, an SM clock read
+// (which issues alone anyway, see readsClock), and a .64 load whose high half
+// lands on RZ (it drops into scratch, which only the portable executor does).
 func (op *rowOp) dispatchable() bool {
 	for i := range op.src {
 		if o := &op.src[i]; o.base == rbSpecial && sass.SpecialReg(o.off) != sass.SRWarpID {
@@ -127,8 +142,10 @@ func (op *rowOp) dispatchable() bool {
 	switch op.shape {
 	case rsNone:
 		return false
-	case rsMov, rsSetP:
+	case rsMov, rsSetP, rsLd32, rsSt32, rsSt64:
 		return true
+	case rsLd64:
+		return op.dst/rowBytes+1 != uint32(sass.RZ)
 	}
 	return rowVectorOps[op.kern]
 }
@@ -199,16 +216,19 @@ func (o *rowOperand) row(blk *blockCtx, w *warp, scratch *regRow) *regRow {
 }
 
 // execRow executes one op for the lanes in m (not empty), the guard already
-// applied. Destination/source aliasing needs no care: lane l's result depends
-// only on lane l's operands, every row kernel reads a lane before it writes
-// it, and negated or broadcast operands were copied to scratch before the
-// kernel runs.
-func (blk *blockCtx) execRow(w *warp, op *rowOp, m uint32) {
+// applied, and returns the trap of a global access that faults. Destination /
+// source aliasing needs no care: lane l's result depends only on lane l's
+// operands, every row kernel reads a lane before it writes it, and negated or
+// broadcast operands were copied to scratch before the kernel runs.
+func (blk *blockCtx) execRow(w *warp, op *rowOp, m uint32) (TrapKind, uint32) {
+	if op.shape >= rsLd32 {
+		return blk.execGlobal(w, op, m)
+	}
 	rows := &blk.rows
 	x := op.src[0].row(blk, w, &rows[rowA])
 	if op.shape == rsMov {
 		blk.storeRow(&w.regs[op.dst/rowBytes], x, m)
-		return
+		return 0, 0
 	}
 	y := op.src[1].row(blk, w, &rows[rowB])
 	if op.shape == rsSetP {
@@ -223,7 +243,7 @@ func (blk *blockCtx) execRow(w *warp, op *rowOp, m uint32) {
 		}
 		pd := &w.preds[op.dst/4]
 		*pd ^= (*pd ^ r) & m
-		return
+		return 0, 0
 	}
 	dst := &w.regs[op.dst/rowBytes]
 	out := blk.outRow(dst, m)
@@ -236,27 +256,109 @@ func (blk *blockCtx) execRow(w *warp, op *rowOp, m uint32) {
 		rowTern(fastOp(op.kern), out, x, y, op.src[2].row(blk, w, &rows[rowC]), op.lut)
 	}
 	blk.commit(dst, out, m)
+	return 0, 0
+}
+
+// execGlobal executes a global load or store. A unit-stride warp whose span
+// lies inside one page of one allocation moves as one masked row copy
+// (unitStride, spanWindow). Everything else walks the active lanes in
+// ascending order over a window on the last page touched; a miss goes through
+// the same Memory.check the interpreter's Load and Store use, so trap kinds,
+// fault addresses, and ascending-lane fault ordering are identical, and so is
+// the refresh of the allocation memo. Store windows come from writePage, so
+// the first touch of each page pays the copy-on-write fault exactly like
+// Memory.Store; a never-written page is read through the zero page and stays
+// unmaterialized. Unit-stride lanes hit distinct addresses, so the whole-warp
+// path cannot reorder an intra-warp write conflict.
+func (blk *blockCtx) execGlobal(w *warp, op *rowOp, m uint32) (TrapKind, uint32) {
+	store := op.shape == rsSt32 || op.shape == rsSt64
+	wide := op.shape == rsLd64 || op.shape == rsSt64
+	width := uint32(4)
+	if wide {
+		width = 8
+	}
+	mem := blk.dev.Mem
+	addr := op.src[0].row(blk, w, nil) // a register or the zero row: read in place
+	var lo, hi *regRow
+	switch op.shape {
+	case rsLd32, rsLd64:
+		// A pair whose high half lands on RZ drops it, like dstWrPair.
+		d := op.dst / rowBytes
+		lo, hi = &w.regs[d], &blk.rows[rowOut]
+		if wide && d+1 != uint32(sass.RZ) {
+			hi = &w.regs[d+1]
+		}
+	default:
+		lo, hi = op.src[1].row(blk, w, &blk.rows[rowA]), op.src[2].row(blk, w, &blk.rows[rowB])
+	}
+	if a0, n, k := blk.unitStride(addr, op.off, m, width); k != nil {
+		if win := mem.spanWindow(a0, n, width, store); win != nil {
+			switch op.shape {
+			case rsLd32:
+				rowLoad32(lo, win, m, k)
+			case rsSt32:
+				rowStore32(win, lo, m, k)
+			case rsLd64:
+				rowLoad64(lo, hi, win, m, k)
+			default:
+				rowStore64(win, lo, hi, m, k)
+			}
+			return 0, 0
+		}
+	}
+	var winBase uint32 // device address of win[0]
+	var win []byte     // valid bytes of the cached page
+	for l, last := bits.TrailingZeros32(m), 31-bits.LeadingZeros32(m); l <= last; l++ {
+		if m>>uint(l)&1 == 0 {
+			continue
+		}
+		a := addr[l&31] + op.off
+		i := a - winBase
+		if a&(width-1) != 0 || uint64(i)+uint64(width) > uint64(len(win)) {
+			var kind TrapKind
+			if winBase, win, kind = mem.pageWindow(a, width, store); kind != 0 {
+				return kind, a
+			}
+			i = a - winBase
+		}
+		moveLane(win[i:], lo, hi, l, wide, store)
+	}
+	return 0, 0
 }
 
 // runRowsPortable is runRows in Go: the row ops of instructions [pc, pc+n) for
 // the lanes in atPC, each issue counted into tally[pc:] when tally is not nil.
-// It returns the thread-level executions. An op whose guard leaves no lane
-// still issues.
-func (blk *blockCtx) runRowsPortable(w *warp, pc, n int32, atPC uint32, tally []SiteTally) (threads uint64) {
-	ops := blk.plan.ops[pc : pc+n]
-	for i := range ops {
-		op := &ops[i]
-		m := op.guardMask(w, atPC)
-		lanes := uint64(popcount(m))
+// It returns the thread-level executions and where the stretch stopped: pc+n,
+// or the op whose global access trapped, with the trap. A trapping op's lanes
+// are counted into threads but not into the tally, as the batch loops count a
+// trapping step. An op whose guard leaves no lane still issues.
+func (blk *blockCtx) runRowsPortable(w *warp, pc, n int32, atPC uint32, tally []SiteTally) (threads uint64, at int32, kind TrapKind, faultAddr uint32) {
+	for end := pc + n; pc < end; pc++ {
+		var lanes uint64
+		lanes, kind, faultAddr = blk.issueRow(w, pc, atPC, tally)
 		threads += lanes
-		if m != 0 {
-			blk.execRow(w, op, m)
-		}
-		if tally != nil {
-			tally[int(pc)+i].add(lanes)
+		if kind != 0 {
+			return threads, pc, kind, faultAddr
 		}
 	}
-	return threads
+	return threads, pc, 0, 0
+}
+
+// issueRow issues the row op of instruction pc for the lanes in atPC, as one
+// step of runRowsPortable.
+func (blk *blockCtx) issueRow(w *warp, pc int32, atPC uint32, tally []SiteTally) (lanes uint64, kind TrapKind, faultAddr uint32) {
+	op := &blk.plan.ops[pc]
+	m := op.guardMask(w, atPC)
+	lanes = uint64(popcount(m))
+	if m != 0 {
+		if kind, faultAddr = blk.execRow(w, op, m); kind != 0 {
+			return lanes, kind, faultAddr
+		}
+	}
+	if tally != nil {
+		tally[pc].add(lanes)
+	}
+	return lanes, 0, 0
 }
 
 // rowStep is the one-op step of a row instruction, for whatever issues it
@@ -265,9 +367,10 @@ func (blk *blockCtx) runRowsPortable(w *warp, pc, n int32, atPC uint32, tally []
 //go:noinline
 func rowStep(op *rowOp) planStep {
 	return func(blk *blockCtx, w *warp, m uint32) (bool, TrapKind, uint32) {
-		if m != 0 {
-			blk.execRow(w, op, m)
+		if m == 0 {
+			return false, 0, 0
 		}
-		return false, 0, 0
+		kind, faultAddr := blk.execRow(w, op, m)
+		return false, kind, faultAddr
 	}
 }

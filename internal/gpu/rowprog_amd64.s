@@ -21,7 +21,7 @@
 //     other.)
 //   - Struct layout comes from go_asm.h only: a displacement off a pointer
 //     register is a rowOp_ / rowOperand_ / warp_ / blockCtx_ / xplan_ /
-//     SiteTally_ name, never a number.
+//     SiteTally_ / alloc_ name, never a number.
 //   - Every kernel table entry is a symbol rowops_amd64.go declares, and the
 //     rowKernels table covers exactly the ops of rowVectorOps.
 //
@@ -31,7 +31,7 @@
 //	R10  w
 //	R11  tally cursor, 0 when the launch does not tally
 //	R12  op cursor
-//	R13  end of the ops
+//	R13  ops left, the current one included
 //
 // Frame:
 //
@@ -44,10 +44,16 @@
 //	80(SP)    the destination row
 //	88(SP)    the exec mask of the op being executed
 //	92(SP)    SETP: the compare's flags
+//	96(SP)    global access: the select words of the exec mask
+//	104(SP)   global access: the first executing lane
+//	112(SP)   global access: the first lane's bytes in the page
+//	120(SP)   global access: the width, 4 or 8
+//	124(SP)   global access: the first lane's address register
 //
 // The frame holds addresses the collector is not told about
 // (NO_LOCAL_POINTERS). All of them point into blk, w, the plan's arena or
-// ops — kept alive by the arguments — and no collection can observe the frame:
+// ops, or a page of the allocations — kept alive by the arguments — and no
+// collection can observe the frame:
 // the routine and the kernels are assembly, which the runtime neither
 // preempts asynchronously nor scans at a call that cannot grow the stack.
 //
@@ -182,15 +188,13 @@ NEGATE: \
 	NOTL    AX; \
 DONE:
 
-// func rowProgAVX2(blk *blockCtx, w *warp, ops *rowOp, n int, atPC uint32, tally *SiteTally) (threads uint64)
-TEXT ·rowProgAVX2(SB), $96-56
+// func rowProgAVX2(blk *blockCtx, w *warp, ops *rowOp, n int, atPC uint32, tally *SiteTally, allocs []alloc, memo uint32) (threads uint64, done int)
+TEXT ·rowProgAVX2(SB), $128-96
 	NO_LOCAL_POINTERS
 	MOVQ  blk+0(FP), AX
 	MOVQ  w+8(FP), R10
 	MOVQ  ops+16(FP), R12
 	MOVQ  n+24(FP), R13
-	IMULQ $rowOp__size, R13
-	ADDQ  R12, R13
 	MOVQ  tally+40(FP), R11
 	XORL  R9, R9
 	LEAQ  warp_regs(R10), BX
@@ -225,6 +229,10 @@ narrow:
 	ANDL BX, DX
 
 count:
+	CMPB rowOp_shape(R12), $const_rsLd32
+	JHS  global
+
+counted:
 	// An op with no lane left still issues.
 	POPCNTL DX, AX
 	ADDQ    AX, R9
@@ -256,6 +264,8 @@ one:
 	MOVBLZX rowOp_shape(R12), AX
 	CMPL    AX, $const_rsSetP
 	JEQ     setp
+	CMPL    AX, $const_rsLd32
+	JHS     move
 
 	// The destination row; under a partial mask the kernel computes into
 	// scratch and the active lanes are merged in.
@@ -312,11 +322,18 @@ blend:
 
 next:
 	ADDQ $rowOp__size, R12
+	DECQ R13
 
 more:
-	CMPQ R12, R13
-	JLO  loop
-	MOVQ R9, threads+48(FP)
+	TESTQ R13, R13
+	JNZ   loop
+
+bail:
+	// The ops left, the current one first, go back to Go uncounted.
+	MOVQ R9, threads+80(FP)
+	MOVQ n+24(FP), AX
+	SUBQ R13, AX
+	MOVQ AX, done+88(FP)
 	RET
 
 mov:
@@ -397,6 +414,194 @@ write:
 	ANDL 88(SP), CX
 	XORL CX, AX
 	MOVL AX, warp_preds(R10)(BX*1)
+	JMP  next
+
+global:
+	// A global access runs here only on its fast path, checked before the op
+	// counts: the executing lanes' addresses run at unit stride from a
+	// width-aligned first address, and the span lies inside one page of one of the two allocations the memo
+	// names — a page written before, and for a store one no snapshot shares.
+	// Anything else is left to Go (bail), whose portable executor runs the op:
+	// the lane loop, its traps, the memo refresh, the zero page and the
+	// copy-on-write fault. An op with no lane touches no memory.
+	TESTL DX, DX
+	JZ    counted
+	MOVL  DX, 88(SP)
+
+	// The select words of the lanes: the ones row, or the slot's expansion.
+	LEAQ ·onesRow(SB), BX
+	CMPL DX, $-1
+	JEQ  masked
+	MOVQ blk+0(FP), AX
+	LEAQ blockCtx_maskRow(AX), BX
+	CMPL DX, blockCtx_maskFor(AX)
+	JEQ  masked
+	MOVL DX, blockCtx_maskFor(AX)
+	MOVQ BX, 0(SP)
+	MOVL DX, 8(SP)
+	CALL ·rowExpandMaskAVX2(SB)
+	MOVQ blk+0(FP), AX
+	LEAQ blockCtx_maskRow(AX), BX
+	MOVL 88(SP), DX
+
+masked:
+	// Unit stride: each lane's address register holds the first lane's
+	// plus the width per lane between them.
+	MOVQ    BX, 96(SP)
+	BSFL    DX, CX
+	MOVQ    CX, 104(SP)
+	MOVBLZX (rowOp_src+rowOperand_base)(R12), AX
+	MOVL    (rowOp_src+rowOperand_off)(R12), SI
+	ADDQ    40(SP)(AX*8), SI
+	MOVL    (SI)(CX*4), AX
+	MOVL    AX, 124(SP)
+	MOVL    $4, DI
+	CMPB    rowOp_shape(R12), $const_rsLd64
+	JLO     sized
+	MOVL    $8, DI
+
+sized:
+	MOVL  DI, 120(SP)
+	IMULL DI, CX
+	SUBL  CX, AX
+	MOVQ  SI, 0(SP)
+	MOVQ  BX, 8(SP)
+	MOVL  AX, 16(SP)
+	MOVL  DI, 20(SP)
+	CALL  ·rowStrideDiffAVX2(SB)
+	MOVL  24(SP), AX
+	TESTL AX, AX
+	JNZ   bail
+
+	// A width-aligned first address (the stride aligns the rest).
+	MOVL  124(SP), AX
+	ADDL  rowOp_off(R12), AX
+	MOVL  120(SP), DI
+	MOVL  DI, BX
+	DECL  BX
+	TESTL BX, AX
+	JNZ   bail
+
+	// The allocation holding it: the memo's newer slot, then its older one.
+	MOVQ  allocs_base+48(FP), SI
+	MOVQ  allocs_len+56(FP), R8
+	MOVL  memo+72(FP), CX
+	MOVL  CX, BX
+	ANDL  $0xffff, BX
+	CMPQ  BX, R8
+	JHS   older
+	IMULQ $alloc__size, BX
+	ADDQ  SI, BX
+	MOVL  AX, DX
+	SUBL  alloc_base(BX), DX
+	CMPL  DX, alloc_size(BX)
+	JLO   found
+
+older:
+	SHRL  $16, CX
+	CMPQ  CX, R8
+	JHS   bail
+	IMULQ $alloc__size, CX
+	LEAQ  (SI)(CX*1), BX
+	MOVL  AX, DX
+	SUBL  alloc_base(BX), DX
+	CMPL  DX, alloc_size(BX)
+	JHS   bail
+
+found:
+	// BX: the allocation; DX: the first address's offset in it. The span,
+	// first to last lane, ends inside the allocation and inside the page.
+	MOVL  88(SP), CX
+	BSRL  CX, CX
+	SUBL  104(SP), CX
+	IMULL DI, CX
+	ADDL  DI, CX
+	MOVL  DX, AX
+	ADDQ  CX, AX
+	MOVL  alloc_size(BX), SI
+	CMPQ  AX, SI
+	JHI   bail
+	MOVL  DX, AX
+	ANDL  $(const_memPageSize-1), AX
+	ADDL  CX, AX
+	CMPL  AX, $const_memPageSize
+	JHI   bail
+
+	// The page: materialized, and private to this memory for a store.
+	MOVL    DX, CX
+	SHRL    $const_memPageShift, CX
+	MOVQ    alloc_pages(BX), SI
+	LEAQ    (CX)(CX*2), AX
+	MOVQ    (SI)(AX*8), SI
+	TESTQ   SI, SI
+	JZ      bail
+	MOVBLZX rowOp_shape(R12), AX
+	CMPL    AX, $const_rsSt32
+	JEQ     private
+	CMPL    AX, $const_rsSt64
+	JNE     window
+
+private:
+	MOVQ alloc_shared(BX), AX
+	CMPB (AX)(CX*1), $0
+	JNE  bail
+
+window:
+	ANDL $(const_memPageSize-1), DX
+	ADDQ DX, SI
+	MOVQ SI, 112(SP)
+	MOVL 88(SP), DX
+	JMP  counted
+
+move:
+	// The checked access, as one masked row move between the page and the
+	// registers (a store's value rows resolved into y and z).
+	MOVQ 112(SP), SI
+	MOVQ 104(SP), CX
+	MOVQ 96(SP), BX
+	CMPL AX, $const_rsSt32
+	JEQ  store32
+	CMPL AX, $const_rsSt64
+	JEQ  store64
+	MOVL rowOp_dst(R12), DI
+	ADDQ 40(SP), DI
+	CMPL AX, $const_rsLd64
+	JEQ  load64
+	MOVQ DI, 0(SP)
+	MOVQ SI, 8(SP)
+	MOVQ CX, 16(SP)
+	MOVQ BX, 24(SP)
+	CALL ·rowLoad32AVX2(SB)
+	JMP  next
+
+load64:
+	MOVQ DI, 0(SP)
+	ADDQ $const_rowBytes, DI
+	MOVQ DI, 8(SP)
+	MOVQ SI, 16(SP)
+	MOVQ CX, 24(SP)
+	MOVQ BX, 32(SP)
+	CALL ·rowLoad64AVX2(SB)
+	JMP  next
+
+store32:
+	MOVQ 16(SP), DI
+	MOVQ SI, 0(SP)
+	MOVQ CX, 8(SP)
+	MOVQ DI, 16(SP)
+	MOVQ BX, 24(SP)
+	CALL ·rowStore32AVX2(SB)
+	JMP  next
+
+store64:
+	MOVQ 16(SP), DI
+	MOVQ 24(SP), DX
+	MOVQ SI, 0(SP)
+	MOVQ CX, 8(SP)
+	MOVQ DI, 16(SP)
+	MOVQ DX, 24(SP)
+	MOVQ BX, 32(SP)
+	CALL ·rowStore64AVX2(SB)
 	JMP  next
 
 	PREOP(rowOp_src+2*rowOperand__size, const_rowC, zspecial, znegate, zstore)

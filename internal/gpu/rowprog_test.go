@@ -22,32 +22,40 @@ import (
 //     instruction by instruction.
 //
 // Compared: the whole register file, every predicate mask, the thread-level
-// execution count and the per-instruction tally. The second half of the file
+// execution count, the per-instruction tally and — for lists with global
+// accesses — the trap and where it stopped the list, the memory's bytes and
+// page table, and the snapshot the memory shares pages with. The second half
+// of the file
 // holds whole launches over a kernel made of long row runs to the reference
 // loop: paused and budgeted at every position, armed at chosen sites.
 
 // progHarness holds what a block context needs and the warp state every run
 // starts from.
 type progHarness struct {
-	tb     testing.TB
-	dev    *Device
-	launch *Launch
-	bank   []byte
-	base   warp
-	masks  []uint32 // the atPC masks every list runs under
+	tb        testing.TB
+	dev, devI *Device // the translated runs' device and the interpreter's
+	launch    *Launch
+	bank      []byte
+	base      warp
+	masks     []uint32    // the atPC masks every list runs under
+	mem       *progMemory // when set, every run starts from a fresh copy of its memory
 }
 
 func newProgHarness(tb testing.TB, seed int64) *progHarness {
-	d, err := NewDevice(sass.FamilyVolta, 4)
-	if err != nil {
-		tb.Fatal(err)
+	var devs [2]*Device
+	for i := range devs {
+		d, err := NewDevice(sass.FamilyVolta, 4)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		d.smClocks[1] = 0x1234
+		devs[i] = d
 	}
-	d.smClocks[1] = 0x1234
 	masks := progMasks
 	if progQuick() {
 		masks = []uint32{fullMask, 0x7ffe7ffe}
 	}
-	h := &progHarness{tb: tb, dev: d, masks: masks, launch: &Launch{
+	h := &progHarness{tb: tb, dev: devs[0], devI: devs[1], masks: masks, launch: &Launch{
 		Grid:   Dim3{X: 4, Y: 3, Z: 2},
 		Block:  Dim3{X: 8, Y: 4, Z: 2},
 		Params: []uint32{0x3fc00000, 0xdeadbeef, 0x40490fdb, 0xbff00000},
@@ -81,9 +89,18 @@ func newProgHarness(tb testing.TB, seed int64) *progHarness {
 // leaves an op no lane.
 const progZeroPred = 5
 
-// block returns a fresh block context bound to plan (nil: the interpreter's).
+// block returns a fresh block context bound to plan (nil: the interpreter's,
+// on a device of its own), over a fresh copy of the harness's memory if it
+// has one.
 func (h *progHarness) block(plan *xplan) *blockCtx {
-	blk := &blockCtx{dev: h.dev, launch: h.launch, constBank: h.bank, smID: 1, blockIdx: Dim3{X: 3, Y: 2, Z: 1}, blockLin: 7}
+	d := h.dev
+	if plan == nil {
+		d = h.devI
+	}
+	if h.mem != nil {
+		d.Mem = h.mem.build(h.tb)
+	}
+	blk := &blockCtx{dev: d, launch: h.launch, constBank: h.bank, smID: 1, blockIdx: Dim3{X: 3, Y: 2, Z: 1}, blockLin: 7}
 	blk.setPlan(plan)
 	blk.fillUniforms(true)
 	return blk
@@ -94,10 +111,30 @@ type progObs struct {
 	w       warp
 	threads uint64
 	tally   []SiteTally
+	trap    progTrap
+	mem     memObs // with a harness memory
+}
+
+// progTrap is where a list stopped on a trap, and the trap; zero when it ran
+// to its end.
+type progTrap struct {
+	pc   int32
+	kind TrapKind
+	addr uint32
+}
+
+// finish records the end of a run: the trap that stopped it, if any, and the
+// memory it leaves.
+func (h *progHarness) finish(obs *progObs, blk *blockCtx, trap progTrap) progObs {
+	obs.trap = trap
+	if h.mem != nil {
+		obs.mem = h.mem.observe(h.tb, blk.dev.Mem)
+	}
+	return *obs
 }
 
 // rowRunner is runRows or its portable twin.
-type rowRunner func(blk *blockCtx, w *warp, pc, n int32, atPC uint32, tally []SiteTally) uint64
+type rowRunner func(blk *blockCtx, w *warp, pc, n int32, atPC uint32, tally []SiteTally) (uint64, int32, TrapKind, uint32)
 
 var (
 	dispatchRows rowRunner = (*blockCtx).runRows
@@ -106,7 +143,7 @@ var (
 
 // runPlan issues plan's instructions [0, n) for the lanes in atPC the way the
 // batch loops do: every stretch of row ops through rows, anything else
-// through its step.
+// through its step, up to a trap.
 func (h *progHarness) runPlan(plan *xplan, n int, atPC uint32, tallied bool, rows rowRunner) progObs {
 	obs := progObs{w: h.base}
 	if tallied {
@@ -116,21 +153,28 @@ func (h *progHarness) runPlan(plan *xplan, n int, atPC uint32, tallied bool, row
 	for pc := int32(0); pc < int32(n); pc++ {
 		xi := &plan.steps[pc]
 		if run := min(xi.rowLen, int32(n)-pc); run > 0 {
-			obs.threads += rows(blk, w, pc, run, atPC, obs.tally)
-			pc += run - 1
+			threads, at, kind, addr := rows(blk, w, pc, run, atPC, obs.tally)
+			obs.threads += threads
+			if kind != 0 {
+				return h.finish(&obs, blk, progTrap{at, kind, addr})
+			}
+			if at != pc+run {
+				h.tb.Fatalf("pc %d: a stretch of %d stopped at %d without a trap", pc, run, at)
+			}
+			pc = at - 1
 			continue
 		}
 		m := xi.guard(w, atPC)
 		lanes := uint64(popcount(m))
 		obs.threads += lanes
-		if _, kind, _ := xi.step(blk, w, m); kind != 0 {
-			h.tb.Fatalf("pc %d: row step trapped (%v)", pc, kind)
+		if _, kind, addr := xi.step(blk, w, m); kind != 0 {
+			return h.finish(&obs, blk, progTrap{pc, kind, addr})
 		}
 		if tallied {
 			obs.tally[pc].add(lanes)
 		}
 	}
-	return obs
+	return h.finish(&obs, blk, progTrap{})
 }
 
 // interpret is runPlan through the interpreter.
@@ -142,12 +186,12 @@ func (h *progHarness) interpret(instrs []sass.Instr, atPC uint32) progObs {
 		m := guardMask(w, in, atPC)
 		lanes := uint64(popcount(m))
 		obs.threads += lanes
-		if _, kind, _ := blk.exec(w, in, pc, m); kind != 0 {
-			h.tb.Fatalf("%v: interpreter trapped (%v)", in, kind)
+		if _, kind, addr := blk.exec(w, in, pc, m); kind != 0 {
+			return h.finish(&obs, blk, progTrap{int32(pc), kind, addr})
 		}
 		obs.tally[pc].add(lanes)
 	}
-	return obs
+	return h.finish(&obs, blk, progTrap{})
 }
 
 // progMasks are the default atPC masks: full, one lane, the interior pattern
@@ -191,20 +235,30 @@ func (h *progHarness) lockstep(plan *xplan, instrs []sass.Instr, atPC uint32) {
 	h.tb.Helper()
 	wx, wi := h.base, h.base
 	blkX, blkI := h.block(plan), h.block(nil)
+	label := fmt.Sprintf("mask %#x: one-op steps vs interpreter", atPC)
 	for pc := range instrs {
 		in := &instrs[pc]
 		mx, mi := plan.ops[pc].guardMask(&wx, atPC), guardMask(&wi, in, atPC)
 		if mx != mi {
 			h.tb.Fatalf("mask %#x pc %d: the op's guard leaves %#x, the interpreter's %#x%s", atPC, pc, mx, mi, describe(instrs))
 		}
-		plan.steps[pc].step(blkX, &wx, mx)
-		blkI.exec(&wi, in, pc, mi)
+		_, kx, ax := plan.steps[pc].step(blkX, &wx, mx)
+		_, ki, ai := blkI.exec(&wi, in, pc, mi)
+		if kx != ki || ax != ai {
+			h.tb.Fatalf("%s: pc %d trapped (%v, %#x), interpreter (%v, %#x)%s", label, pc, kx, ax, ki, ai, describe(instrs))
+		}
+		if kx != 0 {
+			break
+		}
 		if len(in.Dst) > 0 {
 			canonNaN(in, &wx)
 			canonNaN(in, &wi)
 		}
 	}
-	h.diffWarps(fmt.Sprintf("mask %#x: one-op steps vs interpreter", atPC), instrs, &wx, &wi)
+	h.diffWarps(label, instrs, &wx, &wi)
+	if h.mem != nil {
+		h.diffMem(label, instrs, h.mem.observe(h.tb, blkX.dev.Mem), h.mem.observe(h.tb, blkI.dev.Mem), false)
+	}
 }
 
 // check runs instrs under every mask, tallied and not, and requires the
@@ -227,17 +281,23 @@ func (h *progHarness) check(instrs []sass.Instr, chained bool) *xplan {
 			got := h.runPlan(plan, n, atPC, tallied, dispatchRows)
 			want := h.runPlan(plan, n, atPC, tallied, portableRows)
 			h.diffWarps(label+": dispatcher vs portable executor", instrs, &got.w, &want.w)
-			if got.threads != want.threads || !reflect.DeepEqual(got.tally, want.tally) {
-				h.tb.Fatalf("%s: dispatcher counted %d threads, tally %v; portable executor %d, %v%s",
-					label, got.threads, got.tally, want.threads, want.tally, describe(instrs))
+			if got.threads != want.threads || !reflect.DeepEqual(got.tally, want.tally) || got.trap != want.trap {
+				h.tb.Fatalf("%s: dispatcher counted %d threads, tally %v, stopped %+v; portable executor %d, %v, %+v%s",
+					label, got.threads, got.tally, got.trap, want.threads, want.tally, want.trap, describe(instrs))
+			}
+			if h.mem != nil {
+				h.diffMem(label+": dispatcher vs portable executor", instrs, got.mem, want.mem, true)
 			}
 			if chained {
 				continue
 			}
 			ref := h.interpret(instrs, atPC)
-			if got.threads != ref.threads || (tallied && !reflect.DeepEqual(got.tally, ref.tally)) {
-				h.tb.Fatalf("%s: dispatcher counted %d threads, tally %v; interpreter %d, %v%s",
-					label, got.threads, got.tally, ref.threads, ref.tally, describe(instrs))
+			if got.threads != ref.threads || (tallied && !reflect.DeepEqual(got.tally, ref.tally)) || got.trap != ref.trap {
+				h.tb.Fatalf("%s: dispatcher counted %d threads, tally %v, stopped %+v; interpreter %d, %v, %+v%s",
+					label, got.threads, got.tally, got.trap, ref.threads, ref.tally, ref.trap, describe(instrs))
+			}
+			if h.mem != nil {
+				h.diffMem(label+": dispatcher vs interpreter", instrs, got.mem, ref.mem, false)
 			}
 			for i := range instrs {
 				if len(instrs[i].Dst) > 0 {
@@ -361,7 +421,8 @@ func TestRowProgramALU(t *testing.T) {
 func (h *progHarness) wantStretch(plan *xplan, list []sass.Instr) {
 	h.tb.Helper()
 	for i := range list {
-		if op := &plan.ops[i]; op.shape == rsNone || (op.shape != rsMov && op.shape != rsSetP && !rowVectorOps[op.kern]) {
+		op := &plan.ops[i]
+		if op.shape == rsNone || (op.shape < rsLd32 && op.shape != rsMov && op.shape != rsSetP && !rowVectorOps[op.kern]) {
 			return
 		}
 	}
@@ -484,7 +545,9 @@ func TestRowProgramNaNPayloads(t *testing.T) {
 
 // progInstr decodes three fuzzer bytes (and a fourth for immediates) into one
 // row-tier instruction over R1..R7 and P0..P3: sources and destinations
-// overlap freely, so results chain.
+// overlap freely, so results chain. A global access takes its address from
+// R8..R11 (see progAddrRows) plus a fuzzed offset; a load may land its pair's
+// high half on R8, so later addresses are as fuzzed as the values.
 func progInstr(op, a, b, c byte) sass.Instr {
 	reg := func(x byte) sass.RegID { return sass.RegID(1 + x%7) }
 	src := func(x byte) sass.Operand {
@@ -534,7 +597,21 @@ func progInstr(op, a, b, c byte) sass.Instr {
 		in = sass.NewInstr(sass.MustOp([]string{"SEL", "FSEL", "IMNMX", "FMNMX"}[c%4]), d, src(a), src(b), pred(c>>2))
 		in.Mods.Unsigned = c&0x40 != 0
 	case 11:
-		in = sass.NewInstr(sass.MustOp("MOV"), d, src(a))
+		if b&0x80 == 0 {
+			in = sass.NewInstr(sass.MustOp("MOV"), d, src(a))
+			break
+		}
+		addr := sass.Mem(sass.RegID(8+c>>2%4), int32(int8(a))*4)
+		if c&2 == 0 {
+			in = sass.NewInstr(sass.MustOp("LDG"), d, addr)
+		} else {
+			v := src(b)
+			if b&1 != 0 {
+				v = sass.R(reg(b)) // a .64 store's register pair
+			}
+			in = sass.NewInstr(sass.MustOp("STG"), addr, v)
+		}
+		in.Mods.Width = 4 << (c & 1)
 	case 12:
 		in = sass.NewInstr(sass.MustOp("IADD3"), d, src(a), src(b), src(c))
 	case 13:
@@ -576,12 +653,43 @@ func checkRowProgram(tb testing.TB, data []byte) {
 	for p := 0; p < 4; p++ {
 		h.base.preds[p] = uint32(data[p]) * 0x01030507 >> uint(p)
 	}
+	progAddrRows(&h.base, data[8:12])
+	h.mem = &progMemory{memo: []uint32{gmemBufIdx | gmemTwoIdx<<16, gmemTwoIdx | gmemBufIdx<<16, 2 << 16}[data[11]%3]}
 	var list []sass.Instr
 	for i := head; i+3 < len(data) && len(list) < 40; i += 4 {
 		list = append(list, progInstr(data[i], data[i+1], data[i+2], data[i+3]))
 	}
 	h.masks = []uint32{fullMask, uint32(data[4])<<24 | uint32(data[5])<<16 | uint32(data[6])<<8 | uint32(data[7]) | 1}
 	h.wantStretch(h.check(list, true), list)
+}
+
+// progAddrRows fills R8..R11 with address rows, one fuzzer byte each: a
+// .32 or .64 unit-stride run from some offset of a page of the global-access
+// buffer in each copy-on-write state (or of the second buffer), a
+// three-times-wider stride or one address for every lane, and one lane bent
+// off the run — misaligned or out of bounds — for some bytes.
+func progAddrRows(w *warp, sel []byte) {
+	for i, p := range sel {
+		base := gmemBases[gmemBufIdx] + uint32(p%3)*memPageSize
+		if p&0x80 != 0 {
+			base = gmemBases[gmemTwoIdx]
+		}
+		base += 64 * uint32(p>>4&3)
+		stride := uint32(4) << (p >> 2 & 1)
+		switch p & 0x18 {
+		case 0x08:
+			stride *= 3
+		case 0x18:
+			stride = 0 // uniform
+		}
+		r := &w.regs[8+i]
+		for l := range r {
+			r[l] = base + stride*uint32(l)
+		}
+		if p&0x40 != 0 {
+			r[p%32] += uint32(p)<<8 | 1
+		}
+	}
 }
 
 // TestRowProgramStreams runs checkRowProgram on pseudo-random streams; the
@@ -610,6 +718,13 @@ func FuzzRowPrograms(f *testing.F) {
 		chain = append(chain, op|0x10|op<<5, 0x41, 0x41, op*7)
 	}
 	f.Add(append(make([]byte, 12), chain...))
+	// Global accesses of each kind through each address row, between
+	// arithmetic on the loaded values.
+	var mem []byte
+	for k := byte(0); k < 16; k++ {
+		mem = append(mem, 11, 4*k, 0x80|k*9, k, 0, k, k+1, 0x20)
+	}
+	f.Add(append([]byte{0xff, 0x0f, 0xf0, 0x55, 0xff, 0xff, 0xff, 0xff, 0x01, 0x15, 0x42, 0x88}, mem...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 12+4*64 {
 			t.Skip()

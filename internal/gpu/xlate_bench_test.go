@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"encoding/binary"
 	"math"
 	"testing"
 
@@ -256,15 +257,20 @@ func BenchmarkRowKernels(b *testing.B) {
 	}
 }
 
-// BenchmarkRowProgram times one runRows stretch of eight row ops — the mix of
-// a stencil body: address arithmetic, a guard-setting compare, a guarded op,
-// float arithmetic and a select, over normal floats — through the dispatcher
-// (on amd64 with AVX2; elsewhere both sides are the portable executor) and
+// BenchmarkRowProgram times runRows stretches through the dispatcher (on
+// amd64 with AVX2; elsewhere both sides are the portable executor) and
 // through the portable executor, tallied and not, under a full and a partial
-// mask. ns/rowop is the time per op.
+// mask. ns/rowop is the time per op. Two stretches:
+//
+//   - alu: eight row ops, the mix of a stencil body's arithmetic — address
+//     arithmetic, a guard-setting compare, a guarded op, float arithmetic and
+//     a select, over normal floats;
+//   - stencil: 303.ostencil's interior, six coalesced LDG.32 of the
+//     neighbours, seven FP32 ops and the STG.32 of the result, over written,
+//     private pages: every access on the dispatcher's fast path.
 func BenchmarkRowProgram(b *testing.B) {
 	p, err := sass.Assemble("bench", `
-.kernel rows
+.kernel alu
 .param p
     IMAD R10, R4, c0[p], R5
     IADD R11, R10, -R4
@@ -275,17 +281,28 @@ func BenchmarkRowProgram(b *testing.B) {
     FADD R14, R13, -R6
     SEL R15, R13, R14, P1
     EXIT
+
+.kernel stencil
+.param cc
+.param ce
+    LDG.32 R10, [R4+0x4]
+    LDG.32 R11, [R4-0x4]
+    LDG.32 R12, [R4+0x40]
+    LDG.32 R13, [R4-0x40]
+    LDG.32 R14, [R4+0x400]
+    LDG.32 R15, [R4-0x400]
+    FADD R16, R10, R11
+    FADD R17, R12, R13
+    FADD R18, R14, R15
+    FADD R16, R16, R17
+    FADD R16, R16, R18
+    FMUL R19, R6, c0[cc]
+    FFMA R19, R16, c0[ce], R19
+    STG.32 [R5], R19
+    EXIT
 `)
 	if err != nil {
 		b.Fatal(err)
-	}
-	plan, err := translate(p.Kernels[0])
-	if err != nil {
-		b.Fatal(err)
-	}
-	const n = 8
-	if plan.steps[0].rowLen != n {
-		b.Fatalf("rowLen %d, want one stretch of %d", plan.steps[0].rowLen, n)
 	}
 	h := newProgHarness(b, 1)
 	for r := 4; r <= 8; r++ {
@@ -293,30 +310,56 @@ func BenchmarkRowProgram(b *testing.B) {
 			h.base.regs[r][l] = math.Float32bits(1 + float32(r*l)/64)
 		}
 	}
-	blk, w := h.block(plan), h.base
-	for _, side := range []struct {
-		name string
-		rows rowRunner
-	}{{"dispatcher", dispatchRows}, {"portable", portableRows}} {
-		for _, tallied := range []bool{false, true} {
-			for _, mask := range []struct {
-				name string
-				m    uint32
-			}{{"full", fullMask}, {"partial", 0x7ffe7ffe}} {
-				name := side.name + "/plain/" + mask.name
-				var tally []SiteTally
-				if tallied {
-					name = side.name + "/tally/" + mask.name
-					tally = make([]SiteTally, len(plan.steps))
-				}
-				b.Run(name, func(b *testing.B) {
-					var threads uint64
-					for i := 0; i < b.N; i++ {
-						threads += side.rows(blk, &w, 0, n, mask.m, tally)
+	// The stencil's grid and its output, two pages each, every word a normal
+	// float; R4 and R5 address one warp of the grid's interior, R6 its centre.
+	const gridBytes = 2 * memPageSize
+	grid := make([]byte, gridBytes)
+	for i := 0; i < gridBytes; i += 4 {
+		binary.LittleEndian.PutUint32(grid[i:], math.Float32bits(1+float32(i%509)/256))
+	}
+	in, out := mustAllocWrite(b, h.dev, gridBytes, grid), mustAllocWrite(b, h.dev, gridBytes, grid)
+	for l := range h.base.regs[4] {
+		h.base.regs[4][l] = in + 4*uint32(256+l)
+		h.base.regs[5][l] = out + 4*uint32(256+l)
+	}
+	for _, k := range p.Kernels {
+		plan, err := translate(k)
+		if err != nil {
+			b.Fatal(err)
+		}
+		n := int32(len(k.Instrs) - 1)
+		if plan.steps[0].rowLen != n {
+			b.Fatalf("%s: rowLen %d, want one stretch of %d", k.Name, plan.steps[0].rowLen, n)
+		}
+		blk, w := h.block(plan), h.base
+		for _, side := range []struct {
+			name string
+			rows rowRunner
+		}{{"dispatcher", dispatchRows}, {"portable", portableRows}} {
+			for _, tallied := range []bool{false, true} {
+				for _, mask := range []struct {
+					name string
+					m    uint32
+				}{{"full", fullMask}, {"partial", 0x7ffe7ffe}} {
+					name := k.Name + "/" + side.name + "/plain/" + mask.name
+					var tally []SiteTally
+					if tallied {
+						name = k.Name + "/" + side.name + "/tally/" + mask.name
+						tally = make([]SiteTally, len(plan.steps))
 					}
-					benchSink += uint32(threads)
-					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/rowop")
-				})
+					b.Run(name, func(b *testing.B) {
+						var threads uint64
+						for i := 0; i < b.N; i++ {
+							th, _, kind, _ := side.rows(blk, &w, 0, n, mask.m, tally)
+							if kind != 0 {
+								b.Fatalf("trapped: %v", kind)
+							}
+							threads += th
+						}
+						benchSink += uint32(threads)
+						b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/rowop")
+					})
+				}
 			}
 		}
 	}

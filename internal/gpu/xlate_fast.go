@@ -28,7 +28,9 @@ import (
 // the destination. That is sound only because every op in this file is pure:
 // no side effect, and no host panic whatever an inactive lane's (possibly
 // fault-corrupted) operands hold. Memory, atomics, and anything that can
-// divide or index by a lane value never take this path.
+// divide or index by a lane value never take this path: the global accesses
+// that are row ops (xlate_mem.go, globalRowOp) touch only the active lanes'
+// bytes and registers.
 //
 // Any shape the row tier does not cover falls back to the accessor tier, and
 // from there to the interpreter thunk, so every tier preserves exact
@@ -547,6 +549,9 @@ func fastStep(in *sass.Instr, rt *rowTable, op *rowOp) planStep {
 func rowOpFor(in *sass.Instr, rt *rowTable) (op rowOp, _ bool) {
 	mods := &in.Mods
 	sem := in.Op.Info().Sem
+	if sem == sass.SemLd || sem == sass.SemSt {
+		return globalRowOp(in, rt)
+	}
 	// srcs classifies the first n sources under one negation mode; the op's
 	// unused operands read the arena's zero row.
 	srcs := func(n int, neg uint8) bool {

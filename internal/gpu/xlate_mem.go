@@ -3,6 +3,7 @@ package gpu
 import (
 	"encoding/binary"
 	"math/bits"
+	"slices"
 
 	"repro/internal/sass"
 )
@@ -127,92 +128,55 @@ func moveLane(p []byte, lo, hi *regRow, l int, wide, store bool) {
 	}
 }
 
-// fastGlobal is the fused step for the dominant global-memory shapes: LDG/LD
-// and STG/ST, .32 and .64, between global memory and a plain register or
-// register pair (a store may also take any row operand). A unit-stride
-// warp resolves with one Memory.check and one page-window copy. Everything
-// else walks the active lanes in ascending order over a window on the last
-// page touched; a miss goes through the same Memory.check the interpreter's
-// Load and Store use, so trap kinds, fault addresses, and ascending-lane
-// fault ordering are identical. Store windows come from writePage, so the
-// first touch of each page pays the copy-on-write fault exactly like
-// Memory.Store; unit-stride lanes hit distinct addresses, so the whole-warp
-// path cannot reorder an intra-warp write conflict.
-type fastGlobal struct {
-	r           sass.RegID // address register, when useReg
-	off         uint32
-	useReg      bool
-	wide, store bool
-	d           sass.RegID // load destination
-	v           rowOperand // store value, unless pair is a register pair
-	pair        fastDSrc
-}
-
-//go:noinline
-func (g fastGlobal) step() planStep {
-	width := uint32(4)
-	if g.wide {
-		width = 8
+// globalRowOp encodes the dominant global-memory shapes as row ops (rowprog.go,
+// rsLd32 ... rsSt64): LDG/LD and STG/ST, .32 and .64, with a `[Rx+off]` or
+// `[off]` address, between global memory and a plain register or register
+// pair; a store may also take any row operand as its value. A register pair
+// stores under readPairReg's RZ rules, any other .64 value zero-extended.
+// What it refuses keeps compileLoad / compileStore's lane loops.
+func globalRowOp(in *sass.Instr, rt *rowTable) (op rowOp, _ bool) {
+	info := in.Op.Info()
+	if info.Space != sass.SpaceGlobal && info.Space != sass.SpaceGeneric {
+		return op, false
 	}
-	return func(blk *blockCtx, w *warp, m uint32) (bool, TrapKind, uint32) {
-		if m == 0 {
-			return false, 0, 0
-		}
-		g, mem := g, blk.dev.Mem
-		addr := &zeroRow
-		if g.useReg {
-			addr = &w.regs[g.r]
-		}
-		var lo, hi *regRow
-		switch {
-		case !g.store:
-			// A pair whose high half lands on RZ drops it, like dstWrPair.
-			lo, hi = &w.regs[g.d], &blk.rows[rowOut]
-			if g.wide && g.d+1 != sass.RZ {
-				hi = &w.regs[g.d+1]
-			}
-		case g.pair.isReg:
-			lo, hi = g.pair.resolve(blk, w, (*[2]regRow)(blk.rows[rowA:]))
-		default:
-			lo, hi = g.v.row(blk, w, &blk.rows[rowA]), &zeroRow
-		}
-		first, last := bits.TrailingZeros32(m), 31-bits.LeadingZeros32(m)
-		if a0, n, k := blk.unitStride(addr, g.off, m, width); k != nil {
-			if win := mem.spanWindow(a0, n, width, g.store); win != nil {
-				switch {
-				case g.wide:
-					for l := first; l <= last; l++ {
-						if m>>uint(l)&1 != 0 {
-							moveLane(win[uint32(l-first)*width:], lo, hi, l, true, g.store)
-						}
-					}
-				case g.store:
-					rowStore32(win, lo, m, k)
-				default:
-					rowLoad32(lo, win, m, k)
-				}
-				return false, 0, 0
-			}
-		}
-		var winBase uint32 // device address of win[0]
-		var win []byte     // valid bytes of the cached page
-		for l := first; l <= last; l++ {
-			if m>>uint(l)&1 == 0 {
-				continue
-			}
-			a := addr[l&31] + g.off
-			i := a - winBase
-			if a&(width-1) != 0 || uint64(i)+uint64(width) > uint64(len(win)) {
-				var kind TrapKind
-				if winBase, win, kind = mem.pageWindow(a, width, g.store); kind != 0 {
-					return false, kind, a
-				}
-				i = a - winBase
-			}
-			moveLane(win[i:], lo, hi, l, g.wide, g.store)
-		}
-		return false, 0, 0
+	width := in.Mods.MemWidth()
+	r, off, useReg, ok := fastMemOperand(in)
+	if !ok || (width != 4 && width != 8) {
+		return op, false
 	}
+	zero := rowOperand{base: rbArena}
+	op.src = [3]rowOperand{zero, zero, zero}
+	if useReg {
+		op.src[0] = rowOperand{base: rbRegs, off: uint32(r) * rowBytes}
+	}
+	op.off = off
+	if info.Sem == sass.SemLd {
+		d, ok := fastDst(in)
+		op.shape, op.dst = rsLd32, uint32(d)*rowBytes
+		if width == 8 {
+			op.shape = rsLd64
+		}
+		return op, ok
+	}
+	vi := slices.IndexFunc(in.Src, func(o sass.Operand) bool { return o.Kind != sass.OpdMem })
+	if vi < 0 {
+		return op, false // compileStore's unconditional trap
+	}
+	op.shape = rsSt32
+	if width == 8 {
+		op.shape = rsSt64
+		if v := in.Src[vi]; v.Kind == sass.OpdReg {
+			if v.Reg != sass.RZ {
+				op.src[1] = rowOperand{base: rbRegs, off: uint32(v.Reg) * rowBytes}
+				if v.Reg+1 != sass.RZ {
+					op.src[2] = rowOperand{base: rbRegs, off: uint32(v.Reg+1) * rowBytes}
+				}
+			}
+			return op, true
+		}
+	}
+	op.src[1], ok = rowOperandFor(in, vi, fnNone, rt)
+	return op, ok
 }
 
 // compileLoad specializes LD/LDG/LDL/LDS.
@@ -221,21 +185,11 @@ func compileLoad(in *sass.Instr, space sass.MemSpace) planStep {
 	if addr == nil {
 		return trapActive
 	}
-	global := space == sass.SpaceGlobal || space == sass.SpaceGeneric
 	switch width := in.Mods.MemWidth(); width {
 	case 1, 2, 4:
 		wr := dstWr(in)
 		if wr == nil {
 			return nil
-		}
-		if width == 4 && global {
-			// Sign extension is a no-op at full width, so .32 loads take the
-			// fused global tier whenever the destination is a plain register.
-			if d, ok := fastDst(in); ok {
-				if r, off, useReg, ok := fastMemOperand(in); ok {
-					return fastGlobal{r: r, off: off, useReg: useReg, d: d}.step()
-				}
-			}
 		}
 		signed := in.Mods.Signed
 		return func(blk *blockCtx, w *warp, m uint32) (bool, TrapKind, uint32) {
@@ -263,13 +217,6 @@ func compileLoad(in *sass.Instr, space sass.MemSpace) planStep {
 		wr := dstWrPair(in)
 		if wr == nil {
 			return nil
-		}
-		if global {
-			if d, ok := fastDst(in); ok {
-				if r, off, useReg, ok := fastMemOperand(in); ok {
-					return fastGlobal{r: r, off: off, useReg: useReg, d: d, wide: true}.step()
-				}
-			}
 		}
 		return func(blk *blockCtx, w *warp, m uint32) (bool, TrapKind, uint32) {
 			for ; m != 0; m &= m - 1 {
@@ -343,7 +290,7 @@ func compileLoadConst(in *sass.Instr) planStep {
 }
 
 // compileStore specializes ST/STG/STL/STS.
-func compileStore(in *sass.Instr, space sass.MemSpace, rt *rowTable) planStep {
+func compileStore(in *sass.Instr, space sass.MemSpace) planStep {
 	vi := -1
 	for i := range in.Src {
 		if in.Src[i].Kind != sass.OpdMem {
@@ -362,16 +309,8 @@ func compileStore(in *sass.Instr, space sass.MemSpace, rt *rowTable) planStep {
 	if addr == nil {
 		return trapActive
 	}
-	global := space == sass.SpaceGlobal || space == sass.SpaceGeneric
 	switch width := in.Mods.MemWidth(); width {
 	case 1, 2, 4:
-		if width == 4 && global {
-			if r, off, useReg, ok := fastMemOperand(in); ok {
-				if v, ok := rowOperandFor(in, vi, fnNone, rt); ok {
-					return fastGlobal{r: r, off: off, useReg: useReg, store: true, v: v}.step()
-				}
-			}
-		}
 		val := srcU(in, vi)
 		return func(blk *blockCtx, w *warp, m uint32) (bool, TrapKind, uint32) {
 			for ; m != 0; m &= m - 1 {
@@ -384,18 +323,6 @@ func compileStore(in *sass.Instr, space sass.MemSpace, rt *rowTable) planStep {
 			return false, 0, 0
 		}
 	case 8:
-		if r, off, useReg, okm := fastMemOperand(in); global && okm {
-			// A register value stores its pair (readPairReg's RZ rules); any
-			// other shape stores its 32-bit value zero-extended.
-			v, ok := rowOperandFor(in, vi, fnNone, rt)
-			pair := fastDSrc{}
-			if in.Src[vi].Kind == sass.OpdReg {
-				pair, ok = fastDSrc{isReg: true, reg: in.Src[vi].Reg}, true
-			}
-			if ok {
-				return fastGlobal{r: r, off: off, useReg: useReg, store: true, wide: true, v: v, pair: pair}.step()
-			}
-		}
 		var val func(blk *blockCtx, w *warp, lane int) uint64
 		if o := &in.Src[vi]; o.Kind == sass.OpdReg {
 			r := o.Reg

@@ -869,7 +869,7 @@ func specializeStep(in *sass.Instr, rt *rowTable) planStep {
 	case sass.SemLdc:
 		return compileLoadConst(in)
 	case sass.SemSt:
-		return compileStore(in, in.Op.Info().Space, rt)
+		return compileStore(in, in.Op.Info().Space)
 	case sass.SemAtom:
 		return compileAtomic(in, in.Op.Info().Space, true)
 	case sass.SemRed:

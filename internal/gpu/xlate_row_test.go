@@ -3,7 +3,6 @@ package gpu
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"testing"
 
 	"repro/internal/sass"
@@ -341,145 +340,6 @@ func TestRowTierFP64(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// gmemPattern is one address row of the global-access test: the address
-// each lane presents, given the buffer's base.
-type gmemPattern struct {
-	name string
-	addr func(base uint32, lane int) uint32
-}
-
-// TestRowTierGlobalAccess holds the fused LDG/STG .32/.64 step to the
-// interpreter on coalesced, misaligned, page-straddling, scattered,
-// conflicting, and out-of-bounds address rows: trap kind, fault address (so
-// first faulting lane), destination registers, and memory contents.
-func TestRowTierGlobalAccess(t *testing.T) {
-	const bufBytes = 2*memPageSize + 256 // a partial third page: the window clamps to the allocation
-	const ra, rv, rd = 4, 6, 10
-	patterns := func(stride uint32) []gmemPattern {
-		return []gmemPattern{
-			{"coalesced", func(b uint32, l int) uint32 { return b + 64 + stride*uint32(l) }},
-			{"coalesced-misaligned", func(b uint32, l int) uint32 { return b + 66 + stride*uint32(l) }},
-			{"page-straddle", func(b uint32, l int) uint32 { return b + memPageSize - 5*stride + stride*uint32(l) }},
-			{"alloc-tail", func(b uint32, l int) uint32 { return b + bufBytes - 32*stride + stride*uint32(l) }},
-			{"oob-tail", func(b uint32, l int) uint32 { return b + bufBytes - 20*stride + stride*uint32(l) }},
-			{"oob-head", func(b uint32, l int) uint32 { return b - 3*stride + stride*uint32(l) }},
-			{"unmapped", func(b uint32, l int) uint32 { return 0x40 + stride*uint32(l) }},
-			{"wraparound", func(b uint32, l int) uint32 { return stride*uint32(l) - 16*stride }},
-			{"reversed", func(b uint32, l int) uint32 { return b + 1024 - stride*uint32(l) }},
-			{"strided", func(b uint32, l int) uint32 { return b + 3*stride*uint32(l) }},
-			{"scattered", func(b uint32, l int) uint32 { return b + stride*uint32(l*2654435761>>20%1000) }},
-			{"conflict", func(b uint32, l int) uint32 { return b + 512 + stride*uint32(l%3) }},
-			{"one-misaligned-lane", func(b uint32, l int) uint32 {
-				if l == 17 {
-					return b + 64 + stride*17 + 1
-				}
-				return b + 64 + stride*uint32(l)
-			}},
-			{"one-oob-lane", func(b uint32, l int) uint32 {
-				if l == 9 {
-					return b + bufBytes
-				}
-				return b + 64 + stride*uint32(l)
-			}},
-		}
-	}
-	newSide := func() (*blockCtx, uint32) {
-		d := newTestDevice(t)
-		fill := make([]byte, bufBytes)
-		rng := rand.New(rand.NewSource(5))
-		rng.Read(fill[:memPageSize+128]) // the rest stays never-written
-		mustAllocWrite(t, d, 64, nil)    // neighbours on both sides of the buffer
-		buf := mustAllocWrite(t, d, bufBytes, nil)
-		if err := d.Mem.WriteBytes(buf, fill[:memPageSize+128]); err != nil {
-			t.Fatal(err)
-		}
-		mustAllocWrite(t, d, 64, nil)
-		return &blockCtx{dev: d, constBank: fillConstBank(nil, &Launch{Grid: Dim3{1, 1, 1}, Block: Dim3{32, 1, 1}})}, buf
-	}
-	h := newRowHarness(t, 6)
-	type access struct {
-		name string
-		in   func(off int32) sass.Instr
-	}
-	ld := func(width uint8, d sass.RegID, base sass.RegID) func(int32) sass.Instr {
-		return func(off int32) sass.Instr {
-			in := sass.NewInstr(sass.MustOp("LDG"), sass.R(d), sass.Mem(base, off))
-			in.Mods.Width = width
-			return in
-		}
-	}
-	st := func(width uint8, v sass.Operand) func(int32) sass.Instr {
-		return func(off int32) sass.Instr {
-			in := sass.NewInstr(sass.MustOp("STG"), sass.Mem(ra, off), v)
-			in.Mods.Width = width
-			return in
-		}
-	}
-	for _, width := range []uint8{4, 8} {
-		accesses := []access{
-			{"LDG", ld(width, rd, ra)},
-			{"LDG-dst-is-addr", ld(width, ra, ra)},
-			{"LDG-dst-hi-is-addr", ld(width, ra-1, ra)},
-			{"LDG-hi-on-RZ", ld(width, sass.RZ-1, ra)},
-			{"LDG-absolute", ld(width, rd, sass.RZ)},
-			{"STG-reg", st(width, sass.R(rv))},
-			{"STG-addr-reg", st(width, sass.R(ra))},
-			{"STG-imm", st(width, sass.Imm(0xcafef00d))},
-			{"STG-const", st(width, sass.C0(sass.ConstNtidX))},
-			{"STG-RZ", st(width, sass.R(sass.RZ))},
-			{"STG-pair-on-RZ", st(width, sass.R(sass.RZ-1))},
-		}
-		for _, ac := range accesses {
-			for _, pat := range patterns(uint32(width)) {
-				for _, off := range []int32{0, -8} {
-					for _, m := range rowMasks {
-						blkX, bufX := newSide()
-						blkI, bufI := newSide()
-						if bufX != bufI {
-							t.Fatal("the two sides allocated differently")
-						}
-						wx := h.base
-						for l := 0; l < WarpSize; l++ {
-							wx.regs[ra][l] = pat.addr(bufX, l) - uint32(off)
-						}
-						wi := wx
-						in := ac.in(off)
-						if in.Src[0].Reg == sass.RZ && in.Op == sass.MustOp("LDG") {
-							// The absolute form: aim the fixed offset at the buffer.
-							in.Src[0].Off = int32(pat.addr(bufX, 0))
-						}
-						step, _ := compileStep(&in, 0, h.rt, new(rowOp))
-						h.bindRows(blkX)
-						_, kx, ax := step(blkX, &wx, m)
-						_, ki, ai := blkI.exec(&wi, &in, 0, m)
-						id := fmt.Sprintf("%s.%d %s off %d mask %#x", ac.name, 8*width, pat.name, off, m)
-						if kx != ki || ax != ai {
-							t.Fatalf("%s: row tier (%v, %#x), interpreter (%v, %#x)", id, kx, ax, ki, ai)
-						}
-						if wx.regs != wi.regs {
-							t.Fatalf("%s: register files differ", id)
-						}
-						bx, err := blkX.dev.Mem.ReadBytes(bufX, bufBytes)
-						if err != nil {
-							t.Fatal(err)
-						}
-						bi, err := blkI.dev.Mem.ReadBytes(bufI, bufBytes)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if string(bx) != string(bi) {
-							t.Fatalf("%s: memory differs", id)
-						}
-						if dx, di := blkX.dev.Digest(), blkI.dev.Digest(); dx != di {
-							t.Fatalf("%s: device digests %#x vs %#x", id, dx, di)
-						}
-					}
-				}
-			}
-		}
 	}
 }
 

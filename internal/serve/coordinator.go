@@ -684,6 +684,14 @@ func (c *Coordinator) Complete(workerID, leaseID string, res ShardResult) error 
 		c.failShardLocked(j, i, "worker reported no tally")
 		return fmt.Errorf("serve: shard result carries no tally")
 	}
+	lo, hi := j.spec.Config.ShardRange(i)
+	if err := res.Tally.Check(); err != nil || res.Tally.N != hi-lo {
+		if err == nil {
+			err = fmt.Errorf("tally counts %d runs, the shard selects %d", res.Tally.N, hi-lo)
+		}
+		c.failShardLocked(j, i, fmt.Sprintf("worker %s reported an inconsistent tally: %v", workerID, err))
+		return fmt.Errorf("serve: inconsistent tally for job %s shard %d: %w", j.id, i, err)
+	}
 	s := &j.shards[i]
 	s.state = ShardDone
 	s.leaseID = ""

@@ -596,7 +596,7 @@ func TestHeartbeatKeepsLease(t *testing.T) {
 		}
 	}
 	if err := coord.Complete(wid, g.LeaseID, serve.ShardResult{
-		Tally: campaign.NewTally(), GoldenDigest: g.GoldenDigest,
+		Tally: maskedTally(5), GoldenDigest: g.GoldenDigest,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -767,4 +767,97 @@ func TestSSEStream(t *testing.T) {
 	}
 	cancel()
 	wg.Wait()
+}
+
+// maskedTally is a consistent tally of n Masked runs: what a worker reports
+// for an n-experiment shard where no fault showed.
+func maskedTally(n int) *campaign.Tally {
+	t := campaign.NewTally()
+	for i := 0; i < n; i++ {
+		t.Add(campaign.Classification{Outcome: campaign.Masked})
+	}
+	return t
+}
+
+// TestCompleteRefusesInconsistentTally POSTs forged shard results through the
+// HTTP API: tallies whose counters disagree with one another (Tally.Check),
+// and a consistent one that counts fewer runs than the shard selects. Each
+// must be refused and fail the shard — back to pending, the reason recorded,
+// nothing merged — as a golden-digest mismatch does; a true result, one with
+// more early exits than restores, then completes the job.
+func TestCompleteRefusesInconsistentTally(t *testing.T) {
+	now := time.Unix(3000, 0)
+	coord, err := serve.NewCoordinator(serve.Options{
+		MaxAttempts:  10,
+		RetryBackoff: time.Millisecond,
+		Clock:        func() time.Time { return now },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(serve.NewServer(coord))
+	defer srv.Close()
+	client := serve.NewClient(srv.URL)
+	st, err := client.Submit(serve.CampaignSpec{
+		Workload: testWorkload,
+		Config:   campaign.TransientCampaignConfig{Injections: 5, ShardSize: 5},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wid, err := client.Register(serve.WorkerInfo{Name: "forger"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged := []struct {
+		name, tally string
+	}{
+		{"outcomes-short-of-N", `{"n":5,"sdc":1,"due":1,"masked":1}`},
+		{"outcomes-past-N", `{"n":5,"sdc":3,"due":1,"masked":3}`},
+		{"negative-count", `{"n":5,"sdc":-1,"due":0,"masked":6}`},
+		{"strata-short-of-N", `{"n":5,"masked":5,"strata":[{"key":"~","n":4,"masked":4}]}`},
+		{"restored-past-N", `{"n":5,"masked":5,"restored":6}`},
+		{"early-exits-past-executed", `{"n":5,"masked":5,"pruned":3,"early_exits":3}`},
+		{"pruned-and-answered-past-N", `{"n":5,"masked":5,"pruned":3,"class_answered":3}`},
+		{"N-not-the-shard", `{"n":3,"masked":3}`},
+	}
+	for _, f := range forged {
+		now = now.Add(time.Second) // past the retry backoff
+		g, err := client.Lease(wid)
+		if err != nil || g == nil {
+			t.Fatalf("%s: lease: %v %v", f.name, g, err)
+		}
+		body := fmt.Sprintf(`{"worker_id":%q,"result":{"golden_digest":%q,"tally":%s}}`, wid, g.GoldenDigest, f.tally)
+		resp, err := http.Post(srv.URL+"/api/v1/leases/"+g.LeaseID+"/complete", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: complete answered %d, want %d", f.name, resp.StatusCode, http.StatusBadRequest)
+		}
+		js, _ := coord.Job(st.ID)
+		if s := js.Shards[0]; s.State != serve.ShardPending || !strings.Contains(s.Error, "inconsistent tally") {
+			t.Fatalf("%s: shard left %q (%q), want pending with the reason", f.name, s.State, s.Error)
+		}
+		if js.Done != 0 || js.Tally.N != 0 {
+			t.Fatalf("%s: the forged tally was merged: done %d, tally n %d", f.name, js.Done, js.Tally.N)
+		}
+	}
+	now = now.Add(time.Second)
+	g, err := client.Lease(wid)
+	if err != nil || g == nil {
+		t.Fatalf("lease: %v %v", g, err)
+	}
+	// A checkpointed shard's true tally can count more early exits than
+	// restores: a run with no checkpoint before its fault starts from scratch
+	// and may still re-converge (TestCheckpointTallyCheck).
+	truth := maskedTally(5)
+	truth.Restored, truth.EarlyExits = 1, 3
+	if err := client.Complete(wid, g.LeaseID, serve.ShardResult{Tally: truth, GoldenDigest: g.GoldenDigest}); err != nil {
+		t.Fatal(err)
+	}
+	if js, _ := coord.Job(st.ID); js.State != serve.JobDone || js.Tally.N != 5 {
+		t.Fatalf("job %q with tally n %d after a true result, want done with 5", js.State, js.Tally.N)
+	}
 }
