@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -360,11 +361,28 @@ func bindCampaignFlags(fs *flag.FlagSet) *campaignFlags {
 	}
 }
 
-// config builds the campaign config the flags describe. An unset group stays
-// zero, so the config defaults it to the fault model's own group; the
-// default model and the adaptive knobs are left out unless requested, so
-// such configs encode byte-identically to prior releases.
-func (f *campaignFlags) config() (nvbitfi.TransientCampaignConfig, error) {
+// transientOnly are the campaign flags a permanent campaign has no use for.
+var transientOnly = []string{
+	"n", "group", "shard-size", "model-param", "prune", "classes",
+	"target-ci", "confidence", "max-n", "ckpt", "ckpt-stride", "no-early-exit",
+}
+
+// setFlag returns the first of names set explicitly on fs, or "".
+func setFlag(fs *flag.FlagSet, names ...string) (set string) {
+	fs.Visit(func(f *flag.Flag) {
+		if set == "" && slices.Contains(names, f.Name) {
+			set = f.Name
+		}
+	})
+	return set
+}
+
+// config builds the campaign config the flags parsed into fs describe. An
+// unset group stays zero, so the config defaults it to the fault model's own
+// group; the default model and the adaptive knobs are left out unless
+// requested, so such configs encode byte-identically to prior releases. An
+// adaptive knob set without -target-ci is refused, not dropped.
+func (f *campaignFlags) config(fs *flag.FlagSet) (nvbitfi.TransientCampaignConfig, error) {
 	cfg := nvbitfi.TransientCampaignConfig{
 		Injections: *f.n, BitFlip: nvbitfi.BitFlipModel(*f.bitflip), Seed: *f.seed,
 		ShardSize: *f.shardSize, Prune: *f.prune, Classes: *f.classes,
@@ -381,11 +399,15 @@ func (f *campaignFlags) config() (nvbitfi.TransientCampaignConfig, error) {
 	if *f.model != "transient" {
 		cfg.Model = *f.model
 	}
-	if *f.targetCI > 0 {
-		cfg.TargetCI = *f.targetCI
-		cfg.Confidence = *f.confidence
-		cfg.MaxInjections = *f.maxN
+	if *f.targetCI <= 0 {
+		if name := setFlag(fs, "confidence", "max-n"); name != "" {
+			return cfg, fmt.Errorf("-%s requires -target-ci", name)
+		}
+		return cfg, nil
 	}
+	cfg.TargetCI = *f.targetCI
+	cfg.Confidence = *f.confidence
+	cfg.MaxInjections = *f.maxN
 	return cfg, nil
 }
 
@@ -407,7 +429,15 @@ func cmdCampaign(args []string) error {
 	if err != nil {
 		return err
 	}
-	cfg, err := cf.config()
+	if *permanent {
+		if name := setFlag(fs, transientOnly...); name != "" {
+			return fmt.Errorf("campaign: -%s applies to transient campaigns only", name)
+		}
+		if *cf.model != "" {
+			return fmt.Errorf("campaign: -model selects a fault model for transient-style campaigns; use the 'stuck' model instead of -permanent, or drop -model")
+		}
+	}
+	cfg, err := cf.config(fs)
 	if err != nil {
 		return err
 	}
@@ -422,23 +452,10 @@ func cmdCampaign(args []string) error {
 		}
 		programs = []nvbitfi.Workload{w}
 	}
-	if *permanent {
-		for _, f := range []struct {
-			set  bool
-			name string
-		}{
-			{cfg.Prune, "-prune"}, {cfg.Classes, "-classes"}, {cfg.Checkpoint, "-ckpt"},
-			{cfg.CkptStride != 0, "-ckpt-stride"}, {cfg.NoEarlyExit, "-no-early-exit"}, {cfg.TargetCI > 0, "-target-ci"},
-		} {
-			if f.set {
-				return fmt.Errorf("campaign: %s applies to transient campaigns only", f.name)
-			}
+	if !*permanent {
+		if err := cfg.Validate(); err != nil {
+			return err
 		}
-		if *cf.model != "" {
-			return fmt.Errorf("campaign: -model selects a fault model for transient-style campaigns; use the 'stuck' model instead of -permanent, or drop -model")
-		}
-	} else if err := cfg.Validate(); err != nil {
-		return err
 	}
 	r := nvbitfi.Runner{VerifyModules: *verify}
 	var results []*nvbitfi.CampaignResult

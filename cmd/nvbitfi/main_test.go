@@ -214,7 +214,7 @@ func TestSubmitMatchesCampaign(t *testing.T) {
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
-	want, err := cf.config()
+	want, err := cf.config(fs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,8 @@ func TestSubmitMatchesCampaign(t *testing.T) {
 
 // TestCampaignFlagGuardRails: the CLI refuses what the campaign config
 // refuses, through the config's own rules, before any run; -permanent refuses
-// every transient-only flag.
+// every transient-only flag set on the command line, and -confidence and
+// -max-n are refused without -target-ci rather than dropped.
 func TestCampaignFlagGuardRails(t *testing.T) {
 	for _, tc := range []struct {
 		cmd  func([]string) error
@@ -263,9 +264,19 @@ func TestCampaignFlagGuardRails(t *testing.T) {
 		{cmdCampaign, []string{"-permanent", "-ckpt-stride", "64"}, "-ckpt-stride applies to transient campaigns only"},
 		{cmdCampaign, []string{"-permanent", "-no-early-exit"}, "-no-early-exit applies to transient campaigns only"},
 		{cmdCampaign, []string{"-permanent", "-ckpt"}, "-ckpt applies to transient campaigns only"},
+		{cmdCampaign, []string{"-permanent", "-n", "5"}, "-n applies to transient campaigns only"},
+		{cmdCampaign, []string{"-permanent", "-group", "G_FP32"}, "-group applies to transient campaigns only"},
+		{cmdCampaign, []string{"-permanent", "-shard-size", "4"}, "-shard-size applies to transient campaigns only"},
+		{cmdCampaign, []string{"-permanent", "-model-param", "bit=3"}, "-model-param applies to transient campaigns only"},
+		{cmdCampaign, []string{"-permanent", "-max-n", "50"}, "-max-n applies to transient campaigns only"},
+		{cmdCampaign, []string{"-permanent", "-confidence", "0.9"}, "-confidence applies to transient campaigns only"},
+		{cmdCampaign, []string{"-max-n", "50"}, "-max-n requires -target-ci"},
+		{cmdCampaign, []string{"-confidence", "0.9"}, "-confidence requires -target-ci"},
 		// No coordinator listens on port 1: submit must refuse before dialing.
 		{cmdSubmit, []string{"-coordinator", "http://127.0.0.1:1", "-ckpt-stride", "64"}, "require -ckpt"},
 		{cmdSubmit, []string{"-coordinator", "http://127.0.0.1:1", "-target-ci", "0.1", "-confidence", "-1"}, "confidence"},
+		{cmdSubmit, []string{"-coordinator", "http://127.0.0.1:1", "-max-n", "50"}, "-max-n requires -target-ci"},
+		{cmdSubmit, []string{"-coordinator", "http://127.0.0.1:1", "-confidence", "0.9"}, "-confidence requires -target-ci"},
 	} {
 		err := tc.cmd(append([]string{"-program", cliProgram}, tc.args...))
 		if err == nil || !strings.Contains(err.Error(), tc.want) {

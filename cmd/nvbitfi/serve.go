@@ -107,8 +107,8 @@ func cmdWorker(args []string) error {
 // lowest schema that carries it. Adaptive jobs speak v2 and non-default
 // fault models v3 (which also carries the adaptive fields); everything else
 // stays byte-for-byte on v1, so older coordinators keep accepting it.
-func (f *campaignFlags) spec() (serve.CampaignSpec, error) {
-	cfg, err := f.config()
+func (f *campaignFlags) spec(fs *flag.FlagSet) (serve.CampaignSpec, error) {
+	cfg, err := f.config(fs)
 	spec := serve.CampaignSpec{Schema: serve.JobSchema, Workload: *f.program, Config: cfg}
 	switch {
 	case cfg.Model != "":
@@ -129,7 +129,7 @@ func cmdSubmit(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	spec, err := cf.spec()
+	spec, err := cf.spec(fs)
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package baseline_test
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -131,15 +132,27 @@ func TestStaticFIInjectsOwnSource(t *testing.T) {
 // TestDebuggerFITripsRealTimeAssertion: the debugger injects fine without
 // source, but its per-instruction overhead blows the frame deadline — the
 // paper's argument for why cuda-gdb-based injection was unusable on the AV
-// application.
+// application. The deadline is ten uninstrumented frames of the same
+// pipeline on the same host, so the test asserts the debugger's overhead
+// (two orders of magnitude), not the host's speed.
 func TestDebuggerFITripsRealTimeAssertion(t *testing.T) {
+	const frames = 4
+	frame := time.Duration(math.MaxInt64)
+	for i := 0; i < 3; i++ { // the first run also warms the module and plan caches
+		ctx := newCtx(t)
+		start := time.Now()
+		if _, err := av.New(av.Config{Frames: frames, FrameDeadline: time.Hour}).Run(ctx); err != nil {
+			t.Fatal(err)
+		}
+		frame = min(frame, time.Since(start)/frames)
+	}
 	ctx := newCtx(t)
 	d, err := baseline.AttachDebuggerFI(ctx, vendorFault())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Detach()
-	p := av.New(av.Config{Frames: 4, FrameDeadline: 40 * time.Millisecond})
+	p := av.New(av.Config{Frames: frames, FrameDeadline: 10 * frame})
 	out, err := p.Run(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -151,8 +164,8 @@ func TestDebuggerFITripsRealTimeAssertion(t *testing.T) {
 		t.Fatal("DebuggerFI made no single-step stops")
 	}
 	if out.ExitCode != 3 || !strings.Contains(out.Stdout, "REAL-TIME FAILURE") {
-		t.Fatalf("expected the RT assertion to trip under the debugger; got exit %d:\n%s",
-			out.ExitCode, out.Stdout)
+		t.Fatalf("expected the RT assertion to trip under the debugger (deadline %v, ten uninstrumented frames); got exit %d:\n%s",
+			10*frame, out.ExitCode, out.Stdout)
 	}
 }
 

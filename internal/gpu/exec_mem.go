@@ -261,8 +261,6 @@ func (e *evalCtx) spaceStore(lane int, space sass.MemSpace, addr uint32, width u
 	return spaceStoreAt(e.blk, e.w, lane, space, addr, width, v)
 }
 
-func (e *evalCtx) localMem(lane int) []byte { return laneLocal(e.w, lane) }
-
 // spaceLoadAt dispatches a load to its address space. Shared between the
 // interpreter and the translated plans so memory semantics cannot drift.
 func spaceLoadAt(blk *blockCtx, w *warp, lane int, space sass.MemSpace, addr uint32, width uint8) (uint64, TrapKind) {

@@ -7,10 +7,12 @@ import "repro/internal/sass"
 // are the FP64 pair closures), Dispatchable those of them runRows executes.
 // GlobalAccesses are the LDG/STG .32/.64 instructions with a `[Rx+off]` or
 // `[off]` address, MemOps those of them that are dispatchable row ops.
+// AccessorOps counts the accessor-tier instructions by opcode.
 type TierCounts struct {
 	Fast, Accessor, Thunk  int
 	RowOps, Dispatchable   int
 	GlobalAccesses, MemOps int
+	AccessorOps            map[sass.Op]int
 }
 
 // TierCensus translates k and counts its instructions by tier — for the
@@ -27,6 +29,10 @@ func TierCensus(k *sass.Kernel) (c TierCounts, err error) {
 			c.Fast++
 		case tierAccessor:
 			c.Accessor++
+			if c.AccessorOps == nil {
+				c.AccessorOps = make(map[sass.Op]int)
+			}
+			c.AccessorOps[k.Instrs[i].Op]++
 		default:
 			c.Thunk++
 		}

@@ -87,7 +87,8 @@ const (
 	rpNotPred
 )
 
-// SETP combines; rcNone passes the comparison through like boolQualify.
+// SETP combines; rcNone passes the comparison through, as the interpreter
+// does for a SETP without a third predicate source.
 const (
 	rcNone uint8 = iota
 	rcAnd

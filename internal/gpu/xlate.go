@@ -94,8 +94,8 @@ func blockUniform(sr sass.SpecialReg) bool {
 // Translation tiers, fastest first: what compileStep made of an instruction.
 const (
 	tierFast     uint8 = iota // fastStep's row ops and FP64 closures
-	tierAccessor              // specializeStep: memory, control, per-lane accessor closures
-	tierThunk                 // the interpreter, through thunkStep
+	tierAccessor              // specializeStep: the ten semantics shipped kernels run there
+	tierThunk                 // the interpreter, through thunkStep: every other instruction
 )
 
 // planStep executes one translated instruction for the lanes in execMask,

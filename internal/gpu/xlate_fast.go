@@ -8,11 +8,11 @@ import (
 )
 
 // This file is the row tier of the instruction specializer (DESIGN.md
-// section 3.11). The accessor tier in xlate_ops.go is fully general but pays
-// several indirect calls per lane. For the operand shapes that account for
-// nearly all dynamic instructions — a destination register plus register /
-// immediate / constant-bank / special-register sources — fastStep encodes the
-// instruction as a row op (rowprog.go): a kernel index, a guard, a
+// section 3.11). The accessor tier in xlate_ops.go pays several indirect
+// calls per lane, and the interpreter thunk more. For the operand shapes that
+// account for nearly all dynamic instructions — a destination register plus
+// register / immediate / constant-bank / special-register sources — fastStep
+// encodes the instruction as a row op (rowprog.go): a kernel index, a guard, a
 // destination and up to three operands, each a base selector and a byte
 // offset. A warp instruction is then a vector operation over register rows:
 // every source resolves to a *regRow once per execution, and the op is one
@@ -32,9 +32,9 @@ import (
 // that are row ops (xlate_mem.go, globalRowOp) touch only the active lanes'
 // bytes and registers.
 //
-// Any shape the row tier does not cover falls back to the accessor tier, and
-// from there to the interpreter thunk, so every tier preserves exact
-// interpreted behavior.
+// Any shape the row tier does not cover falls back to the accessor tier
+// (xlate_ops.go) if its semantic has a case there, and otherwise to the
+// interpreter thunk, so every tier preserves exact interpreted behavior.
 
 // Scratch-row assignment within blockCtx.rows. 32-bit ops use one row per
 // source; FP64 ops use a lo/hi pair per source.
@@ -140,9 +140,10 @@ func (rt *rowTable) uniform(u uniformSrc) rowOperand {
 	return rowOperand{base: rbUniform, off: uint32(len(rt.uniforms)-1) * rowBytes}
 }
 
-// Negation modes, mirroring the accessor compilers: fnInt is srcI's two's
-// complement, fnFloat is srcFBits' sign-bit flip. Immediates fold their
-// negation at classification time and always carry fnNone.
+// Negation modes, mirroring the interpreter's accessors: fnInt is
+// evalCtx.isrc's two's complement, fnFloat is evalCtx.fbits' sign-bit flip.
+// Immediates fold their negation at classification time and always carry
+// fnNone.
 const (
 	fnNone uint8 = iota
 	fnInt
@@ -160,7 +161,7 @@ func negate(v uint32, mode uint8) uint32 {
 }
 
 // rowOperandFor classifies one source under the given negation mode. The bool
-// result is false when the operand needs the accessor tier: missing
+// result is false when the row tier cannot encode the operand: missing
 // operands, or shapes the interpreter would reject.
 func rowOperandFor(in *sass.Instr, idx int, neg uint8, rt *rowTable) (rowOperand, bool) {
 	if idx >= len(in.Src) {
@@ -236,7 +237,7 @@ func rowPredFor(in *sass.Instr, idx int) rowPred {
 }
 
 // fastDst accepts only a plain non-RZ destination register; RZ and predicate
-// destinations keep the accessor tier's drop/write-through behavior.
+// destinations keep the interpreter's drop/write-through behavior.
 func fastDst(in *sass.Instr) (sass.RegID, bool) {
 	if len(in.Dst) == 0 || in.Dst[0].Kind != sass.OpdReg || in.Dst[0].Reg == sass.RZ {
 		return 0, false
@@ -319,7 +320,7 @@ func (blk *blockCtx) commit(dst, out *regRow, m uint32) {
 // register pairs negate by flipping the high word's sign bit, constant-bank
 // doubles are a pair of uniform slots (the high word's carries the sign
 // flip), float immediates widen with negation ignored, and any other shape
-// reads ±0.0 as the accessor tier does.
+// reads ±0.0 as the interpreter's evalCtx.dsrc does.
 type fastDSrc struct {
 	isReg  bool       // a register pair, read in place; else the rows lo, hi
 	neg    bool       // isReg
@@ -535,7 +536,7 @@ func fastCmpFor(float, unsigned bool, c sass.CmpOp) fastCmp {
 
 // fastStep tries the row tier for one instruction: it encodes the row op in
 // *op and returns the op's one-op step, or returns an FP64 closure (leaving
-// *op zero), or nil when the shape needs the accessor tier.
+// *op zero), or nil when the shape falls to the next tier.
 func fastStep(in *sass.Instr, rt *rowTable, op *rowOp) planStep {
 	if enc, ok := rowOpFor(in, rt); ok {
 		enc.setGuard(in.Guard)
@@ -680,7 +681,7 @@ func rowOpFor(in *sass.Instr, rt *rowTable) (op rowOp, _ bool) {
 		op.shape, kern, neg = rsTern, fopFFma, fnFloat
 	case sass.SemLop3:
 		// The truth table must be a plain immediate; anything else (the
-		// interpreter reads it per lane) keeps the accessor tier.
+		// interpreter reads it per lane) falls to the next tier.
 		if len(in.Src) < 4 || in.Src[3].Kind != sass.OpdImm || in.Src[3].Neg {
 			return op, false
 		}

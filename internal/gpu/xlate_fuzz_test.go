@@ -14,7 +14,9 @@ import (
 // instruction mix: plain ALU, guarded execution, predicate sets, forward
 // branches, global loads and stores (scattered within a 256-byte buffer,
 // coalesced by thread id, or through an unconfined "fault-corrupted"
-// address), and thunk-dispatched warp intrinsics (SHFL, VOTE). Every byte maps to one
+// address), and instructions only the interpreter thunk runs: a warp
+// intrinsic (SHFL), and an ALU op, a predicate op and a conversion that batch
+// with the row ops around them (SHF, PSETP, I2I). Every byte maps to one
 // generation step, so the fuzzer can explore instruction interleavings.
 func fuzzProgram(data []byte) string {
 	var sb strings.Builder
@@ -27,7 +29,7 @@ func fuzzProgram(data []byte) string {
 	for i := 0; i+2 < len(data) && emitted < 48; i += 3 {
 		op, a, b := data[i], data[i+1], data[i+2]
 		d, ra, rb := reg(a), reg(b), reg(a^b)
-		switch op % 16 {
+		switch op % 19 {
 		case 0:
 			fmt.Fprintf(&sb, "    MOV R%d, 0x%x\n", d, uint32(a)<<8|uint32(b))
 		case 1:
@@ -75,7 +77,7 @@ func fuzzProgram(data []byte) string {
 				sb.WriteString("    SHL R8, R8, 0x2\n")
 				sb.WriteString("    IADD R8, R8, c0[buf]\n")
 			}
-			if op%16 == 12 {
+			if op%19 == 12 {
 				fmt.Fprintf(&sb, "    STG.32 [R8], R%d\n", rb)
 			} else {
 				fmt.Fprintf(&sb, "    LDG.32 R%d, [R8]\n", d)
@@ -94,6 +96,12 @@ func fuzzProgram(data []byte) string {
 			} else {
 				fmt.Fprintf(&sb, "    POPC R%d, R%d\n", d, ra)
 			}
+		case 16:
+			fmt.Fprintf(&sb, "    SHF.R R%d, R%d, 0x%x, R%d\n", d, ra, b%40, rb)
+		case 17:
+			fmt.Fprintf(&sb, "    PSETP.XOR P1, P1, !P0\n")
+		case 18:
+			fmt.Fprintf(&sb, "    I2I.S8 R%d, R%d\n", d, ra)
 		}
 		emitted++
 	}
@@ -288,6 +296,10 @@ func FuzzXlateDifferential(f *testing.F) {
 	f.Add([]byte{7, 1, 2, 8, 3, 3, 9, 4, 4, 8, 5, 5, 10, 6, 6, 9, 1, 1, 8, 2, 2, 1, 3, 3, 12, 4, 0x10})
 	f.Add([]byte{7, 2, 1, 11, 0, 0, 8, 1, 1, 11, 0, 0, 9, 2, 2, 2, 3, 3, 15, 0, 0, 3, 4, 4, 8, 5, 5, 15, 0, 0, 13, 6, 0xc8})
 	f.Add([]byte{1, 2, 3, 13, 3, 0xe1, 8, 4, 4, 12, 5, 0xf0, 5, 6, 7})
+	// Thunk steps inside batched runs: SHF, PSETP and I2I between row ops,
+	// guarded by the predicate PSETP rewrites, around a coalesced access.
+	f.Add([]byte{7, 1, 2, 1, 2, 3, 16, 4, 5, 3, 1, 2, 17, 0, 0, 8, 3, 3, 18, 6, 7, 9, 2, 2, 16, 2, 9, 13, 1, 0xc3, 18, 3, 4, 17, 0, 0, 10, 5, 6, 12, 4, 0xc7})
+	f.Add([]byte{16, 1, 2, 17, 0, 0, 18, 3, 4, 11, 0, 0, 16, 5, 6, 18, 7, 1, 15, 0, 0, 17, 0, 0, 8, 1, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 || len(data) > 256 {
 			t.Skip()

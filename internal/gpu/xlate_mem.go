@@ -260,35 +260,6 @@ func compileLoad(in *sass.Instr, space sass.MemSpace) planStep {
 	}
 }
 
-// compileLoadConst specializes LDC.
-func compileLoadConst(in *sass.Instr) planStep {
-	wr := dstWr(in)
-	addr := memAddrLane(in)
-	if addr == nil {
-		// LDC with a plain constant operand degenerates to MOV; the
-		// interpreter reads Src[0] (and panics if it is missing too).
-		a := srcU(in, 0)
-		if wr == nil || a == nil {
-			return nil
-		}
-		return stepU(wr, a)
-	}
-	if wr == nil {
-		return nil
-	}
-	return func(blk *blockCtx, w *warp, m uint32) (bool, TrapKind, uint32) {
-		for ; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros32(m)
-			a := addr(w, lane)
-			if a%4 != 0 {
-				return false, TrapMisaligned, a
-			}
-			wr(w, lane, blk.constRead(int32(a)))
-		}
-		return false, 0, 0
-	}
-}
-
 // compileStore specializes ST/STG/STL/STS.
 func compileStore(in *sass.Instr, space sass.MemSpace) planStep {
 	vi := -1
@@ -368,20 +339,12 @@ func compileStore(in *sass.Instr, space sass.MemSpace) planStep {
 	}
 }
 
-// compileAtomic compiles evalCtx.atomic case for case: ATOM/ATOMG/ATOMS
-// (withResult) and RED (without). Lanes execute in ascending order so
-// intra-warp races keep their deterministic interpreted outcome. The
-// CAS-missing-swap and unknown-op traps fire after the lane's load, so a
-// memory fault on that load still wins with the interpreter's trap kind.
-func compileAtomic(in *sass.Instr, space sass.MemSpace, withResult bool) planStep {
-	var wr laneWrU
-	if withResult {
-		if wr = dstWr(in); wr == nil {
-			// Missing destination: the interpreter panics in wr; keep the
-			// thunk so that behavior stays in one place.
-			return nil
-		}
-	}
+// compileRed compiles evalCtx.atomic for RED, the atomic without a result.
+// Lanes execute in ascending order so intra-warp races keep their
+// deterministic interpreted outcome. The CAS-missing-swap and unknown-op
+// traps fire after the lane's load, so a memory fault on that load still
+// wins with the interpreter's trap kind.
+func compileRed(in *sass.Instr, space sass.MemSpace) planStep {
 	op := in.Mods.Atom
 	if op == sass.AtomNone {
 		op = sass.AtomAdd
@@ -465,9 +428,6 @@ func compileAtomic(in *sass.Instr, space sass.MemSpace, withResult bool) planSte
 			}
 			if kind := spaceStoreAt(blk, w, lane, space, a, 4, uint64(newVal)); kind != 0 {
 				return false, kind, a
-			}
-			if wr != nil {
-				wr(w, lane, cur)
 			}
 		}
 		return false, 0, 0

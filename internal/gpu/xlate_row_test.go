@@ -344,7 +344,7 @@ func TestRowTierFP64(t *testing.T) {
 }
 
 // TestRowTierFusedShapes pins which tier the dominant shapes land on, so a
-// refactor cannot silently drop them to the accessor tier while every
+// refactor cannot silently drop them to a slower tier while every
 // differential stays green.
 func TestRowTierFusedShapes(t *testing.T) {
 	k := mustKernel(t, `

@@ -106,6 +106,180 @@ func TestXlateDifferential(t *testing.T) {
 	}
 }
 
+// thunkProbe is the harness of TestXlateThunkedShapes: a prologue of row-tier
+// (and I2F / F2F accessor) instructions gives every lane distinct integer,
+// float, double and predicate operands, a guard P0 true on lanes 0..19 only,
+// a global word address R6 shared by eight lanes and a constant-bank offset
+// R7; the instruction under test follows at thunkProbeAt; the epilogue
+// stores R0..R13 and P0..P6 of every lane to the lane's own slot of buf.
+const (
+	thunkProbeHead = `
+.kernel thunked
+.param buf
+    S2R R0, SR_TID.X
+    IMAD R1, R0, 0x9e3779b1, 0x7f4a7c15
+    IADD R2, R0, -0x10
+    SHR.U32 R3, R1, 0x7
+    I2F R4, R2
+    FMUL R5, R4, 0.375f
+    LOP.AND R7, R0, 0x7
+    SHL R7, R7, 0x2
+    IADD R6, R7, c0[buf]
+    F2F.64 R8, R5
+    LOP.XOR R10, R1, 0x5a5a5a5a
+    MOV R11, R3
+    MOV R12, 0x3c00bc00
+    MOV R13, -0x1
+    ISETP.LT.AND P0, R0, 0x14, PT
+    ISETP.NE.AND P1, R7, 0x0, PT
+    ISETP.GE.AND P2, R2, 0x0, PT
+`
+	thunkProbeAt   = 17 // the first instruction after the prologue
+	thunkProbeTail = `
+done:
+    IMAD R14, R0, 0x60, c0[buf]
+    IADD R14, R14, 0x100
+    STG.32 [R14], R0
+    STG.32 [R14+0x4], R1
+    STG.32 [R14+0x8], R2
+    STG.32 [R14+0xc], R3
+    STG.32 [R14+0x10], R4
+    STG.32 [R14+0x14], R5
+    STG.32 [R14+0x18], R6
+    STG.32 [R14+0x1c], R7
+    STG.32 [R14+0x20], R8
+    STG.32 [R14+0x24], R9
+    STG.32 [R14+0x28], R10
+    STG.32 [R14+0x2c], R11
+    STG.32 [R14+0x30], R12
+    STG.32 [R14+0x34], R13
+    SEL R15, R13, RZ, P0
+    STG.32 [R14+0x38], R15
+    SEL R15, R13, RZ, P1
+    STG.32 [R14+0x3c], R15
+    SEL R15, R13, RZ, P2
+    STG.32 [R14+0x40], R15
+    SEL R15, R13, RZ, P3
+    STG.32 [R14+0x44], R15
+    SEL R15, R13, RZ, P4
+    STG.32 [R14+0x48], R15
+    SEL R15, R13, RZ, P5
+    STG.32 [R14+0x4c], R15
+    SEL R15, R13, RZ, P6
+    STG.32 [R14+0x50], R15
+    EXIT
+`
+)
+
+// TestXlateThunkedShapes pins the accessor tier's boundary from the other
+// side: one instruction per semantic the accessor tier has no case for —
+// for a semantic the row tier encodes, in a shape it rejects (a predicate,
+// PT or RZ destination, a register LUT) — plus an RZ-destination IADD3 and a
+// predicate-destination LOP. Each must compile to the interpreter thunk, and a
+// translated launch around it, unguarded and under the partial guard @P0,
+// must match the interpreter on every lane's registers and predicates, on
+// memory (the atomics' words and the device digest) and on the trap. CS2R is
+// checked in TestXlateDifferential's clockmix kernel, whose clock reads
+// expose any scheduling difference.
+func TestXlateThunkedShapes(t *testing.T) {
+	rows := []struct{ name, body string }{
+		{"FADD", "FADD P3, R4, R5"},
+		{"FMUL", "FMUL P3, R4, R5"},
+		{"FFMA", "FFMA P3, R4, R5, R4"},
+		{"FMNMX", "FMNMX P3, R4, R5, P1"},
+		{"FSEL", "FSEL P3, R4, R5, P2"},
+		{"FSET", "FSET.GT.AND R10, R4, R5, P1"},
+		{"FSETP", "FSETP.GT.AND PT, R4, R5, P1"},
+		{"FCHK", "FCHK P3, R5, R4"},
+		{"FRND", "FRND R10, R5"},
+		{"DADD", "DADD RZ, R8, R8"},
+		{"DMUL", "DMUL RZ, R8, R8"},
+		{"DFMA", "DFMA RZ, R8, R8, R8"},
+		{"DMNMX", "DMNMX RZ, R8, R8, P1"},
+		{"DSETP", "DSETP.GT.AND P3, R8, 1.5f, P2"},
+		{"HADD2", "HADD2 R10, R12, R3"},
+		{"HMUL2", "HMUL2 R10, R12, R3"},
+		{"HFMA2", "HFMA2 R10, R12, R3, R12"},
+		{"IADD", "IADD P3, R2, R0"},
+		{"IADD3", "IADD3 P3, R2, R0, 0x10"},
+		{"IADD3 RZ", "IADD3 RZ, R2, R0, R1"},
+		{"IMAD", "IMAD P3, R2, R0, 0x10"},
+		{"IMUL", "IMUL P3, R2, R0"},
+		{"IMNMX", "IMNMX P3, R2, R0, P1"},
+		{"IABS", "IABS R10, R2"},
+		{"ISETP", "ISETP.LT.AND PT, R2, R0, P1"},
+		{"ISCADD", "ISCADD P3, R2, R0, 0x4"},
+		{"LEA", "LEA P3, R2, R0, 0x2"},
+		{"LOP", "LOP.AND P3, R1, R7"},
+		{"LOP3", "LOP3 R10, R1, R3, R2, R7"},
+		{"SHL", "SHL P3, R1, R7"},
+		{"SHR", "SHR P3, R1, R7"},
+		{"SHF", "SHF.R R10, R1, R7, R3"},
+		{"POPC", "POPC P3, R7"},
+		{"FLO", "FLO P3, R1"},
+		{"BREV", "BREV P3, R7"},
+		{"BMSK", "BMSK R10, R7, R0"},
+		{"SGXT", "SGXT R10, R1, R0"},
+		{"VABSDIFF", "VABSDIFF R10, R2, R1"},
+		{"SEL", "SEL P3, R1, R2, P2"},
+		{"PRMT", "PRMT R10, R1, R0, R3"},
+		{"MOV", "MOV P3, R7"},
+		{"S2R", "S2R P3, SR_LANEID"},
+		{"VOTE", "VOTE R10, P2"},
+		{"P2R", "P2R R10, R1"},
+		{"R2P", "R2P P3, R1, R0"},
+		{"PSETP", "PSETP.XOR P3, P1, P2"},
+		{"PLOP3", "PLOP3 P3, P1, P2, P0, 0x96"},
+		{"I2I", "I2I.S8 R10, R1"},
+		{"LDC", "LDC R10, [R7]"},
+		{"ATOMG", "ATOMG.ADD R10, [R6], R0"},
+		{"JMP", "JMP done\n    MOV R10, RZ"},
+		{"KILL", "KILL"},
+		{"BPT", "BPT"},
+		{"NOP", "NOP"},
+		{"MEMBAR", "MEMBAR"},
+	}
+	setup := func(t *testing.T, d *Device) (Launch, uint32, int) {
+		const n = 0x100 + 64*0x60
+		buf := mustAllocWrite(t, d, n, make([]byte, n))
+		return Launch{
+			Grid:   Dim3{X: 1, Y: 1, Z: 1},
+			Block:  Dim3{X: 64, Y: 1, Z: 1},
+			Params: []uint32{buf},
+		}, buf, n
+	}
+	for _, row := range rows {
+		for _, guard := range []struct{ name, text string }{{"plain", "    "}, {"guarded", "@P0 "}} {
+			t.Run(row.name+"/"+guard.name, func(t *testing.T) {
+				src := thunkProbeHead + guard.text + row.body + "\n" + thunkProbeTail
+				plan, err := translate(mustKernel(t, src, "thunked"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tier := plan.steps[thunkProbeAt].tier; tier != tierThunk {
+					t.Errorf("%s compiles to tier %d, want the interpreter thunk", row.body, tier)
+				}
+				ref, refDig := runWithEngine(t, src, "thunked", true, false, setup)
+				got, gotDig := runWithEngine(t, src, "thunked", false, false, setup)
+				expectSame(t, "translated", ref, got)
+				if refDig != gotDig {
+					t.Errorf("device digest: translated %#x, interpreted %#x", gotDig, refDig)
+				}
+			})
+		}
+	}
+	k := mustKernel(t, clockMixSrc, "clockmix")
+	plan, err := translate(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range k.Instrs {
+		if k.Instrs[i].Op.Info().Sem == sass.SemCS2R && plan.steps[i].tier != tierThunk {
+			t.Errorf("clockmix: CS2R at %d compiles to tier %d, want the interpreter thunk", i, plan.steps[i].tier)
+		}
+	}
+}
+
 // schedulers are the two warp schedulers every engine differential runs on:
 // the warp-split product scheduler and the legacy min-PC scan oracle.
 var schedulers = []struct {

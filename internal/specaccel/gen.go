@@ -159,50 +159,3 @@ func familyNames(prefix string, n int) []string {
 	}
 	return names
 }
-
-// initHashKernel emits a deterministic device-side initializer writing
-// hash(i)-derived values in [0,1) (FP32) or the same widened (FP64 via
-// elemShift 3 and STG.64 of a converted pair).
-func initHashKernel(name string, fp64 bool) string {
-	if !fp64 {
-		return fmt.Sprintf(`
-.kernel %s
-.param n
-.param outptr
-    S2R R0, SR_TID.X
-    S2R R1, SR_CTAID.X
-    MOV R2, c0[NTID_X]
-    IMAD R0, R1, R2, R0
-    ISETP.GE.AND P0, R0, c0[n], PT
-@P0 EXIT
-    IMUL R3, R0, 0x9e3779b1
-    SHR.U32 R4, R3, 0x8
-    I2F R5, R4
-    FMUL R5, R5, 0x33800000
-    SHL R6, R0, 0x2
-    IADD R7, R6, c0[outptr]
-    STG.32 [R7], R5
-    EXIT
-`, name)
-	}
-	return fmt.Sprintf(`
-.kernel %s
-.param n
-.param outptr
-    S2R R0, SR_TID.X
-    S2R R1, SR_CTAID.X
-    MOV R2, c0[NTID_X]
-    IMAD R0, R1, R2, R0
-    ISETP.GE.AND P0, R0, c0[n], PT
-@P0 EXIT
-    IMUL R3, R0, 0x9e3779b1
-    SHR.U32 R4, R3, 0x8
-    I2F R5, R4
-    FMUL R5, R5, 0x33800000
-    F2F.64 R6, R5
-    SHL R8, R0, 0x3
-    IADD R9, R8, c0[outptr]
-    STG.64 [R9], R6
-    EXIT
-`, name)
-}

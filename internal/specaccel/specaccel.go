@@ -120,10 +120,6 @@ func floatBytesClose(a, b []byte, tol float64) bool {
 	return core.FloatBytesClose32(a, b, tol)
 }
 
-func close64(x, y, tol float64) bool {
-	return core.FloatClose(x, y, tol)
-}
-
 // stdoutClose compares stdout token streams: non-numeric tokens must match
 // exactly, numeric tokens within tolerance.
 func stdoutClose(a, b string, tol float64) bool {
@@ -189,15 +185,6 @@ func f64bytes(vals []float64) []byte {
 	b := make([]byte, 8*len(vals))
 	for i, v := range vals {
 		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
-	}
-	return b
-}
-
-// u32bytes converts uint32s to device bytes.
-func u32bytes(vals []uint32) []byte {
-	b := make([]byte, 4*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint32(b[4*i:], v)
 	}
 	return b
 }

@@ -5,7 +5,9 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -135,5 +137,77 @@ func TestEngineIsSingleGoroutine(t *testing.T) {
 	}
 	if parsed < 10 {
 		t.Fatalf("parsed %d non-test Go files in %s; the glob missed the package", parsed, dir)
+	}
+}
+
+// TestNoUnreferencedFunctions finds dead code the compiler does not: an
+// unexported function or method that no Go file of the module (test files
+// included) and no assembly file names anywhere but in its own declaration.
+// Names are matched as identifiers, not resolved to objects, so a dead
+// function that shares its name with a live one goes unreported; what it
+// does report is dead for certain. The bench/ module is not walked: it can
+// name nothing unexported of this one.
+func TestNoUnreferencedFunctions(t *testing.T) {
+	fset := token.NewFileSet()
+	declared := make(map[string][]token.Pos) // unexported name -> its declarations
+	named := make(map[string]bool)           // every identifier used other than as a declared name
+	asmIdent := regexp.MustCompile(`[A-Za-z_][A-Za-z0-9_]*`)
+	parsed := 0
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" || path == "bench") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		switch filepath.Ext(path) {
+		case ".s":
+			src, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			for _, id := range asmIdent.FindAllString(string(src), -1) {
+				named[id] = true
+			}
+		case ".go":
+			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			parsed++
+			decls := make(map[*ast.Ident]bool)
+			for _, decl := range f.Decls {
+				fn, ok := decl.(*ast.FuncDecl)
+				if !ok || fn.Name.IsExported() || fn.Name.Name == "init" || fn.Name.Name == "main" || fn.Name.Name == "_" {
+					continue
+				}
+				decls[fn.Name] = true
+				declared[fn.Name.Name] = append(declared[fn.Name.Name], fn.Name.Pos())
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok && !decls[id] {
+					named[id.Name] = true
+				}
+				return true
+			})
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if parsed < 150 {
+		t.Fatalf("parsed %d Go files; the walk missed the repository", parsed)
+	}
+	for name, positions := range declared {
+		if named[name] {
+			continue
+		}
+		for _, pos := range positions {
+			t.Errorf("%s: %s is declared but named nowhere else", fset.Position(pos), name)
+		}
 	}
 }
