@@ -15,6 +15,13 @@ var useAVX2 = cpuHasAVX2()
 //go:noescape
 func cpuHasAVX2() bool
 
+// ymmUpperInUse reports whether the YMM upper halves are dirty, and whether
+// the processor can tell: the tests' check that assembly returning to Go ran
+// its VZEROUPPER.
+//
+//go:noescape
+func ymmUpperInUse() (inUse, ok bool)
+
 func rowBroadcast(r *regRow, v uint32) {
 	if useAVX2 {
 		rowBroadcastAVX2(r, v)

@@ -1,10 +1,14 @@
 //go:build amd64 && !purego
 
 #include "textflag.h"
+#include "rowops_amd64.h"
 
-// AVX2 row kernels (DESIGN.md section 3.11, "Row kernels"). A row is 32
-// uint32 lanes, 128 bytes: four 256-bit vectors. Rules every function here
-// keeps, checked by TestRowAsmHygiene:
+// The Go-callable AVX2 row kernels (DESIGN.md section 3.11, "Row kernels").
+// Each loads its arguments into the registers of rowops_amd64.h's convention,
+// runs the body written there — the body the row-program dispatcher's
+// handlers run too — and stores the result whole: the portable executor
+// merges it under a partial mask itself. Rules every function here keeps,
+// checked by TestRowAsmHygiene:
 //
 //   - every vector instruction is VEX-encoded — one legacy-SSE instruction
 //     with dirty upper halves costs a state transition per call;
@@ -13,34 +17,6 @@
 //   - every TEXT symbol is written out, with its arguments loaded by name in
 //     its own body, so go vet's asmdecl checks names, offsets and frame sizes.
 //     Macros hold register-only bodies.
-//
-// Rows are read a whole vector (or the whole row) before the matching store,
-// and lane l's result depends on lane l alone, so out may alias any source.
-// Operand order is part of the contract for the float kernels: x sits in the
-// instruction's first source, whose NaN payload x86 propagates when both
-// operands are NaN — what the Go compiler's ADDSS/MULSS x, y does in the
-// portable loops.
-
-// lanebits holds 1<<l for the low eight lanes, laneidx 0..7.
-DATA lanebits<>+0(SB)/4, $1
-DATA lanebits<>+4(SB)/4, $2
-DATA lanebits<>+8(SB)/4, $4
-DATA lanebits<>+12(SB)/4, $8
-DATA lanebits<>+16(SB)/4, $16
-DATA lanebits<>+20(SB)/4, $32
-DATA lanebits<>+24(SB)/4, $64
-DATA lanebits<>+28(SB)/4, $128
-GLOBL lanebits<>(SB), RODATA|NOPTR, $32
-
-DATA laneidx<>+0(SB)/4, $0
-DATA laneidx<>+4(SB)/4, $1
-DATA laneidx<>+8(SB)/4, $2
-DATA laneidx<>+12(SB)/4, $3
-DATA laneidx<>+16(SB)/4, $4
-DATA laneidx<>+20(SB)/4, $5
-DATA laneidx<>+24(SB)/4, $6
-DATA laneidx<>+28(SB)/4, $7
-GLOBL laneidx<>(SB), RODATA|NOPTR, $32
 
 // func cpuHasAVX2() bool
 //
@@ -72,112 +48,70 @@ TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
 done:
 	RET
 
-// LOADX loads the row at SI into Y0-Y3; STOREOUT stores Y0-Y3 to DI.
-#define LOADX \
-	VMOVDQU 0(SI), Y0; \
-	VMOVDQU 32(SI), Y1; \
-	VMOVDQU 64(SI), Y2; \
-	VMOVDQU 96(SI), Y3
-
-#define STOREOUT \
-	VMOVDQU Y0, 0(DI); \
-	VMOVDQU Y1, 32(DI); \
-	VMOVDQU Y2, 64(DI); \
-	VMOVDQU Y3, 96(DI)
-
-// OPROW applies Y0-Y3 = Y0-Y3 OP the row at R: the accumulated value is the
-// instruction's first source.
-#define OPROW(OP, R) \
-	OP 0(R), Y0, Y0; \
-	OP 32(R), Y1, Y1; \
-	OP 64(R), Y2, Y2; \
-	OP 96(R), Y3, Y3
-
-// OPREG applies Y0-Y3 = Y0-Y3 OP the vector V.
-#define OPREG(OP, V) \
-	OP V, Y0, Y0; \
-	OP V, Y1, Y1; \
-	OP V, Y2, Y2; \
-	OP V, Y3, Y3
+// func ymmUpperInUse() (inUse, ok bool)
+//
+// Reports whether the upper halves of the YMM registers are out of their
+// initial state (XGETBV with ECX=1, XINUSE bit 2), when the processor can
+// tell (CPUID leaf 0xD, subleaf 1, EAX bit 2): what a missing VZEROUPPER
+// leaves behind.
+TEXT ·ymmUpperInUse(SB), NOSPLIT, $0-2
+	MOVB  $0, inUse+0(FP)
+	MOVB  $0, ok+1(FP)
+	MOVL  $0xd, AX
+	MOVL  $1, CX
+	CPUID
+	TESTL $4, AX
+	JZ    done
+	MOVL  $1, CX
+	XGETBV
+	MOVB  $1, ok+1(FP)
+	SHRL  $2, AX
+	ANDL  $1, AX
+	MOVB  AX, inUse+0(FP)
+done:
+	RET
 
 // func rowBroadcastAVX2(r *regRow, v uint32)
 TEXT ·rowBroadcastAVX2(SB), NOSPLIT, $0-12
-	MOVQ         r+0(FP), DI
-	MOVL         v+8(FP), AX
-	VMOVD        AX, X0
-	VPBROADCASTD X0, Y0
-	VMOVDQU      Y0, 0(DI)
-	VMOVDQU      Y0, 32(DI)
-	VMOVDQU      Y0, 64(DI)
-	VMOVDQU      Y0, 96(DI)
+	MOVQ r+0(FP), DI
+	MOVL v+8(FP), AX
+	BROADCAST(AX, DI)
 	VZEROUPPER
 	RET
 
-// EXPAND turns the lane mask broadcast in Y14 into the select words of the
-// next eight lanes in M, and advances the lane bits in Y13 by eight lanes.
-#define EXPAND(M) \
-	VPAND    Y13, Y14, M; \
-	VPCMPEQD Y13, M, M; \
-	VPSLLD   $8, Y13, Y13
-
 // func rowExpandMaskAVX2(k *regRow, m uint32)
 TEXT ·rowExpandMaskAVX2(SB), NOSPLIT, $0-12
-	MOVQ         k+0(FP), DI
-	MOVL         m+8(FP), AX
-	VMOVD        AX, X14
-	VPBROADCASTD X14, Y14
-	VMOVDQU      lanebits<>(SB), Y13
-	EXPAND(Y0)
-	EXPAND(Y1)
-	EXPAND(Y2)
-	EXPAND(Y3)
-	STOREOUT
+	MOVQ k+0(FP), DI
+	MOVL m+8(FP), AX
+	EXPANDMASK(AX, DI)
 	VZEROUPPER
 	RET
 
 // func rowMergeAVX2(dst, src, k *regRow)
+//
+// The portable executor's merge: the move's body under the select words.
 TEXT ·rowMergeAVX2(SB), NOSPLIT, $0-24
-	MOVQ      dst+0(FP), DI
-	MOVQ      src+8(FP), SI
-	MOVQ      k+16(FP), DX
-	VMOVDQU   0(DI), Y0
-	VMOVDQU   32(DI), Y1
-	VMOVDQU   64(DI), Y2
-	VMOVDQU   96(DI), Y3
-	VMOVDQU   0(DX), Y4
-	VMOVDQU   32(DX), Y5
-	VMOVDQU   64(DX), Y6
-	VMOVDQU   96(DX), Y7
-	VPBLENDVB Y4, 0(SI), Y0, Y0
-	VPBLENDVB Y5, 32(SI), Y1, Y1
-	VPBLENDVB Y6, 64(SI), Y2, Y2
-	VPBLENDVB Y7, 96(SI), Y3, Y3
-	STOREOUT
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ k+16(FP), BX
+	LOADX
+	COMMIT
 	VZEROUPPER
 	RET
 
 // func rowNegIntAVX2(out, x *regRow)
 TEXT ·rowNegIntAVX2(SB), NOSPLIT, $0-16
-	MOVQ    out+0(FP), DI
-	MOVQ    x+8(FP), SI
-	VPXOR   Y4, Y4, Y4
-	VPSUBD  0(SI), Y4, Y0
-	VPSUBD  32(SI), Y4, Y1
-	VPSUBD  64(SI), Y4, Y2
-	VPSUBD  96(SI), Y4, Y3
-	STOREOUT
+	MOVQ out+0(FP), DI
+	MOVQ x+8(FP), SI
+	NEGINT(SI, DI)
 	VZEROUPPER
 	RET
 
 // func rowNegFloatAVX2(out, x *regRow)
 TEXT ·rowNegFloatAVX2(SB), NOSPLIT, $0-16
-	MOVQ     out+0(FP), DI
-	MOVQ     x+8(FP), SI
-	VPCMPEQD Y4, Y4, Y4
-	VPSLLD   $31, Y4, Y4 // the sign bit
-	LOADX
-	OPREG(VPXOR, Y4)
-	STOREOUT
+	MOVQ out+0(FP), DI
+	MOVQ x+8(FP), SI
+	NEGFLOAT(SI, DI)
 	VZEROUPPER
 	RET
 
@@ -186,8 +120,7 @@ TEXT ·rowAddAVX2(SB), NOSPLIT, $0-24
 	MOVQ out+0(FP), DI
 	MOVQ x+8(FP), SI
 	MOVQ y+16(FP), DX
-	LOADX
-	OPROW(VPADDD, DX)
+	BINROW(VPADDD)
 	STOREOUT
 	VZEROUPPER
 	RET
@@ -197,8 +130,7 @@ TEXT ·rowMulAVX2(SB), NOSPLIT, $0-24
 	MOVQ out+0(FP), DI
 	MOVQ x+8(FP), SI
 	MOVQ y+16(FP), DX
-	LOADX
-	OPROW(VPMULLD, DX)
+	BINROW(VPMULLD)
 	STOREOUT
 	VZEROUPPER
 	RET
@@ -208,8 +140,7 @@ TEXT ·rowAndAVX2(SB), NOSPLIT, $0-24
 	MOVQ out+0(FP), DI
 	MOVQ x+8(FP), SI
 	MOVQ y+16(FP), DX
-	LOADX
-	OPROW(VPAND, DX)
+	BINROW(VPAND)
 	STOREOUT
 	VZEROUPPER
 	RET
@@ -219,8 +150,7 @@ TEXT ·rowOrAVX2(SB), NOSPLIT, $0-24
 	MOVQ out+0(FP), DI
 	MOVQ x+8(FP), SI
 	MOVQ y+16(FP), DX
-	LOADX
-	OPROW(VPOR, DX)
+	BINROW(VPOR)
 	STOREOUT
 	VZEROUPPER
 	RET
@@ -230,22 +160,17 @@ TEXT ·rowXorAVX2(SB), NOSPLIT, $0-24
 	MOVQ out+0(FP), DI
 	MOVQ x+8(FP), SI
 	MOVQ y+16(FP), DX
-	LOADX
-	OPROW(VPXOR, DX)
+	BINROW(VPXOR)
 	STOREOUT
 	VZEROUPPER
 	RET
-
-// The variable shifts saturate the way Go's do: a count of 32 or more shifts
-// everything out, sign-filling for the arithmetic one.
 
 // func rowShlAVX2(out, x, y *regRow)
 TEXT ·rowShlAVX2(SB), NOSPLIT, $0-24
 	MOVQ out+0(FP), DI
 	MOVQ x+8(FP), SI
 	MOVQ y+16(FP), DX
-	LOADX
-	OPROW(VPSLLVD, DX)
+	BINROW(VPSLLVD)
 	STOREOUT
 	VZEROUPPER
 	RET
@@ -255,8 +180,7 @@ TEXT ·rowShrAVX2(SB), NOSPLIT, $0-24
 	MOVQ out+0(FP), DI
 	MOVQ x+8(FP), SI
 	MOVQ y+16(FP), DX
-	LOADX
-	OPROW(VPSRLVD, DX)
+	BINROW(VPSRLVD)
 	STOREOUT
 	VZEROUPPER
 	RET
@@ -266,8 +190,7 @@ TEXT ·rowSarAVX2(SB), NOSPLIT, $0-24
 	MOVQ out+0(FP), DI
 	MOVQ x+8(FP), SI
 	MOVQ y+16(FP), DX
-	LOADX
-	OPROW(VPSRAVD, DX)
+	BINROW(VPSRAVD)
 	STOREOUT
 	VZEROUPPER
 	RET
@@ -277,8 +200,7 @@ TEXT ·rowFAddAVX2(SB), NOSPLIT, $0-24
 	MOVQ out+0(FP), DI
 	MOVQ x+8(FP), SI
 	MOVQ y+16(FP), DX
-	LOADX
-	OPROW(VADDPS, DX)
+	BINROW(VADDPS)
 	STOREOUT
 	VZEROUPPER
 	RET
@@ -288,8 +210,7 @@ TEXT ·rowFMulAVX2(SB), NOSPLIT, $0-24
 	MOVQ out+0(FP), DI
 	MOVQ x+8(FP), SI
 	MOVQ y+16(FP), DX
-	LOADX
-	OPROW(VMULPS, DX)
+	BINROW(VMULPS)
 	STOREOUT
 	VZEROUPPER
 	RET
@@ -300,9 +221,7 @@ TEXT ·rowIMadAVX2(SB), NOSPLIT, $0-32
 	MOVQ x+8(FP), SI
 	MOVQ y+16(FP), DX
 	MOVQ z+24(FP), CX
-	LOADX
-	OPROW(VPMULLD, DX)
-	OPROW(VPADDD, CX)
+	TERNROW(VPMULLD, VPADDD)
 	STOREOUT
 	VZEROUPPER
 	RET
@@ -313,48 +232,21 @@ TEXT ·rowIAdd3AVX2(SB), NOSPLIT, $0-32
 	MOVQ x+8(FP), SI
 	MOVQ y+16(FP), DX
 	MOVQ z+24(FP), CX
-	LOADX
-	OPROW(VPADDD, DX)
-	OPROW(VPADDD, CX)
+	TERNROW(VPADDD, VPADDD)
 	STOREOUT
 	VZEROUPPER
 	RET
 
 // func rowLeaAVX2(out, x, y, z *regRow)
-//
-// out = x<<(z&31) + y.
 TEXT ·rowLeaAVX2(SB), NOSPLIT, $0-32
-	MOVQ     out+0(FP), DI
-	MOVQ     x+8(FP), SI
-	MOVQ     y+16(FP), DX
-	MOVQ     z+24(FP), CX
-	VPCMPEQD Y8, Y8, Y8
-	VPSRLD   $27, Y8, Y8 // 31
-	VPAND    0(CX), Y8, Y4
-	VPAND    32(CX), Y8, Y5
-	VPAND    64(CX), Y8, Y6
-	VPAND    96(CX), Y8, Y7
-	LOADX
-	VPSLLVD  Y4, Y0, Y0
-	VPSLLVD  Y5, Y1, Y1
-	VPSLLVD  Y6, Y2, Y2
-	VPSLLVD  Y7, Y3, Y3
-	OPROW(VPADDD, DX)
+	MOVQ out+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ y+16(FP), DX
+	MOVQ z+24(FP), CX
+	LEA
 	STOREOUT
 	VZEROUPPER
 	RET
-
-// FFMA4 computes four lanes at byte offset off: widen to float64, multiply
-// (exact: 24+24 significand bits), add (one rounding), narrow (a second) —
-// float32(float64(x)*float64(y) + float64(z)), not a fused multiply-add.
-#define FFMA4(off) \
-	VCVTPS2PD  off(SI), Y0; \
-	VCVTPS2PD  off(DX), Y1; \
-	VCVTPS2PD  off(CX), Y2; \
-	VMULPD     Y1, Y0, Y0; \
-	VADDPD     Y2, Y0, Y0; \
-	VCVTPD2PSY Y0, X0; \
-	VMOVDQU    X0, off(DI)
 
 // func rowFFmaAVX2(out, x, y, z *regRow)
 TEXT ·rowFFmaAVX2(SB), NOSPLIT, $0-32
@@ -362,196 +254,73 @@ TEXT ·rowFFmaAVX2(SB), NOSPLIT, $0-32
 	MOVQ x+8(FP), SI
 	MOVQ y+16(FP), DX
 	MOVQ z+24(FP), CX
-	FFMA4(0)
-	FFMA4(16)
-	FFMA4(32)
-	FFMA4(48)
-	FFMA4(64)
-	FFMA4(80)
-	FFMA4(96)
-	FFMA4(112)
+	FFMA
+	STOREOUT
 	VZEROUPPER
 	RET
-
-// LOP3V evaluates the truth table on one vector at byte offset off. Y8-Y15
-// hold the table's eight select words m0..m7 broadcast (bit index x<<2 | y<<1
-// | z). A three-level mux: z picks within each pair, then y, then x; "c ? b :
-// a" is a ^ (c & (a ^ b)).
-#define LOP3V(off) \
-	VMOVDQU off(CX), Y4; \
-	VPXOR   Y8, Y9, Y0; \
-	VPAND   Y4, Y0, Y0; \
-	VPXOR   Y8, Y0, Y0; \
-	VPXOR   Y10, Y11, Y1; \
-	VPAND   Y4, Y1, Y1; \
-	VPXOR   Y10, Y1, Y1; \
-	VPXOR   Y12, Y13, Y2; \
-	VPAND   Y4, Y2, Y2; \
-	VPXOR   Y12, Y2, Y2; \
-	VPXOR   Y14, Y15, Y3; \
-	VPAND   Y4, Y3, Y3; \
-	VPXOR   Y14, Y3, Y3; \
-	VMOVDQU off(DX), Y4; \
-	VPXOR   Y0, Y1, Y1; \
-	VPAND   Y4, Y1, Y1; \
-	VPXOR   Y0, Y1, Y0; \
-	VPXOR   Y2, Y3, Y3; \
-	VPAND   Y4, Y3, Y3; \
-	VPXOR   Y2, Y3, Y2; \
-	VMOVDQU off(SI), Y4; \
-	VPXOR   Y0, Y2, Y2; \
-	VPAND   Y4, Y2, Y2; \
-	VPXOR   Y0, Y2, Y0; \
-	VMOVDQU Y0, off(DI)
 
 // func rowLop3AVX2(out, x, y, z *regRow, masks *[8]uint32)
 TEXT ·rowLop3AVX2(SB), NOSPLIT, $0-40
-	MOVQ         out+0(FP), DI
-	MOVQ         x+8(FP), SI
-	MOVQ         y+16(FP), DX
-	MOVQ         z+24(FP), CX
-	MOVQ         masks+32(FP), AX
-	VPBROADCASTD 0(AX), Y8
-	VPBROADCASTD 4(AX), Y9
-	VPBROADCASTD 8(AX), Y10
-	VPBROADCASTD 12(AX), Y11
-	VPBROADCASTD 16(AX), Y12
-	VPBROADCASTD 20(AX), Y13
-	VPBROADCASTD 24(AX), Y14
-	VPBROADCASTD 28(AX), Y15
-	LOP3V(0)
-	LOP3V(32)
-	LOP3V(64)
-	LOP3V(96)
+	MOVQ out+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ y+16(FP), DX
+	MOVQ z+24(FP), CX
+	MOVQ masks+32(FP), AX
+	LOP3
+	STOREOUT
 	VZEROUPPER
 	RET
-
-// SELV blends one vector at byte offset off: the lanes of the predicate mask
-// (broadcast in Y14, lane bits in Y13) take SET, the others CLR.
-#define SELV(off, SET, CLR) \
-	EXPAND(Y6); \
-	VPBLENDVB Y6, SET, CLR, Y7; \
-	VMOVDQU   Y7, off(DI)
 
 // func rowSelAVX2(out, x, y *regRow, pm uint32)
 TEXT ·rowSelAVX2(SB), NOSPLIT, $0-28
-	MOVQ         out+0(FP), DI
-	MOVQ         x+8(FP), SI
-	MOVQ         y+16(FP), DX
-	MOVL         pm+24(FP), AX
-	VMOVD        AX, X14
-	VPBROADCASTD X14, Y14
-	VMOVDQU      lanebits<>(SB), Y13
-	VMOVDQU      0(SI), Y0
-	VMOVDQU      0(DX), Y1
-	SELV(0, Y0, Y1)
-	VMOVDQU      32(SI), Y0
-	VMOVDQU      32(DX), Y1
-	SELV(32, Y0, Y1)
-	VMOVDQU      64(SI), Y0
-	VMOVDQU      64(DX), Y1
-	SELV(64, Y0, Y1)
-	VMOVDQU      96(SI), Y0
-	VMOVDQU      96(DX), Y1
-	SELV(96, Y0, Y1)
+	MOVQ out+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ y+16(FP), DX
+	MOVL pm+24(FP), AX
+	SEL
+	STOREOUT
 	VZEROUPPER
 	RET
 
-// MNMXV is one vector of an integer min/max: predicate lanes take the
-// minimum, the others the maximum.
-#define MNMXV(off, MIN, MAX) \
-	VMOVDQU off(SI), Y0; \
-	VMOVDQU off(DX), Y1; \
-	MIN     Y1, Y0, Y2; \
-	MAX     Y1, Y0, Y3; \
-	SELV(off, Y2, Y3)
-
 // func rowIMnMxSAVX2(out, x, y *regRow, pm uint32)
 TEXT ·rowIMnMxSAVX2(SB), NOSPLIT, $0-28
-	MOVQ         out+0(FP), DI
-	MOVQ         x+8(FP), SI
-	MOVQ         y+16(FP), DX
-	MOVL         pm+24(FP), AX
-	VMOVD        AX, X14
-	VPBROADCASTD X14, Y14
-	VMOVDQU      lanebits<>(SB), Y13
-	MNMXV(0, VPMINSD, VPMAXSD)
-	MNMXV(32, VPMINSD, VPMAXSD)
-	MNMXV(64, VPMINSD, VPMAXSD)
-	MNMXV(96, VPMINSD, VPMAXSD)
+	MOVQ out+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ y+16(FP), DX
+	MOVL pm+24(FP), AX
+	MNMX(VPMINSD, VPMAXSD)
+	STOREOUT
 	VZEROUPPER
 	RET
 
 // func rowIMnMxUAVX2(out, x, y *regRow, pm uint32)
 TEXT ·rowIMnMxUAVX2(SB), NOSPLIT, $0-28
-	MOVQ         out+0(FP), DI
-	MOVQ         x+8(FP), SI
-	MOVQ         y+16(FP), DX
-	MOVL         pm+24(FP), AX
-	VMOVD        AX, X14
-	VPBROADCASTD X14, Y14
-	VMOVDQU      lanebits<>(SB), Y13
-	MNMXV(0, VPMINUD, VPMAXUD)
-	MNMXV(32, VPMINUD, VPMAXUD)
-	MNMXV(64, VPMINUD, VPMAXUD)
-	MNMXV(96, VPMINUD, VPMAXUD)
+	MOVQ out+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ y+16(FP), DX
+	MOVL pm+24(FP), AX
+	MNMX(VPMINUD, VPMAXUD)
+	STOREOUT
 	VZEROUPPER
 	RET
-
-// FMNMXV is one vector of FMNMX under fmin / fmax's rules: VMINPS / VMAXPS
-// already return y when x is NaN and on equal (so -0 / +0 order is kept);
-// a NaN y returns x, and a NaN x — checked last, so two NaNs return y — y.
-#define FMNMXV(off) \
-	VMOVDQU   off(SI), Y0; \
-	VMOVDQU   off(DX), Y1; \
-	VMINPS    Y1, Y0, Y2; \
-	VMAXPS    Y1, Y0, Y3; \
-	VCMPPS    $3, Y1, Y1, Y4; \
-	VCMPPS    $3, Y0, Y0, Y5; \
-	VPBLENDVB Y4, Y0, Y2, Y2; \
-	VPBLENDVB Y4, Y0, Y3, Y3; \
-	VPBLENDVB Y5, Y1, Y2, Y2; \
-	VPBLENDVB Y5, Y1, Y3, Y3; \
-	SELV(off, Y2, Y3)
 
 // func rowFMnMxAVX2(out, x, y *regRow, pm uint32)
 TEXT ·rowFMnMxAVX2(SB), NOSPLIT, $0-28
-	MOVQ         out+0(FP), DI
-	MOVQ         x+8(FP), SI
-	MOVQ         y+16(FP), DX
-	MOVL         pm+24(FP), AX
-	VMOVD        AX, X14
-	VPBROADCASTD X14, Y14
-	VMOVDQU      lanebits<>(SB), Y13
-	FMNMXV(0)
-	FMNMXV(32)
-	FMNMXV(64)
-	FMNMXV(96)
+	MOVQ out+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ y+16(FP), DX
+	MOVL pm+24(FP), AX
+	FMNMX
+	STOREOUT
 	VZEROUPPER
 	RET
-
-// MOVMASK gathers the sign bits of the 32 compare results in Y0-Y3 into AX,
-// lane 0 at bit 0.
-#define MOVMASK \
-	VMOVMSKPS Y0, AX; \
-	VMOVMSKPS Y1, BX; \
-	VMOVMSKPS Y2, CX; \
-	VMOVMSKPS Y3, R8; \
-	SHLL      $8, BX; \
-	SHLL      $16, CX; \
-	SHLL      $24, R8; \
-	ORL       BX, AX; \
-	ORL       R8, CX; \
-	ORL       CX, AX
 
 // func rowCmpEQAVX2(x, y *regRow) uint32
 TEXT ·rowCmpEQAVX2(SB), NOSPLIT, $0-20
 	MOVQ x+0(FP), SI
 	MOVQ y+8(FP), DX
-	LOADX
-	OPROW(VPCMPEQD, DX)
-	MOVMASK
-	MOVL AX, ret+16(FP)
+	CMPROW(VPCMPEQD)
+	MOVL CX, ret+16(FP)
 	VZEROUPPER
 	RET
 
@@ -559,53 +328,26 @@ TEXT ·rowCmpEQAVX2(SB), NOSPLIT, $0-20
 TEXT ·rowCmpGTSAVX2(SB), NOSPLIT, $0-20
 	MOVQ x+0(FP), SI
 	MOVQ y+8(FP), DX
-	LOADX
-	OPROW(VPCMPGTD, DX)
-	MOVMASK
-	MOVL AX, ret+16(FP)
+	CMPROW(VPCMPGTD)
+	MOVL CX, ret+16(FP)
 	VZEROUPPER
 	RET
 
 // func rowCmpGTUAVX2(x, y *regRow) uint32
-//
-// Unsigned order is signed order with the sign bits flipped.
 TEXT ·rowCmpGTUAVX2(SB), NOSPLIT, $0-20
-	MOVQ     x+0(FP), SI
-	MOVQ     y+8(FP), DX
-	VPCMPEQD Y8, Y8, Y8
-	VPSLLD   $31, Y8, Y8
-	VPXOR    0(DX), Y8, Y4
-	VPXOR    32(DX), Y8, Y5
-	VPXOR    64(DX), Y8, Y6
-	VPXOR    96(DX), Y8, Y7
-	LOADX
-	OPREG(VPXOR, Y8)
-	VPCMPGTD Y4, Y0, Y0
-	VPCMPGTD Y5, Y1, Y1
-	VPCMPGTD Y6, Y2, Y2
-	VPCMPGTD Y7, Y3, Y3
-	MOVMASK
-	MOVL     AX, ret+16(FP)
+	MOVQ x+0(FP), SI
+	MOVQ y+8(FP), DX
+	CMPGTU
+	MOVL CX, ret+16(FP)
 	VZEROUPPER
 	RET
-
-// FCMPROW compares Y0-Y3 (x) with the row at DX under predicate IMM.
-#define FCMPROW(IMM) \
-	VCMPPS IMM, 0(DX), Y0, Y0; \
-	VCMPPS IMM, 32(DX), Y1, Y1; \
-	VCMPPS IMM, 64(DX), Y2, Y2; \
-	VCMPPS IMM, 96(DX), Y3, Y3
-
-// The float compares are ordered and quiet: false when either operand is NaN.
 
 // func rowFCmpEQAVX2(x, y *regRow) uint32
 TEXT ·rowFCmpEQAVX2(SB), NOSPLIT, $0-20
 	MOVQ x+0(FP), SI
 	MOVQ y+8(FP), DX
-	LOADX
-	FCMPROW($0x00)
-	MOVMASK
-	MOVL AX, ret+16(FP)
+	FCMP($0x00)
+	MOVL CX, ret+16(FP)
 	VZEROUPPER
 	RET
 
@@ -613,10 +355,8 @@ TEXT ·rowFCmpEQAVX2(SB), NOSPLIT, $0-20
 TEXT ·rowFCmpLTAVX2(SB), NOSPLIT, $0-20
 	MOVQ x+0(FP), SI
 	MOVQ y+8(FP), DX
-	LOADX
-	FCMPROW($0x11)
-	MOVMASK
-	MOVL AX, ret+16(FP)
+	FCMP($0x11)
+	MOVL CX, ret+16(FP)
 	VZEROUPPER
 	RET
 
@@ -624,10 +364,8 @@ TEXT ·rowFCmpLTAVX2(SB), NOSPLIT, $0-20
 TEXT ·rowFCmpLEAVX2(SB), NOSPLIT, $0-20
 	MOVQ x+0(FP), SI
 	MOVQ y+8(FP), DX
-	LOADX
-	FCMPROW($0x12)
-	MOVMASK
-	MOVL AX, ret+16(FP)
+	FCMP($0x12)
+	MOVL CX, ret+16(FP)
 	VZEROUPPER
 	RET
 
@@ -635,137 +373,53 @@ TEXT ·rowFCmpLEAVX2(SB), NOSPLIT, $0-20
 TEXT ·rowFCmpOrdAVX2(SB), NOSPLIT, $0-20
 	MOVQ x+0(FP), SI
 	MOVQ y+8(FP), DX
-	LOADX
-	FCMPROW($0x07)
-	MOVMASK
-	MOVL AX, ret+16(FP)
+	FCMP($0x07)
+	MOVL CX, ret+16(FP)
 	VZEROUPPER
 	RET
-
-// STRIDEV folds one vector of the unit-stride test into Y5: (addr ^ want) & k,
-// then steps the expected addresses in Y4 by eight lanes (Y6).
-#define STRIDEV(off) \
-	VPXOR  off(SI), Y4, Y0; \
-	VPAND  off(DX), Y0, Y0; \
-	VPOR   Y0, Y5, Y5; \
-	VPADDD Y6, Y4, Y4
 
 // func rowStrideDiffAVX2(addr, k *regRow, want, stride uint32) uint32
 //
 // Returns nonzero when some lane selected by k has addr[l] != want + l*stride.
 TEXT ·rowStrideDiffAVX2(SB), NOSPLIT, $0-28
-	MOVQ         addr+0(FP), SI
-	MOVQ         k+8(FP), DX
-	MOVL         want+16(FP), AX
-	VMOVD        AX, X4
-	VPBROADCASTD X4, Y4
-	MOVL         stride+20(FP), AX
-	VMOVD        AX, X6
-	VPBROADCASTD X6, Y6
-	VPMULLD      laneidx<>(SB), Y6, Y7
-	VPADDD       Y7, Y4, Y4 // want + l*stride, l = 0..7
-	VPSLLD       $3, Y6, Y6 // 8*stride
-	VPXOR        Y5, Y5, Y5
-	STRIDEV(0)
-	STRIDEV(32)
-	STRIDEV(64)
-	STRIDEV(96)
-	XORL         AX, AX
-	VPTEST       Y5, Y5
-	SETNE        AX
-	MOVL         AX, ret+24(FP)
+	MOVQ  addr+0(FP), SI
+	MOVQ  k+8(FP), BX
+	MOVL  want+16(FP), AX
+	MOVL  stride+20(FP), CX
+	STRIDEDIFF(SI, BX, AX, CX)
+	XORL  AX, AX
+	VPTEST Y5, Y5
+	SETNE AX
+	MOVL  AX, ret+24(FP)
 	VZEROUPPER
 	RET
 
-// Masked .32 row moves. win points at the first active lane's word, so lane
-// l's word is at win + 4*(l-first): lane 0's address may lie before the
-// window, and the last lanes' after it. VPMASKMOVD touches only the bytes of
-// lanes whose select word is set (and faults on none of the others); a vector
-// with no lane selected is skipped, so no access is issued to an address that
-// might not be mapped at all.
-
-// LOADV merges one vector of loaded lanes into dst: dst = k ? mem : dst.
-#define LOADV(off, SKIP) \
-	VMOVDQU    off(DX), Y1; \
-	VPTEST     Y1, Y1; \
-	JZ         SKIP; \
-	VPMASKMOVD off(SI), Y1, Y0; \
-	VMOVDQU    off(DI), Y2; \
-	VPBLENDVB  Y1, Y0, Y2, Y0; \
-	VMOVDQU    Y0, off(DI)
+// The masked row moves take win, the first active lane's bytes, and that
+// lane's index; the bodies want lane 0's address.
 
 // func rowLoad32AVX2(dst *regRow, win *byte, first uintptr, k *regRow)
 TEXT ·rowLoad32AVX2(SB), NOSPLIT, $0-32
 	MOVQ dst+0(FP), DI
 	MOVQ win+8(FP), SI
 	MOVQ first+16(FP), AX
-	MOVQ k+24(FP), DX
+	MOVQ k+24(FP), BX
 	SHLQ $2, AX
-	SUBQ AX, SI // lane 0's address
-	LOADV(0, l1)
-l1:
-	LOADV(32, l2)
-l2:
-	LOADV(64, l3)
-l3:
-	LOADV(96, l4)
-l4:
+	SUBQ AX, SI
+	LOAD32
 	VZEROUPPER
 	RET
-
-#define STOREV(off, SKIP) \
-	VMOVDQU    off(DX), Y1; \
-	VPTEST     Y1, Y1; \
-	JZ         SKIP; \
-	VMOVDQU    off(SI), Y0; \
-	VPMASKMOVD Y0, Y1, off(DI)
 
 // func rowStore32AVX2(win *byte, first uintptr, src, k *regRow)
 TEXT ·rowStore32AVX2(SB), NOSPLIT, $0-32
-	MOVQ win+0(FP), DI
+	MOVQ win+0(FP), SI
 	MOVQ first+8(FP), AX
-	MOVQ src+16(FP), SI
-	MOVQ k+24(FP), DX
+	MOVQ src+16(FP), DX
+	MOVQ k+24(FP), BX
 	SHLQ $2, AX
-	SUBQ AX, DI // lane 0's address
-	STOREV(0, s1)
-s1:
-	STOREV(32, s2)
-s2:
-	STOREV(64, s3)
-s3:
-	STOREV(96, s4)
-s4:
+	SUBQ AX, SI
+	STORE32
 	VZEROUPPER
 	RET
-
-// Masked .64 row moves: lane l's double word is at win + 8*(l-first), its low
-// word in lo and its high word in hi. Eight lanes span two vectors of memory;
-// a lane's select word, sign-extended to a quadword, selects both its words.
-// As for .32, a group of eight lanes with none selected is skipped.
-
-// LOAD64V loads the eight lanes at row offset off (memory offset 2*off),
-// splits the double words into their low and high words — VSHUFPS picks the
-// even or odd words of each 128-bit half, VPERMQ puts the halves in lane
-// order — and merges them into lo (DI) and hi (R8) under k (DX).
-#define LOAD64V(off, SKIP) \
-	VMOVDQU    off(DX), Y7; \
-	VPTEST     Y7, Y7; \
-	JZ         SKIP; \
-	VPMOVSXDQ  off(DX), Y1; \
-	VPMOVSXDQ  (off+16)(DX), Y2; \
-	VPMASKMOVD (2*off)(SI), Y1, Y3; \
-	VPMASKMOVD (2*off+32)(SI), Y2, Y4; \
-	VSHUFPS    $0x88, Y4, Y3, Y5; \
-	VSHUFPS    $0xdd, Y4, Y3, Y6; \
-	VPERMQ     $0xd8, Y5, Y5; \
-	VPERMQ     $0xd8, Y6, Y6; \
-	VMOVDQU    off(DI), Y0; \
-	VPBLENDVB  Y7, Y5, Y0, Y0; \
-	VMOVDQU    Y0, off(DI); \
-	VMOVDQU    off(R8), Y0; \
-	VPBLENDVB  Y7, Y6, Y0, Y0; \
-	VMOVDQU    Y0, off(R8)
 
 // func rowLoad64AVX2(lo, hi *regRow, win *byte, first uintptr, k *regRow)
 TEXT ·rowLoad64AVX2(SB), NOSPLIT, $0-40
@@ -773,55 +427,22 @@ TEXT ·rowLoad64AVX2(SB), NOSPLIT, $0-40
 	MOVQ hi+8(FP), R8
 	MOVQ win+16(FP), SI
 	MOVQ first+24(FP), AX
-	MOVQ k+32(FP), DX
+	MOVQ k+32(FP), BX
 	SHLQ $3, AX
-	SUBQ AX, SI // lane 0's address
-	LOAD64V(0, d1)
-d1:
-	LOAD64V(32, d2)
-d2:
-	LOAD64V(64, d3)
-d3:
-	LOAD64V(96, d4)
-d4:
+	SUBQ AX, SI
+	LOAD64
 	VZEROUPPER
 	RET
-
-// STORE64V interleaves the eight lanes at row offset off of lo (DI) and hi
-// (R8) into double words — VPUNPCK pairs them within each 128-bit half,
-// VPERM2I128 puts the halves in lane order — and stores them under k (DX)
-// to memory offset 2*off.
-#define STORE64V(off, SKIP) \
-	VMOVDQU    off(DX), Y7; \
-	VPTEST     Y7, Y7; \
-	JZ         SKIP; \
-	VMOVDQU    off(DI), Y0; \
-	VMOVDQU    off(R8), Y1; \
-	VPUNPCKLDQ Y1, Y0, Y2; \
-	VPUNPCKHDQ Y1, Y0, Y3; \
-	VPERM2I128 $0x20, Y3, Y2, Y4; \
-	VPERM2I128 $0x31, Y3, Y2, Y5; \
-	VPMOVSXDQ  off(DX), Y1; \
-	VPMOVSXDQ  (off+16)(DX), Y6; \
-	VPMASKMOVD Y4, Y1, (2*off)(SI); \
-	VPMASKMOVD Y5, Y6, (2*off+32)(SI)
 
 // func rowStore64AVX2(win *byte, first uintptr, lo, hi, k *regRow)
 TEXT ·rowStore64AVX2(SB), NOSPLIT, $0-40
 	MOVQ win+0(FP), SI
 	MOVQ first+8(FP), AX
-	MOVQ lo+16(FP), DI
-	MOVQ hi+24(FP), R8
-	MOVQ k+32(FP), DX
+	MOVQ lo+16(FP), DX
+	MOVQ hi+24(FP), CX
+	MOVQ k+32(FP), BX
 	SHLQ $3, AX
-	SUBQ AX, SI // lane 0's address
-	STORE64V(0, e1)
-e1:
-	STORE64V(32, e2)
-e2:
-	STORE64V(64, e3)
-e3:
-	STORE64V(96, e4)
-e4:
+	SUBQ AX, SI
+	STORE64
 	VZEROUPPER
 	RET

@@ -8,57 +8,38 @@ import (
 	"testing"
 )
 
-// TestRowAsmHygiene reads rowops_amd64.s and rowprog_amd64.s as text — on
-// every platform, the files need not be built — and enforces the rules their
-// headers state. For the kernels:
-//
-//   - no legacy-SSE (non-VEX) instruction names an X or Y register — with
-//     dirty upper halves one such instruction costs a state transition on
-//     every call — including through a macro parameter used as a mnemonic;
-//   - in a function that uses a Y register, directly or through a macro,
-//     every RET directly follows VZEROUPPER;
-//   - no macro produces a TEXT symbol or a RET, no macro reads an argument
-//     off the frame, so go vet's asmdecl sees every declaration and every
-//     argument access;
-//   - every TEXT symbol has a body-less Go declaration in rowops_amd64.go
-//     carrying //go:noescape, and the other way round.
-//
-// For the dispatcher, see checkDispatcherAsm.
-func TestRowAsmHygiene(t *testing.T) {
-	src, err := os.ReadFile("rowops_amd64.s")
+// asmStmt is one statement of an assembly file: comments stripped, the
+// continuation lines of a #define attributed to it, ';' separating statements.
+type asmStmt struct {
+	file  string
+	line  int
+	text  string
+	macro string // the #define this statement is part of, if any
+}
+
+// asmMacros collects the #defines of every file parsed into it: their bodies,
+// and the names of their parameters.
+type asmMacros struct {
+	body   map[string][]string
+	params map[string][]string
+}
+
+var (
+	asmDefineRE = regexp.MustCompile(`^#define\s+(\w+)(\(([^)]*)\))?`)
+	asmWordRE   = regexp.MustCompile(`^\w+`)
+	asmTextRE   = regexp.MustCompile(`^TEXT\s+(·\w+|\w+<>)\(SB\)`)
+	asmRegRE    = regexp.MustCompile(`\b(AX|BX|CX|DX|SI|DI|BP|R8|R9|R1[0-5])\b`)
+	asmYRegRE   = regexp.MustCompile(`\bY([0-9]|1[0-5])\b`)
+	asmVecRE    = regexp.MustCompile(`\b[XY]([0-9]|1[0-5])\b`)
+)
+
+func parseAsm(t *testing.T, name string, m *asmMacros) []asmStmt {
+	t.Helper()
+	src, err := os.ReadFile(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stubs, err := os.ReadFile("rowops_amd64.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var (
-		vecReg    = regexp.MustCompile(`\b[XY]([0-9]|1[0-5])\b`)
-		yReg      = regexp.MustCompile(`\bY([0-9]|1[0-5])\b`)
-		defineRE  = regexp.MustCompile(`^#define\s+(\w+)(\(([^)]*)\))?`)
-		headRE    = regexp.MustCompile(`^\w+`)
-		textRE    = regexp.MustCompile(`^TEXT\s+·(\w+)\(SB\)`)
-		invokeRE  = regexp.MustCompile(`^(\w+)(\(|$)`)
-		frameRE   = regexp.MustCompile(`\w\+\d+\(FP\)`)
-		stubRE    = regexp.MustCompile(`(?m)^(//go:noescape\n)?func (\w+)\([^)]*\)[^{\n]*$`)
-		macroUseY = map[string]bool{}
-		macroBody = map[string][]string{}
-		// macroOps[m] lists the positions of m's parameters that stand where
-		// a mnemonic does in its body.
-		macroParams = map[string][]string{}
-		macroOps    = map[string][]int{}
-	)
-
-	// Split into logical statements: comments stripped, continuation lines of
-	// a #define attributed to it, ';' separating statements.
-	type stmt struct {
-		line  int
-		text  string
-		macro string // the #define this statement is part of, if any
-	}
-	var stmts []stmt
+	var stmts []asmStmt
 	inDefine := ""
 	for i, raw := range strings.Split(string(src), "\n") {
 		line := raw
@@ -68,17 +49,20 @@ func TestRowAsmHygiene(t *testing.T) {
 		cont := strings.HasSuffix(strings.TrimSpace(line), `\`)
 		line = strings.TrimSuffix(strings.TrimSpace(line), `\`)
 		macro := inDefine
-		if m := defineRE.FindStringSubmatch(line); m != nil {
-			macro, line = m[1], line[len(m[0]):]
-			for _, p := range strings.Split(m[3], ",") {
-				macroParams[macro] = append(macroParams[macro], strings.TrimSpace(p))
+		if d := asmDefineRE.FindStringSubmatch(line); d != nil {
+			macro, line = d[1], line[len(d[0]):]
+			m.body[macro] = nil
+			for _, p := range strings.Split(d[3], ",") {
+				if p = strings.TrimSpace(p); p != "" {
+					m.params[macro] = append(m.params[macro], p)
+				}
 			}
 		}
 		for _, s := range strings.Split(line, ";") {
 			if s = strings.TrimSpace(s); s != "" {
-				stmts = append(stmts, stmt{i + 1, s, macro})
+				stmts = append(stmts, asmStmt{name, i + 1, s, macro})
 				if macro != "" {
-					macroBody[macro] = append(macroBody[macro], s)
+					m.body[macro] = append(m.body[macro], s)
 				}
 			}
 		}
@@ -86,99 +70,166 @@ func TestRowAsmHygiene(t *testing.T) {
 			inDefine = macro
 		}
 	}
+	return stmts
+}
 
-	var usesY func(s string, depth int) bool
-	usesY = func(s string, depth int) bool {
-		if yReg.MatchString(s) {
-			return true
-		}
-		m := invokeRE.FindStringSubmatch(s)
-		if m == nil || depth > 8 {
-			return false
-		}
-		if v, ok := macroUseY[m[1]]; ok {
-			return v
-		}
-		for _, b := range macroBody[m[1]] {
-			if usesY(b, depth+1) {
-				macroUseY[m[1]] = true
-				return true
+// asmMnemonic returns a statement's first word — its mnemonic, or the macro
+// it invokes — or "" for a label.
+func asmMnemonic(s string) string {
+	w := asmWordRE.FindString(s)
+	if strings.HasPrefix(s[len(w):], ":") {
+		return ""
+	}
+	return w
+}
+
+// expand returns s and the bodies of the macros it invokes, recursively (the
+// parameters left unsubstituted: the arguments are in s itself).
+func (m *asmMacros) expand(s string) []string {
+	out := []string{s}
+	for depth, todo := 0, []string{s}; len(todo) > 0 && depth < 8; depth++ {
+		var next []string
+		for _, s := range todo {
+			if body, ok := m.body[asmMnemonic(s)]; ok {
+				out = append(out, body...)
+				next = append(next, body...)
 			}
 		}
-		return false
+		todo = next
 	}
+	return out
+}
 
-	texts := map[string]bool{}
-	fn, fnUsesY, prev := "", false, ""
-	var rets []stmt // the current function's RETs not preceded by VZEROUPPER
-	flush := func() {
-		if fnUsesY {
-			for _, r := range rets {
-				t.Errorf("line %d: %s uses Y registers and returns without VZEROUPPER", r.line, fn)
-			}
-		}
-		rets, fnUsesY = nil, false
-	}
+// asmFuncs groups the statements outside macros by the TEXT symbol they
+// belong to, in file order.
+type asmFunc struct {
+	name  string
+	stmts []asmStmt
+}
+
+func asmFuncs(stmts []asmStmt) []asmFunc {
+	var fns []asmFunc
 	for _, s := range stmts {
-		mnemonic := headRE.FindString(s.text)
-		if i := slices.Index(macroParams[s.macro], mnemonic); s.macro != "" && i >= 0 && !slices.Contains(macroOps[s.macro], i) {
+		if s.macro != "" {
+			continue
+		}
+		if m := asmTextRE.FindStringSubmatch(s.text); m != nil {
+			fns = append(fns, asmFunc{name: strings.TrimPrefix(m[1], "·")})
+			continue
+		}
+		if len(fns) > 0 {
+			fns[len(fns)-1].stmts = append(fns[len(fns)-1].stmts, s)
+		}
+	}
+	return fns
+}
+
+// TestRowAsmHygiene reads the row kernels' header (rowops_amd64.h), the
+// Go-callable kernels (rowops_amd64.s) and the dispatcher with its handlers
+// (rowprog_amd64.s) as text — on every platform, the files need not be built
+// — and enforces the rules their headers state. Everywhere:
+//
+//   - no legacy-SSE (non-VEX) instruction names an X or Y register — with
+//     dirty upper halves one such instruction costs a state transition on
+//     every call — including through a macro parameter used as a mnemonic;
+//   - no macro produces a TEXT symbol, a RET or a VZEROUPPER, and none reads
+//     an argument off the frame, so go vet's asmdecl sees every declaration
+//     and every argument access;
+//   - the kernel bodies and the Go-callable kernels name no general register
+//     outside kernelRegs, the registers of the convention.
+//
+// For the Go-callable kernels: in a function that uses a Y register,
+// directly or through a macro, every RET directly follows VZEROUPPER; and
+// every TEXT symbol has a body-less Go declaration in rowops_amd64.go carrying
+// //go:noescape, and the other way round. For the dispatcher, see
+// checkDispatcherAsm.
+func TestRowAsmHygiene(t *testing.T) {
+	macros := &asmMacros{body: map[string][]string{}, params: map[string][]string{}}
+	header := parseAsm(t, "rowops_amd64.h", macros)
+	kernels := parseAsm(t, "rowops_amd64.s", macros)
+	dispatcher := parseAsm(t, "rowprog_amd64.s", macros)
+	stubs, err := os.ReadFile("rowops_amd64.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// macroOps[m] lists the positions of m's parameters that stand where a
+	// mnemonic does in its body.
+	macroOps := map[string][]int{}
+	all := slices.Concat(header, kernels, dispatcher)
+	for _, s := range all {
+		mnemonic := asmMnemonic(s.text)
+		if i := slices.Index(macros.params[s.macro], mnemonic); s.macro != "" && i >= 0 && !slices.Contains(macroOps[s.macro], i) {
 			macroOps[s.macro] = append(macroOps[s.macro], i)
 		}
 	}
-	for _, s := range stmts {
-		mnemonic := headRE.FindString(s.text)
+	frameRE := regexp.MustCompile(`\w\+\d+\(FP\)`)
+	for _, s := range all {
+		mnemonic := asmMnemonic(s.text)
 		if ops := macroOps[mnemonic]; ops != nil {
 			// An invocation: the arguments standing for mnemonics are checked
 			// here, the rest of the body where it is defined.
 			args := strings.Split(strings.TrimSuffix(s.text[strings.Index(s.text, "(")+1:], ")"), ",")
 			for _, i := range ops {
 				arg := strings.TrimSpace(args[i])
-				if !strings.HasPrefix(arg, "V") && !slices.Contains(macroParams[s.macro], arg) {
-					t.Errorf("line %d: %s applies the legacy-SSE instruction %s to vector registers", s.line, mnemonic, arg)
+				if !strings.HasPrefix(arg, "V") && !slices.Contains(macros.params[s.macro], arg) {
+					t.Errorf("%s:%d: %s applies the legacy-SSE instruction %s to vector registers", s.file, s.line, mnemonic, arg)
 				}
 			}
 		}
 		if s.macro != "" {
-			if mnemonic == "TEXT" || mnemonic == "RET" {
-				t.Errorf("line %d: macro %s produces a %s", s.line, s.macro, mnemonic)
+			if mnemonic == "TEXT" || mnemonic == "RET" || mnemonic == "VZEROUPPER" {
+				t.Errorf("%s:%d: macro %s produces a %s", s.file, s.line, s.macro, mnemonic)
 			}
 			if frameRE.MatchString(s.text) {
-				t.Errorf("line %d: macro %s reads the frame; asmdecl cannot check it", s.line, s.macro)
+				t.Errorf("%s:%d: macro %s reads the frame; asmdecl cannot check it", s.file, s.line, s.macro)
 			}
 		}
-		if vecReg.MatchString(s.text) && !strings.HasPrefix(mnemonic, "V") && macroBody[mnemonic] == nil &&
-			!slices.Contains(macroParams[s.macro], mnemonic) {
-			t.Errorf("line %d: legacy-SSE instruction on a vector register: %s", s.line, s.text)
+		_, isMacro := macros.body[mnemonic]
+		if asmVecRE.MatchString(s.text) && !strings.HasPrefix(mnemonic, "V") && !isMacro &&
+			!slices.Contains(macros.params[s.macro], mnemonic) {
+			t.Errorf("%s:%d: legacy-SSE instruction on a vector register: %s", s.file, s.line, s.text)
 		}
-		if s.macro != "" {
-			continue
+		if mnemonic == "TEXT" && asmTextRE.FindString(s.text) == "" {
+			t.Errorf("%s:%d: TEXT symbol not written out: %s", s.file, s.line, s.text)
 		}
-		if m := textRE.FindStringSubmatch(s.text); m != nil {
-			flush()
-			fn, prev = m[1], ""
-			texts[fn] = true
-			continue
-		}
-		if mnemonic == "TEXT" {
-			t.Errorf("line %d: TEXT symbol not written out: %s", s.line, s.text)
-		}
-		if fn == "" {
-			continue
-		}
-		if usesY(s.text, 0) {
-			fnUsesY = true
-		}
-		if mnemonic == "RET" && prev != "VZEROUPPER" {
-			rets = append(rets, s)
-		}
-		prev = mnemonic
 	}
-	flush()
+	for _, s := range slices.Concat(header, kernels) {
+		for _, r := range asmRegRE.FindAllString(s.text, -1) {
+			if !slices.Contains(kernelRegs, r) {
+				t.Errorf("%s:%d names %s: the dispatcher holds state there across a handler (kernels may name only %v)", s.file, s.line, r, kernelRegs)
+			}
+		}
+	}
+
+	usesY := func(s string) bool {
+		return slices.ContainsFunc(macros.expand(s), asmYRegRE.MatchString)
+	}
+	texts := map[string]bool{}
+	for _, fn := range asmFuncs(kernels) {
+		texts[fn.name] = true
+		fnUsesY, prev := false, ""
+		var rets []asmStmt // RETs not preceded by VZEROUPPER
+		for _, s := range fn.stmts {
+			mnemonic := asmMnemonic(s.text)
+			fnUsesY = fnUsesY || usesY(s.text)
+			if mnemonic == "RET" && prev != "VZEROUPPER" {
+				rets = append(rets, s)
+			}
+			prev = mnemonic
+		}
+		for _, r := range rets {
+			if fnUsesY {
+				t.Errorf("%s:%d: %s uses Y registers and returns without VZEROUPPER", r.file, r.line, fn.name)
+			}
+		}
+	}
 	if len(texts) < 30 {
 		t.Fatalf("parsed only %d TEXT symbols", len(texts))
 	}
 
 	declared := map[string]bool{}
+	stubRE := regexp.MustCompile(`(?m)^(//go:noescape\n)?func (\w+)\([^)]*\)[^{\n]*$`)
 	for _, m := range stubRE.FindAllStringSubmatch(string(stubs), -1) {
 		declared[m[2]] = true
 		if m[1] == "" {
@@ -193,16 +244,18 @@ func TestRowAsmHygiene(t *testing.T) {
 			t.Errorf("TEXT ·%s has no body-less declaration in rowops_amd64.go", name)
 		}
 	}
-	checkDispatcherAsm(t, string(src), declared)
+	checkDispatcherAsm(t, dispatcher, macros)
 }
 
-// kernelRegs is the clobber set of the row kernels: the only general
-// registers rowops_amd64.s may name (beside the X/Y vectors and the SP / FP /
-// SB pseudo-registers). The row-program dispatcher keeps its state across a
-// kernel CALL in dispatcherRegs, so the two sets must stay disjoint.
+// kernelRegs is the register convention of the row kernels (rowops_amd64.h):
+// the only general registers a kernel body names (beside the X/Y vectors and
+// the SP / FP / SB pseudo-registers). The row-program dispatcher keeps its
+// state across a handler CALL in dispatcherRegs, so the two sets must stay
+// disjoint; a handler may read R10 (the warp) and R12 (the op).
 var (
 	kernelRegs     = []string{"AX", "BX", "CX", "DX", "SI", "DI", "R8"}
 	dispatcherRegs = []string{"R9", "R10", "R11", "R12", "R13"}
+	handlerReads   = []string{"R10", "R12"}
 )
 
 // dispatcherTypes are the types whose go_asm.h field offsets the dispatcher
@@ -210,60 +263,221 @@ var (
 // tally, and the allocation table of a global access's fast path.
 var dispatcherTypes = []string{"rowOp", "rowOperand", "rowPred", "warp", "blockCtx", "xplan", "SiteTally", "alloc"}
 
-// checkDispatcherAsm reads rowprog_amd64.s as text and enforces the rules its
-// header states, against the kernels' source and their Go declarations:
+// checkDispatcherAsm enforces the rules rowprog_amd64.s's header states:
 //
-//   - a kernel names no general register outside kernelRegs; the dispatcher
-//     none outside kernelRegs and dispatcherRegs (so never BP, R14 or R15) and
-//     no X or Y register at all — it owes no VZEROUPPER;
-//   - the dispatcher takes struct layout from go_asm.h: no displacement off a
-//     general register is a bare number, and every name in one is a field of
-//     a type in dispatcherTypes, a const_ name, or one of the file's own
-//     #defines and macro parameters;
-//   - every symbol it CALLs or lists in a DATA table is declared in
-//     rowops_amd64.go, its own TEXT symbol in rowprog_amd64.go, and the
-//     rowKernels table covers exactly the ops of rowVectorOps.
-func checkDispatcherAsm(t *testing.T, kernels string, declared map[string]bool) {
+//   - the file defines one Go-callable TEXT symbol, the dispatcher, declared
+//     with //go:noescape in rowprog_amd64.go; every other one is a file-local
+//     handler, reached only from assembly — through the handler table or a
+//     handler's tail JMP — and every one is reached;
+//   - the handler table covers exactly the shape × kernel pairs rowOp.handler
+//     gives a handler, one entry each;
+//   - the dispatcher CALLs only through a register, passes nothing on the
+//     stack (its outgoing-argument area, 0-39(SP), is never named) and never
+//     names rowMergeAVX2;
+//   - VZEROUPPER directly precedes every RET of the dispatcher, which has no
+//     other exit; no handler has a VZEROUPPER or a CALL, and each ends in a
+//     RET or a tail JMP to another handler;
+//   - the dispatcher names no general register outside kernelRegs and
+//     dispatcherRegs (so never BP, R14 or R15); a handler, its macros
+//     included, none outside kernelRegs but a read of R10 or R12 — a memory
+//     operand's base, never a destination;
+//   - struct layout comes from go_asm.h: no displacement off a general
+//     register is a bare number, and every name in one is a field of a type
+//     in dispatcherTypes, a const_ name, or one of the file's own #defines
+//     and macro parameters.
+func checkDispatcherAsm(t *testing.T, stmts []asmStmt, macros *asmMacros) {
 	t.Helper()
 	raw, err := os.ReadFile("rowprog_amd64.s")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var (
-		commentRE = regexp.MustCompile(`//.*`)
-		regRE     = regexp.MustCompile(`\b(AX|BX|CX|DX|SI|DI|BP|R8|R9|R1[0-5])\b`)
-		vecRE     = regexp.MustCompile(`\b[XY]([0-9]|1[0-5])\b`)
-		dispRE    = regexp.MustCompile(`([^\s,;(]*)\((AX|BX|CX|DX|SI|DI|BP|R8|R9|R1[0-5])\)`)
-		numRE     = regexp.MustCompile(`^-?[0-9]+$`)
-		identRE   = regexp.MustCompile(`[A-Za-z_]\w*`)
-		symRE     = regexp.MustCompile(`(?:CALL\s+|\$)·(\w+)\(SB\)`)
-		textRE    = regexp.MustCompile(`(?m)^TEXT\s+·(\w+)\(SB\)`)
-		kernRE    = regexp.MustCompile(`(?m)^DATA rowKernels<>\+\(const_(fop\w+)\*8\)\(SB\)/8, \$·(\w+)\(SB\)`)
-	)
-	dispatcher := commentRE.ReplaceAllString(string(raw), "")
-	kernels = commentRE.ReplaceAllString(kernels, "")
+	src := regexp.MustCompile(`//.*`).ReplaceAllString(string(raw), "")
 
-	for _, r := range regRE.FindAllString(kernels, -1) {
-		if !slices.Contains(kernelRegs, r) {
-			t.Errorf("rowops_amd64.s names %s: the dispatcher may hold state there across a CALL (kernels may name only %v)", r, kernelRegs)
+	fns := asmFuncs(stmts)
+	var entry *asmFunc
+	handlers := map[string]*asmFunc{}
+	for i := range fns {
+		if name, local := strings.CutSuffix(fns[i].name, "<>"); local {
+			handlers[name] = &fns[i]
+		} else if entry != nil {
+			t.Errorf("rowprog_amd64.s defines the Go-callable %s beside %s: a handler must be file-local", fns[i].name, entry.name)
+		} else {
+			entry = &fns[i]
 		}
 	}
-	for _, r := range regRE.FindAllString(dispatcher, -1) {
-		if !slices.Contains(kernelRegs, r) && !slices.Contains(dispatcherRegs, r) {
-			t.Errorf("rowprog_amd64.s names %s: outside the kernels' clobber set %v and its own registers %v", r, kernelRegs, dispatcherRegs)
+	if entry == nil {
+		t.Fatal("rowprog_amd64.s defines no dispatcher")
+	}
+	stubs, err := os.ReadFile("rowprog_amd64.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !regexp.MustCompile(`(?m)^//go:noescape\nfunc ` + entry.name + `\(`).Match(stubs) {
+		t.Errorf("TEXT ·%s has no //go:noescape declaration in rowprog_amd64.go", entry.name)
+	}
+
+	// The handler table, evaluated against the Go constants.
+	consts := map[string]int{
+		"rhMov": int(rhMov), "rhKern": int(rhKern), "rhCmp": int(rhCmp),
+		"rhLd32": int(rhLd32), "rhSt32": int(rhSt32), "rhLd64": int(rhLd64), "rhSt64": int(rhSt64),
+	}
+	fast, err := os.ReadFile("xlate_fast.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []struct {
+		first, last string
+		n           int
+	}{{"fopAdd fastOp = iota", "numFastOps", int(numFastOps)}, {"fcF  fastCmp = iota", "numFastCmps", int(numFastCmps)}} {
+		block := regexp.MustCompile(`(?s)` + regexp.QuoteMeta(b.first) + `.*?` + b.last).FindString(regexp.MustCompile(`//.*`).ReplaceAllString(string(fast), ""))
+		names := regexp.MustCompile(`\b(fop|fc)\w+`).FindAllString(block, -1)
+		if len(names) != b.n {
+			t.Fatalf("read %d names off xlate_fast.go's %s block, want %d", len(names), b.last, b.n)
+		}
+		for i, name := range names {
+			consts[name] = i
 		}
 	}
-	if v := vecRE.FindString(dispatcher); v != "" {
-		t.Errorf("rowprog_amd64.s names the vector register %s: the dispatcher has no VZEROUPPER", v)
+	entryRE := regexp.MustCompile(`(?m)^DATA rowHandlers<>\+\((.*)\*8\)\(SB\)/8, \$(\w+)<>\(SB\)$`)
+	table := map[int]string{}
+	reached := map[string]bool{}
+	for _, m := range entryRE.FindAllStringSubmatch(src, -1) {
+		at := 0
+		for _, term := range strings.Split(strings.Trim(m[1], "()"), "+") {
+			v, ok := consts[strings.TrimPrefix(term, "const_")]
+			if !ok {
+				t.Fatalf("handler table index %s: unknown term %s", m[1], term)
+			}
+			at += v
+		}
+		if prev, dup := table[at]; dup {
+			t.Errorf("handler table index %d holds %s and %s", at, prev, m[2])
+		}
+		table[at] = m[2]
+		reached[m[2]] = true
+		if handlers[m[2]] == nil {
+			t.Errorf("handler table index %s names %s<>, not a handler of the file", m[1], m[2])
+		}
 	}
+	want := map[int]bool{}
+	for shape := rsMov; shape <= rsSt64; shape++ {
+		kerns := uint8(numFastOps)
+		if shape == rsSetP {
+			kerns = uint8(numFastCmps)
+		}
+		for kern := range kerns {
+			op := rowOp{shape: shape, kern: kern}
+			if h := op.handler(); h != rhNone {
+				want[int(h)] = true
+				if table[int(h)] == "" {
+					t.Errorf("shape %d kernel %d has handler %d, which the table lacks", shape, kern, h)
+				}
+			}
+		}
+	}
+	for at, name := range table {
+		if !want[at] {
+			t.Errorf("handler table index %d (%s<>) is no op's handler", at, name)
+		}
+	}
+	if len(want) < 40 {
+		t.Fatalf("only %d handlers expected: rowOp.handler changed shape", len(want))
+	}
+
+	// The dispatcher: its calls, its exits, its registers.
+	callRE := regexp.MustCompile(`^CALL\s+(\S+)$`)
+	argRE := regexp.MustCompile(`(^|[^\w+])([0-9]|[1-3][0-9])\(SP\)`)
+	prev := ""
+	rets := 0
+	for _, s := range entry.stmts {
+		for _, e := range macros.expand(s.text) {
+			mnemonic := asmMnemonic(e)
+			if m := callRE.FindStringSubmatch(e); mnemonic == "CALL" && (m == nil || !slices.Contains(kernelRegs, m[1])) {
+				t.Errorf("%s:%d: the dispatcher CALLs other than through a register: %s", s.file, s.line, e)
+			}
+			if argRE.MatchString(e) {
+				t.Errorf("%s:%d: the dispatcher names its outgoing-argument area: %s", s.file, s.line, e)
+			}
+			if strings.HasPrefix(mnemonic, "J") && strings.Contains(e, "(SB)") {
+				t.Errorf("%s:%d: the dispatcher leaves by a jump: %s", s.file, s.line, e)
+			}
+			for _, r := range asmRegRE.FindAllString(e, -1) {
+				if !slices.Contains(kernelRegs, r) && !slices.Contains(dispatcherRegs, r) {
+					t.Errorf("%s:%d: the dispatcher names %s: outside the kernels' registers %v and its own %v", s.file, s.line, r, kernelRegs, dispatcherRegs)
+				}
+			}
+		}
+		mnemonic := asmMnemonic(s.text)
+		if mnemonic == "RET" {
+			rets++
+			if prev != "VZEROUPPER" {
+				t.Errorf("%s:%d: the dispatcher returns without VZEROUPPER", s.file, s.line)
+			}
+		}
+		prev = mnemonic
+	}
+	if rets == 0 {
+		t.Errorf("the dispatcher has no RET")
+	}
+	if strings.Contains(src, "rowMergeAVX2") {
+		t.Errorf("rowprog_amd64.s names rowMergeAVX2: a handler blends its own result")
+	}
+
+	// The handlers.
+	jmpRE := regexp.MustCompile(`^JMP\s+(\w+)<>\(SB\)$`)
+	readRE := regexp.MustCompile(`\((R10|R12)\)`)
+	for name, fn := range handlers {
+		if len(fn.stmts) == 0 {
+			t.Errorf("handler %s<> is empty", name)
+			continue
+		}
+		last := fn.stmts[len(fn.stmts)-1].text
+		if m := jmpRE.FindStringSubmatch(last); m != nil {
+			reached[m[1]] = true
+			if handlers[m[1]] == nil {
+				t.Errorf("handler %s<> jumps to %s<>, not a handler of the file", name, m[1])
+			}
+		} else if last != "RET" {
+			t.Errorf("handler %s<> ends in %q, not a RET or a tail JMP", name, last)
+		}
+		for _, s := range fn.stmts {
+			for _, e := range macros.expand(s.text) {
+				switch mnemonic := asmMnemonic(e); {
+				case mnemonic == "VZEROUPPER":
+					t.Errorf("%s:%d: handler %s<> clears the upper halves: the dispatcher's exit does", s.file, s.line, name)
+				case mnemonic == "CALL":
+					t.Errorf("%s:%d: handler %s<> CALLs: %s", s.file, s.line, name, e)
+				case mnemonic == "JMP" && strings.Contains(e, "(SB)") && jmpRE.FindString(e) == "":
+					t.Errorf("%s:%d: handler %s<> jumps out of the file: %s", s.file, s.line, name, e)
+				}
+				for _, r := range asmRegRE.FindAllString(readRE.ReplaceAllString(e, ""), -1) {
+					if !slices.Contains(kernelRegs, r) {
+						t.Errorf("%s:%d: handler %s<> names %s other than as a base it reads (may name %v, and read %v)", s.file, s.line, name, r, kernelRegs, handlerReads)
+					}
+				}
+			}
+		}
+	}
+	for name := range handlers {
+		if !reached[name] {
+			t.Errorf("handler %s<> is reached neither through the table nor by a tail JMP", name)
+		}
+	}
+
+	// Struct layout.
+	var (
+		dispRE  = regexp.MustCompile(`([^\s,;(]*)\((AX|BX|CX|DX|SI|DI|BP|R8|R9|R1[0-5])\)`)
+		numRE   = regexp.MustCompile(`^-?[0-9]+$`)
+		identRE = regexp.MustCompile(`[A-Za-z_]\w*`)
+	)
 	local := map[string]bool{}
-	for _, m := range regexp.MustCompile(`(?m)^#define\s+(\w+)(?:\(([^)]*)\))?`).FindAllStringSubmatch(dispatcher, -1) {
-		local[m[1]] = true
-		for _, p := range strings.Split(m[2], ",") {
-			local[strings.TrimSpace(p)] = true
+	for name, params := range macros.params {
+		local[name] = true
+		for _, p := range params {
+			local[p] = true
 		}
 	}
-	for _, m := range dispRE.FindAllStringSubmatch(dispatcher, -1) {
+	for _, m := range dispRE.FindAllStringSubmatch(src, -1) {
 		if numRE.MatchString(m[1]) {
 			t.Errorf("rowprog_amd64.s: %s is a numeric displacement off %s; struct layout comes from go_asm.h names", m[0], m[2])
 		}
@@ -272,48 +486,6 @@ func checkDispatcherAsm(t *testing.T, kernels string, declared map[string]bool) 
 			if !local[name] && typ != "const" && !(field && slices.Contains(dispatcherTypes, typ)) {
 				t.Errorf("rowprog_amd64.s: %s reads %s, not a field of %v from go_asm.h", m[0], name, dispatcherTypes)
 			}
-		}
-	}
-
-	for _, m := range symRE.FindAllStringSubmatch(dispatcher, -1) {
-		if !declared[m[1]] {
-			t.Errorf("rowprog_amd64.s refers to ·%s, which rowops_amd64.go does not declare", m[1])
-		}
-	}
-	stubs, err := os.ReadFile("rowprog_amd64.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	texts := textRE.FindAllStringSubmatch(dispatcher, -1)
-	if len(texts) != 1 {
-		t.Fatalf("rowprog_amd64.s defines %d TEXT symbols, want the dispatcher alone", len(texts))
-	}
-	if !regexp.MustCompile(`(?m)^//go:noescape\nfunc ` + texts[0][1] + `\(`).Match(stubs) {
-		t.Errorf("TEXT ·%s has no //go:noescape declaration in rowprog_amd64.go", texts[0][1])
-	}
-
-	// fastOp values by name, read off the const block: the table is indexed by
-	// go_asm.h's const_fop* names.
-	fast, err := os.ReadFile("xlate_fast.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	block := regexp.MustCompile(`(?s)fopAdd fastOp = iota.*?numFastOps`).FindString(commentRE.ReplaceAllString(string(fast), ""))
-	names := regexp.MustCompile(`\bfop\w+`).FindAllString(block, -1)
-	if len(names) != int(numFastOps) {
-		t.Fatalf("read %d fastOp names off xlate_fast.go, want %d", len(names), numFastOps)
-	}
-	inTable := make([]bool, numFastOps)
-	for _, m := range kernRE.FindAllStringSubmatch(string(raw), -1) {
-		i := slices.Index(names, m[1])
-		if i < 0 {
-			t.Fatalf("rowKernels entry for unknown op %s", m[1])
-		}
-		inTable[i] = true
-	}
-	for i, name := range names {
-		if inTable[i] != rowVectorOps[i] {
-			t.Errorf("%s: in the dispatcher's kernel table: %v, in rowVectorOps: %v", name, inTable[i], rowVectorOps[i])
 		}
 	}
 }

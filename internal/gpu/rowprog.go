@@ -14,10 +14,11 @@ import (
 // when it tallies, the instruction's SiteTally), resolves the operands to
 // rows, runs the row kernel and merges the result under a partial mask. On
 // amd64 with AVX2 that routine is the assembly dispatcher of rowprog_amd64.s,
-// which CALLs the kernels of rowops_amd64.s; this file holds the encoding and
-// the portable executor of the same ops, written over the row primitives
-// (rowBin, rowTern, rowSel, cmpMask: the portable loops wherever there are no
-// vector kernels). The portable executor is the whole path there, the one-op
+// which CALLs each op's handler with its operands in registers, the handler
+// running a kernel body of rowops_amd64.h and blending its own result; this
+// file holds the encoding and the portable executor of the same ops, written
+// over the row primitives (rowBin, rowTern, rowSel, cmpMask: the portable
+// loops wherever there are no vector kernels). The portable executor is the whole path there, the one-op
 // step behind xinstr.step everywhere (single issue, an instruction at a
 // callback site, a row op no vector kernel covers), the executor of a global
 // access the dispatcher leaves to Go (its fast path does not cover it, or it
@@ -96,12 +97,29 @@ const (
 	rcXor
 )
 
+// Handlers: what the dispatcher runs for an op, recorded at encoding
+// (rowOp.hand) and indexing the handler table of rowprog_amd64.s: one per
+// shape and kernel the dispatcher runs, so it branches once per op. rhNone
+// marks an op it does not run.
+const (
+	rhNone uint8 = iota
+	rhMov
+	rhKern                                      // + fastOp: rsBin, rsSel, rsTern, rsLop3 with a vector kernel
+	rhCmp          = rhKern + uint8(numFastOps) // + fastCmp: rsSetP
+	rhLd32         = rhCmp + uint8(numFastCmps) // the global accesses, in shape order
+	rhSt32         = rhLd32 + 1
+	rhLd64         = rhLd32 + 2
+	rhSt64         = rhLd32 + 3
+	numRowHandlers = rhLd32 + 4
+)
+
 // rowOp is one row-tier instruction.
 type rowOp struct {
 	shape uint8
 	kern  uint8 // a fastOp; a fastCmp for rsSetP
 	guard uint8
 	gpred uint8  // guard predicate, rgPred / rgNotPred
+	hand  uint8  // the dispatcher's handler, rhNone when it does not run the op
 	dst   uint32 // byte offset of the destination row in warp.regs; of the predicate word in warp.preds for rsSetP
 	src   [3]rowOperand
 	pred  rowPred
@@ -117,8 +135,8 @@ type rowPred struct {
 	reg uint8 // rpPred, rpNotPred
 }
 
-// rowVectorOps lists the fastOps with an entry in the dispatcher's kernel
-// table (TestRowAsmHygiene holds the two to each other). AVX2 has no 32-bit
+// rowVectorOps lists the fastOps with a handler in the dispatcher's table
+// (TestRowAsmHygiene holds the two to each other). AVX2 has no 32-bit
 // multiply-high, popcount, bit reverse or leading-zero count; no shipped
 // kernel issues one on the row tier.
 var rowVectorOps = [numFastOps]bool{
@@ -129,26 +147,38 @@ var rowVectorOps = [numFastOps]bool{
 }
 
 // dispatchable reports whether the op may sit inside a stretch handed to
-// runRows. It is a property of the op alone, the same on every platform, so a
-// plan's rowLen does not depend on where it was built. What it excludes runs
-// through the op's step: ops without a vector kernel, an SM clock read
-// (which issues alone anyway, see readsClock), and a .64 load whose high half
-// lands on RZ (it drops into scratch, which only the portable executor does).
-func (op *rowOp) dispatchable() bool {
+// runRows: whether it has a handler.
+func (op *rowOp) dispatchable() bool { return op.hand != rhNone }
+
+// handler picks the op's handler. It is a property of the op alone, so a
+// plan's rowLen does not depend on where it was built. What gets none runs
+// through the op's step: ops without a vector kernel, an SM clock read (which
+// issues alone anyway, see readsClock), and a .64 load whose high half lands
+// on RZ (it drops into scratch, which only the portable executor does).
+func (op *rowOp) handler() uint8 {
 	for i := range op.src {
 		if o := &op.src[i]; o.base == rbSpecial && sass.SpecialReg(o.off) != sass.SRWarpID {
-			return false
+			return rhNone
 		}
 	}
 	switch op.shape {
-	case rsNone:
-		return false
-	case rsMov, rsSetP, rsLd32, rsSt32, rsSt64:
-		return true
+	case rsMov:
+		return rhMov
+	case rsSetP:
+		return rhCmp + op.kern
 	case rsLd64:
-		return op.dst/rowBytes+1 != uint32(sass.RZ)
+		if op.dst/rowBytes+1 == uint32(sass.RZ) {
+			return rhNone
+		}
+		fallthrough
+	case rsLd32, rsSt32, rsSt64:
+		return rhLd32 + op.shape - rsLd32
+	case rsBin, rsSel, rsTern, rsLop3:
+		if rowVectorOps[op.kern] {
+			return rhKern + op.kern
+		}
 	}
-	return rowVectorOps[op.kern]
+	return rhNone
 }
 
 // setGuard copies the instruction guard into the op.

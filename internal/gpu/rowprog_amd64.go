@@ -2,6 +2,8 @@
 
 package gpu
 
+import "unsafe"
+
 // runRows executes the row ops of instructions [pc, pc+n), n > 0, for the
 // lanes in atPC, counting each issue into tally[pc:] when tally is not nil,
 // and returns the thread-level executions and where the stretch stopped, as
@@ -37,16 +39,21 @@ func (blk *blockCtx) runRows(w *warp, pc, n int32, atPC uint32, tally []SiteTall
 	}
 }
 
+// The dispatcher reads an operand's base and negation mode as one 16-bit word:
+// this fails to compile unless neg is the byte after base.
+var _ = [1]struct{}{}[unsafe.Offsetof(rowOperand{}.neg)-unsafe.Offsetof(rowOperand{}.base)-1]
+
 // rowProgAVX2 is runRowsPortable as one assembly routine: it walks n ops from
-// ops, calling the AVX2 row kernels through a table of their addresses, and
-// counts each issue at tally onwards unless tally is nil. Every op must be
-// dispatchable. It returns the thread-level executions and the number of ops
-// it completed: n, or fewer when a global access leaves its fast path, at the
-// op it did not count. The fast path resolves an access against allocs, the
-// device memory's allocation table, through the two allocations memo
-// (Memory.lastHit) names. The routine reads blk (scratch rows, urows, the
-// exec-mask cache, plan.arena), w (regs, tid, preds, id) and the allocations
-// by the field offsets the compiler writes to go_asm.h.
+// ops, calling each op's handler (rowOp.hand) through a table of their
+// addresses with the operands in registers, and counts each issue at tally
+// onwards unless tally is nil. Every op must be dispatchable. It returns the
+// thread-level executions and the number of ops it completed: n, or fewer when
+// a global access leaves its fast path, at the op it did not count. The fast
+// path resolves an access against allocs, the device memory's allocation
+// table, through the two allocations memo (Memory.lastHit) names. The routine
+// reads blk (scratch rows, urows, the exec-mask cache, plan.arena), w (regs,
+// tid, preds, id) and the allocations by the field offsets the compiler writes
+// to go_asm.h.
 //
 //go:noescape
 func rowProgAVX2(blk *blockCtx, w *warp, ops *rowOp, n int, atPC uint32, tally *SiteTally, allocs []alloc, memo uint32) (threads uint64, done int)

@@ -3,27 +3,36 @@
 #include "textflag.h"
 #include "funcdata.h"
 #include "go_asm.h"
+#include "rowops_amd64.h"
 
 // The row-program dispatcher (DESIGN.md section 3.11, "Row programs"): the
 // assembly form of blockCtx.runRowsPortable. It executes a stretch of row ops
-// without returning to Go between them; the vector work stays in the kernels
-// of rowops_amd64.s, which it CALLs through tables of their addresses with
-// the arguments laid out at 0(SP) as their Go declarations say. The
-// dispatcher itself has no vector instruction, so it owes no VZEROUPPER: every
-// kernel ends with one.
+// without returning to Go between them. Per op it evaluates the guard,
+// resolves the three operands into SI, DX and CX, expands the exec mask into
+// select words (BX), checks a global access's fast path, counts the issue,
+// and CALLs the op's handler — rowHandlers[op.hand], fixed at encoding — with
+// the exec mask in AX and the destination row in DI: the register convention
+// of rowops_amd64.h, whose kernel bodies the handlers run. An ALU handler
+// blends its result into the destination under the select words itself, so a
+// partial mask costs no second pass. Nothing here or in a handler clears the
+// upper vector halves but the dispatcher's one exit, which every path —
+// finished or bailed — takes.
 //
 // Rules, checked by TestRowAsmHygiene:
 //
-//   - The kernels name only AX, BX, CX, DX, SI, DI, R8 and Y0-Y15. Whatever
-//     the dispatcher keeps across a CALL lives in R9-R13 or in its frame; it
-//     treats every other register as clobbered by a CALL. (R14 and R15 are
-//     left alone: the Go ABI keeps g in one and the dynamic linker claims the
-//     other.)
+//   - The handler table covers exactly the dispatchable shape × kernel pairs,
+//     every handler is file-local (reached only through the table, or by a
+//     handler's tail JMP), and the dispatcher CALLs nothing else: no
+//     Go-callable kernel, no stack arguments.
+//   - The kernel bodies name only AX, BX, CX, DX, SI, DI, R8 and Y0-Y15, and a
+//     handler may read, never write, R10 (w) and R12 (the op) besides. The
+//     dispatcher keeps its state in R9-R13. (R14 and R15 are left alone: the
+//     Go ABI keeps g in one and the dynamic linker claims the other.)
+//   - VZEROUPPER directly precedes the dispatcher's RET, and no handler has
+//     one.
 //   - Struct layout comes from go_asm.h only: a displacement off a pointer
 //     register is a rowOp_ / rowOperand_ / warp_ / blockCtx_ / xplan_ /
 //     SiteTally_ / alloc_ name, never a number.
-//   - Every kernel table entry is a symbol rowops_amd64.go declares, and the
-//     rowKernels table covers exactly the ops of rowVectorOps.
 //
 // Registers across the loop:
 //
@@ -35,157 +44,129 @@
 //
 // Frame:
 //
-//	0-39(SP)  outgoing kernel arguments: out, x, y, then z or the selector
-//	          mask, then LOP3's select words; a compare takes x, y at 0, 8 and
-//	          returns at 16
 //	40(SP)    operand base table, indexed by rb*: warp.regs, warp.tid,
 //	          blockCtx.urows, xplan.arena
 //	72(SP)    blockCtx.rows, the scratch rows
-//	80(SP)    the destination row
-//	88(SP)    the exec mask of the op being executed
-//	92(SP)    SETP: the compare's flags
-//	96(SP)    global access: the select words of the exec mask
-//	104(SP)   global access: the first executing lane
-//	112(SP)   global access: the first lane's bytes in the page
+//	80(SP)    blockCtx.maskRow, the exec-mask cache
+//	88(SP)    global access: the select words
+//	96(SP)    global access: a store's low and high value rows
+//	112(SP)   global access: the first executing lane
 //	120(SP)   global access: the width, 4 or 8
-//	124(SP)   global access: the first lane's address register
 //
 // The frame holds addresses the collector is not told about
 // (NO_LOCAL_POINTERS). All of them point into blk, w, the plan's arena or
 // ops, or a page of the allocations — kept alive by the arguments — and no
-// collection can observe the frame:
-// the routine and the kernels are assembly, which the runtime neither
-// preempts asynchronously nor scans at a call that cannot grow the stack.
+// collection can observe the frame: the routine and its handlers are
+// assembly, which the runtime neither preempts asynchronously nor scans at a
+// call that cannot grow the stack.
 //
 // POPCNT needs no check of its own: every AVX2 processor has it.
 
-// rowKernels is the kernel of each dispatchable fastOp, by fastOp.
-DATA rowKernels<>+(const_fopAdd*8)(SB)/8, $·rowAddAVX2(SB)
-DATA rowKernels<>+(const_fopMul*8)(SB)/8, $·rowMulAVX2(SB)
-DATA rowKernels<>+(const_fopAnd*8)(SB)/8, $·rowAndAVX2(SB)
-DATA rowKernels<>+(const_fopOr*8)(SB)/8, $·rowOrAVX2(SB)
-DATA rowKernels<>+(const_fopXor*8)(SB)/8, $·rowXorAVX2(SB)
-DATA rowKernels<>+(const_fopShl*8)(SB)/8, $·rowShlAVX2(SB)
-DATA rowKernels<>+(const_fopShrU*8)(SB)/8, $·rowShrAVX2(SB)
-DATA rowKernels<>+(const_fopShrS*8)(SB)/8, $·rowSarAVX2(SB)
-DATA rowKernels<>+(const_fopFAdd*8)(SB)/8, $·rowFAddAVX2(SB)
-DATA rowKernels<>+(const_fopFMul*8)(SB)/8, $·rowFMulAVX2(SB)
-DATA rowKernels<>+(const_fopImadLo*8)(SB)/8, $·rowIMadAVX2(SB)
-DATA rowKernels<>+(const_fopIAdd3*8)(SB)/8, $·rowIAdd3AVX2(SB)
-DATA rowKernels<>+(const_fopLea*8)(SB)/8, $·rowLeaAVX2(SB)
-DATA rowKernels<>+(const_fopFFma*8)(SB)/8, $·rowFFmaAVX2(SB)
-DATA rowKernels<>+(const_fopLop3*8)(SB)/8, $·rowLop3AVX2(SB)
-DATA rowKernels<>+(const_fopSel*8)(SB)/8, $·rowSelAVX2(SB)
-DATA rowKernels<>+(const_fopIMnMxS*8)(SB)/8, $·rowIMnMxSAVX2(SB)
-DATA rowKernels<>+(const_fopIMnMxU*8)(SB)/8, $·rowIMnMxUAVX2(SB)
-DATA rowKernels<>+(const_fopFMnMx*8)(SB)/8, $·rowFMnMxAVX2(SB)
-GLOBL rowKernels<>(SB), RODATA|NOPTR, $(const_numFastOps*8)
+// rowHandlers is the handler of each rowOp.hand.
+DATA rowHandlers<>+(const_rhMov*8)(SB)/8, $hMov<>(SB)
+DATA rowHandlers<>+((const_rhKern+const_fopAdd)*8)(SB)/8, $hAdd<>(SB)
+DATA rowHandlers<>+((const_rhKern+const_fopMul)*8)(SB)/8, $hMul<>(SB)
+DATA rowHandlers<>+((const_rhKern+const_fopAnd)*8)(SB)/8, $hAnd<>(SB)
+DATA rowHandlers<>+((const_rhKern+const_fopOr)*8)(SB)/8, $hOr<>(SB)
+DATA rowHandlers<>+((const_rhKern+const_fopXor)*8)(SB)/8, $hXor<>(SB)
+DATA rowHandlers<>+((const_rhKern+const_fopShl)*8)(SB)/8, $hShl<>(SB)
+DATA rowHandlers<>+((const_rhKern+const_fopShrU)*8)(SB)/8, $hShr<>(SB)
+DATA rowHandlers<>+((const_rhKern+const_fopShrS)*8)(SB)/8, $hSar<>(SB)
+DATA rowHandlers<>+((const_rhKern+const_fopFAdd)*8)(SB)/8, $hFAdd<>(SB)
+DATA rowHandlers<>+((const_rhKern+const_fopFMul)*8)(SB)/8, $hFMul<>(SB)
+DATA rowHandlers<>+((const_rhKern+const_fopImadLo)*8)(SB)/8, $hIMad<>(SB)
+DATA rowHandlers<>+((const_rhKern+const_fopIAdd3)*8)(SB)/8, $hIAdd3<>(SB)
+DATA rowHandlers<>+((const_rhKern+const_fopLea)*8)(SB)/8, $hLea<>(SB)
+DATA rowHandlers<>+((const_rhKern+const_fopFFma)*8)(SB)/8, $hFFma<>(SB)
+DATA rowHandlers<>+((const_rhKern+const_fopLop3)*8)(SB)/8, $hLop3<>(SB)
+DATA rowHandlers<>+((const_rhKern+const_fopSel)*8)(SB)/8, $hSel<>(SB)
+DATA rowHandlers<>+((const_rhKern+const_fopIMnMxS)*8)(SB)/8, $hIMnMxS<>(SB)
+DATA rowHandlers<>+((const_rhKern+const_fopIMnMxU)*8)(SB)/8, $hIMnMxU<>(SB)
+DATA rowHandlers<>+((const_rhKern+const_fopFMnMx)*8)(SB)/8, $hFMnMx<>(SB)
+DATA rowHandlers<>+((const_rhCmp+const_fcF)*8)(SB)/8, $hF<>(SB)
+DATA rowHandlers<>+((const_rhCmp+const_fcT)*8)(SB)/8, $hT<>(SB)
+DATA rowHandlers<>+((const_rhCmp+const_fcEQ)*8)(SB)/8, $hEQ<>(SB)
+DATA rowHandlers<>+((const_rhCmp+const_fcNE)*8)(SB)/8, $hNE<>(SB)
+DATA rowHandlers<>+((const_rhCmp+const_fcLTS)*8)(SB)/8, $hLTS<>(SB)
+DATA rowHandlers<>+((const_rhCmp+const_fcLES)*8)(SB)/8, $hLES<>(SB)
+DATA rowHandlers<>+((const_rhCmp+const_fcGTS)*8)(SB)/8, $hGTS<>(SB)
+DATA rowHandlers<>+((const_rhCmp+const_fcGES)*8)(SB)/8, $hGES<>(SB)
+DATA rowHandlers<>+((const_rhCmp+const_fcLTU)*8)(SB)/8, $hLTU<>(SB)
+DATA rowHandlers<>+((const_rhCmp+const_fcLEU)*8)(SB)/8, $hLEU<>(SB)
+DATA rowHandlers<>+((const_rhCmp+const_fcGTU)*8)(SB)/8, $hGTU<>(SB)
+DATA rowHandlers<>+((const_rhCmp+const_fcGEU)*8)(SB)/8, $hGEU<>(SB)
+DATA rowHandlers<>+((const_rhCmp+const_fcFEQ)*8)(SB)/8, $hFEQ<>(SB)
+DATA rowHandlers<>+((const_rhCmp+const_fcFNE)*8)(SB)/8, $hFNE<>(SB)
+DATA rowHandlers<>+((const_rhCmp+const_fcFLT)*8)(SB)/8, $hFLT<>(SB)
+DATA rowHandlers<>+((const_rhCmp+const_fcFLE)*8)(SB)/8, $hFLE<>(SB)
+DATA rowHandlers<>+((const_rhCmp+const_fcFGT)*8)(SB)/8, $hFGT<>(SB)
+DATA rowHandlers<>+((const_rhCmp+const_fcFGE)*8)(SB)/8, $hFGE<>(SB)
+DATA rowHandlers<>+((const_rhCmp+const_fcFNum)*8)(SB)/8, $hFNum<>(SB)
+DATA rowHandlers<>+((const_rhCmp+const_fcFNan)*8)(SB)/8, $hFNan<>(SB)
+DATA rowHandlers<>+(const_rhLd32*8)(SB)/8, $hLd32<>(SB)
+DATA rowHandlers<>+(const_rhSt32*8)(SB)/8, $hSt32<>(SB)
+DATA rowHandlers<>+(const_rhLd64*8)(SB)/8, $hLd64<>(SB)
+DATA rowHandlers<>+(const_rhSt64*8)(SB)/8, $hSt64<>(SB)
+GLOBL rowHandlers<>(SB), RODATA|NOPTR, $(const_numRowHandlers*8)
 
-// rowNegKernels is the kernel of each negation mode, by mode.
-DATA rowNegKernels<>+(const_fnInt*8)(SB)/8, $·rowNegIntAVX2(SB)
-DATA rowNegKernels<>+(const_fnFloat*8)(SB)/8, $·rowNegFloatAVX2(SB)
-GLOBL rowNegKernels<>(SB), RODATA|NOPTR, $24
+// RESOLVE leaves the row address of the operand at op offset SRC in REG: its
+// base plus its offset. The base and the negation mode are adjacent bytes
+// (rowprog_amd64.go checks), read as one word: a special register or a
+// negated operand — a word from rbSpecial up — takes the out-of-line path
+// SLOW (PREOP), which comes back at BACK.
+#define RESOLVE(SRC, REG, SLOW, BACK) \
+	MOVWLZX (SRC+rowOperand_base)(R12), AX; \
+	MOVL    (SRC+rowOperand_off)(R12), REG; \
+	CMPL    AX, $const_rbSpecial; \
+	JHS     SLOW; \
+	ADDQ    40(SP)(AX*8), REG; \
+BACK:
 
-// rowCmpKernels derives the twenty comparisons from seven kernels, as cmpMask
-// does: per fastCmp a 16-byte entry, the kernel (0: a constant) and whether to
-// swap its operands and to complement its result.
-#define cmpEntry_kernel 0
-#define cmpEntry_flags  8
-#define CMPSWAP 1
-#define CMPNOT  2
-DATA rowCmpKernels<>+(const_fcT*16+cmpEntry_flags)(SB)/8, $CMPNOT
-DATA rowCmpKernels<>+(const_fcEQ*16)(SB)/8, $·rowCmpEQAVX2(SB)
-DATA rowCmpKernels<>+(const_fcNE*16)(SB)/8, $·rowCmpEQAVX2(SB)
-DATA rowCmpKernels<>+(const_fcNE*16+cmpEntry_flags)(SB)/8, $CMPNOT
-DATA rowCmpKernels<>+(const_fcLTS*16)(SB)/8, $·rowCmpGTSAVX2(SB)
-DATA rowCmpKernels<>+(const_fcLTS*16+cmpEntry_flags)(SB)/8, $CMPSWAP
-DATA rowCmpKernels<>+(const_fcLES*16)(SB)/8, $·rowCmpGTSAVX2(SB)
-DATA rowCmpKernels<>+(const_fcLES*16+cmpEntry_flags)(SB)/8, $CMPNOT
-DATA rowCmpKernels<>+(const_fcGTS*16)(SB)/8, $·rowCmpGTSAVX2(SB)
-DATA rowCmpKernels<>+(const_fcGES*16)(SB)/8, $·rowCmpGTSAVX2(SB)
-DATA rowCmpKernels<>+(const_fcGES*16+cmpEntry_flags)(SB)/8, $(CMPSWAP+CMPNOT)
-DATA rowCmpKernels<>+(const_fcLTU*16)(SB)/8, $·rowCmpGTUAVX2(SB)
-DATA rowCmpKernels<>+(const_fcLTU*16+cmpEntry_flags)(SB)/8, $CMPSWAP
-DATA rowCmpKernels<>+(const_fcLEU*16)(SB)/8, $·rowCmpGTUAVX2(SB)
-DATA rowCmpKernels<>+(const_fcLEU*16+cmpEntry_flags)(SB)/8, $CMPNOT
-DATA rowCmpKernels<>+(const_fcGTU*16)(SB)/8, $·rowCmpGTUAVX2(SB)
-DATA rowCmpKernels<>+(const_fcGEU*16)(SB)/8, $·rowCmpGTUAVX2(SB)
-DATA rowCmpKernels<>+(const_fcGEU*16+cmpEntry_flags)(SB)/8, $(CMPSWAP+CMPNOT)
-DATA rowCmpKernels<>+(const_fcFEQ*16)(SB)/8, $·rowFCmpEQAVX2(SB)
-DATA rowCmpKernels<>+(const_fcFNE*16)(SB)/8, $·rowFCmpEQAVX2(SB)
-DATA rowCmpKernels<>+(const_fcFNE*16+cmpEntry_flags)(SB)/8, $CMPNOT
-DATA rowCmpKernels<>+(const_fcFLT*16)(SB)/8, $·rowFCmpLTAVX2(SB)
-DATA rowCmpKernels<>+(const_fcFLE*16)(SB)/8, $·rowFCmpLEAVX2(SB)
-DATA rowCmpKernels<>+(const_fcFGT*16)(SB)/8, $·rowFCmpLTAVX2(SB)
-DATA rowCmpKernels<>+(const_fcFGT*16+cmpEntry_flags)(SB)/8, $CMPSWAP
-DATA rowCmpKernels<>+(const_fcFGE*16)(SB)/8, $·rowFCmpLEAVX2(SB)
-DATA rowCmpKernels<>+(const_fcFGE*16+cmpEntry_flags)(SB)/8, $CMPSWAP
-DATA rowCmpKernels<>+(const_fcFNum*16)(SB)/8, $·rowFCmpOrdAVX2(SB)
-DATA rowCmpKernels<>+(const_fcFNan*16)(SB)/8, $·rowFCmpOrdAVX2(SB)
-DATA rowCmpKernels<>+(const_fcFNan*16+cmpEntry_flags)(SB)/8, $CMPNOT
-GLOBL rowCmpKernels<>(SB), RODATA|NOPTR, $(const_numFastCmps*16)
-
-// SCRATCH leaves the address of scratch row ROW in REG.
-#define SCRATCH(ROW, REG) \
-	MOVQ 72(SP), REG; \
-	LEAQ (ROW*const_rowBytes)(REG), REG
-
-// RESOLVE stores the row address of the operand at op offset SRC in SLOT: base
-// plus offset, or — out of line, at PREOP's labels — a scratch row the operand
-// was broadcast or negated into. A pre-op's CALL overwrites 0(SP) and 8(SP),
-// so the operands resolve last to first: x's slot is written after every CALL.
-#define RESOLVE(SRC, SLOT, SPECIAL, NEGATE, STORE) \
+// PREOP is RESOLVE's slow path. It broadcasts the one warp-uniform special
+// register the dispatcher reads, the warp id, into scratch row ROW, and
+// rewrites a negated row there under its mode.
+#define PREOP(SRC, REG, ROW, SLOW, BACK, SPECIAL, NEGATE, FLOAT) \
+SLOW: \
 	MOVBLZX (SRC+rowOperand_base)(R12), AX; \
-	MOVL    (SRC+rowOperand_off)(R12), SI; \
 	CMPL    AX, $const_rbSpecial; \
 	JEQ     SPECIAL; \
-	ADDQ    40(SP)(AX*8), SI; \
-	MOVBLZX (SRC+rowOperand_neg)(R12), AX; \
-	TESTL   AX, AX; \
-	JNZ     NEGATE; \
-STORE: \
-	MOVQ    SI, SLOT
-
-// PREOP is RESOLVE's slow path. SPECIAL broadcasts the one warp-uniform
-// special register the dispatcher reads, the warp id, into the operand's
-// scratch row ROW; NEGATE rewrites the row at SI into it under the negation
-// mode in AX (the kernels let out alias x).
-#define PREOP(SRC, ROW, SPECIAL, NEGATE, STORE) \
+	ADDQ    40(SP)(AX*8), REG; \
+	JMP     NEGATE; \
 SPECIAL: \
-	SCRATCH(ROW, SI); \
-	MOVQ    SI, 0(SP); \
+	MOVQ    72(SP), REG; \
+	LEAQ    (ROW*const_rowBytes)(REG), REG; \
 	MOVQ    warp_id(R10), AX; \
-	MOVL    AX, 8(SP); \
-	CALL    ·rowBroadcastAVX2(SB); \
-	SCRATCH(ROW, SI); \
-	MOVBLZX (SRC+rowOperand_neg)(R12), AX; \
-	TESTL   AX, AX; \
-	JZ      STORE; \
+	BROADCAST(AX, REG); \
+	CMPB    (SRC+rowOperand_neg)(R12), $const_fnNone; \
+	JEQ     BACK; \
 NEGATE: \
-	SCRATCH(ROW, DI); \
-	MOVQ    DI, 0(SP); \
-	MOVQ    SI, 8(SP); \
-	LEAQ    rowNegKernels<>(SB), BX; \
-	MOVQ    (BX)(AX*8), BX; \
-	CALL    BX; \
-	SCRATCH(ROW, SI); \
-	JMP     STORE
+	MOVQ    72(SP), R8; \
+	LEAQ    (ROW*const_rowBytes)(R8), R8; \
+	CMPB    (SRC+rowOperand_neg)(R12), $const_fnInt; \
+	JNE     FLOAT; \
+	NEGINT(REG, R8); \
+	MOVQ    R8, REG; \
+	JMP     BACK; \
+FLOAT: \
+	NEGFLOAT(REG, R8); \
+	MOVQ    R8, REG; \
+	JMP     BACK
 
 // PREDSRC leaves the lanes on which the op's predicate source reads true in
-// AX, using BX.
-#define PREDSRC(DONE) \
-	MOVBLZX (rowOp_pred+rowPred_sel)(R12), BX; \
-	XORL    AX, AX; \
-	CMPL    BX, $const_rpFalse; \
+// OUT, using TMP.
+#define PREDSRC(OUT, TMP, DONE) \
+	MOVBLZX (rowOp_pred+rowPred_sel)(R12), TMP; \
+	XORL    OUT, OUT; \
+	CMPL    TMP, $const_rpFalse; \
 	JEQ     DONE; \
-	MOVL    $-1, AX; \
-	CMPL    BX, $const_rpTrue; \
+	MOVL    $-1, OUT; \
+	CMPL    TMP, $const_rpTrue; \
 	JEQ     DONE; \
-	MOVBLZX (rowOp_pred+rowPred_reg)(R12), AX; \
-	MOVL    warp_preds(R10)(AX*4), AX; \
-	CMPL    BX, $const_rpPred; \
+	MOVBLZX (rowOp_pred+rowPred_reg)(R12), OUT; \
+	MOVL    warp_preds(R10)(OUT*4), OUT; \
+	CMPL    TMP, $const_rpPred; \
 	JEQ     DONE; \
-	NOTL    AX; \
+	NOTL    OUT; \
 DONE:
 
 // func rowProgAVX2(blk *blockCtx, w *warp, ops *rowOp, n int, atPC uint32, tally *SiteTally, allocs []alloc, memo uint32) (threads uint64, done int)
@@ -208,14 +189,17 @@ TEXT ·rowProgAVX2(SB), $128-96
 	MOVQ  BX, 64(SP)
 	LEAQ  blockCtx_rows(AX), BX
 	MOVQ  BX, 72(SP)
-	JMP   more
+	LEAQ  blockCtx_maskRow(AX), BX
+	MOVQ  BX, 80(SP)
+	TESTQ R13, R13
+	JZ    bail
 
 loop:
-	// The guard: the lanes of atPC the op executes on.
-	MOVL    atPC+32(FP), DX
+	// The guard: the lanes of atPC the op executes on, in DI.
+	MOVL    atPC+32(FP), DI
 	MOVBLZX rowOp_guard(R12), AX
 	CMPL    AX, $const_rgNone
-	JEQ     count
+	JEQ     guarded
 	MOVBLZX rowOp_gpred(R12), BX
 	MOVL    warp_preds(R10)(BX*4), BX
 	CMPL    AX, $const_rgPred
@@ -226,260 +210,109 @@ loop:
 	XORL    BX, BX // rgOff
 
 narrow:
-	ANDL BX, DX
+	ANDL BX, DI
 
-count:
-	CMPB rowOp_shape(R12), $const_rsLd32
-	JHS  global
+guarded:
+	TESTL DI, DI
+	JZ    empty
+
+	// The operands, in SI, DX and CX; an unused one is the arena's zero row.
+	RESOLVE(rowOp_src, SI, xslow, xback)
+	RESOLVE(rowOp_src+rowOperand__size, DX, yslow, yback)
+	RESOLVE(rowOp_src+2*rowOperand__size, CX, zslow, zback)
+
+	// The select words of the lanes, in BX: the ones row, or the slot's
+	// expansion, refreshed unless it already holds these lanes.
+	LEAQ ·onesRow(SB), BX
+	CMPL DI, $-1
+	JEQ  selected
+	MOVQ 80(SP), BX
+	MOVQ blk+0(FP), AX
+	CMPL DI, blockCtx_maskFor(AX)
+	JEQ  selected
+	MOVL DI, blockCtx_maskFor(AX)
+	EXPANDMASK(DI, BX)
+
+selected:
+	MOVBLZX rowOp_hand(R12), R8
+	CMPL    R8, $const_rhLd32
+	JHS     global
 
 counted:
-	// An op with no lane left still issues.
-	POPCNTL DX, AX
+	POPCNTL DI, AX
 	ADDQ    AX, R9
 	TESTQ   R11, R11
-	JZ      issue
+	JZ      call
 	ADDQ    AX, SiteTally_Threads(R11)
 	INCQ    SiteTally_Issues(R11)
 	ADDQ    $SiteTally__size, R11
 
-issue:
-	TESTL DX, DX
-	JZ    next
-	MOVL  DX, 88(SP)
-
-	// Operands, last to first.
-	MOVBLZX rowOp_shape(R12), AX
-	CMPL    AX, $const_rsTern
-	JLT     two
-	RESOLVE(rowOp_src+2*rowOperand__size, 24(SP), zspecial, znegate, zstore)
-
-two:
-	CMPB rowOp_shape(R12), $const_rsMov
-	JEQ  one
-	RESOLVE(rowOp_src+rowOperand__size, 16(SP), yspecial, ynegate, ystore)
-
-one:
-	RESOLVE(rowOp_src, 8(SP), xspecial, xnegate, xstore)
-
-	MOVBLZX rowOp_shape(R12), AX
-	CMPL    AX, $const_rsSetP
-	JEQ     setp
-	CMPL    AX, $const_rsLd32
-	JHS     move
-
-	// The destination row; under a partial mask the kernel computes into
-	// scratch and the active lanes are merged in.
+call:
+	LEAQ rowHandlers<>(SB), AX
+	MOVQ (AX)(R8*8), R8
+	MOVL DI, AX
 	MOVL rowOp_dst(R12), DI
 	ADDQ 40(SP), DI
-	MOVQ DI, 80(SP)
-	CMPL AX, $const_rsMov
-	JEQ  mov
-	CMPL 88(SP), $-1
-	JEQ  inplace
-	SCRATCH(const_rowOut, DI)
-
-inplace:
-	MOVQ DI, 0(SP)
-	CMPL AX, $const_rsSel
-	JEQ  sel
-	CMPL AX, $const_rsLop3
-	JEQ  lop3
-
-kernel:
-	MOVBLZX rowOp_kern(R12), AX
-	LEAQ    rowKernels<>(SB), BX
-	MOVQ    (BX)(AX*8), BX
-	CALL    BX
-	MOVL    88(SP), DX
-	CMPL    DX, $-1
-	JEQ     next
-	SCRATCH(const_rowOut, SI)
-
-merge:
-	// dst's lanes in DX (a partial mask) take the row at SI: expand the mask
-	// unless the slot's cache already holds it.
-	MOVQ blk+0(FP), AX
-	CMPL DX, blockCtx_maskFor(AX)
-	JEQ  expanded
-	MOVL DX, blockCtx_maskFor(AX)
-	LEAQ blockCtx_maskRow(AX), BX
-	MOVQ BX, 0(SP)
-	MOVL DX, 8(SP)
-	MOVQ SI, 16(SP)
-	CALL ·rowExpandMaskAVX2(SB)
-	MOVQ 16(SP), SI
-	MOVQ blk+0(FP), AX
-
-expanded:
-	LEAQ blockCtx_maskRow(AX), BX
-
-blend:
-	MOVQ 80(SP), DI
-	MOVQ DI, 0(SP)
-	MOVQ SI, 8(SP)
-	MOVQ BX, 16(SP)
-	CALL ·rowMergeAVX2(SB)
+	CALL R8
 
 next:
 	ADDQ $rowOp__size, R12
 	DECQ R13
-
-more:
-	TESTQ R13, R13
-	JNZ   loop
+	JNZ  loop
 
 bail:
-	// The ops left, the current one first, go back to Go uncounted.
+	// The one exit. The ops left, the current one first, go back to Go
+	// uncounted.
 	MOVQ R9, threads+80(FP)
 	MOVQ n+24(FP), AX
 	SUBQ R13, AX
 	MOVQ AX, done+88(FP)
+	VZEROUPPER
 	RET
 
-mov:
-	// A move is the merge alone, under the ones row when the mask is full.
-	MOVQ 8(SP), SI
-	MOVL 88(SP), DX
-	CMPL DX, $-1
-	JNE  merge
-	LEAQ ·onesRow(SB), BX
-	JMP  blend
-
-sel:
-	PREDSRC(selected)
-	MOVL AX, 24(SP)
-	JMP  kernel
-
-lop3:
-	MOVBLZX rowOp_lut(R12), AX
-	SHLQ    $5, AX
-	LEAQ    ·lop3Masks(SB), BX
-	ADDQ    AX, BX
-	MOVQ    BX, 32(SP)
-	JMP     kernel
-
-setp:
-	MOVBLZX rowOp_kern(R12), AX
-	SHLQ    $4, AX
-	LEAQ    rowCmpKernels<>(SB), BX
-	ADDQ    AX, BX
-	MOVQ    cmpEntry_flags(BX), CX
-	MOVL    CX, 92(SP)
-	MOVQ    cmpEntry_kernel(BX), BX
-	XORL    AX, AX
-	TESTQ   BX, BX
-	JZ      compared
-	MOVQ    8(SP), SI
-	MOVQ    16(SP), DI
-	TESTL   $CMPSWAP, CX
-	JZ      ordered
-	XCHGQ   SI, DI
-
-ordered:
-	MOVQ SI, 0(SP)
-	MOVQ DI, 8(SP)
-	CALL BX
-	MOVL 16(SP), AX
-
-compared:
-	TESTL $CMPNOT, 92(SP)
-	JZ    combine
-	NOTL  AX
-
-combine:
-	MOVL    AX, CX
-	MOVBLZX rowOp_comb(R12), DX
-	CMPL    DX, $const_rcNone
-	JEQ     write
-	PREDSRC(combined)
-	CMPL    DX, $const_rcAnd
-	JEQ     and
-	CMPL    DX, $const_rcOr
-	JEQ     or
-	XORL    AX, CX
-	JMP     write
-
-and:
-	ANDL AX, CX
-	JMP  write
-
-or:
-	ORL AX, CX
-
-write:
-	// The executing lanes of the destination predicate take the result.
-	MOVL rowOp_dst(R12), BX
-	MOVL warp_preds(R10)(BX*1), AX
-	XORL AX, CX
-	ANDL 88(SP), CX
-	XORL CX, AX
-	MOVL AX, warp_preds(R10)(BX*1)
-	JMP  next
+empty:
+	// An op with no lane left still issues; a global access touches no memory.
+	TESTQ R11, R11
+	JZ    next
+	INCQ  SiteTally_Issues(R11)
+	ADDQ  $SiteTally__size, R11
+	JMP   next
 
 global:
 	// A global access runs here only on its fast path, checked before the op
 	// counts: the executing lanes' addresses run at unit stride from a
-	// width-aligned first address, and the span lies inside one page of one of the two allocations the memo
-	// names — a page written before, and for a store one no snapshot shares.
-	// Anything else is left to Go (bail), whose portable executor runs the op:
-	// the lane loop, its traps, the memo refresh, the zero page and the
-	// copy-on-write fault. An op with no lane touches no memory.
-	TESTL DX, DX
-	JZ    counted
-	MOVL  DX, 88(SP)
-
-	// The select words of the lanes: the ones row, or the slot's expansion.
-	LEAQ ·onesRow(SB), BX
-	CMPL DX, $-1
-	JEQ  masked
-	MOVQ blk+0(FP), AX
-	LEAQ blockCtx_maskRow(AX), BX
-	CMPL DX, blockCtx_maskFor(AX)
-	JEQ  masked
-	MOVL DX, blockCtx_maskFor(AX)
-	MOVQ BX, 0(SP)
-	MOVL DX, 8(SP)
-	CALL ·rowExpandMaskAVX2(SB)
-	MOVQ blk+0(FP), AX
-	LEAQ blockCtx_maskRow(AX), BX
-	MOVL 88(SP), DX
-
-masked:
-	// Unit stride: each lane's address register holds the first lane's
-	// plus the width per lane between them.
-	MOVQ    BX, 96(SP)
-	BSFL    DX, CX
-	MOVQ    CX, 104(SP)
-	MOVBLZX (rowOp_src+rowOperand_base)(R12), AX
-	MOVL    (rowOp_src+rowOperand_off)(R12), SI
-	ADDQ    40(SP)(AX*8), SI
-	MOVL    (SI)(CX*4), AX
-	MOVL    AX, 124(SP)
-	MOVL    $4, DI
-	CMPB    rowOp_shape(R12), $const_rsLd64
-	JLO     sized
-	MOVL    $8, DI
+	// width-aligned first address, and the span lies inside one page of one
+	// of the two allocations the memo names — a page written before, and for
+	// a store one no snapshot shares. Anything else is left to Go (bail),
+	// whose portable executor runs the op: the lane loop, its traps, the memo
+	// refresh, the zero page and the copy-on-write fault.
+	MOVQ BX, 88(SP)
+	MOVQ DX, 96(SP)
+	MOVQ CX, 104(SP)
+	MOVL $4, CX
+	CMPL R8, $const_rhLd64
+	JLO  sized
+	MOVL $8, CX
 
 sized:
-	MOVL  DI, 120(SP)
-	IMULL DI, CX
-	SUBL  CX, AX
-	MOVQ  SI, 0(SP)
-	MOVQ  BX, 8(SP)
-	MOVL  AX, 16(SP)
-	MOVL  DI, 20(SP)
-	CALL  ·rowStrideDiffAVX2(SB)
-	MOVL  24(SP), AX
-	TESTL AX, AX
+	// Unit stride: each executing lane's address register holds what lane
+	// 0's would hold (DX) plus the width per lane.
+	MOVL  CX, 120(SP)
+	BSFL  DI, R8
+	MOVQ  R8, 112(SP)
+	MOVL  (SI)(R8*4), AX
+	IMULL CX, R8
+	MOVL  AX, DX
+	SUBL  R8, DX
+	STRIDEDIFF(SI, BX, DX, CX)
+	VPTEST Y5, Y5
 	JNZ   bail
 
 	// A width-aligned first address (the stride aligns the rest).
-	MOVL  124(SP), AX
 	ADDL  rowOp_off(R12), AX
-	MOVL  120(SP), DI
-	MOVL  DI, BX
-	DECL  BX
-	TESTL BX, AX
+	MOVL  CX, DX
+	DECL  DX
+	TESTL DX, AX
 	JNZ   bail
 
 	// The allocation holding it: the memo's newer slot, then its older one.
@@ -511,11 +344,10 @@ older:
 found:
 	// BX: the allocation; DX: the first address's offset in it. The span,
 	// first to last lane, ends inside the allocation and inside the page.
-	MOVL  88(SP), CX
-	BSRL  CX, CX
-	SUBL  104(SP), CX
-	IMULL DI, CX
-	ADDL  DI, CX
+	BSRL  DI, CX
+	SUBL  112(SP), CX
+	INCL  CX
+	IMULL 120(SP), CX
 	MOVL  DX, AX
 	ADDQ  CX, AX
 	MOVL  alloc_size(BX), SI
@@ -535,10 +367,10 @@ found:
 	MOVQ    (SI)(AX*8), SI
 	TESTQ   SI, SI
 	JZ      bail
-	MOVBLZX rowOp_shape(R12), AX
-	CMPL    AX, $const_rsSt32
+	MOVBLZX rowOp_hand(R12), R8
+	CMPL    R8, $const_rhSt32
 	JEQ     private
-	CMPL    AX, $const_rsSt64
+	CMPL    R8, $const_rhSt64
 	JNE     window
 
 private:
@@ -547,63 +379,278 @@ private:
 	JNE  bail
 
 window:
-	ANDL $(const_memPageSize-1), DX
-	ADDQ DX, SI
-	MOVQ SI, 112(SP)
-	MOVL 88(SP), DX
-	JMP  counted
+	// Lane 0's address: the first lane's bytes in the page, less its lane
+	// times the width.
+	ANDL  $(const_memPageSize-1), DX
+	ADDQ  DX, SI
+	MOVQ  112(SP), AX
+	IMULL 120(SP), AX
+	SUBQ  AX, SI
+	MOVQ  88(SP), BX
+	MOVQ  96(SP), DX
+	MOVQ  104(SP), CX
+	JMP   counted
 
-move:
-	// The checked access, as one masked row move between the page and the
-	// registers (a store's value rows resolved into y and z).
-	MOVQ 112(SP), SI
-	MOVQ 104(SP), CX
-	MOVQ 96(SP), BX
-	CMPL AX, $const_rsSt32
-	JEQ  store32
-	CMPL AX, $const_rsSt64
-	JEQ  store64
-	MOVL rowOp_dst(R12), DI
-	ADDQ 40(SP), DI
-	CMPL AX, $const_rsLd64
-	JEQ  load64
-	MOVQ DI, 0(SP)
-	MOVQ SI, 8(SP)
-	MOVQ CX, 16(SP)
-	MOVQ BX, 24(SP)
-	CALL ·rowLoad32AVX2(SB)
-	JMP  next
+	PREOP(rowOp_src, SI, const_rowA, xslow, xback, xspecial, xnegate, xfloat)
+	PREOP(rowOp_src+rowOperand__size, DX, const_rowB, yslow, yback, yspecial, ynegate, yfloat)
+	PREOP(rowOp_src+2*rowOperand__size, CX, const_rowC, zslow, zback, zspecial, znegate, zfloat)
 
-load64:
-	MOVQ DI, 0(SP)
-	ADDQ $const_rowBytes, DI
-	MOVQ DI, 8(SP)
-	MOVQ SI, 16(SP)
-	MOVQ CX, 24(SP)
-	MOVQ BX, 32(SP)
-	CALL ·rowLoad64AVX2(SB)
-	JMP  next
+// The handlers. Each is entered by the dispatcher's CALL with the registers of
+// rowops_amd64.h's convention and the exec mask in AX, and returns with the
+// upper vector halves as it left them.
 
-store32:
-	MOVQ 16(SP), DI
-	MOVQ SI, 0(SP)
-	MOVQ CX, 8(SP)
-	MOVQ DI, 16(SP)
-	MOVQ BX, 24(SP)
-	CALL ·rowStore32AVX2(SB)
-	JMP  next
+// hMov: a move is the commit alone.
+TEXT hMov<>(SB), NOSPLIT, $0-0
+	LOADX
+	COMMIT
+	RET
 
-store64:
-	MOVQ 16(SP), DI
-	MOVQ 24(SP), DX
-	MOVQ SI, 0(SP)
-	MOVQ CX, 8(SP)
-	MOVQ DI, 16(SP)
-	MOVQ DX, 24(SP)
-	MOVQ BX, 32(SP)
-	CALL ·rowStore64AVX2(SB)
-	JMP  next
+TEXT hAdd<>(SB), NOSPLIT, $0-0
+	BINROW(VPADDD)
+	COMMIT
+	RET
 
-	PREOP(rowOp_src+2*rowOperand__size, const_rowC, zspecial, znegate, zstore)
-	PREOP(rowOp_src+rowOperand__size, const_rowB, yspecial, ynegate, ystore)
-	PREOP(rowOp_src, const_rowA, xspecial, xnegate, xstore)
+TEXT hMul<>(SB), NOSPLIT, $0-0
+	BINROW(VPMULLD)
+	COMMIT
+	RET
+
+TEXT hAnd<>(SB), NOSPLIT, $0-0
+	BINROW(VPAND)
+	COMMIT
+	RET
+
+TEXT hOr<>(SB), NOSPLIT, $0-0
+	BINROW(VPOR)
+	COMMIT
+	RET
+
+TEXT hXor<>(SB), NOSPLIT, $0-0
+	BINROW(VPXOR)
+	COMMIT
+	RET
+
+TEXT hShl<>(SB), NOSPLIT, $0-0
+	BINROW(VPSLLVD)
+	COMMIT
+	RET
+
+TEXT hShr<>(SB), NOSPLIT, $0-0
+	BINROW(VPSRLVD)
+	COMMIT
+	RET
+
+TEXT hSar<>(SB), NOSPLIT, $0-0
+	BINROW(VPSRAVD)
+	COMMIT
+	RET
+
+TEXT hFAdd<>(SB), NOSPLIT, $0-0
+	BINROW(VADDPS)
+	COMMIT
+	RET
+
+TEXT hFMul<>(SB), NOSPLIT, $0-0
+	BINROW(VMULPS)
+	COMMIT
+	RET
+
+TEXT hIMad<>(SB), NOSPLIT, $0-0
+	TERNROW(VPMULLD, VPADDD)
+	COMMIT
+	RET
+
+TEXT hIAdd3<>(SB), NOSPLIT, $0-0
+	TERNROW(VPADDD, VPADDD)
+	COMMIT
+	RET
+
+TEXT hLea<>(SB), NOSPLIT, $0-0
+	LEA
+	COMMIT
+	RET
+
+TEXT hFFma<>(SB), NOSPLIT, $0-0
+	FFMA
+	COMMIT
+	RET
+
+// hLop3 finds its truth table's select words in lop3Masks by the op's lut.
+TEXT hLop3<>(SB), NOSPLIT, $0-0
+	MOVBLZX rowOp_lut(R12), AX
+	SHLQ    $5, AX
+	LEAQ    ·lop3Masks(SB), R8
+	ADDQ    R8, AX
+	LOP3
+	COMMIT
+	RET
+
+// The select-shaped handlers read the op's predicate source into AX.
+TEXT hSel<>(SB), NOSPLIT, $0-0
+	PREDSRC(AX, R8, picked)
+	SEL
+	COMMIT
+	RET
+
+TEXT hIMnMxS<>(SB), NOSPLIT, $0-0
+	PREDSRC(AX, R8, picked)
+	MNMX(VPMINSD, VPMAXSD)
+	COMMIT
+	RET
+
+TEXT hIMnMxU<>(SB), NOSPLIT, $0-0
+	PREDSRC(AX, R8, picked)
+	MNMX(VPMINUD, VPMAXUD)
+	COMMIT
+	RET
+
+TEXT hFMnMx<>(SB), NOSPLIT, $0-0
+	PREDSRC(AX, R8, picked)
+	FMNMX
+	COMMIT
+	RET
+
+// The compare handlers derive the twenty comparisons from seven bodies, as
+// cmpMask does — operand swaps and complements, exact for the float ones too
+// — leave the comparison in CX and finish in setp.
+TEXT hF<>(SB), NOSPLIT, $0-0
+	XORL CX, CX
+	JMP  setp<>(SB)
+
+TEXT hT<>(SB), NOSPLIT, $0-0
+	MOVL $-1, CX
+	JMP  setp<>(SB)
+
+TEXT hEQ<>(SB), NOSPLIT, $0-0
+	CMPROW(VPCMPEQD)
+	JMP setp<>(SB)
+
+TEXT hNE<>(SB), NOSPLIT, $0-0
+	CMPROW(VPCMPEQD)
+	NOTL CX
+	JMP  setp<>(SB)
+
+TEXT hLTS<>(SB), NOSPLIT, $0-0
+	XCHGQ SI, DX
+	CMPROW(VPCMPGTD)
+	JMP   setp<>(SB)
+
+TEXT hLES<>(SB), NOSPLIT, $0-0
+	CMPROW(VPCMPGTD)
+	NOTL CX
+	JMP  setp<>(SB)
+
+TEXT hGTS<>(SB), NOSPLIT, $0-0
+	CMPROW(VPCMPGTD)
+	JMP setp<>(SB)
+
+TEXT hGES<>(SB), NOSPLIT, $0-0
+	XCHGQ SI, DX
+	CMPROW(VPCMPGTD)
+	NOTL  CX
+	JMP   setp<>(SB)
+
+TEXT hLTU<>(SB), NOSPLIT, $0-0
+	XCHGQ SI, DX
+	CMPGTU
+	JMP   setp<>(SB)
+
+TEXT hLEU<>(SB), NOSPLIT, $0-0
+	CMPGTU
+	NOTL CX
+	JMP  setp<>(SB)
+
+TEXT hGTU<>(SB), NOSPLIT, $0-0
+	CMPGTU
+	JMP setp<>(SB)
+
+TEXT hGEU<>(SB), NOSPLIT, $0-0
+	XCHGQ SI, DX
+	CMPGTU
+	NOTL  CX
+	JMP   setp<>(SB)
+
+TEXT hFEQ<>(SB), NOSPLIT, $0-0
+	FCMP($0x00)
+	JMP setp<>(SB)
+
+TEXT hFNE<>(SB), NOSPLIT, $0-0
+	FCMP($0x00)
+	NOTL CX
+	JMP  setp<>(SB)
+
+TEXT hFLT<>(SB), NOSPLIT, $0-0
+	FCMP($0x11)
+	JMP setp<>(SB)
+
+TEXT hFLE<>(SB), NOSPLIT, $0-0
+	FCMP($0x12)
+	JMP setp<>(SB)
+
+TEXT hFGT<>(SB), NOSPLIT, $0-0
+	XCHGQ SI, DX
+	FCMP($0x11)
+	JMP   setp<>(SB)
+
+TEXT hFGE<>(SB), NOSPLIT, $0-0
+	XCHGQ SI, DX
+	FCMP($0x12)
+	JMP   setp<>(SB)
+
+TEXT hFNum<>(SB), NOSPLIT, $0-0
+	FCMP($0x07)
+	JMP setp<>(SB)
+
+TEXT hFNan<>(SB), NOSPLIT, $0-0
+	FCMP($0x07)
+	NOTL CX
+	JMP  setp<>(SB)
+
+// setp combines the comparison in CX with the op's predicate source and
+// writes it to the executing lanes (AX) of the destination predicate.
+TEXT setp<>(SB), NOSPLIT, $0-0
+	MOVBLZX rowOp_comb(R12), DX
+	CMPL    DX, $const_rcNone
+	JEQ     write
+	PREDSRC(BX, SI, combine)
+	CMPL    DX, $const_rcAnd
+	JEQ     and
+	CMPL    DX, $const_rcOr
+	JEQ     or
+	XORL    BX, CX
+	JMP     write
+
+and:
+	ANDL BX, CX
+	JMP  write
+
+or:
+	ORL BX, CX
+
+write:
+	MOVL rowOp_dst(R12), DX
+	MOVL warp_preds(R10)(DX*1), BX
+	XORL BX, CX
+	ANDL AX, CX
+	XORL CX, BX
+	MOVL BX, warp_preds(R10)(DX*1)
+	RET
+
+// The global accesses: the dispatcher checked the fast path and left lane 0's
+// address in SI. A load blends itself under the select words.
+TEXT hLd32<>(SB), NOSPLIT, $0-0
+	LOAD32
+	RET
+
+TEXT hSt32<>(SB), NOSPLIT, $0-0
+	STORE32
+	RET
+
+TEXT hLd64<>(SB), NOSPLIT, $0-0
+	LEAQ const_rowBytes(DI), R8
+	LOAD64
+	RET
+
+TEXT hSt64<>(SB), NOSPLIT, $0-0
+	STORE64
+	RET

@@ -77,3 +77,45 @@ func TestRowProgramGlobalFastPath(t *testing.T) {
 		}
 	}
 }
+
+// TestRowProgramClearsUpperHalves: the dispatcher returns to Go with the YMM
+// upper halves clear, from a stretch it finishes and from one it bails out of
+// at a global access, so the Go code after it (legacy-SSE scalar floats) pays
+// no AVX-SSE transition. The dispatcher's exit is the stretch's one
+// VZEROUPPER; its handlers have none.
+func TestRowProgramClearsUpperHalves(t *testing.T) {
+	if !useAVX2 {
+		t.Skip("no AVX2: runRows is the portable executor")
+	}
+	if _, ok := ymmUpperInUse(); !ok {
+		t.Skip("the processor does not report XINUSE")
+	}
+	h := newProgHarness(t, 7)
+	buf := gmemBases[gmemBufIdx]
+	for _, c := range []struct {
+		name string
+		at   uint32 // byte offset in the buffer's written page
+		fast bool
+	}{{"finished", 64, true}, {"bailed", 66, false}} {
+		for l := range h.base.regs[gmemAddr] {
+			h.base.regs[gmemAddr][l] = buf + memPageSize + c.at + 4*uint32(l)
+		}
+		h.mem = &progMemory{memo: gmemBufIdx}
+		list := gmemStretch(gmemAccesses(4)[0].in(0), 1)
+		k := &sass.Kernel{Name: "rows", Instrs: append(list, sass.NewInstr(sass.MustOp("EXIT")))}
+		plan, err := translate(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blk, w := h.block(plan), h.base
+		mem := blk.dev.Mem
+		_, done := rowProgAVX2(blk, &w, &plan.ops[0], len(list), fullMask, nil, mem.allocs, mem.lastHit)
+		inUse, _ := ymmUpperInUse()
+		if (done == len(list)) != c.fast {
+			t.Fatalf("%s: the dispatcher completed %d of %d ops", c.name, done, len(list))
+		}
+		if inUse {
+			t.Errorf("%s: the dispatcher returned with the YMM upper halves in use", c.name)
+		}
+	}
+}

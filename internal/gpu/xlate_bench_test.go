@@ -267,7 +267,10 @@ func BenchmarkRowKernels(b *testing.B) {
 //     a select, over normal floats;
 //   - stencil: 303.ostencil's interior, six coalesced LDG.32 of the
 //     neighbours, seven FP32 ops and the STG.32 of the result, over written,
-//     private pages: every access on the dispatcher's fast path.
+//     private pages: every access on the dispatcher's fast path;
+//   - short: a 353.clvrleaf field update, three LDG.32, three FP32 ops and
+//     an STG.32 — a short stretch whose few ALU ops sit between accesses, so
+//     per-op dispatch and the accesses' checks dominate.
 func BenchmarkRowProgram(b *testing.B) {
 	p, err := sass.Assemble("bench", `
 .kernel alu
@@ -299,6 +302,16 @@ func BenchmarkRowProgram(b *testing.B) {
     FMUL R19, R6, c0[cc]
     FFMA R19, R16, c0[ce], R19
     STG.32 [R5], R19
+    EXIT
+
+.kernel short
+    LDG.32 R10, [R4-0x4]
+    LDG.32 R11, [R4]
+    LDG.32 R12, [R4+0x4]
+    FMUL R13, R10, 0x3e800000
+    FFMA R13, R11, 0x3f000000, R13
+    FFMA R13, R12, 0x3e800000, R13
+    STG.32 [R5], R13
     EXIT
 `)
 	if err != nil {

@@ -24,8 +24,9 @@ import (
 // being scalar Go either way.
 //
 // Compute-and-merge rule: under a partial exec mask the kernel still computes
-// all 32 lanes, into a scratch row, and mergeRow folds the active lanes into
-// the destination. That is sound only because every op in this file is pure:
+// all 32 lanes and only the active ones reach the destination — blended in
+// the kernel's own epilogue in the assembly dispatcher, through a scratch row
+// and mergeRow everywhere else. That is sound only because every op in this file is pure:
 // no side effect, and no host panic whatever an inactive lane's (possibly
 // fault-corrupted) operands hold. Memory, atomics, and anything that can
 // divide or index by a lane value never take this path: the global accesses
@@ -534,12 +535,14 @@ func fastCmpFor(float, unsigned bool, c sass.CmpOp) fastCmp {
 	return fcF
 }
 
-// fastStep tries the row tier for one instruction: it encodes the row op in
-// *op and returns the op's one-op step, or returns an FP64 closure (leaving
-// *op zero), or nil when the shape falls to the next tier.
+// fastStep tries the row tier for one instruction: it encodes the row op, with
+// the dispatcher's handler for it, in *op and returns the op's one-op step, or
+// returns an FP64 closure (leaving *op zero), or nil when the shape falls to
+// the next tier.
 func fastStep(in *sass.Instr, rt *rowTable, op *rowOp) planStep {
 	if enc, ok := rowOpFor(in, rt); ok {
 		enc.setGuard(in.Guard)
+		enc.hand = enc.handler()
 		*op = enc
 		return rowStep(op)
 	}

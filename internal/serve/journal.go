@@ -60,7 +60,8 @@ type journal struct {
 
 // openJournal opens (or creates) the journal and returns the replayable
 // entries already in it. A truncated final line — a crash mid-append — is
-// dropped silently; every complete line must parse.
+// dropped silently; every complete line must parse, and a shard_done record
+// must carry a tally replay can trust (checkEntry).
 func openJournal(path string) (*journal, []journalEntry, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
@@ -68,6 +69,7 @@ func openJournal(path string) (*journal, []journalEntry, error) {
 	}
 	var entries []journalEntry
 	var good int64 // offset just past the last complete, parseable record
+	jobs := map[string]journalEntry{}
 	r := bufio.NewReader(f)
 	for {
 		line, err := r.ReadBytes('\n')
@@ -78,7 +80,11 @@ func openJournal(path string) (*journal, []journalEntry, error) {
 		}
 		if len(line) > 0 && complete {
 			var e journalEntry
-			if jerr := json.Unmarshal(line, &e); jerr != nil {
+			jerr := json.Unmarshal(line, &e)
+			if jerr == nil {
+				jerr = checkEntry(e, jobs)
+			}
+			if jerr != nil {
 				f.Close()
 				return nil, nil, fmt.Errorf("serve: journal %s is corrupt at offset %d: %v", path, good, jerr)
 			}
@@ -103,6 +109,30 @@ func openJournal(path string) (*journal, []journalEntry, error) {
 		return nil, nil, err
 	}
 	return &journal{f: f}, entries, nil
+}
+
+// checkEntry refuses a record replay would trust wrongly: a shard_done whose
+// tally is missing, fails Tally.Check, or counts other than the runs its
+// shard selects — the checks Coordinator.Complete makes before journaling
+// one. jobs holds the job records read so far, by job id.
+func checkEntry(e journalEntry, jobs map[string]journalEntry) error {
+	switch e.Type {
+	case entryJob:
+		jobs[e.Job] = e
+	case entryShardDone:
+		if e.Tally == nil {
+			return fmt.Errorf("shard_done for job %s shard %d carries no tally", e.Job, e.Shard)
+		}
+		if err := e.Tally.Check(); err != nil {
+			return fmt.Errorf("shard_done for job %s shard %d: %w", e.Job, e.Shard, err)
+		}
+		if j, ok := jobs[e.Job]; ok && j.Spec != nil && e.Shard >= 0 && e.Shard < j.NumShards {
+			if lo, hi := j.Spec.Config.ShardRange(e.Shard); e.Tally.N != hi-lo {
+				return fmt.Errorf("shard_done for job %s shard %d counts %d runs, the shard selects %d", e.Job, e.Shard, e.Tally.N, hi-lo)
+			}
+		}
+	}
+	return nil
 }
 
 // Append writes one entry and syncs it to disk.

@@ -702,6 +702,76 @@ func TestJournalCorruptMidFile(t *testing.T) {
 	}
 }
 
+// TestJournalUntrustedShardDone: a shard_done record replay cannot trust — no
+// tally (Merge(nil) would settle the job short), a tally that fails
+// Tally.Check, or one counting other than the shard's runs — is refused on
+// open like an unparseable record: the error names its offset and the file is
+// left as it was. Coordinator.Complete refuses all three live.
+func TestJournalUntrustedShardDone(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "journal.jsonl")
+	coord1, err := serve.NewCoordinator(serve.Options{JournalPath: journal})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := coord1.Submit(serve.CampaignSpec{
+		Workload: testWorkload,
+		Config:   campaign.TransientCampaignConfig{Injections: 20, ShardSize: 10, Seed: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := coord1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	good, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := bytes.IndexByte(good, '\n') + 1
+	if first == 0 {
+		t.Fatalf("journal holds %q; want the job record", good)
+	}
+
+	tally := func(n, sdc, due, masked int) string {
+		tl := campaign.NewTally()
+		tl.N = n
+		tl.Counts[campaign.SDC], tl.Counts[campaign.DUE], tl.Counts[campaign.Masked] = sdc, due, masked
+		b, err := json.Marshal(tl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	for _, c := range []struct{ name, record, want string }{
+		{"no-tally", fmt.Sprintf(`{"type":"shard_done","job":%q}`, st.ID), "carries no tally"},
+		{"forged", fmt.Sprintf(`{"type":"shard_done","job":%q,"tally":%s}`, st.ID, tally(10, 1, 1, 1)), "outcome counts sum to 3, N is 10"},
+		{"short", fmt.Sprintf(`{"type":"shard_done","job":%q,"shard":1,"tally":%s}`, st.ID, tally(4, 0, 0, 4)), "counts 4 runs, the shard selects 10"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			bad := slices.Concat(good[:first], []byte(c.record+"\n"), good[first:])
+			if err := os.WriteFile(journal, bad, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err := serve.NewCoordinator(serve.Options{JournalPath: journal})
+			if err == nil {
+				t.Fatal("a journal with an untrusted shard_done record was opened")
+			}
+			for _, want := range []string{fmt.Sprintf("corrupt at offset %d", first), c.want} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("error %q does not say %q", err, want)
+				}
+			}
+			after, err := os.ReadFile(journal)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(after, bad) {
+				t.Errorf("refusing the journal changed it: %d bytes, want the %d written", len(after), len(bad))
+			}
+		})
+	}
+}
+
 // TestSSEStream: the events endpoint must stream live SSE frames.
 func TestSSEStream(t *testing.T) {
 	coord, err := serve.NewCoordinator(serve.Options{})
