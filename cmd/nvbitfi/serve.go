@@ -103,20 +103,10 @@ func cmdWorker(args []string) error {
 	return err
 }
 
-// spec builds the job spec the flags describe: the campaign config on the
-// lowest schema that carries it. Adaptive jobs speak v2 and non-default
-// fault models v3 (which also carries the adaptive fields); everything else
-// stays byte-for-byte on v1, so older coordinators keep accepting it.
+// spec builds the job spec the flags describe.
 func (f *campaignFlags) spec(fs *flag.FlagSet) (serve.CampaignSpec, error) {
 	cfg, err := f.config(fs)
-	spec := serve.CampaignSpec{Schema: serve.JobSchema, Workload: *f.program, Config: cfg}
-	switch {
-	case cfg.Model != "":
-		spec.Schema = serve.JobSchemaV3
-	case cfg.TargetCI > 0:
-		spec.Schema = serve.JobSchemaV2
-	}
-	return spec, err
+	return serve.CampaignSpec{Schema: serve.JobSchema, Workload: *f.program, Config: cfg}, err
 }
 
 // cmdSubmit submits a campaign to a coordinator and follows its progress.

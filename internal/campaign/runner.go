@@ -557,9 +557,10 @@ func (c TransientCampaignConfig) withDefaults() TransientCampaignConfig {
 // exist and accept ModelParam, every acceleration the config turns on must
 // be one the model declares sound (they reason statically about transient
 // destination-flip semantics, so an unsound combination is refused rather
-// than silently miscounted), the counts must not be negative, a target CI
-// and its confidence must lie in (0,1), and the checkpoint knobs need
-// Checkpoint. It holds before and after withDefaults alike.
+// than silently miscounted), a bit-flip model or instruction group that is
+// set must be a valid one, the counts must not be negative, a target CI and
+// its confidence must lie in (0,1), and the checkpoint knobs need Checkpoint.
+// It holds before and after withDefaults alike.
 func (c TransientCampaignConfig) model() (faultmodel.Model, error) {
 	m, err := faultmodel.Lookup(c.Model)
 	if err != nil {
@@ -577,6 +578,12 @@ func (c TransientCampaignConfig) model() (faultmodel.Model, error) {
 	}
 	if c.Checkpoint && !caps.Has(faultmodel.CapCheckpoint) {
 		return nil, fmt.Errorf("campaign: fault model %q does not support checkpointing (-checkpoint: snapshot restore assumes a single-shot fault after a fault-free prefix)", m.Name())
+	}
+	if c.BitFlip != 0 && !c.BitFlip.Valid() {
+		return nil, fmt.Errorf("campaign: invalid bit-flip model %d", c.BitFlip)
+	}
+	if c.Group != 0 && !c.Group.Valid() {
+		return nil, fmt.Errorf("campaign: invalid instruction group %v", c.Group)
 	}
 	if c.Injections < 0 || c.MaxInjections < 0 {
 		return nil, fmt.Errorf("campaign: negative injection count (%d, max %d)", c.Injections, c.MaxInjections)

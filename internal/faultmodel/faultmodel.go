@@ -164,10 +164,6 @@ func Names() []string {
 	return names
 }
 
-// IsDefault reports whether a config-level model name means the default
-// transient model (empty or the explicit default name).
-func IsDefault(name string) bool { return name == "" || name == DefaultName }
-
 // splitmix64 is the shared parameter-derivation mixer: models that need
 // discrete fault coordinates (SM, lane, bit) beyond the transient tuple's
 // two unit floats derive them as pure functions of the tuple through it, so

@@ -35,9 +35,6 @@ func TestRegistry(t *testing.T) {
 	if _, err := Lookup("nosuch"); err == nil || !strings.Contains(err.Error(), "unknown model") {
 		t.Fatalf("Lookup(nosuch) = %v, want unknown-model error", err)
 	}
-	if !IsDefault("") || !IsDefault(DefaultName) || IsDefault("stuck") {
-		t.Fatal("IsDefault misclassifies")
-	}
 }
 
 // TestCapsMatrix: the transient destination flip supports every acceleration;

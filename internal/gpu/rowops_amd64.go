@@ -4,10 +4,12 @@ package gpu
 
 import "math/bits"
 
-// The row primitives on amd64: AVX2 kernels (rowops_amd64.s, four 256-bit
-// vectors per 32-lane row) when the processor and the OS support them, the
-// portable loops otherwise. The choice is a fact about the machine, read once
-// at start-up; nothing selects it.
+// The row primitives Go calls outside the dispatcher on amd64: AVX2 kernels
+// (rowops_amd64.s, four 256-bit vectors per 32-lane row) when the processor
+// and the OS support them, the portable loops otherwise. The choice is a fact
+// about the machine, read once at start-up; nothing selects it. The ALU and
+// compare kernels have no Go-callable form: the dispatcher (rowprog_amd64.s)
+// is their one entry, and Go runs their portable loops (rowops_generic.go).
 
 // useAVX2 reports AVX2 with OS-enabled YMM state (CPUID + XGETBV).
 var useAVX2 = cpuHasAVX2()
@@ -57,63 +59,8 @@ func rowNeg(mode uint8, out, x *regRow) {
 	}
 }
 
-// rowBin leaves the multiply-high and bit-count ops to the portable loops:
-// AVX2 has no 32-bit popcount, bit reverse or leading-zero count, and no
-// shipped kernel's hot path issues IMUL.HI.
-func rowBin(op fastOp, out, x, y *regRow) {
-	if !useAVX2 {
-		rowBinGeneric(op, out, x, y)
-		return
-	}
-	switch op {
-	case fopAdd:
-		rowAddAVX2(out, x, y)
-	case fopMul:
-		rowMulAVX2(out, x, y)
-	case fopAnd:
-		rowAndAVX2(out, x, y)
-	case fopOr:
-		rowOrAVX2(out, x, y)
-	case fopXor:
-		rowXorAVX2(out, x, y)
-	case fopShl:
-		rowShlAVX2(out, x, y)
-	case fopShrU:
-		rowShrAVX2(out, x, y)
-	case fopShrS:
-		rowSarAVX2(out, x, y)
-	case fopFAdd:
-		rowFAddAVX2(out, x, y)
-	case fopFMul:
-		rowFMulAVX2(out, x, y)
-	default:
-		rowBinGeneric(op, out, x, y)
-	}
-}
-
-func rowTern(op fastOp, out, x, y, z *regRow, lut uint8) {
-	if !useAVX2 {
-		rowTernGeneric(op, out, x, y, z, lut)
-		return
-	}
-	switch op {
-	case fopImadLo:
-		rowIMadAVX2(out, x, y, z)
-	case fopIAdd3:
-		rowIAdd3AVX2(out, x, y, z)
-	case fopLea:
-		rowLeaAVX2(out, x, y, z)
-	case fopFFma:
-		rowFFmaAVX2(out, x, y, z)
-	case fopLop3:
-		rowLop3AVX2(out, x, y, z, &lop3Masks[lut])
-	default:
-		rowTernGeneric(op, out, x, y, z, lut)
-	}
-}
-
 // lop3Masks[lut][i] is all ones when bit i of the truth table lut is set: the
-// eight select words rowLop3AVX2 muxes between.
+// eight select words the dispatcher's LOP3 handler muxes between.
 var lop3Masks = func() (t [256][8]uint32) {
 	for lut := range t {
 		for i := range t[lut] {
@@ -122,73 +69,6 @@ var lop3Masks = func() (t [256][8]uint32) {
 	}
 	return t
 }()
-
-func rowSel(op fastOp, out, x, y *regRow, pm uint32) {
-	switch {
-	case !useAVX2:
-		rowSelGeneric(op, out, x, y, pm)
-	case op == fopSel:
-		rowSelAVX2(out, x, y, pm)
-	case op == fopIMnMxS:
-		rowIMnMxSAVX2(out, x, y, pm)
-	case op == fopIMnMxU:
-		rowIMnMxUAVX2(out, x, y, pm)
-	case op == fopFMnMx:
-		rowFMnMxAVX2(out, x, y, pm)
-	}
-}
-
-// cmpMask derives the twenty comparisons from seven kernels: equality,
-// signed and unsigned greater-than, and the ordered float EQ / LT / LE plus
-// the ordered test. The rest are operand swaps and complements — exact for
-// the float ones too: Go's != is true on NaN (the complement of ordered ==),
-// and >, >= are <, <= with the operands swapped.
-func cmpMask(cmp fastCmp, x, y *regRow) uint32 {
-	if !useAVX2 {
-		return cmpMaskGeneric(cmp, x, y)
-	}
-	switch cmp {
-	case fcT:
-		return fullMask
-	case fcEQ:
-		return rowCmpEQAVX2(x, y)
-	case fcNE:
-		return ^rowCmpEQAVX2(x, y)
-	case fcLTS:
-		return rowCmpGTSAVX2(y, x)
-	case fcLES:
-		return ^rowCmpGTSAVX2(x, y)
-	case fcGTS:
-		return rowCmpGTSAVX2(x, y)
-	case fcGES:
-		return ^rowCmpGTSAVX2(y, x)
-	case fcLTU:
-		return rowCmpGTUAVX2(y, x)
-	case fcLEU:
-		return ^rowCmpGTUAVX2(x, y)
-	case fcGTU:
-		return rowCmpGTUAVX2(x, y)
-	case fcGEU:
-		return ^rowCmpGTUAVX2(y, x)
-	case fcFEQ:
-		return rowFCmpEQAVX2(x, y)
-	case fcFNE:
-		return ^rowFCmpEQAVX2(x, y)
-	case fcFLT:
-		return rowFCmpLTAVX2(x, y)
-	case fcFLE:
-		return rowFCmpLEAVX2(x, y)
-	case fcFGT:
-		return rowFCmpLTAVX2(y, x)
-	case fcFGE:
-		return rowFCmpLEAVX2(y, x)
-	case fcFNum:
-		return rowFCmpOrdAVX2(x, y)
-	case fcFNan:
-		return ^rowFCmpOrdAVX2(x, y)
-	}
-	return 0
-}
 
 func rowStrideDiff(addr, k *regRow, want, stride uint32) uint32 {
 	if useAVX2 {
@@ -248,84 +128,6 @@ func rowNegIntAVX2(out, x *regRow)
 
 //go:noescape
 func rowNegFloatAVX2(out, x *regRow)
-
-//go:noescape
-func rowAddAVX2(out, x, y *regRow)
-
-//go:noescape
-func rowMulAVX2(out, x, y *regRow)
-
-//go:noescape
-func rowAndAVX2(out, x, y *regRow)
-
-//go:noescape
-func rowOrAVX2(out, x, y *regRow)
-
-//go:noescape
-func rowXorAVX2(out, x, y *regRow)
-
-//go:noescape
-func rowShlAVX2(out, x, y *regRow)
-
-//go:noescape
-func rowShrAVX2(out, x, y *regRow)
-
-//go:noescape
-func rowSarAVX2(out, x, y *regRow)
-
-//go:noescape
-func rowFAddAVX2(out, x, y *regRow)
-
-//go:noescape
-func rowFMulAVX2(out, x, y *regRow)
-
-//go:noescape
-func rowIMadAVX2(out, x, y, z *regRow)
-
-//go:noescape
-func rowIAdd3AVX2(out, x, y, z *regRow)
-
-//go:noescape
-func rowLeaAVX2(out, x, y, z *regRow)
-
-//go:noescape
-func rowFFmaAVX2(out, x, y, z *regRow)
-
-//go:noescape
-func rowLop3AVX2(out, x, y, z *regRow, masks *[8]uint32)
-
-//go:noescape
-func rowSelAVX2(out, x, y *regRow, pm uint32)
-
-//go:noescape
-func rowIMnMxSAVX2(out, x, y *regRow, pm uint32)
-
-//go:noescape
-func rowIMnMxUAVX2(out, x, y *regRow, pm uint32)
-
-//go:noescape
-func rowFMnMxAVX2(out, x, y *regRow, pm uint32)
-
-//go:noescape
-func rowCmpEQAVX2(x, y *regRow) uint32
-
-//go:noescape
-func rowCmpGTSAVX2(x, y *regRow) uint32
-
-//go:noescape
-func rowCmpGTUAVX2(x, y *regRow) uint32
-
-//go:noescape
-func rowFCmpEQAVX2(x, y *regRow) uint32
-
-//go:noescape
-func rowFCmpLTAVX2(x, y *regRow) uint32
-
-//go:noescape
-func rowFCmpLEAVX2(x, y *regRow) uint32
-
-//go:noescape
-func rowFCmpOrdAVX2(x, y *regRow) uint32
 
 //go:noescape
 func rowStrideDiffAVX2(addr, k *regRow, want, stride uint32) uint32

@@ -1,10 +1,12 @@
 // AVX2 row-kernel bodies (DESIGN.md section 3.11, "Row kernels"). A row is 32
 // uint32 lanes, 128 bytes: four 256-bit vectors. Every body is written once,
-// here, and entered two ways: by the Go-callable row*AVX2 functions of
-// rowops_amd64.s, which load their arguments into the registers below and
-// store the result, and by the handlers of the row-program dispatcher
-// (rowprog_amd64.s), which find their operands in those registers already and
-// blend the result under the exec mask.
+// here. The ALU and compare bodies are entered one way only: by the handlers
+// of the row-program dispatcher (rowprog_amd64.s), which find their operands
+// in the registers below and blend the result under the exec mask. The
+// utility bodies (broadcast, mask expansion, negation, the stride test, the
+// masked moves) are entered by the dispatcher and by the Go-callable row*AVX2
+// functions of rowops_amd64.s, which load their arguments into those
+// registers.
 //
 // Register convention:
 //

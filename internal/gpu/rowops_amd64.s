@@ -3,12 +3,14 @@
 #include "textflag.h"
 #include "rowops_amd64.h"
 
-// The Go-callable AVX2 row kernels (DESIGN.md section 3.11, "Row kernels").
-// Each loads its arguments into the registers of rowops_amd64.h's convention,
-// runs the body written there — the body the row-program dispatcher's
-// handlers run too — and stores the result whole: the portable executor
-// merges it under a partial mask itself. Rules every function here keeps,
-// checked by TestRowAsmHygiene:
+// The Go-callable AVX2 row kernels (DESIGN.md section 3.11, "Row kernels"):
+// the ones Go runs outside the row-program dispatcher — broadcast, mask
+// expansion, merge and negation for the closure tier and the block slot's
+// uniform rows, the unit-stride test and the masked moves for the global
+// accesses the dispatcher leaves to Go. Each loads its arguments into the
+// registers of rowops_amd64.h's convention and runs a body written there. The
+// ALU and compare bodies are not here: the dispatcher's handlers are their one
+// entry. Rules every function here keeps, checked by TestRowAsmHygiene:
 //
 //   - every vector instruction is VEX-encoded — one legacy-SSE instruction
 //     with dirty upper halves costs a state transition per call;
@@ -112,269 +114,6 @@ TEXT ·rowNegFloatAVX2(SB), NOSPLIT, $0-16
 	MOVQ out+0(FP), DI
 	MOVQ x+8(FP), SI
 	NEGFLOAT(SI, DI)
-	VZEROUPPER
-	RET
-
-// func rowAddAVX2(out, x, y *regRow)
-TEXT ·rowAddAVX2(SB), NOSPLIT, $0-24
-	MOVQ out+0(FP), DI
-	MOVQ x+8(FP), SI
-	MOVQ y+16(FP), DX
-	BINROW(VPADDD)
-	STOREOUT
-	VZEROUPPER
-	RET
-
-// func rowMulAVX2(out, x, y *regRow)
-TEXT ·rowMulAVX2(SB), NOSPLIT, $0-24
-	MOVQ out+0(FP), DI
-	MOVQ x+8(FP), SI
-	MOVQ y+16(FP), DX
-	BINROW(VPMULLD)
-	STOREOUT
-	VZEROUPPER
-	RET
-
-// func rowAndAVX2(out, x, y *regRow)
-TEXT ·rowAndAVX2(SB), NOSPLIT, $0-24
-	MOVQ out+0(FP), DI
-	MOVQ x+8(FP), SI
-	MOVQ y+16(FP), DX
-	BINROW(VPAND)
-	STOREOUT
-	VZEROUPPER
-	RET
-
-// func rowOrAVX2(out, x, y *regRow)
-TEXT ·rowOrAVX2(SB), NOSPLIT, $0-24
-	MOVQ out+0(FP), DI
-	MOVQ x+8(FP), SI
-	MOVQ y+16(FP), DX
-	BINROW(VPOR)
-	STOREOUT
-	VZEROUPPER
-	RET
-
-// func rowXorAVX2(out, x, y *regRow)
-TEXT ·rowXorAVX2(SB), NOSPLIT, $0-24
-	MOVQ out+0(FP), DI
-	MOVQ x+8(FP), SI
-	MOVQ y+16(FP), DX
-	BINROW(VPXOR)
-	STOREOUT
-	VZEROUPPER
-	RET
-
-// func rowShlAVX2(out, x, y *regRow)
-TEXT ·rowShlAVX2(SB), NOSPLIT, $0-24
-	MOVQ out+0(FP), DI
-	MOVQ x+8(FP), SI
-	MOVQ y+16(FP), DX
-	BINROW(VPSLLVD)
-	STOREOUT
-	VZEROUPPER
-	RET
-
-// func rowShrAVX2(out, x, y *regRow)
-TEXT ·rowShrAVX2(SB), NOSPLIT, $0-24
-	MOVQ out+0(FP), DI
-	MOVQ x+8(FP), SI
-	MOVQ y+16(FP), DX
-	BINROW(VPSRLVD)
-	STOREOUT
-	VZEROUPPER
-	RET
-
-// func rowSarAVX2(out, x, y *regRow)
-TEXT ·rowSarAVX2(SB), NOSPLIT, $0-24
-	MOVQ out+0(FP), DI
-	MOVQ x+8(FP), SI
-	MOVQ y+16(FP), DX
-	BINROW(VPSRAVD)
-	STOREOUT
-	VZEROUPPER
-	RET
-
-// func rowFAddAVX2(out, x, y *regRow)
-TEXT ·rowFAddAVX2(SB), NOSPLIT, $0-24
-	MOVQ out+0(FP), DI
-	MOVQ x+8(FP), SI
-	MOVQ y+16(FP), DX
-	BINROW(VADDPS)
-	STOREOUT
-	VZEROUPPER
-	RET
-
-// func rowFMulAVX2(out, x, y *regRow)
-TEXT ·rowFMulAVX2(SB), NOSPLIT, $0-24
-	MOVQ out+0(FP), DI
-	MOVQ x+8(FP), SI
-	MOVQ y+16(FP), DX
-	BINROW(VMULPS)
-	STOREOUT
-	VZEROUPPER
-	RET
-
-// func rowIMadAVX2(out, x, y, z *regRow)
-TEXT ·rowIMadAVX2(SB), NOSPLIT, $0-32
-	MOVQ out+0(FP), DI
-	MOVQ x+8(FP), SI
-	MOVQ y+16(FP), DX
-	MOVQ z+24(FP), CX
-	TERNROW(VPMULLD, VPADDD)
-	STOREOUT
-	VZEROUPPER
-	RET
-
-// func rowIAdd3AVX2(out, x, y, z *regRow)
-TEXT ·rowIAdd3AVX2(SB), NOSPLIT, $0-32
-	MOVQ out+0(FP), DI
-	MOVQ x+8(FP), SI
-	MOVQ y+16(FP), DX
-	MOVQ z+24(FP), CX
-	TERNROW(VPADDD, VPADDD)
-	STOREOUT
-	VZEROUPPER
-	RET
-
-// func rowLeaAVX2(out, x, y, z *regRow)
-TEXT ·rowLeaAVX2(SB), NOSPLIT, $0-32
-	MOVQ out+0(FP), DI
-	MOVQ x+8(FP), SI
-	MOVQ y+16(FP), DX
-	MOVQ z+24(FP), CX
-	LEA
-	STOREOUT
-	VZEROUPPER
-	RET
-
-// func rowFFmaAVX2(out, x, y, z *regRow)
-TEXT ·rowFFmaAVX2(SB), NOSPLIT, $0-32
-	MOVQ out+0(FP), DI
-	MOVQ x+8(FP), SI
-	MOVQ y+16(FP), DX
-	MOVQ z+24(FP), CX
-	FFMA
-	STOREOUT
-	VZEROUPPER
-	RET
-
-// func rowLop3AVX2(out, x, y, z *regRow, masks *[8]uint32)
-TEXT ·rowLop3AVX2(SB), NOSPLIT, $0-40
-	MOVQ out+0(FP), DI
-	MOVQ x+8(FP), SI
-	MOVQ y+16(FP), DX
-	MOVQ z+24(FP), CX
-	MOVQ masks+32(FP), AX
-	LOP3
-	STOREOUT
-	VZEROUPPER
-	RET
-
-// func rowSelAVX2(out, x, y *regRow, pm uint32)
-TEXT ·rowSelAVX2(SB), NOSPLIT, $0-28
-	MOVQ out+0(FP), DI
-	MOVQ x+8(FP), SI
-	MOVQ y+16(FP), DX
-	MOVL pm+24(FP), AX
-	SEL
-	STOREOUT
-	VZEROUPPER
-	RET
-
-// func rowIMnMxSAVX2(out, x, y *regRow, pm uint32)
-TEXT ·rowIMnMxSAVX2(SB), NOSPLIT, $0-28
-	MOVQ out+0(FP), DI
-	MOVQ x+8(FP), SI
-	MOVQ y+16(FP), DX
-	MOVL pm+24(FP), AX
-	MNMX(VPMINSD, VPMAXSD)
-	STOREOUT
-	VZEROUPPER
-	RET
-
-// func rowIMnMxUAVX2(out, x, y *regRow, pm uint32)
-TEXT ·rowIMnMxUAVX2(SB), NOSPLIT, $0-28
-	MOVQ out+0(FP), DI
-	MOVQ x+8(FP), SI
-	MOVQ y+16(FP), DX
-	MOVL pm+24(FP), AX
-	MNMX(VPMINUD, VPMAXUD)
-	STOREOUT
-	VZEROUPPER
-	RET
-
-// func rowFMnMxAVX2(out, x, y *regRow, pm uint32)
-TEXT ·rowFMnMxAVX2(SB), NOSPLIT, $0-28
-	MOVQ out+0(FP), DI
-	MOVQ x+8(FP), SI
-	MOVQ y+16(FP), DX
-	MOVL pm+24(FP), AX
-	FMNMX
-	STOREOUT
-	VZEROUPPER
-	RET
-
-// func rowCmpEQAVX2(x, y *regRow) uint32
-TEXT ·rowCmpEQAVX2(SB), NOSPLIT, $0-20
-	MOVQ x+0(FP), SI
-	MOVQ y+8(FP), DX
-	CMPROW(VPCMPEQD)
-	MOVL CX, ret+16(FP)
-	VZEROUPPER
-	RET
-
-// func rowCmpGTSAVX2(x, y *regRow) uint32
-TEXT ·rowCmpGTSAVX2(SB), NOSPLIT, $0-20
-	MOVQ x+0(FP), SI
-	MOVQ y+8(FP), DX
-	CMPROW(VPCMPGTD)
-	MOVL CX, ret+16(FP)
-	VZEROUPPER
-	RET
-
-// func rowCmpGTUAVX2(x, y *regRow) uint32
-TEXT ·rowCmpGTUAVX2(SB), NOSPLIT, $0-20
-	MOVQ x+0(FP), SI
-	MOVQ y+8(FP), DX
-	CMPGTU
-	MOVL CX, ret+16(FP)
-	VZEROUPPER
-	RET
-
-// func rowFCmpEQAVX2(x, y *regRow) uint32
-TEXT ·rowFCmpEQAVX2(SB), NOSPLIT, $0-20
-	MOVQ x+0(FP), SI
-	MOVQ y+8(FP), DX
-	FCMP($0x00)
-	MOVL CX, ret+16(FP)
-	VZEROUPPER
-	RET
-
-// func rowFCmpLTAVX2(x, y *regRow) uint32
-TEXT ·rowFCmpLTAVX2(SB), NOSPLIT, $0-20
-	MOVQ x+0(FP), SI
-	MOVQ y+8(FP), DX
-	FCMP($0x11)
-	MOVL CX, ret+16(FP)
-	VZEROUPPER
-	RET
-
-// func rowFCmpLEAVX2(x, y *regRow) uint32
-TEXT ·rowFCmpLEAVX2(SB), NOSPLIT, $0-20
-	MOVQ x+0(FP), SI
-	MOVQ y+8(FP), DX
-	FCMP($0x12)
-	MOVL CX, ret+16(FP)
-	VZEROUPPER
-	RET
-
-// func rowFCmpOrdAVX2(x, y *regRow) uint32
-TEXT ·rowFCmpOrdAVX2(SB), NOSPLIT, $0-20
-	MOVQ x+0(FP), SI
-	MOVQ y+8(FP), DX
-	FCMP($0x07)
-	MOVL CX, ret+16(FP)
 	VZEROUPPER
 	RET
 

@@ -8,13 +8,16 @@ import (
 
 // This file is the portable implementation of the row kernels (DESIGN.md
 // section 3.11, "Row kernels"): the 32-lane loops of the row tier as plain Go,
-// one function per primitive group. It is compiled on every platform. It is
-// the only implementation on every GOARCH but amd64, on amd64 processors
-// without AVX2 (or an OS that does not save YMM state), and under the purego
-// build tag; where rowops_amd64.s provides vector kernels it is the reference
-// they are tested against, lane for lane and bit for bit. The loops are
-// written so each lane's result depends only on that lane's operands and is
-// read before it is written: out may alias any source.
+// one function per primitive group. It is compiled on every platform. The ALU
+// and compare loops (rowBin, rowTern, rowSel, cmpMask) are those kernels' one
+// Go form everywhere: on amd64 with AVX2 the dispatcher's handlers run their
+// vector bodies and are tested against these loops, lane for lane and bit for
+// bit, as one-op row programs. The *Generic primitives are the only
+// implementation on every GOARCH but amd64, on amd64 processors without AVX2
+// (or an OS that does not save YMM state), and under the purego build tag;
+// where rowops_amd64.s provides a Go-callable kernel they are its reference.
+// The loops are written so each lane's result depends only on that lane's
+// operands and is read before it is written: out may alias any source.
 
 // rowBroadcastGeneric fills r with v.
 func rowBroadcastGeneric(r *regRow, v uint32) {
@@ -57,8 +60,8 @@ func rowNegGeneric(mode uint8, out, x *regRow) {
 	}
 }
 
-// rowBinGeneric is the one- and two-source ALU ops.
-func rowBinGeneric(op fastOp, out, x, y *regRow) {
+// rowBin is the one- and two-source ALU ops.
+func rowBin(op fastOp, out, x, y *regRow) {
 	_, _, _ = x[0], y[0], out[0] // one nil check here, none in the lane loops
 	switch op {
 	case fopAdd:
@@ -127,9 +130,9 @@ func rowBinGeneric(op fastOp, out, x, y *regRow) {
 	}
 }
 
-// rowTernGeneric is the three-source ALU ops; lut carries LOP3's immediate
+// rowTern is the three-source ALU ops; lut carries LOP3's immediate
 // truth table.
-func rowTernGeneric(op fastOp, out, x, y, z *regRow, lut uint8) {
+func rowTern(op fastOp, out, x, y, z *regRow, lut uint8) {
 	_, _, _, _ = x[0], y[0], z[0], out[0]
 	switch op {
 	case fopImadLo:
@@ -165,9 +168,9 @@ func rowTernGeneric(op fastOp, out, x, y, z *regRow, lut uint8) {
 	}
 }
 
-// rowSelGeneric is the predicate-selected ops: pm's lanes take x (SEL), the
+// rowSel is the predicate-selected ops: pm's lanes take x (SEL), the
 // minimum (IMNMX, FMNMX); the others take y, the maximum.
-func rowSelGeneric(op fastOp, out, x, y *regRow, pm uint32) {
+func rowSel(op fastOp, out, x, y *regRow, pm uint32) {
 	_, _, _ = x[0], y[0], out[0]
 	switch op {
 	case fopSel:
@@ -210,9 +213,9 @@ func b2u(b bool) uint32 {
 	return 0
 }
 
-// cmpMaskGeneric compares two rows lane by lane and returns the lanes that
+// cmpMask compares two rows lane by lane and returns the lanes that
 // compare true.
-func cmpMaskGeneric(cmp fastCmp, x, y *regRow) (r uint32) {
+func cmpMask(cmp fastCmp, x, y *regRow) (r uint32) {
 	// Each loop shifts lane l's result in at the top, so after 32 lanes lane
 	// 0 sits at bit 0: constant shift counts, no variable-shift register
 	// shuffle per lane.

@@ -139,10 +139,13 @@ func asmFuncs(stmts []asmStmt) []asmFunc {
 //     outside kernelRegs, the registers of the convention.
 //
 // For the Go-callable kernels: in a function that uses a Y register,
-// directly or through a macro, every RET directly follows VZEROUPPER; and
-// every TEXT symbol has a body-less Go declaration in rowops_amd64.go carrying
-// //go:noescape, and the other way round. For the dispatcher, see
-// checkDispatcherAsm.
+// directly or through a macro, every RET directly follows VZEROUPPER; every
+// TEXT symbol has a body-less Go declaration in rowops_amd64.go carrying
+// //go:noescape, and the other way round; the file defines exactly the
+// kernels Go runs outside the dispatcher (the CPU probes, broadcast, mask
+// expansion, merge, the two negations, the stride test and the four masked
+// moves); and none of them expands an ALU or compare body, which only the
+// dispatcher's handlers enter. For the dispatcher, see checkDispatcherAsm.
 func TestRowAsmHygiene(t *testing.T) {
 	macros := &asmMacros{body: map[string][]string{}, params: map[string][]string{}}
 	header := parseAsm(t, "rowops_amd64.h", macros)
@@ -224,8 +227,18 @@ func TestRowAsmHygiene(t *testing.T) {
 			}
 		}
 	}
-	if len(texts) < 30 {
-		t.Fatalf("parsed only %d TEXT symbols", len(texts))
+	want := []string{"cpuHasAVX2", "ymmUpperInUse", "rowBroadcastAVX2", "rowExpandMaskAVX2", "rowMergeAVX2",
+		"rowNegIntAVX2", "rowNegFloatAVX2", "rowStrideDiffAVX2", "rowLoad32AVX2", "rowStore32AVX2",
+		"rowLoad64AVX2", "rowStore64AVX2"}
+	for _, name := range want {
+		if !texts[name] {
+			t.Errorf("rowops_amd64.s lacks TEXT ·%s", name)
+		}
+	}
+	for name := range texts {
+		if !slices.Contains(want, name) {
+			t.Errorf("rowops_amd64.s defines TEXT ·%s: Go calls no row kernel but %v, the ALU and compare kernels run only inside the dispatcher", name, want)
+		}
 	}
 
 	declared := map[string]bool{}
@@ -244,7 +257,23 @@ func TestRowAsmHygiene(t *testing.T) {
 			t.Errorf("TEXT ·%s has no body-less declaration in rowops_amd64.go", name)
 		}
 	}
-	checkDispatcherAsm(t, dispatcher, macros)
+	// The ALU and compare bodies are entered only by the dispatcher's
+	// handlers: no Go-callable twin expands one.
+	inHeader := map[string]bool{}
+	for _, s := range header {
+		inHeader[s.macro] = true
+	}
+	bodies := checkDispatcherAsm(t, dispatcher, macros, inHeader)
+	if len(bodies) < 11 {
+		t.Fatalf("found only %d ALU and compare body macros in the handlers: %v", len(bodies), bodies)
+	}
+	for _, s := range kernels {
+		for _, e := range macros.expand(s.text) {
+			if m := asmMnemonic(e); bodies[m] {
+				t.Errorf("%s:%d: expands the ALU/compare body %s outside the dispatcher's handlers", s.file, s.line, m)
+			}
+		}
+	}
 }
 
 // kernelRegs is the register convention of the row kernels (rowops_amd64.h):
@@ -285,7 +314,11 @@ var dispatcherTypes = []string{"rowOp", "rowOperand", "rowPred", "warp", "blockC
 //     register is a bare number, and every name in one is a field of a type
 //     in dispatcherTypes, a const_ name, or one of the file's own #defines
 //     and macro parameters.
-func checkDispatcherAsm(t *testing.T, stmts []asmStmt, macros *asmMacros) {
+//
+// It returns the ALU and compare body macros: the rowops_amd64.h macros the
+// kernel and compare handlers (table entries from rhKern up to rhLd32)
+// invoke, less those the move and global-access handlers invoke too.
+func checkDispatcherAsm(t *testing.T, stmts []asmStmt, macros *asmMacros, inHeader map[string]bool) map[string]bool {
 	t.Helper()
 	raw, err := os.ReadFile("rowprog_amd64.s")
 	if err != nil {
@@ -488,4 +521,25 @@ func checkDispatcherAsm(t *testing.T, stmts []asmStmt, macros *asmMacros) {
 			}
 		}
 	}
+
+	bodies, shared := map[string]bool{}, map[string]bool{}
+	for at, name := range table {
+		fn := handlers[name]
+		if fn == nil {
+			continue
+		}
+		into := shared
+		if at >= int(rhKern) && at < int(rhLd32) {
+			into = bodies
+		}
+		for _, s := range fn.stmts {
+			if m := asmMnemonic(s.text); inHeader[m] {
+				into[m] = true
+			}
+		}
+	}
+	for m := range shared {
+		delete(bodies, m)
+	}
+	return bodies
 }

@@ -5,15 +5,10 @@ package gpu
 // Without vector kernels every row primitive is its portable loop
 // (rowops_generic.go).
 
-func rowBroadcast(r *regRow, v uint32)         { rowBroadcastGeneric(r, v) }
-func rowExpandMask(k *regRow, m uint32)        { rowExpandMaskGeneric(k, m) }
-func rowMerge(dst, src, k *regRow)             { rowMergeGeneric(dst, src, k) }
-func rowNeg(mode uint8, out, x *regRow)        { rowNegGeneric(mode, out, x) }
-func rowBin(op fastOp, out, x, y *regRow)      { rowBinGeneric(op, out, x, y) }
-func cmpMask(cmp fastCmp, x, y *regRow) uint32 { return cmpMaskGeneric(cmp, x, y) }
-
-func rowTern(op fastOp, out, x, y, z *regRow, lut uint8) { rowTernGeneric(op, out, x, y, z, lut) }
-func rowSel(op fastOp, out, x, y *regRow, pm uint32)     { rowSelGeneric(op, out, x, y, pm) }
+func rowBroadcast(r *regRow, v uint32)  { rowBroadcastGeneric(r, v) }
+func rowExpandMask(k *regRow, m uint32) { rowExpandMaskGeneric(k, m) }
+func rowMerge(dst, src, k *regRow)      { rowMergeGeneric(dst, src, k) }
+func rowNeg(mode uint8, out, x *regRow) { rowNegGeneric(mode, out, x) }
 
 func rowStrideDiff(addr, k *regRow, want, stride uint32) uint32 {
 	return rowStrideDiffGeneric(addr, k, want, stride)

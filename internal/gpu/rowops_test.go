@@ -7,15 +7,21 @@ import (
 	"math/bits"
 	"math/rand"
 	"testing"
+
+	"repro/internal/sass"
 )
 
-// The row kernels' differential tests: every primitive through the platform's
-// implementation (AVX2 assembly on amd64) and through the portable loops of
-// rowops_generic.go, lane for lane and bit for bit — NaN payloads included:
-// there is no canonicalisation here, unlike the row tier's tests against the
-// interpreter. Where the platform has no vector kernels (other GOARCH, no
-// AVX2, -tags purego) both sides are the same code and the tests hold
-// trivially.
+// The row kernels' differential tests, lane for lane and bit for bit — NaN
+// payloads included: there is no canonicalisation here, unlike the row tier's
+// tests against the interpreter. The ALU and compare kernels run as one-op row
+// programs: through runRows (on amd64 with AVX2 the dispatcher of
+// rowprog_amd64.s, whose handlers are those kernels' one entry) and through
+// the portable executor, which runs the loops of rowops_generic.go. The
+// primitives Go calls itself (broadcast, mask expansion, merge, negation, the
+// stride test, the masked moves) run through the platform's function and
+// through their *Generic loop. Where the platform has no vector kernels
+// (other GOARCH, no AVX2, -tags purego) both sides are the same code and the
+// tests hold trivially.
 
 // rowEdges are the operand values that separate a vector instruction from
 // the Go expression it replaces: NaNs with distinct payloads and signs
@@ -129,30 +135,123 @@ func derefRows(rs []*regRow) []regRow {
 	return out
 }
 
+// The registers and predicates of a one-op program: the operand triple's
+// rows, a destination apart from them, the select-shaped ops' predicate
+// source and the compares' destination.
+const (
+	ooX, ooY, ooZ, ooDst = 1, 2, 3, 4
+	ooSelPred, ooSetPred = 0, 1
+)
+
+// oneOpRig runs one row op at a time on one warp and block slot.
+type oneOpRig struct {
+	blk  *blockCtx
+	plan xplan
+	w    warp
+}
+
+func newOneOpRig() *oneOpRig {
+	r := &oneOpRig{plan: xplan{ops: make([]rowOp, 1), arena: make([]regRow, 1)}}
+	r.blk = &blockCtx{dev: &Device{Mem: NewMemory()}}
+	r.blk.setPlan(&r.plan)
+	return r
+}
+
+// oneOp encodes a row op over the rig's registers: the destination register
+// dst (the destination predicate for rsSetP, whose comparison passes through)
+// and register sources, the unused ones reading the arena's zero row.
+func oneOp(shape, kern, lut uint8, dst int, srcs ...int) rowOp {
+	op := rowOp{shape: shape, kern: kern, lut: lut, dst: uint32(dst) * rowBytes, pred: rowPred{sel: rpPred, reg: ooSelPred}}
+	if shape == rsSetP {
+		op.dst = uint32(dst) * 4
+	}
+	for i := range op.src {
+		op.src[i] = rowOperand{base: rbArena}
+		if i < len(srcs) {
+			op.src[i] = rowOperand{off: uint32(srcs[i]) * rowBytes, base: rbRegs}
+		}
+	}
+	op.hand = op.handler()
+	return op
+}
+
+// oneOpObs is what a one-op program leaves: the rig's registers and the
+// predicates.
+type oneOpObs struct {
+	regs  [ooDst + 1]regRow
+	preds [sass.NumPreds]uint32
+}
+
+// run executes op once for the lanes in atPC through rows, from the operand
+// triple s, a poisoned destination and the predicate source pm.
+func (r *oneOpRig) run(t testing.TB, rows rowRunner, op rowOp, s *[3]regRow, pm, atPC uint32) (obs oneOpObs) {
+	t.Helper()
+	w := &r.w
+	w.regs[ooX], w.regs[ooY], w.regs[ooZ], w.regs[ooDst] = s[0], s[1], s[2], rowPoison
+	w.preds[ooSelPred], w.preds[ooSetPred] = pm, 0x5a5a5a5a
+	r.plan.ops[0] = op
+	threads, at, kind, _ := rows(r.blk, w, 0, 1, atPC, nil)
+	if at != 1 || kind != 0 || threads != uint64(popcount(atPC)) {
+		t.Fatalf("a one-op program of shape %d kernel %d under %#x stopped at %d with trap %v after %d threads", op.shape, op.kern, atPC, at, kind, threads)
+	}
+	copy(obs.regs[:], w.regs[:])
+	obs.preds = w.preds
+	return obs
+}
+
+// check runs op as a one-op program through the dispatcher and through the
+// portable executor, under the full mask and under m, and returns the full
+// mask's result row. An op without a handler (a kernel AVX2 lacks) runs on
+// the portable executor everywhere, so both sides are that.
+func (r *oneOpRig) check(t testing.TB, name string, op rowOp, s *[3]regRow, pm, m uint32) regRow {
+	t.Helper()
+	rows := dispatchRows
+	if !op.dispatchable() {
+		rows = portableRows
+	}
+	var full oneOpObs
+	for _, atPC := range []uint32{fullMask, m} {
+		got := r.run(t, rows, op, s, pm, atPC)
+		want := r.run(t, portableRows, op, s, pm, atPC)
+		if got != want {
+			t.Errorf("%s under %#x: dispatcher and portable executor differ\n srcs %#x\n got  %#x %#x\n want %#x %#x",
+				name, atPC, *s, got.regs, got.preds, want.regs, want.preds)
+		}
+		if atPC == fullMask {
+			full = want
+		}
+	}
+	return full.regs[op.dst/rowBytes]
+}
+
 // checkRowKernels runs every primitive on one operand triple under one mask
-// and one truth table.
-func checkRowKernels(t testing.TB, s *[3]regRow, m uint32, lut uint8) {
+// and one truth table: the ALU ops with the destination apart from the
+// sources and then aliasing each, the compares on x, y and on x twice.
+func checkRowKernels(t testing.TB, rig *oneOpRig, s *[3]regRow, m uint32, lut uint8) {
 	t.Helper()
 	x, y, z := &s[0], &s[1], &s[2]
-	xy, xyz := []*regRow{x, y}, []*regRow{x, y, z}
 
+	alu := func(name string, shape uint8, op fastOp, srcs ...int) {
+		ref := rig.check(t, name, oneOp(shape, uint8(op), lut, ooDst, srcs...), s, m, m)
+		for _, d := range srcs {
+			if got := rig.check(t, name, oneOp(shape, uint8(op), lut, d, srcs...), s, m, m); got != ref {
+				t.Errorf("%s: out aliasing R%d: got %#x, want %#x", name, d, got, ref)
+			}
+		}
+	}
 	for _, op := range rowBinOps {
-		checkRow(t, fmt.Sprintf("rowBin op %d", op), xy,
-			func(out *regRow, s []*regRow) { rowBin(op, out, s[0], s[1]) },
-			func(out *regRow, s []*regRow) { rowBinGeneric(op, out, s[0], s[1]) })
-		checkRow(t, fmt.Sprintf("rowBin op %d, x twice", op), []*regRow{x, x},
-			func(out *regRow, s []*regRow) { rowBin(op, out, s[0], s[1]) },
-			func(out *regRow, s []*regRow) { rowBinGeneric(op, out, s[0], s[1]) })
+		alu(fmt.Sprintf("rowBin op %d", op), rsBin, op, ooX, ooY)
+		alu(fmt.Sprintf("rowBin op %d, x twice", op), rsBin, op, ooX, ooX)
 	}
 	for _, op := range rowTernOps {
-		checkRow(t, fmt.Sprintf("rowTern op %d lut %#x", op, lut), xyz,
-			func(out *regRow, s []*regRow) { rowTern(op, out, s[0], s[1], s[2], lut) },
-			func(out *regRow, s []*regRow) { rowTernGeneric(op, out, s[0], s[1], s[2], lut) })
+		shape := rsTern
+		if op == fopLop3 {
+			shape = rsLop3
+		}
+		alu(fmt.Sprintf("rowTern op %d lut %#x", op, lut), shape, op, ooX, ooY, ooZ)
 	}
 	for _, op := range rowSelOps {
-		checkRow(t, fmt.Sprintf("rowSel op %d pm %#x", op, m), xy,
-			func(out *regRow, s []*regRow) { rowSel(op, out, s[0], s[1], m) },
-			func(out *regRow, s []*regRow) { rowSelGeneric(op, out, s[0], s[1], m) })
+		alu(fmt.Sprintf("rowSel op %d pm %#x", op, m), rsSel, op, ooX, ooY)
 	}
 	for _, mode := range []uint8{fnInt, fnFloat} {
 		checkRow(t, fmt.Sprintf("rowNeg mode %d", mode), []*regRow{x},
@@ -160,12 +259,8 @@ func checkRowKernels(t testing.TB, s *[3]regRow, m uint32, lut uint8) {
 			func(out *regRow, s []*regRow) { rowNegGeneric(mode, out, s[0]) })
 	}
 	for _, cmp := range rowCmps {
-		if got, want := cmpMask(cmp, x, y), cmpMaskGeneric(cmp, x, y); got != want {
-			t.Errorf("cmpMask %d: %#x, portable %#x\n x %#x\n y %#x", cmp, got, want, *x, *y)
-		}
-		if got, want := cmpMask(cmp, x, x), cmpMaskGeneric(cmp, x, x); got != want {
-			t.Errorf("cmpMask %d, x twice: %#x, portable %#x\n x %#x", cmp, got, want, *x)
-		}
+		rig.check(t, fmt.Sprintf("cmpMask %d", cmp), oneOp(rsSetP, uint8(cmp), 0, ooSetPred, ooX, ooY), s, m, m)
+		rig.check(t, fmt.Sprintf("cmpMask %d, x twice", cmp), oneOp(rsSetP, uint8(cmp), 0, ooSetPred, ooX, ooX), s, m, m)
 	}
 
 	var got, want regRow
@@ -337,16 +432,17 @@ func checkRowMoves64(t testing.TB, data, prior *regRow, m uint32, k *regRow) {
 }
 
 // TestRowKernelsMatchGeneric: every primitive, platform kernel against
-// portable loop, on the edge-value cross product and random rows, under the
-// 33 contiguous and 64 random masks, every LOP3 truth table, out aliasing each
-// source.
+// portable loop — the ALU and compare kernels as one-op row programs — on the
+// edge-value cross product and random rows, under the 33 contiguous and 64
+// random masks, every LOP3 truth table, out aliasing each source.
 func TestRowKernelsMatchGeneric(t *testing.T) {
+	rig := newOneOpRig()
 	rng := rand.New(rand.NewSource(22))
 	masks := rowMaskSet(rng)
 	sets := rowOperandSets(rng, 48)
 	for i := range sets {
 		m := masks[i%len(masks)]
-		checkRowKernels(t, &sets[i], m, uint8(37*i+0x96))
+		checkRowKernels(t, rig, &sets[i], m, uint8(37*i+0x96))
 		if t.Failed() {
 			t.Fatalf("operand set %d, mask %#x", i, m)
 		}
@@ -354,7 +450,7 @@ func TestRowKernelsMatchGeneric(t *testing.T) {
 	// Every mask and every truth table at least once, on random operands.
 	for i := 0; i < 256; i++ {
 		s := &sets[len(sets)-1-i%48]
-		checkRowKernels(t, s, masks[i%len(masks)], uint8(i))
+		checkRowKernels(t, rig, s, masks[i%len(masks)], uint8(i))
 		if t.Failed() {
 			t.Fatalf("mask %#x, lut %#x", masks[i%len(masks)], i)
 		}
@@ -391,6 +487,6 @@ func FuzzRowKernels(f *testing.F) {
 				s[r][l] = binary.LittleEndian.Uint32(data[4*(r*WarpSize+l):])
 			}
 		}
-		checkRowKernels(t, &s, binary.LittleEndian.Uint32(data[need-5:]), data[need-1])
+		checkRowKernels(t, newOneOpRig(), &s, binary.LittleEndian.Uint32(data[need-5:]), data[need-1])
 	})
 }

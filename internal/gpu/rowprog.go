@@ -15,14 +15,14 @@ import (
 // rows, runs the row kernel and merges the result under a partial mask. On
 // amd64 with AVX2 that routine is the assembly dispatcher of rowprog_amd64.s,
 // which CALLs each op's handler with its operands in registers, the handler
-// running a kernel body of rowops_amd64.h and blending its own result; this
-// file holds the encoding and the portable executor of the same ops, written
-// over the row primitives (rowBin, rowTern, rowSel, cmpMask: the portable
-// loops wherever there are no vector kernels). The portable executor is the whole path there, the one-op
-// step behind xinstr.step everywhere (single issue, an instruction at a
-// callback site, a row op no vector kernel covers), the executor of a global
+// running a kernel body of rowops_amd64.h and blending its own result; a
+// single issue of a dispatchable op (rowStep) enters it too, as a one-op
+// stretch. This file holds the encoding and the portable executor of the same
+// ops, written over the portable row loops (rowBin, rowTern, rowSel, cmpMask
+// of rowops_generic.go). The portable executor is the whole path where there
+// are no vector kernels; on amd64 it runs the ops without a handler, a global
 // access the dispatcher leaves to Go (its fast path does not cover it, or it
-// may trap), and the oracle the dispatcher is held to, bit for bit
+// may trap), and it is the oracle the dispatcher is held to, bit for bit
 // (rowprog_test.go, rowglobal_test.go).
 //
 // An op never holds a pointer: an operand is a base selector and a byte
@@ -393,15 +393,20 @@ func (blk *blockCtx) issueRow(w *warp, pc int32, atPC uint32, tally []SiteTally)
 }
 
 // rowStep is the one-op step of a row instruction, for whatever issues it
-// outside a runRows stretch.
+// outside a runRows stretch: a callback site, a corruption's live site, an
+// instruction issued alone. Its caller has applied the guard — before any
+// Before callback ran, which may rewrite the guard's predicate — so the step
+// runs a copy of the op without one, made here, once.
 //
 //go:noinline
 func rowStep(op *rowOp) planStep {
+	one := *op
+	one.guard = rgNone
 	return func(blk *blockCtx, w *warp, m uint32) (bool, TrapKind, uint32) {
 		if m == 0 {
 			return false, 0, 0
 		}
-		kind, faultAddr := blk.execRow(w, op, m)
+		kind, faultAddr := blk.execOne(w, &one, m)
 		return false, kind, faultAddr
 	}
 }

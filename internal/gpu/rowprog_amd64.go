@@ -39,6 +39,21 @@ func (blk *blockCtx) runRows(w *warp, pc, n int32, atPC uint32, tally []SiteTall
 	}
 }
 
+// execOne executes one op for the lanes in m (not empty), which its guard
+// already selected, as rowStep's copy of the op without a guard: through the
+// dispatcher as a one-op stretch that tallies nothing, and through execRow
+// when the op has no handler or the dispatcher leaves it to Go, as runRows
+// does.
+func (blk *blockCtx) execOne(w *warp, op *rowOp, m uint32) (TrapKind, uint32) {
+	if useAVX2 && op.dispatchable() {
+		mem := blk.dev.Mem
+		if _, done := rowProgAVX2(blk, w, op, 1, m, nil, mem.allocs, mem.lastHit); done == 1 {
+			return 0, 0
+		}
+	}
+	return blk.execRow(w, op, m)
+}
+
 // The dispatcher reads an operand's base and negation mode as one 16-bit word:
 // this fails to compile unless neg is the byte after base.
 var _ = [1]struct{}{}[unsafe.Offsetof(rowOperand{}.neg)-unsafe.Offsetof(rowOperand{}.base)-1]

@@ -510,9 +510,12 @@ TEXT hFMnMx<>(SB), NOSPLIT, $0-0
 	COMMIT
 	RET
 
-// The compare handlers derive the twenty comparisons from seven bodies, as
-// cmpMask does — operand swaps and complements, exact for the float ones too
-// — leave the comparison in CX and finish in setp.
+// The compare handlers derive the twenty comparisons from seven bodies —
+// equality, signed and unsigned greater-than, and the ordered float EQ / LT /
+// LE plus the ordered test — by operand swaps and complements, exact for the
+// float ones too: Go's != is true on NaN (the complement of ordered ==), and
+// >, >= are <, <= with the operands swapped. Each leaves the comparison in CX
+// and finishes in setp.
 TEXT hF<>(SB), NOSPLIT, $0-0
 	XORL CX, CX
 	JMP  setp<>(SB)

@@ -984,3 +984,148 @@ func TestRowRunPauseEverywhere(t *testing.T) {
 		}
 	}
 }
+
+// singleIssueSrc is a straight line of guarded row ops, each a callback site
+// and so issued alone: an ALU op, a SETP, and global accesses on the
+// dispatcher's fast path (a coalesced load and store on a written, private
+// page), off it (a strided load, a load and a store on a never-written page)
+// and one that traps (a misaligned store).
+const singleIssueSrc = `
+.kernel single
+.param buf
+.param page
+    S2R R0, SR_TID.X
+    SHL R1, R0, 0x2
+    MOV R3, c0[buf]
+    IADD R2, R3, R1
+    SHL R6, R0, 0x3
+    IADD R6, R6, R3
+    MOV R7, c0[page]
+    IADD R7, R7, R2
+    IADD R8, R2, 0x2
+    LOP.AND R9, R0, 0x3
+    ISETP.NE.AND P1, R9, 0x0, PT
+    IMAD R4, R0, 0x9e3779b1, R9
+    MOV R5, 0x40000000
+    MOV R11, 0x11111111
+    MOV R12, 0x22222222
+    MOV R13, 0x33333333
+@P1 IADD R10, R4, R5
+@!P1 ISETP.LT.U32.AND P2, R4, R5, PT
+@P1 LDG.32 R11, [R2]
+@!P1 STG.32 [R2+0x100], R10
+@P1 LDG.32 R12, [R6]
+@!P1 LDG.32 R13, [R7]
+@P1 STG.32 [R7+0x200], R4
+@P1 STG.32 [R8], R10
+    EXIT
+`
+
+// singleIssueFirst is the first callback site of singleIssueSrc.
+const singleIssueFirst = 16
+
+// singleIssueObs is what the engines must agree on for one launch of
+// singleIssueSrc: the launch's stats and trap, the buffer's bytes, the tally,
+// and after every site the registers and predicates of every lane.
+type singleIssueObs struct {
+	parRun
+	tally []SiteTally
+	trace []uint32
+}
+
+func runSingleIssue(t *testing.T, e loopEngine) singleIssueObs {
+	t.Helper()
+	d := e.device(t)
+	buf, err := d.Mem.Alloc(2 * memPageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Mem.WriteBytes(buf, gmemFill[:memPageSize]); err != nil {
+		t.Fatal(err)
+	}
+	k := mustKernel(t, singleIssueSrc, "single")
+	var obs singleIssueObs
+	ek := &ExecKernel{K: k, Before: make([][]Callback, len(k.Instrs)), After: make([][]Callback, len(k.Instrs))}
+	ek.Tally = make([]SiteTally, len(k.Instrs))
+	for pc := singleIssueFirst; pc < len(k.Instrs)-1; pc++ {
+		// Before: flip the op's own guard predicate on the odd lanes — a
+		// guard re-read now would drop lanes that executed — and rewrite its
+		// first register source on lane 6.
+		ek.Before[pc] = []Callback{func(c *InstrCtx) {
+			for lane := 1; lane < WarpSize; lane += 2 {
+				c.WritePred(lane, 1, !c.ReadPred(lane, 1))
+			}
+			for _, o := range c.Instr.Src {
+				if o.Kind == sass.OpdReg && o.Reg != sass.RZ {
+					c.WriteReg(6, o.Reg, c.ReadReg(6, o.Reg)^uint32(0x100+c.InstrIdx))
+					break
+				}
+			}
+		}}
+		ek.After[pc] = []Callback{func(c *InstrCtx) {
+			obs.trace = append(obs.trace, uint32(c.InstrIdx), uint32(c.WarpID), c.ActiveMask)
+			for lane := 0; lane < WarpSize; lane++ {
+				for r := sass.RegID(0); r <= 13; r++ {
+					obs.trace = append(obs.trace, c.ReadReg(lane, r))
+				}
+				obs.trace = append(obs.trace, b2u(c.ReadPred(lane, 1)), b2u(c.ReadPred(lane, 2)))
+			}
+		}}
+	}
+	stats, err := d.Run(&Launch{
+		Kernel: ek,
+		Grid:   Dim3{X: 1, Y: 1, Z: 1},
+		Block:  Dim3{X: rowRunThreads, Y: 1, Z: 1},
+		Params: []uint32{buf, memPageSize},
+	})
+	out, rerr := d.Mem.ReadBytes(buf, 2*memPageSize)
+	if rerr != nil {
+		t.Fatal(rerr)
+	}
+	obs.parRun = parRun{out: out, stats: stats, err: err, log: d.LogEvents()}
+	obs.tally = ek.Tally
+	return obs
+}
+
+// TestRowSingleIssue holds single issues of dispatchable row ops — each op of
+// singleIssueSrc sits at a Before and an After callback site — to the
+// reference loop: registers and predicates after every site, memory, the trap
+// and where it struck, LaunchStats and the tally. On amd64 with AVX2 such an
+// issue runs through the dispatcher as a one-op stretch: the op must run
+// under the exec mask guarded before the Before callbacks (not its guard
+// re-read after them), a global access the dispatcher leaves to Go must still
+// execute (and trap), and the issue must be counted once, by its caller.
+func TestRowSingleIssue(t *testing.T) {
+	k := mustKernel(t, singleIssueSrc, "single")
+	plan, err := translate(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pc := singleIssueFirst; pc < len(k.Instrs)-1; pc++ {
+		if !plan.ops[pc].dispatchable() {
+			t.Fatalf("pc %d (%v) has no handler: the test would not reach the dispatcher", pc, &k.Instrs[pc])
+		}
+	}
+	ref := runSingleIssue(t, loopEngines[0])
+	if trap, ok := AsTrap(ref.err); !ok || trap.Kind != TrapMisaligned || trap.PC != len(k.Instrs)-2 {
+		t.Fatalf("reference run ended in %v, want a misaligned store at pc %d", ref.err, len(k.Instrs)-2)
+	}
+	if len(ref.trace) == 0 {
+		t.Fatal("no After callback ran")
+	}
+	for _, e := range loopEngines[1:] {
+		got := runSingleIssue(t, e)
+		expectSame(t, e.name, ref.parRun, got.parRun)
+		if !reflect.DeepEqual(got.tally, ref.tally) {
+			t.Errorf("%s: tally %v, want %v", e.name, got.tally, ref.tally)
+		}
+		if !reflect.DeepEqual(got.trace, ref.trace) {
+			for i := range min(len(got.trace), len(ref.trace)) {
+				if got.trace[i] != ref.trace[i] {
+					t.Fatalf("%s: registers and predicates after the sites part at word %d of %d: %#x, want %#x", e.name, i, len(ref.trace), got.trace[i], ref.trace[i])
+				}
+			}
+			t.Fatalf("%s: %d words of site trace, want %d", e.name, len(got.trace), len(ref.trace))
+		}
+	}
+}

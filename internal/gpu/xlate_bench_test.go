@@ -168,18 +168,19 @@ func benchShapes(b *testing.B, shape int) {
 	}
 }
 
-// BenchmarkRowKernels times every row primitive alone, ns per 32-lane row:
-// the platform's kernel (AVX2 assembly on amd64; the same loop as "generic"
-// elsewhere and under -tags purego) beside the portable loop, under the full
-// mask and under a partial one. For the row-producing primitives a partial
-// mask means what it means to a fused step — compute into scratch, then merge
-// under the mask; the others take the mask itself.
+// BenchmarkRowKernels times every row primitive Go calls outside the
+// dispatcher alone, ns per 32-lane row: the platform's kernel (AVX2 assembly
+// on amd64; the same loop as "generic" elsewhere and under -tags purego)
+// beside the portable loop, under the full mask and under a partial one. For
+// the row-producing primitives a partial mask means what it means to a fused
+// step — compute into scratch, then merge under the mask; the others take the
+// mask itself. The ALU and compare kernels run only inside the dispatcher:
+// BenchmarkRowProgram times them.
 func BenchmarkRowKernels(b *testing.B) {
-	var x, y, z, out, scratch, k regRow
+	var x, y, out, scratch, k regRow
 	for l := range x {
-		// Normal floats in x and y (a denormal product costs a microcode assist),
-		// y doubling as a unit-stride address row.
-		x[l], y[l], z[l] = 0x3f800000+uint32(l)<<12, 0x3f000000+uint32(l)*4, uint32(l)%7
+		// Normal floats in x, y a unit-stride address row.
+		x[l], y[l] = 0x3f800000+uint32(l)<<12, 0x3f000000+uint32(l)*4
 	}
 	buf := make([]byte, 4*WarpSize)
 	type rowFn func(dst *regRow, m uint32)
@@ -198,36 +199,6 @@ func BenchmarkRowKernels(b *testing.B) {
 		{"load32", false, func(_ *regRow, m uint32) { rowLoad32(&out, buf, m, &k) }, func(_ *regRow, m uint32) { rowLoad32Generic(&out, buf, m) }},
 		{"store32", false, func(_ *regRow, m uint32) { rowStore32(buf, &x, m, &k) }, func(_ *regRow, m uint32) { rowStore32Generic(buf, &x, m) }},
 	}
-	for _, o := range []struct {
-		name string
-		op   fastOp
-	}{{"add", fopAdd}, {"mul", fopMul}, {"and", fopAnd}, {"or", fopOr}, {"xor", fopXor}, {"shl", fopShl}, {"shr", fopShrU},
-		{"sar", fopShrS}, {"fadd", fopFAdd}, {"fmul", fopFMul}, {"mulhi.scalar", fopMulHiU}, {"popc.scalar", fopPopc}} {
-		prims = append(prims, prim{o.name, true,
-			func(d *regRow, _ uint32) { rowBin(o.op, d, &x, &y) }, func(d *regRow, _ uint32) { rowBinGeneric(o.op, d, &x, &y) }})
-	}
-	for _, o := range []struct {
-		name string
-		op   fastOp
-	}{{"imad", fopImadLo}, {"iadd3", fopIAdd3}, {"lea", fopLea}, {"ffma", fopFFma}, {"lop3", fopLop3}} {
-		prims = append(prims, prim{o.name, true,
-			func(d *regRow, _ uint32) { rowTern(o.op, d, &x, &y, &z, 0xe8) }, func(d *regRow, _ uint32) { rowTernGeneric(o.op, d, &x, &y, &z, 0xe8) }})
-	}
-	for _, o := range []struct {
-		name string
-		op   fastOp
-	}{{"sel", fopSel}, {"imnmx.s", fopIMnMxS}, {"imnmx.u", fopIMnMxU}, {"fmnmx", fopFMnMx}} {
-		prims = append(prims, prim{o.name, true,
-			func(d *regRow, m uint32) { rowSel(o.op, d, &x, &y, m) }, func(d *regRow, m uint32) { rowSelGeneric(o.op, d, &x, &y, m) }})
-	}
-	for _, o := range []struct {
-		name string
-		cmp  fastCmp
-	}{{"cmp.eq", fcEQ}, {"cmp.lt.s", fcLTS}, {"cmp.ge.u", fcGEU}, {"cmp.f.lt", fcFLT}, {"cmp.f.ne", fcFNE}, {"cmp.f.nan", fcFNan}} {
-		prims = append(prims, prim{o.name, false,
-			func(*regRow, uint32) { benchSink += cmpMask(o.cmp, &x, &y) }, func(*regRow, uint32) { benchSink += cmpMaskGeneric(o.cmp, &x, &y) }})
-	}
-
 	for _, p := range prims {
 		for _, side := range []struct {
 			name     string

@@ -90,13 +90,13 @@ func TestAdaptiveServiceIdentity(t *testing.T) {
 	}
 
 	st, err := client.Submit(serve.CampaignSpec{
-		Schema: serve.JobSchemaV2, Workload: testWorkload, Config: cfg,
+		Schema: serve.JobSchema, Workload: testWorkload, Config: cfg,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Schema != serve.JobSchemaV2 {
-		t.Fatalf("submitted job reports schema %q, want %q", st.Schema, serve.JobSchemaV2)
+	if st.Schema != serve.JobSchema {
+		t.Fatalf("submitted job reports schema %q, want %q", st.Schema, serve.JobSchema)
 	}
 	if len(st.Strata) == 0 {
 		t.Fatal("adaptive job status carries no stratum composition")
@@ -151,25 +151,25 @@ func TestAdaptiveServiceIdentity(t *testing.T) {
 	}
 }
 
-// TestAdaptiveSpecValidation: the adaptive knob is fenced behind the v2
-// schema — a v1 spec smuggling a TargetCI and a v2 spec without one must
-// both be refused at submission.
+// TestAdaptiveSpecValidation: a target CI is a field like any other — a spec
+// carries it under any schema string the service accepts — and it is held to
+// (0,1) at submission.
 func TestAdaptiveSpecValidation(t *testing.T) {
 	coord, err := serve.NewCoordinator(serve.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := adaptiveCfg()
+	for _, schema := range []string{serve.JobSchema, "", "nvbitfi.job/v2", "nvbitfi.job/v3"} {
+		if err := (serve.CampaignSpec{Schema: schema, Workload: testWorkload, Config: cfg}).Validate(); err != nil {
+			t.Errorf("adaptive spec under schema %q refused: %v", schema, err)
+		}
+	}
+	cfg.TargetCI = 1.5
 	if _, err := coord.Submit(serve.CampaignSpec{
 		Schema: serve.JobSchema, Workload: testWorkload, Config: cfg,
-	}); err == nil || !strings.Contains(err.Error(), serve.JobSchemaV2) {
-		t.Fatalf("v1 spec with TargetCI accepted: err = %v", err)
-	}
-	if _, err := coord.Submit(serve.CampaignSpec{
-		Schema: serve.JobSchemaV2, Workload: testWorkload,
-		Config: campaign.TransientCampaignConfig{Injections: 50},
 	}); err == nil || !strings.Contains(err.Error(), "target CI") {
-		t.Fatalf("v2 spec without TargetCI accepted: err = %v", err)
+		t.Fatalf("spec with target CI 1.5 accepted: err = %v", err)
 	}
 }
 
@@ -222,7 +222,7 @@ func TestAdaptiveRestartResumesMidConvergence(t *testing.T) {
 		t.Fatal(err)
 	}
 	st, err := coord1.Submit(serve.CampaignSpec{
-		Schema: serve.JobSchemaV2, Workload: testWorkload, Config: cfg,
+		Schema: serve.JobSchema, Workload: testWorkload, Config: cfg,
 	})
 	if err != nil {
 		t.Fatal(err)

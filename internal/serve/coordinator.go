@@ -227,20 +227,12 @@ func (c *Coordinator) accept(spec CampaignSpec) (*JobStatus, error) {
 		return nil, err
 	}
 	adaptive := spec.Config.TargetCI > 0
-	// Normalize the schema to the lowest version that carries the spec: the
-	// journal and every status reply then name exactly the features in play.
-	// An explicit default model name is folded away first so that
-	// Model="transient" jobs are byte-identical to jobs that never set it.
+	// The journal and every status reply carry the one schema. An explicit
+	// default model name is folded away so that Model="transient" jobs are
+	// byte-identical to jobs that never set it.
+	spec.Schema = JobSchema
 	if spec.Config.Model == faultmodel.DefaultName {
 		spec.Config.Model = ""
-	}
-	switch {
-	case spec.Config.Model != "":
-		spec.Schema = JobSchemaV3
-	case adaptive:
-		spec.Schema = JobSchemaV2
-	default:
-		spec.Schema = JobSchema
 	}
 	w, err := ResolveWorkload(spec.Workload)
 	if err != nil {
@@ -313,9 +305,11 @@ func (c *Coordinator) replay(e journalEntry) {
 		if e.Spec == nil {
 			return
 		}
+		spec := *e.Spec
+		spec.Schema = JobSchema // a parent-written journal may carry v2 or v3
 		j := &job{
 			id:           e.Job,
-			spec:         *e.Spec,
+			spec:         spec,
 			goldenDigest: e.GoldenDigest,
 			shards:       make([]shard, e.NumShards),
 			tally:        campaign.NewTally(),
@@ -870,12 +864,8 @@ func (c *Coordinator) pushEventLocked(j *job, ev Event) {
 func (c *Coordinator) statusLocked(j *job, withShards bool) *JobStatus {
 	snap := campaign.NewTally()
 	snap.Merge(j.tally)
-	schema := j.spec.Schema
-	if schema == "" {
-		schema = JobSchema
-	}
 	st := &JobStatus{
-		Schema:       schema,
+		Schema:       JobSchema,
 		ID:           j.id,
 		Workload:     j.spec.Workload,
 		Config:       j.spec.Config,

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -12,9 +14,10 @@ import (
 	"repro/internal/serve"
 )
 
-// TestModelSpecValidation: pre-v3 schemas must reject fault-model configs, and
-// v3 specs are vetted server-side — unknown models, malformed parameters, and
-// acceleration combinations the model's capabilities do not cover all fail at
+// TestModelSpecValidation: specs are vetted server-side on their fields alone
+// — unknown models, malformed parameters, acceleration combinations the
+// model's capabilities do not cover, bit-flip models and instruction groups
+// no worker can select under, and unknown schema strings all fail at
 // submission, before any worker sees a lease. So do the configs the
 // in-process planner refuses for any model.
 func TestModelSpecValidation(t *testing.T) {
@@ -26,22 +29,22 @@ func TestModelSpecValidation(t *testing.T) {
 		spec serve.CampaignSpec
 		want string
 	}{
-		{"v1-with-model", serve.CampaignSpec{Schema: serve.JobSchema, Workload: testWorkload, Config: model},
-			serve.JobSchemaV3},
-		{"implicit-v1-with-model", serve.CampaignSpec{Workload: testWorkload, Config: model},
-			serve.JobSchemaV3},
-		{"unknown-model", serve.CampaignSpec{Schema: serve.JobSchemaV3, Workload: testWorkload,
+		{"unknown-model", serve.CampaignSpec{Schema: serve.JobSchema, Workload: testWorkload,
 			Config: withModel(base, "nosuch", "")}, "unknown model"},
-		{"bad-param", serve.CampaignSpec{Schema: serve.JobSchemaV3, Workload: testWorkload,
+		{"bad-param", serve.CampaignSpec{Schema: serve.JobSchema, Workload: testWorkload,
 			Config: withModel(base, "stuck", "value=7")}, "stuck value"},
-		{"prune-unsound", serve.CampaignSpec{Schema: serve.JobSchemaV3, Workload: testWorkload,
+		{"prune-unsound", serve.CampaignSpec{Schema: serve.JobSchema, Workload: testWorkload,
 			Config: withPrune(withModel(base, "stuck", ""))}, "does not support pruning"},
 		{"unknown-schema", serve.CampaignSpec{Schema: "nvbitfi.job/v99", Workload: testWorkload, Config: base},
 			"unsupported job schema"},
 		// The campaign's own guard rails hold at submission too.
 		{"negative-n", serve.CampaignSpec{Workload: testWorkload,
 			Config: campaign.TransientCampaignConfig{Injections: -10, Seed: 1}}, "negative injection count"},
-		{"bad-confidence", serve.CampaignSpec{Schema: serve.JobSchemaV2, Workload: testWorkload,
+		{"bad-bitflip", serve.CampaignSpec{Workload: testWorkload,
+			Config: campaign.TransientCampaignConfig{Injections: 10, Seed: 1, BitFlip: 9}}, "invalid bit-flip model 9"},
+		{"bad-group", serve.CampaignSpec{Workload: testWorkload,
+			Config: campaign.TransientCampaignConfig{Injections: 10, Seed: 1, Group: 99}}, "invalid instruction group Group(99)"},
+		{"bad-confidence", serve.CampaignSpec{Schema: serve.JobSchema, Workload: testWorkload,
 			Config: campaign.TransientCampaignConfig{Injections: 10, Seed: 1, TargetCI: 0.1, Confidence: 1.5}}, "confidence"},
 		{"ckpt-stride-alone", serve.CampaignSpec{Workload: testWorkload,
 			Config: campaign.TransientCampaignConfig{Injections: 10, Seed: 1, CkptStride: 64}}, "-ckpt"},
@@ -56,11 +59,49 @@ func TestModelSpecValidation(t *testing.T) {
 			}
 		})
 	}
-	// A v3 spec with a valid model and no unsound accelerations passes.
-	ok := serve.CampaignSpec{Schema: serve.JobSchemaV3, Workload: testWorkload,
-		Config: withModel(base, "stuck", "value=0,bit=17")}
-	if err := ok.Validate(); err != nil {
-		t.Fatalf("valid v3 spec refused: %v", err)
+	// A spec with a valid model and no unsound accelerations passes under
+	// every schema string the service accepts, the ones parent coordinators
+	// wrote included.
+	for _, schema := range []string{serve.JobSchema, "", "nvbitfi.job/v2", "nvbitfi.job/v3"} {
+		ok := serve.CampaignSpec{Schema: schema, Workload: testWorkload, Config: withModel(model, "stuck", "value=0,bit=17")}
+		if err := ok.Validate(); err != nil {
+			t.Fatalf("valid model spec under schema %q refused: %v", schema, err)
+		}
+	}
+}
+
+// TestSubmitRefusesUnrunnableModel: a spec whose bit-flip model or
+// instruction group no worker could select under is refused by Submit, and
+// the journal is left as it was: no job line for shards that would only fail
+// on every worker until quarantined.
+func TestSubmitRefusesUnrunnableModel(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "journal.jsonl")
+	coord, err := serve.NewCoordinator(serve.Options{JournalPath: journal})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	before, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range []campaign.TransientCampaignConfig{
+		{Injections: 10, Seed: 1, BitFlip: 9},
+		{Injections: 10, Seed: 1, Group: 99},
+	} {
+		if st, err := coord.Submit(serve.CampaignSpec{Workload: testWorkload, Config: cfg}); err == nil {
+			t.Fatalf("config %+v accepted as job %s", cfg, st.ID)
+		}
+	}
+	after, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatalf("refused submissions changed the journal:\nbefore %q\nafter  %q", before, after)
+	}
+	if jobs := coord.Jobs(); len(jobs) != 0 {
+		t.Fatalf("refused submissions left %d jobs", len(jobs))
 	}
 }
 
@@ -75,16 +116,17 @@ func withPrune(cfg campaign.TransientCampaignConfig) campaign.TransientCampaignC
 	return cfg
 }
 
-// TestModelSchemaNormalization: Submit normalizes the stored job to the lowest
-// schema that carries its spec — an explicit "transient" model name decays to
-// the default and the job stays on v1 bytes, while a real model pins v3.
+// TestModelSchemaNormalization: Submit stores every job under the one schema
+// — a spec that names the retired v3 string included — and an explicit
+// "transient" model name decays to the default, so the job's bytes are those
+// of a job that never set it.
 func TestModelSchemaNormalization(t *testing.T) {
 	coord, err := serve.NewCoordinator(serve.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	st, err := coord.Submit(serve.CampaignSpec{
-		Schema:   serve.JobSchemaV3,
+		Schema:   "nvbitfi.job/v3",
 		Workload: testWorkload,
 		Config:   withModel(campaign.TransientCampaignConfig{Injections: 5, Seed: 1}, "transient", ""),
 	})
@@ -99,15 +141,15 @@ func TestModelSchemaNormalization(t *testing.T) {
 	}
 
 	st, err = coord.Submit(serve.CampaignSpec{
-		Schema:   serve.JobSchemaV3,
+		Schema:   "nvbitfi.job/v3",
 		Workload: testWorkload,
 		Config:   withModel(campaign.TransientCampaignConfig{Injections: 5, Seed: 1}, "opsub", ""),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Schema != serve.JobSchemaV3 {
-		t.Fatalf("model job schema = %q, want %q", st.Schema, serve.JobSchemaV3)
+	if st.Schema != serve.JobSchema {
+		t.Fatalf("model job schema = %q, want %q", st.Schema, serve.JobSchema)
 	}
 	if st.Config.Model != "opsub" {
 		t.Fatalf("model job config model = %q", st.Config.Model)
@@ -154,7 +196,7 @@ func TestModelServiceTallyIdentity(t *testing.T) {
 			}
 
 			st, err := client.Submit(serve.CampaignSpec{
-				Schema: serve.JobSchemaV3, Workload: testWorkload, Config: tc.cfg,
+				Schema: serve.JobSchema, Workload: testWorkload, Config: tc.cfg,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -16,29 +16,22 @@ package serve
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/campaign"
-	"repro/internal/faultmodel"
 	"repro/internal/specaccel"
 )
 
-// JobSchema versions the submission and status wire format.
+// JobSchema versions the submission and status wire format: the one schema
+// a coordinator writes, in its journal and in every status reply. What a job
+// uses — a target CI, a fault model — its config's fields say, and validation
+// checks those fields alone.
 const JobSchema = "nvbitfi.job/v1"
 
-// JobSchemaV2 is the adaptive job schema: the spec carries a target
-// confidence interval (Config.TargetCI) instead of a hard experiment count,
-// and the coordinator stops issuing leases once the pooled stratified
-// estimate converges. v1 specs are still accepted; a v1 spec with TargetCI
-// set is rejected so old consumers never see fields they don't understand.
-const JobSchemaV2 = "nvbitfi.job/v2"
-
-// JobSchemaV3 is the fault-model job schema: the spec names a non-default
-// fault model (Config.Model, internal/faultmodel registry) and optionally a
-// model parameter string. v1/v2 specs with a model set are rejected, so a
-// consumer that predates the subsystem never silently runs the wrong
-// physics; a v2 spec and a v3 spec without a model stay byte-identical to
-// their prior encodings.
-const JobSchemaV3 = "nvbitfi.job/v3"
+// acceptedSchemas are the schema strings a spec may carry: JobSchema, none,
+// and the adaptive (v2) and fault-model (v3) strings earlier coordinators
+// wrote into their journals. All of them decode as JobSchema.
+var acceptedSchemas = []string{"", JobSchema, "nvbitfi.job/v2", "nvbitfi.job/v3"}
 
 // CampaignSpec is a submitted campaign: a workload named out of the
 // benchmark suite plus the transient-campaign configuration. The spec is
@@ -53,24 +46,8 @@ type CampaignSpec struct {
 
 // Validate checks the spec before a job is created from it.
 func (s CampaignSpec) Validate() error {
-	switch s.Schema {
-	case "", JobSchema:
-		if s.Config.TargetCI != 0 {
-			return fmt.Errorf("serve: target-CI campaigns require schema %q", JobSchemaV2)
-		}
-		if !faultmodel.IsDefault(s.Config.Model) {
-			return fmt.Errorf("serve: fault-model campaigns require schema %q", JobSchemaV3)
-		}
-	case JobSchemaV2:
-		if s.Config.TargetCI <= 0 {
-			return fmt.Errorf("serve: %q spec needs a target CI in (0,1), got %v", JobSchemaV2, s.Config.TargetCI)
-		}
-		if !faultmodel.IsDefault(s.Config.Model) {
-			return fmt.Errorf("serve: fault-model campaigns require schema %q", JobSchemaV3)
-		}
-	case JobSchemaV3:
-	default:
-		return fmt.Errorf("serve: unsupported job schema %q (want %q, %q or %q)", s.Schema, JobSchema, JobSchemaV2, JobSchemaV3)
+	if !slices.Contains(acceptedSchemas, s.Schema) {
+		return fmt.Errorf("serve: unsupported job schema %q (want %q)", s.Schema, JobSchema)
 	}
 	// The in-process planner's guard rails, applied at submission so an
 	// unsound job is rejected before any worker fails on it.

@@ -488,6 +488,80 @@ func TestParentJournalResumes(t *testing.T) {
 	}
 }
 
+// TestParentSchemaJournalsResume: a coordinator restarted on a journal a
+// parent coordinator wrote for an adaptive job (schema v2) or a fault-model
+// job (schema v3) replays it under the one schema and settles to the tally of
+// the in-process campaign.
+func TestParentSchemaJournalsResume(t *testing.T) {
+	for _, tc := range []struct {
+		schema string
+		cfg    campaign.TransientCampaignConfig
+	}{
+		{"nvbitfi.job/v2", campaign.TransientCampaignConfig{Injections: 300, Seed: 46, TargetCI: 0.10}},
+		{"nvbitfi.job/v3", campaign.TransientCampaignConfig{Injections: 60, Seed: 42, ShardSize: 20, Model: "stuck"}},
+	} {
+		t.Run(tc.schema, func(t *testing.T) {
+			want := inProcessTally(t, tc.cfg)
+			// The parent's job line is this coordinator's but for the schema
+			// string: the parent encoded the same config the same way.
+			journal := filepath.Join(t.TempDir(), "journal.jsonl")
+			coord, err := serve.NewCoordinator(serve.Options{JournalPath: journal})
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := coord.Submit(serve.CampaignSpec{Workload: testWorkload, Config: tc.cfg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			coord.Close()
+			ours, err := os.ReadFile(journal)
+			if err != nil {
+				t.Fatal(err)
+			}
+			parent := bytes.ReplaceAll(ours, []byte(`"schema":"`+serve.JobSchema+`"`), []byte(`"schema":"`+tc.schema+`"`))
+			if bytes.Equal(parent, ours) {
+				t.Fatalf("the journal names no schema: %s", ours)
+			}
+			if err := os.WriteFile(journal, parent, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			coord, err = serve.NewCoordinator(serve.Options{JournalPath: journal})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer coord.Close()
+			if js, ok := coord.Job(st.ID); !ok || js.State != serve.JobRunning || js.Schema != serve.JobSchema {
+				t.Fatalf("replayed job: %+v, found %v", js, ok)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			pool := serve.Pool(ctx, coord, campaign.Runner{}, 2, t.Logf)
+			defer func() {
+				cancel()
+				pool.Wait()
+			}()
+			deadline := time.After(2 * time.Minute)
+			for {
+				js, _ := coord.Job(st.ID)
+				if serve.Settled(js.State) {
+					if js.State != serve.JobDone || js.Schema != serve.JobSchema {
+						t.Fatalf("replayed job settled as %q under schema %q", js.State, js.Schema)
+					}
+					if got := mustJSON(t, js.Tally); !bytes.Equal(got, want) {
+						t.Fatalf("replayed job tally differs:\nservice:    %s\nin-process: %s", got, want)
+					}
+					return
+				}
+				select {
+				case <-deadline:
+					t.Fatalf("replayed job did not settle; status: %+v", js)
+				case <-time.After(20 * time.Millisecond):
+				}
+			}
+		})
+	}
+}
+
 // TestRetryBackoffAndQuarantine drives the lease state machine directly
 // with a fake clock: fail a shard repeatedly and watch it back off
 // exponentially, then land in quarantine at the attempt cap, failing the
