@@ -725,18 +725,43 @@ func (blk *blockCtx) step(w *warp, in *sass.Instr, pc int32, atPC, execMask uint
 
 // stepX is step through a translated plan: identical PC and convergence
 // bookkeeping, with the semantic classification and execution pre-resolved.
+// A control kind runs here in-line: EXIT retires the executing lanes, a
+// branch (which always alters flow) sends them to its target, BAR reports the
+// barrier.
 func (blk *blockCtx) stepX(w *warp, xi *xinstr, pc int32, atPC, execMask uint32) (barrier bool, kind TrapKind, faultAddr uint32) {
 	if w.converged && !xi.altersFlow {
 		w.convPC = pc + 1
+		switch xi.ctl {
+		case ctlExit:
+			w.exitedMask |= execMask
+			return false, 0, 0
+		case ctlBar:
+			return true, 0, 0
+		}
 		return xi.step(blk, w, execMask)
 	}
-	next := pc + 1
-	for m := atPC; m != 0; m &= m - 1 {
+	next, fall := pc+1, atPC
+	if xi.ctl == ctlBra {
+		fall &^= execMask // the taken lanes' PCs are written once, below
+	}
+	for m := fall; m != 0; m &= m - 1 {
 		w.pc[bits.TrailingZeros32(m)] = next
 	}
 	fromConverged := w.converged
 	w.converged = false
-	barrier, kind, faultAddr = xi.step(blk, w, execMask)
+	switch xi.ctl {
+	case ctlNone:
+		barrier, kind, faultAddr = xi.step(blk, w, execMask)
+	case ctlExit:
+		w.exitedMask |= execMask
+	case ctlBra:
+		t := xi.braTarget
+		for m := execMask; m != 0; m &= m - 1 {
+			w.pc[bits.TrailingZeros32(m)] = t
+		}
+	case ctlBar:
+		barrier = true
+	}
 	if kind == 0 && !w.scanSched {
 		w.updateSplits(xi.flow, xi.braTarget, pc, atPC, execMask, fromConverged)
 	}
@@ -930,7 +955,7 @@ func (blk *blockCtx) runWarp(w *warp, budget *budgetCounter, stats *LaunchStats)
 			}
 		}
 		var barrier bool
-		if xi.isBra && w.converged && (execMask == atPC || execMask == 0) {
+		if xi.ctl == ctlBra && w.converged && (execMask == atPC || execMask == 0) {
 			// Uniform direct branch: every lane takes it (or none does), so
 			// the warp stays converged and no per-lane PC materializes —
 			// exactly the state the reference loop's next schedule() would

@@ -555,8 +555,7 @@ func (e *evalCtx) psrc(lane, idx int) bool {
 func (e *evalCtx) readPair(lane int, r sass.RegID) uint64 { return readPairReg(e.w, lane, r) }
 
 // readPairReg reads the 64-bit value in the register pair (r, r+1); RZ and
-// the register adjacent to RZ contribute zero halves. Shared between the
-// interpreter and the translated plans so pair semantics cannot drift.
+// the register adjacent to RZ contribute zero halves.
 func readPairReg(w *warp, lane int, r sass.RegID) uint64 {
 	lo := uint64(0)
 	hi := uint64(0)

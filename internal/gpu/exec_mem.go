@@ -251,40 +251,29 @@ func addF32Bits(a, b uint32) uint32 {
 	return f32bitsOf(f32Of(a) + f32Of(b))
 }
 
-// spaceLoad dispatches a load to the operand's address space.
+// spaceLoad dispatches a load to its address space.
 func (e *evalCtx) spaceLoad(lane int, space sass.MemSpace, addr uint32, width uint8) (uint64, TrapKind) {
-	return spaceLoadAt(e.blk, e.w, lane, space, addr, width)
-}
-
-// spaceStore dispatches a store to the operand's address space.
-func (e *evalCtx) spaceStore(lane int, space sass.MemSpace, addr uint32, width uint8, v uint64) TrapKind {
-	return spaceStoreAt(e.blk, e.w, lane, space, addr, width, v)
-}
-
-// spaceLoadAt dispatches a load to its address space. Shared between the
-// interpreter and the translated plans so memory semantics cannot drift.
-func spaceLoadAt(blk *blockCtx, w *warp, lane int, space sass.MemSpace, addr uint32, width uint8) (uint64, TrapKind) {
 	switch space {
 	case sass.SpaceGlobal, sass.SpaceGeneric:
-		return blk.dev.Mem.Load(addr, width)
+		return e.blk.dev.Mem.Load(addr, width)
 	case sass.SpaceShared:
-		return sliceLoad(blk.shared, addr, width, TrapSharedBounds)
+		return sliceLoad(e.blk.shared, addr, width, TrapSharedBounds)
 	case sass.SpaceLocal:
-		return sliceLoad(laneLocal(w, lane), addr, width, TrapLocalBounds)
+		return sliceLoad(laneLocal(e.w, lane), addr, width, TrapLocalBounds)
 	default:
 		return 0, TrapInvalidInstruction
 	}
 }
 
-// spaceStoreAt dispatches a store to its address space.
-func spaceStoreAt(blk *blockCtx, w *warp, lane int, space sass.MemSpace, addr uint32, width uint8, v uint64) TrapKind {
+// spaceStore dispatches a store to its address space.
+func (e *evalCtx) spaceStore(lane int, space sass.MemSpace, addr uint32, width uint8, v uint64) TrapKind {
 	switch space {
 	case sass.SpaceGlobal, sass.SpaceGeneric:
-		return blk.dev.Mem.Store(addr, width, v)
+		return e.blk.dev.Mem.Store(addr, width, v)
 	case sass.SpaceShared:
-		return sliceStore(blk.shared, addr, width, v, TrapSharedBounds)
+		return sliceStore(e.blk.shared, addr, width, v, TrapSharedBounds)
 	case sass.SpaceLocal:
-		return sliceStore(laneLocal(w, lane), addr, width, v, TrapLocalBounds)
+		return sliceStore(laneLocal(e.w, lane), addr, width, v, TrapLocalBounds)
 	default:
 		return TrapInvalidInstruction
 	}
@@ -300,6 +289,9 @@ func laneLocal(w *warp, lane int) []byte {
 	return w.local[lane]
 }
 
+// sliceLoad and sliceStore access a shared or local window: a misaligned
+// address traps before one past the end (oob). The interpreter and the
+// shared-memory row ops (execShared) both go through them.
 func sliceLoad(buf []byte, addr uint32, width uint8, oob TrapKind) (uint64, TrapKind) {
 	if addr%uint32(width) != 0 {
 		return 0, TrapMisaligned

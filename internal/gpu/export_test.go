@@ -7,12 +7,33 @@ import "repro/internal/sass"
 // are the FP64 pair closures), Dispatchable those of them runRows executes.
 // GlobalAccesses are the LDG/STG .32/.64 instructions with a `[Rx+off]` or
 // `[off]` address, MemOps those of them that are dispatchable row ops.
-// AccessorOps counts the accessor-tier instructions by opcode.
+// ControlOps, ThunkOps and PortableOps count by opcode the control kinds, the
+// thunked instructions and the row ops without a handler.
 type TierCounts struct {
-	Fast, Accessor, Thunk  int
-	RowOps, Dispatchable   int
-	GlobalAccesses, MemOps int
-	AccessorOps            map[sass.Op]int
+	Fast, Control, Thunk              int
+	RowOps, Dispatchable              int
+	GlobalAccesses, MemOps            int
+	ControlOps, ThunkOps, PortableOps map[sass.Op]int
+}
+
+// Translation tiers: what compileStep made of an instruction.
+const (
+	tierFast    = iota // fastStep's row ops and FP64 closures
+	tierControl        // a control kind, run in-line by the single-issue path
+	tierThunk          // the interpreter, through thunkStep: every other instruction
+)
+
+// tierOf returns the tier of the plan's instruction at pc. The plan keeps no
+// record of it: a control kind is its ctl, and a thunk is an instruction
+// fastStep refuses.
+func tierOf(plan *xplan, in *sass.Instr, pc int) int {
+	switch {
+	case plan.steps[pc].ctl != ctlNone:
+		return tierControl
+	case fastStep(in, newRowTable(), new(rowOp)) == nil:
+		return tierThunk
+	}
+	return tierFast
 }
 
 // TierCensus translates k and counts its instructions by tier — for the
@@ -23,32 +44,33 @@ func TierCensus(k *sass.Kernel) (c TierCounts, err error) {
 	if err != nil {
 		return c, err
 	}
+	c.ControlOps, c.ThunkOps, c.PortableOps = map[sass.Op]int{}, map[sass.Op]int{}, map[sass.Op]int{}
 	for i := range plan.steps {
-		switch plan.steps[i].tier {
+		in := &k.Instrs[i]
+		switch tierOf(plan, in, i) {
 		case tierFast:
 			c.Fast++
-		case tierAccessor:
-			c.Accessor++
-			if c.AccessorOps == nil {
-				c.AccessorOps = make(map[sass.Op]int)
-			}
-			c.AccessorOps[k.Instrs[i].Op]++
+		case tierControl:
+			c.Control++
+			c.ControlOps[in.Op]++
 		default:
 			c.Thunk++
+			c.ThunkOps[in.Op]++
 		}
 		op := &plan.ops[i]
 		if op.shape != rsNone {
 			c.RowOps++
 			if op.dispatchable() {
 				c.Dispatchable++
+			} else {
+				c.PortableOps[in.Op]++
 			}
 		}
-		in := &k.Instrs[i]
 		info := in.Op.Info()
 		if _, _, _, mem := fastMemOperand(in); mem && info.Space == sass.SpaceGlobal &&
 			(info.Sem == sass.SemLd || info.Sem == sass.SemSt) && (in.Mods.MemWidth() == 4 || in.Mods.MemWidth() == 8) {
 			c.GlobalAccesses++
-			if op.shape >= rsLd32 && op.dispatchable() {
+			if op.shape >= rsLd32 && op.shape <= rsSt64 && op.dispatchable() {
 				c.MemOps++
 			}
 		}

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"math"
 	"math/bits"
+
+	"repro/internal/sass"
 )
 
 // This file is the portable implementation of the row kernels (DESIGN.md
@@ -18,6 +20,8 @@ import (
 // where rowops_amd64.s provides a Go-callable kernel they are its reference.
 // The loops are written so each lane's result depends only on that lane's
 // operands and is read before it is written: out may alias any source.
+// rowCvt, the conversions, has no vector form: it is the portable executor's
+// alone.
 
 // rowBroadcastGeneric fills r with v.
 func rowBroadcastGeneric(r *regRow, v uint32) {
@@ -126,6 +130,40 @@ func rowBin(op fastOp, out, x, y *regRow) {
 		// LeadingZeros32(0) is 32, so zero reads 0xffffffff as SASS wants.
 		for l := range out {
 			out[l] = uint32(31 - bits.LeadingZeros32(x[l]))
+		}
+	}
+}
+
+// rowCvt is MUFU (fn its function) and the conversions; F2F's double is the
+// pair of words x (low), y (high), and cvF2FWiden writes its double's high
+// words to hi. Each lane goes through the interpreter's own mufu and f2i.
+func rowCvt(kind uint8, fn sass.MufuFn, out, hi, x, y *regRow) {
+	_, _, _, _ = x[0], y[0], out[0], hi[0]
+	switch kind {
+	case cvMufu:
+		for l := range out {
+			out[l] = math.Float32bits(mufu(fn, math.Float32frombits(x[l])))
+		}
+	case cvI2F:
+		for l := range out {
+			out[l] = math.Float32bits(float32(int32(x[l])))
+		}
+	case cvI2FU:
+		for l := range out {
+			out[l] = math.Float32bits(float32(x[l]))
+		}
+	case cvF2I, cvF2IU:
+		for l := range out {
+			out[l] = f2i(math.Float32frombits(x[l]), kind == cvF2IU)
+		}
+	case cvF2FNarrow:
+		for l := range out {
+			out[l] = math.Float32bits(float32(math.Float64frombits(uint64(y[l])<<32 | uint64(x[l]))))
+		}
+	case cvF2FWiden:
+		for l := range out {
+			b := math.Float64bits(float64(math.Float32frombits(x[l])))
+			out[l], hi[l] = uint32(b), uint32(b>>32)
 		}
 	}
 }

@@ -393,7 +393,7 @@ func checkDispatcherAsm(t *testing.T, stmts []asmStmt, macros *asmMacros, inHead
 		}
 	}
 	want := map[int]bool{}
-	for shape := rsMov; shape <= rsSt64; shape++ {
+	for shape := rsMov; shape <= rsStS32; shape++ {
 		kerns := uint8(numFastOps)
 		if shape == rsSetP {
 			kerns = uint8(numFastCmps)

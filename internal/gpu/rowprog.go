@@ -18,12 +18,14 @@ import (
 // running a kernel body of rowops_amd64.h and blending its own result; a
 // single issue of a dispatchable op (rowStep) enters it too, as a one-op
 // stretch. This file holds the encoding and the portable executor of the same
-// ops, written over the portable row loops (rowBin, rowTern, rowSel, cmpMask
-// of rowops_generic.go). The portable executor is the whole path where there
-// are no vector kernels; on amd64 it runs the ops without a handler, a global
-// access the dispatcher leaves to Go (its fast path does not cover it, or it
-// may trap), and it is the oracle the dispatcher is held to, bit for bit
-// (rowprog_test.go, rowglobal_test.go).
+// ops, written over the portable row loops (rowBin, rowTern, rowSel, cmpMask,
+// rowCvt of rowops_generic.go). The portable executor is the whole path where
+// there are no vector kernels; on amd64 it runs the ops without a handler —
+// MUFU and the conversions, LDS/STS, the ALU ops without a vector kernel — and
+// a global access the dispatcher leaves to Go (its fast path does not cover
+// it, or it may trap), and it is the oracle the dispatcher is held to, bit for
+// bit (rowprog_test.go, rowglobal_test.go). With the control kinds of xlate.go
+// and the interpreter thunk, row ops are all a plan holds.
 //
 // An op never holds a pointer: an operand is a base selector and a byte
 // offset, resolved against the warp, the block slot and the plan that are
@@ -53,23 +55,39 @@ type rowOperand struct {
 	neg  uint8
 }
 
-// Op shapes: which kernel signature an op calls and what it writes. The order
-// matters to the dispatcher: shapes from rsTern on read a third source, and
-// shapes from rsLd32 on are global accesses, whose address row is src[0] and
-// whose byte offset is off. A store's value is src[1], with src[2] the high
-// words of a .64 store; a load's unused sources read the zero row.
+// Op shapes: which kernel signature an op calls and what it writes. Shapes
+// rsTern and rsLop3 read a third source. The memory shapes — rsLd32 to rsSt64
+// over global memory, rsLdS32 and rsStS32 over the block's shared window — read
+// their address row from src[0] and add the byte offset off; a store's value
+// is src[1], with src[2] the high words of a .64 store; a load's unused sources
+// read the zero row. rsCvt and the shared shapes have no handler: only the
+// portable executor runs them.
 const (
-	rsNone uint8 = iota // not a row op
-	rsMov               // dst = src[0] (MOV, S2R, LOP.PASS_B)
-	rsBin               // dst = kern(src[0], src[1])
-	rsSel               // dst = kern(src[0], src[1], pred source): SEL, FSEL, IMNMX, FMNMX
-	rsSetP              // predicate dst = cmp(src[0], src[1]) combined with the pred source
-	rsTern              // dst = kern(src[0], src[1], src[2])
-	rsLop3              // rsTern with LOP3's truth table
-	rsLd32              // dst = the word at src[0]+off
-	rsSt32              // the word at src[0]+off = src[1]
-	rsLd64              // dst, dst+1 = the double word at src[0]+off (the high half dropped on RZ)
-	rsSt64              // the double word at src[0]+off = src[1], src[2]
+	rsNone  uint8 = iota // not a row op
+	rsMov                // dst = src[0] (MOV, S2R, LOP.PASS_B)
+	rsBin                // dst = kern(src[0], src[1])
+	rsSel                // dst = kern(src[0], src[1], pred source): SEL, FSEL, IMNMX, FMNMX
+	rsSetP               // predicate dst = cmp(src[0], src[1]) combined with the pred source
+	rsTern               // dst = kern(src[0], src[1], src[2])
+	rsLop3               // rsTern with LOP3's truth table
+	rsLd32               // dst = the word at src[0]+off
+	rsSt32               // the word at src[0]+off = src[1]
+	rsLd64               // dst, dst+1 = the double word at src[0]+off (the high half dropped on RZ)
+	rsSt64               // the double word at src[0]+off = src[1], src[2]
+	rsCvt                // dst = cvt(src[0], src[1]), and dst+1 for cvF2FWiden: MUFU and the conversions
+	rsLdS32              // dst = the shared word at src[0]+off
+	rsStS32              // the shared word at src[0]+off = src[1]
+)
+
+// Conversions, rsCvt's kernels (rowOp.kern).
+const (
+	cvMufu      uint8 = iota // MUFU, its function in rowOp.lut
+	cvI2F                    // I2F of a signed word
+	cvI2FU                   // I2F.U32
+	cvF2I                    // F2I to a signed word
+	cvF2IU                   // F2I.U32
+	cvF2FNarrow              // F2F: the double src[0] (low word), src[1] (high word) to a float
+	cvF2FWiden               // F2F.64: the float src[0] to a double in dst, dst+1 (the high half dropped on RZ)
 )
 
 // Guards, as the op's own copy of xinstr's classification.
@@ -116,7 +134,7 @@ const (
 // rowOp is one row-tier instruction.
 type rowOp struct {
 	shape uint8
-	kern  uint8 // a fastOp; a fastCmp for rsSetP
+	kern  uint8 // a fastOp; a fastCmp for rsSetP; a conversion (cv*) for rsCvt
 	guard uint8
 	gpred uint8  // guard predicate, rgPred / rgNotPred
 	hand  uint8  // the dispatcher's handler, rhNone when it does not run the op
@@ -124,8 +142,8 @@ type rowOp struct {
 	src   [3]rowOperand
 	pred  rowPred
 	comb  uint8  // rsSetP
-	lut   uint8  // rsLop3
-	off   uint32 // global accesses: the memory operand's byte offset
+	lut   uint8  // rsLop3's truth table; the sass.MufuFn of cvMufu
+	off   uint32 // memory shapes: the memory operand's byte offset
 }
 
 // rowPred is a pre-resolved predicate source: a constant or a predicate
@@ -152,9 +170,10 @@ func (op *rowOp) dispatchable() bool { return op.hand != rhNone }
 
 // handler picks the op's handler. It is a property of the op alone, so a
 // plan's rowLen does not depend on where it was built. What gets none runs
-// through the op's step: ops without a vector kernel, an SM clock read (which
-// issues alone anyway, see readsClock), and a .64 load whose high half lands
-// on RZ (it drops into scratch, which only the portable executor does).
+// through the op's step: ops without a vector kernel (the rsCvt and shared
+// shapes among them), an SM clock read (which issues alone anyway, see
+// readsClock), and a .64 load whose high half lands on RZ (it drops into
+// scratch, which only the portable executor does).
 func (op *rowOp) handler() uint8 {
 	for i := range op.src {
 		if o := &op.src[i]; o.base == rbSpecial && sass.SpecialReg(o.off) != sass.SRWarpID {
@@ -247,13 +266,16 @@ func (o *rowOperand) row(blk *blockCtx, w *warp, scratch *regRow) *regRow {
 }
 
 // execRow executes one op for the lanes in m (not empty), the guard already
-// applied, and returns the trap of a global access that faults. Destination /
+// applied, and returns the trap of a memory access that faults. Destination /
 // source aliasing needs no care: lane l's result depends only on lane l's
 // operands, every row kernel reads a lane before it writes it, and negated or
 // broadcast operands were copied to scratch before the kernel runs.
 func (blk *blockCtx) execRow(w *warp, op *rowOp, m uint32) (TrapKind, uint32) {
-	if op.shape >= rsLd32 {
+	switch op.shape {
+	case rsLd32, rsSt32, rsLd64, rsSt64:
 		return blk.execGlobal(w, op, m)
+	case rsLdS32, rsStS32:
+		return blk.execShared(w, op, m)
 	}
 	rows := &blk.rows
 	x := op.src[0].row(blk, w, &rows[rowA])
@@ -283,10 +305,46 @@ func (blk *blockCtx) execRow(w *warp, op *rowOp, m uint32) (TrapKind, uint32) {
 		rowBin(fastOp(op.kern), out, x, y)
 	case rsSel:
 		rowSel(fastOp(op.kern), out, x, y, op.pred.mask(w))
+	case rsCvt:
+		hi := &rows[rowOut+1]
+		rowCvt(op.kern, sass.MufuFn(op.lut), out, hi, x, y)
+		if d := op.dst / rowBytes; op.kern == cvF2FWiden && d+1 != uint32(sass.RZ) {
+			blk.storeRow(&w.regs[d+1], hi, m)
+		}
 	default:
 		rowTern(fastOp(op.kern), out, x, y, op.src[2].row(blk, w, &rows[rowC]), op.lut)
 	}
 	blk.commit(dst, out, m)
+	return 0, 0
+}
+
+// execShared executes LDS / STS .32: the active lanes in ascending order, each
+// through the interpreter's sliceLoad / sliceStore over the block's shared
+// window, so trap kinds, fault addresses and the first faulting lane are the
+// interpreter's, and the lanes below a faulting one have completed.
+func (blk *blockCtx) execShared(w *warp, op *rowOp, m uint32) (TrapKind, uint32) {
+	addr := op.src[0].row(blk, w, nil) // a register or the zero row: read in place
+	if op.shape == rsStS32 {
+		v := op.src[1].row(blk, w, &blk.rows[rowA])
+		for ; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m)
+			a := addr[l] + op.off
+			if kind := sliceStore(blk.shared, a, 4, uint64(v[l]), TrapSharedBounds); kind != 0 {
+				return kind, a
+			}
+		}
+		return 0, 0
+	}
+	dst := &w.regs[op.dst/rowBytes]
+	for ; m != 0; m &= m - 1 {
+		l := bits.TrailingZeros32(m)
+		a := addr[l] + op.off
+		v, kind := sliceLoad(blk.shared, a, 4, TrapSharedBounds)
+		if kind != 0 {
+			return kind, a
+		}
+		dst[l] = uint32(v)
+	}
 	return 0, 0
 }
 
@@ -313,7 +371,7 @@ func (blk *blockCtx) execGlobal(w *warp, op *rowOp, m uint32) (TrapKind, uint32)
 	var lo, hi *regRow
 	switch op.shape {
 	case rsLd32, rsLd64:
-		// A pair whose high half lands on RZ drops it, like dstWrPair.
+		// A pair whose high half lands on RZ drops it, like evalCtx.wrPair.
 		d := op.dst / rowBytes
 		lo, hi = &w.regs[d], &blk.rows[rowOut]
 		if wide && d+1 != uint32(sass.RZ) {

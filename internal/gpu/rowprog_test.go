@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -39,6 +40,7 @@ type progHarness struct {
 	base      warp
 	masks     []uint32    // the atPC masks every list runs under
 	mem       *progMemory // when set, every run starts from a fresh copy of its memory
+	shared    []byte      // the shared window every run starts from a copy of
 }
 
 func newProgHarness(tb testing.TB, seed int64) *progHarness {
@@ -100,7 +102,8 @@ func (h *progHarness) block(plan *xplan) *blockCtx {
 	if h.mem != nil {
 		d.Mem = h.mem.build(h.tb)
 	}
-	blk := &blockCtx{dev: d, launch: h.launch, constBank: h.bank, smID: 1, blockIdx: Dim3{X: 3, Y: 2, Z: 1}, blockLin: 7}
+	blk := &blockCtx{dev: d, launch: h.launch, constBank: h.bank, smID: 1, blockIdx: Dim3{X: 3, Y: 2, Z: 1}, blockLin: 7,
+		shared: bytes.Clone(h.shared)}
 	blk.setPlan(plan)
 	blk.fillUniforms(true)
 	return blk
@@ -113,6 +116,7 @@ type progObs struct {
 	tally   []SiteTally
 	trap    progTrap
 	mem     memObs // with a harness memory
+	shared  []byte
 }
 
 // progTrap is where a list stopped on a trap, and the trap; zero when it ran
@@ -126,7 +130,7 @@ type progTrap struct {
 // finish records the end of a run: the trap that stopped it, if any, and the
 // memory it leaves.
 func (h *progHarness) finish(obs *progObs, blk *blockCtx, trap progTrap) progObs {
-	obs.trap = trap
+	obs.trap, obs.shared = trap, blk.shared
 	if h.mem != nil {
 		obs.mem = h.mem.observe(h.tb, blk.dev.Mem)
 	}
@@ -285,6 +289,9 @@ func (h *progHarness) check(instrs []sass.Instr, chained bool) *xplan {
 				h.tb.Fatalf("%s: dispatcher counted %d threads, tally %v, stopped %+v; portable executor %d, %v, %+v%s",
 					label, got.threads, got.tally, got.trap, want.threads, want.tally, want.trap, describe(instrs))
 			}
+			if !bytes.Equal(got.shared, want.shared) {
+				h.tb.Fatalf("%s: shared window %x, portable executor %x%s", label, got.shared, want.shared, describe(instrs))
+			}
 			if h.mem != nil {
 				h.diffMem(label+": dispatcher vs portable executor", instrs, got.mem, want.mem, true)
 			}
@@ -298,6 +305,9 @@ func (h *progHarness) check(instrs []sass.Instr, chained bool) *xplan {
 			}
 			if h.mem != nil {
 				h.diffMem(label+": dispatcher vs interpreter", instrs, got.mem, ref.mem, false)
+			}
+			if !bytes.Equal(got.shared, ref.shared) {
+				h.tb.Fatalf("%s: shared window %x, interpreter %x%s", label, got.shared, ref.shared, describe(instrs))
 			}
 			for i := range instrs {
 				if len(instrs[i].Dst) > 0 {
@@ -422,7 +432,7 @@ func (h *progHarness) wantStretch(plan *xplan, list []sass.Instr) {
 	h.tb.Helper()
 	for i := range list {
 		op := &plan.ops[i]
-		if op.shape == rsNone || (op.shape < rsLd32 && op.shape != rsMov && op.shape != rsSetP && !rowVectorOps[op.kern]) {
+		if op.shape == rsNone || op.shape >= rsCvt || (op.shape < rsLd32 && op.shape != rsMov && op.shape != rsSetP && !rowVectorOps[op.kern]) {
 			return
 		}
 	}
@@ -451,6 +461,113 @@ func TestRowProgramS2R(t *testing.T) {
 				plan.steps[1].runLen, plan.steps[1].rowLen)
 		}
 	}
+}
+
+// TestRowProgramConvert covers the ops only the portable executor runs as
+// computations: MUFU of every function, I2F and F2I of both signednesses and
+// F2F both ways, over every operand kind × guard × mask on rowEdges-laden
+// registers, plus destination aliasing and the pairs next to RZ: a narrowing
+// F2F reading R254 (its high word zero) and a widening one writing R254 (its
+// high word dropped).
+func TestRowProgramConvert(t *testing.T) {
+	h := newProgHarness(t, 17)
+	type cvt struct {
+		name string
+		mods sass.Mods
+	}
+	var ops []cvt
+	for fn := sass.MufuRcp; fn <= sass.MufuCos; fn++ {
+		ops = append(ops, cvt{"MUFU", sass.Mods{Mufu: fn}})
+	}
+	ops = append(ops, cvt{"I2F", sass.Mods{}}, cvt{"I2F", sass.Mods{Unsigned: true}},
+		cvt{"F2I", sass.Mods{}}, cvt{"F2I", sass.Mods{Unsigned: true}},
+		cvt{"F2F", sass.Mods{}}, cvt{"F2F", sass.Mods{Width: 8}})
+	for _, op := range ops {
+		label := sass.NewInstr(sass.MustOp(op.name))
+		label.Mods = op.mods
+		t.Run(label.String(), func(t *testing.T) {
+			h.tb = t
+			emit := func(d sass.RegID, g sass.PredRef, a sass.Operand) sass.Instr {
+				in := sass.NewInstr(sass.MustOp(op.name), sass.R(d), a)
+				in.Mods, in.Guard = op.mods, g
+				return in
+			}
+			srcs := append(progSrcShapes(4), sass.R(254), sass.NegReg(254))
+			for _, a := range srcs {
+				// Even destinations two apart: a widened pair never overlaps
+				// the next op's.
+				list := []sass.Instr{guardWriter()}
+				for i, g := range progGuards {
+					list = append(list, emit(sass.RegID(20+2*i), g, a))
+				}
+				plan := h.check(list, false)
+				for i := range list[1:] {
+					if op := &plan.ops[1+i]; op.shape != rsCvt || op.dispatchable() {
+						t.Fatalf("%v encodes as shape %d, handler %d: want rsCvt, no handler", &list[1+i], op.shape, op.hand)
+					}
+				}
+				if a.Kind == sass.OpdReg && a.Reg != sass.RZ {
+					for _, g := range progGuards[:3] {
+						h.check([]sass.Instr{guardWriter(), emit(a.Reg, g, a)}, false)
+						h.check([]sass.Instr{guardWriter(), emit(a.Reg-1, g, a)}, false)
+					}
+				}
+			}
+			h.check([]sass.Instr{guardWriter(), emit(254, progGuards[0], sass.R(4)), emit(254, progGuards[2], sass.NegReg(6))}, false)
+		})
+	}
+}
+
+// TestRowProgramShared covers LDS and STS .32 over a 64-byte shared window:
+// an address register (or RZ) plus offset that lands in bounds, on a
+// misaligned word, past the window and wrapped round below zero, on every
+// lane or only some, under every guard and mask. A trap must stop the list at
+// the same op, lane, kind and address as the interpreter, with the lanes
+// below the faulting one done, and the window's bytes must agree.
+func TestRowProgramShared(t *testing.T) {
+	h := newProgHarness(t, 18)
+	rng := rand.New(rand.NewSource(18))
+	h.shared = make([]byte, 64)
+	rng.Read(h.shared)
+	const ra = 4
+	addrs := []struct {
+		name string
+		lane func(l uint32) uint32
+	}{
+		{"in bounds", func(l uint32) uint32 { return l % 16 * 4 }},
+		{"shared words", func(l uint32) uint32 { return l % 3 * 4 }},
+		{"one misaligned", func(l uint32) uint32 { return l%16*4 + l/21*2 }},
+		{"past the end", func(l uint32) uint32 { return l * 4 }},
+		{"wrapped", func(l uint32) uint32 { return (l - 9) * 4 }},
+	}
+	mem := func(r sass.RegID, off int32) sass.Operand { return sass.Operand{Kind: sass.OpdMem, Reg: r, Off: off} }
+	for _, a := range addrs {
+		for l := range h.base.regs[ra] {
+			h.base.regs[ra][l] = a.lane(uint32(l))
+		}
+		for _, off := range []int32{0, 0x20, 0x2, -0x4} {
+			for _, store := range []bool{false, true} {
+				list := []sass.Instr{guardWriter()}
+				for i, g := range progGuards {
+					in := sass.NewInstr(sass.MustOp("LDS"), sass.R(sass.RegID(20+i)), mem(ra, off))
+					if store {
+						in = sass.NewInstr(sass.MustOp("STS"), mem(ra, off), sass.R(sass.RegID(20+i)))
+					}
+					in.Guard = g
+					list = append(list, in)
+				}
+				h.check(list, false)
+			}
+		}
+	}
+	for _, off := range []int32{0x3c, 0x40, 0x2} {
+		h.check([]sass.Instr{
+			sass.NewInstr(sass.MustOp("STS"), mem(sass.RZ, off), sass.R(6)),
+			sass.NewInstr(sass.MustOp("LDS"), sass.R(20), mem(sass.RZ, off)),
+		}, false)
+	}
+	// Aliasing: the loaded register is the address register.
+	h.check([]sass.Instr{sass.NewInstr(sass.MustOp("LDS"), sass.R(ra), mem(ra, 0))}, false)
 }
 
 // TestRowProgramSetP covers ISETP/FSETP: every compare × signedness × combine

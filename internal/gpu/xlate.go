@@ -10,26 +10,29 @@ import (
 )
 
 // This file is the block-level translation engine: it compiles a kernel's
-// instruction stream into an execution plan of pre-resolved per-instruction
-// closures, so the warp hot loop dispatches through one indirect call per
-// instruction instead of re-walking operand lists, re-switching on operand
-// kinds, and re-evaluating guards from scratch on every dynamic execution.
+// instruction stream into an execution plan, so the warp hot loop neither
+// re-walks operand lists, re-switches on operand kinds, nor re-evaluates
+// guards from scratch on every dynamic execution. compileStep makes one of
+// three things of an instruction: a row op (rowprog.go, xlate_fast.go), data
+// that runs inside the row dispatcher or through its portable executor (the
+// FP64 pair ops of the same tier are still closures); a control kind — EXIT,
+// a direct branch, BAR — which the single-issue path runs in-line; or the
+// interpreter thunk, for everything else.
 //
 // Design rules (see DESIGN.md section 3.6):
 //
-//   - The interpreter (blockCtx.exec) stays the semantic oracle. Every
-//     specialized closure is compiled from the same shared helpers the
-//     interpreter calls (specialVal, spaceLoadAt, readPairReg, ...), and any
-//     instruction whose operand shape does not match the specializer's
-//     expectations falls back to a thunk that simply calls blk.exec — so
-//     translated execution is behaviorally identical by construction,
-//     including interpreter panics on malformed instructions.
+//   - The interpreter (blockCtx.exec) stays the semantic oracle. Row ops are
+//     built from the same shared helpers the interpreter calls (specialVal,
+//     mufu, f2i, sliceLoad, ...), and any instruction whose operand shape does
+//     not match the encoder's expectations falls back to a thunk that simply
+//     calls blk.exec — so translated execution is behaviorally identical by
+//     construction, including interpreter panics on malformed instructions.
 //   - Plans are pure functions of kernel *content*: they capture register
 //     ids, immediates, const-bank offsets and guard predicates, but never a
 //     Device, Launch, warp, or constant bank. One plan is therefore shared
 //     read-only across blocks, devices, and experiments, cached
 //     process-wide in modcache keyed by the kernel content hash. What a row
-//     step reads of the launch — a constant-bank word, the block index — it
+//     op reads of the launch — a constant-bank word, the block index — it
 //     reads through a slot number (uniforms); the block slot holds the rows.
 //   - Straight-line runs never cross basic-block boundaries: runLen is
 //     computed within the CFG blocks internal/sassan builds, so the
@@ -91,12 +94,31 @@ func blockUniform(sr sass.SpecialReg) bool {
 	return false
 }
 
-// Translation tiers, fastest first: what compileStep made of an instruction.
+// Control kinds: the control instructions a plan holds as data. They never
+// batch (semSimple), so only the single-issue path (blockCtx.stepX) meets
+// them.
 const (
-	tierFast     uint8 = iota // fastStep's row ops and FP64 closures
-	tierAccessor              // specializeStep: the ten semantics shipped kernels run there
-	tierThunk                 // the interpreter, through thunkStep: every other instruction
+	ctlNone uint8 = iota
+	ctlExit       // EXIT, KILL: the executing lanes exit
+	ctlBra        // BRA, JMP with a target: the executing lanes move to braTarget
+	ctlBar        // BAR: the warp reaches a barrier
 )
+
+// controlOf returns an instruction's control kind. A branch without a target
+// operand is none: the interpreter panics on it.
+func controlOf(in *sass.Instr) uint8 {
+	switch in.Op.Info().Sem {
+	case sass.SemExit, sass.SemKill:
+		return ctlExit
+	case sass.SemBar:
+		return ctlBar
+	case sass.SemBra, sass.SemJmp:
+		if len(in.Src) > 0 {
+			return ctlBra
+		}
+	}
+	return ctlNone
+}
 
 // planStep executes one translated instruction for the lanes in execMask,
 // with the same contract as blockCtx.exec.
@@ -112,18 +134,17 @@ const (
 	guardCond                  // real predicate, evaluated per lane
 )
 
-// xinstr is one translated instruction: its step plus the pre-resolved guard
-// and scheduling classification.
+// xinstr is one translated instruction: its step or control kind plus the
+// pre-resolved guard and scheduling classification.
 type xinstr struct {
-	step       planStep
+	step       planStep // nil for a control kind
 	guardKind  guardKind
 	guardPred  sass.PredID
 	guardNeg   bool
 	altersFlow bool  // pre-computed semAltersFlow
 	simple     bool  // cannot branch, exit lanes, or reach a barrier
-	isBra      bool  // direct BRA/JMP: target known at translation time
+	ctl        uint8 // control kind, ctlNone for a step
 	flow       uint8 // pre-computed flowOf class for split maintenance
-	tier       uint8 // tierFast, tierAccessor or tierThunk
 	runLen     int32 // consecutive batchable steps from here, within one CFG block
 	rowLen     int32 // consecutive dispatchable row ops from here, within runLen: one runRows call
 	braTarget  int32 // branch target when flow == flowBranch (BRA/JMP/CALL)
@@ -158,7 +179,7 @@ func semSimple(sem sass.SemKind) bool {
 // xlateEngine names and versions the translation scheme in the plan cache
 // key: bumping it invalidates every cached plan without touching the module
 // entries.
-const xlateEngine = "gpu.xplan/v4"
+const xlateEngine = "gpu.xplan/v5"
 
 // planFor returns the translated execution plan for a kernel, building and
 // caching it process-wide on first use. Content-identical kernels — e.g.
@@ -260,7 +281,7 @@ func appendKernelFields(buf []byte, k *sass.Kernel) []byte {
 }
 
 // translate compiles a kernel into its execution plan. It cannot fail: any
-// instruction the specializer does not understand compiles to an interpreter
+// instruction the encoder does not understand compiles to an interpreter
 // thunk. The error return exists for the modcache signature and future
 // schemes that may want to reject kernels.
 func translate(k *sass.Kernel) (*xplan, error) {
@@ -283,13 +304,8 @@ func translate(k *sass.Kernel) (*xplan, error) {
 			xi.guardPred = in.Guard.Pred
 			xi.guardNeg = in.Guard.Neg
 		}
-		if (sem == sass.SemBra || sem == sass.SemJmp) && len(in.Src) > 0 {
-			// Direct branch: the hot loop resolves the uniform cases (all
-			// lanes take, or none take) without leaving the converged state.
-			xi.isBra = true
-		}
 		xi.flow, xi.braTarget = flowOf(in)
-		xi.step, xi.tier = compileStep(in, i, rt, &ops[i])
+		compileStep(xi, in, i, rt, &ops[i])
 	}
 	// Straight-line run lengths, computed backwards within each CFG basic
 	// block so a run can never span a branch target. A step is batchable
@@ -338,6 +354,18 @@ func readsClock(in *sass.Instr) bool {
 		}
 	}
 	return false
+}
+
+// compileStep fills in how xi executes: as a control kind, as the row tier's
+// step (fastStep, which also leaves the instruction's row op in *op), or
+// through the interpreter thunk.
+func compileStep(xi *xinstr, in *sass.Instr, pc int, rt *rowTable, op *rowOp) {
+	if xi.ctl = controlOf(in); xi.ctl != ctlNone {
+		return
+	}
+	if xi.step = fastStep(in, rt, op); xi.step == nil {
+		xi.step = thunkStep(in, pc)
+	}
 }
 
 // thunkStep is the universal fallback: execute through the interpreter. The

@@ -7,21 +7,21 @@ import (
 	"repro/internal/sass"
 )
 
-// This file is the row tier of the instruction specializer (DESIGN.md
-// section 3.11). The accessor tier in xlate_ops.go pays several indirect
-// calls per lane, and the interpreter thunk more. For the operand shapes that
-// account for nearly all dynamic instructions — a destination register plus
-// register / immediate / constant-bank / special-register sources — fastStep
-// encodes the instruction as a row op (rowprog.go): a kernel index, a guard, a
-// destination and up to three operands, each a base selector and a byte
-// offset. A warp instruction is then a vector operation over register rows:
-// every source resolves to a *regRow once per execution, and the op is one
-// row kernel (rowops_*.go: AVX2 assembly where the platform has it, a
-// branch-free Go loop elsewhere) over all 32 lanes with no per-lane mask,
-// shape, or bounds test. A straight-line stretch of row ops executes inside
-// one routine (blockCtx.runRows), not through one closure per instruction;
-// only the FP64 pair ops (fastDStep) are still closures, their lane loops
-// being scalar Go either way.
+// This file is the row tier of the instruction translator (DESIGN.md
+// section 3.11). For the operand shapes that account for nearly all dynamic
+// instructions — a destination register plus register / immediate /
+// constant-bank / special-register sources — fastStep encodes the instruction
+// as a row op (rowprog.go): a kernel index, a guard, a destination and up to
+// three operands, each a base selector and a byte offset. A warp instruction
+// is then a vector operation over register rows: every source resolves to a
+// *regRow once per execution, and the op is one row kernel (rowops_*.go: AVX2
+// assembly where the platform has it, a branch-free Go loop elsewhere) over
+// all 32 lanes with no per-lane mask, shape, or bounds test. A straight-line
+// stretch of row ops executes inside one routine (blockCtx.runRows), not
+// through one closure per instruction; the ops without a handler (MUFU and the
+// conversions, shared-memory accesses) run one at a time through the portable
+// executor, and only the FP64 pair ops (fastDStep) are still closures, their
+// lane loops being scalar Go either way.
 //
 // Compute-and-merge rule: under a partial exec mask the kernel still computes
 // all 32 lanes and only the active ones reach the destination — blended in
@@ -29,13 +29,12 @@ import (
 // and mergeRow everywhere else. That is sound only because every op in this file is pure:
 // no side effect, and no host panic whatever an inactive lane's (possibly
 // fault-corrupted) operands hold. Memory, atomics, and anything that can
-// divide or index by a lane value never take this path: the global accesses
-// that are row ops (xlate_mem.go, globalRowOp) touch only the active lanes'
+// divide or index by a lane value never take this path: the memory accesses
+// that are row ops (xlate_mem.go, memRowOp) touch only the active lanes'
 // bytes and registers.
 //
-// Any shape the row tier does not cover falls back to the accessor tier
-// (xlate_ops.go) if its semantic has a case there, and otherwise to the
-// interpreter thunk, so every tier preserves exact interpreted behavior.
+// Any shape the row tier does not cover runs on the interpreter thunk, so
+// translation preserves exact interpreted behavior.
 
 // Scratch-row assignment within blockCtx.rows. 32-bit ops use one row per
 // source; FP64 ops use a lo/hi pair per source.
@@ -50,7 +49,6 @@ const (
 
 // Read-only rows shared by every plan and warp.
 var (
-	zeroRow   regRow
 	onesRow   = laneRow(func(uint) uint32 { return fullMask }) // fullMask's select words
 	laneIDRow = laneRow(func(l uint) uint32 { return uint32(l) })
 	eqMaskRow = laneRow(func(l uint) uint32 { return 1 << l })
@@ -141,7 +139,7 @@ func (rt *rowTable) uniform(u uniformSrc) rowOperand {
 	return rowOperand{base: rbUniform, off: uint32(len(rt.uniforms)-1) * rowBytes}
 }
 
-// Negation modes, mirroring the interpreter's accessors: fnInt is
+// Negation modes, mirroring the interpreter's operand reads: fnInt is
 // evalCtx.isrc's two's complement, fnFloat is evalCtx.fbits' sign-bit flip.
 // Immediates fold their negation at classification time and always carry
 // fnNone.
@@ -317,89 +315,58 @@ func (blk *blockCtx) commit(dst, out *regRow, m uint32) {
 	}
 }
 
-// fastDSrc is one pre-resolved FP64 source, mirroring srcD's quirks exactly:
-// register pairs negate by flipping the high word's sign bit, constant-bank
-// doubles are a pair of uniform slots (the high word's carries the sign
-// flip), float immediates widen with negation ignored, and any other shape
-// reads ±0.0 as the interpreter's evalCtx.dsrc does.
-type fastDSrc struct {
-	isReg  bool       // a register pair, read in place; else the rows lo, hi
-	neg    bool       // isReg
-	reg    sass.RegID // isReg
-	lo, hi rowOperand // arena rows (widened immediates, ±0.0) or a constant-bank double's two uniform slots
-}
-
-// resolve returns the operand's low and high word rows. Register pairs go
-// through the same RZ rules as readPairReg: RZ and the register adjacent to
-// RZ contribute zero halves.
-func (s *fastDSrc) resolve(blk *blockCtx, w *warp, scratch *[2]regRow) (lo, hi *regRow) {
-	if s.isReg {
-		lo, hi = &zeroRow, &zeroRow
-		if s.reg != sass.RZ {
-			lo = &w.regs[s.reg]
-			if s.reg+1 != sass.RZ {
-				hi = &w.regs[s.reg+1]
-			}
-		}
-		if s.neg {
-			rowNeg(fnFloat, &scratch[1], hi)
-			hi = &scratch[1]
-		}
-		return lo, hi
-	}
-	// Arena and uniform rows are read in place: no scratch.
-	return s.lo.row(blk, w, nil), s.hi.row(blk, w, nil)
-}
-
-// fastDSrcFor classifies one FP64 source. srcD accepts every operand kind
-// (unknown shapes read ±0.0), so the only rejection is a missing operand.
-func fastDSrcFor(in *sass.Instr, idx int, rt *rowTable) (fastDSrc, bool) {
+// fastDSrcFor classifies one FP64 source as its low and high word rows,
+// mirroring evalCtx.dsrc's quirks exactly: a register pair reads under
+// readPairReg's RZ rules and negates by flipping the high word's sign bit, a
+// constant-bank double is a pair of uniform slots (the high word's carries the
+// sign flip), a float immediate widens with negation ignored, and any other
+// shape reads ±0.0. dsrc accepts every operand kind, so the only rejection is
+// a missing operand.
+func fastDSrcFor(in *sass.Instr, idx int, rt *rowTable) (lo, hi rowOperand, ok bool) {
 	if idx >= len(in.Src) {
-		return fastDSrc{}, false
-	}
-	fixed := func(v float64) (fastDSrc, bool) {
-		b := math.Float64bits(v)
-		return fastDSrc{lo: rt.imm(uint32(b)), hi: rt.imm(uint32(b >> 32))}, true
+		return lo, hi, false
 	}
 	o := &in.Src[idx]
-	switch o.Kind {
-	case sass.OpdReg:
-		return fastDSrc{isReg: true, reg: o.Reg, neg: o.Neg}, true
-	case sass.OpdConst:
-		hi := uniformSrc{off: o.Off + 4}
-		if o.Neg {
-			hi.neg = fnFloat
-		}
-		return fastDSrc{lo: rt.uniform(uniformSrc{off: o.Off}), hi: rt.uniform(hi)}, true
-	case sass.OpdImm:
-		// srcD's quirk: a float immediate in a double context widens with
-		// negation ignored.
-		return fixed(float64(math.Float32frombits(o.Imm)))
-	default:
-		if o.Neg {
-			return fixed(math.Copysign(0, -1))
-		}
-		return fixed(0)
+	neg := fnNone
+	if o.Neg {
+		neg = fnFloat
 	}
+	switch {
+	case o.Kind == sass.OpdReg && o.Reg != sass.RZ:
+		lo = rowOperand{base: rbRegs, off: uint32(o.Reg) * rowBytes}
+		if o.Reg+1 == sass.RZ {
+			return lo, rt.imm(negate(0, neg)), true
+		}
+		return lo, rowOperand{base: rbRegs, off: uint32(o.Reg+1) * rowBytes, neg: neg}, true
+	case o.Kind == sass.OpdConst:
+		return rt.uniform(uniformSrc{off: o.Off}), rt.uniform(uniformSrc{off: o.Off + 4, neg: neg}), true
+	case o.Kind == sass.OpdImm:
+		// dsrc's quirk: a float immediate in a double context widens with
+		// negation ignored.
+		b := math.Float64bits(float64(math.Float32frombits(o.Imm)))
+		return rt.imm(uint32(b)), rt.imm(uint32(b >> 32)), true
+	}
+	return rt.imm(0), rt.imm(negate(0, neg)), true
 }
 
 func pairF64(lo, hi *regRow, l int) float64 {
 	return math.Float64frombits(uint64(hi[l])<<32 | uint64(lo[l]))
 }
 
-// fastDStep fuses the FP64 pair ops (DADD, DMUL, DFMA, DMNMX). The
-// destination write mirrors dstWrPair: writeHi is false when the high half
-// lands on RZ, and the high words are then computed into scratch and dropped.
+// fastDStep fuses the FP64 pair ops (DADD, DMUL, DFMA, DMNMX); src holds each
+// source's low and high word operands. The destination write mirrors
+// evalCtx.wrPair: writeHi is false when the high half lands on RZ, and the high
+// words are then computed into scratch and dropped.
 //
 //go:noinline
-func fastDStep(op fastOp, d sass.RegID, writeHi bool, a, b, c fastDSrc, p rowPred) planStep {
+func fastDStep(op fastOp, d sass.RegID, writeHi bool, src [3][2]rowOperand, p rowPred) planStep {
 	return func(blk *blockCtx, w *warp, m uint32) (bool, TrapKind, uint32) {
 		if m == 0 {
 			return false, 0, 0
 		}
 		rows := &blk.rows
-		alo, ahi := a.resolve(blk, w, (*[2]regRow)(rows[rowA:]))
-		blo, bhi := b.resolve(blk, w, (*[2]regRow)(rows[rowB:]))
+		alo, ahi := src[0][0].row(blk, w, &rows[rowA]), src[0][1].row(blk, w, &rows[rowA+1])
+		blo, bhi := src[1][0].row(blk, w, &rows[rowB]), src[1][1].row(blk, w, &rows[rowB+1])
 		dlo, dhi := &w.regs[d], &rows[rowOut+1]
 		if writeHi {
 			dhi = &w.regs[d+1]
@@ -422,7 +389,7 @@ func fastDStep(op fastOp, d sass.RegID, writeHi bool, a, b, c fastDSrc, p rowPre
 				put(l, pairF64(alo, ahi, l)*pairF64(blo, bhi, l))
 			}
 		case fopDFma:
-			clo, chi := c.resolve(blk, w, (*[2]regRow)(rows[rowC:]))
+			clo, chi := src[2][0].row(blk, w, &rows[rowC]), src[2][1].row(blk, w, &rows[rowC+1])
 			for l := range olo {
 				put(l, math.FMA(pairF64(alo, ahi, l), pairF64(blo, bhi, l), pairF64(clo, chi, l)))
 			}
@@ -538,7 +505,7 @@ func fastCmpFor(float, unsigned bool, c sass.CmpOp) fastCmp {
 // fastStep tries the row tier for one instruction: it encodes the row op, with
 // the dispatcher's handler for it, in *op and returns the op's one-op step, or
 // returns an FP64 closure (leaving *op zero), or nil when the shape falls to
-// the next tier.
+// the interpreter thunk.
 func fastStep(in *sass.Instr, rt *rowTable, op *rowOp) planStep {
 	if enc, ok := rowOpFor(in, rt); ok {
 		enc.setGuard(in.Guard)
@@ -554,7 +521,7 @@ func rowOpFor(in *sass.Instr, rt *rowTable) (op rowOp, _ bool) {
 	mods := &in.Mods
 	sem := in.Op.Info().Sem
 	if sem == sass.SemLd || sem == sass.SemSt {
-		return globalRowOp(in, rt)
+		return memRowOp(in, rt)
 	}
 	// srcs classifies the first n sources under one negation mode; the op's
 	// unused operands read the arena's zero row.
@@ -611,6 +578,31 @@ func rowOpFor(in *sass.Instr, rt *rowTable) (op rowOp, _ bool) {
 	case sass.SemMov:
 		op.shape = rsMov
 		return op, srcs(1, fnInt)
+	case sass.SemMufu:
+		op.shape, op.kern, op.lut = rsCvt, cvMufu, uint8(mods.Mufu)
+		return op, srcs(1, fnFloat)
+	case sass.SemI2F:
+		op.shape, op.kern = rsCvt, cvI2F
+		if mods.Unsigned {
+			op.kern = cvI2FU
+		}
+		return op, srcs(1, fnNone)
+	case sass.SemF2I:
+		op.shape, op.kern = rsCvt, cvF2I
+		if mods.Unsigned {
+			op.kern = cvF2IU
+		}
+		return op, srcs(1, fnFloat)
+	case sass.SemF2F:
+		op.shape, op.kern = rsCvt, cvF2FWiden
+		if mods.Width == 8 {
+			return op, srcs(1, fnFloat)
+		}
+		op.kern = cvF2FNarrow
+		srcs(0, fnNone)
+		var ok bool
+		op.src[0], op.src[1], ok = fastDSrcFor(in, 0, rt)
+		return op, ok
 	case sass.SemS2R:
 		// S2R reads Src[0].SReg whatever the operand's kind, with no
 		// negation: a pass-through of the special register's row.
@@ -734,19 +726,15 @@ func fastDFor(in *sass.Instr, rt *rowTable) planStep {
 	if !ok {
 		return nil
 	}
-	a, ok := fastDSrcFor(in, 0, rt)
-	if !ok {
-		return nil
-	}
-	b, ok := fastDSrcFor(in, 1, rt)
-	if !ok {
-		return nil
-	}
-	c := fastDSrc{}
+	var src [3][2]rowOperand
+	n := 2
 	if sem == sass.SemDFma {
-		if c, ok = fastDSrcFor(in, 2, rt); !ok {
+		n = 3
+	}
+	for i := range n {
+		if src[i][0], src[i][1], ok = fastDSrcFor(in, i, rt); !ok {
 			return nil
 		}
 	}
-	return fastDStep(op, d, d+1 != sass.RZ, a, b, c, rowPredFor(in, 2))
+	return fastDStep(op, d, d+1 != sass.RZ, src, rowPredFor(in, 2))
 }

@@ -14,13 +14,16 @@ import (
 // instruction mix: plain ALU, guarded execution, predicate sets, forward
 // branches, global loads and stores (scattered within a 256-byte buffer,
 // coalesced by thread id, or through an unconfined "fault-corrupted"
-// address), and instructions only the interpreter thunk runs: a warp
-// intrinsic (SHFL), and an ALU op, a predicate op and a conversion that batch
-// with the row ops around them (SHF, PSETP, I2I). Every byte maps to one
-// generation step, so the fuzzer can explore instruction interleavings.
+// address), the row ops only the portable executor runs (MUFU, I2F, F2I, F2F,
+// LDS and STS through a 64-byte shared window, sometimes misaligned or out of
+// bounds), the control kinds (a guarded EXIT, a uniform BAR), and
+// instructions only the interpreter thunk runs: a warp intrinsic (SHFL), RED,
+// and an ALU op, a predicate op and a conversion that batch with the row ops
+// around them (SHF, PSETP, I2I). Every three bytes map to one generation step,
+// so the fuzzer can explore instruction interleavings.
 func fuzzProgram(data []byte) string {
 	var sb strings.Builder
-	sb.WriteString(".kernel fuzz\n.param buf\n")
+	sb.WriteString(".kernel fuzz\n.param buf\n.shared 64\n")
 	sb.WriteString("    S2R R1, SR_TID.X\n")
 	sb.WriteString("    MOV R2, 0x9e3779b9\n")
 	reg := func(b byte) int { return 1 + int(b)%7 } // R1..R7
@@ -29,7 +32,7 @@ func fuzzProgram(data []byte) string {
 	for i := 0; i+2 < len(data) && emitted < 48; i += 3 {
 		op, a, b := data[i], data[i+1], data[i+2]
 		d, ra, rb := reg(a), reg(b), reg(a^b)
-		switch op % 19 {
+		switch kind := op % 27; kind {
 		case 0:
 			fmt.Fprintf(&sb, "    MOV R%d, 0x%x\n", d, uint32(a)<<8|uint32(b))
 		case 1:
@@ -77,7 +80,7 @@ func fuzzProgram(data []byte) string {
 				sb.WriteString("    SHL R8, R8, 0x2\n")
 				sb.WriteString("    IADD R8, R8, c0[buf]\n")
 			}
-			if op%19 == 12 {
+			if kind == 12 {
 				fmt.Fprintf(&sb, "    STG.32 [R8], R%d\n", rb)
 			} else {
 				fmt.Fprintf(&sb, "    LDG.32 R%d, [R8]\n", d)
@@ -102,6 +105,44 @@ func fuzzProgram(data []byte) string {
 			fmt.Fprintf(&sb, "    PSETP.XOR P1, P1, !P0\n")
 		case 18:
 			fmt.Fprintf(&sb, "    I2I.S8 R%d, R%d\n", d, ra)
+		case 19:
+			fns := []string{"RCP", "RSQ", "SQRT", "EX2", "LG2", "SIN", "COS"}
+			fmt.Fprintf(&sb, "    MUFU.%s R%d, R%d\n", fns[int(b)%len(fns)], d, ra)
+		case 20:
+			fmt.Fprintf(&sb, "    I2F%s R%d, R%d\n", []string{"", ".U32"}[b%2], d, ra)
+		case 21:
+			fmt.Fprintf(&sb, "    F2I%s R%d, %sR%d\n", []string{"", ".U32"}[b%2], d, []string{"", "-"}[b/2%2], ra)
+		case 22:
+			// Narrow the pair ra:ra+1, or widen into the pair d:d+1.
+			fmt.Fprintf(&sb, "    F2F%s R%d, %sR%d\n", []string{"", ".64"}[b%2], d, []string{"", "-"}[b/2%2], ra)
+		case 23:
+			// Shared words confined to the window, or — the fault-corrupted
+			// shape — any byte offset up to twice its size.
+			mask := 0x3c
+			if b >= 0xe0 {
+				mask = 0x7f
+			}
+			fmt.Fprintf(&sb, "    LOP.AND R9, R%d, 0x%x\n", ra, mask)
+			if a%2 == 0 {
+				fmt.Fprintf(&sb, "    STS.32 [R9], R%d\n", rb)
+			} else {
+				fmt.Fprintf(&sb, "    LDS.32 R%d, [R9]\n", d)
+			}
+		case 24:
+			fmt.Fprintf(&sb, "    LOP.AND R8, R%d, 0x3f\n", ra)
+			sb.WriteString("    SHL R8, R8, 0x2\n")
+			sb.WriteString("    IADD R8, R8, c0[buf]\n")
+			fmt.Fprintf(&sb, "    RED.%s [R8], R%d\n", []string{"ADD", "MIN", "ADD.F32"}[int(b)%3], rb)
+		case 25:
+			sb.WriteString("@P1 EXIT\n")
+		case 26:
+			// A barrier every active lane reaches: never inside a pending
+			// branch's span.
+			if skip == 0 {
+				sb.WriteString("    BAR.SYNC\n")
+			} else {
+				fmt.Fprintf(&sb, "    MOV R%d, R%d\n", d, ra)
+			}
 		}
 		emitted++
 	}
@@ -178,12 +219,18 @@ func fuzzArm(k *sass.Kernel, knob int, calls *int) *ExecKernel {
 	return ek
 }
 
-// fuzzSpecOps are the opcodes a fuzzed permanent fault may target: the fuzz
-// mix's row ops, accessor and thunk steps, and a store that may fault.
+// fuzzSpecOps are the opcodes a fuzzed permanent fault's first target is drawn
+// from: the fuzz mix's dispatchable row ops and thunk steps, and a store that
+// may fault.
 var fuzzSpecOps = []string{"IADD", "IMAD", "LOP", "SHL", "FADD", "FMUL", "ISETP", "SEL", "MOV", "LDG", "STG", "SHFL", "POPC"}
 
+// fuzzSpecExtraOps are the later arms' opcodes: the portable-only row ops and
+// RED. They are only ever a second target, so every knob's first target is
+// the same as before they joined the mix.
+var fuzzSpecExtraOps = []string{"MUFU", "I2F", "F2I", "F2F", "LDS", "RED"}
+
 // fuzzSpecFault derives a permanent fault from the knob: one or two target
-// opcodes, the SM of either block, a lane, a flipped or cleared bit, predicate
+// opcodes (the second from fuzzSpecExtraOps when the knob is 3 mod 4), the SM of either block, a lane, a flipped or cleared bit, predicate
 // complement on even knobs and a gate on every third.
 func fuzzSpecFault(knob int) (*Corruption, uint32) {
 	s := testSpec{
@@ -195,8 +242,11 @@ func fuzzSpecFault(knob int) (*Corruption, uint32) {
 		predFlip: knob%2 == 0,
 		gated:    knob%3 == 0,
 	}
-	if knob%4 == 1 {
+	switch knob % 4 {
+	case 1:
 		s.ops = append(s.ops, fuzzSpecOps[knob/4%len(fuzzSpecOps)])
+	case 3:
+		s.ops = append(s.ops, fuzzSpecExtraOps[knob/4%len(fuzzSpecExtraOps)])
 	}
 	return s.build()
 }
@@ -300,6 +350,18 @@ func FuzzXlateDifferential(f *testing.F) {
 	// guarded by the predicate PSETP rewrites, around a coalesced access.
 	f.Add([]byte{7, 1, 2, 1, 2, 3, 16, 4, 5, 3, 1, 2, 17, 0, 0, 8, 3, 3, 18, 6, 7, 9, 2, 2, 16, 2, 9, 13, 1, 0xc3, 18, 3, 4, 17, 0, 0, 10, 5, 6, 12, 4, 0xc7})
 	f.Add([]byte{16, 1, 2, 17, 0, 0, 18, 3, 4, 11, 0, 0, 16, 5, 6, 18, 7, 1, 15, 0, 0, 17, 0, 0, 8, 1, 2})
+	// The portable-only row ops, the control kinds and RED, each among row
+	// ops and under a guard that divides the warp. The first six seeds' knobs
+	// are 3 mod 4, so their permanent fault's second target is the arm's own
+	// opcode (fuzzSpecExtraOps).
+	f.Add([]byte{5, 1, 2, 19, 1, 3, 19, 2, 5, 7, 3, 4, 8, 4, 4, 19, 3, 14})
+	f.Add([]byte{0, 0x80, 1, 20, 1, 8, 20, 2, 3, 7, 1, 2, 8, 3, 3, 20, 5, 15})
+	f.Add([]byte{5, 1, 2, 6, 3, 4, 21, 1, 2, 21, 2, 3, 21, 3, 0, 21, 4, 131})
+	f.Add([]byte{5, 1, 2, 22, 1, 2, 22, 2, 3, 22, 3, 0, 7, 1, 2, 9, 4, 4, 22, 5, 140})
+	f.Add([]byte{23, 2, 1, 23, 1, 2, 1, 2, 3, 23, 4, 0xe5, 23, 3, 4, 23, 6, 0xf0, 23, 5, 0xe1, 4, 2, 22, 23, 4, 0xe2})
+	f.Add([]byte{24, 1, 2, 24, 3, 5, 7, 1, 2, 8, 2, 2, 24, 2, 1, 13, 1, 21})
+	f.Add([]byte{7, 1, 2, 25, 0, 0, 1, 2, 3, 12, 3, 4, 26, 0, 0, 13, 1, 2})
+	f.Add([]byte{1, 2, 3, 26, 0, 0, 13, 1, 2, 26, 0, 0, 23, 1, 2, 26, 0, 0, 23, 2, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 || len(data) > 256 {
 			t.Skip()

@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"reflect"
 	"sync"
@@ -106,16 +107,18 @@ func TestXlateDifferential(t *testing.T) {
 	}
 }
 
-// thunkProbe is the harness of TestXlateThunkedShapes: a prologue of row-tier
-// (and I2F / F2F accessor) instructions gives every lane distinct integer,
-// float, double and predicate operands, a guard P0 true on lanes 0..19 only,
-// a global word address R6 shared by eight lanes and a constant-bank offset
-// R7; the instruction under test follows at thunkProbeAt; the epilogue
-// stores R0..R13 and P0..P6 of every lane to the lane's own slot of buf.
+// thunkProbe is the harness of TestXlateThunkedShapes: a prologue of row ops
+// gives every lane distinct integer, float, double and predicate operands, a
+// guard P0 true on lanes 0..19 only, a global word address R6 shared by eight
+// lanes, a word offset R7 within the shared window (whose upper half the
+// prologue fills) and, in R11, the lane's own word of thunkProbeWords; the
+// instruction under test follows at thunkProbeAt; the epilogue stores R0..R13
+// and P0..P6 of every lane to the lane's own slot of buf.
 const (
 	thunkProbeHead = `
 .kernel thunked
 .param buf
+.shared 0x40
     S2R R0, SR_TID.X
     IMAD R1, R0, 0x9e3779b1, 0x7f4a7c15
     IADD R2, R0, -0x10
@@ -127,14 +130,17 @@ const (
     IADD R6, R7, c0[buf]
     F2F.64 R8, R5
     LOP.XOR R10, R1, 0x5a5a5a5a
-    MOV R11, R3
+    SHL R11, R0, 0x2
+    IADD R11, R11, c0[buf]
+    LDG.32 R11, [R11]
+    STS.32 [R7+0x20], R3
     MOV R12, 0x3c00bc00
     MOV R13, -0x1
     ISETP.LT.AND P0, R0, 0x14, PT
     ISETP.NE.AND P1, R7, 0x0, PT
     ISETP.GE.AND P2, R2, 0x0, PT
 `
-	thunkProbeAt   = 17 // the first instruction after the prologue
+	thunkProbeAt   = 20 // the first instruction after the prologue
 	thunkProbeTail = `
 done:
     IMAD R14, R0, 0x60, c0[buf]
@@ -171,18 +177,54 @@ done:
 `
 )
 
-// TestXlateThunkedShapes pins the accessor tier's boundary from the other
-// side: one instruction per semantic the accessor tier has no case for —
-// for a semantic the row tier encodes, in a shape it rejects (a predicate,
-// PT or RZ destination, a register LUT) — plus an RZ-destination IADD3 and a
-// predicate-destination LOP. Each must compile to the interpreter thunk, and a
-// translated launch around it, unguarded and under the partial guard @P0,
-// must match the interpreter on every lane's registers and predicates, on
-// memory (the atomics' words and the device digest) and on the trap. CS2R is
-// checked in TestXlateDifferential's clockmix kernel, whose clock reads
-// expose any scheduling difference.
+// thunkProbeWords are the first 64 words of the probe's buffer, one per lane
+// in R11: read as floats, NaNs (quiet and signalling, both signs), infinities,
+// signed zeros, denormals, the integer conversions' boundaries and beyond,
+// and arguments that overflow or underflow MUFU; read as integers, the
+// extremes and the words I2F must round.
+var thunkProbeWords = [64]uint32{
+	0x7fc00000, 0xffc00001, 0x7f800001, 0xff800f00, // NaNs
+	0x7f800000, 0xff800000, 0x00000000, 0x80000000, // ±Inf, ±0
+	0x00000001, 0x807fffff, 0x00400000, 0x80000001, // denormals
+	0x4effffff, 0x4f000000, 0xcf000000, 0xcf000001, // 2^31 - 128, 2^31, -2^31, below -2^31
+	0x4f7fffff, 0x4f800000, 0x4f800001, 0x5f000000, // 2^32 - 256, 2^32, above, 2^63
+	0xdf000000, 0x7f7fffff, 0xff7fffff, 0x00800000, // -2^63, ±max, min normal
+	0x3f800000, 0xbf800000, 0x3f000000, 0xbf000000, // ±1, ±0.5
+	0x3fc00000, 0xbfc00000, 0x3f7fffff, 0xbf7fffff, // ±1.5, just below ±1
+	0x43000000, 0xc3160000, 0x42fe0000, 0xc3150000, // 128, -150, 127, -149: EX2's edges
+	0x40490fdb, 0xc0490fdb, 0x49742400, 0x33800000, // ±pi, 1e6, 2^-24
+	0x7fffffff, 0x80000002, 0xffffffff, 0x01000001, // integer extremes, 2^24 + 1
+	0x00ffffff, 0xff000001, 0x7fffff80, 0x12345678,
+	0x3eaaaaab, 0x4cbebc20, 0xd0000000, 0x2f800000, // 1/3, 1e8, -2^33, 2^-32
+	0x0f000000, 0x8f000000, 0x60000000, 0xe0000000,
+	0x4b000001, 0xcb7fffff, 0x3effffff, 0xbeffffff, // 2^23 + 1, -(2^24 - 1), just below ±0.5
+	0x00000007, 0xfffffff9, 0x40000000, 0xc0000000, // ±7, ±2
+}
+
+// TestXlateThunkedShapes pins what compileStep makes of each instruction
+// shape outside the row tier's ALU and global-access mainstream, and holds
+// each to the interpreter. The thunk table has one instruction per semantic
+// no row op or control kind covers — and, for a semantic the row tier
+// encodes, a shape it rejects (a predicate, PT or RZ destination, a register
+// LUT, a load or store width or address space it has no op for, a store with
+// no value) — plus RED in each flavour: each must compile to the interpreter
+// thunk. The row-op table has MUFU, the conversions and the shared-memory
+// accesses, whose ops only the portable executor runs: every MUFU function,
+// I2F and F2I of both signednesses over thunkProbeWords' edge values, F2F in
+// both directions with negated, constant-bank, immediate and RZ-adjacent
+// operands, LDS/STS .32 misaligned and out of bounds. The control table has
+// EXIT, a branch (divergent under the guard) and BAR. A translated launch
+// around each instruction, unguarded and under the partial guard @P0, must
+// match the interpreter on every lane's registers and predicates, on memory
+// (the atomics' words and the device digest) and on the trap. CS2R is checked
+// in TestXlateDifferential's clockmix kernel, whose clock reads expose any
+// scheduling difference.
 func TestXlateThunkedShapes(t *testing.T) {
-	rows := []struct{ name, body string }{
+	type row struct{ name, body string }
+	tables := []struct {
+		tier int
+		rows []row
+	}{{tierThunk, []row{
 		{"FADD", "FADD P3, R4, R5"},
 		{"FMUL", "FMUL P3, R4, R5"},
 		{"FFMA", "FFMA P3, R4, R5, R4"},
@@ -233,39 +275,103 @@ func TestXlateThunkedShapes(t *testing.T) {
 		{"I2I", "I2I.S8 R10, R1"},
 		{"LDC", "LDC R10, [R7]"},
 		{"ATOMG", "ATOMG.ADD R10, [R6], R0"},
-		{"JMP", "JMP done\n    MOV R10, RZ"},
-		{"KILL", "KILL"},
 		{"BPT", "BPT"},
 		{"NOP", "NOP"},
 		{"MEMBAR", "MEMBAR"},
-	}
+		{"MUFU RZ", "MUFU.RCP RZ, R5"},
+		{"F2F.64 P", "F2F.64 P3, R5"},
+		{"LDG.U8", "LDG.U8 R10, [R6+0x1]"},
+		{"LDG.S16", "LDG.S16 R10, [R6+0x2]"},
+		{"LDG.128", "LDG.128 R8, [R6]"},
+		{"LDL", "LDL R10, [R7]"},
+		{"STL", "STL [R7+0x4], R1\n    LDL R10, [R7+0x4]"},
+		{"LDS.64", "LDS.64 R8, [RZ+0x20]"},
+		{"LDS.64 misaligned", "LDS.64 R8, [R7+0x20]"},
+		{"STG no value", "STG.32 [R6]"},
+		{"RED.ADD", "RED.ADD [R6], R0"},
+		{"RED.ADD.F32", "RED.ADD.F32 [R6+0x4], R5"},
+		{"RED.MIN", "RED.MIN [R6], R2"},
+		{"RED.CAS", "RED.CAS [R6], R11, R0"},
+		{"RED.CAS no swap", "RED.CAS [R6], R11"},
+	}}, {tierFast, []row{
+		{"MUFU.RCP", "MUFU.RCP R10, R11"},
+		{"MUFU.RSQ", "MUFU.RSQ R10, R11"},
+		{"MUFU.SQRT", "MUFU.SQRT R10, -R11"},
+		{"MUFU.EX2", "MUFU.EX2 R10, R11"},
+		{"MUFU.LG2", "MUFU.LG2 R10, R11"},
+		{"MUFU.SIN", "MUFU.SIN R10, R11"},
+		{"MUFU.COS", "MUFU.COS R10, c0[buf]"},
+		{"MUFU.EX2 neg", "MUFU.EX2 R11, -R5"},
+		{"I2F", "I2F R10, R11"},
+		{"I2F.U32", "I2F.U32 R11, R11"},
+		{"I2F const", "I2F R10, c0[buf]"},
+		{"F2I", "F2I R10, R11"},
+		{"F2I.U32", "F2I.U32 R10, R11"},
+		{"F2I.TRUNC neg", "F2I.TRUNC R11, -R11"},
+		{"F2I.U32 imm", "F2I.U32 R10, -1.5f"},
+		{"F2F", "F2F R10, R10"},
+		{"F2F neg", "F2F.32 R10, -R8"},
+		{"F2F const", "F2F R10, c0[buf]"},
+		{"F2F neg const", "F2F R10, -c0[buf]"},
+		{"F2F imm", "F2F R10, -1.5f"},
+		{"F2F RZ pair", "F2F R10, -R254"},
+		{"F2F RZ", "F2F R10, -RZ"},
+		{"F2F.64", "F2F.64 R8, R11"},
+		{"F2F.64 aliased", "F2F.64 R10, R11"},
+		{"F2F.64 neg", "F2F.64 R8, -R5"},
+		{"F2F.64 const", "F2F.64 R8, -c0[buf]"},
+		{"F2F.64 imm", "F2F.64 R8, 0.375f"},
+		{"F2F.64 RZ pair", "F2F.64 R254, R11\n    MOV R9, R254"},
+		{"LDS", "LDS.32 R10, [R7+0x20]"},
+		{"LDS abs", "LDS R10, [RZ+0x24]"},
+		{"LDS misaligned", "LDS.32 R10, [R0]"},
+		{"LDS out of bounds", "LDS.32 R10, [R7+0x28]"},
+		{"LDS wrapped", "LDS.32 R10, [R2]"},
+		{"STS", "STS.32 [R7], R11\n    LDS.32 R10, [R7]"},
+		{"STS abs", "STS [RZ+0x3c], R1\n    LDS R10, [RZ+0x3c]"},
+		{"STS misaligned", "STS.32 [R0], R1"},
+		{"STS out of bounds", "STS.32 [R7+0x28], R1"},
+	}}, {tierControl, []row{
+		{"EXIT", "EXIT"},
+		{"KILL", "KILL"},
+		{"BRA", "BRA done\n    MOV R10, RZ"},
+		{"JMP", "JMP done\n    MOV R10, RZ"},
+		{"BAR", "BAR.SYNC"},
+	}}}
 	setup := func(t *testing.T, d *Device) (Launch, uint32, int) {
 		const n = 0x100 + 64*0x60
-		buf := mustAllocWrite(t, d, n, make([]byte, n))
+		init := make([]byte, n)
+		for i, v := range thunkProbeWords {
+			binary.LittleEndian.PutUint32(init[4*i:], v)
+		}
+		buf := mustAllocWrite(t, d, n, init)
 		return Launch{
 			Grid:   Dim3{X: 1, Y: 1, Z: 1},
 			Block:  Dim3{X: 64, Y: 1, Z: 1},
 			Params: []uint32{buf},
 		}, buf, n
 	}
-	for _, row := range rows {
-		for _, guard := range []struct{ name, text string }{{"plain", "    "}, {"guarded", "@P0 "}} {
-			t.Run(row.name+"/"+guard.name, func(t *testing.T) {
-				src := thunkProbeHead + guard.text + row.body + "\n" + thunkProbeTail
-				plan, err := translate(mustKernel(t, src, "thunked"))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if tier := plan.steps[thunkProbeAt].tier; tier != tierThunk {
-					t.Errorf("%s compiles to tier %d, want the interpreter thunk", row.body, tier)
-				}
-				ref, refDig := runWithEngine(t, src, "thunked", true, false, setup)
-				got, gotDig := runWithEngine(t, src, "thunked", false, false, setup)
-				expectSame(t, "translated", ref, got)
-				if refDig != gotDig {
-					t.Errorf("device digest: translated %#x, interpreted %#x", gotDig, refDig)
-				}
-			})
+	for _, tab := range tables {
+		for _, row := range tab.rows {
+			for _, guard := range []struct{ name, text string }{{"plain", "    "}, {"guarded", "@P0 "}} {
+				t.Run(row.name+"/"+guard.name, func(t *testing.T) {
+					src := thunkProbeHead + guard.text + row.body + "\n" + thunkProbeTail
+					k := mustKernel(t, src, "thunked")
+					plan, err := translate(k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if tier := tierOf(plan, &k.Instrs[thunkProbeAt], thunkProbeAt); tier != tab.tier {
+						t.Errorf("%s compiles to tier %d, want %d", row.body, tier, tab.tier)
+					}
+					ref, refDig := runWithEngine(t, src, "thunked", true, false, setup)
+					got, gotDig := runWithEngine(t, src, "thunked", false, false, setup)
+					expectSame(t, "translated", ref, got)
+					if refDig != gotDig {
+						t.Errorf("device digest: translated %#x, interpreted %#x", gotDig, refDig)
+					}
+				})
+			}
 		}
 	}
 	k := mustKernel(t, clockMixSrc, "clockmix")
@@ -274,8 +380,8 @@ func TestXlateThunkedShapes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range k.Instrs {
-		if k.Instrs[i].Op.Info().Sem == sass.SemCS2R && plan.steps[i].tier != tierThunk {
-			t.Errorf("clockmix: CS2R at %d compiles to tier %d, want the interpreter thunk", i, plan.steps[i].tier)
+		if k.Instrs[i].Op.Info().Sem == sass.SemCS2R && tierOf(plan, &k.Instrs[i], i) != tierThunk {
+			t.Errorf("clockmix: CS2R at %d compiles to tier %d, want the interpreter thunk", i, tierOf(plan, &k.Instrs[i], i))
 		}
 	}
 }
