@@ -181,7 +181,8 @@ type AdaptiveResult struct {
 
 // runAdaptiveCampaign is the in-process adaptive loop: run shards in order,
 // evaluate the stopping rule at each boundary on the accumulated tally, and
-// stop at the first shard where the pooled estimate converges.
+// stop at the first shard where the pooled estimate converges. The tally it
+// merged shard by shard must be conserved over the runs, as the result's own.
 func runAdaptiveCampaign(ctx context.Context, plan *ShardPlan) (*CampaignResult, error) {
 	cfg := plan.cfg
 	var all []RunResult
@@ -208,7 +209,13 @@ func runAdaptiveCampaign(ctx context.Context, plan *ShardPlan) (*CampaignResult,
 			break
 		}
 	}
-	res, _ := plan.summarize(all, nil) // every shard above completed
+	res, err := plan.summarize(all, nil) // every shard above completed
+	if err != nil {
+		return nil, err
+	}
+	if err := conserved(acc, len(all)); err != nil {
+		return nil, err
+	}
 	res.Adaptive = &AdaptiveResult{
 		TargetCI:      cfg.TargetCI,
 		Confidence:    cfg.Confidence,

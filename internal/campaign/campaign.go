@@ -173,7 +173,7 @@ type Classification struct {
 	// CUDAError is the sticky context error, if any.
 	CUDAError cuda.Error
 	// DeviceLogEvents counts device-log entries emitted during the run.
-	DeviceLogEvents int
+	DeviceLogEvents int32
 }
 
 // String renders e.g. "SDC (output file is different) [potential DUE]".
@@ -197,7 +197,7 @@ func (c Classification) String() string {
 func Classify(w Workload, golden, observed *Output, runErr error, ctx *cuda.Context) Classification {
 	cls := Classification{
 		CUDAError:       ctx.LastError(),
-		DeviceLogEvents: len(ctx.DeviceLog()),
+		DeviceLogEvents: int32(len(ctx.DeviceLog())),
 	}
 	if runErr != nil {
 		cls.Outcome, cls.Symptom = DUE, SymptomCrash

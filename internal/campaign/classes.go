@@ -80,7 +80,7 @@ func (cl *classer) classOf(p core.TransientParams) *sassan.Class {
 func classAnsweredResult(rep *RunResult, golden *GoldenResult, p core.TransientParams) RunResult {
 	rec := core.InjectionRecord{
 		Kernel:    p.KernelName,
-		InstrIdx:  p.StaticInstrIdx,
+		InstrIdx:  int32(p.StaticInstrIdx),
 		Activated: rep.Injection.Activated,
 	}
 	if k := golden.Kernels[p.KernelName]; k != nil {

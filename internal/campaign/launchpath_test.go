@@ -186,7 +186,7 @@ func summarizeLaunchPath(t *testing.T, res *campaign.CampaignResult) launchPathG
 		g.Stats.ThreadInstrs += run.Stats.ThreadInstrs
 		g.Stats.TrampolineInstrs += run.Stats.TrampolineInstrs
 		g.Stats.Blocks += run.Stats.Blocks
-		fmt.Fprintf(h, "%d %+v %+v %d %+v %v %v\n", i, run.Class, run.Injection, run.Activations,
+		fmt.Fprintf(h, "%d %+v %s %d %+v %v %v\n", i, run.Class, recordText(&run.Injection), run.Activations,
 			run.Stats, run.Restored, run.EarlyExit)
 	}
 	if res.Weighted != nil {
@@ -196,6 +196,15 @@ func summarizeLaunchPath(t *testing.T, res *campaign.CampaignResult) launchPathG
 	}
 	g.Runs = hex.EncodeToString(h.Sum(nil))
 	return g
+}
+
+// recordText renders an injection record the way %+v did when the golden
+// file was recorded, field by field in that order, so the digest covers the
+// record's values and not the order its fields are declared (packed) in.
+func recordText(r *core.InjectionRecord) string {
+	return fmt.Sprintf("{Activated:%v NoDestination:%v Kernel:%s InstrIdx:%d Opcode:%v SMID:%d BlockLin:%d WarpID:%d Lane:%d Target:%s Before:%d After:%d Mask:%d PredValue:%v}",
+		r.Activated, r.NoDestination, r.Kernel, r.InstrIdx, r.Opcode, r.SMID, r.BlockLin, r.WarpID, r.Lane,
+		r.Target, r.Before, r.After, r.Mask, r.PredValue)
 }
 
 // experimentAllocCeilings are the committed per-experiment allocation

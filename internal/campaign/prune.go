@@ -78,7 +78,7 @@ func (pr *pruner) prunable(p core.TransientParams) bool {
 func prunedResult(golden *GoldenResult, p core.TransientParams) RunResult {
 	rec := core.InjectionRecord{
 		Kernel:   p.KernelName,
-		InstrIdx: p.StaticInstrIdx,
+		InstrIdx: int32(p.StaticInstrIdx),
 	}
 	if k := golden.Kernels[p.KernelName]; k != nil {
 		rec.Opcode = k.Instrs[p.StaticInstrIdx].Op

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -252,18 +253,11 @@ func (r Runner) ProfileContext(hostCtx context.Context, w Workload, mode core.Pr
 	return prof.Finish(), d, nil
 }
 
-// RunResult is one injection experiment's result.
+// RunResult is one injection experiment's result. A campaign result holds
+// one per experiment for as long as it lives, so the fields are packed
+// (160 bytes): the one-byte fields sit together, beside Activations.
 type RunResult struct {
 	Class Classification
-	// Injection is what the injector reports it did: every fault model maps
-	// its outcome onto the transient record's shape; the permanent fault of
-	// RunPermanent reports the zero record.
-	Injection core.InjectionRecord
-	// Activations counts fault-site exercises for models with repeated
-	// activation (permanent, stuck, memory); zero for single-shot models.
-	Activations uint64
-	Duration    time.Duration
-	Stats       gpu.LaunchStats
 	// Pruned marks an experiment that never executed: static liveness
 	// analysis proved the injection target dead, so the classification was
 	// synthesized (Masked, golden-run anomaly state) instead of measured.
@@ -275,15 +269,25 @@ type RunResult struct {
 	// digest re-converged with the golden trajectory at a checkpoint
 	// boundary, so its tail was settled from the recording.
 	EarlyExit bool
+	// ClassAnswered marks an experiment that never executed: its class
+	// representative ran in its place and this result inherits that
+	// classification.
+	ClassAnswered bool
+	// Activations counts fault-site exercises for models with repeated
+	// activation (permanent, stuck, memory), saturating at 2^32-1; zero for
+	// single-shot models.
+	Activations uint32
+	// Injection is what the injector reports it did: every fault model maps
+	// its outcome onto the transient record's shape; the permanent fault of
+	// RunPermanent reports the zero record.
+	Injection core.InjectionRecord
+	Duration  time.Duration
+	Stats     gpu.LaunchStats
 	// ClassID names the fault-equivalence class this run belongs to when
 	// class-representative sampling is on (empty otherwise). IDs are
 	// kernel-local content hashes; qualify with Injection.Kernel to compare
 	// across kernels.
 	ClassID string
-	// ClassAnswered marks an experiment that never executed: its class
-	// representative ran in its place and this result inherits that
-	// classification.
-	ClassAnswered bool
 	// Stratum is the sampling stratum this run's injection site falls in
 	// when the campaign runs with adaptive stratified sampling
 	// ("kernel:classID", or "~" for unclassable sites). Empty otherwise.
@@ -345,7 +349,7 @@ func (r Runner) run(ctx context.Context, w Workload, golden *GoldenResult, inj f
 	return &RunResult{
 		Class:       Classify(w, golden.Output, out, runErr, cctx),
 		Injection:   inj.Record(),
-		Activations: inj.Activations(),
+		Activations: uint32(min(inj.Activations(), math.MaxUint32)),
 		Duration:    d,
 		Stats:       cctx.AccumulatedStats(),
 		Restored:    cctx.ReplayRestored(),
@@ -721,7 +725,8 @@ func RunPermanentCampaign(ctx context.Context, r Runner, w Workload, golden *Gol
 
 // summarize folds the runs that completed (errs[i] == nil) into a campaign
 // result and returns it with the other runs' errors joined: a campaign with
-// failed or cancelled experiments degrades to its partial result.
+// failed or cancelled experiments degrades to its partial result. A tally
+// that is not conserved is an error, with no result.
 func summarize(name string, golden *GoldenResult, results []RunResult, errs []error,
 	weighted *stats.WeightedTally) (*CampaignResult, error) {
 	err := errors.Join(errs...)
@@ -733,6 +738,9 @@ func summarize(name string, golden *GoldenResult, results []RunResult, errs []er
 		// Fig. 3 weighs every opcode's outcome, fired on the target lane or
 		// not; a permanent campaign has never counted NotActivated.
 		tally.NotActivated = 0
+	}
+	if cerr := conserved(tally, len(results)); cerr != nil {
+		return nil, errors.Join(err, cerr)
 	}
 	var total time.Duration
 	durs := make([]time.Duration, 0, len(results))
@@ -753,6 +761,19 @@ func summarize(name string, golden *GoldenResult, results []RunResult, errs []er
 		TotalRunTime:  total,
 		MedianRunTime: median(durs),
 	}, err
+}
+
+// conserved checks a tally before a campaign returns it: its counters agree
+// with one another (Tally.Check), and N counts exactly the runs it was folded
+// from.
+func conserved(t *Tally, runs int) error {
+	if err := t.Check(); err != nil {
+		return err
+	}
+	if t.N != runs {
+		return fmt.Errorf("campaign: tally counts %d runs, %d completed", t.N, runs)
+	}
+	return nil
 }
 
 func median(d []time.Duration) time.Duration {

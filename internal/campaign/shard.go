@@ -224,7 +224,9 @@ func (pl *ShardPlan) runOne(ctx context.Context, p core.TransientParams) (*RunRe
 // summarize is summarize over the plan's campaign, echoing its fault model.
 func (pl *ShardPlan) summarize(results []RunResult, errs []error) (*CampaignResult, error) {
 	res, err := summarize(pl.w.Name(), pl.golden, results, errs, nil)
-	res.Model, res.ModelParam = pl.cfg.Model, pl.cfg.ModelParam
+	if res != nil {
+		res.Model, res.ModelParam = pl.cfg.Model, pl.cfg.ModelParam
+	}
 	return res, err
 }
 

@@ -9,7 +9,10 @@ import (
 )
 
 // InjectionRecord reports what a transient injection actually did — the
-// per-run log NVBitFI writes for later analysis.
+// per-run log NVBitFI writes for later analysis. A campaign result keeps one
+// per experiment for as long as it lives, so the fields are packed: the
+// indices are 32-bit, as the simulated GPU's are, and the one-byte fields sit
+// together (72 bytes, not 104).
 type InjectionRecord struct {
 	// Activated is true when the targeted dynamic instruction was reached
 	// and the corruption applied. With approximate profiles the selected
@@ -19,19 +22,19 @@ type InjectionRecord struct {
 	// NoDestination is true when the target instruction writes no register
 	// (a G_NODEST selection): the fault model has nothing to corrupt.
 	NoDestination bool
+	PredValue     bool // post-corruption value for predicate targets
+	Opcode        sass.Op
 
-	Kernel    string
-	InstrIdx  int
-	Opcode    sass.Op
-	SMID      int
-	BlockLin  int
-	WarpID    int
-	Lane      int
-	Target    string // corrupted register name
-	Before    uint32
-	After     uint32
-	Mask      uint32
-	PredValue bool // post-corruption value for predicate targets
+	InstrIdx int32
+	SMID     int32
+	BlockLin int32
+	WarpID   int32
+	Lane     int32
+	Before   uint32
+	After    uint32
+	Mask     uint32
+	Kernel   string
+	Target   string // corrupted register name
 }
 
 // TransientInjector is the injector.so analog: it corrupts the destination
@@ -189,12 +192,12 @@ func CorruptDestN(rec *InjectionRecord, c *gpu.InstrCtx, instrIdx, lane int,
 	*rec = InjectionRecord{
 		Activated: true,
 		Kernel:    c.Kernel.Name,
-		InstrIdx:  instrIdx,
+		InstrIdx:  int32(instrIdx),
 		Opcode:    c.Instr.Op,
-		SMID:      c.SMID,
-		BlockLin:  c.BlockLin,
-		WarpID:    c.WarpID,
-		Lane:      lane,
+		SMID:      int32(c.SMID),
+		BlockLin:  int32(c.BlockLin),
+		WarpID:    int32(c.WarpID),
+		Lane:      int32(lane),
 	}
 	var buf sass.FaultTargetBuf
 	targets := c.Instr.FaultTargets(buf[:0])

@@ -163,11 +163,11 @@ func (f *memfaultInjector) arm(c *gpu.InstrCtx) {
 	f.rec = core.InjectionRecord{
 		Activated: true,
 		Kernel:    c.Kernel.Name,
-		InstrIdx:  f.p.StaticInstrIdx,
+		InstrIdx:  int32(f.p.StaticInstrIdx),
 		Opcode:    c.Instr.Op,
-		SMID:      c.SMID,
-		BlockLin:  c.BlockLin,
-		WarpID:    c.WarpID,
+		SMID:      int32(c.SMID),
+		BlockLin:  int32(c.BlockLin),
+		WarpID:    int32(c.WarpID),
 		Mask:      f.mask,
 	}
 	spans := c.Dev.Mem.Spans()

@@ -227,12 +227,12 @@ func (o *opsubInjector) after(c *gpu.InstrCtx) {
 	o.rec = core.InjectionRecord{
 		Activated: true,
 		Kernel:    c.Kernel.Name,
-		InstrIdx:  o.p.StaticInstrIdx,
+		InstrIdx:  int32(o.p.StaticInstrIdx),
 		Opcode:    c.Instr.Op,
-		SMID:      c.SMID,
-		BlockLin:  c.BlockLin,
-		WarpID:    c.WarpID,
-		Lane:      o.lane,
+		SMID:      int32(c.SMID),
+		BlockLin:  int32(c.BlockLin),
+		WarpID:    int32(c.WarpID),
+		Lane:      int32(o.lane),
 	}
 	var dst sass.RegID
 	found := false

@@ -142,12 +142,12 @@ func (f *predflipInjector) corrupt(c *gpu.InstrCtx, lane int) {
 	f.rec = core.InjectionRecord{
 		Activated: true,
 		Kernel:    c.Kernel.Name,
-		InstrIdx:  f.p.StaticInstrIdx,
+		InstrIdx:  int32(f.p.StaticInstrIdx),
 		Opcode:    c.Instr.Op,
-		SMID:      c.SMID,
-		BlockLin:  c.BlockLin,
-		WarpID:    c.WarpID,
-		Lane:      lane,
+		SMID:      int32(c.SMID),
+		BlockLin:  int32(c.BlockLin),
+		WarpID:    int32(c.WarpID),
+		Lane:      int32(lane),
 	}
 	var preds []sass.PredID
 	if f.guard {

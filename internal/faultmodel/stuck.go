@@ -165,10 +165,10 @@ func (s *stuckInjector) Record() core.InjectionRecord {
 	return core.InjectionRecord{
 		Activated: s.Corruptions() > 0,
 		Kernel:    s.p.KernelName,
-		InstrIdx:  s.p.StaticInstrIdx,
+		InstrIdx:  int32(s.p.StaticInstrIdx),
 		Opcode:    s.op,
-		SMID:      s.P.SMID,
-		Lane:      s.P.Lane,
+		SMID:      int32(s.P.SMID),
+		Lane:      int32(s.P.Lane),
 		Mask:      s.P.BitMask,
 	}
 }

@@ -20,13 +20,11 @@ func (blk *blockCtx) exec(w *warp, in *sass.Instr, pc int, execMask uint32) (bar
 	switch info.Sem {
 	// --- FP32 arithmetic ---
 	case sass.SemFAdd:
-		return e.perLaneF(execMask, func(l int) float32 { return e.fsrc(l, 0) + e.fsrc(l, 1) })
+		return e.perLaneF(execMask, func(l int) float32 { return fadd32(e.fsrc(l, 0), e.fsrc(l, 1)) })
 	case sass.SemFMul:
-		return e.perLaneF(execMask, func(l int) float32 { return e.fsrc(l, 0) * e.fsrc(l, 1) })
+		return e.perLaneF(execMask, func(l int) float32 { return fmul32(e.fsrc(l, 0), e.fsrc(l, 1)) })
 	case sass.SemFFma:
-		return e.perLaneF(execMask, func(l int) float32 {
-			return float32(float64(e.fsrc(l, 0))*float64(e.fsrc(l, 1)) + float64(e.fsrc(l, 2)))
-		})
+		return e.perLaneF(execMask, func(l int) float32 { return ffma32(e.fsrc(l, 0), e.fsrc(l, 1), e.fsrc(l, 2)) })
 	case sass.SemFMnMx:
 		return e.perLaneF(execMask, func(l int) float32 {
 			a, b := e.fsrc(l, 0), e.fsrc(l, 1)
@@ -755,6 +753,54 @@ func fmax(a, b float32) float32 {
 }
 
 func isNaN32(f float32) bool { return f != f }
+
+// The FP32 NaN rule: FADD, FMUL and FFMA return their first NaN operand in
+// source order, quieted — what x86's scalar and packed float instructions do
+// with their first source, and so the dispatcher's handlers. Go's + and * on
+// float32 leave the rule to the compiler, which may swap the operands of a
+// commutative operator, so the interpreter and the portable loops apply it
+// themselves. A NaN an operation makes from numbers (∞ − ∞, 0 × ∞) is the
+// processor's default NaN either way.
+func quiet32(f float32) float32 { return math.Float32frombits(math.Float32bits(f) | 1<<22) }
+
+func fadd32(a, b float32) float32 {
+	switch {
+	case isNaN32(a):
+		return quiet32(a)
+	case isNaN32(b):
+		return quiet32(b)
+	}
+	return a + b
+}
+
+func fmul32(a, b float32) float32 {
+	switch {
+	case isNaN32(a):
+		return quiet32(a)
+	case isNaN32(b):
+		return quiet32(b)
+	}
+	return a * b
+}
+
+// ffma32 is FFMA's float32(float64(a)*float64(b) + float64(c)): the product
+// is the sum's first operand, so a product 0 × ∞ makes wins over a NaN c.
+func ffma32(a, b, c float32) float32 {
+	switch {
+	case isNaN32(a):
+		return quiet32(a)
+	case isNaN32(b):
+		return quiet32(b)
+	}
+	p := float64(a) * float64(b)
+	switch {
+	case p != p:
+		return float32(p)
+	case isNaN32(c):
+		return quiet32(c)
+	}
+	return float32(p + float64(c))
+}
 
 func isInf32(f float32) bool { return f > math.MaxFloat32 || f < -math.MaxFloat32 }
 

@@ -8,12 +8,21 @@ import "repro/internal/sass"
 // GlobalAccesses are the LDG/STG .32/.64 instructions with a `[Rx+off]` or
 // `[off]` address, MemOps those of them that are dispatchable row ops.
 // ControlOps, ThunkOps and PortableOps count by opcode the control kinds, the
-// thunked instructions and the row ops without a handler.
+// thunked instructions and the row ops without a handler; a MUFU counts under
+// its function ("MUFU.LG2"), which decides whether it has one.
 type TierCounts struct {
 	Fast, Control, Thunk              int
 	RowOps, Dispatchable              int
 	GlobalAccesses, MemOps            int
-	ControlOps, ThunkOps, PortableOps map[sass.Op]int
+	ControlOps, ThunkOps, PortableOps map[string]int
+}
+
+// censusKey is an instruction's opcode, with MUFU's function.
+func censusKey(in *sass.Instr) string {
+	if in.Op.Info().Sem == sass.SemMufu {
+		return in.Op.String() + "." + in.Mods.Mufu.String()
+	}
+	return in.Op.String()
 }
 
 // Translation tiers: what compileStep made of an instruction.
@@ -44,7 +53,7 @@ func TierCensus(k *sass.Kernel) (c TierCounts, err error) {
 	if err != nil {
 		return c, err
 	}
-	c.ControlOps, c.ThunkOps, c.PortableOps = map[sass.Op]int{}, map[sass.Op]int{}, map[sass.Op]int{}
+	c.ControlOps, c.ThunkOps, c.PortableOps = map[string]int{}, map[string]int{}, map[string]int{}
 	for i := range plan.steps {
 		in := &k.Instrs[i]
 		switch tierOf(plan, in, i) {
@@ -52,10 +61,10 @@ func TierCensus(k *sass.Kernel) (c TierCounts, err error) {
 			c.Fast++
 		case tierControl:
 			c.Control++
-			c.ControlOps[in.Op]++
+			c.ControlOps[censusKey(in)]++
 		default:
 			c.Thunk++
-			c.ThunkOps[in.Op]++
+			c.ThunkOps[censusKey(in)]++
 		}
 		op := &plan.ops[i]
 		if op.shape != rsNone {
@@ -63,7 +72,7 @@ func TierCensus(k *sass.Kernel) (c TierCounts, err error) {
 			if op.dispatchable() {
 				c.Dispatchable++
 			} else {
-				c.PortableOps[in.Op]++
+				c.PortableOps[censusKey(in)]++
 			}
 		}
 		info := in.Op.Info()

@@ -170,10 +170,13 @@ type gmemPattern struct {
 	addr func(b uint32, l int) uint32
 }
 
-// gmemPatterns are the 14 address patterns — coalesced, misaligned,
-// page-straddling, at the allocation's tail and past it, before its head,
+// gmemPatterns are the 19 address patterns — coalesced, misaligned,
+// page-straddling (by many lanes or the last one alone), at the allocation's
+// tail and past it (by many lanes or the last one alone), before its head,
 // unmapped, wrapping around the address space, reversed, strided, scattered,
-// conflicting, and coalesced but for one misaligned or one out-of-bounds lane.
+// conflicting, coalesced but for one misaligned or one out-of-bounds lane,
+// and one address for every lane (a load's broadcast), misaligned, or but for
+// one lane.
 func gmemPatterns(stride uint32) []gmemPattern {
 	buf := gmemBases[gmemBufIdx]
 	end := buf + gmemBuf
@@ -184,6 +187,8 @@ func gmemPatterns(stride uint32) []gmemPattern {
 		{"page-straddle", func(b uint32, l int) uint32 { return b + memPageSize - 5*s + s*uint32(l) }},
 		{"alloc-tail", func(_ uint32, l int) uint32 { return end - 32*s + s*uint32(l) }},
 		{"oob-tail", func(_ uint32, l int) uint32 { return end - 20*s + s*uint32(l) }},
+		{"oob-last-lane", func(_ uint32, l int) uint32 { return end - 31*s + s*uint32(l) }},
+		{"straddle-last-lane", func(b uint32, l int) uint32 { return b + memPageSize - 31*s + s*uint32(l) }},
 		{"oob-head", func(_ uint32, l int) uint32 { return buf - 3*s + s*uint32(l) }},
 		{"unmapped", func(_ uint32, l int) uint32 { return 0x40 + s*uint32(l) }},
 		{"wraparound", func(_ uint32, l int) uint32 { return s*uint32(l) - 16*s }},
@@ -202,6 +207,14 @@ func gmemPatterns(stride uint32) []gmemPattern {
 				return end
 			}
 			return b + 64 + s*uint32(l)
+		}},
+		{"uniform", func(b uint32, _ int) uint32 { return b + 128 }},
+		{"uniform-misaligned", func(b uint32, _ int) uint32 { return b + 130 }},
+		{"uniform-but-one", func(b uint32, l int) uint32 {
+			if l == 21 {
+				return b + 128 + s
+			}
+			return b + 128
 		}},
 	}
 }
@@ -258,7 +271,7 @@ func gmemStretch(access sass.Instr, pos int) []sass.Instr {
 
 // TestRowTierGlobalAccess holds LDG/STG .32/.64 to the interpreter — through
 // the dispatcher (on amd64 with AVX2) and the portable executor, bit for bit,
-// and both against the interpreter — on the 14 address patterns, at the
+// and both against the interpreter — on the 19 address patterns, at the
 // first, a middle and the last position of a stretch, on shared, private and
 // never-written pages, with and without a memory offset, under every mask:
 // registers, memory bytes and page states, the snapshot's bytes, trap kind,

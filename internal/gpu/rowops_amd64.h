@@ -1,10 +1,11 @@
 // AVX2 row-kernel bodies (DESIGN.md section 3.11, "Row kernels"). A row is 32
 // uint32 lanes, 128 bytes: four 256-bit vectors. Every body is written once,
-// here. The ALU and compare bodies are entered one way only: by the handlers
-// of the row-program dispatcher (rowprog_amd64.s), which find their operands
-// in the registers below and blend the result under the exec mask. The
-// utility bodies (broadcast, mask expansion, negation, the stride test, the
-// masked moves) are entered by the dispatcher and by the Go-callable row*AVX2
+// here. The ALU, compare and MUFU bodies, the MUFU range check and the
+// broadcast loads are entered one way only: by the row-program dispatcher
+// (rowprog_amd64.s) and its handlers, which find their operands in the
+// registers below and blend the result under the exec mask. The utility
+// bodies (broadcast, mask expansion, negation, the stride test, the masked
+// moves) are entered by the dispatcher and by the Go-callable row*AVX2
 // functions of rowops_amd64.s, which load their arguments into those
 // registers.
 //
@@ -186,6 +187,163 @@ committed:
 	FFMA8(32, X1, Y1); \
 	FFMA8(64, X2, Y2); \
 	FFMA8(96, X3, Y3)
+
+// The MUFU bodies: float32(f(float64(x))) four lanes at a time, exactly the
+// interpreter's mufu. VCVTPS2PD widens as Go's float64(float32) does (exact,
+// quieting a signalling NaN), VDIVPD, VSQRTPD, VMULPD, VADDPD and VSUBPD round
+// as the scalar DIVSD, SQRTSD, MULSD, ADDSD and SUBSD of compiled Go do (Go's
+// amd64 backend fuses no multiply-add it is not asked to), and VCVTPD2PS
+// narrows as float32(float64) does. Each 4-lane body F4(off, X) reads x's four
+// lanes at byte offset off of the row at SI, leaves the result in X and uses
+// Y4-Y13; MUFUROW joins eight of them into Y0-Y3 through Y15. MC(k) is the
+// vector of constant k of mufuConsts.
+#define MC(k) ·mufuConsts+((k)*32)(SB)
+
+#define MUFUROW(F4) \
+	F4(0, X0); \
+	F4(16, X15); \
+	VINSERTI128 $1, X15, Y0, Y0; \
+	F4(32, X1); \
+	F4(48, X15); \
+	VINSERTI128 $1, X15, Y1, Y1; \
+	F4(64, X2); \
+	F4(80, X15); \
+	VINSERTI128 $1, X15, Y2, Y2; \
+	F4(96, X3); \
+	F4(112, X15); \
+	VINSERTI128 $1, X15, Y3, Y3
+
+// RCP4 is 1/x, RSQ4 1/sqrt(x), SQRT4 sqrt(x).
+#define RCP4(off, X) \
+	VCVTPS2PD  off(SI), Y5; \
+	VMOVUPD    MC(const_mcOne), Y4; \
+	VDIVPD     Y5, Y4, Y5; \
+	VCVTPD2PSY Y5, X
+
+#define RSQ4(off, X) \
+	VCVTPS2PD  off(SI), Y5; \
+	VSQRTPD    Y5, Y5; \
+	VMOVUPD    MC(const_mcOne), Y4; \
+	VDIVPD     Y5, Y4, Y5; \
+	VCVTPD2PSY Y5, X
+
+#define SQRT4(off, X) \
+	VCVTPS2PD  off(SI), Y5; \
+	VSQRTPD    Y5, Y5; \
+	VCVTPD2PSY Y5, X
+
+// SIN4 and COS4 replay math/sin.go's sin and cos for arguments below
+// reduceThreshold (2^29), NaN and ±Inf excluded: the dispatcher checks that
+// (TRIGRANGE) before it runs the handler. TRIGREDUCE4 is the shared head:
+// Y4 = x; Y5 = |x|; X7 = j = trunc(|x|·(4/π)) (VCVTTPD2DQ: |x|·(4/π) < 2^31),
+// odd j bumped to the next even one, whose bits 1 and 2 are all the octant
+// rules read (j&7 drops none of them); Y10 = y = float64(j); Y8 = z =
+// ((|x| − y·PI4A) − y·PI4B) − y·PI4C; Y9 = zz = z·z.
+#define TRIGREDUCE4(off) \
+	VCVTPS2PD   off(SI), Y4; \
+	VANDPD      MC(const_mcAbs), Y4, Y5; \
+	VMULPD      MC(const_mcFourOverPi), Y5, Y7; \
+	VCVTTPD2DQY Y7, X7; \
+	VPSLLD      $31, X7, X10; \
+	VPSRLD      $31, X10, X10; \
+	VPADDD      X10, X7, X7; \
+	VCVTDQ2PD   X7, Y10; \
+	VMULPD      MC(const_mcPi4A), Y10, Y11; \
+	VSUBPD      Y11, Y5, Y8; \
+	VMULPD      MC(const_mcPi4B), Y10, Y11; \
+	VSUBPD      Y11, Y8, Y8; \
+	VMULPD      MC(const_mcPi4C), Y10, Y11; \
+	VSUBPD      Y11, Y8, Y8; \
+	VMULPD      Y8, Y8, Y9
+
+// TRIGPOLY4 evaluates both polynomials in Go's association:
+// Y10 = z + z·zz·((((((s0·zz)+s1)·zz+s2)·zz+s3)·zz+s4)·zz+s5) and
+// Y11 = 1 − 0.5·zz + zz·zz·((((((c0·zz)+c1)·zz+c2)·zz+c3)·zz+c4)·zz+c5).
+#define TRIGPOLY4 \
+	VMULPD MC(const_mcSin0), Y9, Y10; \
+	VADDPD MC(const_mcSin0+1), Y10, Y10; \
+	VMULPD Y9, Y10, Y10; \
+	VADDPD MC(const_mcSin0+2), Y10, Y10; \
+	VMULPD Y9, Y10, Y10; \
+	VADDPD MC(const_mcSin0+3), Y10, Y10; \
+	VMULPD Y9, Y10, Y10; \
+	VADDPD MC(const_mcSin0+4), Y10, Y10; \
+	VMULPD Y9, Y10, Y10; \
+	VADDPD MC(const_mcSin0+5), Y10, Y10; \
+	VMULPD Y9, Y8, Y11; \
+	VMULPD Y10, Y11, Y11; \
+	VADDPD Y11, Y8, Y10; \
+	VMULPD MC(const_mcCos0), Y9, Y11; \
+	VADDPD MC(const_mcCos0+1), Y11, Y11; \
+	VMULPD Y9, Y11, Y11; \
+	VADDPD MC(const_mcCos0+2), Y11, Y11; \
+	VMULPD Y9, Y11, Y11; \
+	VADDPD MC(const_mcCos0+3), Y11, Y11; \
+	VMULPD Y9, Y11, Y11; \
+	VADDPD MC(const_mcCos0+4), Y11, Y11; \
+	VMULPD Y9, Y11, Y11; \
+	VADDPD MC(const_mcCos0+5), Y11, Y11; \
+	VMULPD Y9, Y9, Y12; \
+	VMULPD Y11, Y12, Y12; \
+	VMULPD MC(const_mcHalf), Y9, Y11; \
+	VMOVUPD MC(const_mcOne), Y13; \
+	VSUBPD Y11, Y13, Y11; \
+	VADDPD Y12, Y11, Y11
+
+// OCTANTBIT sign-extends bit B of the 32-bit lanes in XS into the 64-bit
+// lanes of Y12: all ones where it is set, the blend and sign mask of a lane.
+#define OCTANTBIT(B, XS) \
+	VPSLLD    $(31-B), XS, X12; \
+	VPMOVSXDQ X12, Y12
+
+// SIN4: octants with j&2 take the cosine polynomial; the sign is x's, flipped
+// when j&4 (a sin(−x) = −sin(x) folded with Go's reflection in the x axis).
+// ±0 comes out as itself, as Go's early return gives it.
+#define SIN4(off, X) \
+	TRIGREDUCE4(off); \
+	TRIGPOLY4; \
+	OCTANTBIT(1, X7); \
+	VBLENDVPD  Y12, Y11, Y10, Y10; \
+	OCTANTBIT(2, X7); \
+	VXORPD     Y4, Y12, Y12; \
+	VANDPD     MC(const_mcSign), Y12, Y12; \
+	VXORPD     Y12, Y10, Y10; \
+	VCVTPD2PSY Y10, X
+
+// COS4: octants with j&2 take the sine polynomial; the sign flips when
+// exactly one of j&4 and j&2 is set.
+#define COS4(off, X) \
+	TRIGREDUCE4(off); \
+	TRIGPOLY4; \
+	OCTANTBIT(1, X7); \
+	VBLENDVPD  Y12, Y10, Y11, Y11; \
+	VPSRLD     $1, X7, X13; \
+	VPXOR      X7, X13, X13; \
+	OCTANTBIT(1, X13); \
+	VANDPD     MC(const_mcSign), Y12, Y12; \
+	VXORPD     Y12, Y11, Y11; \
+	VCVTPD2PSY Y11, X
+
+// TRIGRANGE leaves Y5 nonzero when some lane selected by the row at BX has an
+// x (the row at SI) SIN4 and COS4 do not cover: |x| ≥ 2^29, ±Inf or NaN — a
+// float32 whose bits, sign cleared, exceed 0x4dffffff. It uses AX.
+#define TRIGRANGEV(off) \
+	VPAND    off(SI), Y6, Y0; \
+	VPCMPGTD Y7, Y0, Y0; \
+	VPAND    off(BX), Y0, Y0; \
+	VPOR     Y0, Y5, Y5
+
+#define TRIGRANGE \
+	VPCMPEQD     Y6, Y6, Y6; \
+	VPSRLD       $1, Y6, Y6; \
+	MOVL         $0x4dffffff, AX; \
+	VMOVD        AX, X7; \
+	VPBROADCASTD X7, Y7; \
+	VPXOR        Y5, Y5, Y5; \
+	TRIGRANGEV(0); \
+	TRIGRANGEV(32); \
+	TRIGRANGEV(64); \
+	TRIGRANGEV(96)
 
 // LOP3V evaluates the truth table on one vector at byte offset off into OUT.
 // Y8-Y15 hold the table's eight select words m0..m7 broadcast (bit index x<<2
@@ -408,6 +566,29 @@ SKIP:
 	STOREV(32, s2); \
 	STOREV(64, s3); \
 	STOREV(96, s4)
+
+// The broadcast loads: every executing lane reads the word (LOADU32) or
+// double word (LOADU64) at SI — one read, broadcast, blended into the row at
+// DI (and for .64 the high words into the row at R8) under the select words.
+#define BCASTV(off, R) \
+	VMOVDQU   off(BX), Y1; \
+	VMOVDQU   off(R), Y2; \
+	VPBLENDVB Y1, Y0, Y2, Y2; \
+	VMOVDQU   Y2, off(R)
+
+#define BCAST(woff, R) \
+	VPBROADCASTD woff(SI), Y0; \
+	BCASTV(0, R); \
+	BCASTV(32, R); \
+	BCASTV(64, R); \
+	BCASTV(96, R)
+
+#define LOADU32 \
+	BCAST(0, DI)
+
+#define LOADU64 \
+	BCAST(0, DI); \
+	BCAST(4, R8)
 
 // Masked .64 row moves: lane l's double word is 8*l past SI, its low word in
 // one row and its high word in another. Eight lanes span two vectors of

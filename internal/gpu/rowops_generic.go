@@ -20,8 +20,10 @@ import (
 // where rowops_amd64.s provides a Go-callable kernel they are its reference.
 // The loops are written so each lane's result depends only on that lane's
 // operands and is read before it is written: out may alias any source.
-// rowCvt, the conversions, has no vector form: it is the portable executor's
-// alone.
+// rowCvt, MUFU and the conversions, is the portable executor's: MUFU RCP,
+// RSQ, SQRT, SIN and COS have handlers too (held to mufu bit for bit by
+// TestRowMufuExact), LG2, EX2 and the conversions no vector form. FADD, FMUL
+// and FFMA apply the FP32 NaN rule of exec.go (fadd32, fmul32, ffma32).
 
 // rowBroadcastGeneric fills r with v.
 func rowBroadcastGeneric(r *regRow, v uint32) {
@@ -112,11 +114,11 @@ func rowBin(op fastOp, out, x, y *regRow) {
 		}
 	case fopFAdd:
 		for l := range out {
-			out[l] = math.Float32bits(math.Float32frombits(x[l]) + math.Float32frombits(y[l]))
+			out[l] = math.Float32bits(fadd32(f32Of(x[l]), f32Of(y[l])))
 		}
 	case fopFMul:
 		for l := range out {
-			out[l] = math.Float32bits(math.Float32frombits(x[l]) * math.Float32frombits(y[l]))
+			out[l] = math.Float32bits(fmul32(f32Of(x[l]), f32Of(y[l])))
 		}
 	case fopPopc:
 		for l := range out {
@@ -195,9 +197,7 @@ func rowTern(op fastOp, out, x, y, z *regRow, lut uint8) {
 		}
 	case fopFFma:
 		for l := range out {
-			out[l] = math.Float32bits(float32(
-				float64(math.Float32frombits(x[l]))*float64(math.Float32frombits(y[l])) +
-					float64(math.Float32frombits(z[l]))))
+			out[l] = math.Float32bits(ffma32(f32Of(x[l]), f32Of(y[l]), f32Of(z[l])))
 		}
 	case fopLop3:
 		for l := range out {

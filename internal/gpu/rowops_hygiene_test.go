@@ -6,6 +6,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/sass"
 )
 
 // asmStmt is one statement of an assembly file: comments stripped, the
@@ -138,6 +140,9 @@ func asmFuncs(stmts []asmStmt) []asmFunc {
 //   - the kernel bodies and the Go-callable kernels name no general register
 //     outside kernelRegs, the registers of the convention.
 //
+// A macro may be passed as an argument standing for a mnemonic (the MUFU
+// handlers' MUFUROW(SIN4)); expand follows it like any invocation.
+//
 // For the Go-callable kernels: in a function that uses a Y register,
 // directly or through a macro, every RET directly follows VZEROUPPER; every
 // TEXT symbol has a body-less Go declaration in rowops_amd64.go carrying
@@ -171,11 +176,13 @@ func TestRowAsmHygiene(t *testing.T) {
 		mnemonic := asmMnemonic(s.text)
 		if ops := macroOps[mnemonic]; ops != nil {
 			// An invocation: the arguments standing for mnemonics are checked
-			// here, the rest of the body where it is defined.
+			// here, the rest of the body where it is defined. An argument may
+			// name a macro, whose body is checked where it is defined.
 			args := strings.Split(strings.TrimSuffix(s.text[strings.Index(s.text, "(")+1:], ")"), ",")
 			for _, i := range ops {
 				arg := strings.TrimSpace(args[i])
-				if !strings.HasPrefix(arg, "V") && !slices.Contains(macros.params[s.macro], arg) {
+				_, isMacro := macros.body[arg]
+				if !strings.HasPrefix(arg, "V") && !isMacro && !slices.Contains(macros.params[s.macro], arg) {
 					t.Errorf("%s:%d: %s applies the legacy-SSE instruction %s to vector registers", s.file, s.line, mnemonic, arg)
 				}
 			}
@@ -298,8 +305,9 @@ var dispatcherTypes = []string{"rowOp", "rowOperand", "rowPred", "warp", "blockC
 //     with //go:noescape in rowprog_amd64.go; every other one is a file-local
 //     handler, reached only from assembly — through the handler table or a
 //     handler's tail JMP — and every one is reached;
-//   - the handler table covers exactly the shape × kernel pairs rowOp.handler
-//     gives a handler, one entry each;
+//   - the handler table covers exactly the shape × kernel (× MUFU function)
+//     triples rowOp.handler gives a handler, plus the two broadcast loads the
+//     dispatcher picks at run time, one entry each;
 //   - the dispatcher CALLs only through a register, passes nothing on the
 //     stack (its outgoing-argument area, 0-39(SP), is never named) and never
 //     names rowMergeAVX2;
@@ -352,7 +360,9 @@ func checkDispatcherAsm(t *testing.T, stmts []asmStmt, macros *asmMacros, inHead
 	// The handler table, evaluated against the Go constants.
 	consts := map[string]int{
 		"rhMov": int(rhMov), "rhKern": int(rhKern), "rhCmp": int(rhCmp),
+		"rhRcp": int(rhRcp), "rhRsq": int(rhRsq), "rhSqrt": int(rhSqrt), "rhSin": int(rhSin), "rhCos": int(rhCos),
 		"rhLd32": int(rhLd32), "rhSt32": int(rhSt32), "rhLd64": int(rhLd64), "rhSt64": int(rhSt64),
+		"rhLd32U": int(rhLd32U), "rhLd64U": int(rhLd64U),
 	}
 	fast, err := os.ReadFile("xlate_fast.go")
 	if err != nil {
@@ -392,18 +402,21 @@ func checkDispatcherAsm(t *testing.T, stmts []asmStmt, macros *asmMacros, inHead
 			t.Errorf("handler table index %s names %s<>, not a handler of the file", m[1], m[2])
 		}
 	}
-	want := map[int]bool{}
+	// The broadcast loads are the dispatcher's choice at run time, no op's.
+	want := map[int]bool{int(rhLd32U): true, int(rhLd64U): true}
 	for shape := rsMov; shape <= rsStS32; shape++ {
 		kerns := uint8(numFastOps)
 		if shape == rsSetP {
 			kerns = uint8(numFastCmps)
 		}
 		for kern := range kerns {
-			op := rowOp{shape: shape, kern: kern}
-			if h := op.handler(); h != rhNone {
-				want[int(h)] = true
-				if table[int(h)] == "" {
-					t.Errorf("shape %d kernel %d has handler %d, which the table lacks", shape, kern, h)
+			for fn := sass.MufuNone; fn <= sass.MufuCos; fn++ {
+				op := rowOp{shape: shape, kern: kern, lut: uint8(fn)}
+				if h := op.handler(); h != rhNone {
+					want[int(h)] = true
+					if table[int(h)] == "" {
+						t.Errorf("shape %d kernel %d lut %d has handler %d, which the table lacks", shape, kern, fn, h)
+					}
 				}
 			}
 		}

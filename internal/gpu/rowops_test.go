@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/bits"
 	"math/rand"
 	"testing"
@@ -34,6 +35,38 @@ var rowEdges = []uint32{
 	0x00000001, 0x807fffff, 0x00400000, // denormals
 	31, 32, 33, 0xffffffff, // shift counts
 	0x3f800000, 0xbf800000, 0x7f7fffff, 0x00800000, 0x33800000, // 1, -1, max, min normal, 2^-24
+}
+
+// rowMufuHandled are the MUFU functions with a handler in the dispatcher.
+var rowMufuHandled = []sass.MufuFn{sass.MufuRcp, sass.MufuRsq, sass.MufuSqrt, sass.MufuSin, sass.MufuCos}
+
+// mufuEdges are the MUFU arguments that separate a handler from the Go it
+// replays: ±0, denormals, ±Inf, NaN payloads (quiet and signalling), ±2^29
+// and the floats either side (the first arguments SIN and COS leave to Go,
+// and the last they run), and the multiples of π/4 with the floats either
+// side, both signs — where math/sin.go's octant changes — for k·π/4 with k to
+// 64 and k a power of two, or one off one, up to 2^29.
+func mufuEdges() []uint32 {
+	e := []uint32{0, 0x80000000, 1, 0x80000001, 0x00400000, 0x807fffff, 0x00800000,
+		0x7f800000, 0xff800000, 0x7fc00000, 0xffc00001, 0x7f800001, 0xff812345, 0x7fffffff,
+		0x3f800000, 0xbf800000, 0x7f7fffff, 0xff7fffff}
+	for _, b := range []uint32{0x4e000000, 0xce000000} {
+		e = append(e, b-1, b, b+1)
+	}
+	var ks []float64
+	for k := 1; k <= 64; k++ {
+		ks = append(ks, float64(k))
+	}
+	for k := 128.0; k < 1<<30; k *= 2 {
+		ks = append(ks, k-1, k, k+1)
+	}
+	for _, k := range ks {
+		b := math.Float32bits(float32(k * math.Pi / 4))
+		for _, v := range []uint32{b - 1, b, b + 1} {
+			e = append(e, v, v|0x80000000)
+		}
+	}
+	return e
 }
 
 // rowMaskSet is the 33 contiguous prefix masks plus 64 random ones.
@@ -253,6 +286,24 @@ func checkRowKernels(t testing.TB, rig *oneOpRig, s *[3]regRow, m uint32, lut ui
 	for _, op := range rowSelOps {
 		alu(fmt.Sprintf("rowSel op %d pm %#x", op, m), rsSel, op, ooX, ooY)
 	}
+	// MUFU on x, and on x with every argument SIN and COS leave to Go moved
+	// into their range (the top exponent bit cleared), so their handlers run
+	// on every row.
+	tame := *s
+	for l, v := range tame[0] {
+		if v&0x7fffffff >= 0x4e000000 {
+			tame[0][l] = v ^ 0x40000000
+		}
+	}
+	for _, fn := range rowMufuHandled {
+		for _, ops := range []*[3]regRow{s, &tame} {
+			name := fmt.Sprintf("MUFU.%v", fn)
+			ref := rig.check(t, name, oneOp(rsCvt, cvMufu, uint8(fn), ooDst, ooX), ops, m, m)
+			if got := rig.check(t, name, oneOp(rsCvt, cvMufu, uint8(fn), ooX, ooX), ops, m, m); got != ref {
+				t.Errorf("%s: out aliasing x: got %#x, want %#x", name, got, ref)
+			}
+		}
+	}
 	for _, mode := range []uint8{fnInt, fnFloat} {
 		checkRow(t, fmt.Sprintf("rowNeg mode %d", mode), []*regRow{x},
 			func(out *regRow, s []*regRow) { rowNeg(mode, out, s[0]) },
@@ -432,14 +483,24 @@ func checkRowMoves64(t testing.TB, data, prior *regRow, m uint32, k *regRow) {
 }
 
 // TestRowKernelsMatchGeneric: every primitive, platform kernel against
-// portable loop — the ALU and compare kernels as one-op row programs — on the
-// edge-value cross product and random rows, under the 33 contiguous and 64
-// random masks, every LOP3 truth table, out aliasing each source.
+// portable loop — the ALU, compare and MUFU kernels as one-op row programs —
+// on the edge-value cross product, MUFU's edges and random rows, under the 33
+// contiguous and 64 random masks, every LOP3 truth table, out aliasing each
+// source.
 func TestRowKernelsMatchGeneric(t *testing.T) {
 	rig := newOneOpRig()
 	rng := rand.New(rand.NewSource(22))
 	masks := rowMaskSet(rng)
 	sets := rowOperandSets(rng, 48)
+	// MUFU's edges in x, in front: the last 48 sets stay the random ones.
+	var edges [][3]regRow
+	for i, v := range mufuEdges() {
+		if i%WarpSize == 0 {
+			edges = append(edges, sets[len(sets)-1-len(edges)])
+		}
+		edges[len(edges)-1][0][i%WarpSize] = v
+	}
+	sets = append(edges, sets...)
 	for i := range sets {
 		m := masks[i%len(masks)]
 		checkRowKernels(t, rig, &sets[i], m, uint8(37*i+0x96))
@@ -476,6 +537,9 @@ func FuzzRowKernels(f *testing.F) {
 	}
 	seed(&sets[0], fullMask, 0xe8)
 	seed(&sets[1], 1<<31, 0x96)
+	edges := sets[2]
+	copy(edges[0][:], mufuEdges()[16:]) // ±2^29 and the first multiples of π/4
+	seed(&edges, 0x7ffe7ffe, 0)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const need = 3*4*WarpSize + 5
 		if len(data) < need {

@@ -21,11 +21,12 @@ import (
 // ops, written over the portable row loops (rowBin, rowTern, rowSel, cmpMask,
 // rowCvt of rowops_generic.go). The portable executor is the whole path where
 // there are no vector kernels; on amd64 it runs the ops without a handler —
-// MUFU and the conversions, LDS/STS, the ALU ops without a vector kernel — and
-// a global access the dispatcher leaves to Go (its fast path does not cover
-// it, or it may trap), and it is the oracle the dispatcher is held to, bit for
-// bit (rowprog_test.go, rowglobal_test.go). With the control kinds of xlate.go
-// and the interpreter thunk, row ops are all a plan holds.
+// MUFU LG2 and EX2, the conversions, LDS/STS, the ALU ops without a vector
+// kernel — a global access the dispatcher leaves to Go (its fast path does
+// not cover it, or it may trap) and a MUFU SIN or COS of an argument its
+// handler does not cover; and it is the oracle the dispatcher is held to, bit
+// for bit (rowprog_test.go, rowglobal_test.go). With the control kinds of
+// xlate.go and the interpreter thunk, row ops are all a plan holds.
 //
 // An op never holds a pointer: an operand is a base selector and a byte
 // offset, resolved against the warp, the block slot and the plan that are
@@ -60,8 +61,8 @@ type rowOperand struct {
 // over global memory, rsLdS32 and rsStS32 over the block's shared window — read
 // their address row from src[0] and add the byte offset off; a store's value
 // is src[1], with src[2] the high words of a .64 store; a load's unused sources
-// read the zero row. rsCvt and the shared shapes have no handler: only the
-// portable executor runs them.
+// read the zero row. The shared shapes, and rsCvt but for MUFU RCP, RSQ, SQRT,
+// SIN and COS, have no handler: only the portable executor runs them.
 const (
 	rsNone  uint8 = iota // not a row op
 	rsMov                // dst = src[0] (MOV, S2R, LOP.PASS_B)
@@ -118,17 +119,29 @@ const (
 // Handlers: what the dispatcher runs for an op, recorded at encoding
 // (rowOp.hand) and indexing the handler table of rowprog_amd64.s: one per
 // shape and kernel the dispatcher runs, so it branches once per op. rhNone
-// marks an op it does not run.
+// marks an op it does not run. From rhSin up the dispatcher checks an op's
+// operands before it counts the op, and leaves it to Go when they are off its
+// path: SIN and COS for arguments the replay of math.Sin / math.Cos does not
+// cover, the global accesses for addresses off the fast path. The two
+// broadcast loads are no op's handler: the dispatcher picks them at run time
+// for an LDG whose executing lanes all read one address.
 const (
 	rhNone uint8 = iota
 	rhMov
 	rhKern                                      // + fastOp: rsBin, rsSel, rsTern, rsLop3 with a vector kernel
 	rhCmp          = rhKern + uint8(numFastOps) // + fastCmp: rsSetP
-	rhLd32         = rhCmp + uint8(numFastCmps) // the global accesses, in shape order
+	rhRcp          = rhCmp + uint8(numFastCmps) // MUFU: RCP, RSQ, SQRT, SIN, COS
+	rhRsq          = rhRcp + 1
+	rhSqrt         = rhRcp + 2
+	rhSin          = rhRcp + 3
+	rhCos          = rhRcp + 4
+	rhLd32         = rhRcp + 5 // the global accesses, in shape order
 	rhSt32         = rhLd32 + 1
 	rhLd64         = rhLd32 + 2
 	rhSt64         = rhLd32 + 3
-	numRowHandlers = rhLd32 + 4
+	rhLd32U        = rhLd32 + 4 // the broadcast loads
+	rhLd64U        = rhLd32 + 5
+	numRowHandlers = rhLd32 + 6
 )
 
 // rowOp is one row-tier instruction.
@@ -168,12 +181,21 @@ var rowVectorOps = [numFastOps]bool{
 // runRows: whether it has a handler.
 func (op *rowOp) dispatchable() bool { return op.hand != rhNone }
 
+// rowMufuHandlers maps the MUFU functions the dispatcher runs to their
+// handlers; the others map to rhNone. LG2 and EX2 stay Go kernels: math.Log
+// is assembly of its own on amd64 and math.Exp2 ends in Ldexp, neither a
+// sequence of IEEE operations a handler could replay bit for bit.
+var rowMufuHandlers = [...]uint8{
+	sass.MufuRcp: rhRcp, sass.MufuRsq: rhRsq, sass.MufuSqrt: rhSqrt,
+	sass.MufuSin: rhSin, sass.MufuCos: rhCos,
+}
+
 // handler picks the op's handler. It is a property of the op alone, so a
 // plan's rowLen does not depend on where it was built. What gets none runs
-// through the op's step: ops without a vector kernel (the rsCvt and shared
-// shapes among them), an SM clock read (which issues alone anyway, see
-// readsClock), and a .64 load whose high half lands on RZ (it drops into
-// scratch, which only the portable executor does).
+// through the op's step: ops without a vector kernel (the conversions, MUFU
+// LG2 and EX2, and the shared shapes among them), an SM clock read (which
+// issues alone anyway, see readsClock), and a .64 load whose high half lands
+// on RZ (it drops into scratch, which only the portable executor does).
 func (op *rowOp) handler() uint8 {
 	for i := range op.src {
 		if o := &op.src[i]; o.base == rbSpecial && sass.SpecialReg(o.off) != sass.SRWarpID {
@@ -195,6 +217,10 @@ func (op *rowOp) handler() uint8 {
 	case rsBin, rsSel, rsTern, rsLop3:
 		if rowVectorOps[op.kern] {
 			return rhKern + op.kern
+		}
+	case rsCvt:
+		if op.kern == cvMufu && int(op.lut) < len(rowMufuHandlers) {
+			return rowMufuHandlers[op.lut]
 		}
 	}
 	return rhNone

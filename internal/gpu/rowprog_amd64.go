@@ -2,7 +2,10 @@
 
 package gpu
 
-import "unsafe"
+import (
+	"math"
+	"unsafe"
+)
 
 // runRows executes the row ops of instructions [pc, pc+n), n > 0, for the
 // lanes in atPC, counting each issue into tally[pc:] when tally is not nil,
@@ -53,6 +56,63 @@ func (blk *blockCtx) execOne(w *warp, op *rowOp, m uint32) (TrapKind, uint32) {
 	}
 	return blk.execRow(w, op, m)
 }
+
+// mufuConsts are the constants of the MUFU handlers, each repeated over the
+// four float64 lanes of a vector (mufuConsts[mc*]): the units of RCP and RSQ,
+// the float64 sign and magnitude masks, and the constants of Go's math/sin.go
+// — 4/π, π/4 split into three parts, and the _sin and _cos polynomial
+// coefficients — which the SIN and COS handlers replay operation by operation.
+// The Go compiler rounds each literal here as it rounds math/sin.go's.
+var mufuConsts = func() (c [numMufuConsts][4]uint64) {
+	set := func(i int, v float64) {
+		b := math.Float64bits(v)
+		c[i] = [4]uint64{b, b, b, b}
+	}
+	set(mcOne, 1)
+	set(mcHalf, 0.5)
+	set(mcAbs, math.Float64frombits(1<<63-1))
+	set(mcSign, math.Float64frombits(1<<63))
+	set(mcFourOverPi, 4/math.Pi)
+	set(mcPi4A, 7.85398125648498535156e-1)  // 0x3fe921fb40000000
+	set(mcPi4B, 3.77489470793079817668e-8)  // 0x3e64442d00000000
+	set(mcPi4C, 2.69515142907905952645e-15) // 0x3ce8469898cc5170
+	for i, v := range [...]float64{
+		1.58962301576546568060e-10, // 0x3de5d8fd1fd19ccd
+		-2.50507477628578072866e-8, // 0xbe5ae5e5a9291f5d
+		2.75573136213857245213e-6,  // 0x3ec71de3567d48a1
+		-1.98412698295895385996e-4, // 0xbf2a01a019bfdf03
+		8.33333333332211858878e-3,  // 0x3f8111111110f7d0
+		-1.66666666666666307295e-1, // 0xbfc5555555555548
+	} {
+		set(mcSin0+i, v)
+	}
+	for i, v := range [...]float64{
+		-1.13585365213876817300e-11, // 0xbda8fa49a0861a9b
+		2.08757008419747316778e-9,   // 0x3e21ee9d7b4e3f05
+		-2.75573141792967388112e-7,  // 0xbe927e4f7eac4bc6
+		2.48015872888517045348e-5,   // 0x3efa01a019c844f5
+		-1.38888888888730564116e-3,  // 0xbf56c16c16c14f91
+		4.16666666666665929218e-2,   // 0x3fa555555555554b
+	} {
+		set(mcCos0+i, v)
+	}
+	return c
+}()
+
+// Indexes of mufuConsts.
+const (
+	mcOne = iota
+	mcHalf
+	mcAbs
+	mcSign
+	mcFourOverPi
+	mcPi4A
+	mcPi4B
+	mcPi4C
+	mcSin0        // _sin[i] is mcSin0+i
+	mcCos0        = mcSin0 + 6
+	numMufuConsts = mcCos0 + 6
+)
 
 // The dispatcher reads an operand's base and negation mode as one 16-bit word:
 // this fails to compile unless neg is the byte after base.

@@ -9,10 +9,11 @@
 // assembly form of blockCtx.runRowsPortable. It executes a stretch of row ops
 // without returning to Go between them. Per op it evaluates the guard,
 // resolves the three operands into SI, DX and CX, expands the exec mask into
-// select words (BX), checks a global access's fast path, counts the issue,
-// and CALLs the op's handler — rowHandlers[op.hand], fixed at encoding — with
-// the exec mask in AX and the destination row in DI: the register convention
-// of rowops_amd64.h, whose kernel bodies the handlers run. An ALU handler
+// select words (BX), checks a global access's fast path or a SIN / COS's
+// arguments, counts the issue, and CALLs the op's handler —
+// rowHandlers[op.hand], fixed at encoding, or a broadcast load's — with the
+// exec mask in AX and the destination row in DI: the register convention of
+// rowops_amd64.h, whose kernel bodies the handlers run. An ALU handler
 // blends its result into the destination under the select words itself, so a
 // partial mask costs no second pass. Nothing here or in a handler clears the
 // upper vector halves but the dispatcher's one exit, which every path —
@@ -20,10 +21,11 @@
 //
 // Rules, checked by TestRowAsmHygiene:
 //
-//   - The handler table covers exactly the dispatchable shape × kernel pairs,
-//     every handler is file-local (reached only through the table, or by a
-//     handler's tail JMP), and the dispatcher CALLs nothing else: no
-//     Go-callable kernel, no stack arguments.
+//   - The handler table covers exactly the dispatchable shape × kernel
+//     (× MUFU function) triples and the two broadcast loads, every handler
+//     is file-local (reached only through the table, or by a handler's tail
+//     JMP), and the dispatcher CALLs nothing else: no Go-callable kernel, no
+//     stack arguments.
 //   - The kernel bodies name only AX, BX, CX, DX, SI, DI, R8 and Y0-Y15, and a
 //     handler may read, never write, R10 (w) and R12 (the op) besides. The
 //     dispatcher keeps its state in R9-R13. (R14 and R15 are left alone: the
@@ -52,6 +54,7 @@
 //	96(SP)    global access: a store's low and high value rows
 //	112(SP)   global access: the first executing lane
 //	120(SP)   global access: the width, 4 or 8
+//	124(SP)   global access: the stride, the width or 0
 //
 // The frame holds addresses the collector is not told about
 // (NO_LOCAL_POINTERS). All of them point into blk, w, the plan's arena or
@@ -103,10 +106,17 @@ DATA rowHandlers<>+((const_rhCmp+const_fcFGT)*8)(SB)/8, $hFGT<>(SB)
 DATA rowHandlers<>+((const_rhCmp+const_fcFGE)*8)(SB)/8, $hFGE<>(SB)
 DATA rowHandlers<>+((const_rhCmp+const_fcFNum)*8)(SB)/8, $hFNum<>(SB)
 DATA rowHandlers<>+((const_rhCmp+const_fcFNan)*8)(SB)/8, $hFNan<>(SB)
+DATA rowHandlers<>+(const_rhRcp*8)(SB)/8, $hRcp<>(SB)
+DATA rowHandlers<>+(const_rhRsq*8)(SB)/8, $hRsq<>(SB)
+DATA rowHandlers<>+(const_rhSqrt*8)(SB)/8, $hSqrt<>(SB)
+DATA rowHandlers<>+(const_rhSin*8)(SB)/8, $hSin<>(SB)
+DATA rowHandlers<>+(const_rhCos*8)(SB)/8, $hCos<>(SB)
 DATA rowHandlers<>+(const_rhLd32*8)(SB)/8, $hLd32<>(SB)
 DATA rowHandlers<>+(const_rhSt32*8)(SB)/8, $hSt32<>(SB)
 DATA rowHandlers<>+(const_rhLd64*8)(SB)/8, $hLd64<>(SB)
 DATA rowHandlers<>+(const_rhSt64*8)(SB)/8, $hSt64<>(SB)
+DATA rowHandlers<>+(const_rhLd32U*8)(SB)/8, $hLd32U<>(SB)
+DATA rowHandlers<>+(const_rhLd64U*8)(SB)/8, $hLd64U<>(SB)
 GLOBL rowHandlers<>(SB), RODATA|NOPTR, $(const_numRowHandlers*8)
 
 // RESOLVE leaves the row address of the operand at op offset SRC in REG: its
@@ -235,8 +245,8 @@ guarded:
 
 selected:
 	MOVBLZX rowOp_hand(R12), R8
-	CMPL    R8, $const_rhLd32
-	JHS     global
+	CMPL    R8, $const_rhSin
+	JHS     checked
 
 counted:
 	POPCNTL DI, AX
@@ -270,6 +280,17 @@ bail:
 	VZEROUPPER
 	RET
 
+checked:
+	// SIN and COS run here only on arguments their handlers replay: a lane
+	// whose x is NaN, ±Inf or of magnitude 2^29 or more leaves the op to Go,
+	// uncounted, as a global access off its fast path is.
+	CMPL   R8, $const_rhLd32
+	JHS    global
+	TRIGRANGE
+	VPTEST Y5, Y5
+	JNZ    bail
+	JMP    counted
+
 empty:
 	// An op with no lane left still issues; a global access touches no memory.
 	TESTQ R11, R11
@@ -281,11 +302,12 @@ empty:
 global:
 	// A global access runs here only on its fast path, checked before the op
 	// counts: the executing lanes' addresses run at unit stride from a
-	// width-aligned first address, and the span lies inside one page of one
-	// of the two allocations the memo names — a page written before, and for
-	// a store one no snapshot shares. Anything else is left to Go (bail),
-	// whose portable executor runs the op: the lane loop, its traps, the memo
-	// refresh, the zero page and the copy-on-write fault.
+	// width-aligned first address — or, for a load, all are one aligned
+	// address — and the span lies inside one page of one of the two
+	// allocations the memo names: a page written before, and for a store one
+	// no snapshot shares. Anything else is left to Go (bail), whose portable
+	// executor runs the op: the lane loop, its traps, the memo refresh, the
+	// zero page and the copy-on-write fault.
 	MOVQ BX, 88(SP)
 	MOVQ DX, 96(SP)
 	MOVQ CX, 104(SP)
@@ -306,11 +328,25 @@ sized:
 	SUBL  R8, DX
 	STRIDEDIFF(SI, BX, DX, CX)
 	VPTEST Y5, Y5
-	JNZ   bail
+	JZ    strided
 
+	// Stride 0: a load whose executing lanes all hold the first one's
+	// address (AX) reads it once. A store's lanes stay in order, in Go.
+	MOVBLZX rowOp_hand(R12), R8
+	CMPL    R8, $const_rhSt32
+	JEQ     bail
+	CMPL    R8, $const_rhSt64
+	JEQ     bail
+	XORL    CX, CX
+	STRIDEDIFF(SI, BX, AX, CX)
+	VPTEST  Y5, Y5
+	JNZ     bail
+
+strided:
 	// A width-aligned first address (the stride aligns the rest).
+	MOVL  CX, 124(SP)
 	ADDL  rowOp_off(R12), AX
-	MOVL  CX, DX
+	MOVL  120(SP), DX
 	DECL  DX
 	TESTL DX, AX
 	JNZ   bail
@@ -343,11 +379,12 @@ older:
 
 found:
 	// BX: the allocation; DX: the first address's offset in it. The span,
-	// first to last lane, ends inside the allocation and inside the page.
+	// first to last lane — the stride times their distance, plus one width —
+	// ends inside the allocation and inside the page.
 	BSRL  DI, CX
 	SUBL  112(SP), CX
-	INCL  CX
-	IMULL 120(SP), CX
+	IMULL 124(SP), CX
+	ADDL  120(SP), CX
 	MOVL  DX, AX
 	ADDQ  CX, AX
 	MOVL  alloc_size(BX), SI
@@ -380,15 +417,21 @@ private:
 
 window:
 	// Lane 0's address: the first lane's bytes in the page, less its lane
-	// times the width.
+	// times the stride. A load of stride 0 runs its broadcast handler.
 	ANDL  $(const_memPageSize-1), DX
 	ADDQ  DX, SI
 	MOVQ  112(SP), AX
-	IMULL 120(SP), AX
+	IMULL 124(SP), AX
 	SUBQ  AX, SI
 	MOVQ  88(SP), BX
 	MOVQ  96(SP), DX
 	MOVQ  104(SP), CX
+	CMPL  124(SP), $0
+	JNE   counted
+	MOVL  $const_rhLd32U, R8
+	CMPL  120(SP), $4
+	JEQ   counted
+	MOVL  $const_rhLd64U, R8
 	JMP   counted
 
 	PREOP(rowOp_src, SI, const_rowA, xslow, xback, xspecial, xnegate, xfloat)
@@ -639,8 +682,35 @@ write:
 	MOVL BX, warp_preds(R10)(DX*1)
 	RET
 
+// The MUFU handlers. SIN and COS find their arguments checked (TRIGRANGE).
+TEXT hRcp<>(SB), NOSPLIT, $0-0
+	MUFUROW(RCP4)
+	COMMIT
+	RET
+
+TEXT hRsq<>(SB), NOSPLIT, $0-0
+	MUFUROW(RSQ4)
+	COMMIT
+	RET
+
+TEXT hSqrt<>(SB), NOSPLIT, $0-0
+	MUFUROW(SQRT4)
+	COMMIT
+	RET
+
+TEXT hSin<>(SB), NOSPLIT, $0-0
+	MUFUROW(SIN4)
+	COMMIT
+	RET
+
+TEXT hCos<>(SB), NOSPLIT, $0-0
+	MUFUROW(COS4)
+	COMMIT
+	RET
+
 // The global accesses: the dispatcher checked the fast path and left lane 0's
-// address in SI. A load blends itself under the select words.
+// address in SI — for a broadcast load, the one address all lanes read. A
+// load blends itself under the select words.
 TEXT hLd32<>(SB), NOSPLIT, $0-0
 	LOAD32
 	RET
@@ -656,4 +726,13 @@ TEXT hLd64<>(SB), NOSPLIT, $0-0
 
 TEXT hSt64<>(SB), NOSPLIT, $0-0
 	STORE64
+	RET
+
+TEXT hLd32U<>(SB), NOSPLIT, $0-0
+	LOADU32
+	RET
+
+TEXT hLd64U<>(SB), NOSPLIT, $0-0
+	LEAQ const_rowBytes(DI), R8
+	LOADU64
 	RET

@@ -3,7 +3,14 @@
 package gpu
 
 import (
+	"flag"
 	"fmt"
+	"math"
+	"os"
+	"path/filepath"
+	"regexp"
+	"runtime"
+	"strconv"
 	"testing"
 
 	"repro/internal/sass"
@@ -14,8 +21,9 @@ import (
 // both outcomes to the interpreter, so a fast path that never fires would pass
 // them. A coalesced, aligned access executes in the dispatcher when its span
 // lies in one page of an allocation the memo names, and that page has been
-// written (and, for a store, is private). Anything else — a load every lane
-// makes from one address included — stops the dispatcher at the op, uncounted.
+// written (and, for a store, is private). So does a load every executing lane
+// makes from one aligned address, as a broadcast. Anything else — a store to
+// one address included — stops the dispatcher at the op, uncounted.
 func TestRowProgramGlobalFastPath(t *testing.T) {
 	if !useAVX2 {
 		t.Skip("no AVX2: runRows is the portable executor")
@@ -42,9 +50,18 @@ func TestRowProgramGlobalFastPath(t *testing.T) {
 				{"shared", 0, 64, gmemBufIdx, fullMask, 1, !store},
 				{"never-written", 2, 64, gmemBufIdx, fullMask, 1, false},
 				{"page-straddle", 1, memPageSize - 64, gmemBufIdx, fullMask, 1, false},
+				{"page-straddle-last-lane", 1, memPageSize - 31*uint32(width), gmemBufIdx, fullMask, 1, false},
+				{"page-end", 1, memPageSize - 32*uint32(width), gmemBufIdx, fullMask, 1, true},
 				{"misaligned", 1, 66, gmemBufIdx, fullMask, 1, false},
 				{"strided", 1, 64, gmemBufIdx, fullMask, 2, false},
-				{"uniform", 1, 64, gmemBufIdx, fullMask, 0, false},
+				{"uniform", 1, 64, gmemBufIdx, fullMask, 0, !store},
+				{"uniform-partial-mask", 1, 64, gmemBufIdx, 0x7ffe7ffe, 0, !store},
+				{"uniform-memo-older", 1, 64, gmemTwoIdx | gmemBufIdx<<16, fullMask, 0, !store},
+				{"uniform-memo-neither", 1, 64, 0 | 2<<16, fullMask, 0, false},
+				{"uniform-shared", 0, 64, gmemBufIdx, fullMask, 0, !store},
+				{"uniform-never-written", 2, 64, gmemBufIdx, fullMask, 0, false},
+				{"uniform-page-end", 1, memPageSize - uint32(width), gmemBufIdx, fullMask, 0, !store},
+				{"uniform-misaligned", 1, 66, gmemBufIdx, fullMask, 0, false},
 				{"one-lane", 1, 64, gmemBufIdx, 1 << 5, 1, true},
 				{"one-lane-misaligned", 1, 66, gmemBufIdx, 1 << 5, 1, false},
 			} {
@@ -116,6 +133,173 @@ func TestRowProgramClearsUpperHalves(t *testing.T) {
 		}
 		if inUse {
 			t.Errorf("%s: the dispatcher returned with the YMM upper halves in use", c.name)
+		}
+	}
+}
+
+// trigCovers reports whether the SIN and COS handlers run on the float32
+// argument with bits v: finite and below 2^29 in magnitude.
+func trigCovers(v uint32) bool { return v&0x7fffffff < 0x4e000000 }
+
+var mufuSweepAll = flag.Bool("mufu.all", false, "TestRowMufuExact: sweep all 2^32 float32 arguments, not every 4099th")
+
+// TestRowMufuExact holds each MUFU handler to the interpreter's mufu, the Go
+// definition, bit for bit, on mufuEdges and on every 4099th float32 bit
+// pattern (all 2^32 of them with -mufu.all), 32 arguments per execution. It
+// calls the dispatcher itself, so it also pins when a handler runs: RCP, RSQ
+// and SQRT on every argument, SIN and COS on a row whose executing lanes
+// trigCovers — a row with one lane it does not stops the dispatcher at the op,
+// uncounted, for Go to run. Arguments are fed to the two kinds of row apart,
+// so every covered argument goes through a handler.
+func TestRowMufuExact(t *testing.T) {
+	if !useAVX2 {
+		t.Skip("no AVX2: runRows is the portable executor")
+	}
+	stride := uint64(4099)
+	if *mufuSweepAll {
+		stride = 1
+	}
+	for _, fn := range rowMufuHandled {
+		t.Run(fn.String(), func(t *testing.T) {
+			t.Parallel()
+			rig := newOneOpRig()
+			op := oneOp(rsCvt, cvMufu, uint8(fn), ooDst, ooX)
+			trig := fn == sass.MufuSin || fn == sass.MufuCos
+			mem := rig.blk.dev.Mem
+			var rows [2]struct {
+				x regRow
+				n int
+			}
+			ran, bailed := 0, 0
+			run := func(i int) {
+				r := &rows[i]
+				w := &rig.w
+				w.regs[ooX], w.regs[ooDst] = r.x, rowPoison
+				m := uint32(uint64(1)<<uint(r.n) - 1)
+				threads, done := rowProgAVX2(rig.blk, w, &op, 1, m, nil, mem.allocs, mem.lastHit)
+				if want := 1 - i; done != want || threads != uint64(done*r.n) {
+					t.Fatalf("MUFU.%v of %#x: the dispatcher completed %d ops (%d threads), want %d", fn, r.x[:r.n], done, threads, want)
+				}
+				if done == 0 {
+					bailed += r.n
+					r.n = 0
+					return
+				}
+				ran += r.n
+				for l := range w.regs[ooDst] {
+					want := rowPoison[l]
+					if l < r.n {
+						want = math.Float32bits(mufu(fn, math.Float32frombits(r.x[l])))
+					}
+					if got := w.regs[ooDst][l]; got != want {
+						t.Fatalf("MUFU.%v(%#x) lane %d: handler %#x, mufu %#x", fn, r.x[l], l, got, want)
+					}
+				}
+				r.n = 0
+			}
+			feed := func(v uint32) {
+				i := 0
+				if trig && !trigCovers(v) {
+					i = 1
+				}
+				r := &rows[i]
+				r.x[r.n] = v
+				if r.n++; r.n == WarpSize {
+					run(i)
+				}
+			}
+			for _, v := range mufuEdges() {
+				feed(v)
+			}
+			for v := uint64(0); v < 1<<32; v += stride {
+				feed(uint32(v))
+			}
+			for i := range rows {
+				if rows[i].n > 0 {
+					run(i)
+				}
+			}
+			t.Logf("MUFU.%v: %d arguments through the handler, %d left to Go", fn, ran, bailed)
+		})
+	}
+}
+
+// TestRowProgramMufuBail pins the range check of SIN and COS on the lanes
+// that execute: an argument the handlers do not cover on a lane outside the
+// exec mask, or under RCP, RSQ or SQRT, keeps the op in the dispatcher.
+func TestRowProgramMufuBail(t *testing.T) {
+	if !useAVX2 {
+		t.Skip("no AVX2: runRows is the portable executor")
+	}
+	rig := newOneOpRig()
+	mem := rig.blk.dev.Mem
+	for _, fn := range rowMufuHandled {
+		trig := fn == sass.MufuSin || fn == sass.MufuCos
+		op := oneOp(rsCvt, cvMufu, uint8(fn), ooDst, ooX)
+		for _, bad := range []uint32{0x7fc00000, 0xff800000, 0x4e000000, 0xce000000} {
+			for _, c := range []struct {
+				lane int
+				m    uint32
+			}{{0, fullMask}, {31, fullMask}, {17, 0x7ffe7ffe}, {16, 0x7ffe7ffe}, {3, 1 << 3}} {
+				x := laneRow(func(l uint) uint32 { return math.Float32bits(float32(l) - 7.5) })
+				x[c.lane] = bad
+				rig.w.regs[ooX] = x
+				want := 1
+				if trig && c.m>>uint(c.lane)&1 != 0 {
+					want = 0
+				}
+				if _, done := rowProgAVX2(rig.blk, &rig.w, &op, 1, c.m, nil, mem.allocs, mem.lastHit); done != want {
+					t.Errorf("MUFU.%v with %#x on lane %d under %#x: the dispatcher completed %d ops, want %d", fn, bad, c.lane, c.m, done, want)
+				}
+			}
+		}
+	}
+}
+
+// TestMufuConstsMatchMathSin holds mufuConsts to what the SIN and COS handlers
+// replay: each constant in all four lanes; 1, 0.5, the float64 magnitude and
+// sign masks, and 4/π as Go rounds it; and π/4's three parts and the _sin and
+// _cos coefficients as the running toolchain's math/sin.go writes them — its
+// literals, in source order, each beside the bit pattern its comment gives.
+func TestMufuConstsMatchMathSin(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join(runtime.GOROOT(), "src", "math", "sin.go"))
+	if err != nil {
+		t.Skipf("the toolchain's math/sin.go: %v", err)
+	}
+	lits := regexp.MustCompile(`(?m)(-?\d\.\d+e[-+]\d+),?\s*// (0x[0-9a-f]{16})`).FindAllSubmatch(src, -1)
+	var sinGo []uint64
+	for _, m := range lits {
+		v, err := strconv.ParseFloat(string(m[1]), 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := strconv.ParseUint(string(m[2][2:]), 16, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(v) != b {
+			t.Fatalf("math/sin.go: %s is %#x, not its comment's %s", m[1], math.Float64bits(v), m[2])
+		}
+		sinGo = append(sinGo, b)
+	}
+	// _sin[0..5], _cos[0..5], then PI4A, PI4B, PI4C in cos and again in sin.
+	if len(sinGo) != 18 {
+		t.Fatalf("read %d commented constants off math/sin.go, want 18", len(sinGo))
+	}
+	want := map[int]uint64{
+		mcOne: math.Float64bits(1), mcHalf: math.Float64bits(0.5), mcAbs: 1<<63 - 1, mcSign: 1 << 63,
+		mcFourOverPi: math.Float64bits(4 / math.Pi),
+		mcPi4A:       sinGo[15], mcPi4B: sinGo[16], mcPi4C: sinGo[17],
+	}
+	for i := range 6 {
+		want[mcSin0+i], want[mcCos0+i] = sinGo[i], sinGo[6+i]
+	}
+	if len(want) != numMufuConsts {
+		t.Fatalf("%d constants checked of %d", len(want), numMufuConsts)
+	}
+	for i, b := range want {
+		if c := mufuConsts[i]; c != [4]uint64{b, b, b, b} {
+			t.Errorf("mufuConsts[%d] = %#x, want %#x in every lane", i, c, b)
 		}
 	}
 }

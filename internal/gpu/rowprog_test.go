@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/race"
@@ -432,7 +433,8 @@ func (h *progHarness) wantStretch(plan *xplan, list []sass.Instr) {
 	h.tb.Helper()
 	for i := range list {
 		op := &plan.ops[i]
-		if op.shape == rsNone || op.shape >= rsCvt || (op.shape < rsLd32 && op.shape != rsMov && op.shape != rsSetP && !rowVectorOps[op.kern]) {
+		mufu := op.shape == rsCvt && op.kern == cvMufu && slices.Contains(rowMufuHandled, sass.MufuFn(op.lut))
+		if op.shape == rsNone || (op.shape >= rsCvt && !mufu) || (op.shape < rsLd32 && op.shape != rsMov && op.shape != rsSetP && !rowVectorOps[op.kern]) {
 			return
 		}
 	}
@@ -463,12 +465,13 @@ func TestRowProgramS2R(t *testing.T) {
 	}
 }
 
-// TestRowProgramConvert covers the ops only the portable executor runs as
-// computations: MUFU of every function, I2F and F2I of both signednesses and
-// F2F both ways, over every operand kind × guard × mask on rowEdges-laden
-// registers, plus destination aliasing and the pairs next to RZ: a narrowing
-// F2F reading R254 (its high word zero) and a widening one writing R254 (its
-// high word dropped).
+// TestRowProgramConvert covers the rsCvt ops: MUFU of every function (RCP,
+// RSQ, SQRT, SIN and COS with a handler, LG2 and EX2 on the portable executor
+// alone), I2F and F2I of both signednesses and F2F both ways (portable), over
+// every operand kind × guard × mask on rowEdges-laden registers, plus
+// destination aliasing and the pairs next to RZ: a narrowing F2F reading R254
+// (its high word zero) and a widening one writing R254 (its high word
+// dropped).
 func TestRowProgramConvert(t *testing.T) {
 	h := newProgHarness(t, 17)
 	type cvt struct {
@@ -485,6 +488,7 @@ func TestRowProgramConvert(t *testing.T) {
 	for _, op := range ops {
 		label := sass.NewInstr(sass.MustOp(op.name))
 		label.Mods = op.mods
+		handled := op.name == "MUFU" && op.mods.Mufu != sass.MufuLg2 && op.mods.Mufu != sass.MufuEx2
 		t.Run(label.String(), func(t *testing.T) {
 			h.tb = t
 			emit := func(d sass.RegID, g sass.PredRef, a sass.Operand) sass.Instr {
@@ -502,10 +506,11 @@ func TestRowProgramConvert(t *testing.T) {
 				}
 				plan := h.check(list, false)
 				for i := range list[1:] {
-					if op := &plan.ops[1+i]; op.shape != rsCvt || op.dispatchable() {
-						t.Fatalf("%v encodes as shape %d, handler %d: want rsCvt, no handler", &list[1+i], op.shape, op.hand)
+					if op := &plan.ops[1+i]; op.shape != rsCvt || op.dispatchable() != handled {
+						t.Fatalf("%v encodes as shape %d, handler %d: want rsCvt, with a handler %v", &list[1+i], op.shape, op.hand, handled)
 					}
 				}
+				h.wantStretch(plan, list)
 				if a.Kind == sass.OpdReg && a.Reg != sass.RZ {
 					for _, g := range progGuards[:3] {
 						h.check([]sass.Instr{guardWriter(), emit(a.Reg, g, a)}, false)

@@ -231,7 +231,7 @@ func BenchmarkRowKernels(b *testing.B) {
 // BenchmarkRowProgram times runRows stretches through the dispatcher (on
 // amd64 with AVX2; elsewhere both sides are the portable executor) and
 // through the portable executor, tallied and not, under a full and a partial
-// mask. ns/rowop is the time per op. Two stretches:
+// mask. ns/rowop is the time per op. Four stretches:
 //
 //   - alu: eight row ops, the mix of a stencil body's arithmetic — address
 //     arithmetic, a guard-setting compare, a guarded op, float arithmetic and
@@ -241,7 +241,10 @@ func BenchmarkRowKernels(b *testing.B) {
 //     private pages: every access on the dispatcher's fast path;
 //   - short: a 353.clvrleaf field update, three LDG.32, three FP32 ops and
 //     an STG.32 — a short stretch whose few ALU ops sit between accesses, so
-//     per-op dispatch and the accesses' checks dominate.
+//     per-op dispatch and the accesses' checks dominate;
+//   - omriq: 314.omriq's k-loop interior, two LDG.32 every lane makes from
+//     one address (broadcast loads), two FMUL, MUFU.COS and MUFU.SIN of
+//     arguments in [0, 6π), two FFMA and the IADD of the loop counter.
 func BenchmarkRowProgram(b *testing.B) {
 	p, err := sass.Assemble("bench", `
 .kernel alu
@@ -284,6 +287,18 @@ func BenchmarkRowProgram(b *testing.B) {
     FFMA R13, R12, 0x3e800000, R13
     STG.32 [R5], R13
     EXIT
+
+.kernel omriq
+    LDG.32 R17, [R26]
+    LDG.32 R19, [R27]
+    FMUL R20, R19, R24
+    FMUL R20, R20, 0x40c90fdb
+    MUFU.COS R21, R20
+    MUFU.SIN R22, R20
+    FFMA R10, R17, R21, R10
+    FFMA R11, R17, R22, R11
+    IADD R12, R12, 0x1
+    EXIT
 `)
 	if err != nil {
 		b.Fatal(err)
@@ -305,6 +320,9 @@ func BenchmarkRowProgram(b *testing.B) {
 	for l := range h.base.regs[4] {
 		h.base.regs[4][l] = in + 4*uint32(256+l)
 		h.base.regs[5][l] = out + 4*uint32(256+l)
+		// omriq: x coordinates in [0, 1), two k-space words read by every lane.
+		h.base.regs[24][l] = math.Float32bits(float32(l) / WarpSize)
+		h.base.regs[26][l], h.base.regs[27][l] = in+4*300, in+4*301
 	}
 	for _, k := range p.Kernels {
 		plan, err := translate(k)

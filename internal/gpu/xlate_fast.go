@@ -18,9 +18,9 @@ import (
 // assembly where the platform has it, a branch-free Go loop elsewhere) over
 // all 32 lanes with no per-lane mask, shape, or bounds test. A straight-line
 // stretch of row ops executes inside one routine (blockCtx.runRows), not
-// through one closure per instruction; the ops without a handler (MUFU and the
-// conversions, shared-memory accesses) run one at a time through the portable
-// executor, and only the FP64 pair ops (fastDStep) are still closures, their
+// through one closure per instruction; the ops without a handler (MUFU LG2
+// and EX2, the conversions, shared-memory accesses) run one at a time through
+// the portable executor, and only the FP64 pair ops (fastDStep) are still closures, their
 // lane loops being scalar Go either way.
 //
 // Compute-and-merge rule: under a partial exec mask the kernel still computes

@@ -14,9 +14,10 @@ import (
 // instruction mix: plain ALU, guarded execution, predicate sets, forward
 // branches, global loads and stores (scattered within a 256-byte buffer,
 // coalesced by thread id, or through an unconfined "fault-corrupted"
-// address), the row ops only the portable executor runs (MUFU, I2F, F2I, F2F,
-// LDS and STS through a 64-byte shared window, sometimes misaligned or out of
-// bounds), the control kinds (a guarded EXIT, a uniform BAR), and
+// address), MUFU of every function (RCP, RSQ, SQRT, SIN and COS through the
+// dispatcher's handlers, LG2 and EX2 through the portable executor), the row
+// ops only the portable executor runs (I2F, F2I, F2F, LDS and STS through a
+// 64-byte shared window, sometimes misaligned or out of bounds), the control kinds (a guarded EXIT, a uniform BAR), and
 // instructions only the interpreter thunk runs: a warp intrinsic (SHFL), RED,
 // and an ALU op, a predicate op and a conversion that batch with the row ops
 // around them (SHF, PSETP, I2I). Every three bytes map to one generation step,

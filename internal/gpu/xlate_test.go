@@ -208,7 +208,8 @@ var thunkProbeWords = [64]uint32{
 // encodes, a shape it rejects (a predicate, PT or RZ destination, a register
 // LUT, a load or store width or address space it has no op for, a store with
 // no value) — plus RED in each flavour: each must compile to the interpreter
-// thunk. The row-op table has MUFU, the conversions and the shared-memory
+// thunk. The row-op table has MUFU (its RCP, RSQ, SQRT, SIN and COS with a
+// handler, LG2 and EX2 without), the conversions and the shared-memory
 // accesses, whose ops only the portable executor runs: every MUFU function,
 // I2F and F2I of both signednesses over thunkProbeWords' edge values, F2F in
 // both directions with negated, constant-bank, immediate and RZ-adjacent

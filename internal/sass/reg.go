@@ -27,13 +27,18 @@ const RZ RegID = 255
 // including RZ.
 const NumRegs = 256
 
-// String returns the assembly spelling of the register ("R7" or "RZ").
-func (r RegID) String() string {
-	if r == RZ {
-		return "RZ"
+// String returns the assembly spelling of the register ("R7" or "RZ"),
+// without allocating: an injection record keeps its target's name for as
+// long as its campaign result lives.
+func (r RegID) String() string { return regNames[r] }
+
+var regNames = func() (n [NumRegs]string) {
+	for r := range n {
+		n[r] = "R" + strconv.Itoa(r)
 	}
-	return "R" + strconv.Itoa(int(r))
-}
+	n[RZ] = "RZ"
+	return n
+}()
 
 // ParseReg parses a register name such as "R12" or "RZ".
 func ParseReg(s string) (RegID, error) {

@@ -331,6 +331,11 @@ type countingBackend struct {
 	serve.Backend
 	mu        sync.Mutex
 	completes int
+	// stop, when set, is called once completes reaches stopAt: a worker
+	// checks its context after every Lease, so it runs no shard after that,
+	// however fast the shards run.
+	stop   context.CancelFunc
+	stopAt int
 }
 
 func (b *countingBackend) Complete(workerID, leaseID string, res serve.ShardResult) error {
@@ -338,6 +343,9 @@ func (b *countingBackend) Complete(workerID, leaseID string, res serve.ShardResu
 	if err == nil {
 		b.mu.Lock()
 		b.completes++
+		if b.stop != nil && b.completes == b.stopAt {
+			b.stop()
+		}
 		b.mu.Unlock()
 	}
 	return err
@@ -357,13 +365,13 @@ func TestCoordinatorRestartResumes(t *testing.T) {
 	want := inProcessTally(t, cfg)
 	journal := filepath.Join(t.TempDir(), "journal.jsonl")
 
-	// Phase 1: run until at least two shards land, then shut down.
+	// Phase 1: run until two shards land, then shut down.
 	coord1, err := serve.NewCoordinator(serve.Options{JournalPath: journal})
 	if err != nil {
 		t.Fatal(err)
 	}
-	count1 := &countingBackend{Backend: coord1}
 	ctx1, cancel1 := context.WithCancel(context.Background())
+	count1 := &countingBackend{Backend: coord1, stop: cancel1, stopAt: 2}
 	w1 := &serve.Worker{Backend: count1, Runner: campaign.Runner{}, Name: "phase1", Logf: t.Logf}
 	var wg1 sync.WaitGroup
 	wg1.Add(1)
