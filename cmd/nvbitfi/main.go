@@ -5,10 +5,10 @@
 // Usage:
 //
 //	nvbitfi profile   -program 303.ostencil [-mode exact|approx] [-o profile.txt]
-//	nvbitfi select    -profile profile.txt [-group G_GPPR] [-bitflip 1] [-seed 1] [-o params.txt]
-//	nvbitfi inject    -program 303.ostencil -params params.txt
+//	nvbitfi select    -profile profile.txt [-group G_GPPR] [-bitflip 1] [-seed 1] [-model stuck] [-o params.txt]
+//	nvbitfi inject    -program 303.ostencil -params params.txt [-model stuck [-model-param value=0,bit=17]]
 //	nvbitfi pf-inject -program 303.ostencil -sm 0 -lane 3 -mask 0x400 -opcode 12
-//	nvbitfi campaign  -program 303.ostencil [-n 100] [-mode exact|approx] [-group G_GPPR] [-seed 1] [-prune] [-classes] [-target-ci 0.02 [-confidence 0.95] [-max-n N]] [-ckpt [-ckpt-stride N] [-no-early-exit]] [-verify]
+//	nvbitfi campaign  -program 303.ostencil [-n 100] [-mode exact|approx] [-group G_GPPR] [-seed 1] [-prune] [-classes] [-target-ci 0.02 [-confidence 0.95] [-max-n N]] [-ckpt [-ckpt-stride N] [-no-early-exit]] [-parallel N] [-verify]
 //	nvbitfi profdiff  -a exact.txt -b approx.txt [-group G_GPPR] [-min 0.01]
 //	nvbitfi report    -table1 | -table4
 //	nvbitfi serve     [-addr 127.0.0.1:8077] [-journal nvbitfi-journal.jsonl] [-workers N]
@@ -21,6 +21,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"slices"
@@ -30,6 +31,7 @@ import (
 
 	"repro"
 	"repro/internal/baseline"
+	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/modcache"
 	"repro/internal/nvbit"
@@ -86,13 +88,17 @@ run "nvbitfi <subcommand> -h" for subcommand flags`)
 // cmdModels lists the registered fault models with their default group and
 // which campaign accelerations each supports.
 func cmdModels() error {
+	dflt, err := nvbitfi.LookupFaultModel("")
+	if err != nil {
+		return err
+	}
 	for _, name := range nvbitfi.FaultModels() {
 		m, err := nvbitfi.LookupFaultModel(name)
 		if err != nil {
 			return err
 		}
 		def := ""
-		if name == "transient" {
+		if name == dflt.Name() {
 			def = " (default)"
 		}
 		fmt.Printf("%-10s%s %s\n", name, def, m.Description())
@@ -123,19 +129,98 @@ func parseMode(s string) (nvbitfi.ProfileMode, error) {
 	}
 }
 
+// cliFlags holds the flags more than one command takes.
+type cliFlags struct {
+	program, mode, group, model, modelParam string
+	bitflip                                 int
+	seed                                    int64
+}
+
+// bindFlags binds the named shared flags into fs. It is the one table that
+// defines them, so a flag has the same name, default and meaning in every
+// command that takes it.
+func bindFlags(fs *flag.FlagSet, names ...string) *cliFlags {
+	f := &cliFlags{}
+	for _, name := range names {
+		switch name {
+		case "program":
+			fs.StringVar(&f.program, name, "", "target program name ('all' runs every program; campaign only)")
+		case "mode":
+			fs.StringVar(&f.mode, name, "exact", "profiling mode: exact or approx")
+		case "group":
+			fs.StringVar(&f.group, name, "", "instruction group, arch state id or name (default: the fault model's group, G_GPPR for transient)")
+		case "bitflip":
+			fs.IntVar(&f.bitflip, name, int(nvbitfi.FlipSingleBit), "bit-flip model 1..4")
+		case "seed":
+			fs.Int64Var(&f.seed, name, 1, "fault-selection seed")
+		case "model":
+			fs.StringVar(&f.model, name, "", "fault model (default transient; see 'nvbitfi models')")
+		case "model-param":
+			fs.StringVar(&f.modelParam, name, "", "fault-model parameter string, e.g. value=0,bit=17")
+		default:
+			panic("nvbitfi: no shared flag -" + name)
+		}
+	}
+	return f
+}
+
+// baseConfig is the campaign config of the shared flags alone. An unset group
+// stays zero, so the config defaults it to the fault model's own group.
+func (f *cliFlags) baseConfig() (nvbitfi.TransientCampaignConfig, error) {
+	cfg := nvbitfi.TransientCampaignConfig{
+		BitFlip: nvbitfi.BitFlipModel(f.bitflip), Seed: f.seed,
+		Model: f.model, ModelParam: f.modelParam,
+	}
+	if f.group != "" {
+		g, err := sass.ParseGroup(f.group)
+		if err != nil {
+			return cfg, err
+		}
+		cfg.Group = g
+	}
+	return cfg, nil
+}
+
+// writeOut writes v to the file at path, or to stdout when path is empty.
+func writeOut(path string, v io.WriterTo) error {
+	if path == "" {
+		_, err := v.WriteTo(os.Stdout)
+		return err
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if _, err := v.WriteTo(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// load parses the file at path with parse.
+func load[T any](path string, parse func(io.Reader) (T, error)) (T, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	defer f.Close()
+	return parse(f)
+}
+
 func cmdProfile(args []string) error {
 	fs := flag.NewFlagSet("profile", flag.ExitOnError)
-	program := fs.String("program", "", "target program name")
-	mode := fs.String("mode", "exact", "profiling mode: exact or approx")
+	sf := bindFlags(fs, "program", "mode")
 	out := fs.String("o", "", "output file (default stdout)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	w, err := lookupProgram(*program)
+	w, err := lookupProgram(sf.program)
 	if err != nil {
 		return err
 	}
-	m, err := parseMode(*mode)
+	m, err := parseMode(sf.mode)
 	if err != nil {
 		return err
 	}
@@ -145,111 +230,61 @@ func cmdProfile(args []string) error {
 	}
 	fmt.Fprintf(os.Stderr, "profiled %s in %v: %d dynamic kernels, %d static\n",
 		w.Name(), dur.Round(time.Millisecond), profile.DynamicKernels(), len(profile.StaticKernels()))
-	dst := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		dst = f
-	}
-	_, err = profile.WriteTo(dst)
-	return err
+	return writeOut(*out, profile)
 }
 
+// cmdSelect draws one fault from a profile file, from the population a
+// campaign with the same group, bit-flip model and fault model draws from.
 func cmdSelect(args []string) error {
 	fs := flag.NewFlagSet("select", flag.ExitOnError)
+	sf := bindFlags(fs, "group", "bitflip", "seed", "model")
 	profilePath := fs.String("profile", "", "profile file from 'nvbitfi profile'")
-	group := fs.String("group", "", "instruction group (arch state id or name; default G_GPPR, or the model's group)")
-	bitflip := fs.Int("bitflip", 1, "bit-flip model 1..4")
-	seed := fs.Int64("seed", 1, "selection seed")
-	model := fs.String("model", "", "fault model to select for (site-resolved, filtered to eligible opcodes)")
 	out := fs.String("o", "", "output parameter file (default stdout)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	f, err := os.Open(*profilePath)
+	cfg, err := sf.baseConfig()
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	profile, err := core.ParseProfile(f)
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	profile, err := load(*profilePath, core.ParseProfile)
 	if err != nil {
 		return err
 	}
-	var params *nvbitfi.TransientParams
-	rng := rand.New(rand.NewSource(*seed))
-	if *model != "" && *model != "transient" {
-		// Model selection is site-resolved and filtered to the opcodes the
-		// model can inject at, exactly as a model campaign selects.
-		m, err := nvbitfi.LookupFaultModel(*model)
-		if err != nil {
-			return err
-		}
-		g := m.DefaultGroup()
-		if *group != "" {
-			if g, err = sass.ParseGroup(*group); err != nil {
-				return err
-			}
-		}
-		params, err = core.SelectTransientFaultSiteFiltered(profile, g,
-			nvbitfi.BitFlipModel(*bitflip), m.EligibleOp, rng)
-		if err != nil {
-			return err
-		}
-	} else {
-		g := sass.GroupGPPR
-		if *group != "" {
-			if g, err = sass.ParseGroup(*group); err != nil {
-				return err
-			}
-		}
-		params, err = nvbitfi.SelectTransientFault(profile, g, nvbitfi.BitFlipModel(*bitflip), rng)
-		if err != nil {
-			return err
-		}
+	population, err := campaign.Population(profile, cfg)
+	if err != nil {
+		return err
 	}
-	dst := os.Stdout
-	if *out != "" {
-		file, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer file.Close()
-		dst = file
+	params, err := population.Select(cfg.BitFlip, rand.New(rand.NewSource(cfg.Seed)))
+	if err != nil {
+		return err
 	}
-	_, err = params.WriteTo(dst)
-	return err
+	return writeOut(*out, params)
 }
 
 func cmdInject(args []string) error {
 	fs := flag.NewFlagSet("inject", flag.ExitOnError)
-	program := fs.String("program", "", "target program name")
+	sf := bindFlags(fs, "program", "model", "model-param")
 	paramsPath := fs.String("params", "", "parameter file from 'nvbitfi select'")
-	model := fs.String("model", "", "fault model (default transient; see 'nvbitfi models')")
-	modelParam := fs.String("model-param", "", "fault-model parameter string, e.g. value=0,bit=17")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	w, err := lookupProgram(*program)
+	w, err := lookupProgram(sf.program)
 	if err != nil {
 		return err
 	}
-	f, err := os.Open(*paramsPath)
+	params, err := load(*paramsPath, core.ParseTransientParams)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	params, err := core.ParseTransientParams(f)
+	m, err := nvbitfi.LookupFaultModel(sf.model)
 	if err != nil {
 		return err
 	}
-	m, err := nvbitfi.LookupFaultModel(*model)
-	if err != nil {
-		return err
-	}
-	if err := m.ValidateParam(*modelParam); err != nil {
+	if err := m.ValidateParam(sf.modelParam); err != nil {
 		return err
 	}
 	r := nvbitfi.Runner{}
@@ -264,7 +299,7 @@ func cmdInject(args []string) error {
 	if err != nil {
 		return err
 	}
-	res, err := r.RunModel(context.Background(), w, golden, m, *params, *modelParam,
+	res, err := r.RunModel(context.Background(), w, golden, m, *params, sf.modelParam,
 		nvbitfi.NewModelEnv(r, golden, profile))
 	if err != nil {
 		return err
@@ -281,7 +316,7 @@ func cmdInject(args []string) error {
 
 func cmdPFInject(args []string) error {
 	fs := flag.NewFlagSet("pf-inject", flag.ExitOnError)
-	program := fs.String("program", "", "target program name")
+	sf := bindFlags(fs, "program")
 	sm := fs.Int("sm", 0, "SM id")
 	lane := fs.Int("lane", 0, "lane id 0..31")
 	mask := fs.String("mask", "0x1", "XOR bit mask")
@@ -290,18 +325,13 @@ func cmdPFInject(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	w, err := lookupProgram(*program)
+	w, err := lookupProgram(sf.program)
 	if err != nil {
 		return err
 	}
 	var p nvbitfi.PermanentParams
 	if *paramsPath != "" {
-		f, err := os.Open(*paramsPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		pp, err := core.ParsePermanentParams(f)
+		pp, err := load(*paramsPath, core.ParsePermanentParams)
 		if err != nil {
 			return err
 		}
@@ -328,37 +358,32 @@ func cmdPFInject(args []string) error {
 	return nil
 }
 
-// campaignFlags are the campaign-config flags `campaign` and `submit` share.
-// Each is defined once, so the same flags describe the same campaign in
-// process and on a coordinator.
+// campaignFlags are the campaign-config flags `campaign` and `submit` share:
+// the shared flags of a fault selection, and the campaign's own.
 type campaignFlags struct {
-	program, group, model, modelParam *string
-	n, bitflip, shardSize, maxN       *int
-	seed                              *int64
-	prune, classes, ckpt, noEarlyExit *bool
-	targetCI, confidence              *float64
-	ckptStride                        *uint64
+	*cliFlags
+	n, shardSize, maxN                int
+	prune, classes, ckpt, noEarlyExit bool
+	targetCI, confidence              float64
+	ckptStride                        uint64
 }
 
-func bindCampaignFlags(fs *flag.FlagSet) *campaignFlags {
-	return &campaignFlags{
-		program:     fs.String("program", "", "target program name ('all' runs every program; campaign only)"),
-		n:           fs.Int("n", 100, "number of transient injections"),
-		group:       fs.String("group", "", "instruction group (default: the fault model's group, G_GPPR for transient)"),
-		bitflip:     fs.Int("bitflip", 1, "bit-flip model 1..4"),
-		seed:        fs.Int64("seed", 1, "campaign seed"),
-		shardSize:   fs.Int("shard-size", 0, "experiments per selection shard (0 = default; part of the campaign's identity)"),
-		model:       fs.String("model", "", "fault model (default transient; see 'nvbitfi models')"),
-		modelParam:  fs.String("model-param", "", "fault-model parameter string, e.g. value=0,bit=17"),
-		prune:       fs.Bool("prune", false, "statically prune transient injections with provably dead destinations (tallied as Masked without running)"),
-		classes:     fs.Bool("classes", false, "class-representative sampling: run one experiment per fault-equivalence class per shard; members inherit the representative's classification"),
-		targetCI:    fs.Float64("target-ci", 0, "adaptive sampling: stop at the first shard boundary where the stratified SDC-share interval half-width is at most this (0 = fixed-count campaign)"),
-		confidence:  fs.Float64("confidence", 0.95, "confidence level for -target-ci"),
-		maxN:        fs.Int("max-n", 0, "with -target-ci, the selection budget cap (0 = -n)"),
-		ckpt:        fs.Bool("ckpt", false, "checkpoint-and-fork: record the golden trajectory once and start each experiment from the snapshot nearest its injection point"),
-		ckptStride:  fs.Uint64("ckpt-stride", 0, "checkpoint stride in warp instructions (0 = derive from the golden run length)"),
-		noEarlyExit: fs.Bool("no-early-exit", false, "with -ckpt, disable early-exit classification at checkpoint boundaries"),
-	}
+// bindCampaignFlags binds the campaign-config flags into fs, with the extra
+// shared flags named.
+func bindCampaignFlags(fs *flag.FlagSet, extra ...string) *campaignFlags {
+	f := &campaignFlags{cliFlags: bindFlags(fs,
+		append([]string{"program", "group", "bitflip", "seed", "model", "model-param"}, extra...)...)}
+	fs.IntVar(&f.n, "n", 100, "number of transient injections")
+	fs.IntVar(&f.shardSize, "shard-size", 0, "experiments per selection shard (0 = default; part of the campaign's identity)")
+	fs.BoolVar(&f.prune, "prune", false, "statically prune transient injections with provably dead destinations (tallied as Masked without running)")
+	fs.BoolVar(&f.classes, "classes", false, "class-representative sampling: run one experiment per fault-equivalence class per shard; members inherit the representative's classification")
+	fs.Float64Var(&f.targetCI, "target-ci", 0, "adaptive sampling: stop at the first shard boundary where the stratified SDC-share interval half-width is at most this (0 = fixed-count campaign)")
+	fs.Float64Var(&f.confidence, "confidence", campaign.DefaultConfidence, "confidence level for -target-ci")
+	fs.IntVar(&f.maxN, "max-n", 0, "with -target-ci, the selection budget cap (0 = -n)")
+	fs.BoolVar(&f.ckpt, "ckpt", false, "checkpoint-and-fork: record the golden trajectory once and start each experiment from the snapshot nearest its injection point")
+	fs.Uint64Var(&f.ckptStride, "ckpt-stride", 0, "checkpoint stride in warp instructions (0 = derive from the golden run length)")
+	fs.BoolVar(&f.noEarlyExit, "no-early-exit", false, "with -ckpt, disable early-exit classification at checkpoint boundaries")
+	return f
 }
 
 // transientOnly are the campaign flags a permanent campaign has no use for.
@@ -377,47 +402,33 @@ func setFlag(fs *flag.FlagSet, names ...string) (set string) {
 	return set
 }
 
-// config builds the campaign config the flags parsed into fs describe. An
-// unset group stays zero, so the config defaults it to the fault model's own
-// group; the default model and the adaptive knobs are left out unless
-// requested, so such configs encode byte-identically to prior releases. An
-// adaptive knob set without -target-ci is refused, not dropped.
+// config builds the campaign config the flags parsed into fs describe. The
+// adaptive knobs are left out unless requested, so such configs encode
+// byte-identically to prior releases. An adaptive knob set without -target-ci
+// is refused, not dropped.
 func (f *campaignFlags) config(fs *flag.FlagSet) (nvbitfi.TransientCampaignConfig, error) {
-	cfg := nvbitfi.TransientCampaignConfig{
-		Injections: *f.n, BitFlip: nvbitfi.BitFlipModel(*f.bitflip), Seed: *f.seed,
-		ShardSize: *f.shardSize, Prune: *f.prune, Classes: *f.classes,
-		Checkpoint: *f.ckpt, CkptStride: *f.ckptStride, NoEarlyExit: *f.noEarlyExit,
-		ModelParam: *f.modelParam,
+	cfg, err := f.baseConfig()
+	if err != nil {
+		return cfg, err
 	}
-	if *f.group != "" {
-		g, err := sass.ParseGroup(*f.group)
-		if err != nil {
-			return cfg, err
-		}
-		cfg.Group = g
-	}
-	if *f.model != "transient" {
-		cfg.Model = *f.model
-	}
-	if *f.targetCI <= 0 {
+	cfg.Injections, cfg.ShardSize = f.n, f.shardSize
+	cfg.Prune, cfg.Classes = f.prune, f.classes
+	cfg.Checkpoint, cfg.CkptStride, cfg.NoEarlyExit = f.ckpt, f.ckptStride, f.noEarlyExit
+	if f.targetCI <= 0 {
 		if name := setFlag(fs, "confidence", "max-n"); name != "" {
 			return cfg, fmt.Errorf("-%s requires -target-ci", name)
 		}
 		return cfg, nil
 	}
-	cfg.TargetCI = *f.targetCI
-	cfg.Confidence = *f.confidence
-	cfg.MaxInjections = *f.maxN
+	cfg.TargetCI, cfg.Confidence, cfg.MaxInjections = f.targetCI, f.confidence, f.maxN
 	return cfg, nil
 }
 
 func cmdCampaign(args []string) error {
 	fs := flag.NewFlagSet("campaign", flag.ExitOnError)
-	cf := bindCampaignFlags(fs)
-	mode := fs.String("mode", "exact", "profiling mode: exact or approx")
+	cf := bindCampaignFlags(fs, "mode")
 	permanent := fs.Bool("permanent", false, "run a permanent campaign instead")
-	parallel := fs.Int("parallel", 0, "concurrent injection experiments (0 = one per CPU)")
-	timing := fs.Bool("timing", false, "timing-fidelity mode: run experiments sequentially so durations are meaningful")
+	parallel := fs.Int("parallel", 0, "concurrent injection experiments (0 = one per CPU; 1 makes per-run durations meaningful)")
 	verify := fs.Bool("verify", false, "verify modules at load and reject programs with static errors")
 	csvPath := fs.String("csv", "", "write the outcome distribution as CSV to this file")
 	runlogPath := fs.String("runlog", "", "write one line per injection run to this file")
@@ -425,7 +436,7 @@ func cmdCampaign(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	m, err := parseMode(*mode)
+	m, err := parseMode(cf.mode)
 	if err != nil {
 		return err
 	}
@@ -433,7 +444,7 @@ func cmdCampaign(args []string) error {
 		if name := setFlag(fs, transientOnly...); name != "" {
 			return fmt.Errorf("campaign: -%s applies to transient campaigns only", name)
 		}
-		if *cf.model != "" {
+		if cf.model != "" {
 			return fmt.Errorf("campaign: -model selects a fault model for transient-style campaigns; use the 'stuck' model instead of -permanent, or drop -model")
 		}
 	}
@@ -441,21 +452,19 @@ func cmdCampaign(args []string) error {
 	if err != nil {
 		return err
 	}
-	cfg.Parallel, cfg.TimingFidelity = *parallel, *timing
+	cfg.Parallel = *parallel
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
 	var programs []nvbitfi.Workload
-	if *cf.program == "all" {
+	if cf.program == "all" {
 		programs = nvbitfi.SpecACCEL()
 	} else {
-		w, err := lookupProgram(*cf.program)
+		w, err := lookupProgram(cf.program)
 		if err != nil {
 			return err
 		}
 		programs = []nvbitfi.Workload{w}
-	}
-	if !*permanent {
-		if err := cfg.Validate(); err != nil {
-			return err
-		}
 	}
 	r := nvbitfi.Runner{VerifyModules: *verify}
 	var results []*nvbitfi.CampaignResult
@@ -470,12 +479,8 @@ func cmdCampaign(args []string) error {
 		}
 		var res *nvbitfi.CampaignResult
 		if *permanent {
-			p := *parallel
-			if *timing {
-				p = 1
-			}
 			res, err = nvbitfi.RunPermanentCampaign(context.Background(), r, w, golden, profile,
-				cfg.BitFlip, cfg.Seed, p)
+				cfg.BitFlip, cfg.Seed, cfg.Parallel)
 		} else {
 			res, err = nvbitfi.RunTransientCampaign(context.Background(), r, w, golden, profile, cfg)
 		}
@@ -542,19 +547,11 @@ func cmdProfDiff(args []string) error {
 	if err != nil {
 		return err
 	}
-	load := func(path string) (*core.Profile, error) {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return core.ParseProfile(f)
-	}
-	a, err := load(*aPath)
+	a, err := load(*aPath, core.ParseProfile)
 	if err != nil {
 		return err
 	}
-	b, err := load(*bPath)
+	b, err := load(*bPath, core.ParseProfile)
 	if err != nil {
 		return err
 	}

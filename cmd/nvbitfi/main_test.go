@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -81,6 +82,89 @@ func writeParams(t *testing.T, p *nvbitfi.TransientParams) string {
 	return path
 }
 
+// TestProfileMatchesRunner: `profile -o` writes the bytes of the profile the
+// equivalent Runner.Profile call returns.
+func TestProfileMatchesRunner(t *testing.T) {
+	r, w, _, _ := cliFixture(t)
+	for _, mode := range []nvbitfi.ProfileMode{nvbitfi.Exact, nvbitfi.Approximate} {
+		t.Run(mode.String(), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "profile.txt")
+			stdout(t, cmdProfile, "-program", cliProgram, "-mode", mode.String(), "-o", path)
+			got, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			profile, _, err := r.Profile(w, mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want bytes.Buffer
+			if _, err := profile.WriteTo(&want); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want.Bytes()) {
+				t.Fatalf("profile -o wrote\n%s\nRunner.Profile writes\n%s", got, want.Bytes())
+			}
+		})
+	}
+}
+
+// TestSelectMatchesLibrary: `select` draws, from its -seed alone, the fault
+// the profile's population for the model draws: the whole G_GPPR group for
+// the default model, the model's own group narrowed to its eligible opcodes
+// and resolved to a static site for any other.
+func TestSelectMatchesLibrary(t *testing.T) {
+	_, _, _, fixture := cliFixture(t)
+	path := filepath.Join(t.TempDir(), "profile.txt")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fixture.WriteTo(f); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	f, err = os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	profile, err := core.ParseProfile(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stuck, err := nvbitfi.LookupFaultModel("stuck")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		model    string
+		group    sass.Group
+		sites    bool
+		eligible func(sass.Op) bool
+	}{
+		{"", sass.GroupGPPR, false, nil},
+		{"stuck", stuck.DefaultGroup(), true, stuck.EligibleOp},
+	} {
+		for _, seed := range []int64{1, 7} {
+			t.Run(fmt.Sprintf("model=%s/seed=%d", tc.model, seed), func(t *testing.T) {
+				printed := stdout(t, cmdSelect, "-profile", path, "-model", tc.model, "-seed", fmt.Sprint(seed))
+				population, err := profile.Population(tc.group, tc.sites, tc.eligible)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := population.Select(nvbitfi.FlipSingleBit, rand.New(rand.NewSource(seed)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if printed != want.String() {
+					t.Fatalf("select printed\n%s\nthe population draws\n%s", printed, want)
+				}
+			})
+		}
+	}
+}
+
 // TestInjectMatchesRunner: `inject` takes one path for every -model, and
 // prints the injection and outcome the equivalent Runner call returns.
 func TestInjectMatchesRunner(t *testing.T) {
@@ -93,8 +177,11 @@ func TestInjectMatchesRunner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	site, err := core.SelectTransientFaultSiteFiltered(profile, stuck.DefaultGroup(), nvbitfi.FlipSingleBit,
-		stuck.EligibleOp, rand.New(rand.NewSource(3)))
+	population, err := profile.Population(stuck.DefaultGroup(), true, stuck.EligibleOp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	site, err := population.Select(nvbitfi.FlipSingleBit, rand.New(rand.NewSource(3)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,6 +334,44 @@ func TestSubmitMatchesCampaign(t *testing.T) {
 	}
 }
 
+// TestSubmitPrintsCampaignSummary: `submit`'s text line is the summary
+// `campaign` prints for the same flags — fault-model tag and potential DUEs
+// included — less the median run time, which a tally alone does not carry.
+func TestSubmitPrintsCampaignSummary(t *testing.T) {
+	args := []string{"-program", cliProgram, "-n", "8", "-seed", "5", "-shard-size", "4", "-model", "predflip"}
+	coord, err := serve.NewCoordinator(serve.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	srv := httptest.NewServer(serve.NewServer(coord))
+	defer srv.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	pool := serve.Pool(ctx, coord, nvbitfi.Runner{}, 2, t.Logf)
+	defer func() {
+		cancel()
+		pool.Wait()
+	}()
+
+	line := func(printed string) string {
+		for _, l := range strings.Split(printed, "\n") {
+			if strings.HasPrefix(l, cliProgram+":") {
+				return l
+			}
+		}
+		t.Fatalf("printed no summary line:\n%s", printed)
+		return ""
+	}
+	submitted := line(stdout(t, cmdSubmit, append([]string{"-coordinator", srv.URL}, args...)...))
+	local := regexp.MustCompile(`, median run [^,\[ ]*`).ReplaceAllString(line(stdout(t, cmdCampaign, args...)), "")
+	if submitted != local {
+		t.Fatalf("submit printed\n%s\ncampaign printed\n%s", submitted, local)
+	}
+	if !strings.Contains(submitted, "[model predflip]") || !strings.Contains(submitted, "potential DUEs") {
+		t.Fatalf("submit summary lacks the model tag or the potential-DUE count: %s", submitted)
+	}
+}
+
 // TestCampaignFlagGuardRails: the CLI refuses what the campaign config
 // refuses, through the config's own rules, before any run; -permanent refuses
 // every transient-only flag set on the command line, and -confidence and
@@ -270,6 +395,7 @@ func TestCampaignFlagGuardRails(t *testing.T) {
 		{cmdCampaign, []string{"-permanent", "-model-param", "bit=3"}, "-model-param applies to transient campaigns only"},
 		{cmdCampaign, []string{"-permanent", "-max-n", "50"}, "-max-n applies to transient campaigns only"},
 		{cmdCampaign, []string{"-permanent", "-confidence", "0.9"}, "-confidence applies to transient campaigns only"},
+		{cmdCampaign, []string{"-permanent", "-bitflip", "9"}, "invalid bit-flip model 9"},
 		{cmdCampaign, []string{"-max-n", "50"}, "-max-n requires -target-ci"},
 		{cmdCampaign, []string{"-confidence", "0.9"}, "-confidence requires -target-ci"},
 		// No coordinator listens on port 1: submit must refuse before dialing.

@@ -106,7 +106,7 @@ func cmdWorker(args []string) error {
 // spec builds the job spec the flags describe.
 func (f *campaignFlags) spec(fs *flag.FlagSet) (serve.CampaignSpec, error) {
 	cfg, err := f.config(fs)
-	return serve.CampaignSpec{Schema: serve.JobSchema, Workload: *f.program, Config: cfg}, err
+	return serve.CampaignSpec{Schema: serve.JobSchema, Workload: f.program, Config: cfg}, err
 }
 
 // cmdSubmit submits a campaign to a coordinator and follows its progress.
@@ -163,55 +163,19 @@ func cmdSubmit(args []string) error {
 	if err != nil {
 		return err
 	}
+	// The status carries what the in-process result's summary needs.
 	res := &campaign.CampaignResult{
 		Program: final.Workload, Tally: final.Tally,
 		Model: final.Config.Model, ModelParam: final.Config.ModelParam,
-	}
-	// An adaptive job's status carries everything the statistical report
-	// block needs; reconstruct the result the in-process runner would
-	// return. The spec stores the config as submitted, so apply the same
-	// defaults the runner would (budget = Injections, confidence = 0.95).
-	if final.Config.TargetCI > 0 {
-		maxInj := final.Config.MaxInjections
-		if maxInj == 0 {
-			maxInj = final.Config.Injections
-		}
-		conf := final.Config.Confidence
-		if conf == 0 {
-			conf = campaign.DefaultConfidence
-		}
-		res.Adaptive = &campaign.AdaptiveResult{
-			TargetCI:      final.Config.TargetCI,
-			Confidence:    conf,
-			MaxInjections: maxInj,
-			Converged:     final.Converged,
-			StopShard:     final.StopShard,
-			AchievedCI:    final.AchievedCI,
-			Strata:        final.Strata,
-		}
+		Adaptive: final.Config.Adaptive(final.Converged, final.StopShard, final.AchievedCI, final.Strata),
 	}
 	if *jsonOut {
-		return report.WriteSummaryJSON(os.Stdout, res)
+		err = report.WriteSummaryJSON(os.Stdout, res)
+	} else {
+		fmt.Println(report.Summary(res))
 	}
-	fmt.Printf("%s: %d runs, %s", final.Workload, final.Tally.N, final.Tally)
-	if final.Tally.Pruned > 0 {
-		fmt.Printf(", %d statically pruned", final.Tally.Pruned)
+	if err == nil && final.State != serve.JobDone {
+		err = fmt.Errorf("job settled %s with %d quarantined shards", final.State, final.Quarantined)
 	}
-	if final.Tally.ClassReps > 0 || final.Tally.ClassAnswered > 0 {
-		fmt.Printf(", %d class reps answered %d members",
-			final.Tally.ClassReps, final.Tally.ClassAnswered)
-	}
-	if final.Tally.Restored > 0 {
-		fmt.Printf(", %d restored from checkpoints (%d early exits)",
-			final.Tally.Restored, final.Tally.EarlyExits)
-	}
-	if final.Converged {
-		fmt.Printf(", converged at shard %d (achieved ±%.4f, %d shards skipped)",
-			final.StopShard, final.AchievedCI, final.Skipped)
-	}
-	fmt.Println()
-	if final.State != serve.JobDone {
-		return fmt.Errorf("job settled %s with %d quarantined shards", final.State, final.Quarantined)
-	}
-	return nil
+	return err
 }

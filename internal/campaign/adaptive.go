@@ -216,14 +216,25 @@ func runAdaptiveCampaign(ctx context.Context, plan *ShardPlan) (*CampaignResult,
 	if err := conserved(acc, len(all)); err != nil {
 		return nil, err
 	}
-	res.Adaptive = &AdaptiveResult{
-		TargetCI:      cfg.TargetCI,
-		Confidence:    cfg.Confidence,
-		MaxInjections: cfg.MaxInjections,
-		Converged:     converged,
-		StopShard:     last,
-		AchievedCI:    achieved,
-		Strata:        plan.weights,
-	}
+	res.Adaptive = cfg.Adaptive(converged, last, achieved, plan.weights)
 	return res, nil
+}
+
+// Adaptive is the stopping decision of a campaign under c that ran up to
+// stopShard, echoing c's defaults-applied stopping rule; nil when c is not
+// adaptive. A campaign service rebuilds the in-process result from it.
+func (c TransientCampaignConfig) Adaptive(converged bool, stopShard int, achieved float64, strata []StratumWeight) *AdaptiveResult {
+	if c.TargetCI <= 0 {
+		return nil
+	}
+	c = c.withDefaults()
+	return &AdaptiveResult{
+		TargetCI:      c.TargetCI,
+		Confidence:    c.Confidence,
+		MaxInjections: c.MaxInjections,
+		Converged:     converged,
+		StopShard:     stopShard,
+		AchievedCI:    achieved,
+		Strata:        strata,
+	}
 }

@@ -254,7 +254,7 @@ func benchAdaptiveCampaign(b *testing.B, adaptive bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := campaign.TransientCampaignConfig{Injections: budget, Seed: 31, TimingFidelity: true}
+	cfg := campaign.TransientCampaignConfig{Injections: budget, Seed: 31, Parallel: 1}
 	if adaptive {
 		cfg.TargetCI = 0.02
 	}

@@ -94,7 +94,7 @@ func BenchmarkTransientCampaignE2E(b *testing.B) {
 		start = time.Now()
 		res, err := campaign.RunTransientCampaign(context.Background(), r, w, golden, profile,
 			campaign.TransientCampaignConfig{
-				Injections: injections, Seed: 7, TimingFidelity: true,
+				Injections: injections, Seed: 7, Parallel: 1,
 			})
 		if err != nil {
 			b.Fatal(err)

@@ -398,7 +398,7 @@ func benchCheckpointCampaign(b *testing.B, checkpoint bool) {
 	r, golden, profile := iterCampaignInputs(b)
 	cfg := campaign.TransientCampaignConfig{
 		Injections: 200, Seed: 31, ResolveSites: true,
-		Checkpoint: checkpoint, TimingFidelity: true,
+		Checkpoint: checkpoint, Parallel: 1,
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -405,7 +405,7 @@ func benchClassCampaign(b *testing.B, classes bool) {
 		b.Fatal(err)
 	}
 	cfg := campaign.TransientCampaignConfig{
-		Injections: 240, Seed: 31, ResolveSites: true, Classes: classes, TimingFidelity: true,
+		Injections: 240, Seed: 31, ResolveSites: true, Classes: classes, Parallel: 1,
 	}
 	b.ResetTimer()
 	var executed int

@@ -166,7 +166,7 @@ func benchPruneCampaign(b *testing.B, prune bool) {
 		b.Fatal(err)
 	}
 	cfg := campaign.TransientCampaignConfig{
-		Injections: 200, Seed: 31, ResolveSites: true, Prune: prune, TimingFidelity: true,
+		Injections: 200, Seed: 31, ResolveSites: true, Prune: prune, Parallel: 1,
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

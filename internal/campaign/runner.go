@@ -421,14 +421,12 @@ type TransientCampaignConfig struct {
 	// Seed makes site selection reproducible.
 	Seed int64
 	// Parallel bounds concurrent experiments. Zero defaults to
-	// runtime.NumCPU(), or 1 when TimingFidelity is set. Outcomes are
-	// independent of Parallel: every experiment gets a fresh device and
-	// its fault parameters are selected up front from the seed.
+	// runtime.NumCPU(). Outcomes are independent of Parallel: every
+	// experiment gets a fresh device and its fault parameters are selected
+	// up front from the seed. Parallel 1 runs experiments one at a time, so
+	// per-run durations measure interpreter time, not scheduler contention —
+	// the setting for Figure 4-style overhead measurements.
 	Parallel int
-	// TimingFidelity forces sequential experiments by default so per-run
-	// durations measure interpreter time, not scheduler contention — the
-	// mode for Figure 4-style overhead measurements.
-	TimingFidelity bool
 	// ResolveSites selects faults with core.SelectTransientFaultSite: the
 	// same seeded stream and the same site distribution, but every parameter
 	// tuple carries the static instruction index it landed on. Requires a
@@ -509,15 +507,23 @@ type TransientCampaignConfig struct {
 	ShardSize int
 }
 
-func (c TransientCampaignConfig) withDefaults() TransientCampaignConfig {
-	if c.Injections == 0 {
-		c.Injections = 100
-	}
-	// An explicit default-model name normalizes to the empty string so that
-	// `-model=transient` configs encode byte-identically to configs that never
-	// mention a model.
+// Canonical returns the config with an explicit default-model name folded
+// to the empty string, so that `-model=transient` configs encode
+// byte-identically to configs that never mention a model. It is the config
+// as a job journal and status carry it; withDefaults starts from it.
+func (c TransientCampaignConfig) Canonical() TransientCampaignConfig {
 	if c.Model == faultmodel.DefaultName {
 		c.Model = ""
+	}
+	return c
+}
+
+// withDefaults is the one place a config's defaults are applied: every
+// campaign, shard plan, selection and adaptive decision runs on its result.
+func (c TransientCampaignConfig) withDefaults() TransientCampaignConfig {
+	c = c.Canonical()
+	if c.Injections == 0 {
+		c.Injections = 100
 	}
 	if c.Group == 0 {
 		c.Group = sass.GroupGPPR
@@ -531,11 +537,7 @@ func (c TransientCampaignConfig) withDefaults() TransientCampaignConfig {
 		c.BitFlip = core.FlipSingleBit
 	}
 	if c.Parallel <= 0 {
-		if c.TimingFidelity {
-			c.Parallel = 1
-		} else {
-			c.Parallel = runtime.NumCPU()
-		}
+		c.Parallel = runtime.NumCPU()
 	}
 	if c.ShardSize <= 0 {
 		c.ShardSize = DefaultShardSize
@@ -684,18 +686,19 @@ func filterOK(results []RunResult, errs []error) []RunResult {
 
 // RunPermanentCampaign runs one permanent fault per executed opcode and
 // weights each outcome by that opcode's share of dynamic instructions (the
-// data behind Figure 3). Cancelling ctx stops in-flight experiments
-// promptly and returns the partial result alongside the context error.
+// data behind Figure 3). bf, seed and parallel are the config fields of the
+// same names, held to the same rules and defaults. Cancelling ctx stops
+// in-flight experiments promptly and returns the partial result alongside
+// the context error.
 func RunPermanentCampaign(ctx context.Context, r Runner, w Workload, golden *GoldenResult,
 	profile *core.Profile, bf core.BitFlipModel, seed int64, parallel int) (*CampaignResult, error) {
-	if bf == 0 {
-		bf = core.FlipSingleBit
+	cfg := TransientCampaignConfig{BitFlip: bf, Seed: seed, Parallel: parallel}
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
-	if parallel <= 0 {
-		parallel = runtime.NumCPU()
-	}
+	cfg = cfg.withDefaults()
 	r = r.applyDefaults()
-	faults, err := core.SelectPermanentFaults(profile, r.Family, r.NumSMs, bf, rand.New(rand.NewSource(seed)))
+	faults, err := core.SelectPermanentFaults(profile, r.Family, r.NumSMs, cfg.BitFlip, rand.New(rand.NewSource(cfg.Seed)))
 	if err != nil {
 		return nil, err
 	}
@@ -705,7 +708,7 @@ func RunPermanentCampaign(ctx context.Context, r Runner, w Workload, golden *Gol
 	for i := range idxs {
 		idxs[i] = i
 	}
-	runClaimed(ctx, parallel, idxs, errs, func(i int) error {
+	runClaimed(ctx, cfg.Parallel, idxs, errs, func(i int) error {
 		res, err := r.RunPermanent(ctx, w, golden, *faults[i], nil, nil)
 		if err == nil {
 			results[i] = *res

@@ -167,6 +167,34 @@ func TestPermanentCampaignWeighting(t *testing.T) {
 	}
 }
 
+// TestPermanentCampaignRefusesInvalidBitFlip: a permanent campaign holds its
+// bit-flip model to the transient campaign's rule, and refuses an invalid one
+// with the same error before it runs anything.
+func TestPermanentCampaignRefusesInvalidBitFlip(t *testing.T) {
+	w, err := specaccel.ByName("314.omriq")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := campaign.Runner{}
+	golden, err := r.Golden(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	profile, _, err := r.Profile(w, core.Exact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := core.BitFlipModel(9)
+	want := campaign.TransientCampaignConfig{BitFlip: bad}.Validate()
+	if want == nil {
+		t.Fatal("a transient campaign accepts bit-flip model 9")
+	}
+	res, err := campaign.RunPermanentCampaign(context.Background(), r, w, golden, profile, bad, 11, 1)
+	if err == nil || err.Error() != want.Error() || res != nil {
+		t.Fatalf("permanent campaign with bit-flip model 9: %v (result returned: %v), want %q", err, res != nil, want)
+	}
+}
+
 // TestHangInjectionClassifiedAsTimeout: a fault that creates an infinite
 // loop is caught by the budget monitor and classified DUE/timeout.
 func TestHangInjectionClassifiedAsTimeout(t *testing.T) {

@@ -57,6 +57,26 @@ func modelSeed(seed int64, model string) int64 {
 	return int64(uint64(seed) ^ h)
 }
 
+// Population is the fault population a campaign under cfg draws from: the
+// config's group (by default the fault model's own), narrowed to the opcodes
+// a non-default model can inject at, and resolved to static sites when the
+// model or any acceleration reasons about them. It is the one selection rule:
+// SelectShard draws a campaign's shards from it, and `nvbitfi select` draws
+// one fault.
+func Population(profile *core.Profile, cfg TransientCampaignConfig) (*core.FaultPopulation, error) {
+	cfg = cfg.withDefaults()
+	var eligible func(sass.Op) bool
+	if cfg.Model != "" {
+		m, err := faultmodel.Lookup(cfg.Model)
+		if err != nil {
+			return nil, err
+		}
+		eligible = m.EligibleOp
+	}
+	resolve := cfg.ResolveSites || cfg.Prune || cfg.Checkpoint || cfg.Classes || cfg.TargetCI > 0
+	return profile.Population(cfg.Group, resolve, eligible)
+}
+
 // SelectShard selects the parameter tuples of one shard from the profile:
 // experiments [lo, hi) of the campaign, drawn from the shard's own seeded
 // stream. It is pure selection — no workload runs — so a worker can call it
@@ -68,16 +88,7 @@ func SelectShard(profile *core.Profile, cfg TransientCampaignConfig, shard int) 
 	if shard < 0 || shard >= cfg.NumShards() {
 		return nil, fmt.Errorf("campaign: shard %d out of range (campaign has %d shards)", shard, cfg.NumShards())
 	}
-	var eligible func(sass.Op) bool
-	if cfg.Model != "" {
-		m, err := faultmodel.Lookup(cfg.Model)
-		if err != nil {
-			return nil, err
-		}
-		eligible = m.EligibleOp
-	}
-	resolve := cfg.ResolveSites || cfg.Prune || cfg.Checkpoint || cfg.Classes || cfg.TargetCI > 0
-	population, err := profile.Population(cfg.Group, resolve, eligible)
+	population, err := Population(profile, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -135,28 +146,19 @@ func NewShardPlan(r Runner, w Workload, golden *GoldenResult, profile *core.Prof
 		return nil, err
 	}
 	plan := &ShardPlan{runner: r, w: w, golden: golden, profile: profile, cfg: cfg, model: m}
+	if (cfg.Model != "" || cfg.Prune || cfg.Classes || cfg.TargetCI > 0) && golden.Kernels == nil {
+		return nil, fmt.Errorf("campaign: a fault model, pruning, class or adaptive sampling needs the golden kernel view, but the golden result carries no kernels; rebuild it with Runner.Golden")
+	}
 	if cfg.Model != "" {
-		if golden.Kernels == nil {
-			return nil, fmt.Errorf("campaign: fault model %q requires the golden kernel view; rebuild the golden result with Runner.Golden", m.Name())
-		}
 		plan.env = ModelEnv(r, golden, profile)
 	}
 	if cfg.Prune {
-		if golden.Kernels == nil {
-			return nil, fmt.Errorf("campaign: prune requested but the golden result carries no kernels; rebuild it with Runner.Golden")
-		}
 		plan.pr = newPruner(golden.Kernels)
 	}
 	if cfg.Classes {
-		if golden.Kernels == nil {
-			return nil, fmt.Errorf("campaign: class sampling requested but the golden result carries no kernels; rebuild it with Runner.Golden")
-		}
 		plan.cl = newClasser(golden.Kernels)
 	}
 	if cfg.TargetCI > 0 {
-		if golden.Kernels == nil {
-			return nil, fmt.Errorf("campaign: adaptive sampling requested but the golden result carries no kernels; rebuild it with Runner.Golden")
-		}
 		cl := plan.cl
 		if cl == nil {
 			cl = newClasser(golden.Kernels)

@@ -123,7 +123,7 @@ func (fp *FaultPopulation) Select(bf BitFlipModel, rng *rand.Rand) (*TransientPa
 // instructions of the requested group (FaultPopulation.Select over the whole
 // group, unresolved).
 func SelectTransientFault(p *Profile, g sass.Group, bf BitFlipModel, rng *rand.Rand) (*TransientParams, error) {
-	return selectOne(p, g, bf, false, nil, rng)
+	return selectOne(p, g, bf, false, rng)
 }
 
 // SelectTransientFaultSite is SelectTransientFault with the selection
@@ -134,20 +134,11 @@ func SelectTransientFault(p *Profile, g sass.Group, bf BitFlipModel, rng *rand.R
 // the target without replaying the program. Requires a profile with site
 // data.
 func SelectTransientFaultSite(p *Profile, g sass.Group, bf BitFlipModel, rng *rand.Rand) (*TransientParams, error) {
-	return selectOne(p, g, bf, true, nil, rng)
+	return selectOne(p, g, bf, true, rng)
 }
 
-// SelectTransientFaultSiteFiltered is SelectTransientFaultSite restricted to
-// opcodes accepted by eligible: the dynamic index is drawn over (and walked
-// through) only the executions of eligible opcodes within the group, so every
-// selection is valid for fault models that cannot target arbitrary
-// instructions.
-func SelectTransientFaultSiteFiltered(p *Profile, g sass.Group, bf BitFlipModel, eligible func(sass.Op) bool, rng *rand.Rand) (*TransientParams, error) {
-	return selectOne(p, g, bf, true, eligible, rng)
-}
-
-func selectOne(p *Profile, g sass.Group, bf BitFlipModel, sites bool, eligible func(sass.Op) bool, rng *rand.Rand) (*TransientParams, error) {
-	fp, err := p.Population(g, sites, eligible)
+func selectOne(p *Profile, g sass.Group, bf BitFlipModel, sites bool, rng *rand.Rand) (*TransientParams, error) {
+	fp, err := p.Population(g, sites, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -317,8 +317,12 @@ func WriteWeightedCSV(w io.Writer, results ...*campaign.CampaignResult) error {
 // Summary renders the one-line campaign summary used by the CLI.
 func Summary(res *campaign.CampaignResult) string {
 	t := res.Tally
-	s := fmt.Sprintf("%s: %d runs, %v, potential DUEs %d, median run %v",
-		res.Program, t.N, t, t.PotentialDUEs, res.MedianRunTime.Round(time.Millisecond))
+	s := fmt.Sprintf("%s: %d runs, %v, potential DUEs %d", res.Program, t.N, t, t.PotentialDUEs)
+	if len(res.Runs) > 0 {
+		// A result rebuilt from a tally alone (a service job's) has no runs
+		// to take a median over.
+		s += fmt.Sprintf(", median run %v", res.MedianRunTime.Round(time.Millisecond))
+	}
 	if t.Pruned > 0 {
 		s += fmt.Sprintf(", %d statically pruned", t.Pruned)
 	}

@@ -104,8 +104,13 @@ func TestWriteWeightedCSV(t *testing.T) {
 
 func TestSummary(t *testing.T) {
 	tr, pf := miniCampaign(t)
-	if s := report.Summary(tr); !strings.Contains(s, "5 runs") {
+	if s := report.Summary(tr); !strings.Contains(s, "5 runs") || !strings.Contains(s, "median run") {
 		t.Fatalf("transient summary = %q", s)
+	}
+	// A result rebuilt from its tally alone has no run to take a median of.
+	if s := report.Summary(&campaign.CampaignResult{Program: tr.Program, Tally: tr.Tally}); !strings.Contains(s, "5 runs") ||
+		strings.Contains(s, "median run") {
+		t.Fatalf("tally-only summary = %q", s)
 	}
 	if s := report.Summary(pf); !strings.Contains(s, "opcodes") ||
 		!strings.Contains(s, "weighted") {

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/campaign"
-	"repro/internal/faultmodel"
 )
 
 // ErrLeaseLost reports that a heartbeat, completion, or failure named a
@@ -227,13 +226,11 @@ func (c *Coordinator) accept(spec CampaignSpec) (*JobStatus, error) {
 		return nil, err
 	}
 	adaptive := spec.Config.TargetCI > 0
-	// The journal and every status reply carry the one schema. An explicit
-	// default model name is folded away so that Model="transient" jobs are
-	// byte-identical to jobs that never set it.
+	// The journal and every status reply carry the one schema and the
+	// canonical config, so Model="transient" jobs are byte-identical to jobs
+	// that never set it.
 	spec.Schema = JobSchema
-	if spec.Config.Model == faultmodel.DefaultName {
-		spec.Config.Model = ""
-	}
+	spec.Config = spec.Config.Canonical()
 	w, err := ResolveWorkload(spec.Workload)
 	if err != nil {
 		return nil, err

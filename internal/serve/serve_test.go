@@ -62,12 +62,16 @@ func mustJSON(t *testing.T, v any) []byte {
 }
 
 // Job specs as a build wrote them while the campaign config still carried
-// the engine switch NoXlate. Decoding ignores the field, so they still
-// validate and run — on the one engine, to the tally of the same config
-// without it.
+// the engine switch NoXlate or the TimingFidelity switch. Decoding ignores
+// those fields, so the specs still validate and run — on the one engine, to
+// the tally of the same config without them.
 const (
 	parentSpecXlate  = `{"schema":"nvbitfi.job/v1","workload":"314.omriq","config":{"Injections":60,"Group":0,"BitFlip":0,"Seed":42,"Parallel":0,"TimingFidelity":false,"ResolveSites":false,"Prune":false,"Checkpoint":false,"CkptStride":0,"NoEarlyExit":false,"NoXlate":false,"ShardSize":0}}`
 	parentSpecInterp = `{"schema":"nvbitfi.job/v1","workload":"314.omriq","config":{"Injections":60,"Group":0,"BitFlip":0,"Seed":42,"Parallel":0,"TimingFidelity":false,"ResolveSites":false,"Prune":false,"Checkpoint":false,"CkptStride":0,"NoEarlyExit":false,"NoXlate":true,"ShardSize":0}}`
+	// parentSpecTiming asks for sequential experiments through the
+	// TimingFidelity switch the config has since lost; Parallel 1 is its
+	// equivalent, and neither changes a tally.
+	parentSpecTiming = `{"schema":"nvbitfi.job/v1","workload":"314.omriq","config":{"Injections":60,"Group":0,"BitFlip":0,"Seed":42,"Parallel":0,"TimingFidelity":true,"ResolveSites":false,"Prune":false,"Checkpoint":false,"CkptStride":0,"NoEarlyExit":false,"ShardSize":0}}`
 	// parentJournalJob is the journal's job line for a 3-shard NoXlate job.
 	parentJournalJob = `{"type":"job","job":"job-adbbf8786c1d","spec":{"schema":"nvbitfi.job/v1","workload":"314.omriq","config":{"Injections":60,"Group":0,"BitFlip":0,"Seed":42,"Parallel":0,"TimingFidelity":false,"ResolveSites":false,"Prune":false,"Checkpoint":false,"CkptStride":0,"NoEarlyExit":false,"NoXlate":true,"ShardSize":20}},"golden_digest":"177c0ddca0c846317ec1a89ef949d55745aadf57d667e271a9b3310d9efac8fd","num_shards":3}`
 )
@@ -95,7 +99,8 @@ func postSpec(t *testing.T, url, raw string) *serve.JobStatus {
 // 200-injection campaign submitted over HTTP and executed by two remote
 // workers must produce a tally byte-identical to the in-process runner on
 // the same seed — and the same must hold with the pruning and checkpoint
-// engines enabled, and for specs written before the config lost NoXlate.
+// engines enabled, and for specs written before the config lost NoXlate and
+// TimingFidelity.
 func TestServiceTallyIdentity(t *testing.T) {
 	cases := []struct {
 		name string
@@ -114,6 +119,7 @@ func TestServiceTallyIdentity(t *testing.T) {
 		{"classes", campaign.TransientCampaignConfig{Injections: 60, Seed: 45, Classes: true}, ""},
 		{"parent-spec", campaign.TransientCampaignConfig{Injections: 60, Seed: 42}, parentSpecXlate},
 		{"parent-spec-noxlate", campaign.TransientCampaignConfig{Injections: 60, Seed: 42}, parentSpecInterp},
+		{"parent-spec-timing", campaign.TransientCampaignConfig{Injections: 60, Seed: 42, Parallel: 1}, parentSpecTiming},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -31,9 +31,6 @@ type Worker struct {
 	Runner campaign.Runner
 	// Name labels the worker in leases and events.
 	Name string
-	// HeartbeatFraction sets the heartbeat period as a fraction of the
-	// lease TTL (default 1/3).
-	HeartbeatFraction float64
 	// Logf, when set, receives worker progress lines.
 	Logf func(format string, args ...any)
 
@@ -46,6 +43,10 @@ type Worker struct {
 // objects, so the cache holds the few specs a fleet interleaves, not every
 // job it ever saw.
 const planCacheSize = 4
+
+// heartbeatFraction is the heartbeat period as a fraction of the lease TTL,
+// so a held lease is renewed about three times per TTL.
+const heartbeatFraction = 1.0 / 3
 
 // planKey is what a worker's campaign state is a pure function of (given
 // its Runner): two jobs with the same workload and config share one plan.
@@ -78,9 +79,6 @@ func (w *Worker) logf(format string, args ...any) {
 // even a mid-kernel golden run or experiment stops within its cancellation
 // poll stride.
 func (w *Worker) Run(ctx context.Context) error {
-	if w.HeartbeatFraction <= 0 || w.HeartbeatFraction >= 1 {
-		w.HeartbeatFraction = 1.0 / 3
-	}
 	id, err := w.Backend.Register(WorkerInfo{Name: w.Name})
 	if err != nil {
 		return fmt.Errorf("serve: worker registration: %w", err)
@@ -199,7 +197,7 @@ func (w *Worker) runShard(ctx context.Context, workerID string, grant *LeaseGran
 	var lost bool
 	var hbWG sync.WaitGroup
 	hbWG.Add(1)
-	period := time.Duration(w.HeartbeatFraction * float64(grant.TTLSeconds) * float64(time.Second))
+	period := time.Duration(heartbeatFraction * float64(grant.TTLSeconds) * float64(time.Second))
 	if period <= 0 {
 		period = time.Second
 	}
