@@ -118,22 +118,8 @@ func (d *DebuggerFI) step(c *gpu.InstrCtx) {
 	if !sass.GroupContains(d.P.Group, c.Instr.Op) {
 		return
 	}
-	n := uint64(c.LaneCount())
-	if d.counter+n <= d.P.InstrCount {
-		d.counter += n
-		return
-	}
-	k := d.P.InstrCount - d.counter
-	d.counter += n
-	for lane := 0; lane < gpu.WarpSize; lane++ {
-		if !c.LaneActive(lane) {
-			continue
-		}
-		if k == 0 {
-			core.CorruptDest(&d.rec, c, c.InstrIdx, lane, d.P.BitFlip,
-				d.P.DestRegSelect, d.P.BitPatternValue)
-			return
-		}
-		k--
+	if lane := gpu.Land(&d.counter, d.P.InstrCount, c.ActiveMask); lane >= 0 {
+		core.CorruptDest(&d.rec, c, c.InstrIdx, lane, d.P.BitFlip,
+			d.P.DestRegSelect, d.P.BitPatternValue)
 	}
 }

@@ -137,21 +137,7 @@ func (s *StaticFI) step(c *gpu.InstrCtx, instrIdx int) {
 	if !s.active || s.rec.Activated {
 		return
 	}
-	n := uint64(c.LaneCount())
-	if s.counter+n <= s.P.InstrCount {
-		s.counter += n
-		return
-	}
-	k := s.P.InstrCount - s.counter
-	s.counter += n
-	for lane := 0; lane < gpu.WarpSize; lane++ {
-		if !c.LaneActive(lane) {
-			continue
-		}
-		if k == 0 {
-			core.CorruptDest(&s.rec, c, instrIdx, lane, s.P.BitFlip, s.P.DestRegSelect, s.P.BitPatternValue)
-			return
-		}
-		k--
+	if lane := gpu.Land(&s.counter, s.P.InstrCount, c.ActiveMask); lane >= 0 {
+		core.CorruptDest(&s.rec, c, instrIdx, lane, s.P.BitFlip, s.P.DestRegSelect, s.P.BitPatternValue)
 	}
 }

@@ -59,10 +59,11 @@ func expectSameCampaign(t *testing.T, label string, ref, got *campaign.CampaignR
 	}
 }
 
-// TestLegacyPathCampaignEquivalence: campaigns on the optimized engine
-// (post-activation disarm) must produce classifications, injection records,
-// stats, and tallies identical to the legacy slow path, experiment by
-// experiment.
+// TestLegacyPathCampaignEquivalence: campaigns on the optimized engine (the
+// batched loop, the transient flip spent once it lands) must produce
+// classifications, injection records, stats, and tallies identical to the
+// slow paths — the per-step reference loop and the legacy scheduler —
+// experiment by experiment.
 func TestLegacyPathCampaignEquivalence(t *testing.T) {
 	cfg := campaign.TransientCampaignConfig{Injections: 20, Seed: 11}
 	base := campaign.Runner{}
@@ -85,7 +86,8 @@ func TestLegacyPathCampaignEquivalence(t *testing.T) {
 		name string
 		r    campaign.Runner
 	}{
-		{"armed (DisableDisarm)", campaign.WithDevice(base, func(d *gpu.Device) { d.DisableDisarm = true })},
+		{"reference loop (NoXlate)", campaign.WithDevice(base, func(d *gpu.Device) { d.NoXlate = true })},
+		{"legacy scheduler (LegacySched)", campaign.WithDevice(base, func(d *gpu.Device) { d.LegacySched = true })},
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {

@@ -9,7 +9,7 @@ var RunOne = (*ShardPlan).runOne
 
 // WithDevice returns r with set applied to every device it builds, after
 // whatever r already applies — how the whole-campaign differentials run a
-// campaign on gpu.Device's oracles (NoXlate, LegacySched, DisableDisarm).
+// campaign on gpu.Device's oracles (NoXlate, LegacySched).
 func WithDevice(r Runner, set func(*gpu.Device)) Runner {
 	prev := r.device
 	r.device = func(d *gpu.Device) {

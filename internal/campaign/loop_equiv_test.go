@@ -78,8 +78,8 @@ func runUnderEngine(t *testing.T, w campaign.Workload, budget uint64, engine fun
 }
 
 // TestLoopEquivalenceShippedPrograms: for every shipped program, run plain,
-// under the profiler, under the transient injector (armed until it fires,
-// then disarmed) and under each whole-run-armed fault model, the batched warp
+// under the profiler, under the transient injector (its spec spent once it
+// lands) and under each of the other fault models, the batched warp
 // loop, the per-step reference loop (NoXlate) and the batched loop over the
 // legacy scheduler (LegacySched) produce the same loopObservation. Under
 // -race and -short two programs stand in for the fifteen: the detector slows

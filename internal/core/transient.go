@@ -37,21 +37,86 @@ type InjectionRecord struct {
 	Target   string // corrupted register name
 }
 
+// HitRecord is the record of a single-site fault that landed on the
+// instruction c describes: the fields every single-site model fills the same
+// way. The landing lane is the model's to report.
+func HitRecord(c *gpu.InstrCtx) InjectionRecord {
+	return InjectionRecord{
+		Activated: true,
+		Kernel:    c.Kernel.Name,
+		InstrIdx:  int32(c.InstrIdx),
+		Opcode:    c.Instr.Op,
+		SMID:      int32(c.SMID),
+		BlockLin:  int32(c.BlockLin),
+		WarpID:    int32(c.WarpID),
+	}
+}
+
+// SingleSite is the nvbit.Tool every single-site fault model is: NVBitFI's
+// injector.so shape. Only the target dynamic kernel instance is
+// instrumented, and with no callback: a one-shot spec (gpu.Shot) on the armed
+// sites, which the engine counts down to the chosen thread-level execution,
+// where it calls the model's hit function once — the selectivity the paper
+// credits for NVBitFI's low injection overhead. A model embeds it (built by
+// NewSingleSite), keeps only its hit function, and records the outcome in Rec.
+type SingleSite struct {
+	P TransientParams
+	// Rec is what the injection did, for Record; the hit function fills it.
+	Rec InjectionRecord
+
+	name, key string
+	ops       sass.OpSet // the armed opcodes
+	pc        int        // the one armed instruction, -1 for every one of ops
+	base      uint64     // the count the target launch starts from
+	spec      gpu.Shot
+}
+
+// NewSingleSite arms a single-site fault for p, named name, whose target
+// launch builds under JIT key key: its spec is armed on the instructions of
+// ops — on p's static instruction only, when p is site-resolved — and hit
+// (with pre, optional, just before the target issues) runs at the landing.
+func NewSingleSite(p TransientParams, name, key string, ops sass.OpSet, pre, hit func(*gpu.InstrCtx, int)) SingleSite {
+	s := SingleSite{P: p, name: name, key: key, ops: ops, pc: -1}
+	if p.SiteResolved {
+		s.pc = p.StaticInstrIdx
+	}
+	s.spec = gpu.Shot{Target: p.InstrCount, Pre: pre, Hit: hit}
+	return s
+}
+
+// Name implements nvbit.Tool.
+func (s *SingleSite) Name() string { return s.name }
+
+// Record returns the injection outcome after the run.
+func (s *SingleSite) Record() InjectionRecord { return s.Rec }
+
+// Activations is zero: the fault is single-shot, and Record says whether it
+// fired.
+func (s *SingleSite) Activations() uint64 { return 0 }
+
+// OnLaunch implements nvbit.Tool: only the targeted dynamic kernel instance
+// is instrumented, and its countdown starts there.
+func (s *SingleSite) OnLaunch(info *nvbit.LaunchInfo) nvbit.Decision {
+	if info.Kernel.Name != s.P.KernelName || info.LaunchIndex != s.P.KernelCount {
+		return nvbit.RunOriginal
+	}
+	s.spec.Count = s.base
+	return nvbit.Decision{Instrument: true, Key: s.key}
+}
+
+// Instrument implements nvbit.Tool: the spec goes on the armed sites.
+func (s *SingleSite) Instrument(_ *sass.Kernel, _ string, ins *nvbit.Inserter) {
+	ins.Shot(&s.spec, &s.ops, s.pc)
+}
+
+// OnLaunchDone implements nvbit.Tool.
+func (s *SingleSite) OnLaunchDone(*nvbit.LaunchInfo, gpu.LaunchStats, *gpu.Trap, bool) {}
+
 // TransientInjector is the injector.so analog: it corrupts the destination
 // register of exactly one dynamic, thread-level instruction execution,
-// selected by the parameter tuple. Only the targeted dynamic kernel
-// instance is instrumented; every other launch runs unmodified — the
-// selectivity the paper credits for NVBitFI's low injection overhead.
+// selected by the parameter tuple.
 type TransientInjector struct {
-	P TransientParams
-
-	counter uint64 // eligible thread-level executions seen in the target launch
-	// counterBase primes counter when the target launch begins. The
-	// checkpoint engine sets it to the eligible executions that happened
-	// before the restore point, which a restored run never re-executes.
-	counterBase uint64
-	active      bool // the in-flight launch is the target
-	rec         InjectionRecord
+	SingleSite
 }
 
 var _ nvbit.Tool = (*TransientInjector)(nil)
@@ -62,117 +127,42 @@ func NewTransientInjector(p TransientParams) (*TransientInjector, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	return &TransientInjector{P: p}, nil
+	// The key deliberately omits InstrCount: the instrumentation is identical
+	// for every count (the countdown is the spec's, not the build's), so
+	// keying on it would only defeat JIT-cache reuse across repeat launches
+	// of the target kernel. A site-resolved experiment instruments a single
+	// instruction, so its key carries the static index instead.
+	key := fmt.Sprintf("inject:%v", p.Group)
+	if p.SiteResolved {
+		key = fmt.Sprintf("inject:%v@%d", p.Group, p.StaticInstrIdx)
+	}
+	var ops sass.OpSet
+	for op := sass.Op(1); int(op) <= sass.NumOpcodes(); op++ {
+		if sass.GroupContains(p.Group, op) {
+			ops.Add(op)
+		}
+	}
+	t := &TransientInjector{}
+	t.SingleSite = NewSingleSite(p, "injector", key, ops, nil, t.hit)
+	if sel := p.Thread; sel != nil {
+		// Thread-targeted mode (extension): only the selected thread's
+		// executions are eligible.
+		t.spec.Thread, t.spec.Block, t.spec.Warp, t.spec.Lane = true, sel.BlockLinear, sel.WarpID, sel.Lane
+	}
+	return t, nil
 }
-
-// Name implements nvbit.Tool.
-func (t *TransientInjector) Name() string { return "injector" }
-
-// Record returns the injection outcome after the run.
-func (t *TransientInjector) Record() InjectionRecord { return t.rec }
-
-// Activations is zero: the flip is single-shot, and Record says whether it
-// fired. With Record it makes the injector a faultmodel.Injector as it is.
-func (t *TransientInjector) Activations() uint64 { return 0 }
 
 // SetCounterBase primes the eligible-execution counter for a run restored
 // from a mid-launch checkpoint: n is the number of eligible executions the
 // golden prefix already performed, so the countdown to InstrCount continues
 // where the snapshot left off. It must be called before the target launch.
-func (t *TransientInjector) SetCounterBase(n uint64) { t.counterBase = n }
+func (t *TransientInjector) SetCounterBase(n uint64) { t.base = n }
 
-// OnLaunch implements nvbit.Tool: only the targeted dynamic kernel instance
-// is instrumented.
-func (t *TransientInjector) OnLaunch(info *nvbit.LaunchInfo) nvbit.Decision {
-	if info.Kernel.Name != t.P.KernelName || info.LaunchIndex != t.P.KernelCount {
-		return nvbit.RunOriginal
-	}
-	t.active = true
-	t.counter = t.counterBase
-	// The key deliberately omits InstrCount: the inserted callbacks are
-	// identical for every count (the countdown lives in the injector, not
-	// in the instrumentation), so keying on it would only defeat JIT-cache
-	// reuse across repeat launches of the target kernel. A site-resolved
-	// experiment instruments a single instruction, so its key carries the
-	// static index instead.
-	if t.P.SiteResolved {
-		return nvbit.Decision{Instrument: true, Key: fmt.Sprintf("inject:%v@%d", t.P.Group, t.P.StaticInstrIdx)}
-	}
-	return nvbit.Decision{Instrument: true, Key: fmt.Sprintf("inject:%v", t.P.Group)}
-}
-
-// Instrument implements nvbit.Tool: attach the countdown-and-corrupt
-// callback to every instruction in the target group.
-func (t *TransientInjector) Instrument(k *sass.Kernel, _ string, ins *nvbit.Inserter) {
-	if t.P.SiteResolved {
-		// Site mode: the countdown runs over executions of one static
-		// instruction, so only that instruction is instrumented.
-		i := t.P.StaticInstrIdx
-		if i >= len(k.Instrs) || !sass.GroupContains(t.P.Group, k.Instrs[i].Op) {
-			return
-		}
-		ins.InsertAfter(i, func(c *gpu.InstrCtx) { t.step(c, i) })
-		return
-	}
-	for i := range k.Instrs {
-		if !sass.GroupContains(t.P.Group, k.Instrs[i].Op) {
-			continue
-		}
-		idx := i
-		ins.InsertAfter(i, func(c *gpu.InstrCtx) { t.step(c, idx) })
-	}
-}
-
-// step advances the eligible-execution counter and fires the corruption
-// when the count reaches the target.
-func (t *TransientInjector) step(c *gpu.InstrCtx, instrIdx int) {
-	if !t.active || t.rec.Activated {
-		return
-	}
-	if sel := t.P.Thread; sel != nil {
-		// Thread-targeted mode (extension): only the selected thread's
-		// executions are eligible.
-		if c.BlockLin != sel.BlockLinear || c.WarpID != sel.WarpID || !c.LaneActive(sel.Lane) {
-			return
-		}
-		if t.counter < t.P.InstrCount {
-			t.counter++
-			return
-		}
-		t.corrupt(c, instrIdx, sel.Lane)
-		return
-	}
-	n := uint64(c.LaneCount())
-	if t.counter+n <= t.P.InstrCount {
-		t.counter += n
-		return
-	}
-	// The target falls inside this execution: find the k-th active lane.
-	k := t.P.InstrCount - t.counter
-	t.counter += n
-	for lane := 0; lane < gpu.WarpSize; lane++ {
-		if !c.LaneActive(lane) {
-			continue
-		}
-		if k == 0 {
-			t.corrupt(c, instrIdx, lane)
-			return
-		}
-		k--
-	}
-}
-
-// corrupt applies the bit-flip model to the selected destination
-// register(s) of one lane, immediately after the instruction wrote them.
-// The injector corrupts exactly one dynamic instruction, so once it has
-// fired (including the no-destination case, which also sets Activated)
-// every remaining callback in this launch is inert — step returns
-// immediately. Disarm tells the engine to stop dispatching them while
-// keeping trampoline accounting, so modeled time is unchanged.
-func (t *TransientInjector) corrupt(c *gpu.InstrCtx, instrIdx, lane int) {
-	CorruptDestN(&t.rec, c, instrIdx, lane, t.P.BitFlip, t.P.DestRegSelect,
+// hit applies the bit-flip model to the selected destination register(s) of
+// the landing lane, immediately after the instruction wrote them.
+func (t *TransientInjector) hit(c *gpu.InstrCtx, lane int) {
+	CorruptDestN(&t.Rec, c, c.InstrIdx, lane, t.P.BitFlip, t.P.DestRegSelect,
 		t.P.BitPatternValue, t.P.MultiRegCount)
-	c.Disarm()
 }
 
 // CorruptDest applies the Table II destination-register corruption to one
@@ -189,16 +179,8 @@ func CorruptDest(rec *InjectionRecord, c *gpu.InstrCtx, instrIdx, lane int,
 // receive the same corruption. count values below one mean one.
 func CorruptDestN(rec *InjectionRecord, c *gpu.InstrCtx, instrIdx, lane int,
 	bf BitFlipModel, destSel, patVal float64, count int) {
-	*rec = InjectionRecord{
-		Activated: true,
-		Kernel:    c.Kernel.Name,
-		InstrIdx:  int32(instrIdx),
-		Opcode:    c.Instr.Op,
-		SMID:      int32(c.SMID),
-		BlockLin:  int32(c.BlockLin),
-		WarpID:    int32(c.WarpID),
-		Lane:      int32(lane),
-	}
+	*rec = HitRecord(c)
+	rec.InstrIdx, rec.Lane = int32(instrIdx), int32(lane)
 	var buf sass.FaultTargetBuf
 	targets := c.Instr.FaultTargets(buf[:0])
 	if len(targets) == 0 {
@@ -242,13 +224,5 @@ func CorruptDestN(rec *InjectionRecord, c *gpu.InstrCtx, instrIdx, lane int,
 			rec.After = after
 			rec.Mask = mask
 		}
-	}
-}
-
-// OnLaunchDone implements nvbit.Tool.
-func (t *TransientInjector) OnLaunchDone(info *nvbit.LaunchInfo, _ gpu.LaunchStats, _ *gpu.Trap, _ bool) {
-	if t.active && info.Kernel != nil && info.Kernel.Name == t.P.KernelName &&
-		info.LaunchIndex == t.P.KernelCount {
-		t.active = false
 	}
 }

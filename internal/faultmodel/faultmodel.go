@@ -72,9 +72,13 @@ type Env struct {
 	OpcodeTotals map[sass.Op]uint64
 }
 
-// instrAt resolves a site-resolved parameter tuple to its static
-// instruction, validating the site against the kernel view.
+// instrAt validates a site-resolved parameter tuple — its ranges, as the
+// transient model's injector does, and its site against the kernel view — and
+// resolves it to its static instruction.
 func (e Env) instrAt(p core.TransientParams) (*sass.Instr, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
 	if !p.SiteResolved {
 		return nil, fmt.Errorf("faultmodel: params are not site-resolved (model selection requires site data)")
 	}
@@ -162,6 +166,14 @@ func Names() []string {
 	}
 	sort.Strings(names)
 	return names
+}
+
+// opSet is the opcode set of one opcode: a single-site model arms its one
+// resolved instruction with it.
+func opSet(op sass.Op) sass.OpSet {
+	var s sass.OpSet
+	s.Add(op)
+	return s
 }
 
 // splitmix64 is the shared parameter-derivation mixer: models that need

@@ -86,28 +86,23 @@ func (m memfaultModel) NewInjector(p core.TransientParams, param string, env Env
 	if bit < 0 {
 		bit = int(p.BitPatternValue*32) & 31
 	}
-	return &memfaultInjector{p: p, stuckAt1: cfg.stuckAt1, mask: 1 << bit}, nil
+	f := &memfaultInjector{stuckAt1: cfg.stuckAt1, mask: 1 << bit}
+	f.SingleSite = core.NewSingleSite(p, "memfault_injector", fmt.Sprintf("memfault:arm@%d", p.StaticInstrIdx),
+		opSet(in.Op), nil, f.arm)
+	return f, nil
 }
 
 // memfaultInjector arms a stuck device-memory bit at the resolved load site
 // and keeps it asserted for the rest of the workload.
 type memfaultInjector struct {
-	p        core.TransientParams
+	core.SingleSite
 	stuckAt1 bool
 	mask     uint32
 
-	counter uint64
-	active  bool // inside the arming launch, still counting down
 	armed   bool // the stuck cell is live
 	addr    uint32
 	asserts uint64
-	rec     core.InjectionRecord
 }
-
-var _ nvbit.Tool = (*memfaultInjector)(nil)
-
-func (f *memfaultInjector) Name() string                 { return "memfault_injector" }
-func (f *memfaultInjector) Record() core.InjectionRecord { return f.rec }
 
 // Activations counts bit corrections: the arming assertion plus every
 // re-assertion that had to undo a store.
@@ -117,26 +112,25 @@ func (f *memfaultInjector) Activations() uint64 { return f.asserts }
 // store re-assertion only.
 const memfaultLiveKey = "memfault:live"
 
+// OnLaunch instruments the arming launch as a single-site fault and, once
+// the cell is stuck, every later launch for store re-assertion.
 func (f *memfaultInjector) OnLaunch(info *nvbit.LaunchInfo) nvbit.Decision {
-	if info.Kernel.Name == f.p.KernelName && info.LaunchIndex == f.p.KernelCount {
-		f.active = true
-		f.counter = 0
-		return nvbit.Decision{Instrument: true, Key: fmt.Sprintf("memfault:arm@%d", f.p.StaticInstrIdx)}
+	if d := f.SingleSite.OnLaunch(info); d.Instrument {
+		return d
 	}
-	// Once armed, every later launch re-asserts after its stores.
 	if f.armed {
 		return nvbit.Decision{Instrument: true, Key: memfaultLiveKey}
 	}
 	return nvbit.RunOriginal
 }
 
+// Instrument arms the countdown on the arming launch and hooks re-assertion
+// on every store site, inert until the cell is stuck — sticky by design, so
+// these stay callbacks.
 func (f *memfaultInjector) Instrument(k *sass.Kernel, key string, ins *nvbit.Inserter) {
-	if key != memfaultLiveKey { // the arming launch
-		if i := f.p.StaticInstrIdx; i < len(k.Instrs) {
-			ins.InsertAfter(i, f.step)
-		}
+	if key != memfaultLiveKey {
+		f.SingleSite.Instrument(k, key, ins)
 	}
-	// Re-assertion hooks on every store site; inert until armed.
 	reassert := f.reassert // one method value for every site
 	for i := range k.Instrs {
 		if k.Instrs[i].Op.Info().Flags&sass.FlagStore != 0 {
@@ -145,43 +139,21 @@ func (f *memfaultInjector) Instrument(k *sass.Kernel, key string, ins *nvbit.Ins
 	}
 }
 
-// step runs the arming countdown over thread-level executions of the site.
-func (f *memfaultInjector) step(c *gpu.InstrCtx) {
-	if !f.active || f.armed {
-		return
-	}
-	n := uint64(c.LaneCount())
-	f.counter += n
-	if f.counter <= f.p.InstrCount {
-		return
-	}
-	f.arm(c)
-}
-
-// arm picks the stuck cell from the live allocation map and asserts it.
-func (f *memfaultInjector) arm(c *gpu.InstrCtx) {
-	f.rec = core.InjectionRecord{
-		Activated: true,
-		Kernel:    c.Kernel.Name,
-		InstrIdx:  int32(f.p.StaticInstrIdx),
-		Opcode:    c.Instr.Op,
-		SMID:      int32(c.SMID),
-		BlockLin:  int32(c.BlockLin),
-		WarpID:    int32(c.WarpID),
-		Mask:      f.mask,
-	}
+// arm is the hit: it picks the stuck cell from the live allocation map and
+// asserts it. The landing lane plays no part: the cell is device memory.
+func (f *memfaultInjector) arm(c *gpu.InstrCtx, _ int) {
+	f.Rec = core.HitRecord(c)
+	f.Rec.Mask = f.mask
 	spans := c.Dev.Mem.Spans()
 	var totalWords uint64
 	for _, s := range spans {
 		totalWords += uint64(s.Size / 4)
 	}
 	if totalWords == 0 {
-		f.rec.NoDestination = true
-		f.active = false
-		c.Disarm()
+		f.Rec.NoDestination = true
 		return
 	}
-	idx := uint64(f.p.DestRegSelect * float64(totalWords))
+	idx := uint64(f.P.DestRegSelect * float64(totalWords))
 	for _, s := range spans {
 		w := uint64(s.Size / 4)
 		if idx < w {
@@ -191,16 +163,14 @@ func (f *memfaultInjector) arm(c *gpu.InstrCtx) {
 		idx -= w
 	}
 	f.armed = true
-	f.rec.Target = fmt.Sprintf("mem[0x%x]", f.addr)
+	f.Rec.Target = fmt.Sprintf("mem[0x%x]", f.addr)
 	if v, trap := c.Dev.Mem.Load(f.addr, 4); trap == 0 {
-		f.rec.Before = uint32(v)
+		f.Rec.Before = uint32(v)
 	}
 	f.assert(c.Dev.Mem)
 	if v, trap := c.Dev.Mem.Load(f.addr, 4); trap == 0 {
-		f.rec.After = uint32(v)
+		f.Rec.After = uint32(v)
 	}
-	// No Disarm: the cell stays stuck, so the re-assert hooks must keep
-	// running for the rest of this launch and all later ones.
 }
 
 // reassert forces the stuck bit back after a store may have overwritten it.
@@ -223,12 +193,5 @@ func (f *memfaultInjector) assert(mem *gpu.Memory) {
 	if want != uint32(v) {
 		mem.Store(f.addr, 4, uint64(want))
 		f.asserts++
-	}
-}
-
-func (f *memfaultInjector) OnLaunchDone(info *nvbit.LaunchInfo, _ gpu.LaunchStats, _ *gpu.Trap, _ bool) {
-	if f.active && info.Kernel != nil && info.Kernel.Name == f.p.KernelName &&
-		info.LaunchIndex == f.p.KernelCount {
-		f.active = false
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gpu"
-	"repro/internal/nvbit"
 	"repro/internal/sass"
 )
 
@@ -102,14 +101,29 @@ func (m opsubModel) NewInjector(p core.TransientParams, param string, env Env) (
 	if !m.EligibleOp(in.Op) {
 		return nil, fmt.Errorf("faultmodel: opsub cannot substitute %v at %s@%d", in.Op, p.KernelName, p.StaticInstrIdx)
 	}
-	// Draw the substitute from the activity-weighted candidate set: every
-	// table entry except ones semantically identical to the target, weighted
-	// by the opcode's dynamic share plus one (so cold opcodes stay drawable).
+	sub, err := pickSub(in.Op, p, env)
+	if err != nil {
+		return nil, err
+	}
+	o := &opsubInjector{sub: sub}
+	// The sources must be read before the instruction executes (the
+	// destination may alias a source); the substitute result is written
+	// after, replacing the native one.
+	o.SingleSite = core.NewSingleSite(p, "opsub_injector", fmt.Sprintf("opsub:%v@%d", sub.op, p.StaticInstrIdx),
+		opSet(in.Op), o.capture, o.hit)
+	return o, nil
+}
+
+// pickSub draws the substitute for target op from the activity-weighted
+// candidate set: every table entry except ones semantically identical to the
+// target, weighted by the opcode's dynamic share plus one (so cold opcodes
+// stay drawable), at the tuple's BitPatternValue.
+func pickSub(op sass.Op, p core.TransientParams, env Env) (subEntry, error) {
 	var cands []subEntry
 	var weights []uint64
 	var total uint64
 	for _, e := range subTable {
-		if e.op == in.Op || e.op.Info().Sem == in.Op.Info().Sem {
+		if e.op == op || e.op.Info().Sem == op.Info().Sem {
 			continue
 		}
 		w := env.OpcodeTotals[e.op] + 1
@@ -118,122 +132,50 @@ func (m opsubModel) NewInjector(p core.TransientParams, param string, env Env) (
 		total += w
 	}
 	if len(cands) == 0 {
-		return nil, fmt.Errorf("faultmodel: no substitute candidates for %v", in.Op)
+		return subEntry{}, fmt.Errorf("faultmodel: no substitute candidates for %v", op)
 	}
 	pick := uint64(p.BitPatternValue * float64(total))
-	sub := cands[len(cands)-1]
 	for i, w := range weights {
 		if pick < w {
-			sub = cands[i]
-			break
+			return cands[i], nil
 		}
 		pick -= w
 	}
-	return &opsubInjector{p: p, sub: sub}, nil
+	return cands[len(cands)-1], nil
 }
 
 // opsubInjector corrupts exactly one dynamic execution of the resolved site
 // by overwriting its destination with the substitute operation's result.
 type opsubInjector struct {
-	p   core.TransientParams
+	core.SingleSite
 	sub subEntry
-
-	counter  uint64
-	active   bool
-	captured bool // the pending execution contains the target lane
-	lane     int
-	src      [3]uint32
-	rec      core.InjectionRecord
+	src [3]uint32 // the landing lane's sources, captured before the issue
 }
 
-var _ nvbit.Tool = (*opsubInjector)(nil)
-
-func (o *opsubInjector) Name() string                 { return "opsub_injector" }
-func (o *opsubInjector) Record() core.InjectionRecord { return o.rec }
-func (o *opsubInjector) Activations() uint64          { return 0 }
-
-func (o *opsubInjector) OnLaunch(info *nvbit.LaunchInfo) nvbit.Decision {
-	if info.Kernel.Name != o.p.KernelName || info.LaunchIndex != o.p.KernelCount {
-		return nvbit.RunOriginal
-	}
-	o.active = true
-	o.counter = 0
-	return nvbit.Decision{Instrument: true, Key: fmt.Sprintf("opsub:%v@%d", o.sub.op, o.p.StaticInstrIdx)}
-}
-
-func (o *opsubInjector) Instrument(k *sass.Kernel, _ string, ins *nvbit.Inserter) {
-	i := o.p.StaticInstrIdx
-	if i >= len(k.Instrs) {
-		return
-	}
-	// The sources must be read before the instruction executes (the
-	// destination may alias a source); the substitute result is written
-	// after, replacing the native one.
-	ins.InsertBefore(i, o.before)
-	ins.InsertAfter(i, o.after)
-}
-
-// before decides whether this execution contains the target and, if so,
-// captures the source operand values of the target lane.
-func (o *opsubInjector) before(c *gpu.InstrCtx) {
-	if !o.active || o.rec.Activated {
-		return
-	}
-	n := uint64(c.LaneCount())
-	if o.counter+n <= o.p.InstrCount {
-		return
-	}
-	k := o.p.InstrCount - o.counter
-	for lane := 0; lane < gpu.WarpSize; lane++ {
-		if !c.LaneActive(lane) {
-			continue
+// capture reads the source operand values of the landing lane before the
+// instruction issues.
+func (o *opsubInjector) capture(c *gpu.InstrCtx, lane int) {
+	o.src = [3]uint32{}
+	j := 0
+	for si := range c.Instr.Src {
+		if j >= len(o.src) {
+			break
 		}
-		if k > 0 {
-			k--
-			continue
+		switch s := &c.Instr.Src[si]; s.Kind {
+		case sass.OpdReg:
+			o.src[j] = c.ReadReg(lane, s.Reg)
+			j++
+		case sass.OpdImm:
+			o.src[j] = s.Imm
+			j++
 		}
-		o.lane = lane
-		o.src = [3]uint32{}
-		j := 0
-		for si := range c.Instr.Src {
-			if j >= len(o.src) {
-				break
-			}
-			switch s := &c.Instr.Src[si]; s.Kind {
-			case sass.OpdReg:
-				o.src[j] = c.ReadReg(lane, s.Reg)
-				j++
-			case sass.OpdImm:
-				o.src[j] = s.Imm
-				j++
-			}
-		}
-		o.captured = true
-		return
 	}
 }
 
-// after advances the countdown and, when the target execution just ran,
-// replaces its destination with the substitute result.
-func (o *opsubInjector) after(c *gpu.InstrCtx) {
-	if !o.active || o.rec.Activated {
-		return
-	}
-	o.counter += uint64(c.LaneCount())
-	if !o.captured {
-		return
-	}
-	o.captured = false
-	o.rec = core.InjectionRecord{
-		Activated: true,
-		Kernel:    c.Kernel.Name,
-		InstrIdx:  int32(o.p.StaticInstrIdx),
-		Opcode:    c.Instr.Op,
-		SMID:      int32(c.SMID),
-		BlockLin:  int32(c.BlockLin),
-		WarpID:    int32(c.WarpID),
-		Lane:      int32(o.lane),
-	}
+// hit replaces the landing lane's destination with the substitute result.
+func (o *opsubInjector) hit(c *gpu.InstrCtx, lane int) {
+	o.Rec = core.HitRecord(c)
+	o.Rec.Lane = int32(lane)
 	var dst sass.RegID
 	found := false
 	for i := range c.Instr.Dst {
@@ -243,23 +185,14 @@ func (o *opsubInjector) after(c *gpu.InstrCtx) {
 		}
 	}
 	if !found {
-		o.rec.NoDestination = true
-		c.Disarm()
+		o.Rec.NoDestination = true
 		return
 	}
-	before := c.ReadReg(o.lane, dst)
+	before := c.ReadReg(lane, dst)
 	after := o.sub.fn(o.src[0], o.src[1], o.src[2])
-	c.WriteReg(o.lane, dst, after)
-	o.rec.Target = dst.String()
-	o.rec.Before = before
-	o.rec.After = after
-	o.rec.Mask = before ^ after
-	c.Disarm()
-}
-
-func (o *opsubInjector) OnLaunchDone(info *nvbit.LaunchInfo, _ gpu.LaunchStats, _ *gpu.Trap, _ bool) {
-	if o.active && info.Kernel != nil && info.Kernel.Name == o.p.KernelName &&
-		info.LaunchIndex == o.p.KernelCount {
-		o.active = false
-	}
+	c.WriteReg(lane, dst, after)
+	o.Rec.Target = dst.String()
+	o.Rec.Before = before
+	o.Rec.After = after
+	o.Rec.Mask = before ^ after
 }

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gpu"
-	"repro/internal/nvbit"
 	"repro/internal/sass"
 )
 
@@ -73,82 +72,24 @@ func (m predflipModel) NewInjector(p core.TransientParams, param string, env Env
 		return nil, fmt.Errorf("faultmodel: predflip target %v at %s@%d writes no predicate",
 			in.Op, p.KernelName, p.StaticInstrIdx)
 	}
-	return &predflipInjector{p: p, guard: guard}, nil
+	f := &predflipInjector{guard: guard}
+	f.SingleSite = core.NewSingleSite(p, "predflip_injector", fmt.Sprintf("predflip:%v@%d", guard, p.StaticInstrIdx),
+		opSet(in.Op), nil, f.hit)
+	return f, nil
 }
 
 // predflipInjector inverts one dynamic predicate at the resolved site.
 type predflipInjector struct {
-	p     core.TransientParams
+	core.SingleSite
 	guard bool
-
-	counter uint64
-	active  bool
-	rec     core.InjectionRecord
 }
 
-var _ nvbit.Tool = (*predflipInjector)(nil)
-
-func (f *predflipInjector) Name() string                 { return "predflip_injector" }
-func (f *predflipInjector) Record() core.InjectionRecord { return f.rec }
-func (f *predflipInjector) Activations() uint64          { return 0 }
-
-func (f *predflipInjector) OnLaunch(info *nvbit.LaunchInfo) nvbit.Decision {
-	if info.Kernel.Name != f.p.KernelName || info.LaunchIndex != f.p.KernelCount {
-		return nvbit.RunOriginal
-	}
-	f.active = true
-	f.counter = 0
-	return nvbit.Decision{Instrument: true, Key: fmt.Sprintf("predflip:%v@%d", f.guard, f.p.StaticInstrIdx)}
-}
-
-func (f *predflipInjector) Instrument(k *sass.Kernel, _ string, ins *nvbit.Inserter) {
-	i := f.p.StaticInstrIdx
-	if i >= len(k.Instrs) {
-		return
-	}
-	ins.InsertAfter(i, f.step)
-}
-
-// step runs the countdown over thread-level executions of the site and
-// inverts the selected predicate when the count lands.
-func (f *predflipInjector) step(c *gpu.InstrCtx) {
-	if !f.active || f.rec.Activated {
-		return
-	}
-	n := uint64(c.LaneCount())
-	if f.counter+n <= f.p.InstrCount {
-		f.counter += n
-		return
-	}
-	k := f.p.InstrCount - f.counter
-	f.counter += n
-	for lane := 0; lane < gpu.WarpSize; lane++ {
-		if !c.LaneActive(lane) {
-			continue
-		}
-		if k > 0 {
-			k--
-			continue
-		}
-		f.corrupt(c, lane)
-		return
-	}
-}
-
-// corrupt inverts the target predicate of one lane: the guard predicate in
-// guard mode, otherwise one of the instruction's predicate destinations
+// hit inverts the target predicate of the landing lane: the guard predicate
+// in guard mode, otherwise one of the instruction's predicate destinations
 // (chosen by DestRegSelect when it writes several).
-func (f *predflipInjector) corrupt(c *gpu.InstrCtx, lane int) {
-	f.rec = core.InjectionRecord{
-		Activated: true,
-		Kernel:    c.Kernel.Name,
-		InstrIdx:  int32(f.p.StaticInstrIdx),
-		Opcode:    c.Instr.Op,
-		SMID:      int32(c.SMID),
-		BlockLin:  int32(c.BlockLin),
-		WarpID:    int32(c.WarpID),
-		Lane:      int32(lane),
-	}
+func (f *predflipInjector) hit(c *gpu.InstrCtx, lane int) {
+	f.Rec = core.HitRecord(c)
+	f.Rec.Lane = int32(lane)
 	var preds []sass.PredID
 	if f.guard {
 		// A PT guard has no storage to corrupt; the record then reports a
@@ -164,26 +105,17 @@ func (f *predflipInjector) corrupt(c *gpu.InstrCtx, lane int) {
 		}
 	}
 	if len(preds) == 0 {
-		f.rec.NoDestination = true
-		c.Disarm()
+		f.Rec.NoDestination = true
 		return
 	}
-	pr := preds[int(f.p.DestRegSelect*float64(len(preds)))]
+	pr := preds[int(f.P.DestRegSelect*float64(len(preds)))]
 	before := c.ReadPred(lane, pr)
 	c.WritePred(lane, pr, !before)
-	f.rec.Target = pr.String()
-	f.rec.PredValue = !before
+	f.Rec.Target = pr.String()
+	f.Rec.PredValue = !before
 	if before {
-		f.rec.Before = 1
+		f.Rec.Before = 1
 	} else {
-		f.rec.After = 1
-	}
-	c.Disarm()
-}
-
-func (f *predflipInjector) OnLaunchDone(info *nvbit.LaunchInfo, _ gpu.LaunchStats, _ *gpu.Trap, _ bool) {
-	if f.active && info.Kernel != nil && info.Kernel.Name == f.p.KernelName &&
-		info.LaunchIndex == f.p.KernelCount {
-		f.active = false
+		f.Rec.After = 1
 	}
 }

@@ -2,14 +2,15 @@ package gpu
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 )
 
 // instrRun is one instrumented-launch observation for the amortization
 // differentials: everything expectSame checks, plus the per-SM clocks the
-// trampoline accounting must not perturb and the number of callback
-// dispatches that actually happened.
+// trampoline accounting must not perturb and the number of closure dispatches
+// the fault cost.
 type instrRun struct {
 	parRun
 	clocks    []uint64
@@ -17,16 +18,15 @@ type instrRun struct {
 	activated bool
 }
 
-// runSaxpyInstrumented runs the saxpy kernel with an After callback on
-// every instruction. The callback mimics a transient injector: it counts
-// dynamic executions, corrupts one register at execution fireAt, then goes
-// inert — and, when disarm is true, calls Disarm after corrupting. A
-// non-positive fireAt never corrupts.
-func runSaxpyInstrumented(t *testing.T, fireAt int, disarm, noXlate bool, budget uint64) instrRun {
+// runSaxpyInstrumented runs the saxpy kernel with a fault on every
+// instruction that lands on thread-level execution fireAt and flips a bit of
+// the landing lane's R6: as a Shot when shot, else as the callbacks it stands
+// for (shotOracle), which dispatch after every instruction to the end of the
+// launch. A negative fireAt never lands.
+func runSaxpyInstrumented(t *testing.T, fireAt int, shot, noXlate bool, budget uint64) instrRun {
 	t.Helper()
 	d := newTestDevice(t)
 	d.NoXlate = noXlate
-	d.DisableDisarm = !disarm
 	k := mustKernel(t, saxpySrc, "saxpy")
 	const n = 512
 	xp, _ := d.Mem.Alloc(4 * n)
@@ -40,31 +40,18 @@ func runSaxpyInstrumented(t *testing.T, fireAt int, disarm, noXlate bool, budget
 	_ = d.Mem.WriteBytes(yp, f32slice(y))
 
 	r := instrRun{}
-	seen := 0
-	ek := &ExecKernel{K: k}
-	ek.After = make([][]Callback, len(k.Instrs))
-	cb := func(c *InstrCtx) {
-		r.dispatch++
-		if r.activated || fireAt <= 0 {
-			return
-		}
-		seen++
-		if seen < fireAt {
-			return
-		}
-		for lane := 0; lane < WarpSize; lane++ {
-			if !c.LaneActive(lane) {
-				continue
-			}
-			c.WriteReg(lane, 6, c.ReadReg(lane, 6)^0x40000)
-			break
-		}
+	s := &Shot{Target: uint64(fireAt), Hit: func(c *InstrCtx, lane int) {
+		c.WriteReg(lane, 6, c.ReadReg(lane, 6)^0x40000)
 		r.activated = true
-		c.Disarm()
+		if shot {
+			r.dispatch++
+		}
+	}}
+	if fireAt < 0 {
+		s.Target = math.MaxUint64
 	}
-	for i := range k.Instrs {
-		ek.After[i] = []Callback{cb}
-	}
+	ek := &ExecKernel{K: k}
+	armShot(ek, s, !shot, &r.dispatch)
 
 	stats, err := d.Run(&Launch{
 		Kernel: ek,
@@ -100,9 +87,9 @@ func TestTrampolineAccountingDifferential(t *testing.T) {
 		fireAt int
 		budget uint64
 	}{
-		{"clean", 0, 0},
-		{"fault", 100, 0},
-		{"budget-trap", 0, 150},
+		{"clean", -1, 0},
+		{"fault", 3000, 0},
+		{"budget-trap", -1, 150},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -119,30 +106,34 @@ func TestTrampolineAccountingDifferential(t *testing.T) {
 	}
 }
 
-// TestDisarmDifferential: after the injected corruption, the disarmed
-// callback-free loop must be observably identical to full armed dispatch —
-// same outputs, LaunchStats (trampoline accounting included), per-SM
-// clocks, traps, and device log — while provably skipping the remaining
-// closure dispatch.
+// TestDisarmDifferential: a Shot, spent once it lands, is observably the
+// callbacks it replaces, which keep dispatching to the end of the launch —
+// same outputs, LaunchStats (trampoline accounting included), per-SM clocks,
+// traps, and device log — while it provably dispatches no closure but its
+// one hit.
 func TestDisarmDifferential(t *testing.T) {
 	for _, budget := range []uint64{0, 200} {
 		t.Run(fmt.Sprintf("budget=%d", budget), func(t *testing.T) {
-			armed := runSaxpyInstrumented(t, 100, false, false, budget)
-			disarmed := runSaxpyInstrumented(t, 100, true, false, budget)
-			expectSameInstr(t, "disarmed vs armed", armed, disarmed)
-			if armed.activated != disarmed.activated {
-				t.Fatalf("activation differs: armed %v, disarmed %v", armed.activated, disarmed.activated)
+			armed := runSaxpyInstrumented(t, 3000, false, false, budget)
+			shot := runSaxpyInstrumented(t, 3000, true, false, budget)
+			expectSameInstr(t, "shot vs callbacks", armed, shot)
+			if armed.activated != shot.activated {
+				t.Fatalf("activation differs: callbacks %v, shot %v", armed.activated, shot.activated)
 			}
-			if armed.activated && disarmed.dispatch >= armed.dispatch {
-				t.Errorf("disarm did not reduce callback dispatch: %d vs armed %d",
-					disarmed.dispatch, armed.dispatch)
+			if budget == 0 && !shot.activated {
+				t.Fatal("the fault never landed")
+			}
+			if shot.activated && (shot.dispatch != 1 || armed.dispatch <= 1) {
+				t.Errorf("the shot dispatched %d closures, the callbacks %d", shot.dispatch, armed.dispatch)
 			}
 		})
 	}
 }
 
-// TestDisarmScopedToLaunch: disarm must not leak into the next launch on
-// the same device — each Launch re-arms its instrumentation.
+// TestDisarmScopedToLaunch: a spent Shot does not leak into the next launch
+// of the same kernel on the same device. Left spent, the next launch runs it
+// as if absent but for the trampoline charge; re-armed by its tool, it counts
+// from the start of that launch and lands on the same execution again.
 func TestDisarmScopedToLaunch(t *testing.T) {
 	d := newTestDevice(t)
 	k := mustKernel(t, saxpySrc, "saxpy")
@@ -150,23 +141,15 @@ func TestDisarmScopedToLaunch(t *testing.T) {
 	xp, _ := d.Mem.Alloc(4 * n)
 	yp, _ := d.Mem.Alloc(4 * n)
 
-	dispatch := 0
-	disarmAtFirst := true
+	type landing struct{ pc, block, warp, lane int }
+	var hits []landing
+	s := &Shot{Target: 1000, Hit: func(c *InstrCtx, lane int) {
+		hits = append(hits, landing{c.InstrIdx, c.BlockLin, c.WarpID, lane})
+	}}
 	ek := &ExecKernel{K: k}
-	ek.After = make([][]Callback, len(k.Instrs))
-	cb := func(c *InstrCtx) {
-		dispatch++
-		if disarmAtFirst {
-			disarmAtFirst = false
-			c.Disarm()
-		}
-	}
-	for i := range k.Instrs {
-		ek.After[i] = []Callback{cb}
-	}
-	launch := func() int {
-		dispatch = 0
-		_, err := d.Run(&Launch{
+	armShot(ek, s, false, nil)
+	launch := func() LaunchStats {
+		stats, err := d.Run(&Launch{
 			Kernel: ek,
 			Grid:   Dim3{X: n / 128, Y: 1, Z: 1},
 			Block:  Dim3{X: 128, Y: 1, Z: 1},
@@ -175,15 +158,25 @@ func TestDisarmScopedToLaunch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return dispatch
+		return stats
 	}
-	first := launch() // disarms on its very first dispatch
-	disarmAtFirst = false
-	second := launch() // fresh Launch: fully armed again
-	if first != 1 {
-		t.Fatalf("first launch dispatched %d callbacks after immediate disarm, want 1", first)
+	first := launch()
+	if len(hits) != 1 || !s.Fired {
+		t.Fatalf("first launch: %d hits, fired %v", len(hits), s.Fired)
 	}
-	if second <= first {
-		t.Fatalf("second launch dispatched %d callbacks; disarm leaked across launches", second)
+	spent := launch()
+	if len(hits) != 1 {
+		t.Fatalf("a spent Shot hit again in the next launch: %v", hits)
+	}
+	if spent.TrampolineInstrs != first.TrampolineInstrs || spent.WarpInstrs != first.WarpInstrs {
+		t.Fatalf("spent launch stats %+v, first %+v", spent, first)
+	}
+	s.Count, s.Fired = 0, false
+	again := launch()
+	if len(hits) != 2 || hits[1] != hits[0] {
+		t.Fatalf("re-armed Shot landed at %v, first at %v", hits[1:], hits[0])
+	}
+	if again != first {
+		t.Fatalf("re-armed launch stats %+v, first %+v", again, first)
 	}
 }

@@ -44,9 +44,6 @@ type Device struct {
 	// because the campaign-level differentials build devices in their own
 	// package.
 	//
-	// DisableDisarm makes InstrCtx.Disarm a no-op, keeping full callback
-	// dispatch for the remainder of every launch.
-	DisableDisarm bool
 	// NoXlate disables the block-level translation engine: every launch
 	// runs the per-step reference loop over the interpreter (runWarpRef).
 	NoXlate bool
@@ -172,20 +169,27 @@ type ExecKernel struct {
 	// completes — the declarative form of an After callback that counts
 	// c.LaneCount(), executed in line. It is an After site on every
 	// instruction (one trampoline, shared with the instruction's After
-	// callbacks if it has any), a faulting instruction is not tallied, and
-	// InstrCtx.Disarm does not stop it. The slice belongs to the tool that
-	// inserted it: the engine only adds, on the goroutine running the
-	// launch; the tool clears it before a launch and reads it after.
+	// callbacks if it has any), and a faulting instruction is not tallied.
+	// The slice belongs to the tool that inserted it: the engine only adds,
+	// on the goroutine running the launch; the tool clears it before a launch
+	// and reads it after.
 	Tally []SiteTally
 
 	// Corrupt, when non-nil, is a permanent fault the warp loops apply in
 	// line after each live site completes on the spec's SM (Corruption), with
 	// CorruptSites its facts on K: an After site on every charged instruction,
-	// like an After callback there, but dispatched by no closure, and — like
-	// the tally — not stopped by InstrCtx.Disarm. Blocks on any other SM only
-	// pay the trampoline charge.
+	// like an After callback there, but dispatched by no closure. Blocks on
+	// any other SM only pay the trampoline charge.
 	Corrupt      *Corruption
 	CorruptSites *CorruptionSites
+
+	// Shot, when non-nil, is a single-site fault the warp loops count down to
+	// in line (Shot), with ShotSites its facts on K: an After site on every
+	// armed instruction and, when it has a Pre hook, a Before site too, like
+	// the callbacks it stands for, but dispatched by no closure. A kernel
+	// carries a Corruption or a Shot, not both.
+	Shot      *Shot
+	ShotSites *CorruptionSites
 
 	sitesOnce sync.Once
 	sites     []uint32 // trampSites' prefix, when built here
@@ -194,7 +198,19 @@ type ExecKernel struct {
 
 // Instrumented reports whether any instrumentation is attached.
 func (ek *ExecKernel) Instrumented() bool {
-	return ek.hasCallbacks() || ek.Tally != nil || ek.Corrupt != nil
+	return ek.hasCallbacks() || ek.Tally != nil || ek.Corrupt != nil || ek.Shot != nil
+}
+
+// inline returns the site facts of the kernel's in-line fault, its Corruption
+// or its Shot; nil when it has neither.
+func (ek *ExecKernel) inline() *CorruptionSites {
+	switch {
+	case ek.Corrupt != nil:
+		return ek.CorruptSites
+	case ek.Shot != nil:
+		return ek.ShotSites
+	}
+	return nil
 }
 
 // hasCallbacks reports whether any instruction may dispatch a callback.
@@ -202,22 +218,31 @@ func (ek *ExecKernel) hasCallbacks() bool {
 	return ek.Before != nil || ek.After != nil || ek.Step != nil
 }
 
-// hasBefore reports whether instruction pc carries a Before callback site.
+// hasBefore reports whether instruction pc carries a Before site: callbacks,
+// or an armed site of a Shot with a Pre hook.
 func (ek *ExecKernel) hasBefore(pc int32) bool {
+	return ek.callsBefore(pc) || ek.Shot != nil && ek.Shot.Pre != nil && ek.ShotSites.site(pc)
+}
+
+// callsBefore reports whether instruction pc has Before callbacks.
+func (ek *ExecKernel) callsBefore(pc int32) bool {
 	return ek.Before != nil && len(ek.Before[pc]) > 0
 }
 
 // hasAfter reports whether instruction pc carries an After site: callbacks,
-// the in-line tally, or a charged site of the in-line corruption.
+// the in-line tally, or a charged site of the in-line fault.
 func (ek *ExecKernel) hasAfter(pc int32) bool {
-	return ek.Tally != nil || (ek.After != nil && len(ek.After[pc]) > 0) ||
-		(ek.Corrupt != nil && ek.CorruptSites.site(pc))
+	if ek.Tally != nil || ek.After != nil && len(ek.After[pc]) > 0 {
+		return true
+	}
+	s := ek.inline()
+	return s != nil && s.site(pc)
 }
 
 // callFree returns how many of the instructions [pc, pc+n) run before the
 // first one that dispatches a callback — a Before or After list, or anything
-// at all under the step hook; the tally and the corruption run in line and
-// are none: how far an armed batch may run without leaving the engine. It
+// at all under the step hook; the tally and the in-line faults run in line
+// and are none: how far an armed batch may run without leaving the engine. It
 // scans: a table per instrumented kernel would cost every experiment's JIT
 // builds more than the scan costs the armed loop.
 func (ek *ExecKernel) callFree(pc, n int32) int32 {
@@ -225,7 +250,7 @@ func (ek *ExecKernel) callFree(pc, n int32) int32 {
 		return 0
 	}
 	for k := int32(0); k < n; k++ {
-		if ek.hasBefore(pc+k) || (ek.After != nil && len(ek.After[pc+k]) > 0) {
+		if ek.callsBefore(pc+k) || (ek.After != nil && len(ek.After[pc+k]) > 0) {
 			return k
 		}
 	}
@@ -233,34 +258,34 @@ func (ek *ExecKernel) callFree(pc, n int32) int32 {
 }
 
 // trampSites returns the trampoline-site prefix count and the callback-site
-// prefix count. sites[pc] is the number of sites (a Before list, an After
-// list, tally or charged corruption site, the step hook) on instructions
-// [0, pc), so a batch that completed [a, b) executed sites[b]-sites[a]
+// prefix count. sites[pc] is the number of sites (a Before list or a Shot's
+// Pre hook, an After list, tally or charged in-line fault site, the step hook)
+// on instructions [0, pc), so a batch that completed [a, b) executed sites[b]-sites[a]
 // trampolines; calls counts only the sites that dispatch a callback, so a
 // batch holding none of them never leaves the plain loop, and is nil when the
 // kernel has no callback. An instrumentation without callbacks shares a
 // prefix derived once per kernel content: one After site per instruction
 // when it tallies (xplan.tallySites, whatever it corrupts: the sites
-// coincide), else its corruption's sites (CorruptionSites). Any other is
+// coincide), else its in-line fault's sites (CorruptionSites). Any other is
 // built on the ExecKernel's first instrumented launch, not in the plan: a
 // plan is shared by every instrumentation of the same kernel content. Before,
-// After, Step, Tally and Corrupt must not change once the kernel has
+// After, Step, Tally, Corrupt and Shot must not change once the kernel has
 // launched — the NVBit layer builds them whole in its Inserter and caches the
 // result.
 func (ek *ExecKernel) trampSites(plan *xplan) (sites, calls []uint32) {
 	if !ek.hasCallbacks() {
-		switch {
-		case ek.Tally != nil && plan != nil:
+		switch s := ek.inline(); {
+		case ek.Tally != nil && plan != nil && ek.Shot == nil:
 			return plan.tallySites, nil
-		case ek.Tally == nil && ek.Corrupt != nil:
-			return ek.CorruptSites.sites, nil
+		case ek.Tally == nil && s != nil:
+			return s.sites, nil
 		}
 	}
 	ek.sitesOnce.Do(func() {
 		ek.sites = ek.sitePrefix(true)
 		switch {
 		case !ek.hasCallbacks():
-		case ek.Tally == nil && ek.Corrupt == nil:
+		case ek.Tally == nil && ek.inline() == nil:
 			ek.calls = ek.sites // every site dispatches a callback
 		default:
 			ek.calls = ek.sitePrefix(false)
@@ -275,7 +300,7 @@ func (ek *ExecKernel) sitePrefix(all bool) []uint32 {
 	p := make([]uint32, len(ek.K.Instrs)+1)
 	for pc := range ek.K.Instrs {
 		n := p[pc]
-		if ek.hasBefore(int32(pc)) {
+		if all && ek.hasBefore(int32(pc)) || !all && ek.callsBefore(int32(pc)) {
 			n++
 		}
 		if all && ek.hasAfter(int32(pc)) || !all && ek.After != nil && len(ek.After[pc]) > 0 {
@@ -331,10 +356,6 @@ type Launch struct {
 	SharedBytes int      // dynamic shared memory on top of the kernel's static amount
 	Params      []uint32 // 4-byte parameter words, in kernel parameter order
 	Budget      uint64   // max warp-instructions; 0 means DefaultBudget
-
-	// disarmed is set by InstrCtx.Disarm: the remainder of this launch
-	// skips callback dispatch while keeping trampoline accounting.
-	disarmed bool
 }
 
 // LaunchStats reports execution counts for a completed (or trapped) launch.
@@ -369,21 +390,6 @@ type InstrCtx struct {
 
 // LaneActive reports whether lane participates in this execution.
 func (c *InstrCtx) LaneActive(lane int) bool { return c.ActiveMask&(1<<uint(lane)) != 0 }
-
-// Disarm tells the engine this tool is done with the current launch: the
-// remaining instructions issue through the plain batch loop, which keeps
-// trampoline *accounting* — modeled time, budgets, and LaunchStats are
-// unchanged — but skips closure dispatch. A transient injector calls this
-// right after corrupting its one dynamic instruction, when a G_GPPR
-// instrumentation still covers nearly every instruction after the fault
-// point. Callbacks already scheduled for the current instruction still run.
-// Disarm is per-launch; the next launch of the same kernel is armed again.
-func (c *InstrCtx) Disarm() {
-	if c.Dev.DisableDisarm {
-		return
-	}
-	c.blk.launch.disarmed = true
-}
 
 // ReadReg returns lane's general-purpose register r.
 func (c *InstrCtx) ReadReg(lane int, r sass.RegID) uint32 {

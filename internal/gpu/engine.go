@@ -410,13 +410,13 @@ type blockCtx struct {
 
 	// sites is the kernel's trampoline-site prefix count (ExecKernel.sites),
 	// nil on an uninstrumented launch; spec is the kernel's Corruption when
-	// this block runs on its SM, else nil; tally is where completed
-	// instructions are counted in line — the kernel's own (ExecKernel.Tally),
-	// else the recording run's (runTally), else nil; and hooked says whether
-	// the launch has any of sites, pause or tally — the one flag the plain
-	// path tests. run refreshes them, and calls and live below, on every call,
-	// because LaunchRun.SetExecKernel may swap the kernel while the block is
-	// paused.
+	// this block runs on its SM, else nil (shot, below, is its Shot until it
+	// fires); tally is where completed instructions are counted in line — the
+	// kernel's own (ExecKernel.Tally), else the recording run's (runTally),
+	// else nil; and hooked says whether the launch has any of sites, pause or
+	// tally — the one flag the plain path tests. run refreshes them, and
+	// calls, live and shot below, on every call, because
+	// LaunchRun.SetExecKernel may swap the kernel while the block is paused.
 	sites  []uint32
 	spec   *Corruption
 	tally  []SiteTally
@@ -450,11 +450,13 @@ type blockCtx struct {
 	maskFor uint32
 
 	// calls is the kernel's callback-site prefix count (ExecKernel.trampSites),
-	// nil when it has no callback; live is spec's next-live-site index
-	// (CorruptionSites.next). They sit below the scratch rows, which stay at
-	// a 64-byte offset (TestBlockScratchAligned).
+	// nil when it has no callback; live is the next-live-site index
+	// (CorruptionSites.next) of spec or shot, nil when neither is live. They
+	// sit below the scratch rows, which stay at a 64-byte offset
+	// (TestBlockScratchAligned).
 	calls []uint32
 	live  []uint32
+	shot  *Shot
 
 	// ictx is the InstrCtx handed to instrumentation callbacks: filled in per
 	// block by run, bound to a warp by bindCtx, rewritten per instruction by
@@ -489,8 +491,11 @@ func (l *Launch) validate() (budget uint64, err error) {
 		return 0, fmt.Errorf("gpu: kernel %q expects %d parameter words, got %d",
 			k.Name, len(k.Params), len(l.Params))
 	}
-	if l.Kernel.Corrupt != nil {
-		if err := l.Kernel.CorruptSites.check(k); err != nil {
+	if ek := l.Kernel; ek.Corrupt != nil || ek.Shot != nil {
+		if ek.Corrupt != nil && ek.Shot != nil {
+			return 0, fmt.Errorf("gpu: kernel %q carries both a Corruption and a Shot", k.Name)
+		}
+		if err := ek.inline().check(k); err != nil {
 			return 0, err
 		}
 	}
@@ -607,19 +612,23 @@ func (blk *blockCtx) run(budget *budgetCounter, stats *LaunchStats) error {
 	if blk.plan == nil {
 		runWarp = blk.runWarpRef
 	}
-	blk.sites, blk.calls, blk.tally, blk.spec = nil, nil, blk.runTally, nil
+	blk.sites, blk.calls, blk.tally = nil, nil, blk.runTally
+	blk.spec, blk.shot, blk.live = nil, nil, nil
 	if blk.ek.Tally != nil {
 		blk.tally = blk.ek.Tally
 	}
 	if c := blk.ek.Corrupt; c != nil && c.SM == blk.smID {
 		blk.spec, blk.live = c, blk.ek.CorruptSites.next
 	}
+	if s := blk.ek.Shot; s != nil && !s.Fired {
+		blk.shot, blk.live = s, blk.ek.ShotSites.next
+	}
 	if blk.ek.Instrumented() {
 		blk.sites, blk.calls = blk.ek.trampSites(blk.plan)
 	}
 	if blk.calls != nil {
 		// Only callbacks read the InstrCtx: a tally or a corruption never
-		// pays for filling it.
+		// pays for filling it, and a Shot fills it when it lands.
 		blk.ictx = InstrCtx{
 			Dev:      blk.dev,
 			Kernel:   blk.ek.K,
@@ -777,7 +786,7 @@ func (blk *blockCtx) bindCtx(w *warp) {
 
 // runWarp is the product warp loop: it runs one warp through the translated
 // plan until it exits, reaches a barrier, pauses, or traps — for every kind
-// of launch (plain, instrumented, disarmed, paused, tallying).
+// of launch (plain, instrumented, paused, tallying, faulted in line).
 //
 // Within a straight-line run (precomputed per CFG basic block at translation
 // time) it skips the scheduler entirely — no schedule() call, no convergence
@@ -797,11 +806,13 @@ func (blk *blockCtx) bindCtx(w *warp) {
 // fixed per blockCtx.run: the pause clip and tick, the trampoline charge, and
 // the choice of issue loop inside a batch — the plain one below, or
 // issueHooked when callbacks dispatch. The choice is made per batch, never per
-// instruction; a batch without callback sites, and every batch of a disarmed
-// launch, takes the plain loop and keeps only the per-batch trampoline charge.
-// The plain loop also tallies: it hands blk.tally to the row dispatcher and
-// counts each other step after it completes, so a profiled or recording
-// launch runs at the plain launch's speed plus the counting.
+// instruction; a batch without callback sites takes the plain loop and keeps
+// only the per-batch trampoline charge. The plain loop also tallies: it hands
+// blk.tally to the row dispatcher and counts each other step after it
+// completes, so a profiled or recording launch runs at the plain launch's
+// speed plus the counting. It applies the in-line faults too, stopping at
+// each live site (blk.live): a Shot's until it fires, after which the launch
+// runs plain.
 func (blk *blockCtx) runWarp(w *warp, budget *budgetCounter, stats *LaunchStats) error {
 	steps := blk.plan.steps
 	n := int32(len(steps))
@@ -850,16 +861,17 @@ func (blk *blockCtx) runWarp(w *warp, budget *budgetCounter, stats *LaunchStats)
 				tally := blk.tally
 				var ti uint64
 				for pc = minPC; ; {
-					// On the corruption's SM the loop stops at the batch's next
-					// live site: past it when its op is a row op without a guard
-					// (its lanes are then the batch's), which the stretch runs,
-					// else before it, to issue it alone; the corruption follows
-					// the op either way.
+					// With a live in-line fault the loop stops at the batch's
+					// next live site: past it when it is the corruption's row op
+					// without a guard (its lanes are then the batch's), which the
+					// stretch runs, else before it, to issue it alone — a Shot's
+					// always, to count its lanes before it issues; the fault
+					// follows the op either way.
 					end, live := stop, stop
-					if blk.spec != nil {
+					if blk.live != nil {
 						live = min(stop, int32(blk.live[pc]))
 						end = live
-						if live < stop && steps[live].rowLen > 0 && steps[live].guardKind == guardOn {
+						if live < stop && blk.spec != nil && steps[live].rowLen > 0 && steps[live].guardKind == guardOn {
 							end++
 						}
 					}
@@ -890,7 +902,7 @@ func (blk *blockCtx) runWarp(w *warp, budget *budgetCounter, stats *LaunchStats)
 					if kind != 0 || live == stop {
 						break
 					}
-					execMask := atPC
+					execMask, lane := atPC, -1
 					if pc == live {
 						xi := &steps[pc]
 						if xi.guardKind != guardOn {
@@ -898,6 +910,7 @@ func (blk *blockCtx) runWarp(w *warp, budget *budgetCounter, stats *LaunchStats)
 						}
 						lanes := uint64(popcount(execMask))
 						ti += lanes
+						lane = blk.aim(w, pc, execMask)
 						if _, kind, faultAddr = xi.step(blk, w, execMask); kind != 0 {
 							break
 						}
@@ -906,17 +919,20 @@ func (blk *blockCtx) runWarp(w *warp, budget *budgetCounter, stats *LaunchStats)
 						}
 						pc++
 					}
-					blk.corrupt(w, live, execMask)
+					blk.hit(w, live, execMask, lane)
 				}
 				stats.ThreadInstrs += ti
 			}
 			if hooked {
-				blk.chargeSites(stats, minPC, pc, kind != 0)
+				blk.chargeSites(stats, minPC, pc)
 			}
 			if kind != 0 {
 				// Mid-batch fault: keep the faulting instruction charged (the
-				// per-step loop charges before executing) and hand back the
-				// never-issued tail.
+				// per-step loop charges before executing), its Before site
+				// too, and hand back the never-issued tail.
+				if hooked {
+					blk.chargeBefore(stats, pc)
+				}
 				unrun := int64(stop - pc - 1)
 				budget.refund(unrun)
 				stats.WarpInstrs -= uint64(unrun)
@@ -948,11 +964,13 @@ func (blk *blockCtx) runWarp(w *warp, budget *budgetCounter, stats *LaunchStats)
 		stats.WarpInstrs++
 		stats.ThreadInstrs += lanes
 		*clock++
-		armed := false
-		if hooked {
-			if armed = blk.calls != nil && !blk.launch.disarmed; armed {
-				blk.callBefore(minPC, execMask)
-			}
+		armed := hooked && blk.calls != nil
+		live, lane := hooked && blk.live != nil && int32(blk.live[minPC]) == minPC, -1
+		if armed {
+			blk.callBefore(minPC, execMask)
+		}
+		if live {
+			lane = blk.aim(w, minPC, execMask)
 		}
 		var barrier bool
 		if xi.ctl == ctlBra && w.converged && (execMask == atPC || execMask == 0) {
@@ -970,18 +988,18 @@ func (blk *blockCtx) runWarp(w *warp, budget *budgetCounter, stats *LaunchStats)
 			barrier, kind, faultAddr = blk.stepX(w, xi, minPC, atPC, execMask)
 			if kind != 0 {
 				if hooked {
-					blk.chargeSites(stats, minPC, minPC, true)
+					blk.chargeBefore(stats, minPC)
 				}
 				return blk.trapErr(kind, int(minPC), faultAddr, "")
 			}
 		}
 		if hooked {
-			blk.chargeSites(stats, minPC, minPC+1, false)
+			blk.chargeSites(stats, minPC, minPC+1)
 			if blk.tally != nil {
 				blk.tally[minPC].add(lanes)
 			}
-			if blk.spec != nil && int32(blk.live[minPC]) == minPC {
-				blk.corrupt(w, minPC, execMask)
+			if live {
+				blk.hit(w, minPC, execMask, lane)
 			}
 			if armed {
 				blk.callAfter(minPC)
@@ -1003,60 +1021,54 @@ func (blk *blockCtx) runWarp(w *warp, budget *budgetCounter, stats *LaunchStats)
 }
 
 // dispatches reports whether the batch [from, to) must issue through
-// issueHooked: it holds a callback site of a launch no tool has disarmed.
-// Sparse instrumentation — one armed site, the stores of a kernel — leaves
-// most batches to the plain loop, and so do a tally and a corruption, which
-// the plain loop applies itself: their sites are charged, never dispatched.
+// issueHooked: it holds a callback site. Sparse instrumentation — the stores
+// of a kernel — leaves most batches to the plain loop, and so do a tally and
+// the in-line faults, which the plain loop applies itself: their sites are
+// charged, never dispatched.
 func (blk *blockCtx) dispatches(from, to int32) bool {
-	return blk.calls != nil && blk.calls[to] != blk.calls[from] && !blk.launch.disarmed
+	return blk.calls != nil && blk.calls[to] != blk.calls[from]
 }
 
 // chargeSites charges the trampolines of the instructions [from, pc) that
-// completed, plus the Before site of pc when it faulted: a faulting
-// instruction got as far as its Before callbacks.
-func (blk *blockCtx) chargeSites(stats *LaunchStats, from, pc int32, faulted bool) {
-	sites := blk.sites
-	if sites == nil {
-		return
+// completed. It runs once per batch, so it must stay cheap enough to inline.
+func (blk *blockCtx) chargeSites(stats *LaunchStats, from, pc int32) {
+	if sites := blk.sites; sites != nil {
+		stats.TrampolineInstrs += uint64(sites[pc]-sites[from]) * TrampolineLen
 	}
-	ns := sites[pc] - sites[from]
-	if faulted && blk.ek.hasBefore(pc) {
-		ns++
-	}
-	stats.TrampolineInstrs += uint64(ns) * TrampolineLen
 }
 
-// issueHooked is the batch issue loop of a launch that dispatches callbacks,
-// armed when the batch starts (dispatches): per instruction guard, Before
-// callbacks, step, tally, corruption, After callbacks and the step hook, in
-// the reference loop's order. A callback may rewrite registers and
-// predicates, so every guard is evaluated when its instruction issues, never
-// ahead.
-// InstrCtx.Disarm takes effect at the next instruction (callbacks already due
-// for the current one still run) and only suppresses calls; the caller
-// accounts for the batch as a whole. It returns where the batch stopped: to,
-// or the faulting pc with its trap. The dispatch is written out rather than
-// calling callBefore / callAfter: two more calls per instruction cost a
-// profiled hot loop 6%.
+// chargeBefore charges the Before site of pc, which faulted: a faulting
+// instruction got as far as its Before callbacks and Pre hook.
+func (blk *blockCtx) chargeBefore(stats *LaunchStats, pc int32) {
+	if blk.sites != nil && blk.ek.hasBefore(pc) {
+		stats.TrampolineInstrs += TrampolineLen
+	}
+}
+
+// issueHooked is the batch issue loop of a launch that dispatches callbacks
+// (dispatches): per instruction guard, Before callbacks, the Shot's landing
+// rule, step, tally, in-line fault, After callbacks and the step hook, in the
+// reference loop's order. A callback may rewrite registers and predicates, so
+// every guard is evaluated when its instruction issues, never ahead. The
+// caller accounts for the batch as a whole. It returns where the batch
+// stopped: to, or the faulting pc with its trap. The dispatch is written out
+// rather than calling callBefore / callAfter: two more calls per instruction
+// cost a profiled hot loop 6%.
 func (blk *blockCtx) issueHooked(w *warp, from, to int32, atPC uint32, stats *LaunchStats) (pc int32, kind TrapKind, faultAddr uint32) {
 	steps := blk.plan.steps
 	tally, lim := blk.tally, to // lim: the next live site, which ends a stretch and issues alone
-	if blk.spec != nil {
+	if blk.live != nil {
 		lim = min(to, int32(blk.live[from]))
 	}
 	ek, ctx := blk.ek, &blk.ictx
 	instrs, before, after, stepHook := ek.K.Instrs, ek.Before, ek.After, ek.Step
-	armed := true // until a callback disarms the launch
 	var ti uint64
 	for pc = from; pc < to; pc++ {
 		xi := &steps[pc]
 		if n := min(xi.rowLen, lim-pc); n > 0 {
 			// Row ops up to the next callback site run as one stretch: an
 			// armed launch pays per-instruction dispatch only at its sites.
-			if armed {
-				n = ek.callFree(pc, n)
-			}
-			if n > 0 {
+			if n = ek.callFree(pc, n); n > 0 {
 				var th uint64
 				th, pc, kind, faultAddr = blk.runRows(w, pc, n, atPC, tally)
 				if ti += th; kind != 0 {
@@ -1072,15 +1084,17 @@ func (blk *blockCtx) issueHooked(w *warp, from, to int32, atPC uint32, stats *La
 		}
 		lanes := uint64(popcount(execMask))
 		ti += lanes
-		if armed {
-			ctx.Instr = &instrs[pc]
-			ctx.InstrIdx = int(pc)
-			ctx.ActiveMask = execMask
-			if before != nil {
-				for _, cb := range before[pc] {
-					cb(ctx)
-				}
+		ctx.Instr = &instrs[pc]
+		ctx.InstrIdx = int(pc)
+		ctx.ActiveMask = execMask
+		if before != nil {
+			for _, cb := range before[pc] {
+				cb(ctx)
 			}
+		}
+		lane := -1
+		if pc == lim {
+			lane = blk.aim(w, pc, execMask)
 		}
 		if _, kind, faultAddr = xi.step(blk, w, execMask); kind != 0 {
 			break
@@ -1089,19 +1103,18 @@ func (blk *blockCtx) issueHooked(w *warp, from, to int32, atPC uint32, stats *La
 			tally[pc].add(lanes)
 		}
 		if pc == lim {
-			blk.corrupt(w, pc, execMask)
-			lim = min(to, int32(blk.live[pc+1]))
+			blk.hit(w, pc, execMask, lane)
+			if lim = to; blk.live != nil {
+				lim = min(to, int32(blk.live[pc+1]))
+			}
 		}
-		if armed {
-			if after != nil {
-				for _, cb := range after[pc] {
-					cb(ctx)
-				}
+		if after != nil {
+			for _, cb := range after[pc] {
+				cb(ctx)
 			}
-			if stepHook != nil {
-				stepHook(ctx)
-			}
-			armed = !blk.launch.disarmed
+		}
+		if stepHook != nil {
+			stepHook(ctx)
 		}
 	}
 	stats.ThreadInstrs += ti
@@ -1196,12 +1209,16 @@ func (blk *blockCtx) runWarpRef(w *warp, budget *budgetCounter, stats *LaunchSta
 		stats.ThreadInstrs += lanes
 		blk.dev.smClocks[blk.smID]++
 
-		armed := blk.calls != nil && !blk.launch.disarmed
+		armed := blk.calls != nil
+		live, lane := blk.live != nil && int32(blk.live[minPC]) == minPC, -1
 		if ek.hasBefore(minPC) {
 			stats.TrampolineInstrs += TrampolineLen
 		}
 		if armed {
 			blk.callBefore(minPC, execMask)
+		}
+		if live {
+			lane = blk.aim(w, minPC, execMask)
 		}
 
 		barrier, kind, faultAddr := blk.step(w, in, minPC, atPC, execMask)
@@ -1218,8 +1235,8 @@ func (blk *blockCtx) runWarpRef(w *warp, budget *budgetCounter, stats *LaunchSta
 		if blk.tally != nil {
 			blk.tally[minPC].add(lanes)
 		}
-		if blk.spec != nil && int32(blk.live[minPC]) == minPC {
-			blk.corrupt(w, minPC, execMask)
+		if live {
+			blk.hit(w, minPC, execMask, lane)
 		}
 		if armed {
 			blk.callAfter(minPC)

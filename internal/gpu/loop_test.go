@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 	"unsafe"
@@ -107,20 +108,14 @@ func expectSameLoop(t *testing.T, label string, ref, got loopRun) {
 // armShortDiv instruments shortdiv the way the tools do, with callbacks that
 // have architectural effect but no state of their own (so a restored fork can
 // re-attach them): an After callback on every instruction that counts
-// dispatches — and, when disarmAt > 0, disarms at that dispatch — one on the
-// IMAD that perturbs lane 6's result, and a Before callback on `MOV R5` that
-// flips P2 for the odd lanes, the guard of the instruction right after it in
-// the same batch. faultStore adds a Before callback on the store that sends
-// lane 3 to an unmapped address, so the store faults mid-batch with its
-// Before trampoline already charged.
-func armShortDiv(k *sass.Kernel, calls *int, disarmAt int, faultStore bool) *ExecKernel {
+// dispatches, one on the IMAD that perturbs lane 6's result, and a Before
+// callback on `MOV R5` that flips P2 for the odd lanes, the guard of the
+// instruction right after it in the same batch. faultStore adds a Before
+// callback on the store that sends lane 3 to an unmapped address, so the store
+// faults mid-batch with its Before trampoline already charged.
+func armShortDiv(k *sass.Kernel, calls *int, faultStore bool) *ExecKernel {
 	ek := &ExecKernel{K: k, Before: make([][]Callback, len(k.Instrs)), After: make([][]Callback, len(k.Instrs))}
-	count := func(c *InstrCtx) {
-		*calls++
-		if *calls == disarmAt {
-			c.Disarm()
-		}
-	}
+	count := func(*InstrCtx) { *calls++ }
 	for i := range k.Instrs {
 		in := &k.Instrs[i]
 		ek.After[i] = []Callback{count}
@@ -145,9 +140,8 @@ func armShortDiv(k *sass.Kernel, calls *int, disarmAt int, faultStore bool) *Exe
 }
 
 // shortDivLaunch builds the launch on d; armed selects the instrumented
-// kernel, whose counting callback disarms at dispatch disarmAt (0: never;
-// negative: never, and the store is made to fault).
-func shortDivLaunch(t testing.TB, d *Device, armed bool, calls *int, disarmAt int, budget uint64) (*Launch, uint32) {
+// kernel (armShortDiv).
+func shortDivLaunch(t testing.TB, d *Device, armed bool, calls *int, faultStore bool, budget uint64) (*Launch, uint32) {
 	t.Helper()
 	p, err := sass.Assemble("test", shortDivSrc)
 	if err != nil {
@@ -160,7 +154,7 @@ func shortDivLaunch(t testing.TB, d *Device, armed bool, calls *int, disarmAt in
 	}
 	ek := &ExecKernel{K: k}
 	if armed {
-		ek = armShortDiv(k, calls, disarmAt, disarmAt < 0)
+		ek = armShortDiv(k, calls, faultStore)
 	}
 	return &Launch{
 		Kernel: ek,
@@ -185,11 +179,11 @@ func finishLoopRun(t testing.TB, d *Device, outp uint32, stats LaunchStats, err 
 	}
 }
 
-func runShortDiv(t testing.TB, e loopEngine, armed bool, disarmAt int, budget uint64) loopRun {
+func runShortDiv(t testing.TB, e loopEngine, armed, faultStore bool, budget uint64) loopRun {
 	t.Helper()
 	d := e.device(t)
 	calls := 0
-	l, outp := shortDivLaunch(t, d, armed, &calls, disarmAt, budget)
+	l, outp := shortDivLaunch(t, d, armed, &calls, faultStore, budget)
 	stats, err := d.Run(l)
 	return finishLoopRun(t, d, outp, stats, err, calls)
 }
@@ -197,7 +191,7 @@ func runShortDiv(t testing.TB, e loopEngine, armed bool, disarmAt int, budget ui
 // TestLoopEquivalence: the plain and the armed launch, run whole.
 func TestLoopEquivalence(t *testing.T) {
 	for _, armed := range []bool{false, true} {
-		ref := runShortDiv(t, loopEngines[0], armed, 0, 0)
+		ref := runShortDiv(t, loopEngines[0], armed, false, 0)
 		if ref.err != nil {
 			t.Fatal(ref.err)
 		}
@@ -205,7 +199,7 @@ func TestLoopEquivalence(t *testing.T) {
 			t.Fatal("armed launch charged no trampolines")
 		}
 		for _, e := range loopEngines[1:] {
-			expectSameLoop(t, fmt.Sprintf("%s armed=%v", e.name, armed), ref, runShortDiv(t, e, armed, 0, 0))
+			expectSameLoop(t, fmt.Sprintf("%s armed=%v", e.name, armed), ref, runShortDiv(t, e, armed, false, 0))
 		}
 	}
 }
@@ -214,12 +208,12 @@ func TestLoopEquivalence(t *testing.T) {
 // site, the refunded tail of the batch and the trampolines charged up to and
 // including the store's Before site must agree.
 func TestFaultMidBatchArmed(t *testing.T) {
-	ref := runShortDiv(t, loopEngines[0], true, -1, 0)
+	ref := runShortDiv(t, loopEngines[0], true, true, 0)
 	if trap, ok := AsTrap(ref.err); !ok || trap.Kind != TrapIllegalAddress {
 		t.Fatalf("err = %v, want an illegal-address trap", ref.err)
 	}
 	for _, e := range loopEngines[1:] {
-		expectSameLoop(t, e.name, ref, runShortDiv(t, e, true, -1, 0))
+		expectSameLoop(t, e.name, ref, runShortDiv(t, e, true, true, 0))
 	}
 }
 
@@ -229,8 +223,8 @@ func TestFaultMidBatchArmed(t *testing.T) {
 // evaluated ahead of the callback.
 func TestBeforeCallbackRewritesNextGuard(t *testing.T) {
 	for _, e := range loopEngines {
-		plain := runShortDiv(t, e, false, 0, 0)
-		armed := runShortDiv(t, e, true, 0, 0)
+		plain := runShortDiv(t, e, false, false, 0)
+		armed := runShortDiv(t, e, true, false, 0)
 		for lane := 0; lane < shortDivThreads; lane++ {
 			if lane%WarpSize == 6 {
 				continue // the IMAD callback perturbs this lane's sum
@@ -253,52 +247,83 @@ func TestBeforeCallbackRewritesNextGuard(t *testing.T) {
 // batch — must trap at the same PC with the same stats, trampoline charge,
 // clocks and callback count on all three engines.
 func TestBudgetExhaustionMidBatch(t *testing.T) {
-	total := runShortDiv(t, loopEngines[0], true, 0, 0).stats.WarpInstrs
+	total := runShortDiv(t, loopEngines[0], true, false, 0).stats.WarpInstrs
 	for budget := uint64(1); budget <= total+1; budget++ {
-		ref := runShortDiv(t, loopEngines[0], true, 0, budget)
+		ref := runShortDiv(t, loopEngines[0], true, false, budget)
 		if (ref.err != nil) != (budget < total) {
 			t.Fatalf("budget %d of %d: err = %v", budget, total, ref.err)
 		}
 		for _, e := range loopEngines[1:] {
-			expectSameLoop(t, fmt.Sprintf("%s budget=%d", e.name, budget), ref, runShortDiv(t, e, true, 0, budget))
+			expectSameLoop(t, fmt.Sprintf("%s budget=%d", e.name, budget), ref, runShortDiv(t, e, true, false, budget))
 		}
 	}
 }
 
-// TestDisarmMidBatch: a callback disarms at every dispatch ordinal in turn —
-// mid-batch, on single issues, before and after the barrier. Exactly that
-// many dispatches happen (disarming suppresses calls from the next
-// instruction on; the second callback of the disarming instruction still
-// runs) and the accounting does not move: issue counts, trampolines and
-// clocks equal the never-disarmed launch's, on all three engines.
+// TestDisarmMidBatch: a Shot on every instruction of shortdiv lands on every
+// 37th thread-level execution in turn — mid-batch, on single issues, before
+// and after the barrier, on every lane position — and on none, with and
+// without a Pre hook: on the plain launch, whose batches the plain loop runs,
+// on the launch armed with callbacks, whose batches issueHooked runs, and on
+// the armed launch whose store faults. On all three engines the launch equals
+// the reference loop running the callbacks the Shot stands for — beside a
+// Before and an After callback on every instruction, when armed: output,
+// stats with one trampoline per site the Shot shares with a callback, clocks,
+// digest and hook calls. And the landing moves no accounting: stats and clocks
+// equal those of the Shot that never lands.
 func TestDisarmMidBatch(t *testing.T) {
-	full := runShortDiv(t, loopEngines[0], true, 0, 0)
-	for at := 1; at <= full.calls; at += 3 {
-		ref := runShortDiv(t, loopEngines[0], true, at, 0)
-		if ref.calls != at {
-			t.Fatalf("disarm at %d: %d dispatches", at, ref.calls)
-		}
-		// Thread counts may differ: a suppressed callback no longer rewrites a
-		// guard. Issue counts, trampolines and modeled time may not.
-		if ref.stats.WarpInstrs != full.stats.WarpInstrs || ref.stats.TrampolineInstrs != full.stats.TrampolineInstrs ||
-			!reflect.DeepEqual(ref.clocks, full.clocks) {
-			t.Fatalf("disarm at %d moved the accounting: stats %+v clocks %v, armed %+v %v",
-				at, ref.stats, ref.clocks, full.stats, full.clocks)
-		}
-		for _, e := range loopEngines[1:] {
-			expectSameLoop(t, fmt.Sprintf("%s disarm@%d", e.name, at), ref, runShortDiv(t, e, true, at, 0))
+	for _, v := range []struct{ armed, faultStore bool }{{false, false}, {true, false}, {true, true}} {
+		for _, pre := range []bool{false, true} {
+			full, _ := runShortDivShot(t, loopEngines[0], math.MaxUint64, pre, v.armed, v.faultStore, true)
+			total := full.stats.ThreadInstrs
+			var targets []uint64
+			for at := uint64(0); at < total; at += 37 {
+				targets = append(targets, at)
+			}
+			targets = append(targets, total-1, total)
+			for _, target := range targets {
+				label := fmt.Sprintf("armed=%v fault=%v pre=%v target=%d", v.armed, v.faultStore, pre, target)
+				ref, refHooks := runShortDivShot(t, loopEngines[0], target, pre, v.armed, v.faultStore, true)
+				// The faulting store, the last warp instruction, never completes:
+				// a Shot landing there runs only its Pre hook.
+				onStore := v.faultStore && target >= total-WarpSize
+				if landed := refHooks.hits+refHooks.pres > 0; landed != (target < total && (pre || !onStore)) {
+					t.Fatalf("%s of %d: hooks %+v", label, total, refHooks)
+				}
+				if ref.stats != full.stats || !reflect.DeepEqual(ref.clocks, full.clocks) {
+					t.Fatalf("%s moved the accounting: stats %+v clocks %v, without it %+v %v",
+						label, ref.stats, ref.clocks, full.stats, full.clocks)
+				}
+				for _, e := range loopEngines {
+					got, hooks := runShortDivShot(t, e, target, pre, v.armed, v.faultStore, false)
+					expectSameLoop(t, e.name+" "+label, ref, got)
+					if hooks != refHooks {
+						t.Errorf("%s %s: hooks %+v, want %+v", e.name, label, hooks, refHooks)
+					}
+				}
+			}
 		}
 	}
 }
 
 // TestPauseEverywhere pauses the launch after every warp-instruction count it
-// passes through, plain and armed, on all three engines. At each position the
-// paused digest must equal the reference engine's, a snapshot restored onto a
-// fresh device must digest identically and run to the uninterrupted result,
-// and so must the paused run itself.
+// passes through, plain, armed, and armed with a Shot that lands mid-launch,
+// on all three engines. At each position the paused digest must equal the
+// reference engine's, a snapshot restored onto a fresh device must digest
+// identically and run to the uninterrupted result — its Shot primed with the
+// count the paused one reached, as a checkpointed injector's is — and so must
+// the paused run itself.
 func TestPauseEverywhere(t *testing.T) {
-	for _, armed := range []bool{false, true} {
-		whole := runShortDiv(t, loopEngines[0], armed, 0, 0)
+	for _, mode := range []string{"plain", "armed", "shot"} {
+		armed, shot := mode != "plain", mode == "shot"
+		whole := runShortDiv(t, loopEngines[0], armed, false, 0)
+		target := whole.stats.ThreadInstrs/2 + 5
+		var wholeHooks shotHooks
+		if shot {
+			whole, wholeHooks = runShortDivShot(t, loopEngines[0], target, true, true, false, false)
+			if wholeHooks.hits != 1 {
+				t.Fatalf("the Shot hit %d times", wholeHooks.hits)
+			}
+		}
 		total := int64(whole.stats.WarpInstrs)
 		if total < 200 {
 			t.Fatalf("kernel issues only %d warp instructions", total)
@@ -306,10 +331,16 @@ func TestPauseEverywhere(t *testing.T) {
 		refDigests := make([]uint64, total)
 		for _, e := range loopEngines {
 			for pos := int64(1); pos < total; pos++ {
-				label := fmt.Sprintf("%s armed=%v pause@%d", e.name, armed, pos)
+				label := fmt.Sprintf("%s %s pause@%d", e.name, mode, pos)
 				d := e.device(t)
 				calls := 0
-				l, outp := shortDivLaunch(t, d, armed, &calls, 0, 0)
+				l, outp := shortDivLaunch(t, d, armed, &calls, false, 0)
+				var s *Shot
+				var hooks shotHooks
+				if shot {
+					s = shortDivShot(target, true, &hooks)
+					armShortDivShot(l.Kernel, s, false)
+				}
 				r, err := d.BeginRun(l)
 				if err != nil {
 					t.Fatal(err)
@@ -340,9 +371,15 @@ func TestPauseEverywhere(t *testing.T) {
 				if got := fr.Digest(); got != dig {
 					t.Fatalf("%s: restored digest %#x, snapshotted %#x", label, got, dig)
 				}
-				forkCalls := calls
+				forkCalls, forkHooks := calls, hooks
 				if armed {
-					if err := fr.SetExecKernel(armShortDiv(l.Kernel.K, &forkCalls, 0, false)); err != nil {
+					ek := armShortDiv(l.Kernel.K, &forkCalls, false)
+					if shot {
+						fs := shortDivShot(target, true, &forkHooks)
+						fs.Count, fs.Fired = s.Count, s.Fired
+						armShortDivShot(ek, fs, false)
+					}
+					if err := fr.SetExecKernel(ek); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -350,12 +387,18 @@ func TestPauseEverywhere(t *testing.T) {
 					t.Fatalf("%s: fork Resume(-1) = (%v, %v)", label, paused, err)
 				}
 				expectSameLoop(t, label+" fork", whole, finishLoopRun(t, fork, outp, fr.Stats(), nil, forkCalls))
+				if forkHooks != wholeHooks {
+					t.Fatalf("%s fork: hooks %+v, want %+v", label, forkHooks, wholeHooks)
+				}
 
 				// The paused run itself.
 				if paused, err := r.Resume(-1); paused || err != nil {
 					t.Fatalf("%s: Resume(-1) = (%v, %v)", label, paused, err)
 				}
 				expectSameLoop(t, label+" resumed", whole, finishLoopRun(t, d, outp, r.Stats(), nil, calls))
+				if hooks != wholeHooks {
+					t.Fatalf("%s resumed: hooks %+v, want %+v", label, hooks, wholeHooks)
+				}
 				if t.Failed() {
 					return
 				}
@@ -368,7 +411,7 @@ func TestPauseEverywhere(t *testing.T) {
 // reports closed from then on, and its device starts the next run cleanly.
 func TestLaunchRunClose(t *testing.T) {
 	d := loopEngines[1].device(t)
-	l, outp := shortDivLaunch(t, d, false, nil, 0, 0)
+	l, outp := shortDivLaunch(t, d, false, nil, false, 0)
 	r, err := d.BeginRun(l)
 	if err != nil {
 		t.Fatal(err)
@@ -386,7 +429,7 @@ func TestLaunchRunClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	out, _ := d.Mem.ReadBytes(outp, 4*shortDivThreads)
-	if whole := runShortDiv(t, loopEngines[1], false, 0, 0); stats != whole.stats || !bytes.Equal(out, whole.out) {
+	if whole := runShortDiv(t, loopEngines[1], false, false, 0); stats != whole.stats || !bytes.Equal(out, whole.out) {
 		t.Fatalf("launch after a closed run: stats %+v, want %+v", stats, whole.stats)
 	}
 }
@@ -398,7 +441,7 @@ func TestLaunchRunClose(t *testing.T) {
 // when faultStore, the Before callback that makes the store fault.
 func tallyShortDiv(k *sass.Kernel, counts []SiteTally, inline, faultStore bool) *ExecKernel {
 	calls := 0
-	armed := armShortDiv(k, &calls, 0, faultStore)
+	armed := armShortDiv(k, &calls, faultStore)
 	ek := &ExecKernel{K: k, Before: armed.Before}
 	if inline {
 		ek.Tally = counts
@@ -437,7 +480,7 @@ func TestInlineTally(t *testing.T) {
 			for _, inline := range []bool{false, true} {
 				label := fmt.Sprintf("%s inline=%v fault=%v", e.name, inline, faultStore)
 				d := e.device(t)
-				l, outp := shortDivLaunch(t, d, false, nil, 0, 0)
+				l, outp := shortDivLaunch(t, d, false, nil, false, 0)
 				counts := make([]SiteTally, len(k.Instrs))
 				l.Kernel = tallyShortDiv(k, counts, inline, faultStore)
 				stats, err := d.Run(l)
@@ -526,7 +569,7 @@ func TestRunTally(t *testing.T) {
 	for _, e := range loopEngines {
 		for _, own := range []bool{false, true} {
 			d := e.device(t)
-			l, _ := shortDivLaunch(t, d, false, nil, 0, 0)
+			l, _ := shortDivLaunch(t, d, false, nil, false, 0)
 			var kernelTally []SiteTally
 			if own {
 				kernelTally = make([]SiteTally, len(k.Instrs))
@@ -662,7 +705,7 @@ type specRun struct {
 func runShortDivSpec(t *testing.T, e loopEngine, s testSpec, oracle bool, budget uint64) specRun {
 	t.Helper()
 	d := e.device(t)
-	l, outp := shortDivLaunch(t, d, false, nil, 0, budget)
+	l, outp := shortDivLaunch(t, d, false, nil, false, budget)
 	c, cats := s.build()
 	if oracle {
 		l.Kernel = specOracle(l.Kernel.K, c, cats)
@@ -687,7 +730,7 @@ func expectSameSpec(t *testing.T, label string, ref, got specRun) {
 // stats (trampolines included), clocks, digest and counters of the reference
 // loop running the oracle callbacks.
 func TestSpecEquivalence(t *testing.T) {
-	plain := runShortDiv(t, loopEngines[0], false, 0, 0)
+	plain := runShortDiv(t, loopEngines[0], false, false, 0)
 	for _, s := range shortDivSpecs {
 		ref := runShortDivSpec(t, loopEngines[0], s, true, 0)
 		if ref.err != nil {
@@ -749,7 +792,7 @@ func TestSpecPauseEverywhere(t *testing.T) {
 		whole := runShortDivSpec(t, e, s, false, 0)
 		for pos := int64(1); pos < int64(whole.stats.WarpInstrs); pos++ {
 			d := e.device(t)
-			l, outp := shortDivLaunch(t, d, false, nil, 0, 0)
+			l, outp := shortDivLaunch(t, d, false, nil, false, 0)
 			c, cats := s.build()
 			l.Kernel = specBuild(l.Kernel.K, c, cats)
 			r, err := d.BeginRun(l)
@@ -807,7 +850,7 @@ func TestSpecRowStretches(t *testing.T) {
 			t.Fatal("shortdiv has no row ops")
 		}
 		d.planMemo = map[*sass.Kernel]*xplan{k: plan}
-		l, _ := shortDivLaunch(t, d, false, nil, 0, 0)
+		l, _ := shortDivLaunch(t, d, false, nil, false, 0)
 		l.Kernel = &ExecKernel{K: k}
 		if _, err := d.Run(l); err != nil || len(single) != 0 {
 			t.Fatalf("plain launch: err %v, row ops issued alone %v", err, single)
@@ -842,7 +885,7 @@ func TestSpecRowStretches(t *testing.T) {
 func TestSpecLaunchAllocs(t *testing.T) {
 	for _, s := range []testSpec{shortDivSpecs[3], shortDivSpecs[5]} {
 		d := loopEngines[1].device(t)
-		l, _ := shortDivLaunch(t, d, false, nil, 0, 0)
+		l, _ := shortDivLaunch(t, d, false, nil, false, 0)
 		c, cats := s.build()
 		l.Kernel = specBuild(l.Kernel.K, c, cats)
 		if _, err := d.Run(l); err != nil {
@@ -865,7 +908,7 @@ func TestSpecLaunchAllocs(t *testing.T) {
 // or with another kernel's, is refused.
 func TestSpecSitesCheck(t *testing.T) {
 	d := loopEngines[1].device(t)
-	l, _ := shortDivLaunch(t, d, false, nil, 0, 0)
+	l, _ := shortDivLaunch(t, d, false, nil, false, 0)
 	c, _ := shortDivSpecs[0].build()
 	l.Kernel = &ExecKernel{K: l.Kernel.K, Corrupt: c}
 	if _, err := d.Run(l); err == nil {

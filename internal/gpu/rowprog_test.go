@@ -912,11 +912,14 @@ const rowRunThreads = 48 // a full warp and a half one
 
 // rowRunArm is how a rowrun launch is instrumented: the in-line tally, and
 // callback sites — on each, a Before callback that perturbs lane 6's R3 and an
-// After callback that counts its dispatch, clears P1 on the odd lanes (a guard
-// of ops further down the run) and, at dispatch disarmAt, disarms.
+// After callback that counts its dispatch and clears P1 on the odd lanes (a
+// guard of ops further down the run) — and, when fire > 0, a Shot on the same
+// sites that lands on their thread-level execution fire-1: its Pre hook
+// perturbs the landing lane's R3 and its hit flips that lane's P1, and counts
+// as 1000 dispatches.
 type rowRunArm struct {
 	sites    []int
-	disarmAt int
+	fire     uint64
 	tally    bool
 	stepHook bool // the single-step hook, counting: every instruction is a site
 }
@@ -944,10 +947,18 @@ func armRowRun(k *sass.Kernel, arm rowRunArm, calls *int, counts []SiteTally) *E
 			for lane := 1; lane < WarpSize; lane += 2 {
 				c.WritePred(lane, 1, false)
 			}
-			if *calls == arm.disarmAt {
-				c.Disarm()
-			}
 		}}
+	}
+	if arm.fire > 0 {
+		ek.Shot = &Shot{
+			Target: arm.fire - 1,
+			Pre:    func(c *InstrCtx, lane int) { c.WriteReg(lane, 3, c.ReadReg(lane, 3)^0x10) },
+			Hit: func(c *InstrCtx, lane int) {
+				*calls += 1000
+				c.WritePred(lane, 1, !c.ReadPred(lane, 1))
+			},
+		}
+		ek.ShotSites = shotSitesAt(k, true, arm.sites...)
 	}
 	return ek
 }
@@ -1012,8 +1023,8 @@ func rowRunStretch(t *testing.T, k *sass.Kernel) (start, n int) {
 
 // TestRowRunEquivalence: rowrun whole — plain, tallied, armed at the first, a
 // middle and the last op of its longest stretch (alone and together, with the
-// in-line tally and without), and disarmed from inside each site's callback —
-// on all three engines.
+// in-line tally and without), and with a Shot on those sites landing on their
+// first, a middle and a late execution — on all three engines.
 func TestRowRunEquivalence(t *testing.T) {
 	k := mustKernel(t, rowRunSrc, "rowrun")
 	start, n := rowRunStretch(t, k)
@@ -1022,8 +1033,8 @@ func TestRowRunEquivalence(t *testing.T) {
 	for _, sites := range [][]int{{first}, {middle}, {last}, {first, middle, last}, {first + 1, last - 1}} {
 		for _, tally := range []bool{false, true} {
 			arms = append(arms, rowRunArm{sites: sites, tally: tally})
-			for at := 1; at <= 5; at += 2 {
-				arms = append(arms, rowRunArm{sites: sites, tally: tally, disarmAt: at})
+			for _, fire := range []uint64{1, 29, 61} {
+				arms = append(arms, rowRunArm{sites: sites, tally: tally, fire: fire})
 			}
 		}
 	}
@@ -1032,7 +1043,7 @@ func TestRowRunEquivalence(t *testing.T) {
 		if ref.err != nil {
 			t.Fatal(ref.err)
 		}
-		if arm.disarmAt > 0 && ref.calls != arm.disarmAt {
+		if arm.fire > 0 && ref.calls/1000 != 1 {
 			t.Fatalf("%+v: %d dispatches", arm, ref.calls)
 		}
 		if (len(arm.sites) > 0 || arm.stepHook) && ref.calls == 0 {

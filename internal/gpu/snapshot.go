@@ -61,7 +61,7 @@ func (p *pauseCtl) tick(n int64) bool {
 // Close returns it for a run abandoned while paused.
 type LaunchRun struct {
 	dev       *Device
-	launch    Launch // private copy: the disarmed flag is per-run state
+	launch    Launch // private copy: SetExecKernel swaps its kernel
 	constBank []byte
 	plan      *xplan
 	budget    budgetCounter
@@ -270,7 +270,6 @@ type launchSnap struct {
 	budget      int64
 	stats       LaunchStats
 	blockLin    int
-	disarmed    bool
 	blk         *blockSnap
 }
 
@@ -332,7 +331,6 @@ func (d *Device) snapshotWith(run *LaunchRun) *Snapshot {
 		budget:      run.budget.remaining,
 		stats:       run.stats,
 		blockLin:    run.blockLin,
-		disarmed:    run.launch.disarmed,
 	}
 	if blk := run.blk; blk != nil {
 		bs := &blockSnap{
@@ -377,7 +375,6 @@ func (d *Device) Restore(s *Snapshot) (*LaunchRun, error) {
 		Block:       ls.block,
 		SharedBytes: ls.sharedBytes,
 		Params:      r.params,
-		disarmed:    ls.disarmed,
 	}
 	r.stats = ls.stats
 	r.blockLin = ls.blockLin

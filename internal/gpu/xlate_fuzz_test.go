@@ -157,8 +157,8 @@ func fuzzProgram(data []byte) string {
 }
 
 // Fuzz arms: the launch run whole, run armed (a callback on every instruction,
-// one of which corrupts a register and another of which rewrites a guard
-// predicate), run through a pausable launch that stops every few
+// one of which corrupts a register — or a Shot on every instruction does —
+// and another of which rewrites a guard predicate), run through a pausable launch that stops every few
 // instructions and hops onto a restored fork at every fourth pause, and run
 // under a permanent fault (fuzzSpecFault) — as an in-line Corruption and as
 // the oracle callbacks it replaces, which must agree with each other too.
@@ -187,24 +187,28 @@ type fuzzObs struct {
 }
 
 // fuzzArm instruments k for the armed arm: every instruction counts its
-// dispatch; dispatch number fire corrupts R3 of the first active lane and,
-// when knob is odd, disarms; every fifth instruction's Before callback flips
-// P1 on one lane, so guards inside a batch depend on callbacks before them.
+// dispatch; dispatch number fire corrupts R3 of the first active lane — or,
+// when knob is odd, a Shot on every instruction corrupts R3 of the lane it
+// lands on, thread-level execution 8*fire; every fifth instruction's Before
+// callback flips P1 on one lane, so guards inside a batch depend on callbacks
+// before them.
 func fuzzArm(k *sass.Kernel, knob int, calls *int) *ExecKernel {
 	ek := &ExecKernel{K: k, Before: make([][]Callback, len(k.Instrs)), After: make([][]Callback, len(k.Instrs))}
 	fire := 1 + knob%61
+	flipR3 := func(c *InstrCtx, lane int) { c.WriteReg(lane, 3, c.ReadReg(lane, 3)^(1<<uint(knob%32))) }
+	if knob%2 == 1 {
+		ek.Shot = &Shot{Target: uint64(8 * fire), Hit: flipR3}
+		ek.ShotSites = NewShotSites(k, kernelOps(k), -1, false)
+	}
 	after := func(c *InstrCtx) {
-		if *calls++; *calls != fire {
+		if *calls++; *calls != fire || ek.Shot != nil {
 			return
 		}
 		for lane := 0; lane < WarpSize; lane++ {
 			if c.LaneActive(lane) {
-				c.WriteReg(lane, 3, c.ReadReg(lane, 3)^(1<<uint(knob%32)))
+				flipR3(c, lane)
 				break
 			}
-		}
-		if knob%2 == 1 {
-			c.Disarm()
 		}
 	}
 	flip := func(c *InstrCtx) {

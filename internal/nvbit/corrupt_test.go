@@ -96,3 +96,95 @@ func TestCorruptionFactsPerKernel(t *testing.T) {
 		t.Errorf("the site-facts lookup allocated %.1f objects, want 0", avg)
 	}
 }
+
+// shotTool instruments every launch with one Shot armed on the given opcodes
+// (at pc only, when pc >= 0).
+type shotTool struct {
+	spec gpu.Shot
+	ops  sass.OpSet
+	pc   int
+	hits int
+}
+
+func (*shotTool) Name() string { return "shot" }
+func (*shotTool) OnLaunch(*nvbit.LaunchInfo) nvbit.Decision {
+	return nvbit.Decision{Instrument: true, Key: "shot"}
+}
+func (st *shotTool) Instrument(_ *sass.Kernel, _ string, ins *nvbit.Inserter) {
+	ins.Shot(&st.spec, &st.ops, st.pc)
+}
+func (*shotTool) OnLaunchDone(*nvbit.LaunchInfo, gpu.LaunchStats, *gpu.Trap, bool) {}
+
+// TestShotFactsPerKernel: a Shot's site facts are shared like a Corruption's,
+// keyed by opcode set, armed pc and Pre hook; the lookup allocates nothing,
+// and the Shot lands once.
+func TestShotFactsPerKernel(t *testing.T) {
+	experiment := func(pc int, pre bool) *gpu.ExecKernel {
+		t.Helper()
+		tool := &shotTool{pc: pc}
+		tool.ops.Add(sass.MustOp("IADD"))
+		tool.spec.Hit = func(*gpu.InstrCtx, int) { tool.hits++ }
+		if pre {
+			tool.spec.Pre = func(*gpu.InstrCtx, int) {}
+		}
+		ctx := newCtx(t, sass.FamilyVolta)
+		att, err := nvbit.Attach(ctx, tool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer att.Detach()
+		mod, err := ctx.LoadModule("m", twoKernelSrc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := mod.Function("beta")
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := ctx.Malloc(4 * 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ctx.Launch(f, cfg1(), out); err != nil {
+			t.Fatal(err)
+		}
+		ek := att.BuildFor(f, "shot")
+		if ek == nil || ek.Shot != &tool.spec || ek.Before != nil || ek.After != nil {
+			t.Fatalf("the build is %+v, want the tool's spec and no callback table", ek)
+		}
+		if tool.hits != 1 || !tool.spec.Fired {
+			t.Fatalf("%d hits, fired %v", tool.hits, tool.spec.Fired)
+		}
+		return ek
+	}
+	first := experiment(-1, false)
+	if second := experiment(-1, false); second == first || second.ShotSites != first.ShotSites {
+		t.Error("a second experiment derived its own Shot site facts")
+	}
+	if experiment(-1, true).ShotSites == first.ShotSites {
+		t.Error("a Shot with a Pre hook shares the facts of one without")
+	}
+	var ops sass.OpSet
+	ops.Add(sass.MustOp("IADD"))
+	k := first.K
+	pc := -1
+	for i := range k.Instrs {
+		if ops.Has(k.Instrs[i].Op) {
+			pc = i
+			break
+		}
+	}
+	if one := experiment(pc, false); one.ShotSites == first.ShotSites {
+		t.Error("a Shot on one pc shares the facts of one on every instruction of its opcodes")
+	}
+	avg := testing.AllocsPerRun(20, func() {
+		if nvbit.ShotSites(k, &ops, -1, false) != first.ShotSites {
+			t.Fatal("lookup missed the shared facts")
+		}
+	})
+	if race.Enabled {
+		t.Logf("the site-facts lookup allocated %.1f objects under -race", avg)
+	} else if avg != 0 {
+		t.Errorf("the site-facts lookup allocated %.1f objects, want 0", avg)
+	}
+}

@@ -91,6 +91,8 @@ type Inserter struct {
 	tally   []gpu.SiteTally
 	corrupt *gpu.Corruption
 	csites  *gpu.CorruptionSites
+	shot    *gpu.Shot
+	ssites  *gpu.CorruptionSites
 }
 
 // InsertBefore attaches a callback that runs before instruction idx on
@@ -150,43 +152,61 @@ func (ins *Inserter) TallyLanes(tally []gpu.SiteTally) {
 // counters. The site facts are derived once per kernel, category mask and
 // opcode set, and shared by every build, attachment and goroutine.
 func (ins *Inserter) Corrupt(spec *gpu.Corruption, cats uint32) {
-	ins.corrupt, ins.csites = spec, corruptionSites(ins.k, cats, &spec.Ops)
+	ins.corrupt, ins.csites = spec, corruptionSites(ins.k, sitesKey{cats: cats, ops: spec.Ops})
 }
 
-// corruptionSitesSlot names the per-kernel memo of Corruption site facts in
+// Shot makes the engine count down to spec's target in line (gpu.Shot): its
+// armed sites are the instructions of opcode set ops — only instruction pc,
+// when pc >= 0 — each charged an After site, and a Before site too when the
+// spec has a Pre hook, with no callback dispatched anywhere. The spec stays
+// the tool's: the engine advances its count and marks it fired. The site
+// facts are shared like a Corruption's.
+func (ins *Inserter) Shot(spec *gpu.Shot, ops *sass.OpSet, pc int) {
+	ins.shot, ins.ssites = spec, corruptionSites(ins.k, sitesKey{ops: *ops, shot: true, pc: pc, pre: spec.Pre != nil})
+}
+
+// corruptionSitesSlot names the per-kernel memo of in-line fault site facts in
 // modcache.Derive.
 type corruptionSitesSlot struct{}
 
-// corruptionSitesKey is what a kernel's Corruption site facts depend on
-// besides the kernel: the charged categories and the whole opcode set.
-type corruptionSitesKey struct {
+// sitesKey is what a kernel's in-line fault site facts depend on besides the
+// kernel: for a Corruption the charged categories and the whole opcode set,
+// for a Shot the opcode set, the one armed pc (or -1) and whether it has a
+// Pre hook.
+type sitesKey struct {
 	cats uint32
 	ops  sass.OpSet
+	shot bool
+	pc   int
+	pre  bool
 }
 
-// corruptionSitesMemo holds one kernel's Corruption site facts by key. The
+// corruptionSitesMemo holds one kernel's in-line fault site facts by key. The
 // concurrent experiments of a campaign share it.
 type corruptionSitesMemo struct {
 	mu sync.Mutex
-	m  map[corruptionSitesKey]*gpu.CorruptionSites
+	m  map[sitesKey]*gpu.CorruptionSites
 }
 
-// corruptionSites returns the Corruption site facts of k for (cats, ops),
-// deriving them on first use. The memo hangs off a kernel the module cache
-// shares, so a campaign's experiments — each a fresh context decoding the
-// same binary — derive each fact once; a kernel the cache does not share gets
-// a fresh derivation per call.
-func corruptionSites(k *sass.Kernel, cats uint32, ops *sass.OpSet) *gpu.CorruptionSites {
+// corruptionSites returns the in-line fault site facts of k for key, deriving
+// them on first use. The memo hangs off a kernel the module cache shares, so a
+// campaign's experiments — each a fresh context decoding the same binary —
+// derive each fact once; a kernel the cache does not share gets a fresh
+// derivation per call.
+func corruptionSites(k *sass.Kernel, key sitesKey) *gpu.CorruptionSites {
 	v, _ := modcache.Shared.Derive(k, corruptionSitesSlot{}, func() any { return new(corruptionSitesMemo) })
 	memo := v.(*corruptionSitesMemo)
-	key := corruptionSitesKey{cats: cats, ops: *ops}
 	memo.mu.Lock()
 	defer memo.mu.Unlock()
 	s := memo.m[key]
 	if s == nil {
-		s = gpu.NewCorruptionSites(k, cats, ops)
+		if key.shot {
+			s = gpu.NewShotSites(k, &key.ops, key.pc, key.pre)
+		} else {
+			s = gpu.NewCorruptionSites(k, key.cats, &key.ops)
+		}
 		if memo.m == nil {
-			memo.m = make(map[corruptionSitesKey]*gpu.CorruptionSites)
+			memo.m = make(map[sitesKey]*gpu.CorruptionSites)
 		}
 		memo.m[key] = s
 	}
@@ -468,6 +488,8 @@ func (a *Attachment) OnLaunchBegin(ev *cuda.LaunchEvent) {
 			Tally:        ins.tally,
 			Corrupt:      ins.corrupt,
 			CorruptSites: ins.csites,
+			Shot:         ins.shot,
+			ShotSites:    ins.ssites,
 		}
 		a.builds = append(a.builds, jitBuild{key: dec.Key, ek: ek, prev: s.builds})
 		s.builds = len(a.builds)

@@ -39,7 +39,7 @@ func TestShippedWorkloadsLintClean(t *testing.T) {
 
 // oracleSwitches are gpu.Device's reference-engine selectors. The product
 // runs one engine configuration; only the differential tests pick an oracle.
-var oracleSwitches = []string{"NoXlate", "LegacySched", "DisableDisarm"}
+var oracleSwitches = []string{"NoXlate", "LegacySched"}
 
 // TestOraclesStayInTests keeps the engine's oracles out of product code:
 // outside internal/gpu, no non-test Go file in the repository mentions an
