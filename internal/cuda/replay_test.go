@@ -2,6 +2,7 @@ package cuda_test
 
 import (
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/cuda"
@@ -88,6 +89,11 @@ func mallocsOf(f func()) (objects, bytes uint64) {
 // are the pool-balance check: a block abandoned without release costs the
 // next launch a fresh 33 KiB warp. Under -race the counts are only logged.
 func TestReplayLaunchAllocs(t *testing.T) {
+	// A collection in mid-test empties the sync.Pools, and the next Get on
+	// each reallocates its per-P array: the collector's allocations, which
+	// land on whichever launch comes next. Where collections fall depends
+	// on the tests run before this one, so none runs while it measures.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	rec := newCtx(t)
 	if err := rec.StartRecording(48); err != nil {
 		t.Fatal(err)

@@ -3,7 +3,6 @@ package cuda
 import (
 	"bytes"
 	"fmt"
-	"math"
 
 	"repro/internal/gpu"
 )
@@ -33,6 +32,9 @@ import (
 // a different address, any call sequence drift) permanently disables the
 // early exit — the mismatch flag — because recorded suffix results are only
 // valid if the host state matches the recording too.
+//
+// Recording and replaying are not separate copies of the driver: both are a
+// journal the context's one body per driver call consults (see journal).
 
 // callKind discriminates journaled driver calls.
 type callKind uint8
@@ -61,7 +63,8 @@ func (k callKind) String() string {
 	return "unknown"
 }
 
-// traceCall is one journaled driver call with its recorded result.
+// traceCall is one driver call with its results: what every call hands the
+// journal, and what a recording keeps of it.
 type traceCall struct {
 	kind  callKind
 	size  int             // malloc: requested size; memcpy: byte count
@@ -97,12 +100,6 @@ type Trace struct {
 
 // Checkpoints returns the number of snapshots the trace carries.
 func (t *Trace) Checkpoints() int { return len(t.ckpts) }
-
-// Stride returns the global warp-instruction checkpoint stride.
-func (t *Trace) Stride() uint64 { return t.stride }
-
-// Calls returns the number of journaled driver calls.
-func (t *Trace) Calls() int { return len(t.calls) }
 
 // ReplayPlan tells a replaying context where to restore and when early exit
 // is allowed.
@@ -167,10 +164,58 @@ func (t *Trace) PlanRestore(kernelName string, kernelCount, staticInstrIdx int, 
 	return plan
 }
 
-// recorder is the recording-mode state hung off a Context.
-type recorder struct {
+// journal is a recording or replaying context's driver-call journal; a plain
+// context has none (Context.j is nil, and the methods the driver calls make —
+// serve, note, restore, started, pauseIn — do nothing on a nil journal). Each driver call is written once, for all three kinds of
+// context: it describes itself as a traceCall, asks serve whether the journal
+// answers it, runs for real otherwise, and hands its outcome to note. A
+// launch also takes its pause points (pauseIn) and what to do at a pause
+// (paused) from here.
+type journal struct {
 	trace  *Trace
-	global uint64 // warp instructions across completed launches
+	replay bool // a replaying journal; else a recording one
+
+	// Recording: warp instructions across completed launches.
+	global uint64
+
+	// Replaying.
+	plan        ReplayPlan
+	pos         int // index of the next journaled call
+	restored    bool
+	earlyExited bool
+	mismatch    bool  // host-visible divergence from the recording
+	err         error // fatal replay error (pre-restore divergence)
+	// probing says whether the launch in flight compares digests at its
+	// recorded checkpoints, and boundary is the one it pauses at next.
+	probing  bool
+	boundary *Checkpoint
+}
+
+// String describes the call as the workload issued it.
+func (r *traceCall) String() string {
+	switch r.kind {
+	case callMalloc:
+		return fmt.Sprintf("cuMemAlloc(%d)", r.size)
+	case callFree:
+		return fmt.Sprintf("cuMemFree(0x%x)", r.ptr)
+	case callHtoD, callDtoH:
+		return fmt.Sprintf("%v(0x%x, %d)", r.kind, r.ptr, r.size)
+	}
+	return fmt.Sprintf("cuLaunchKernel %q", r.fn)
+}
+
+// sameRequest reports whether c, issued in the recorded call r's place, is
+// the same call with the same arguments. An allocation's address is its
+// result, not an argument.
+func (r *traceCall) sameRequest(c *traceCall) bool {
+	return r.kind == c.kind && r.size == c.size && r.fn == c.fn &&
+		(r.kind == callMalloc || r.ptr == c.ptr)
+}
+
+// sameResult reports whether c returned what the recorded call r did: the
+// same address, the same bytes, the same launch length.
+func (r *traceCall) sameResult(c *traceCall) bool {
+	return r.ptr == c.ptr && r.stats.WarpInstrs == c.stats.WarpInstrs && bytes.Equal(r.data, c.data)
 }
 
 // StartRecording puts the context in recording mode: every driver call is
@@ -178,10 +223,10 @@ type recorder struct {
 // warp-instruction multiples of stride (0 disables checkpointing but still
 // journals).
 func (c *Context) StartRecording(stride uint64) error {
-	if c.rec != nil || c.rep != nil {
+	if c.j != nil {
 		return fmt.Errorf("cuda: context already recording or replaying")
 	}
-	c.rec = &recorder{trace: &Trace{stride: stride}}
+	c.j = &journal{trace: &Trace{stride: stride}}
 	return nil
 }
 
@@ -189,12 +234,12 @@ func (c *Context) StartRecording(stride uint64) error {
 // any recorded call misbehaved (errored, trapped) — such a trajectory is
 // not a golden run and cannot anchor replays.
 func (c *Context) FinishRecording() (*Trace, error) {
-	rec := c.rec
-	if rec == nil {
+	j := c.j
+	if j == nil || j.replay {
 		return nil, fmt.Errorf("cuda: context is not recording")
 	}
-	c.rec = nil
-	t := rec.trace
+	c.j = nil
+	t := j.trace
 	t.finalLog = append([]gpu.LogEvent(nil), c.dev.LogEvents()...)
 	if t.failed != nil {
 		return nil, fmt.Errorf("cuda: recording unusable: %w", t.failed)
@@ -202,29 +247,17 @@ func (c *Context) FinishRecording() (*Trace, error) {
 	return t, nil
 }
 
-func (rec *recorder) fail(format string, args ...any) {
-	if rec.trace.failed == nil {
-		rec.trace.failed = fmt.Errorf(format, args...)
+func (j *journal) fail(format string, args ...any) {
+	if j.trace.failed == nil {
+		j.trace.failed = fmt.Errorf(format, args...)
 	}
-}
-
-// replayer is the replay-mode state hung off a Context.
-type replayer struct {
-	trace *Trace
-	plan  ReplayPlan
-	pos   int // index of the next journaled call
-
-	restored    bool
-	earlyExited bool
-	mismatch    bool  // host-visible divergence from the recording
-	err         error // fatal replay error (pre-restore divergence)
 }
 
 // BeginReplay puts the context in replay mode against a recorded trace.
 // The context must be fresh: nothing loaded, nothing allocated, nothing
 // launched.
 func (c *Context) BeginReplay(t *Trace, plan ReplayPlan) error {
-	if c.rec != nil || c.rep != nil {
+	if c.j != nil {
 		return fmt.Errorf("cuda: context already recording or replaying")
 	}
 	if t == nil || t.failed != nil {
@@ -233,332 +266,215 @@ func (c *Context) BeginReplay(t *Trace, plan ReplayPlan) error {
 	if (plan.RestoreCall >= 0) != (plan.Ckpt != nil) {
 		return fmt.Errorf("cuda: replay plan restore call and checkpoint disagree")
 	}
-	c.rep = &replayer{trace: t, plan: plan}
+	c.j = &journal{trace: t, replay: true, plan: plan}
 	return nil
 }
 
 // ReplayRestored reports whether the replay restored from a checkpoint.
-func (c *Context) ReplayRestored() bool { return c.rep != nil && c.rep.restored }
+func (c *Context) ReplayRestored() bool { return c.j != nil && c.j.restored }
 
 // ReplayEarlyExited reports whether the replay re-converged with the golden
 // trajectory and exited early.
-func (c *Context) ReplayEarlyExited() bool { return c.rep != nil && c.rep.earlyExited }
+func (c *Context) ReplayEarlyExited() bool { return c.j != nil && c.j.earlyExited }
 
 // ReplayErr returns the fatal replay error, if any: the workload's driver
 // calls diverged from the recording before the restore point, so the replay
 // is meaningless and the experiment must be re-run from scratch.
 func (c *Context) ReplayErr() error {
-	if c.rep == nil {
+	if c.j == nil {
 		return nil
 	}
-	return c.rep.err
+	return c.j.err
 }
 
-// replayDivergence marks a fatal pre-restore divergence: the workload did
-// not repeat the recorded call sequence, so the snapshot does not describe
-// this execution. Every subsequent call fails with the same error.
-func (rep *replayer) replayDivergence(got string, want *traceCall) error {
-	if rep.err == nil {
-		wantS := "end of journal"
-		if want != nil {
-			wantS = want.kind.String()
+// diverge marks a fatal divergence: the workload did not repeat the recorded
+// call sequence where the replay relies on it (before the restore point, at
+// it, or after an early exit), so the snapshot or the recorded results do not
+// describe this execution. Every later call fails with the same error.
+func (j *journal) diverge(call, rec *traceCall) error {
+	if j.err == nil {
+		want := "end of journal"
+		if rec != nil {
+			want = rec.kind.String()
 		}
-		rep.err = fmt.Errorf("cuda: replay diverged at call %d: workload issued %s, recording has %s",
-			rep.pos, got, wantS)
+		j.err = fmt.Errorf("cuda: replay diverged at call %d: workload issued %s, recording has %s",
+			j.pos, call.String(), want)
 	}
-	return rep.err
+	return j.err
 }
 
-// next returns the journaled call at the current position, advancing it.
-func (rep *replayer) next() *traceCall {
-	if rep.pos >= len(rep.trace.calls) {
+// recorded returns the journaled call at the replay's position, nil past the
+// end of the journal.
+func (j *journal) recorded() *traceCall {
+	if j.pos >= len(j.trace.calls) {
 		return nil
 	}
-	call := &rep.trace.calls[rep.pos]
-	rep.pos++
-	return call
+	return &j.trace.calls[j.pos]
 }
 
-// shortCircuit reports whether the current call must be served from the
-// journal instead of executed: before the restore point, or after an early
-// exit.
-func (rep *replayer) shortCircuit() bool {
-	if rep.earlyExited {
-		return true
+// serve answers call from the recording while a replay short-circuits —
+// before the restore call, and after an early exit: it fills in the recorded
+// results, or fails with the divergence error when the workload issued
+// another call, and the driver runs nothing. After a fatal replay error it
+// fails every call. Otherwise the call runs, and serve reports false.
+func (j *journal) serve(call *traceCall) (served bool, err error) {
+	if j == nil || !j.replay {
+		return false, nil
 	}
-	return rep.pos < rep.plan.RestoreCall
+	if j.err != nil {
+		return true, j.err
+	}
+	if !j.earlyExited && j.pos >= j.plan.RestoreCall {
+		return false, nil
+	}
+	rec := j.recorded()
+	if rec == nil || !rec.sameRequest(call) {
+		return true, j.diverge(call, rec)
+	}
+	j.pos++
+	call.ptr, call.stats = rec.ptr, rec.stats
+	if call.kind == callDtoH {
+		call.data = append([]byte(nil), rec.data...)
+	}
+	return true, nil
 }
 
-// live reports whether replay bookkeeping still matters for real execution
-// (boundary probing and mismatch tracking).
-func (rep *replayer) live() bool { return !rep.earlyExited && rep.err == nil }
-
-// recMalloc journals a real allocation.
-func (c *Context) recMalloc(size int) (DevPtr, error) {
-	rec := c.rec
-	if c.sticky != Success {
-		rec.fail("cuMemAlloc on a poisoned context")
-		return 0, c.sticky
-	}
-	p, err := c.dev.Mem.Alloc(size)
-	if err != nil {
-		rec.fail("cuMemAlloc(%d): %v", size, err)
-		return 0, fmt.Errorf("cuMemAlloc: %w", err)
-	}
-	rec.trace.calls = append(rec.trace.calls, traceCall{kind: callMalloc, size: size, ptr: p})
-	return p, nil
-}
-
-// repMalloc serves or verifies an allocation during replay.
-func (c *Context) repMalloc(size int) (DevPtr, error) {
-	rep := c.rep
-	if rep.err != nil {
-		return 0, rep.err
-	}
-	if rep.shortCircuit() {
-		call := rep.next()
-		if call == nil || call.kind != callMalloc || call.size != size {
-			return 0, rep.replayDivergence(fmt.Sprintf("cuMemAlloc(%d)", size), call)
+// note hands the journal a call the driver ran, with its error: a recording
+// journal appends it, or fails the recording when the call failed; a
+// replaying one consumes the recorded call in its place, and marks the replay
+// mismatched when the call failed or differs from it in arguments or results
+// — the host has seen something the recording did not, so recorded results
+// can no longer stand in for this execution's.
+func (j *journal) note(call *traceCall, err error) {
+	switch {
+	case j == nil:
+	case !j.replay:
+		j.global += call.stats.WarpInstrs
+		if err != nil {
+			j.fail("%s: %v", call.String(), err)
+			return
 		}
-		return call.ptr, nil
-	}
-	call := rep.next()
-	if c.sticky != Success {
-		rep.mismatch = true
-		return 0, c.sticky
-	}
-	p, err := c.dev.Mem.Alloc(size)
-	if err != nil {
-		rep.mismatch = true
-		return 0, fmt.Errorf("cuMemAlloc: %w", err)
-	}
-	if rep.live() && (call == nil || call.kind != callMalloc || call.ptr != p) {
-		rep.mismatch = true
-	}
-	return p, nil
-}
-
-// recFree journals a real free.
-func (c *Context) recFree(p DevPtr) error {
-	if err := c.dev.Mem.Free(p); err != nil {
-		c.rec.fail("cuMemFree(0x%x): %v", p, err)
-		return fmt.Errorf("cuMemFree: %w", err)
-	}
-	c.rec.trace.calls = append(c.rec.trace.calls, traceCall{kind: callFree, ptr: p})
-	return nil
-}
-
-// repFree serves or verifies a free during replay.
-func (c *Context) repFree(p DevPtr) error {
-	rep := c.rep
-	if rep.err != nil {
-		return rep.err
-	}
-	if rep.shortCircuit() {
-		call := rep.next()
-		if call == nil || call.kind != callFree || call.ptr != p {
-			return rep.replayDivergence(fmt.Sprintf("cuMemFree(0x%x)", p), call)
-		}
-		return nil
-	}
-	call := rep.next()
-	if rep.live() && (call == nil || call.kind != callFree || call.ptr != p) {
-		rep.mismatch = true
-	}
-	if err := c.dev.Mem.Free(p); err != nil {
-		rep.mismatch = true
-		return fmt.Errorf("cuMemFree: %w", err)
-	}
-	return nil
-}
-
-// recHtoD journals a real host-to-device copy.
-func (c *Context) recHtoD(dst DevPtr, src []byte) error {
-	rec := c.rec
-	if c.sticky != Success {
-		rec.fail("cuMemcpyHtoD on a poisoned context")
-		return c.sticky
-	}
-	if err := c.dev.Mem.WriteBytes(dst, src); err != nil {
-		rec.fail("cuMemcpyHtoD(0x%x, %d): %v", dst, len(src), err)
-		return err
-	}
-	rec.trace.calls = append(rec.trace.calls, traceCall{kind: callHtoD, ptr: dst, size: len(src)})
-	return nil
-}
-
-// repHtoD serves or verifies a host-to-device copy during replay. The copied
-// bytes are not compared against the recording — the snapshot already holds
-// their effect — only the call shape is.
-func (c *Context) repHtoD(dst DevPtr, src []byte) error {
-	rep := c.rep
-	if rep.err != nil {
-		return rep.err
-	}
-	if rep.shortCircuit() {
-		call := rep.next()
-		if call == nil || call.kind != callHtoD || call.ptr != dst || call.size != len(src) {
-			return rep.replayDivergence(fmt.Sprintf("cuMemcpyHtoD(0x%x, %d)", dst, len(src)), call)
-		}
-		return nil
-	}
-	call := rep.next()
-	if rep.live() && (call == nil || call.kind != callHtoD || call.ptr != dst || call.size != len(src)) {
-		rep.mismatch = true
-	}
-	if c.sticky != Success {
-		rep.mismatch = true
-		return c.sticky
-	}
-	return c.dev.Mem.WriteBytes(dst, src)
-}
-
-// recDtoH journals a real device-to-host copy, including the returned bytes
-// (they are the recorded results fed back during replay short-circuits).
-func (c *Context) recDtoH(src DevPtr, n int) ([]byte, error) {
-	rec := c.rec
-	if c.sticky != Success {
-		rec.fail("cuMemcpyDtoH on a poisoned context")
-		return nil, c.sticky
-	}
-	b, err := c.dev.Mem.ReadBytes(src, n)
-	if err != nil {
-		rec.fail("cuMemcpyDtoH(0x%x, %d): %v", src, n, err)
-		return nil, err
-	}
-	rec.trace.calls = append(rec.trace.calls,
-		traceCall{kind: callDtoH, ptr: src, size: n, data: append([]byte(nil), b...)})
-	return b, nil
-}
-
-// repDtoH serves or verifies a device-to-host copy during replay. In the
-// live phase the real bytes are returned to the host, and any difference
-// from the recording disables early exit: the host has observed corrupted
-// data, so its state can no longer be assumed to match the recording.
-func (c *Context) repDtoH(src DevPtr, n int) ([]byte, error) {
-	rep := c.rep
-	if rep.err != nil {
-		return nil, rep.err
-	}
-	if rep.shortCircuit() {
-		call := rep.next()
-		if call == nil || call.kind != callDtoH || call.ptr != src || call.size != n {
-			return nil, rep.replayDivergence(fmt.Sprintf("cuMemcpyDtoH(0x%x, %d)", src, n), call)
-		}
-		return append([]byte(nil), call.data...), nil
-	}
-	call := rep.next()
-	if c.sticky != Success {
-		rep.mismatch = true
-		return nil, c.sticky
-	}
-	b, err := c.dev.Mem.ReadBytes(src, n)
-	if err != nil {
-		rep.mismatch = true
-		return nil, err
-	}
-	if rep.live() {
-		if call == nil || call.kind != callDtoH || call.ptr != src || call.size != n {
-			rep.mismatch = true
-		} else if !bytes.Equal(call.data, b) {
-			rep.mismatch = true
+		rec := *call
+		// The recorded bytes are the results fed back while a replay
+		// short-circuits: the host may write to its own.
+		rec.data = bytes.Clone(call.data)
+		j.trace.calls = append(j.trace.calls, rec)
+	case j.err == nil:
+		rec := j.recorded()
+		j.pos++
+		if err != nil || rec == nil || !rec.sameRequest(call) || !rec.sameResult(call) {
+			j.mismatch = true
 		}
 	}
-	return b, nil
 }
 
-// resolveBudget applies the launch-budget defaulting chain exactly as
-// gpu.Device.Run would.
-func (c *Context) resolveBudget(cfg LaunchConfig) uint64 {
-	b := cfg.Budget
-	if b == 0 {
-		b = c.defaultBudget
+// restore starts the launch at the replay's restore call: the checkpoint's
+// run, restored mid-launch, continued through the launch's kernel and budget.
+// For every other launch it returns nil, nil.
+func (j *journal) restore(dev *gpu.Device, call *traceCall, exec *gpu.ExecKernel, budget uint64) (*gpu.LaunchRun, error) {
+	if j == nil || !j.replay || j.pos != j.plan.RestoreCall {
+		return nil, nil
 	}
-	if b == 0 {
-		b = gpu.DefaultBudget
+	if rec := j.recorded(); rec == nil || !rec.sameRequest(call) {
+		// The restore target itself diverged: the checkpoint does not
+		// describe this execution.
+		return nil, j.diverge(call, rec)
 	}
-	if b > math.MaxInt64 {
-		b = math.MaxInt64
+	r, err := dev.Restore(j.plan.Ckpt.snap)
+	if err == nil && r == nil {
+		err = fmt.Errorf("checkpoint holds no in-flight launch")
 	}
-	return b
-}
-
-// finishLaunch is the post-execution tail of every launch path: stats
-// accumulation, trap poisoning, subscriber completion.
-func (c *Context) finishLaunch(ev *LaunchEvent, f *Function, stats gpu.LaunchStats, err error) error {
-	ev.Stats = stats
-	c.total.WarpInstrs += stats.WarpInstrs
-	c.total.ThreadInstrs += stats.ThreadInstrs
-	c.total.TrampolineInstrs += stats.TrampolineInstrs
-	c.total.Blocks += stats.Blocks
+	if err == nil {
+		err = r.SetExecKernel(exec)
+	}
+	if err == nil {
+		err = r.SetBudget(budget)
+	}
 	if err != nil {
-		if t, ok := gpu.AsTrap(err); ok {
-			ev.Trap = t
-			c.poison(t)
-		} else {
-			for _, s := range c.subscribers {
-				s.OnLaunchEnd(ev)
+		j.err = fmt.Errorf("cuda: restore at call %d: %w", j.pos, err)
+		return nil, j.err
+	}
+	j.restored = true
+	return r, nil
+}
+
+// started readies the journal for the launch run r of call: a recording
+// tallies executions per static instruction for its checkpoints; a replay
+// decides whether the launch probes for re-convergence — once the fault can
+// have fired, while nothing mismatched, and only in the recorded launch.
+func (j *journal) started(r *gpu.LaunchRun, call *traceCall) {
+	switch {
+	case j == nil:
+	case !j.replay:
+		r.EnableInstrExecCounts()
+	default:
+		rec := j.recorded()
+		j.probing = !j.mismatch && !j.plan.NoEarlyExit && j.plan.Probe != nil &&
+			j.plan.FaultCall >= 0 && j.pos >= j.plan.FaultCall &&
+			rec != nil && rec.sameRequest(call)
+	}
+}
+
+// pauseIn is how many warp instructions the launch run r executes before its
+// next pause: to the recording's next global stride boundary, or — while a
+// replay probes — to the launch's next recorded checkpoint; -1 runs it to the
+// end.
+func (j *journal) pauseIn(r *gpu.LaunchRun) int64 {
+	switch {
+	case j == nil:
+	case !j.replay:
+		if s := j.trace.stride; s > 0 {
+			cur := j.global + r.Stats().WarpInstrs
+			return int64((cur/s+1)*s - cur)
+		}
+	case j.probing:
+		local := r.Stats().WarpInstrs
+		j.boundary = nil
+		for _, ck := range j.trace.ckpts {
+			if ck.CallIdx == j.pos && ck.LaunchLocal > local {
+				j.boundary = ck
+				return int64(ck.LaunchLocal - local)
 			}
-			return fmt.Errorf("cuLaunchKernel %q: %w", f.k.Name, err)
 		}
 	}
-	for _, s := range c.subscribers {
-		s.OnLaunchEnd(ev)
-	}
-	return nil
+	return -1
 }
 
-// launchRecorded runs a launch for real on a recording context, pausing at
-// every global stride boundary to snapshot.
-func (c *Context) launchRecorded(ev *LaunchEvent, f *Function, cfg LaunchConfig) error {
-	rec := c.rec
-	callIdx := len(rec.trace.calls)
-	r, err := c.dev.BeginRun(c.deviceLaunch(ev.Exec, cfg, c.resolveBudget(cfg)))
-	if err != nil {
-		rec.fail("cuLaunchKernel %q: %v", f.k.Name, err)
-		for _, s := range c.subscribers {
-			s.OnLaunchEnd(ev)
-		}
-		return fmt.Errorf("cuLaunchKernel %q: %w", f.k.Name, err)
-	}
-	r.EnableInstrExecCounts()
-	stride := rec.trace.stride
-	var runErr error
-	for {
-		pauseIn := int64(-1)
-		if stride > 0 {
-			cur := rec.global + r.Stats().WarpInstrs
-			pauseIn = int64((cur/stride+1)*stride - cur)
-		}
-		paused, err := r.Resume(pauseIn)
-		if !paused {
-			runErr = err
-			break
-		}
+// paused handles a pause of the launch run r of call. A recording snapshots
+// the run as a checkpoint. A replay, once the fault has fired, compares the
+// run's digest with the recorded one at this boundary; on a match the
+// execution has re-converged with the golden trajectory at an identical
+// boundary, so the rest of it is the recording: the run is dropped, the
+// journal answers the launch (call's recorded stats) and every call after
+// it, and paused reports true.
+func (j *journal) paused(dev *gpu.Device, r *gpu.LaunchRun, call *traceCall) (exited bool) {
+	if !j.replay {
+		callIdx := len(j.trace.calls)
 		snap, err := r.Snapshot()
 		if err != nil {
-			rec.fail("snapshot at launch %d: %v", callIdx, err)
-			continue
+			j.fail("snapshot at launch %d: %v", callIdx, err)
+			return false
 		}
 		local := r.Stats().WarpInstrs
-		rec.trace.ckpts = append(rec.trace.ckpts, &Checkpoint{
-			Global:      rec.global + local,
+		j.trace.ckpts = append(j.trace.ckpts, &Checkpoint{
+			Global:      j.global + local,
 			CallIdx:     callIdx,
 			LaunchLocal: local,
-			Kernel:      f.k.Name,
+			Kernel:      call.fn,
 			digest:      r.Digest(),
 			snap:        snap,
 			instrExec:   threadCounts(r.InstrExecCounts()),
 		})
+		return false
 	}
-	stats := r.Stats()
-	rec.global += stats.WarpInstrs
-	if runErr != nil {
-		rec.fail("cuLaunchKernel %q: %v", f.k.Name, runErr)
+	if j.boundary == nil || !j.plan.Probe() || r.Digest() != j.boundary.digest {
+		return false
 	}
-	rec.trace.calls = append(rec.trace.calls,
-		traceCall{kind: callLaunch, fn: f.k.Name, stats: stats})
-	return c.finishLaunch(ev, f, stats, runErr)
+	r.Close()
+	dev.SetLog(j.trace.finalLog)
+	j.earlyExited = true
+	j.serve(call)
+	return true
 }
 
 // threadCounts copies the thread-level counts out of a run's tally.
@@ -570,138 +486,23 @@ func threadCounts(tally []gpu.SiteTally) []uint64 {
 	return out
 }
 
-// launchReplayed handles a launch on a replaying context: short-circuit,
-// restore-and-resume, or live with early-exit probing.
-func (c *Context) launchReplayed(ev *LaunchEvent, f *Function, cfg LaunchConfig) error {
-	rep := c.rep
-	if rep.err != nil {
-		return rep.err
+// finishLaunch is the post-execution tail of every launch: stats
+// accumulation, trap poisoning, subscriber completion.
+func (c *Context) finishLaunch(ev *LaunchEvent, f *Function, stats gpu.LaunchStats, err error) error {
+	ev.Stats = stats
+	c.total.WarpInstrs += stats.WarpInstrs
+	c.total.ThreadInstrs += stats.ThreadInstrs
+	c.total.TrampolineInstrs += stats.TrampolineInstrs
+	c.total.Blocks += stats.Blocks
+	if t, ok := gpu.AsTrap(err); ok {
+		ev.Trap = t
+		c.poison(t)
+		err = nil
+	} else if err != nil {
+		err = fmt.Errorf("cuLaunchKernel %q: %w", f.k.Name, err)
 	}
-
-	// Short-circuit phase: the launch "happens" with its recorded results.
-	// Subscribers still see begin/end so instance counting (and therefore
-	// injector arming) stays aligned with the recording.
-	if rep.shortCircuit() {
-		call := rep.next()
-		if call == nil || call.kind != callLaunch || call.fn != f.k.Name {
-			return rep.replayDivergence(fmt.Sprintf("cuLaunchKernel %q", f.k.Name), call)
-		}
-		for _, s := range c.subscribers {
-			s.OnLaunchBegin(ev)
-		}
-		return c.finishLaunch(ev, f, call.stats, nil)
-	}
-
-	restoreHere := rep.pos == rep.plan.RestoreCall && !rep.restored
-	callIdx := rep.pos
-	call := rep.next()
-	if rep.live() && (call == nil || call.kind != callLaunch || call.fn != f.k.Name) {
-		if restoreHere {
-			// The restore target itself diverged: the checkpoint does not
-			// describe this execution.
-			return rep.replayDivergence(fmt.Sprintf("cuLaunchKernel %q", f.k.Name), call)
-		}
-		rep.mismatch = true
-	}
-	if c.sticky != Success {
-		rep.mismatch = true
-		ev.Skipped = true
-		for _, s := range c.subscribers {
-			s.OnLaunchEnd(ev)
-		}
-		return c.sticky
-	}
-
 	for _, s := range c.subscribers {
-		s.OnLaunchBegin(ev)
+		s.OnLaunchEnd(ev)
 	}
-
-	var r *gpu.LaunchRun
-	var err error
-	budget := c.resolveBudget(cfg)
-	if restoreHere {
-		ck := rep.plan.Ckpt
-		if budget <= ck.LaunchLocal {
-			return rep.replayDivergence(
-				fmt.Sprintf("cuLaunchKernel %q with budget %d below checkpoint offset %d",
-					f.k.Name, budget, ck.LaunchLocal), call)
-		}
-		r, err = c.dev.Restore(ck.snap)
-		if err == nil && r == nil {
-			err = fmt.Errorf("checkpoint holds no in-flight launch")
-		}
-		if err == nil {
-			err = r.SetExecKernel(ev.Exec)
-		}
-		if err != nil {
-			if rep.err == nil {
-				rep.err = fmt.Errorf("cuda: restore at call %d: %w", callIdx, err)
-			}
-			return rep.err
-		}
-		r.SetBudgetRemaining(int64(budget - ck.LaunchLocal))
-		rep.restored = true
-	} else {
-		r, err = c.dev.BeginRun(c.deviceLaunch(ev.Exec, cfg, budget))
-		if err != nil {
-			rep.mismatch = true
-			for _, s := range c.subscribers {
-				s.OnLaunchEnd(ev)
-			}
-			return fmt.Errorf("cuLaunchKernel %q: %w", f.k.Name, err)
-		}
-	}
-
-	// Early-exit probing: pause at this launch's recorded checkpoint
-	// boundaries once the fault can have fired, and compare digests.
-	probing := rep.live() && !rep.plan.NoEarlyExit && rep.plan.Probe != nil &&
-		rep.plan.FaultCall >= 0 && callIdx >= rep.plan.FaultCall
-	var runErr error
-	for {
-		var boundary *Checkpoint
-		if probing && !rep.mismatch {
-			local := r.Stats().WarpInstrs
-			for _, ck := range rep.trace.ckpts {
-				if ck.CallIdx == callIdx && ck.LaunchLocal > local {
-					boundary = ck
-					break
-				}
-			}
-		}
-		pauseIn := int64(-1)
-		if boundary != nil {
-			pauseIn = int64(boundary.LaunchLocal - r.Stats().WarpInstrs)
-		}
-		paused, err := r.Resume(pauseIn)
-		if !paused {
-			runErr = err
-			break
-		}
-		if boundary == nil || rep.mismatch || !rep.plan.Probe() {
-			continue
-		}
-		if r.Digest() == boundary.digest {
-			// Re-converged with the golden trajectory at an identical
-			// boundary: the rest of this execution is the recording.
-			r.Close()
-			rep.earlyExited = true
-			c.dev.SetLog(rep.trace.finalLog)
-			var stats gpu.LaunchStats
-			if call != nil {
-				stats = call.stats
-			}
-			return c.finishLaunch(ev, f, stats, nil)
-		}
-	}
-	if rep.live() {
-		if runErr != nil {
-			rep.mismatch = true
-		} else if call != nil && call.stats.WarpInstrs != r.Stats().WarpInstrs {
-			// The launch executed a different instruction count than the
-			// recording: architecturally fine, but the trajectories have
-			// diverged for good as far as boundary alignment is concerned.
-			rep.mismatch = true
-		}
-	}
-	return c.finishLaunch(ev, f, r.Stats(), runErr)
+	return err
 }

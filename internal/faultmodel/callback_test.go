@@ -126,7 +126,6 @@ func (t *callbackTransient) step(c *gpu.InstrCtx, instrIdx int) {
 // callbackPredflip is predflipInjector as it was.
 type callbackPredflip struct {
 	callbackCountdown
-	guard bool
 }
 
 func (f *callbackPredflip) Name() string { return "predflip_injector/callback" }
@@ -152,15 +151,9 @@ func (f *callbackPredflip) step(c *gpu.InstrCtx) {
 	f.header(c, f.p.StaticInstrIdx)
 	f.rec.Lane = int32(lane)
 	var preds []sass.PredID
-	if f.guard {
-		if g := c.Instr.Guard.Pred; g != sass.PT {
-			preds = append(preds, g)
-		}
-	} else {
-		for i := range c.Instr.Dst {
-			if d := &c.Instr.Dst[i]; d.Kind == sass.OpdPred && d.Pred.Pred != sass.PT {
-				preds = append(preds, d.Pred.Pred)
-			}
+	for i := range c.Instr.Dst {
+		if d := &c.Instr.Dst[i]; d.Kind == sass.OpdPred && d.Pred.Pred != sass.PT {
+			preds = append(preds, d.Pred.Pred)
 		}
 	}
 	if len(preds) == 0 {
@@ -384,8 +377,7 @@ func newCallbackInjector(model string, p core.TransientParams, param string, env
 	case DefaultName:
 		return &callbackTransient{cd}, nil
 	case "predflip":
-		guard, _ := parsePredflipParam(param)
-		return &callbackPredflip{callbackCountdown: cd, guard: guard}, nil
+		return &callbackPredflip{cd}, nil
 	case "opsub":
 		in, _ := env.instrAt(p)
 		sub, err := pickSub(in.Op, p, env)

@@ -119,8 +119,8 @@ func TestValidateParam(t *testing.T) {
 		{"stuck", "bit=3,bit=4", false},       // duplicate key
 		{"stuck", "lane=3", false},            // unknown key
 		{"predflip", "", true},
-		{"predflip", "guard=1", true},
-		{"predflip", "guard=2", false},
+		{"predflip", "guard=1", false}, // no guard mode: no instruction it selects carries a guard
+		{"predflip", "guard=0", false},
 		{"memfault", "", true},
 		{"memfault", "value=0,bit=7", true},
 		{"memfault", "bit=40", false},

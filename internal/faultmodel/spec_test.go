@@ -68,8 +68,8 @@ type specCase struct {
 
 // specCases draws the differential's faults on one program: the transient
 // flip unresolved (the paper's dynamic index over the whole group),
-// site-resolved, thread-targeted and over two registers; predflip on its
-// destination and on its guard; opsub; and memfault.
+// site-resolved, thread-targeted and over two registers; predflip; opsub;
+// and memfault.
 func specCases(t *testing.T, profile *core.Profile) []specCase {
 	t.Helper()
 	first := func(model string) core.TransientParams {
@@ -100,7 +100,6 @@ func specCases(t *testing.T, profile *core.Profile) []specCase {
 		{"transient thread", "", "", thread},
 		{"transient multireg", "", "", multi},
 		{"predflip", "predflip", "", first("predflip")},
-		{"predflip guard", "predflip", "guard=1", first("predflip")},
 		{"opsub", "opsub", "", first("opsub")},
 		{"memfault", "memfault", "", first("memfault")},
 	}

@@ -10,7 +10,7 @@ import (
 // Execution-state recycling, at two ranges (DESIGN.md section 3.11, "What a
 // launch builds once").
 //
-// Within a launch: a schedule — runSequential or a LaunchRun — claims one
+// Within a launch: its LaunchRun (Device.Run's too) claims one
 // block slot (a blockCtx with its warps) and rebinds it for every block it
 // runs. All blocks of a launch have one shape, so what depends only on the
 // launch (warp count and live masks, thread-index rows, the scheduler mode,

@@ -71,14 +71,11 @@ type Device struct {
 	// goroutine driving Run/Restore.
 	planMemo map[*sass.Kernel]*xplan
 
-	// Per-launch scratch. A device runs one launch at a time, so the constant
-	// bank serves Run and the pausable run alike, the budget counter and
-	// running stats are dead when Run returns, and run is the one LaunchRun
-	// BeginRun and Restore hand out (see LaunchRun).
-	bank   []byte
-	budget budgetCounter
-	stats  LaunchStats
-	run    LaunchRun
+	// Per-launch scratch. A device runs one launch at a time, so one
+	// constant bank serves every launch, and run is the one LaunchRun
+	// BeginRun and Restore hand out (see LaunchRun) — Run included.
+	bank []byte
+	run  LaunchRun
 
 	// hashBuf is kernelHash's serialisation buffer, reused across the kernels
 	// a device hashes (none, once the module cache has memoized their hashes).
@@ -428,15 +425,6 @@ func (c *InstrCtx) WritePred(lane int, p sass.PredID, v bool) {
 		return
 	}
 	c.w.setPred(p, lane, v)
-}
-
-// ThreadIdx returns lane's thread index within the block.
-func (c *InstrCtx) ThreadIdx(lane int) Dim3 { return c.w.threadIdx(lane) }
-
-// GlobalThreadLinear returns lane's linear thread id across the whole grid.
-func (c *InstrCtx) GlobalThreadLinear(lane int) int64 {
-	blockSize := c.blk.launch.Block.Count()
-	return int64(c.BlockLin)*int64(blockSize) + int64(c.WarpID)*WarpSize + int64(lane)
 }
 
 // LaneCount returns the number of set bits in the exec mask.

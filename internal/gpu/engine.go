@@ -103,11 +103,6 @@ func (w *warp) setPred(p sass.PredID, lane int, v bool) {
 	}
 }
 
-// threadIdx returns lane's thread index within the block.
-func (w *warp) threadIdx(lane int) Dim3 {
-	return Dim3{X: int(w.tid[0][lane]), Y: int(w.tid[1][lane]), Z: int(w.tid[2][lane])}
-}
-
 // warpSplit is one bucket of the warp-split list: the lanes in mask all sit
 // at pc.
 type warpSplit struct {
@@ -422,8 +417,9 @@ type blockCtx struct {
 	tally  []SiteTally
 	hooked bool
 
-	// Checkpoint-engine state, all zero on ordinary runs. pause makes the
-	// block interruptible at warp-instruction boundaries (LaunchRun);
+	// Checkpoint-engine state, all zero on a run that does not pause or
+	// record. pause makes the block interruptible at warp-instruction
+	// boundaries — LaunchRun.Resume sets it only while a pause is armed;
 	// runTally is the recording run's per-static-instruction tally;
 	// resumeWarp is where a paused sweep picks back up.
 	pause      *pauseCtl
@@ -474,8 +470,8 @@ type blockCtx struct {
 // loop, per batch from ExecKernel.sites in the batched one.
 const TrampolineLen = 28
 
-// validate checks the launch's shape against its kernel, as Run and BeginRun
-// both must, and resolves the warp-instruction budget.
+// validate checks the launch's shape against its kernel, as BeginRun must,
+// and resolves the warp-instruction budget.
 func (l *Launch) validate() (budget uint64, err error) {
 	if l.Kernel == nil || l.Kernel.K == nil {
 		return 0, fmt.Errorf("gpu: launch with no kernel")
@@ -499,58 +495,31 @@ func (l *Launch) validate() (budget uint64, err error) {
 			return 0, err
 		}
 	}
-	budget = l.Budget
-	if budget == 0 {
-		budget = DefaultBudget
-	}
-	return min(budget, math.MaxInt64), nil
+	return launchBudget(l.Budget), nil
 }
 
-// Run executes a kernel launch to completion, a trap, or budget exhaustion.
-// Blocks run one at a time, in linear block order, on the calling
-// goroutine: a fault is named by its dynamic-instruction count across the
-// whole launch, so the block order is part of the injection semantics.
-// Run does not retain l.
+// launchBudget resolves a launch's warp-instruction budget: 0 means
+// DefaultBudget, and the budget counter is signed.
+func launchBudget(b uint64) uint64 {
+	if b == 0 {
+		b = DefaultBudget
+	}
+	return min(b, math.MaxInt64)
+}
+
+// Run executes a kernel launch to completion, a trap, or budget exhaustion:
+// BeginRun and one Resume that does not pause. Blocks run one at a time, in
+// linear block order, on the calling goroutine: a fault is named by its
+// dynamic-instruction count across the whole launch, so the block order is
+// part of the injection semantics. Run keeps l only as the device's
+// LaunchRun, which the next launch rewrites; it ends any run left paused.
 func (d *Device) Run(l *Launch) (LaunchStats, error) {
-	var stats LaunchStats
-	budget, err := l.validate()
+	r, err := d.BeginRun(l)
 	if err != nil {
-		return stats, err
+		return LaunchStats{}, err
 	}
-	k := l.Kernel.K
-
-	if d.cancelCtx != nil && d.cancelCtx.Err() != nil {
-		t := &Trap{Kind: TrapCancelled, Kernel: k.Name, Detail: "host context cancelled before launch"}
-		d.logf("Xid", "%s", t.Error())
-		return stats, t
-	}
-
-	d.bank = fillConstBank(d.bank, l)
-	stats, err = d.runSequential(l, d.planFor(k), budget)
-	if t, ok := AsTrap(err); ok {
-		// The device log is the dmesg analog.
-		d.logf("Xid", "%s", t.Error())
-	}
-	return stats, err
-}
-
-// runSequential runs the launch's blocks in linear block order, all through
-// one slot.
-func (d *Device) runSequential(l *Launch, plan *xplan, budgetN uint64) (LaunchStats, error) {
-	budget := &d.budget
-	budget.reset(int64(budgetN), d.cancelCtx)
-	d.stats = LaunchStats{}
-	stats := &d.stats
-	blk := claimBlock(d, l, d.bank, plan)
-	defer blk.release()
-	for lin := 0; lin < l.Grid.Count(); lin++ {
-		blk.bind(lin)
-		if err := blk.run(budget, stats); err != nil {
-			return *stats, err
-		}
-		stats.Blocks++
-	}
-	return *stats, nil
+	_, err = r.Resume(-1)
+	return r.Stats(), err
 }
 
 // fillConstBank lays the launch's constant bank (block and grid shape, then

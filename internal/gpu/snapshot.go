@@ -101,8 +101,10 @@ func (r *LaunchRun) arm(budget int64) {
 	r.pause.remaining = -1
 }
 
-// BeginRun validates a launch exactly like Run and returns it paused before
-// the first instruction. Call Resume to execute.
+// BeginRun validates a launch and returns it paused before the first
+// instruction. Call Resume to execute. On a device whose cancellation
+// context is already done the run is over before it starts: Resume returns
+// TrapCancelled without executing an instruction.
 func (d *Device) BeginRun(l *Launch) (*LaunchRun, error) {
 	budget, err := l.validate()
 	if err != nil {
@@ -111,6 +113,9 @@ func (d *Device) BeginRun(l *Launch) (*LaunchRun, error) {
 	r := d.resetRun()
 	r.launch = *l
 	r.arm(int64(budget))
+	if d.cancelCtx != nil && d.cancelCtx.Err() != nil {
+		r.finish(&Trap{Kind: TrapCancelled, Kernel: l.Kernel.K.Name, Detail: "host context cancelled before launch"})
+	}
 	return r, nil
 }
 
@@ -157,12 +162,20 @@ func (r *LaunchRun) Resume(pauseIn int64) (paused bool, err error) {
 	if pauseIn == 0 {
 		return true, nil
 	}
+	// The pause controller rides on the block only while a pause is armed:
+	// a run that will not pause keeps blk.hooked false and runs the plain
+	// loop.
 	r.pause.remaining = pauseIn
+	pause := &r.pause
+	if pauseIn < 0 {
+		pause = nil
+	}
 	for {
 		if r.blk == nil {
 			r.blk = r.claim()
 			r.blk.bind(r.blockLin)
 		}
+		r.blk.pause = pause
 		err := r.blk.run(&r.budget, &r.stats)
 		if err == errLaunchPaused {
 			return true, nil
@@ -186,7 +199,6 @@ func (r *LaunchRun) Resume(pauseIn int64) (paused bool, err error) {
 // finishes or is closed.
 func (r *LaunchRun) claim() *blockCtx {
 	blk := claimBlock(r.dev, &r.launch, r.constBank, r.plan)
-	blk.pause = &r.pause
 	blk.runTally = r.counts
 	return blk
 }
@@ -205,19 +217,21 @@ func (r *LaunchRun) finish(err error) {
 // what Device.Run would have reported.
 func (r *LaunchRun) Stats() LaunchStats { return r.stats }
 
-// Finished reports whether the run has completed or trapped.
-func (r *LaunchRun) Finished() bool { return r.finished }
-
-// Err returns the run's final error (nil until Finished).
+// Err returns the run's final error (nil until it has completed or trapped).
 func (r *LaunchRun) Err() error { return r.err }
 
-// BudgetRemaining returns the warp instructions left in the launch budget.
-func (r *LaunchRun) BudgetRemaining() int64 { return r.budget.remaining }
-
-// SetBudgetRemaining overrides the remaining launch budget — the restore
-// path uses it to give a restored run exactly the budget its from-scratch
-// twin would have left at the same position.
-func (r *LaunchRun) SetBudgetRemaining(n int64) { r.budget.remaining = n }
+// SetBudget gives the run the budget of a launch that began with Budget b
+// (0: DefaultBudget): what its from-scratch twin would have left at the
+// run's position. The restore path uses it, since a snapshot carries the
+// budget of the run that took it. It fails if the run is already past b.
+func (r *LaunchRun) SetBudget(b uint64) error {
+	b, done := launchBudget(b), r.stats.WarpInstrs
+	if b <= done {
+		return fmt.Errorf("gpu: budget %d is spent %d warp instructions into the launch", b, done)
+	}
+	r.budget.remaining = int64(b - done)
+	return nil
+}
 
 // SetExecKernel swaps the kernel the remaining instructions execute
 // through — the hook that attaches instrumentation to a run restored

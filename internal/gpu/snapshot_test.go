@@ -40,9 +40,12 @@ func readOut(t *testing.T, d *Device, outp uint32, n int) []byte {
 	return b
 }
 
-// TestLaunchRunMatchesRun: BeginRun + a single Resume(-1) is Device.Run.
+// TestLaunchRunMatchesRun: BeginRun + a single Resume(-1) on the translated
+// engine is Device.Run on the per-step reference loop (NoXlate). Device.Run
+// is itself BeginRun + Resume(-1), so the reference is the other loop.
 func TestLaunchRunMatchesRun(t *testing.T) {
 	ref := newTestDevice(t)
+	ref.NoXlate = true
 	l, outp, outLen := reduceLaunch(t, ref, 3)
 	refStats, refErr := ref.Run(l)
 	if refErr != nil {

@@ -87,7 +87,6 @@ type Inserter struct {
 	k       *sass.Kernel
 	before  [][]gpu.Callback
 	after   [][]gpu.Callback
-	step    gpu.Callback
 	tally   []gpu.SiteTally
 	corrupt *gpu.Corruption
 	csites  *gpu.CorruptionSites
@@ -213,10 +212,6 @@ func corruptionSites(k *sass.Kernel, key sitesKey) *gpu.CorruptionSites {
 	return s
 }
 
-// SetStep installs a single-step hook that runs after every instruction,
-// the mechanism a debugger-based tool (GPU-Qin analog) uses.
-func (ins *Inserter) SetStep(cb gpu.Callback) { ins.step = cb }
-
 // Instrs returns the kernel's instructions for inspection.
 func (ins *Inserter) Instrs() []sass.Instr { return ins.k.Instrs }
 
@@ -241,8 +236,6 @@ type Attachment struct {
 	totalLaunches        int
 	instrumentedLaunches int
 	jitBuilds            int
-	moduleDecodeHits     int
-	moduleDecodeBuilds   int
 
 	// Static verification of decoded modules (WithVerify).
 	verify      bool
@@ -365,28 +358,15 @@ func (a *Attachment) InstrumentedLaunches() int { return a.instrumentedLaunches 
 // JITBuilds returns how many instrumented kernels were built (cache misses).
 func (a *Attachment) JITBuilds() int { return a.jitBuilds }
 
-// ModuleDecodeHits returns how many module decodes were served from the
-// shared module cache — for a campaign's Nth experiment, all of them.
-func (a *Attachment) ModuleDecodeHits() int { return a.moduleDecodeHits }
-
-// ModuleDecodeBuilds returns how many module decodes actually ran the
-// decoder (shared-cache misses).
-func (a *Attachment) ModuleDecodeBuilds() int { return a.moduleDecodeBuilds }
-
 // decodeModule decodes a module's machine code into abstract kernels. This
 // is where the per-family encoding abstraction pays off: the tool above
 // never sees family-specific bits. Decodes are memoized in the shared
 // module cache, so attachments across a campaign's contexts share one
 // read-only decoded view per distinct binary.
 func (a *Attachment) decodeModule(m *cuda.Module) error {
-	prog, hit, err := modcache.Shared.Decode(m.Family(), m.Binary())
+	prog, _, err := modcache.Shared.Decode(m.Family(), m.Binary())
 	if err != nil {
 		return fmt.Errorf("nvbit: decoding module %q: %w", m.Name(), err)
-	}
-	if hit {
-		a.moduleDecodeHits++
-	} else {
-		a.moduleDecodeBuilds++
 	}
 	if a.verify {
 		diags := sassan.VerifyProgram(prog)
@@ -484,7 +464,6 @@ func (a *Attachment) OnLaunchBegin(ev *cuda.LaunchEvent) {
 			K:            decoded,
 			Before:       ins.before,
 			After:        ins.after,
-			Step:         ins.step,
 			Tally:        ins.tally,
 			Corrupt:      ins.corrupt,
 			CorruptSites: ins.csites,

@@ -1,7 +1,6 @@
 package sass
 
 import (
-	"fmt"
 	"math"
 	"strings"
 )
@@ -416,8 +415,3 @@ var builtinConstOffsets = map[string]int32{
 }
 
 func f32bits(f float32) uint32 { return math.Float32bits(f) }
-
-// FormatFloat32 renders a register value as a float32 for diagnostics.
-func FormatFloat32(bits uint32) string {
-	return fmt.Sprintf("%g", math.Float32frombits(bits))
-}

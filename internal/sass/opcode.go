@@ -243,8 +243,5 @@ func (oi *OpInfo) HasDest() bool { return oi.Flags&(FlagWritesGP|FlagWritesPR) !
 // IsLoad reports whether the opcode reads memory into a register.
 func (oi *OpInfo) IsLoad() bool { return oi.Flags&FlagLoad != 0 }
 
-// IsControl reports whether the opcode can redirect control flow.
-func (oi *OpInfo) IsControl() bool { return oi.Flags&FlagControl != 0 }
-
 // In reports whether the opcode exists in family f.
 func (oi *OpInfo) In(f Family) bool { return oi.Archs&f.Mask() != 0 }

@@ -75,9 +75,6 @@ func SR(s SpecialReg) Operand { return Operand{Kind: OpdSpecial, SReg: s} }
 // Label returns an unresolved label operand; the assembler resolves it.
 func Label(name string) Operand { return Operand{Kind: OpdLabel, Target: -1, Sym: name} }
 
-// IsReg reports whether the operand is a general-purpose register.
-func (o Operand) IsReg() bool { return o.Kind == OpdReg }
-
 // IsPred reports whether the operand is a predicate register.
 func (o Operand) IsPred() bool { return o.Kind == OpdPred }
 

@@ -68,75 +68,6 @@ out:
 	}
 }
 
-func TestDomTreeDiamond(t *testing.T) {
-	k := kern(t, `
-.kernel k
-    S2R R0, SR_TID.X
-    ISETP.GE.AND P0, R0, 0x4, PT
-@P0 BRA alt
-    MOV R1, 0x1
-    BRA join
-alt:
-    MOV R1, 0x2
-join:
-    STG.32 [R2], R1
-    EXIT
-`)
-	cfg := BuildCFG(k)
-	dom := cfg.BuildDom()
-	// The entry dominates everything; neither arm dominates the join.
-	for b := 1; b < 4; b++ {
-		if dom.IDom[b] != 0 {
-			t.Errorf("IDom[%d] = %d, want 0", b, dom.IDom[b])
-		}
-		if !dom.Dominates(0, b) {
-			t.Errorf("entry should dominate block %d", b)
-		}
-	}
-	if dom.Dominates(1, 3) || dom.Dominates(2, 3) {
-		t.Error("a diamond arm must not dominate the join")
-	}
-	pdom := cfg.BuildPostDom()
-	// The join postdominates everything; the exit block's ipdom is the
-	// virtual exit (-1).
-	for b := 0; b < 3; b++ {
-		if pdom.IDom[b] != 3 {
-			t.Errorf("IPDom[%d] = %d, want 3", b, pdom.IDom[b])
-		}
-	}
-	if pdom.IDom[3] != -1 {
-		t.Errorf("IPDom[3] = %d, want -1 (virtual exit)", pdom.IDom[3])
-	}
-}
-
-func TestDomTreeLoop(t *testing.T) {
-	k := kern(t, `
-.kernel k
-    MOV R0, 0x0
-loop:
-    IADD R0, R0, 0x1
-    ISETP.GE.AND P0, R0, 0x8, PT
-@!P0 BRA loop
-    STG.32 [R1], R0
-    EXIT
-`)
-	cfg := BuildCFG(k)
-	dom := cfg.BuildDom()
-	// entry -> loop body -> tail: a strict chain despite the back edge.
-	body := cfg.BlockOf[1]
-	tail := cfg.BlockOf[4]
-	if dom.IDom[body] != cfg.BlockOf[0] {
-		t.Errorf("IDom[body] = %d, want entry", dom.IDom[body])
-	}
-	if dom.IDom[tail] != body {
-		t.Errorf("IDom[tail] = %d, want body %d", dom.IDom[tail], body)
-	}
-	pdom := cfg.BuildPostDom()
-	if pdom.IDom[body] != tail {
-		t.Errorf("IPDom[body] = %d, want tail %d", pdom.IDom[body], tail)
-	}
-}
-
 func shadowOf(t *testing.T, src string, site int) (*Analysis, *Shadow) {
 	t.Helper()
 	a := Analyze(kern(t, src))

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -943,12 +942,3 @@ func (c *Coordinator) EventsAfter(id string, cursor int) ([]Event, <-chan struct
 
 // Settled reports whether a job reached a terminal state.
 func Settled(state string) bool { return state == JobDone || state == JobFailed }
-
-// SortedJobIDs returns all job IDs sorted, for deterministic CLI output.
-func (c *Coordinator) SortedJobIDs() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ids := append([]string(nil), c.order...)
-	sort.Strings(ids)
-	return ids
-}

@@ -141,15 +141,17 @@ func TestEngineIsSingleGoroutine(t *testing.T) {
 }
 
 // TestNoUnreferencedFunctions finds dead code the compiler does not: an
-// unexported function or method that no Go file of the module (test files
-// included) and no assembly file names anywhere but in its own declaration.
-// Names are matched as identifiers, not resolved to objects, so a dead
-// function that shares its name with a live one goes unreported; what it
-// does report is dead for certain. The bench/ module is not walked: it can
-// name nothing unexported of this one.
+// unexported function or method anywhere in the module, or an exported one
+// declared in a non-test file under internal/, that no Go file (test files
+// and the bench/ module included) and no assembly file names anywhere but in
+// its own declaration. Names are matched as identifiers, not resolved to
+// objects, so a dead function that shares its name with a live one goes
+// unreported; what it does report is dead for certain. Methods that satisfy a
+// standard-library interface are named by no identifier in this module and
+// are let through by name (stdInterfaceMethods).
 func TestNoUnreferencedFunctions(t *testing.T) {
 	fset := token.NewFileSet()
-	declared := make(map[string][]token.Pos) // unexported name -> its declarations
+	declared := make(map[string][]token.Pos) // checked name -> its declarations
 	named := make(map[string]bool)           // every identifier used other than as a declared name
 	asmIdent := regexp.MustCompile(`[A-Za-z_][A-Za-z0-9_]*`)
 	parsed := 0
@@ -158,7 +160,7 @@ func TestNoUnreferencedFunctions(t *testing.T) {
 			return err
 		}
 		if d.IsDir() {
-			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" || path == "bench") {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
 				return filepath.SkipDir
 			}
 			return nil
@@ -178,10 +180,18 @@ func TestNoUnreferencedFunctions(t *testing.T) {
 				return err
 			}
 			parsed++
+			// bench/ is its own module: it can name this one's exported
+			// functions, but its own declarations are not checked here.
+			checkExported := strings.HasPrefix(path, "internal"+string(filepath.Separator)) &&
+				!strings.HasSuffix(path, "_test.go")
 			decls := make(map[*ast.Ident]bool)
 			for _, decl := range f.Decls {
 				fn, ok := decl.(*ast.FuncDecl)
-				if !ok || fn.Name.IsExported() || fn.Name.Name == "init" || fn.Name.Name == "main" || fn.Name.Name == "_" {
+				if !ok || strings.HasPrefix(path, "bench"+string(filepath.Separator)) ||
+					fn.Name.Name == "init" || fn.Name.Name == "main" || fn.Name.Name == "_" {
+					continue
+				}
+				if fn.Name.IsExported() && (!checkExported || stdInterfaceMethods[fn.Name.Name]) {
 					continue
 				}
 				decls[fn.Name] = true
@@ -210,4 +220,15 @@ func TestNoUnreferencedFunctions(t *testing.T) {
 			t.Errorf("%s: %s is declared but named nowhere else", fset.Position(pos), name)
 		}
 	}
+}
+
+// stdInterfaceMethods are method names that satisfy a standard-library
+// interface (fmt.Stringer, error, json.Marshaler and json.Unmarshaler,
+// io.WriterTo, sort.Interface, http.Handler, ...): the interface names them,
+// not this module, so TestNoUnreferencedFunctions does not ask for a caller.
+var stdInterfaceMethods = map[string]bool{
+	"String": true, "Error": true, "Unwrap": true, "GoString": true, "Format": true,
+	"MarshalJSON": true, "UnmarshalJSON": true, "MarshalText": true, "UnmarshalText": true,
+	"WriteTo": true, "ReadFrom": true, "Read": true, "Write": true, "Close": true,
+	"Len": true, "Less": true, "Swap": true, "ServeHTTP": true,
 }
