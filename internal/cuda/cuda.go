@@ -536,7 +536,7 @@ func (c *Context) Launch(f *Function, cfg LaunchConfig, params ...uint32) error 
 		Params:   c.params,
 		Exec:     f.exec,
 	}
-	call := traceCall{kind: callLaunch, fn: f.k.Name}
+	call := traceCall{kind: callLaunch, fn: f.k.Name, size: cfg.SharedBytes, grid: cfg.Grid, block: cfg.Block, params: c.params}
 	if c.sticky != Success {
 		c.j.note(&call, c.sticky)
 		ev.Skipped = true

@@ -273,13 +273,9 @@ func driverWantFor(op string, s driverState, m driverMode) (w driverWant, ok boo
 		switch {
 		case op == "LaunchParams":
 			return w, false
-		case m == modeShortCircuit && op == "Launch":
-			// The journal matches a launch by kernel name: it answers the
-			// recorded launch whatever the grid.
-			w.events = "begin:iter,end:iter"
-			w.earlyExit = true
-			return w, true
 		case m == modeShortCircuit:
+			// The journal matches a launch by its whole request: a grid
+			// the recording did not launch is a divergence.
 			w.err, w.replayErr = errReplay, true
 			return w, true
 		}

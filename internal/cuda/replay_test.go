@@ -162,3 +162,52 @@ func TestReplayLaunchAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestReplayMatchesWholeLaunch requires a short-circuiting replay to match a
+// launch by its whole request: a launch before the restore call that differs
+// from the recorded one in a parameter word, its grid, its block or its shared
+// bytes is a divergence, and the same launch again is not.
+func TestReplayMatchesWholeLaunch(t *testing.T) {
+	rec := newCtx(t)
+	if err := rec.StartRecording(48); err != nil {
+		t.Fatal(err)
+	}
+	h := newReplayHost(t, rec)
+	for i := 0; i < 3; i++ {
+		h.launch(t)
+	}
+	trace, err := rec.FinishRecording()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Call 0 is the Malloc; the plan restores inside call 2, the second launch.
+	plan := trace.PlanRestore("iter", 2, -1, 0, false)
+	if plan.RestoreCall != 2 {
+		t.Fatalf("plan restores at call %d, want 2", plan.RestoreCall)
+	}
+	for _, c := range []struct {
+		name     string
+		edit     func(cfg *cuda.LaunchConfig, out *cuda.DevPtr)
+		diverges bool
+	}{
+		{"same", func(*cuda.LaunchConfig, *cuda.DevPtr) {}, false},
+		{"param", func(_ *cuda.LaunchConfig, out *cuda.DevPtr) { *out += 4 }, true},
+		{"grid", func(cfg *cuda.LaunchConfig, _ *cuda.DevPtr) { cfg.Grid.Y = 2 }, true},
+		{"block", func(cfg *cuda.LaunchConfig, _ *cuda.DevPtr) { cfg.Block.X = 16 }, true},
+		{"shared", func(cfg *cuda.LaunchConfig, _ *cuda.DevPtr) { cfg.SharedBytes = 64 }, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ctx := newCtx(t)
+			if err := ctx.BeginReplay(trace, plan); err != nil {
+				t.Fatal(err)
+			}
+			h := newReplayHost(t, ctx)
+			cfg, out := cfg1(), h.out
+			c.edit(&cfg, &out)
+			err := ctx.Launch(h.fn, cfg, out)
+			if got := ctx.ReplayErr() != nil; got != c.diverges || (err != nil) != c.diverges {
+				t.Fatalf("the first launch returned %v, replay error %v; want a divergence: %v", err, ctx.ReplayErr(), c.diverges)
+			}
+		})
+	}
+}

@@ -3,6 +3,7 @@ package cuda
 import (
 	"bytes"
 	"fmt"
+	"slices"
 
 	"repro/internal/gpu"
 )
@@ -66,12 +67,14 @@ func (k callKind) String() string {
 // traceCall is one driver call with its results: what every call hands the
 // journal, and what a recording keeps of it.
 type traceCall struct {
-	kind  callKind
-	size  int             // malloc: requested size; memcpy: byte count
-	ptr   DevPtr          // malloc: result; free/memcpy: target address
-	data  []byte          // dtoh: the bytes returned
-	fn    string          // launch: kernel name
-	stats gpu.LaunchStats // launch: execution counts
+	kind        callKind
+	size        int             // malloc: requested size; memcpy: byte count; launch: shared bytes
+	ptr         DevPtr          // malloc: result; free/memcpy: target address
+	data        []byte          // dtoh: the bytes returned
+	fn          string          // launch: kernel name
+	grid, block gpu.Dim3        // launch: the configuration
+	params      []uint32        // launch: the parameter words
+	stats       gpu.LaunchStats // launch: execution counts
 }
 
 // Checkpoint is one device snapshot on the golden trajectory, taken at an
@@ -205,11 +208,13 @@ func (r *traceCall) String() string {
 }
 
 // sameRequest reports whether c, issued in the recorded call r's place, is
-// the same call with the same arguments. An allocation's address is its
-// result, not an argument.
+// the same call with the same arguments — for a launch, the kernel, its grid,
+// block and shared bytes and every parameter word. An allocation's address is
+// its result, not an argument.
 func (r *traceCall) sameRequest(c *traceCall) bool {
 	return r.kind == c.kind && r.size == c.size && r.fn == c.fn &&
-		(r.kind == callMalloc || r.ptr == c.ptr)
+		(r.kind == callMalloc || r.ptr == c.ptr) &&
+		r.grid == c.grid && r.block == c.block && slices.Equal(r.params, c.params)
 }
 
 // sameResult reports whether c returned what the recorded call r did: the
@@ -356,8 +361,9 @@ func (j *journal) note(call *traceCall, err error) {
 		}
 		rec := *call
 		// The recorded bytes are the results fed back while a replay
-		// short-circuits: the host may write to its own.
-		rec.data = bytes.Clone(call.data)
+		// short-circuits: the host may write to its own. A launch's
+		// parameter words are the context's scratch.
+		rec.data, rec.params = bytes.Clone(call.data), slices.Clone(call.params)
 		j.trace.calls = append(j.trace.calls, rec)
 	case j.err == nil:
 		rec := j.recorded()

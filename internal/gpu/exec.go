@@ -773,6 +773,11 @@ func fadd32(a, b float32) float32 {
 	return a + b
 }
 
+// fadd32bits is fadd32 over float32 bit patterns: .ADD.F32 of an atomic.
+func fadd32bits(a, b uint32) uint32 {
+	return math.Float32bits(fadd32(math.Float32frombits(a), math.Float32frombits(b)))
+}
+
 func fmul32(a, b float32) float32 {
 	switch {
 	case isNaN32(a):
@@ -1016,5 +1021,4 @@ func hmap3(a, b, c uint32, f func(x, y, z float32) float32) uint32 {
 	return uint32(hi)<<16 | uint32(lo)
 }
 
-func f32Of(b uint32) float32     { return math.Float32frombits(b) }
-func f32bitsOf(f float32) uint32 { return math.Float32bits(f) }
+func f32Of(b uint32) float32 { return math.Float32frombits(b) }

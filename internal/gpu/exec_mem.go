@@ -171,12 +171,10 @@ func (e *evalCtx) srcPair(lane, idx int) uint64 {
 // atomic implements ATOM/ATOMG/ATOMS (withResult) and RED (without).
 // Lanes execute in lane order, which defines a deterministic outcome for
 // intra-warp races; blocks run one at a time, so no other block's atomic
-// interleaves with a warp's.
+// interleaves with a warp's. Each lane's new word is atomApply's, the kernel
+// the row tier's execAtomic runs too.
 func (e *evalCtx) atomic(execMask uint32, space sass.MemSpace, withResult bool) (bool, TrapKind, uint32) {
-	op := e.in.Mods.Atom
-	if op == sass.AtomNone {
-		op = sass.AtomAdd
-	}
+	op := atomOpOf(&e.in.Mods)
 	vi := e.valueOperandIndex()
 	if vi < 0 {
 		return false, TrapInvalidInstruction, 0
@@ -195,49 +193,18 @@ func (e *evalCtx) atomic(execMask uint32, space sass.MemSpace, withResult bool) 
 		}
 		cur := uint32(old)
 		val := e.usrc(lane, vi)
-		var newVal uint32
-		switch op {
-		case sass.AtomAdd:
-			if e.in.Mods.Float {
-				newVal = addF32Bits(cur, val)
-			} else {
-				newVal = cur + val
-			}
-		case sass.AtomMin:
-			if int32(val) < int32(cur) {
-				newVal = val
-			} else {
-				newVal = cur
-			}
-		case sass.AtomMax:
-			if int32(val) > int32(cur) {
-				newVal = val
-			} else {
-				newVal = cur
-			}
-		case sass.AtomAnd:
-			newVal = cur & val
-		case sass.AtomOr:
-			newVal = cur | val
-		case sass.AtomXor:
-			newVal = cur ^ val
-		case sass.AtomExch:
-			newVal = val
-		case sass.AtomCAS:
+		var swap uint32
+		switch {
+		case op > sass.AtomCAS:
+			return false, TrapInvalidInstruction, 0
+		case op == sass.AtomCAS:
 			// Operands: [addr], compare, swap.
 			if vi+1 >= len(e.in.Src) {
 				return false, TrapInvalidInstruction, 0
 			}
-			swap := e.usrc(lane, vi+1)
-			if cur == val {
-				newVal = swap
-			} else {
-				newVal = cur
-			}
-		default:
-			return false, TrapInvalidInstruction, 0
+			swap = e.usrc(lane, vi+1)
 		}
-		if kind := e.spaceStore(lane, space, addr, 4, uint64(newVal)); kind != 0 {
+		if kind := e.spaceStore(lane, space, addr, 4, uint64(atomApply(op, e.in.Mods.Float, cur, val, swap))); kind != 0 {
 			return false, kind, addr
 		}
 		if withResult {
@@ -247,8 +214,48 @@ func (e *evalCtx) atomic(execMask uint32, space sass.MemSpace, withResult bool) 
 	return false, 0, 0
 }
 
-func addF32Bits(a, b uint32) uint32 {
-	return f32bitsOf(f32Of(a) + f32Of(b))
+// atomOpOf is the instruction's atomic operation; a bare ATOM or RED adds.
+func atomOpOf(m *sass.Mods) sass.AtomOp {
+	if m.Atom == sass.AtomNone {
+		return sass.AtomAdd
+	}
+	return m.Atom
+}
+
+// atomApply is one lane's read-modify-write: the word an atomic leaves at its
+// address, given the word it found there (cur), the lane's value (val) and,
+// for CAS, its swap operand. The interpreter and the row tier's execAtomic
+// both call it. MIN and MAX compare signed; .ADD.F32 (float) follows the FP32
+// NaN rule of fadd32, the word found being the first operand.
+func atomApply(op sass.AtomOp, float bool, cur, val, swap uint32) uint32 {
+	switch op {
+	case sass.AtomAdd:
+		if float {
+			return fadd32bits(cur, val)
+		}
+		return cur + val
+	case sass.AtomMin:
+		if int32(val) < int32(cur) {
+			return val
+		}
+	case sass.AtomMax:
+		if int32(val) > int32(cur) {
+			return val
+		}
+	case sass.AtomAnd:
+		return cur & val
+	case sass.AtomOr:
+		return cur | val
+	case sass.AtomXor:
+		return cur ^ val
+	case sass.AtomExch:
+		return val
+	case sass.AtomCAS:
+		if cur == val {
+			return swap
+		}
+	}
+	return cur
 }
 
 // spaceLoad dispatches a load to its address space.

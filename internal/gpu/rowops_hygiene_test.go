@@ -404,7 +404,7 @@ func checkDispatcherAsm(t *testing.T, stmts []asmStmt, macros *asmMacros, inHead
 	}
 	// The broadcast loads are the dispatcher's choice at run time, no op's.
 	want := map[int]bool{int(rhLd32U): true, int(rhLd64U): true}
-	for shape := rsMov; shape <= rsStS32; shape++ {
+	for shape := rsMov; shape <= rsAtom; shape++ {
 		kerns := uint8(numFastOps)
 		if shape == rsSetP {
 			kerns = uint8(numFastCmps)

@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"encoding/binary"
 	"math/bits"
 
 	"repro/internal/sass"
@@ -21,9 +22,9 @@ import (
 // ops, written over the portable row loops (rowBin, rowTern, rowSel, cmpMask,
 // rowCvt of rowops_generic.go). The portable executor is the whole path where
 // there are no vector kernels; on amd64 it runs the ops without a handler —
-// MUFU LG2 and EX2, the conversions, LDS/STS, the ALU ops without a vector
-// kernel — a global access the dispatcher leaves to Go (its fast path does
-// not cover it, or it may trap) and a MUFU SIN or COS of an argument its
+// MUFU LG2 and EX2, the conversions, LDS/STS, RED/ATOM, the ALU ops without a
+// vector kernel — a global access the dispatcher leaves to Go (its fast path
+// does not cover it, or it may trap) and a MUFU SIN or COS of an argument its
 // handler does not cover; and it is the oracle the dispatcher is held to, bit
 // for bit (rowprog_test.go, rowglobal_test.go). With the control kinds of
 // xlate.go and the interpreter thunk, row ops are all a plan holds.
@@ -58,11 +59,13 @@ type rowOperand struct {
 
 // Op shapes: which kernel signature an op calls and what it writes. Shapes
 // rsTern and rsLop3 read a third source. The memory shapes — rsLd32 to rsSt64
-// over global memory, rsLdS32 and rsStS32 over the block's shared window — read
-// their address row from src[0] and add the byte offset off; a store's value
-// is src[1], with src[2] the high words of a .64 store; a load's unused sources
-// read the zero row. The shared shapes, and rsCvt but for MUFU RCP, RSQ, SQRT,
-// SIN and COS, have no handler: only the portable executor runs them.
+// over global memory, rsLdS32 and rsStS32 over the block's shared window,
+// rsRed and rsAtom the atomics over global memory — read their address row
+// from src[0] and add the byte offset off; a store's value is src[1], with
+// src[2] the high words of a .64 store; an atomic's value is src[1], with
+// src[2] CAS's swap operand; a load's unused sources read the zero row. The
+// shared shapes, the atomics, and rsCvt but for MUFU RCP, RSQ, SQRT, SIN and
+// COS, have no handler: only the portable executor runs them.
 const (
 	rsNone  uint8 = iota // not a row op
 	rsMov                // dst = src[0] (MOV, S2R, LOP.PASS_B)
@@ -78,6 +81,8 @@ const (
 	rsCvt                // dst = cvt(src[0], src[1]), and dst+1 for cvF2FWiden: MUFU and the conversions
 	rsLdS32              // dst = the shared word at src[0]+off
 	rsStS32              // the shared word at src[0]+off = src[1]
+	rsRed                // the word at src[0]+off = atomApply(kern, lut, the word, src[1], src[2])
+	rsAtom               // rsRed, and dst = the word it found
 )
 
 // Conversions, rsCvt's kernels (rowOp.kern).
@@ -147,7 +152,7 @@ const (
 // rowOp is one row-tier instruction.
 type rowOp struct {
 	shape uint8
-	kern  uint8 // a fastOp; a fastCmp for rsSetP; a conversion (cv*) for rsCvt
+	kern  uint8 // a fastOp; a fastCmp for rsSetP; a conversion (cv*) for rsCvt; the sass.AtomOp of rsRed and rsAtom
 	guard uint8
 	gpred uint8  // guard predicate, rgPred / rgNotPred
 	hand  uint8  // the dispatcher's handler, rhNone when it does not run the op
@@ -155,7 +160,7 @@ type rowOp struct {
 	src   [3]rowOperand
 	pred  rowPred
 	comb  uint8  // rsSetP
-	lut   uint8  // rsLop3's truth table; the sass.MufuFn of cvMufu
+	lut   uint8  // rsLop3's truth table; the sass.MufuFn of cvMufu; 1 for an atomic's .F32
 	off   uint32 // memory shapes: the memory operand's byte offset
 }
 
@@ -193,7 +198,7 @@ var rowMufuHandlers = [...]uint8{
 // handler picks the op's handler. It is a property of the op alone, so a
 // plan's rowLen does not depend on where it was built. What gets none runs
 // through the op's step: ops without a vector kernel (the conversions, MUFU
-// LG2 and EX2, and the shared shapes among them), an SM clock read (which
+// LG2 and EX2, the shared shapes and the atomics), an SM clock read (which
 // issues alone anyway, see readsClock), and a .64 load whose high half lands
 // on RZ (it drops into scratch, which only the portable executor does).
 func (op *rowOp) handler() uint8 {
@@ -302,6 +307,8 @@ func (blk *blockCtx) execRow(w *warp, op *rowOp, m uint32) (TrapKind, uint32) {
 		return blk.execGlobal(w, op, m)
 	case rsLdS32, rsStS32:
 		return blk.execShared(w, op, m)
+	case rsRed, rsAtom:
+		return blk.execAtomic(w, op, m)
 	}
 	rows := &blk.rows
 	x := op.src[0].row(blk, w, &rows[rowA])
@@ -437,6 +444,55 @@ func (blk *blockCtx) execGlobal(w *warp, op *rowOp, m uint32) (TrapKind, uint32)
 			i = a - winBase
 		}
 		moveLane(win[i:], lo, hi, l, wide, store)
+	}
+	return 0, 0
+}
+
+// execAtomic executes RED / ATOM over global memory: the active lanes in
+// ascending order, so lanes on one word serialise in lane order (F32 addition
+// does not associate), each reading its word, writing atomApply's result and,
+// for ATOM, its destination — after the lane's address and values were read,
+// so a destination aliasing a source behaves as in the interpreter. Lanes
+// reuse the window on the last page touched; a miss goes through
+// Memory.pageWindow, whose check is the one the interpreter's Load and Store
+// make, so trap kinds, fault addresses, the first faulting lane and the
+// allocation memo are the interpreter's, and the lanes below a faulting one
+// have committed. The window is writePage's: the first lane on a page pays the
+// copy-on-write fault the interpreter's Store pays. .ADD.F32 calls atomApply's
+// kernel for it, fadd32bits, in-line.
+func (blk *blockCtx) execAtomic(w *warp, op *rowOp, m uint32) (TrapKind, uint32) {
+	mem := blk.dev.Mem
+	atom, float := sass.AtomOp(op.kern), op.lut != 0
+	addF32 := atom == sass.AtomAdd && float
+	addr := op.src[0].row(blk, w, nil) // a register or the zero row: read in place
+	val, swap := op.src[1].row(blk, w, &blk.rows[rowA]), op.src[2].row(blk, w, &blk.rows[rowB])
+	dst := &blk.rows[rowOut]
+	if op.shape == rsAtom {
+		dst = &w.regs[op.dst/rowBytes]
+	}
+	var winBase uint32 // device address of win[0]
+	var win []byte     // valid bytes of the cached page
+	for ; m != 0; m &= m - 1 {
+		l := bits.TrailingZeros32(m)
+		a := addr[l] + op.off
+		i := a - winBase
+		if a&3 != 0 || uint64(i)+4 > uint64(len(win)) {
+			var kind TrapKind
+			if winBase, win, kind = mem.pageWindow(a, 4, true); kind != 0 {
+				return kind, a
+			}
+			i = a - winBase
+		}
+		p := win[i : i+4]
+		cur := binary.LittleEndian.Uint32(p)
+		var v uint32
+		if addF32 {
+			v = fadd32bits(cur, val[l]) // atomApply's .ADD.F32, in-line
+		} else {
+			v = atomApply(atom, float, cur, val[l], swap[l])
+		}
+		binary.LittleEndian.PutUint32(p, v)
+		dst[l] = cur
 	}
 	return 0, 0
 }

@@ -667,9 +667,10 @@ func TestRowProgramNaNPayloads(t *testing.T) {
 
 // progInstr decodes three fuzzer bytes (and a fourth for immediates) into one
 // row-tier instruction over R1..R7 and P0..P3: sources and destinations
-// overlap freely, so results chain. A global access takes its address from
-// R8..R11 (see progAddrRows) plus a fuzzed offset; a load may land its pair's
-// high half on R8, so later addresses are as fuzzed as the values.
+// overlap freely, so results chain. A global access or atomic takes its
+// address from R8..R11 (see progAddrRows) plus a fuzzed offset; a load may
+// land its pair's high half on R8, so later addresses are as fuzzed as the
+// values.
 func progInstr(op, a, b, c byte) sass.Instr {
 	reg := func(x byte) sass.RegID { return sass.RegID(1 + x%7) }
 	src := func(x byte) sass.Operand {
@@ -724,6 +725,22 @@ func progInstr(op, a, b, c byte) sass.Instr {
 			break
 		}
 		addr := sass.Mem(sass.RegID(8+c>>2%4), int32(int8(a))*4)
+		if c&0x70 == 0x70 {
+			// An atomic: RED or ATOM of any operation, CAS swapping in a
+			// third source.
+			atom := sass.AtomAdd + sass.AtomOp(b>>4%8)
+			srcs := []sass.Operand{addr, src(b)}
+			if atom == sass.AtomCAS {
+				srcs = append(srcs, src(c))
+			}
+			if c&1 == 0 {
+				in = sass.NewInstr(sass.MustOp("RED"), srcs...)
+			} else {
+				in = sass.NewInstr(sass.MustOp("ATOMG"), append([]sass.Operand{d}, srcs...)...)
+			}
+			in.Mods.Atom, in.Mods.Float = atom, atom == sass.AtomAdd && b&8 != 0
+			break
+		}
 		if c&2 == 0 {
 			in = sass.NewInstr(sass.MustOp("LDG"), d, addr)
 		} else {
@@ -847,6 +864,16 @@ func FuzzRowPrograms(f *testing.F) {
 		mem = append(mem, 11, 4*k, 0x80|k*9, k, 0, k, k+1, 0x20)
 	}
 	f.Add(append([]byte{0xff, 0x0f, 0xf0, 0x55, 0xff, 0xff, 0xff, 0xff, 0x01, 0x15, 0x42, 0x88}, mem...))
+	// RED and ATOM of every operation, each followed by a load of the word
+	// it updated: on distinct words, on the second buffer, all lanes on one
+	// word (.ADD.F32 among them) and, last, through an address row bent off
+	// its run at lane 2.
+	var atom []byte
+	for k := byte(0); k < 16; k++ {
+		c := k >> 2 << 2
+		atom = append(atom, 11, 4*k, 0x80|k<<4|k&8, 0x70|c|k&1, 11, 4*k, 0x80, 0x20|c)
+	}
+	f.Add(append([]byte{0xff, 0x0f, 0xf0, 0x55, 0xff, 0xff, 0xff, 0xff, 0x15, 0x88, 0x18, 0x42}, atom...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 12+4*64 {
 			t.Skip()

@@ -179,7 +179,7 @@ func semSimple(sem sass.SemKind) bool {
 // xlateEngine names and versions the translation scheme in the plan cache
 // key: bumping it invalidates every cached plan without touching the module
 // entries.
-const xlateEngine = "gpu.xplan/v6"
+const xlateEngine = "gpu.xplan/v7"
 
 // planFor returns the translated execution plan for a kernel, building and
 // caching it process-wide on first use. Content-identical kernels — e.g.

@@ -244,7 +244,10 @@ func BenchmarkRowKernels(b *testing.B) {
 //     per-op dispatch and the accesses' checks dominate;
 //   - omriq: 314.omriq's k-loop interior, two LDG.32 every lane makes from
 //     one address (broadcast loads), two FMUL, MUFU.COS and MUFU.SIN of
-//     arguments in [0, 6π), two FFMA and the IADD of the loop counter.
+//     arguments in [0, 6π), two FFMA and the IADD of the loop counter;
+//   - partial_sx: 352.ep's tail, a coalesced LDG.32 and the RED.ADD.F32 of
+//     every lane's word onto one word. The RED has no handler: it ends the
+//     stretch and runs through its step, as in a launch.
 func BenchmarkRowProgram(b *testing.B) {
 	p, err := sass.Assemble("bench", `
 .kernel alu
@@ -299,6 +302,11 @@ func BenchmarkRowProgram(b *testing.B) {
     FFMA R11, R17, R22, R11
     IADD R12, R12, 0x1
     EXIT
+
+.kernel partial_sx
+    LDG.32 R29, [R5]
+    RED.ADD.F32 [R28], R29
+    EXIT
 `)
 	if err != nil {
 		b.Fatal(err)
@@ -323,6 +331,8 @@ func BenchmarkRowProgram(b *testing.B) {
 		// omriq: x coordinates in [0, 1), two k-space words read by every lane.
 		h.base.regs[24][l] = math.Float32bits(float32(l) / WarpSize)
 		h.base.regs[26][l], h.base.regs[27][l] = in+4*300, in+4*301
+		// partial_sx: the sum is an output word no other stretch touches.
+		h.base.regs[28][l] = out + 4*8
 	}
 	for _, k := range p.Kernels {
 		plan, err := translate(k)
@@ -330,8 +340,12 @@ func BenchmarkRowProgram(b *testing.B) {
 			b.Fatal(err)
 		}
 		n := int32(len(k.Instrs) - 1)
-		if plan.steps[0].rowLen != n {
-			b.Fatalf("%s: rowLen %d, want one stretch of %d", k.Name, plan.steps[0].rowLen, n)
+		stretch := n
+		if k.Name == "partial_sx" {
+			stretch-- // the RED
+		}
+		if plan.steps[0].rowLen != stretch || plan.ops[n-1].shape == rsNone {
+			b.Fatalf("%s: rowLen %d, want one stretch of %d row ops", k.Name, plan.steps[0].rowLen, stretch)
 		}
 		blk, w := h.block(plan), h.base
 		for _, side := range []struct {
@@ -352,7 +366,15 @@ func BenchmarkRowProgram(b *testing.B) {
 					b.Run(name, func(b *testing.B) {
 						var threads uint64
 						for i := 0; i < b.N; i++ {
-							th, _, kind, _ := side.rows(blk, &w, 0, n, mask.m, tally)
+							th, _, kind, _ := side.rows(blk, &w, 0, stretch, mask.m, tally)
+							for pc := stretch; pc < n && kind == 0; pc++ {
+								xi := &plan.steps[pc]
+								m := xi.guard(&w, mask.m)
+								if _, kind, _ = xi.step(blk, &w, m); tally != nil {
+									tally[pc].add(uint64(popcount(m)))
+								}
+								th += uint64(popcount(m))
+							}
 							if kind != 0 {
 								b.Fatalf("trapped: %v", kind)
 							}

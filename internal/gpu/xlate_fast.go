@@ -19,9 +19,10 @@ import (
 // all 32 lanes with no per-lane mask, shape, or bounds test. A straight-line
 // stretch of row ops executes inside one routine (blockCtx.runRows), not
 // through one closure per instruction; the ops without a handler (MUFU LG2
-// and EX2, the conversions, shared-memory accesses) run one at a time through
-// the portable executor, and only the FP64 pair ops (fastDStep) are still closures, their
-// lane loops being scalar Go either way.
+// and EX2, the conversions, shared-memory accesses, RED and ATOM) run one at
+// a time through the portable executor, and only the FP64 pair ops
+// (fastDStep) are still closures, their lane loops being scalar Go either
+// way.
 //
 // Compute-and-merge rule: under a partial exec mask the kernel still computes
 // all 32 lanes and only the active ones reach the destination — blended in
@@ -30,11 +31,12 @@ import (
 // no side effect, and no host panic whatever an inactive lane's (possibly
 // fault-corrupted) operands hold. Memory, atomics, and anything that can
 // divide or index by a lane value never take this path: the memory accesses
-// that are row ops (xlate_mem.go, memRowOp) touch only the active lanes'
-// bytes and registers.
+// and atomics that are row ops (xlate_mem.go, memRowOp and atomRowOp) touch
+// only the active lanes' bytes and registers.
 //
 // Any shape the row tier does not cover runs on the interpreter thunk, so
-// translation preserves exact interpreted behavior.
+// translation preserves exact interpreted behavior. No shipped kernel reaches
+// it (TestShippedKernelsNeverThunk).
 
 // Scratch-row assignment within blockCtx.rows. 32-bit ops use one row per
 // source; FP64 ops use a lo/hi pair per source.
@@ -520,8 +522,11 @@ func fastStep(in *sass.Instr, rt *rowTable, op *rowOp) planStep {
 func rowOpFor(in *sass.Instr, rt *rowTable) (op rowOp, _ bool) {
 	mods := &in.Mods
 	sem := in.Op.Info().Sem
-	if sem == sass.SemLd || sem == sass.SemSt {
+	switch sem {
+	case sass.SemLd, sass.SemSt:
 		return memRowOp(in, rt)
+	case sass.SemAtom, sass.SemRed:
+		return atomRowOp(in, rt)
 	}
 	// srcs classifies the first n sources under one negation mode; the op's
 	// unused operands read the arena's zero row.

@@ -17,9 +17,11 @@ import (
 // address), MUFU of every function (RCP, RSQ, SQRT, SIN and COS through the
 // dispatcher's handlers, LG2 and EX2 through the portable executor), the row
 // ops only the portable executor runs (I2F, F2I, F2F, LDS and STS through a
-// 64-byte shared window, sometimes misaligned or out of bounds), the control kinds (a guarded EXIT, a uniform BAR), and
-// instructions only the interpreter thunk runs: a warp intrinsic (SHFL), RED,
-// and an ALU op, a predicate op and a conversion that batch with the row ops
+// 64-byte shared window, sometimes misaligned or out of bounds; RED and ATOM
+// of every operation on the buffer's words or through a fault-corrupted
+// address), the control kinds (a guarded EXIT, a uniform BAR), and
+// instructions only the interpreter thunk runs: a warp intrinsic (SHFL), and
+// an ALU op, a predicate op and a conversion that batch with the row ops
 // around them (SHF, PSETP, I2I). Every three bytes map to one generation step,
 // so the fuzzer can explore instruction interleavings.
 func fuzzProgram(data []byte) string {
@@ -130,10 +132,25 @@ func fuzzProgram(data []byte) string {
 				fmt.Fprintf(&sb, "    LDS.32 R%d, [R9]\n", d)
 			}
 		case 24:
-			fmt.Fprintf(&sb, "    LOP.AND R8, R%d, 0x3f\n", ra)
-			sb.WriteString("    SHL R8, R8, 0x2\n")
-			sb.WriteString("    IADD R8, R8, c0[buf]\n")
-			fmt.Fprintf(&sb, "    RED.%s [R8], R%d\n", []string{"ADD", "MIN", "ADD.F32"}[int(b)%3], rb)
+			// RED, or ATOM into d, of any operation on a word of the buffer
+			// or — the fault-corrupted shape — through a raw register.
+			if b >= 0xe0 {
+				fmt.Fprintf(&sb, "    IADD R8, R%d, c0[buf]\n", ra)
+			} else {
+				fmt.Fprintf(&sb, "    LOP.AND R8, R%d, 0x3f\n", ra)
+				sb.WriteString("    SHL R8, R8, 0x2\n")
+				sb.WriteString("    IADD R8, R8, c0[buf]\n")
+			}
+			atom := []string{"ADD", "MIN", "ADD.F32", "MAX", "AND", "OR", "XOR", "EXCH", "CAS"}[int(b)%9]
+			val := fmt.Sprintf("R%d", rb)
+			if atom == "CAS" {
+				val += fmt.Sprintf(", R%d", ra)
+			}
+			if a&0x80 == 0 {
+				fmt.Fprintf(&sb, "    RED.%s [R8], %s\n", atom, val)
+			} else {
+				fmt.Fprintf(&sb, "    ATOM.%s R%d, [R8], %s\n", atom, d, val)
+			}
 		case 25:
 			sb.WriteString("@P1 EXIT\n")
 		case 26:
@@ -229,8 +246,8 @@ func fuzzArm(k *sass.Kernel, knob int, calls *int) *ExecKernel {
 // may fault.
 var fuzzSpecOps = []string{"IADD", "IMAD", "LOP", "SHL", "FADD", "FMUL", "ISETP", "SEL", "MOV", "LDG", "STG", "SHFL", "POPC"}
 
-// fuzzSpecExtraOps are the later arms' opcodes: the portable-only row ops and
-// RED. They are only ever a second target, so every knob's first target is
+// fuzzSpecExtraOps are the later arms' opcodes: the portable-only row ops, RED
+// among them. They are only ever a second target, so every knob's first target is
 // the same as before they joined the mix.
 var fuzzSpecExtraOps = []string{"MUFU", "I2F", "F2I", "F2F", "LDS", "RED"}
 
@@ -365,6 +382,9 @@ func FuzzXlateDifferential(f *testing.F) {
 	f.Add([]byte{5, 1, 2, 22, 1, 2, 22, 2, 3, 22, 3, 0, 7, 1, 2, 9, 4, 4, 22, 5, 140})
 	f.Add([]byte{23, 2, 1, 23, 1, 2, 1, 2, 3, 23, 4, 0xe5, 23, 3, 4, 23, 6, 0xf0, 23, 5, 0xe1, 4, 2, 22, 23, 4, 0xe2})
 	f.Add([]byte{24, 1, 2, 24, 3, 5, 7, 1, 2, 8, 2, 2, 24, 2, 1, 13, 1, 21})
+	// ATOM and RED of CAS, AND and EXCH around a guarded op and a load of the
+	// words, then an ATOM through the raw thread index: misaligned from lane 1.
+	f.Add([]byte{7, 1, 2, 24, 0x81, 8, 24, 2, 0x0d, 8, 3, 3, 24, 0x84, 7, 13, 1, 2, 24, 0x85, 0xe7})
 	f.Add([]byte{7, 1, 2, 25, 0, 0, 1, 2, 3, 12, 3, 4, 26, 0, 0, 13, 1, 2})
 	f.Add([]byte{1, 2, 3, 26, 0, 0, 13, 1, 2, 26, 0, 0, 23, 1, 2, 26, 0, 0, 23, 2, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -9,9 +9,10 @@ import (
 )
 
 // The memory accesses of the row tier: the encoding of the dominant load and
-// store shapes as row ops (memRowOp) and the window helpers execGlobal
-// (rowprog.go) moves their bytes through. Every other load, store and atomic
-// runs on the interpreter thunk.
+// store shapes and of the global atomics as row ops (memRowOp, atomRowOp) and
+// the window helpers execGlobal and execAtomic (rowprog.go) move their bytes
+// through. Every other load, store and atomic — LDG .U8/.S16/.128, LDL/STL,
+// ATOMS, a CAS without its swap operand — runs on the interpreter thunk.
 
 // fastMemOperand classifies the dominant memory-operand shape — `[Rx+off]`
 // or `[off]` — for the fused global-access tier.
@@ -99,6 +100,25 @@ func moveLane(p []byte, lo, hi *regRow, l int, wide, store bool) {
 	}
 }
 
+// memAddrOp starts the row op of a memory instruction with a `[Rx+off]` or
+// `[off]` address: src[0] is the address register (the zero row for `[off]`),
+// off the offset, and the other sources read the zero row. It also returns
+// the index of the first non-memory source — a store's or an atomic's value —
+// or -1.
+func memAddrOp(in *sass.Instr) (op rowOp, vi int, ok bool) {
+	r, off, useReg, ok := fastMemOperand(in)
+	if !ok {
+		return op, -1, false
+	}
+	zero := rowOperand{base: rbArena}
+	op.src = [3]rowOperand{zero, zero, zero}
+	if useReg {
+		op.src[0] = rowOperand{base: rbRegs, off: uint32(r) * rowBytes}
+	}
+	op.off = off
+	return op, slices.IndexFunc(in.Src, func(o sass.Operand) bool { return o.Kind != sass.OpdMem }), true
+}
+
 // memRowOp encodes the dominant memory shapes as row ops (rowprog.go): LDG/LD
 // and STG/ST .32 and .64 (rsLd32 ... rsSt64), and LDS/STS .32 (rsLdS32,
 // rsStS32), with a `[Rx+off]` or `[off]` address, between memory and a plain
@@ -117,16 +137,10 @@ func memRowOp(in *sass.Instr, rt *rowTable) (op rowOp, _ bool) {
 	case !shared || width != 4:
 		return op, false
 	}
-	r, off, useReg, ok := fastMemOperand(in)
+	op, vi, ok := memAddrOp(in)
 	if !ok {
 		return op, false
 	}
-	zero := rowOperand{base: rbArena}
-	op.src = [3]rowOperand{zero, zero, zero}
-	if useReg {
-		op.src[0] = rowOperand{base: rbRegs, off: uint32(r) * rowBytes}
-	}
-	op.off = off
 	if info.Sem == sass.SemLd {
 		d, ok := fastDst(in)
 		op.shape, op.dst = rsLd32, uint32(d)*rowBytes
@@ -138,7 +152,6 @@ func memRowOp(in *sass.Instr, rt *rowTable) (op rowOp, _ bool) {
 		}
 		return op, ok
 	}
-	vi := slices.IndexFunc(in.Src, func(o sass.Operand) bool { return o.Kind != sass.OpdMem })
 	if vi < 0 {
 		return op, false // the interpreter traps even with no lane executing
 	}
@@ -159,5 +172,43 @@ func memRowOp(in *sass.Instr, rt *rowTable) (op rowOp, _ bool) {
 		}
 	}
 	op.src[1], ok = rowOperandFor(in, vi, fnNone, rt)
+	return op, ok
+}
+
+// atomRowOp encodes RED and ATOM/ATOMG over global or generic memory as row
+// ops (rsRed, rsAtom): every atomic operation, .ADD.F32 among them, with a
+// `[Rx+off]` or `[off]` address and any row operand as its value and CAS's
+// swap. An ATOM whose destination is RZ keeps no result: it is a RED. What the
+// interpreter traps on before a lane executes, or only for a lane — no value,
+// a CAS without a swap, an operation it does not know — and an ATOM with no
+// register destination stay on the interpreter thunk.
+func atomRowOp(in *sass.Instr, rt *rowTable) (op rowOp, _ bool) {
+	info := in.Op.Info()
+	atom := atomOpOf(&in.Mods)
+	if info.Space != sass.SpaceGlobal && info.Space != sass.SpaceGeneric || atom > sass.AtomCAS {
+		return op, false
+	}
+	op, vi, ok := memAddrOp(in)
+	if !ok || vi < 0 {
+		return op, false
+	}
+	op.shape, op.kern = rsRed, uint8(atom)
+	if in.Mods.Float {
+		op.lut = 1
+	}
+	if info.Sem == sass.SemAtom {
+		if len(in.Dst) == 0 || in.Dst[0].Kind != sass.OpdReg {
+			return op, false
+		}
+		if d := in.Dst[0].Reg; d != sass.RZ {
+			op.shape, op.dst = rsAtom, uint32(d)*rowBytes
+		}
+	}
+	if op.src[1], ok = rowOperandFor(in, vi, fnNone, rt); !ok {
+		return op, false
+	}
+	if atom == sass.AtomCAS {
+		op.src[2], ok = rowOperandFor(in, vi+1, fnNone, rt)
+	}
 	return op, ok
 }

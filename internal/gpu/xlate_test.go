@@ -207,13 +207,17 @@ var thunkProbeWords = [64]uint32{
 // no row op or control kind covers — and, for a semantic the row tier
 // encodes, a shape it rejects (a predicate, PT or RZ destination, a register
 // LUT, a load or store width or address space it has no op for, a store with
-// no value) — plus RED in each flavour: each must compile to the interpreter
-// thunk. The row-op table has MUFU (its RCP, RSQ, SQRT, SIN and COS with a
-// handler, LG2 and EX2 without), the conversions and the shared-memory
-// accesses, whose ops only the portable executor runs: every MUFU function,
-// I2F and F2I of both signednesses over thunkProbeWords' edge values, F2F in
-// both directions with negated, constant-bank, immediate and RZ-adjacent
-// operands, LDS/STS .32 misaligned and out of bounds. The control table has
+// no value, an atomic on shared memory, a CAS without its swap operand): each
+// must compile to the interpreter thunk. The row-op table has MUFU (its RCP,
+// RSQ, SQRT, SIN and COS with a handler, LG2 and EX2 without), the
+// conversions, the shared-memory accesses and the global atomics, whose ops
+// only the portable executor runs: every MUFU function, I2F and F2I of both
+// signednesses over thunkProbeWords' edge values, F2F in both directions with
+// negated, constant-bank, immediate and RZ-adjacent operands, LDS/STS .32
+// misaligned and out of bounds, RED and ATOM of every operation on words eight
+// lanes share (.ADD.F32 over NaN words and values), misaligned, out of bounds
+// past the first lane, and with the destination aliasing the address or the
+// value. The control table has
 // EXIT, a branch (divergent under the guard) and BAR. A translated launch
 // around each instruction, unguarded and under the partial guard @P0, must
 // match the interpreter on every lane's registers and predicates, on memory
@@ -275,7 +279,7 @@ func TestXlateThunkedShapes(t *testing.T) {
 		{"PLOP3", "PLOP3 P3, P1, P2, P0, 0x96"},
 		{"I2I", "I2I.S8 R10, R1"},
 		{"LDC", "LDC R10, [R7]"},
-		{"ATOMG", "ATOMG.ADD R10, [R6], R0"},
+		{"ATOMS", "ATOMS.ADD R10, [R7+0x20], R0"},
 		{"BPT", "BPT"},
 		{"NOP", "NOP"},
 		{"MEMBAR", "MEMBAR"},
@@ -289,10 +293,6 @@ func TestXlateThunkedShapes(t *testing.T) {
 		{"LDS.64", "LDS.64 R8, [RZ+0x20]"},
 		{"LDS.64 misaligned", "LDS.64 R8, [R7+0x20]"},
 		{"STG no value", "STG.32 [R6]"},
-		{"RED.ADD", "RED.ADD [R6], R0"},
-		{"RED.ADD.F32", "RED.ADD.F32 [R6+0x4], R5"},
-		{"RED.MIN", "RED.MIN [R6], R2"},
-		{"RED.CAS", "RED.CAS [R6], R11, R0"},
 		{"RED.CAS no swap", "RED.CAS [R6], R11"},
 	}}, {tierFast, []row{
 		{"MUFU.RCP", "MUFU.RCP R10, R11"},
@@ -332,6 +332,24 @@ func TestXlateThunkedShapes(t *testing.T) {
 		{"STS abs", "STS [RZ+0x3c], R1\n    LDS R10, [RZ+0x3c]"},
 		{"STS misaligned", "STS.32 [R0], R1"},
 		{"STS out of bounds", "STS.32 [R7+0x28], R1"},
+		{"ATOMG", "ATOMG.ADD R10, [R6], R0"},
+		{"RED.ADD", "RED.ADD [R6], R0"},
+		{"RED.ADD.F32", "RED.ADD.F32 [R6+0x4], R5"},
+		{"RED.ADD.F32 NaN", "RED.ADD.F32 [R6+0x4], R11"},
+		{"RED.MIN", "RED.MIN [R6], R2"},
+		{"RED.MAX", "RED.MAX [R6+0x8], R2"},
+		{"RED.AND", "RED.AND [R6], R1"},
+		{"RED.OR", "RED.OR [R6], R1"},
+		{"RED.XOR", "RED.XOR [R6], c0[buf]"},
+		{"RED.EXCH", "RED.EXCH [R6], R0"},
+		{"RED.CAS", "RED.CAS [R6], R11, R0"},
+		{"RED absolute", "RED.ADD [RZ+0x10000], R0"},
+		{"RED misaligned", "RED.ADD [R6+0x2], R0"},
+		{"RED out of bounds", "RED.ADD [R6+0x18fc], R0"},
+		{"ATOM.CAS aliased", "ATOM.CAS R6, [R6], R6, R0"},
+		{"ATOM.EXCH aliased", "ATOM.EXCH R11, [R6+0x8], R11"},
+		{"ATOM.ADD.F32", "ATOM.ADD.F32 R10, [R6], R5"},
+		{"ATOM RZ", "ATOM.MIN RZ, [R6], R2"},
 	}}, {tierControl, []row{
 		{"EXIT", "EXIT"},
 		{"KILL", "KILL"},
