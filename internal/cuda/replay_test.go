@@ -1,6 +1,7 @@
 package cuda_test
 
 import (
+	"math/bits"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -209,5 +210,37 @@ func TestReplayMatchesWholeLaunch(t *testing.T) {
 				t.Fatalf("the first launch returned %v, replay error %v; want a divergence: %v", err, ctx.ReplayErr(), c.diverges)
 			}
 		})
+	}
+}
+
+// TestRecordingParamAllocs: a recording keeps every launch's parameter words
+// in one trace-wide slab, so journaling N launches allocates O(log N) times —
+// the slab's and the call list's doublings — not once per launch, and each
+// launch still keeps its own words, capped, though the context hands every
+// launch the same scratch.
+func TestRecordingParamAllocs(t *testing.T) {
+	const launches, width = 4096, 3
+	scratch := make([]uint32, width)
+	words := func(i int) []uint32 {
+		for k := range scratch {
+			scratch[k] = uint32(i + k)
+		}
+		return scratch
+	}
+	var trace *cuda.Trace
+	objects, _ := mallocsOf(func() { trace = cuda.NoteLaunches(launches, words) })
+	// append grows the call list and the slab by a constant factor (2, then
+	// about 1.25 past 256 elements): logarithmically many growths each. One
+	// allocation per launch is 4096.
+	if max := uint64(3 * bits.Len(launches*width)); race.Enabled {
+		t.Logf("journaling %d launches allocated %d objects under -race", launches, objects)
+	} else if objects > max {
+		t.Errorf("journaling %d launches allocated %d objects, want at most %d", launches, objects, max)
+	}
+	for i := 0; i < launches; i++ {
+		got := trace.LaunchWords(i)
+		if len(got) != width || cap(got) != width || got[0] != uint32(i) || got[width-1] != uint32(i+width-1) {
+			t.Fatalf("launch %d kept words %v (cap %d), want %d from %d on", i, got, cap(got), width, i)
+		}
 	}
 }

@@ -94,7 +94,10 @@ type Checkpoint struct {
 // Trace is a recorded golden trajectory: the driver-call journal, the
 // checkpoints, and the end state needed to finish a replay that exits early.
 type Trace struct {
-	calls    []traceCall
+	calls []traceCall
+	// words holds every recorded launch's parameter words back to back;
+	// each call keeps a capped subslice of it (keepWords).
+	words    []uint32
 	ckpts    []*Checkpoint
 	stride   uint64
 	finalLog []gpu.LogEvent
@@ -363,7 +366,7 @@ func (j *journal) note(call *traceCall, err error) {
 		// The recorded bytes are the results fed back while a replay
 		// short-circuits: the host may write to its own. A launch's
 		// parameter words are the context's scratch.
-		rec.data, rec.params = bytes.Clone(call.data), slices.Clone(call.params)
+		rec.data, rec.params = bytes.Clone(call.data), j.trace.keepWords(call.params)
 		j.trace.calls = append(j.trace.calls, rec)
 	case j.err == nil:
 		rec := j.recorded()
@@ -372,6 +375,17 @@ func (j *journal) note(call *traceCall, err error) {
 			j.mismatch = true
 		}
 	}
+}
+
+// keepWords copies a launch's parameter words to the end of the trace's
+// slab and returns the copy, capped so that nothing appends past it. append
+// grows the slab by a constant factor, so recording N launches allocates
+// O(log N) times for their words; a copy made before a growth stays on the
+// old array, which nothing writes again.
+func (t *Trace) keepWords(w []uint32) []uint32 {
+	n := len(t.words)
+	t.words = append(t.words, w...)
+	return t.words[n:len(t.words):len(t.words)]
 }
 
 // restore starts the launch at the replay's restore call: the checkpoint's

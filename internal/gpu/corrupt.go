@@ -35,9 +35,10 @@ type Corruption struct {
 // warp loops count into Count, at each armed site (NewShotSites) in launch
 // order, the guard-passing lanes that execute it — when Thread, only lane
 // Lane of warp Warp of block Block — until the execution holding count Target
-// (Land). Pre, when set, runs with its landing lane just before it issues and
-// Hit just after it completes. Then the spec has Fired: the rest of the
-// launch runs as if it were not there but for its sites' trampoline charges.
+// (Land); the sites a row stretch passes count when it ends (segment). Pre,
+// when set, runs with its landing lane just before it issues and Hit just
+// after it completes. Then the spec has Fired: the rest of the launch runs as
+// if it were not there but for its sites' trampoline charges.
 // The spec belongs to the tool, which primes Count (the counter base of a
 // run restored mid-launch) before the launch; the engine only advances Count
 // and sets Fired, on the goroutine running the launch.
@@ -195,18 +196,69 @@ func (blk *blockCtx) aim(w *warp, pc int32, execMask uint32) int {
 	if s == nil {
 		return -1
 	}
-	m := execMask
-	if s.Thread {
-		if blk.blockLin != s.Block || w.id != s.Warp {
-			return -1
-		}
-		m &= 1 << uint(s.Lane)
-	}
-	lane := Land(&s.Count, s.Target, m)
+	lane := Land(&s.Count, s.Target, blk.shotMask(w, execMask))
 	if lane >= 0 && s.Pre != nil {
 		s.Pre(blk.shotCtx(w, pc, execMask), lane)
 	}
 	return lane
+}
+
+// shotMask returns the lanes of execMask, issued by w, that the block's Shot
+// counts: all of them, or, when Thread, only its lane on its warp and block.
+func (blk *blockCtx) shotMask(w *warp, execMask uint32) uint32 {
+	s := blk.shot
+	if !s.Thread {
+		return execMask
+	}
+	if blk.blockLin != s.Block || w.id != s.Warp {
+		return 0
+	}
+	return execMask & (1 << uint(s.Lane))
+}
+
+// segment returns how far a stretch of w's batch issuing atPC runs from pc,
+// short of stop, with the block's in-line fault live: live is the live site
+// that issues alone after the stretch (stop when none does), end where the
+// stretch stops, and count the lanes the Shot's armed sites it passes add to
+// Count (settle). A Corruption's next live site is live; the stretch runs it
+// too (end = live+1) when it is a row op without a guard, whose lanes are
+// then the batch's, and the fault follows. A Shot's stretch passes every
+// armed site that is a row op without a guard — its lanes, shotMask of atPC,
+// are known before the stretch runs — while Count plus the lanes passed stays
+// at or below Target, where Land would only count them. It ends at the first
+// armed site that may land or whose guard decides its lanes.
+func (blk *blockCtx) segment(w *warp, pc, stop int32, atPC uint32) (live, end int32, count uint64) {
+	steps := blk.plan.steps
+	live = min(stop, int32(blk.live[pc]))
+	s := blk.shot
+	if s == nil {
+		end = live
+		if live < stop && steps[live].unguardedRow() {
+			end++
+		}
+		return live, end, 0
+	}
+	if s.Count > s.Target {
+		return live, live, 0
+	}
+	lanes, room := uint64(popcount(blk.shotMask(w, atPC))), s.Target-s.Count
+	for live < stop && steps[live].unguardedRow() && lanes <= room-count {
+		count += lanes
+		live = min(stop, int32(blk.live[live+1]))
+	}
+	return live, live, count
+}
+
+// settle adds to the Shot's Count the lanes of the armed sites that a
+// stretch of w's batch issuing atPC passed from pc `from` (segment's count,
+// not 0): all of count when it completed, else, when it trapped at pc, those
+// of the sites up to and including pc, which issuing them alone would have
+// counted.
+func (blk *blockCtx) settle(w *warp, from, pc int32, atPC uint32, count uint64, trapped bool) {
+	if trapped {
+		_, _, count = blk.segment(w, from, pc+1, atPC)
+	}
+	blk.shot.Count += count
 }
 
 // Land is the landing rule of a single-site countdown, the one a Shot runs

@@ -779,9 +779,12 @@ func (blk *blockCtx) bindCtx(w *warp) {
 // only the per-batch trampoline charge. The plain loop also tallies: it hands
 // blk.tally to the row dispatcher and counts each other step after it
 // completes, so a profiled or recording launch runs at the plain launch's
-// speed plus the counting. It applies the in-line faults too, stopping at
-// each live site (blk.live): a Shot's until it fires, after which the launch
-// runs plain.
+// speed plus the counting. It applies the in-line faults too, where segment
+// ends a stretch: a Corruption after each live site; a Shot at its landing
+// issue, which runs alone, as does an armed site whose guard decides its
+// lanes — its other armed sites run inside the stretch, and settle counts
+// their lanes in bulk when it ends. Once the Shot fires the launch runs
+// plain.
 func (blk *blockCtx) runWarp(w *warp, budget *budgetCounter, stats *LaunchStats) error {
 	steps := blk.plan.steps
 	n := int32(len(steps))
@@ -830,19 +833,16 @@ func (blk *blockCtx) runWarp(w *warp, budget *budgetCounter, stats *LaunchStats)
 				tally := blk.tally
 				var ti uint64
 				for pc = minPC; ; {
-					// With a live in-line fault the loop stops at the batch's
-					// next live site: past it when it is the corruption's row op
-					// without a guard (its lanes are then the batch's), which the
-					// stretch runs, else before it, to issue it alone — a Shot's
-					// always, to count its lanes before it issues; the fault
-					// follows the op either way.
-					end, live := stop, stop
+					// With a live in-line fault the loop stops at the site
+					// segment names (live): past it when it is the
+					// corruption's row op without a guard, which the stretch
+					// runs, else before it, to issue it alone — a Shot's
+					// landing site, or one whose guard decides its lanes. The
+					// Shot's armed sites before it run inside the stretch, and
+					// settle counts their lanes once it ends.
+					end, live, count, from := stop, stop, uint64(0), pc
 					if blk.live != nil {
-						live = min(stop, int32(blk.live[pc]))
-						end = live
-						if live < stop && blk.spec != nil && steps[live].rowLen > 0 && steps[live].guardKind == guardOn {
-							end++
-						}
+						live, end, count = blk.segment(w, pc, stop, atPC)
 					}
 					for ; pc < end; pc++ {
 						xi := &steps[pc]
@@ -867,6 +867,9 @@ func (blk *blockCtx) runWarp(w *warp, budget *budgetCounter, stats *LaunchStats)
 						if tally != nil {
 							tally[pc].add(lanes)
 						}
+					}
+					if count != 0 {
+						blk.settle(w, from, pc, atPC, count, kind != 0)
 					}
 					if kind != 0 || live == stop {
 						break
@@ -1017,17 +1020,23 @@ func (blk *blockCtx) chargeBefore(stats *LaunchStats, pc int32) {
 // issueHooked is the batch issue loop of a launch that dispatches callbacks
 // (dispatches): per instruction guard, Before callbacks, the Shot's landing
 // rule, step, tally, in-line fault, After callbacks and the step hook, in the
-// reference loop's order. A callback may rewrite registers and predicates, so
-// every guard is evaluated when its instruction issues, never ahead. The
-// caller accounts for the batch as a whole. It returns where the batch
-// stopped: to, or the faulting pc with its trap. The dispatch is written out
-// rather than calling callBefore / callAfter: two more calls per instruction
-// cost a profiled hot loop 6%.
+// reference loop's order. Row ops between callback sites run as stretches,
+// and, as in runWarp's plain loop, a Shot's armed sites that cannot land run
+// inside them (segment, settle): only its landing issue, or an armed site
+// whose guard decides its lanes, runs the landing rule. A callback may
+// rewrite registers and predicates, so every guard is evaluated when its
+// instruction issues, never ahead. The caller accounts for the batch as a
+// whole. It returns where the batch stopped: to, or the faulting pc with its
+// trap. The dispatch is written out rather than calling callBefore /
+// callAfter: two more calls per instruction cost a profiled hot loop 6%.
 func (blk *blockCtx) issueHooked(w *warp, from, to int32, atPC uint32, stats *LaunchStats) (pc int32, kind TrapKind, faultAddr uint32) {
 	steps := blk.plan.steps
-	tally, lim := blk.tally, to // lim: the next live site, which ends a stretch and issues alone
+	// lim is the next live site that issues alone (segment), and count the
+	// lanes of the Shot's armed sites passed since seg, settled before lim
+	// issues and when the batch ends.
+	tally, lim, count, seg := blk.tally, to, uint64(0), from
 	if blk.live != nil {
-		lim = min(to, int32(blk.live[from]))
+		lim, _, count = blk.segment(w, from, to, atPC)
 	}
 	ek, ctx := blk.ek, &blk.ictx
 	instrs, before, after, stepHook := ek.K.Instrs, ek.Before, ek.After, ek.Step
@@ -1063,6 +1072,10 @@ func (blk *blockCtx) issueHooked(w *warp, from, to int32, atPC uint32, stats *La
 		}
 		lane := -1
 		if pc == lim {
+			if count != 0 {
+				blk.settle(w, seg, pc, atPC, count, false)
+				count = 0
+			}
 			lane = blk.aim(w, pc, execMask)
 		}
 		if _, kind, faultAddr = xi.step(blk, w, execMask); kind != 0 {
@@ -1073,8 +1086,8 @@ func (blk *blockCtx) issueHooked(w *warp, from, to int32, atPC uint32, stats *La
 		}
 		if pc == lim {
 			blk.hit(w, pc, execMask, lane)
-			if lim = to; blk.live != nil {
-				lim = min(to, int32(blk.live[pc+1]))
+			if lim, seg = to, pc+1; blk.live != nil {
+				lim, _, count = blk.segment(w, seg, to, atPC)
 			}
 		}
 		if after != nil {
@@ -1085,6 +1098,9 @@ func (blk *blockCtx) issueHooked(w *warp, from, to int32, atPC uint32, stats *La
 		if stepHook != nil {
 			stepHook(ctx)
 		}
+	}
+	if count != 0 {
+		blk.settle(w, seg, pc, atPC, count, kind != 0)
 	}
 	stats.ThreadInstrs += ti
 	return pc, kind, faultAddr

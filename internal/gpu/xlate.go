@@ -162,6 +162,10 @@ func (xi *xinstr) guard(w *warp, atPC uint32) uint32 {
 	return predMask(w, atPC, xi.guardPred&7, xi.guardNeg)
 }
 
+// unguardedRow reports whether the step is a row op without a guard: inside a
+// stretch it issues for the batch's lanes, whatever the predicates hold.
+func (xi *xinstr) unguardedRow() bool { return xi.rowLen > 0 && xi.guardKind == guardOn }
+
 // semSimple reports whether a semantic is straight-line safe: it never
 // writes per-lane PCs, never changes lane liveness, never reaches a barrier,
 // and never traps unconditionally. Simple steps may still fault (memory),
