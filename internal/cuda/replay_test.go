@@ -244,3 +244,32 @@ func TestRecordingParamAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestRecordingLaunchAllocs: a recording tallies every launch per static
+// instruction for its checkpoints in a buffer the device's runs share, so
+// recording N launches through Context.Launch allocates O(log N) times — the
+// journal's call list and parameter slab growing — not once per launch.
+func TestRecordingLaunchAllocs(t *testing.T) {
+	const launches = 4096
+	ctx := newCtx(t)
+	h := newReplayHost(t, ctx)
+	h.launch(t) // warms the plan, the constant bank and the pools
+	if err := ctx.StartRecording(0); err != nil {
+		t.Fatal(err)
+	}
+	objects, _ := mallocsOf(func() {
+		for i := 0; i < launches; i++ {
+			h.launch(t)
+		}
+	})
+	// The journal's two growing slices, the pools re-pinned to one P and the
+	// tally buffer once: about 40. One allocation per launch is 4096.
+	if max := uint64(4 * bits.Len(launches)); race.Enabled {
+		t.Logf("recording %d launches allocated %d objects under -race", launches, objects)
+	} else if objects > max {
+		t.Errorf("recording %d launches allocated %d objects, want at most %d", launches, objects, max)
+	}
+	if _, err := ctx.FinishRecording(); err != nil {
+		t.Fatal(err)
+	}
+}

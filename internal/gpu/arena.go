@@ -166,7 +166,7 @@ func (blk *blockCtx) bind(lin int) {
 func (blk *blockCtx) release() {
 	blk.dev, blk.ek, blk.launch, blk.constBank, blk.plan = nil, nil, nil, nil, nil
 	blk.pause, blk.runTally, blk.sites, blk.tally = nil, nil, nil, nil
-	blk.calls, blk.spec, blk.live = nil, nil, nil
+	blk.calls, blk.spec, blk.shot, blk.live = false, nil, nil, nil
 	blk.ictx = InstrCtx{}
 	blockPool.Put(blk)
 }

@@ -35,7 +35,10 @@ type Corruption struct {
 // warp loops count into Count, at each armed site (NewShotSites) in launch
 // order, the guard-passing lanes that execute it — when Thread, only lane
 // Lane of warp Warp of block Block — until the execution holding count Target
-// (Land); the sites a row stretch passes count when it ends (segment). Pre,
+// (Land); the sites a row stretch passes count when it ends (segment). The
+// landing rule runs before the issue, so an armed site that traps has its
+// lanes in Count; the callback injectors counted in an After callback, which a
+// trapping instruction never reaches. Nothing reads Count after a trap. Pre,
 // when set, runs with its landing lane just before it issues and Hit just
 // after it completes. Then the spec has Fired: the rest of the launch runs as
 // if it were not there but for its sites' trampoline charges.

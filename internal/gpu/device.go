@@ -190,7 +190,6 @@ type ExecKernel struct {
 
 	sitesOnce sync.Once
 	sites     []uint32 // trampSites' prefix, when built here
-	calls     []uint32 // the callback-site prefix, when it is not sites
 }
 
 // Instrumented reports whether any instrumentation is attached.
@@ -239,12 +238,17 @@ func (ek *ExecKernel) hasAfter(pc int32) bool {
 // callFree returns how many of the instructions [pc, pc+n) run before the
 // first one that dispatches a callback — a Before or After list, or anything
 // at all under the step hook; the tally and the in-line faults run in line
-// and are none: how far an armed batch may run without leaving the engine. It
-// scans: a table per instrumented kernel would cost every experiment's JIT
-// builds more than the scan costs the armed loop.
+// and are none: how far a stretch of runWarp's batch may run before a site
+// that issues alone. Every callback site is a trampoline site, so a span
+// without one (trampSites' prefix, built before the first launch) needs no
+// scan; else it scans: a table per instrumented kernel would cost every
+// experiment's JIT builds more than the scan costs the armed loop.
 func (ek *ExecKernel) callFree(pc, n int32) int32 {
 	if ek.Step != nil {
 		return 0
+	}
+	if ek.sites[pc+n] == ek.sites[pc] {
+		return n
 	}
 	for k := int32(0); k < n; k++ {
 		if ek.callsBefore(pc+k) || (ek.After != nil && len(ek.After[pc+k]) > 0) {
@@ -254,61 +258,45 @@ func (ek *ExecKernel) callFree(pc, n int32) int32 {
 	return n
 }
 
-// trampSites returns the trampoline-site prefix count and the callback-site
-// prefix count. sites[pc] is the number of sites (a Before list or a Shot's
-// Pre hook, an After list, tally or charged in-line fault site, the step hook)
-// on instructions [0, pc), so a batch that completed [a, b) executed sites[b]-sites[a]
-// trampolines; calls counts only the sites that dispatch a callback, so a
-// batch holding none of them never leaves the plain loop, and is nil when the
-// kernel has no callback. An instrumentation without callbacks shares a
-// prefix derived once per kernel content: one After site per instruction
-// when it tallies (xplan.tallySites, whatever it corrupts: the sites
-// coincide), else its in-line fault's sites (CorruptionSites). Any other is
-// built on the ExecKernel's first instrumented launch, not in the plan: a
-// plan is shared by every instrumentation of the same kernel content. Before,
-// After, Step, Tally, Corrupt and Shot must not change once the kernel has
-// launched — the NVBit layer builds them whole in its Inserter and caches the
-// result.
-func (ek *ExecKernel) trampSites(plan *xplan) (sites, calls []uint32) {
+// trampSites returns the trampoline-site prefix count: sites[pc] is the
+// number of sites (a Before list or a Shot's Pre hook, an After list, tally or
+// charged in-line fault site, the step hook) on instructions [0, pc), so a
+// batch that completed [a, b) executed sites[b]-sites[a] trampolines. An
+// instrumentation without callbacks shares a prefix derived once per kernel
+// content: one After site per instruction when it tallies (xplan.tallySites,
+// whatever it corrupts: the sites coincide), else its in-line fault's sites
+// (CorruptionSites). Any other is built on the ExecKernel's first
+// instrumented launch, not in the plan: a plan is shared by every
+// instrumentation of the same kernel content. Before, After, Step, Tally,
+// Corrupt and Shot must not change once the kernel has launched — the NVBit
+// layer builds them whole in its Inserter and caches the result.
+func (ek *ExecKernel) trampSites(plan *xplan) []uint32 {
 	if !ek.hasCallbacks() {
 		switch s := ek.inline(); {
 		case ek.Tally != nil && plan != nil && ek.Shot == nil:
-			return plan.tallySites, nil
+			return plan.tallySites
 		case ek.Tally == nil && s != nil:
-			return s.sites, nil
+			return s.sites
 		}
 	}
 	ek.sitesOnce.Do(func() {
-		ek.sites = ek.sitePrefix(true)
-		switch {
-		case !ek.hasCallbacks():
-		case ek.Tally == nil && ek.inline() == nil:
-			ek.calls = ek.sites // every site dispatches a callback
-		default:
-			ek.calls = ek.sitePrefix(false)
+		p := make([]uint32, len(ek.K.Instrs)+1)
+		for pc := range ek.K.Instrs {
+			n := p[pc]
+			if ek.hasBefore(int32(pc)) {
+				n++
+			}
+			if ek.hasAfter(int32(pc)) {
+				n++
+			}
+			if ek.Step != nil {
+				n++
+			}
+			p[pc+1] = n
 		}
+		ek.sites = p
 	})
-	return ek.sites, ek.calls
-}
-
-// sitePrefix counts the sites of the instructions before each pc: every
-// trampoline site when all, else only those that dispatch a callback.
-func (ek *ExecKernel) sitePrefix(all bool) []uint32 {
-	p := make([]uint32, len(ek.K.Instrs)+1)
-	for pc := range ek.K.Instrs {
-		n := p[pc]
-		if all && ek.hasBefore(int32(pc)) || !all && ek.callsBefore(int32(pc)) {
-			n++
-		}
-		if all && ek.hasAfter(int32(pc)) || !all && ek.After != nil && len(ek.After[pc]) > 0 {
-			n++
-		}
-		if ek.Step != nil {
-			n++
-		}
-		p[pc+1] = n
-	}
-	return p
+	return ek.sites
 }
 
 // writtenRegHi returns an exclusive upper bound on the register indices k's

@@ -445,14 +445,13 @@ type blockCtx struct {
 	maskRow regRow
 	maskFor uint32
 
-	// calls is the kernel's callback-site prefix count (ExecKernel.trampSites),
-	// nil when it has no callback; live is the next-live-site index
-	// (CorruptionSites.next) of spec or shot, nil when neither is live. They
-	// sit below the scratch rows, which stay at a 64-byte offset
-	// (TestBlockScratchAligned).
-	calls []uint32
+	// live is the next-live-site index (CorruptionSites.next) of spec or
+	// shot, nil when neither is live; calls says whether the kernel has any
+	// callback (ExecKernel.hasCallbacks). They sit below the scratch rows,
+	// which stay at a 64-byte offset (TestBlockScratchAligned).
 	live  []uint32
 	shot  *Shot
+	calls bool
 
 	// ictx is the InstrCtx handed to instrumentation callbacks: filled in per
 	// block by run, bound to a warp by bindCtx, rewritten per instruction by
@@ -581,7 +580,7 @@ func (blk *blockCtx) run(budget *budgetCounter, stats *LaunchStats) error {
 	if blk.plan == nil {
 		runWarp = blk.runWarpRef
 	}
-	blk.sites, blk.calls, blk.tally = nil, nil, blk.runTally
+	blk.sites, blk.tally, blk.calls = nil, blk.runTally, blk.ek.hasCallbacks()
 	blk.spec, blk.shot, blk.live = nil, nil, nil
 	if blk.ek.Tally != nil {
 		blk.tally = blk.ek.Tally
@@ -593,9 +592,9 @@ func (blk *blockCtx) run(budget *budgetCounter, stats *LaunchStats) error {
 		blk.shot, blk.live = s, blk.ek.ShotSites.next
 	}
 	if blk.ek.Instrumented() {
-		blk.sites, blk.calls = blk.ek.trampSites(blk.plan)
+		blk.sites = blk.ek.trampSites(blk.plan)
 	}
-	if blk.calls != nil {
+	if blk.calls {
 		// Only callbacks read the InstrCtx: a tally or a corruption never
 		// pays for filling it, and a Shot fills it when it lands.
 		blk.ictx = InstrCtx{
@@ -772,25 +771,29 @@ func (blk *blockCtx) bindCtx(w *warp) {
 // trap sites and modeled time are bit-identical to the per-step loop.
 //
 // Everything a plain launch does not need hangs off one flag, blk.hooked,
-// fixed per blockCtx.run: the pause clip and tick, the trampoline charge, and
-// the choice of issue loop inside a batch — the plain one below, or
-// issueHooked when callbacks dispatch. The choice is made per batch, never per
-// instruction; a batch without callback sites takes the plain loop and keeps
-// only the per-batch trampoline charge. The plain loop also tallies: it hands
-// blk.tally to the row dispatcher and counts each other step after it
-// completes, so a profiled or recording launch runs at the plain launch's
-// speed plus the counting. It applies the in-line faults too, where segment
-// ends a stretch: a Corruption after each live site; a Shot at its landing
-// issue, which runs alone, as does an armed site whose guard decides its
-// lanes — its other armed sites run inside the stretch, and settle counts
-// their lanes in bulk when it ends. Once the Shot fires the launch runs
-// plain.
+// fixed per blockCtx.run: the pause clip and tick and the trampoline charge,
+// both per batch. Inside a batch one issue loop serves every launch. It
+// tallies: it hands blk.tally to the row dispatcher and counts each other
+// step after it completes, so a profiled or recording launch runs at the
+// plain launch's speed plus the counting. It runs stretches between the sites
+// that must issue alone, each with its hooks in the reference loop's order: a
+// callback site (callFree ends the stretch there, so a batch without one
+// never leaves the stretch), and where segment ends a stretch for the
+// in-line faults, a Corruption's live site (or, when it is a row op without
+// a guard, the stretch runs it and the fault follows) and a Shot's landing
+// issue, as well as an armed site whose guard decides its lanes — its other
+// armed sites run inside the stretch, and settle counts their lanes in bulk
+// when it ends. Once the Shot fires the launch runs plain. A callback may
+// rewrite registers and predicates, so every guard is evaluated when its
+// instruction issues, never ahead.
 func (blk *blockCtx) runWarp(w *warp, budget *budgetCounter, stats *LaunchStats) error {
 	steps := blk.plan.steps
 	n := int32(len(steps))
 	clock := &blk.dev.smClocks[blk.smID]
 	hooked := blk.hooked
-	if blk.calls != nil {
+	ek, ctx := blk.ek, &blk.ictx
+	instrs, before, after, stepHook := ek.K.Instrs, ek.Before, ek.After, ek.Step
+	if blk.calls {
 		blk.bindCtx(w)
 	}
 	for {
@@ -827,74 +830,106 @@ func (blk *blockCtx) runWarp(w *warp, budget *budgetCounter, stats *LaunchStats)
 			var pc int32
 			var kind TrapKind
 			var faultAddr uint32
-			if hooked && blk.dispatches(minPC, stop) {
-				pc, kind, faultAddr = blk.issueHooked(w, minPC, stop, atPC, stats)
-			} else {
-				tally := blk.tally
-				var ti uint64
-				for pc = minPC; ; {
-					// With a live in-line fault the loop stops at the site
-					// segment names (live): past it when it is the
-					// corruption's row op without a guard, which the stretch
-					// runs, else before it, to issue it alone — a Shot's
-					// landing site, or one whose guard decides its lanes. The
-					// Shot's armed sites before it run inside the stretch, and
-					// settle counts their lanes once it ends.
-					end, live, count, from := stop, stop, uint64(0), pc
-					if blk.live != nil {
-						live, end, count = blk.segment(w, pc, stop, atPC)
-					}
-					for ; pc < end; pc++ {
-						xi := &steps[pc]
-						if n := min(xi.rowLen, end-pc); n > 0 {
-							var th uint64
-							th, pc, kind, faultAddr = blk.runRows(w, pc, n, atPC, tally)
-							if ti += th; kind != 0 {
-								break
-							}
-							pc--
-							continue
-						}
-						execMask := atPC
-						if xi.guardKind != guardOn {
-							execMask = xi.guard(w, atPC)
-						}
-						lanes := uint64(popcount(execMask))
-						ti += lanes
-						if _, kind, faultAddr = xi.step(blk, w, execMask); kind != 0 {
+			tally := blk.tally
+			var ti uint64
+			for pc = minPC; ; {
+				// A stretch runs up to the next callback site (cut), which
+				// issues alone. With a live in-line fault it stops sooner, at
+				// the site segment names (live): past it when it is the
+				// corruption's row op without a guard, which the stretch
+				// runs, else before it, to issue it alone — a Shot's landing
+				// site, or one whose guard decides its lanes. The Shot's
+				// armed sites before it run inside the stretch, and settle
+				// counts their lanes once it ends.
+				cut := stop
+				if blk.calls {
+					cut = pc + ek.callFree(pc, stop-pc)
+				}
+				end, live, count, from := cut, cut, uint64(0), pc
+				if blk.live != nil {
+					live, end, count = blk.segment(w, pc, cut, atPC)
+				}
+				for ; pc < end; pc++ {
+					xi := &steps[pc]
+					if n := min(xi.rowLen, end-pc); n > 0 {
+						var th uint64
+						th, pc, kind, faultAddr = blk.runRows(w, pc, n, atPC, tally)
+						if ti += th; kind != 0 {
 							break
 						}
-						if tally != nil {
-							tally[pc].add(lanes)
-						}
+						pc--
+						continue
 					}
-					if count != 0 {
-						blk.settle(w, from, pc, atPC, count, kind != 0)
+					execMask := atPC
+					if xi.guardKind != guardOn {
+						execMask = xi.guard(w, atPC)
 					}
-					if kind != 0 || live == stop {
+					lanes := uint64(popcount(execMask))
+					ti += lanes
+					if _, kind, faultAddr = xi.step(blk, w, execMask); kind != 0 {
 						break
 					}
-					execMask, lane := atPC, -1
-					if pc == live {
-						xi := &steps[pc]
-						if xi.guardKind != guardOn {
-							execMask = xi.guard(w, atPC)
-						}
-						lanes := uint64(popcount(execMask))
-						ti += lanes
-						lane = blk.aim(w, pc, execMask)
-						if _, kind, faultAddr = xi.step(blk, w, execMask); kind != 0 {
-							break
-						}
-						if tally != nil {
-							tally[pc].add(lanes)
-						}
-						pc++
+					if tally != nil {
+						tally[pc].add(lanes)
 					}
-					blk.hit(w, live, execMask, lane)
 				}
-				stats.ThreadInstrs += ti
+				if count != 0 {
+					blk.settle(w, from, pc, atPC, count, kind != 0)
+				}
+				if kind != 0 || live == stop {
+					break
+				}
+				if pc != live {
+					// The stretch ran the corruption's live row op.
+					blk.hit(w, live, atPC, -1)
+					continue
+				}
+				// The site that issues alone: an in-line live site, a
+				// callback site or both, hooks in the reference loop's order.
+				// The dispatch is callBefore's and callAfter's, written out:
+				// as calls they cost a tool that calls back on every
+				// instruction 5-10% more (BenchmarkCallbackLaunch).
+				xi := &steps[pc]
+				execMask := atPC
+				if xi.guardKind != guardOn {
+					execMask = xi.guard(w, atPC)
+				}
+				lanes := uint64(popcount(execMask))
+				ti += lanes
+				call, inline, lane := pc == cut, blk.live != nil && int32(blk.live[pc]) == pc, -1
+				if call {
+					ctx.Instr, ctx.InstrIdx, ctx.ActiveMask = &instrs[pc], int(pc), execMask
+					if before != nil {
+						for _, cb := range before[pc] {
+							cb(ctx)
+						}
+					}
+				}
+				if inline {
+					lane = blk.aim(w, pc, execMask)
+				}
+				if _, kind, faultAddr = xi.step(blk, w, execMask); kind != 0 {
+					break
+				}
+				if tally != nil {
+					tally[pc].add(lanes)
+				}
+				if inline {
+					blk.hit(w, pc, execMask, lane)
+				}
+				if call {
+					if after != nil {
+						for _, cb := range after[pc] {
+							cb(ctx)
+						}
+					}
+					if stepHook != nil {
+						stepHook(ctx)
+					}
+				}
+				pc++
 			}
+			stats.ThreadInstrs += ti
 			if hooked {
 				blk.chargeSites(stats, minPC, pc)
 			}
@@ -924,7 +959,7 @@ func (blk *blockCtx) runWarp(w *warp, budget *budgetCounter, stats *LaunchStats)
 		}
 
 		// One instruction that may branch, exit lanes, reach a barrier or read
-		// the clock: issued alone, hooks in the same order as issueHooked.
+		// the clock: issued alone, hooks in the same order as a batch's site.
 		execMask := atPC
 		if xi.guardKind != guardOn {
 			execMask = xi.guard(w, atPC)
@@ -936,7 +971,7 @@ func (blk *blockCtx) runWarp(w *warp, budget *budgetCounter, stats *LaunchStats)
 		stats.WarpInstrs++
 		stats.ThreadInstrs += lanes
 		*clock++
-		armed := hooked && blk.calls != nil
+		armed := blk.calls
 		live, lane := hooked && blk.live != nil && int32(blk.live[minPC]) == minPC, -1
 		if armed {
 			blk.callBefore(minPC, execMask)
@@ -992,15 +1027,6 @@ func (blk *blockCtx) runWarp(w *warp, budget *budgetCounter, stats *LaunchStats)
 	}
 }
 
-// dispatches reports whether the batch [from, to) must issue through
-// issueHooked: it holds a callback site. Sparse instrumentation — the stores
-// of a kernel — leaves most batches to the plain loop, and so do a tally and
-// the in-line faults, which the plain loop applies itself: their sites are
-// charged, never dispatched.
-func (blk *blockCtx) dispatches(from, to int32) bool {
-	return blk.calls != nil && blk.calls[to] != blk.calls[from]
-}
-
 // chargeSites charges the trampolines of the instructions [from, pc) that
 // completed. It runs once per batch, so it must stay cheap enough to inline.
 func (blk *blockCtx) chargeSites(stats *LaunchStats, from, pc int32) {
@@ -1015,95 +1041,6 @@ func (blk *blockCtx) chargeBefore(stats *LaunchStats, pc int32) {
 	if blk.sites != nil && blk.ek.hasBefore(pc) {
 		stats.TrampolineInstrs += TrampolineLen
 	}
-}
-
-// issueHooked is the batch issue loop of a launch that dispatches callbacks
-// (dispatches): per instruction guard, Before callbacks, the Shot's landing
-// rule, step, tally, in-line fault, After callbacks and the step hook, in the
-// reference loop's order. Row ops between callback sites run as stretches,
-// and, as in runWarp's plain loop, a Shot's armed sites that cannot land run
-// inside them (segment, settle): only its landing issue, or an armed site
-// whose guard decides its lanes, runs the landing rule. A callback may
-// rewrite registers and predicates, so every guard is evaluated when its
-// instruction issues, never ahead. The caller accounts for the batch as a
-// whole. It returns where the batch stopped: to, or the faulting pc with its
-// trap. The dispatch is written out rather than calling callBefore /
-// callAfter: two more calls per instruction cost a profiled hot loop 6%.
-func (blk *blockCtx) issueHooked(w *warp, from, to int32, atPC uint32, stats *LaunchStats) (pc int32, kind TrapKind, faultAddr uint32) {
-	steps := blk.plan.steps
-	// lim is the next live site that issues alone (segment), and count the
-	// lanes of the Shot's armed sites passed since seg, settled before lim
-	// issues and when the batch ends.
-	tally, lim, count, seg := blk.tally, to, uint64(0), from
-	if blk.live != nil {
-		lim, _, count = blk.segment(w, from, to, atPC)
-	}
-	ek, ctx := blk.ek, &blk.ictx
-	instrs, before, after, stepHook := ek.K.Instrs, ek.Before, ek.After, ek.Step
-	var ti uint64
-	for pc = from; pc < to; pc++ {
-		xi := &steps[pc]
-		if n := min(xi.rowLen, lim-pc); n > 0 {
-			// Row ops up to the next callback site run as one stretch: an
-			// armed launch pays per-instruction dispatch only at its sites.
-			if n = ek.callFree(pc, n); n > 0 {
-				var th uint64
-				th, pc, kind, faultAddr = blk.runRows(w, pc, n, atPC, tally)
-				if ti += th; kind != 0 {
-					break
-				}
-				pc--
-				continue
-			}
-		}
-		execMask := atPC
-		if xi.guardKind != guardOn {
-			execMask = xi.guard(w, atPC)
-		}
-		lanes := uint64(popcount(execMask))
-		ti += lanes
-		ctx.Instr = &instrs[pc]
-		ctx.InstrIdx = int(pc)
-		ctx.ActiveMask = execMask
-		if before != nil {
-			for _, cb := range before[pc] {
-				cb(ctx)
-			}
-		}
-		lane := -1
-		if pc == lim {
-			if count != 0 {
-				blk.settle(w, seg, pc, atPC, count, false)
-				count = 0
-			}
-			lane = blk.aim(w, pc, execMask)
-		}
-		if _, kind, faultAddr = xi.step(blk, w, execMask); kind != 0 {
-			break
-		}
-		if tally != nil {
-			tally[pc].add(lanes)
-		}
-		if pc == lim {
-			blk.hit(w, pc, execMask, lane)
-			if lim, seg = to, pc+1; blk.live != nil {
-				lim, _, count = blk.segment(w, seg, to, atPC)
-			}
-		}
-		if after != nil {
-			for _, cb := range after[pc] {
-				cb(ctx)
-			}
-		}
-		if stepHook != nil {
-			stepHook(ctx)
-		}
-	}
-	if count != 0 {
-		blk.settle(w, seg, pc, atPC, count, kind != 0)
-	}
-	stats.ThreadInstrs += ti
-	return pc, kind, faultAddr
 }
 
 // callBefore describes the instruction about to issue in the block's
@@ -1168,7 +1105,7 @@ func (w *warp) finishRun(endPC int32, atPC uint32) {
 func (blk *blockCtx) runWarpRef(w *warp, budget *budgetCounter, stats *LaunchStats) error {
 	ek := blk.ek
 	instrs := ek.K.Instrs
-	if blk.calls != nil {
+	if blk.calls {
 		blk.bindCtx(w)
 	}
 	for {
@@ -1194,7 +1131,7 @@ func (blk *blockCtx) runWarpRef(w *warp, budget *budgetCounter, stats *LaunchSta
 		stats.ThreadInstrs += lanes
 		blk.dev.smClocks[blk.smID]++
 
-		armed := blk.calls != nil
+		armed := blk.calls
 		live, lane := blk.live != nil && int32(blk.live[minPC]) == minPC, -1
 		if ek.hasBefore(minPC) {
 			stats.TrampolineInstrs += TrampolineLen

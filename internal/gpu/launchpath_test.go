@@ -169,7 +169,7 @@ func TestTallyFactsPerKernel(t *testing.T) {
 		t.Errorf("plan register bound %d, static scan %d", plan.regHi, writtenRegHi(k))
 	}
 	for i, ek := range builds[:next] {
-		if sites, _ := ek.trampSites(plan); ek.sites != nil || &sites[0] != &plan.tallySites[0] {
+		if sites := ek.trampSites(plan); ek.sites != nil || &sites[0] != &plan.tallySites[0] {
 			t.Fatalf("build %d derived its own trampoline sites", i)
 		}
 		if ek.Tally[0].Issues == 0 {

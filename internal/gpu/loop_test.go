@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -263,7 +264,7 @@ func TestBudgetExhaustionMidBatch(t *testing.T) {
 // 37th thread-level execution in turn — mid-batch, on single issues, before
 // and after the barrier, on every lane position — and on none, with and
 // without a Pre hook: on the plain launch, whose batches the plain loop runs,
-// on the launch armed with callbacks, whose batches issueHooked runs, and on
+// on the launch armed with callbacks, whose every site issues alone, and on
 // the armed launch whose store faults. On all three engines the launch equals
 // the reference loop running the callbacks the Shot stands for — beside a
 // Before and an After callback on every instruction, when armed: output,
@@ -809,6 +810,149 @@ func TestSpecPauseEverywhere(t *testing.T) {
 			expectSameSpec(t, fmt.Sprintf("%s pause@%d", e.name, pos), whole, got)
 			if t.Failed() {
 				return
+			}
+		}
+	}
+}
+
+// storeDivSrc has shortdiv's shape with a store in each arm of the loop and
+// one at the end. In the first arm the store sits mid-stretch, right before
+// an unguarded IADD; the second arm has a guarded IADD.
+const storeDivSrc = `
+.kernel storediv
+.param outptr
+    S2R R0, SR_TID.X
+    SHL R6, R0, 0x2
+    IADD R6, R6, c0[outptr]
+    MOV R1, 0x3
+    LOP.AND R8, R0, 0x3
+    MOV R2, 0x5
+loop:
+    ISETP.EQ.AND P0, R8, 0x0, PT
+@P0 BRA a
+    IMAD R1, R1, R0, 0x5
+    STG.32 [R6], R1
+    IADD R1, R1, R8
+    LOP.XOR R1, R1, 0x55
+    BRA join
+a:
+    SHL R1, R1, 0x1
+    STG.32 [R6], R1
+    ISETP.GE.AND P1, R1, 0x40, PT
+@P1 IADD R1, R1, -0x7
+join:
+    IADD R2, R2, -0x1
+    ISETP.NE.AND P0, R2, 0x0, PT
+@P0 BRA loop
+    STG.32 [R6], R1
+    EXIT
+`
+
+// addSpecCallbacks adds callbacks to ek, which may already carry a spec's
+// oracle callbacks (they stay first): when every, a Before and an After
+// callback on every instruction, else an After callback on the stores only,
+// as memfault's re-assertion places them. Each counts into calls and moves
+// every active lane's R1, the After one by a product, so a corruption of R1
+// applied on the wrong side of them shows.
+func addSpecCallbacks(ek *ExecKernel, every bool, calls *int) {
+	n := len(ek.K.Instrs)
+	if ek.After == nil {
+		ek.After = make([][]Callback, n)
+	}
+	bump := func(c *InstrCtx, f func(uint32) uint32) {
+		*calls++
+		for lane := 0; lane < WarpSize; lane++ {
+			if c.LaneActive(lane) {
+				c.WriteReg(lane, 1, f(c.ReadReg(lane, 1)))
+			}
+		}
+	}
+	before := func(c *InstrCtx) { bump(c, func(v uint32) uint32 { return v + 0x10 }) }
+	after := func(c *InstrCtx) { bump(c, func(v uint32) uint32 { return v*3 ^ 1 }) }
+	if every {
+		ek.Before = make([][]Callback, n)
+	}
+	for i := range ek.K.Instrs {
+		switch {
+		case every:
+			ek.Before[i] = append(ek.Before[i], before)
+			ek.After[i] = append(ek.After[i], after)
+		case ek.K.Instrs[i].Op.String() == "STG":
+			ek.After[i] = append(ek.After[i], after)
+		}
+	}
+}
+
+// runStoreDivSpec runs storediv with s and addSpecCallbacks' callbacks,
+// paused once after pause warp instructions when pause > 0: the spec as
+// engine data, or, when oracle, as its callbacks.
+func runStoreDivSpec(t *testing.T, e loopEngine, s testSpec, every, oracle bool, pause int64) specRun {
+	t.Helper()
+	d := e.device(t)
+	l, outp := shortDivLaunch(t, d, false, nil, false, 0)
+	k := mustKernel(t, storeDivSrc, "storediv")
+	c, cats := s.build()
+	if oracle {
+		l.Kernel = specOracle(k, c, cats)
+	} else {
+		l.Kernel = specBuild(k, c, cats)
+	}
+	calls := 0
+	addSpecCallbacks(l.Kernel, every, &calls)
+	r, err := d.BeginRun(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pause > 0 {
+		if paused, err := r.Resume(pause); !paused || err != nil {
+			t.Fatalf("%s pause@%d: Resume = (%v, %v)", e.name, pause, paused, err)
+		}
+	}
+	_, err = r.Resume(-1)
+	return specRun{finishLoopRun(t, d, outp, r.Stats(), err, calls), c.Activations, c.Corruptions}
+}
+
+// TestSpecBesideCallbacks: a Corruption on a launch that also dispatches
+// callbacks — a Before and an After callback on every instruction, or After
+// callbacks on the stores only, where a callback site falls mid-stretch
+// right before an unguarded live row op and a live site (the store) is also
+// a callback site. On all three engines, run whole and paused at every
+// position, the launch reports the output, stats (trampolines included),
+// clocks, digest, counters and callback count of the reference loop running
+// the oracle callbacks beside the same callbacks.
+func TestSpecBesideCallbacks(t *testing.T) {
+	k := mustKernel(t, storeDivSrc, "storediv")
+	plan, err := translate(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stg := slices.IndexFunc(k.Instrs, func(in sass.Instr) bool { return in.Op.String() == "STG" })
+	if !plan.steps[stg].unguardedRow() || !plan.steps[stg+1].unguardedRow() || k.Instrs[stg+1].Op.String() != "IADD" {
+		t.Fatalf("storediv's first store (%v) is not a row op followed by an unguarded IADD row op in its stretch", &k.Instrs[stg])
+	}
+	specs := []testSpec{
+		{name: "store", ops: []string{"STG", "IADD"}, lane: 2, mask: 0x4},
+		{name: "guarded", ops: []string{"IADD"}, lane: 5, mask: 0x3, clear: true, gated: true},
+		{name: "dormant", ops: []string{"STG", "IADD"}, sm: 2, lane: 2, mask: 0x4},
+	}
+	for _, every := range []bool{true, false} {
+		for _, s := range specs {
+			label := fmt.Sprintf("%s every=%v", s.name, every)
+			ref := runStoreDivSpec(t, loopEngines[0], s, every, true, 0)
+			if ref.err != nil {
+				t.Fatalf("%s: %v", label, ref.err)
+			}
+			if dormant := s.sm != 0; (ref.activations == 0) != dormant || (ref.corruptions == 0) != dormant || ref.calls == 0 {
+				t.Fatalf("%s: %d activations, %d corruptions, %d callbacks", label, ref.activations, ref.corruptions, ref.calls)
+			}
+			for _, e := range loopEngines {
+				expectSameSpec(t, fmt.Sprintf("%s on %s", label, e.name), ref, runStoreDivSpec(t, e, s, every, false, 0))
+				for pos := int64(1); pos < int64(ref.stats.WarpInstrs); pos++ {
+					expectSameSpec(t, fmt.Sprintf("%s on %s pause@%d", label, e.name, pos), ref, runStoreDivSpec(t, e, s, every, false, pos))
+					if t.Failed() {
+						return
+					}
+				}
 			}
 		}
 	}

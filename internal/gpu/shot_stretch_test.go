@@ -8,10 +8,10 @@ import (
 	"testing"
 )
 
-// A Shot's armed sites that cannot land run inside the plain loop's and
-// issueHooked's stretches, their lanes counted when the stretch ends
-// (blockCtx.segment, blockCtx.settle). These tests hold that path to the
-// callbacks the Shot stands for on the reference loop.
+// A Shot's armed sites that cannot land run inside the batch loop's
+// stretches, also between callback sites, their lanes counted when the
+// stretch ends (blockCtx.segment, blockCtx.settle). These tests hold that
+// path to the callbacks the Shot stands for on the reference loop.
 
 // stretchSrc runs two blocks of two warps through long straight-line
 // stretches: a loop whose body holds a predicated row op and a divergent
@@ -67,7 +67,7 @@ const (
 type stretchCase struct {
 	target uint64
 	pre    bool // the Shot has a Pre hook
-	hooked bool // an After callback on each SHL, so batches holding one issue through issueHooked
+	hooked bool // an After callback on each SHL, which ends a stretch and issues alone
 	thread bool
 	block  int
 	warp   int

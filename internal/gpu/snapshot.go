@@ -3,6 +3,7 @@ package gpu
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/sass"
 )
@@ -68,6 +69,7 @@ type LaunchRun struct {
 	stats     LaunchStats
 	pause     pauseCtl
 	counts    []SiteTally
+	countBuf  []SiteTally // counts' storage when the run keeps its own
 	blk       *blockCtx
 	blockLin  int
 	finished  bool
@@ -82,11 +84,11 @@ type LaunchRun struct {
 var errRunClosed = errors.New("gpu: launch run closed")
 
 // resetRun closes the device's previous run and hands its object back
-// zeroed, keeping only the parameter buffer.
+// zeroed, keeping only the parameter and tally buffers.
 func (d *Device) resetRun() *LaunchRun {
 	r := &d.run
 	r.Close()
-	*r = LaunchRun{dev: d, params: r.params[:0]}
+	*r = LaunchRun{dev: d, params: r.params[:0], countBuf: r.countBuf}
 	return r
 }
 
@@ -136,13 +138,17 @@ func (r *LaunchRun) Close() {
 // static instruction (the same quantity the transient injector counts when
 // walking to its target) — through the engine's one in-line tally, so for a
 // kernel that carries its own (ExecKernel.Tally, cleared by its tool before
-// the launch) the run reads that one instead of keeping a second. Must be
-// called before the first Resume. The tally belongs to the run, not the
-// architecture: a snapshot does not carry it and a restored run does not
-// tally.
+// the launch) the run reads that one instead of keeping a second. Its own
+// lives in a buffer the device's runs share, cleared here, so it is valid
+// until the next BeginRun or Restore. Must be called before the first Resume.
+// The tally belongs to the run, not the architecture: a snapshot does not
+// carry it and a restored run does not tally.
 func (r *LaunchRun) EnableInstrExecCounts() {
 	if r.counts = r.launch.Kernel.Tally; r.counts == nil {
-		r.counts = make([]SiteTally, len(r.launch.Kernel.K.Instrs))
+		n := len(r.launch.Kernel.K.Instrs)
+		r.countBuf = slices.Grow(r.countBuf[:0], n)[:n]
+		clear(r.countBuf)
+		r.counts = r.countBuf
 	}
 }
 

@@ -70,11 +70,17 @@ const shortWarpSrc = `
 // Launch shapes for benchLaunch: run to completion, run the way the profiler
 // does — every instruction's active lanes counted by the in-line tally — or
 // run through BeginRun pausing every pauseStride warp instructions — the
-// latter two drive the batched loop's hooked issue form and its pause clip.
+// latter two drive the batched loop's hooked form and its pause clip. The
+// callback shapes dispatch a counting closure: an After callback on the
+// stores only (memfault's re-assertion), an After callback on every
+// instruction (StaticFI, sasstrace) or the step hook (DebuggerFI).
 const (
 	benchPlain = iota
 	benchProfiled
 	benchPaused
+	benchStores
+	benchEvery
+	benchStep
 )
 
 const pauseStride = 1000
@@ -98,8 +104,20 @@ func benchLaunch(b *testing.B, src string, noXlate bool, shape int) {
 	}
 	k := p.Kernels[0]
 	ek := &ExecKernel{K: k}
-	if shape == benchProfiled {
+	calls := 0
+	count := func(*InstrCtx) { calls++ }
+	switch shape {
+	case benchProfiled:
 		ek.Tally = make([]SiteTally, len(k.Instrs))
+	case benchStores, benchEvery:
+		ek.After = make([][]Callback, len(k.Instrs))
+		for i := range k.Instrs {
+			if shape == benchEvery || k.Instrs[i].Op.String() == "STG" {
+				ek.After[i] = []Callback{count}
+			}
+		}
+	case benchStep:
+		ek.Step = count
 	}
 	l := &Launch{
 		Kernel: ek,
@@ -140,6 +158,9 @@ func benchLaunch(b *testing.B, src string, noXlate bool, shape int) {
 	if shape == benchProfiled && lanes != uint64(b.N+1)*stats.ThreadInstrs {
 		b.Fatalf("the tally counted %d lanes, want %d", lanes, uint64(b.N+1)*stats.ThreadInstrs)
 	}
+	if (shape >= benchStores) != (calls > 0) {
+		b.Fatalf("%d callbacks dispatched", calls)
+	}
 	perLaunch := float64(stats.WarpInstrs)
 	b.ReportMetric(perLaunch*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mwarpinstr/s")
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(blocks*threads/WarpSize), "ns/warp")
@@ -160,6 +181,18 @@ func BenchmarkShortWarpLaunch(b *testing.B) { benchLaunch(b, shortWarpSrc, false
 // engines.
 func BenchmarkProfiledLaunch(b *testing.B) { benchShapes(b, benchProfiled) }
 func BenchmarkPausedLaunch(b *testing.B)   { benchShapes(b, benchPaused) }
+
+// BenchmarkCallbackLaunch runs the hot loop and the divergent kernel, on both
+// engines, dispatching callbacks in the three shapes the tools do: on the
+// stores only, on every instruction, and through the step hook.
+func BenchmarkCallbackLaunch(b *testing.B) {
+	for _, s := range []struct {
+		name  string
+		shape int
+	}{{"stores", benchStores}, {"every", benchEvery}, {"step", benchStep}} {
+		b.Run(s.name, func(b *testing.B) { benchShapes(b, s.shape) })
+	}
+}
 
 func benchShapes(b *testing.B, shape int) {
 	for _, k := range []struct{ name, src string }{{"hot", hotLoopSrc}, {"divergent", divergentSrc}} {
