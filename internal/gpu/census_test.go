@@ -20,7 +20,7 @@ import (
 // the interpreter thunk.
 var (
 	censusControl  = []string{"BAR", "BRA", "EXIT"}
-	censusPortable = []string{"F2F", "F2I", "I2F", "LDS", "MUFU.LG2", "RED", "STS"}
+	censusPortable = []string{"F2F", "LDS", "MUFU.LG2", "RED", "STS"}
 )
 
 // TestShippedKernelsNeverThunk pins the tier census of the shipped programs:
@@ -31,8 +31,8 @@ var (
 //   - the interpreter thunk runs nothing: no instruction of any program;
 //   - every row op but those of censusPortable is one the dispatcher
 //     executes, and censusPortable is exactly the opcodes (MUFU by function)
-//     left to the portable executor: MUFU RCP, RSQ, SQRT, SIN and COS are
-//     dispatchable;
+//     left to the portable executor: MUFU RCP, RSQ, SQRT, SIN and COS, I2F
+//     and F2I of both signednesses are dispatchable;
 //   - every LDG/STG .32 or .64 with a `[Rx+off]` or `[off]` address is a
 //     dispatchable row op.
 //

@@ -236,20 +236,15 @@ func (ek *ExecKernel) hasAfter(pc int32) bool {
 }
 
 // callFree returns how many of the instructions [pc, pc+n) run before the
-// first one that dispatches a callback — a Before or After list, or anything
-// at all under the step hook; the tally and the in-line faults run in line
-// and are none: how far a stretch of runWarp's batch may run before a site
-// that issues alone. Every callback site is a trampoline site, so a span
-// without one (trampSites' prefix, built before the first launch) needs no
-// scan; else it scans: a table per instrumented kernel would cost every
-// experiment's JIT builds more than the scan costs the armed loop.
+// first one that dispatches a callback — a Before or After list; the tally
+// and the in-line faults run in line and are none: how far a stretch of
+// runWarp's batch may run before a site that issues alone. runWarp answers
+// the two cases that need no scan itself: under the step hook every
+// instruction is a site, and a span without a trampoline site (trampSites'
+// prefix, built before the first launch) holds none, as every callback site
+// is one. Else callFree scans: a table per instrumented kernel would cost
+// every experiment's JIT builds more than the scan costs the armed loop.
 func (ek *ExecKernel) callFree(pc, n int32) int32 {
-	if ek.Step != nil {
-		return 0
-	}
-	if ek.sites[pc+n] == ek.sites[pc] {
-		return n
-	}
 	for k := int32(0); k < n; k++ {
 		if ek.callsBefore(pc+k) || (ek.After != nil && len(ek.After[pc+k]) > 0) {
 			return k

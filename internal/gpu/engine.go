@@ -841,11 +841,26 @@ func (blk *blockCtx) runWarp(w *warp, budget *budgetCounter, stats *LaunchStats)
 				// site, or one whose guard decides its lanes. The Shot's
 				// armed sites before it run inside the stretch, and settle
 				// counts their lanes once it ends.
+				var end, live, from int32
+				var count uint64
 				cut := stop
 				if blk.calls {
-					cut = pc + ek.callFree(pc, stop-pc)
+					// callFree's two answers that need no scan, in line:
+					// under the step hook every instruction is a callback
+					// site, and a span without a trampoline site holds none.
+					// Under the step hook the site issues at once: its
+					// stretch is empty, and segment would end it where it
+					// starts.
+					switch {
+					case stepHook != nil:
+						if cut = pc; pc != stop {
+							goto site
+						}
+					case blk.sites[stop] != blk.sites[pc]:
+						cut = pc + ek.callFree(pc, stop-pc)
+					}
 				}
-				end, live, count, from := cut, cut, uint64(0), pc
+				end, live, count, from = cut, cut, 0, pc
 				if blk.live != nil {
 					live, end, count = blk.segment(w, pc, cut, atPC)
 				}
@@ -889,6 +904,7 @@ func (blk *blockCtx) runWarp(w *warp, budget *budgetCounter, stats *LaunchStats)
 				// The dispatch is callBefore's and callAfter's, written out:
 				// as calls they cost a tool that calls back on every
 				// instruction 5-10% more (BenchmarkCallbackLaunch).
+			site:
 				xi := &steps[pc]
 				execMask := atPC
 				if xi.guardKind != guardOn {

@@ -1,7 +1,7 @@
 // AVX2 row-kernel bodies (DESIGN.md section 3.11, "Row kernels"). A row is 32
 // uint32 lanes, 128 bytes: four 256-bit vectors. Every body is written once,
-// here. The ALU, compare and MUFU bodies, the MUFU range check and the
-// broadcast loads are entered one way only: by the row-program dispatcher
+// here. The ALU, compare, MUFU and conversion bodies, the MUFU range check
+// and the broadcast loads are entered one way only: by the row-program dispatcher
 // (rowprog_amd64.s) and its handlers, which find their operands in the
 // registers below and blend the result under the exec mask. The utility
 // bodies (broadcast, mask expansion, negation, the stride test, the masked
@@ -19,6 +19,7 @@
 //	SI          a global access: lane 0's address in memory (the first
 //	            executing lane's, less its lane times the width); DX and CX
 //	            a store's low and high value rows
+//	DX          a trig pair: the second op's destination row
 //
 // A body names no general register outside AX, BX, CX, DX, SI, DI and R8
 // (the dispatcher keeps its own state in R9-R13), reads no argument off the
@@ -47,21 +48,22 @@
 
 // COMMIT is STOREOUT under the select words at BX: a selected lane of the row
 // at DI takes Y0-Y3, the others keep their value. Under the full mask (BX is
-// onesRow) it is STOREOUT. It uses R8, Y14 and Y15.
-#define COMMITV(off, R) \
+// onesRow) it is STOREOUT. It uses R8, Y14 and Y15. COMMITV blends the vector
+// R into byte offset off of the row at D, using Y14 and Y15.
+#define COMMITV(off, R, D) \
 	VMOVDQU   off(BX), Y14; \
-	VMOVDQU   off(DI), Y15; \
+	VMOVDQU   off(D), Y15; \
 	VPBLENDVB Y14, R, Y15, R; \
-	VMOVDQU   R, off(DI)
+	VMOVDQU   R, off(D)
 
 #define COMMIT \
 	LEAQ ·onesRow(SB), R8; \
 	CMPQ BX, R8; \
 	JEQ  whole; \
-	COMMITV(0, Y0); \
-	COMMITV(32, Y1); \
-	COMMITV(64, Y2); \
-	COMMITV(96, Y3); \
+	COMMITV(0, Y0, DI); \
+	COMMITV(32, Y1, DI); \
+	COMMITV(64, Y2, DI); \
+	COMMITV(96, Y3, DI); \
 	JMP  committed; \
 whole: \
 	STOREOUT; \
@@ -296,33 +298,141 @@ committed:
 	VPSLLD    $(31-B), XS, X12; \
 	VPMOVSXDQ X12, Y12
 
-// SIN4: octants with j&2 take the cosine polynomial; the sign is x's, flipped
-// when j&4 (a sin(−x) = −sin(x) folded with Go's reflection in the x axis).
-// ±0 comes out as itself, as Go's early return gives it.
-#define SIN4(off, X) \
-	TRIGREDUCE4(off); \
-	TRIGPOLY4; \
+// SINOCT and COSOCT finish SIN and COS after TRIGREDUCE4 and TRIGPOLY4: each
+// picks its octant's polynomial and sign in Y6 and narrows it into X. Neither
+// writes what the other reads (Y4, X7, Y10, Y11), so a pair runs both on one
+// reduction. SIN: octants with j&2 take the cosine polynomial; the sign is
+// x's, flipped when j&4 (a sin(−x) = −sin(x) folded with Go's reflection in
+// the x axis); ±0 comes out as itself, as Go's early return gives it. COS:
+// octants with j&2 take the sine polynomial; the sign flips when exactly one
+// of j&4 and j&2 is set.
+#define SINOCT(X) \
 	OCTANTBIT(1, X7); \
-	VBLENDVPD  Y12, Y11, Y10, Y10; \
+	VBLENDVPD  Y12, Y11, Y10, Y6; \
 	OCTANTBIT(2, X7); \
 	VXORPD     Y4, Y12, Y12; \
 	VANDPD     MC(const_mcSign), Y12, Y12; \
-	VXORPD     Y12, Y10, Y10; \
-	VCVTPD2PSY Y10, X
+	VXORPD     Y12, Y6, Y6; \
+	VCVTPD2PSY Y6, X
 
-// COS4: octants with j&2 take the sine polynomial; the sign flips when
-// exactly one of j&4 and j&2 is set.
-#define COS4(off, X) \
-	TRIGREDUCE4(off); \
-	TRIGPOLY4; \
+#define COSOCT(X) \
 	OCTANTBIT(1, X7); \
-	VBLENDVPD  Y12, Y10, Y11, Y11; \
+	VBLENDVPD  Y12, Y10, Y11, Y6; \
 	VPSRLD     $1, X7, X13; \
 	VPXOR      X7, X13, X13; \
 	OCTANTBIT(1, X13); \
 	VANDPD     MC(const_mcSign), Y12, Y12; \
-	VXORPD     Y12, Y11, Y11; \
-	VCVTPD2PSY Y11, X
+	VXORPD     Y12, Y6, Y6; \
+	VCVTPD2PSY Y6, X
+
+#define SIN4(off, X) \
+	TRIGREDUCE4(off); \
+	TRIGPOLY4; \
+	SINOCT(X)
+
+#define COS4(off, X) \
+	TRIGREDUCE4(off); \
+	TRIGPOLY4; \
+	COSOCT(X)
+
+// SINCOSV is a trig pair's pass over the eight lanes at byte offset off: one
+// reduction and one evaluation of both polynomials per four lanes, the sine
+// in Y0 and the cosine in Y1, the first op's result (FIRST) blended into the
+// row at DI and then the second's (SECOND) into the row at DX — program
+// order, so a second destination equal to the first wins. The lanes are
+// read before either row is written, and the first destination is not the
+// source, so a second destination that is passes too.
+#define SINCOSV(off, FIRST, SECOND) \
+	TRIGREDUCE4(off); \
+	TRIGPOLY4; \
+	SINOCT(X0); \
+	COSOCT(X1); \
+	TRIGREDUCE4((off+16)); \
+	TRIGPOLY4; \
+	SINOCT(X14); \
+	COSOCT(X15); \
+	VINSERTI128 $1, X14, Y0, Y0; \
+	VINSERTI128 $1, X15, Y1, Y1; \
+	COMMITV(off, FIRST, DI); \
+	COMMITV(off, SECOND, DX)
+
+// The integer-float conversions, exactly rowCvt's. I2F: VCVTDQ2PS rounds to
+// nearest even, as float32(int32) does. I2F.U32: the word, its sign bit
+// flipped, is a signed integer 2^31 below it; widened to a double and 2^31
+// added back it is exact, and VCVTPD2PS rounds it once, as float32(uint32)
+// does (I2FU4 four lanes into X, with the flip in Y6 and 2^31 in Y7).
+#define I2F \
+	VCVTDQ2PS 0(SI), Y0; \
+	VCVTDQ2PS 32(SI), Y1; \
+	VCVTDQ2PS 64(SI), Y2; \
+	VCVTDQ2PS 96(SI), Y3
+
+#define I2FU4(off, X) \
+	VPXOR      off(SI), X6, X4; \
+	VCVTDQ2PD  X4, Y4; \
+	VADDPD     Y7, Y4, Y4; \
+	VCVTPD2PSY Y4, X
+
+#define I2FU \
+	VPCMPEQD     Y6, Y6, Y6; \
+	VPSLLD       $31, Y6, Y6; \
+	MOVQ         $0x41e0000000000000, AX; \
+	VMOVQ        AX, X7; \
+	VPBROADCASTQ X7, Y7; \
+	MUFUROW(I2FU4)
+
+// F2I truncates (VCVTTPS2DQ), which gives 0x80000000 for NaN and for every x
+// outside the int32 range, as f2i does for x ≤ −2^31; the words of x ≥ 2^31
+// are flipped to 0x7fffffff and those of NaN cleared. Y6 holds 2^31 as a
+// float.
+#define F2IV(off, R) \
+	VMOVDQU    off(SI), Y4; \
+	VCVTTPS2DQ Y4, R; \
+	VCMPPS     $0x1d, Y6, Y4, Y5; \
+	VPXOR      Y5, R, R; \
+	VCMPPS     $0x07, Y4, Y4, Y5; \
+	VPAND      Y5, R, R
+
+#define F2I \
+	MOVL         $0x4f000000, AX; \
+	VMOVD        AX, X6; \
+	VPBROADCASTD X6, Y6; \
+	F2IV(0, Y0); \
+	F2IV(32, Y1); \
+	F2IV(64, Y2); \
+	F2IV(96, Y3)
+
+// F2I.U32: x below 2^31 truncates as F2I; x in [2^31, 2^32) is x − 2^31
+// (exact) truncated, its sign bit set; x ≥ 2^32 gives 0xffffffff, and x ≤ 0
+// (a truncation to zero or below) and NaN give 0 — f2i's unsigned rules. Y6
+// holds 2^31 and Y7 2^32 as floats, Y8 the sign bits, Y9 zero.
+#define F2IUV(off, R) \
+	VMOVDQU    off(SI), Y4; \
+	VCVTTPS2DQ Y4, R; \
+	VSUBPS     Y6, Y4, Y5; \
+	VCVTTPS2DQ Y5, Y5; \
+	VPXOR      Y8, Y5, Y5; \
+	VCMPPS     $0x1d, Y6, Y4, Y10; \
+	VPBLENDVB  Y10, Y5, R, R; \
+	VCMPPS     $0x1d, Y7, Y4, Y10; \
+	VPOR       Y10, R, R; \
+	VCMPPS     $0x1e, Y9, Y4, Y10; \
+	VPAND      Y10, R, R
+
+#define F2IU \
+	MOVL         $0x4f000000, AX; \
+	VMOVD        AX, X6; \
+	VPBROADCASTD X6, Y6; \
+	MOVL         $0x4f800000, AX; \
+	VMOVD        AX, X7; \
+	VPBROADCASTD X7, Y7; \
+	VPCMPEQD     Y8, Y8, Y8; \
+	VPSLLD       $31, Y8, Y8; \
+	VPXOR        Y9, Y9, Y9; \
+	F2IUV(0, Y0); \
+	F2IUV(32, Y1); \
+	F2IUV(64, Y2); \
+	F2IUV(96, Y3)
 
 // TRIGRANGE leaves Y5 nonzero when some lane selected by the row at BX has an
 // x (the row at SI) SIN4 and COS4 do not cover: |x| ≥ 2^29, ±Inf or NaN — a

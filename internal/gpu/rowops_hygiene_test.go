@@ -306,7 +306,8 @@ var dispatcherTypes = []string{"rowOp", "rowOperand", "rowPred", "warp", "blockC
 //     handler, reached only from assembly — through the handler table or a
 //     handler's tail JMP — and every one is reached;
 //   - the handler table covers exactly the shape × kernel (× MUFU function)
-//     triples rowOp.handler gives a handler, plus the two broadcast loads the
+//     triples rowOp.handler gives a handler, the trig pairs
+//     rowOp.pairHandler gives one, and the two broadcast loads the
 //     dispatcher picks at run time, one entry each;
 //   - the dispatcher CALLs only through a register, passes nothing on the
 //     stack (its outgoing-argument area, 0-39(SP), is never named) and never
@@ -360,7 +361,9 @@ func checkDispatcherAsm(t *testing.T, stmts []asmStmt, macros *asmMacros, inHead
 	// The handler table, evaluated against the Go constants.
 	consts := map[string]int{
 		"rhMov": int(rhMov), "rhKern": int(rhKern), "rhCmp": int(rhCmp),
-		"rhRcp": int(rhRcp), "rhRsq": int(rhRsq), "rhSqrt": int(rhSqrt), "rhSin": int(rhSin), "rhCos": int(rhCos),
+		"rhRcp": int(rhRcp), "rhRsq": int(rhRsq), "rhSqrt": int(rhSqrt),
+		"rhI2F": int(rhI2F), "rhI2FU": int(rhI2FU), "rhF2I": int(rhF2I), "rhF2IU": int(rhF2IU),
+		"rhSin": int(rhSin), "rhCos": int(rhCos), "rhSinCos": int(rhSinCos), "rhCosSin": int(rhCosSin),
 		"rhLd32": int(rhLd32), "rhSt32": int(rhSt32), "rhLd64": int(rhLd64), "rhSt64": int(rhSt64),
 		"rhLd32U": int(rhLd32U), "rhLd64U": int(rhLd64U),
 	}
@@ -404,6 +407,7 @@ func checkDispatcherAsm(t *testing.T, stmts []asmStmt, macros *asmMacros, inHead
 	}
 	// The broadcast loads are the dispatcher's choice at run time, no op's.
 	want := map[int]bool{int(rhLd32U): true, int(rhLd64U): true}
+	var trig []rowOp
 	for shape := rsMov; shape <= rsAtom; shape++ {
 		kerns := uint8(numFastOps)
 		if shape == rsSetP {
@@ -412,11 +416,27 @@ func checkDispatcherAsm(t *testing.T, stmts []asmStmt, macros *asmMacros, inHead
 		for kern := range kerns {
 			for fn := sass.MufuNone; fn <= sass.MufuCos; fn++ {
 				op := rowOp{shape: shape, kern: kern, lut: uint8(fn)}
-				if h := op.handler(); h != rhNone {
-					want[int(h)] = true
-					if table[int(h)] == "" {
-						t.Errorf("shape %d kernel %d lut %d has handler %d, which the table lacks", shape, kern, fn, h)
+				if op.hand = op.handler(); op.hand != rhNone {
+					want[int(op.hand)] = true
+					if table[int(op.hand)] == "" {
+						t.Errorf("shape %d kernel %d lut %d has handler %d, which the table lacks", shape, kern, fn, op.hand)
 					}
+				}
+				if op.hand == rhSin || op.hand == rhCos {
+					op.src[0] = rowOperand{base: rbArena}
+					trig = append(trig, op)
+				}
+			}
+		}
+	}
+	// A trig pair's handler is its first op's, given for the op beside its
+	// successor.
+	for i := range trig {
+		for j := range trig {
+			if h := trig[i].pairHandler(&trig[j]); h != rhNone {
+				want[int(h)] = true
+				if table[int(h)] == "" {
+					t.Errorf("the pair of handlers %d and %d has handler %d, which the table lacks", trig[i].hand, trig[j].hand, h)
 				}
 			}
 		}

@@ -40,6 +40,10 @@ var rowEdges = []uint32{
 // rowMufuHandled are the MUFU functions with a handler in the dispatcher.
 var rowMufuHandled = []sass.MufuFn{sass.MufuRcp, sass.MufuRsq, sass.MufuSqrt, sass.MufuSin, sass.MufuCos}
 
+// rowCvtHandled are the conversions (rsCvt's kernels but MUFU) with a handler
+// in the dispatcher.
+var rowCvtHandled = []uint8{cvI2F, cvI2FU, cvF2I, cvF2IU}
+
 // mufuEdges are the MUFU arguments that separate a handler from the Go it
 // replays: ±0, denormals, ±Inf, NaN payloads (quiet and signalling), ±2^29
 // and the floats either side (the first arguments SIN and COS leave to Go,

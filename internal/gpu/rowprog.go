@@ -22,12 +22,13 @@ import (
 // ops, written over the portable row loops (rowBin, rowTern, rowSel, cmpMask,
 // rowCvt of rowops_generic.go). The portable executor is the whole path where
 // there are no vector kernels; on amd64 it runs the ops without a handler —
-// MUFU LG2 and EX2, the conversions, LDS/STS, RED/ATOM, the ALU ops without a
-// vector kernel — a global access the dispatcher leaves to Go (its fast path
-// does not cover it, or it may trap) and a MUFU SIN or COS of an argument its
+// MUFU LG2 and EX2, F2F, LDS/STS, RED/ATOM, the ALU ops without a vector
+// kernel — a global access the dispatcher leaves to Go (its fast path does
+// not cover it, or it may trap) and a MUFU SIN or COS of an argument its
 // handler does not cover; and it is the oracle the dispatcher is held to, bit
-// for bit (rowprog_test.go, rowglobal_test.go). With the control kinds of
-// xlate.go and the interpreter thunk, row ops are all a plan holds.
+// for bit (rowprog_test.go, rowglobal_test.go). It runs a SIN/COS pair op by
+// op. With the control kinds of xlate.go and the interpreter thunk, row ops
+// are all a plan holds.
 //
 // An op never holds a pointer: an operand is a base selector and a byte
 // offset, resolved against the warp, the block slot and the plan that are
@@ -64,8 +65,8 @@ type rowOperand struct {
 // from src[0] and add the byte offset off; a store's value is src[1], with
 // src[2] the high words of a .64 store; an atomic's value is src[1], with
 // src[2] CAS's swap operand; a load's unused sources read the zero row. The
-// shared shapes, the atomics, and rsCvt but for MUFU RCP, RSQ, SQRT, SIN and
-// COS, have no handler: only the portable executor runs them.
+// shared shapes, the atomics, and rsCvt's F2F and MUFU LG2 and EX2 have no
+// handler: only the portable executor runs them.
 const (
 	rsNone  uint8 = iota // not a row op
 	rsMov                // dst = src[0] (MOV, S2R, LOP.PASS_B)
@@ -127,26 +128,39 @@ const (
 // marks an op it does not run. From rhSin up the dispatcher checks an op's
 // operands before it counts the op, and leaves it to Go when they are off its
 // path: SIN and COS for arguments the replay of math.Sin / math.Cos does not
-// cover, the global accesses for addresses off the fast path. The two
-// broadcast loads are no op's handler: the dispatcher picks them at run time
-// for an LDG whose executing lanes all read one address.
+// cover, the global accesses for addresses off the fast path. Three are no
+// single op's handler. A trig pair's (rhSinCos, rhCosSin) is given at plan
+// time to a SIN or COS whose next op is the other function of the same source
+// (trigPair): the dispatcher runs the two ops as one pass when both lie in
+// the stretch, and the first op's own function (the pair's handler less
+// rhPair) when the stretch ends between them. The two broadcast loads the
+// dispatcher picks at run time for an LDG whose executing lanes all read one
+// address.
 const (
 	rhNone uint8 = iota
 	rhMov
 	rhKern                                      // + fastOp: rsBin, rsSel, rsTern, rsLop3 with a vector kernel
 	rhCmp          = rhKern + uint8(numFastOps) // + fastCmp: rsSetP
-	rhRcp          = rhCmp + uint8(numFastCmps) // MUFU: RCP, RSQ, SQRT, SIN, COS
+	rhRcp          = rhCmp + uint8(numFastCmps) // MUFU: RCP, RSQ, SQRT
 	rhRsq          = rhRcp + 1
 	rhSqrt         = rhRcp + 2
-	rhSin          = rhRcp + 3
-	rhCos          = rhRcp + 4
-	rhLd32         = rhRcp + 5 // the global accesses, in shape order
+	rhI2F          = rhRcp + 3 // the conversions: I2F, I2F.U32, F2I, F2I.U32
+	rhI2FU         = rhRcp + 4
+	rhF2I          = rhRcp + 5
+	rhF2IU         = rhRcp + 6
+	rhSin          = rhRcp + 7 // MUFU SIN and COS, then their pairs in the same order
+	rhCos          = rhSin + 1
+	rhSinCos       = rhSin + 2 // SIN, then COS of the same source
+	rhCosSin       = rhSin + 3 // COS, then SIN of the same source
+	rhLd32         = rhSin + 4 // the global accesses, in shape order
 	rhSt32         = rhLd32 + 1
 	rhLd64         = rhLd32 + 2
 	rhSt64         = rhLd32 + 3
 	rhLd32U        = rhLd32 + 4 // the broadcast loads
 	rhLd64U        = rhLd32 + 5
 	numRowHandlers = rhLd32 + 6
+
+	rhPair = rhSinCos - rhSin // a pair's handler less its first op's own
 )
 
 // rowOp is one row-tier instruction.
@@ -195,12 +209,19 @@ var rowMufuHandlers = [...]uint8{
 	sass.MufuSin: rhSin, sass.MufuCos: rhCos,
 }
 
+// rowCvtHandlers maps the conversions (rsCvt's kernels) the dispatcher runs
+// to their handlers: the integer-float conversions, each exact against
+// rowCvt. MUFU takes rowMufuHandlers; F2F stays a Go kernel.
+var rowCvtHandlers = [...]uint8{cvI2F: rhI2F, cvI2FU: rhI2FU, cvF2I: rhF2I, cvF2IU: rhF2IU}
+
 // handler picks the op's handler. It is a property of the op alone, so a
-// plan's rowLen does not depend on where it was built. What gets none runs
-// through the op's step: ops without a vector kernel (the conversions, MUFU
-// LG2 and EX2, the shared shapes and the atomics), an SM clock read (which
-// issues alone anyway, see readsClock), and a .64 load whose high half lands
-// on RZ (it drops into scratch, which only the portable executor does).
+// plan's rowLen does not depend on where it was built; trigPair may then
+// trade a SIN's or COS's for its pair's, which changes no op's
+// dispatchability. What gets none runs through the op's step: ops without a
+// vector kernel (F2F, MUFU LG2 and EX2, the shared shapes and the atomics),
+// an SM clock read (which issues alone anyway, see readsClock), and a .64
+// load whose high half lands on RZ (it drops into scratch, which only the
+// portable executor does).
 func (op *rowOp) handler() uint8 {
 	for i := range op.src {
 		if o := &op.src[i]; o.base == rbSpecial && sass.SpecialReg(o.off) != sass.SRWarpID {
@@ -227,8 +248,28 @@ func (op *rowOp) handler() uint8 {
 		if op.kern == cvMufu && int(op.lut) < len(rowMufuHandlers) {
 			return rowMufuHandlers[op.lut]
 		}
+		if int(op.kern) < len(rowCvtHandlers) {
+			return rowCvtHandlers[op.kern]
+		}
 	}
 	return rhNone
+}
+
+// pairHandler returns the trig pair's handler for op followed by next: when
+// op is a SIN or COS the dispatcher runs, next the other function, both read
+// one source row without negation under one guard, and op does not write
+// that source — so the pass that computes both reads what next would have
+// read. Else rhNone.
+func (op *rowOp) pairHandler(next *rowOp) uint8 {
+	if op.hand != rhSin && op.hand != rhCos || next.hand != rhSin+rhCos-op.hand {
+		return rhNone
+	}
+	x := op.src[0]
+	if x != next.src[0] || x.neg != fnNone || op.guard != next.guard || op.gpred != next.gpred ||
+		x.base == rbRegs && x.off == op.dst {
+		return rhNone
+	}
+	return op.hand + rhPair
 }
 
 // setGuard copies the instruction guard into the op.

@@ -120,8 +120,9 @@ var _ = [1]struct{}{}[unsafe.Offsetof(rowOperand{}.neg)-unsafe.Offsetof(rowOpera
 
 // rowProgAVX2 is runRowsPortable as one assembly routine: it walks n ops from
 // ops, calling each op's handler (rowOp.hand) through a table of their
-// addresses with the operands in registers, and counts each issue at tally
-// onwards unless tally is nil. Every op must be dispatchable. It returns the
+// addresses with the operands in registers — one call for a trig pair whose
+// ops are both among the n — and counts each issue at tally onwards unless
+// tally is nil. Every op must be dispatchable. It returns the
 // thread-level executions and the number of ops it completed: n, or fewer when
 // a global access leaves its fast path, at the op it did not count. The fast
 // path resolves an access against allocs, the device memory's allocation

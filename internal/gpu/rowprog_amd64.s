@@ -10,7 +10,8 @@
 // without returning to Go between them. Per op it evaluates the guard,
 // resolves the three operands into SI, DX and CX, expands the exec mask into
 // select words (BX), checks a global access's fast path or a SIN / COS's
-// arguments, counts the issue, and CALLs the op's handler —
+// arguments, counts the issue — a trig pair's two, when both of its ops lie
+// in the stretch — and CALLs the op's handler —
 // rowHandlers[op.hand], fixed at encoding, or a broadcast load's — with the
 // exec mask in AX and the destination row in DI: the register convention of
 // rowops_amd64.h, whose kernel bodies the handlers run. An ALU handler
@@ -22,7 +23,8 @@
 // Rules, checked by TestRowAsmHygiene:
 //
 //   - The handler table covers exactly the dispatchable shape × kernel
-//     (× MUFU function) triples and the two broadcast loads, every handler
+//     (× MUFU function) triples, the trig pairs and the two broadcast
+//     loads, every handler
 //     is file-local (reached only through the table, or by a handler's tail
 //     JMP), and the dispatcher CALLs nothing else: no Go-callable kernel, no
 //     stack arguments.
@@ -109,8 +111,14 @@ DATA rowHandlers<>+((const_rhCmp+const_fcFNan)*8)(SB)/8, $hFNan<>(SB)
 DATA rowHandlers<>+(const_rhRcp*8)(SB)/8, $hRcp<>(SB)
 DATA rowHandlers<>+(const_rhRsq*8)(SB)/8, $hRsq<>(SB)
 DATA rowHandlers<>+(const_rhSqrt*8)(SB)/8, $hSqrt<>(SB)
+DATA rowHandlers<>+(const_rhI2F*8)(SB)/8, $hI2F<>(SB)
+DATA rowHandlers<>+(const_rhI2FU*8)(SB)/8, $hI2FU<>(SB)
+DATA rowHandlers<>+(const_rhF2I*8)(SB)/8, $hF2I<>(SB)
+DATA rowHandlers<>+(const_rhF2IU*8)(SB)/8, $hF2IU<>(SB)
 DATA rowHandlers<>+(const_rhSin*8)(SB)/8, $hSin<>(SB)
 DATA rowHandlers<>+(const_rhCos*8)(SB)/8, $hCos<>(SB)
+DATA rowHandlers<>+(const_rhSinCos*8)(SB)/8, $hSinCos<>(SB)
+DATA rowHandlers<>+(const_rhCosSin*8)(SB)/8, $hCosSin<>(SB)
 DATA rowHandlers<>+(const_rhLd32*8)(SB)/8, $hLd32<>(SB)
 DATA rowHandlers<>+(const_rhSt32*8)(SB)/8, $hSt32<>(SB)
 DATA rowHandlers<>+(const_rhLd64*8)(SB)/8, $hLd64<>(SB)
@@ -283,13 +291,48 @@ bail:
 checked:
 	// SIN and COS run here only on arguments their handlers replay: a lane
 	// whose x is NaN, ±Inf or of magnitude 2^29 or more leaves the op to Go,
-	// uncounted, as a global access off its fast path is.
+	// uncounted, as a global access off its fast path is. A pair's two ops
+	// read one source under one mask: one check covers both.
 	CMPL   R8, $const_rhLd32
 	JHS    global
 	TRIGRANGE
 	VPTEST Y5, Y5
 	JNZ    bail
-	JMP    counted
+	CMPL   R8, $const_rhSinCos
+	JLO    counted
+
+	// A trig pair runs as one pass when its second op is in the stretch;
+	// else the first op runs its own function.
+	CMPQ R13, $2
+	JHS  pair
+	SUBL $const_rhPair, R8
+	JMP  counted
+
+pair:
+	// Both ops count, each into its own tally entry, and the handler finds
+	// the second op's destination row in DX.
+	POPCNTL DI, AX
+	LEAQ    (R9)(AX*2), R9
+	TESTQ   R11, R11
+	JZ      paired
+	ADDQ    AX, SiteTally_Threads(R11)
+	INCQ    SiteTally_Issues(R11)
+	ADDQ    AX, (SiteTally__size+SiteTally_Threads)(R11)
+	INCQ    (SiteTally__size+SiteTally_Issues)(R11)
+	ADDQ    $(2*SiteTally__size), R11
+
+paired:
+	MOVL (rowOp__size+rowOp_dst)(R12), DX
+	ADDQ 40(SP), DX
+	LEAQ rowHandlers<>(SB), AX
+	MOVQ (AX)(R8*8), R8
+	MOVL DI, AX
+	MOVL rowOp_dst(R12), DI
+	ADDQ 40(SP), DI
+	CALL R8
+	ADDQ $rowOp__size, R12
+	DECQ R13
+	JMP  next
 
 empty:
 	// An op with no lane left still issues; a global access touches no memory.
@@ -705,6 +748,43 @@ TEXT hSin<>(SB), NOSPLIT, $0-0
 
 TEXT hCos<>(SB), NOSPLIT, $0-0
 	MUFUROW(COS4)
+	COMMIT
+	RET
+
+// The trig pairs: the first op's destination row in DI, the second's in DX.
+// Each blends its own results.
+TEXT hSinCos<>(SB), NOSPLIT, $0-0
+	SINCOSV(0, Y0, Y1)
+	SINCOSV(32, Y0, Y1)
+	SINCOSV(64, Y0, Y1)
+	SINCOSV(96, Y0, Y1)
+	RET
+
+TEXT hCosSin<>(SB), NOSPLIT, $0-0
+	SINCOSV(0, Y1, Y0)
+	SINCOSV(32, Y1, Y0)
+	SINCOSV(64, Y1, Y0)
+	SINCOSV(96, Y1, Y0)
+	RET
+
+// The conversions.
+TEXT hI2F<>(SB), NOSPLIT, $0-0
+	I2F
+	COMMIT
+	RET
+
+TEXT hI2FU<>(SB), NOSPLIT, $0-0
+	I2FU
+	COMMIT
+	RET
+
+TEXT hF2I<>(SB), NOSPLIT, $0-0
+	F2I
+	COMMIT
+	RET
+
+TEXT hF2IU<>(SB), NOSPLIT, $0-0
+	F2IU
 	COMMIT
 	RET
 

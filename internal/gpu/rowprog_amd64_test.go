@@ -141,7 +141,7 @@ func TestRowProgramClearsUpperHalves(t *testing.T) {
 // argument with bits v: finite and below 2^29 in magnitude.
 func trigCovers(v uint32) bool { return v&0x7fffffff < 0x4e000000 }
 
-var mufuSweepAll = flag.Bool("mufu.all", false, "TestRowMufuExact: sweep all 2^32 float32 arguments, not every 4099th")
+var mufuSweepAll = flag.Bool("mufu.all", false, "TestRowMufuExact, TestRowCvtExact: sweep all 2^32 arguments, not every 4099th")
 
 // TestRowMufuExact holds each MUFU handler to the interpreter's mufu, the Go
 // definition, bit for bit, on mufuEdges and on every 4099th float32 bit
@@ -150,7 +150,11 @@ var mufuSweepAll = flag.Bool("mufu.all", false, "TestRowMufuExact: sweep all 2^3
 // and SQRT on every argument, SIN and COS on a row whose executing lanes
 // trigCovers — a row with one lane it does not stops the dispatcher at the op,
 // uncounted, for Go to run. Arguments are fed to the two kinds of row apart,
-// so every covered argument goes through a handler.
+// so every covered argument goes through a handler. The trig pairs, COS then
+// SIN and SIN then COS of one source, run the same rows as a two-op stretch:
+// one pass that completes and counts both ops, or stops at the first; and as
+// a stretch of the first op alone, which runs its own function and leaves
+// the second destination as it was.
 func TestRowMufuExact(t *testing.T) {
 	if !useAVX2 {
 		t.Skip("no AVX2: runRows is the portable executor")
@@ -159,40 +163,74 @@ func TestRowMufuExact(t *testing.T) {
 	if *mufuSweepAll {
 		stride = 1
 	}
+	cases := make([][]sass.MufuFn, 0, len(rowMufuHandled)+2)
 	for _, fn := range rowMufuHandled {
-		t.Run(fn.String(), func(t *testing.T) {
+		cases = append(cases, []sass.MufuFn{fn})
+	}
+	cases = append(cases, []sass.MufuFn{sass.MufuCos, sass.MufuSin}, []sass.MufuFn{sass.MufuSin, sass.MufuCos})
+	for _, fns := range cases {
+		name := fns[0].String()
+		if len(fns) == 2 {
+			name += "+" + fns[1].String()
+		}
+		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			rig := newOneOpRig()
-			op := oneOp(rsCvt, cvMufu, uint8(fn), ooDst, ooX)
-			trig := fn == sass.MufuSin || fn == sass.MufuCos
+			// The ops' destinations: ooDst, then a register apart from the rig's.
+			dsts := []int{ooDst, ooDst + 1}
+			ops := make([]rowOp, len(fns))
+			for i, fn := range fns {
+				ops[i] = oneOp(rsCvt, cvMufu, uint8(fn), dsts[i], ooX)
+			}
+			if len(ops) == 2 {
+				if ops[0].hand = ops[0].pairHandler(&ops[1]); ops[0].hand == rhNone {
+					t.Fatalf("%s: no pair handler", name)
+				}
+			}
+			trig := fns[0] == sass.MufuSin || fns[0] == sass.MufuCos
 			mem := rig.blk.dev.Mem
 			var rows [2]struct {
 				x regRow
 				n int
 			}
 			ran, bailed := 0, 0
-			run := func(i int) {
-				r := &rows[i]
+			// exec runs the first n ops on row r and checks them; it returns
+			// whether the dispatcher left the row to Go.
+			exec := func(r *regRow, lanes, n, wantDone int) bool {
 				w := &rig.w
-				w.regs[ooX], w.regs[ooDst] = r.x, rowPoison
-				m := uint32(uint64(1)<<uint(r.n) - 1)
-				threads, done := rowProgAVX2(rig.blk, w, &op, 1, m, nil, mem.allocs, mem.lastHit)
-				if want := 1 - i; done != want || threads != uint64(done*r.n) {
-					t.Fatalf("MUFU.%v of %#x: the dispatcher completed %d ops (%d threads), want %d", fn, r.x[:r.n], done, threads, want)
+				w.regs[ooX] = *r
+				for _, d := range dsts {
+					w.regs[d] = rowPoison
+				}
+				m := uint32(uint64(1)<<uint(lanes) - 1)
+				threads, done := rowProgAVX2(rig.blk, w, &ops[0], n, m, nil, mem.allocs, mem.lastHit)
+				if done != wantDone || threads != uint64(done*lanes) {
+					t.Fatalf("%s of %#x, %d ops: the dispatcher completed %d ops (%d threads), want %d", name, r[:lanes], n, done, threads, wantDone)
 				}
 				if done == 0 {
-					bailed += r.n
-					r.n = 0
-					return
+					return true
 				}
-				ran += r.n
-				for l := range w.regs[ooDst] {
-					want := rowPoison[l]
-					if l < r.n {
-						want = math.Float32bits(mufu(fn, math.Float32frombits(r.x[l])))
+				for i, d := range dsts {
+					for l := range w.regs[d] {
+						want := rowPoison[l]
+						if l < lanes && i < n {
+							want = math.Float32bits(mufu(fns[i], math.Float32frombits(r[l])))
+						}
+						if got := w.regs[d][l]; got != want {
+							t.Fatalf("%s, %d ops: MUFU.%v(%#x) lane %d: handler %#x, want %#x", name, n, fns[min(i, n-1)], r[l], l, got, want)
+						}
 					}
-					if got := w.regs[ooDst][l]; got != want {
-						t.Fatalf("MUFU.%v(%#x) lane %d: handler %#x, mufu %#x", fn, r.x[l], l, got, want)
+				}
+				return false
+			}
+			run := func(i int) {
+				r := &rows[i]
+				if exec(&r.x, r.n, len(ops), (1-i)*len(ops)) {
+					bailed += r.n
+				} else {
+					ran += r.n
+					if len(ops) == 2 {
+						exec(&r.x, r.n, 1, 1)
 					}
 				}
 				r.n = 0
@@ -219,7 +257,100 @@ func TestRowMufuExact(t *testing.T) {
 					run(i)
 				}
 			}
-			t.Logf("MUFU.%v: %d arguments through the handler, %d left to Go", fn, ran, bailed)
+			t.Logf("%s: %d arguments through the handler, %d left to Go", name, ran, bailed)
+		})
+	}
+}
+
+// cvtEdges are the conversion arguments that separate a handler from rowCvt,
+// each with its neighbours either side: as floats ±0, ±Inf, NaN payloads,
+// denormals, ±0.5, ±1, ±2^31, 2^31−128 (the last float below it), 2^32 and
+// the float below it; as integers the round-to-even ties of I2F and I2F.U32
+// (±(2^24+1), 2^25+2 and 2^25+6, 2^31−64, 2^31+128, 2^31+384), ±2^31 and the
+// extremes of either signedness.
+func cvtEdges() []uint32 {
+	var e []uint32
+	for _, v := range []uint32{
+		0, 0x80000000, 0x7f800000, 0xff800000, 0x7fc00000, 0xffc00001, 0x7f800001, 0xff812345,
+		1, 0x80000001, 0x00400000, 0x807fffff,
+		0x3f000000, 0xbf000000, 0x3f800000, 0xbf800000,
+		0x4f000000, 0xcf000000, 0x4effffff, 0xceffffff, 0x4f800000, 0x4f7fffff, 0xcf800000,
+		0x01000001, 0xfeffffff, 0x02000002, 0x02000006, 0x7fffffc0, 0x80000080, 0x80000180,
+		0x7fffffff, 0xffffffff,
+	} {
+		e = append(e, v-1, v, v+1)
+	}
+	return e
+}
+
+var cvtSweepMasks = []uint32{fullMask, 0x7ffe7ffe, 1 << 13}
+
+// TestRowCvtExact holds each conversion handler to rowCvt, bit for bit, on
+// cvtEdges and on every 4099th word (all 2^32 with -mufu.all), 32 words per
+// execution, each row under the full mask and under partial ones: the lanes
+// the mask leaves out keep their value. A conversion runs on every argument:
+// the dispatcher completes the op and counts its lanes.
+func TestRowCvtExact(t *testing.T) {
+	if !useAVX2 {
+		t.Skip("no AVX2: runRows is the portable executor")
+	}
+	stride := uint64(4099)
+	if *mufuSweepAll {
+		stride = 1
+	}
+	for _, kern := range rowCvtHandled {
+		op := oneOp(rsCvt, kern, 0, ooDst, ooX)
+		name := [...]string{cvI2F: "I2F", cvI2FU: "I2F.U32", cvF2I: "F2I", cvF2IU: "F2I.U32"}[kern]
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			if op.hand == rhNone {
+				t.Fatalf("%s has no handler", name)
+			}
+			rig := newOneOpRig()
+			mem := rig.blk.dev.Mem
+			var x, y, want, hi regRow
+			n, words := 0, 0
+			run := func() {
+				rowCvt(kern, 0, &want, &hi, &x, &y)
+				for _, m := range cvtSweepMasks {
+					w := &rig.w
+					w.regs[ooX], w.regs[ooDst] = x, rowPoison
+					threads, done := rowProgAVX2(rig.blk, w, &op, 1, m, nil, mem.allocs, mem.lastHit)
+					if done != 1 || threads != uint64(popcount(m)) {
+						t.Fatalf("%s under %#x: the dispatcher completed %d ops (%d threads)", name, m, done, threads)
+					}
+					for l, got := range w.regs[ooDst] {
+						w := rowPoison[l]
+						if m>>uint(l)&1 != 0 {
+							w = want[l]
+						}
+						if got != w {
+							t.Fatalf("%s(%#x) lane %d under %#x: handler %#x, rowCvt %#x", name, x[l], l, m, got, w)
+						}
+					}
+				}
+				words += n
+				n = 0
+			}
+			feed := func(v uint32) {
+				x[n] = v
+				if n++; n == WarpSize {
+					run()
+				}
+			}
+			for _, v := range cvtEdges() {
+				feed(v)
+			}
+			for v := uint64(0); v < 1<<32; v += stride {
+				feed(uint32(v))
+			}
+			if n > 0 {
+				for ; n < WarpSize; n++ {
+					x[n] = 0
+				}
+				run()
+			}
+			t.Logf("%s: %d words", name, words)
 		})
 	}
 }

@@ -42,6 +42,7 @@ type progHarness struct {
 	masks     []uint32    // the atPC masks every list runs under
 	mem       *progMemory // when set, every run starts from a fresh copy of its memory
 	shared    []byte      // the shared window every run starts from a copy of
+	cuts      []int32     // pcs a stretch ends before, as a site, a budget or a pause ends one in a launch
 }
 
 func newProgHarness(tb testing.TB, seed int64) *progHarness {
@@ -157,7 +158,13 @@ func (h *progHarness) runPlan(plan *xplan, n int, atPC uint32, tallied bool, row
 	blk, w := h.block(plan), &obs.w
 	for pc := int32(0); pc < int32(n); pc++ {
 		xi := &plan.steps[pc]
-		if run := min(xi.rowLen, int32(n)-pc); run > 0 {
+		run := min(xi.rowLen, int32(n)-pc)
+		for _, c := range h.cuts {
+			if c > pc && c < pc+run {
+				run = c - pc
+			}
+		}
+		if run > 0 {
 			threads, at, kind, addr := rows(blk, w, pc, run, atPC, obs.tally)
 			obs.threads += threads
 			if kind != 0 {
@@ -433,8 +440,9 @@ func (h *progHarness) wantStretch(plan *xplan, list []sass.Instr) {
 	h.tb.Helper()
 	for i := range list {
 		op := &plan.ops[i]
-		mufu := op.shape == rsCvt && op.kern == cvMufu && slices.Contains(rowMufuHandled, sass.MufuFn(op.lut))
-		if op.shape == rsNone || (op.shape >= rsCvt && !mufu) || (op.shape < rsLd32 && op.shape != rsMov && op.shape != rsSetP && !rowVectorOps[op.kern]) {
+		cvt := op.shape == rsCvt && (op.kern == cvMufu && slices.Contains(rowMufuHandled, sass.MufuFn(op.lut)) ||
+			slices.Contains(rowCvtHandled, op.kern))
+		if op.shape == rsNone || (op.shape >= rsCvt && !cvt) || (op.shape < rsLd32 && op.shape != rsMov && op.shape != rsSetP && !rowVectorOps[op.kern]) {
 			return
 		}
 	}
@@ -467,7 +475,8 @@ func TestRowProgramS2R(t *testing.T) {
 
 // TestRowProgramConvert covers the rsCvt ops: MUFU of every function (RCP,
 // RSQ, SQRT, SIN and COS with a handler, LG2 and EX2 on the portable executor
-// alone), I2F and F2I of both signednesses and F2F both ways (portable), over
+// alone), I2F and F2I of both signednesses (with a handler) and F2F both ways
+// (portable), over
 // every operand kind × guard × mask on rowEdges-laden registers, plus
 // destination aliasing and the pairs next to RZ: a narrowing F2F reading R254
 // (its high word zero) and a widening one writing R254 (its high word
@@ -488,7 +497,8 @@ func TestRowProgramConvert(t *testing.T) {
 	for _, op := range ops {
 		label := sass.NewInstr(sass.MustOp(op.name))
 		label.Mods = op.mods
-		handled := op.name == "MUFU" && op.mods.Mufu != sass.MufuLg2 && op.mods.Mufu != sass.MufuEx2
+		handled := op.name == "MUFU" && op.mods.Mufu != sass.MufuLg2 && op.mods.Mufu != sass.MufuEx2 ||
+			op.name == "I2F" || op.name == "F2I"
 		t.Run(label.String(), func(t *testing.T) {
 			h.tb = t
 			emit := func(d sass.RegID, g sass.PredRef, a sass.Operand) sass.Instr {
@@ -795,11 +805,73 @@ func checkRowProgram(tb testing.TB, data []byte) {
 	progAddrRows(&h.base, data[8:12])
 	h.mem = &progMemory{memo: []uint32{gmemBufIdx | gmemTwoIdx<<16, gmemTwoIdx | gmemBufIdx<<16, 2 << 16}[data[11]%3]}
 	var list []sass.Instr
+	var pairs []int // the first ops of the trig pairs the plan must pair
 	for i := head; i+3 < len(data) && len(list) < 40; i += 4 {
+		if pair, paired, cut := progTrigPair(data[i], data[i+1], data[i+2], data[i+3]); pair != nil {
+			if paired {
+				pairs = append(pairs, len(list))
+			}
+			if cut {
+				h.cuts = append(h.cuts, int32(len(list)+1))
+			}
+			list = append(list, pair...)
+			continue
+		}
 		list = append(list, progInstr(data[i], data[i+1], data[i+2], data[i+3]))
 	}
 	h.masks = []uint32{fullMask, uint32(data[4])<<24 | uint32(data[5])<<16 | uint32(data[6])<<8 | uint32(data[7]) | 1}
-	h.wantStretch(h.check(list, true), list)
+	plan := h.check(list, true)
+	for _, pc := range pairs {
+		if h := plan.ops[pc].hand; h != rhSinCos && h != rhCosSin {
+			tb.Fatalf("pc %d: a trig pair of one source and guard got handler %d, not a pair's%s", pc, h, describe(list))
+		}
+	}
+	h.wantStretch(plan, list)
+}
+
+// progTrigPair decodes the trig-pair arm of progInstr's bytes — op 11 whose
+// second byte has bit 0x80 clear and whose third has bits 0x70 set — into
+// MUFU COS then SIN, or SIN then COS, of one source: a register, or a
+// constant-bank word for bit 0x40 of b. The third byte bends the pair off the
+// plan's pairing rule or its stretch: bit 1 negates the source (both ops'),
+// bit 2 makes the first destination the source, bit 4 gives the second op
+// another guard, and bit 8 cuts the stretch between the two. paired reports
+// whether the plan must give the first op a pair's handler. Other bytes give
+// a nil pair.
+func progTrigPair(op, a, b, c byte) (pair []sass.Instr, paired, cut bool) {
+	if op%16 != 11 || b&0x80 != 0 || c&0x70 != 0x70 {
+		return nil, false, false
+	}
+	reg := func(x byte) sass.RegID { return sass.RegID(1 + x%7) }
+	x := sass.R(reg(b))
+	if b&0x40 != 0 {
+		x = sass.C0(sass.ParamBase + 4*int32(b%4))
+	}
+	x.Neg = c&1 != 0
+	d0, d1 := reg(a>>1), reg(a>>4)
+	if c&2 != 0 && x.Kind == sass.OpdReg {
+		d0 = x.Reg
+	}
+	fns := []sass.MufuFn{sass.MufuCos, sass.MufuSin}
+	if a&1 != 0 {
+		fns[0], fns[1] = fns[1], fns[0]
+	}
+	var g sass.PredRef
+	if op&0x10 != 0 {
+		g = sass.PredRef{Pred: sass.PredID(op >> 5 % 4), Neg: op&0x80 != 0}
+	} else {
+		g = sass.PredRef{Pred: sass.PT}
+	}
+	for i, d := range []sass.RegID{d0, d1} {
+		in := sass.NewInstr(sass.MustOp("MUFU"), sass.R(d), x)
+		in.Mods.Mufu, in.Guard = fns[i], g
+		if i == 1 && c&4 != 0 {
+			in.Guard = sass.PredRef{Pred: sass.PredID(op>>5%4+1) % 4, Neg: op&0x80 == 0}
+		}
+		pair = append(pair, in)
+	}
+	paired = !x.Neg && (x.Kind != sass.OpdReg || d0 != x.Reg) && c&4 == 0
+	return pair, paired, c&8 != 0
 }
 
 // progAddrRows fills R8..R11 with address rows, one fuzzer byte each: a
@@ -874,6 +946,28 @@ func FuzzRowPrograms(f *testing.F) {
 		atom = append(atom, 11, 4*k, 0x80|k<<4|k&8, 0x70|c|k&1, 11, 4*k, 0x80, 0x20|c)
 	}
 	f.Add(append([]byte{0xff, 0x0f, 0xf0, 0x55, 0xff, 0xff, 0xff, 0xff, 0x15, 0x88, 0x18, 0x42}, atom...))
+	// Adjacent trig pairs (progTrigPair), one a seed, so no later op
+	// overwrites what the pair left: of a source an AND with 0x48484848
+	// bounds to finite floats below 2^18 — the arguments the dispatcher's
+	// pass covers — paired, with a negated source, with the first
+	// destination the source, under two guards, cut between the two, paired
+	// under a guard, guarded and cut, and of a constant-bank source; under
+	// partial masks.
+	for i, c := range []byte{0x70, 0x71, 0x72, 0x74, 0x78, 0x70, 0x78, 0x70} {
+		k := byte(i)
+		a := 0x20 + k          // LOP.AND R(1+(a^4)%7), R(1+a%7), 0x48484848
+		x := 1 + (a^4)%7       // the pair's source register
+		op, b := byte(11), x-1 // b selects the source register x
+		if i >= 5 {
+			op |= 0x10 | k<<5 // guarded
+		}
+		if i == 7 {
+			b |= 0x40
+		}
+		// The first destination R(1+x%7), never x; the second R1.
+		f.Add([]byte{0x3c, 0xc3, 0x5a, 0xa5, 0x7f, 0xfe, 0x7f, 0xfe, 0x01, 0x15, 0x42, 0x88,
+			2, a, 0x48, 0, op, x<<1 | k&1, b, c})
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 12+4*64 {
 			t.Skip()
@@ -943,12 +1037,13 @@ const rowRunThreads = 48 // a full warp and a half one
 // guard of ops further down the run) — and, when fire > 0, a Shot on the same
 // sites that lands on their thread-level execution fire-1: its Pre hook
 // perturbs the landing lane's R3 and its hit flips that lane's P1, and counts
-// as 1000 dispatches.
+// as 1000 dispatches. With shotOnly the sites carry the Shot alone.
 type rowRunArm struct {
 	sites    []int
 	fire     uint64
 	tally    bool
 	stepHook bool // the single-step hook, counting: every instruction is a site
+	shotOnly bool
 }
 
 func armRowRun(k *sass.Kernel, arm rowRunArm, calls *int, counts []SiteTally) *ExecKernel {
@@ -962,8 +1057,13 @@ func armRowRun(k *sass.Kernel, arm rowRunArm, calls *int, counts []SiteTally) *E
 	if len(arm.sites) == 0 {
 		return ek
 	}
-	ek.Before, ek.After = make([][]Callback, len(k.Instrs)), make([][]Callback, len(k.Instrs))
+	if !arm.shotOnly {
+		ek.Before, ek.After = make([][]Callback, len(k.Instrs)), make([][]Callback, len(k.Instrs))
+	}
 	for _, pc := range arm.sites {
+		if arm.shotOnly {
+			break
+		}
 		ek.Before[pc] = []Callback{func(c *InstrCtx) {
 			if c.LaneActive(6) {
 				c.WriteReg(6, 3, c.ReadReg(6, 3)+uint32(c.InstrIdx))
@@ -1078,6 +1178,103 @@ func TestRowRunEquivalence(t *testing.T) {
 		}
 		for _, e := range loopEngines[1:] {
 			expectSameRowRun(t, fmt.Sprintf("%s %+v", e.name, arm), ref, runRowRun(t, e, k, arm, 0))
+		}
+	}
+}
+
+// trigPairSrc runs rowrun's two warps through a loop of trig pairs: COS then
+// SIN of one source, an unguarded pair and one under P1 (which rowrun's
+// callbacks and Shot rewrite), and a SIN that writes its own source, which
+// the COS after it must not pair with. The source, R3, is what rowrun's
+// Before callbacks and the Shot's Pre hook perturb.
+const trigPairSrc = `
+.kernel trigpair
+.param outptr
+    S2R R0, SR_TID.X
+    MOV R2, 0x3
+    MOV R1, c0[outptr]
+    I2F R5, R0
+    ISETP.LT.U32.AND P1, R0, 0x14, PT
+loop:
+    I2F.U32 R4, R2
+    FFMA R3, R5, 0x3dcccccd, R4
+    MUFU.COS R21, R3
+    MUFU.SIN R22, R3
+    FFMA R10, R21, R22, R10
+@P1 MUFU.SIN R23, R3
+@P1 MUFU.COS R24, R3
+    FADD R11, R23, R24
+    F2I R12, R10
+    IADD R13, R13, R12
+    FMUL R3, R3, 0x3f000000
+    MUFU.SIN R3, R3
+    MUFU.COS R25, R3
+    FADD R11, R11, R25
+    IADD R2, R2, -0x1
+    ISETP.NE.AND P5, R2, 0x0, PT
+@P5 BRA loop
+    SHL R6, R0, 0x2
+    IADD R6, R6, R1
+    FADD R10, R10, R11
+    IADD R10, R10, R13
+    STG.32 [R6], R10
+    EXIT
+`
+
+// TestTrigPairBesideSites holds launches of trigPairSrc to the reference
+// loop with a site on the second op of a pair: a callback there (its Before
+// rewrites the pair's source), and a Shot armed there alone or beside the
+// callback, landing on each of its executions in turn (its Pre hook rewrites
+// the landing lane's source). The stretch before such a site ends between
+// the two ops, so the first runs alone and the second reads what the hooks
+// wrote. Plain, tallied and step-hooked launches run the pairs whole.
+func TestTrigPairBesideSites(t *testing.T) {
+	k := mustKernel(t, trigPairSrc, "trigpair")
+	plan, err := translate(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seconds []int
+	for pc := range plan.ops {
+		switch h := plan.ops[pc].hand; {
+		case h == rhSinCos || h == rhCosSin:
+			seconds = append(seconds, pc+1)
+		case k.Instrs[pc].Op.Info().Sem == sass.SemMufu && h != rhSin && h != rhCos:
+			t.Fatalf("pc %d (%v): handler %d", pc, &k.Instrs[pc], h)
+		}
+	}
+	if len(seconds) != 2 {
+		t.Fatalf("%d trig pairs in the plan, want the unguarded and the guarded one", len(seconds))
+	}
+	arms := []rowRunArm{{}, {tally: true}, {stepHook: true}}
+	for _, pc := range seconds {
+		for _, tally := range []bool{false, true} {
+			arms = append(arms, rowRunArm{sites: []int{pc}, tally: tally})
+			for fire := uint64(1); fire <= 3*rowRunThreads+1; fire += 11 {
+				arms = append(arms, rowRunArm{sites: []int{pc}, tally: tally, fire: fire},
+					rowRunArm{sites: []int{pc}, tally: tally, fire: fire, shotOnly: true})
+			}
+		}
+	}
+	landed := map[int]int{}
+	for _, arm := range arms {
+		ref := runRowRun(t, loopEngines[0], k, arm, 0)
+		if ref.err != nil {
+			t.Fatal(ref.err)
+		}
+		if len(arm.sites) > 0 && !arm.shotOnly && ref.calls%1000 == 0 {
+			t.Fatalf("%+v: no callback ran", arm)
+		}
+		if ref.calls >= 1000 {
+			landed[arm.sites[0]]++
+		}
+		for _, e := range loopEngines[1:] {
+			expectSameRowRun(t, fmt.Sprintf("%s %+v", e.name, arm), ref, runRowRun(t, e, k, arm, 0))
+		}
+	}
+	for _, pc := range seconds {
+		if landed[pc] < 8 {
+			t.Errorf("the Shot landed on pc %d in %d launches", pc, landed[pc])
 		}
 	}
 }

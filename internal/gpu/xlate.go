@@ -183,7 +183,7 @@ func semSimple(sem sass.SemKind) bool {
 // xlateEngine names and versions the translation scheme in the plan cache
 // key: bumping it invalidates every cached plan without touching the module
 // entries.
-const xlateEngine = "gpu.xplan/v7"
+const xlateEngine = "gpu.xplan/v8"
 
 // planFor returns the translated execution plan for a kernel, building and
 // caching it process-wide on first use. Content-identical kernels — e.g.
@@ -311,6 +311,7 @@ func translate(k *sass.Kernel) (*xplan, error) {
 		xi.flow, xi.braTarget = flowOf(in)
 		compileStep(xi, in, i, rt, &ops[i])
 	}
+	trigPair(ops)
 	// Straight-line run lengths, computed backwards within each CFG basic
 	// block so a run can never span a branch target. A step is batchable
 	// when it is simple and does not read the SM clock: the batched loop

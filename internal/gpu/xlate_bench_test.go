@@ -264,7 +264,7 @@ func BenchmarkRowKernels(b *testing.B) {
 // BenchmarkRowProgram times runRows stretches through the dispatcher (on
 // amd64 with AVX2; elsewhere both sides are the portable executor) and
 // through the portable executor, tallied and not, under a full and a partial
-// mask. ns/rowop is the time per op. Four stretches:
+// mask. ns/rowop is the time per op. The bodies:
 //
 //   - alu: eight row ops, the mix of a stencil body's arithmetic — address
 //     arithmetic, a guard-setting compare, a guarded op, float arithmetic and
@@ -280,7 +280,11 @@ func BenchmarkRowKernels(b *testing.B) {
 //     arguments in [0, 6π), two FFMA and the IADD of the loop counter;
 //   - partial_sx: 352.ep's tail, a coalesced LDG.32 and the RED.ADD.F32 of
 //     every lane's word onto one word. The RED has no handler: it ends the
-//     stretch and runs through its step, as in a launch.
+//     stretch and runs through its step, as in a launch;
+//   - gauss_pairs: 352.ep's Gaussian pair, two I2F of a linear congruential
+//     generator's words, MUFU.LG2, MUFU.SQRT and MUFU.COS and MUFU.SIN of one
+//     angle in [0, 2π) — a trig pair. The LG2 has no handler: it runs through
+//     its step between two stretches.
 func BenchmarkRowProgram(b *testing.B) {
 	p, err := sass.Assemble("bench", `
 .kernel alu
@@ -340,6 +344,27 @@ func BenchmarkRowProgram(b *testing.B) {
     LDG.32 R29, [R5]
     RED.ADD.F32 [R28], R29
     EXIT
+
+.kernel gauss_pairs
+    SHR.U32 R7, R6, 0x8
+    LOP.OR R7, R7, 0x1
+    I2F R8, R7
+    FMUL R8, R8, 0x33800000
+    IMAD R6, R6, 0x19660d, RZ
+    IADD R6, R6, 0x3c6ef35f
+    SHR.U32 R9, R6, 0x8
+    I2F R10, R9
+    FMUL R10, R10, 0x33800000
+    MUFU.LG2 R11, R8
+    FMUL R11, R11, 0xbf317218
+    FADD R11, R11, R11
+    MUFU.SQRT R12, R11
+    FMUL R13, R10, 0x40c90fdb
+    MUFU.COS R14, R13
+    MUFU.SIN R15, R13
+    FMUL R14, R14, R12
+    FMUL R15, R15, R12
+    EXIT
 `)
 	if err != nil {
 		b.Fatal(err)
@@ -367,18 +392,26 @@ func BenchmarkRowProgram(b *testing.B) {
 		// partial_sx: the sum is an output word no other stretch touches.
 		h.base.regs[28][l] = out + 4*8
 	}
+	// The stretches each body makes: one, or two about gauss_pairs' LG2.
+	wantStretches := map[string]int{"gauss_pairs": 2}
 	for _, k := range p.Kernels {
 		plan, err := translate(k)
 		if err != nil {
 			b.Fatal(err)
 		}
 		n := int32(len(k.Instrs) - 1)
-		stretch := n
-		if k.Name == "partial_sx" {
-			stretch-- // the RED
+		stretches := 0
+		for pc := int32(0); pc < n; pc++ {
+			if plan.ops[pc].shape == rsNone {
+				b.Fatalf("%s: pc %d is no row op", k.Name, pc)
+			}
+			if run := plan.steps[pc].rowLen; run > 0 {
+				stretches++
+				pc += run - 1
+			}
 		}
-		if plan.steps[0].rowLen != stretch || plan.ops[n-1].shape == rsNone {
-			b.Fatalf("%s: rowLen %d, want one stretch of %d row ops", k.Name, plan.steps[0].rowLen, stretch)
+		if want := max(1, wantStretches[k.Name]); stretches != want {
+			b.Fatalf("%s: %d stretches of row ops, want %d", k.Name, stretches, want)
 		}
 		blk, w := h.block(plan), h.base
 		for _, side := range []struct {
@@ -399,19 +432,25 @@ func BenchmarkRowProgram(b *testing.B) {
 					b.Run(name, func(b *testing.B) {
 						var threads uint64
 						for i := 0; i < b.N; i++ {
-							th, _, kind, _ := side.rows(blk, &w, 0, stretch, mask.m, tally)
-							for pc := stretch; pc < n && kind == 0; pc++ {
+							var kind TrapKind
+							for pc := int32(0); pc < n && kind == 0; pc++ {
 								xi := &plan.steps[pc]
+								if run := xi.rowLen; run > 0 {
+									var th uint64
+									th, pc, kind, _ = side.rows(blk, &w, pc, run, mask.m, tally)
+									threads += th
+									pc--
+									continue
+								}
 								m := xi.guard(&w, mask.m)
 								if _, kind, _ = xi.step(blk, &w, m); tally != nil {
 									tally[pc].add(uint64(popcount(m)))
 								}
-								th += uint64(popcount(m))
+								threads += uint64(popcount(m))
 							}
 							if kind != 0 {
 								b.Fatalf("trapped: %v", kind)
 							}
-							threads += th
 						}
 						benchSink += uint32(threads)
 						b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/rowop")

@@ -19,10 +19,9 @@ import (
 // all 32 lanes with no per-lane mask, shape, or bounds test. A straight-line
 // stretch of row ops executes inside one routine (blockCtx.runRows), not
 // through one closure per instruction; the ops without a handler (MUFU LG2
-// and EX2, the conversions, shared-memory accesses, RED and ATOM) run one at
-// a time through the portable executor, and only the FP64 pair ops
-// (fastDStep) are still closures, their lane loops being scalar Go either
-// way.
+// and EX2, F2F, shared-memory accesses, RED and ATOM) run one at a time
+// through the portable executor, and only the FP64 pair ops (fastDStep) are
+// still closures, their lane loops being scalar Go either way.
 //
 // Compute-and-merge rule: under a partial exec mask the kernel still computes
 // all 32 lanes and only the active ones reach the destination — blended in
@@ -516,6 +515,20 @@ func fastStep(in *sass.Instr, rt *rowTable, op *rowOp) planStep {
 		return rowStep(op)
 	}
 	return fastDFor(in, rt)
+}
+
+// trigPair gives each SIN or COS whose next op is the other function of the
+// same source the pair's handler (rowOp.pairHandler): 314.omriq's k-loop and
+// 352.ep's gauss_pairs take COS and SIN of one angle, which the dispatcher
+// then reduces and evaluates once. Each op keeps its own row op, so what is
+// per pc — stretch cuts, sites, tallies, budgets — does not change; the op
+// steps built before (rowStep) keep the single function.
+func trigPair(ops []rowOp) {
+	for i := 0; i+1 < len(ops); i++ {
+		if h := ops[i].pairHandler(&ops[i+1]); h != rhNone {
+			ops[i].hand = h
+		}
+	}
 }
 
 // rowOpFor encodes one instruction as a row op, guard aside.
