@@ -169,6 +169,41 @@ func TestDebuggerFITripsRealTimeAssertion(t *testing.T) {
 	}
 }
 
+// TestDebuggerFIStepsEveryInstruction: the debugger stops once after every
+// executed warp instruction, each stop one trampoline, and still injects. The
+// record and the counts are pinned to what the pipeline reads: a change to
+// how the stop is inserted must move none of them.
+func TestDebuggerFIStepsEveryInstruction(t *testing.T) {
+	ctx := newCtx(t)
+	d, err := baseline.AttachDebuggerFI(ctx, vendorFault())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Detach()
+	if _, err := av.New(av.Config{Frames: 4, FrameDeadline: time.Hour}).Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	stats := ctx.AccumulatedStats()
+	if d.Steps() != stats.WarpInstrs {
+		t.Errorf("%d stops for %d warp instructions", d.Steps(), stats.WarpInstrs)
+	}
+	if want := gpu.TrampolineLen * stats.WarpInstrs; stats.TrampolineInstrs != want {
+		t.Errorf("TrampolineInstrs = %d, want %d (one site per warp instruction)", stats.TrampolineInstrs, want)
+	}
+	rec := d.Record()
+	if !rec.Activated {
+		t.Fatal("DebuggerFI failed to inject")
+	}
+	if got, want := [3]uint64{stats.WarpInstrs, stats.ThreadInstrs, stats.TrampolineInstrs},
+		[3]uint64{43272, 1266688, 1211616}; got != want {
+		t.Errorf("{WarpInstrs, ThreadInstrs, TrampolineInstrs} = %v, want %v", got, want)
+	}
+	if rec.Kernel != "conv1d" || rec.Opcode.String() != "SHL" || rec.InstrIdx != 15 || rec.Lane != 8 ||
+		rec.Target != "R13" || rec.Before != 4 || rec.After != 4100 {
+		t.Errorf("record %+v, want conv1d SHL@15 lane 8 R13 4->4100", rec)
+	}
+}
+
 // TestBaselineOutcomeAgreement: for the same fault in a source-available
 // kernel, all three tools must produce the same corruption and the same
 // outcome — the injection mechanisms differ, not the fault model.

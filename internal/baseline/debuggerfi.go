@@ -28,7 +28,7 @@ type DebuggerFI struct {
 	unsub  func()
 	counts map[string]int
 	// stepped holds each function's single-stepped kernel, built at its first
-	// launch: the hook is the same for every launch, so repeat launches reuse
+	// launch: the stop is the same for every launch, so repeat launches reuse
 	// it (and the engine facts derived per ExecKernel).
 	stepped map[*cuda.Function]*gpu.ExecKernel
 
@@ -87,7 +87,14 @@ func (d *DebuggerFI) OnLaunchBegin(ev *cuda.LaunchEvent) {
 	}
 	ek, ok := d.stepped[ev.Function]
 	if !ok {
-		ek = &gpu.ExecKernel{K: ev.Exec.K, Step: d.step}
+		// One shared callback list on every instruction's After site: the
+		// debugger stops once each instruction completes.
+		stop := []gpu.Callback{d.step}
+		after := make([][]gpu.Callback, len(ev.Exec.K.Instrs))
+		for i := range after {
+			after[i] = stop
+		}
+		ek = &gpu.ExecKernel{K: ev.Exec.K, After: after}
 		d.stepped[ev.Function] = ek
 	}
 	ev.Exec = ek

@@ -129,6 +129,9 @@ func (d *Device) logf(kind, format string, args ...any) {
 // per-lane state accessible through the context. The InstrCtx belongs to the
 // executing block and is rewritten for the next instruction: it is valid
 // only until the callback returns, so a callback copies out what it keeps.
+// Before and After are the only two kinds: a tool that stops after every
+// instruction, like a debugger's single step, lists one shared callback on
+// every instruction's After list.
 type Callback func(*InstrCtx)
 
 // SiteTally is one static instruction's execution tally: what the engine
@@ -152,14 +155,10 @@ type ExecKernel struct {
 	K *sass.Kernel
 
 	// Before and After hold instrumentation callbacks indexed by
-	// instruction; either may be nil (uninstrumented).
+	// instruction; either may be nil (uninstrumented). An After callback
+	// runs once its instruction completes, before the next one issues.
 	Before [][]Callback
 	After  [][]Callback
-
-	// Step, when non-nil, runs after every executed instruction — the
-	// debugger single-step hook (cuda-gdb analog) used by the GPU-Qin-style
-	// baseline injector.
-	Step Callback
 
 	// Tally, when non-nil, has one entry per instruction, and the warp loops
 	// add each instruction's active lanes to its entry after the instruction
@@ -211,7 +210,7 @@ func (ek *ExecKernel) inline() *CorruptionSites {
 
 // hasCallbacks reports whether any instruction may dispatch a callback.
 func (ek *ExecKernel) hasCallbacks() bool {
-	return ek.Before != nil || ek.After != nil || ek.Step != nil
+	return ek.Before != nil || ek.After != nil
 }
 
 // hasBefore reports whether instruction pc carries a Before site: callbacks,
@@ -239,11 +238,12 @@ func (ek *ExecKernel) hasAfter(pc int32) bool {
 // first one that dispatches a callback — a Before or After list; the tally
 // and the in-line faults run in line and are none: how far a stretch of
 // runWarp's batch may run before a site that issues alone. runWarp answers
-// the two cases that need no scan itself: under the step hook every
-// instruction is a site, and a span without a trampoline site (trampSites'
-// prefix, built before the first launch) holds none, as every callback site
-// is one. Else callFree scans: a table per instrumented kernel would cost
-// every experiment's JIT builds more than the scan costs the armed loop.
+// the case that needs no scan itself: a span without a trampoline site
+// (trampSites' prefix, built before the first launch) holds none, as every
+// callback site is one. Else callFree scans, and answers 0 at once when pc is
+// a site, as every instruction is for a tool that single-steps: a table per
+// instrumented kernel would cost every experiment's JIT builds more than the
+// scan costs the armed loop.
 func (ek *ExecKernel) callFree(pc, n int32) int32 {
 	for k := int32(0); k < n; k++ {
 		if ek.callsBefore(pc+k) || (ek.After != nil && len(ek.After[pc+k]) > 0) {
@@ -255,16 +255,16 @@ func (ek *ExecKernel) callFree(pc, n int32) int32 {
 
 // trampSites returns the trampoline-site prefix count: sites[pc] is the
 // number of sites (a Before list or a Shot's Pre hook, an After list, tally or
-// charged in-line fault site, the step hook) on instructions [0, pc), so a
-// batch that completed [a, b) executed sites[b]-sites[a] trampolines. An
+// charged in-line fault site) on instructions [0, pc), so a batch that
+// completed [a, b) executed sites[b]-sites[a] trampolines. An
 // instrumentation without callbacks shares a prefix derived once per kernel
 // content: one After site per instruction when it tallies (xplan.tallySites,
 // whatever it corrupts: the sites coincide), else its in-line fault's sites
 // (CorruptionSites). Any other is built on the ExecKernel's first
 // instrumented launch, not in the plan: a plan is shared by every
-// instrumentation of the same kernel content. Before, After, Step, Tally,
-// Corrupt and Shot must not change once the kernel has launched — the NVBit
-// layer builds them whole in its Inserter and caches the result.
+// instrumentation of the same kernel content. Before, After, Tally, Corrupt
+// and Shot must not change once the kernel has launched — the NVBit layer
+// builds them whole in its Inserter and caches the result.
 func (ek *ExecKernel) trampSites(plan *xplan) []uint32 {
 	if !ek.hasCallbacks() {
 		switch s := ek.inline(); {
@@ -282,9 +282,6 @@ func (ek *ExecKernel) trampSites(plan *xplan) []uint32 {
 				n++
 			}
 			if ek.hasAfter(int32(pc)) {
-				n++
-			}
-			if ek.Step != nil {
 				n++
 			}
 			p[pc+1] = n

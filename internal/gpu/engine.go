@@ -792,7 +792,7 @@ func (blk *blockCtx) runWarp(w *warp, budget *budgetCounter, stats *LaunchStats)
 	clock := &blk.dev.smClocks[blk.smID]
 	hooked := blk.hooked
 	ek, ctx := blk.ek, &blk.ictx
-	instrs, before, after, stepHook := ek.K.Instrs, ek.Before, ek.After, ek.Step
+	instrs, before, after := ek.K.Instrs, ek.Before, ek.After
 	if blk.calls {
 		blk.bindCtx(w)
 	}
@@ -841,26 +841,13 @@ func (blk *blockCtx) runWarp(w *warp, budget *budgetCounter, stats *LaunchStats)
 				// site, or one whose guard decides its lanes. The Shot's
 				// armed sites before it run inside the stretch, and settle
 				// counts their lanes once it ends.
-				var end, live, from int32
-				var count uint64
 				cut := stop
-				if blk.calls {
-					// callFree's two answers that need no scan, in line:
-					// under the step hook every instruction is a callback
-					// site, and a span without a trampoline site holds none.
-					// Under the step hook the site issues at once: its
-					// stretch is empty, and segment would end it where it
-					// starts.
-					switch {
-					case stepHook != nil:
-						if cut = pc; pc != stop {
-							goto site
-						}
-					case blk.sites[stop] != blk.sites[pc]:
-						cut = pc + ek.callFree(pc, stop-pc)
-					}
+				if blk.calls && blk.sites[stop] != blk.sites[pc] {
+					// A span without a trampoline site holds no callback
+					// site: every callback site is a trampoline site.
+					cut = pc + ek.callFree(pc, stop-pc)
 				}
-				end, live, count, from = cut, cut, 0, pc
+				end, live, count, from := cut, cut, uint64(0), pc
 				if blk.live != nil {
 					live, end, count = blk.segment(w, pc, cut, atPC)
 				}
@@ -904,7 +891,6 @@ func (blk *blockCtx) runWarp(w *warp, budget *budgetCounter, stats *LaunchStats)
 				// The dispatch is callBefore's and callAfter's, written out:
 				// as calls they cost a tool that calls back on every
 				// instruction 5-10% more (BenchmarkCallbackLaunch).
-			site:
 				xi := &steps[pc]
 				execMask := atPC
 				if xi.guardKind != guardOn {
@@ -938,9 +924,6 @@ func (blk *blockCtx) runWarp(w *warp, budget *budgetCounter, stats *LaunchStats)
 						for _, cb := range after[pc] {
 							cb(ctx)
 						}
-					}
-					if stepHook != nil {
-						stepHook(ctx)
 					}
 				}
 				pc++
@@ -1073,17 +1056,13 @@ func (blk *blockCtx) callBefore(pc int32, execMask uint32) {
 	}
 }
 
-// callAfter runs the After callbacks of the instruction callBefore described,
-// then the single-step hook.
+// callAfter runs the After callbacks of the instruction callBefore described.
 func (blk *blockCtx) callAfter(pc int32) {
 	ek, ctx := blk.ek, &blk.ictx
 	if ek.After != nil {
 		for _, cb := range ek.After[pc] {
 			cb(ctx)
 		}
-	}
-	if ek.Step != nil {
-		ek.Step(ctx)
 	}
 }
 
@@ -1165,9 +1144,6 @@ func (blk *blockCtx) runWarpRef(w *warp, budget *budgetCounter, stats *LaunchSta
 		}
 
 		if ek.hasAfter(minPC) {
-			stats.TrampolineInstrs += TrampolineLen
-		}
-		if ek.Step != nil {
 			stats.TrampolineInstrs += TrampolineLen
 		}
 		if blk.tally != nil {

@@ -337,12 +337,15 @@ committed:
 
 // SINCOSV is a trig pair's pass over the eight lanes at byte offset off: one
 // reduction and one evaluation of both polynomials per four lanes, the sine
-// in Y0 and the cosine in Y1, the first op's result (FIRST) blended into the
-// row at DI and then the second's (SECOND) into the row at DX — program
-// order, so a second destination equal to the first wins. The lanes are
-// read before either row is written, and the first destination is not the
-// source, so a second destination that is passes too.
-#define SINCOSV(off, FIRST, SECOND) \
+// in Y0 and the cosine in Y1, the first op's result (FIRST) stored by STORE
+// into the row at DI and then the second's (SECOND) into the row at DX —
+// program order, so a second destination equal to the first wins. The lanes
+// are read before either row is written, and the first destination is not
+// the source, so a second destination that is passes too. STORE is COMMITV,
+// which blends under the select words, or WHOLEV, which stores whole: what
+// COMMIT does under a partial and under the full mask. SINCOS runs the pass
+// over the whole row.
+#define SINCOSV(off, FIRST, SECOND, STORE) \
 	TRIGREDUCE4(off); \
 	TRIGPOLY4; \
 	SINOCT(X0); \
@@ -353,8 +356,17 @@ committed:
 	COSOCT(X15); \
 	VINSERTI128 $1, X14, Y0, Y0; \
 	VINSERTI128 $1, X15, Y1, Y1; \
-	COMMITV(off, FIRST, DI); \
-	COMMITV(off, SECOND, DX)
+	STORE(off, FIRST, DI); \
+	STORE(off, SECOND, DX)
+
+#define WHOLEV(off, R, D) \
+	VMOVDQU R, off(D)
+
+#define SINCOS(FIRST, SECOND, STORE) \
+	SINCOSV(0, FIRST, SECOND, STORE); \
+	SINCOSV(32, FIRST, SECOND, STORE); \
+	SINCOSV(64, FIRST, SECOND, STORE); \
+	SINCOSV(96, FIRST, SECOND, STORE)
 
 // The integer-float conversions, exactly rowCvt's. I2F: VCVTDQ2PS rounds to
 // nearest even, as float32(int32) does. I2F.U32: the word, its sign bit

@@ -752,19 +752,28 @@ TEXT hCos<>(SB), NOSPLIT, $0-0
 	RET
 
 // The trig pairs: the first op's destination row in DI, the second's in DX.
-// Each blends its own results.
+// Each stores its own results: whole under the full mask (BX is onesRow),
+// else blended, as COMMIT does.
 TEXT hSinCos<>(SB), NOSPLIT, $0-0
-	SINCOSV(0, Y0, Y1)
-	SINCOSV(32, Y0, Y1)
-	SINCOSV(64, Y0, Y1)
-	SINCOSV(96, Y0, Y1)
+	LEAQ ·onesRow(SB), R8
+	CMPQ BX, R8
+	JEQ  whole
+	SINCOS(Y0, Y1, COMMITV)
+	RET
+
+whole:
+	SINCOS(Y0, Y1, WHOLEV)
 	RET
 
 TEXT hCosSin<>(SB), NOSPLIT, $0-0
-	SINCOSV(0, Y1, Y0)
-	SINCOSV(32, Y1, Y0)
-	SINCOSV(64, Y1, Y0)
-	SINCOSV(96, Y1, Y0)
+	LEAQ ·onesRow(SB), R8
+	CMPQ BX, R8
+	JEQ  whole
+	SINCOS(Y1, Y0, COMMITV)
+	RET
+
+whole:
+	SINCOS(Y1, Y0, WHOLEV)
 	RET
 
 // The conversions.

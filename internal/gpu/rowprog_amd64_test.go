@@ -223,6 +223,9 @@ func TestRowMufuExact(t *testing.T) {
 				}
 				return false
 			}
+			// A pair stores its results whole under the full mask and blends
+			// them under a partial one: the first full row runs both ways.
+			blended := false
 			run := func(i int) {
 				r := &rows[i]
 				if exec(&r.x, r.n, len(ops), (1-i)*len(ops)) {
@@ -231,6 +234,10 @@ func TestRowMufuExact(t *testing.T) {
 					ran += r.n
 					if len(ops) == 2 {
 						exec(&r.x, r.n, 1, 1)
+						if !blended && r.n == WarpSize {
+							exec(&r.x, WarpSize-5, 2, 2)
+							blended = true
+						}
 					}
 				}
 				r.n = 0
@@ -256,6 +263,9 @@ func TestRowMufuExact(t *testing.T) {
 				if rows[i].n > 0 {
 					run(i)
 				}
+			}
+			if len(ops) == 2 && !blended {
+				t.Errorf("%s: no full row ran under a partial mask", name)
 			}
 			t.Logf("%s: %d arguments through the handler, %d left to Go", name, ran, bailed)
 		})

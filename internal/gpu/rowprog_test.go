@@ -1037,12 +1037,15 @@ const rowRunThreads = 48 // a full warp and a half one
 // guard of ops further down the run) — and, when fire > 0, a Shot on the same
 // sites that lands on their thread-level execution fire-1: its Pre hook
 // perturbs the landing lane's R3 and its hit flips that lane's P1, and counts
-// as 1000 dispatches. With shotOnly the sites carry the Shot alone.
+// as 1000 dispatches. With shotOnly the sites carry the Shot alone. With
+// every, each instruction's After list also holds one shared counting
+// callback, as a single-stepping tool inserts: every instruction is a callback
+// site, and an armed one is a live site too.
 type rowRunArm struct {
 	sites    []int
 	fire     uint64
 	tally    bool
-	stepHook bool // the single-step hook, counting: every instruction is a site
+	every    bool
 	shotOnly bool
 }
 
@@ -1051,14 +1054,18 @@ func armRowRun(k *sass.Kernel, arm rowRunArm, calls *int, counts []SiteTally) *E
 	if arm.tally {
 		ek.Tally = counts
 	}
-	if arm.stepHook {
-		ek.Step = func(*InstrCtx) { *calls++ }
+	if arm.every {
+		count := []Callback{func(*InstrCtx) { *calls++ }}
+		ek.After = make([][]Callback, len(k.Instrs))
+		for pc := range ek.After {
+			ek.After[pc] = count
+		}
 	}
-	if len(arm.sites) == 0 {
-		return ek
-	}
-	if !arm.shotOnly {
-		ek.Before, ek.After = make([][]Callback, len(k.Instrs)), make([][]Callback, len(k.Instrs))
+	if len(arm.sites) > 0 && !arm.shotOnly {
+		ek.Before = make([][]Callback, len(k.Instrs))
+		if ek.After == nil {
+			ek.After = make([][]Callback, len(k.Instrs))
+		}
 	}
 	for _, pc := range arm.sites {
 		if arm.shotOnly {
@@ -1069,12 +1076,12 @@ func armRowRun(k *sass.Kernel, arm rowRunArm, calls *int, counts []SiteTally) *E
 				c.WriteReg(6, 3, c.ReadReg(6, 3)+uint32(c.InstrIdx))
 			}
 		}}
-		ek.After[pc] = []Callback{func(c *InstrCtx) {
+		ek.After[pc] = append(slices.Clip(ek.After[pc]), func(c *InstrCtx) {
 			*calls++
 			for lane := 1; lane < WarpSize; lane += 2 {
 				c.WritePred(lane, 1, false)
 			}
-		}}
+		})
 	}
 	if arm.fire > 0 {
 		ek.Shot = &Shot{
@@ -1151,17 +1158,19 @@ func rowRunStretch(t *testing.T, k *sass.Kernel) (start, n int) {
 // TestRowRunEquivalence: rowrun whole — plain, tallied, armed at the first, a
 // middle and the last op of its longest stretch (alone and together, with the
 // in-line tally and without), and with a Shot on those sites landing on their
-// first, a middle and a late execution — on all three engines.
+// first, a middle and a late execution, beside their callbacks or beside a
+// callback on every instruction — on all three engines.
 func TestRowRunEquivalence(t *testing.T) {
 	k := mustKernel(t, rowRunSrc, "rowrun")
 	start, n := rowRunStretch(t, k)
 	first, middle, last := start, start+n/2, start+n-1
-	arms := []rowRunArm{{}, {tally: true}, {stepHook: true}, {stepHook: true, tally: true}}
+	arms := []rowRunArm{{}, {tally: true}, {every: true}, {every: true, tally: true}}
 	for _, sites := range [][]int{{first}, {middle}, {last}, {first, middle, last}, {first + 1, last - 1}} {
 		for _, tally := range []bool{false, true} {
 			arms = append(arms, rowRunArm{sites: sites, tally: tally})
 			for _, fire := range []uint64{1, 29, 61} {
-				arms = append(arms, rowRunArm{sites: sites, tally: tally, fire: fire})
+				arms = append(arms, rowRunArm{sites: sites, tally: tally, fire: fire},
+					rowRunArm{sites: sites, tally: tally, fire: fire, every: true, shotOnly: true})
 			}
 		}
 	}
@@ -1170,10 +1179,14 @@ func TestRowRunEquivalence(t *testing.T) {
 		if ref.err != nil {
 			t.Fatal(ref.err)
 		}
-		if arm.fire > 0 && ref.calls/1000 != 1 {
+		hits := ref.calls
+		if arm.every {
+			hits -= int(ref.stats.WarpInstrs) // one counting dispatch per issue
+		}
+		if arm.fire > 0 && hits/1000 != 1 {
 			t.Fatalf("%+v: %d dispatches", arm, ref.calls)
 		}
-		if (len(arm.sites) > 0 || arm.stepHook) && ref.calls == 0 {
+		if (len(arm.sites) > 0 || arm.every) && ref.calls == 0 {
 			t.Fatalf("%+v: no callback ran", arm)
 		}
 		for _, e := range loopEngines[1:] {
@@ -1227,7 +1240,8 @@ loop:
 // callback, landing on each of its executions in turn (its Pre hook rewrites
 // the landing lane's source). The stretch before such a site ends between
 // the two ops, so the first runs alone and the second reads what the hooks
-// wrote. Plain, tallied and step-hooked launches run the pairs whole.
+// wrote. Plain and tallied launches run the pairs whole; with a callback on
+// every instruction each op issues alone.
 func TestTrigPairBesideSites(t *testing.T) {
 	k := mustKernel(t, trigPairSrc, "trigpair")
 	plan, err := translate(k)
@@ -1246,7 +1260,7 @@ func TestTrigPairBesideSites(t *testing.T) {
 	if len(seconds) != 2 {
 		t.Fatalf("%d trig pairs in the plan, want the unguarded and the guarded one", len(seconds))
 	}
-	arms := []rowRunArm{{}, {tally: true}, {stepHook: true}}
+	arms := []rowRunArm{{}, {tally: true}, {every: true}}
 	for _, pc := range seconds {
 		for _, tally := range []bool{false, true} {
 			arms = append(arms, rowRunArm{sites: []int{pc}, tally: tally})
@@ -1281,31 +1295,36 @@ func TestTrigPairBesideSites(t *testing.T) {
 
 // TestRowRunBudgetEverywhere: every budget from one instruction to the whole
 // launch — the budget runs dry at every position of every stretch — traps at
-// the same PC with the same stats, tally and clocks on all three engines.
+// the same PC with the same stats, tally and clocks on all three engines,
+// tallied, and with a Shot mid-stretch beside a callback on every instruction.
 func TestRowRunBudgetEverywhere(t *testing.T) {
 	k := mustKernel(t, rowRunSrc, "rowrun")
-	arm := rowRunArm{tally: true}
-	total := runRowRun(t, loopEngines[0], k, arm, 0).stats.WarpInstrs
-	for budget := uint64(1); budget <= total+1; budget++ {
-		ref := runRowRun(t, loopEngines[0], k, arm, budget)
-		if (ref.err != nil) != (budget < total) {
-			t.Fatalf("budget %d of %d: err = %v", budget, total, ref.err)
-		}
-		for _, e := range loopEngines[1:] {
-			expectSameRowRun(t, fmt.Sprintf("%s budget=%d", e.name, budget), ref, runRowRun(t, e, k, arm, budget))
+	start, n := rowRunStretch(t, k)
+	for _, arm := range []rowRunArm{{tally: true}, {sites: []int{start + n/2}, fire: 29, tally: true, every: true, shotOnly: true}} {
+		total := runRowRun(t, loopEngines[0], k, arm, 0).stats.WarpInstrs
+		for budget := uint64(1); budget <= total+1; budget++ {
+			ref := runRowRun(t, loopEngines[0], k, arm, budget)
+			if (ref.err != nil) != (budget < total) {
+				t.Fatalf("%+v: budget %d of %d: err = %v", arm, budget, total, ref.err)
+			}
+			for _, e := range loopEngines[1:] {
+				expectSameRowRun(t, fmt.Sprintf("%s %+v budget=%d", e.name, arm, budget), ref, runRowRun(t, e, k, arm, budget))
+			}
 		}
 	}
 }
 
 // TestRowRunPauseEverywhere pauses rowrun after every warp-instruction count
-// it passes through — plain, recording its own tally, and armed mid-stretch —
-// on all three engines: the pause clips a stretch at every position. At each
+// it passes through — plain, recording its own tally, armed mid-stretch, and
+// with a Shot there beside a callback on every instruction — on all three
+// engines: the pause clips a stretch at every position. At each
 // the paused digest must equal the reference engine's, and the run resumed to
 // the end must leave the uninterrupted launch's result and tally.
 func TestRowRunPauseEverywhere(t *testing.T) {
 	k := mustKernel(t, rowRunSrc, "rowrun")
 	start, n := rowRunStretch(t, k)
-	for _, arm := range []rowRunArm{{}, {tally: true}, {sites: []int{start + n/2}}} {
+	mid := []int{start + n/2}
+	for _, arm := range []rowRunArm{{}, {tally: true}, {sites: mid}, {sites: mid, fire: 29, every: true, shotOnly: true}} {
 		whole := runRowRun(t, loopEngines[0], k, arm, 0)
 		total := int64(whole.stats.WarpInstrs)
 		refDigests := make([]uint64, total)

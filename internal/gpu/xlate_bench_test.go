@@ -72,15 +72,14 @@ const shortWarpSrc = `
 // run through BeginRun pausing every pauseStride warp instructions — the
 // latter two drive the batched loop's hooked form and its pause clip. The
 // callback shapes dispatch a counting closure: an After callback on the
-// stores only (memfault's re-assertion), an After callback on every
-// instruction (StaticFI, sasstrace) or the step hook (DebuggerFI).
+// stores only (memfault's re-assertion) or an After callback on every
+// instruction (StaticFI, sasstrace, DebuggerFI's single step).
 const (
 	benchPlain = iota
 	benchProfiled
 	benchPaused
 	benchStores
 	benchEvery
-	benchStep
 )
 
 const pauseStride = 1000
@@ -116,8 +115,6 @@ func benchLaunch(b *testing.B, src string, noXlate bool, shape int) {
 				ek.After[i] = []Callback{count}
 			}
 		}
-	case benchStep:
-		ek.Step = count
 	}
 	l := &Launch{
 		Kernel: ek,
@@ -183,13 +180,13 @@ func BenchmarkProfiledLaunch(b *testing.B) { benchShapes(b, benchProfiled) }
 func BenchmarkPausedLaunch(b *testing.B)   { benchShapes(b, benchPaused) }
 
 // BenchmarkCallbackLaunch runs the hot loop and the divergent kernel, on both
-// engines, dispatching callbacks in the three shapes the tools do: on the
-// stores only, on every instruction, and through the step hook.
+// engines, dispatching callbacks in the two shapes the tools do: on the
+// stores only, and on every instruction.
 func BenchmarkCallbackLaunch(b *testing.B) {
 	for _, s := range []struct {
 		name  string
 		shape int
-	}{{"stores", benchStores}, {"every", benchEvery}, {"step", benchStep}} {
+	}{{"stores", benchStores}, {"every", benchEvery}} {
 		b.Run(s.name, func(b *testing.B) { benchShapes(b, s.shape) })
 	}
 }

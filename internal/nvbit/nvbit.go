@@ -23,7 +23,6 @@ import (
 	"repro/internal/modcache"
 	"repro/internal/sass"
 	"repro/internal/sass/encoding"
-	"repro/internal/sassan"
 )
 
 // LaunchInfo describes one dynamic kernel launch to the tool. The attachment
@@ -236,23 +235,6 @@ type Attachment struct {
 	totalLaunches        int
 	instrumentedLaunches int
 	jitBuilds            int
-
-	// Static verification of decoded modules (WithVerify).
-	verify      bool
-	verifyDiags []sassan.Diagnostic
-}
-
-// Option configures an attachment.
-type Option func(*Attachment)
-
-// WithVerify makes the attachment run the sassan static verifier over every
-// module it decodes — the decoded machine-code view, not source, so it
-// covers binary-only modules the assembler never checked. A module whose
-// verification produces errors fails the attach (or, for modules loaded
-// while attached, fails the load by panicking like a decode failure);
-// warnings are accumulated and readable via VerifyDiagnostics.
-func WithVerify() Option {
-	return func(a *Attachment) { a.verify = true }
 }
 
 // moduleView is a decoded module: one slot per function of the module,
@@ -319,7 +301,7 @@ func (a *Attachment) build(s *kernelSlot, key string) *gpu.ExecKernel {
 // Attach connects a tool to the context — the analog of starting the
 // target program with LD_PRELOAD=<tool>.so. Modules already loaded are
 // decoded immediately; future module loads are decoded as they arrive.
-func Attach(ctx *cuda.Context, tool Tool, opts ...Option) (*Attachment, error) {
+func Attach(ctx *cuda.Context, tool Tool) (*Attachment, error) {
 	codec, err := modcache.Shared.Codec(ctx.Device().Family)
 	if err != nil {
 		return nil, fmt.Errorf("nvbit: %w", err)
@@ -328,9 +310,6 @@ func Attach(ctx *cuda.Context, tool Tool, opts ...Option) (*Attachment, error) {
 		ctx:   ctx,
 		tool:  tool,
 		codec: codec,
-	}
-	for _, o := range opts {
-		o(a)
 	}
 	for _, m := range ctx.Modules() {
 		if err := a.decodeModule(m); err != nil {
@@ -368,17 +347,6 @@ func (a *Attachment) decodeModule(m *cuda.Module) error {
 	if err != nil {
 		return fmt.Errorf("nvbit: decoding module %q: %w", m.Name(), err)
 	}
-	if a.verify {
-		diags := sassan.VerifyProgram(prog)
-		a.verifyDiags = append(a.verifyDiags, diags...)
-		if sassan.HasErrors(diags) {
-			for _, d := range diags {
-				if d.Sev == sassan.SevError {
-					return fmt.Errorf("nvbit: module %q failed verification: %s", m.Name(), d)
-				}
-			}
-		}
-	}
 	v := moduleView{mod: m, slots: make([]kernelSlot, m.NumFunctions())}
 	if n := len(a.views); n > 0 {
 		v.base = a.views[n-1].base + len(a.views[n-1].slots)
@@ -410,16 +378,6 @@ func (a *Attachment) launchCount(name string) *int {
 	}
 	return nil
 }
-
-// VerifyDiagnostics returns the diagnostics accumulated by WithVerify
-// across every module this attachment decoded.
-func (a *Attachment) VerifyDiagnostics() []sassan.Diagnostic {
-	return append([]sassan.Diagnostic(nil), a.verifyDiags...)
-}
-
-// VerifyWarnings returns how many of the accumulated diagnostics are
-// warnings.
-func (a *Attachment) VerifyWarnings() int { return sassan.CountWarnings(a.verifyDiags) }
 
 // OnModuleLoad implements cuda.Subscriber.
 func (a *Attachment) OnModuleLoad(m *cuda.Module) {
