@@ -8,12 +8,12 @@
 //	nvbitfi select    -profile profile.txt [-group G_GPPR] [-bitflip 1] [-seed 1] [-model stuck] [-o params.txt]
 //	nvbitfi inject    -program 303.ostencil -params params.txt [-model stuck [-model-param value=0,bit=17]]
 //	nvbitfi pf-inject -program 303.ostencil -sm 0 -lane 3 -mask 0x400 -opcode 12
-//	nvbitfi campaign  -program 303.ostencil [-n 100] [-mode exact|approx] [-group G_GPPR] [-seed 1] [-prune] [-classes] [-target-ci 0.02 [-confidence 0.95] [-max-n N]] [-ckpt [-ckpt-stride N] [-no-early-exit]] [-parallel N] [-verify]
+//	nvbitfi campaign  -program 303.ostencil [-n 100] [-mode exact|approx] [-group G_GPPR] [-seed 1] [-target-ci 0.02 [-confidence 0.95] [-max-n N]] [-ckpt [-ckpt-stride N] [-no-early-exit]] [-parallel N] [-verify]
 //	nvbitfi profdiff  -a exact.txt -b approx.txt [-group G_GPPR] [-min 0.01]
 //	nvbitfi report    -table1 | -table4
 //	nvbitfi serve     [-addr 127.0.0.1:8077] [-journal nvbitfi-journal.jsonl] [-workers N]
 //	nvbitfi worker    [-coordinator http://host:8077] [-name NAME]
-//	nvbitfi submit    -program 303.ostencil [-coordinator URL] [-n 100] [-seed 1] [-prune] [-classes] [-target-ci 0.02] [-ckpt] [-json]
+//	nvbitfi submit    -program 303.ostencil [-coordinator URL] [-n 100] [-seed 1] [-target-ci 0.02] [-ckpt] [-json]
 //	nvbitfi list
 package main
 
@@ -102,10 +102,8 @@ func cmdModels() error {
 			def = " (default)"
 		}
 		fmt.Printf("%-10s%s %s\n", name, def, m.Description())
-		fmt.Printf("          group=%v prune=%v classes=%v checkpoint=%v\n",
+		fmt.Printf("          group=%v checkpoint=%v\n",
 			m.DefaultGroup(),
-			m.Caps().Has(nvbitfi.CapPrune),
-			m.Caps().Has(nvbitfi.CapClasses),
 			m.Caps().Has(nvbitfi.CapCheckpoint))
 	}
 	return nil
@@ -362,10 +360,10 @@ func cmdPFInject(args []string) error {
 // the shared flags of a fault selection, and the campaign's own.
 type campaignFlags struct {
 	*cliFlags
-	n, shardSize, maxN                int
-	prune, classes, ckpt, noEarlyExit bool
-	targetCI, confidence              float64
-	ckptStride                        uint64
+	n, shardSize, maxN   int
+	ckpt, noEarlyExit    bool
+	targetCI, confidence float64
+	ckptStride           uint64
 }
 
 // bindCampaignFlags binds the campaign-config flags into fs, with the extra
@@ -375,8 +373,6 @@ func bindCampaignFlags(fs *flag.FlagSet, extra ...string) *campaignFlags {
 		append([]string{"program", "group", "bitflip", "seed", "model", "model-param"}, extra...)...)}
 	fs.IntVar(&f.n, "n", 100, "number of transient injections")
 	fs.IntVar(&f.shardSize, "shard-size", 0, "experiments per selection shard (0 = default; part of the campaign's identity)")
-	fs.BoolVar(&f.prune, "prune", false, "statically prune transient injections with provably dead destinations (tallied as Masked without running)")
-	fs.BoolVar(&f.classes, "classes", false, "class-representative sampling: run one experiment per fault-equivalence class per shard; members inherit the representative's classification")
 	fs.Float64Var(&f.targetCI, "target-ci", 0, "adaptive sampling: stop at the first shard boundary where the stratified SDC-share interval half-width is at most this (0 = fixed-count campaign)")
 	fs.Float64Var(&f.confidence, "confidence", campaign.DefaultConfidence, "confidence level for -target-ci")
 	fs.IntVar(&f.maxN, "max-n", 0, "with -target-ci, the selection budget cap (0 = -n)")
@@ -388,7 +384,7 @@ func bindCampaignFlags(fs *flag.FlagSet, extra ...string) *campaignFlags {
 
 // transientOnly are the campaign flags a permanent campaign has no use for.
 var transientOnly = []string{
-	"n", "group", "shard-size", "model-param", "prune", "classes",
+	"n", "group", "shard-size", "model-param",
 	"target-ci", "confidence", "max-n", "ckpt", "ckpt-stride", "no-early-exit",
 }
 
@@ -412,7 +408,6 @@ func (f *campaignFlags) config(fs *flag.FlagSet) (nvbitfi.TransientCampaignConfi
 		return cfg, err
 	}
 	cfg.Injections, cfg.ShardSize = f.n, f.shardSize
-	cfg.Prune, cfg.Classes = f.prune, f.classes
 	cfg.Checkpoint, cfg.CkptStride, cfg.NoEarlyExit = f.ckpt, f.ckptStride, f.noEarlyExit
 	if f.targetCI <= 0 {
 		if name := setFlag(fs, "confidence", "max-n"); name != "" {

@@ -2,13 +2,13 @@
 // assembly files or over every workload the repository ships. It is the
 // CI gate that keeps the embedded kernels free of dead writes, unreachable
 // code, and malformed control flow, and it exposes the injection-site
-// equivalence-class analysis behind campaign class sampling.
+// equivalence-class analysis that keys adaptive sampling strata.
 //
 // Usage:
 //
 //	sasslint file.sass [file2.sass ...]   lint assembly files (errors fail; -strict fails on warnings too)
 //	sasslint -workloads                   lint every embedded workload (any diagnostic fails)
-//	sasslint -classes [...]               additionally dump each kernel's fault-equivalence class table
+//	sasslint -classes [...]               additionally dump each kernel's fault-equivalence classes (the adaptive strata keys)
 //	sasslint -json [...]                  machine-readable output: one JSON object per line
 //
 // Exit codes (stable contract; scripts may rely on them):
@@ -49,7 +49,7 @@ func main() {
 	workloads := flag.Bool("workloads", false, "lint every embedded workload instead of files")
 	strict := flag.Bool("strict", false, "treat warnings as failures in file mode")
 	jsonOut := flag.Bool("json", false, "emit one JSON object per finding (schema nvbitfi.sasslint/v1)")
-	classes := flag.Bool("classes", false, "dump each kernel's fault-equivalence class table")
+	classes := flag.Bool("classes", false, "dump each kernel's fault-equivalence classes: the keys of adaptive sampling strata")
 	flag.Parse()
 
 	emit := &emitter{json: *jsonOut}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/faultmodel"
 	"repro/internal/sass"
+	"repro/internal/sassan"
 	"repro/internal/stats"
 )
 
@@ -23,23 +24,46 @@ import (
 // unclassable sites — and per-stratum outcome proportions are pooled with
 // the full selection's stratum composition as weights. Provably-masked
 // classes are *certain* strata: their outcome is statically invariant, so
-// they contribute population weight but zero sampling variance — the
-// statistical relaxation of PR 8's masked-only soundness boundary.
+// they contribute population weight but zero sampling variance.
 
 // ResidualStratum keys the stratum of sites no equivalence class covers:
 // unresolved sites, untrusted kernels, and unclassable shadows.
 const ResidualStratum = "~"
 
-// stratifier assigns resolved injection sites to sampling strata. Unlike
-// classer.classOf it keys on *any* class, data-bearing included: strata
-// need only be homogeneous-ish, not provably outcome-invariant.
+// stratifier assigns resolved injection sites to sampling strata: the
+// sassan fault-equivalence class (sassan.BuildClassTable) of the site, data-
+// bearing classes included, since strata need only be homogeneous-ish, not
+// provably outcome-invariant. It only trusts kernels the golden run decoded
+// and that pass static verification; sites in any other kernel fall in the
+// residual stratum.
 type stratifier struct {
-	cl *classer
+	kernels map[string]*sass.Kernel
+	tables  map[string]*sassan.ClassTable // nil entry: kernel not statically trustworthy
 	// noCertain suppresses the certain (zero-variance) marking of provably-
 	// masked strata: the masked proof holds for destination-flip semantics,
 	// so fault models without CapCertainStrata keep the stratum keys (the
 	// grouping is still variance-reducing) but sample every stratum.
 	noCertain bool
+}
+
+func newStratifier(golden *GoldenResult, cfg TransientCampaignConfig) *stratifier {
+	return &stratifier{kernels: golden.Kernels, tables: make(map[string]*sassan.ClassTable), noCertain: noCertainStrata(cfg)}
+}
+
+// table returns the cached class table for a kernel, or nil when the kernel
+// is unknown or fails static verification.
+func (st *stratifier) table(name string) *sassan.ClassTable {
+	if t, ok := st.tables[name]; ok {
+		return t
+	}
+	var t *sassan.ClassTable
+	if k := st.kernels[name]; k != nil {
+		if a := sassan.Analyze(k); !sassan.HasErrors(a.Verify()) {
+			t = a.BuildClassTable()
+		}
+	}
+	st.tables[name] = t
+	return t
 }
 
 // classify returns the stratum key of a parameter tuple's injection site
@@ -49,15 +73,16 @@ func (st *stratifier) classify(p core.TransientParams) (string, bool) {
 	if !p.SiteResolved {
 		return ResidualStratum, false
 	}
-	t := st.cl.table(p.KernelName)
+	t := st.table(p.KernelName)
 	if t == nil {
 		return ResidualStratum, false
 	}
+	instrs := st.kernels[p.KernelName].Instrs
 	i := p.StaticInstrIdx
-	if i < 0 || i >= len(st.cl.kernels[p.KernelName].Instrs) {
+	if i < 0 || i >= len(instrs) {
 		return ResidualStratum, false
 	}
-	if !sass.GroupContains(p.Group, st.cl.kernels[p.KernelName].Instrs[i].Op) {
+	if !sass.GroupContains(p.Group, instrs[i].Op) {
 		return ResidualStratum, false
 	}
 	c := t.ClassOf(i)
@@ -96,7 +121,7 @@ func AdaptiveStrata(golden *GoldenResult, profile *core.Profile, cfg TransientCa
 	if cfg.TargetCI <= 0 {
 		return nil, nil
 	}
-	st := &stratifier{cl: newClasser(golden.Kernels), noCertain: noCertainStrata(cfg)}
+	st := newStratifier(golden, cfg)
 	counts := make(map[string]*StratumWeight)
 	order := make([]string, 0, 8)
 	for s := 0; s < cfg.NumShards(); s++ {

@@ -257,11 +257,6 @@ type Tally struct {
 	Counts        map[Outcome]int
 	PotentialDUEs int
 	NotActivated  int // transient runs whose fault never activated
-	// Pruned counts experiments classified statically instead of run: the
-	// injection target was proven dead (never read on any path), so the
-	// outcome is Masked without executing the workload. Pruned runs are
-	// included in N and Counts like any other run.
-	Pruned int
 	// Restored counts checkpointed experiments that started from a
 	// mid-trajectory snapshot instead of re-executing their golden prefix.
 	Restored int
@@ -269,13 +264,6 @@ type Tally struct {
 	// re-converged with the golden trajectory, settling their tail from the
 	// recording.
 	EarlyExits int
-	// ClassReps counts experiments that executed as the representative of a
-	// fault-equivalence class (class-representative sampling).
-	ClassReps int
-	// ClassAnswered counts experiments that never executed because a class
-	// representative answered for them: they inherit the representative's
-	// classification and are included in N and Counts like any other run.
-	ClassAnswered int
 	// Strata holds per-stratum outcome counts when the campaign runs with
 	// adaptive stratified sampling (TargetCI > 0). Sorted by Key; empty and
 	// omitted from the encoding otherwise.
@@ -363,11 +351,8 @@ func (t *Tally) Merge(o *Tally) {
 	}
 	t.PotentialDUEs += o.PotentialDUEs
 	t.NotActivated += o.NotActivated
-	t.Pruned += o.Pruned
 	t.Restored += o.Restored
 	t.EarlyExits += o.EarlyExits
-	t.ClassReps += o.ClassReps
-	t.ClassAnswered += o.ClassAnswered
 	for _, os := range o.Strata {
 		s := t.stratumAt(os.Key)
 		s.N += os.N
@@ -379,15 +364,14 @@ func (t *Tally) Merge(o *Tally) {
 
 // Check reports whether the tally's counters agree with one another the way
 // every tally built by Add and Merge does: no counter is negative, the outcome
-// counts sum to N, the strata (when present) sum to N, Pruned + ClassAnswered
-// ≤ N, and Restored and EarlyExits each count at most the N − Pruned −
-// ClassAnswered runs that executed. EarlyExits is not bounded by Restored: a
-// checkpointed run with no usable checkpoint before its fault starts from
-// scratch yet still probes for re-convergence, so it can exit early without
-// being restored. A tally that fails Check did not come from classifying runs
+// counts sum to N, the strata (when present) sum to N, and Restored and
+// EarlyExits each count at most N runs. EarlyExits is not bounded by
+// Restored: a checkpointed run with no usable checkpoint before its fault
+// starts from scratch yet still probes for re-convergence, so it can exit
+// early without being restored. A tally that fails Check did not come from classifying runs
 // — the campaign service refuses such a shard result rather than merging it.
 func (t *Tally) Check() error {
-	counters := []int{t.N, t.PotentialDUEs, t.NotActivated, t.Pruned, t.Restored, t.EarlyExits, t.ClassReps, t.ClassAnswered}
+	counters := []int{t.N, t.PotentialDUEs, t.NotActivated, t.Restored, t.EarlyExits}
 	outcomes := 0
 	for _, n := range t.Counts {
 		counters = append(counters, n)
@@ -408,10 +392,8 @@ func (t *Tally) Check() error {
 		return fmt.Errorf("campaign: tally outcome counts sum to %d, N is %d", outcomes, t.N)
 	case len(t.Strata) > 0 && strata != t.N:
 		return fmt.Errorf("campaign: tally strata sum to %d, N is %d", strata, t.N)
-	case t.Pruned+t.ClassAnswered > t.N:
-		return fmt.Errorf("campaign: tally has %d pruned and %d class-answered runs of %d", t.Pruned, t.ClassAnswered, t.N)
-	case max(t.Restored, t.EarlyExits) > t.N-t.Pruned-t.ClassAnswered:
-		return fmt.Errorf("campaign: tally has %d restored runs and %d early exits of %d executed", t.Restored, t.EarlyExits, t.N-t.Pruned-t.ClassAnswered)
+	case max(t.Restored, t.EarlyExits) > t.N:
+		return fmt.Errorf("campaign: tally has %d restored runs and %d early exits of %d", t.Restored, t.EarlyExits, t.N)
 	}
 	return nil
 }
@@ -431,13 +413,11 @@ type tallyJSON struct {
 	Masked        int    `json:"masked"`
 	PotentialDUEs int    `json:"potential_dues"`
 	NotActivated  int    `json:"not_activated"`
-	Pruned        int    `json:"pruned"`
-	Restored      int    `json:"restored"`
-	EarlyExits    int    `json:"early_exits"`
-	// The class counters are omitted when zero so campaigns that never
-	// enabled class sampling keep their pre-existing byte encoding.
-	ClassReps     int `json:"class_reps,omitempty"`
-	ClassAnswered int `json:"class_answered,omitempty"`
+	// Pruned is always written as 0 and ignored on decode; the key stays so
+	// every nvbitfi.tally/v1 document keeps its bytes.
+	Pruned     int `json:"pruned"`
+	Restored   int `json:"restored"`
+	EarlyExits int `json:"early_exits"`
 	// Strata is omitted when empty so fixed-count campaigns keep their
 	// pre-existing byte encoding; adaptive campaigns populate it.
 	Strata []StratumTally `json:"strata,omitempty"`
@@ -454,11 +434,8 @@ func (t *Tally) MarshalJSON() ([]byte, error) {
 		Masked:        t.Counts[Masked],
 		PotentialDUEs: t.PotentialDUEs,
 		NotActivated:  t.NotActivated,
-		Pruned:        t.Pruned,
 		Restored:      t.Restored,
 		EarlyExits:    t.EarlyExits,
-		ClassReps:     t.ClassReps,
-		ClassAnswered: t.ClassAnswered,
 		Strata:        t.Strata,
 	})
 }
@@ -486,11 +463,8 @@ func (t *Tally) UnmarshalJSON(b []byte) error {
 	}
 	t.PotentialDUEs = w.PotentialDUEs
 	t.NotActivated = w.NotActivated
-	t.Pruned = w.Pruned
 	t.Restored = w.Restored
 	t.EarlyExits = w.EarlyExits
-	t.ClassReps = w.ClassReps
-	t.ClassAnswered = w.ClassAnswered
 	t.Strata = w.Strata
 	return nil
 }

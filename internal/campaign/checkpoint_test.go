@@ -249,50 +249,6 @@ func TestCheckpointNoEarlyExit(t *testing.T) {
 	}
 }
 
-// TestCheckpointPruneInteraction: pruning and checkpointing compose — the
-// pruned sites are classified statically and must not consume checkpoint
-// work (no restore, no early exit on a pruned run), and the combined
-// campaign still matches the plain same-seed campaign run for run.
-func TestCheckpointPruneInteraction(t *testing.T) {
-	w := deadWorkload{}
-	r := campaign.Runner{}
-	golden, err := r.Golden(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	profile, _, err := r.Profile(w, core.Exact)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := campaign.TransientCampaignConfig{Injections: 200, Seed: 31, ResolveSites: true}
-	plain, err := campaign.RunTransientCampaign(context.Background(), r, w, golden, profile, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	both := base
-	both.Prune = true
-	both.Checkpoint = true
-	// The dead-write workload is tiny; force a stride small enough that
-	// checkpoints exist at all.
-	both.CkptStride = 64
-	combined, err := campaign.RunTransientCampaign(context.Background(), r, w, golden, profile, both)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if combined.Tally.Pruned == 0 {
-		t.Fatal("combined campaign pruned nothing")
-	}
-	for i := range combined.Runs {
-		if combined.Runs[i].Class != plain.Runs[i].Class {
-			t.Fatalf("run %d classified %+v combined vs %+v plain",
-				i, combined.Runs[i].Class, plain.Runs[i].Class)
-		}
-		if combined.Runs[i].Pruned && (combined.Runs[i].Restored || combined.Runs[i].EarlyExit) {
-			t.Fatalf("run %d is pruned but consumed checkpoint work: %+v", i, combined.Runs[i])
-		}
-	}
-}
-
 // divergingWorkload is iterWorkload with a nondeterministic host: its k-th
 // run first allocates a buffer the recording never saw, so a replay of that
 // run diverges from the journal before any restore point. That run also

@@ -210,9 +210,9 @@ func TestTally(t *testing.T) {
 	if empty.Fraction(SDC) != 0 {
 		t.Error("empty tally fraction should be 0")
 	}
-	// Two runs executed; one restored, and both exited early — a run with no
-	// checkpoint before its fault starts from scratch yet may still exit.
-	tally.Restored, tally.EarlyExits, tally.Pruned, tally.ClassAnswered = 1, 2, 1, 1
+	// One run restored, and two exited early — a run with no checkpoint
+	// before its fault starts from scratch yet may still exit.
+	tally.Restored, tally.EarlyExits = 1, 2
 	tally.addStratum("~", SDC)
 	tally.addStratum("k:1", SDC)
 	tally.addStratum("k:1", Masked)

@@ -152,9 +152,9 @@ func TestModelSeedIsModelScoped(t *testing.T) {
 	}
 }
 
-// TestModelGuardRails: campaign accelerations whose soundness argument rests
-// on destination-flip semantics must be refused — client-side, at plan
-// construction — for models that do not declare the capability. So must
+// TestModelGuardRails: checkpointing, whose soundness argument rests on a
+// single-shot fault after a fault-free prefix, must be refused — client-
+// side, at plan construction — for models that do not declare it. So must
 // negative counts, a confidence the stopping rule cannot evaluate, and
 // checkpoint knobs without checkpointing; Validate, which a campaign service
 // applies at submission, refuses every one of them too.
@@ -165,8 +165,6 @@ func TestModelGuardRails(t *testing.T) {
 		cfg  campaign.TransientCampaignConfig
 		want string
 	}{
-		{"prune", campaign.TransientCampaignConfig{Injections: 10, Model: "stuck", Prune: true}, "-prune"},
-		{"classes", campaign.TransientCampaignConfig{Injections: 10, Model: "opsub", Classes: true}, "-classes"},
 		{"checkpoint", campaign.TransientCampaignConfig{Injections: 10, Model: "memfault", Checkpoint: true}, "-checkpoint"},
 		{"negative-n", campaign.TransientCampaignConfig{Injections: -5}, "negative injection count"},
 		{"negative-max-n", campaign.TransientCampaignConfig{Injections: 10, TargetCI: 0.1, MaxInjections: -1}, "negative injection count"},
@@ -190,10 +188,10 @@ func TestModelGuardRails(t *testing.T) {
 			}
 		})
 	}
-	// The transient model keeps all accelerations.
-	ok := campaign.TransientCampaignConfig{Injections: 10, Model: "transient", Prune: true, Classes: true}
+	// The transient model keeps checkpointing.
+	ok := campaign.TransientCampaignConfig{Injections: 10, Model: "transient", Checkpoint: true}
 	if _, err := campaign.NewShardPlan(r, w, golden, profile, ok); err != nil {
-		t.Fatalf("transient model refused its own accelerations: %v", err)
+		t.Fatalf("transient model refused checkpointing: %v", err)
 	}
 }
 

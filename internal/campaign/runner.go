@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -168,16 +169,11 @@ type GoldenResult struct {
 	Duration time.Duration
 
 	// Kernels maps kernel name to the decoded kernel of every module the
-	// golden run loaded — the static view campaign pruning analyzes. A name
-	// defined by more than one module is dropped: injection parameters
-	// address kernels by name, so an ambiguous name cannot be reasoned
-	// about statically.
+	// golden run loaded — the static view site-resolved fault models and
+	// adaptive strata reason over. A name defined by more than one module is
+	// dropped: injection parameters address kernels by name, so an ambiguous
+	// name cannot be reasoned about statically.
 	Kernels map[string]*sass.Kernel
-	// BaselineClass is the classification of the fault-free run against its
-	// own output. A pruned experiment reuses it verbatim: a provably-masked
-	// injection leaves the program on exactly the golden path, anomalies
-	// (device-log events, unconsumed errors) included.
-	BaselineClass Classification
 }
 
 // Golden runs the workload with no tool attached and records the reference
@@ -217,11 +213,10 @@ func (r Runner) GoldenContext(hostCtx context.Context, w Workload) (*GoldenResul
 		delete(kernels, name)
 	}
 	return &GoldenResult{
-		Output:        out,
-		Stats:         ctx.AccumulatedStats(),
-		Duration:      d,
-		Kernels:       kernels,
-		BaselineClass: Classify(w, out, out, nil, ctx),
+		Output:   out,
+		Stats:    ctx.AccumulatedStats(),
+		Duration: d,
+		Kernels:  kernels,
 	}, nil
 }
 
@@ -255,13 +250,9 @@ func (r Runner) ProfileContext(hostCtx context.Context, w Workload, mode core.Pr
 
 // RunResult is one injection experiment's result. A campaign result holds
 // one per experiment for as long as it lives, so the fields are packed
-// (160 bytes): the one-byte fields sit together, beside Activations.
+// (144 bytes): the one-byte fields sit together, beside Activations.
 type RunResult struct {
 	Class Classification
-	// Pruned marks an experiment that never executed: static liveness
-	// analysis proved the injection target dead, so the classification was
-	// synthesized (Masked, golden-run anomaly state) instead of measured.
-	Pruned bool
 	// Restored marks a checkpointed experiment that started from a
 	// mid-trajectory device snapshot instead of replaying its golden prefix.
 	Restored bool
@@ -269,10 +260,6 @@ type RunResult struct {
 	// digest re-converged with the golden trajectory at a checkpoint
 	// boundary, so its tail was settled from the recording.
 	EarlyExit bool
-	// ClassAnswered marks an experiment that never executed: its class
-	// representative ran in its place and this result inherits that
-	// classification.
-	ClassAnswered bool
 	// Activations counts fault-site exercises for models with repeated
 	// activation (permanent, stuck, memory), saturating at 2^32-1; zero for
 	// single-shot models.
@@ -283,11 +270,6 @@ type RunResult struct {
 	Injection core.InjectionRecord
 	Duration  time.Duration
 	Stats     gpu.LaunchStats
-	// ClassID names the fault-equivalence class this run belongs to when
-	// class-representative sampling is on (empty otherwise). IDs are
-	// kernel-local content hashes; qualify with Injection.Kernel to compare
-	// across kernels.
-	ClassID string
 	// Stratum is the sampling stratum this run's injection site falls in
 	// when the campaign runs with adaptive stratified sampling
 	// ("kernel:classID", or "~" for unclassable sites). Empty otherwise.
@@ -432,25 +414,6 @@ type TransientCampaignConfig struct {
 	// tuple carries the static instruction index it landed on. Requires a
 	// profile with site data.
 	ResolveSites bool
-	// Prune statically pre-classifies experiments whose injection target is
-	// provably dead (see internal/sassan): those are tallied as Masked
-	// without running the workload. Implies ResolveSites. Outcome tallies
-	// are identical to an unpruned campaign with the same seed — the
-	// differential test in prune_test.go holds the two byte-equal.
-	Prune bool
-	// Classes enables class-representative sampling: injection sites are
-	// grouped into fault-propagation equivalence classes
-	// (sassan.BuildClassTable), and within each shard-sized chunk of the
-	// selection only the first experiment of each class executes. The other
-	// members inherit the representative's classification without running
-	// and are counted in Tally.ClassAnswered. Implies ResolveSites.
-	// Grouping is chunk-local by ShardSize, so a distributed campaign picks
-	// exactly the representatives the single-process runner picks. Sites the
-	// analysis cannot class (control escalation, opaque dataflow, unverified
-	// kernels) always run individually. The new JSON fields are omitted when
-	// the option is off, keeping those campaigns byte-identical to builds
-	// that predate it; classes_test.go holds the differential.
-	Classes bool `json:",omitempty"`
 	// Checkpoint enables the checkpoint-and-fork engine: the golden
 	// trajectory is recorded once with device snapshots, and every
 	// experiment restores from the snapshot nearest its injection point
@@ -518,6 +481,23 @@ func (c TransientCampaignConfig) Canonical() TransientCampaignConfig {
 	return c
 }
 
+// UnmarshalJSON decodes a config, reading the Prune and Classes flags that
+// older builds wrote as ResolveSites: both drew from the site-resolved
+// population, so a parent spec keeps selecting the faults it selected.
+func (c *TransientCampaignConfig) UnmarshalJSON(b []byte) error {
+	type plain TransientCampaignConfig
+	var w struct {
+		plain
+		Prune, Classes bool
+	}
+	if err := json.Unmarshal(b, &w); err != nil {
+		return err
+	}
+	*c = TransientCampaignConfig(w.plain)
+	c.ResolveSites = c.ResolveSites || w.Prune || w.Classes
+	return nil
+}
+
 // withDefaults is the one place a config's defaults are applied: every
 // campaign, shard plan, selection and adaptive decision runs on its result.
 func (c TransientCampaignConfig) withDefaults() TransientCampaignConfig {
@@ -560,10 +540,10 @@ func (c TransientCampaignConfig) withDefaults() TransientCampaignConfig {
 // model resolves the config's fault model — the transient flip for the
 // default — and holds the config to it. These are the guard rails
 // NewShardPlan and the service's spec validation share: the model must
-// exist and accept ModelParam, every acceleration the config turns on must
-// be one the model declares sound (they reason statically about transient
-// destination-flip semantics, so an unsound combination is refused rather
-// than silently miscounted), a bit-flip model or instruction group that is
+// exist and accept ModelParam, checkpointing needs a model that declares it
+// sound (snapshot restore assumes a single-shot fault, so an unsound
+// combination is refused rather than silently miscounted), a bit-flip model
+// or instruction group that is
 // set must be a valid one, the counts must not be negative, a target CI and
 // its confidence must lie in (0,1), and the checkpoint knobs need Checkpoint.
 // It holds before and after withDefaults alike.
@@ -575,14 +555,7 @@ func (c TransientCampaignConfig) model() (faultmodel.Model, error) {
 	if err := m.ValidateParam(c.ModelParam); err != nil {
 		return nil, err
 	}
-	caps := m.Caps()
-	if c.Prune && !caps.Has(faultmodel.CapPrune) {
-		return nil, fmt.Errorf("campaign: fault model %q does not support pruning (-prune: dead-destination pruning is only sound for the transient destination-flip model)", m.Name())
-	}
-	if c.Classes && !caps.Has(faultmodel.CapClasses) {
-		return nil, fmt.Errorf("campaign: fault model %q does not support class sampling (-classes: fault-equivalence classes answer members only under destination-flip semantics)", m.Name())
-	}
-	if c.Checkpoint && !caps.Has(faultmodel.CapCheckpoint) {
+	if c.Checkpoint && !m.Caps().Has(faultmodel.CapCheckpoint) {
 		return nil, fmt.Errorf("campaign: fault model %q does not support checkpointing (-checkpoint: snapshot restore assumes a single-shot fault after a fault-free prefix)", m.Name())
 	}
 	if c.BitFlip != 0 && !c.BitFlip.Valid() {
@@ -704,11 +677,7 @@ func RunPermanentCampaign(ctx context.Context, r Runner, w Workload, golden *Gol
 	}
 	results := make([]RunResult, len(faults))
 	errs := make([]error, len(faults))
-	idxs := make([]int, len(faults))
-	for i := range idxs {
-		idxs[i] = i
-	}
-	runClaimed(ctx, cfg.Parallel, idxs, errs, func(i int) error {
+	runClaimed(ctx, cfg.Parallel, len(faults), errs, func(i int) error {
 		res, err := r.RunPermanent(ctx, w, golden, *faults[i], nil, nil)
 		if err == nil {
 			results[i] = *res
@@ -748,10 +717,6 @@ func summarize(name string, golden *GoldenResult, results []RunResult, errs []er
 	var total time.Duration
 	durs := make([]time.Duration, 0, len(results))
 	for i := range results {
-		if results[i].Pruned || results[i].ClassAnswered {
-			// The experiment never ran: it has no duration of its own.
-			continue
-		}
 		total += results[i].Duration
 		durs = append(durs, results[i].Duration)
 	}

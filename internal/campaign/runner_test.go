@@ -3,6 +3,7 @@ package campaign_test
 import (
 	"context"
 	"testing"
+	"unsafe"
 
 	"repro/internal/campaign"
 	"repro/internal/core"
@@ -10,6 +11,19 @@ import (
 	"repro/internal/sass"
 	"repro/internal/specaccel"
 )
+
+// TestRunResultSize pins the per-run record's size. A campaign result holds
+// one per experiment for as long as it lives, and a benchmark window holds
+// every repetition's result, so growing it should be a visible decision:
+// change this figure and RunResult's packing comment together.
+func TestRunResultSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the size is pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(campaign.RunResult{}); got != 144 {
+		t.Fatalf("RunResult is %d bytes, want 144", got)
+	}
+}
 
 // TestCampaignDeterminism: the same seed reproduces an identical tally,
 // run by run.

@@ -73,7 +73,7 @@ func Population(profile *core.Profile, cfg TransientCampaignConfig) (*core.Fault
 		}
 		eligible = m.EligibleOp
 	}
-	resolve := cfg.ResolveSites || cfg.Prune || cfg.Checkpoint || cfg.Classes || cfg.TargetCI > 0
+	resolve := cfg.ResolveSites || cfg.Checkpoint || cfg.TargetCI > 0
 	return profile.Population(cfg.Group, resolve, eligible)
 }
 
@@ -107,7 +107,7 @@ func SelectShard(profile *core.Profile, cfg TransientCampaignConfig, shard int) 
 
 // ShardPlan is the per-job execution state a campaign shares across its
 // shards: the runner, the golden reference, the profile, and — when the
-// config asks for them — the static pruner and the recorded golden trace.
+// config asks for them — the adaptive strata and the recorded golden trace.
 // Building the plan once and running many shards against it is what both
 // the in-process campaign and a service worker do, so the two paths cannot
 // drift: an experiment executes identically whether its shard ran locally
@@ -119,8 +119,6 @@ type ShardPlan struct {
 	profile *core.Profile
 	cfg     TransientCampaignConfig
 	trace   *cuda.Trace
-	pr      *pruner
-	cl      *classer
 	// strat and weights are set when the config enables adaptive stratified
 	// sampling (TargetCI > 0): strat assigns each resolved site to its
 	// stratum, weights is the full-selection stratum composition the
@@ -136,8 +134,8 @@ type ShardPlan struct {
 }
 
 // NewShardPlan validates the config against the golden result and performs
-// the shared per-campaign setup: the pruner's liveness analyses (Prune) and
-// the recorded golden trajectory (Checkpoint).
+// the shared per-campaign setup: the adaptive strata (TargetCI) and the
+// recorded golden trajectory (Checkpoint).
 func NewShardPlan(r Runner, w Workload, golden *GoldenResult, profile *core.Profile,
 	cfg TransientCampaignConfig) (*ShardPlan, error) {
 	cfg = cfg.withDefaults()
@@ -146,24 +144,14 @@ func NewShardPlan(r Runner, w Workload, golden *GoldenResult, profile *core.Prof
 		return nil, err
 	}
 	plan := &ShardPlan{runner: r, w: w, golden: golden, profile: profile, cfg: cfg, model: m}
-	if (cfg.Model != "" || cfg.Prune || cfg.Classes || cfg.TargetCI > 0) && golden.Kernels == nil {
-		return nil, fmt.Errorf("campaign: a fault model, pruning, class or adaptive sampling needs the golden kernel view, but the golden result carries no kernels; rebuild it with Runner.Golden")
+	if (cfg.Model != "" || cfg.TargetCI > 0) && golden.Kernels == nil {
+		return nil, fmt.Errorf("campaign: a fault model or adaptive sampling needs the golden kernel view, but the golden result carries no kernels; rebuild it with Runner.Golden")
 	}
 	if cfg.Model != "" {
 		plan.env = ModelEnv(r, golden, profile)
 	}
-	if cfg.Prune {
-		plan.pr = newPruner(golden.Kernels)
-	}
-	if cfg.Classes {
-		plan.cl = newClasser(golden.Kernels)
-	}
 	if cfg.TargetCI > 0 {
-		cl := plan.cl
-		if cl == nil {
-			cl = newClasser(golden.Kernels)
-		}
-		plan.strat = &stratifier{cl: cl, noCertain: noCertainStrata(cfg)}
+		plan.strat = newStratifier(golden, cfg)
 		weights, err := AdaptiveStrata(golden, profile, cfg)
 		if err != nil {
 			return nil, err
@@ -236,81 +224,42 @@ func (pl *ShardPlan) summarize(results []RunResult, errs []error) (*CampaignResu
 // Parallel bound, returning results and errors index-aligned with params.
 // A cancelled ctx stops dispatching and marks the remaining experiments
 // with the context's error; already-running experiments abort promptly via
-// the device cancellation hook. With class sampling on, grouping is done
-// per shard-sized chunk of params: the whole-campaign list partitions into
-// exactly the chunks RunShard sees one at a time, so both paths pick the
-// same representatives.
+// the device cancellation hook. When the plan runs adaptively each
+// completed result is labelled with its sampling stratum.
 func (pl *ShardPlan) runRange(ctx context.Context, params []core.TransientParams) ([]RunResult, []error) {
 	results := make([]RunResult, len(params))
 	errs := make([]error, len(params))
-	if pl.cl == nil {
-		idxs := make([]int, len(params))
-		for i := range idxs {
-			idxs[i] = i
-		}
-		pl.runIndexes(ctx, params, idxs, results, errs)
-		pl.assignStrata(params, results, errs)
-		return results, errs
-	}
-	for lo := 0; lo < len(params); lo += pl.cfg.ShardSize {
-		hi := min(lo+pl.cfg.ShardSize, len(params))
-		pl.runChunkClassed(ctx, params, lo, hi, results, errs)
-	}
-	pl.assignStrata(params, results, errs)
-	return results, errs
-}
-
-// assignStrata labels each completed result with its sampling stratum when
-// the plan runs adaptively. Pruned and class-answered results are labelled
-// too: they count in the tally, so they count in their stratum.
-func (pl *ShardPlan) assignStrata(params []core.TransientParams, results []RunResult, errs []error) {
-	if pl.strat == nil {
-		return
-	}
-	for i := range results {
-		if errs[i] == nil {
-			results[i].Stratum, _ = pl.strat.classify(params[i])
-		}
-	}
-}
-
-// runIndexes executes the experiments at the given param indexes with the
-// plan's Parallel bound, writing into the index-aligned results and errs.
-func (pl *ShardPlan) runIndexes(ctx context.Context, params []core.TransientParams, idxs []int, results []RunResult, errs []error) {
-	// Pruning comes before anything runs, checkpoint planning included: a
-	// statically-dead site must not touch the trace at all.
-	todo := make([]int, 0, len(idxs))
-	for _, i := range idxs {
-		if pl.pr != nil && pl.pr.prunable(params[i]) {
-			results[i] = prunedResult(pl.golden, params[i])
-			continue
-		}
-		todo = append(todo, i)
-	}
-	runClaimed(ctx, pl.cfg.Parallel, todo, errs, func(i int) error {
+	runClaimed(ctx, pl.cfg.Parallel, len(params), errs, func(i int) error {
 		res, err := pl.runOne(ctx, params[i])
 		if err == nil {
 			results[i] = *res
 		}
 		return err
 	})
+	if pl.strat != nil {
+		for i := range results {
+			if errs[i] == nil {
+				results[i].Stratum, _ = pl.strat.classify(params[i])
+			}
+		}
+	}
+	return results, errs
 }
 
-// runClaimed is every campaign's worker loop: min(parallel, len(idxs))
-// long-lived workers (the caller is the first) claim the indexes in order
-// from one cursor and store exp(i)'s error in errs[i]; an index claimed
-// after ctx is done gets ctx's error without running. An experiment lasts a
+// runClaimed is every campaign's worker loop: min(parallel, n) long-lived
+// workers (the caller is the first) claim the indexes 0..n-1 in order from
+// one cursor and store exp(i)'s error in errs[i]; an index claimed after
+// ctx is done gets ctx's error without running. An experiment lasts a
 // fraction of a millisecond, and a goroutine spawned and handed back per
 // experiment cost two futex round trips each.
-func runClaimed(ctx context.Context, parallel int, idxs []int, errs []error, exp func(i int) error) {
+func runClaimed(ctx context.Context, parallel, n int, errs []error, exp func(i int) error) {
 	var cursor atomic.Int64
 	work := func() {
 		for {
-			k := int(cursor.Add(1)) - 1
-			if k >= len(idxs) {
+			i := int(cursor.Add(1)) - 1
+			if i >= n {
 				return
 			}
-			i := idxs[k]
 			if err := ctx.Err(); err != nil {
 				errs[i] = err
 				continue
@@ -324,7 +273,7 @@ func runClaimed(ctx context.Context, parallel int, idxs []int, errs []error, exp
 		}
 	}
 	var wg sync.WaitGroup
-	for w := 1; w < min(parallel, len(idxs)); w++ {
+	for w := 1; w < min(parallel, n); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -333,53 +282,6 @@ func runClaimed(ctx context.Context, parallel int, idxs []int, errs []error, exp
 	}
 	work()
 	wg.Wait()
-}
-
-// runChunkClassed executes one shard-sized chunk [lo, hi) under class
-// sampling: the first experiment of each equivalence class in the chunk
-// runs as the representative (alongside every unclassable experiment), then
-// the remaining members inherit its classification. Pruning wins over
-// classing — a provably-dead site keeps its static answer and never
-// becomes a representative or member.
-func (pl *ShardPlan) runChunkClassed(ctx context.Context, params []core.TransientParams, lo, hi int, results []RunResult, errs []error) {
-	run := make([]int, 0, hi-lo)
-	repOf := make(map[string]int)  // kernel-qualified class ID -> rep index
-	members := make(map[int][]int) // rep index -> member indexes
-	classID := make(map[int]string)
-	for i := lo; i < hi; i++ {
-		if pl.pr != nil && pl.pr.prunable(params[i]) {
-			run = append(run, i) // runIndexes prunes it statically
-			continue
-		}
-		c := pl.cl.classOf(params[i])
-		if c == nil {
-			run = append(run, i)
-			continue
-		}
-		key := params[i].KernelName + "\x00" + c.ID
-		if rep, ok := repOf[key]; ok {
-			members[rep] = append(members[rep], i)
-			continue
-		}
-		repOf[key] = i
-		classID[i] = c.ID
-		run = append(run, i)
-	}
-	pl.runIndexes(ctx, params, run, results, errs)
-	for _, rep := range repOf {
-		if errs[rep] == nil {
-			results[rep].ClassID = classID[rep]
-		}
-	}
-	for rep, ms := range members {
-		for _, i := range ms {
-			if errs[rep] != nil {
-				errs[i] = fmt.Errorf("campaign: class representative experiment %d failed: %w", rep, errs[rep])
-				continue
-			}
-			results[i] = classAnsweredResult(&results[rep], pl.golden, params[i])
-		}
-	}
 }
 
 // RunShard selects and executes one shard, returning its per-run results in
@@ -407,21 +309,6 @@ func TallyRuns(results []RunResult) *Tally {
 		tally.Add(results[i].Class)
 		if results[i].Stratum != "" {
 			tally.addStratum(results[i].Stratum, results[i].Class.Outcome)
-		}
-		if results[i].Pruned {
-			// A pruned experiment never ran: its outcome is static and the
-			// fault provably activates-and-masks.
-			tally.Pruned++
-			continue
-		}
-		if results[i].ClassAnswered {
-			// An answered class member never ran: its representative's
-			// classification stands in for it.
-			tally.ClassAnswered++
-			continue
-		}
-		if results[i].ClassID != "" {
-			tally.ClassReps++
 		}
 		if !results[i].Injection.Activated && results[i].Activations == 0 {
 			tally.NotActivated++

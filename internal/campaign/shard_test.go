@@ -208,14 +208,30 @@ func TestShardSelectionIsPartition(t *testing.T) {
 }
 
 // TestShardedPrunedCheckpointedCampaign: the partition identity must hold
-// with the pruning and checkpoint engines on — the modes the service's
-// workers run with.
+// with site-resolved selection over the dead-write kernel, whose dead sites
+// run like any other, and with the checkpoint engine on — the modes the
+// service's workers run with.
 func TestShardedPrunedCheckpointedCampaign(t *testing.T) {
 	r, w, golden, profile := campaignFixture(t)
-	for _, cfg := range []campaign.TransientCampaignConfig{
-		{Injections: 20, Seed: 11, ShardSize: 7, Prune: true},
-		{Injections: 20, Seed: 11, ShardSize: 7, Checkpoint: true},
+	dead := deadWorkload{}
+	deadGolden, err := r.Golden(dead)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadProfile, _, err := r.Profile(dead, core.Exact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		w       campaign.Workload
+		golden  *campaign.GoldenResult
+		profile *core.Profile
+		cfg     campaign.TransientCampaignConfig
+	}{
+		{dead, deadGolden, deadProfile, campaign.TransientCampaignConfig{Injections: 20, Seed: 11, ShardSize: 7, ResolveSites: true}},
+		{w, golden, profile, campaign.TransientCampaignConfig{Injections: 20, Seed: 11, ShardSize: 7, Checkpoint: true}},
 	} {
+		w, golden, profile, cfg := c.w, c.golden, c.profile, c.cfg
 		full, err := campaign.RunTransientCampaign(context.Background(), r, w, golden, profile, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -235,8 +251,26 @@ func TestShardedPrunedCheckpointedCampaign(t *testing.T) {
 		a, _ := json.Marshal(full.Tally)
 		b, _ := json.Marshal(merged)
 		if !bytes.Equal(a, b) {
-			t.Fatalf("prune=%v ckpt=%v tally mismatch:\ncampaign: %s\nsharded:  %s",
-				cfg.Prune, cfg.Checkpoint, a, b)
+			t.Fatalf("%s ckpt=%v tally mismatch:\ncampaign: %s\nsharded:  %s",
+				w.Name(), cfg.Checkpoint, a, b)
+		}
+	}
+}
+
+// TestShardPlanRequiresKernels: a fault model or adaptive sampling against a
+// golden result that predates kernel capture must fail loudly instead of
+// silently selecting or stratifying without the static view.
+func TestShardPlanRequiresKernels(t *testing.T) {
+	r, w, golden, profile := campaignFixture(t)
+	stale := *golden
+	stale.Kernels = nil
+	for _, cfg := range []campaign.TransientCampaignConfig{
+		{Injections: 4, Seed: 1, Model: "stuck"},
+		{Injections: 4, Seed: 1, TargetCI: 0.1},
+	} {
+		_, err := campaign.RunTransientCampaign(context.Background(), r, w, &stale, profile, cfg)
+		if err == nil || !strings.Contains(err.Error(), "no kernels") {
+			t.Fatalf("%+v with a kernel-less golden result: err = %v", cfg, err)
 		}
 	}
 }

@@ -74,9 +74,9 @@ func expectIdenticalRuns(t *testing.T, label string, xlated, interp *campaign.Ca
 		if x.Stats != n.Stats {
 			t.Fatalf("%s run %d: stats differ: %s %+v, %s %+v", label, i, xname, x.Stats, iname, n.Stats)
 		}
-		if x.Pruned != n.Pruned || x.Restored != n.Restored || x.EarlyExit != n.EarlyExit {
-			t.Fatalf("%s run %d: engine flags differ (pruned %v/%v restored %v/%v early %v/%v)",
-				label, i, x.Pruned, n.Pruned, x.Restored, n.Restored, x.EarlyExit, n.EarlyExit)
+		if x.Restored != n.Restored || x.EarlyExit != n.EarlyExit {
+			t.Fatalf("%s run %d: engine flags differ (restored %v/%v early %v/%v)",
+				label, i, x.Restored, n.Restored, x.EarlyExit, n.EarlyExit)
 		}
 	}
 	if !reflect.DeepEqual(xlated.Tally, interp.Tally) {
@@ -122,13 +122,14 @@ func TestSchedulerCampaignDifferential(t *testing.T) {
 	expectIdenticalRuns(t, "scheduler", split, scan, "warp-split", "legacy-scan")
 }
 
-// TestXlateCampaignDifferentialPruned composes translation with static
-// pruning: prune decisions and every executed experiment must match across
-// engines.
+// TestXlateCampaignDifferentialPruned composes translation with site-
+// resolved selection over the dead-write kernel: the injections that land on
+// its provably dead destinations really run on both engines, match
+// experiment for experiment, and come out Masked.
 func TestXlateCampaignDifferentialPruned(t *testing.T) {
-	xlated := runEngines(t, campaign.Runner{}, campaign.TransientCampaignConfig{Injections: 100, Seed: 78, Prune: true})
-	if xlated.Tally.Pruned == 0 {
-		t.Error("pruned campaign over the dead-write kernel pruned nothing")
+	xlated := runEngines(t, campaign.Runner{}, campaign.TransientCampaignConfig{Injections: 100, Seed: 78, ResolveSites: true})
+	if n := deadSiteRuns(t, xlated); n == 0 {
+		t.Error("no experiment over the dead-write kernel landed on a dead destination")
 	}
 }
 

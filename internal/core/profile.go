@@ -58,8 +58,8 @@ type KernelRecord struct {
 	// static instruction: SiteOps[i] is the opcode of instruction i of the
 	// kernel and SiteCounts[i] its thread-level dynamic execution count.
 	// They let injection-site selection resolve a dynamic index to a static
-	// instruction without replaying the program, which is what campaign
-	// pruning needs. Older profiles lack them.
+	// instruction without replaying the program, which site-resolved
+	// campaigns (fault models, checkpointing, adaptive strata) need. Older profiles lack them.
 	SiteOps    []sass.Op
 	SiteCounts []uint64
 

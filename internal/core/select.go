@@ -130,7 +130,7 @@ func SelectTransientFault(p *Profile, g sass.Group, bf BitFlipModel, rng *rand.R
 // resolved down to a static instruction: it draws from the same RNG stream
 // (one Int63n, then the two Float64s) but uses the profile's per-site
 // breakdown to name the static instruction the dynamic index lands on, so
-// consumers — the campaign pruner above all — can reason statically about
+// consumers — fault models and adaptive strata — can reason statically about
 // the target without replaying the program. Requires a profile with site
 // data.
 func SelectTransientFaultSite(p *Profile, g sass.Group, bf BitFlipModel, rng *rand.Rand) (*TransientParams, error) {

@@ -10,9 +10,9 @@
 // device memory.
 //
 // Soundness is explicit: campaign accelerations that reason statically about
-// destination-register semantics — dead-destination pruning, fault-
-// equivalence class sampling, checkpoint early-exit, certain-stratum
-// adaptive pooling — are only valid for the transient model, and each model
+// single-shot destination-register semantics — checkpoint restore and early
+// exit, certain-stratum adaptive pooling — are only valid for the transient
+// model, and each model
 // declares which of them it supports through Caps. The campaign layer
 // refuses unsupported combinations rather than silently miscounting.
 package faultmodel
@@ -31,19 +31,10 @@ import (
 type Caps uint8
 
 const (
-	// CapPrune marks a model for which sassan dead-destination pruning is
-	// sound: the fault corrupts exactly the destination registers of one
-	// dynamic instruction, so a provably-dead destination proves Masked.
-	CapPrune Caps = 1 << iota
-	// CapClasses marks a model for which fault-propagation equivalence
-	// classes answer members: the class shadows model destination-flip
-	// propagation, so a representative's outcome only transfers under
-	// destination-flip semantics.
-	CapClasses
 	// CapCheckpoint marks a model whose faults fire at a single dynamic
 	// point after a fault-free prefix, so restoring from a golden-trajectory
 	// snapshot before the injection point is sound.
-	CapCheckpoint
+	CapCheckpoint Caps = 1 << iota
 	// CapEarlyExit marks a model for which digest re-convergence with the
 	// golden trajectory settles the run's tail (requires CapCheckpoint).
 	CapEarlyExit

@@ -41,7 +41,7 @@ func TestRegistry(t *testing.T) {
 // every other model supports none — the soundness boundary the campaign layer
 // enforces.
 func TestCapsMatrix(t *testing.T) {
-	all := CapPrune | CapClasses | CapCheckpoint | CapEarlyExit | CapCertainStrata
+	all := CapCheckpoint | CapEarlyExit | CapCertainStrata
 	tr, _ := Lookup(DefaultName)
 	if tr.Caps() != all {
 		t.Fatalf("transient caps = %b, want all", tr.Caps())
@@ -51,14 +51,14 @@ func TestCapsMatrix(t *testing.T) {
 		if m.Caps() != 0 {
 			t.Fatalf("%s caps = %b, want none", name, m.Caps())
 		}
-		if m.Caps().Has(CapPrune) || m.Caps().Has(CapCheckpoint) {
+		if m.Caps().Has(CapCheckpoint) || m.Caps().Has(CapCertainStrata) {
 			t.Fatalf("%s claims a destination-flip acceleration", name)
 		}
 	}
-	if !all.Has(CapPrune | CapCertainStrata) {
+	if !all.Has(CapCheckpoint | CapCertainStrata) {
 		t.Fatal("Caps.Has rejects a present subset")
 	}
-	if Caps(0).Has(CapPrune) {
+	if Caps(0).Has(CapCheckpoint) {
 		t.Fatal("Caps.Has accepts an absent capability")
 	}
 }

@@ -21,9 +21,8 @@ import (
 // BurstGate — the paper's random/bursty intermittent-fault processes.
 //
 // None of the destination-flip accelerations are sound here: the fault fires
-// on every activation, not one, so pruning one dead write proves nothing,
-// class representatives don't transfer, and there is no fault-free prefix to
-// checkpoint past.
+// on every activation, not one, so a masked class proves nothing and there
+// is no fault-free prefix to checkpoint past.
 type stuckModel struct{}
 
 func init() { register(stuckModel{}) }

@@ -29,7 +29,7 @@ func (transientModel) DefaultGroup() sass.Group { return sass.GroupGPPR }
 func (transientModel) EligibleOp(sass.Op) bool { return true }
 
 func (transientModel) Caps() Caps {
-	return CapPrune | CapClasses | CapCheckpoint | CapEarlyExit | CapCertainStrata
+	return CapCheckpoint | CapEarlyExit | CapCertainStrata
 }
 
 func (transientModel) ValidateParam(param string) error {

@@ -15,7 +15,7 @@ import (
 // TestFaultTargetsAgree: the fault models' one destination expansion,
 // sass.Instr.FaultTargets — what the transient and permanent injectors in
 // internal/core corrupt — is the set the engine's in-line Corruption actually
-// changes and the set sassan.CorruptTargets hands the pruning analysis, on
+// changes and the set sassan.CorruptTargets hands the liveness analysis, on
 // every instruction of every kernel the 15 shipped programs load.
 func TestFaultTargetsAgree(t *testing.T) {
 	instrs := 0

@@ -30,10 +30,6 @@ type SummaryJSON struct {
 	GoldenMillis  int64           `json:"golden_ms"`
 	TotalRunTime  int64           `json:"total_run_ms"`
 	MedianRunTime int64           `json:"median_run_ms"`
-	// Classes summarizes class-representative sampling. Omitted entirely
-	// when the campaign did not use class sampling, keeping those summaries
-	// byte-identical to builds that predate the field.
-	Classes *ClassSummaryJSON `json:"classes,omitempty"`
 	// Statistical summarizes an adaptive campaign's stopping decision and
 	// stratified estimate. Omitted entirely for fixed-count campaigns,
 	// keeping those summaries byte-identical to builds that predate it.
@@ -61,8 +57,9 @@ type StatisticalJSON struct {
 	StopShard     int     `json:"stop_shard"`
 	MaxInjections int     `json:"max_injections"`
 	// Selected is the number of experiments consumed from the selection
-	// stream (Tally.N); Executed excludes statically answered ones (pruned
-	// and class-answered); Saved is the selection budget left unconsumed.
+	// stream (Tally.N); Executed equals Selected, since every selected
+	// experiment runs, and keeps its key for existing readers; Saved is the
+	// selection budget left unconsumed.
 	Selected   int                 `json:"selected"`
 	Executed   int                 `json:"executed"`
 	Saved      int                 `json:"saved"`
@@ -84,31 +81,13 @@ type StratumStatJSON struct {
 	Masked  int    `json:"masked,omitempty"`
 }
 
-// ClassSummaryJSON reports a class-sampled campaign's aggregation: how many
-// experiments executed as representatives, how many injections they
-// answered for, the Kish effective sample size of the weighted outcome
-// shares, and per-outcome confidence intervals computed at that effective
-// size (one representative is one independent observation, not one per
-// member — the interval honestly widens as classes grow heavy).
-type ClassSummaryJSON struct {
-	Reps                int                 `json:"reps"`
-	Answered            int                 `json:"answered"`
-	EffectiveSampleSize float64             `json:"neff"`
-	Confidence          float64             `json:"confidence"`
-	Intervals           []ClassIntervalJSON `json:"intervals"`
-}
-
-// ClassIntervalJSON is one outcome's weighted share with confidence bounds.
+// ClassIntervalJSON is one outcome's pooled share with confidence bounds.
 type ClassIntervalJSON struct {
 	Outcome string  `json:"outcome"`
 	Share   float64 `json:"share"`
 	Lo      float64 `json:"lo"`
 	Hi      float64 `json:"hi"`
 }
-
-// ClassConfidence is the confidence level class-sampled summaries report
-// intervals at (the paper's 100-injection campaigns quote 90%).
-const ClassConfidence = 0.90
 
 // NewSummaryJSON builds the stable summary document for one campaign.
 func NewSummaryJSON(res *campaign.CampaignResult) SummaryJSON {
@@ -119,7 +98,6 @@ func NewSummaryJSON(res *campaign.CampaignResult) SummaryJSON {
 		GoldenMillis:  res.GoldenTime.Milliseconds(),
 		TotalRunTime:  res.TotalRunTime.Milliseconds(),
 		MedianRunTime: res.MedianRunTime.Milliseconds(),
-		Classes:       classSummary(res),
 		Statistical:   statisticalSummary(res),
 		Model:         modelSummary(res),
 	}
@@ -149,7 +127,7 @@ func statisticalSummary(res *campaign.CampaignResult) *StatisticalJSON {
 		StopShard:     a.StopShard,
 		MaxInjections: a.MaxInjections,
 		Selected:      t.N,
-		Executed:      t.N - t.Pruned - t.ClassAnswered,
+		Executed:      t.N,
 		Saved:         a.MaxInjections - t.N,
 		AchievedCI:    a.AchievedCI,
 	}
@@ -177,31 +155,6 @@ func statisticalSummary(res *campaign.CampaignResult) *StatisticalJSON {
 	return sj
 }
 
-// classSummary builds the class-sampling block, or nil when the campaign
-// carries no class information.
-func classSummary(res *campaign.CampaignResult) *ClassSummaryJSON {
-	w := campaign.ClassWeighted(res.Runs)
-	if w == nil {
-		return nil
-	}
-	cs := &ClassSummaryJSON{
-		Reps:                res.Tally.ClassReps,
-		Answered:            res.Tally.ClassAnswered,
-		EffectiveSampleSize: w.EffectiveSampleSize(),
-		Confidence:          ClassConfidence,
-	}
-	for _, cat := range w.Categories() {
-		iv, err := w.ShareCI(cat, ClassConfidence)
-		if err != nil {
-			continue
-		}
-		cs.Intervals = append(cs.Intervals, ClassIntervalJSON{
-			Outcome: cat, Share: iv.P, Lo: iv.Lo, Hi: iv.Hi,
-		})
-	}
-	return cs
-}
-
 // WriteSummaryJSON writes one stable JSON summary line per campaign — the
 // format behind `nvbitfi campaign -json` and the benchmark tooling's
 // campaign snapshots.
@@ -222,17 +175,7 @@ func WriteRunLog(w io.Writer, res *campaign.CampaignResult) error {
 		run := &res.Runs[i]
 		rec := run.Injection
 		var line string
-		if run.Pruned {
-			line = fmt.Sprintf("run=%d outcome=%v symptom=%q potential_due=%v "+
-				"pruned=true kernel=%s instr=%d opcode=%v",
-				i, run.Class.Outcome, run.Class.Symptom.String(), run.Class.PotentialDUE,
-				rec.Kernel, rec.InstrIdx, rec.Opcode)
-		} else if run.ClassAnswered {
-			line = fmt.Sprintf("run=%d outcome=%v symptom=%q potential_due=%v "+
-				"class=%s answered=true kernel=%s instr=%d opcode=%v",
-				i, run.Class.Outcome, run.Class.Symptom.String(), run.Class.PotentialDUE,
-				run.ClassID, rec.Kernel, rec.InstrIdx, rec.Opcode)
-		} else if rec.Kernel != "" || rec.Activated {
+		if rec.Kernel != "" || rec.Activated {
 			line = fmt.Sprintf("run=%d outcome=%v symptom=%q potential_due=%v "+
 				"activated=%v kernel=%s instr=%d opcode=%v sm=%d lane=%d target=%s "+
 				"before=0x%08x after=0x%08x dur=%s",
@@ -244,9 +187,6 @@ func WriteRunLog(w io.Writer, res *campaign.CampaignResult) error {
 				"activations=%d dur=%s",
 				i, run.Class.Outcome, run.Class.Symptom.String(), run.Class.PotentialDUE,
 				run.Activations, run.Duration.Round(time.Millisecond))
-		}
-		if run.ClassID != "" && !run.ClassAnswered {
-			line += " class=" + run.ClassID
 		}
 		if _, err := fmt.Fprintln(w, line); err != nil {
 			return err
@@ -322,18 +262,6 @@ func Summary(res *campaign.CampaignResult) string {
 		// A result rebuilt from a tally alone (a service job's) has no runs
 		// to take a median over.
 		s += fmt.Sprintf(", median run %v", res.MedianRunTime.Round(time.Millisecond))
-	}
-	if t.Pruned > 0 {
-		s += fmt.Sprintf(", %d statically pruned", t.Pruned)
-	}
-	if t.ClassReps > 0 || t.ClassAnswered > 0 {
-		s += fmt.Sprintf(", %d class reps answered %d members", t.ClassReps, t.ClassAnswered)
-		if w := campaign.ClassWeighted(res.Runs); w != nil {
-			if iv, err := w.ShareCI("SDC", ClassConfidence); err == nil {
-				s += fmt.Sprintf(" (weighted SDC %.1f%% [%.1f, %.1f] @%d%%, neff %.1f)",
-					100*iv.P, 100*iv.Lo, 100*iv.Hi, int(100*ClassConfidence), w.EffectiveSampleSize())
-			}
-		}
 	}
 	if t.Restored > 0 {
 		s += fmt.Sprintf(", %d restored from checkpoints (%d early exits)", t.Restored, t.EarlyExits)

@@ -23,8 +23,8 @@ func (t FaultTarget) String() string {
 type FaultTargetBuf [8]FaultTarget
 
 // FaultTargets appends the instruction's corruptible destinations to out,
-// in operand order — the one expansion every fault model, the pruning
-// analysis and the engine's declarative permanent fault share. A predicate
+// in operand order — the one expansion every fault model, sassan's
+// liveness and the engine's declarative permanent fault share. A predicate
 // destination other than PT is one target. A register destination other than
 // RZ spans one register, an even/odd pair for a FlagPair opcode, and two or
 // four consecutive registers for a 64- or 128-bit LD*/LDC (the LDC width

@@ -180,7 +180,7 @@ func DefsUses(in *sass.Instr) DefUse {
 // corruptible destinations for this instruction: sass.Instr.FaultTargets as
 // sets. That expansion differs from the execution write set in one place:
 // LDC's width modifier widens the fault-target span even though the executor
-// writes a single register. Pruning must therefore prove this set dead, while
+// writes a single register. DeadDests must therefore prove this set dead, while
 // liveness kills use the execution-accurate write set from DefsUses.
 func CorruptTargets(in *sass.Instr) (RegSet, PredSet) {
 	var gp RegSet

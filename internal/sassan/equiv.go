@@ -10,8 +10,8 @@ import (
 // Injection-site equivalence classes. Two sites whose fault-propagation
 // shadows canonicalize to the same content hash — same site opcode and
 // guard shape, same corrupt-target shape, same event sequence of
-// (distance, opcode, role) — share dynamic classification shape, so a
-// campaign can run one representative and answer for every member. The ID
+// (distance, opcode, role) — share dynamic classification shape, so an
+// adaptive campaign samples them as one stratum. The ID
 // is a pure content hash of that canonical form: the analysis is
 // deterministic, so every shard of a distributed campaign derives the
 // identical ID for the identical class with no coordination. IDs are
@@ -25,7 +25,7 @@ type Class struct {
 	Kind ShadowKind
 	// Masked reports a provably-masked class (Shadow.Masked): every
 	// injection in it is Masked by construction, the generalization of
-	// the dead-destination prune.
+	// a dead destination.
 	Masked bool
 	// Sites lists the member instruction indexes, ascending. The lowest
 	// member is the class's canonical representative site.

@@ -107,7 +107,7 @@ func (a *Analysis) computeLiveness() {
 // memory, traps, or program output on any path — the injection is Masked
 // by construction. The check uses the injector's fault-target expansion
 // (CorruptTargets), which can diverge from the execution write set (LDC
-// width, a SETP's second predicate destination), so pruning proves dead
+// width, a SETP's second predicate destination), so it proves dead
 // exactly the registers a fault could touch.
 func (a *Analysis) DeadDests(i int) bool {
 	gp, pr := CorruptTargets(&a.Kernel.Instrs[i])

@@ -4,8 +4,8 @@
 // analysis — nothing here executes or mutates a kernel — and it sits
 // between the ISA model (internal/sass) and the consumers that want a
 // static view: module verification at load time (internal/cuda,
-// internal/nvbit), dead-destination campaign pruning (internal/campaign),
-// and the standalone cmd/sasslint tool.
+// internal/campaign's lint), the adaptive strata's fault-equivalence
+// classes (internal/campaign), and the standalone cmd/sasslint tool.
 //
 // The def/use model mirrors the simulator's execution semantics
 // (internal/gpu/exec.go) instruction for instruction: FP64 operands occupy

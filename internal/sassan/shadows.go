@@ -13,11 +13,11 @@ import "repro/internal/sass"
 // control-transfer input escalates the whole shadow to a control shadow,
 // because from that point the executed path itself depends on the fault.
 //
-// Shadows feed two consumers. Masked() is a soundness claim the campaign
-// may answer without running: taint that provably dies inside the register
-// file — no store, no address use, no control input, no cut — cannot alter
-// output, traps, or timing, generalizing the dead-destination prune (whose
-// shadow is simply empty). Classable() additionally admits shadows whose
+// Shadows feed two consumers. Masked() is a soundness claim, which makes a
+// class a certain stratum of adaptive sampling: taint that provably dies
+// inside the register file — no store, no address use, no control input,
+// no cut — cannot alter output, traps, or timing, generalizing a dead
+// destination (whose shadow is simply empty). Classable() additionally admits shadows whose
 // taint escapes through plain unguarded global stores with every
 // intermediate reader difference-preserving; those sites share dynamic
 // behavior shape and are grouped into equivalence classes by equiv.go.
@@ -148,7 +148,7 @@ func (s *Shadow) Masked() bool {
 // provably masked, or a data shadow whose only escape is plain unguarded
 // global stores reached through difference-preserving readers. Sites with
 // equal class keys (see equiv.go) then share dynamic classification shape,
-// so one representative answers for the class.
+// so the class is a natural sampling stratum.
 func (s *Shadow) Classable() bool {
 	if s.Masked() {
 		return true

@@ -147,7 +147,7 @@ func VerifyKernel(k *sass.Kernel) []Diagnostic {
 }
 
 // Verify runs the static checks over this prebuilt analysis, so a consumer
-// that already paid for Analyze (the campaign pruner and classer) does not
+// that already paid for Analyze (the campaign's adaptive stratifier) does not
 // analyze the kernel a second time.
 func (a *Analysis) Verify() []Diagnostic {
 	return verifyWith(a)

@@ -33,8 +33,8 @@ func TestModelSpecValidation(t *testing.T) {
 			Config: withModel(base, "nosuch", "")}, "unknown model"},
 		{"bad-param", serve.CampaignSpec{Schema: serve.JobSchema, Workload: testWorkload,
 			Config: withModel(base, "stuck", "value=7")}, "stuck value"},
-		{"prune-unsound", serve.CampaignSpec{Schema: serve.JobSchema, Workload: testWorkload,
-			Config: withPrune(withModel(base, "stuck", ""))}, "does not support pruning"},
+		{"checkpoint-unsound", serve.CampaignSpec{Schema: serve.JobSchema, Workload: testWorkload,
+			Config: withCheckpoint(withModel(base, "stuck", ""))}, "does not support checkpointing"},
 		{"unknown-schema", serve.CampaignSpec{Schema: "nvbitfi.job/v99", Workload: testWorkload, Config: base},
 			"unsupported job schema"},
 		// The campaign's own guard rails hold at submission too.
@@ -111,8 +111,8 @@ func withModel(cfg campaign.TransientCampaignConfig, model, param string) campai
 	return cfg
 }
 
-func withPrune(cfg campaign.TransientCampaignConfig) campaign.TransientCampaignConfig {
-	cfg.Prune = true
+func withCheckpoint(cfg campaign.TransientCampaignConfig) campaign.TransientCampaignConfig {
+	cfg.Checkpoint = true
 	return cfg
 }
 

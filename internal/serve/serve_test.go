@@ -28,6 +28,21 @@ const testWorkload = "314.omriq"
 // tally — the reference every service test compares against.
 func inProcessTally(t *testing.T, cfg campaign.TransientCampaignConfig) []byte {
 	t.Helper()
+	r, w, golden, profile := inProcessFixture(t)
+	res, err := campaign.RunTransientCampaign(context.Background(), r, w, golden, profile, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(res.Tally)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// inProcessFixture is testWorkload's golden run and profile.
+func inProcessFixture(t *testing.T) (campaign.Runner, campaign.Workload, *campaign.GoldenResult, *core.Profile) {
+	t.Helper()
 	w, err := specaccel.ByName(testWorkload)
 	if err != nil {
 		t.Fatal(err)
@@ -41,15 +56,7 @@ func inProcessTally(t *testing.T, cfg campaign.TransientCampaignConfig) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := campaign.RunTransientCampaign(context.Background(), r, w, golden, profile, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := json.Marshal(res.Tally)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
+	return r, w, golden, profile
 }
 
 func mustJSON(t *testing.T, v any) []byte {
@@ -72,6 +79,13 @@ const (
 	// TimingFidelity switch the config has since lost; Parallel 1 is its
 	// equivalent, and neither changes a tally.
 	parentSpecTiming = `{"schema":"nvbitfi.job/v1","workload":"314.omriq","config":{"Injections":60,"Group":0,"BitFlip":0,"Seed":42,"Parallel":0,"TimingFidelity":true,"ResolveSites":false,"Prune":false,"Checkpoint":false,"CkptStride":0,"NoEarlyExit":false,"ShardSize":0}}`
+	// parentSpecPrune and parentSpecClasses ask for the static pruning and
+	// class sampling the config has since lost. Both drew from the site-
+	// resolved population, so each decodes as ResolveSites and runs the
+	// faults it always selected; only which experiments ran has changed, and
+	// no classification.
+	parentSpecPrune   = `{"schema":"nvbitfi.job/v1","workload":"314.omriq","config":{"Injections":60,"Group":0,"BitFlip":0,"Seed":43,"Parallel":0,"ResolveSites":false,"Prune":true,"Checkpoint":false,"CkptStride":0,"NoEarlyExit":false,"ShardSize":0}}`
+	parentSpecClasses = `{"schema":"nvbitfi.job/v1","workload":"314.omriq","config":{"Injections":60,"Group":0,"BitFlip":0,"Seed":45,"Parallel":0,"ResolveSites":false,"Prune":false,"Classes":true,"Checkpoint":false,"CkptStride":0,"NoEarlyExit":false,"ShardSize":0}}`
 	// parentJournalJob is the journal's job line for a 3-shard NoXlate job.
 	parentJournalJob = `{"type":"job","job":"job-adbbf8786c1d","spec":{"schema":"nvbitfi.job/v1","workload":"314.omriq","config":{"Injections":60,"Group":0,"BitFlip":0,"Seed":42,"Parallel":0,"TimingFidelity":false,"ResolveSites":false,"Prune":false,"Checkpoint":false,"CkptStride":0,"NoEarlyExit":false,"NoXlate":true,"ShardSize":20}},"golden_digest":"177c0ddca0c846317ec1a89ef949d55745aadf57d667e271a9b3310d9efac8fd","num_shards":3}`
 )
@@ -95,12 +109,11 @@ func postSpec(t *testing.T, url, raw string) *serve.JobStatus {
 	return &st
 }
 
-// TestServiceTallyIdentity is the acceptance test for the tentpole: a
-// 200-injection campaign submitted over HTTP and executed by two remote
-// workers must produce a tally byte-identical to the in-process runner on
-// the same seed — and the same must hold with the pruning and checkpoint
-// engines enabled, and for specs written before the config lost NoXlate and
-// TimingFidelity.
+// TestServiceTallyIdentity: a 200-injection campaign submitted over HTTP and
+// executed by two remote workers must produce a tally byte-identical to the
+// in-process runner on the same seed — and the same must hold with the
+// checkpoint engine enabled, and for specs written before the config lost
+// NoXlate, TimingFidelity, Prune and Classes.
 func TestServiceTallyIdentity(t *testing.T) {
 	cases := []struct {
 		name string
@@ -110,16 +123,12 @@ func TestServiceTallyIdentity(t *testing.T) {
 		raw string
 	}{
 		{"plain", campaign.TransientCampaignConfig{Injections: 200, Seed: 42}, ""},
-		{"prune", campaign.TransientCampaignConfig{Injections: 60, Seed: 43, Prune: true}, ""},
 		{"ckpt", campaign.TransientCampaignConfig{Injections: 60, Seed: 44, Checkpoint: true}, ""},
-		// Class-representative sampling groups within shard-sized chunks, so
-		// two workers leasing shards independently must pick exactly the
-		// representatives the in-process runner picks — no double-counting of
-		// answered members across shard boundaries.
-		{"classes", campaign.TransientCampaignConfig{Injections: 60, Seed: 45, Classes: true}, ""},
 		{"parent-spec", campaign.TransientCampaignConfig{Injections: 60, Seed: 42}, parentSpecXlate},
 		{"parent-spec-noxlate", campaign.TransientCampaignConfig{Injections: 60, Seed: 42}, parentSpecInterp},
 		{"parent-spec-timing", campaign.TransientCampaignConfig{Injections: 60, Seed: 42, Parallel: 1}, parentSpecTiming},
+		{"parent-spec-prune", campaign.TransientCampaignConfig{Injections: 60, Seed: 43, ResolveSites: true}, parentSpecPrune},
+		{"parent-spec-classes", campaign.TransientCampaignConfig{Injections: 60, Seed: 45, ResolveSites: true}, parentSpecClasses},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -503,21 +512,53 @@ func TestParentJournalResumes(t *testing.T) {
 }
 
 // TestParentSchemaJournalsResume: a coordinator restarted on a journal a
-// parent coordinator wrote for an adaptive job (schema v2) or a fault-model
-// job (schema v3) replays it under the one schema and settles to the tally of
-// the in-process campaign.
+// parent coordinator wrote for an adaptive job (schema v2), a fault-model job
+// (schema v3) or a -prune job with a finished shard replays it under the one
+// schema and settles to the tally of the in-process campaign.
 func TestParentSchemaJournalsResume(t *testing.T) {
+	// schemaAs rewrites this build's journal into a parent's that encoded the
+	// same config the same way under another schema string.
+	schemaAs := func(schema string) func(*testing.T, []byte, string) []byte {
+		return func(t *testing.T, ours []byte, _ string) []byte {
+			parent := bytes.ReplaceAll(ours, []byte(`"schema":"`+serve.JobSchema+`"`), []byte(`"schema":"`+schema+`"`))
+			if bytes.Equal(parent, ours) {
+				t.Fatalf("the journal names no schema: %s", ours)
+			}
+			return parent
+		}
+	}
+	// pruned rewrites this build's journal of the resolved job into a
+	// parent's -prune job that had finished shard 0: its config says Prune
+	// instead of ResolveSites, and shard 0's tally counts pruned runs.
+	resolved := campaign.TransientCampaignConfig{Injections: 60, Seed: 47, ShardSize: 20, ResolveSites: true}
+	pruned := func(t *testing.T, ours []byte, id string) []byte {
+		parent := bytes.ReplaceAll(ours, []byte(`"ResolveSites":true`), []byte(`"ResolveSites":false,"Prune":true`))
+		if bytes.Equal(parent, ours) {
+			t.Fatalf("the journal's job resolves no sites: %s", ours)
+		}
+		r, w, golden, profile := inProcessFixture(t)
+		plan, err := campaign.NewShardPlan(r, w, golden, profile, resolved)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs, err := plan.RunShard(context.Background(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tally := bytes.Replace(mustJSON(t, campaign.TallyRuns(runs)), []byte(`"pruned":0`), []byte(`"pruned":4`), 1)
+		return fmt.Appendf(parent, `{"type":"shard_done","job":%q,"shard":0,"tally":%s}`+"\n", id, tally)
+	}
 	for _, tc := range []struct {
-		schema string
+		name   string
 		cfg    campaign.TransientCampaignConfig
+		parent func(t *testing.T, ours []byte, id string) []byte
 	}{
-		{"nvbitfi.job/v2", campaign.TransientCampaignConfig{Injections: 300, Seed: 46, TargetCI: 0.10}},
-		{"nvbitfi.job/v3", campaign.TransientCampaignConfig{Injections: 60, Seed: 42, ShardSize: 20, Model: "stuck"}},
+		{"nvbitfi.job/v2", campaign.TransientCampaignConfig{Injections: 300, Seed: 46, TargetCI: 0.10}, schemaAs("nvbitfi.job/v2")},
+		{"nvbitfi.job/v3", campaign.TransientCampaignConfig{Injections: 60, Seed: 42, ShardSize: 20, Model: "stuck"}, schemaAs("nvbitfi.job/v3")},
+		{"prune", resolved, pruned},
 	} {
-		t.Run(tc.schema, func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			want := inProcessTally(t, tc.cfg)
-			// The parent's job line is this coordinator's but for the schema
-			// string: the parent encoded the same config the same way.
 			journal := filepath.Join(t.TempDir(), "journal.jsonl")
 			coord, err := serve.NewCoordinator(serve.Options{JournalPath: journal})
 			if err != nil {
@@ -532,11 +573,7 @@ func TestParentSchemaJournalsResume(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			parent := bytes.ReplaceAll(ours, []byte(`"schema":"`+serve.JobSchema+`"`), []byte(`"schema":"`+tc.schema+`"`))
-			if bytes.Equal(parent, ours) {
-				t.Fatalf("the journal names no schema: %s", ours)
-			}
-			if err := os.WriteFile(journal, parent, 0o644); err != nil {
+			if err := os.WriteFile(journal, tc.parent(t, ours, st.ID), 0o644); err != nil {
 				t.Fatal(err)
 			}
 
@@ -975,8 +1012,7 @@ func TestCompleteRefusesInconsistentTally(t *testing.T) {
 		{"negative-count", `{"n":5,"sdc":-1,"due":0,"masked":6}`},
 		{"strata-short-of-N", `{"n":5,"masked":5,"strata":[{"key":"~","n":4,"masked":4}]}`},
 		{"restored-past-N", `{"n":5,"masked":5,"restored":6}`},
-		{"early-exits-past-executed", `{"n":5,"masked":5,"pruned":3,"early_exits":3}`},
-		{"pruned-and-answered-past-N", `{"n":5,"masked":5,"pruned":3,"class_answered":3}`},
+		{"early-exits-past-N", `{"n":5,"masked":5,"early_exits":6}`},
 		{"N-not-the-shard", `{"n":3,"masked":3}`},
 	}
 	for _, f := range forged {

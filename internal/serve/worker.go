@@ -19,9 +19,9 @@ import (
 const coreProfileMode = core.Exact
 
 // Worker leases shards from a Backend and runs them with campaign.Runner —
-// the same engine, pruner, and checkpoint machinery as the in-process
+// the same engine, strata, and checkpoint machinery as the in-process
 // campaign, so a shard's results do not depend on where it ran. Per-spec
-// setup (golden run, profile, pruner, recorded trace) is built on the first
+// setup (golden run, profile, recorded trace) is built on the first
 // lease of a spec and reused for later shards and later jobs of that spec.
 type Worker struct {
 	Backend Backend

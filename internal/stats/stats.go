@@ -126,7 +126,6 @@ func wilsonInterval(p, n, z float64) Interval {
 // for that opcode".
 type WeightedTally struct {
 	weights map[string]float64
-	obs     []float64
 	total   float64
 }
 
@@ -136,7 +135,6 @@ func (t *WeightedTally) Add(cat string, weight float64) {
 		t.weights = make(map[string]float64)
 	}
 	t.weights[cat] += weight
-	t.obs = append(t.obs, weight)
 	t.total += weight
 }
 
@@ -163,41 +161,6 @@ func (t *WeightedTally) Categories() []string {
 
 // Weight returns the accumulated weight of a category.
 func (t *WeightedTally) Weight(cat string) float64 { return t.weights[cat] }
-
-// EffectiveSampleSize returns the Kish effective sample size of the
-// recorded observations, (Σw)²/Σw². Equal weights give the observation
-// count; concentrating the total weight in fewer observations shrinks it,
-// so intervals computed from it widen as class weights grow unequal.
-// Zero-weight observations carry no information and do not count.
-func (t *WeightedTally) EffectiveSampleSize() float64 {
-	var sum, sumSq float64
-	for _, w := range t.obs {
-		sum += w
-		sumSq += w * w
-	}
-	if sumSq == 0 {
-		return 0
-	}
-	return sum * sum / sumSq
-}
-
-// ShareCI returns the confidence interval of a category's weighted share,
-// with the variance computed at the Kish effective sample size rather than
-// the raw observation count: a representative that answers for a heavy
-// class contributes one independent observation, not one per member.
-func (t *WeightedTally) ShareCI(cat string, confidence float64) (Interval, error) {
-	if t.total == 0 {
-		return Interval{}, fmt.Errorf("stats: weighted tally is empty")
-	}
-	z, err := zValue(confidence)
-	if err != nil {
-		return Interval{}, err
-	}
-	neff := t.EffectiveSampleSize()
-	p := t.Share(cat)
-	m := z * math.Sqrt(p*(1-p)/neff)
-	return Interval{P: p, Lo: math.Max(0, p-m), Hi: math.Min(1, p+m)}, nil
-}
 
 // StratifiedTally pools per-stratum category counts into a
 // post-stratification estimator. Each stratum carries a population weight

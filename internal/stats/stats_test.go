@@ -321,101 +321,6 @@ func TestWeightedTally(t *testing.T) {
 	}
 }
 
-func TestEffectiveSampleSize(t *testing.T) {
-	var w WeightedTally
-	if w.EffectiveSampleSize() != 0 {
-		t.Error("empty tally should have zero effective size")
-	}
-	// Equal weights: effective size equals the observation count.
-	for i := 0; i < 8; i++ {
-		w.Add("Masked", 2.5)
-	}
-	if got := w.EffectiveSampleSize(); math.Abs(got-8) > 1e-12 {
-		t.Errorf("equal weights: neff = %v, want 8", got)
-	}
-	// Zero-weight observations carry no information.
-	w.Add("SDC", 0)
-	if got := w.EffectiveSampleSize(); math.Abs(got-8) > 1e-12 {
-		t.Errorf("zero-weight obs changed neff: %v", got)
-	}
-	// A single observation is one effective sample whatever its weight.
-	var single WeightedTally
-	single.Add("SDC", 123.0)
-	if got := single.EffectiveSampleSize(); math.Abs(got-1) > 1e-12 {
-		t.Errorf("single member: neff = %v, want 1", got)
-	}
-	// All-zero weights: no information at all.
-	var zeros WeightedTally
-	zeros.Add("a", 0)
-	zeros.Add("b", 0)
-	if zeros.EffectiveSampleSize() != 0 {
-		t.Error("all-zero weights should have zero effective size")
-	}
-}
-
-func TestShareCIExtremes(t *testing.T) {
-	var w WeightedTally
-	for i := 0; i < 10; i++ {
-		w.Add("Masked", 1)
-	}
-	// p = 1 for the only category, p = 0 for an absent one: the normal
-	// approximation degenerates to a point but must stay in [0,1].
-	one, err := w.ShareCI("Masked", 0.95)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if one.P != 1 || one.Lo != 1 || one.Hi != 1 {
-		t.Errorf("p=1 interval = %+v", one)
-	}
-	zero, err := w.ShareCI("SDC", 0.95)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if zero.P != 0 || zero.Lo != 0 || zero.Hi != 0 {
-		t.Errorf("p=0 interval = %+v", zero)
-	}
-	var empty WeightedTally
-	if _, err := empty.ShareCI("x", 0.95); err == nil {
-		t.Error("empty tally ShareCI should error")
-	}
-	if _, err := w.ShareCI("Masked", 1.5); err == nil {
-		t.Error("bad confidence should error")
-	}
-}
-
-func TestShareCIWidthMonotoneInClassWeight(t *testing.T) {
-	// Against a fixed population of twenty singleton observations, grow one
-	// class representative's weight: the Kish effective sample size must
-	// shrink and the class-share interval must widen monotonically — one
-	// representative answering for more members is not more evidence.
-	measure := func(classWeight float64) (neff, width float64) {
-		var w WeightedTally
-		w.Add("SDC", classWeight)
-		for i := 0; i < 20; i++ {
-			w.Add("Masked", 1)
-		}
-		iv, err := w.ShareCI("SDC", 0.95)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if iv.Hi >= 1 {
-			t.Fatalf("interval saturated at class weight %v: %+v", classWeight, iv)
-		}
-		return w.EffectiveSampleSize(), iv.Hi - iv.Lo
-	}
-	prevNeff, prevWidth := math.Inf(1), -1.0
-	for _, cw := range []float64{1, 2, 4, 8, 16} {
-		neff, width := measure(cw)
-		if neff >= prevNeff {
-			t.Errorf("neff %v at class weight %v not below %v", neff, cw, prevNeff)
-		}
-		if width <= prevWidth {
-			t.Errorf("CI width %v at class weight %v not wider than %v", width, cw, prevWidth)
-		}
-		prevNeff, prevWidth = neff, width
-	}
-}
-
 func TestWeight(t *testing.T) {
 	var w WeightedTally
 	w.Add("SDC", 3)

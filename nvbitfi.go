@@ -157,8 +157,6 @@ const (
 
 // Fault-model soundness capabilities.
 const (
-	CapPrune         = faultmodel.CapPrune
-	CapClasses       = faultmodel.CapClasses
 	CapCheckpoint    = faultmodel.CapCheckpoint
 	CapEarlyExit     = faultmodel.CapEarlyExit
 	CapCertainStrata = faultmodel.CapCertainStrata
