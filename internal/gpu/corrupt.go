@@ -254,11 +254,11 @@ func (blk *blockCtx) segment(w *warp, pc, stop int32, atPC uint32) (live, end in
 
 // settle adds to the Shot's Count the lanes of the armed sites that a
 // stretch of w's batch issuing atPC passed from pc `from` (segment's count,
-// not 0): all of count when it completed, else, when it trapped at pc, those
-// of the sites up to and including pc, which issuing them alone would have
-// counted.
-func (blk *blockCtx) settle(w *warp, from, pc int32, atPC uint32, count uint64, trapped bool) {
-	if trapped {
+// not 0): all of count when it completed, else, when it stopped at pc — a
+// trap, or an EXIT that retired lanes and so ends the batch — those of the
+// sites up to and including pc, which issuing them alone would have counted.
+func (blk *blockCtx) settle(w *warp, from, pc int32, atPC uint32, count uint64, stopped bool) {
+	if stopped {
 		_, _, count = blk.segment(w, from, pc+1, atPC)
 	}
 	blk.shot.Count += count

@@ -756,8 +756,9 @@ func (blk *blockCtx) bindCtx(w *warp) {
 // plan until it exits, reaches a barrier, pauses, or traps — for every kind
 // of launch (plain, instrumented, paused, tallying, faulted in line).
 //
-// Within a straight-line run (precomputed per CFG basic block at translation
-// time) it skips the scheduler entirely — no schedule() call, no convergence
+// Within a straight-line run (precomputed at translation time: a CFG basic
+// block, continued past a guarded EXIT that only falls through) it skips the
+// scheduler entirely — no schedule() call, no convergence
 // re-check, no per-instruction semantic classification — and executes the
 // pre-resolved steps back to back. A diverged warp batches too: the head
 // split issues consecutively until the run ends or the head reaches the next
@@ -765,10 +766,12 @@ func (blk *blockCtx) bindCtx(w *warp) {
 // make. A batch is clipped three ways: by the next split, by the pause
 // controller's remaining distance (so a pause lands on the exact
 // instruction and finishRun leaves pc[] authoritative for the snapshot), and
-// by the budget (takeN). Budget, cancellation polling, stats, SM clock and
-// trampolines are charged once per batch with exact per-instruction
-// attribution on budget exhaustion and mid-batch faults, so LaunchStats,
-// trap sites and modeled time are bit-identical to the per-step loop.
+// by the budget (takeN). It also ends after an EXIT that retires lanes, so
+// the batch's lanes never change inside it. Budget, cancellation polling,
+// stats, SM clock and trampolines are charged once per batch with exact
+// per-instruction attribution on budget exhaustion, mid-batch faults and
+// EXITs, so LaunchStats, trap sites and modeled time are bit-identical to
+// the per-step loop.
 //
 // Everything a plain launch does not need hangs off one flag, blk.hooked,
 // fixed per blockCtx.run: the pause clip and tick and the trampoline charge,
@@ -868,8 +871,20 @@ func (blk *blockCtx) runWarp(w *warp, budget *budgetCounter, stats *LaunchStats)
 					}
 					lanes := uint64(popcount(execMask))
 					ti += lanes
-					if _, kind, faultAddr = xi.step(blk, w, execMask); kind != 0 {
-						break
+					if xi.ctl == ctlNone {
+						if _, kind, faultAddr = xi.step(blk, w, execMask); kind != 0 {
+							break
+						}
+					} else if w.exitedMask |= execMask; execMask != 0 {
+						// An EXIT, the one control kind a run holds, retired
+						// lanes: the batch ends after it.
+						if tally != nil {
+							tally[pc].add(lanes)
+						}
+						if count != 0 {
+							blk.settle(w, from, pc, atPC, count, true)
+						}
+						goto exited
 					}
 					if tally != nil {
 						tally[pc].add(lanes)
@@ -899,6 +914,13 @@ func (blk *blockCtx) runWarp(w *warp, budget *budgetCounter, stats *LaunchStats)
 				lanes := uint64(popcount(execMask))
 				ti += lanes
 				call, inline, lane := pc == cut, blk.live != nil && int32(blk.live[pc]) == pc, -1
+				if xi.ctl != ctlNone {
+					if blk.exitAlone(w, pc, execMask, call, inline) {
+						goto exited
+					}
+					pc++
+					continue
+				}
 				if call {
 					ctx.Instr, ctx.InstrIdx, ctx.ActiveMask = &instrs[pc], int(pc), execMask
 					if before != nil {
@@ -955,10 +977,31 @@ func (blk *blockCtx) runWarp(w *warp, budget *budgetCounter, stats *LaunchStats)
 				return errLaunchPaused
 			}
 			continue
+
+		exited:
+			// An EXIT retired lanes at pc and the batch ends after it: hand
+			// back the never-issued tail, to the budget all the batch took of
+			// it (the part takeN could not grant too, so the warp's next
+			// issue, if any, finds the budget dry where the per-step loop
+			// would), to the stats and the clock what it granted.
+			pc++
+			stats.ThreadInstrs += ti
+			budget.refund(int64(end - pc))
+			stats.WarpInstrs -= uint64(stop - pc)
+			*clock -= uint64(stop - pc)
+			if hooked {
+				blk.chargeSites(stats, minPC, pc)
+			}
+			w.finishRun(pc, atPC&^w.exitedMask)
+			if hooked && blk.pause.tick(int64(pc-minPC)) {
+				return errLaunchPaused
+			}
+			continue
 		}
 
-		// One instruction that may branch, exit lanes, reach a barrier or read
-		// the clock: issued alone, hooks in the same order as a batch's site.
+		// One instruction that may branch, reach a barrier or read the clock,
+		// or any instruction of a diverged warp that cannot batch: issued
+		// alone, hooks in the same order as a batch's site.
 		execMask := atPC
 		if xi.guardKind != guardOn {
 			execMask = xi.guard(w, atPC)
@@ -1026,6 +1069,31 @@ func (blk *blockCtx) runWarp(w *warp, budget *budgetCounter, stats *LaunchStats)
 	}
 }
 
+// exitAlone issues the EXIT at pc, which issues alone in w's batch, for
+// execMask: a callback site (call), a live site of the in-line fault (inline)
+// or both, hooks in the reference loop's order. It reports whether the EXIT
+// retired lanes, which ends the batch.
+func (blk *blockCtx) exitAlone(w *warp, pc int32, execMask uint32, call, inline bool) bool {
+	lane := -1
+	if call {
+		blk.callBefore(pc, execMask)
+	}
+	if inline {
+		lane = blk.aim(w, pc, execMask)
+	}
+	w.exitedMask |= execMask
+	if blk.tally != nil {
+		blk.tally[pc].add(uint64(popcount(execMask)))
+	}
+	if inline {
+		blk.hit(w, pc, execMask, lane)
+	}
+	if call {
+		blk.callAfter(pc)
+	}
+	return execMask != 0
+}
+
 // chargeSites charges the trampolines of the instructions [from, pc) that
 // completed. It runs once per batch, so it must stay cheap enough to inline.
 func (blk *blockCtx) chargeSites(stats *LaunchStats, from, pc int32) {
@@ -1067,11 +1135,13 @@ func (blk *blockCtx) callAfter(pc int32) {
 }
 
 // finishRun settles scheduling state after a completed straight-line batch:
-// the issued lanes sit at endPC. Converged warps just move convPC; a
-// diverged warp materializes the head split's lanes (keeping pc[]
-// authoritative for the next schedule or snapshot) and advances the split
-// list — merging into the next split when the head caught up with it,
-// which is also where batched execution re-detects reconvergence.
+// the issued lanes that did not exit, atPC, sit at endPC. Converged warps
+// just move convPC (a warp whose every lane exited finds none at its next
+// schedule); a diverged warp materializes the head split's surviving lanes
+// (keeping pc[] authoritative for the next schedule or snapshot) and
+// advances the split list — dropping the head when all its lanes exited, or
+// merging it into the next split when the head caught up with it, which is
+// also where batched execution re-detects reconvergence.
 func (w *warp) finishRun(endPC int32, atPC uint32) {
 	if w.converged {
 		w.convPC = endPC
@@ -1080,11 +1150,14 @@ func (w *warp) finishRun(endPC int32, atPC uint32) {
 	for m := atPC; m != 0; m &= m - 1 {
 		w.pc[bits.TrailingZeros32(m)] = endPC
 	}
-	if w.nsplits > 1 && w.splits[1].pc == endPC {
+	switch {
+	case atPC == 0:
+		w.dropHead()
+	case w.nsplits > 1 && w.splits[1].pc == endPC:
 		w.splits[1].mask |= atPC
 		w.dropHead()
-	} else {
-		w.splits[0].pc = endPC
+	default:
+		w.splits[0] = warpSplit{pc: endPC, mask: atPC}
 	}
 	if active := w.liveMask &^ w.exitedMask; w.nsplits == 1 && w.splits[0].mask == active {
 		w.converged = true

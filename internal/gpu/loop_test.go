@@ -84,6 +84,88 @@ join:
 
 const shortDivThreads = 64
 
+// familySrc has the shape of every shipped family kernel: a prologue, a
+// bounds guard `@P0 EXIT`, a body and a final EXIT, and the body is entered
+// only by falling through from the guard, so one straight-line run crosses
+// it. Its six warps have the guard retire no lane (warps 0 and 1, their
+// bound key tid&31 under the bound), some (warps 2 and 3, key 32+tid&31:
+// lanes 20 and up) and all (warps 4 and 5); the odd warps reach the guard
+// diverged, their lanes 3 mod 4 having branched past it to the tail.
+const familySrc = `
+.kernel family
+.param outptr
+.param bound
+    S2R R0, SR_TID.X
+    SHL R6, R0, 0x2
+    IADD R6, R6, c0[outptr]
+    MOV R1, 0x3
+    LOP.AND R8, R0, 0x23
+    ISETP.EQ.AND P1, R8, 0x23, PT
+@P1 BRA tail
+    SHR.U32 R9, R0, 0x6
+    SHL R9, R9, 0x5
+    LOP.AND R10, R0, 0x1f
+    IADD R9, R9, R10
+    ISETP.GE.AND P0, R9, c0[bound], PT
+@P0 EXIT
+    LOP.AND R11, R0, 0x1
+    ISETP.EQ.AND P2, R11, 0x0, PT
+    IMAD R1, R1, R0, 0x5
+@P2 IADD R1, R1, 0x9
+    IADD R1, R1, R8
+    LOP.XOR R1, R1, 0x55
+tail:
+    IADD R1, R1, 0x7
+    STG.32 [R6], R1
+    EXIT
+`
+
+const (
+	familyThreads = 192
+	familyBound   = 52
+
+	// loopOutBytes is the output buffer of every loop kernel: a word per
+	// thread of the largest.
+	loopOutBytes = 4 * familyThreads
+)
+
+// loopKernel is a kernel the loop tests run on every engine, with the
+// instrumentations they arm it with.
+type loopKernel struct {
+	name    string
+	src     string
+	threads int
+	params  []uint32 // the parameter words after the output pointer
+
+	// arm instruments the kernel with callbacks that have architectural
+	// effect but no state of their own, counting their dispatches into calls;
+	// faultStore, where the kernel has the arm, makes a store fault.
+	arm func(k *sass.Kernel, calls *int, faultStore bool) *ExecKernel
+	// armShot puts the Shot s on ek: as engine data, or, when oracle, as the
+	// callbacks it stands for.
+	armShot func(ek *ExecKernel, s *Shot, oracle bool)
+	// specs are the permanent faults the spec tests hold to their oracle;
+	// specs[spec] is the one they run at every budget and pause position.
+	specs []testSpec
+	spec  int
+
+	minWarpInstrs int64 // what a whole launch issues at least
+}
+
+var (
+	shortDiv = loopKernel{
+		name: "shortdiv", src: shortDivSrc, threads: shortDivThreads,
+		arm: armShortDiv, armShot: armShortDivShot,
+		specs: shortDivSpecs, spec: 3, minWarpInstrs: 200,
+	}
+	family = loopKernel{
+		name: "family", src: familySrc, threads: familyThreads, params: []uint32{familyBound},
+		arm: armFamily, armShot: armFamilyShot,
+		specs: familySpecs, spec: 1, minWarpInstrs: 100,
+	}
+	loopKernels = []*loopKernel{&shortDiv, &family}
+)
+
 // loopRun is everything the engines must agree on for one launch.
 type loopRun struct {
 	parRun
@@ -140,35 +222,67 @@ func armShortDiv(k *sass.Kernel, calls *int, faultStore bool) *ExecKernel {
 	return ek
 }
 
-// shortDivLaunch builds the launch on d; armed selects the instrumented
-// kernel (armShortDiv).
-func shortDivLaunch(t testing.TB, d *Device, armed bool, calls *int, faultStore bool, budget uint64) (*Launch, uint32) {
+// armFamily instruments family's EXITs alone, so a stretch runs up to each
+// and it issues alone: a Before and an After callback on the guard, an After
+// callback on the final EXIT. Each counts into calls and moves R1 of every
+// lane the EXIT does not retire — the survivors, and the lanes waiting at
+// the tail — so a callback run on the wrong side of its EXIT, or an EXIT
+// retiring the wrong lanes, shows in the stores.
+func armFamily(k *sass.Kernel, calls *int, _ bool) *ExecKernel {
+	n := len(k.Instrs)
+	ek := &ExecKernel{K: k, Before: make([][]Callback, n), After: make([][]Callback, n)}
+	bump := func(by uint32) Callback {
+		return func(c *InstrCtx) {
+			*calls++
+			for lane := 0; lane < WarpSize; lane++ {
+				if !c.LaneActive(lane) {
+					c.WriteReg(lane, 1, c.ReadReg(lane, 1)*by+uint32(c.InstrIdx))
+				}
+			}
+		}
+	}
+	for i := range k.Instrs {
+		switch in := &k.Instrs[i]; {
+		case in.Op.String() != "EXIT":
+		case in.Guard.True():
+			ek.After[i] = []Callback{bump(7)}
+		default:
+			ek.Before[i] = []Callback{bump(3)}
+			ek.After[i] = []Callback{bump(5)}
+		}
+	}
+	return ek
+}
+
+// launch builds the kernel's launch on d; armed selects the instrumented
+// kernel (arm).
+func (lk *loopKernel) launch(t testing.TB, d *Device, armed bool, calls *int, faultStore bool, budget uint64) (*Launch, uint32) {
 	t.Helper()
-	p, err := sass.Assemble("test", shortDivSrc)
+	p, err := sass.Assemble("test", lk.src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	k := p.Kernels[0]
-	outp, err := d.Mem.Alloc(4 * shortDivThreads)
+	outp, err := d.Mem.Alloc(loopOutBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ek := &ExecKernel{K: k}
 	if armed {
-		ek = armShortDiv(k, calls, faultStore)
+		ek = lk.arm(k, calls, faultStore)
 	}
 	return &Launch{
 		Kernel: ek,
 		Grid:   Dim3{X: 1, Y: 1, Z: 1},
-		Block:  Dim3{X: shortDivThreads, Y: 1, Z: 1},
-		Params: []uint32{outp},
+		Block:  Dim3{X: lk.threads, Y: 1, Z: 1},
+		Params: append([]uint32{outp}, lk.params...),
 		Budget: budget,
 	}, outp
 }
 
 func finishLoopRun(t testing.TB, d *Device, outp uint32, stats LaunchStats, err error, calls int) loopRun {
 	t.Helper()
-	out, rerr := d.Mem.ReadBytes(outp, 4*shortDivThreads)
+	out, rerr := d.Mem.ReadBytes(outp, loopOutBytes)
 	if rerr != nil {
 		t.Fatal(rerr)
 	}
@@ -180,27 +294,52 @@ func finishLoopRun(t testing.TB, d *Device, outp uint32, stats LaunchStats, err 
 	}
 }
 
-func runShortDiv(t testing.TB, e loopEngine, armed, faultStore bool, budget uint64) loopRun {
+// run runs the kernel whole on a fresh device of engine e.
+func (lk *loopKernel) run(t testing.TB, e loopEngine, armed, faultStore bool, budget uint64) loopRun {
 	t.Helper()
 	d := e.device(t)
 	calls := 0
-	l, outp := shortDivLaunch(t, d, armed, &calls, faultStore, budget)
+	l, outp := lk.launch(t, d, armed, &calls, faultStore, budget)
 	stats, err := d.Run(l)
 	return finishLoopRun(t, d, outp, stats, err, calls)
 }
 
-// TestLoopEquivalence: the plain and the armed launch, run whole.
+// TestLoopEquivalence: the plain and the armed launch of each loop kernel,
+// run whole.
 func TestLoopEquivalence(t *testing.T) {
-	for _, armed := range []bool{false, true} {
-		ref := runShortDiv(t, loopEngines[0], armed, false, 0)
-		if ref.err != nil {
-			t.Fatal(ref.err)
+	for _, lk := range loopKernels {
+		for _, armed := range []bool{false, true} {
+			ref := lk.run(t, loopEngines[0], armed, false, 0)
+			if ref.err != nil {
+				t.Fatal(ref.err)
+			}
+			if armed && ref.stats.TrampolineInstrs == 0 {
+				t.Fatalf("%s: armed launch charged no trampolines", lk.name)
+			}
+			for _, e := range loopEngines[1:] {
+				expectSameLoop(t, fmt.Sprintf("%s %s armed=%v", lk.name, e.name, armed), ref, lk.run(t, e, armed, false, 0))
+			}
 		}
-		if armed && ref.stats.TrampolineInstrs == 0 {
-			t.Fatal("armed launch charged no trampolines")
+	}
+}
+
+// TestFamilyExitRetiresLanes: family's guard retires what its six warps are
+// built for — no lane of warps 0 and 1, lanes 20 and up of warps 2 and 3,
+// every lane of warps 4 and 5 — except the lanes 3 mod 4 of the odd warps,
+// which branch past it; only the lanes that pass it or skip it store.
+func TestFamilyExitRetiresLanes(t *testing.T) {
+	for _, e := range loopEngines {
+		run := family.run(t, e, false, false, 0)
+		if run.err != nil {
+			t.Fatal(run.err)
 		}
-		for _, e := range loopEngines[1:] {
-			expectSameLoop(t, fmt.Sprintf("%s armed=%v", e.name, armed), ref, runShortDiv(t, e, armed, false, 0))
+		for tid := 0; tid < familyThreads; tid++ {
+			warp, lane := tid/WarpSize, tid%WarpSize
+			skips := warp%2 == 1 && lane%4 == 3
+			retired := !skips && (warp >= 4 || warp >= 2 && lane >= 20)
+			if stored := binary.LittleEndian.Uint32(run.out[4*tid:]) != 0; stored == retired {
+				t.Errorf("%s: thread %d (warp %d lane %d) stored %v, retired by the guard %v", e.name, tid, warp, lane, stored, retired)
+			}
 		}
 	}
 }
@@ -209,12 +348,12 @@ func TestLoopEquivalence(t *testing.T) {
 // site, the refunded tail of the batch and the trampolines charged up to and
 // including the store's Before site must agree.
 func TestFaultMidBatchArmed(t *testing.T) {
-	ref := runShortDiv(t, loopEngines[0], true, true, 0)
+	ref := shortDiv.run(t, loopEngines[0], true, true, 0)
 	if trap, ok := AsTrap(ref.err); !ok || trap.Kind != TrapIllegalAddress {
 		t.Fatalf("err = %v, want an illegal-address trap", ref.err)
 	}
 	for _, e := range loopEngines[1:] {
-		expectSameLoop(t, e.name, ref, runShortDiv(t, e, true, true, 0))
+		expectSameLoop(t, e.name, ref, shortDiv.run(t, e, true, true, 0))
 	}
 }
 
@@ -224,8 +363,8 @@ func TestFaultMidBatchArmed(t *testing.T) {
 // evaluated ahead of the callback.
 func TestBeforeCallbackRewritesNextGuard(t *testing.T) {
 	for _, e := range loopEngines {
-		plain := runShortDiv(t, e, false, false, 0)
-		armed := runShortDiv(t, e, true, false, 0)
+		plain := shortDiv.run(t, e, false, false, 0)
+		armed := shortDiv.run(t, e, true, false, 0)
 		for lane := 0; lane < shortDivThreads; lane++ {
 			if lane%WarpSize == 6 {
 				continue // the IMAD callback perturbs this lane's sum
@@ -244,61 +383,75 @@ func TestBeforeCallbackRewritesNextGuard(t *testing.T) {
 }
 
 // TestBudgetExhaustionMidBatch: every budget from one instruction up to the
-// whole armed launch — so the budget runs dry at every position of every
-// batch — must trap at the same PC with the same stats, trampoline charge,
-// clocks and callback count on all three engines.
+// whole launch, armed and plain — so the budget runs dry at every position of
+// every batch, before, on and after each EXIT — must trap at the same PC with
+// the same stats, trampoline charge, clocks and callback count on all three
+// engines.
 func TestBudgetExhaustionMidBatch(t *testing.T) {
-	total := runShortDiv(t, loopEngines[0], true, false, 0).stats.WarpInstrs
-	for budget := uint64(1); budget <= total+1; budget++ {
-		ref := runShortDiv(t, loopEngines[0], true, false, budget)
-		if (ref.err != nil) != (budget < total) {
-			t.Fatalf("budget %d of %d: err = %v", budget, total, ref.err)
-		}
-		for _, e := range loopEngines[1:] {
-			expectSameLoop(t, fmt.Sprintf("%s budget=%d", e.name, budget), ref, runShortDiv(t, e, true, false, budget))
+	for _, lk := range loopKernels {
+		for _, armed := range []bool{true, false} {
+			total := lk.run(t, loopEngines[0], armed, false, 0).stats.WarpInstrs
+			for budget := uint64(1); budget <= total+1; budget++ {
+				ref := lk.run(t, loopEngines[0], armed, false, budget)
+				if (ref.err != nil) != (budget < total) {
+					t.Fatalf("%s armed=%v budget %d of %d: err = %v", lk.name, armed, budget, total, ref.err)
+				}
+				for _, e := range loopEngines[1:] {
+					label := fmt.Sprintf("%s %s armed=%v budget=%d", lk.name, e.name, armed, budget)
+					expectSameLoop(t, label, ref, lk.run(t, e, armed, false, budget))
+				}
+			}
 		}
 	}
 }
 
-// TestDisarmMidBatch: a Shot on every instruction of shortdiv lands on every
-// 37th thread-level execution in turn — mid-batch, on single issues, before
-// and after the barrier, on every lane position — and on none, with and
-// without a Pre hook: on the plain launch, whose batches the plain loop runs,
-// on the launch armed with callbacks, whose every site issues alone, and on
-// the armed launch whose store faults. On all three engines the launch equals
-// the reference loop running the callbacks the Shot stands for — beside a
-// Before and an After callback on every instruction, when armed: output,
-// stats with one trampoline per site the Shot shares with a callback, clocks,
-// digest and hook calls. And the landing moves no accounting: stats and clocks
-// equal those of the Shot that never lands.
+// TestDisarmMidBatch: a Shot on every instruction of shortdiv, and on every
+// instruction but the branch and the EXITs of family, lands on every 37th
+// thread-level execution in turn — mid-batch, on single issues, before and
+// after the barrier or the guard EXIT, on every lane position — and on none,
+// with and without a Pre hook: on the plain launch, whose batches the plain
+// loop runs, on the launch armed with callbacks (on every instruction of
+// shortdiv, whose every site then issues alone; on family's EXITs), and on
+// shortdiv's armed launch whose store faults. On all three engines the launch
+// equals the reference loop running the callbacks the Shot stands for —
+// beside the arm's callbacks: output, stats with one trampoline per site the
+// Shot shares with a callback, clocks, digest and hook calls. And the landing
+// moves no accounting: stats and clocks equal those of the Shot that never
+// lands.
 func TestDisarmMidBatch(t *testing.T) {
-	for _, v := range []struct{ armed, faultStore bool }{{false, false}, {true, false}, {true, true}} {
-		for _, pre := range []bool{false, true} {
-			full, _ := runShortDivShot(t, loopEngines[0], math.MaxUint64, pre, v.armed, v.faultStore, true)
-			total := full.stats.ThreadInstrs
-			var targets []uint64
-			for at := uint64(0); at < total; at += 37 {
-				targets = append(targets, at)
-			}
-			targets = append(targets, total-1, total)
-			for _, target := range targets {
-				label := fmt.Sprintf("armed=%v fault=%v pre=%v target=%d", v.armed, v.faultStore, pre, target)
-				ref, refHooks := runShortDivShot(t, loopEngines[0], target, pre, v.armed, v.faultStore, true)
-				// The faulting store, the last warp instruction, never completes:
-				// a Shot landing there runs only its Pre hook.
-				onStore := v.faultStore && target >= total-WarpSize
-				if landed := refHooks.hits+refHooks.pres > 0; landed != (target < total && (pre || !onStore)) {
-					t.Fatalf("%s of %d: hooks %+v", label, total, refHooks)
+	for _, lk := range loopKernels {
+		variants := []struct{ armed, faultStore bool }{{false, false}, {true, false}}
+		if lk == &shortDiv {
+			variants = append(variants, struct{ armed, faultStore bool }{true, true})
+		}
+		for _, v := range variants {
+			for _, pre := range []bool{false, true} {
+				full, _ := lk.runShot(t, loopEngines[0], math.MaxUint64, pre, v.armed, v.faultStore, true)
+				total := lk.shotTotal(t, v.armed, v.faultStore)
+				var targets []uint64
+				for at := uint64(0); at < total; at += 37 {
+					targets = append(targets, at)
 				}
-				if ref.stats != full.stats || !reflect.DeepEqual(ref.clocks, full.clocks) {
-					t.Fatalf("%s moved the accounting: stats %+v clocks %v, without it %+v %v",
-						label, ref.stats, ref.clocks, full.stats, full.clocks)
-				}
-				for _, e := range loopEngines {
-					got, hooks := runShortDivShot(t, e, target, pre, v.armed, v.faultStore, false)
-					expectSameLoop(t, e.name+" "+label, ref, got)
-					if hooks != refHooks {
-						t.Errorf("%s %s: hooks %+v, want %+v", e.name, label, hooks, refHooks)
+				targets = append(targets, total-1, total)
+				for _, target := range targets {
+					label := fmt.Sprintf("%s armed=%v fault=%v pre=%v target=%d", lk.name, v.armed, v.faultStore, pre, target)
+					ref, refHooks := lk.runShot(t, loopEngines[0], target, pre, v.armed, v.faultStore, true)
+					// The faulting store, the last warp instruction, never
+					// completes: a Shot landing there runs only its Pre hook.
+					onStore := v.faultStore && target >= total-WarpSize
+					if landed := refHooks.hits+refHooks.pres > 0; landed != (target < total && (pre || !onStore)) {
+						t.Fatalf("%s of %d: hooks %+v", label, total, refHooks)
+					}
+					if ref.stats != full.stats || !reflect.DeepEqual(ref.clocks, full.clocks) {
+						t.Fatalf("%s moved the accounting: stats %+v clocks %v, without it %+v %v",
+							label, ref.stats, ref.clocks, full.stats, full.clocks)
+					}
+					for _, e := range loopEngines {
+						got, hooks := lk.runShot(t, e, target, pre, v.armed, v.faultStore, false)
+						expectSameLoop(t, e.name+" "+label, ref, got)
+						if hooks != refHooks {
+							t.Errorf("%s %s: hooks %+v, want %+v", e.name, label, hooks, refHooks)
+						}
 					}
 				}
 			}
@@ -306,102 +459,104 @@ func TestDisarmMidBatch(t *testing.T) {
 	}
 }
 
-// TestPauseEverywhere pauses the launch after every warp-instruction count it
-// passes through, plain, armed, and armed with a Shot that lands mid-launch,
-// on all three engines. At each position the paused digest must equal the
+// TestPauseEverywhere pauses each loop kernel's launch after every
+// warp-instruction count it passes through, plain, armed, and armed with a
+// Shot that lands mid-launch, on all three engines. At each position the paused digest must equal the
 // reference engine's, a snapshot restored onto a fresh device must digest
 // identically and run to the uninterrupted result — its Shot primed with the
 // count the paused one reached, as a checkpointed injector's is — and so must
 // the paused run itself.
 func TestPauseEverywhere(t *testing.T) {
-	for _, mode := range []string{"plain", "armed", "shot"} {
-		armed, shot := mode != "plain", mode == "shot"
-		whole := runShortDiv(t, loopEngines[0], armed, false, 0)
-		target := whole.stats.ThreadInstrs/2 + 5
-		var wholeHooks shotHooks
-		if shot {
-			whole, wholeHooks = runShortDivShot(t, loopEngines[0], target, true, true, false, false)
-			if wholeHooks.hits != 1 {
-				t.Fatalf("the Shot hit %d times", wholeHooks.hits)
+	for _, lk := range loopKernels {
+		for _, mode := range []string{"plain", "armed", "shot"} {
+			armed, shot := mode != "plain", mode == "shot"
+			whole := lk.run(t, loopEngines[0], armed, false, 0)
+			target := whole.stats.ThreadInstrs/2 + 5
+			var wholeHooks shotHooks
+			if shot {
+				whole, wholeHooks = lk.runShot(t, loopEngines[0], target, true, true, false, false)
+				if wholeHooks.hits != 1 {
+					t.Fatalf("%s: the Shot hit %d times", lk.name, wholeHooks.hits)
+				}
 			}
-		}
-		total := int64(whole.stats.WarpInstrs)
-		if total < 200 {
-			t.Fatalf("kernel issues only %d warp instructions", total)
-		}
-		refDigests := make([]uint64, total)
-		for _, e := range loopEngines {
-			for pos := int64(1); pos < total; pos++ {
-				label := fmt.Sprintf("%s %s pause@%d", e.name, mode, pos)
-				d := e.device(t)
-				calls := 0
-				l, outp := shortDivLaunch(t, d, armed, &calls, false, 0)
-				var s *Shot
-				var hooks shotHooks
-				if shot {
-					s = shortDivShot(target, true, &hooks)
-					armShortDivShot(l.Kernel, s, false)
-				}
-				r, err := d.BeginRun(l)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if paused, err := r.Resume(pos); !paused || err != nil {
-					t.Fatalf("%s: Resume = (%v, %v)", label, paused, err)
-				}
-				if got := int64(r.Stats().WarpInstrs); got != pos {
-					t.Fatalf("%s: paused after %d warp instructions", label, got)
-				}
-				dig := r.Digest()
-				if e == loopEngines[0] {
-					refDigests[pos] = dig
-				} else if dig != refDigests[pos] {
-					t.Fatalf("%s: digest %#x, reference %#x", label, dig, refDigests[pos])
-				}
-				snap, err := r.Snapshot()
-				if err != nil {
-					t.Fatal(err)
-				}
-
-				// The fork: restore, re-attach the callbacks, run out.
-				fork := e.device(t)
-				fr, err := fork.Restore(snap)
-				if err != nil {
-					t.Fatalf("%s: Restore: %v", label, err)
-				}
-				if got := fr.Digest(); got != dig {
-					t.Fatalf("%s: restored digest %#x, snapshotted %#x", label, got, dig)
-				}
-				forkCalls, forkHooks := calls, hooks
-				if armed {
-					ek := armShortDiv(l.Kernel.K, &forkCalls, false)
+			total := int64(whole.stats.WarpInstrs)
+			if total < lk.minWarpInstrs {
+				t.Fatalf("%s issues only %d warp instructions", lk.name, total)
+			}
+			refDigests := make([]uint64, total)
+			for _, e := range loopEngines {
+				for pos := int64(1); pos < total; pos++ {
+					label := fmt.Sprintf("%s %s %s pause@%d", lk.name, e.name, mode, pos)
+					d := e.device(t)
+					calls := 0
+					l, outp := lk.launch(t, d, armed, &calls, false, 0)
+					var s *Shot
+					var hooks shotHooks
 					if shot {
-						fs := shortDivShot(target, true, &forkHooks)
-						fs.Count, fs.Fired = s.Count, s.Fired
-						armShortDivShot(ek, fs, false)
+						s = shortDivShot(target, true, &hooks)
+						lk.armShot(l.Kernel, s, false)
 					}
-					if err := fr.SetExecKernel(ek); err != nil {
+					r, err := d.BeginRun(l)
+					if err != nil {
 						t.Fatal(err)
 					}
-				}
-				if paused, err := fr.Resume(-1); paused || err != nil {
-					t.Fatalf("%s: fork Resume(-1) = (%v, %v)", label, paused, err)
-				}
-				expectSameLoop(t, label+" fork", whole, finishLoopRun(t, fork, outp, fr.Stats(), nil, forkCalls))
-				if forkHooks != wholeHooks {
-					t.Fatalf("%s fork: hooks %+v, want %+v", label, forkHooks, wholeHooks)
-				}
+					if paused, err := r.Resume(pos); !paused || err != nil {
+						t.Fatalf("%s: Resume = (%v, %v)", label, paused, err)
+					}
+					if got := int64(r.Stats().WarpInstrs); got != pos {
+						t.Fatalf("%s: paused after %d warp instructions", label, got)
+					}
+					dig := r.Digest()
+					if e == loopEngines[0] {
+						refDigests[pos] = dig
+					} else if dig != refDigests[pos] {
+						t.Fatalf("%s: digest %#x, reference %#x", label, dig, refDigests[pos])
+					}
+					snap, err := r.Snapshot()
+					if err != nil {
+						t.Fatal(err)
+					}
 
-				// The paused run itself.
-				if paused, err := r.Resume(-1); paused || err != nil {
-					t.Fatalf("%s: Resume(-1) = (%v, %v)", label, paused, err)
-				}
-				expectSameLoop(t, label+" resumed", whole, finishLoopRun(t, d, outp, r.Stats(), nil, calls))
-				if hooks != wholeHooks {
-					t.Fatalf("%s resumed: hooks %+v, want %+v", label, hooks, wholeHooks)
-				}
-				if t.Failed() {
-					return
+					// The fork: restore, re-attach the callbacks, run out.
+					fork := e.device(t)
+					fr, err := fork.Restore(snap)
+					if err != nil {
+						t.Fatalf("%s: Restore: %v", label, err)
+					}
+					if got := fr.Digest(); got != dig {
+						t.Fatalf("%s: restored digest %#x, snapshotted %#x", label, got, dig)
+					}
+					forkCalls, forkHooks := calls, hooks
+					if armed {
+						ek := lk.arm(l.Kernel.K, &forkCalls, false)
+						if shot {
+							fs := shortDivShot(target, true, &forkHooks)
+							fs.Count, fs.Fired = s.Count, s.Fired
+							lk.armShot(ek, fs, false)
+						}
+						if err := fr.SetExecKernel(ek); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if paused, err := fr.Resume(-1); paused || err != nil {
+						t.Fatalf("%s: fork Resume(-1) = (%v, %v)", label, paused, err)
+					}
+					expectSameLoop(t, label+" fork", whole, finishLoopRun(t, fork, outp, fr.Stats(), nil, forkCalls))
+					if forkHooks != wholeHooks {
+						t.Fatalf("%s fork: hooks %+v, want %+v", label, forkHooks, wholeHooks)
+					}
+
+					// The paused run itself.
+					if paused, err := r.Resume(-1); paused || err != nil {
+						t.Fatalf("%s: Resume(-1) = (%v, %v)", label, paused, err)
+					}
+					expectSameLoop(t, label+" resumed", whole, finishLoopRun(t, d, outp, r.Stats(), nil, calls))
+					if hooks != wholeHooks {
+						t.Fatalf("%s resumed: hooks %+v, want %+v", label, hooks, wholeHooks)
+					}
+					if t.Failed() {
+						return
+					}
 				}
 			}
 		}
@@ -412,7 +567,7 @@ func TestPauseEverywhere(t *testing.T) {
 // reports closed from then on, and its device starts the next run cleanly.
 func TestLaunchRunClose(t *testing.T) {
 	d := loopEngines[1].device(t)
-	l, outp := shortDivLaunch(t, d, false, nil, false, 0)
+	l, outp := shortDiv.launch(t, d, false, nil, false, 0)
 	r, err := d.BeginRun(l)
 	if err != nil {
 		t.Fatal(err)
@@ -429,8 +584,8 @@ func TestLaunchRunClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, _ := d.Mem.ReadBytes(outp, 4*shortDivThreads)
-	if whole := runShortDiv(t, loopEngines[1], false, false, 0); stats != whole.stats || !bytes.Equal(out, whole.out) {
+	out, _ := d.Mem.ReadBytes(outp, loopOutBytes)
+	if whole := shortDiv.run(t, loopEngines[1], false, false, 0); stats != whole.stats || !bytes.Equal(out, whole.out) {
 		t.Fatalf("launch after a closed run: stats %+v, want %+v", stats, whole.stats)
 	}
 }
@@ -481,7 +636,7 @@ func TestInlineTally(t *testing.T) {
 			for _, inline := range []bool{false, true} {
 				label := fmt.Sprintf("%s inline=%v fault=%v", e.name, inline, faultStore)
 				d := e.device(t)
-				l, outp := shortDivLaunch(t, d, false, nil, false, 0)
+				l, outp := shortDiv.launch(t, d, false, nil, false, 0)
 				counts := make([]SiteTally, len(k.Instrs))
 				l.Kernel = tallyShortDiv(k, counts, inline, faultStore)
 				stats, err := d.Run(l)
@@ -570,7 +725,7 @@ func TestRunTally(t *testing.T) {
 	for _, e := range loopEngines {
 		for _, own := range []bool{false, true} {
 			d := e.device(t)
-			l, _ := shortDivLaunch(t, d, false, nil, false, 0)
+			l, _ := shortDiv.launch(t, d, false, nil, false, 0)
 			var kernelTally []SiteTally
 			if own {
 				kernelTally = make([]SiteTally, len(k.Instrs))
@@ -697,16 +852,31 @@ var shortDivSpecs = []testSpec{
 	{name: "guarded", ops: []string{"MOV"}, lane: 4, mask: 0x1},
 }
 
+// familySpecs put live sites past the guard EXIT — the first row op of the
+// body (IMAD), a guarded one (`@P2 IADD`) — and before and after it in one
+// stretch (on lane 21, which the guard retires in warps 2 to 5), on the
+// predicates, so a flipped P0 moves which lanes the guard retires, and on
+// nothing at all (the fault's SM runs no block).
+var familySpecs = []testSpec{
+	{name: "past", ops: []string{"IMAD"}, lane: 5, mask: 0x10},
+	{name: "stretch", ops: []string{"SHL", "IADD", "IMAD", "LOP"}, lane: 21, mask: 0x4},
+	{name: "guarded", ops: []string{"IADD"}, lane: 4, mask: 0x3, clear: true, gated: true},
+	{name: "pred", ops: []string{"ISETP"}, lane: 3, mask: 1, predFlip: true, gated: true},
+	{name: "dormant", ops: []string{"SHL", "IADD", "IMAD", "LOP"}, sm: 2, lane: 21, mask: 0x4},
+}
+
 // specRun is a loopRun plus the spec's counters.
 type specRun struct {
 	loopRun
 	activations, corruptions uint64
 }
 
-func runShortDivSpec(t *testing.T, e loopEngine, s testSpec, oracle bool, budget uint64) specRun {
+// runSpec runs the kernel with s on a fresh device of engine e: as engine
+// data, or, when oracle, as its callbacks.
+func (lk *loopKernel) runSpec(t *testing.T, e loopEngine, s testSpec, oracle bool, budget uint64) specRun {
 	t.Helper()
 	d := e.device(t)
-	l, outp := shortDivLaunch(t, d, false, nil, false, budget)
+	l, outp := lk.launch(t, d, false, nil, false, budget)
 	c, cats := s.build()
 	if oracle {
 		l.Kernel = specOracle(l.Kernel.K, c, cats)
@@ -727,45 +897,51 @@ func expectSameSpec(t *testing.T, label string, ref, got specRun) {
 }
 
 // TestSpecEquivalence: the in-line corruption is the callback it replaces.
-// On all three engines, a launch carrying a Corruption reports the output,
-// stats (trampolines included), clocks, digest and counters of the reference
-// loop running the oracle callbacks.
+// On all three engines, a launch of each loop kernel carrying a Corruption
+// reports the output, stats (trampolines included), clocks, digest and
+// counters of the reference loop running the oracle callbacks.
 func TestSpecEquivalence(t *testing.T) {
-	plain := runShortDiv(t, loopEngines[0], false, false, 0)
-	for _, s := range shortDivSpecs {
-		ref := runShortDivSpec(t, loopEngines[0], s, true, 0)
-		if ref.err != nil {
-			t.Fatalf("%s: %v", s.name, ref.err)
-		}
-		if dormant := s.sm != 0; (ref.activations == 0) != dormant || (ref.corruptions == 0) != dormant {
-			t.Fatalf("%s: %d activations, %d corruptions", s.name, ref.activations, ref.corruptions)
-		}
-		if ref.stats.TrampolineInstrs == 0 {
-			t.Fatalf("%s: no trampolines charged", s.name)
-		}
-		if s.sm != 0 && (!reflect.DeepEqual(ref.out, plain.out) || ref.digest != plain.digest) {
-			t.Errorf("%s: a fault on an idle SM changed the launch", s.name)
-		}
-		for _, e := range loopEngines {
-			expectSameSpec(t, fmt.Sprintf("%s on %s", s.name, e.name), ref, runShortDivSpec(t, e, s, false, 0))
+	for _, lk := range loopKernels {
+		plain := lk.run(t, loopEngines[0], false, false, 0)
+		for _, s := range lk.specs {
+			label := lk.name + " " + s.name
+			ref := lk.runSpec(t, loopEngines[0], s, true, 0)
+			if ref.err != nil {
+				t.Fatalf("%s: %v", label, ref.err)
+			}
+			if dormant := s.sm != 0; (ref.activations == 0) != dormant || (ref.corruptions == 0) != dormant {
+				t.Fatalf("%s: %d activations, %d corruptions", label, ref.activations, ref.corruptions)
+			}
+			if ref.stats.TrampolineInstrs == 0 {
+				t.Fatalf("%s: no trampolines charged", label)
+			}
+			if s.sm != 0 && (!reflect.DeepEqual(ref.out, plain.out) || ref.digest != plain.digest) {
+				t.Errorf("%s: a fault on an idle SM changed the launch", label)
+			}
+			for _, e := range loopEngines {
+				expectSameSpec(t, fmt.Sprintf("%s on %s", label, e.name), ref, lk.runSpec(t, e, s, false, 0))
+			}
 		}
 	}
 }
 
 // TestSpecBudgetExhaustion: every budget from one instruction up to the whole
-// launch, with live sites at the first, middle and last op of a row stretch:
-// the budget runs dry before, on and after each of them, and every engine
-// traps where the oracle does with the same counters.
+// launch, with live sites at the first, middle and last op of a row stretch
+// (shortdiv) or before and after the guard EXIT (family): the budget runs dry
+// before, on and after each of them, and every engine traps where the oracle
+// does with the same counters.
 func TestSpecBudgetExhaustion(t *testing.T) {
-	s := shortDivSpecs[3]
-	total := runShortDivSpec(t, loopEngines[0], s, true, 0).stats.WarpInstrs
-	for budget := uint64(1); budget <= total+1; budget++ {
-		ref := runShortDivSpec(t, loopEngines[0], s, true, budget)
-		if (ref.err != nil) != (budget < total) {
-			t.Fatalf("budget %d of %d: err = %v", budget, total, ref.err)
-		}
-		for _, e := range loopEngines {
-			expectSameSpec(t, fmt.Sprintf("%s budget=%d", e.name, budget), ref, runShortDivSpec(t, e, s, false, budget))
+	for _, lk := range loopKernels {
+		s := lk.specs[lk.spec]
+		total := lk.runSpec(t, loopEngines[0], s, true, 0).stats.WarpInstrs
+		for budget := uint64(1); budget <= total+1; budget++ {
+			ref := lk.runSpec(t, loopEngines[0], s, true, budget)
+			if (ref.err != nil) != (budget < total) {
+				t.Fatalf("%s budget %d of %d: err = %v", lk.name, budget, total, ref.err)
+			}
+			for _, e := range loopEngines {
+				expectSameSpec(t, fmt.Sprintf("%s %s budget=%d", lk.name, e.name, budget), ref, lk.runSpec(t, e, s, false, budget))
+			}
 		}
 	}
 }
@@ -776,40 +952,44 @@ func TestSpecBudgetExhaustion(t *testing.T) {
 // refunded, as in the oracle.
 func TestSpecFaultAtLiveSite(t *testing.T) {
 	s := testSpec{name: "store", ops: []string{"SHL", "STG"}, lane: 3, mask: 0x40000000}
-	ref := runShortDivSpec(t, loopEngines[0], s, true, 0)
+	ref := shortDiv.runSpec(t, loopEngines[0], s, true, 0)
 	if trap, ok := AsTrap(ref.err); !ok || trap.Kind != TrapIllegalAddress {
 		t.Fatalf("err = %v, want an illegal-address trap", ref.err)
 	}
 	for _, e := range loopEngines {
-		expectSameSpec(t, e.name, ref, runShortDivSpec(t, e, s, false, 0))
+		expectSameSpec(t, e.name, ref, shortDiv.runSpec(t, e, s, false, 0))
 	}
 }
 
-// TestSpecPauseEverywhere: a spec launch paused after every warp-instruction
-// count and resumed runs to the uninterrupted launch's result and counters.
+// TestSpecPauseEverywhere: a spec launch of each loop kernel paused after
+// every warp-instruction count and resumed runs to the uninterrupted launch's
+// result and counters.
 func TestSpecPauseEverywhere(t *testing.T) {
-	s := shortDivSpecs[3]
-	for _, e := range loopEngines {
-		whole := runShortDivSpec(t, e, s, false, 0)
-		for pos := int64(1); pos < int64(whole.stats.WarpInstrs); pos++ {
-			d := e.device(t)
-			l, outp := shortDivLaunch(t, d, false, nil, false, 0)
-			c, cats := s.build()
-			l.Kernel = specBuild(l.Kernel.K, c, cats)
-			r, err := d.BeginRun(l)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if paused, err := r.Resume(pos); !paused || err != nil {
-				t.Fatalf("%s pause@%d: Resume = (%v, %v)", e.name, pos, paused, err)
-			}
-			if paused, err := r.Resume(-1); paused || err != nil {
-				t.Fatalf("%s pause@%d: Resume(-1) = (%v, %v)", e.name, pos, paused, err)
-			}
-			got := specRun{finishLoopRun(t, d, outp, r.Stats(), nil, 0), c.Activations, c.Corruptions}
-			expectSameSpec(t, fmt.Sprintf("%s pause@%d", e.name, pos), whole, got)
-			if t.Failed() {
-				return
+	for _, lk := range loopKernels {
+		s := lk.specs[lk.spec]
+		for _, e := range loopEngines {
+			whole := lk.runSpec(t, e, s, false, 0)
+			for pos := int64(1); pos < int64(whole.stats.WarpInstrs); pos++ {
+				d := e.device(t)
+				l, outp := lk.launch(t, d, false, nil, false, 0)
+				c, cats := s.build()
+				l.Kernel = specBuild(l.Kernel.K, c, cats)
+				r, err := d.BeginRun(l)
+				if err != nil {
+					t.Fatal(err)
+				}
+				label := fmt.Sprintf("%s %s pause@%d", lk.name, e.name, pos)
+				if paused, err := r.Resume(pos); !paused || err != nil {
+					t.Fatalf("%s: Resume = (%v, %v)", label, paused, err)
+				}
+				if paused, err := r.Resume(-1); paused || err != nil {
+					t.Fatalf("%s: Resume(-1) = (%v, %v)", label, paused, err)
+				}
+				got := specRun{finishLoopRun(t, d, outp, r.Stats(), nil, 0), c.Activations, c.Corruptions}
+				expectSameSpec(t, label, whole, got)
+				if t.Failed() {
+					return
+				}
 			}
 		}
 	}
@@ -889,7 +1069,7 @@ func addSpecCallbacks(ek *ExecKernel, every bool, calls *int) {
 func runStoreDivSpec(t *testing.T, e loopEngine, s testSpec, every, oracle bool, pause int64) specRun {
 	t.Helper()
 	d := e.device(t)
-	l, outp := shortDivLaunch(t, d, false, nil, false, 0)
+	l, outp := shortDiv.launch(t, d, false, nil, false, 0)
 	k := mustKernel(t, storeDivSrc, "storediv")
 	c, cats := s.build()
 	if oracle {
@@ -994,7 +1174,7 @@ func TestSpecRowStretches(t *testing.T) {
 			t.Fatal("shortdiv has no row ops")
 		}
 		d.planMemo = map[*sass.Kernel]*xplan{k: plan}
-		l, _ := shortDivLaunch(t, d, false, nil, false, 0)
+		l, _ := shortDiv.launch(t, d, false, nil, false, 0)
 		l.Kernel = &ExecKernel{K: k}
 		if _, err := d.Run(l); err != nil || len(single) != 0 {
 			t.Fatalf("plain launch: err %v, row ops issued alone %v", err, single)
@@ -1029,7 +1209,7 @@ func TestSpecRowStretches(t *testing.T) {
 func TestSpecLaunchAllocs(t *testing.T) {
 	for _, s := range []testSpec{shortDivSpecs[3], shortDivSpecs[5]} {
 		d := loopEngines[1].device(t)
-		l, _ := shortDivLaunch(t, d, false, nil, false, 0)
+		l, _ := shortDiv.launch(t, d, false, nil, false, 0)
 		c, cats := s.build()
 		l.Kernel = specBuild(l.Kernel.K, c, cats)
 		if _, err := d.Run(l); err != nil {
@@ -1052,7 +1232,7 @@ func TestSpecLaunchAllocs(t *testing.T) {
 // or with another kernel's, is refused.
 func TestSpecSitesCheck(t *testing.T) {
 	d := loopEngines[1].device(t)
-	l, _ := shortDivLaunch(t, d, false, nil, false, 0)
+	l, _ := shortDiv.launch(t, d, false, nil, false, 0)
 	c, _ := shortDivSpecs[0].build()
 	l.Kernel = &ExecKernel{K: l.Kernel.K, Corrupt: c}
 	if _, err := d.Run(l); err == nil {

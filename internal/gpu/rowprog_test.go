@@ -1105,7 +1105,7 @@ type rowRunObs struct {
 
 func rowRunLaunch(t testing.TB, d *Device, k *sass.Kernel, arm rowRunArm, calls *int, budget uint64) (*Launch, uint32, []SiteTally) {
 	t.Helper()
-	outp, err := d.Mem.Alloc(4 * shortDivThreads)
+	outp, err := d.Mem.Alloc(loopOutBytes)
 	if err != nil {
 		t.Fatal(err)
 	}

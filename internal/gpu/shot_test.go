@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"reflect"
 	"testing"
@@ -164,18 +165,33 @@ func shortDivShot(target uint64, pre bool, hooks *shotHooks) *Shot {
 	return s
 }
 
-// runShortDivShot runs shortdiv — armed with callbacks when armed
-// (armShortDiv, its store made to fault when faultStore) — with shortDivShot
-// on every instruction: as engine data, or, when oracle, as its callbacks.
-func runShortDivShot(t *testing.T, e loopEngine, target uint64, pre, armed, faultStore, oracle bool) (loopRun, shotHooks) {
+// runShot runs the kernel — armed with callbacks when armed (its arm, its
+// store made to fault when faultStore) — with shortDivShot put on it by
+// armShot: as engine data, or, when oracle, as its callbacks.
+func (lk *loopKernel) runShot(t *testing.T, e loopEngine, target uint64, pre, armed, faultStore, oracle bool) (loopRun, shotHooks) {
 	t.Helper()
 	d := e.device(t)
 	calls := 0
 	var hooks shotHooks
-	l, outp := shortDivLaunch(t, d, armed, &calls, faultStore, 0)
-	armShortDivShot(l.Kernel, shortDivShot(target, pre, &hooks), oracle)
+	l, outp := lk.launch(t, d, armed, &calls, faultStore, 0)
+	lk.armShot(l.Kernel, shortDivShot(target, pre, &hooks), oracle)
 	stats, err := d.Run(l)
 	return finishLoopRun(t, d, outp, stats, err, calls), hooks
+}
+
+// shotTotal returns how many thread-level executions the kernel's Shot
+// counts in a launch where it never lands — a trapping instruction's lanes
+// too, as the engine counts them when it issues: the targets it can land on.
+func (lk *loopKernel) shotTotal(t *testing.T, armed, faultStore bool) uint64 {
+	t.Helper()
+	d := loopEngines[0].device(t)
+	l, _ := lk.launch(t, d, armed, new(int), faultStore, 0)
+	s := shortDivShot(math.MaxUint64, false, new(shotHooks))
+	lk.armShot(l.Kernel, s, false)
+	if _, err := d.Run(l); err != nil && !faultStore {
+		t.Fatal(err)
+	}
+	return s.Count
 }
 
 // armShortDivShot puts s on every instruction of shortdiv's ek — as engine
@@ -198,6 +214,25 @@ func armShortDivShot(ek *ExecKernel, s *Shot, oracle bool) {
 		ek.After[i] = append(ek.After[i], bump(0x10000))
 	}
 	armShot(ek, s, oracle, nil)
+}
+
+// armFamilyShot puts s on every instruction of family's ek but the branch
+// and the EXITs — as engine data, or, when oracle, as its callbacks — so
+// stretches pass its unguarded armed sites on both sides of the guard EXIT
+// and count them when they end.
+func armFamilyShot(ek *ExecKernel, s *Shot, oracle bool) {
+	var ops sass.OpSet
+	for i := range ek.K.Instrs {
+		if op := ek.K.Instrs[i].Op; op.Info().Sem != sass.SemExit && op.Info().Sem != sass.SemBra {
+			ops.Add(op)
+		}
+	}
+	sites := NewShotSites(ek.K, &ops, -1, s.Pre != nil)
+	if oracle {
+		shotOracle(ek, s, sites, nil)
+		return
+	}
+	ek.Shot, ek.ShotSites = s, sites
 }
 
 // TestShotSites: a Shot's facts charge one After site per armed instruction,
@@ -235,9 +270,9 @@ func TestShotSites(t *testing.T) {
 // store is charged its Before site up to the trap — on all three engines as in
 // the callbacks.
 func TestShotFaultAtLiveSite(t *testing.T) {
-	full := runShortDiv(t, loopEngines[0], true, true, 0)
+	full := shortDiv.run(t, loopEngines[0], true, true, 0)
 	target := full.stats.ThreadInstrs - 1 // the faulting store's last lane
-	ref, refHooks := runShortDivShot(t, loopEngines[0], target, true, true, true, true)
+	ref, refHooks := shortDiv.runShot(t, loopEngines[0], target, true, true, true, true)
 	if trap, ok := AsTrap(ref.err); !ok || trap.Kind != TrapIllegalAddress {
 		t.Fatalf("err = %v, want an illegal-address trap", ref.err)
 	}
@@ -245,7 +280,7 @@ func TestShotFaultAtLiveSite(t *testing.T) {
 		t.Fatalf("hooks %+v: the Shot did not land on the faulting store", refHooks)
 	}
 	for _, e := range loopEngines {
-		got, hooks := runShortDivShot(t, e, target, true, true, true, false)
+		got, hooks := shortDiv.runShot(t, e, target, true, true, true, false)
 		expectSameLoop(t, e.name, ref, got)
 		if hooks != refHooks {
 			t.Errorf("%s: hooks %+v, want %+v", e.name, hooks, refHooks)
@@ -263,7 +298,7 @@ func TestShotThreadTargeted(t *testing.T) {
 				d := e.device(t)
 				calls := 0
 				var hooks shotHooks
-				l, outp := shortDivLaunch(t, d, true, &calls, false, 0)
+				l, outp := shortDiv.launch(t, d, true, &calls, false, 0)
 				s := shortDivShot(target, true, &hooks)
 				s.Thread, s.Warp, s.Lane = true, sel.warp, sel.lane
 				armShot(l.Kernel, s, oracle, nil)
@@ -290,7 +325,7 @@ func TestShotThreadTargeted(t *testing.T) {
 // armed or spent.
 func TestShotLaunchAllocs(t *testing.T) {
 	d := loopEngines[1].device(t)
-	l, _ := shortDivLaunch(t, d, false, nil, false, 0)
+	l, _ := shortDiv.launch(t, d, false, nil, false, 0)
 	var hooks shotHooks
 	s := shortDivShot(1000, true, &hooks)
 	armShot(l.Kernel, s, false, nil)
@@ -314,7 +349,7 @@ func TestShotLaunchAllocs(t *testing.T) {
 // next to a Corruption, is refused.
 func TestShotSitesCheck(t *testing.T) {
 	d := loopEngines[1].device(t)
-	l, _ := shortDivLaunch(t, d, false, nil, false, 0)
+	l, _ := shortDiv.launch(t, d, false, nil, false, 0)
 	k := l.Kernel.K
 	var hooks shotHooks
 	l.Kernel = &ExecKernel{K: k, Shot: shortDivShot(0, false, &hooks)}

@@ -16,7 +16,7 @@ import (
 // three things of an instruction: a row op (rowprog.go, xlate_fast.go), data
 // that runs inside the row dispatcher or through its portable executor (the
 // FP64 pair ops of the same tier are still closures); a control kind — EXIT,
-// a direct branch, BAR — which the single-issue path runs in-line; or the
+// a direct branch, BAR — which the warp loop runs in-line; or the
 // interpreter thunk, for everything else.
 //
 // Design rules (see DESIGN.md section 3.6):
@@ -34,10 +34,11 @@ import (
 //     process-wide in modcache keyed by the kernel content hash. What a row
 //     op reads of the launch — a constant-bank word, the block index — it
 //     reads through a slot number (uniforms); the block slot holds the rows.
-//   - Straight-line runs never cross basic-block boundaries: runLen is
-//     computed within the CFG blocks internal/sassan builds, so the
-//     translated fast path's batching provably cannot run past a branch
-//     target entering mid-run.
+//   - Straight-line runs never run past a branch target: runLen is computed
+//     within the CFG blocks internal/sassan builds, and the one boundary a
+//     run crosses is a guarded EXIT's, into a block that nothing but the
+//     EXIT's fall-through enters. An EXIT that retires a lane ends its
+//     batch, so a batch issues every step for the same lanes.
 type xplan struct {
 	steps []xinstr
 
@@ -94,9 +95,11 @@ func blockUniform(sr sass.SpecialReg) bool {
 	return false
 }
 
-// Control kinds: the control instructions a plan holds as data. They never
-// batch (semSimple), so only the single-issue path (blockCtx.stepX) meets
-// them.
+// Control kinds: the control instructions a plan holds as data. An EXIT
+// batches: it ends a straight-line run, or stands inside one when guarded
+// (translate), and runWarp's batch loop issues it in line. A branch or BAR
+// never batches (semSimple), so only the single-issue path (blockCtx.stepX)
+// meets them; it meets an EXIT too when a diverged warp cannot batch.
 const (
 	ctlNone uint8 = iota
 	ctlExit       // EXIT, KILL: the executing lanes exit
@@ -142,10 +145,9 @@ type xinstr struct {
 	guardPred  sass.PredID
 	guardNeg   bool
 	altersFlow bool  // pre-computed semAltersFlow
-	simple     bool  // cannot branch, exit lanes, or reach a barrier
 	ctl        uint8 // control kind, ctlNone for a step
 	flow       uint8 // pre-computed flowOf class for split maintenance
-	runLen     int32 // consecutive batchable steps from here, within one CFG block
+	runLen     int32 // consecutive batchable steps from here: to its CFG block's end, or on past a guarded EXIT (translate)
 	rowLen     int32 // consecutive dispatchable row ops from here, within runLen: one runRows call
 	braTarget  int32 // branch target when flow == flowBranch (BRA/JMP/CALL)
 }
@@ -183,7 +185,7 @@ func semSimple(sem sass.SemKind) bool {
 // xlateEngine names and versions the translation scheme in the plan cache
 // key: bumping it invalidates every cached plan without touching the module
 // entries.
-const xlateEngine = "gpu.xplan/v8"
+const xlateEngine = "gpu.xplan/v9"
 
 // planFor returns the translated execution plan for a kernel, building and
 // caching it process-wide on first use. Content-identical kernels — e.g.
@@ -297,7 +299,6 @@ func translate(k *sass.Kernel) (*xplan, error) {
 		xi := &steps[i]
 		sem := in.Op.Info().Sem
 		xi.altersFlow = semAltersFlow(sem)
-		xi.simple = semSimple(sem)
 		switch {
 		case in.Guard.True():
 			xi.guardKind = guardOn
@@ -312,30 +313,36 @@ func translate(k *sass.Kernel) (*xplan, error) {
 		compileStep(xi, in, i, rt, &ops[i])
 	}
 	trigPair(ops)
-	// Straight-line run lengths, computed backwards within each CFG basic
-	// block so a run can never span a branch target. A step is batchable
-	// when it is simple and does not read the SM clock: the batched loop
-	// charges the whole run's clock advance up front, which only a
-	// CS2R/SR_CLOCK read could observe — those issue one at a time. Within a
-	// run, rowLen counts the row ops one runRows call may execute; it cannot
-	// leave the run, because a dispatchable op is batchable: row ops are
-	// simple, and dispatchable excludes the clock read.
+	// Straight-line run lengths, computed backwards. A step is batchable
+	// when it is simple or an EXIT and does not read the SM clock: the
+	// batched loop charges the whole run's clock advance up front, which only
+	// a CS2R/SR_CLOCK read could observe — those issue one at a time. A run
+	// stays within its CFG basic block, so it can never span a branch target,
+	// with one exception: past a guarded EXIT it goes on into the next block
+	// when that block is entered only by falling through from the EXIT. An
+	// EXIT ends its block, so it is the last step of a run that stops there.
+	// Within a run, rowLen counts the row ops one runRows call may execute;
+	// it cannot leave the run, because a dispatchable op is batchable (row
+	// ops are simple, and dispatchable excludes the clock read) and never an
+	// EXIT.
 	cfg := sassan.BuildCFG(k)
-	for _, blk := range cfg.Blocks {
-		run, rows := int32(0), int32(0)
-		for i := blk.End - 1; i >= blk.Start; i-- {
-			if steps[i].simple && !readsClock(&k.Instrs[i]) {
-				run++
-			} else {
-				run = 0
-			}
-			if ops[i].dispatchable() {
-				rows++
-			} else {
-				rows = 0
-			}
-			steps[i].runLen, steps[i].rowLen = run, rows
+	run, rows := int32(0), int32(0)
+	for i := len(k.Instrs) - 1; i >= 0; i-- {
+		if i+1 < len(k.Instrs) && cfg.BlockOf[i+1] != cfg.BlockOf[i] && !exitFallsInto(cfg, steps, i) {
+			run, rows = 0, 0
 		}
+		xi := &steps[i]
+		if (semSimple(k.Instrs[i].Op.Info().Sem) || xi.ctl == ctlExit) && !readsClock(&k.Instrs[i]) {
+			run++
+		} else {
+			run = 0
+		}
+		if ops[i].dispatchable() {
+			rows++
+		} else {
+			rows = 0
+		}
+		xi.runLen, xi.rowLen = run, rows
 	}
 	tallySites := make([]uint32, len(k.Instrs)+1)
 	for pc := range tallySites {
@@ -343,6 +350,15 @@ func translate(k *sass.Kernel) (*xplan, error) {
 	}
 	return &xplan{steps: steps, ops: ops, arena: rt.arena, uniforms: rt.uniforms,
 		regHi: writtenRegHi(k), tallySites: tallySites}, nil
+}
+
+// exitFallsInto reports whether the run through instruction i goes on into
+// the next CFG block: i is a guarded EXIT, whose spared lanes fall through,
+// and the next block has no other way in — no branch, return or indirect
+// jump names it.
+func exitFallsInto(cfg *sassan.CFG, steps []xinstr, i int) bool {
+	return steps[i].ctl == ctlExit && steps[i].guardKind != guardOn &&
+		len(cfg.BlockPreds[cfg.BlockOf[i+1]]) == 1
 }
 
 // readsClock reports whether executing the instruction can observe the SM

@@ -387,6 +387,10 @@ func FuzzXlateDifferential(f *testing.F) {
 	f.Add([]byte{7, 1, 2, 24, 0x81, 8, 24, 2, 0x0d, 8, 3, 3, 24, 0x84, 7, 13, 1, 2, 24, 0x85, 0xe7})
 	f.Add([]byte{7, 1, 2, 25, 0, 0, 1, 2, 3, 12, 3, 4, 26, 0, 0, 13, 1, 2})
 	f.Add([]byte{1, 2, 3, 26, 0, 0, 13, 1, 2, 26, 0, 0, 23, 1, 2, 26, 0, 0, 23, 2, 1})
+	// A guarded EXIT that retires a pseudo-random half of each warp (tid
+	// times the golden ratio against itself), followed by a block that falls
+	// through to a store: one straight-line run crosses it.
+	f.Add([]byte{2, 6, 7, 7, 7, 6, 1, 2, 3, 25, 0, 0, 1, 3, 4, 2, 4, 5, 12, 1, 0xc1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 || len(data) > 256 {
 			t.Skip()

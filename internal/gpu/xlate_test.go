@@ -759,3 +759,44 @@ func TestXlateAllocs(t *testing.T) {
 		t.Errorf("steady-state launch allocated %.1f objects, want 0", avg)
 	}
 }
+
+// TestPlanRunsPastGuardedExit: a straight-line run goes on past a guarded
+// EXIT only into a block that nothing but the EXIT's fall-through enters,
+// ends with an EXIT that stops there, and never runs past a branch target —
+// here the loop head after the second guard, the tail after the unguarded
+// EXIT, which only a branch enters.
+func TestPlanRunsPastGuardedExit(t *testing.T) {
+	k := mustKernel(t, `
+.kernel runs
+    S2R R0, SR_TID.X
+    ISETP.GE.AND P0, R0, 0x10, PT
+@P0 EXIT
+    IADD R1, R0, 0x1
+    ISETP.GE.AND P1, R0, 0x8, PT
+@P1 EXIT
+back:
+    IADD R1, R1, 0x1
+    ISETP.LT.AND P2, R1, 0x4, PT
+@P2 BRA back
+    ISETP.EQ.AND P3, R1, 0x5, PT
+@P3 BRA tail
+    IADD R2, R1, 0x2
+    EXIT
+tail:
+    IADD R3, R0, 0x3
+    EXIT
+`, "runs")
+	plan, err := translate(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []int32{6, 5, 4, 3, 2, 1, 2, 1, 0, 1, 0, 2, 1, 2, 1}
+	for pc, xi := range plan.steps {
+		if xi.runLen != want[pc] {
+			t.Errorf("pc %d (%v): runLen %d, want %d", pc, &k.Instrs[pc], xi.runLen, want[pc])
+		}
+		if xi.rowLen > xi.runLen || xi.ctl == ctlExit && xi.rowLen != 0 {
+			t.Errorf("pc %d (%v): rowLen %d outside runLen %d", pc, &k.Instrs[pc], xi.rowLen, xi.runLen)
+		}
+	}
+}

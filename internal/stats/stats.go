@@ -9,7 +9,9 @@ package stats
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 )
 
 // zValue returns the two-sided standard-normal critical value for the given
@@ -169,11 +171,18 @@ func (t *WeightedTally) Weight(cat string) float64 { return t.weights[cat] }
 // statically proven (provably-masked equivalence classes) are marked
 // certain and legitimately contribute zero sampling variance — the main
 // savings lever of the adaptive campaign.
+//
+// The strata are kept in key order, so every sum over them adds its terms in
+// one fixed order: the estimates are the same bits on every call, whatever
+// order the strata were declared or observed in — the adaptive stop rule
+// compares them with a target.
 type StratifiedTally struct {
-	strata map[string]*stratum
+	strata []*stratum          // sorted by key
+	index  map[string]*stratum // by key
 }
 
 type stratum struct {
+	key     string
 	weight  float64 // population weight (unnormalized; campaign uses selection counts)
 	certain bool
 	n       float64
@@ -182,13 +191,26 @@ type stratum struct {
 
 // NewStratified returns an empty stratified tally.
 func NewStratified() *StratifiedTally {
-	return &StratifiedTally{strata: make(map[string]*stratum)}
+	return &StratifiedTally{index: make(map[string]*stratum)}
 }
 
 // AddStratum declares a stratum with its population weight. Certain strata
 // have statically-proven outcomes and contribute no sampling variance.
 func (t *StratifiedTally) AddStratum(key string, weight float64, certain bool) {
-	t.strata[key] = &stratum{weight: weight, certain: certain, counts: make(map[string]float64)}
+	t.put(&stratum{key: key, weight: weight, certain: certain, counts: make(map[string]float64)})
+}
+
+// put files s under its key, in key order, replacing a stratum of that key.
+func (t *StratifiedTally) put(s *stratum) {
+	i, found := slices.BinarySearchFunc(t.strata, s.key, func(h *stratum, key string) int {
+		return strings.Compare(h.key, key)
+	})
+	if found {
+		t.strata[i] = s
+	} else {
+		t.strata = slices.Insert(t.strata, i, s)
+	}
+	t.index[s.key] = s
 }
 
 // Observe records count observations of category cat in stratum key. An
@@ -198,10 +220,10 @@ func (t *StratifiedTally) Observe(key, cat string, count int) {
 	if count == 0 {
 		return
 	}
-	s := t.strata[key]
+	s := t.index[key]
 	if s == nil {
-		s = &stratum{counts: make(map[string]float64)}
-		t.strata[key] = s
+		s = &stratum{key: key, counts: make(map[string]float64)}
+		t.put(s)
 	}
 	s.n += float64(count)
 	s.counts[cat] += float64(count)
